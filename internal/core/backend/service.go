@@ -36,23 +36,7 @@ func (b *Backend) registerHandlers() {
 	})
 
 	s.Handle(proto.MethodGet, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		r, err := proto.UnmarshalGetReq(req)
-		if err != nil {
-			return nil, err
-		}
-		if r.ConfigID != 0 && r.ConfigID != b.configID.Load() {
-			return nil, layout.ErrConfigChanged
-		}
-		value, ver, found := b.localGetTraced(trace.SinkFrom(ctx), r.Key)
-		if !found && b.recovering.Load() {
-			// A recovering replica cannot distinguish "never stored" from
-			// "acked before the crash, not yet recovered": a clean miss
-			// here could mint a lost-write quorum. Resident entries are
-			// safe to serve (genuine acked writes at monotone versions);
-			// misses bounce until the self-validation sweep ends.
-			return nil, proto.ErrRecovering
-		}
-		return proto.GetResp{Found: found, Value: value, Version: ver}.Marshal(), nil
+		return b.serveGet(trace.SinkFrom(ctx), req)
 	})
 	s.SetMethodCost(proto.MethodGet, getHandlerCPU)
 
@@ -61,18 +45,9 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		if b.Sealed() && !r.Repair {
-			return nil, ErrSealed
-		}
-		// The §6.1 self-validation stamp, extended to the RPC write path:
-		// a client whose config view lags (or leads a not-yet-restamped
-		// backend) must refresh before its write lands in the wrong epoch.
-		entryID := b.configID.Load()
-		if r.ConfigID != 0 && r.ConfigID != entryID {
-			return nil, layout.ErrConfigChanged
-		}
-		if b.handoffRejects(r.Pending) {
-			return nil, proto.ErrShardSealed
+		entryID, err := b.admitMutation(r.ConfigID, r.Pending, r.Repair)
+		if err != nil {
+			return nil, err
 		}
 		applied, stored, ev := b.applySetTraced(trace.SinkFrom(ctx), r.Key, r.Value, r.Version)
 		if applied && r.Repair {
@@ -83,19 +58,13 @@ func (b *Backend) registerHandlers() {
 	s.SetMethodCost(proto.MethodSet, setHandlerCPU)
 
 	s.Handle(proto.MethodErase, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		if b.Sealed() {
-			return nil, ErrSealed
-		}
 		r, err := proto.UnmarshalEraseReq(req)
 		if err != nil {
 			return nil, err
 		}
-		entryID := b.configID.Load()
-		if r.ConfigID != 0 && r.ConfigID != entryID {
-			return nil, layout.ErrConfigChanged
-		}
-		if b.handoffRejects(r.Pending) {
-			return nil, proto.ErrShardSealed
+		entryID, err := b.admitMutation(r.ConfigID, r.Pending, false)
+		if err != nil {
+			return nil, err
 		}
 		applied, stored := b.applyEraseTraced(trace.SinkFrom(ctx), r.Key, r.Version)
 		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.Marshal(), nil
@@ -103,19 +72,13 @@ func (b *Backend) registerHandlers() {
 	s.SetMethodCost(proto.MethodErase, eraseHandlerCPU)
 
 	s.Handle(proto.MethodCas, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		if b.Sealed() {
-			return nil, ErrSealed
-		}
 		r, err := proto.UnmarshalCasReq(req)
 		if err != nil {
 			return nil, err
 		}
-		entryID := b.configID.Load()
-		if r.ConfigID != 0 && r.ConfigID != entryID {
-			return nil, layout.ErrConfigChanged
-		}
-		if b.handoffRejects(r.Pending) {
-			return nil, proto.ErrShardSealed
+		entryID, err := b.admitMutation(r.ConfigID, r.Pending, false)
+		if err != nil {
+			return nil, err
 		}
 		applied, stored := b.applyCasTraced(trace.SinkFrom(ctx), r.Key, r.Value, r.Expected, r.Version)
 		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.Marshal(), nil
@@ -413,7 +376,11 @@ func debugOps(recs []trace.OpRecord) []proto.DebugOp {
 
 // HandleMsg serves the two-sided MSG lookup strategy (Figure 7) delivered
 // through the software NIC: a GET that wakes a backend application thread.
-func (b *Backend) HandleMsg(req []byte) ([]byte, error) {
+func (b *Backend) HandleMsg(req []byte) ([]byte, error) { return b.serveGet(nil, req) }
+
+// serveGet is the server side of both two-sided lookups, the MethodGet RPC
+// and the NIC MSG exchange.
+func (b *Backend) serveGet(sink *trace.SpanSink, req []byte) ([]byte, error) {
 	r, err := proto.UnmarshalGetReq(req)
 	if err != nil {
 		return nil, err
@@ -421,13 +388,37 @@ func (b *Backend) HandleMsg(req []byte) ([]byte, error) {
 	if r.ConfigID != 0 && r.ConfigID != b.configID.Load() {
 		return nil, layout.ErrConfigChanged
 	}
-	value, ver, found := b.localGet(r.Key)
+	value, ver, found := b.localGetTraced(sink, r.Key)
 	if !found && b.recovering.Load() {
-		// Same guard as the MethodGet handler: a recovering replica's
-		// miss is not evidence of absence and must not feed a quorum.
+		// A recovering replica cannot distinguish "never stored" from
+		// "acked before the crash, not yet recovered": a clean miss
+		// here could mint a lost-write quorum. Resident entries are
+		// safe to serve (genuine acked writes at monotone versions);
+		// misses bounce until the self-validation sweep ends.
 		return nil, proto.ErrRecovering
 	}
 	return proto.GetResp{Found: found, Value: value, Version: ver}.Marshal(), nil
+}
+
+// admitMutation is the admission check every client mutation passes before
+// it applies: the corpus seal (repair SETs exempt), the §6.1 self-
+// validation stamp extended to the RPC write path — a client whose config
+// view lags (or leads a not-yet-restamped backend) must refresh before
+// its write lands in the wrong epoch — and the handoff seal. It returns
+// the config stamp at entry, which handoffStranded compares at response
+// time.
+func (b *Backend) admitMutation(cfgID uint64, pending, repair bool) (entryID uint64, err error) {
+	if b.Sealed() && !repair {
+		return 0, ErrSealed
+	}
+	entryID = b.configID.Load()
+	if cfgID != 0 && cfgID != entryID {
+		return 0, layout.ErrConfigChanged
+	}
+	if b.handoffRejects(pending) {
+		return 0, proto.ErrShardSealed
+	}
+	return entryID, nil
 }
 
 // scan returns a page of (KeyHash, Version, Key) summaries for keys whose

@@ -67,6 +67,42 @@ func TestSetGetAcrossStrategies(t *testing.T) {
 	}
 }
 
+// TestReadOnlyClientSurvivesConfigBump: a client that only ever GETs has
+// no mutation bounce to tell it the fleet moved on, so every strategy's
+// read legs must surface the stale-ConfigID rejection themselves — one
+// config refresh, then every preloaded key hits under the new shard map.
+func TestReadOnlyClientSurvivesConfigBump(t *testing.T) {
+	for _, strat := range []client.Strategy{client.Strategy2xR, client.StrategySCAR, client.StrategyMSG, client.StrategyRPC} {
+		t.Run(strat.String(), func(t *testing.T) {
+			c := newTestCell(t, small32())
+			ctx := context.Background()
+			writer := c.NewClient(client.Options{})
+			const keys = 50
+			for i := 0; i < keys; i++ {
+				if err := writer.Set(ctx, []byte(fmt.Sprintf("key-%d", i)), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+					t.Fatalf("preload %d: %v", i, err)
+				}
+			}
+			reader := c.NewClient(client.Options{Strategy: strat})
+			if err := c.Resize(ctx, 4); err != nil {
+				t.Fatalf("resize: %v", err)
+			}
+			for i := 0; i < keys; i++ {
+				got, found, err := reader.Get(ctx, []byte(fmt.Sprintf("key-%d", i)))
+				if err != nil || !found || string(got) != fmt.Sprintf("value-%d", i) {
+					t.Errorf("get %d after resize: %q found=%v err=%v", i, got, found, err)
+				}
+			}
+			if n := reader.M.ConfigRetries.Value(); n < 1 {
+				t.Errorf("ConfigRetries = %d, want >= 1: the stale config was never refreshed", n)
+			}
+			if n := reader.M.Inquorate.Value(); n != 0 {
+				t.Errorf("Inquorate = %d, want 0", n)
+			}
+		})
+	}
+}
+
 func TestSetGetR1AndR2(t *testing.T) {
 	for _, mode := range []config.Mode{config.R1, config.R2Immutable} {
 		t.Run(mode.String(), func(t *testing.T) {

@@ -21,12 +21,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"cliquemap/internal/core/config"
-	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/hashring"
@@ -118,16 +116,11 @@ type Options struct {
 	// Tracer, when set, records every completed op (kind, transport,
 	// attempts, per-layer spans) into the cell's telemetry plane.
 	Tracer *trace.Tracer
-	// Backoff paces retries; zero fields take defaults (20µs base, 2ms
-	// cap, 50% jitter). The pause is billed as virtual latency.
-	Backoff BackoffPolicy
 	// Budget bounds retry amplification across all of this client's ops;
 	// nil gets a private default budget (10 tokens, 0.1 credit/success).
 	Budget *RetryBudget
 	// NoHedge disables backup-replica hedged/failover data reads.
 	NoHedge bool
-	// NoHealth disables per-replica health scoring and demotion.
-	NoHealth bool
 	// Observer, when set, receives every completed op's kind, transport,
 	// modelled latency, and outcome (nil error = success, including clean
 	// misses). The fleet health plane's E2E probers feed their SLO burn-
@@ -155,7 +148,6 @@ func (o Options) withDefaults() Options {
 		o.Retries = 5
 	}
 	o.Hash = hashring.OrDefault(o.Hash)
-	o.Backoff = o.Backoff.withDefaults()
 	if o.Budget == nil {
 		o.Budget = NewRetryBudget(0, 0)
 	}
@@ -186,7 +178,6 @@ type Client struct {
 	dial  DialFunc
 	msg   MsgFunc
 	now   NowFunc
-	clock truetime.Clock
 	acct  *stats.CPUAccount
 
 	mu     sync.Mutex
@@ -230,7 +221,6 @@ func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock
 		dial:   dial,
 		msg:    msg,
 		now:    now,
-		clock:  clock,
 		acct:   acct,
 		conns:  make(map[int]nic.RMA),
 		hellos: make(map[string]proto.HelloResp),
@@ -259,10 +249,7 @@ func (c *Client) chargeCPU(ns uint64) {
 
 // Transport is the trace label of the configured lookup strategy — the
 // tier edge uses it to attribute federated reads per transport.
-func (c *Client) Transport() trace.Transport { return c.transport() }
-
-// transport maps the configured lookup strategy to its trace label.
-func (c *Client) transport() trace.Transport {
+func (c *Client) Transport() trace.Transport {
 	switch c.opt.Strategy {
 	case StrategySCAR:
 		return trace.TransportSCAR
@@ -294,1265 +281,4 @@ func (c *Client) traceOp(ctx context.Context, k trace.Kind) (*trace.SpanContext,
 	}
 	sc := &trace.SpanContext{OpID: c.opt.Tracer.NextID(), Kind: k}
 	return sc, trace.NewContext(ctx, sc)
-}
-
-// refreshConfig re-reads the HA store and drops cached handshakes, the
-// §6.1 recovery path for config-ID mismatches.
-func (c *Client) refreshConfig() {
-	c.mu.Lock()
-	c.cfg = c.store.Get()
-	c.hellos = make(map[string]proto.HelloResp)
-	c.mu.Unlock()
-}
-
-// forgetHandshake drops one backend's cached geometry, forcing a fresh
-// Hello on next use — the recovery path for revoked windows (§4.1).
-func (c *Client) forgetHandshake(addr string) {
-	c.mu.Lock()
-	delete(c.hellos, addr)
-	c.mu.Unlock()
-}
-
-// replica is the client's resolved view of one cohort member.
-type replica struct {
-	shard int
-	addr  string
-	host  int
-	hello proto.HelloResp
-	conn  nic.RMA
-}
-
-// route is the epoch-resolved fan-out for one key: cohort shard numbers
-// with their serving addresses. Outside a resize transition it is simply
-// the key's cohort; during one, reads come from whichever epoch is
-// authoritative for the key and writes fan out to the union of both
-// epochs' cohorts.
-type route struct {
-	shards  []int
-	addrs   []string
-	pending bool // this is the pending-epoch cohort
-}
-
-// readRoute resolves the authoritative cohort for GETs. The old epoch
-// stays authoritative until enough of the key's old cohort has been
-// sealed (and therefore drained to the pending owners) that the pending
-// epoch is guaranteed to hold every acked write; then reads move over.
-func readRoute(cfg config.CellConfig, h hashring.KeyHash) route {
-	oldCohort := cfg.Cohort(int(h.Hi % uint64(cfg.Shards)))
-	if cfg.Pending != nil && cfg.PendingAuthoritative(oldCohort) {
-		pc := cfg.PendingCohort(int(h.Hi % uint64(cfg.Pending.Shards)))
-		rt := route{shards: pc, addrs: make([]string, 0, len(pc)), pending: true}
-		for _, s := range pc {
-			rt.addrs = append(rt.addrs, cfg.Pending.AddrFor(s))
-		}
-		return rt
-	}
-	rt := route{shards: oldCohort, addrs: make([]string, 0, len(oldCohort))}
-	for _, s := range oldCohort {
-		rt.addrs = append(rt.addrs, cfg.AddrFor(s))
-	}
-	return rt
-}
-
-// mutLeg is one target of a mutation fan-out, tagged with the epoch(s)
-// it represents for quorum accounting.
-type mutLeg struct {
-	addr      string
-	inOld     bool
-	inPending bool
-}
-
-// mutationLegs builds the union fan-out for a mutation: every old-epoch
-// cohort member plus, mid-resize, every pending-epoch cohort member,
-// deduplicated by address (a backend often serves a shard in both
-// epochs; it gets one RPC, counted toward both quorums).
-func mutationLegs(cfg config.CellConfig, h hashring.KeyHash) []mutLeg {
-	legs := make([]mutLeg, 0, 6)
-	for _, s := range cfg.Cohort(int(h.Hi % uint64(cfg.Shards))) {
-		addr := cfg.AddrFor(s)
-		if addr == "" {
-			continue
-		}
-		dup := false
-		for i := range legs {
-			if legs[i].addr == addr {
-				legs[i].inOld = true
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			legs = append(legs, mutLeg{addr: addr, inOld: true})
-		}
-	}
-	if cfg.Pending != nil {
-		for _, s := range cfg.PendingCohort(int(h.Hi % uint64(cfg.Pending.Shards))) {
-			addr := cfg.Pending.AddrFor(s)
-			if addr == "" {
-				continue
-			}
-			dup := false
-			for i := range legs {
-				if legs[i].addr == addr {
-					legs[i].inPending = true
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				legs = append(legs, mutLeg{addr: addr, inPending: true})
-			}
-		}
-	}
-	return legs
-}
-
-// resolveReplica produces a usable replica handle for the cohort member
-// at addr, performing the Hello handshake if needed.
-func (c *Client) resolveReplica(ctx context.Context, cfg config.CellConfig, shard int, addr string) (replica, error) {
-	host := cfg.HostForAddr(addr)
-	if addr == "" || host < 0 {
-		return replica{}, fmt.Errorf("%w: shard %d unresolved", ErrUnavailable, shard)
-	}
-
-	c.mu.Lock()
-	hello, haveHello := c.hellos[addr]
-	conn, haveConn := c.conns[host]
-	c.mu.Unlock()
-
-	if !haveConn {
-		conn = c.dial(host)
-		c.mu.Lock()
-		c.conns[host] = conn
-		c.mu.Unlock()
-	}
-	if !haveHello {
-		resp, _, err := c.rpcc.Call(ctx, addr, proto.MethodHello, nil)
-		if err != nil {
-			return replica{}, err
-		}
-		h, err := proto.UnmarshalHelloResp(resp)
-		if err != nil {
-			return replica{}, err
-		}
-		hello = h
-		c.mu.Lock()
-		c.hellos[addr] = h
-		c.mu.Unlock()
-	}
-	return replica{shard: shard, addr: addr, host: host, hello: hello, conn: conn}, nil
-}
-
-// indexView is one replica's answer to the index-fetch phase.
-type indexView struct {
-	rep      replica
-	entry    layout.IndexEntry
-	present  bool
-	overflow bool
-	scarData []byte // SCAR only: piggybacked DataEntry bytes
-	trace    fabric.OpTrace
-	err      error
-}
-
-// Get looks up key, transparently retrying transient hazards.
-func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	v, found, _, err := c.GetTraced(ctx, key)
-	return v, found, err
-}
-
-// GetTraced is Get plus the op's modelled latency trace.
-func (c *Client) GetTraced(ctx context.Context, key []byte) (value []byte, found bool, tr fabric.OpTrace, err error) {
-	c.M.Gets.Inc()
-	var total fabric.OpTrace
-	if c.opt.Observer != nil {
-		defer func() { c.observe(trace.KindGet, c.transport(), total.Ns, err) }()
-	}
-	sc, ctx := c.traceOp(ctx, trace.KindGet)
-	if sc != nil {
-		// One right-sized allocation up front; per-leg merges then append
-		// without growth on the hot path.
-		total.Spans = make([]fabric.Span, 0, 8)
-	}
-	// Near-cache fast path: a cached hot-key value serves after one
-	// index-only revalidation round (1 RTT, no data leg). An inconclusive
-	// round falls through to the full path with its legs already billed.
-	if c.near != nil {
-		nval, nfound, served, ntr := c.nearGet(ctx, key)
-		total.Sequence(ntr)
-		if served {
-			if nfound {
-				c.M.Hits.Inc()
-				c.noteTouch(key)
-			} else {
-				c.M.Misses.Inc()
-			}
-			c.M.GetLatency.Record(total.Ns)
-			if sc != nil {
-				c.opt.Tracer.Record(sc.OpID, trace.KindGet, c.transport(), 1, total)
-			}
-			return nval, nfound, total, nil
-		}
-	}
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if ctx.Err() != nil {
-			return nil, false, total, ErrExhausted
-		}
-		if attempt > 0 {
-			// Retries spend from the shared budget and pace themselves
-			// with jittered exponential backoff billed as virtual time.
-			if !c.opt.Budget.TryTake() {
-				c.M.BudgetDenied.Inc()
-				return nil, false, total, fmt.Errorf("%w: retry budget empty", ErrExhausted)
-			}
-			ns := c.opt.Backoff.delay(attempt, c.rand64())
-			total.AddSpan(trace.SpanBackoff, uint32(attempt), ns)
-			c.M.BackoffNs.Add(ns)
-		}
-		if sc != nil {
-			sc.Attempt = uint32(attempt)
-		}
-		attemptStart := total.Ns
-		val, ok, wver, atr, aerr := c.attemptGet(ctx, key)
-		total.Sequence(atr)
-		if aerr == nil {
-			c.opt.Budget.Credit()
-			if ok {
-				c.M.Hits.Inc()
-				c.noteTouch(key)
-				c.nearStore(key, val, wver)
-			} else {
-				c.M.Misses.Inc()
-			}
-			c.M.GetLatency.Record(total.Ns)
-			if sc != nil {
-				c.opt.Tracer.Record(sc.OpID, trace.KindGet, c.transport(), uint32(attempt+1), total)
-			}
-			return val, ok, total, nil
-		}
-		if sc != nil {
-			total.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, atr.Ns)
-		}
-		c.classifyAndRepair(ctx, key, aerr)
-	}
-	// Final fallback: a plain RPC lookup against any reachable replica —
-	// CliqueMap always keeps an RPC path for lookups (§3, Table 1). The
-	// fallback is itself another attempt, so it too costs a retry token.
-	if !c.opt.NoFallback {
-		if !c.opt.Budget.TryTake() {
-			c.M.BudgetDenied.Inc()
-			return nil, false, total, fmt.Errorf("%w: retry budget empty", ErrExhausted)
-		}
-		if val, ok, ftr, ferr := c.rpcGetAny(ctx, key); ferr == nil {
-			total.Sequence(ftr)
-			c.opt.Budget.Credit()
-			c.M.RPCFallbacks.Inc()
-			if ok {
-				c.M.Hits.Inc()
-			} else {
-				c.M.Misses.Inc()
-			}
-			c.M.GetLatency.Record(total.Ns)
-			if sc != nil {
-				c.opt.Tracer.Record(sc.OpID, trace.KindGet, trace.TransportRPC, uint32(c.opt.Retries+2), total)
-			}
-			return val, ok, total, nil
-		}
-	}
-	c.M.Inquorate.Inc()
-	return nil, false, total, fmt.Errorf("%w for key %q", ErrInquorate, key)
-}
-
-// classifyAndRepair performs the layered retry policy (§3): each failure
-// class repairs a different level of client state before the next attempt.
-func (c *Client) classifyAndRepair(ctx context.Context, key []byte, err error) {
-	var se errStale
-	var staleAddr string
-	if errors.As(err, &se) {
-		staleAddr = se.addr
-	}
-	switch {
-	case errors.Is(err, layout.ErrConfigChanged):
-		c.M.ConfigRetries.Inc()
-		c.refreshConfig()
-	case errors.Is(err, proto.ErrShardSealed):
-		// A sealed source bounced the mutation: a handoff or resize moved
-		// the shard underneath us. Refresh config and re-fan-out; the new
-		// epoch's owners (or the handoff target) take the write.
-		c.M.ConfigRetries.Inc()
-		c.refreshConfig()
-	case errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, nic.ErrUnreachable):
-		c.M.WindowRetries.Inc()
-		c.refreshConfig()
-		// A cached one-sided conn can point at a NIC that no longer
-		// exists (crash/restart replaces the node's engines); re-dial so
-		// the RMA path recovers instead of leaning on the RPC fallback.
-		c.forgetConns()
-	case isWindowErr(err):
-		c.M.WindowRetries.Inc()
-		if staleAddr != "" {
-			c.forgetHandshake(staleAddr)
-		} else {
-			c.forgetAll()
-		}
-	case errors.Is(err, proto.ErrRecovering):
-		// A restarted replica is still self-validating: its misses are
-		// withheld, not authoritative. No client state to repair — retry
-		// and let the rest of the quorum carry the read.
-		c.M.QuorumRetries.Inc()
-	case errors.Is(err, layout.ErrTornRead) || errors.Is(err, layout.ErrKeyMismatch):
-		c.M.TornRetries.Inc()
-	case errors.Is(err, ErrInquorate):
-		c.M.QuorumRetries.Inc()
-	default:
-		c.M.QuorumRetries.Inc()
-	}
-}
-
-func (c *Client) forgetAll() {
-	c.mu.Lock()
-	c.hellos = make(map[string]proto.HelloResp)
-	c.mu.Unlock()
-}
-
-// forgetConns drops cached one-sided connections; the next attempt
-// re-dials against the hosts' current NICs.
-func (c *Client) forgetConns() {
-	c.mu.Lock()
-	c.conns = make(map[int]nic.RMA)
-	c.mu.Unlock()
-}
-
-// errStale wraps a window error with the backend it came from.
-type errStale struct {
-	addr string
-	err  error
-}
-
-func (e errStale) Error() string { return fmt.Sprintf("stale state at %s: %v", e.addr, e.err) }
-func (e errStale) Unwrap() error { return e.err }
-
-func isWindowErr(err error) bool {
-	var es errStale
-	return errors.As(err, &es)
-}
-
-// attemptGet performs one lookup attempt under the configured strategy
-// and replication mode. On a hit it also returns the quorum-winning
-// version, which feeds the near-cache.
-func (c *Client) attemptGet(ctx context.Context, key []byte) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
-
-	h := c.opt.Hash(key)
-	rt := readRoute(cfg, h)
-
-	switch c.opt.Strategy {
-	case StrategyRPC:
-		return c.attemptGetRPC(ctx, key, cfg, rt)
-	case StrategyMSG:
-		return c.attemptGetMSG(ctx, key, cfg, rt)
-	}
-	// Per-key steering: a promoted key whose value is past the Fig 20
-	// crossover moves fewer bytes (and fewer NIC ops) over one RPC than
-	// over the RMA index+data legs.
-	if c.steerToRPC(key) {
-		c.M.SteerRPC.Inc()
-		return c.attemptGetRPC(ctx, key, cfg, rt)
-	}
-
-	// Resolve replicas — first use pays a Hello RPC — before pinning the
-	// op's virtual start. Connection setup is control-plane work; were it
-	// inside the pinned window, the wall time it consumes would read as
-	// downlink backlog for the op's own data-plane legs.
-	var repArr [8]replica
-	var errArr [8]error
-	reps := repArr[:0]
-	errs := errArr[:0]
-	for i, shard := range rt.shards {
-		rep, err := c.resolveReplica(ctx, cfg, shard, rt.addrs[i])
-		reps = append(reps, rep)
-		errs = append(errs, err)
-	}
-
-	at := c.opStart()
-
-	// R=2/Immutable consults a single replica for most operations; the
-	// second serves only when the first fails (§6.4).
-	if cfg.Mode == config.R2Immutable {
-		var lastErr error
-		for i := range rt.shards {
-			if errs[i] != nil {
-				lastErr = errs[i]
-				continue
-			}
-			v := c.fetchIndex(at, key, h, reps[i], cfg.ID, false)
-			if v.err != nil {
-				lastErr = v.err
-				continue
-			}
-			return c.assembleGet(ctx, at, key, h, cfg, []indexView{v})
-		}
-		if lastErr == nil {
-			lastErr = ErrUnavailable
-		}
-		return nil, false, truetime.Version{}, fabric.OpTrace{}, lastErr
-	}
-
-	// RMA strategies: fetch index views from every cohort member, all
-	// pinned to one virtual op-start instant so their responses contend
-	// for this client's downlink in the latency model.
-	views := make([]indexView, 0, len(rt.shards))
-	for i := range rt.shards {
-		if errs[i] != nil {
-			views = append(views, indexView{err: errs[i]})
-			continue
-		}
-		v := c.fetchIndex(at, key, h, reps[i], cfg.ID, false)
-		if v.err != nil {
-			c.noteReplicaFailure(reps[i].addr)
-		} else {
-			c.noteReplicaSuccess(reps[i].addr)
-		}
-		views = append(views, v)
-	}
-	return c.assembleGet(ctx, at, key, h, cfg, views)
-}
-
-// opStart samples the op's virtual start instant.
-func (c *Client) opStart() uint64 {
-	if c.now == nil {
-		return 0
-	}
-	return c.now()
-}
-
-// fetchIndex reads one replica's bucket (and, under SCAR, data). The
-// replica must already be resolved: Hello traffic ahead of the pinned op
-// start must not masquerade as data-plane queueing. cfgID is the config
-// the client routed with; a bucket stamped differently means the fleet
-// moved on (maintenance or resize) and the answer cannot be trusted.
-// forcePlain forces a bucket-only Read even under SCAR — the near-cache
-// revalidation path wants the index vote without moving data bytes.
-func (c *Client) fetchIndex(at uint64, key []byte, h hashring.KeyHash, rep replica, cfgID uint64, forcePlain bool) indexView {
-	v := indexView{rep: rep}
-	geo := layout.Geometry{Buckets: rep.hello.Buckets, Ways: rep.hello.Ways}
-	bucket := int(h.Lo % uint64(geo.Buckets))
-	off := geo.BucketOffset(bucket)
-
-	useScar := !forcePlain && c.opt.Strategy == StrategySCAR && rep.conn.SupportsScar()
-	var raw []byte
-	if useScar {
-		c.chargeCPU(cpuSCAR)
-		res, tr, serr := rep.conn.ScanAndRead(at, rep.hello.IndexWindow, off, geo.BucketSize(), h, geo.Ways)
-		v.trace = tr
-		if serr != nil {
-			v.err = c.wrapTransportErr(rep, serr)
-			return v
-		}
-		raw = res.Bucket
-		if res.Found {
-			v.scarData = res.Data
-		}
-	} else {
-		c.chargeCPU(cpu2xR / 2) // per index leg; data leg bills the rest
-		raw2, tr, rerr := rep.conn.Read(at, rep.hello.IndexWindow, off, geo.BucketSize())
-		v.trace = tr
-		if rerr != nil {
-			v.err = c.wrapTransportErr(rep, rerr)
-			return v
-		}
-		raw = raw2
-	}
-
-	dec, derr := layout.DecodeBucket(raw, geo.Ways)
-	if derr != nil {
-		v.err = derr
-		return v
-	}
-	// Self-validation: the bucket's ConfigID must match the config the
-	// client routed with (§6.1). Comparing against the routing config —
-	// not the cached Hello, which a fresh handshake would already have
-	// fast-forwarded — is what catches a stale client whose cohort no
-	// longer holds the key after a resize: the absent votes it would
-	// otherwise collect look exactly like a legitimate miss.
-	if dec.ConfigID != cfgID {
-		v.err = layout.ErrConfigChanged
-		return v
-	}
-	v.overflow = dec.Overflowed()
-	if e, _, ok := dec.Find(h); ok {
-		v.entry = e
-		v.present = true
-	}
-	return v
-}
-
-// wrapTransportErr tags window/unreachable failures with the backend so
-// the retry layer can repair precisely.
-func (c *Client) wrapTransportErr(rep replica, err error) error {
-	if errors.Is(err, nic.ErrUnreachable) {
-		return err
-	}
-	return errStale{addr: rep.addr, err: err}
-}
-
-// assembleGet forms the quorum, fetches data, and validates. On a hit the
-// quorum-winning version rides along for the near-cache.
-func (c *Client) assembleGet(ctx context.Context, at uint64, key []byte, h hashring.KeyHash, cfg config.CellConfig, views []indexView) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
-	quorumNeed := cfg.Mode.Quorum()
-
-	// Index-phase latency: the op can proceed once `quorumNeed` replicas
-	// have responded, so the phase costs the k-th fastest leg.
-	var legArr [8]uint64
-	legNs := legArr[:0]
-	var tr fabric.OpTrace
-	tr.Spans = make([]fabric.Span, 0, 16)
-	okViews := 0
-	for _, v := range views {
-		if v.err == nil {
-			legNs = append(legNs, v.trace.Ns)
-			tr.AddBytes(int(v.trace.Bytes))
-			// Leg spans share the phase origin: the legs ran in parallel.
-			tr.Spans = append(tr.Spans, v.trace.Spans...)
-			okViews++
-		}
-	}
-	if okViews < quorumNeed {
-		// Not enough live replicas to even try: surface the first error.
-		for _, v := range views {
-			if v.err != nil {
-				return nil, false, truetime.Version{}, tr, v.err
-			}
-		}
-		return nil, false, truetime.Version{}, tr, ErrUnavailable
-	}
-	// Cohorts are tiny (≤ replication factor): insertion sort keeps the
-	// leg latencies on the stack, off the reflection-based sort path.
-	for i := 1; i < len(legNs); i++ {
-		for j := i; j > 0 && legNs[j] < legNs[j-1]; j-- {
-			legNs[j], legNs[j-1] = legNs[j-1], legNs[j]
-		}
-	}
-	k := min(quorumNeed, len(legNs))
-	phase := tr.Ns
-	tr.Annotate(trace.SpanIndexFetch, uint32(len(legNs)), phase, legNs[0])
-	if legNs[k-1] > legNs[0] {
-		// The op sat waiting for the k-th quorum vote after the first
-		// replica had already answered — the paper's tail story (§5.1).
-		tr.Annotate(trace.SpanQuorumWait, uint32(k), phase+legNs[0], legNs[k-1]-legNs[0])
-	}
-	tr.Add(legNs[k-1])
-
-	// Vote per §5.1: replicas vote their IndexEntry's (VersionNumber,
-	// KeyHash); an absent entry votes the zero version (an agreed miss).
-	// At most one distinct version per live view, so a fixed array holds
-	// the full tally without a map.
-	type vote struct {
-		ver   truetime.Version
-		count int
-	}
-	var voteArr [8]vote
-	votes := voteArr[:0]
-	for _, v := range views {
-		if v.err != nil {
-			continue
-		}
-		ver := truetime.Version{}
-		if v.present {
-			ver = v.entry.Version
-		}
-		found := false
-		for i := range votes {
-			if votes[i].ver == ver {
-				votes[i].count++
-				found = true
-				break
-			}
-		}
-		if !found && len(votes) < cap(votes) {
-			votes = append(votes, vote{ver: ver, count: 1})
-		}
-	}
-	var winner *vote
-	for i := range votes {
-		if votes[i].count >= quorumNeed && (winner == nil || winner.ver.Less(votes[i].ver)) {
-			winner = &votes[i]
-		}
-	}
-	if winner == nil {
-		return nil, false, truetime.Version{}, tr, ErrInquorate
-	}
-	if winner.ver.Zero() {
-		// Miss quorum. If any replica flagged overflow, the key may live
-		// in a side table reachable only via RPC (§4.2).
-		for _, v := range views {
-			if v.err == nil && v.overflow {
-				val, found, fver, ftr, ferr := c.rpcGetAt(ctx, v.rep.addr, key, cfg.ID)
-				tr.Sequence(ftr)
-				if ferr == nil {
-					c.M.RPCFallbacks.Inc()
-					return val, found, fver, tr, nil
-				}
-			}
-		}
-		return nil, false, truetime.Version{}, tr, nil
-	}
-
-	// Candidate data sources: quorum members holding the winning version,
-	// fastest first (§5.1 — speculate on the first responder), with
-	// health-demoted members sorted last so a browned-out backend serves
-	// data only when no healthy member can.
-	var candArr [8]indexView
-	var demArr [8]bool
-	cands := candArr[:0]
-	for _, v := range views {
-		if v.err == nil && v.present && v.entry.Version == winner.ver && len(cands) < len(candArr) {
-			demArr[len(cands)] = c.replicaDemoted(v.rep.addr)
-			cands = append(cands, v)
-		}
-	}
-	if len(cands) == 0 {
-		return nil, false, truetime.Version{}, tr, ErrInquorate
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && (!demArr[j] && demArr[j-1] ||
-			demArr[j] == demArr[j-1] && cands[j].trace.Ns < cands[j-1].trace.Ns); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-			demArr[j], demArr[j-1] = demArr[j-1], demArr[j]
-		}
-	}
-	// Hot-key spread: rotate the healthy prefix so a promoted key's data
-	// reads load-balance across the quorum instead of always landing on
-	// the fastest (soon to be hottest) replica. Demoted members keep
-	// their sorted-last position; failover order is unchanged.
-	if c.opt.HotSpread && len(cands) > 1 && c.isPromoted(key) {
-		healthy := 0
-		for healthy < len(cands) && !demArr[healthy] {
-			healthy++
-		}
-		if healthy > 1 {
-			if r := int(c.rand64() % uint64(healthy)); r > 0 {
-				var rotArr [8]indexView
-				copy(rotArr[:healthy], cands[:healthy])
-				for i := 0; i < healthy; i++ {
-					cands[i] = rotArr[(i+r)%healthy]
-				}
-				c.M.SpreadReads.Inc()
-			}
-		}
-	}
-
-	// Read the data, failing over along the candidate list: a torn,
-	// corrupt, or unreachable copy costs one more dependent read instead
-	// of a whole-op retry. The checksum (§3) is the only corruption
-	// defense, so every absorbed failure is counted.
-	var lastErr error = ErrInquorate
-	for ci := range cands {
-		cand := cands[ci]
-		backup := ci == 0 && len(cands) > 1
-		var raw []byte
-		if cand.scarData != nil {
-			raw = cand.scarData
-		} else if c.opt.Strategy == StrategySCAR {
-			// Scan missed on the wire (e.g. racing rewrite): retryable.
-			lastErr = layout.ErrTornRead
-			continue
-		} else {
-			c.chargeCPU(cpu2xR / 2)
-			e := cand.entry
-			dataAt := uint64(0)
-			if at != 0 {
-				dataAt = at + tr.Ns // the data fetch follows the index phase
-			}
-			dataStart := tr.Ns
-			data, dtr, derr := cand.rep.conn.Read(dataAt, e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
-			if derr != nil {
-				tr.Sequence(dtr)
-				c.noteReplicaFailure(cand.rep.addr)
-				lastErr = c.wrapTransportErr(cand.rep, derr)
-				if ci < len(cands)-1 {
-					c.M.Failovers.Inc()
-				}
-				continue
-			}
-			c.observeDataNs(dtr.Ns)
-			// Hedge: the primary's read exceeded the rolling threshold, so
-			// (in wall-time terms) a backup read launched at +hedgeAfter
-			// may complete first; the op takes whichever finishes sooner.
-			if hedgeAfter := c.hedgeAfterNs(); backup && hedgeAfter > 0 && dtr.Ns > hedgeAfter {
-				c.M.Hedges.Inc()
-				b := cands[1]
-				hAt := uint64(0)
-				if at != 0 {
-					hAt = at + tr.Ns + hedgeAfter
-				}
-				hdata, htr, herr := b.rep.conn.Read(hAt, b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
-				if herr == nil && hedgeAfter+htr.Ns < dtr.Ns {
-					if hde, hderr := layout.DecodeDataEntry(hdata); hderr == nil && hde.ValidateAgainst(key, &winner.ver) == nil {
-						if hval, hmerr := hde.MaterializeValue(); hmerr == nil {
-							c.M.HedgeWins.Inc()
-							tr.Annotate(trace.SpanHedge, uint32(b.rep.shard), dataStart+hedgeAfter, htr.Ns)
-							tr.AddBytes(int(htr.Bytes))
-							tr.Add(hedgeAfter + htr.Ns)
-							return hval, true, winner.ver, tr, nil
-						}
-					}
-				}
-			}
-			tr.Sequence(dtr)
-			tr.Annotate(trace.SpanDataRead, uint32(cand.rep.shard), dataStart, dtr.Ns)
-			raw = data
-		}
-		de, derr := layout.DecodeDataEntry(raw)
-		if derr != nil {
-			// ErrTornRead: checksum caught a race or a flipped bit.
-			c.noteReplicaFailure(cand.rep.addr)
-			lastErr = derr
-			if ci < len(cands)-1 {
-				c.M.TornRetries.Inc() // absorbed by failover, not a re-attempt
-				c.M.Failovers.Inc()
-			}
-			continue
-		}
-		if err := de.ValidateAgainst(key, &winner.ver); err != nil {
-			lastErr = err
-			if ci < len(cands)-1 {
-				c.M.TornRetries.Inc()
-				c.M.Failovers.Inc()
-			}
-			continue
-		}
-		val, merr := de.MaterializeValue()
-		if merr != nil {
-			lastErr = merr
-			continue
-		}
-		c.noteReplicaSuccess(cand.rep.addr)
-		return val, true, winner.ver, tr, nil
-	}
-	return nil, false, truetime.Version{}, tr, lastErr
-}
-
-// attemptGetRPC queries replicas over full RPC and quorums on versions.
-func (c *Client) attemptGetRPC(ctx context.Context, key []byte, cfg config.CellConfig, rt route) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
-	c.chargeCPU(cpuRPC)
-	return c.twoSidedQuorum(cfg, rt, func(i int) (proto.GetResp, fabric.OpTrace, error) {
-		addr := rt.addrs[i]
-		if addr == "" {
-			return proto.GetResp{}, fabric.OpTrace{}, ErrUnavailable
-		}
-		resp, tr, err := c.rpcc.Call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key, ConfigID: cfg.ID}.Marshal())
-		if err != nil {
-			return proto.GetResp{}, tr, err
-		}
-		g, gerr := proto.UnmarshalGetResp(resp)
-		return g, tr, gerr
-	})
-}
-
-// attemptGetMSG queries replicas via two-sided NIC messaging (Figure 7's
-// MSG strategy).
-func (c *Client) attemptGetMSG(ctx context.Context, key []byte, cfg config.CellConfig, rt route) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
-	if c.msg == nil {
-		return c.attemptGetRPC(ctx, key, cfg, rt)
-	}
-	c.chargeCPU(cpuMSG)
-	at := c.opStart()
-	req := proto.GetReq{Key: key, ConfigID: cfg.ID}.Marshal()
-	return c.twoSidedQuorum(cfg, rt, func(i int) (proto.GetResp, fabric.OpTrace, error) {
-		host := cfg.HostForAddr(rt.addrs[i])
-		if host < 0 {
-			return proto.GetResp{}, fabric.OpTrace{}, ErrUnavailable
-		}
-		resp, tr, err := c.msg(host, at, req)
-		if err != nil {
-			return proto.GetResp{}, tr, err
-		}
-		g, gerr := proto.UnmarshalGetResp(resp)
-		return g, tr, gerr
-	})
-}
-
-// twoSidedQuorum runs the version-quorum logic over any request/response
-// lookup primitive.
-func (c *Client) twoSidedQuorum(cfg config.CellConfig, rt route, fetch func(i int) (proto.GetResp, fabric.OpTrace, error)) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
-	need := cfg.Mode.Quorum()
-	type result struct {
-		resp proto.GetResp
-		ok   bool
-		ns   uint64
-	}
-	var results []result
-	var tr fabric.OpTrace
-	var legNs []uint64
-	for i := range rt.shards {
-		resp, ltr, err := fetch(i)
-		if err != nil {
-			continue
-		}
-		results = append(results, result{resp: resp, ok: true, ns: ltr.Ns})
-		legNs = append(legNs, ltr.Ns)
-		tr.AddBytes(int(ltr.Bytes))
-		tr.Spans = append(tr.Spans, ltr.Spans...)
-	}
-	if len(results) < need {
-		return nil, false, truetime.Version{}, tr, ErrUnavailable
-	}
-	sort.Slice(legNs, func(i, j int) bool { return legNs[i] < legNs[j] })
-	phase := tr.Ns
-	tr.Annotate(trace.SpanIndexFetch, uint32(len(legNs)), phase, legNs[0])
-	if legNs[need-1] > legNs[0] {
-		tr.Annotate(trace.SpanQuorumWait, uint32(need), phase+legNs[0], legNs[need-1]-legNs[0])
-	}
-	tr.Add(legNs[need-1])
-
-	votes := map[truetime.Version]int{}
-	for _, r := range results {
-		ver := truetime.Version{}
-		if r.resp.Found {
-			ver = r.resp.Version
-		}
-		votes[ver]++
-	}
-	var winner truetime.Version
-	won := false
-	for ver, n := range votes {
-		if n >= need && (!won || winner.Less(ver)) {
-			winner, won = ver, true
-		}
-	}
-	if !won {
-		return nil, false, truetime.Version{}, tr, ErrInquorate
-	}
-	if winner.Zero() {
-		return nil, false, truetime.Version{}, tr, nil
-	}
-	for _, r := range results {
-		if r.resp.Found && r.resp.Version == winner {
-			return r.resp.Value, true, winner, tr, nil
-		}
-	}
-	return nil, false, truetime.Version{}, tr, ErrInquorate
-}
-
-// rpcGetAny tries an RPC lookup on each cohort member until one answers.
-func (c *Client) rpcGetAny(ctx context.Context, key []byte) ([]byte, bool, fabric.OpTrace, error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
-	h := c.opt.Hash(key)
-	rt := readRoute(cfg, h)
-	var tr fabric.OpTrace
-	var lastErr error = ErrUnavailable
-	for _, addr := range rt.addrs {
-		if addr == "" {
-			continue
-		}
-		val, found, _, ftr, err := c.rpcGetAt(ctx, addr, key, cfg.ID)
-		tr.Sequence(ftr)
-		if err == nil {
-			return val, found, tr, nil
-		}
-		lastErr = err
-	}
-	return nil, false, tr, lastErr
-}
-
-// GetVersioned is a single-replica RPC lookup returning the stored value
-// and its version. It is the federation tier's follower-read primitive:
-// the version lets a non-owner cell revalidate a cached entry against
-// the owner, and a single replica (no quorum) is acceptable because the
-// tier bounds staleness and revalidates. Not a substitute for Get on the
-// quorum read path.
-func (c *Client) GetVersioned(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, error) {
-	v, ver, found, _, err := c.GetVersionedTraced(ctx, key)
-	return v, ver, found, err
-}
-
-// GetVersionedTraced is GetVersioned plus the op's modelled latency
-// trace, so a tier edge can fold the owner cell's revalidation legs into
-// the federated op's single trace.
-func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
-	var total fabric.OpTrace
-	var lastErr error = ErrUnavailable
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if attempt > 0 {
-			// Same layered repair as the quorum paths: a resize or handoff
-			// bumps the config epoch underneath us and the backend bounces
-			// the stale ConfigID; refresh and re-route before retrying.
-			c.classifyAndRepair(ctx, key, lastErr)
-		}
-		c.mu.Lock()
-		cfg := c.cfg
-		c.mu.Unlock()
-		rt := readRoute(cfg, c.opt.Hash(key))
-		for _, addr := range rt.addrs {
-			if addr == "" {
-				continue
-			}
-			resp, tr, err := c.rpcc.Call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key, ConfigID: cfg.ID}.Marshal())
-			total.Sequence(tr)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			g, gerr := proto.UnmarshalGetResp(resp)
-			if gerr != nil {
-				lastErr = gerr
-				continue
-			}
-			return g.Value, g.Version, g.Found, total, nil
-		}
-	}
-	return nil, truetime.Version{}, false, total, lastErr
-}
-
-func (c *Client) rpcGetAt(ctx context.Context, addr string, key []byte, cfgID uint64) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
-	resp, tr, err := c.rpcc.Call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key, ConfigID: cfgID}.Marshal())
-	if err != nil {
-		return nil, false, truetime.Version{}, tr, err
-	}
-	g, gerr := proto.UnmarshalGetResp(resp)
-	if gerr != nil {
-		return nil, false, truetime.Version{}, tr, gerr
-	}
-	return g.Value, g.Found, g.Version, tr, nil
-}
-
-// GetBatch looks up many keys as one logical op (§7.1: Ads/Geo fetches are
-// highly batched). Lookups run concurrently with bounded fan-out; the
-// batch trace is the slowest leg, and the shared client downlink makes
-// large batches incast-bound, which the fabric model charges for.
-func (c *Client) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, tr fabric.OpTrace, err error) {
-	values = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, tr, nil
-	}
-	const fanout = 8
-	sem := make(chan struct{}, fanout)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, k := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, k []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			v, ok, ktr, kerr := c.GetTraced(ctx, k)
-			mu.Lock()
-			values[i], found[i] = v, ok
-			if kerr != nil && firstErr == nil {
-				firstErr = kerr
-			}
-			tr.Merge(ktr)
-			mu.Unlock()
-		}(i, k)
-	}
-	wg.Wait()
-	return values, found, tr, firstErr
-}
-
-// ----------------------------------------------------------- mutations --
-
-// Set installs key=value on every replica at a fresh client-nominated
-// VersionNumber (§5.2). It succeeds when a write quorum acknowledges.
-func (c *Client) Set(ctx context.Context, key, value []byte) error {
-	_, err := c.SetVersioned(ctx, key, value)
-	return err
-}
-
-// SetVersioned is Set returning the nominated version (for later CAS).
-func (c *Client) SetVersioned(ctx context.Context, key, value []byte) (truetime.Version, error) {
-	v, _, err := c.SetVersionedTraced(ctx, key, value)
-	return v, err
-}
-
-// SetVersionedTraced is SetVersioned plus the op's modelled latency trace.
-func (c *Client) SetVersionedTraced(ctx context.Context, key, value []byte) (truetime.Version, fabric.OpTrace, error) {
-	c.M.Sets.Inc()
-	v := c.gen.Next()
-	build := func(pending bool, cfgID uint64) []byte {
-		return proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
-	}
-	sc, ctx := c.traceOp(ctx, trace.KindSet)
-	tr, attempts, _, err := c.mutateAll(ctx, key, proto.MethodSet, build, v)
-	// Even a failed fan-out may have applied somewhere: the cached copy is
-	// unconditionally suspect after our own mutation.
-	c.nearInvalidate(key)
-	c.observe(trace.KindSet, trace.TransportRPC, tr.Ns, err)
-	c.M.SetLatency.Record(tr.Ns)
-	if sc != nil && err == nil {
-		c.opt.Tracer.Record(sc.OpID, trace.KindSet, trace.TransportRPC, attempts, tr)
-	}
-	return v, tr, err
-}
-
-// Erase removes key on every replica, tombstoning the version (§5.2).
-func (c *Client) Erase(ctx context.Context, key []byte) error {
-	_, err := c.EraseTraced(ctx, key)
-	return err
-}
-
-// EraseTraced is Erase plus the op's modelled latency trace.
-func (c *Client) EraseTraced(ctx context.Context, key []byte) (fabric.OpTrace, error) {
-	c.M.Erases.Inc()
-	v := c.gen.Next()
-	build := func(pending bool, cfgID uint64) []byte {
-		return proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
-	}
-	sc, ctx := c.traceOp(ctx, trace.KindErase)
-	tr, attempts, _, err := c.mutateAll(ctx, key, proto.MethodErase, build, v)
-	c.nearInvalidate(key)
-	c.observe(trace.KindErase, trace.TransportRPC, tr.Ns, err)
-	c.M.SetLatency.Record(tr.Ns)
-	if sc != nil && err == nil {
-		c.opt.Tracer.Record(sc.OpID, trace.KindErase, trace.TransportRPC, attempts, tr)
-	}
-	return tr, err
-}
-
-// Cas installs value only where the stored version equals expected (§5.2).
-// It reports whether the swap applied. CAS rides the same hardened retry
-// loop as Set/Erase; a retry after a partially-acknowledged attempt
-// recognizes its own nominated version as applied, so the decision stays
-// stable across attempts.
-func (c *Client) Cas(ctx context.Context, key, value []byte, expected truetime.Version) (bool, error) {
-	applied, _, err := c.CasTraced(ctx, key, value, expected)
-	return applied, err
-}
-
-// CasTraced is Cas plus the op's modelled latency trace.
-func (c *Client) CasTraced(ctx context.Context, key, value []byte, expected truetime.Version) (bool, fabric.OpTrace, error) {
-	c.M.CasOps.Inc()
-	v := c.gen.Next()
-	build := func(pending bool, cfgID uint64) []byte {
-		return proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
-	}
-	sc, ctx := c.traceOp(ctx, trace.KindCas)
-	tr, attempts, applied, err := c.mutateAll(ctx, key, proto.MethodCas, build, v)
-	c.nearInvalidate(key)
-	c.observe(trace.KindCas, trace.TransportRPC, tr.Ns, err)
-	if err != nil {
-		return false, tr, err
-	}
-	if sc != nil {
-		c.opt.Tracer.Record(sc.OpID, trace.KindCas, trace.TransportRPC, attempts, tr)
-	}
-	c.mu.Lock()
-	q := c.cfg.Mode.Quorum()
-	c.mu.Unlock()
-	return applied >= q, tr, nil
-}
-
-// mutateAll sends a mutation to every cohort member, requiring a write
-// quorum of acknowledgements (applied or superseded-by-newer both count:
-// the mutation's ordering is settled either way, §5.2/§5.3). Failed
-// fan-outs run through classifyAndRepair exactly like GETs — config
-// refresh, re-handshake, budgeted backoff — replacing the old ad-hoc
-// refresh-and-retry-once loop, so every mutation hazard shares the one
-// §3 repair mechanism. Returns the trace, attempts used, and the count
-// of replicas that reported the mutation applied (CAS semantics).
-func (c *Client) mutateAll(ctx context.Context, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version) (fabric.OpTrace, uint32, int, error) {
-	var total fabric.OpTrace
-	var lastErr error
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if ctx.Err() != nil {
-			return total, uint32(attempt), 0, ErrExhausted
-		}
-		if attempt > 0 {
-			if !c.opt.Budget.TryTake() {
-				c.M.BudgetDenied.Inc()
-				return total, uint32(attempt), 0, fmt.Errorf("%w: retry budget empty", ErrExhausted)
-			}
-			ns := c.opt.Backoff.delay(attempt, c.rand64())
-			total.AddSpan(trace.SpanBackoff, uint32(attempt), ns)
-			c.M.BackoffNs.Add(ns)
-		}
-		tr, applied, err := c.mutateOnce(ctx, key, method, build, nominated)
-		total.Sequence(tr)
-		if err == nil {
-			c.opt.Budget.Credit()
-			return total, uint32(attempt + 1), applied, nil
-		}
-		lastErr = err
-		c.classifyAndRepair(ctx, key, err)
-	}
-	if lastErr == nil {
-		lastErr = ErrUnavailable
-	}
-	return total, uint32(c.opt.Retries + 1), 0, lastErr
-}
-
-// mutateOnce is one fan-out to the cohort — mid-resize, to the union of
-// both epochs' cohorts. A leg whose stored version already equals the
-// nominated version counts as applied: a retry after a partially-
-// acknowledged earlier attempt must recognize its own write (CAS would
-// otherwise read as failed on the replicas it had won).
-//
-// Quorum is accounted per epoch: an ack from a sealed old-cohort member
-// must NOT count toward the old-epoch quorum (its journal has drained —
-// the write would exist only where handoff can no longer see it), so
-// MutateResp.Sealed legs count only toward the pending epoch when they
-// serve there. The mutation acks when either epoch reaches its quorum.
-func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version) (fabric.OpTrace, int, error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
-	h := c.opt.Hash(key)
-	legs := mutationLegs(cfg, h)
-
-	var tr fabric.OpTrace
-	var legArr [8]uint64
-	legNs := legArr[:0]
-	oldAcks, pendAcks, applied := 0, 0, 0
-	// Requests are built per attempt so each fan-out stamps the client's
-	// CURRENT ConfigID — backends reject stale stamps, which is what
-	// forces a mutate-only client (no bucket reads to trip the §6.1
-	// stamp) to refresh before writing into a superseded epoch.
-	var plainBytes, pendingBytes []byte
-	var lastErr error
-	for _, leg := range legs {
-		var body []byte
-		if leg.inPending {
-			// Pending-epoch legs carry the Pending flag so a sealed
-			// backend that owns the key in the new epoch still accepts.
-			if pendingBytes == nil {
-				pendingBytes = build(true, cfg.ID)
-			}
-			body = pendingBytes
-		} else {
-			if plainBytes == nil {
-				plainBytes = build(false, cfg.ID)
-			}
-			body = plainBytes
-		}
-		resp, ltr, err := c.rpcc.Call(ctx, leg.addr, method, body)
-		if err != nil {
-			c.noteReplicaFailure(leg.addr)
-			lastErr = err
-			continue
-		}
-		mr, merr := proto.UnmarshalMutateResp(resp)
-		if merr != nil {
-			lastErr = merr
-			continue
-		}
-		c.noteReplicaSuccess(leg.addr)
-		if leg.inOld && !mr.Sealed {
-			oldAcks++
-		}
-		if leg.inPending {
-			pendAcks++
-		}
-		if mr.Applied || mr.Stored == nominated {
-			applied++
-		}
-		legNs = append(legNs, ltr.Ns)
-		tr.AddBytes(int(ltr.Bytes))
-		// Replica legs fan out from the op start; spans keep the
-		// common origin.
-		tr.Spans = append(tr.Spans, ltr.Spans...)
-	}
-	q := cfg.Mode.Quorum()
-	// The pending-epoch quorum only DECIDES the ack once reads route to
-	// the pending owners (readRoute's authority rule). Before that flip a
-	// pending-only quorum would be invisible: readers still consult the
-	// old cohort, so a write acked on pending legs alone — possible when
-	// a restamp race bounces healthy old legs — reads as lost. Until
-	// authority flips the old epoch must ack; its sealed members are
-	// discounted by MutateResp.Sealed, and once R−Q+1 of the cohort are
-	// sealed an old quorum is unreachable, forcing the refresh-and-retry
-	// that lands the write under the authoritative epoch.
-	pendingDecides := false
-	if cfg.Pending != nil {
-		pendingDecides = cfg.PendingAuthoritative(cfg.Cohort(int(h.Hi % uint64(cfg.Shards))))
-	}
-	if oldAcks < q && (!pendingDecides || pendAcks < q) {
-		if lastErr == nil {
-			lastErr = ErrUnavailable
-		}
-		return tr, applied, lastErr
-	}
-	// A mutation completes when the write quorum has acked: k-th fastest.
-	// Cohorts are tiny, so insertion sort stays on the stack.
-	for i := 1; i < len(legNs); i++ {
-		for j := i; j > 0 && legNs[j] < legNs[j-1]; j-- {
-			legNs[j], legNs[j-1] = legNs[j-1], legNs[j]
-		}
-	}
-	if legNs[q-1] > legNs[0] {
-		tr.Annotate(trace.SpanQuorumWait, uint32(q), tr.Ns+legNs[0], legNs[q-1]-legNs[0])
-	}
-	tr.Add(legNs[q-1])
-	return tr, applied, nil
-}
-
-// --------------------------------------------------------------- touch --
-
-// noteTouch queues an access record for the key's primary backend and
-// flushes opportunistically (§4.2's batched background reporting).
-func (c *Client) noteTouch(key []byte) {
-	if c.opt.TouchBatch <= 0 {
-		return
-	}
-	c.mu.Lock()
-	cfg := c.cfg
-	h := c.opt.Hash(key)
-	var flush map[string][][]byte
-	for _, shard := range cfg.Cohort(int(h.Hi % uint64(cfg.Shards))) {
-		addr := cfg.AddrFor(shard)
-		if addr == "" {
-			continue
-		}
-		c.touchQ[addr] = append(c.touchQ[addr], append([]byte(nil), key...))
-		if len(c.touchQ[addr]) >= c.opt.TouchBatch {
-			if flush == nil {
-				flush = map[string][][]byte{}
-			}
-			flush[addr] = c.touchQ[addr]
-			c.touchQ[addr] = nil
-		}
-	}
-	c.mu.Unlock()
-	for addr, keys := range flush {
-		c.sendTouches(context.Background(), addr, keys)
-	}
-}
-
-// FlushTouches force-flushes all pending access records.
-func (c *Client) FlushTouches(ctx context.Context) {
-	c.mu.Lock()
-	pending := c.touchQ
-	c.touchQ = make(map[string][][]byte)
-	c.mu.Unlock()
-	for addr, keys := range pending {
-		if len(keys) == 0 {
-			continue
-		}
-		c.sendTouches(ctx, addr, keys)
-	}
-}
-
-// sendTouches reports one batch of access records and folds the ack's
-// piggybacked promotion set into the client's hot-key view (§4.2 made
-// bidirectional): the same traffic that feeds the server's heat sketch
-// carries its promotion decisions back.
-func (c *Client) sendTouches(ctx context.Context, addr string, keys [][]byte) {
-	resp, _, err := c.rpcc.Call(ctx, addr, proto.MethodTouch, proto.TouchReq{Keys: keys}.Marshal())
-	if err != nil {
-		return
-	}
-	if tr, terr := proto.UnmarshalTouchResp(resp); terr == nil {
-		c.ingestPromo(addr, tr.HotEpoch, tr.HotKeys)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

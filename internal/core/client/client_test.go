@@ -32,7 +32,7 @@ type rig struct {
 
 const clientHost = 3
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	r := &rig{
 		f:     fabric.New(5, fabric.Params{}),
@@ -318,7 +318,7 @@ func TestClientCPUAccounting(t *testing.T) {
 }
 
 func BenchmarkGet2xR(b *testing.B) {
-	r := newRigB(b)
+	r := newRig(b)
 	cl := r.newClient(Options{Strategy: Strategy2xR})
 	ctx := context.Background()
 	cl.Set(ctx, []byte("bench"), make([]byte, 1024))
@@ -332,7 +332,7 @@ func BenchmarkGet2xR(b *testing.B) {
 }
 
 func BenchmarkGetSCAR(b *testing.B) {
-	r := newRigB(b)
+	r := newRig(b)
 	cl := r.newClient(Options{Strategy: StrategySCAR})
 	ctx := context.Background()
 	cl.Set(ctx, []byte("bench"), make([]byte, 1024))
@@ -343,40 +343,4 @@ func BenchmarkGetSCAR(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func newRigB(b *testing.B) *rig {
-	b.Helper()
-	// Mirror of newRig for benchmarks.
-	r := &rig{
-		f:     fabric.New(5, fabric.Params{}),
-		acct:  stats.NewCPUAccount(),
-		clock: truetime.NewSystemClock(),
-	}
-	r.net = rpc.NewNetwork(r.f, rpc.CostModel{}, r.acct)
-	cfg := config.CellConfig{Mode: config.R32, Shards: 3}
-	for i := 0; i < 3; i++ {
-		cfg.ShardAddrs = append(cfg.ShardAddrs, fmt.Sprintf("b%d", i))
-		cfg.Backends = append(cfg.Backends, config.BackendInfo{Shard: i, Addr: fmt.Sprintf("b%d", i), HostID: i})
-	}
-	r.store = config.NewStore(cfg)
-	for i := 0; i < 3; i++ {
-		reg := rmem.NewRegistry()
-		bk, err := backend.New(backend.Options{
-			Shard: i, HostID: i, Addr: fmt.Sprintf("b%d", i),
-			Geometry:       layout.Geometry{Buckets: 32, Ways: 8},
-			DataBytes:      1 << 20,
-			DataMaxBytes:   4 << 20,
-			SlabBytes:      64 << 10,
-			ReshapeEnabled: true,
-		}, r.store, reg, r.net, truetime.NewGenerator(r.clock, uint64(100+i)), r.acct)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := pony.New(r.f.Host(i), reg, pony.CostModel{}, pony.EngineConfig{}, r.acct)
-		n.SetMsgHandler(bk.HandleMsg)
-		r.backends = append(r.backends, bk)
-		r.nics = append(r.nics, n)
-	}
-	return r
 }

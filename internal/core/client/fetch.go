@@ -1,0 +1,217 @@
+package client
+
+// Fetch stage: turn each member of the read cohort into an indexView.
+// The four lookup strategies of Figure 7 differ only here; everything
+// downstream (vote, data, retry) consumes views.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"cliquemap/internal/core/config"
+	"cliquemap/internal/core/layout"
+	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fabric"
+	"cliquemap/internal/hashring"
+	"cliquemap/internal/nic"
+)
+
+// fetch names how one replica is turned into an indexView.
+type fetch uint8
+
+const (
+	fetchBucket fetch = iota // one-sided bucket Read; data follows as a dependent Read (2×R)
+	fetchScar                // one-sided ScanAndRead; the DataEntry piggybacks
+	fetchMsg                 // two-sided NIC message; the value rides the response
+	fetchRPC                 // full RPC; the value rides the response
+)
+
+// oneSided reports whether the fetch reads replica memory directly — and
+// so needs a handshake and a connection, returns raw bytes the client
+// must validate itself, and can see a bucket's overflow bit.
+func (f fetch) oneSided() bool { return f <= fetchScar }
+
+// indexView is one replica's answer to the fetch stage: what it holds
+// for the key (present, entry.Version) and, when the fetch already moved
+// them, the bytes to serve — a piggybacked DataEntry under SCAR, the
+// value itself under MSG/RPC. Only one-sided views fill entry.Ptr and
+// overflow.
+type indexView struct {
+	rep      replica
+	entry    layout.IndexEntry
+	present  bool
+	overflow bool
+	data     []byte
+	trace    fabric.OpTrace
+	err      error
+}
+
+// fetchFor picks this GET's fetch: the configured strategy, unless per-
+// key steering moves a promoted large value onto RPC — past the Fig 20
+// crossover one RPC moves fewer bytes (and fewer NIC ops) than the RMA
+// index+data legs.
+func (c *Client) fetchFor(key []byte) fetch {
+	switch {
+	case c.opt.Strategy == StrategyRPC, c.opt.Strategy == StrategyMSG && c.msg == nil:
+		return fetchRPC
+	case c.opt.Strategy == StrategyMSG:
+		return fetchMsg
+	case c.steerToRPC(key):
+		c.M.SteerRPC.Inc()
+		return fetchRPC
+	case c.opt.Strategy == StrategySCAR:
+		return fetchScar
+	}
+	return fetchBucket
+}
+
+// fetchViews resolves the read cohort and fans the fetch out to it,
+// appending one view per consulted member to views (errors included, so
+// the vote can surface them). It returns the views and the virtual
+// instant the legs were pinned to.
+func (c *Client) fetchViews(ctx context.Context, cfg config.CellConfig, rt route, key []byte, h hashring.KeyHash, how fetch, views []indexView) ([]indexView, uint64) {
+	// Resolve replicas — first use pays a Hello RPC — before pinning the
+	// op's virtual start. Connection setup is control-plane work; were it
+	// inside the pinned window, the wall time it consumes would read as
+	// downlink backlog for the op's own data-plane legs.
+	for i, shard := range rt.shards {
+		rep, err := c.resolveReplica(ctx, cfg, shard, rt.addrs[i], how)
+		views = append(views, indexView{rep: rep, err: err})
+	}
+
+	// Two-sided lookups bill the client once per attempt; one-sided legs
+	// bill themselves (Figure 7 calibration).
+	var req []byte
+	switch how {
+	case fetchRPC:
+		c.chargeCPU(cpuRPC)
+	case fetchMsg:
+		c.chargeCPU(cpuMSG)
+		req = proto.GetReq{Key: key, ConfigID: cfg.ID}.Marshal()
+	}
+
+	// All NIC legs are pinned to one virtual op-start instant (0 = unpinned)
+	// so their responses contend for this client's downlink in the model.
+	var at uint64
+	if c.now != nil {
+		at = c.now()
+	}
+
+	// R=2/Immutable consults a single replica for most operations; the
+	// second serves only when the first fails (§6.4). Two-sided lookups
+	// keep the full fan-out.
+	consultOne := cfg.Mode == config.R2Immutable && how.oneSided()
+	for i := range views {
+		v := &views[i]
+		if v.err != nil {
+			continue
+		}
+		c.fetchIndex(ctx, at, key, h, cfg.ID, how, req, v)
+		if v.err != nil {
+			c.noteReplicaFailure(v.rep.addr)
+			continue
+		}
+		c.noteReplicaSuccess(v.rep.addr)
+		if consultOne {
+			return views[:i+1], at
+		}
+	}
+	return views, at
+}
+
+// fetchIndex asks v.rep what it holds for key and fills v in place. The
+// replica must already be resolved: Hello traffic ahead of the pinned op
+// start must not masquerade as data-plane queueing. cfgID is the config
+// the client routed with; an answer stamped differently means the fleet
+// moved on (maintenance or resize) and cannot be trusted.
+func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashring.KeyHash, cfgID uint64, how fetch, req []byte, v *indexView) {
+	if !how.oneSided() {
+		// The server ran the lookup — stamp check, key match, checksum —
+		// and answers (found, version, value).
+		var g proto.GetResp
+		if how == fetchMsg {
+			var resp []byte
+			if resp, v.trace, v.err = c.msg(v.rep.host, at, req); v.err == nil {
+				g, v.err = proto.UnmarshalGetResp(resp)
+			}
+		} else {
+			g, v.trace, v.err = c.rpcGetAt(ctx, v.rep.addr, key, cfgID)
+		}
+		v.present, v.entry.Version, v.data = g.Found, g.Version, g.Value
+		return
+	}
+
+	rep := &v.rep
+	geo := layout.Geometry{Buckets: rep.hello.Buckets, Ways: rep.hello.Ways}
+	bucket := int(h.Lo % uint64(geo.Buckets))
+	off := geo.BucketOffset(bucket)
+
+	var raw []byte
+	var err error
+	if how == fetchScar && rep.conn.SupportsScar() {
+		c.chargeCPU(cpuSCAR)
+		var res nic.ScarResult
+		res, v.trace, err = rep.conn.ScanAndRead(at, rep.hello.IndexWindow, off, geo.BucketSize(), h, geo.Ways)
+		raw = res.Bucket
+		if res.Found {
+			v.data = res.Data
+		}
+	} else {
+		c.chargeCPU(cpu2xR / 2) // per index leg; data leg bills the rest
+		raw, v.trace, err = rep.conn.Read(at, rep.hello.IndexWindow, off, geo.BucketSize())
+	}
+	if err != nil {
+		v.err = wrapTransportErr(rep.addr, err)
+		return
+	}
+
+	dec, err := layout.DecodeBucket(raw, geo.Ways)
+	if err != nil {
+		v.err = err
+		return
+	}
+	// Self-validation: the bucket's ConfigID must match the config the
+	// client routed with (§6.1). Comparing against the routing config —
+	// not the cached Hello, which a fresh handshake would already have
+	// fast-forwarded — is what catches a stale client whose cohort no
+	// longer holds the key after a resize: the absent votes it would
+	// otherwise collect look exactly like a legitimate miss.
+	if dec.ConfigID != cfgID {
+		v.err = layout.ErrConfigChanged
+		return
+	}
+	v.overflow = dec.Overflowed()
+	if e, _, ok := dec.Find(h); ok {
+		v.entry = e
+		v.present = true
+	}
+}
+
+// rpcGetAt is the one GetReq→GetResp RPC round trip against addr.
+func (c *Client) rpcGetAt(ctx context.Context, addr string, key []byte, cfgID uint64) (proto.GetResp, fabric.OpTrace, error) {
+	resp, tr, err := c.rpcc.Call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key, ConfigID: cfgID}.Marshal())
+	if err != nil {
+		return proto.GetResp{}, tr, err
+	}
+	g, err := proto.UnmarshalGetResp(resp)
+	return g, tr, err
+}
+
+// errStale wraps a window error with the backend it came from.
+type errStale struct {
+	addr string
+	err  error
+}
+
+func (e errStale) Error() string { return fmt.Sprintf("stale state at %s: %v", e.addr, e.err) }
+func (e errStale) Unwrap() error { return e.err }
+
+// wrapTransportErr tags window failures with the backend so the retry
+// layer can repair precisely.
+func wrapTransportErr(addr string, err error) error {
+	if errors.Is(err, nic.ErrUnreachable) {
+		return err
+	}
+	return errStale{addr: addr, err: err}
+}

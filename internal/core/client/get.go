@@ -1,0 +1,387 @@
+package client
+
+// GET: the retry loop around one fetch → vote → data attempt, plus the
+// RPC-only lookups (final fallback, follower reads) and batching.
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+
+	"cliquemap/internal/core/layout"
+	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fabric"
+	"cliquemap/internal/trace"
+	"cliquemap/internal/truetime"
+)
+
+// Get looks up key, transparently retrying transient hazards.
+func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
+	v, found, _, err := c.GetTraced(ctx, key)
+	return v, found, err
+}
+
+// GetTraced is Get plus the op's modelled latency trace.
+func (c *Client) GetTraced(ctx context.Context, key []byte) (value []byte, found bool, tr fabric.OpTrace, err error) {
+	c.M.Gets.Inc()
+	var total fabric.OpTrace
+	if c.opt.Observer != nil {
+		defer func() { c.observe(trace.KindGet, c.Transport(), total.Ns, err) }()
+	}
+	sc, ctx := c.traceOp(ctx, trace.KindGet)
+	if sc != nil {
+		// One right-sized allocation up front; per-leg merges then append
+		// without growth on the hot path.
+		total.Spans = make([]fabric.Span, 0, 8)
+	}
+	// Near-cache fast path: a cached hot-key value serves after one
+	// index-only revalidation round (1 RTT, no data leg). An inconclusive
+	// round falls through to the full path with its legs already billed.
+	if c.near != nil {
+		nval, nfound, served, ntr := c.nearGet(ctx, key)
+		total.Sequence(ntr)
+		if served {
+			c.finishGet(sc, key, nfound, c.Transport(), 1, &total)
+			return nval, nfound, total, nil
+		}
+	}
+	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
+		if ctx.Err() != nil {
+			return nil, false, total, ErrExhausted
+		}
+		if attempt > 0 {
+			if err := c.beginRetry(&total, attempt); err != nil {
+				return nil, false, total, err
+			}
+		}
+		if sc != nil {
+			sc.Attempt = uint32(attempt)
+		}
+		attemptStart := total.Ns
+		val, ok, wver, atr, aerr := c.attemptGet(ctx, key)
+		total.Sequence(atr)
+		if aerr == nil {
+			c.opt.Budget.Credit()
+			if ok {
+				c.nearStore(key, val, wver)
+			}
+			c.finishGet(sc, key, ok, c.Transport(), uint32(attempt+1), &total)
+			return val, ok, total, nil
+		}
+		if sc != nil {
+			total.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, atr.Ns)
+		}
+		c.classifyAndRepair(aerr)
+	}
+	// Final fallback: a plain RPC lookup against any reachable replica —
+	// CliqueMap always keeps an RPC path for lookups (§3, Table 1). The
+	// fallback is itself another attempt, so it too costs a retry token.
+	if !c.opt.NoFallback {
+		if err := c.takeRetryToken(); err != nil {
+			return nil, false, total, err
+		}
+		if g, ftr, ferr := c.rpcGetAny(ctx, key); ferr == nil {
+			total.Sequence(ftr)
+			c.opt.Budget.Credit()
+			c.M.RPCFallbacks.Inc()
+			c.finishGet(sc, key, g.Found, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
+			return g.Value, g.Found, total, nil
+		}
+	}
+	c.M.Inquorate.Inc()
+	return nil, false, total, fmt.Errorf("%w for key %q", ErrInquorate, key)
+}
+
+// finishGet is the one success epilogue of a GET, however it was served
+// (near-cache, a quorum attempt, the RPC fallback): count the outcome,
+// report the access, record latency and the trace.
+func (c *Client) finishGet(sc *trace.SpanContext, key []byte, found bool, transport trace.Transport, attempts uint32, total *fabric.OpTrace) {
+	if found {
+		c.M.Hits.Inc()
+		c.noteTouch(key)
+	} else {
+		c.M.Misses.Inc()
+	}
+	c.M.GetLatency.Record(total.Ns)
+	if sc != nil {
+		c.opt.Tracer.Record(sc.OpID, trace.KindGet, transport, attempts, *total)
+	}
+}
+
+// attemptGet performs one lookup attempt: fetch views from the read
+// cohort, vote, take the data from a quorum member. On a hit it also
+// returns the quorum-winning version, which feeds the near-cache.
+func (c *Client) attemptGet(ctx context.Context, key []byte) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
+	cfg := c.Config()
+	h := c.opt.Hash(key)
+	how := c.fetchFor(key)
+	var viewArr [8]indexView
+	views, at := c.fetchViews(ctx, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
+
+	tr, winner, err := quorum(views, cfg.Mode.Quorum())
+	if err != nil {
+		return nil, false, truetime.Version{}, tr, err
+	}
+	if winner.Zero() {
+		// Miss quorum. If any replica flagged overflow, the key may live
+		// in a side table reachable only via RPC (§4.2).
+		for i := range views {
+			if v := &views[i]; v.err == nil && v.overflow {
+				g, ftr, ferr := c.rpcGetAt(ctx, v.rep.addr, key, cfg.ID)
+				tr.Sequence(ftr)
+				if ferr == nil {
+					c.M.RPCFallbacks.Inc()
+					return g.Value, g.Found, g.Version, tr, nil
+				}
+			}
+		}
+		return nil, false, truetime.Version{}, tr, nil
+	}
+	val, err := c.readData(at, key, how, views, winner, &tr)
+	if err != nil {
+		return nil, false, truetime.Version{}, tr, err
+	}
+	return val, true, winner, tr, nil
+}
+
+// cand is one data source: a quorum member holding the winning version,
+// named by its position in the views.
+type cand struct {
+	view    int
+	ns      uint64 // its index leg's latency
+	demoted bool
+}
+
+// readData is the data stage: take the winning version's value from a
+// quorum member, failing over along the candidate list — a torn, corrupt,
+// or unreachable copy costs one more dependent read instead of a whole-op
+// retry. The checksum (§3) is the only corruption defense, so every
+// absorbed failure is counted.
+func (c *Client) readData(at uint64, key []byte, how fetch, views []indexView, winner truetime.Version, tr *fabric.OpTrace) ([]byte, error) {
+	// Candidates fastest first (§5.1 — speculate on the first responder),
+	// with health-demoted members sorted last so a browned-out backend
+	// serves data only when no healthy member can.
+	var candArr [8]cand
+	n := 0
+	for i := range views {
+		v := &views[i]
+		if v.err == nil && v.present && v.entry.Version == winner && n < len(candArr) {
+			if !how.oneSided() {
+				// The server validated what it sent: the value serves as is.
+				return v.data, nil
+			}
+			candArr[n] = cand{view: i, ns: v.trace.Ns, demoted: c.replicaDemoted(v.rep.addr)}
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, ErrInquorate
+	}
+	cands := candArr[:n]
+	slices.SortStableFunc(cands, func(a, b cand) int {
+		if a.demoted != b.demoted {
+			if b.demoted {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.ns, b.ns)
+	})
+	// Hot-key spread: rotate the healthy prefix so a promoted key's data
+	// reads load-balance across the quorum instead of always landing on
+	// the fastest (soon to be hottest) replica. Demoted members keep
+	// their sorted-last position; failover order is unchanged.
+	if c.opt.HotSpread && len(cands) > 1 && c.isPromoted(key) {
+		healthy := 0
+		for healthy < len(cands) && !cands[healthy].demoted {
+			healthy++
+		}
+		if healthy > 1 {
+			if r := int(c.rand64() % uint64(healthy)); r > 0 {
+				var rot [8]cand
+				copy(rot[:healthy], cands[:healthy])
+				for i := 0; i < healthy; i++ {
+					cands[i] = rot[(i+r)%healthy]
+				}
+				c.M.SpreadReads.Inc()
+			}
+		}
+	}
+
+	var lastErr error = ErrInquorate
+	for ci, cd := range cands {
+		v := &views[cd.view]
+		last := ci == len(cands)-1
+		var raw []byte
+		switch {
+		case v.data != nil:
+			raw = v.data
+		case how == fetchScar:
+			// Scan missed on the wire (e.g. racing rewrite): retryable.
+			lastErr = layout.ErrTornRead
+			continue
+		default:
+			c.chargeCPU(cpu2xR / 2)
+			e := v.entry
+			dataStart := tr.Ns
+			data, dtr, derr := v.rep.conn.Read(after(at, dataStart), e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
+			if derr != nil {
+				tr.Sequence(dtr)
+				c.noteReplicaFailure(v.rep.addr)
+				lastErr = wrapTransportErr(v.rep.addr, derr)
+				if !last {
+					c.M.Failovers.Inc()
+				}
+				continue
+			}
+			c.observeDataNs(dtr.Ns)
+			// Hedge: the primary's read exceeded the rolling threshold, so
+			// (in wall-time terms) a backup read launched at +hedgeAfter
+			// may complete first; the op takes whichever finishes sooner.
+			if hedgeAfter := c.hedgeAfterNs(); ci == 0 && !last && hedgeAfter > 0 && dtr.Ns > hedgeAfter {
+				c.M.Hedges.Inc()
+				b := &views[cands[1].view]
+				hdata, htr, herr := b.rep.conn.Read(after(at, dataStart+hedgeAfter), b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
+				if herr == nil && hedgeAfter+htr.Ns < dtr.Ns {
+					if hval, err := c.openEntry(b.rep.addr, hdata, key, &winner); err == nil {
+						c.M.HedgeWins.Inc()
+						tr.Annotate(trace.SpanHedge, uint32(b.rep.shard), dataStart+hedgeAfter, htr.Ns)
+						tr.AddBytes(int(htr.Bytes))
+						tr.Add(hedgeAfter + htr.Ns)
+						return hval, nil
+					}
+				}
+			}
+			tr.Sequence(dtr)
+			tr.Annotate(trace.SpanDataRead, uint32(v.rep.shard), dataStart, dtr.Ns)
+			raw = data
+		}
+		val, err := c.openEntry(v.rep.addr, raw, key, &winner)
+		if err != nil {
+			lastErr = err
+			if !last {
+				c.M.TornRetries.Inc() // absorbed by failover, not a re-attempt
+				c.M.Failovers.Inc()
+			}
+			continue
+		}
+		c.noteReplicaSuccess(v.rep.addr)
+		return val, nil
+	}
+	return nil, lastErr
+}
+
+// after pins a dependent leg ns past the op's virtual start (0 = unpinned).
+func after(at, ns uint64) uint64 {
+	if at == 0 {
+		return 0
+	}
+	return at + ns
+}
+
+// openEntry is the client-side validation of DataEntry bytes read from
+// addr (§3, §5.1): checksum, full-key match, the data must carry the
+// quorum's version, then decompress.
+func (c *Client) openEntry(addr string, raw, key []byte, winner *truetime.Version) ([]byte, error) {
+	de, err := layout.DecodeDataEntry(raw)
+	if err != nil {
+		// ErrTornRead: checksum caught a race or a flipped bit.
+		c.noteReplicaFailure(addr)
+		return nil, err
+	}
+	if err := de.ValidateAgainst(key, winner); err != nil {
+		return nil, err
+	}
+	return de.MaterializeValue()
+}
+
+// rpcGetAny tries an RPC lookup on each read-cohort member until one
+// answers; every leg tried is billed.
+func (c *Client) rpcGetAny(ctx context.Context, key []byte) (proto.GetResp, fabric.OpTrace, error) {
+	cfg := c.Config()
+	var tr fabric.OpTrace
+	var lastErr error = ErrUnavailable
+	for _, addr := range readRoute(cfg, c.opt.Hash(key)).addrs {
+		if addr == "" {
+			continue
+		}
+		g, ltr, err := c.rpcGetAt(ctx, addr, key, cfg.ID)
+		tr.Sequence(ltr)
+		if err == nil {
+			return g, tr, nil
+		}
+		lastErr = err
+	}
+	return proto.GetResp{}, tr, lastErr
+}
+
+// GetVersioned is a single-replica RPC lookup returning the stored value
+// and its version. It is the federation tier's follower-read primitive:
+// the version lets a non-owner cell revalidate a cached entry against
+// the owner, and a single replica (no quorum) is acceptable because the
+// tier bounds staleness and revalidates. Not a substitute for Get on the
+// quorum read path.
+func (c *Client) GetVersioned(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, error) {
+	v, ver, found, _, err := c.GetVersionedTraced(ctx, key)
+	return v, ver, found, err
+}
+
+// GetVersionedTraced is GetVersioned plus the op's modelled latency
+// trace, so a tier edge can fold the owner cell's revalidation legs into
+// the federated op's single trace.
+func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
+	var total fabric.OpTrace
+	var lastErr error
+	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
+		if attempt > 0 {
+			// Same layered repair as the quorum paths: a resize or handoff
+			// bumps the config epoch underneath us and the backend bounces
+			// the stale ConfigID; refresh and re-route before retrying.
+			c.classifyAndRepair(lastErr)
+		}
+		g, tr, err := c.rpcGetAny(ctx, key)
+		total.Sequence(tr)
+		if err == nil {
+			return g.Value, g.Version, g.Found, total, nil
+		}
+		lastErr = err
+	}
+	return nil, truetime.Version{}, false, total, lastErr
+}
+
+// GetBatch looks up many keys as one logical op (§7.1: Ads/Geo fetches are
+// highly batched). Lookups run concurrently with bounded fan-out; the
+// batch trace is the slowest leg, and the shared client downlink makes
+// large batches incast-bound, which the fabric model charges for.
+func (c *Client) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, tr fabric.OpTrace, err error) {
+	values = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
+	if len(keys) == 0 {
+		return values, found, tr, nil
+	}
+	const fanout = 8
+	sem := make(chan struct{}, fanout)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var firstErr error
+	for i, k := range keys {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, k []byte) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			v, ok, ktr, kerr := c.GetTraced(ctx, k)
+			mu.Lock()
+			values[i], found[i] = v, ok
+			if kerr != nil && firstErr == nil {
+				firstErr = kerr
+			}
+			tr.Merge(ktr)
+			mu.Unlock()
+		}(i, k)
+	}
+	wg.Wait()
+	return values, found, tr, firstErr
+}

@@ -1,0 +1,213 @@
+package client
+
+// Mutations: every SET/ERASE/CAS is an RPC to all replicas at a client-
+// nominated VersionNumber (§5.2), retried through the same classify-and-
+// repair mechanism as GETs.
+
+import (
+	"context"
+
+	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fabric"
+	"cliquemap/internal/trace"
+	"cliquemap/internal/truetime"
+)
+
+// Set installs key=value on every replica at a fresh client-nominated
+// VersionNumber (§5.2). It succeeds when a write quorum acknowledges.
+func (c *Client) Set(ctx context.Context, key, value []byte) error {
+	_, err := c.SetVersioned(ctx, key, value)
+	return err
+}
+
+// SetVersioned is Set returning the nominated version (for later CAS).
+func (c *Client) SetVersioned(ctx context.Context, key, value []byte) (truetime.Version, error) {
+	v, _, err := c.SetVersionedTraced(ctx, key, value)
+	return v, err
+}
+
+// SetVersionedTraced is SetVersioned plus the op's modelled latency trace.
+func (c *Client) SetVersionedTraced(ctx context.Context, key, value []byte) (truetime.Version, fabric.OpTrace, error) {
+	c.M.Sets.Inc()
+	v := c.gen.Next()
+	tr, _, err := c.mutate(ctx, trace.KindSet, proto.MethodSet, key, v, func(pending bool, cfgID uint64) []byte {
+		return proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+	})
+	return v, tr, err
+}
+
+// Erase removes key on every replica, tombstoning the version (§5.2).
+func (c *Client) Erase(ctx context.Context, key []byte) error {
+	_, err := c.EraseTraced(ctx, key)
+	return err
+}
+
+// EraseTraced is Erase plus the op's modelled latency trace.
+func (c *Client) EraseTraced(ctx context.Context, key []byte) (fabric.OpTrace, error) {
+	c.M.Erases.Inc()
+	v := c.gen.Next()
+	tr, _, err := c.mutate(ctx, trace.KindErase, proto.MethodErase, key, v, func(pending bool, cfgID uint64) []byte {
+		return proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+	})
+	return tr, err
+}
+
+// Cas installs value only where the stored version equals expected (§5.2).
+// It reports whether the swap applied. CAS rides the same hardened retry
+// loop as Set/Erase; a retry after a partially-acknowledged attempt
+// recognizes its own nominated version as applied, so the decision stays
+// stable across attempts.
+func (c *Client) Cas(ctx context.Context, key, value []byte, expected truetime.Version) (bool, error) {
+	applied, _, err := c.CasTraced(ctx, key, value, expected)
+	return applied, err
+}
+
+// CasTraced is Cas plus the op's modelled latency trace.
+func (c *Client) CasTraced(ctx context.Context, key, value []byte, expected truetime.Version) (bool, fabric.OpTrace, error) {
+	c.M.CasOps.Inc()
+	v := c.gen.Next()
+	tr, applied, err := c.mutate(ctx, trace.KindCas, proto.MethodCas, key, v, func(pending bool, cfgID uint64) []byte {
+		return proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+	})
+	if err != nil {
+		return false, tr, err
+	}
+	return applied >= c.Config().Mode.Quorum(), tr, nil
+}
+
+// mutate runs one mutation end to end: a fan-out to every cohort member
+// that must collect a write quorum of acknowledgements (applied or
+// superseded-by-newer both count: the mutation's ordering is settled
+// either way, §5.2/§5.3), retried through classifyAndRepair exactly like
+// GETs — config refresh, re-handshake, budgeted backoff — so every
+// mutation hazard shares the one §3 repair mechanism; then the epilogue
+// every kind shares. Returns the trace and the count of replicas that
+// reported the mutation applied (CAS semantics).
+func (c *Client) mutate(ctx context.Context, kind trace.Kind, method string, key []byte, nominated truetime.Version, build func(pending bool, cfgID uint64) []byte) (total fabric.OpTrace, applied int, err error) {
+	sc, ctx := c.traceOp(ctx, kind)
+	err = ErrUnavailable
+	attempt := 0
+	for ; attempt <= c.opt.Retries; attempt++ {
+		if ctx.Err() != nil {
+			err = ErrExhausted
+			break
+		}
+		if attempt > 0 {
+			if err = c.beginRetry(&total, attempt); err != nil {
+				break
+			}
+		}
+		var tr fabric.OpTrace
+		tr, applied, err = c.mutateOnce(ctx, key, method, build, nominated)
+		total.Sequence(tr)
+		if err == nil {
+			c.opt.Budget.Credit()
+			break
+		}
+		c.classifyAndRepair(err)
+	}
+	// Even a failed fan-out may have applied somewhere: the cached copy is
+	// unconditionally suspect after our own mutation.
+	c.nearInvalidate(key)
+	c.observe(kind, trace.TransportRPC, total.Ns, err)
+	if kind != trace.KindCas {
+		c.M.SetLatency.Record(total.Ns)
+	}
+	if sc != nil && err == nil {
+		c.opt.Tracer.Record(sc.OpID, kind, trace.TransportRPC, uint32(attempt+1), total)
+	}
+	return total, applied, err
+}
+
+// mutateOnce is one fan-out to the cohort — mid-resize, to the union of
+// both epochs' cohorts. A leg whose stored version already equals the
+// nominated version counts as applied: a retry after a partially-
+// acknowledged earlier attempt must recognize its own write (CAS would
+// otherwise read as failed on the replicas it had won).
+//
+// Quorum is accounted per epoch: an ack from a sealed old-cohort member
+// must NOT count toward the old-epoch quorum (its journal has drained —
+// the write would exist only where handoff can no longer see it), so
+// MutateResp.Sealed legs count only toward the pending epoch when they
+// serve there. The mutation acks when either epoch reaches its quorum.
+func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version) (fabric.OpTrace, int, error) {
+	cfg := c.Config()
+	h := c.opt.Hash(key)
+	legs := mutationLegs(cfg, h)
+
+	var tr fabric.OpTrace
+	var legArr [8]uint64
+	legNs := legArr[:0]
+	oldAcks, pendAcks, applied := 0, 0, 0
+	// Requests are built per attempt so each fan-out stamps the client's
+	// CURRENT ConfigID — backends reject stale stamps, which is what
+	// forces a mutate-only client (no bucket reads to trip the §6.1
+	// stamp) to refresh before writing into a superseded epoch.
+	var plainBytes, pendingBytes []byte
+	var lastErr error
+	for _, leg := range legs {
+		var body []byte
+		if leg.inPending {
+			// Pending-epoch legs carry the Pending flag so a sealed
+			// backend that owns the key in the new epoch still accepts.
+			if pendingBytes == nil {
+				pendingBytes = build(true, cfg.ID)
+			}
+			body = pendingBytes
+		} else {
+			if plainBytes == nil {
+				plainBytes = build(false, cfg.ID)
+			}
+			body = plainBytes
+		}
+		resp, ltr, err := c.rpcc.Call(ctx, leg.addr, method, body)
+		if err != nil {
+			c.noteReplicaFailure(leg.addr)
+			lastErr = err
+			continue
+		}
+		mr, merr := proto.UnmarshalMutateResp(resp)
+		if merr != nil {
+			lastErr = merr
+			continue
+		}
+		c.noteReplicaSuccess(leg.addr)
+		if leg.inOld && !mr.Sealed {
+			oldAcks++
+		}
+		if leg.inPending {
+			pendAcks++
+		}
+		if mr.Applied || mr.Stored == nominated {
+			applied++
+		}
+		legNs = append(legNs, ltr.Ns)
+		tr.AddBytes(int(ltr.Bytes))
+		// Replica legs fan out from the op start; spans keep the
+		// common origin.
+		tr.Spans = append(tr.Spans, ltr.Spans...)
+	}
+	q := cfg.Mode.Quorum()
+	// The pending-epoch quorum only DECIDES the ack once reads route to
+	// the pending owners (readRoute's authority rule). Before that flip a
+	// pending-only quorum would be invisible: readers still consult the
+	// old cohort, so a write acked on pending legs alone — possible when
+	// a restamp race bounces healthy old legs — reads as lost. Until
+	// authority flips the old epoch must ack; its sealed members are
+	// discounted by MutateResp.Sealed, and once R−Q+1 of the cohort are
+	// sealed an old quorum is unreachable, forcing the refresh-and-retry
+	// that lands the write under the authoritative epoch.
+	pendingDecides := false
+	if cfg.Pending != nil {
+		pendingDecides = cfg.PendingAuthoritative(cfg.Cohort(int(h.Hi % uint64(cfg.Shards))))
+	}
+	if oldAcks < q && (!pendingDecides || pendAcks < q) {
+		if lastErr == nil {
+			lastErr = ErrUnavailable
+		}
+		return tr, applied, lastErr
+	}
+	// A mutation completes when the write quorum has acked.
+	settleFanout(&tr, legNs, q, 0)
+	return tr, applied, nil
+}

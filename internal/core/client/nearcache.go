@@ -98,17 +98,15 @@ func (n *nearCache) put(key, val []byte, ver truetime.Version) {
 		}
 		n.sizes[k] = len(val)
 	}
-	if _, ok := n.m[k]; ok {
-		n.m[k] = nearEntry{val: append([]byte(nil), val...), ver: ver}
-		return
-	}
-	for len(n.m) >= n.cap && len(n.order) > 0 {
-		victim := n.order[0]
-		n.order = n.order[1:]
-		delete(n.m, victim)
+	if _, ok := n.m[k]; !ok {
+		for len(n.m) >= n.cap && len(n.order) > 0 {
+			victim := n.order[0]
+			n.order = n.order[1:]
+			delete(n.m, victim)
+		}
+		n.order = append(n.order, k)
 	}
 	n.m[k] = nearEntry{val: append([]byte(nil), val...), ver: ver}
-	n.order = append(n.order, k)
 }
 
 func (n *nearCache) drop(key []byte) {
@@ -249,103 +247,30 @@ func (c *Client) nearGet(ctx context.Context, key []byte) (val []byte, found, se
 // quorum-winning version (found=false for an agreed miss). Any error
 // means the round was inconclusive.
 func (c *Client) revalidateIndex(ctx context.Context, key []byte) (ver truetime.Version, found bool, tr fabric.OpTrace, err error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
+	cfg := c.Config()
 	h := c.opt.Hash(key)
-	rt := readRoute(cfg, h)
-	quorumNeed := cfg.Mode.Quorum()
-
-	var repArr [8]replica
-	var errArr [8]error
-	reps := repArr[:0]
-	errs := errArr[:0]
-	for i, shard := range rt.shards {
-		rep, rerr := c.resolveReplica(ctx, cfg, shard, rt.addrs[i])
-		reps = append(reps, rep)
-		errs = append(errs, rerr)
+	var viewArr [8]indexView
+	views, _ := c.fetchViews(ctx, cfg, readRoute(cfg, h), key, h, fetchBucket, viewArr[:0])
+	tr, ver, err = quorum(views, cfg.Mode.Quorum())
+	if err != nil || !ver.Zero() {
+		return ver, err == nil, tr, err
 	}
-	at := c.opStart()
-
-	type vote struct {
-		ver   truetime.Version
-		count int
-	}
-	var voteArr [8]vote
-	votes := voteArr[:0]
-	var legArr [8]uint64
-	legNs := legArr[:0]
-	tr.Spans = make([]fabric.Span, 0, 8)
-	overflow := false
-	for i := range reps {
-		if errs[i] != nil {
-			continue
-		}
-		v := c.fetchIndex(at, key, h, reps[i], cfg.ID, true)
-		if v.err != nil {
-			c.noteReplicaFailure(reps[i].addr)
-			continue
-		}
-		c.noteReplicaSuccess(reps[i].addr)
-		legNs = append(legNs, v.trace.Ns)
-		tr.AddBytes(int(v.trace.Bytes))
-		tr.Spans = append(tr.Spans, v.trace.Spans...)
-		overflow = overflow || v.overflow
-		vv := truetime.Version{}
-		if v.present {
-			vv = v.entry.Version
-		}
-		seen := false
-		for j := range votes {
-			if votes[j].ver == vv {
-				votes[j].count++
-				seen = true
-				break
-			}
-		}
-		if !seen && len(votes) < cap(votes) {
-			votes = append(votes, vote{ver: vv, count: 1})
-		}
-	}
-	if len(legNs) < quorumNeed {
-		return truetime.Version{}, false, tr, ErrUnavailable
-	}
-	for i := 1; i < len(legNs); i++ {
-		for j := i; j > 0 && legNs[j] < legNs[j-1]; j-- {
-			legNs[j], legNs[j-1] = legNs[j-1], legNs[j]
-		}
-	}
-	tr.Add(legNs[quorumNeed-1])
-
-	var winner *vote
-	for i := range votes {
-		if votes[i].count >= quorumNeed && (winner == nil || winner.ver.Less(votes[i].ver)) {
-			winner = &votes[i]
-		}
-	}
-	if winner == nil {
-		return truetime.Version{}, false, tr, ErrInquorate
-	}
-	if winner.ver.Zero() {
-		if overflow {
+	for i := range views {
+		if views[i].err == nil && views[i].overflow {
 			// The key may live in an RPC-only side table (§4.2): an
 			// index miss proves nothing.
 			return truetime.Version{}, false, tr, errNearInconclusive
 		}
-		return truetime.Version{}, false, tr, nil
 	}
-	return winner.ver, true, tr, nil
+	return truetime.Version{}, false, tr, nil
 }
 
-// steerStrategy decides whether this GET should leave the configured
+// steerToRPC decides whether this GET should leave the configured
 // transport for RPC: promoted keys whose last observed value size clears
 // the Fig 20 crossover move more bytes over the RMA paths (bucket + data
 // or SCAR piggyback) than a single RPC round trip carrying the value.
 func (c *Client) steerToRPC(key []byte) bool {
-	if !c.opt.HotSteer || c.near == nil || c.opt.Strategy == StrategyRPC {
-		return false
-	}
-	if !c.isPromoted(key) {
+	if !c.opt.HotSteer || c.near == nil || !c.isPromoted(key) {
 		return false
 	}
 	sz, ok := c.near.sizeHint(key)

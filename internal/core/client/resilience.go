@@ -9,51 +9,94 @@
 package client
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"cliquemap/internal/core/layout"
+	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fabric"
+	"cliquemap/internal/nic"
+	"cliquemap/internal/rpc"
+	"cliquemap/internal/trace"
 )
 
-// BackoffPolicy paces retries: attempt n sleeps min(cap, base<<n) with
-// proportional jitter. The sleep is virtual — it extends the op's
-// modelled latency (SpanBackoff) rather than blocking the goroutine, so
-// simulated experiments stay fast while the latency story stays honest.
-type BackoffPolicy struct {
-	BaseNs     uint64  // first retry's delay (default 20µs)
-	CapNs      uint64  // ceiling (default 2ms)
-	JitterFrac float64 // fraction of the delay randomized (default 0.5)
-}
+// Backoff pacing: retry n waits min(backoffCapNs, backoffBaseNs<<(n-1)),
+// the upper half of it randomized (50% jitter). The wait is virtual — it
+// extends the op's modelled latency (SpanBackoff) rather than blocking
+// the goroutine, so simulated experiments stay fast while the latency
+// story stays honest.
+const (
+	backoffBaseNs = 20_000
+	backoffCapNs  = 2_000_000
+)
 
-func (p BackoffPolicy) withDefaults() BackoffPolicy {
-	if p.BaseNs == 0 {
-		p.BaseNs = 20_000
-	}
-	if p.CapNs == 0 {
-		p.CapNs = 2_000_000
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.5
-	}
-	return p
-}
-
-// delay computes attempt's backoff (attempt 1 = first retry).
-func (p BackoffPolicy) delay(attempt int, rnd uint64) uint64 {
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := p.BaseNs
-	for i := 1; i < attempt && d < p.CapNs; i++ {
+// backoffDelay computes attempt's backoff (attempt 1 = first retry).
+func backoffDelay(attempt int, rnd uint64) uint64 {
+	d := uint64(backoffBaseNs)
+	for i := 1; i < attempt && d < backoffCapNs; i++ {
 		d <<= 1
 	}
-	if d > p.CapNs {
-		d = p.CapNs
+	d = min(d, backoffCapNs)
+	// rnd is already well-mixed; fold it into [0, jitter).
+	jitter := d / 2
+	return d - jitter + rnd%jitter
+}
+
+// takeRetryToken debits the shared retry budget for one more attempt.
+func (c *Client) takeRetryToken() error {
+	if !c.opt.Budget.TryTake() {
+		c.M.BudgetDenied.Inc()
+		return fmt.Errorf("%w: retry budget empty", ErrExhausted)
 	}
-	jitter := uint64(float64(d) * p.JitterFrac)
-	if jitter > 0 {
-		// rnd is already well-mixed; fold it into [0, jitter).
-		d = d - jitter + rnd%jitter
+	return nil
+}
+
+// beginRetry is the prologue of every retry, GET or mutation: spend a
+// budget token, then pace with jittered exponential backoff billed to
+// total as virtual time.
+func (c *Client) beginRetry(total *fabric.OpTrace, attempt int) error {
+	if err := c.takeRetryToken(); err != nil {
+		return err
 	}
-	return d
+	ns := backoffDelay(attempt, c.rand64())
+	total.AddSpan(trace.SpanBackoff, uint32(attempt), ns)
+	c.M.BackoffNs.Add(ns)
+	return nil
+}
+
+// classifyAndRepair performs the layered retry policy (§3): each failure
+// class repairs a different level of client state before the next attempt.
+func (c *Client) classifyAndRepair(err error) {
+	var stale errStale
+	switch {
+	case errors.Is(err, layout.ErrConfigChanged), errors.Is(err, proto.ErrShardSealed):
+		// The fleet moved on — or a sealed source bounced the mutation: a
+		// handoff or resize moved the shard underneath us. Refresh config
+		// and re-fan-out; the new epoch's owners (or the handoff target)
+		// take the op.
+		c.M.ConfigRetries.Inc()
+		c.refreshConfig()
+	case errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, nic.ErrUnreachable):
+		c.M.WindowRetries.Inc()
+		c.refreshConfig()
+		// A cached one-sided conn can point at a NIC that no longer
+		// exists (crash/restart replaces the node's engines); re-dial so
+		// the RMA path recovers instead of leaning on the RPC fallback.
+		c.forgetConns()
+	case errors.As(err, &stale):
+		// A window error from one backend: re-handshake with it.
+		c.M.WindowRetries.Inc()
+		c.forgetHandshake(stale.addr)
+	case errors.Is(err, layout.ErrTornRead) || errors.Is(err, layout.ErrKeyMismatch):
+		c.M.TornRetries.Inc()
+	default:
+		// Inquorate, or a recovering replica withholding its misses
+		// (proto.ErrRecovering): no client state to repair — retry and let
+		// the rest of the quorum carry the read.
+		c.M.QuorumRetries.Inc()
+	}
 }
 
 // RetryBudget is a token bucket debited one token per retry and credited
@@ -234,7 +277,7 @@ func (c *Client) rand64() uint64 {
 
 // noteReplicaFailure feeds the health score and exports the gauge.
 func (c *Client) noteReplicaFailure(addr string) {
-	if c.opt.NoHealth || addr == "" {
+	if addr == "" {
 		return
 	}
 	score, dem := c.health.noteFailure(addr)
@@ -245,7 +288,7 @@ func (c *Client) noteReplicaFailure(addr string) {
 
 // noteReplicaSuccess decays the health score and exports the gauge.
 func (c *Client) noteReplicaSuccess(addr string) {
-	if c.opt.NoHealth || addr == "" {
+	if addr == "" {
 		return
 	}
 	score, dem, changed := c.health.noteSuccess(addr)
@@ -256,12 +299,7 @@ func (c *Client) noteReplicaSuccess(addr string) {
 
 // replicaDemoted reports whether the health layer wants addr skipped for
 // preferred reads this time.
-func (c *Client) replicaDemoted(addr string) bool {
-	if c.opt.NoHealth {
-		return false
-	}
-	return c.health.demoted(addr)
-}
+func (c *Client) replicaDemoted(addr string) bool { return c.health.demoted(addr) }
 
 // observeDataNs feeds the rolling data-read latency estimate that sets
 // the hedging threshold. A racy EWMA is fine: it only tunes a heuristic.

@@ -227,8 +227,9 @@ func (c *Client) finish(sc *trace.SpanContext, total *fabric.OpTrace, k trace.Ki
 	c.tracer.Record(sc.OpID, k, tp, attempts, *total)
 }
 
-// routeTraced is route plus the ring-lookup span.
-func (c *Client) routeTraced(h hashring.KeyHash, total *fabric.OpTrace, attempt int) (string, error) {
+// route resolves key's owning cell, or ErrNoCells, annotating the
+// ring-lookup and routing-decision spans.
+func (c *Client) route(h hashring.KeyHash, total *fabric.OpTrace, attempt int) (string, error) {
 	n, ok := c.t.router.Route(h)
 	if total != nil {
 		total.Annotate(trace.SpanRingLookup, uint32(c.t.router.Version()), total.Ns, 0)
@@ -240,13 +241,30 @@ func (c *Client) routeTraced(h hashring.KeyHash, total *fabric.OpTrace, attempt 
 	return n, nil
 }
 
-// route resolves key's owning cell, or ErrNoCells.
-func (c *Client) route(h hashring.KeyHash) (string, error) {
-	n, ok := c.t.router.Route(h)
-	if !ok {
-		return "", ErrNoCells
+// fold sequences one cell-client leg into the tier op's trace and, when
+// code is nonzero, brackets it with a span annotation. A nil total (the
+// tier op is untraced) makes it a no-op — the only place the traced and
+// untraced paths differ.
+func fold(total *fabric.OpTrace, tr fabric.OpTrace, code uint16, arg uint32) {
+	if total == nil {
+		return
 	}
-	return n, nil
+	start := total.Ns
+	total.Sequence(tr)
+	if code != 0 {
+		total.Annotate(code, arg, start, tr.Ns)
+	}
+}
+
+// ownerLeg folds an owner-cell leg into total, bracketing a remote
+// owner's with a tier-forward span, and classifies the attempt.
+func (c *Client) ownerLeg(total *fabric.OpTrace, owner string, tr fabric.OpTrace) Outcome {
+	if owner == c.opt.Local {
+		fold(total, tr, 0, 0)
+		return OutcomeOwnerDirect
+	}
+	fold(total, tr, trace.SpanTierForward, c.cellIdx[owner])
+	return OutcomeForward
 }
 
 // noteFailed reports a failed op on owner and counts the retry flavor.
@@ -265,44 +283,28 @@ func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	sc, ctx, total := c.traceOp(ctx, trace.KindGet)
 	var lastErr error = ErrNoCells
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		owner, err := c.routeTraced(h, total, attempt)
+		owner, err := c.route(h, total, attempt)
 		if err != nil {
 			return nil, false, err
 		}
+		var val []byte
+		var found bool
+		var outcome Outcome
+		served := c.cls[owner]
 		if c.opt.FollowerReads && owner != c.opt.Local {
-			val, found, outcome, err := c.followerGet(ctx, owner, key, total)
-			if err == nil {
-				c.t.router.NoteSuccess(owner)
-				c.finish(sc, total, trace.KindGet, c.local.Transport(), uint32(attempt+1), outcome, nil)
-				return val, found, nil
-			}
-			lastErr = err
+			served = c.local
+			val, found, outcome, err = c.followerGet(ctx, owner, key, total)
 		} else {
-			outcome := OutcomeOwnerDirect
-			var val []byte
-			var found bool
-			if total != nil {
-				start := total.Ns
-				var tr fabric.OpTrace
-				val, found, tr, err = c.cls[owner].GetTraced(ctx, key)
-				total.Sequence(tr)
-				if owner != c.opt.Local {
-					outcome = OutcomeForward
-					total.Annotate(trace.SpanTierForward, c.cellIdx[owner], start, tr.Ns)
-				}
-			} else {
-				val, found, err = c.cls[owner].Get(ctx, key)
-				if owner != c.opt.Local {
-					outcome = OutcomeForward
-				}
-			}
-			if err == nil {
-				c.t.router.NoteSuccess(owner)
-				c.finish(sc, total, trace.KindGet, c.cls[owner].Transport(), uint32(attempt+1), outcome, nil)
-				return val, found, nil
-			}
-			lastErr = err
+			var tr fabric.OpTrace
+			val, found, tr, err = served.GetTraced(ctx, key)
+			outcome = c.ownerLeg(total, owner, tr)
 		}
+		if err == nil {
+			c.t.router.NoteSuccess(owner)
+			c.finish(sc, total, trace.KindGet, served.Transport(), uint32(attempt+1), outcome, nil)
+			return val, found, nil
+		}
+		lastErr = err
 		c.noteFailed(owner)
 	}
 	return nil, false, lastErr
@@ -311,59 +313,37 @@ func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 // followerGet serves a remotely-owned key through the local follower
 // cache: fresh entries answer locally; stale entries revalidate by
 // version against the owner; misses fetch (with version) from the owner
-// and populate the cache. When total is non-nil the legs' spans fold
-// into it: local-cell spans first, then — if the entry was stale or
-// missing — the owner cell's revalidation legs, bracketed by
-// follower-revalidate / tier-forward annotations.
+// and populate the cache. The legs' spans fold into total: local-cell
+// spans first, then — if the entry was stale or missing — the owner
+// cell's revalidation legs, bracketed by follower-revalidate /
+// tier-forward annotations.
 func (c *Client) followerGet(ctx context.Context, owner string, key []byte, total *fabric.OpTrace) ([]byte, bool, Outcome, error) {
-	fk := followerKey(key)
-	var raw []byte
-	var found bool
-	var err error
-	if total != nil {
-		var tr fabric.OpTrace
-		raw, found, tr, err = c.local.GetTraced(ctx, fk)
-		total.Sequence(tr)
-	} else {
-		raw, found, err = c.local.Get(ctx, fk)
-	}
+	raw, found, tr, err := c.local.GetTraced(ctx, followerKey(key))
+	fold(total, tr, 0, 0)
 	if err == nil && found {
 		if ver, stamp, payload, ok := decodeFollower(raw); ok {
 			if age := c.now() - stamp; age <= c.opt.StaleBoundNs {
 				c.m.FollowerHits.Add(1)
-				if total != nil {
-					total.Annotate(trace.SpanFollowerHit, uint32(age/1000), total.Ns, 0)
-				}
+				fold(total, fabric.OpTrace{}, trace.SpanFollowerHit, uint32(age/1000))
 				return payload, true, OutcomeFollowerHit, nil
 			}
 			// Stale: ask the owner for the current version (the probe
 			// also carries the value, so a changed key refreshes in one
 			// round trip).
-			var oval []byte
-			var over truetime.Version
-			var ofound bool
-			var oerr error
-			if total != nil {
-				start := total.Ns
-				var otr fabric.OpTrace
-				oval, over, ofound, otr, oerr = c.cls[owner].GetVersionedTraced(ctx, key)
-				total.Sequence(otr)
-				arg := uint32(0) // confirmed
-				switch {
-				case oerr == nil && !ofound:
-					arg = 2 // erased at the owner
-				case oerr == nil && over != ver:
-					arg = 1 // refreshed with a newer value
-				}
-				total.Annotate(trace.SpanFollowerReval, arg, start, otr.Ns)
-			} else {
-				oval, over, ofound, oerr = c.cls[owner].GetVersioned(ctx, key)
+			oval, over, ofound, otr, oerr := c.cls[owner].GetVersionedTraced(ctx, key)
+			arg := uint32(0) // confirmed
+			switch {
+			case oerr == nil && !ofound:
+				arg = 2 // erased at the owner
+			case oerr == nil && over != ver:
+				arg = 1 // refreshed with a newer value
 			}
+			fold(total, otr, trace.SpanFollowerReval, arg)
 			if oerr != nil {
 				return nil, false, OutcomeRevalidateMiss, oerr
 			}
 			if !ofound {
-				_ = c.local.Erase(ctx, fk)
+				_ = c.local.Erase(ctx, followerKey(key))
 				return nil, false, OutcomeRevalidateMiss, nil
 			}
 			if over == ver {
@@ -377,17 +357,8 @@ func (c *Client) followerGet(ctx context.Context, owner string, key []byte, tota
 		}
 	}
 	c.m.FollowerMisses.Add(1)
-	var val []byte
-	var ver truetime.Version
-	if total != nil {
-		start := total.Ns
-		var otr fabric.OpTrace
-		val, ver, found, otr, err = c.cls[owner].GetVersionedTraced(ctx, key)
-		total.Sequence(otr)
-		total.Annotate(trace.SpanTierForward, c.cellIdx[owner], start, otr.Ns)
-	} else {
-		val, ver, found, err = c.cls[owner].GetVersioned(ctx, key)
-	}
+	val, ver, found, otr, err := c.cls[owner].GetVersionedTraced(ctx, key)
+	fold(total, otr, trace.SpanTierForward, c.cellIdx[owner])
 	if err != nil {
 		return nil, false, OutcomeRevalidateMiss, err
 	}
@@ -397,96 +368,29 @@ func (c *Client) followerGet(ctx context.Context, owner string, key []byte, tota
 	return val, found, OutcomeRevalidateMiss, nil
 }
 
-// Set stores key=value on the owning cell.
-func (c *Client) Set(ctx context.Context, key, value []byte) error {
-	_, err := c.SetVersioned(ctx, key, value)
-	return err
-}
-
-// SetVersioned stores key=value on the owning cell and returns the
-// owner-assigned version. The ack means the owning cell (under the ring
-// in effect at ack time) holds the write.
-func (c *Client) SetVersioned(ctx context.Context, key, value []byte) (truetime.Version, error) {
+// mutate routes one mutation to key's owning cell — the ack means the
+// owning cell (under the ring in effect at ack time) holds it — re-
+// routing after a failed cell op. run performs the op on the owner's
+// client; settle is the op's follower-cache side effect, run after a
+// remote owner acked when FollowerReads is on.
+func (c *Client) mutate(ctx context.Context, k trace.Kind, key []byte, run func(context.Context, *client.Client) (fabric.OpTrace, error), settle func(context.Context)) error {
 	c.m.Ops.Add(1)
 	h := c.t.opt.Hash(key)
-	sc, ctx, total := c.traceOp(ctx, trace.KindSet)
+	sc, ctx, total := c.traceOp(ctx, k)
 	var lastErr error = ErrNoCells
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		owner, err := c.routeTraced(h, total, attempt)
-		if err != nil {
-			return truetime.Version{}, err
-		}
-		var ver truetime.Version
-		outcome := c.mutationLeg(total, owner, func() (fabric.OpTrace, error) {
-			var tr fabric.OpTrace
-			if total != nil {
-				ver, tr, err = c.cls[owner].SetVersionedTraced(ctx, key, value)
-			} else {
-				ver, err = c.cls[owner].SetVersioned(ctx, key, value)
-			}
-			return tr, err
-		})
-		if err == nil {
-			c.t.router.NoteSuccess(owner)
-			if c.opt.FollowerReads && owner != c.opt.Local {
-				c.storeFollower(ctx, key, value, ver)
-			}
-			c.finish(sc, total, trace.KindSet, trace.TransportRPC, uint32(attempt+1), outcome, nil)
-			return ver, nil
-		}
-		lastErr = err
-		c.noteFailed(owner)
-	}
-	return truetime.Version{}, lastErr
-}
-
-// mutationLeg runs one owner-cell mutation attempt, sequencing its spans
-// into total and bracketing remote legs with a tier-forward annotation.
-// It returns the outcome class for the attempt.
-func (c *Client) mutationLeg(total *fabric.OpTrace, owner string, run func() (fabric.OpTrace, error)) Outcome {
-	outcome := OutcomeOwnerDirect
-	if owner != c.opt.Local {
-		outcome = OutcomeForward
-	}
-	if total == nil {
-		_, _ = run()
-		return outcome
-	}
-	start := total.Ns
-	tr, _ := run()
-	total.Sequence(tr)
-	if outcome == OutcomeForward {
-		total.Annotate(trace.SpanTierForward, c.cellIdx[owner], start, tr.Ns)
-	}
-	return outcome
-}
-
-// Erase removes key from its owning cell (and the local follower cache).
-func (c *Client) Erase(ctx context.Context, key []byte) error {
-	c.m.Ops.Add(1)
-	h := c.t.opt.Hash(key)
-	sc, ctx, total := c.traceOp(ctx, trace.KindErase)
-	var lastErr error = ErrNoCells
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		owner, err := c.routeTraced(h, total, attempt)
+		owner, err := c.route(h, total, attempt)
 		if err != nil {
 			return err
 		}
-		outcome := c.mutationLeg(total, owner, func() (fabric.OpTrace, error) {
-			var tr fabric.OpTrace
-			if total != nil {
-				tr, err = c.cls[owner].EraseTraced(ctx, key)
-			} else {
-				err = c.cls[owner].Erase(ctx, key)
-			}
-			return tr, err
-		})
+		tr, err := run(ctx, c.cls[owner])
+		outcome := c.ownerLeg(total, owner, tr)
 		if err == nil {
 			c.t.router.NoteSuccess(owner)
 			if c.opt.FollowerReads && owner != c.opt.Local {
-				_ = c.local.Erase(ctx, followerKey(key))
+				settle(ctx)
 			}
-			c.finish(sc, total, trace.KindErase, trace.TransportRPC, uint32(attempt+1), outcome, nil)
+			c.finish(sc, total, k, trace.TransportRPC, uint32(attempt+1), outcome, nil)
 			return nil
 		}
 		lastErr = err
@@ -495,41 +399,51 @@ func (c *Client) Erase(ctx context.Context, key []byte) error {
 	return lastErr
 }
 
+// Set stores key=value on the owning cell.
+func (c *Client) Set(ctx context.Context, key, value []byte) error {
+	_, err := c.SetVersioned(ctx, key, value)
+	return err
+}
+
+// SetVersioned stores key=value on the owning cell and returns the
+// owner-assigned version.
+func (c *Client) SetVersioned(ctx context.Context, key, value []byte) (truetime.Version, error) {
+	var ver truetime.Version
+	err := c.mutate(ctx, trace.KindSet, key,
+		func(ctx context.Context, cl *client.Client) (tr fabric.OpTrace, err error) {
+			ver, tr, err = cl.SetVersionedTraced(ctx, key, value)
+			return tr, err
+		},
+		func(ctx context.Context) { c.storeFollower(ctx, key, value, ver) })
+	if err != nil {
+		return truetime.Version{}, err
+	}
+	return ver, nil
+}
+
+// Erase removes key from its owning cell (and the local follower cache).
+func (c *Client) Erase(ctx context.Context, key []byte) error {
+	return c.mutate(ctx, trace.KindErase, key,
+		func(ctx context.Context, cl *client.Client) (fabric.OpTrace, error) { return cl.EraseTraced(ctx, key) },
+		func(ctx context.Context) { _ = c.local.Erase(ctx, followerKey(key)) })
+}
+
 // Cas compare-and-swaps on the owning cell. The follower cache entry is
 // dropped (not updated) on success: Cas does not return the new version,
 // so the next follower read revalidates.
 func (c *Client) Cas(ctx context.Context, key, value []byte, expected truetime.Version) (bool, error) {
-	c.m.Ops.Add(1)
-	h := c.t.opt.Hash(key)
-	sc, ctx, total := c.traceOp(ctx, trace.KindCas)
-	var lastErr error = ErrNoCells
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		owner, err := c.routeTraced(h, total, attempt)
-		if err != nil {
-			return false, err
-		}
-		var applied bool
-		outcome := c.mutationLeg(total, owner, func() (fabric.OpTrace, error) {
-			var tr fabric.OpTrace
-			if total != nil {
-				applied, tr, err = c.cls[owner].CasTraced(ctx, key, value, expected)
-			} else {
-				applied, err = c.cls[owner].Cas(ctx, key, value, expected)
-			}
+	var applied bool
+	err := c.mutate(ctx, trace.KindCas, key,
+		func(ctx context.Context, cl *client.Client) (tr fabric.OpTrace, err error) {
+			applied, tr, err = cl.CasTraced(ctx, key, value, expected)
 			return tr, err
-		})
-		if err == nil {
-			c.t.router.NoteSuccess(owner)
-			if applied && c.opt.FollowerReads && owner != c.opt.Local {
+		},
+		func(ctx context.Context) {
+			if applied {
 				_ = c.local.Erase(ctx, followerKey(key))
 			}
-			c.finish(sc, total, trace.KindCas, trace.TransportRPC, uint32(attempt+1), outcome, nil)
-			return applied, nil
-		}
-		lastErr = err
-		c.noteFailed(owner)
-	}
-	return false, lastErr
+		})
+	return applied && err == nil, err
 }
 
 // CellClient exposes the underlying per-cell client (tooling, tests).
