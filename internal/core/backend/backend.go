@@ -21,23 +21,33 @@
 // per-stripe eviction policy, and a per-stripe counter shard. Mutations on
 // different stripes proceed fully in parallel.
 //
-// Lock-ordering rules (violations deadlock; see DESIGN.md):
+// Lock-ordering rules (violations deadlock; see DESIGN.md, "Backend storage
+// core"):
 //
 //  1. Stripe locks are acquired in ascending index order. Single-key ops
 //     take exactly one; cell-wide ops (resize, restamp, compact-restart,
 //     scan, Items) take all of them, holding none on entry.
-//  2. Leaf locks (tombMu, stateMu, the data region's wmu, the rmem region
-//     stripes, the slab allocator's internal locks, a stripe's policy —
-//     guarded by that stripe's own mutex) may be taken under stripe locks
-//     but never the reverse.
+//  2. Leaf locks (tombMu, journalMu, the persist store's mutex,
+//     the data region's wmu, the rmem region stripes, the slab allocator's
+//     internal locks, a stripe's policy — guarded by that stripe's own
+//     mutex) may be taken under stripe locks but never the reverse.
 //  3. Allocation that can evict (allocWithEviction) must be entered with
-//     NO stripe lock held: eviction locks a victim's stripe. SET-style
-//     paths therefore run as pre-check → unlock → allocate+write →
-//     relock → re-validate → publish.
+//     NO stripe lock held: eviction locks a victim's stripe. Installs
+//     therefore run as gate → unlock → allocate+write → relock → re-gate →
+//     publish.
+//
+// # File map
+//
+//	backend.go   options, the Backend struct, New, stripe locks, accessors
+//	table.go     the index table (bucket view, put/clear slot, header stamp) and the corpus walker
+//	apply.go     lookup, version gate, install (SET/CAS/UpdateVersion), erase, eviction, publish
+//	reshape.go   data-region growth, index resize, compact-restart, clear, post-resize GC
+//	tombstone.go the tombstone cache and the Backend's only access to it
+//	handoff.go   seal, handoff journal, the one handoff source loop; persist.go the durable tee,
+//	             checkpoints and recovery; service.go the RPC surface and repair; hotset.go promotion
 package backend
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -202,7 +212,6 @@ type Options struct {
 
 	Policy           string  // eviction policy name (internal/eviction)
 	MaxLoadFactor    float64 // index resize trigger (§4.1)
-	GrowWatermark    float64 // data-region growth trigger (§4.1)
 	GrowStep         float64 // fraction of current size to grow by
 	OverflowFallback bool    // RPC side-table on bucket overflow (§4.2)
 	TombstoneCap     int     // tombstone cache capacity (§5.2)
@@ -215,9 +224,6 @@ type Options struct {
 	// for disaggregation users). Must match the clients'; nil means
 	// hashring.DefaultHash.
 	Hash hashring.HashFunc
-	// HeatK sizes the key-heat top-k sketch (per-shard capacity; see
-	// stats.TopK). 0 takes the sketch's default.
-	HeatK int
 	// HotK caps the hot-key promoted set (hotset.go): the top keys whose
 	// traffic share clears the promotion bar are settled to all-replica
 	// residency and advertised to clients via response piggybacks. 0
@@ -259,14 +265,14 @@ func (o Options) withDefaults() Options {
 	if o.DataMaxBytes < o.DataBytes {
 		o.DataMaxBytes = o.DataBytes * 16
 	}
+	if !o.ReshapeEnabled {
+		o.DataBytes = o.DataMaxBytes // pre-allocate for peak (the baseline)
+	}
 	if o.SlabBytes == 0 {
 		o.SlabBytes = 256 << 10
 	}
 	if o.MaxLoadFactor == 0 {
 		o.MaxLoadFactor = 0.70
-	}
-	if o.GrowWatermark == 0 {
-		o.GrowWatermark = 0.85
 	}
 	if o.GrowStep == 0 {
 		o.GrowStep = 0.5
@@ -334,15 +340,6 @@ func (c *counterShard) addTo(out *Counters) {
 	out.DataGrows += c.dataGrows.Load()
 	out.RepairsIssued += c.repairsIssued.Load()
 	out.CorruptPurged += c.corruptPurged.Load()
-}
-
-// indexRegion is the current RMA-accessible index.
-type indexRegion struct {
-	geo    layout.Geometry
-	region *rmem.Region
-	win    *rmem.Window
-	epoch  uint64
-	used   atomic.Int64 // occupied IndexEntries
 }
 
 // dataRegion is the slab-managed DataEntry pool.
@@ -435,9 +432,7 @@ type Backend struct {
 	tombLive       atomic.Int64
 	tombSummarySet atomic.Bool
 
-	stateMu sync.Mutex // shard, spare
-	shard   int
-	spare   bool
+	shard atomic.Int64 // served shard; -1 for an idle spare
 
 	sealed   atomic.Bool
 	configID atomic.Uint64
@@ -465,9 +460,12 @@ type Backend struct {
 	// (persist.go). Stored only after recovery replay completes, so
 	// replayed records are not re-journaled. Memory-only backends keep it
 	// nil and pay one atomic load per mutation.
-	persist     atomic.Pointer[persist.Store]
-	recovering  atomic.Bool
-	ckptRunning atomic.Bool
+	persist    atomic.Pointer[persist.Store]
+	recovering atomic.Bool
+	// ckptMu serializes checkpoints — CheckpointNow callers wait for it,
+	// the journal-depth trigger skips while it is held — so two never
+	// interleave records in the one temp image.
+	ckptMu sync.Mutex
 
 	// Warm-restart telemetry behind the RECOVERY stats columns.
 	recoveredKeys   atomic.Uint64
@@ -490,38 +488,8 @@ type Backend struct {
 	hotMu        sync.Mutex // serializes epoch bumps
 	hot          atomic.Pointer[hotSet]
 	hotEvalTotal atomic.Uint64 // sketch total at the last evaluation
-	hotEpochs    atomic.Uint64 // promotion epoch changes (observability)
-	hotSettles   atomic.Uint64 // residency settles issued by RepairHot
 	hotResidency atomic.Bool   // a RepairHot sweep is in flight
 }
-
-// opBufs is per-call scratch: a bucket read buffer, an IndexEntry encode
-// buffer, and a DataEntry encode buffer, pooled to keep the mutation path
-// allocation-free.
-type opBufs struct {
-	bucket []byte
-	entry  [layout.IndexEntrySize]byte
-	data   []byte
-}
-
-var bufPool = sync.Pool{New: func() any { return &opBufs{} }}
-
-func (o *opBufs) bucketBuf(n int) []byte {
-	if cap(o.bucket) < n {
-		o.bucket = make([]byte, n)
-	}
-	return o.bucket[:n]
-}
-
-func (o *opBufs) dataBuf(n int) []byte {
-	if cap(o.data) < n {
-		o.data = make([]byte, n+n/2)
-	}
-	return o.data[:n]
-}
-
-// zeroEntry is the wire form of an empty IndexEntry slot (read-only).
-var zeroEntry = make([]byte, layout.IndexEntrySize)
 
 // New builds and registers a backend task: its memory regions, RMA
 // windows, and RPC service. The same registry must be attached to the
@@ -538,10 +506,8 @@ func New(opt Options, store *config.Store, reg *rmem.Registry, net *rpc.Network,
 		gen:   gen,
 		net:   net,
 		acct:  acct,
-		shard: opt.Shard,
-		spare: opt.Shard < 0,
 		tomb:  newTombstoneCache(opt.TombstoneCap),
-		heat:  stats.NewTopK(opt.HeatK),
+		heat:  stats.NewTopK(0),
 	}
 
 	// Stripe count: largest power of two ≤ maxStripes dividing the initial
@@ -551,19 +517,11 @@ func New(opt Options, store *config.Store, reg *rmem.Registry, net *rpc.Network,
 	for opt.Geometry.Buckets%n != 0 {
 		n /= 2
 	}
+	b.shard.Store(int64(opt.Shard))
 	b.nStripes = uint64(n)
 	b.stripes = make([]stripe, n)
-	perStripe := opt.Geometry.Buckets * opt.Geometry.Ways / n
-	if perStripe < 1 {
-		perStripe = 1
-	}
-	for i := range b.stripes {
-		pol, err := eviction.New(opt.Policy, perStripe)
-		if err != nil {
-			return nil, err
-		}
-		b.stripes[i].policy = pol
-		b.stripes[i].side = make(map[string]sideEntry)
+	if err := b.resetStripes(opt.Geometry); err != nil {
+		return nil, err
 	}
 	if store != nil {
 		b.configID.Store(store.Get().ID)
@@ -573,19 +531,10 @@ func New(opt Options, store *config.Store, reg *rmem.Registry, net *rpc.Network,
 	}
 
 	b.idx.Store(b.newIndex(opt.Geometry, 1))
-
-	dataBytes := opt.DataBytes
-	if !opt.ReshapeEnabled {
-		dataBytes = opt.DataMaxBytes // pre-allocate for peak (the baseline)
-	}
-	region := rmem.NewRegion(dataBytes, opt.DataMaxBytes)
-	alloc, err := slab.New(dataBytes, opt.SlabBytes, nil)
+	dr, err := b.newDataRegion(opt.DataBytes)
 	if err != nil {
-		return nil, fmt.Errorf("backend: data allocator: %w", err)
+		return nil, err
 	}
-	dr := &dataRegion{region: region, alloc: alloc}
-	dr.windows = []*rmem.Window{reg.Register(region, 1)}
-	dr.cur.Store(dr.windows[0])
 	b.data.Store(dr)
 
 	// Recover the durable corpus before the RPC service exists: replay
@@ -600,17 +549,6 @@ func New(opt Options, store *config.Store, reg *rmem.Registry, net *rpc.Network,
 	b.srv = net.Serve(opt.Addr, opt.HostID)
 	b.registerHandlers()
 	return b, nil
-}
-
-// newIndex builds a zeroed index region with configID-stamped buckets.
-func (b *Backend) newIndex(geo layout.Geometry, epoch uint64) *indexRegion {
-	region := rmem.NewRegion(geo.RegionBytes(), geo.RegionBytes())
-	hdr := make([]byte, layout.BucketHeaderSize)
-	for i := 0; i < geo.Buckets; i++ {
-		layout.EncodeBucketHeader(hdr, b.stampID(), 0)
-		region.Write(geo.BucketOffset(i), hdr)
-	}
-	return &indexRegion{geo: geo, region: region, win: b.reg.Register(region, epoch), epoch: epoch}
 }
 
 // stripeOf returns the stripe owning h's bucket. Because nStripes divides
@@ -639,11 +577,7 @@ func (b *Backend) Addr() string { return b.opt.Addr }
 func (b *Backend) HostID() int { return b.opt.HostID }
 
 // Shard returns the currently served shard (-1 for idle spare).
-func (b *Backend) Shard() int {
-	b.stateMu.Lock()
-	defer b.stateMu.Unlock()
-	return b.shard
-}
+func (b *Backend) Shard() int { return int(b.shard.Load()) }
 
 // Server exposes the RPC server (for Stop/Start fault injection).
 func (b *Backend) Server() *rpc.Server { return b.srv }
@@ -682,38 +616,6 @@ func (b *Backend) DataUtilization() float64 {
 	return float64(st.AllocatedBytes) / float64(st.PoolBytes)
 }
 
-// SetConfigID restamps every bucket header with the new configuration ID.
-// Clients holding the old ID fail validation on their next GET and refresh
-// (§6.1).
-func (b *Backend) SetConfigID(id uint64) {
-	b.configID.Store(id)
-	b.lockAll()
-	defer b.unlockAll()
-	b.restampLocked()
-}
-
-// restampLocked rewrites every bucket header; all stripe locks held.
-func (b *Backend) restampLocked() {
-	idx := b.idx.Load()
-	hdr := make([]byte, layout.BucketHeaderSize)
-	for i := 0; i < idx.geo.Buckets; i++ {
-		off := idx.geo.BucketOffset(i)
-		cur, err := idx.region.Read(off, layout.BucketHeaderSize)
-		if err != nil {
-			continue
-		}
-		flags := uint64(0)
-		if len(cur) >= layout.BucketHeaderSize {
-			dec, derr := layout.DecodeBucket(append(cur, make([]byte, idx.geo.BucketSize()-layout.BucketHeaderSize)...), idx.geo.Ways)
-			if derr == nil {
-				flags = dec.Flags
-			}
-		}
-		layout.EncodeBucketHeader(hdr, b.stampID(), flags)
-		idx.region.Write(off, hdr)
-	}
-}
-
 // hello describes the backend's current RMA geometry for the client
 // handshake.
 func (b *Backend) hello() proto.HelloResp {
@@ -727,911 +629,6 @@ func (b *Backend) hello() proto.HelloResp {
 		IndexEpoch:  idx.epoch,
 		DataWindows: b.data.Load().windowIDs(),
 	}
-}
-
-// --------------------------------------------------------------- lookup --
-
-// readBucketInto returns a zero-copy view of bucket's raw bytes, nil on
-// any region error (treated as an empty bucket by callers). Aliasing is
-// safe under the bucket's stripe lock: every writer of the bucket holds
-// the same lock, and the index region's backing array is immutable for the
-// region's lifetime (resizes build a whole new region).
-func readBucketInto(idx *indexRegion, bucket int, _ *opBufs) []byte {
-	raw, err := idx.region.View(idx.geo.BucketOffset(bucket), idx.geo.BucketSize())
-	if err != nil {
-		return nil
-	}
-	return raw
-}
-
-// rawFind scans a raw bucket for h without decoding every slot.
-func rawFind(raw []byte, ways int, h hashring.KeyHash) (layout.IndexEntry, int, bool) {
-	if raw == nil {
-		return layout.IndexEntry{}, -1, false
-	}
-	for i := 0; i < ways; i++ {
-		off := layout.BucketHeaderSize + i*layout.IndexEntrySize
-		hi := binary.LittleEndian.Uint64(raw[off:])
-		lo := binary.LittleEndian.Uint64(raw[off+8:])
-		if hi == h.Hi && lo == h.Lo {
-			e, err := layout.DecodeIndexEntry(raw[off:])
-			if err != nil {
-				return layout.IndexEntry{}, -1, false
-			}
-			return e, i, true
-		}
-	}
-	return layout.IndexEntry{}, -1, false
-}
-
-// rawEmptySlot returns the first empty slot in a raw bucket.
-func rawEmptySlot(raw []byte, ways int) (int, bool) {
-	if raw == nil {
-		return -1, false
-	}
-	for i := 0; i < ways; i++ {
-		off := layout.BucketHeaderSize + i*layout.IndexEntrySize
-		if binary.LittleEndian.Uint64(raw[off:]) == 0 && binary.LittleEndian.Uint64(raw[off+8:]) == 0 {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// rawVictimSlot picks the occupied slot with the lowest VersionNumber.
-func rawVictimSlot(raw []byte, ways int) (layout.IndexEntry, int, bool) {
-	if raw == nil {
-		return layout.IndexEntry{}, -1, false
-	}
-	best, found := -1, false
-	var bestV truetime.Version
-	for i := 0; i < ways; i++ {
-		off := layout.BucketHeaderSize + i*layout.IndexEntrySize
-		if binary.LittleEndian.Uint64(raw[off:]) == 0 && binary.LittleEndian.Uint64(raw[off+8:]) == 0 {
-			continue
-		}
-		v := truetime.Version{
-			Micros:   int64(binary.LittleEndian.Uint64(raw[off+16:])),
-			ClientID: binary.LittleEndian.Uint64(raw[off+24:]),
-			Seq:      binary.LittleEndian.Uint64(raw[off+32:]),
-		}
-		if !found || v.Less(bestV) {
-			best, bestV, found = i, v, true
-		}
-	}
-	if !found {
-		return layout.IndexEntry{}, -1, false
-	}
-	e, err := layout.DecodeIndexEntry(raw[layout.BucketHeaderSize+best*layout.IndexEntrySize:])
-	if err != nil {
-		return layout.IndexEntry{}, -1, false
-	}
-	return e, best, true
-}
-
-// findEntry locates key's IndexEntry; the key's stripe lock must be held.
-func (b *Backend) findEntry(idx *indexRegion, h hashring.KeyHash, bufs *opBufs) (bucket int, slot int, e layout.IndexEntry, ok bool) {
-	bucket = int(h.Lo % uint64(idx.geo.Buckets))
-	raw := readBucketInto(idx, bucket, bufs)
-	e, slot, ok = rawFind(raw, idx.geo.Ways, h)
-	return bucket, slot, e, ok
-}
-
-// readEntry materializes the DataEntry behind e.
-func (b *Backend) readEntry(e layout.IndexEntry) (layout.DataEntry, error) {
-	raw, err := b.reg.Read(e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
-	if err != nil {
-		return layout.DataEntry{}, err
-	}
-	return layout.DecodeDataEntry(raw)
-}
-
-// localGet serves the RPC/MSG lookup path and repair reads.
-func (b *Backend) localGet(key []byte) (value []byte, ver truetime.Version, found bool) {
-	return b.localGetTraced(nil, key)
-}
-
-func (b *Backend) localGetTraced(sink *trace.SpanSink, key []byte) (value []byte, ver truetime.Version, found bool) {
-	h := b.opt.Hash(key)
-	s := b.stripeOf(h)
-	s.ctr.gets.Add(1)
-	b.noteHeat(key, h)
-	bufs := bufPool.Get().(*opBufs)
-	defer bufPool.Put(bufs)
-	lockStripe(s, sink)
-	defer s.unlock()
-	if _, _, e, ok := b.findEntry(b.idx.Load(), h, bufs); ok {
-		de, err := b.readEntry(e)
-		if err == nil && string(de.Key) == string(key) {
-			if val, merr := de.MaterializeValue(); merr == nil {
-				return val, de.Version, true
-			}
-		}
-	}
-	if se, ok := s.side[string(key)]; ok {
-		return append([]byte(nil), se.value...), se.version, true
-	}
-	return nil, truetime.Version{}, false
-}
-
-// ----------------------------------------------------------- tombstones --
-
-// The tombstone cache stays global — its coarse summary bound (§5.2) is a
-// whole-backend property (and TestTombstoneSummaryCoarseButConsistent pins
-// that) — behind its own leaf mutex. Reads and drops first consult the
-// atomic shadow state so that with no live tombstones (the common case)
-// SETs never touch tombMu.
-
-func (b *Backend) tombBound(key []byte) truetime.Version {
-	if b.tombLive.Load() == 0 && !b.tombSummarySet.Load() {
-		return truetime.Version{}
-	}
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	return b.tomb.bound(key)
-}
-
-func (b *Backend) tombInsert(key []byte, v truetime.Version) {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	b.tomb.insert(string(key), v)
-	b.tombLive.Store(int64(b.tomb.len()))
-	if !b.tomb.summary.Zero() {
-		b.tombSummarySet.Store(true)
-	}
-}
-
-func (b *Backend) tombDrop(key []byte) {
-	if b.tombLive.Load() == 0 {
-		return
-	}
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	b.tomb.drop(key)
-	b.tombLive.Store(int64(b.tomb.len()))
-}
-
-// tombSettled retires key's pending-settle tombstone after a repair sweep
-// observed the erase cohort-settled at v (see tombstoneCache.settled).
-func (b *Backend) tombSettled(key string, v truetime.Version) {
-	if b.tombLive.Load() == 0 {
-		return
-	}
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	b.tomb.settled(key, v)
-	b.tombLive.Store(int64(b.tomb.len()))
-}
-
-// tombPendingOverflow reports how many evicted tombstones fell out of the
-// pending-settle queue into the coarse summary — each one consumed the
-// bounded resurrection residual (tests, observability).
-func (b *Backend) tombPendingOverflow() uint64 {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	return b.tomb.overflow
-}
-
-// tombLen returns the cached tombstone count (tests).
-func (b *Backend) tombLen() int {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	return b.tomb.len()
-}
-
-// ------------------------------------------------------------- mutation --
-
-// versionBoundRaw returns the threshold a mutation's version must exceed:
-// the stored version when the key is resident (in raw's bucket or the side
-// shard), else its tombstone bound (§5.2). The stripe lock is held.
-func (b *Backend) versionBoundRaw(s *stripe, raw []byte, ways int, key []byte, h hashring.KeyHash) truetime.Version {
-	if e, _, ok := rawFind(raw, ways, h); ok {
-		return e.Version
-	}
-	if se, ok := s.side[string(key)]; ok {
-		return se.version
-	}
-	return b.tombBound(key)
-}
-
-// writeEntry encodes and stores a DataEntry, compressing the value when
-// configured and worthwhile, returning its pointer. Must be called with NO
-// stripe lock held: allocation may evict, which locks a victim's stripe.
-// The body is written in chunks — the §5.3 tearing window is real.
-func (b *Backend) writeEntry(dr *dataRegion, bufs *opBufs, key, value []byte, v truetime.Version) (layout.Pointer, slab.Ref, int, int, error) {
-	stored, compressed := value, false
-	if b.opt.CompressThreshold > 0 && len(value) >= b.opt.CompressThreshold {
-		stored, compressed = layout.CompressValue(value)
-	}
-	return b.writeStored(dr, bufs, key, stored, compressed, v)
-}
-
-// writeStored stores already-materialized entry bytes (used directly when
-// relocating an entry whose stored form must be preserved). Returns the
-// pointer, the slab ref, the encoded size, and the number of evictions the
-// allocation performed.
-func (b *Backend) writeStored(dr *dataRegion, bufs *opBufs, key, stored []byte, compressed bool, v truetime.Version) (layout.Pointer, slab.Ref, int, int, error) {
-	need := layout.DataEntrySize(len(key), len(stored))
-	ref, evictions, err := b.allocWithEviction(dr, need)
-	if err != nil {
-		return layout.Pointer{}, slab.Ref{}, need, evictions, err
-	}
-	buf := bufs.dataBuf(need)
-	layout.EncodeDataEntryFlagged(buf, key, stored, v, compressed)
-	if werr := dr.region.WriteChunked(ref.Offset, buf); werr != nil {
-		dr.alloc.Free(ref, need)
-		return layout.Pointer{}, slab.Ref{}, need, evictions, werr
-	}
-	return layout.Pointer{
-		Window: dr.current().ID,
-		Offset: uint64(ref.Offset),
-		Size:   uint64(need),
-	}, ref, need, evictions, nil
-}
-
-// allocWithEviction carves space, evicting under capacity conflicts and
-// growing the data region at the §4.1 high watermark. No stripe lock may
-// be held by the caller.
-func (b *Backend) allocWithEviction(dr *dataRegion, need int) (slab.Ref, int, error) {
-	evictions := 0
-	for {
-		ref, err := dr.alloc.Alloc(need)
-		if err == nil {
-			b.maybeGrow(dr)
-			return ref, evictions, nil
-		}
-		if err != slab.ErrNoCapacity {
-			return slab.Ref{}, evictions, err
-		}
-		// Prefer growth over eviction when reshaping is on and headroom
-		// remains.
-		if b.grow(dr) {
-			continue
-		}
-		if !b.evictOne(false) {
-			return slab.Ref{}, evictions, slab.ErrNoCapacity
-		}
-		evictions++
-	}
-}
-
-// maybeGrow grows ahead of demand at the high watermark. Lock-free check;
-// growth itself is serialized by the region's wmu.
-func (b *Backend) maybeGrow(dr *dataRegion) {
-	if !b.opt.ReshapeEnabled {
-		return
-	}
-	pool := dr.alloc.PoolBytes()
-	if pool > 0 && float64(dr.alloc.AllocatedBytes())/float64(pool) >= b.opt.GrowWatermark {
-		b.grow(dr)
-	}
-}
-
-// grow populates more of the reserved range and registers a new
-// overlapping window (§4.1). Returns false at the ceiling or with
-// reshaping disabled.
-func (b *Backend) grow(dr *dataRegion) bool {
-	if !b.opt.ReshapeEnabled {
-		return false
-	}
-	dr.wmu.Lock()
-	defer dr.wmu.Unlock()
-	cur := dr.region.Populated()
-	if cur >= b.opt.DataMaxBytes {
-		return false
-	}
-	step := int(float64(cur) * b.opt.GrowStep)
-	if step < b.opt.SlabBytes {
-		step = b.opt.SlabBytes
-	}
-	if cur+step > b.opt.DataMaxBytes {
-		step = b.opt.DataMaxBytes - cur
-	}
-	newPop := dr.region.Grow(step)
-	grew := dr.alloc.Grow(newPop - cur)
-	if grew <= 0 {
-		return false
-	}
-	// Advertise a second, larger overlapping window; clients converge to
-	// it over time. Old windows stay valid for existing pointers.
-	w := b.reg.Register(dr.region, dr.windows[len(dr.windows)-1].Epoch+1)
-	dr.windows = append(dr.windows, w)
-	dr.cur.Store(w)
-	b.stripes[0].ctr.dataGrows.Add(1)
-	return true
-}
-
-// evictOne removes one policy-chosen victim (capacity conflict), trying
-// stripes round-robin. Must be called with NO stripe lock held. Returns
-// false if nothing is evictable.
-func (b *Backend) evictOne(assoc bool) bool {
-	start := b.evictCursor.Add(1)
-	n := uint64(len(b.stripes))
-	for i := uint64(0); i < n; i++ {
-		s := &b.stripes[(start+i)%n]
-		s.mu.Lock()
-		key, ok := s.policy.Victim()
-		if ok {
-			b.removeKeyLocked(s, []byte(key))
-			if assoc {
-				s.ctr.assocEvictions.Add(1)
-			} else {
-				s.ctr.capacityEvictions.Add(1)
-			}
-			s.unlock()
-			return true
-		}
-		s.unlock()
-	}
-	return false
-}
-
-// removeKeyLocked nullifies key's IndexEntry and frees its DataEntry; the
-// key's stripe lock (s) is held. In-flight 2×R GETs may still complete
-// against the old bytes; they are ordered-before the eviction (§4.2).
-func (b *Backend) removeKeyLocked(s *stripe, key []byte) {
-	h := b.opt.Hash(key)
-	bufs := bufPool.Get().(*opBufs)
-	idx := b.idx.Load()
-	bucket, slot, e, ok := b.findEntry(idx, h, bufs)
-	if ok {
-		idx.region.Write(idx.geo.BucketOffset(bucket)+layout.BucketHeaderSize+slot*layout.IndexEntrySize, zeroEntry)
-		idx.used.Add(-1)
-		b.data.Load().alloc.Free(slab.Ref{Offset: int(e.Ptr.Offset), Size: sizeClassOf(int(e.Ptr.Size))}, int(e.Ptr.Size))
-	}
-	delete(s.side, string(key))
-	s.policy.RemoveBytes(key)
-	bufPool.Put(bufs)
-}
-
-// defaultClasses is cached: sizeClassOf runs on every free/publish.
-var defaultClasses = slab.DefaultSizeClasses()
-
-// sizeClassOf recovers the slab class for an entry of encoded size n.
-func sizeClassOf(n int) int {
-	for _, c := range defaultClasses {
-		if c >= n {
-			return c
-		}
-	}
-	return n
-}
-
-// ApplySet installs a KV pair directly (bulk loaders and tests); normal
-// traffic arrives via the SET RPC handler.
-func (b *Backend) ApplySet(key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
-	return b.applySet(key, value, v)
-}
-
-// ApplyErase erases a key directly (model checking and tests); normal
-// traffic arrives via the ERASE RPC handler.
-func (b *Backend) ApplyErase(key []byte, v truetime.Version) (applied bool, stored truetime.Version) {
-	return b.applyErase(key, v)
-}
-
-// ApplyCas compare-and-swaps directly (stress tests); normal traffic
-// arrives via the CAS RPC handler.
-func (b *Backend) ApplyCas(key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
-	return b.applyCas(key, value, expected, v)
-}
-
-// applySet is the SET RPC's core (§3, §5.2): version-gated install with
-// eviction under capacity and associativity conflicts.
-//
-// The striped flow is pre-check → unlock → allocate+write → relock →
-// re-validate → publish: allocation can evict (locking other stripes) and
-// performs the chunked body write, so it must not run under this key's
-// stripe lock. The re-validation after relocking restores atomicity: if a
-// concurrent mutation moved the version bound past v, the prepared entry
-// is discarded exactly as if the first check had failed.
-func (b *Backend) applySet(key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
-	return b.applySetTraced(nil, key, value, v)
-}
-
-func (b *Backend) applySetTraced(sink *trace.SpanSink, key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
-	h := b.opt.Hash(key)
-	s := b.stripeOf(h)
-	s.ctr.sets.Add(1)
-	b.noteHeat(key, h)
-	bufs := bufPool.Get().(*opBufs)
-	defer bufPool.Put(bufs)
-
-	for {
-		lockStripe(s, sink)
-		idx := b.idx.Load()
-		ways := idx.geo.Ways
-		bucket := int(h.Lo % uint64(idx.geo.Buckets))
-		raw := readBucketInto(idx, bucket, bufs)
-		bound := b.versionBoundRaw(s, raw, ways, key, h)
-		if !bound.Less(v) {
-			s.ctr.versionRejects.Add(1)
-			s.unlock()
-			return false, bound, evictions
-		}
-		dr := b.data.Load()
-		s.unlock()
-
-		// Allocate and write the DataEntry body with no stripe lock held.
-		ptr, ref, need, ev, err := b.writeEntry(dr, bufs, key, value, v)
-		evictions += ev
-		if err != nil {
-			return false, bound, evictions
-		}
-
-		lockStripe(s, sink)
-		if b.data.Load() != dr {
-			// A compact-restart swapped the data region underneath the
-			// allocation; discard and redo against the new region.
-			s.unlock()
-			dr.alloc.Free(ref, need)
-			continue
-		}
-		idx = b.idx.Load() // may have resized while unlocked
-		ways = idx.geo.Ways
-		bucket = int(h.Lo % uint64(idx.geo.Buckets))
-		raw = readBucketInto(idx, bucket, bufs)
-
-		// Re-validate: a concurrent mutation may have advanced the bound.
-		bound2 := b.versionBoundRaw(s, raw, ways, key, h)
-		if !bound2.Less(v) {
-			s.unlock()
-			dr.alloc.Free(ref, need)
-			s.ctr.versionRejects.Add(1)
-			return false, bound2, evictions
-		}
-
-		entryBuf := bufs.entry[:]
-		layout.EncodeIndexEntry(entryBuf, layout.IndexEntry{Hash: h, Version: v, Ptr: ptr})
-		slotOff := func(slot int) int {
-			return idx.geo.BucketOffset(bucket) + layout.BucketHeaderSize + slot*layout.IndexEntrySize
-		}
-
-		overflowed := false
-		if old, slot, exists := rawFind(raw, ways, h); exists {
-			// Overwrite in place: the new pointer's publication is the
-			// ordering point; then reclaim the old DataEntry.
-			idx.region.Write(slotOff(slot), entryBuf)
-			dr.alloc.Free(slab.Ref{Offset: int(old.Ptr.Offset), Size: sizeClassOf(int(old.Ptr.Size))}, int(old.Ptr.Size))
-		} else if es, ok := rawEmptySlot(raw, ways); ok {
-			idx.region.Write(slotOff(es), entryBuf)
-			idx.used.Add(1)
-		} else if b.opt.OverflowFallback {
-			// Associativity conflict with RPC fallback: park in the side
-			// shard and mark the bucket overflowed (§4.2).
-			dr.alloc.Free(ref, need)
-			s.side[string(key)] = sideEntry{value: append([]byte(nil), value...), version: v}
-			b.setOverflowLocked(idx, bucket)
-			s.ctr.overflows.Add(1)
-			overflowed = true
-		} else if victim, vs, vok := rawVictimSlot(raw, ways); vok {
-			// Associativity conflict: evict the oldest-versioned entry in
-			// this bucket (same stripe by construction) to admit the new.
-			b.evictSlotLocked(s, idx, victim, bucket, vs)
-			s.ctr.assocEvictions.Add(1)
-			idx.region.Write(slotOff(vs), entryBuf)
-			idx.used.Add(1)
-		} else {
-			s.unlock()
-			dr.alloc.Free(ref, need)
-			return false, bound2, evictions
-		}
-
-		s.policy.AddBytes(key)
-		b.tombDrop(key)
-		if !overflowed {
-			delete(s.side, string(key))
-		}
-		s.ctr.setsApplied.Add(1)
-		b.journalNote(key)
-		b.persistNote(persist.OpSet, key, value, v)
-		s.unlock()
-		b.maybeResizeIndex()
-		b.maybeCheckpoint()
-		return true, v, evictions
-	}
-}
-
-// evictSlotLocked removes the already-decoded entry at (bucket, slot); the
-// bucket's stripe lock (s) is held.
-func (b *Backend) evictSlotLocked(s *stripe, idx *indexRegion, e layout.IndexEntry, bucket, slot int) {
-	if de, derr := b.readEntry(e); derr == nil {
-		s.policy.RemoveBytes(de.Key)
-	}
-	idx.region.Write(idx.geo.BucketOffset(bucket)+layout.BucketHeaderSize+slot*layout.IndexEntrySize, zeroEntry)
-	idx.used.Add(-1)
-	b.data.Load().alloc.Free(slab.Ref{Offset: int(e.Ptr.Offset), Size: sizeClassOf(int(e.Ptr.Size))}, int(e.Ptr.Size))
-}
-
-// readEntryQuarantining materializes the DataEntry behind e for a cohort
-// scan or migration snapshot, where ALL stripe locks are held. Under
-// lockAll no writer can be mid-body (publication of the index pointer
-// happens after the body is fully written, under the stripe lock), so a
-// checksum/decode failure here is durable §3 damage, not a §5.3 tear:
-// the entry can never be served again, yet its index version would keep
-// version-blocking repair settles at that version forever. Quarantine
-// it — zero the slot and free the slab storage — so the cohort's repair
-// sweep can re-install the authoritative bytes from a healthy replica
-// (§5.4 convergence). Registry read errors are skipped without purging:
-// they can be transient (e.g. a window revoked mid-reconfiguration).
-func (b *Backend) readEntryQuarantining(idx *indexRegion, bucket, slot int, e layout.IndexEntry) (layout.DataEntry, bool) {
-	raw, err := b.reg.Read(e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
-	if err != nil {
-		return layout.DataEntry{}, false
-	}
-	de, err := layout.DecodeDataEntry(raw)
-	if err != nil {
-		idx.region.Write(idx.geo.BucketOffset(bucket)+layout.BucketHeaderSize+slot*layout.IndexEntrySize, zeroEntry)
-		idx.used.Add(-1)
-		b.data.Load().alloc.Free(slab.Ref{Offset: int(e.Ptr.Offset), Size: sizeClassOf(int(e.Ptr.Size))}, int(e.Ptr.Size))
-		b.stripes[0].ctr.corruptPurged.Add(1)
-		return layout.DataEntry{}, false
-	}
-	return de, true
-}
-
-// setOverflowLocked marks bucket's header with the overflow flag; the
-// bucket's stripe lock is held.
-func (b *Backend) setOverflowLocked(idx *indexRegion, bucket int) {
-	hdr := make([]byte, layout.BucketHeaderSize)
-	layout.EncodeBucketHeader(hdr, b.stampID(), layout.OverflowFlag)
-	idx.region.Write(idx.geo.BucketOffset(bucket), hdr)
-}
-
-// applyErase is the ERASE RPC's core (§5.2).
-func (b *Backend) applyErase(key []byte, v truetime.Version) (applied bool, stored truetime.Version) {
-	return b.applyEraseTraced(nil, key, v)
-}
-
-func (b *Backend) applyEraseTraced(sink *trace.SpanSink, key []byte, v truetime.Version) (applied bool, stored truetime.Version) {
-	h := b.opt.Hash(key)
-	s := b.stripeOf(h)
-	s.ctr.erases.Add(1)
-	b.noteHeat(key, h)
-	bufs := bufPool.Get().(*opBufs)
-	defer bufPool.Put(bufs)
-	lockStripe(s, sink)
-	defer s.unlock()
-	idx := b.idx.Load()
-	bucket := int(h.Lo % uint64(idx.geo.Buckets))
-	raw := readBucketInto(idx, bucket, bufs)
-	bound := b.versionBoundRaw(s, raw, idx.geo.Ways, key, h)
-	if !bound.Less(v) {
-		s.ctr.versionRejects.Add(1)
-		return false, bound
-	}
-	if e, slot, ok := rawFind(raw, idx.geo.Ways, h); ok {
-		idx.region.Write(idx.geo.BucketOffset(bucket)+layout.BucketHeaderSize+slot*layout.IndexEntrySize, zeroEntry)
-		idx.used.Add(-1)
-		b.data.Load().alloc.Free(slab.Ref{Offset: int(e.Ptr.Offset), Size: sizeClassOf(int(e.Ptr.Size))}, int(e.Ptr.Size))
-	}
-	delete(s.side, string(key))
-	s.policy.RemoveBytes(key)
-	b.tombInsert(key, v)
-	s.ctr.erasesApplied.Add(1)
-	b.journalNote(key)
-	b.persistNote(persist.OpErase, key, nil, v)
-	b.maybeCheckpoint() // async; safe under the stripe lock
-	return true, v
-}
-
-// applyCas is the CAS RPC's core (§5.2): install only when the stored
-// version matches the expectation. The expectation is read under the
-// stripe lock; applySet then re-gates on version monotonicity, so a racing
-// mutation between the two phases can only cause a spurious CAS failure,
-// never a lost update.
-func (b *Backend) applyCas(key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
-	return b.applyCasTraced(nil, key, value, expected, v)
-}
-
-func (b *Backend) applyCasTraced(sink *trace.SpanSink, key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
-	h := b.opt.Hash(key)
-	s := b.stripeOf(h)
-	s.ctr.casOps.Add(1)
-	b.noteHeat(key, h)
-	bufs := bufPool.Get().(*opBufs)
-	lockStripe(s, sink)
-	idx := b.idx.Load()
-	bucket := int(h.Lo % uint64(idx.geo.Buckets))
-	raw := readBucketInto(idx, bucket, bufs)
-	cur := b.versionBoundRaw(s, raw, idx.geo.Ways, key, h)
-	if _, _, ok := rawFind(raw, idx.geo.Ways, h); !ok {
-		if _, sideOK := s.side[string(key)]; !sideOK {
-			// Key absent: CAS succeeds only against the zero version.
-			cur = truetime.Version{}
-			if t := b.tombBound(key); !t.Zero() {
-				cur = t
-			}
-		}
-	}
-	s.unlock()
-	bufPool.Put(bufs)
-
-	if cur != expected {
-		return false, cur
-	}
-	applied, stored, _ = b.applySetTraced(sink, key, value, v)
-	if applied {
-		s.ctr.casApplied.Add(1)
-	}
-	return applied, stored
-}
-
-// applyUpdateVersion rewrites key's stored version (repair step 2, §5.4).
-func (b *Backend) applyUpdateVersion(key []byte, v truetime.Version) bool {
-	h := b.opt.Hash(key)
-	s := b.stripeOf(h)
-	bufs := bufPool.Get().(*opBufs)
-	defer bufPool.Put(bufs)
-
-	s.mu.Lock()
-	idx := b.idx.Load()
-	_, _, e, ok := b.findEntry(idx, h, bufs)
-	if !ok {
-		if se, sok := s.side[string(key)]; sok && se.version.Less(v) {
-			se.version = v
-			s.side[string(key)] = se
-			b.journalNote(key)
-			b.persistNote(persist.OpSet, key, se.value, v)
-			s.unlock()
-			return true
-		}
-		s.unlock()
-		return false
-	}
-	de, err := b.readEntry(e)
-	if err != nil || string(de.Key) != string(key) || !e.Version.Less(v) {
-		s.unlock()
-		return false
-	}
-	stored := append([]byte(nil), de.Value...)
-	compressed := de.Compressed
-	dr := b.data.Load()
-	s.unlock()
-
-	// Re-encode at the new version with no stripe lock held (allocation
-	// may evict), then re-validate and publish.
-	ptr, ref, need, _, werr := b.writeStored(dr, bufs, key, stored, compressed, v)
-	if werr != nil {
-		return false
-	}
-
-	s.mu.Lock()
-	defer s.unlock()
-	if b.data.Load() != dr {
-		dr.alloc.Free(ref, need)
-		return false
-	}
-	idx = b.idx.Load()
-	bucket, slot, old, ok := b.findEntry(idx, h, bufs)
-	if !ok || !old.Version.Less(v) {
-		// Concurrently erased, evicted, or superseded; discard.
-		dr.alloc.Free(ref, need)
-		return false
-	}
-	entryBuf := bufs.entry[:]
-	layout.EncodeIndexEntry(entryBuf, layout.IndexEntry{Hash: h, Version: v, Ptr: ptr})
-	idx.region.Write(idx.geo.BucketOffset(bucket)+layout.BucketHeaderSize+slot*layout.IndexEntrySize, entryBuf)
-	dr.alloc.Free(slab.Ref{Offset: int(old.Ptr.Offset), Size: sizeClassOf(int(old.Ptr.Size))}, int(old.Ptr.Size))
-	b.journalNote(key)
-	if val, merr := (layout.DataEntry{Value: stored, Compressed: compressed}).MaterializeValue(); merr == nil {
-		b.persistNote(persist.OpSet, key, val, v)
-	}
-	return true
-}
-
-// ------------------------------------------------------------ reshaping --
-
-// maybeResizeIndex upsizes the index past the target load factor (§4.1):
-// build a new, larger index, repopulate it, revoke remote access to the
-// original. All stripes are taken (mutations stall); client RMAs against
-// the old window fail and retry via RPC, learning the new geometry.
-func (b *Backend) maybeResizeIndex() {
-	idx := b.idx.Load()
-	capEntries := idx.geo.Buckets * idx.geo.Ways
-	if float64(idx.used.Load())/float64(capEntries) < b.opt.MaxLoadFactor {
-		return
-	}
-	b.lockAll()
-	defer b.unlockAll()
-
-	// Re-check under the locks: a concurrent mutation may have resized.
-	oldIdx := b.idx.Load()
-	capEntries = oldIdx.geo.Buckets * oldIdx.geo.Ways
-	if float64(oldIdx.used.Load())/float64(capEntries) < b.opt.MaxLoadFactor {
-		return
-	}
-
-	// Collect live entries once; rehash into progressively larger
-	// geometries until every entry places (a target bucket can overflow
-	// its ways, in which case we double again rather than drop data).
-	var live []layout.IndexEntry
-	for i := 0; i < oldIdx.geo.Buckets; i++ {
-		raw, err := oldIdx.region.Read(oldIdx.geo.BucketOffset(i), oldIdx.geo.BucketSize())
-		if err != nil {
-			continue
-		}
-		dec, err := layout.DecodeBucket(raw, oldIdx.geo.Ways)
-		if err != nil {
-			continue
-		}
-		for _, e := range dec.Entries {
-			if !e.Empty() {
-				live = append(live, e)
-			}
-		}
-	}
-
-	entryBuf := make([]byte, layout.IndexEntrySize)
-	buckets := oldIdx.geo.Buckets * 2
-	var next *indexRegion
-	for attempt := 0; attempt < 8; attempt++ {
-		newGeo := layout.Geometry{Buckets: buckets, Ways: oldIdx.geo.Ways}
-		candidate := b.newIndex(newGeo, oldIdx.epoch+1)
-		ok := true
-		for _, e := range live {
-			nb := int(e.Hash.Lo % uint64(newGeo.Buckets))
-			slot, found := emptySlotIn(candidate, nb)
-			if !found {
-				ok = false
-				break
-			}
-			layout.EncodeIndexEntry(entryBuf, e)
-			candidate.region.Write(newGeo.BucketOffset(nb)+layout.BucketHeaderSize+slot*layout.IndexEntrySize, entryBuf)
-		}
-		if ok {
-			next = candidate
-			break
-		}
-		b.reg.Revoke(candidate.win.ID)
-		buckets *= 2
-	}
-	if next == nil {
-		return // pathological; keep the old index rather than lose data
-	}
-	next.used.Store(int64(len(live)))
-	b.idx.Store(next)
-	b.reg.Revoke(oldIdx.win.ID)
-	b.stripes[0].ctr.indexResizes.Add(1)
-}
-
-func emptySlotIn(idx *indexRegion, bucket int) (int, bool) {
-	raw, err := idx.region.Read(idx.geo.BucketOffset(bucket), idx.geo.BucketSize())
-	if err != nil {
-		return -1, false
-	}
-	dec, err := layout.DecodeBucket(raw, idx.geo.Ways)
-	if err != nil {
-		return -1, false
-	}
-	for i, e := range dec.Entries {
-		if e.Empty() {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// CompactRestart models the paper's non-disruptive restart downsizing:
-// rebuild the data region sized to current usage (plus slack), preserving
-// contents. Used by the Figure 3 harness when the corpus shrinks.
-func (b *Backend) CompactRestart(slack float64) {
-	type kv struct {
-		key, value []byte
-		v          truetime.Version
-	}
-	b.lockAll()
-	idx := b.idx.Load()
-	var items []kv
-	for i := 0; i < idx.geo.Buckets; i++ {
-		raw, err := idx.region.Read(idx.geo.BucketOffset(i), idx.geo.BucketSize())
-		if err != nil {
-			continue
-		}
-		dec, err := layout.DecodeBucket(raw, idx.geo.Ways)
-		if err != nil {
-			continue
-		}
-		for _, e := range dec.Entries {
-			if e.Empty() {
-				continue
-			}
-			de, derr := b.readEntry(e)
-			if derr != nil {
-				continue
-			}
-			val, merr := de.MaterializeValue()
-			if merr != nil {
-				continue
-			}
-			items = append(items, kv{append([]byte(nil), de.Key...), val, de.Version})
-		}
-	}
-	// Size the new pool to fit current usage plus slack.
-	var need int
-	for _, it := range items {
-		need += sizeClassOf(layout.DataEntrySize(len(it.key), len(it.value)))
-	}
-	newBytes := int(float64(need) * (1 + slack))
-	if newBytes < b.opt.SlabBytes*2 {
-		newBytes = b.opt.SlabBytes * 2
-	}
-	newBytes = (newBytes/b.opt.SlabBytes + 1) * b.opt.SlabBytes
-	if newBytes > b.opt.DataMaxBytes {
-		newBytes = b.opt.DataMaxBytes
-	}
-	oldData := b.data.Load()
-	for _, w := range oldData.windowIDs() {
-		b.reg.Revoke(w)
-	}
-	region := rmem.NewRegion(newBytes, b.opt.DataMaxBytes)
-	alloc, err := slab.New(newBytes, b.opt.SlabBytes, nil)
-	if err != nil {
-		b.unlockAll()
-		return
-	}
-	dr := &dataRegion{region: region, alloc: alloc}
-	dr.windows = []*rmem.Window{b.reg.Register(region, 1)}
-	dr.cur.Store(dr.windows[0])
-	b.data.Store(dr)
-
-	// Rebuild a fresh index at the same geometry and reinstall entries.
-	b.reg.Revoke(idx.win.ID)
-	b.idx.Store(b.newIndex(idx.geo, idx.epoch+1))
-	b.unlockAll()
-
-	for _, it := range items {
-		b.applySet(it.key, it.value, it.v)
-	}
-}
-
-// Items snapshots all resident KV pairs of a shard (or every shard with
-// shard < 0) — the migration and cohort-scan source.
-func (b *Backend) Items(shard, shards int) []proto.MigrateItem {
-	b.lockAll()
-	defer b.unlockAll()
-	idx := b.idx.Load()
-	var out []proto.MigrateItem
-	for i := 0; i < idx.geo.Buckets; i++ {
-		raw, err := idx.region.Read(idx.geo.BucketOffset(i), idx.geo.BucketSize())
-		if err != nil {
-			continue
-		}
-		dec, err := layout.DecodeBucket(raw, idx.geo.Ways)
-		if err != nil {
-			continue
-		}
-		for slot, e := range dec.Entries {
-			if e.Empty() {
-				continue
-			}
-			if shard >= 0 && shards > 0 && int(e.Hash.Hi%uint64(shards)) != shard {
-				continue
-			}
-			de, ok := b.readEntryQuarantining(idx, i, slot, e)
-			if !ok {
-				continue
-			}
-			val, merr := de.MaterializeValue()
-			if merr != nil {
-				continue
-			}
-			out = append(out, proto.MigrateItem{
-				Key:     append([]byte(nil), de.Key...),
-				Value:   val,
-				Version: de.Version,
-			})
-		}
-	}
-	for i := range b.stripes {
-		for k, se := range b.stripes[i].side {
-			h := b.opt.Hash([]byte(k))
-			if shard >= 0 && shards > 0 && int(h.Hi%uint64(shards)) != shard {
-				continue
-			}
-			out = append(out, proto.MigrateItem{Key: []byte(k), Value: append([]byte(nil), se.value...), Version: se.version})
-		}
-	}
-	return out
 }
 
 // Len returns the resident entry count.

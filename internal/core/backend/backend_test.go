@@ -54,11 +54,11 @@ func (r *rig) v() truetime.Version {
 func TestSetGetRoundTrip(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	v := r.v()
-	applied, stored, _ := r.b.applySet([]byte("k1"), []byte("v1"), v)
+	applied, stored, _ := r.b.ApplySet([]byte("k1"), []byte("v1"), v)
 	if !applied || stored != v {
 		t.Fatalf("set: applied=%v stored=%v", applied, stored)
 	}
-	val, ver, found := r.b.localGet([]byte("k1"))
+	val, ver, found := r.b.get(nil, []byte("k1"))
 	if !found || string(val) != "v1" || ver != v {
 		t.Errorf("get: %q %v %v", val, ver, found)
 	}
@@ -69,7 +69,7 @@ func TestSetGetRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
-	if _, _, found := r.b.localGet([]byte("nope")); found {
+	if _, _, found := r.b.get(nil, []byte("nope")); found {
 		t.Error("missing key found")
 	}
 }
@@ -79,17 +79,17 @@ func TestVersionMonotonicity(t *testing.T) {
 	v1 := r.v()
 	v2 := r.v()
 	// Install at v2 first; v1 must be rejected as stale.
-	if applied, _, _ := r.b.applySet([]byte("k"), []byte("new"), v2); !applied {
+	if applied, _, _ := r.b.ApplySet([]byte("k"), []byte("new"), v2); !applied {
 		t.Fatal("v2 set rejected")
 	}
-	applied, stored, _ := r.b.applySet([]byte("k"), []byte("old"), v1)
+	applied, stored, _ := r.b.ApplySet([]byte("k"), []byte("old"), v1)
 	if applied {
 		t.Error("stale SET applied")
 	}
 	if stored != v2 {
 		t.Errorf("stored = %v, want %v", stored, v2)
 	}
-	if val, _, _ := r.b.localGet([]byte("k")); string(val) != "new" {
+	if val, _, _ := r.b.get(nil, []byte("k")); string(val) != "new" {
 		t.Errorf("value clobbered: %q", val)
 	}
 	if r.b.CountersSnapshot().VersionRejects != 1 {
@@ -100,8 +100,8 @@ func TestVersionMonotonicity(t *testing.T) {
 func TestSetEqualVersionRejected(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	v := r.v()
-	r.b.applySet([]byte("k"), []byte("a"), v)
-	if applied, _, _ := r.b.applySet([]byte("k"), []byte("b"), v); applied {
+	r.b.ApplySet([]byte("k"), []byte("a"), v)
+	if applied, _, _ := r.b.ApplySet([]byte("k"), []byte("b"), v); applied {
 		t.Error("same-version SET applied; must be strictly increasing")
 	}
 }
@@ -111,19 +111,19 @@ func TestEraseAndTombstone(t *testing.T) {
 	v1 := r.v()
 	v2 := r.v()
 	v3 := r.v()
-	r.b.applySet([]byte("k"), []byte("v"), v1)
-	if applied, _ := r.b.applyErase([]byte("k"), v2); !applied {
+	r.b.ApplySet([]byte("k"), []byte("v"), v1)
+	if applied, _ := r.b.ApplyErase([]byte("k"), v2); !applied {
 		t.Fatal("erase rejected")
 	}
-	if _, _, found := r.b.localGet([]byte("k")); found {
+	if _, _, found := r.b.get(nil, []byte("k")); found {
 		t.Error("erased key still resident")
 	}
 	// Late SET at v1 < tombstone v2 must not resurrect (§5.2).
-	if applied, _, _ := r.b.applySet([]byte("k"), []byte("zombie"), v1); applied {
+	if applied, _, _ := r.b.ApplySet([]byte("k"), []byte("zombie"), v1); applied {
 		t.Error("late SET resurrected erased value")
 	}
 	// A genuinely newer SET succeeds.
-	if applied, _, _ := r.b.applySet([]byte("k"), []byte("fresh"), v3); !applied {
+	if applied, _, _ := r.b.ApplySet([]byte("k"), []byte("fresh"), v3); !applied {
 		t.Error("fresh SET after erase rejected")
 	}
 }
@@ -133,10 +133,10 @@ func TestEraseOfAbsentKeyStillTombstones(t *testing.T) {
 	v1 := r.v()
 	v2 := r.v()
 	_ = v2
-	if applied, _ := r.b.applyErase([]byte("ghost"), v2); !applied {
+	if applied, _ := r.b.ApplyErase([]byte("ghost"), v2); !applied {
 		t.Fatal("erase of absent key rejected")
 	}
-	if applied, _, _ := r.b.applySet([]byte("ghost"), []byte("x"), v1); applied {
+	if applied, _, _ := r.b.ApplySet([]byte("ghost"), []byte("x"), v1); applied {
 		t.Error("SET below tombstone of never-present key applied")
 	}
 }
@@ -153,20 +153,20 @@ func TestTombstoneSummaryCoarseButConsistent(t *testing.T) {
 		eraseVs = append(eraseVs, r.v())
 	}
 	for i := 0; i < 6; i++ {
-		r.b.applyErase([]byte(fmt.Sprintf("e%d", i)), eraseVs[i])
+		r.b.ApplyErase([]byte(fmt.Sprintf("e%d", i)), eraseVs[i])
 	}
 	// e0, e1 overflowed the pending queue (cap 2 each stage) into the
 	// summary. A SET on e0 below the summary must be rejected.
-	if applied, _, _ := r.b.applySet([]byte("e0"), []byte("x"), vOld); applied {
+	if applied, _, _ := r.b.ApplySet([]byte("e0"), []byte("x"), vOld); applied {
 		t.Error("SET below summary bound applied")
 	}
 	// And even an unrelated never-erased key is bounded by the summary —
 	// the documented coarseness.
-	if applied, _, _ := r.b.applySet([]byte("unrelated"), []byte("x"), vOld); applied {
+	if applied, _, _ := r.b.ApplySet([]byte("unrelated"), []byte("x"), vOld); applied {
 		t.Error("summary coarseness not enforced")
 	}
 	// New versions beyond the summary proceed.
-	if applied, _, _ := r.b.applySet([]byte("e0"), []byte("y"), r.v()); !applied {
+	if applied, _, _ := r.b.ApplySet([]byte("e0"), []byte("y"), r.v()); !applied {
 		t.Error("fresh SET rejected")
 	}
 }
@@ -181,9 +181,9 @@ func TestHeatExcludesReservedNamespaces(t *testing.T) {
 	probe := []byte(layout.ProbeKeyPrefix + "canary")
 	tier := []byte(layout.TierKeyPrefix + "remote-key")
 	for i := 0; i < 50; i++ {
-		r.b.localGet(user)
-		r.b.localGet(probe)
-		r.b.localGet(tier)
+		r.b.get(nil, user)
+		r.b.get(nil, probe)
+		r.b.get(nil, tier)
 	}
 	if got := r.b.Heat().Total(); got != 50 {
 		t.Errorf("heat total = %d, want 50 (user accesses only)", got)
@@ -198,23 +198,23 @@ func TestHeatExcludesReservedNamespaces(t *testing.T) {
 func TestCas(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	v1 := r.v()
-	r.b.applySet([]byte("k"), []byte("a"), v1)
+	r.b.ApplySet([]byte("k"), []byte("a"), v1)
 
 	wrong := r.v()
-	if applied, stored := r.b.applyCas([]byte("k"), []byte("b"), wrong, r.v()); applied {
+	if applied, stored := r.b.ApplyCas([]byte("k"), []byte("b"), wrong, r.v()); applied {
 		t.Errorf("CAS with wrong expectation applied (stored=%v)", stored)
 	}
-	if applied, _ := r.b.applyCas([]byte("k"), []byte("b"), v1, r.v()); !applied {
+	if applied, _ := r.b.ApplyCas([]byte("k"), []byte("b"), v1, r.v()); !applied {
 		t.Error("CAS with correct expectation rejected")
 	}
-	if val, _, _ := r.b.localGet([]byte("k")); string(val) != "b" {
+	if val, _, _ := r.b.get(nil, []byte("k")); string(val) != "b" {
 		t.Errorf("after CAS: %q", val)
 	}
 }
 
 func TestCasOnAbsentKeyZeroExpected(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
-	if applied, _ := r.b.applyCas([]byte("new"), []byte("v"), truetime.Version{}, r.v()); !applied {
+	if applied, _ := r.b.ApplyCas([]byte("new"), []byte("v"), truetime.Version{}, r.v()); !applied {
 		t.Error("CAS(zero) on absent key should create")
 	}
 }
@@ -228,7 +228,7 @@ func TestCapacityEviction(t *testing.T) {
 	})
 	val := make([]byte, 8000)
 	for i := 0; i < 30; i++ {
-		applied, _, _ := r.b.applySet([]byte(fmt.Sprintf("k%d", i)), val, r.v())
+		applied, _, _ := r.b.ApplySet([]byte(fmt.Sprintf("k%d", i)), val, r.v())
 		if !applied {
 			t.Fatalf("set %d not applied", i)
 		}
@@ -250,7 +250,7 @@ func TestDataRegionGrowth(t *testing.T) {
 	before := r.b.MemoryBytes()
 	val := make([]byte, 8000)
 	for i := 0; i < 60; i++ {
-		if applied, _, _ := r.b.applySet([]byte(fmt.Sprintf("k%d", i)), val, r.v()); !applied {
+		if applied, _, _ := r.b.ApplySet([]byte(fmt.Sprintf("k%d", i)), val, r.v()); !applied {
 			t.Fatalf("set %d failed", i)
 		}
 	}
@@ -289,7 +289,7 @@ func TestIndexResize(t *testing.T) {
 	})
 	helloBefore := r.b.hello()
 	for i := 0; i < 40; i++ {
-		if applied, _, _ := r.b.applySet([]byte(fmt.Sprintf("key-%d", i)), []byte("v"), r.v()); !applied {
+		if applied, _, _ := r.b.ApplySet([]byte(fmt.Sprintf("key-%d", i)), []byte("v"), r.v()); !applied {
 			t.Fatalf("set %d rejected", i)
 		}
 	}
@@ -315,7 +315,7 @@ func TestIndexResize(t *testing.T) {
 	// conflict must survive the resize intact.
 	lost := 0
 	for i := 0; i < 40; i++ {
-		if _, _, found := r.b.localGet([]byte(fmt.Sprintf("key-%d", i))); !found {
+		if _, _, found := r.b.get(nil, []byte(fmt.Sprintf("key-%d", i))); !found {
 			lost++
 		}
 	}
@@ -336,19 +336,19 @@ func TestAssociativityConflictEvicts(t *testing.T) {
 		// Load factor beyond 1.0 so no resize interferes.
 		MaxLoadFactor: 10,
 	})
-	r.b.applySet([]byte("a"), []byte("1"), r.v())
-	r.b.applySet([]byte("b"), []byte("2"), r.v())
-	r.b.applySet([]byte("c"), []byte("3"), r.v())
+	r.b.ApplySet([]byte("a"), []byte("1"), r.v())
+	r.b.ApplySet([]byte("b"), []byte("2"), r.v())
+	r.b.ApplySet([]byte("c"), []byte("3"), r.v())
 	c := r.b.CountersSnapshot()
 	if c.AssocEvictions != 1 {
 		t.Errorf("assoc evictions = %d, want 1", c.AssocEvictions)
 	}
 	// Oldest version ("a") should be gone; b and c remain.
-	if _, _, found := r.b.localGet([]byte("a")); found {
+	if _, _, found := r.b.get(nil, []byte("a")); found {
 		t.Error("oldest entry survived associativity conflict")
 	}
 	for _, k := range []string{"b", "c"} {
-		if _, _, found := r.b.localGet([]byte(k)); !found {
+		if _, _, found := r.b.get(nil, []byte(k)); !found {
 			t.Errorf("%s lost", k)
 		}
 	}
@@ -361,16 +361,16 @@ func TestOverflowSideTable(t *testing.T) {
 		MaxLoadFactor:    10,
 		OverflowFallback: true,
 	})
-	r.b.applySet([]byte("a"), []byte("1"), r.v())
-	r.b.applySet([]byte("b"), []byte("2"), r.v())
-	r.b.applySet([]byte("c"), []byte("3"), r.v())
+	r.b.ApplySet([]byte("a"), []byte("1"), r.v())
+	r.b.ApplySet([]byte("b"), []byte("2"), r.v())
+	r.b.ApplySet([]byte("c"), []byte("3"), r.v())
 	c := r.b.CountersSnapshot()
 	if c.Overflows != 1 || c.AssocEvictions != 0 {
 		t.Errorf("overflows=%d assoc=%d", c.Overflows, c.AssocEvictions)
 	}
 	// All three keys must be servable (c via the side table).
 	for _, k := range []string{"a", "b", "c"} {
-		if _, _, found := r.b.localGet([]byte(k)); !found {
+		if _, _, found := r.b.get(nil, []byte(k)); !found {
 			t.Errorf("%s not servable", k)
 		}
 	}
@@ -390,7 +390,7 @@ func TestOverflowSideTable(t *testing.T) {
 
 func TestSetConfigIDRestampsBuckets(t *testing.T) {
 	r := newRig(t, Options{Shard: 0, Geometry: layout.Geometry{Buckets: 4, Ways: 2}})
-	r.b.applySet([]byte("k"), []byte("v"), r.v())
+	r.b.ApplySet([]byte("k"), []byte("v"), r.v())
 	r.b.SetConfigID(42)
 	for i := 0; i < 4; i++ {
 		raw, err := r.b.idx.Load().region.Read(r.b.idx.Load().geo.BucketOffset(i), r.b.idx.Load().geo.BucketSize())
@@ -406,7 +406,7 @@ func TestSetConfigIDRestampsBuckets(t *testing.T) {
 		}
 	}
 	// The stored entry survives restamping.
-	if _, _, found := r.b.localGet([]byte("k")); !found {
+	if _, _, found := r.b.get(nil, []byte("k")); !found {
 		t.Error("entry lost in restamp")
 	}
 }
@@ -414,20 +414,20 @@ func TestSetConfigIDRestampsBuckets(t *testing.T) {
 func TestUpdateVersion(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	v1 := r.v()
-	r.b.applySet([]byte("k"), []byte("v"), v1)
+	r.b.ApplySet([]byte("k"), []byte("v"), v1)
 	n := r.v()
-	if !r.b.applyUpdateVersion([]byte("k"), n) {
+	if !r.b.updateVersion([]byte("k"), n) {
 		t.Fatal("update version failed")
 	}
-	_, ver, _ := r.b.localGet([]byte("k"))
+	_, ver, _ := r.b.get(nil, []byte("k"))
 	if ver != n {
 		t.Errorf("version = %v, want %v", ver, n)
 	}
 	// Downgrade attempts are rejected.
-	if r.b.applyUpdateVersion([]byte("k"), v1) {
+	if r.b.updateVersion([]byte("k"), v1) {
 		t.Error("version downgrade applied")
 	}
-	if r.b.applyUpdateVersion([]byte("absent"), r.v()) {
+	if r.b.updateVersion([]byte("absent"), r.v()) {
 		t.Error("update of absent key applied")
 	}
 }
@@ -507,7 +507,7 @@ func shardOf(r *rig, key string) int {
 
 func TestHandleMsg(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
-	r.b.applySet([]byte("mk"), []byte("mv"), r.v())
+	r.b.ApplySet([]byte("mk"), []byte("mv"), r.v())
 	resp, err := r.b.HandleMsg(proto.GetReq{Key: []byte("mk")}.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +527,7 @@ func TestCompactRestartPreservesData(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("value-%d", i)
 		keys[k] = v
-		r.b.applySet([]byte(k), []byte(v), r.v())
+		r.b.ApplySet([]byte(k), []byte(v), r.v())
 	}
 	before := r.b.MemoryBytes()
 	r.b.CompactRestart(0.2)
@@ -536,7 +536,7 @@ func TestCompactRestartPreservesData(t *testing.T) {
 		t.Errorf("compact did not shrink: %d -> %d", before, after)
 	}
 	for k, want := range keys {
-		val, _, found := r.b.localGet([]byte(k))
+		val, _, found := r.b.get(nil, []byte(k))
 		if !found || string(val) != want {
 			t.Errorf("%s lost or corrupted after compaction: %q %v", k, val, found)
 		}
@@ -547,7 +547,7 @@ func TestItemsFiltersByShard(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	cfg := r.store.Get()
 	for i := 0; i < 60; i++ {
-		r.b.applySet([]byte(fmt.Sprintf("k%d", i)), []byte("v"), r.v())
+		r.b.ApplySet([]byte(fmt.Sprintf("k%d", i)), []byte("v"), r.v())
 	}
 	all := r.b.Items(-1, cfg.Shards)
 	if len(all) != 60 {
@@ -576,7 +576,7 @@ func TestScanPagination(t *testing.T) {
 		if int(hashring.DefaultHash(k).Hi%uint64(cfg.Shards)) != 0 {
 			continue
 		}
-		if applied, _, _ := r.b.applySet(k, []byte("v"), r.v()); applied {
+		if applied, _, _ := r.b.ApplySet(k, []byte("v"), r.v()); applied {
 			installed++
 		}
 	}
@@ -620,7 +620,7 @@ func protoScan(shard int, cursor uint64, limit int) proto.ScanReq {
 
 func TestStatsHandlerDirect(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
-	r.b.applySet([]byte("k"), []byte("v"), r.v())
+	r.b.ApplySet([]byte("k"), []byte("v"), r.v())
 	client := r.net.Client(7, "t")
 	resp, _, err := client.Call(context.Background(), "b0", proto.MethodStats, nil)
 	if err != nil {
@@ -634,7 +634,7 @@ func TestStatsHandlerDirect(t *testing.T) {
 
 func TestSealRejectsMutations(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
-	r.b.applySet([]byte("k"), []byte("v"), r.v())
+	r.b.ApplySet([]byte("k"), []byte("v"), r.v())
 	r.b.Seal()
 	if !r.b.Sealed() {
 		t.Fatal("Sealed() false")

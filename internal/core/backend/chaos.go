@@ -24,8 +24,6 @@ func (b *Backend) CorruptEntries(n int, seed uint64) [][]byte {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(int64(seed)))
-	bufs := bufPool.Get().(*opBufs)
-	defer bufPool.Put(bufs)
 
 	var keys [][]byte
 	idx := b.idx.Load()
@@ -42,8 +40,7 @@ func (b *Backend) CorruptEntries(n int, seed uint64) [][]byte {
 			s.unlock()
 			continue
 		}
-		raw := readBucketInto(cur, bucket, bufs)
-		key := b.corruptOneLocked(cur, raw, rng)
+		key := b.corruptOneLocked(cur.bucket(bucket), rng)
 		s.unlock()
 		if key != nil {
 			keys = append(keys, key)
@@ -55,13 +52,10 @@ func (b *Backend) CorruptEntries(n int, seed uint64) [][]byte {
 // corruptOneLocked picks one decodable live entry in the raw bucket and
 // flips a random bit inside its stored DataEntry. Caller holds the
 // bucket's stripe lock. Returns the damaged entry's key, or nil.
-func (b *Backend) corruptOneLocked(idx *indexRegion, raw []byte, rng *rand.Rand) []byte {
-	if raw == nil {
-		return nil
-	}
-	for _, slot := range rng.Perm(idx.geo.Ways) {
-		e, err := layout.DecodeIndexEntry(raw[layout.BucketHeaderSize+slot*layout.IndexEntrySize:])
-		if err != nil || e.Ptr.Nil() {
+func (b *Backend) corruptOneLocked(raw rawBucket, rng *rand.Rand) []byte {
+	for _, slot := range rng.Perm(raw.ways()) {
+		e := raw.entry(slot)
+		if e.Ptr.Nil() {
 			continue
 		}
 		w, werr := b.reg.Lookup(e.Ptr.Window)

@@ -30,13 +30,9 @@ import (
 	"errors"
 	"fmt"
 
-	"cliquemap/internal/core/config"
-	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
-	"cliquemap/internal/eviction"
-	"cliquemap/internal/rmem"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/rpc"
-	"cliquemap/internal/slab"
 	"cliquemap/internal/truetime"
 )
 
@@ -183,71 +179,11 @@ func (b *Backend) snapshotKeys(keys []string) []proto.MigrateItem {
 	out := make([]proto.MigrateItem, 0, len(keys))
 	for _, k := range keys {
 		kb := []byte(k)
-		if val, ver, ok := b.localGet(kb); ok {
+		if val, ver, ok := b.get(nil, kb); ok {
 			out = append(out, proto.MigrateItem{Key: kb, Value: val, Version: ver})
-			continue
-		}
-		b.tombMu.Lock()
-		v, ok := b.tomb.entries[k]
-		if !ok {
-			v, ok = b.tomb.pending[k]
-		}
-		b.tombMu.Unlock()
-		if ok {
+		} else if v, ok := b.tombExact(kb); ok {
 			out = append(out, proto.MigrateItem{Key: kb, Version: v, Tombstone: true})
 		}
-	}
-	return out
-}
-
-// ----------------------------------------------------------- tombstones --
-
-// tombSummary returns the coarse tombstone-summary version (§5.2).
-func (b *Backend) tombSummary() truetime.Version {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	return b.tomb.summary
-}
-
-// tombSummaryFold raises this backend's summary to at least v — the
-// receiving half of a handoff's summary transfer. The summary only ever
-// grows, so folding is monotone and idempotent.
-func (b *Backend) tombSummaryFold(v truetime.Version) {
-	if v.Zero() {
-		return
-	}
-	b.tombMu.Lock()
-	if b.tomb.summary.Less(v) {
-		b.tomb.summary = v
-	}
-	b.tombMu.Unlock()
-	b.tombSummarySet.Store(true)
-}
-
-// tombstoneMigrateItems lists enumerable tombstones (live cache plus the
-// pending-settle queue) as Tombstone-flagged migrate items, mirroring
-// tombstoneScanItems.
-func (b *Backend) tombstoneMigrateItems(shard, shards int) []proto.MigrateItem {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	var out []proto.MigrateItem
-	emit := func(k string, v truetime.Version) {
-		if shard >= 0 && shards > 0 {
-			h := b.opt.Hash([]byte(k))
-			if int(h.Hi%uint64(shards)) != shard {
-				return
-			}
-		}
-		out = append(out, proto.MigrateItem{Key: []byte(k), Version: v, Tombstone: true})
-	}
-	for k, v := range b.tomb.entries {
-		emit(k, v)
-	}
-	for k, v := range b.tomb.pending {
-		if _, live := b.tomb.entries[k]; live {
-			continue
-		}
-		emit(k, v)
 	}
 	return out
 }
@@ -283,46 +219,103 @@ func (b *Backend) sendMigrate(ctx context.Context, client *rpc.Client, addr stri
 	return err
 }
 
-// sendItems streams items to one target in batches.
-func (b *Backend) sendItems(ctx context.Context, client *rpc.Client, addr string, shard int, items []proto.MigrateItem, delta bool) error {
-	for i := 0; i < len(items); i += migrateBatchSize {
-		end := i + migrateBatchSize
-		if end > len(items) {
-			end = len(items)
+// handoff is the source side of every shard handoff, planned maintenance
+// and resize step alike: journal on → bulk snapshot+stream → seal → drain
+// the journal until dry → tombstones → coarse summary. The two callers
+// differ only in routing: targetsOf names the receivers of one key, and
+// allTargets every receiver of the final summary frame (a whole-backend
+// bound, so it travels wide).
+func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Context) error, targetsOf func(key []byte) []string, allTargets []string) error {
+	client := b.rpcClient()
+	stream := func(items []proto.MigrateItem, delta bool) error {
+		routed := make(map[string][]proto.MigrateItem)
+		for _, it := range items {
+			for _, addr := range targetsOf(it.Key) {
+				routed[addr] = append(routed[addr], it)
+			}
 		}
-		req := proto.MigrateBatchReq{Shard: shard, Items: items[i:end]}
-		if err := b.sendMigrate(ctx, client, addr, req, delta); err != nil {
+		for addr, its := range routed {
+			for len(its) > 0 {
+				n := min(len(its), migrateBatchSize)
+				req := proto.MigrateBatchReq{Shard: shard, Items: its[:n]}
+				if err := b.sendMigrate(ctx, client, addr, req, delta); err != nil {
+					return err
+				}
+				its = its[n:]
+			}
+		}
+		return nil
+	}
+
+	b.journalStart()
+	defer b.journalStop()
+
+	// Bulk: everything this backend holds (copies for every shard of its
+	// cohorts), while writes continue — journaled as they land.
+	if err := stream(b.Items(-1, 0), false); err != nil {
+		return err
+	}
+	if err := seal(ctx); err != nil {
+		return err
+	}
+	// Catch-up: mutations that raced the bulk stream. journalNote stops
+	// recording once sealed, so the loop terminates.
+	for keys := b.journalSwap(); len(keys) > 0; keys = b.journalSwap() {
+		if err := stream(b.snapshotKeys(keys), true); err != nil {
 			return err
+		}
+	}
+	// Tombstones as first-class items, then the coarse summary.
+	var tombs []proto.MigrateItem
+	b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
+		tombs = append(tombs, proto.MigrateItem{Key: key, Version: v, Tombstone: true})
+	})
+	if err := stream(tombs, true); err != nil {
+		return err
+	}
+	if sum := b.tombSummary(); !sum.Zero() {
+		for _, addr := range allTargets {
+			req := proto.MigrateBatchReq{Shard: shard, Final: true, TombSummary: sum}
+			if err := b.sendMigrate(ctx, client, addr, req, true); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// routePending groups items by the pending-epoch owners of their keys
-// (every member of the key's pending cohort), skipping this backend.
-func (b *Backend) routePending(cfg config.CellConfig, items []proto.MigrateItem) map[string][]proto.MigrateItem {
-	out := make(map[string][]proto.MigrateItem)
-	for _, it := range items {
-		h := b.opt.Hash(it.Key)
-		p := int(h.Hi % uint64(cfg.Pending.Shards))
-		for _, s := range cfg.PendingCohort(p) {
-			addr := cfg.Pending.AddrFor(s)
-			if addr == "" || addr == b.opt.Addr {
-				continue
-			}
-			out[addr] = append(out[addr], it)
-		}
+// MigrateTo streams this backend's shard contents to target and hands the
+// shard over — the planned-maintenance path of §6.1. The caller (cell
+// orchestration) is responsible for the config update that points the
+// shard at the target.
+//
+// Handoff is lossless for acked writes: after the seal — a lockAll barrier
+// — new mutations bounce with ErrShardSealed and retry against the target
+// once the client refreshes config, and only after the journal has drained
+// does the target assume the shard.
+func (b *Backend) MigrateTo(ctx context.Context, targetAddr string) error {
+	shard := b.Shard()
+	if shard < 0 {
+		return fmt.Errorf("backend %s: no shard to migrate", b.opt.Addr)
 	}
-	return out
-}
-
-// streamRouted streams items to their pending-epoch owners in batches.
-func (b *Backend) streamRouted(ctx context.Context, client *rpc.Client, cfg config.CellConfig, shard int, items []proto.MigrateItem, delta bool) error {
-	for addr, its := range b.routePending(cfg, items) {
-		if err := b.sendItems(ctx, client, addr, shard, its, delta); err != nil {
-			return err
-		}
+	sealed := false
+	seal := func(context.Context) error {
+		b.HandoffSeal()
+		sealed = true
+		return nil
 	}
+	target := []string{targetAddr}
+	err := b.handoff(ctx, shard, seal, func([]byte) []string { return target }, target)
+	if sealed {
+		defer b.HandoffUnseal() // source re-arms as a spare after handoff
+	}
+	if err != nil {
+		return err
+	}
+	if _, _, err := b.rpcClient().Call(ctx, targetAddr, proto.MethodAssumeShard, proto.AssumeShardReq{Shard: shard}.Marshal()); err != nil {
+		return err
+	}
+	b.shard.Store(-1)
 	return nil
 }
 
@@ -337,181 +330,28 @@ func (b *Backend) ResizeHandoff(ctx context.Context, seal func(context.Context) 
 	if cfg.Pending == nil {
 		return fmt.Errorf("backend %s: resize handoff without a pending epoch", b.opt.Addr)
 	}
-	if b.Shard() < 0 {
+	shard := b.Shard()
+	if shard < 0 {
 		return fmt.Errorf("backend %s: no shard to hand off", b.opt.Addr)
 	}
-	shard := b.Shard()
-	client := b.rpcClient()
-
-	b.journalStart()
-	defer b.journalStop()
-
-	// Bulk: everything this backend holds, routed per the new epoch.
-	if err := b.streamRouted(ctx, client, cfg, shard, b.Items(-1, cfg.Shards), false); err != nil {
-		return err
-	}
-	if err := seal(ctx); err != nil {
-		return err
-	}
-	// Catch-up: mutations that raced the bulk stream, until dry.
-	for {
-		keys := b.journalSwap()
-		if len(keys) == 0 {
-			break
+	// A key goes to every member of its pending cohort but this backend.
+	owners := func(key []byte) []string {
+		var out []string
+		p := int(b.opt.Hash(key).Hi % uint64(cfg.Pending.Shards))
+		for _, s := range cfg.PendingCohort(p) {
+			if addr := cfg.Pending.AddrFor(s); addr != "" && addr != b.opt.Addr {
+				out = append(out, addr)
+			}
 		}
-		if err := b.streamRouted(ctx, client, cfg, shard, b.snapshotKeys(keys), true); err != nil {
-			return err
-		}
+		return out
 	}
-	// Tombstones as first-class items, then the coarse summary to every
-	// pending owner (it is a whole-backend bound, so it travels wide).
-	if err := b.streamRouted(ctx, client, cfg, shard, b.tombstoneMigrateItems(-1, cfg.Shards), true); err != nil {
-		return err
-	}
-	return b.broadcastSummary(ctx, client, cfg, shard)
-}
-
-// broadcastSummary folds this backend's tombstone summary into every
-// pending-epoch owner.
-func (b *Backend) broadcastSummary(ctx context.Context, client *rpc.Client, cfg config.CellConfig, shard int) error {
-	sum := b.tombSummary()
-	if sum.Zero() {
-		return nil
-	}
-	seen := map[string]bool{b.opt.Addr: true}
+	var all []string
+	seen := map[string]bool{"": true, b.opt.Addr: true}
 	for _, addr := range cfg.Pending.ShardAddrs {
-		if addr == "" || seen[addr] {
-			continue
-		}
-		seen[addr] = true
-		req := proto.MigrateBatchReq{Shard: shard, Final: true, TombSummary: sum}
-		if err := b.sendMigrate(ctx, client, addr, req, true); err != nil {
-			return err
+		if !seen[addr] {
+			seen[addr] = true
+			all = append(all, addr)
 		}
 	}
-	return nil
-}
-
-// --------------------------------------------------------- post-flip GC --
-
-// DropForeign removes every resident entry, side-table entry, and exact
-// tombstone whose post-resize cohort no longer includes this backend's
-// shard — the post-flip GC of a resize. Returns how many were dropped.
-func (b *Backend) DropForeign(shards, replicas int) int {
-	my := b.Shard()
-	if my < 0 || shards <= 0 {
-		return 0
-	}
-	r := replicas
-	if r > shards {
-		r = shards
-	}
-	foreign := func(hi uint64) bool {
-		p := int(hi % uint64(shards))
-		return (my-p+shards)%shards >= r
-	}
-
-	b.lockAll()
-	idx := b.idx.Load()
-	var victims [][]byte
-	for i := 0; i < idx.geo.Buckets; i++ {
-		raw, err := idx.region.Read(idx.geo.BucketOffset(i), idx.geo.BucketSize())
-		if err != nil {
-			continue
-		}
-		dec, err := layout.DecodeBucket(raw, idx.geo.Ways)
-		if err != nil {
-			continue
-		}
-		for _, e := range dec.Entries {
-			if e.Empty() || !foreign(e.Hash.Hi) {
-				continue
-			}
-			de, derr := b.readEntry(e)
-			if derr != nil {
-				continue
-			}
-			victims = append(victims, append([]byte(nil), de.Key...))
-		}
-	}
-	for i := range b.stripes {
-		for k := range b.stripes[i].side {
-			if foreign(b.opt.Hash([]byte(k)).Hi) {
-				victims = append(victims, []byte(k))
-			}
-		}
-	}
-	for _, k := range victims {
-		b.removeKeyLocked(b.stripeOf(b.opt.Hash(k)), k)
-	}
-	b.unlockAll()
-
-	b.tombMu.Lock()
-	for k := range b.tomb.entries {
-		if foreign(b.opt.Hash([]byte(k)).Hi) {
-			delete(b.tomb.entries, k)
-		}
-	}
-	for k := range b.tomb.pending {
-		if foreign(b.opt.Hash([]byte(k)).Hi) {
-			delete(b.tomb.pending, k)
-		}
-	}
-	b.tombLive.Store(int64(b.tomb.len()))
-	b.tombMu.Unlock()
-	if len(victims) > 0 && b.persist.Load() != nil {
-		// Collapse the durable lineage to the trimmed corpus so a later
-		// crash cannot resurrect the dropped foreign keys.
-		_ = b.CheckpointNow()
-	}
-	return len(victims)
-}
-
-// Clear wipes the backend to an empty idle state (a shrink demoted it to
-// a spare): fresh index and data regions, empty side tables, policies,
-// and tombstone cache. Old windows are revoked so stale client handles
-// fail validation and refresh.
-func (b *Backend) Clear() {
-	b.lockAll()
-	oldIdx := b.idx.Load()
-	oldData := b.data.Load()
-	for _, w := range oldData.windowIDs() {
-		b.reg.Revoke(w)
-	}
-	b.reg.Revoke(oldIdx.win.ID)
-
-	dataBytes := b.opt.DataBytes
-	if !b.opt.ReshapeEnabled {
-		dataBytes = b.opt.DataMaxBytes
-	}
-	region := rmem.NewRegion(dataBytes, b.opt.DataMaxBytes)
-	alloc, err := slab.New(dataBytes, b.opt.SlabBytes, nil)
-	if err != nil {
-		b.unlockAll()
-		return
-	}
-	dr := &dataRegion{region: region, alloc: alloc}
-	dr.windows = []*rmem.Window{b.reg.Register(region, 1)}
-	dr.cur.Store(dr.windows[0])
-	b.data.Store(dr)
-	b.idx.Store(b.newIndex(oldIdx.geo, oldIdx.epoch+1))
-
-	perStripe := oldIdx.geo.Buckets * oldIdx.geo.Ways / len(b.stripes)
-	if perStripe < 1 {
-		perStripe = 1
-	}
-	for i := range b.stripes {
-		if pol, perr := eviction.New(b.opt.Policy, perStripe); perr == nil {
-			b.stripes[i].policy = pol
-		}
-		b.stripes[i].side = make(map[string]sideEntry)
-	}
-	b.unlockAll()
-
-	b.tombMu.Lock()
-	b.tomb = newTombstoneCache(b.opt.TombstoneCap)
-	b.tombMu.Unlock()
-	b.tombLive.Store(0)
-	b.tombSummarySet.Store(false)
-	b.persistReset() // empty corpus; a crash must not resurrect the old one
+	return b.handoff(ctx, shard, seal, owners, all)
 }

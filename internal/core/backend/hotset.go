@@ -107,7 +107,6 @@ func (b *Backend) evalHot(total uint64) {
 	}
 	b.hot.Store(&hotSet{epoch: epoch, keys: keys, set: set})
 	b.hotMu.Unlock()
-	b.hotEpochs.Add(1)
 
 	// Server-driven residency: settle freshly promoted keys to all
 	// replicas now rather than waiting for the next full repair sweep, so
@@ -187,7 +186,6 @@ func (b *Backend) RepairHot(ctx context.Context) (settled int) {
 
 	type view struct {
 		addr  string
-		local bool
 		found bool
 		ver   truetime.Version
 		val   []byte
@@ -198,17 +196,7 @@ func (b *Backend) RepairHot(ctx context.Context) (settled int) {
 		views := make([]view, 0, len(cohort))
 		for _, shard := range cohort {
 			v := view{addr: cfg.AddrFor(shard)}
-			if v.addr == b.opt.Addr {
-				v.local = true
-				v.val, v.ver, v.found = b.localGet(key)
-			} else {
-				resp, _, cerr := client.Call(ctx, v.addr, proto.MethodGet, proto.GetReq{Key: key}.Marshal())
-				if cerr == nil {
-					if g, gerr := proto.UnmarshalGetResp(resp); gerr == nil && g.Found {
-						v.val, v.ver, v.found = g.Value, g.Version, true
-					}
-				}
-			}
+			v.val, v.ver, v.found = b.getAt(ctx, client, v.addr, key)
 			views = append(views, v)
 		}
 		var bestV truetime.Version
@@ -238,8 +226,8 @@ func (b *Backend) RepairHot(ctx context.Context) (settled int) {
 			if v.found && v.ver == bestV {
 				continue
 			}
-			if v.local {
-				if applied, _, _ := b.applySet(key, value, bestV); applied {
+			if v.addr == b.opt.Addr {
+				if applied, _, _ := b.set(nil, key, value, bestV); applied {
 					settled++
 				}
 			} else {
@@ -248,6 +236,5 @@ func (b *Backend) RepairHot(ctx context.Context) (settled int) {
 			}
 		}
 	}
-	b.hotSettles.Add(uint64(settled))
 	return settled
 }

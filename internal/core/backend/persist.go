@@ -24,7 +24,7 @@ package backend
 // restamps the buckets and lifts the guard.
 
 import (
-	"cliquemap/internal/core/layout"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/persist"
 	"cliquemap/internal/truetime"
 )
@@ -56,12 +56,9 @@ func (b *Backend) Recovering() bool { return b.recovering.Load() }
 // with the sentinel. Normally set at construction via Options.Recovering;
 // exposed for tests that flip a live backend.
 func (b *Backend) StartRecovery() {
-	if b.recovering.Swap(true) {
-		return
+	if !b.recovering.Swap(true) {
+		b.restampAll()
 	}
-	b.lockAll()
-	b.restampLocked()
-	b.unlockAll()
 }
 
 // EndRecovery lifts the recovering guard after the self-validation sweep:
@@ -78,9 +75,7 @@ func (b *Backend) EndRecovery() {
 	} else {
 		b.selfValidated.Store(0)
 	}
-	b.lockAll()
-	b.restampLocked()
-	b.unlockAll()
+	b.restampAll()
 }
 
 // noteRecoverySettle counts a repair-path write applied while recovering —
@@ -122,26 +117,26 @@ func (b *Backend) openPersist() error {
 func (b *Backend) replayRecord(r persist.Record) {
 	switch r.Op {
 	case persist.OpSet:
-		b.applySet(r.Key, r.Value, r.Version)
+		b.set(nil, r.Key, r.Value, r.Version)
 	case persist.OpErase:
-		b.applyErase(r.Key, r.Version)
+		b.erase(nil, r.Key, r.Version)
 	}
 }
 
-// persistNote tees one applied mutation into the journal. Callers hold
-// the key's stripe lock (the mutation's publication point), so the append
-// is ordered before the ack and before any checkpoint rotation barrier.
-// value must be the uncompressed bytes (what a client would read back).
+// persistNote tees one applied mutation into the journal. Its only caller
+// is publish, under the key's stripe lock (the mutation's publication
+// point), so the append is ordered before the ack and before any
+// checkpoint rotation barrier. value must be the uncompressed bytes (what
+// a client would read back).
 func (b *Backend) persistNote(op byte, key, value []byte, v truetime.Version) {
-	p := b.persist.Load()
-	if p == nil {
-		return
+	if p := b.persist.Load(); p != nil {
+		_ = p.Append(persist.Record{Op: op, Key: key, Value: value, Version: v})
 	}
-	_ = p.Append(persist.Record{Op: op, Key: key, Value: value, Version: v})
 }
 
 // maybeCheckpoint spawns an async checkpoint when the journal is deep
-// enough. Called with no stripe lock held.
+// enough and none is running. Safe under a stripe lock: the checkpoint
+// itself runs on its own goroutine.
 func (b *Backend) maybeCheckpoint() {
 	p := b.persist.Load()
 	if p == nil {
@@ -151,28 +146,33 @@ func (b *Backend) maybeCheckpoint() {
 	if every == 0 {
 		every = defaultCheckpointEvery
 	}
-	if recs, _ := p.Depth(); recs < every {
-		return
-	}
-	if !b.ckptRunning.CompareAndSwap(false, true) {
+	if recs, _ := p.Depth(); recs < every || !b.ckptMu.TryLock() {
 		return
 	}
 	go func() {
-		defer b.ckptRunning.Store(false)
-		_ = b.CheckpointNow()
+		defer b.ckptMu.Unlock()
+		_ = b.checkpoint(p)
 	}()
 }
 
-// CheckpointNow takes a full corpus checkpoint: rotate the journal epoch
-// under the all-stripe barrier, then scan stripe-by-stripe and commit.
-// Mutations are paused only for the rotation (a file create) — the scan
-// holds one stripe at a time, and anything landing mid-scan is in the new
-// journal, where version-gated replay makes the overlap idempotent.
+// CheckpointNow takes a full corpus checkpoint, waiting out one already in
+// flight.
 func (b *Backend) CheckpointNow() error {
 	p := b.persist.Load()
 	if p == nil {
 		return nil
 	}
+	b.ckptMu.Lock()
+	defer b.ckptMu.Unlock()
+	return b.checkpoint(p)
+}
+
+// checkpoint rotates the journal epoch under the all-stripe barrier, then
+// scans stripe-by-stripe and commits; ckptMu is held. Mutations are paused
+// only for the rotation (a file create) — the scan holds one stripe at a
+// time, and anything landing mid-scan is in the new journal, where
+// version-gated replay makes the overlap idempotent.
+func (b *Backend) checkpoint(p *persist.Store) error {
 	b.lockAll()
 	epoch, err := p.Rotate()
 	b.unlockAll()
@@ -183,89 +183,40 @@ func (b *Backend) CheckpointNow() error {
 	if err != nil {
 		return err
 	}
+	// A failed write leaves ckpt.tmp as the crash left it.
 	for si := range b.stripes {
-		for _, r := range b.checkpointScanStripe(si) {
-			if werr := cw.Write(r); werr != nil {
-				return werr // leave ckpt.tmp as the crash left it
+		s := &b.stripes[si]
+		s.mu.Lock()
+		items := b.snapshot(walkOpts{stripe: si})
+		s.unlock()
+		for _, it := range items {
+			if err := cw.Write(persist.Record{Op: persist.OpSet, Key: it.Key, Value: it.Value, Version: it.Version}); err != nil {
+				return err
 			}
 		}
 	}
-	// Enumerable tombstones (live cache plus the pending-settle queue)
-	// ride along as erase records so version bounds on recently-erased
-	// keys survive the restart (the coarse summary does not; it re-forms
-	// as the cache refills).
-	b.tombMu.Lock()
-	tombs := make([]persist.Record, 0, len(b.tomb.entries)+len(b.tomb.pending))
-	for k, v := range b.tomb.entries {
-		tombs = append(tombs, persist.Record{Op: persist.OpErase, Key: []byte(k), Version: v})
-	}
-	for k, v := range b.tomb.pending {
-		if _, live := b.tomb.entries[k]; !live {
-			tombs = append(tombs, persist.Record{Op: persist.OpErase, Key: []byte(k), Version: v})
-		}
-	}
-	b.tombMu.Unlock()
+	// Enumerable tombstones ride along as erase records so version bounds
+	// on recently-erased keys survive the restart (the coarse summary does
+	// not; it re-forms as the cache refills).
+	var tombs []persist.Record
+	b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
+		tombs = append(tombs, persist.Record{Op: persist.OpErase, Key: key, Version: v})
+	})
 	for _, r := range tombs {
-		if werr := cw.Write(r); werr != nil {
-			return werr
+		if err := cw.Write(r); err != nil {
+			return err
 		}
 	}
 	return cw.Commit()
 }
 
-// checkpointScanStripe snapshots one stripe's resident entries (bucket
-// i%nStripes == si, plus that stripe's side table) under its lock.
-func (b *Backend) checkpointScanStripe(si int) []persist.Record {
-	s := &b.stripes[si]
-	s.mu.Lock()
-	defer s.unlock()
-	idx := b.idx.Load()
-	var out []persist.Record
-	for i := si; i < idx.geo.Buckets; i += int(b.nStripes) {
-		raw, err := idx.region.Read(idx.geo.BucketOffset(i), idx.geo.BucketSize())
-		if err != nil {
-			continue
-		}
-		dec, err := layout.DecodeBucket(raw, idx.geo.Ways)
-		if err != nil {
-			continue
-		}
-		for slot, e := range dec.Entries {
-			if e.Empty() {
-				continue
-			}
-			de, ok := b.readEntryQuarantining(idx, i, slot, e)
-			if !ok {
-				continue
-			}
-			val, merr := de.MaterializeValue()
-			if merr != nil {
-				continue
-			}
-			out = append(out, persist.Record{
-				Op:      persist.OpSet,
-				Key:     append([]byte(nil), de.Key...),
-				Value:   val,
-				Version: de.Version,
-			})
-		}
-	}
-	for k, se := range s.side {
-		out = append(out, persist.Record{
-			Op:      persist.OpSet,
-			Key:     []byte(k),
-			Value:   append([]byte(nil), se.value...),
-			Version: se.version,
-		})
-	}
-	return out
-}
-
 // persistReset wipes the durable lineage when the in-memory corpus is
 // discarded wholesale (Clear on a shrink demotion), so a later crash
-// cannot resurrect dropped keys.
+// cannot resurrect dropped keys — nor can a checkpoint that was mid-scan.
 func (b *Backend) persistReset() {
 	if p := b.persist.Load(); p != nil {
+		b.ckptMu.Lock()
+		defer b.ckptMu.Unlock()
 		_ = p.Reset()
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/persist"
+	"cliquemap/internal/truetime"
 )
 
 // TestWarmRestartRecoversCorpus: a backend restarted against its data
@@ -19,7 +21,7 @@ func TestWarmRestartRecoversCorpus(t *testing.T) {
 	vals := map[string]string{}
 	for i := 0; i < 40; i++ {
 		k, v := fmt.Sprintf("key-%02d", i), fmt.Sprintf("val-%02d", i)
-		if applied, _, _ := r1.b.applySet([]byte(k), []byte(v), r1.v()); !applied {
+		if applied, _, _ := r1.b.ApplySet([]byte(k), []byte(v), r1.v()); !applied {
 			t.Fatalf("set %s not applied", k)
 		}
 		vals[k] = v
@@ -31,12 +33,12 @@ func TestWarmRestartRecoversCorpus(t *testing.T) {
 	// this lives only in the journal.
 	for i := 0; i < 10; i++ {
 		k, v := fmt.Sprintf("key-%02d", i), fmt.Sprintf("val2-%02d", i)
-		if applied, _, _ := r1.b.applySet([]byte(k), []byte(v), r1.v()); !applied {
+		if applied, _, _ := r1.b.ApplySet([]byte(k), []byte(v), r1.v()); !applied {
 			t.Fatalf("overwrite %s not applied", k)
 		}
 		vals[k] = v
 	}
-	if applied, _ := r1.b.applyErase([]byte("key-20"), r1.v()); !applied {
+	if applied, _ := r1.b.ApplyErase([]byte("key-20"), r1.v()); !applied {
 		t.Fatal("erase not applied")
 	}
 	delete(vals, "key-20")
@@ -45,7 +47,7 @@ func TestWarmRestartRecoversCorpus(t *testing.T) {
 	// the way cell.RestartBegin does.
 	r2 := newRig(t, Options{Shard: 0, DataDir: dir, Recovering: true})
 	for k, want := range vals {
-		got, _, found := r2.b.localGet([]byte(k))
+		got, _, found := r2.b.get(nil, []byte(k))
 		if !found {
 			t.Fatalf("lost acked write %q after warm restart", k)
 		}
@@ -53,7 +55,7 @@ func TestWarmRestartRecoversCorpus(t *testing.T) {
 			t.Fatalf("key %q = %q after warm restart, want %q", k, got, want)
 		}
 	}
-	if _, _, found := r2.b.localGet([]byte("key-20")); found {
+	if _, _, found := r2.b.get(nil, []byte("key-20")); found {
 		t.Fatal("acked erase resurrected by warm restart")
 	}
 	if got := r2.b.Len(); got != len(vals) {
@@ -80,7 +82,7 @@ func TestWarmRestartRecoversCorpus(t *testing.T) {
 func TestRecoveringMissBounce(t *testing.T) {
 	dir := t.TempDir()
 	r1 := newRig(t, Options{Shard: 0, DataDir: dir})
-	if applied, _, _ := r1.b.applySet([]byte("resident"), []byte("x"), r1.v()); !applied {
+	if applied, _, _ := r1.b.ApplySet([]byte("resident"), []byte("x"), r1.v()); !applied {
 		t.Fatal("set not applied")
 	}
 
@@ -128,7 +130,7 @@ func TestWarmRestartSurvivesMidCheckpointCrash(t *testing.T) {
 			vals := map[string]string{}
 			for i := 0; i < 25; i++ {
 				k, v := fmt.Sprintf("key-%02d", i), fmt.Sprintf("val-%02d", i)
-				if applied, _, _ := r1.b.applySet([]byte(k), []byte(v), r1.v()); !applied {
+				if applied, _, _ := r1.b.ApplySet([]byte(k), []byte(v), r1.v()); !applied {
 					t.Fatalf("set %s not applied", k)
 				}
 				vals[k] = v
@@ -138,7 +140,7 @@ func TestWarmRestartSurvivesMidCheckpointCrash(t *testing.T) {
 			}
 			r2 := newRig(t, Options{Shard: 0, DataDir: dir, Recovering: true})
 			for k, want := range vals {
-				got, _, found := r2.b.localGet([]byte(k))
+				got, _, found := r2.b.get(nil, []byte(k))
 				if !found || string(got) != want {
 					t.Fatalf("lost acked write %q after crash at %s", k, point)
 				}
@@ -153,7 +155,7 @@ func TestJournalDepthTriggersCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	r := newRig(t, Options{Shard: 0, DataDir: dir, CheckpointEvery: 16})
 	for i := 0; i < 64; i++ {
-		r.b.applySet([]byte(fmt.Sprintf("k%03d", i)), []byte("v"), r.v())
+		r.b.ApplySet([]byte(fmt.Sprintf("k%03d", i)), []byte("v"), r.v())
 	}
 	// The trigger runs async; force completion deterministically.
 	if err := r.b.CheckpointNow(); err != nil {
@@ -165,5 +167,62 @@ func TestJournalDepthTriggersCheckpoint(t *testing.T) {
 	}
 	if rs.JournalRecords != 0 {
 		t.Fatalf("journal depth %d after checkpoint, want 0", rs.JournalRecords)
+	}
+}
+
+// TestConcurrentCheckpointsRecoverEveryAckedKey: explicit CheckpointNow
+// callers overlapping each other and the journal-depth trigger must not
+// interleave records in the one temp image — every acked SET survives a
+// reopen at its acked version.
+func TestConcurrentCheckpointsRecoverEveryAckedKey(t *testing.T) {
+	dir := t.TempDir()
+	r1 := newRig(t, Options{Shard: 0, DataDir: dir, CheckpointEvery: 8})
+	const writers, perWriter, checkpointers = 4, 150, 4
+	acked := make([]map[string]truetime.Version, writers)
+	stop := make(chan struct{})
+	var ckpts, sets sync.WaitGroup
+	for c := 0; c < checkpointers; c++ {
+		ckpts.Add(1)
+		go func() {
+			defer ckpts.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := r1.b.CheckpointNow(); err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		acked[w] = map[string]truetime.Version{}
+		sets.Add(1)
+		go func(w int) {
+			defer sets.Done()
+			for i := 0; i < perWriter; i++ {
+				k := fmt.Sprintf("w%d-k%03d", w, i%60) // overwrites too
+				v := r1.gen.Next()
+				if applied, _, _ := r1.b.ApplySet([]byte(k), []byte(k), v); applied {
+					acked[w][k] = v
+				}
+			}
+		}(w)
+	}
+	sets.Wait()
+	close(stop)
+	ckpts.Wait()
+
+	r2 := newRig(t, Options{Shard: 0, DataDir: dir, Recovering: true})
+	for w := range acked {
+		for k, want := range acked[w] {
+			got, ver, found := r2.b.get(nil, []byte(k))
+			if !found || string(got) != k || ver != want {
+				t.Fatalf("key %q after reopen: found=%v value=%q version=%v, want version %v", k, found, got, ver, want)
+			}
+		}
 	}
 }

@@ -3,10 +3,10 @@ package backend
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
@@ -49,7 +49,7 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		applied, stored, ev := b.applySetTraced(trace.SinkFrom(ctx), r.Key, r.Value, r.Version)
+		applied, stored, ev := b.set(trace.SinkFrom(ctx), r.Key, r.Value, r.Version)
 		if applied && r.Repair {
 			b.noteRecoverySettle()
 		}
@@ -66,7 +66,7 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		applied, stored := b.applyEraseTraced(trace.SinkFrom(ctx), r.Key, r.Version)
+		applied, stored := b.erase(trace.SinkFrom(ctx), r.Key, r.Version)
 		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.Marshal(), nil
 	})
 	s.SetMethodCost(proto.MethodErase, eraseHandlerCPU)
@@ -80,7 +80,7 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		applied, stored := b.applyCasTraced(trace.SinkFrom(ctx), r.Key, r.Value, r.Expected, r.Version)
+		applied, stored := b.cas(trace.SinkFrom(ctx), r.Key, r.Value, r.Expected, r.Version)
 		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.Marshal(), nil
 	})
 	s.SetMethodCost(proto.MethodCas, setHandlerCPU)
@@ -122,7 +122,7 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		applied := b.applyUpdateVersion(r.Key, r.Version)
+		applied := b.updateVersion(r.Key, r.Version)
 		if applied {
 			b.noteRecoverySettle()
 		}
@@ -141,9 +141,9 @@ func (b *Backend) registerHandlers() {
 		}
 		for _, it := range r.Items {
 			if it.Tombstone {
-				b.applyErase(it.Key, it.Version)
+				b.erase(nil, it.Key, it.Version)
 			} else {
-				b.applySet(it.Key, it.Value, it.Version)
+				b.set(nil, it.Key, it.Value, it.Version)
 			}
 		}
 		if r.Final {
@@ -174,10 +174,7 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		b.stateMu.Lock()
-		b.shard = r.Shard
-		b.spare = r.Shard < 0
-		b.stateMu.Unlock()
+		b.shard.Store(int64(r.Shard))
 		return proto.Ack{}.Marshal(), nil
 	})
 
@@ -388,7 +385,7 @@ func (b *Backend) serveGet(sink *trace.SpanSink, req []byte) ([]byte, error) {
 	if r.ConfigID != 0 && r.ConfigID != b.configID.Load() {
 		return nil, layout.ErrConfigChanged
 	}
-	value, ver, found := b.localGetTraced(sink, r.Key)
+	value, ver, found := b.get(sink, r.Key)
 	if !found && b.recovering.Load() {
 		// A recovering replica cannot distinguish "never stored" from
 		// "acked before the crash, not yet recovered": a clean miss
@@ -421,105 +418,18 @@ func (b *Backend) admitMutation(cfgID uint64, pending, repair bool) (entryID uin
 	return entryID, nil
 }
 
-// scan returns a page of (KeyHash, Version, Key) summaries for keys whose
-// primary shard matches — the §5.4 cohort-scan surface.
-func (b *Backend) scan(r proto.ScanReq) proto.ScanResp {
-	cfg := b.store.Get()
-	shards := cfg.Shards
-	limit := r.Limit
-	if limit <= 0 {
-		limit = 1024
+// getAt reads key from the cohort member at addr — directly when that is
+// this backend, else over RPC. An unreachable member reads as a miss.
+func (b *Backend) getAt(ctx context.Context, client *rpc.Client, addr string, key []byte) (value []byte, ver truetime.Version, found bool) {
+	if addr == b.opt.Addr {
+		return b.get(nil, key)
 	}
-
-	b.lockAll()
-	defer b.unlockAll()
-	idx := b.idx.Load()
-	var resp proto.ScanResp
-	bucket := int(r.Cursor)
-	for ; bucket < idx.geo.Buckets; bucket++ {
-		if len(resp.Items) >= limit {
-			resp.NextCursor = uint64(bucket)
-			return resp
-		}
-		raw, err := idx.region.Read(idx.geo.BucketOffset(bucket), idx.geo.BucketSize())
-		if err != nil {
-			continue
-		}
-		dec, err := layout.DecodeBucket(raw, idx.geo.Ways)
-		if err != nil {
-			continue
-		}
-		for slot, e := range dec.Entries {
-			if e.Empty() {
-				continue
-			}
-			if shards > 0 && int(e.Hash.Hi%uint64(shards)) != r.Shard {
-				continue
-			}
-			de, ok := b.readEntryQuarantining(idx, bucket, slot, e)
-			if !ok {
-				continue
-			}
-			resp.Items = append(resp.Items, proto.ScanItem{
-				HashHi: e.Hash.Hi, HashLo: e.Hash.Lo,
-				Version: e.Version,
-				Key:     append([]byte(nil), de.Key...),
-			})
-		}
+	resp, _, err := client.Call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key}.Marshal())
+	if err != nil {
+		return nil, truetime.Version{}, false
 	}
-	// Side-table entries are scanned too.
-	for i := range b.stripes {
-		for k, se := range b.stripes[i].side {
-			h := b.opt.Hash([]byte(k))
-			if shards > 0 && int(h.Hi%uint64(shards)) != r.Shard {
-				continue
-			}
-			resp.Items = append(resp.Items, proto.ScanItem{
-				HashHi: h.Hi, HashLo: h.Lo, Version: se.version, Key: []byte(k),
-			})
-		}
-	}
-	resp.Items = append(resp.Items, b.tombstoneScanItems(r.Shard, shards)...)
-	// The coarse summary travels with the scan so repair peers can tell
-	// "never saw this key" apart from "erased it, but the tombstone was
-	// evicted into the summary" (§5.2).
-	resp.TombSummary = b.tombSummary()
-	resp.Done = true
-	return resp
-}
-
-// tombstoneScanItems lists the enumerable tombstones for shard as scan
-// items — the live cache plus the pending-settle queue of evicted
-// tombstones — so repair sees erases as first-class versioned state and
-// can fold evicted-but-unsettled erases back into cohort scans. Only
-// tombstones that also overflow the pending queue collapse into the §5.2
-// coarse summary, which still blocks stale SETs but is invisible here;
-// that double-overflow-before-a-sweep window is the formally-bounded
-// resurrection residual (see tombstoneCache).
-func (b *Backend) tombstoneScanItems(shard, shards int) []proto.ScanItem {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	var out []proto.ScanItem
-	emit := func(k string, v truetime.Version) {
-		h := b.opt.Hash([]byte(k))
-		if shard >= 0 && shards > 0 && int(h.Hi%uint64(shards)) != shard {
-			return
-		}
-		out = append(out, proto.ScanItem{
-			HashHi: h.Hi, HashLo: h.Lo, Version: v,
-			Key: []byte(k), Tombstone: true,
-		})
-	}
-	for k, v := range b.tomb.entries {
-		emit(k, v)
-	}
-	for k, v := range b.tomb.pending {
-		if _, live := b.tomb.entries[k]; live {
-			continue // the exact entry is newer-or-equal; don't clobber it
-		}
-		emit(k, v)
-	}
-	return out
+	g, err := proto.UnmarshalGetResp(resp)
+	return g.Value, g.Version, err == nil && g.Found
 }
 
 // RepairShard runs the §5.4 repair procedure for shard s, which this
@@ -543,40 +453,31 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 
 	for _, shard := range cohort {
 		addr := cfg.AddrFor(shard)
-		view := replicaView{addr: addr, items: make(map[string]proto.ScanItem)}
-		if addr == b.opt.Addr {
-			view.local = true
-			for _, it := range b.Items(s, cfg.Shards) {
-				view.items[string(it.Key)] = proto.ScanItem{Key: it.Key, Version: it.Version}
-			}
-			for _, it := range b.tombstoneScanItems(s, cfg.Shards) {
-				view.items[string(it.Key)] = it
-			}
-			view.summary = b.tombSummary()
-		} else {
-			cursor := uint64(0)
-			for {
-				resp, _, cerr := client.Call(ctx, addr, proto.MethodScan, proto.ScanReq{Shard: s, Cursor: cursor, Limit: 4096}.Marshal())
+		view := replicaView{addr: addr, local: addr == b.opt.Addr, items: make(map[string]proto.ScanItem)}
+		for cursor, done := uint64(0), false; !done; {
+			req := proto.ScanReq{Shard: s, Cursor: cursor, Limit: 4096}
+			var page proto.ScanResp
+			if view.local {
+				page = b.scan(req)
+			} else {
+				resp, _, cerr := client.Call(ctx, addr, proto.MethodScan, req.Marshal())
 				if cerr != nil {
 					// A down cohort member cannot be scanned; repair what
 					// the reachable members show.
 					break
 				}
-				page, perr := proto.UnmarshalScanResp(resp)
-				if perr != nil {
+				var perr error
+				if page, perr = proto.UnmarshalScanResp(resp); perr != nil {
 					return repaired, perr
 				}
-				for _, it := range page.Items {
-					view.items[string(it.Key)] = it
-				}
-				if view.summary.Less(page.TombSummary) {
-					view.summary = page.TombSummary
-				}
-				if page.Done {
-					break
-				}
-				cursor = page.NextCursor
 			}
+			for _, it := range page.Items {
+				view.items[string(it.Key)] = it
+			}
+			if view.summary.Less(page.TombSummary) {
+				view.summary = page.TombSummary
+			}
+			cursor, done = page.NextCursor, page.Done
 		}
 		views = append(views, view)
 	}
@@ -640,7 +541,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 					continue
 				}
 				if v.local {
-					if applied, _ := b.applyErase([]byte(k), bestV); applied {
+					if applied, _ := b.erase(nil, []byte(k), bestV); applied {
 						b.noteRecoverySettle()
 					}
 				} else if _, _, cerr := client.Call(ctx, v.addr, proto.MethodErase, proto.EraseReq{Key: []byte(k), Version: bestV}.Marshal()); cerr != nil {
@@ -681,22 +582,8 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 		// Newest state is a value: fetch it, requiring it still carries
 		// bestV — if the holder moved on, a newer mutation is already
 		// settling this key and the next sweep re-evaluates.
-		var value []byte
-		var found bool
-		if views[bestIdx].local {
-			var ver truetime.Version
-			value, ver, found = b.localGet([]byte(k))
-			found = found && ver == bestV
-		} else {
-			resp, _, cerr := client.Call(ctx, views[bestIdx].addr, proto.MethodGet, proto.GetReq{Key: []byte(k)}.Marshal())
-			if cerr == nil {
-				g, gerr := proto.UnmarshalGetResp(resp)
-				if gerr == nil && g.Found && g.Version == bestV {
-					value, found = g.Value, true
-				}
-			}
-		}
-		if !found {
+		value, ver, found := b.getAt(ctx, client, views[bestIdx].addr, []byte(k))
+		if !found || ver != bestV {
 			continue
 		}
 		for i, v := range views {
@@ -704,7 +591,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 				continue
 			}
 			if v.local {
-				if applied, _, _ := b.applySet([]byte(k), value, bestV); applied {
+				if applied, _, _ := b.set(nil, []byte(k), value, bestV); applied {
 					b.noteRecoverySettle()
 				}
 			} else {
@@ -716,70 +603,4 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 
 	b.stripes[0].ctr.repairsIssued.Add(uint64(repaired))
 	return repaired, nil
-}
-
-// MigrateTo streams this backend's shard contents to target and hands the
-// shard over — the planned-maintenance path of §6.1. The caller (cell
-// orchestration) is responsible for the config update that points the
-// shard at the target.
-//
-// Handoff is lossless for acked writes: a bulk pass copies the corpus
-// while mutations keep landing (each journaled), then the source SEALS —
-// a lockAll barrier after which new mutations bounce with ErrShardSealed
-// and retry against the target once the client refreshes config — and a
-// delta pass drains every journaled key. Only then does the target assume
-// the shard. Tombstones (cached and summary) travel too, so erases
-// survive the move.
-func (b *Backend) MigrateTo(ctx context.Context, targetAddr string) error {
-	shard := b.Shard()
-	if shard < 0 {
-		return fmt.Errorf("backend %s: no shard to migrate", b.opt.Addr)
-	}
-	cfg := b.store.Get()
-	client := b.rpcClient()
-
-	b.journalStart()
-	defer b.journalStop()
-
-	// Phase 1: bulk copy while writes continue (journaled as they land).
-	items := b.Items(-1, cfg.Shards) // a backend holds copies for 3 shards; move them all
-	if err := b.sendItems(ctx, client, targetAddr, shard, items, false); err != nil {
-		return err
-	}
-
-	// Phase 2: seal, then drain the journal until dry. journalNote stops
-	// recording once sealed (post-seal accepts are migrate/pending writes
-	// already replicated elsewhere), so the loop terminates.
-	b.HandoffSeal()
-	defer b.HandoffUnseal() // source re-arms as a spare after handoff
-	for {
-		keys := b.journalSwap()
-		if keys == nil {
-			break
-		}
-		delta := b.snapshotKeys(keys)
-		if err := b.sendItems(ctx, client, targetAddr, shard, delta, true); err != nil {
-			return err
-		}
-	}
-
-	// Phase 3: tombstones — the cached exact entries as first-class
-	// migrate items, and the coarse summary folded on the final frame.
-	tombs := b.tombstoneMigrateItems(-1, cfg.Shards)
-	sum := b.tombSummary()
-	if len(tombs) > 0 || !sum.Zero() {
-		req := proto.MigrateBatchReq{Shard: shard, Items: tombs, Final: true, TombSummary: sum}
-		if err := b.sendMigrate(ctx, client, targetAddr, req, true); err != nil {
-			return err
-		}
-	}
-
-	if _, _, err := client.Call(ctx, targetAddr, proto.MethodAssumeShard, proto.AssumeShardReq{Shard: shard}.Marshal()); err != nil {
-		return err
-	}
-	b.stateMu.Lock()
-	b.shard = -1
-	b.spare = true
-	b.stateMu.Unlock()
-	return nil
 }

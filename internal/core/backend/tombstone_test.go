@@ -44,8 +44,8 @@ func TestTombstonePendingKeepsExactBound(t *testing.T) {
 	tc.insert("a", ver(10))
 	tc.insert("b", ver(20))
 	tc.insert("c", ver(5)) // evicts "a" (FIFO) into the pending queue
-	if len(tc.entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(tc.entries))
+	if len(tc.live.m) != 2 {
+		t.Fatalf("entries = %d, want 2", len(tc.live.m))
 	}
 	if got := tc.bound([]byte("a")); got != ver(10) {
 		t.Errorf("bound(a) = %v, want exact pending v10", got)
@@ -149,7 +149,48 @@ func TestTombstonePendingSettled(t *testing.T) {
 
 func TestTombstoneZeroCapDefaults(t *testing.T) {
 	tc := newTombstoneCache(0)
-	if tc.cap <= 0 {
+	if tc.live.cap <= 0 {
 		t.Error("zero capacity not defaulted")
+	}
+}
+
+// TestTombstoneQueuesStayBounded: erase → set → erase churn over a few keys
+// (drop leaves an order record behind each cycle) must not grow either FIFO
+// queue, and a re-erased key must not inherit its stale early position: the
+// victim is always the oldest live tombstone.
+func TestTombstoneQueuesStayBounded(t *testing.T) {
+	const capacity, keys, cycles = 4, 8, 1_000_000
+	tc := newTombstoneCache(capacity)
+	age := map[string]int{} // live key → cycle of the insert that created it
+	for i := 0; i < cycles; i++ {
+		k := fmt.Sprintf("k%d", i%keys)
+		if i%3 == 0 {
+			tc.drop([]byte(k)) // the SET between two erases
+			delete(age, k)
+		}
+		_, wasLive := tc.live.m[k]
+		oldest, oldestAge := "", i
+		for lk, a := range age {
+			if a < oldestAge {
+				oldest, oldestAge = lk, a
+			}
+		}
+		full := len(tc.live.m) >= capacity
+		tc.insert(k, ver(int64(i+1)))
+		if !wasLive {
+			if full {
+				if _, still := tc.live.m[oldest]; still {
+					t.Fatalf("cycle %d: inserting %s at capacity did not evict the oldest live tombstone %s", i, k, oldest)
+				}
+				if got := tc.bound([]byte(oldest)); got != ver(int64(oldestAge+1)) {
+					t.Fatalf("cycle %d: evicted %s lost its exact bound: %v", i, oldest, got)
+				}
+				delete(age, oldest)
+			}
+			age[k] = i
+		}
+		if len(tc.live.order) > 2*capacity || len(tc.pending.order) > 2*capacity {
+			t.Fatalf("cycle %d: order queues grew to %d / %d, cap %d", i, len(tc.live.order), len(tc.pending.order), capacity)
+		}
 	}
 }
