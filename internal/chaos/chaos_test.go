@@ -10,18 +10,18 @@ import (
 // fakeSurface is an in-memory Surface that records every injection so
 // tests can assert the engine heals exactly what it fires.
 type fakeSurface struct {
-	mu       sync.Mutex
-	shards   int
+	mu           sync.Mutex
+	shards       int
 	crashed      map[int]bool
 	restarts     int
 	warmRestarts int
-	failRate map[int]float64
-	delay    map[int]uint64
-	isolated  map[int]bool
-	linkLoss  map[int]float64
-	stale     bool
-	corrupts  int
-	maintains int
+	failRate     map[int]float64
+	delay        map[int]uint64
+	isolated     map[int]bool
+	linkLoss     map[int]float64
+	stale        bool
+	corrupts     int
+	maintains    int
 }
 
 func newFakeSurface(shards int) *fakeSurface {

@@ -20,7 +20,7 @@ import (
 // the side shard; the key's stripe lock (s) is held.
 func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte) (value []byte, ver truetime.Version, found bool) {
 	idx := b.idx.Load()
-	if e, _, ok := idx.bucket(idx.bucketOf(h)).find(h); ok {
+	if e, _, ok := idx.bucket(idx.bucketOf(h)).Find(h); ok {
 		if de, err := b.readEntry(e); err == nil && string(de.Key) == string(key) {
 			if val, merr := de.MaterializeValue(); merr == nil {
 				return val, de.Version, true
@@ -47,8 +47,8 @@ func (b *Backend) get(sink *trace.SpanSink, key []byte) (value []byte, ver truet
 // versionBound returns the threshold a mutation's version must exceed: the
 // stored version when the key is resident (in raw's bucket or the side
 // shard), else its tombstone bound (§5.2). The stripe lock is held.
-func (b *Backend) versionBound(s *stripe, raw rawBucket, key []byte, h hashring.KeyHash) (bound truetime.Version, resident bool) {
-	if e, _, ok := raw.find(h); ok {
+func (b *Backend) versionBound(s *stripe, raw layout.RawBucket, key []byte, h hashring.KeyHash) (bound truetime.Version, resident bool) {
+	if e, _, ok := raw.Find(h); ok {
 		return e.Version, true
 	}
 	if se, ok := s.side[string(key)]; ok {
@@ -61,7 +61,7 @@ func (b *Backend) versionBound(s *stripe, raw rawBucket, key []byte, h hashring.
 // installs pass it twice, before preparing the entry and again before
 // publishing it: v must exceed the key's bound, and a mustExist install
 // (UpdateVersion) also needs the key still resident.
-func (b *Backend) versionGate(s *stripe, raw rawBucket, key []byte, h hashring.KeyHash, v truetime.Version, mustExist bool) (truetime.Version, bool) {
+func (b *Backend) versionGate(s *stripe, raw layout.RawBucket, key []byte, h hashring.KeyHash, v truetime.Version, mustExist bool) (truetime.Version, bool) {
 	bound, resident := b.versionBound(s, raw, key, h)
 	if mustExist && !resident {
 		return bound, false
@@ -161,7 +161,7 @@ func (b *Backend) evictOne() bool {
 func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash, key []byte) {
 	idx := b.idx.Load()
 	bucket := idx.bucketOf(h)
-	if e, slot, ok := idx.bucket(bucket).find(h); ok {
+	if e, slot, ok := idx.bucket(bucket).Find(h); ok {
 		b.clearSlot(idx, bucket, slot, e)
 	}
 	delete(s.side, string(key))
@@ -275,10 +275,10 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 // into the RPC side shard (§4.2, freeing the prepared DataEntry) or over
 // the bucket's oldest-versioned entry. False means the bucket could not
 // take it. The bucket's stripe lock (s) is held.
-func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw rawBucket, e layout.IndexEntry, key, value []byte) bool {
-	_, slot, ok := raw.find(e.Hash)
+func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawBucket, e layout.IndexEntry, key, value []byte) bool {
+	_, slot, ok := raw.Find(e.Hash)
 	if !ok {
-		slot, ok = raw.emptySlot()
+		slot, ok = emptySlot(raw)
 	}
 	if !ok && b.opt.OverflowFallback {
 		b.data.Load().free(e.Ptr)
@@ -289,7 +289,7 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw rawBucket, 
 	}
 	if !ok {
 		var victim layout.IndexEntry
-		if victim, slot, ok = raw.victimSlot(); !ok {
+		if victim, slot, ok = victimSlot(raw); !ok {
 			return false
 		}
 		// The victim shares this bucket, hence this stripe.

@@ -52,9 +52,9 @@ func (b *Backend) CorruptEntries(n int, seed uint64) [][]byte {
 // corruptOneLocked picks one decodable live entry in the raw bucket and
 // flips a random bit inside its stored DataEntry. Caller holds the
 // bucket's stripe lock. Returns the damaged entry's key, or nil.
-func (b *Backend) corruptOneLocked(raw rawBucket, rng *rand.Rand) []byte {
-	for _, slot := range rng.Perm(raw.ways()) {
-		e := raw.entry(slot)
+func (b *Backend) corruptOneLocked(raw layout.RawBucket, rng *rand.Rand) []byte {
+	for _, slot := range rng.Perm(raw.Ways()) {
+		e := raw.Entry(slot)
 		if e.Ptr.Nil() {
 			continue
 		}

@@ -154,7 +154,7 @@ func (b *Backend) maybeResizeIndex() {
 func (b *Backend) rehash(next *indexRegion, live []layout.IndexEntry) bool {
 	for _, e := range live {
 		bucket := next.bucketOf(e.Hash)
-		slot, ok := next.bucket(bucket).emptySlot()
+		slot, ok := emptySlot(next.bucket(bucket))
 		if !ok {
 			return false
 		}

@@ -5,7 +5,6 @@ package backend
 // holds, goes through the primitives in this file.
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"cliquemap/internal/core/layout"
@@ -38,7 +37,9 @@ func (b *Backend) newIndex(geo layout.Geometry, epoch uint64) *indexRegion {
 func (x *indexRegion) bucketOf(h hashring.KeyHash) int { return int(h.Lo % uint64(x.geo.Buckets)) }
 
 // slotOff is the region offset of (bucket, slot).
-func (x *indexRegion) slotOff(bucket, slot int) int { return x.geo.BucketOffset(bucket) + slotAt(slot) }
+func (x *indexRegion) slotOff(bucket, slot int) int {
+	return x.geo.BucketOffset(bucket) + layout.SlotOffset(slot)
+}
 
 // overloaded reports whether occupancy has reached the resize trigger.
 func (x *indexRegion) overloaded(maxLoad float64) bool {
@@ -50,7 +51,7 @@ func (x *indexRegion) overloaded(maxLoad float64) bool {
 // stripe lock: every writer of the bucket holds the same lock, and the
 // index region's backing array is immutable for the region's lifetime
 // (resizes build a whole new region).
-func (x *indexRegion) bucket(i int) rawBucket {
+func (x *indexRegion) bucket(i int) layout.RawBucket {
 	raw, err := x.region.View(x.geo.BucketOffset(i), x.geo.BucketSize())
 	if err != nil {
 		return nil
@@ -58,62 +59,24 @@ func (x *indexRegion) bucket(i int) rawBucket {
 	return raw
 }
 
-// rawBucket is one bucket's encoded bytes — header, then whole slots —
-// scanned in place rather than decoded.
-type rawBucket []byte
-
-// slotAt is the byte offset of slot within a bucket.
-func slotAt(slot int) int { return layout.BucketHeaderSize + slot*layout.IndexEntrySize }
-
-func (r rawBucket) ways() int {
-	if r == nil {
-		return 0
-	}
-	return (len(r) - layout.BucketHeaderSize) / layout.IndexEntrySize
-}
-
-func (r rawBucket) flags() uint64 { return binary.LittleEndian.Uint64(r[8:]) }
-
-// hash reads slot's KeyHash; the zero hash marks an empty slot.
-func (r rawBucket) hash(slot int) hashring.KeyHash {
-	off := slotAt(slot)
-	return hashring.KeyHash{Hi: binary.LittleEndian.Uint64(r[off:]), Lo: binary.LittleEndian.Uint64(r[off+8:])}
-}
-
-// entry decodes slot. The view covers whole slots, so decoding cannot fail.
-func (r rawBucket) entry(slot int) layout.IndexEntry {
-	e, _ := layout.DecodeIndexEntry(r[slotAt(slot):])
-	return e
-}
-
-// find locates h's slot.
-func (r rawBucket) find(h hashring.KeyHash) (layout.IndexEntry, int, bool) {
-	for i, n := 0, r.ways(); i < n; i++ {
-		if r.hash(i) == h {
-			return r.entry(i), i, true
-		}
-	}
-	return layout.IndexEntry{}, -1, false
-}
-
-// emptySlot returns the first empty slot.
-func (r rawBucket) emptySlot() (int, bool) {
-	for i, n := 0, r.ways(); i < n; i++ {
-		if r.hash(i).Zero() {
+// emptySlot returns r's first empty slot.
+func emptySlot(r layout.RawBucket) (int, bool) {
+	for i, n := 0, r.Ways(); i < n; i++ {
+		if r.Hash(i).Zero() {
 			return i, true
 		}
 	}
 	return -1, false
 }
 
-// victimSlot picks the occupied slot with the lowest VersionNumber.
-func (r rawBucket) victimSlot() (victim layout.IndexEntry, slot int, ok bool) {
+// victimSlot picks r's occupied slot with the lowest VersionNumber.
+func victimSlot(r layout.RawBucket) (victim layout.IndexEntry, slot int, ok bool) {
 	slot = -1
-	for i, n := 0, r.ways(); i < n; i++ {
-		if r.hash(i).Zero() {
+	for i, n := 0, r.Ways(); i < n; i++ {
+		if r.Hash(i).Zero() {
 			continue
 		}
-		if e := r.entry(i); slot < 0 || e.Version.Less(victim.Version) {
+		if e := r.Entry(i); slot < 0 || e.Version.Less(victim.Version) {
 			victim, slot = e, i
 		}
 	}
@@ -125,7 +88,7 @@ func (r rawBucket) victimSlot() (victim layout.IndexEntry, slot int, ok bool) {
 // the index is not yet published).
 func (b *Backend) stampBucket(idx *indexRegion, bucket int, set uint64) {
 	if raw := idx.bucket(bucket); raw != nil {
-		set |= raw.flags()
+		set |= raw.Flags()
 	}
 	var hdr [layout.BucketHeaderSize]byte
 	layout.EncodeBucketHeader(hdr[:], b.stampID(), set)
@@ -157,8 +120,8 @@ func (b *Backend) SetConfigID(id uint64) {
 func (b *Backend) putSlot(idx *indexRegion, bucket, slot int, e layout.IndexEntry) {
 	// Decode the occupant before the write: the view aliases the slot.
 	var old layout.IndexEntry
-	if raw := idx.bucket(bucket); !raw.hash(slot).Zero() {
-		old = raw.entry(slot)
+	if raw := idx.bucket(bucket); !raw.Hash(slot).Zero() {
+		old = raw.Entry(slot)
 	}
 	var buf [layout.IndexEntrySize]byte
 	layout.EncodeIndexEntry(buf[:], e)
@@ -257,11 +220,11 @@ func (b *Backend) walk(o walkOpts, fn func(r *resident) bool) {
 	}
 	for bucket := first; bucket < idx.geo.Buckets; bucket += step {
 		raw := idx.bucket(bucket)
-		for slot, n := 0, raw.ways(); slot < n; slot++ {
-			if raw.hash(slot).Zero() {
+		for slot, n := 0, raw.Ways(); slot < n; slot++ {
+			if raw.Hash(slot).Zero() {
 				continue
 			}
-			r.IndexEntry, r.bucket, r.slot = raw.entry(slot), bucket, slot
+			r.IndexEntry, r.bucket, r.slot = raw.Entry(slot), bucket, slot
 			if o.filter.match(r.Hash) && !fn(&r) {
 				return
 			}

@@ -279,6 +279,6 @@ func (c *Client) traceOp(ctx context.Context, k trace.Kind) (*trace.SpanContext,
 	if c.opt.Tracer == nil || trace.FromContext(ctx) != nil {
 		return nil, ctx
 	}
-	sc := &trace.SpanContext{OpID: c.opt.Tracer.NextID(), Kind: k}
-	return sc, trace.NewContext(ctx, sc)
+	ctx, sc := trace.NewContext(ctx, trace.SpanContext{OpID: c.opt.Tracer.NextID(), Kind: k})
+	return sc, ctx
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"cliquemap/internal/core/backend"
@@ -25,6 +26,7 @@ type rig struct {
 	net      *rpc.Network
 	store    *config.Store
 	backends []*backend.Backend
+	regs     []*rmem.Registry
 	nics     []*pony.NIC
 	acct     *stats.CPUAccount
 	clock    *truetime.SystemClock
@@ -32,10 +34,12 @@ type rig struct {
 
 const clientHost = 3
 
-func newRig(t testing.TB) *rig {
+func newRig(t testing.TB) *rig { return newRigOn(t, fabric.Params{}) }
+
+func newRigOn(t testing.TB, p fabric.Params) *rig {
 	t.Helper()
 	r := &rig{
-		f:     fabric.New(5, fabric.Params{}),
+		f:     fabric.New(5, p),
 		acct:  stats.NewCPUAccount(),
 		clock: truetime.NewSystemClock(),
 	}
@@ -62,12 +66,17 @@ func newRig(t testing.TB) *rig {
 		n := pony.New(r.f.Host(i), reg, pony.CostModel{}, pony.EngineConfig{}, r.acct)
 		n.SetMsgHandler(b.HandleMsg)
 		r.backends = append(r.backends, b)
+		r.regs = append(r.regs, reg)
 		r.nics = append(r.nics, n)
 	}
 	return r
 }
 
-func (r *rig) newClient(opt Options) *Client {
+func (r *rig) newClient(opt Options) *Client { return r.newClientAt(opt, r.f.NowNs) }
+
+// newClientAt builds a client on the given virtual clock; nil leaves its
+// legs unpinned.
+func (r *rig) newClientAt(opt Options, now NowFunc) *Client {
 	opt.HostID = clientHost
 	local := pony.New(r.f.Host(clientHost), nil, pony.CostModel{}, pony.EngineConfig{}, r.acct)
 	dial := func(host int) nic.RMA {
@@ -76,7 +85,7 @@ func (r *rig) newClient(opt Options) *Client {
 	msg := func(host int, at uint64, req []byte) ([]byte, fabric.OpTrace, error) {
 		return pony.Dial(r.f, local, r.nics[host]).Message(at, req)
 	}
-	return New(opt, r.store, r.net.Client(clientHost, "test"), r.clock, dial, msg, r.f.NowNs, r.acct)
+	return New(opt, r.store, r.net.Client(clientHost, "test"), r.clock, dial, msg, now, r.acct)
 }
 
 func TestStrategyStrings(t *testing.T) {
@@ -341,6 +350,70 @@ func BenchmarkGetSCAR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := cl.Get(ctx, []byte("bench")); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDamagedIndexPointerFailsOver: an IndexEntry pointer is RMA-visible
+// memory. One replica whose pointer has a flipped size bit (or an offset
+// near the top of the address space) must cost that replica's data leg —
+// a bounds error under 2×R, a bucket-only response under SCAR — while the
+// two healthy quorum members still serve the GET; never a panic or an
+// allocation sized by the damage.
+func TestDamagedIndexPointerFailsOver(t *testing.T) {
+	for _, strat := range []Strategy{Strategy2xR, StrategySCAR} {
+		for _, damage := range []struct {
+			name string
+			mut  func(*layout.Pointer)
+		}{
+			{"size 1<<40", func(p *layout.Pointer) { p.Size = 1 << 40 }},
+			{"offset MaxInt64-8", func(p *layout.Pointer) { p.Offset = math.MaxInt64 - 8 }},
+		} {
+			t.Run(strat.String()+"/"+damage.name, func(t *testing.T) {
+				r := newRig(t)
+				cl := r.newClient(Options{Strategy: strat, NoFallback: true})
+				ctx := context.Background()
+				key, val := []byte("damaged-ptr"), []byte("still-served")
+				if err := cl.Set(ctx, key, val); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := cl.Get(ctx, key); err != nil { // caches the handshakes
+					t.Fatal(err)
+				}
+				// Restamp replica 0's slot for key with the damaged pointer.
+				h := cl.opt.Hash(key)
+				hello := cl.hellos["b0"]
+				geo := layout.Geometry{Buckets: hello.Buckets, Ways: hello.Ways}
+				idx, err := r.regs[0].Lookup(hello.IndexWindow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				off := geo.BucketOffset(int(h.Lo % uint64(geo.Buckets)))
+				raw, err := idx.Region.Read(off, geo.BucketSize())
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, slot, ok := layout.RawBucket(raw).Find(h)
+				if !ok {
+					t.Fatal("replica 0 does not hold the key")
+				}
+				damage.mut(&e.Ptr)
+				ie := make([]byte, layout.IndexEntrySize)
+				layout.EncodeIndexEntry(ie, e)
+				if err := idx.Region.Write(off+layout.SlotOffset(slot), ie); err != nil {
+					t.Fatal(err)
+				}
+
+				for i := 0; i < 20; i++ { // whichever member answers fastest
+					got, found, err := cl.Get(ctx, key)
+					if err != nil || !found || string(got) != string(val) {
+						t.Fatalf("get %d: %q found=%v err=%v", i, got, found, err)
+					}
+				}
+				if n := cl.M.RetryCount(); n != 0 {
+					t.Errorf("%d whole-op retries: a damaged copy costs a failover, not an attempt", n)
+				}
+			})
 		}
 	}
 }

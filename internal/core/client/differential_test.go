@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
 )
 
@@ -81,6 +83,81 @@ func TestStrategiesAgree(t *testing.T) {
 				if got[i] != want[i] {
 					t.Errorf("GET #%d: %s returned %+v, 2xR returned %+v", i, strat, got[i], want[i])
 				}
+			}
+		})
+	}
+}
+
+// TestGetTraceParity pins the assembled OpTrace of one quiet 2×R and one
+// SCAR GET — Ns, Bytes, and every span's code/arg/start/dur in order —
+// to goldens captured before the GET path stopped building per-stage
+// traces and copying them together. Any change to span order, to a base
+// offset, or to a modelled cost shows up here as a diff.
+//
+// The fixture is the deterministic corner of the model: an effectively
+// infinite downlink (no serialization, so no wall-clock-dependent
+// backlog), unpinned legs, one GET per fresh cell (the NIC's load estimate
+// is still zero), seeded jitter.
+func TestGetTraceParity(t *testing.T) {
+	type golden struct {
+		ns, bytes uint64
+		spans     []fabric.Span
+	}
+	for _, tc := range []struct {
+		strat Strategy
+		want  golden
+	}{
+		{Strategy2xR, golden{10928, 2382, []fabric.Span{
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 592, Start: 2539, Dur: 464},
+			{Code: 11, Arg: 0, Start: 5245, Dur: 244},
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 592, Start: 2690, Dur: 464},
+			{Code: 11, Arg: 0, Start: 5217, Dur: 244},
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 592, Start: 2530, Dur: 464},
+			{Code: 11, Arg: 0, Start: 5138, Dur: 244},
+			{Code: 1, Arg: 3, Start: 0, Dur: 5382},
+			{Code: 2, Arg: 2, Start: 5382, Dur: 79},
+			{Code: 9, Arg: 0, Start: 5461, Dur: 440},
+			{Code: 10, Arg: 350, Start: 7988, Dur: 454},
+			{Code: 11, Arg: 0, Start: 10694, Dur: 234},
+			{Code: 3, Arg: 1, Start: 5461, Dur: 5467},
+		}}},
+		{StrategySCAR, golden{5609, 3114, []fabric.Span{
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 942, Start: 2539, Dur: 598},
+			{Code: 11, Arg: 0, Start: 5379, Dur: 258},
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 942, Start: 2690, Dur: 598},
+			{Code: 11, Arg: 0, Start: 5351, Dur: 258},
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 942, Start: 2530, Dur: 598},
+			{Code: 11, Arg: 0, Start: 5272, Dur: 258},
+			{Code: 1, Arg: 3, Start: 0, Dur: 5530},
+			{Code: 2, Arg: 2, Start: 5530, Dur: 79},
+		}}},
+	} {
+		t.Run(tc.strat.String(), func(t *testing.T) {
+			r := newRigOn(t, fabric.Params{HostGbps: 1e12})
+			cl := r.newClientAt(Options{Strategy: tc.strat, Seed: 7}, nil)
+			ctx := context.Background()
+			key := []byte("golden-key")
+			if err := cl.Set(ctx, key, make([]byte, 300)); err != nil {
+				t.Fatal(err)
+			}
+			val, found, tr, err := cl.GetTraced(ctx, key)
+			if err != nil || !found || len(val) != 300 {
+				t.Fatalf("get: %d bytes found=%v err=%v", len(val), found, err)
+			}
+			if tr.Ns != tc.want.ns || tr.Bytes != tc.want.bytes {
+				t.Errorf("trace = %dns %dB, want %dns %dB", tr.Ns, tr.Bytes, tc.want.ns, tc.want.bytes)
+			}
+			if !slices.Equal(tr.Spans, tc.want.spans) {
+				t.Errorf("spans:\n got %v\nwant %v", tr.Spans, tc.want.spans)
+			}
+			if cap(tr.Spans) != opSpans {
+				t.Errorf("span buffer grew to %d; the op makes one of %d", cap(tr.Spans), opSpans)
 			}
 		})
 	}

@@ -75,7 +75,7 @@ func (c *Client) fetchViews(ctx context.Context, cfg config.CellConfig, rt route
 	// op's virtual start. Connection setup is control-plane work; were it
 	// inside the pinned window, the wall time it consumes would read as
 	// downlink backlog for the op's own data-plane legs.
-	for i, shard := range rt.shards {
+	for i, shard := range rt.shards[:rt.n] {
 		rep, err := c.resolveReplica(ctx, cfg, shard, rt.addrs[i], how)
 		views = append(views, indexView{rep: rep, err: err})
 	}
@@ -166,7 +166,9 @@ func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashri
 		return
 	}
 
-	dec, err := layout.DecodeBucket(raw, geo.Ways)
+	// The bucket is scanned where it lies in the leg's response buffer;
+	// only the matching slot is decoded.
+	b, err := layout.ViewBucket(raw, geo.Ways)
 	if err != nil {
 		v.err = err
 		return
@@ -177,15 +179,12 @@ func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashri
 	// fast-forwarded — is what catches a stale client whose cohort no
 	// longer holds the key after a resize: the absent votes it would
 	// otherwise collect look exactly like a legitimate miss.
-	if dec.ConfigID != cfgID {
+	if b.ConfigID() != cfgID {
 		v.err = layout.ErrConfigChanged
 		return
 	}
-	v.overflow = dec.Overflowed()
-	if e, _, ok := dec.Find(h); ok {
-		v.entry = e
-		v.present = true
-	}
+	v.overflow = b.Flags()&layout.OverflowFlag != 0
+	v.entry, _, v.present = b.Find(h)
 }
 
 // rpcGetAt is the one GetReq→GetResp RPC round trip against addr.

@@ -17,6 +17,11 @@ import (
 	"cliquemap/internal/truetime"
 )
 
+// opSpans sizes a GET's span buffer: a three-leg fan-out of three-span
+// NIC legs, the index-fetch and quorum-wait annotations, and one dependent
+// data leg with its annotation (2×R, the longest quiet-path trace) is 15.
+const opSpans = 16
+
 // Get looks up key, transparently retrying transient hazards.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	v, found, _, err := c.GetTraced(ctx, key)
@@ -31,17 +36,16 @@ func (c *Client) GetTraced(ctx context.Context, key []byte) (value []byte, found
 		defer func() { c.observe(trace.KindGet, c.Transport(), total.Ns, err) }()
 	}
 	sc, ctx := c.traceOp(ctx, trace.KindGet)
-	if sc != nil {
-		// One right-sized allocation up front; per-leg merges then append
-		// without growth on the hot path.
-		total.Spans = make([]fabric.Span, 0, 8)
-	}
+	// The op's one span buffer, traced or not — the caller gets the trace
+	// either way. Every stage below appends leg spans and annotations
+	// straight into it; opSpans covers a full fan-out plus a data leg, so
+	// an op that does not retry never grows it.
+	total.Spans = make([]fabric.Span, 0, opSpans)
 	// Near-cache fast path: a cached hot-key value serves after one
 	// index-only revalidation round (1 RTT, no data leg). An inconclusive
 	// round falls through to the full path with its legs already billed.
 	if c.near != nil {
-		nval, nfound, served, ntr := c.nearGet(ctx, key)
-		total.Sequence(ntr)
+		nval, nfound, served := c.nearGet(ctx, key, &total)
 		if served {
 			c.finishGet(sc, key, nfound, c.Transport(), 1, &total)
 			return nval, nfound, total, nil
@@ -60,8 +64,7 @@ func (c *Client) GetTraced(ctx context.Context, key []byte) (value []byte, found
 			sc.Attempt = uint32(attempt)
 		}
 		attemptStart := total.Ns
-		val, ok, wver, atr, aerr := c.attemptGet(ctx, key)
-		total.Sequence(atr)
+		val, ok, wver, aerr := c.attemptGet(ctx, key, &total)
 		if aerr == nil {
 			c.opt.Budget.Credit()
 			if ok {
@@ -71,7 +74,7 @@ func (c *Client) GetTraced(ctx context.Context, key []byte) (value []byte, found
 			return val, ok, total, nil
 		}
 		if sc != nil {
-			total.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, atr.Ns)
+			total.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, total.Ns-attemptStart)
 		}
 		c.classifyAndRepair(aerr)
 	}
@@ -110,19 +113,23 @@ func (c *Client) finishGet(sc *trace.SpanContext, key []byte, found bool, transp
 	}
 }
 
-// attemptGet performs one lookup attempt: fetch views from the read
-// cohort, vote, take the data from a quorum member. On a hit it also
-// returns the quorum-winning version, which feeds the near-cache.
-func (c *Client) attemptGet(ctx context.Context, key []byte) ([]byte, bool, truetime.Version, fabric.OpTrace, error) {
+// attemptGet performs one lookup attempt, appending it to the op's trace:
+// fetch views from the read cohort, vote, take the data from a quorum
+// member. On a hit it also returns the quorum-winning version, which feeds
+// the near-cache.
+func (c *Client) attemptGet(ctx context.Context, key []byte, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	how := c.fetchFor(key)
 	var viewArr [8]indexView
+	// at is the virtual instant the attempt's legs are pinned to; on the
+	// op's own timeline that instant is origin.
+	origin := tr.Ns
 	views, at := c.fetchViews(ctx, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
 
-	tr, winner, err := quorum(views, cfg.Mode.Quorum())
+	winner, err := quorum(tr, views, cfg.Mode.Quorum())
 	if err != nil {
-		return nil, false, truetime.Version{}, tr, err
+		return nil, false, truetime.Version{}, err
 	}
 	if winner.Zero() {
 		// Miss quorum. If any replica flagged overflow, the key may live
@@ -133,17 +140,17 @@ func (c *Client) attemptGet(ctx context.Context, key []byte) ([]byte, bool, true
 				tr.Sequence(ftr)
 				if ferr == nil {
 					c.M.RPCFallbacks.Inc()
-					return g.Value, g.Found, g.Version, tr, nil
+					return g.Value, g.Found, g.Version, nil
 				}
 			}
 		}
-		return nil, false, truetime.Version{}, tr, nil
+		return nil, false, truetime.Version{}, nil
 	}
-	val, err := c.readData(at, key, how, views, winner, &tr)
+	val, err := c.readData(at, origin, key, how, views, winner, tr)
 	if err != nil {
-		return nil, false, truetime.Version{}, tr, err
+		return nil, false, truetime.Version{}, err
 	}
-	return val, true, winner, tr, nil
+	return val, true, winner, nil
 }
 
 // cand is one data source: a quorum member holding the winning version,
@@ -158,8 +165,9 @@ type cand struct {
 // quorum member, failing over along the candidate list — a torn, corrupt,
 // or unreachable copy costs one more dependent read instead of a whole-op
 // retry. The checksum (§3) is the only corruption defense, so every
-// absorbed failure is counted.
-func (c *Client) readData(at uint64, key []byte, how fetch, views []indexView, winner truetime.Version, tr *fabric.OpTrace) ([]byte, error) {
+// absorbed failure is counted. Dependent legs are pinned relative to at,
+// which sits at origin on tr's timeline.
+func (c *Client) readData(at, origin uint64, key []byte, how fetch, views []indexView, winner truetime.Version, tr *fabric.OpTrace) ([]byte, error) {
 	// Candidates fastest first (§5.1 — speculate on the first responder),
 	// with health-demoted members sorted last so a browned-out backend
 	// serves data only when no healthy member can.
@@ -226,7 +234,7 @@ func (c *Client) readData(at uint64, key []byte, how fetch, views []indexView, w
 			c.chargeCPU(cpu2xR / 2)
 			e := v.entry
 			dataStart := tr.Ns
-			data, dtr, derr := v.rep.conn.Read(after(at, dataStart), e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
+			data, dtr, derr := v.rep.conn.Read(after(at, dataStart-origin), e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
 			if derr != nil {
 				tr.Sequence(dtr)
 				c.noteReplicaFailure(v.rep.addr)
@@ -243,7 +251,7 @@ func (c *Client) readData(at uint64, key []byte, how fetch, views []indexView, w
 			if hedgeAfter := c.hedgeAfterNs(); ci == 0 && !last && hedgeAfter > 0 && dtr.Ns > hedgeAfter {
 				c.M.Hedges.Inc()
 				b := &views[cands[1].view]
-				hdata, htr, herr := b.rep.conn.Read(after(at, dataStart+hedgeAfter), b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
+				hdata, htr, herr := b.rep.conn.Read(after(at, dataStart-origin+hedgeAfter), b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
 				if herr == nil && hedgeAfter+htr.Ns < dtr.Ns {
 					if hval, err := c.openEntry(b.rep.addr, hdata, key, &winner); err == nil {
 						c.M.HedgeWins.Inc()
@@ -303,7 +311,8 @@ func (c *Client) rpcGetAny(ctx context.Context, key []byte) (proto.GetResp, fabr
 	cfg := c.Config()
 	var tr fabric.OpTrace
 	var lastErr error = ErrUnavailable
-	for _, addr := range readRoute(cfg, c.opt.Hash(key)).addrs {
+	rt := readRoute(cfg, c.opt.Hash(key))
+	for _, addr := range rt.addrs[:rt.n] {
 		if addr == "" {
 			continue
 		}

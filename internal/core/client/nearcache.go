@@ -214,20 +214,20 @@ func (c *Client) nearInvalidate(key []byte) {
 // revalidation round. Returns served=true when the round was conclusive
 // (fresh hit, or an agreed miss that also drops the entry); otherwise
 // the caller must run the full GET path — any revalidation legs already
-// paid are returned in tr either way so latency accounting stays honest.
-func (c *Client) nearGet(ctx context.Context, key []byte) (val []byte, found, served bool, tr fabric.OpTrace) {
+// paid are appended to tr either way so latency accounting stays honest.
+func (c *Client) nearGet(ctx context.Context, key []byte, tr *fabric.OpTrace) (val []byte, found, served bool) {
 	e, ok := c.near.get(key)
 	if !ok {
-		return nil, false, false, tr
+		return nil, false, false
 	}
-	ver, vfound, tr, err := c.revalidateIndex(ctx, key)
+	ver, vfound, err := c.revalidateIndex(ctx, key, tr)
 	if err != nil {
 		c.M.NearRevalFails.Inc()
-		return nil, false, false, tr
+		return nil, false, false
 	}
 	if vfound && ver == e.ver {
 		c.M.NearHits.Inc()
-		return append([]byte(nil), e.val...), true, true, tr
+		return append([]byte(nil), e.val...), true, true
 	}
 	c.near.drop(key)
 	if !vfound {
@@ -235,34 +235,34 @@ func (c *Client) nearGet(ctx context.Context, key []byte) (val []byte, found, se
 		// cached entry outlived the corpus). Serve the miss; never the
 		// cached value — erased keys must not resurrect from here.
 		c.M.NearInval.Inc()
-		return nil, false, true, tr
+		return nil, false, true
 	}
 	// Version moved: the full path refreshes the entry.
 	c.M.NearStale.Inc()
-	return nil, false, false, tr
+	return nil, false, false
 }
 
 // revalidateIndex runs one quorum round of index-only bucket reads —
 // plain Reads even under SCAR, so no data bytes move — and returns the
 // quorum-winning version (found=false for an agreed miss). Any error
 // means the round was inconclusive.
-func (c *Client) revalidateIndex(ctx context.Context, key []byte) (ver truetime.Version, found bool, tr fabric.OpTrace, err error) {
+func (c *Client) revalidateIndex(ctx context.Context, key []byte, tr *fabric.OpTrace) (ver truetime.Version, found bool, err error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	var viewArr [8]indexView
 	views, _ := c.fetchViews(ctx, cfg, readRoute(cfg, h), key, h, fetchBucket, viewArr[:0])
-	tr, ver, err = quorum(views, cfg.Mode.Quorum())
+	ver, err = quorum(tr, views, cfg.Mode.Quorum())
 	if err != nil || !ver.Zero() {
-		return ver, err == nil, tr, err
+		return ver, err == nil, err
 	}
 	for i := range views {
 		if views[i].err == nil && views[i].overflow {
 			// The key may live in an RPC-only side table (§4.2): an
 			// index miss proves nothing.
-			return truetime.Version{}, false, tr, errNearInconclusive
+			return truetime.Version{}, false, errNearInconclusive
 		}
 	}
-	return truetime.Version{}, false, tr, nil
+	return truetime.Version{}, false, nil
 }
 
 // steerToRPC decides whether this GET should leave the configured

@@ -76,15 +76,14 @@ next:
 	return winner.ver, nil
 }
 
-// quorum turns a fetch's views into the index phase's trace and the
+// quorum appends a fetch's index phase to the op's trace and returns the
 // quorum-winning version (zero = an agreed miss). With fewer than need
 // live views there is nothing to vote on: the first leg error surfaces,
 // so the retry layer repairs the actual cause instead of guessing from a
 // bare ErrUnavailable.
-func quorum(views []indexView, need int) (tr fabric.OpTrace, winner truetime.Version, err error) {
+func quorum(tr *fabric.OpTrace, views []indexView, need int) (winner truetime.Version, err error) {
 	var legArr [8]uint64
 	legNs := legArr[:0]
-	tr.Spans = make([]fabric.Span, 0, 16)
 	var legErr error
 	for i := range views {
 		v := &views[i]
@@ -96,16 +95,19 @@ func quorum(views []indexView, need int) (tr fabric.OpTrace, winner truetime.Ver
 		}
 		legNs = append(legNs, v.trace.Ns)
 		tr.AddBytes(int(v.trace.Bytes))
-		// Leg spans share the phase origin: the legs ran in parallel.
-		tr.Spans = append(tr.Spans, v.trace.Spans...)
+		// The legs ran in parallel: their spans all start where the phase
+		// does, at the op's current critical-path end.
+		for _, s := range v.trace.Spans {
+			s.Start += tr.Ns
+			tr.Spans = append(tr.Spans, s)
+		}
 	}
 	if len(legNs) < need {
 		if legErr == nil {
 			legErr = ErrUnavailable
 		}
-		return tr, truetime.Version{}, legErr
+		return truetime.Version{}, legErr
 	}
-	settleFanout(&tr, legNs, need, trace.SpanIndexFetch)
-	winner, err = tally(views, need)
-	return tr, winner, err
+	settleFanout(tr, legNs, need, trace.SpanIndexFetch)
+	return tally(views, need)
 }

@@ -47,7 +47,7 @@ func TestQuorumVote(t *testing.T) {
 		{"nothing consulted is unavailable", nil, 1, absent, ErrUnavailable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, winner, err := quorum(tc.views, tc.need)
+			winner, err := quorum(&fabric.OpTrace{}, tc.views, tc.need)
 			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -73,7 +73,8 @@ func spanOf(tr fabric.OpTrace, code uint16) (fabric.Span, bool) {
 // and for a mutation's ack wait alike.
 func TestFanoutCostsKthFastestLeg(t *testing.T) {
 	v := truetime.Version{Micros: 1, ClientID: 1, Seq: 1}
-	tr, _, err := quorum([]indexView{view(v, 30), failed(errors.New("down")), view(v, 10), view(v, 20)}, 2)
+	var tr fabric.OpTrace
+	_, err := quorum(&tr, []indexView{view(v, 30), failed(errors.New("down")), view(v, 10), view(v, 20)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,27 +56,28 @@ type replica struct {
 // authoritative for the key and writes fan out to the union of both
 // epochs' cohorts.
 type route struct {
-	shards []int
-	addrs  []string
+	n      int // cohort size; the arrays are filled up to it
+	shards [config.MaxReplicas]int
+	addrs  [config.MaxReplicas]string
 }
 
 // readRoute resolves the authoritative cohort for GETs. The old epoch
 // stays authoritative until enough of the key's old cohort has been
 // sealed (and therefore drained to the pending owners) that the pending
 // epoch is guaranteed to hold every acked write; then reads move over.
-func readRoute(cfg config.CellConfig, h hashring.KeyHash) route {
-	oldCohort := cfg.Cohort(int(h.Hi % uint64(cfg.Shards)))
-	if cfg.Pending != nil && cfg.PendingAuthoritative(oldCohort) {
-		pc := cfg.PendingCohort(int(h.Hi % uint64(cfg.Pending.Shards)))
-		rt := route{shards: pc, addrs: make([]string, 0, len(pc))}
-		for _, s := range pc {
-			rt.addrs = append(rt.addrs, cfg.Pending.AddrFor(s))
-		}
-		return rt
+func readRoute(cfg config.CellConfig, h hashring.KeyHash) (rt route) {
+	cohort := cfg.AppendCohort(rt.shards[:0], int(h.Hi%uint64(cfg.Shards)))
+	pending := cfg.Pending != nil && cfg.PendingAuthoritative(cohort)
+	if pending { // mid-resize only: this one may allocate
+		cohort = cfg.PendingCohort(int(h.Hi % uint64(cfg.Pending.Shards)))
 	}
-	rt := route{shards: oldCohort, addrs: make([]string, 0, len(oldCohort))}
-	for _, s := range oldCohort {
-		rt.addrs = append(rt.addrs, cfg.AddrFor(s))
+	rt.n = copy(rt.shards[:], cohort)
+	for i, s := range cohort {
+		if pending {
+			rt.addrs[i] = cfg.Pending.AddrFor(s)
+		} else {
+			rt.addrs[i] = cfg.AddrFor(s)
+		}
 	}
 	return rt
 }

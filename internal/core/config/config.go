@@ -28,6 +28,10 @@ const (
 	R32
 )
 
+// MaxReplicas bounds Replicas over every mode, so a cohort fits a fixed
+// array.
+const MaxReplicas = 3
+
 // Replicas returns the copy count for the mode.
 func (m Mode) Replicas() int {
 	switch m {
@@ -168,7 +172,13 @@ func (c CellConfig) HostForAddr(addr string) int {
 // Cohort returns the shards hosting copies of a key whose primary shard is
 // p: p, p+1, ..., mod Shards (§5.1).
 func (c CellConfig) Cohort(p int) []int {
-	return cohort(p, c.Mode.Replicas(), c.Shards)
+	return c.AppendCohort(make([]int, 0, MaxReplicas), p)
+}
+
+// AppendCohort appends Cohort(p) to dst: with room in dst (MaxReplicas
+// suffices) the per-op paths resolve a cohort without allocating.
+func (c CellConfig) AppendCohort(dst []int, p int) []int {
+	return appendCohort(dst, p, c.Mode.Replicas(), c.Shards)
 }
 
 // PendingCohort returns the pending-epoch cohort of a key whose
@@ -177,18 +187,17 @@ func (c CellConfig) PendingCohort(p int) []int {
 	if c.Pending == nil {
 		return nil
 	}
-	return cohort(p, c.Mode.Replicas(), c.Pending.Shards)
+	return appendCohort(make([]int, 0, MaxReplicas), p, c.Mode.Replicas(), c.Pending.Shards)
 }
 
-func cohort(p, r, shards int) []int {
+func appendCohort(dst []int, p, r, shards int) []int {
 	if r > shards {
 		r = shards
 	}
-	out := make([]int, r)
-	for i := range out {
-		out[i] = (p + i) % shards
+	for i := 0; i < r; i++ {
+		dst = append(dst, (p+i)%shards)
 	}
-	return out
+	return dst
 }
 
 // PendingAuthoritative reports whether the pending epoch is the read

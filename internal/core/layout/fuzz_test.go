@@ -1,8 +1,10 @@
 package layout
 
 import (
+	"errors"
 	"testing"
 
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/truetime"
 )
 
@@ -123,4 +125,94 @@ func FuzzDecodeBucket(f *testing.F) {
 			t.Errorf("decoded %d entries, want %d", len(b.Entries), ways)
 		}
 	})
+}
+
+// FuzzBucketScanMatchesDecode holds the in-place scanner to the reference
+// decoder: on arbitrary bytes and associativity, ViewBucket fails exactly
+// when DecodeBucket does (ErrCorrupt on short input), and the header
+// fields, every slot, and Find — probed with each stored hash, so
+// duplicate hashes exercise first-slot-wins, and with an absent one —
+// agree. The serving NIC and the client scan with RawBucket; tests and the
+// benchmark's decode probe keep DecodeBucket, so the two must never drift.
+func FuzzBucketScanMatchesDecode(f *testing.F) {
+	g := Geometry{Buckets: 1, Ways: 4}
+	raw := make([]byte, g.BucketSize())
+	EncodeBucketHeader(raw, 7, OverflowFlag)
+	dup := IndexEntry{Hash: hashring.KeyHash{Hi: 5, Lo: 9}, Version: truetime.Version{Micros: 1}, Ptr: Pointer{Window: 1, Offset: 64, Size: 128}}
+	EncodeIndexEntry(raw[SlotOffset(1):], dup)
+	dup.Version.Micros = 2 // same hash, later slot: must lose to slot 1
+	EncodeIndexEntry(raw[SlotOffset(3):], dup)
+	f.Add(raw, 4, uint64(5), uint64(9))
+	f.Add(raw, 2, uint64(5), uint64(9))                            // fewer ways than bytes: the tail is ignored
+	f.Add(raw[:len(raw)-1], 4, uint64(0), uint64(0))               // one byte short
+	f.Add([]byte{}, 0, uint64(0), uint64(0))                       // shorter than a header
+	f.Add(make([]byte, BucketHeaderSize), 0, uint64(1), uint64(1)) // header only
+
+	f.Fuzz(func(t *testing.T, data []byte, ways int, hi, lo uint64) {
+		if ways < 0 || ways > 64 {
+			return
+		}
+		dec, derr := DecodeBucket(data, ways)
+		view, verr := ViewBucket(data, ways)
+		if (derr == nil) != (verr == nil) {
+			t.Fatalf("DecodeBucket err=%v, ViewBucket err=%v", derr, verr)
+		}
+		if derr != nil {
+			if !errors.Is(derr, ErrCorrupt) || !errors.Is(verr, ErrCorrupt) {
+				t.Fatalf("short input: %v / %v, want ErrCorrupt", derr, verr)
+			}
+			return
+		}
+		if view.Ways() != ways || view.ConfigID() != dec.ConfigID || view.Flags() != dec.Flags {
+			t.Fatalf("header: view ways=%d id=%d flags=%#x, decoded ways=%d id=%d flags=%#x",
+				view.Ways(), view.ConfigID(), view.Flags(), ways, dec.ConfigID, dec.Flags)
+		}
+		probes := []hashring.KeyHash{{Hi: hi, Lo: lo}, {}}
+		for i, e := range dec.Entries {
+			if view.Hash(i) != e.Hash || view.Entry(i) != e {
+				t.Fatalf("slot %d: view %+v, decoded %+v", i, view.Entry(i), e)
+			}
+			probes = append(probes, e.Hash)
+		}
+		for _, h := range probes {
+			we, ws, wok := dec.Find(h)
+			ge, gs, gok := view.Find(h)
+			if ge != we || gs != ws || gok != wok {
+				t.Fatalf("Find(%v): view (%+v, %d, %v), decoded (%+v, %d, %v)", h, ge, gs, gok, we, ws, wok)
+			}
+		}
+	})
+}
+
+// TestBucketScanFirstSlotWins pins the duplicate-hash rule outside the
+// fuzz corpus, and that a view never reaches past its own bucket.
+func TestBucketScanFirstSlotWins(t *testing.T) {
+	g := Geometry{Buckets: 1, Ways: 3}
+	raw := make([]byte, g.BucketSize()+IndexEntrySize) // a neighbour's slot follows
+	h := hashring.KeyHash{Hi: 1, Lo: 2}
+	for slot, micros := range []int64{0, 10, 20, 30} {
+		if slot == 0 {
+			continue
+		}
+		EncodeIndexEntry(raw[SlotOffset(slot):], IndexEntry{Hash: h, Version: truetime.Version{Micros: micros}})
+	}
+	view, err := ViewBucket(raw, g.Ways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, slot, ok := view.Find(h); !ok || slot != 1 || e.Version.Micros != 10 {
+		t.Errorf("Find = (%+v, %d, %v), want slot 1", e, slot, ok)
+	}
+	if view.Ways() != g.Ways || len(view) != g.BucketSize() || cap(view) != g.BucketSize() {
+		t.Errorf("view spans %d/%d bytes, %d ways; want exactly one %d-byte bucket", len(view), cap(view), view.Ways(), g.BucketSize())
+	}
+	if _, err := ViewBucket(raw, -1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("negative ways: err=%v, want ErrCorrupt", err)
+	}
+	if RawBucket(nil).Ways() != 0 {
+		t.Error("the nil bucket must have no slots")
+	}
+	if _, _, ok := RawBucket(nil).Find(h); ok {
+		t.Error("Find on the nil bucket matched")
+	}
 }

@@ -189,7 +189,9 @@ type Bucket struct {
 // Overflowed reports the RPC-fallback overflow bit (§4.2).
 func (b Bucket) Overflowed() bool { return b.Flags&OverflowFlag != 0 }
 
-// DecodeBucket parses a raw bucket of the given associativity.
+// DecodeBucket parses a raw bucket of the given associativity into a
+// Bucket. It is the reference decoder: the serving paths scan buckets in
+// place through RawBucket, and tests hold the two to the same answers.
 func DecodeBucket(src []byte, ways int) (Bucket, error) {
 	want := BucketHeaderSize + ways*IndexEntrySize
 	if len(src) < want {
@@ -215,6 +217,59 @@ func (b Bucket) Find(h hashring.KeyHash) (IndexEntry, int, bool) {
 	for i, e := range b.Entries {
 		if e.Hash == h {
 			return e, i, true
+		}
+	}
+	return IndexEntry{}, -1, false
+}
+
+// RawBucket is one bucket's encoded bytes — header, then whole slots —
+// scanned in place: a lookup compares the stored hash words where they lie
+// and decodes only the slot that matches. The nil bucket has no slots.
+type RawBucket []byte
+
+// ViewBucket is DecodeBucket's in-place counterpart: it checks that src
+// holds a bucket of the given associativity and returns exactly that
+// extent, aliasing src.
+func ViewBucket(src []byte, ways int) (RawBucket, error) {
+	want := BucketHeaderSize + ways*IndexEntrySize
+	if ways < 0 || len(src) < want {
+		return nil, fmt.Errorf("%w: bucket %d bytes, want %d", ErrCorrupt, len(src), want)
+	}
+	return RawBucket(src[:want:want]), nil
+}
+
+// SlotOffset is the byte offset of slot within a bucket.
+func SlotOffset(slot int) int { return BucketHeaderSize + slot*IndexEntrySize }
+
+// Ways returns the number of whole slots the bucket holds (none, by
+// truncating division, when it is shorter than a header and a slot).
+func (r RawBucket) Ways() int { return (len(r) - BucketHeaderSize) / IndexEntrySize }
+
+// ConfigID reads the header's configuration stamp.
+func (r RawBucket) ConfigID() uint64 { return binary.LittleEndian.Uint64(r[0:]) }
+
+// Flags reads the header's flag word.
+func (r RawBucket) Flags() uint64 { return binary.LittleEndian.Uint64(r[8:]) }
+
+// Hash reads slot's KeyHash; the zero hash marks an empty slot.
+func (r RawBucket) Hash(slot int) hashring.KeyHash {
+	off := SlotOffset(slot)
+	return hashring.KeyHash{Hi: binary.LittleEndian.Uint64(r[off:]), Lo: binary.LittleEndian.Uint64(r[off+8:])}
+}
+
+// Entry decodes slot. The bucket covers whole slots, so decoding cannot
+// fail.
+func (r RawBucket) Entry(slot int) IndexEntry {
+	e, _ := DecodeIndexEntry(r[SlotOffset(slot):])
+	return e
+}
+
+// Find returns the entry matching h and its slot, or ok=false on a miss.
+// The first matching slot wins, as in Bucket.Find.
+func (r RawBucket) Find(h hashring.KeyHash) (IndexEntry, int, bool) {
+	for i, n := 0, r.Ways(); i < n; i++ {
+		if r.Hash(i) == h {
+			return r.Entry(i), i, true
 		}
 	}
 	return IndexEntry{}, -1, false

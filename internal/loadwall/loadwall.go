@@ -124,7 +124,7 @@ type Op func(seq uint64) (serviceNs uint64, err error)
 // StepConfig describes one fixed-offered-load step.
 type StepConfig struct {
 	QPS     float64
-	Ops     int     // arrivals in the step (duration ≈ Ops/QPS)
+	Ops     int // arrivals in the step (duration ≈ Ops/QPS)
 	Arrival Arrival
 	Seed    uint64
 	Workers int // concurrent issuers; default 32

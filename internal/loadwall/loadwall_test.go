@@ -51,9 +51,9 @@ func TestCoordinatedOmission(t *testing.T) {
 	clock := &FakeClock{}
 	const (
 		qps       = 10000.0
-		serviceNs = 10_000      // 10µs modelled service
-		stallNs   = 50_000_000  // one 50ms server stall
-		stallAt   = 100         // op index that hits the stalled server
+		serviceNs = 10_000     // 10µs modelled service
+		stallNs   = 50_000_000 // one 50ms server stall
+		stallAt   = 100        // op index that hits the stalled server
 	)
 	var queued int
 	res := RunStep(clock, StepConfig{

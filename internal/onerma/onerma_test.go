@@ -1,6 +1,8 @@
 package onerma
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -143,6 +145,28 @@ func BenchmarkOneRMARead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := conn.Read(0, w.ID, 0, 4096); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDamagedPointerIsBoundsError: the 2×R data leg reads wherever the
+// IndexEntry pointer says, and that pointer came out of RMA-visible
+// memory. A flipped size bit or a wrapped offset must come back as
+// ErrOutOfBounds from the serving side, not as an allocation or a panic.
+func TestDamagedPointerIsBoundsError(t *testing.T) {
+	conn, w := newPair(nil)
+	for _, tc := range []struct{ off, n int }{
+		{0, 1 << 40},
+		{math.MaxInt64 - 8, 64},
+		{math.MaxInt64 - 8, math.MaxInt64 - 8},
+		{0, -1},
+	} {
+		data, tr, err := conn.Read(0, w.ID, tc.off, tc.n)
+		if !errors.Is(err, rmem.ErrOutOfBounds) || data != nil {
+			t.Errorf("Read(%d, %d) = %d bytes, %v; want ErrOutOfBounds", tc.off, tc.n, len(data), err)
+		}
+		if tr.Ns == 0 {
+			t.Errorf("Read(%d, %d): the refused command still crossed the fabric and must be billed", tc.off, tc.n)
 		}
 	}
 }

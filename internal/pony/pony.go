@@ -88,6 +88,8 @@ type NIC struct {
 	// cost two stores under an already-held lock.
 	queueNs uint64  // cumulative modelled queue-wait ns across ops
 	lastRho float64 // utilization at the most recent engine visit
+
+	scratch sync.Pool // *[]byte bucket buffers for the serving side's SCAR scan
 }
 
 // New builds a NIC on host. reg may be nil for client-only hosts; acct may
@@ -216,6 +218,43 @@ func (n *NIC) chargeOnly(ns uint64) {
 	}
 }
 
+// extent resolves win and checks [off, off+length) against its populated
+// extent. Both numbers come from outside — the initiator's geometry, a
+// pointer read out of RMA-visible memory — so this runs before either
+// sizes a buffer.
+func (n *NIC) extent(win rmem.WindowID, off, length int) (*rmem.Region, error) {
+	w, err := n.reg.Lookup(win)
+	if err != nil {
+		return nil, err
+	}
+	if !w.Region.InBounds(off, length) {
+		return nil, rmem.ErrOutOfBounds
+	}
+	return w.Region, nil
+}
+
+// peekBucket copies a bucket out of registered memory into pooled scratch
+// for the SCAR scan. The scratch never leaves ScanAndRead: the response
+// handed to the caller is a fresh buffer, and ScanAndRead returns the
+// scratch to the pool once it has copied from it.
+func (n *NIC) peekBucket(win rmem.WindowID, off, length int) (*[]byte, error) {
+	idx, err := n.extent(win, off, length)
+	if err != nil {
+		return nil, err
+	}
+	scratch, _ := n.scratch.Get().(*[]byte)
+	if scratch == nil || cap(*scratch) < length {
+		b := make([]byte, length)
+		scratch = &b
+	}
+	*scratch = (*scratch)[:length]
+	if err := idx.ReadInto(off, *scratch); err != nil {
+		n.scratch.Put(scratch)
+		return nil, err
+	}
+	return scratch, nil
+}
+
 func (n *NIC) payloadCost(bytes int) uint64 {
 	return uint64(bytes) * n.cost.PerKBNs / 1024
 }
@@ -328,7 +367,7 @@ func (c *Conn) ScanAndRead(at uint64, idxWin rmem.WindowID, bucketOff, bucketLen
 	}
 	// Server engine: read bucket, scan it, optionally follow the pointer.
 	scanCost := c.to.cost.EngineServiceNs + uint64(ways)*c.to.cost.ScanPerEntryNs
-	bucket, rerr := c.to.reg.Read(idxWin, bucketOff, bucketLen)
+	scratch, rerr := c.to.peekBucket(idxWin, bucketOff, bucketLen)
 	if rerr != nil {
 		serve, serr := c.to.service(scanCost)
 		if serr != nil {
@@ -339,22 +378,31 @@ func (c *Conn) ScanAndRead(at uint64, idxWin rmem.WindowID, bucketOff, bucketLen
 		tr.Add(deliverAt(c.from.host, at, &tr, 64))
 		return res, tr, rerr
 	}
-	res.Bucket = bucket
-
-	decoded, derr := layout.DecodeBucket(bucket, ways)
-	respBytes := bucketLen
-	if derr == nil {
-		if e, _, ok := decoded.Find(hash); ok && !e.Ptr.Nil() {
-			data, dataErr := c.to.reg.Read(e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
-			if dataErr == nil {
-				res.Data = data
-				res.Found = true
-				respBytes += len(data)
-				scanCost += c.to.payloadCost(len(data))
+	// The response is one buffer, as on the wire: the bucket, then the
+	// DataEntry the scan pointed at. The entry's extent is checked before it
+	// sizes anything — the pointer came out of RMA-visible memory. A failed
+	// pointer chase (window revoked mid-op, a damaged pointer) returns just
+	// the bucket; the client validates and retries via RPC. Bucket and entry
+	// are two separately-locked reads, never one atomic snapshot.
+	var ptr layout.Pointer
+	var data *rmem.Region
+	if raw, verr := layout.ViewBucket(*scratch, ways); verr == nil {
+		if e, _, ok := raw.Find(hash); ok && !e.Ptr.Nil() {
+			if data, _ = c.to.extent(e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size)); data != nil {
+				ptr = e.Ptr
 			}
-			// A failed pointer chase (window revoked mid-op) returns just
-			// the bucket; the client validates and retries via RPC.
 		}
+	}
+	resp := make([]byte, bucketLen+int(ptr.Size))
+	copy(resp, *scratch)
+	c.to.scratch.Put(scratch)
+	res.Bucket = resp[:bucketLen:bucketLen]
+	respBytes := bucketLen
+	if data != nil && data.ReadInto(int(ptr.Offset), resp[bucketLen:]) == nil {
+		res.Data = resp[bucketLen:]
+		res.Found = true
+		respBytes += len(res.Data)
+		scanCost += c.to.payloadCost(len(res.Data))
 	}
 	serve, serr := c.to.service(scanCost)
 	if serr != nil {

@@ -1,6 +1,10 @@
 package pony
 
 import (
+	"bytes"
+	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"cliquemap/internal/core/layout"
@@ -338,5 +342,147 @@ func TestMessageDownNIC(t *testing.T) {
 	rig.conn.Target().SetDown(true)
 	if _, _, err := rig.conn.Message(0, nil); err != nic.ErrUnreachable {
 		t.Errorf("down NIC message: %v", err)
+	}
+}
+
+// TestScarResponseIsOneBuffer: a SCAR response is one buffer — the bucket,
+// cap-limited, then the DataEntry — and only the bucket on a miss or a
+// failed pointer chase. The modelled side (latency, wire bytes, span
+// codes/args/starts/durations) is pinned to the values the two-copy
+// implementation produced for the same fixture.
+func TestScarResponseIsOneBuffer(t *testing.T) {
+	absent := func(r *testRig) hashring.KeyHash {
+		h := hashring.DefaultHash([]byte("absent"))
+		h.Lo = r.hash.Lo // same bucket, so the scan runs and misses
+		return h
+	}
+	stored := func(r *testRig) hashring.KeyHash { return r.hash }
+	for _, tc := range []struct {
+		name    string
+		hash    func(*testRig) hashring.KeyHash
+		prep    func(*testRig)
+		found   bool
+		wantErr error
+		ns      uint64
+		bytes   uint64
+		spans   []fabric.Span
+	}{
+		{"hit", stored, nil, true, nil, 5793, 458,
+			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 362, Start: 2721, Dur: 514}, {Code: 11, Start: 5559, Dur: 234}}},
+		{"miss", absent, nil, false, nil, 5780, 400,
+			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 304, Start: 2721, Dur: 512}, {Code: 11, Start: 5548, Dur: 232}}},
+		{"failed pointer chase", stored,
+			func(r *testRig) { r.conn.Target().Registry().Revoke(r.dataWin.ID) }, false, nil, 5780, 400,
+			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 304, Start: 2721, Dur: 512}, {Code: 11, Start: 5548, Dur: 232}}},
+		{"revoked index window", stored,
+			func(r *testRig) { r.conn.Target().Registry().Revoke(r.idxWin.ID) }, false, rmem.ErrRevoked, 5509, 96,
+			[]fabric.Span{{Code: 9, Dur: 440}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, []byte("scar-key"), []byte("scar-value"))
+			if tc.prep != nil {
+				tc.prep(rig)
+			}
+			res, tr, err := rig.conn.ScanAndRead(0, rig.idxWin.ID, rig.bucketOff(), rig.geo.BucketSize(), tc.hash(rig), rig.geo.Ways)
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if tr.Ns != tc.ns || tr.Bytes != tc.bytes || !slices.Equal(tr.Spans, tc.spans) {
+				t.Errorf("trace = %dns %dB %v\n want %dns %dB %v", tr.Ns, tr.Bytes, tr.Spans, tc.ns, tc.bytes, tc.spans)
+			}
+			if err != nil {
+				if res.Bucket != nil || res.Data != nil || res.Found {
+					t.Errorf("failed op returned %+v", res)
+				}
+				return
+			}
+			if len(res.Bucket) != rig.geo.BucketSize() || cap(res.Bucket) != len(res.Bucket) {
+				t.Fatalf("bucket len=%d cap=%d, want both %d", len(res.Bucket), cap(res.Bucket), rig.geo.BucketSize())
+			}
+			if res.Found != tc.found {
+				t.Fatalf("found = %v, want %v", res.Found, tc.found)
+			}
+			if !tc.found {
+				if res.Data != nil {
+					t.Errorf("bucket-only response carries %d data bytes", len(res.Data))
+				}
+				return
+			}
+			entry := append([]byte(nil), res.Data...)
+			if grown := append(res.Bucket, 0xff); &grown[0] == &res.Bucket[0] {
+				t.Error("append to the bucket reused the response buffer")
+			}
+			if !bytes.Equal(res.Data, entry) {
+				t.Error("appending to res.Bucket changed res.Data")
+			}
+			if e, err := layout.DecodeDataEntry(res.Data); err != nil || string(e.Value) != "scar-value" {
+				t.Errorf("entry = %q, %v", e.Value, err)
+			}
+		})
+	}
+
+	// The serving NIC's scan scratch is reused across calls; nothing handed
+	// out earlier may change when it is.
+	rig := newRig(t, []byte("scar-key"), []byte("scar-value"))
+	first, _, err := rig.conn.ScanAndRead(0, rig.idxWin.ID, rig.bucketOff(), rig.geo.BucketSize(), rig.hash, rig.geo.Ways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := append([]byte(nil), first.Bucket...)
+	otherOff := rig.geo.BucketOffset((int(rig.hash.Lo%uint64(rig.geo.Buckets)) + 1) % rig.geo.Buckets)
+	if _, _, err := rig.conn.ScanAndRead(0, rig.idxWin.ID, otherOff, rig.geo.BucketSize(), rig.hash, rig.geo.Ways); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bucket, snapshot) {
+		t.Error("a later SCAR rewrote an earlier response's bucket")
+	}
+}
+
+// TestDamagedPointerIsBoundsError: an IndexEntry pointer is read out of
+// RMA-visible memory, so a flipped size bit or a stale offset reaches the
+// serving NIC as-is. It must cost ErrOutOfBounds (Read) or a bucket-only
+// response (SCAR) — never an allocation sized by the damage.
+func TestDamagedPointerIsBoundsError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ptr  layout.Pointer
+	}{
+		{"size 1<<40", layout.Pointer{Offset: 0, Size: 1 << 40}},
+		{"offset MaxInt64-8", layout.Pointer{Offset: math.MaxInt64 - 8, Size: 64}},
+		{"offset and size wrap", layout.Pointer{Offset: math.MaxInt64 - 8, Size: math.MaxInt64 - 8}},
+		{"size top bit", layout.Pointer{Offset: 0, Size: 1 << 63}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, []byte("k"), []byte("v"))
+			tc.ptr.Window = rig.dataWin.ID
+			ie := make([]byte, layout.IndexEntrySize)
+			layout.EncodeIndexEntry(ie, layout.IndexEntry{Hash: rig.hash, Version: truetime.Version{Micros: 1}, Ptr: tc.ptr})
+			idx, err := rig.conn.Target().Registry().Lookup(rig.idxWin.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Region.Write(rig.bucketOff()+layout.BucketHeaderSize, ie); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, _, err := rig.conn.Read(0, tc.ptr.Window, int(tc.ptr.Offset), int(tc.ptr.Size)); !errors.Is(err, rmem.ErrOutOfBounds) {
+				t.Errorf("Read err = %v, want ErrOutOfBounds", err)
+			}
+			res, _, err := rig.conn.ScanAndRead(0, rig.idxWin.ID, rig.bucketOff(), rig.geo.BucketSize(), rig.hash, rig.geo.Ways)
+			if err != nil {
+				t.Fatalf("ScanAndRead: %v", err)
+			}
+			if res.Found || res.Data != nil || len(res.Bucket) != rig.geo.BucketSize() {
+				t.Errorf("response = found %v, %d data bytes, %d bucket bytes; want the bucket alone", res.Found, len(res.Data), len(res.Bucket))
+			}
+		})
+	}
+
+	// The initiator's geometry is a claim too.
+	rig := newRig(t, []byte("k"), []byte("v"))
+	for _, n := range []int{1 << 40, -1, math.MaxInt64} {
+		if _, _, err := rig.conn.ScanAndRead(0, rig.idxWin.ID, rig.bucketOff(), n, rig.hash, rig.geo.Ways); !errors.Is(err, rmem.ErrOutOfBounds) {
+			t.Errorf("bucketLen %d: err = %v, want ErrOutOfBounds", n, err)
+		}
 	}
 }

@@ -139,7 +139,10 @@ func (r *Region) Shrink(to int) {
 // consistent *per call*. Tearing arises between a writer's chunks, i.e. a
 // Read that lands between two WriteChunked sections of one logical entry.
 func (r *Region) Read(off, length int) ([]byte, error) {
-	if length < 0 || off < 0 {
+	// Check before allocating: length can come from a pointer read out of
+	// RMA-visible memory, and a flipped high bit must cost an error, not a
+	// terabyte make.
+	if !r.InBounds(off, length) {
 		return nil, ErrOutOfBounds
 	}
 	out := make([]byte, length)
@@ -149,6 +152,13 @@ func (r *Region) Read(off, length int) ([]byte, error) {
 	return out, nil
 }
 
+// InBounds reports whether [off, off+length) lies inside the populated
+// extent. The arithmetic cannot overflow, whatever the arguments.
+func (r *Region) InBounds(off, length int) bool {
+	p := r.populated.Load()
+	return off >= 0 && length >= 0 && int64(off) <= p && int64(length) <= p-int64(off)
+}
+
 // View returns a zero-copy aliasing slice of [off, off+length). It takes
 // no locks: the caller must order the view against writers of the same
 // byte range externally (the backend reads its own index bucket this way
@@ -156,7 +166,7 @@ func (r *Region) Read(off, length int) ([]byte, error) {
 // writers). The slice stays valid while the region does — Grow never
 // reallocates the backing array — but is invalidated by Shrink.
 func (r *Region) View(off, length int) ([]byte, error) {
-	if length < 0 || off < 0 || int64(off+length) > r.populated.Load() {
+	if !r.InBounds(off, length) {
 		return nil, ErrOutOfBounds
 	}
 	return r.buf[off : off+length : off+length], nil
@@ -164,10 +174,7 @@ func (r *Region) View(off, length int) ([]byte, error) {
 
 // ReadInto copies into caller storage, avoiding allocation on hot paths.
 func (r *Region) ReadInto(off int, dst []byte) error {
-	if off < 0 {
-		return ErrOutOfBounds
-	}
-	if int64(off+len(dst)) > r.populated.Load() {
+	if !r.InBounds(off, len(dst)) {
 		return ErrOutOfBounds
 	}
 	lo, hi := r.lockRange(off, len(dst))
@@ -180,10 +187,7 @@ func (r *Region) ReadInto(off int, dst []byte) error {
 // copy. Use for small metadata (an IndexEntry) whose publication must be
 // single-chunk-atomic.
 func (r *Region) Write(off int, data []byte) error {
-	if off < 0 {
-		return ErrOutOfBounds
-	}
-	if int64(off+len(data)) > r.populated.Load() {
+	if !r.InBounds(off, len(data)) {
 		return ErrOutOfBounds
 	}
 	lo, hi := r.lockRange(off, len(data))
@@ -197,10 +201,7 @@ func (r *Region) Write(off int, data []byte) error {
 // the new bytes and a suffix of the old — a torn entry. This is how all
 // DataEntry bodies are written.
 func (r *Region) WriteChunked(off int, data []byte) error {
-	if off < 0 {
-		return ErrOutOfBounds
-	}
-	if int64(off+len(data)) > r.populated.Load() {
+	if !r.InBounds(off, len(data)) {
 		return ErrOutOfBounds
 	}
 	for i := 0; i < len(data); i += WriteChunk {
@@ -219,7 +220,7 @@ func (r *Region) WriteChunked(off int, data []byte) error {
 		// read storm starved SETs for entire seconds.)
 		//
 		// Re-check: a concurrent Shrink could have raced us.
-		if int64(off+end) > r.populated.Load() {
+		if !r.InBounds(off, end) {
 			return ErrOutOfBounds
 		}
 		lo, hi := r.lockRange(off+i, end-i)

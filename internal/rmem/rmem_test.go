@@ -2,6 +2,7 @@ package rmem
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,67 @@ func TestBoundsChecking(t *testing.T) {
 	}
 	if err := r.WriteChunked(200, make([]byte, 100)); err != ErrOutOfBounds {
 		t.Errorf("chunked write past populated: %v", err)
+	}
+}
+
+// TestBoundsAreOverflowSafe: offsets and lengths can come from pointers
+// read out of RMA-visible memory. No combination may wrap the bounds
+// arithmetic into a pass, and Read must refuse before it allocates — a
+// 1<<40 length is an error, not a terabyte make.
+func TestBoundsAreOverflowSafe(t *testing.T) {
+	r := NewRegion(128, 256)
+	reg := NewRegistry()
+	w := reg.Register(r, 1)
+	for _, tc := range []struct{ off, n int }{
+		{0, 1 << 40},
+		{math.MaxInt64 - 8, 64},
+		{math.MaxInt64 - 8, math.MaxInt64 - 8},
+		{64, math.MaxInt64},
+		{math.MaxInt64, 0},
+		{129, 0},
+		{-1, 0},
+		{0, -1},
+		{math.MinInt64, math.MinInt64},
+	} {
+		if r.InBounds(tc.off, tc.n) {
+			t.Errorf("InBounds(%d, %d) = true", tc.off, tc.n)
+		}
+		if allocs := testing.AllocsPerRun(1, func() {
+			if _, err := r.Read(tc.off, tc.n); err != ErrOutOfBounds {
+				t.Errorf("Read(%d, %d): %v", tc.off, tc.n, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Read(%d, %d) allocated before refusing", tc.off, tc.n)
+		}
+		if _, err := r.View(tc.off, tc.n); err != ErrOutOfBounds {
+			t.Errorf("View(%d, %d): %v", tc.off, tc.n, err)
+		}
+		if _, err := reg.Read(w.ID, tc.off, tc.n); err != ErrOutOfBounds {
+			t.Errorf("Registry.Read(%d, %d): %v", tc.off, tc.n, err)
+		}
+		if tc.n >= 0 && tc.n <= 64 { // the slice-taking entry points, with a length one can hold
+			buf := make([]byte, tc.n)
+			if err := r.ReadInto(tc.off, buf); err != ErrOutOfBounds {
+				t.Errorf("ReadInto(%d, %d bytes): %v", tc.off, tc.n, err)
+			}
+			if err := r.Write(tc.off, buf); err != ErrOutOfBounds {
+				t.Errorf("Write(%d, %d bytes): %v", tc.off, tc.n, err)
+			}
+			if err := r.WriteChunked(tc.off, buf); err != ErrOutOfBounds {
+				t.Errorf("WriteChunked(%d, %d bytes): %v", tc.off, tc.n, err)
+			}
+		}
+	}
+	// The edges that are in bounds stay so.
+	for _, tc := range []struct{ off, n int }{{0, 128}, {128, 0}, {127, 1}, {0, 0}} {
+		if !r.InBounds(tc.off, tc.n) {
+			t.Errorf("[%d, %d+%d) must be in bounds", tc.off, tc.off, tc.n)
+		}
+	}
+	buf := make([]byte, 4)
+	r.Write(124, []byte{1, 2, 3, 4})
+	if err := r.ReadInto(124, buf); err != nil || buf[3] != 4 {
+		t.Errorf("ReadInto at the edge: %v %v", buf, err)
 	}
 }
 

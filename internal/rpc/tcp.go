@@ -263,12 +263,11 @@ func (g *TCPGateway) serveConn(conn net.Conn) {
 				// The remote caller's op identity crosses into the cell, so
 				// in-cell layers (stripe locks, handlers) deposit spans
 				// against it and the cell tracer sees remote traffic.
-				sc = &trace.SpanContext{
+				ctx, sc = trace.NewContext(ctx, trace.SpanContext{
 					OpID:    req.TraceID,
 					Kind:    trace.KindOf(req.Kind),
 					Attempt: uint32(req.Attempt),
-				}
-				ctx = trace.NewContext(ctx, sc)
+				})
 			}
 			payload, tr, cerr := caller.Call(ctx, req.Addr, req.Method, req.Payload)
 			resp.TraceNs = tr.Ns

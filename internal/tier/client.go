@@ -211,9 +211,9 @@ func (c *Client) traceOp(ctx context.Context, k trace.Kind) (*trace.SpanContext,
 	if c.tracer == nil || trace.FromContext(ctx) != nil {
 		return nil, ctx, nil
 	}
-	sc := &trace.SpanContext{OpID: c.tracer.NextID(), Kind: k}
+	ctx, sc := trace.NewContext(ctx, trace.SpanContext{OpID: c.tracer.NextID(), Kind: k})
 	tr := &fabric.OpTrace{Spans: make([]fabric.Span, 0, 12)}
-	return sc, trace.NewContext(ctx, sc), tr
+	return sc, ctx, tr
 }
 
 // finish records one completed tier op into the tier-edge tracer and its

@@ -203,9 +203,27 @@ const (
 	sinkKey
 )
 
-// NewContext attaches sc to ctx.
-func NewContext(ctx context.Context, sc *SpanContext) context.Context {
-	return context.WithValue(ctx, spanContextKey, sc)
+// spanCtx is a context node that carries its SpanContext by value, so
+// opening an op costs one allocation, not a SpanContext plus a
+// context.WithValue node.
+type spanCtx struct {
+	context.Context
+	sc SpanContext
+}
+
+func (c *spanCtx) Value(key any) any {
+	if key == any(spanContextKey) {
+		return &c.sc
+	}
+	return c.Context.Value(key)
+}
+
+// NewContext attaches sc to ctx. The returned pointer is the attached
+// copy — the one FromContext hands to every layer below — so the opener
+// updates Attempt through it.
+func NewContext(ctx context.Context, sc SpanContext) (context.Context, *SpanContext) {
+	c := &spanCtx{Context: ctx, sc: sc}
+	return c, &c.sc
 }
 
 // FromContext returns the span context attached to ctx, or nil.

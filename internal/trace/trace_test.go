@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync"
@@ -46,10 +47,20 @@ func TestCodeNameCoversAllCodes(t *testing.T) {
 }
 
 func TestSpanContextRoundTrip(t *testing.T) {
-	sc := &SpanContext{OpID: 7, Kind: KindSet, Attempt: 2}
-	ctx := NewContext(context.Background(), sc)
-	if got := FromContext(ctx); got != sc {
-		t.Fatalf("FromContext = %p, want %p", got, sc)
+	ctx, sc := NewContext(context.Background(), SpanContext{OpID: 7, Kind: KindSet, Attempt: 2})
+	if got := FromContext(ctx); got != sc || *got != (SpanContext{OpID: 7, Kind: KindSet, Attempt: 2}) {
+		t.Fatalf("FromContext = %p %+v, want %p", got, got, sc)
+	}
+	// The op's opener bumps Attempt through its pointer; layers below, even
+	// behind derived contexts, must see it.
+	sc.Attempt = 5
+	child, cancel := context.WithCancel(WithSink(ctx, GetSink()))
+	defer cancel()
+	if got := FromContext(child); got != sc || got.Attempt != 5 {
+		t.Fatalf("derived FromContext = %+v, want the same node with Attempt 5", got)
+	}
+	if SinkFrom(child) == nil {
+		t.Fatal("values attached below the span context must stay reachable")
 	}
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context must yield nil")
@@ -216,6 +227,42 @@ func TestWireSpanRoundTrip(t *testing.T) {
 		if in[i] != out[i] {
 			t.Errorf("span %d: %+v != %+v", i, in[i], out[i])
 		}
+	}
+}
+
+// TestEncodeSpansReusesOneEncoder: EncodeSpans shares one nested encoder
+// across a call's spans. The bytes must equal a fresh encoder per span —
+// wide fields followed by narrow ones would expose stale bytes from the
+// reuse — and the per-call cost must not scale with the span count.
+func TestEncodeSpansReusesOneEncoder(t *testing.T) {
+	spans := []fabric.Span{
+		{Code: 0xffff, Arg: 0xffffffff, Start: 1<<64 - 1, Dur: 1<<63 + 5},
+		{Code: SpanRPCClient, Arg: 0, Start: 0, Dur: 1},
+		{Code: SpanFabric, Arg: 1 << 20, Start: 77, Dur: 1 << 40},
+		{},
+	}
+	want := wire.NewRawEncoder()
+	for _, s := range spans {
+		m := wire.NewRawEncoder()
+		m.Uint(1, uint64(s.Code))
+		m.Uint(2, uint64(s.Arg))
+		m.Uint(3, s.Start)
+		m.Uint(4, s.Dur)
+		want.Message(5, m)
+	}
+	got := wire.NewRawEncoder()
+	EncodeSpans(got, 5, spans)
+	if !bytes.Equal(got.Encoded(), want.Encoded()) {
+		t.Fatalf("encoded bytes differ:\n got %x\nwant %x", got.Encoded(), want.Encoded())
+	}
+
+	many := make([]fabric.Span, 64)
+	e := wire.NewEncoderSized(8 << 10)
+	if n := testing.AllocsPerRun(50, func() {
+		e.Reset(true)
+		EncodeSpans(e, 5, many)
+	}); n > 2 {
+		t.Errorf("EncodeSpans of %d spans allocates %v times; one nested encoder serves the call", len(many), n)
 	}
 }
 

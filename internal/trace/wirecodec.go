@@ -16,8 +16,13 @@ const MaxWireSpans = 4096
 
 // EncodeSpans appends spans as repeated nested messages under tag.
 func EncodeSpans(e *wire.Encoder, tag uint64, spans []fabric.Span) {
+	if len(spans) == 0 {
+		return
+	}
+	// One nested encoder for the whole call: Message copies its bytes out.
+	m := wire.NewRawEncoder()
 	for _, s := range spans {
-		m := wire.NewRawEncoder()
+		m.Reset(false)
 		m.Uint(1, uint64(s.Code))
 		m.Uint(2, uint64(s.Arg))
 		m.Uint(3, s.Start)
