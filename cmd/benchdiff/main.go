@@ -1,6 +1,6 @@
-// Command benchdiff compares two cmbench -json perf-trajectory files
-// (BENCH_PRn.json seeds) and reports per-figure median deltas against a
-// regression gate.
+// Command benchdiff compares two cmbench -json files — in practice the
+// one committed figure-parity baseline, BENCH_PR10.json, against a fresh
+// run — and reports per-figure median deltas against a regression gate.
 //
 // Columns are matched by (figure name, row label, column name); rows
 // present in only one file are listed but not gated. Delta direction is
@@ -23,8 +23,9 @@
 //	benchdiff -q OLD.json NEW.json         # violations only
 //
 // Exits 1 if any gated column regresses past the gate, 0 otherwise — so
-// CI and the PR workflow can use it directly: regenerate BENCH_PRn.json,
-// then `benchdiff BENCH_PRn-1.json BENCH_PRn.json`.
+// CI and the PR workflow can use it directly: `cmbench -json now.json
+// -reps 3`, then `benchdiff BENCH_PR10.json now.json`. Per-PR performance
+// is judged by BENCHMARK.json + bench/, not by a trajectory of these files.
 package main
 
 import (

@@ -11,10 +11,10 @@
 //
 // Absolute values come from the calibrated simulation (see DESIGN.md); the
 // comparisons — who wins, by what factor, where crossovers fall — are the
-// reproduction targets recorded in EXPERIMENTS.md. The -json output is the
-// perf-trajectory record: per-benchmark medians across reps, committed as
-// BENCH_PRn.json seeds so future changes can diff against history instead
-// of prose.
+// reproduction targets recorded in EXPERIMENTS.md. The -json output holds
+// per-figure medians across reps; cmd/benchdiff compares it against the
+// one committed baseline, BENCH_PR10.json, to show a change left every
+// modelled column where it was.
 package main
 
 import (

@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fleet"
 	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 )
@@ -88,130 +89,32 @@ func main() {
 	defer client.Close()
 	ctx := context.Background()
 
-	var prev *snapshot
+	// One cell is a fleet of one: the scrape sequence is fleet.ScrapeCell's.
+	// prev retains a round so the next -watch round can print per-interval
+	// rates instead of cumulative counters.
+	tgt := fleet.Target{Name: *gateway, Caller: client}
+	var prev *fleet.CellScrape
 	for {
-		cur, err := collect(ctx, client, *maxSlow)
-		if err != nil {
+		// A cell whose config answers but whose every Stats call fails is
+		// still rendered: one unreachable row (and `errors` entry) per shard.
+		cur, err := fleet.ScrapeCell(ctx, tgt, *maxSlow, time.Now())
+		if err != nil && len(cur.Errors) == 0 {
 			fatal("%v", err)
 		}
 		if *jsonOut {
-			printJSON(cur)
+			printJSON(&cur)
 		} else {
-			printTables(cur, prev, *showTrace, *showTier, *maxHot)
+			printTables(&cur, prev, *showTrace, *showTier, *maxHot)
 		}
 		if *watch <= 0 {
 			return
 		}
-		prev = cur
+		prev = &cur
 		time.Sleep(*watch)
 		if !*jsonOut {
 			fmt.Println()
 		}
 	}
-}
-
-// snapshot retains one round of remote state so the next -watch round can
-// print per-interval rates instead of cumulative counters.
-type snapshot struct {
-	at     time.Time
-	cfg    proto.ConfigResp
-	stats  map[string]proto.StatsResp
-	errs   map[string]string // per-shard fetch failures
-	debug  proto.DebugResp
-	dbgOK  bool
-	health proto.HealthResp
-	hlOK   bool
-	tier   proto.TierResp
-	tierOK bool
-}
-
-// collect fetches one full snapshot over the gateway. The Debug and
-// Health methods are additive: older cells answer ErrNoSuchMethod and the
-// corresponding sections are simply absent.
-func collect(ctx context.Context, client *rpc.TCPClient, maxSlow int) (*snapshot, error) {
-	// Discover the shard map. Any backend answers; shard addresses are
-	// conventional, so probe the first.
-	raw, _, err := client.Call(ctx, "backend-0", proto.MethodConfig, nil)
-	if err != nil {
-		return nil, fmt.Errorf("config discovery: %w", err)
-	}
-	cfg, err := proto.UnmarshalConfigResp(raw)
-	if err != nil {
-		return nil, fmt.Errorf("config decode: %w", err)
-	}
-	cur := &snapshot{
-		at:    time.Now(),
-		cfg:   cfg,
-		stats: make(map[string]proto.StatsResp),
-		errs:  make(map[string]string),
-	}
-	// During a resize the pending epoch may route to addresses outside
-	// the old shard map (spares being promoted), so poll the union.
-	addrs := append([]string{}, cfg.ShardAddrs...)
-	for _, addr := range cfg.PendingShardAddrs {
-		seen := false
-		for _, a := range addrs {
-			seen = seen || a == addr
-		}
-		if !seen {
-			addrs = append(addrs, addr)
-		}
-	}
-	for _, addr := range addrs {
-		raw, _, err := client.Call(ctx, addr, proto.MethodStats, nil)
-		if err != nil {
-			cur.errs[addr] = err.Error()
-			continue
-		}
-		st, serr := proto.UnmarshalStatsResp(raw)
-		if serr != nil {
-			cur.errs[addr] = serr.Error()
-			continue
-		}
-		cur.stats[addr] = st
-	}
-	// The tracing and health planes are cell-wide: any reachable backend
-	// serves them.
-	for _, addr := range cfg.ShardAddrs {
-		raw, _, err := client.Call(ctx, addr, proto.MethodDebug, proto.DebugReq{MaxSlow: maxSlow}.Marshal())
-		if err != nil {
-			continue
-		}
-		dbg, derr := proto.UnmarshalDebugResp(raw)
-		if derr != nil {
-			return nil, fmt.Errorf("debug decode: %w", derr)
-		}
-		cur.debug, cur.dbgOK = dbg, true
-		break
-	}
-	for _, addr := range cfg.ShardAddrs {
-		raw, _, err := client.Call(ctx, addr, proto.MethodHealth, proto.HealthReq{}.Marshal())
-		if err != nil {
-			continue
-		}
-		hl, herr := proto.UnmarshalHealthResp(raw)
-		if herr != nil {
-			return nil, fmt.Errorf("health decode: %w", herr)
-		}
-		cur.health, cur.hlOK = hl, true
-		break
-	}
-	// The tier routing snapshot is fleet-wide: any member cell's backend
-	// serves it. Additive method — pre-tier cells error and the section
-	// is absent; cells outside a tier answer an empty snapshot.
-	for _, addr := range cfg.ShardAddrs {
-		raw, _, err := client.Call(ctx, addr, proto.MethodTier, proto.TierReq{}.Marshal())
-		if err != nil {
-			continue
-		}
-		ti, terr := proto.UnmarshalTierResp(raw)
-		if terr != nil {
-			return nil, fmt.Errorf("tier decode: %w", terr)
-		}
-		cur.tier, cur.tierOK = ti, true
-		break
-	}
-	return cur, nil
 }
 
 // jsonReport is the -json document: the full remote state of one
@@ -226,16 +129,18 @@ type jsonReport struct {
 	Tier   *proto.TierResp            `json:"tier,omitempty"`
 }
 
-func printJSON(cur *snapshot) {
-	rep := jsonReport{At: cur.at, Config: cur.cfg, Stats: cur.stats, Errors: cur.errs}
-	if cur.dbgOK {
-		rep.Debug = &cur.debug
+func printJSON(cur *fleet.CellScrape) {
+	rep := jsonReport{At: cur.At, Config: cur.Config, Stats: cur.Stats, Errors: cur.Errors}
+	if cur.DebugOK {
+		dbg := cur.Debug
+		dbg.HotKeys = cur.HotKeys // the cell's sketch, not one shard's
+		rep.Debug = &dbg
 	}
-	if cur.hlOK {
-		rep.Health = &cur.health
+	if cur.HealthOK {
+		rep.Health = &cur.Health
 	}
-	if cur.tierOK && len(cur.tier.Cells) > 0 {
-		rep.Tier = &cur.tier
+	if cur.TierOK && len(cur.Tier.Cells) > 0 {
+		rep.Tier = &cur.Tier
 	}
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(rep); err != nil {
@@ -256,8 +161,8 @@ func delta(cur, prev uint64, restarted *bool) uint64 {
 	return cur - prev
 }
 
-func printTables(cur, prev *snapshot, showTrace, showTier bool, maxHot int) {
-	cfg := cur.cfg
+func printTables(cur, prev *fleet.CellScrape, showTrace, showTier bool, maxHot int) {
+	cfg := cur.Config
 	fmt.Printf("cell config id=%d replicas=%d quorum=%d shards=%d\n",
 		cfg.ConfigID, cfg.Replicas, cfg.Quorum, len(cfg.ShardAddrs))
 	if cfg.PendingShards > 0 {
@@ -273,14 +178,14 @@ func printTables(cur, prev *snapshot, showTrace, showTier bool, maxHot int) {
 		fmt.Fprintln(w, "SHARD\tADDR\tKEYS\tMEMORY\tSETS\tEVICT\tRESIZE\tGROWS\tREPAIRS\tREJECTS\tSTRIPES\tSKEW\tSEALED")
 	}
 	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.stats[addr]
+		st, ok := cur.Stats[addr]
 		if !ok {
-			fmt.Fprintf(w, "%d\t%s\t(unreachable: %s)\n", shard, addr, cur.errs[addr])
+			fmt.Fprintf(w, "%d\t%s\t(unreachable: %s)\n", shard, addr, cur.Errors[addr])
 			continue
 		}
 		if delt {
-			elapsed := cur.at.Sub(prev.at).Seconds()
-			p := prev.stats[addr]
+			elapsed := cur.At.Sub(prev.At).Seconds()
+			p := prev.Stats[addr]
 			restarted := false
 			fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%s\t%s\t%d\t%d\t%d\t%s\t%v\n",
 				shard, addr, st.ResidentKeys, fmtBytes(st.MemoryBytes),
@@ -311,13 +216,13 @@ func printTables(cur, prev *snapshot, showTrace, showTier bool, maxHot int) {
 	printSaturation(cur, prev)
 	printPromoted(cur)
 
-	if cur.tierOK && (showTier || len(cur.tier.Cells) > 0) {
-		printTier(cur.tier)
+	if cur.TierOK && (showTier || len(cur.Tier.Cells) > 0) {
+		printTier(cur.Tier)
 	}
-	if cur.hlOK {
-		printHealth(cur.health)
+	if cur.HealthOK {
+		printHealth(cur.Health)
 	}
-	if cur.dbgOK {
+	if cur.DebugOK {
 		printDebug(cur, prev, showTrace, maxHot)
 	}
 }
@@ -327,11 +232,11 @@ func printTables(cur, prev *snapshot, showTrace, showTier bool, maxHot int) {
 // that checkpoint, and — after a warm restart — how much of the corpus
 // came back from disk and how much of it has self-validated against the
 // quorum. Omitted entirely when no shard runs with a data directory.
-func printRecovery(cur *snapshot) {
-	cfg := cur.cfg
+func printRecovery(cur *fleet.CellScrape) {
+	cfg := cur.Config
 	any := false
 	for _, addr := range cfg.ShardAddrs {
-		st, ok := cur.stats[addr]
+		st, ok := cur.Stats[addr]
 		if ok && (st.CkptUnixNano != 0 || st.JournalRecords != 0 || st.JournalBytes != 0 ||
 			st.RecoveredKeys != 0 || st.Recovering) {
 			any = true
@@ -344,13 +249,13 @@ func printRecovery(cur *snapshot) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "\nRECOVERY\tADDR\tCKPT EPOCH\tCKPT AGE\tJOURNAL\tJBYTES\tRECOVERED\tREPLAYED\tSELFVAL\tRECOVERING")
 	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.stats[addr]
+		st, ok := cur.Stats[addr]
 		if !ok {
 			continue
 		}
 		age := "-"
 		if st.CkptUnixNano != 0 {
-			age = cur.at.Sub(time.Unix(0, int64(st.CkptUnixNano))).Round(time.Second).String()
+			age = cur.At.Sub(time.Unix(0, int64(st.CkptUnixNano))).Round(time.Second).String()
 		}
 		fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%d\t%s\t%d\t%d\t%d\t%v\n",
 			shard, addr, st.CkptEpoch, age,
@@ -369,11 +274,11 @@ func printRecovery(cur *snapshot) {
 // ranks resources by — with restart resets clamped to zero like every
 // other counter. Omitted for cells that predate the telemetry (all
 // saturation fields decode as zero).
-func printSaturation(cur, prev *snapshot) {
-	cfg := cur.cfg
+func printSaturation(cur, prev *fleet.CellScrape) {
+	cfg := cur.Config
 	any := false
 	for _, addr := range cfg.ShardAddrs {
-		st, ok := cur.stats[addr]
+		st, ok := cur.Stats[addr]
 		if ok && (st.RPCWorkerLimit != 0 || st.NICEngines != 0) {
 			any = true
 			break
@@ -391,14 +296,14 @@ func printSaturation(cur, prev *snapshot) {
 	}
 	var restartedShards []string
 	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.stats[addr]
+		st, ok := cur.Stats[addr]
 		if !ok {
 			continue
 		}
 		workers := fmt.Sprintf("%d/%d", st.RPCWorkersBusy, st.RPCWorkerLimit)
 		if delt {
-			elapsed := cur.at.Sub(prev.at).Seconds()
-			p := prev.stats[addr]
+			elapsed := cur.At.Sub(prev.At).Seconds()
+			p := prev.Stats[addr]
 			restarted := false
 			qwait := delta(st.RPCSubmitWaitNs, p.RPCSubmitWaitNs, &restarted) +
 				delta(st.RPCQueueNs, p.RPCQueueNs, &restarted)
@@ -437,11 +342,11 @@ func printSaturation(cur, prev *snapshot) {
 // membership change — clients revalidate their piggybacked view against
 // it) and the keys themselves. Omitted when no shard promotes (HotK
 // disabled, or the workload has no stable head).
-func printPromoted(cur *snapshot) {
-	cfg := cur.cfg
+func printPromoted(cur *fleet.CellScrape) {
+	cfg := cur.Config
 	any := false
 	for _, addr := range cfg.ShardAddrs {
-		if st, ok := cur.stats[addr]; ok && (st.HotEpoch != 0 || len(st.HotKeys) > 0) {
+		if st, ok := cur.Stats[addr]; ok && (st.HotEpoch != 0 || len(st.HotKeys) > 0) {
 			any = true
 			break
 		}
@@ -452,7 +357,7 @@ func printPromoted(cur *snapshot) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "\nPROMOTED\tADDR\tEPOCH\tKEYS\tSET")
 	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.stats[addr]
+		st, ok := cur.Stats[addr]
 		if !ok {
 			continue
 		}
@@ -510,8 +415,8 @@ func printTier(t proto.TierResp) {
 // flips read authority to the pending epoch), and one row per pending
 // shard with the owning backend's own view of the handoff — useful for
 // spotting a resize wedged mid-shard.
-func printResize(cur *snapshot) {
-	cfg := cur.cfg
+func printResize(cur *fleet.CellScrape) {
+	cfg := cur.Config
 	sealed := 0
 	for _, s := range cfg.SealedOld {
 		if s {
@@ -533,7 +438,7 @@ func printResize(cur *snapshot) {
 			}
 		}
 		hseal, target := "?", "?"
-		if st, ok := cur.stats[addr]; ok {
+		if st, ok := cur.Stats[addr]; ok {
 			hseal = fmt.Sprintf("%v", st.HandoffSealed)
 			target = fmt.Sprintf("%d", st.PendingShards)
 		}
@@ -575,48 +480,45 @@ func printHealth(h proto.HealthResp) {
 }
 
 // printHeat renders the key-heat telemetry: the heavy-hitter sketch
-// (counts are over-estimates by at most ERR) and the per-stripe load
-// spread.
-func printHeat(dbg proto.DebugResp, maxHot int) {
-	if len(dbg.HotKeys) == 0 && len(dbg.StripeHeat) == 0 {
-		return
-	}
-	if n := len(dbg.HotKeys); n > 0 {
+// unioned across the cell's shards (counts are over-estimates by at most
+// ERR) and the per-stripe load spread.
+func printHeat(hotKeys []proto.DebugHotKey, stripeHeat []uint64, maxHot int) {
+	if n := len(hotKeys); n > 0 {
 		if n > maxHot {
 			n = maxHot
 		}
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "\nHOT KEY\tCOUNT\tERR")
-		for _, hk := range dbg.HotKeys[:n] {
+		for _, hk := range hotKeys[:n] {
 			fmt.Fprintf(w, "%s\t%d\t%d\n", fmtKey(hk.Key), hk.Count, hk.Err)
 		}
 		w.Flush()
 	}
-	if len(dbg.StripeHeat) > 0 {
+	if len(stripeHeat) > 0 {
 		var total, max uint64
-		for _, n := range dbg.StripeHeat {
+		for _, n := range stripeHeat {
 			total += n
 			if n > max {
 				max = n
 			}
 		}
 		if total > 0 {
-			mean := float64(total) / float64(len(dbg.StripeHeat))
+			mean := float64(total) / float64(len(stripeHeat))
 			fmt.Printf("stripe heat: %d stripes, %d ops, hottest %.2fx mean\n",
-				len(dbg.StripeHeat), total, float64(max)/mean)
+				len(stripeHeat), total, float64(max)/mean)
 		}
 	}
 }
 
-func printDebug(cur, prev *snapshot, showTrace bool, maxHot int) {
-	dbg := cur.debug
+func printDebug(cur, prev *fleet.CellScrape, showTrace bool, maxHot int) {
+	dbg := cur.Debug
 	fmt.Printf("\ntracing: ops=%d slow=%d slow_threshold=%v\n",
 		dbg.OpsTotal, dbg.SlowTotal, time.Duration(dbg.SlowThresholdNs))
-	if prev != nil && prev.dbgOK {
-		elapsed := cur.at.Sub(prev.at).Seconds()
+	if prev != nil && prev.DebugOK {
+		elapsed := cur.At.Sub(prev.At).Seconds()
 		restarted := false
-		dOps := delta(dbg.OpsTotal, prev.debug.OpsTotal, &restarted)
-		dSlow := delta(dbg.SlowTotal, prev.debug.SlowTotal, &restarted)
+		dOps := delta(dbg.OpsTotal, prev.Debug.OpsTotal, &restarted)
+		dSlow := delta(dbg.SlowTotal, prev.Debug.SlowTotal, &restarted)
 		note := ""
 		if restarted {
 			note = " (tracer reset; interval clamped)"
@@ -637,13 +539,13 @@ func printDebug(cur, prev *snapshot, showTrace bool, maxHot int) {
 
 	if len(dbg.CPU) > 0 {
 		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		if prev != nil && prev.dbgOK {
+		if prev != nil && prev.DebugOK {
 			// Per-interval attribution: CPU-ns spent per op completed in
 			// the window, per component.
-			elapsed := cur.at.Sub(prev.at).Seconds()
+			elapsed := cur.At.Sub(prev.At).Seconds()
 			fmt.Fprintln(w, "\nCPU COMPONENT\tOPS/s\tCPU-ns/op")
-			prevCPU := make(map[string]proto.DebugCPU, len(prev.debug.CPU))
-			for _, c := range prev.debug.CPU {
+			prevCPU := make(map[string]proto.DebugCPU, len(prev.Debug.CPU))
+			for _, c := range prev.Debug.CPU {
 				prevCPU[c.Component] = c
 			}
 			for _, c := range dbg.CPU {
@@ -688,7 +590,7 @@ func printDebug(cur, prev *snapshot, showTrace bool, maxHot int) {
 		w.Flush()
 	}
 
-	printHeat(dbg, maxHot)
+	printHeat(cur.HotKeys, dbg.StripeHeat, maxHot)
 
 	if !showTrace {
 		return

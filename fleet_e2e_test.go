@@ -146,3 +146,43 @@ func truncHot(v *fleet.View) []string {
 	}
 	return out
 }
+
+// TestFleetScrapeCellUnionsShardSketches drives the one scrape sequence
+// (cmstat's, and the aggregator's) against a live 4-shard cell whose keys
+// each live on a single shard: the cell's hot-key ranking must span every
+// shard's sketch, not stop at the first responder's, and must be exactly
+// what a one-cell fleet view ranks.
+func TestFleetScrapeCellUnionsShardSketches(t *testing.T) {
+	c, err := NewCell(Options{Shards: 4, Spares: 0, Mode: R1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cl := c.NewClient(ClientOptions{})
+	for i := 0; i < 32; i++ {
+		for n := 0; n <= i%4; n++ {
+			if err := cl.Set(ctx, []byte(fmt.Sprintf("union-key-%02d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tgt := fleet.Target{Name: "solo", Caller: c.Internal().Net.Client(0, "cmstat")}
+	cs, err := fleet.ScrapeCell(ctx, tgt, 8, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Stats) != 4 || len(cs.Errors) != 0 || !cs.DebugOK || !cs.HealthOK || !cs.TierOK {
+		t.Fatalf("incomplete scrape: stats=%d errors=%v debug=%v health=%v tier=%v",
+			len(cs.Stats), cs.Errors, cs.DebugOK, cs.HealthOK, cs.TierOK)
+	}
+	if len(cs.HotKeys) != 32 {
+		t.Errorf("cell ranking holds %d keys, want all 32", len(cs.HotKeys))
+	}
+	if one := len(cs.Debug.HotKeys); one == 0 || one >= len(cs.HotKeys) {
+		t.Errorf("first shard's sketch holds %d keys, the cell's union %d: the union should be wider", one, len(cs.HotKeys))
+	}
+	v := fleet.New([]fleet.Target{tgt}, fleet.Options{}).ScrapeOnce(ctx)
+	if fmt.Sprint(v.HotKeys) != fmt.Sprint(cs.HotKeys) {
+		t.Errorf("one-cell fleet view ranks\n %v\nthe cell scrape\n %v", v.HotKeys, cs.HotKeys)
+	}
+}

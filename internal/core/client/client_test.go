@@ -12,6 +12,7 @@ import (
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/nic"
+	"cliquemap/internal/onerma"
 	"cliquemap/internal/pony"
 	"cliquemap/internal/rmem"
 	"cliquemap/internal/rpc"
@@ -86,6 +87,18 @@ func (r *rig) newClientAt(opt Options, now NowFunc) *Client {
 		return pony.Dial(r.f, local, r.nics[host]).Message(at, req)
 	}
 	return New(opt, r.store, r.net.Client(clientHost, "test"), r.clock, dial, msg, now, r.acct)
+}
+
+// newClient1RMA builds a client reaching the rig's backends through
+// fixed-function 1RMA NICs over the same registered memory: plain Reads
+// only, no ScanAndRead, no NIC messaging.
+func (r *rig) newClient1RMA(opt Options) *Client {
+	opt.HostID = clientHost
+	local := onerma.New(r.f.Host(clientHost), nil, onerma.CostModel{}, r.acct, nil)
+	dial := func(host int) nic.RMA {
+		return onerma.Dial(r.f, local, onerma.New(r.f.Host(host), r.regs[host], onerma.CostModel{}, r.acct, nil))
+	}
+	return New(opt, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
 }
 
 func TestStrategyStrings(t *testing.T) {

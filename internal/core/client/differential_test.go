@@ -16,15 +16,22 @@ import (
 // fetch, so every op must return the same (value, found), and every GET's
 // trace must have the same shape: an index phase that costs the k-th
 // fastest of the live legs, followed by a data read only where the fetch
-// did not already carry the value (2×R).
+// did not already carry the value (2×R). The last row asks for SCAR from
+// a 1RMA cohort, whose NICs cannot scan: it must degrade to exactly 2×R —
+// same results, the dependent data read, and no hit ever mistaken for a
+// torn scan and pushed down the retry ladder to the RPC fallback.
 func TestStrategiesAgree(t *testing.T) {
 	type result struct {
 		val   string
 		found bool
 	}
-	replay := func(t *testing.T, strat Strategy) []result {
+	replay := func(t *testing.T, strat Strategy, on1RMA bool) []result {
 		r := newRig(t)
-		cl := r.newClient(Options{Strategy: strat})
+		newClient := r.newClient
+		if on1RMA {
+			newClient = r.newClient1RMA
+		}
+		cl := newClient(Options{Strategy: strat})
 		ctx := context.Background()
 		rng := rand.New(rand.NewSource(14))
 		var out []result
@@ -58,7 +65,7 @@ func TestStrategiesAgree(t *testing.T) {
 					phase += w.Dur
 				}
 				data, hasData := spanOf(tr, trace.SpanDataRead)
-				if hasData != (strat == Strategy2xR && found) {
+				if hasData != ((strat == Strategy2xR || on1RMA) && found) {
 					t.Fatalf("op %d: data-read span present=%v (found=%v)", op, hasData, found)
 				}
 				if want := phase + data.Dur; tr.Ns != want {
@@ -72,16 +79,23 @@ func TestStrategiesAgree(t *testing.T) {
 		return out
 	}
 
-	want := replay(t, Strategy2xR)
-	for _, strat := range []Strategy{StrategySCAR, StrategyMSG, StrategyRPC} {
-		t.Run(strat.String(), func(t *testing.T) {
-			got := replay(t, strat)
+	want := replay(t, Strategy2xR, false)
+	for _, tc := range []struct {
+		name   string
+		strat  Strategy
+		on1RMA bool
+	}{
+		{"SCAR", StrategySCAR, false}, {"MSG", StrategyMSG, false}, {"RPC", StrategyRPC, false},
+		{"SCAR-on-1RMA", StrategySCAR, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := replay(t, tc.strat, tc.on1RMA)
 			if len(got) != len(want) {
 				t.Fatalf("%d GETs, want %d", len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("GET #%d: %s returned %+v, 2xR returned %+v", i, strat, got[i], want[i])
+					t.Errorf("GET #%d: %s returned %+v, 2xR returned %+v", i, tc.name, got[i], want[i])
 				}
 			}
 		})

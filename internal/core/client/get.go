@@ -226,8 +226,10 @@ func (c *Client) readData(at, origin uint64, key []byte, how fetch, views []inde
 		switch {
 		case v.data != nil:
 			raw = v.data
-		case how == fetchScar:
-			// Scan missed on the wire (e.g. racing rewrite): retryable.
+		case how == fetchScar && v.rep.conn.SupportsScar():
+			// Scan missed on the wire (e.g. racing rewrite): retryable. A
+			// connection that cannot scan (1RMA) got a plain bucket Read in
+			// fetchIndex and takes the dependent read below.
 			lastErr = layout.ErrTornRead
 			continue
 		default:

@@ -3,7 +3,6 @@ package proto
 import (
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
-	"cliquemap/internal/trace"
 	"cliquemap/internal/wire"
 )
 
@@ -19,345 +18,98 @@ import (
 // DebugReq bounds the reply.
 type DebugReq struct {
 	// MaxSlow caps the slow-op traces returned; 0 means all retained.
-	MaxSlow int
+	MaxSlow int `wire:"1"`
 }
 
 // Marshal encodes the request.
-func (r DebugReq) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, uint64(r.MaxSlow))
-	return e.Encoded()
-}
+func (r DebugReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalDebugReq decodes the request.
-func UnmarshalDebugReq(b []byte) (DebugReq, error) {
-	var r DebugReq
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		if d.Tag() == 1 {
-			r.MaxSlow = int(d.Uint())
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalDebugReq(b []byte) (DebugReq, error) { return decode[DebugReq](b) }
 
 // DebugHist summarizes one kind/transport latency histogram. SumNs and
 // Buckets (added after initial deployment — additive tags, absent from
 // old senders) carry the raw log-linear distribution so a fleet
 // aggregator can merge per-cell histograms into true fleet percentiles
-// instead of averaging quantiles.
+// instead of averaging quantiles. A received frame keeps at most
+// stats.NumBuckets buckets: a histogram has no more.
 type DebugHist struct {
-	Kind      string
-	Transport string
-	Count     uint64
-	MeanNs    uint64
-	P50Ns     uint64
-	P90Ns     uint64
-	P99Ns     uint64
-	P999Ns    uint64
-	MaxNs     uint64
-	SumNs     uint64
-	Buckets   []stats.HistBucket
+	Kind      string             `wire:"1"`
+	Transport string             `wire:"2"`
+	Count     uint64             `wire:"3"`
+	MeanNs    uint64             `wire:"4"`
+	P50Ns     uint64             `wire:"5"`
+	P90Ns     uint64             `wire:"6"`
+	P99Ns     uint64             `wire:"7"`
+	P999Ns    uint64             `wire:"8"`
+	MaxNs     uint64             `wire:"9"`
+	SumNs     uint64             `wire:"10"`
+	Buckets   []stats.HistBucket `wire:"11,max=1024"`
 }
 
 // DebugCPU is one component's CPU account.
 type DebugCPU struct {
-	Component string
-	TotalNs   uint64
-	Ops       uint64
+	Component string `wire:"1"`
+	TotalNs   uint64 `wire:"2"`
+	Ops       uint64 `wire:"3"`
 }
 
-// DebugOp is one retained op trace.
+// DebugOp is one retained op trace. A received frame keeps at most
+// trace.MaxWireSpans spans.
 type DebugOp struct {
-	ID        uint64
-	Kind      string
-	Transport string
-	Attempts  uint32
-	Ns        uint64
-	Bytes     uint64
-	WallNs    int64
-	Spans     []fabric.Span
+	ID        uint64        `wire:"1"`
+	Kind      string        `wire:"2"`
+	Transport string        `wire:"3"`
+	Attempts  uint32        `wire:"4"`
+	Ns        uint64        `wire:"5"`
+	Bytes     uint64        `wire:"6"`
+	WallNs    int64         `wire:"7,zigzag"`
+	Spans     []fabric.Span `wire:"8,max=4096"`
 }
 
 // DebugHazard is one chaos hazard class's injection count.
 type DebugHazard struct {
-	Name  string
-	Count uint64
+	Name  string `wire:"1"`
+	Count uint64 `wire:"2"`
 }
 
 // DebugHealth is one backend's client-observed health gauge. Score
 // travels in milli-units (0..1000) to stay integer on the wire.
 type DebugHealth struct {
-	Addr       string
-	ScoreMilli uint64
-	Demoted    bool
+	Addr       string `wire:"1"`
+	ScoreMilli uint64 `wire:"2"`
+	Demoted    bool   `wire:"3,omitzero"`
 }
 
 // DebugHotKey is one entry of the backend's space-saving top-k sketch:
 // an (over-)estimated access count and the bound on the over-estimate
 // (≤ N/k), so consumers can judge how trustworthy the ranking is.
 type DebugHotKey struct {
-	Key   string
-	Count uint64
-	Err   uint64
+	Key   string `wire:"1"`
+	Count uint64 `wire:"2"`
+	Err   uint64 `wire:"3"`
 }
 
 // DebugResp is the tracer snapshot.
 type DebugResp struct {
-	OpsTotal        uint64
-	SlowTotal       uint64
-	SlowThresholdNs uint64
-	Hists           []DebugHist
-	CPU             []DebugCPU
-	SlowOps         []DebugOp
-	Exemplars       []DebugOp
-	Hazards         []DebugHazard
-	Health          []DebugHealth
+	OpsTotal        uint64        `wire:"1"`
+	SlowTotal       uint64        `wire:"2"`
+	SlowThresholdNs uint64        `wire:"3"`
+	Hists           []DebugHist   `wire:"4"`
+	CPU             []DebugCPU    `wire:"5"`
+	SlowOps         []DebugOp     `wire:"6"`
+	Exemplars       []DebugOp     `wire:"7"`
+	Hazards         []DebugHazard `wire:"8"`
+	Health          []DebugHealth `wire:"9"`
 	// HotKeys is the backend's heavy-hitter sketch, hottest first;
 	// StripeHeat is the per-lock-stripe op count, in stripe order — the
 	// key-skew and stripe-imbalance telemetry of the health plane.
-	HotKeys    []DebugHotKey
-	StripeHeat []uint64
-}
-
-func encodeDebugHist(e *wire.Encoder, tag uint64, h DebugHist) {
-	m := wire.NewRawEncoder()
-	m.String(1, h.Kind)
-	m.String(2, h.Transport)
-	m.Uint(3, h.Count)
-	m.Uint(4, h.MeanNs)
-	m.Uint(5, h.P50Ns)
-	m.Uint(6, h.P90Ns)
-	m.Uint(7, h.P99Ns)
-	m.Uint(8, h.P999Ns)
-	m.Uint(9, h.MaxNs)
-	m.Uint(10, h.SumNs)
-	for _, b := range h.Buckets {
-		bm := wire.NewRawEncoder()
-		bm.Uint(1, uint64(b.Index))
-		bm.Uint(2, b.Count)
-		m.Message(11, bm)
-	}
-	e.Message(tag, m)
-}
-
-func decodeDebugHist(b []byte) DebugHist {
-	var h DebugHist
-	d := wire.NewRawDecoder(b)
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			h.Kind = d.String()
-		case 2:
-			h.Transport = d.String()
-		case 3:
-			h.Count = d.Uint()
-		case 4:
-			h.MeanNs = d.Uint()
-		case 5:
-			h.P50Ns = d.Uint()
-		case 6:
-			h.P90Ns = d.Uint()
-		case 7:
-			h.P99Ns = d.Uint()
-		case 8:
-			h.P999Ns = d.Uint()
-		case 9:
-			h.MaxNs = d.Uint()
-		case 10:
-			h.SumNs = d.Uint()
-		case 11:
-			if len(h.Buckets) >= stats.NumBuckets {
-				break // fabricated frame; a histogram has ≤ NumBuckets entries
-			}
-			var hb stats.HistBucket
-			bd := wire.NewRawDecoder(d.Bytes())
-			for bd.Next() {
-				switch bd.Tag() {
-				case 1:
-					hb.Index = uint32(bd.Uint())
-				case 2:
-					hb.Count = bd.Uint()
-				}
-			}
-			h.Buckets = append(h.Buckets, hb)
-		}
-	}
-	return h
-}
-
-func encodeDebugOp(e *wire.Encoder, tag uint64, o DebugOp) {
-	m := wire.NewRawEncoder()
-	m.Uint(1, o.ID)
-	m.String(2, o.Kind)
-	m.String(3, o.Transport)
-	m.Uint(4, uint64(o.Attempts))
-	m.Uint(5, o.Ns)
-	m.Uint(6, o.Bytes)
-	m.Int(7, o.WallNs)
-	trace.EncodeSpans(m, 8, o.Spans)
-	e.Message(tag, m)
-}
-
-func decodeDebugOp(b []byte) DebugOp {
-	var o DebugOp
-	d := wire.NewRawDecoder(b)
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			o.ID = d.Uint()
-		case 2:
-			o.Kind = d.String()
-		case 3:
-			o.Transport = d.String()
-		case 4:
-			o.Attempts = uint32(d.Uint())
-		case 5:
-			o.Ns = d.Uint()
-		case 6:
-			o.Bytes = d.Uint()
-		case 7:
-			o.WallNs = d.Int()
-		case 8:
-			if len(o.Spans) < trace.MaxWireSpans {
-				o.Spans = append(o.Spans, trace.DecodeSpan(d.Bytes()))
-			}
-		}
-	}
-	return o
+	HotKeys    []DebugHotKey `wire:"10"`
+	StripeHeat []uint64      `wire:"11"`
 }
 
 // Marshal encodes the snapshot.
-func (r DebugResp) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, r.OpsTotal)
-	e.Uint(2, r.SlowTotal)
-	e.Uint(3, r.SlowThresholdNs)
-	for _, h := range r.Hists {
-		encodeDebugHist(e, 4, h)
-	}
-	for _, c := range r.CPU {
-		m := wire.NewRawEncoder()
-		m.String(1, c.Component)
-		m.Uint(2, c.TotalNs)
-		m.Uint(3, c.Ops)
-		e.Message(5, m)
-	}
-	for _, o := range r.SlowOps {
-		encodeDebugOp(e, 6, o)
-	}
-	for _, o := range r.Exemplars {
-		encodeDebugOp(e, 7, o)
-	}
-	for _, h := range r.Hazards {
-		m := wire.NewRawEncoder()
-		m.String(1, h.Name)
-		m.Uint(2, h.Count)
-		e.Message(8, m)
-	}
-	for _, h := range r.Health {
-		m := wire.NewRawEncoder()
-		m.String(1, h.Addr)
-		m.Uint(2, h.ScoreMilli)
-		if h.Demoted {
-			m.Uint(3, 1)
-		}
-		e.Message(9, m)
-	}
-	for _, h := range r.HotKeys {
-		m := wire.NewRawEncoder()
-		m.String(1, h.Key)
-		m.Uint(2, h.Count)
-		m.Uint(3, h.Err)
-		e.Message(10, m)
-	}
-	for _, n := range r.StripeHeat {
-		e.Uint(11, n)
-	}
-	return e.Encoded()
-}
+func (r DebugResp) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalDebugResp decodes the snapshot.
-func UnmarshalDebugResp(b []byte) (DebugResp, error) {
-	var r DebugResp
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.OpsTotal = d.Uint()
-		case 2:
-			r.SlowTotal = d.Uint()
-		case 3:
-			r.SlowThresholdNs = d.Uint()
-		case 4:
-			r.Hists = append(r.Hists, decodeDebugHist(d.Bytes()))
-		case 5:
-			var c DebugCPU
-			nd := wire.NewRawDecoder(d.Bytes())
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					c.Component = nd.String()
-				case 2:
-					c.TotalNs = nd.Uint()
-				case 3:
-					c.Ops = nd.Uint()
-				}
-			}
-			r.CPU = append(r.CPU, c)
-		case 6:
-			r.SlowOps = append(r.SlowOps, decodeDebugOp(d.Bytes()))
-		case 7:
-			r.Exemplars = append(r.Exemplars, decodeDebugOp(d.Bytes()))
-		case 8:
-			var h DebugHazard
-			nd := wire.NewRawDecoder(d.Bytes())
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					h.Name = nd.String()
-				case 2:
-					h.Count = nd.Uint()
-				}
-			}
-			r.Hazards = append(r.Hazards, h)
-		case 9:
-			var h DebugHealth
-			nd := wire.NewRawDecoder(d.Bytes())
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					h.Addr = nd.String()
-				case 2:
-					h.ScoreMilli = nd.Uint()
-				case 3:
-					h.Demoted = nd.Uint() != 0
-				}
-			}
-			r.Health = append(r.Health, h)
-		case 10:
-			var h DebugHotKey
-			nd := wire.NewRawDecoder(d.Bytes())
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					h.Key = nd.String()
-				case 2:
-					h.Count = nd.Uint()
-				case 3:
-					h.Err = nd.Uint()
-				}
-			}
-			r.HotKeys = append(r.HotKeys, h)
-		case 11:
-			r.StripeHeat = append(r.StripeHeat, d.Uint())
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalDebugResp(b []byte) (DebugResp, error) { return decode[DebugResp](b) }

@@ -20,177 +20,53 @@ import (
 type HealthReq struct{}
 
 // Marshal encodes the request.
-func (HealthReq) Marshal() []byte { return wire.NewEncoder().Encoded() }
+func (r HealthReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalHealthReq decodes the request.
-func UnmarshalHealthReq(b []byte) (HealthReq, error) {
-	var r HealthReq
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-	}
-	return r, d.Err()
-}
+func UnmarshalHealthReq(b []byte) (HealthReq, error) { return decode[HealthReq](b) }
 
 // HealthClass is one op class's evaluated SLO state.
 type HealthClass struct {
-	Class           string
-	State           string // "ok" | "warn" | "page"
-	SinceNs         uint64 // virtual instant of the last state change
-	AvailabilityPpm uint64 // objective, parts-per-million (999000 = 99.9%)
-	LatencyTargetNs uint64 // objective latency threshold
-	FastBurnMilli   uint64 // fast-window burn rate × 1000
-	SlowBurnMilli   uint64 // slow-window burn rate × 1000
-	WindowGood      uint64 // slow-window tallies
-	WindowBad       uint64
-	Good            uint64 // lifetime probe outcomes
-	Bad             uint64
-	ProbeP50Ns      uint64
-	ProbeP99Ns      uint64
-	Pages           uint64
-	Warns           uint64
+	Class           string `wire:"1"`
+	State           string `wire:"2"` // "ok" | "warn" | "page"
+	SinceNs         uint64 `wire:"3"` // virtual instant of the last state change
+	AvailabilityPpm uint64 `wire:"4"` // objective, parts-per-million (999000 = 99.9%)
+	LatencyTargetNs uint64 `wire:"5"` // objective latency threshold
+	FastBurnMilli   uint64 `wire:"6"` // fast-window burn rate × 1000
+	SlowBurnMilli   uint64 `wire:"7"` // slow-window burn rate × 1000
+	WindowGood      uint64 `wire:"8"` // slow-window tallies
+	WindowBad       uint64 `wire:"9"`
+	Good            uint64 `wire:"10"` // lifetime probe outcomes
+	Bad             uint64 `wire:"11"`
+	ProbeP50Ns      uint64 `wire:"12"`
+	ProbeP99Ns      uint64 `wire:"13"`
+	Pages           uint64 `wire:"14"`
+	Warns           uint64 `wire:"15"`
 }
 
 // HealthTarget is one probe target's lifetime availability.
 type HealthTarget struct {
-	Name      string
-	Good, Bad uint64
+	Name string `wire:"1"`
+	Good uint64 `wire:"2"`
+	Bad  uint64 `wire:"3"`
 }
 
 // HealthResp is the health plane snapshot.
 type HealthResp struct {
-	GeneratedNs uint64 // virtual generation instant
-	Rounds      uint64 // prober rounds completed
-	Classes     []HealthClass
-	Targets     []HealthTarget
+	GeneratedNs uint64         `wire:"1"` // virtual generation instant
+	Rounds      uint64         `wire:"2"` // prober rounds completed
+	Classes     []HealthClass  `wire:"3"`
+	Targets     []HealthTarget `wire:"4"`
 	// Hot-key promotion piggyback (additive tags 5/6): the serving
 	// backend's promoted-key set and its epoch, so health pollers learn
 	// the hot set on a poll they already make. Zero/empty from
 	// pre-promotion servers.
-	HotEpoch uint64
-	HotKeys  [][]byte
-}
-
-func encodeHealthClass(e *wire.Encoder, tag uint64, c HealthClass) {
-	m := wire.NewRawEncoder()
-	m.String(1, c.Class)
-	m.String(2, c.State)
-	m.Uint(3, c.SinceNs)
-	m.Uint(4, c.AvailabilityPpm)
-	m.Uint(5, c.LatencyTargetNs)
-	m.Uint(6, c.FastBurnMilli)
-	m.Uint(7, c.SlowBurnMilli)
-	m.Uint(8, c.WindowGood)
-	m.Uint(9, c.WindowBad)
-	m.Uint(10, c.Good)
-	m.Uint(11, c.Bad)
-	m.Uint(12, c.ProbeP50Ns)
-	m.Uint(13, c.ProbeP99Ns)
-	m.Uint(14, c.Pages)
-	m.Uint(15, c.Warns)
-	e.Message(tag, m)
-}
-
-func decodeHealthClass(b []byte) HealthClass {
-	var c HealthClass
-	d := wire.NewRawDecoder(b)
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			c.Class = d.String()
-		case 2:
-			c.State = d.String()
-		case 3:
-			c.SinceNs = d.Uint()
-		case 4:
-			c.AvailabilityPpm = d.Uint()
-		case 5:
-			c.LatencyTargetNs = d.Uint()
-		case 6:
-			c.FastBurnMilli = d.Uint()
-		case 7:
-			c.SlowBurnMilli = d.Uint()
-		case 8:
-			c.WindowGood = d.Uint()
-		case 9:
-			c.WindowBad = d.Uint()
-		case 10:
-			c.Good = d.Uint()
-		case 11:
-			c.Bad = d.Uint()
-		case 12:
-			c.ProbeP50Ns = d.Uint()
-		case 13:
-			c.ProbeP99Ns = d.Uint()
-		case 14:
-			c.Pages = d.Uint()
-		case 15:
-			c.Warns = d.Uint()
-		}
-	}
-	return c
+	HotEpoch uint64   `wire:"5,omitzero"`
+	HotKeys  [][]byte `wire:"6"`
 }
 
 // Marshal encodes the snapshot.
-func (r HealthResp) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, r.GeneratedNs)
-	e.Uint(2, r.Rounds)
-	for _, c := range r.Classes {
-		encodeHealthClass(e, 3, c)
-	}
-	for _, t := range r.Targets {
-		m := wire.NewRawEncoder()
-		m.String(1, t.Name)
-		m.Uint(2, t.Good)
-		m.Uint(3, t.Bad)
-		e.Message(4, m)
-	}
-	if r.HotEpoch != 0 {
-		e.Uint(5, r.HotEpoch)
-	}
-	for _, k := range r.HotKeys {
-		e.Bytes(6, k)
-	}
-	return e.Encoded()
-}
+func (r HealthResp) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalHealthResp decodes the snapshot.
-func UnmarshalHealthResp(b []byte) (HealthResp, error) {
-	var r HealthResp
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.GeneratedNs = d.Uint()
-		case 2:
-			r.Rounds = d.Uint()
-		case 3:
-			r.Classes = append(r.Classes, decodeHealthClass(d.Bytes()))
-		case 4:
-			var t HealthTarget
-			nd := wire.NewRawDecoder(d.Bytes())
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					t.Name = nd.String()
-				case 2:
-					t.Good = nd.Uint()
-				case 3:
-					t.Bad = nd.Uint()
-				}
-			}
-			r.Targets = append(r.Targets, t)
-		case 5:
-			r.HotEpoch = d.Uint()
-		case 6:
-			r.HotKeys = append(r.HotKeys, append([]byte(nil), d.Bytes()...))
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalHealthResp(b []byte) (HealthResp, error) { return decode[HealthResp](b) }

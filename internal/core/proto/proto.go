@@ -5,6 +5,14 @@
 // system ship "over a hundred changes to CliqueMap's protocol definitions"
 // without lockstep client/backend upgrades (§6). Field tags are therefore
 // stable and append-only.
+//
+// A message's schema is its `wire:"N,..."` struct tags (grammar in
+// internal/wire/codec.go), and for every message off the GET/SET datapath
+// the tags are also the codec: Marshal and UnmarshalX are one-line
+// wrappers over wire.Marshal / wire.Unmarshal. The eight datapath messages
+// (SetReq, EraseReq, CasReq, GetReq, GetResp, MutateResp, TouchReq,
+// TouchResp) carry the same tags but keep hand-written, allocation-tuned
+// codecs; TestCodecDifferential holds each to the tag-driven codec.
 package proto
 
 import (
@@ -92,61 +100,32 @@ func (a versionAcc) version() truetime.Version {
 	return truetime.Version{Micros: int64(a.m), ClientID: a.c, Seq: a.s}
 }
 
+// decode is the body of every tag-driven UnmarshalX. Like the hand-written
+// decoders it returns whatever decoded before an error alongside it.
+func decode[T any](b []byte) (T, error) {
+	var m T
+	err := wire.Unmarshal(b, &m)
+	return m, err
+}
+
 // HelloResp is the connection handshake (§3's "established at
 // connection-time alongside other RMA-relevant metadata"): everything a
 // client needs to issue raw RMAs against this backend.
 type HelloResp struct {
-	ConfigID    uint64
-	Shard       int
-	Buckets     int
-	Ways        int
-	IndexWindow rmem.WindowID
-	IndexEpoch  uint64
-	DataWindows []rmem.WindowID
+	ConfigID    uint64          `wire:"1"`
+	Shard       int             `wire:"2,zigzag"`
+	Buckets     int             `wire:"3"`
+	Ways        int             `wire:"4"`
+	IndexWindow rmem.WindowID   `wire:"5"`
+	IndexEpoch  uint64          `wire:"6"`
+	DataWindows []rmem.WindowID `wire:"7"`
 }
 
 // Marshal encodes the handshake.
-func (h HelloResp) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, h.ConfigID)
-	e.Int(2, int64(h.Shard))
-	e.Uint(3, uint64(h.Buckets))
-	e.Uint(4, uint64(h.Ways))
-	e.Uint(5, uint64(h.IndexWindow))
-	e.Uint(6, h.IndexEpoch)
-	for _, w := range h.DataWindows {
-		e.Uint(7, uint64(w))
-	}
-	return e.Encoded()
-}
+func (h HelloResp) Marshal() []byte { return wire.Marshal(h) }
 
 // UnmarshalHelloResp decodes the handshake.
-func UnmarshalHelloResp(b []byte) (HelloResp, error) {
-	var h HelloResp
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return h, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			h.ConfigID = d.Uint()
-		case 2:
-			h.Shard = int(d.Int())
-		case 3:
-			h.Buckets = int(d.Uint())
-		case 4:
-			h.Ways = int(d.Uint())
-		case 5:
-			h.IndexWindow = rmem.WindowID(d.Uint())
-		case 6:
-			h.IndexEpoch = d.Uint()
-		case 7:
-			h.DataWindows = append(h.DataWindows, rmem.WindowID(d.Uint()))
-		}
-	}
-	return h, d.Err()
-}
+func UnmarshalHelloResp(b []byte) (HelloResp, error) { return decode[HelloResp](b) }
 
 // SetReq installs key=value at a client-nominated version (§5.2). Repair
 // marks repair-driven SETs (§5.4) for observability. Pending marks a
@@ -154,16 +133,16 @@ func UnmarshalHelloResp(b []byte) (HelloResp, error) {
 // bypasses the handoff seal on backends that own the key in the pending
 // shard map.
 type SetReq struct {
-	Key     []byte
-	Value   []byte
-	Version truetime.Version
-	Repair  bool
-	Pending bool
+	Key     []byte           `wire:"1"`
+	Value   []byte           `wire:"2"`
+	Version truetime.Version `wire:"3,flat"`
+	Repair  bool             `wire:"6"`
+	Pending bool             `wire:"7"`
 	// ConfigID is the sender's config view; a backend whose stamped ID
 	// differs rejects with layout.ErrConfigChanged so stale clients
 	// refresh instead of writing into a superseded epoch. 0 = unchecked
 	// (repair traffic, old senders).
-	ConfigID uint64
+	ConfigID uint64 `wire:"8"`
 }
 
 // Marshal encodes the request.
@@ -220,10 +199,10 @@ func UnmarshalSetReq(b []byte) (SetReq, error) {
 // must not count toward the old epoch's quorum (the write survives only
 // through the backend's pending-epoch ownership).
 type MutateResp struct {
-	Applied   bool
-	Stored    truetime.Version
-	Evictions int
-	Sealed    bool
+	Applied   bool             `wire:"1"`
+	Stored    truetime.Version `wire:"2,flat"`
+	Evictions int              `wire:"5"`
+	Sealed    bool             `wire:"6"`
 }
 
 // Marshal encodes the response.
@@ -269,10 +248,10 @@ func UnmarshalMutateResp(b []byte) (MutateResp, error) {
 // retained in the tombstone cache so late SETs cannot resurrect the value
 // (§5.2).
 type EraseReq struct {
-	Key      []byte
-	Version  truetime.Version
-	Pending  bool   // see SetReq.Pending
-	ConfigID uint64 // see SetReq.ConfigID
+	Key      []byte           `wire:"1"`
+	Version  truetime.Version `wire:"2,flat"`
+	Pending  bool             `wire:"5"` // see SetReq.Pending
+	ConfigID uint64           `wire:"6"` // see SetReq.ConfigID
 }
 
 // Marshal encodes the request.
@@ -317,12 +296,12 @@ func UnmarshalEraseReq(b []byte) (EraseReq, error) {
 
 // CasReq installs Value only if the stored version equals Expected (§5.2).
 type CasReq struct {
-	Key      []byte
-	Value    []byte
-	Expected truetime.Version
-	Version  truetime.Version // new version on success
-	Pending  bool             // see SetReq.Pending
-	ConfigID uint64           // see SetReq.ConfigID
+	Key      []byte           `wire:"1"`
+	Value    []byte           `wire:"2"`
+	Expected truetime.Version `wire:"3,flat"`
+	Version  truetime.Version `wire:"6,flat"` // new version on success
+	Pending  bool             `wire:"9"`      // see SetReq.Pending
+	ConfigID uint64           `wire:"10"`     // see SetReq.ConfigID
 }
 
 // Marshal encodes the request.
@@ -379,12 +358,12 @@ func UnmarshalCasReq(b []byte) (CasReq, error) {
 // GetReq is the RPC lookup fallback (overflowed buckets, WAN access, MSG
 // strategy, and retries after RMA failures).
 type GetReq struct {
-	Key []byte
+	Key []byte `wire:"1"`
 	// ConfigID, when non-zero, is the §6.1 self-validation stamp on the
 	// two-sided read path: the server rejects the lookup when its config
 	// differs, so a stale-routed client refreshes instead of trusting an
 	// answer from a backend that may no longer own the key.
-	ConfigID uint64
+	ConfigID uint64 `wire:"2"`
 }
 
 // Marshal encodes the request.
@@ -417,9 +396,9 @@ func UnmarshalGetReq(b []byte) (GetReq, error) {
 
 // GetResp carries the lookup result.
 type GetResp struct {
-	Found   bool
-	Value   []byte
-	Version truetime.Version
+	Found   bool             `wire:"1"`
+	Value   []byte           `wire:"2"`
+	Version truetime.Version `wire:"3,flat"`
 }
 
 // Marshal encodes the response.
@@ -461,7 +440,7 @@ func UnmarshalGetResp(b []byte) (GetResp, error) {
 // TouchReq is the batched access-record report clients send so backends
 // can run recency-based eviction despite never seeing RMA GETs (§4.2).
 type TouchReq struct {
-	Keys [][]byte
+	Keys [][]byte `wire:"1"`
 }
 
 // Marshal encodes the request.
@@ -497,8 +476,8 @@ func UnmarshalTouchReq(b []byte) (TouchReq, error) {
 // servers answered a bare Ack (an empty frame), which decodes as epoch 0
 // with no keys, and pre-promotion clients ignore the body entirely.
 type TouchResp struct {
-	HotEpoch uint64
-	HotKeys  [][]byte
+	HotEpoch uint64   `wire:"1,omitzero"`
+	HotKeys  [][]byte `wire:"2"`
 }
 
 // Marshal encodes the response.
@@ -536,48 +515,26 @@ func UnmarshalTouchResp(b []byte) (TouchResp, error) {
 // Tombstone marks an erased key (§5.2): the scanner must see erases, or a
 // dirty quorum would be "repaired" by resurrecting the erased value.
 type ScanItem struct {
-	HashHi, HashLo uint64
-	Version        truetime.Version
-	Key            []byte
-	Tombstone      bool
+	HashHi    uint64           `wire:"1"`
+	HashLo    uint64           `wire:"2"`
+	Version   truetime.Version `wire:"3,flat"`
+	Key       []byte           `wire:"6"`
+	Tombstone bool             `wire:"7"`
 }
 
 // ScanReq asks a cohort member for its view of a shard's keys, paged by
 // cursor.
 type ScanReq struct {
-	Shard  int
-	Cursor uint64
-	Limit  int
+	Shard  int    `wire:"1,zigzag"`
+	Cursor uint64 `wire:"2"`
+	Limit  int    `wire:"3"`
 }
 
 // Marshal encodes the request.
-func (r ScanReq) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Int(1, int64(r.Shard))
-	e.Uint(2, r.Cursor)
-	e.Uint(3, uint64(r.Limit))
-	return e.Encoded()
-}
+func (r ScanReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalScanReq decodes the request.
-func UnmarshalScanReq(b []byte) (ScanReq, error) {
-	var r ScanReq
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Shard = int(d.Int())
-		case 2:
-			r.Cursor = d.Uint()
-		case 3:
-			r.Limit = int(d.Uint())
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalScanReq(b []byte) (ScanReq, error) { return decode[ScanReq](b) }
 
 // ScanResp returns a page of summaries. TombSummary is the replica's
 // coarse tombstone-summary version (§5.2): an upper bound on erases whose
@@ -585,122 +542,32 @@ func UnmarshalScanReq(b []byte) (ScanReq, error) {
 // refuse settling a key upward past a replica whose summary dominates the
 // candidate — absence there may be a summary-evicted erase, not a lag.
 type ScanResp struct {
-	Items       []ScanItem
-	NextCursor  uint64
-	Done        bool
-	TombSummary truetime.Version
+	Items       []ScanItem       `wire:"1"`
+	NextCursor  uint64           `wire:"2"`
+	Done        bool             `wire:"3"`
+	TombSummary truetime.Version `wire:"4,flat"`
 }
 
 // Marshal encodes the response.
-func (r ScanResp) Marshal() []byte {
-	e := wire.NewEncoder()
-	for _, it := range r.Items {
-		m := wire.NewRawEncoder()
-		m.Uint(1, it.HashHi)
-		m.Uint(2, it.HashLo)
-		encodeVersion(m, 3, it.Version)
-		m.Bytes(6, it.Key)
-		m.Bool(7, it.Tombstone)
-		e.Message(1, m)
-	}
-	e.Uint(2, r.NextCursor)
-	e.Bool(3, r.Done)
-	encodeVersion(e, 4, r.TombSummary)
-	return e.Encoded()
-}
+func (r ScanResp) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalScanResp decodes the response.
-func UnmarshalScanResp(b []byte) (ScanResp, error) {
-	var r ScanResp
-	var sum versionAcc
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			nd := wire.NewRawDecoder(d.Bytes())
-			var it ScanItem
-			var v versionAcc
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					it.HashHi = nd.Uint()
-				case 2:
-					it.HashLo = nd.Uint()
-				case 3:
-					v.m = nd.Uint()
-				case 4:
-					v.c = nd.Uint()
-				case 5:
-					v.s = nd.Uint()
-				case 6:
-					it.Key = append([]byte(nil), nd.Bytes()...)
-				case 7:
-					it.Tombstone = nd.Bool()
-				}
-			}
-			if err := nd.Err(); err != nil {
-				return r, fmt.Errorf("proto: scan item: %w", err)
-			}
-			it.Version = v.version()
-			r.Items = append(r.Items, it)
-		case 2:
-			r.NextCursor = d.Uint()
-		case 3:
-			r.Done = d.Bool()
-		case 4:
-			sum.m = d.Uint()
-		case 5:
-			sum.c = d.Uint()
-		case 6:
-			sum.s = d.Uint()
-		}
-	}
-	r.TombSummary = sum.version()
-	return r, d.Err()
-}
+func UnmarshalScanResp(b []byte) (ScanResp, error) { return decode[ScanResp](b) }
 
 // UpdateVersionReq bumps the stored version of key to Version without
 // changing its value — step 2 of the §5.4 repair procedure, which settles
 // all three replicas on one VersionNumber.
 type UpdateVersionReq struct {
-	Key     []byte
-	Version truetime.Version
+	Key     []byte           `wire:"1"`
+	Version truetime.Version `wire:"2,flat"`
 }
 
 // Marshal encodes the request.
-func (r UpdateVersionReq) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(len(r.Key) + 48)
-	e.Bytes(1, r.Key)
-	encodeVersion(&e, 2, r.Version)
-	return e.Encoded()
-}
+func (r UpdateVersionReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalUpdateVersionReq decodes the request.
 func UnmarshalUpdateVersionReq(b []byte) (UpdateVersionReq, error) {
-	var r UpdateVersionReq
-	var v versionAcc
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Key = append([]byte(nil), d.Bytes()...)
-		case 2:
-			v.m = d.Uint()
-		case 3:
-			v.c = d.Uint()
-		case 4:
-			v.s = d.Uint()
-		}
-	}
-	r.Version = v.version()
-	return r, d.Err()
+	return decode[UpdateVersionReq](b)
 }
 
 // MigrateItem is one KV pair streamed during warm-spare migration (§6.1).
@@ -708,10 +575,10 @@ func UnmarshalUpdateVersionReq(b []byte) (UpdateVersionReq, error) {
 // installs the version in its tombstone cache instead of its index, so an
 // erase just before a handoff cannot resurrect on the new owner.
 type MigrateItem struct {
-	Key       []byte
-	Value     []byte
-	Version   truetime.Version
-	Tombstone bool
+	Key       []byte           `wire:"1"`
+	Value     []byte           `wire:"2"`
+	Version   truetime.Version `wire:"3,flat"`
+	Tombstone bool             `wire:"6"`
 }
 
 // MigrateBatchReq streams a page of a shard's contents to a spare (or back
@@ -720,136 +587,42 @@ type MigrateItem struct {
 // its own summary so even FIFO-evicted erases keep their upper bound
 // across the handoff.
 type MigrateBatchReq struct {
-	Shard       int
-	Items       []MigrateItem
-	Final       bool
-	TombSummary truetime.Version
+	Shard       int              `wire:"1,zigzag"`
+	Items       []MigrateItem    `wire:"2"`
+	Final       bool             `wire:"3"`
+	TombSummary truetime.Version `wire:"4,flat"`
 }
 
 // Marshal encodes the request.
-func (r MigrateBatchReq) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Int(1, int64(r.Shard))
-	for _, it := range r.Items {
-		m := wire.NewRawEncoder()
-		m.Bytes(1, it.Key)
-		m.Bytes(2, it.Value)
-		encodeVersion(m, 3, it.Version)
-		m.Bool(6, it.Tombstone)
-		e.Message(2, m)
-	}
-	e.Bool(3, r.Final)
-	encodeVersion(e, 4, r.TombSummary)
-	return e.Encoded()
-}
+func (r MigrateBatchReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalMigrateBatchReq decodes the request.
-func UnmarshalMigrateBatchReq(b []byte) (MigrateBatchReq, error) {
-	var r MigrateBatchReq
-	var sum versionAcc
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Shard = int(d.Int())
-		case 2:
-			nd := wire.NewRawDecoder(d.Bytes())
-			var it MigrateItem
-			var v versionAcc
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					it.Key = append([]byte(nil), nd.Bytes()...)
-				case 2:
-					it.Value = append([]byte(nil), nd.Bytes()...)
-				case 3:
-					v.m = nd.Uint()
-				case 4:
-					v.c = nd.Uint()
-				case 5:
-					v.s = nd.Uint()
-				case 6:
-					it.Tombstone = nd.Bool()
-				}
-			}
-			if err := nd.Err(); err != nil {
-				return r, fmt.Errorf("proto: migrate item: %w", err)
-			}
-			it.Version = v.version()
-			r.Items = append(r.Items, it)
-		case 3:
-			r.Final = d.Bool()
-		case 4:
-			sum.m = d.Uint()
-		case 5:
-			sum.c = d.Uint()
-		case 6:
-			sum.s = d.Uint()
-		}
-	}
-	r.TombSummary = sum.version()
-	return r, d.Err()
-}
+func UnmarshalMigrateBatchReq(b []byte) (MigrateBatchReq, error) { return decode[MigrateBatchReq](b) }
 
 // AssumeShardReq tells a spare to assume (or a primary to resume) serving
 // a shard.
 type AssumeShardReq struct {
-	Shard int
+	Shard int `wire:"1,zigzag"`
 }
 
 // Marshal encodes the request.
-func (r AssumeShardReq) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Int(1, int64(r.Shard))
-	return e.Encoded()
-}
+func (r AssumeShardReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalAssumeShardReq decodes the request.
-func UnmarshalAssumeShardReq(b []byte) (AssumeShardReq, error) {
-	var r AssumeShardReq
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		if d.Tag() == 1 {
-			r.Shard = int(d.Int())
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalAssumeShardReq(b []byte) (AssumeShardReq, error) { return decode[AssumeShardReq](b) }
 
 // SealReq toggles the handoff seal on a backend (MethodSeal). On=true
 // seals; On=false unseals (after the config flip, for backends that
 // survive into the new epoch).
 type SealReq struct {
-	On bool
+	On bool `wire:"1"`
 }
 
 // Marshal encodes the request.
-func (r SealReq) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Bool(1, r.On)
-	return e.Encoded()
-}
+func (r SealReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalSealReq decodes the request.
-func UnmarshalSealReq(b []byte) (SealReq, error) {
-	var r SealReq
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		if d.Tag() == 1 {
-			r.On = d.Bool()
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalSealReq(b []byte) (SealReq, error) { return decode[SealReq](b) }
 
 // ConfigResp describes the cell to external callers: the replication
 // mode's replica count and the address serving each shard. During a
@@ -857,92 +630,52 @@ func UnmarshalSealReq(b []byte) (SealReq, error) {
 // per-old-shard seal bitmap (for cmstat RESIZE progress); they are empty
 // outside transitions.
 type ConfigResp struct {
-	ConfigID          uint64
-	Replicas          int
-	Quorum            int
-	ShardAddrs        []string
-	PendingShards     int
-	PendingShardAddrs []string
-	SealedOld         []bool
+	ConfigID          uint64   `wire:"1"`
+	Replicas          int      `wire:"2"`
+	Quorum            int      `wire:"3"`
+	ShardAddrs        []string `wire:"4"`
+	PendingShards     int      `wire:"5"`
+	PendingShardAddrs []string `wire:"6"`
+	SealedOld         []bool   `wire:"7"`
 }
 
 // Marshal encodes the config snapshot.
-func (r ConfigResp) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, r.ConfigID)
-	e.Uint(2, uint64(r.Replicas))
-	e.Uint(3, uint64(r.Quorum))
-	for _, a := range r.ShardAddrs {
-		e.String(4, a)
-	}
-	e.Uint(5, uint64(r.PendingShards))
-	for _, a := range r.PendingShardAddrs {
-		e.String(6, a)
-	}
-	for _, s := range r.SealedOld {
-		e.Bool(7, s)
-	}
-	return e.Encoded()
-}
+func (r ConfigResp) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalConfigResp decodes the config snapshot.
-func UnmarshalConfigResp(b []byte) (ConfigResp, error) {
-	var r ConfigResp
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.ConfigID = d.Uint()
-		case 2:
-			r.Replicas = int(d.Uint())
-		case 3:
-			r.Quorum = int(d.Uint())
-		case 4:
-			r.ShardAddrs = append(r.ShardAddrs, d.String())
-		case 5:
-			r.PendingShards = int(d.Uint())
-		case 6:
-			r.PendingShardAddrs = append(r.PendingShardAddrs, d.String())
-		case 7:
-			r.SealedOld = append(r.SealedOld, d.Bool())
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalConfigResp(b []byte) (ConfigResp, error) { return decode[ConfigResp](b) }
 
 // StatsResp is a backend's introspection snapshot (a post-launch additive
 // method; see MethodStats).
 type StatsResp struct {
-	Shard          int
-	Sealed         bool
-	ResidentKeys   uint64
-	MemoryBytes    uint64
-	Sets, Gets     uint64
-	Evictions      uint64
-	IndexResizes   uint64
-	DataGrows      uint64
-	RepairsIssued  uint64
-	VersionRejects uint64
+	Shard          int    `wire:"1,zigzag"`
+	Sealed         bool   `wire:"2"`
+	ResidentKeys   uint64 `wire:"3"`
+	MemoryBytes    uint64 `wire:"4"`
+	Sets           uint64 `wire:"5"`
+	Gets           uint64 `wire:"6"`
+	Evictions      uint64 `wire:"7"`
+	IndexResizes   uint64 `wire:"8"`
+	DataGrows      uint64 `wire:"9"`
+	RepairsIssued  uint64 `wire:"10"`
+	VersionRejects uint64 `wire:"11"`
 	// Stripes is the backend's lock-stripe count; StripeMaxOps is the op
 	// count of the busiest stripe and StripeTotalOps the sum across
 	// stripes, so dashboards can report max/mean stripe skew.
-	Stripes        uint64
-	StripeMaxOps   uint64
-	StripeTotalOps uint64
+	Stripes        uint64 `wire:"12"`
+	StripeMaxOps   uint64 `wire:"13"`
+	StripeTotalOps uint64 `wire:"14"`
 	// HeatTracked is the number of keys currently in the backend's
 	// space-saving top-k sketch; HeatTotal is the total accesses the
 	// sketch has absorbed (the N of its N/k error bound).
-	HeatTracked uint64
-	HeatTotal   uint64
+	HeatTracked uint64 `wire:"15"`
+	HeatTotal   uint64 `wire:"16"`
 	// HandoffSealed reports the handoff seal (distinct from the
 	// R2Immutable corpus seal in Sealed); PendingShards is the target
 	// shard count of an in-flight resize as seen by this backend's
 	// config snapshot, 0 outside transitions.
-	HandoffSealed bool
-	PendingShards uint64
+	HandoffSealed bool   `wire:"17"`
+	PendingShards uint64 `wire:"18"`
 	// Durable warm-restart telemetry (the cmstat RECOVERY columns).
 	// CkptEpoch/CkptUnixNano identify the newest committed checkpoint
 	// (zero when none this process lifetime); JournalRecords/JournalBytes
@@ -951,14 +684,14 @@ type StatsResp struct {
 	// replayed on top of the checkpoint, SelfValidated the recovered
 	// entries that rejoined the quorum without needing a repair settle;
 	// Recovering is the §5.4 self-validation window flag.
-	CkptEpoch       uint64
-	CkptUnixNano    uint64
-	JournalRecords  uint64
-	JournalBytes    uint64
-	RecoveredKeys   uint64
-	ReplayedRecords uint64
-	SelfValidated   uint64
-	Recovering      bool
+	CkptEpoch       uint64 `wire:"19"`
+	CkptUnixNano    uint64 `wire:"20"`
+	JournalRecords  uint64 `wire:"21"`
+	JournalBytes    uint64 `wire:"22"`
+	RecoveredKeys   uint64 `wire:"23"`
+	ReplayedRecords uint64 `wire:"24"`
+	SelfValidated   uint64 `wire:"25"`
+	Recovering      bool   `wire:"26"`
 	// Saturation telemetry (the cmstat SATURATION columns and the loadwall
 	// limiting-resource probe). Stripe* cover lock contention on the
 	// mutation path; RPC* cover the server's worker pool and modelled
@@ -966,179 +699,34 @@ type StatsResp struct {
 	// (RPCWorkerLimit, RPCWorkersBusy, RPCRhoMilli, NICEngines,
 	// NICRhoMilli) are instantaneous; the rest are cumulative and may
 	// reset when a task restarts.
-	StripeContended   uint64
-	StripeWaitNs      uint64
-	StripeHeldNs      uint64
-	StripeHeldSampled uint64
-	RPCWorkerLimit    uint64
-	RPCWorkersBusy    uint64
-	RPCQueuedSubmits  uint64
-	RPCSubmitWaitNs   uint64
-	RPCQueuedCalls    uint64
-	RPCQueueNs        uint64
-	RPCRhoMilli       uint64
-	NICEngines        uint64
-	NICRhoMilli       uint64
-	NICQueueNs        uint64
-	NICOps            uint64
+	StripeContended   uint64 `wire:"27"`
+	StripeWaitNs      uint64 `wire:"28"`
+	StripeHeldNs      uint64 `wire:"29"`
+	StripeHeldSampled uint64 `wire:"30"`
+	RPCWorkerLimit    uint64 `wire:"31"`
+	RPCWorkersBusy    uint64 `wire:"32"`
+	RPCQueuedSubmits  uint64 `wire:"33"`
+	RPCSubmitWaitNs   uint64 `wire:"34"`
+	RPCQueuedCalls    uint64 `wire:"35"`
+	RPCQueueNs        uint64 `wire:"36"`
+	RPCRhoMilli       uint64 `wire:"37"`
+	NICEngines        uint64 `wire:"38"`
+	NICRhoMilli       uint64 `wire:"39"`
+	NICQueueNs        uint64 `wire:"40"`
+	NICOps            uint64 `wire:"41"`
 	// Hot-key promotion set (the cmstat PROMOTED column): HotEpoch
 	// identifies the set (bumped on every membership change), HotKeys are
 	// the keys this backend currently holds at promoted (all-replica
 	// residency, read-spread) status.
-	HotEpoch uint64
-	HotKeys  [][]byte
+	HotEpoch uint64   `wire:"42"`
+	HotKeys  [][]byte `wire:"43"`
 }
 
 // Marshal encodes the stats snapshot.
-func (r StatsResp) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Int(1, int64(r.Shard))
-	e.Bool(2, r.Sealed)
-	e.Uint(3, r.ResidentKeys)
-	e.Uint(4, r.MemoryBytes)
-	e.Uint(5, r.Sets)
-	e.Uint(6, r.Gets)
-	e.Uint(7, r.Evictions)
-	e.Uint(8, r.IndexResizes)
-	e.Uint(9, r.DataGrows)
-	e.Uint(10, r.RepairsIssued)
-	e.Uint(11, r.VersionRejects)
-	e.Uint(12, r.Stripes)
-	e.Uint(13, r.StripeMaxOps)
-	e.Uint(14, r.StripeTotalOps)
-	e.Uint(15, r.HeatTracked)
-	e.Uint(16, r.HeatTotal)
-	e.Bool(17, r.HandoffSealed)
-	e.Uint(18, r.PendingShards)
-	e.Uint(19, r.CkptEpoch)
-	e.Uint(20, r.CkptUnixNano)
-	e.Uint(21, r.JournalRecords)
-	e.Uint(22, r.JournalBytes)
-	e.Uint(23, r.RecoveredKeys)
-	e.Uint(24, r.ReplayedRecords)
-	e.Uint(25, r.SelfValidated)
-	e.Bool(26, r.Recovering)
-	e.Uint(27, r.StripeContended)
-	e.Uint(28, r.StripeWaitNs)
-	e.Uint(29, r.StripeHeldNs)
-	e.Uint(30, r.StripeHeldSampled)
-	e.Uint(31, r.RPCWorkerLimit)
-	e.Uint(32, r.RPCWorkersBusy)
-	e.Uint(33, r.RPCQueuedSubmits)
-	e.Uint(34, r.RPCSubmitWaitNs)
-	e.Uint(35, r.RPCQueuedCalls)
-	e.Uint(36, r.RPCQueueNs)
-	e.Uint(37, r.RPCRhoMilli)
-	e.Uint(38, r.NICEngines)
-	e.Uint(39, r.NICRhoMilli)
-	e.Uint(40, r.NICQueueNs)
-	e.Uint(41, r.NICOps)
-	e.Uint(42, r.HotEpoch)
-	for _, k := range r.HotKeys {
-		e.Bytes(43, k)
-	}
-	return e.Encoded()
-}
+func (r StatsResp) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalStatsResp decodes the stats snapshot.
-func UnmarshalStatsResp(b []byte) (StatsResp, error) {
-	var r StatsResp
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Shard = int(d.Int())
-		case 2:
-			r.Sealed = d.Bool()
-		case 3:
-			r.ResidentKeys = d.Uint()
-		case 4:
-			r.MemoryBytes = d.Uint()
-		case 5:
-			r.Sets = d.Uint()
-		case 6:
-			r.Gets = d.Uint()
-		case 7:
-			r.Evictions = d.Uint()
-		case 8:
-			r.IndexResizes = d.Uint()
-		case 9:
-			r.DataGrows = d.Uint()
-		case 10:
-			r.RepairsIssued = d.Uint()
-		case 11:
-			r.VersionRejects = d.Uint()
-		case 12:
-			r.Stripes = d.Uint()
-		case 13:
-			r.StripeMaxOps = d.Uint()
-		case 14:
-			r.StripeTotalOps = d.Uint()
-		case 15:
-			r.HeatTracked = d.Uint()
-		case 16:
-			r.HeatTotal = d.Uint()
-		case 17:
-			r.HandoffSealed = d.Bool()
-		case 18:
-			r.PendingShards = d.Uint()
-		case 19:
-			r.CkptEpoch = d.Uint()
-		case 20:
-			r.CkptUnixNano = d.Uint()
-		case 21:
-			r.JournalRecords = d.Uint()
-		case 22:
-			r.JournalBytes = d.Uint()
-		case 23:
-			r.RecoveredKeys = d.Uint()
-		case 24:
-			r.ReplayedRecords = d.Uint()
-		case 25:
-			r.SelfValidated = d.Uint()
-		case 26:
-			r.Recovering = d.Bool()
-		case 27:
-			r.StripeContended = d.Uint()
-		case 28:
-			r.StripeWaitNs = d.Uint()
-		case 29:
-			r.StripeHeldNs = d.Uint()
-		case 30:
-			r.StripeHeldSampled = d.Uint()
-		case 31:
-			r.RPCWorkerLimit = d.Uint()
-		case 32:
-			r.RPCWorkersBusy = d.Uint()
-		case 33:
-			r.RPCQueuedSubmits = d.Uint()
-		case 34:
-			r.RPCSubmitWaitNs = d.Uint()
-		case 35:
-			r.RPCQueuedCalls = d.Uint()
-		case 36:
-			r.RPCQueueNs = d.Uint()
-		case 37:
-			r.RPCRhoMilli = d.Uint()
-		case 38:
-			r.NICEngines = d.Uint()
-		case 39:
-			r.NICRhoMilli = d.Uint()
-		case 40:
-			r.NICQueueNs = d.Uint()
-		case 41:
-			r.NICOps = d.Uint()
-		case 42:
-			r.HotEpoch = d.Uint()
-		case 43:
-			r.HotKeys = append(r.HotKeys, append([]byte(nil), d.Bytes()...))
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalStatsResp(b []byte) (StatsResp, error) { return decode[StatsResp](b) }
 
 // Ack is the empty success response.
 type Ack struct{}

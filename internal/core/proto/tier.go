@@ -19,28 +19,19 @@ import (
 type TierReq struct{}
 
 // Marshal encodes the request.
-func (TierReq) Marshal() []byte { return wire.NewEncoder().Encoded() }
+func (r TierReq) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalTierReq decodes the request.
-func UnmarshalTierReq(b []byte) (TierReq, error) {
-	var r TierReq
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-	}
-	return r, d.Err()
-}
+func UnmarshalTierReq(b []byte) (TierReq, error) { return decode[TierReq](b) }
 
 // TierCell is one member cell's routing state.
 type TierCell struct {
-	Name        string
-	WeightMilli uint64 // live routing weight × 1000
-	BaseMilli   uint64 // configured weight × 1000 (pre-demotion)
-	State       string // health alert state driving the weight: "ok" | "warn" | "page" | "dead"
-	Demoted     bool   // router is holding the weight below base
-	OwnedPpm    uint64 // exact keyspace share from ring arcs, parts-per-million
+	Name        string `wire:"1"`
+	WeightMilli uint64 `wire:"2"`          // live routing weight × 1000
+	BaseMilli   uint64 `wire:"3"`          // configured weight × 1000 (pre-demotion)
+	State       string `wire:"4"`          // health alert state driving the weight: "ok" | "warn" | "page" | "dead"
+	Demoted     bool   `wire:"5,omitzero"` // router is holding the weight below base
+	OwnedPpm    uint64 `wire:"6"`          // exact keyspace share from ring arcs, parts-per-million
 }
 
 // TierResp is the router's ring snapshot. RingVersion increments on every
@@ -48,65 +39,13 @@ type TierCell struct {
 // structurally identical tables apart and clients can cheaply detect
 // ownership churn.
 type TierResp struct {
-	RingVersion uint64
-	Vnodes      uint64 // virtual nodes per unit weight
-	Cells       []TierCell
+	RingVersion uint64     `wire:"1"`
+	Vnodes      uint64     `wire:"2"` // virtual nodes per unit weight
+	Cells       []TierCell `wire:"3"`
 }
 
 // Marshal encodes the snapshot.
-func (r TierResp) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, r.RingVersion)
-	e.Uint(2, r.Vnodes)
-	for _, c := range r.Cells {
-		m := wire.NewRawEncoder()
-		m.String(1, c.Name)
-		m.Uint(2, c.WeightMilli)
-		m.Uint(3, c.BaseMilli)
-		m.String(4, c.State)
-		if c.Demoted {
-			m.Uint(5, 1)
-		}
-		m.Uint(6, c.OwnedPpm)
-		e.Message(3, m)
-	}
-	return e.Encoded()
-}
+func (r TierResp) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalTierResp decodes the snapshot.
-func UnmarshalTierResp(b []byte) (TierResp, error) {
-	var r TierResp
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.RingVersion = d.Uint()
-		case 2:
-			r.Vnodes = d.Uint()
-		case 3:
-			var c TierCell
-			nd := wire.NewRawDecoder(d.Bytes())
-			for nd.Next() {
-				switch nd.Tag() {
-				case 1:
-					c.Name = nd.String()
-				case 2:
-					c.WeightMilli = nd.Uint()
-				case 3:
-					c.BaseMilli = nd.Uint()
-				case 4:
-					c.State = nd.String()
-				case 5:
-					c.Demoted = nd.Uint() != 0
-				case 6:
-					c.OwnedPpm = nd.Uint()
-				}
-			}
-			r.Cells = append(r.Cells, c)
-		}
-	}
-	return r, d.Err()
-}
+func UnmarshalTierResp(b []byte) (TierResp, error) { return decode[TierResp](b) }

@@ -15,8 +15,8 @@ import (
 )
 
 // Col is one measured value. The json tags are the cmbench -json wire
-// shape, committed as BENCH_PRn.json perf-trajectory seeds — keep them
-// stable and additive.
+// shape, committed as the BENCH_PR10.json figure-parity baseline that
+// benchdiff reads — keep them stable and additive.
 type Col struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`

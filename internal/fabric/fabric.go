@@ -375,12 +375,12 @@ func (f *Fabric) RTT(src, dst int, reqBytes, respBytes int) uint64 {
 // long it took. Start is the ns offset from the owning trace's origin.
 // Codes are plain integers here so every transport can record spans
 // without importing the tracing package; the code namespace and names
-// live in internal/trace.
+// live in internal/trace. The wire tags match trace.EncodeSpans.
 type Span struct {
-	Code  uint16
-	Arg   uint32 // code-specific detail: shard, attempt #, byte count…
-	Start uint64
-	Dur   uint64
+	Code  uint16 `wire:"1"`
+	Arg   uint32 `wire:"2"` // code-specific detail: shard, attempt #, byte count…
+	Start uint64 `wire:"3"`
+	Dur   uint64 `wire:"4"`
 }
 
 // OpTrace accumulates an operation's critical-path virtual latency, wire

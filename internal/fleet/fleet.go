@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -62,7 +63,8 @@ type CellScrape struct {
 	Err   string    `json:"err,omitempty"` // last failure, "" when healthy
 
 	Config   proto.ConfigResp           `json:"config"`
-	Stats    map[string]proto.StatsResp `json:"stats,omitempty"`
+	Stats    map[string]proto.StatsResp `json:"stats,omitempty"`  // by backend address
+	Errors   map[string]string          `json:"errors,omitempty"` // addresses whose Stats fetch failed
 	Debug    proto.DebugResp            `json:"debug"`
 	DebugOK  bool                       `json:"debugOk,omitempty"`
 	Health   proto.HealthResp           `json:"health"`
@@ -196,7 +198,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) *View {
 		wg.Add(1)
 		go func(i int, tgt Target) {
 			defer wg.Done()
-			cs, err := scrapeCell(ctx, tgt, now)
+			cs, err := ScrapeCell(ctx, tgt, 1, now)
 			if err != nil {
 				results[i] = result{i: i, cs: CellScrape{Name: tgt.Name, Err: err.Error()}, ok: false}
 				return
@@ -244,82 +246,99 @@ func minu(a, b uint64) uint64 {
 	return b
 }
 
-// scrapeCell polls one cell: config discovery, per-shard stats, the
-// cell-wide debug/health/tier planes (any shard serves them), and the
-// per-backend hot-key sketches unioned across shards.
-func scrapeCell(ctx context.Context, tgt Target, now time.Time) (CellScrape, error) {
-	cs := CellScrape{Name: tgt.Name, At: now, Stats: make(map[string]proto.StatsResp)}
-	raw, _, err := tgt.Caller.Call(ctx, "backend-0", proto.MethodConfig, nil)
+// ScrapeCell polls one cell once — the Config → Stats → Debug → Health →
+// Tier sequence every dashboard surface (the Aggregator, cmstat) shares.
+// Config is discovered from backend-0 (shard addresses are conventional);
+// Stats is asked of every current and pending-epoch address (a resize
+// routes to spares outside the old shard map), failures kept per address
+// in Errors; the cell-wide Debug, Health and Tier planes come from the
+// first shard that answers a decodable frame, Debug bounded to maxSlow
+// slow-op traces; the per-backend heavy-hitter sketches are unioned across
+// every shard. Those three methods are additive: a cell that predates one
+// simply leaves its OK flag false. It fails only when the cell is
+// unreachable: no config (an empty scrape), or no shard answering Stats —
+// then the scrape is still returned whole, every address's reason in Errors.
+func ScrapeCell(ctx context.Context, tgt Target, maxSlow int, now time.Time) (CellScrape, error) {
+	cs := CellScrape{Name: tgt.Name, At: now, Stats: make(map[string]proto.StatsResp), Errors: make(map[string]string)}
+	cfg, err := ask(ctx, tgt.Caller, "backend-0", proto.MethodConfig, nil, proto.UnmarshalConfigResp)
 	if err != nil {
 		return cs, fmt.Errorf("config: %w", err)
 	}
-	cfg, err := proto.UnmarshalConfigResp(raw)
-	if err != nil {
-		return cs, fmt.Errorf("config decode: %w", err)
-	}
 	cs.Config = cfg
 
-	heat := make(map[string]*proto.DebugHotKey)
-	reachable := false
-	for _, addr := range cfg.ShardAddrs {
-		if raw, _, err := tgt.Caller.Call(ctx, addr, proto.MethodStats, nil); err == nil {
-			if st, serr := proto.UnmarshalStatsResp(raw); serr == nil {
-				cs.Stats[addr] = st
-				cs.Ops += st.Gets + st.Sets
-				cs.Keys += st.ResidentKeys
-				cs.Bytes += st.MemoryBytes
-				reachable = true
-			}
+	addrs := slices.Clone(cfg.ShardAddrs)
+	for _, addr := range cfg.PendingShardAddrs {
+		if !slices.Contains(addrs, addr) {
+			addrs = append(addrs, addr)
 		}
-		// The tracer is cell-wide (one snapshot per cell, take the
-		// first); the heavy-hitter sketch is per-backend (union all).
-		raw, _, err := tgt.Caller.Call(ctx, addr, proto.MethodDebug, proto.DebugReq{MaxSlow: 1}.Marshal())
+	}
+	for i, addr := range addrs {
+		st, err := ask(ctx, tgt.Caller, addr, proto.MethodStats, nil, proto.UnmarshalStatsResp)
 		if err != nil {
+			cs.Errors[addr] = err.Error()
 			continue
 		}
-		dbg, derr := proto.UnmarshalDebugResp(raw)
-		if derr != nil {
+		cs.Stats[addr] = st
+		if i < len(cfg.ShardAddrs) { // a pending-only spare holds copies in flight, not load
+			cs.Ops += st.Gets + st.Sets
+			cs.Keys += st.ResidentKeys
+			cs.Bytes += st.MemoryBytes
+		}
+	}
+
+	// The tracer is cell-wide (keep the first snapshot, at the caller's
+	// bound); the heavy-hitter sketch is per-backend, so the remaining
+	// shards are still asked, with the slow log cut to one op.
+	var sketches [][]proto.DebugHotKey
+	for _, addr := range cfg.ShardAddrs {
+		req := proto.DebugReq{MaxSlow: maxSlow}
+		if cs.DebugOK {
+			req.MaxSlow = 1
+		}
+		dbg, err := ask(ctx, tgt.Caller, addr, proto.MethodDebug, req.Marshal(), proto.UnmarshalDebugResp)
+		if err != nil {
 			continue
 		}
 		if !cs.DebugOK {
 			cs.Debug, cs.DebugOK = dbg, true
 		}
-		for _, hk := range dbg.HotKeys {
-			if got, ok := heat[hk.Key]; ok {
-				got.Count += hk.Count
-				got.Err += hk.Err
-			} else {
-				cp := hk
-				heat[hk.Key] = &cp
-			}
-		}
+		sketches = append(sketches, dbg.HotKeys)
 	}
-	if !reachable {
-		return cs, fmt.Errorf("no shard of %s answered stats", tgt.Name)
-	}
-	cs.HotKeys = rankHeat(heat)
+	cs.HotKeys = MergeHotKeys(sketches...)
 
-	for _, addr := range cfg.ShardAddrs {
-		raw, _, err := tgt.Caller.Call(ctx, addr, proto.MethodHealth, proto.HealthReq{}.Marshal())
-		if err != nil {
-			continue
-		}
-		if hl, herr := proto.UnmarshalHealthResp(raw); herr == nil {
-			cs.Health, cs.HealthOK = hl, true
-		}
-		break
-	}
-	for _, addr := range cfg.ShardAddrs {
-		raw, _, err := tgt.Caller.Call(ctx, addr, proto.MethodTier, proto.TierReq{}.Marshal())
-		if err != nil {
-			continue
-		}
-		if ti, terr := proto.UnmarshalTierResp(raw); terr == nil {
-			cs.Tier, cs.TierOK = ti, true
-		}
-		break
+	cs.Health, cs.HealthOK = askAny(ctx, tgt.Caller, cfg.ShardAddrs, proto.MethodHealth, proto.HealthReq{}.Marshal(), proto.UnmarshalHealthResp)
+	cs.Tier, cs.TierOK = askAny(ctx, tgt.Caller, cfg.ShardAddrs, proto.MethodTier, proto.TierReq{}.Marshal(), proto.UnmarshalTierResp)
+	if len(cs.Stats) == 0 {
+		return cs, fmt.Errorf("no shard of %s answered stats: %v", tgt.Name, cs.Errors)
 	}
 	return cs, nil
+}
+
+// askAny asks each address in turn for a cell-wide plane and returns the
+// first answer that decodes.
+func askAny[T any](ctx context.Context, c Caller, addrs []string, method string, req []byte, decode func([]byte) (T, error)) (T, bool) {
+	for _, addr := range addrs {
+		if v, err := ask(ctx, c, addr, method, req, decode); err == nil {
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// ask issues one scrape call and decodes the answer. A frame that does not
+// decode is as good as no answer: the zero value and the error.
+func ask[T any](ctx context.Context, c Caller, addr, method string, req []byte, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	raw, _, err := c.Call(ctx, addr, method, req)
+	if err != nil {
+		return zero, err
+	}
+	v, err := decode(raw)
+	if err != nil {
+		return zero, fmt.Errorf("decode: %w", err)
+	}
+	return v, nil
 }
 
 func rankHeat(heat map[string]*proto.DebugHotKey) []proto.DebugHotKey {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,11 +23,14 @@ type fakeCell struct {
 	health *proto.HealthResp
 	tier   *proto.TierResp
 	fail   bool
+
+	badHealth map[string]bool // addrs answering Health with a damaged frame
+	maxSlow   map[string]int  // Debug bound each addr was asked with
 }
 
 var errDown = errors.New("unreachable")
 
-func (f *fakeCell) Call(_ context.Context, addr, method string, _ []byte) ([]byte, fabric.OpTrace, error) {
+func (f *fakeCell) Call(_ context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
 	if f.fail {
 		return nil, fabric.OpTrace{}, errDown
 	}
@@ -44,12 +48,19 @@ func (f *fakeCell) Call(_ context.Context, addr, method string, _ []byte) ([]byt
 		if !ok {
 			return nil, fabric.OpTrace{}, errDown
 		}
+		if dr, err := proto.UnmarshalDebugReq(req); err == nil && f.maxSlow != nil {
+			f.maxSlow[addr] = dr.MaxSlow
+		}
 		return dbg.Marshal(), fabric.OpTrace{}, nil
 	case proto.MethodHealth:
 		if f.health == nil {
 			return nil, fabric.OpTrace{}, errDown
 		}
-		return f.health.Marshal(), fabric.OpTrace{}, nil
+		frame := f.health.Marshal()
+		if f.badHealth[addr] {
+			frame = frame[:len(frame)-1]
+		}
+		return frame, fabric.OpTrace{}, nil
 	case proto.MethodTier:
 		if f.tier == nil {
 			return nil, fabric.OpTrace{}, errDown
@@ -253,5 +264,78 @@ func TestWritePromExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestScrapeCell pins the one scrape sequence cmstat and the aggregator
+// share, on a 4-shard cell mid-resize: Stats covers current and pending
+// addresses with failures kept per address; the tracer snapshot is the
+// first responder's at the caller's bound; the hot-key ranking is the
+// union of every shard's sketch — what a one-cell fleet view shows — and
+// a frame that does not decode is passed over for the next shard's.
+func TestScrapeCell(t *testing.T) {
+	shards := []string{"backend-0", "backend-1", "backend-2", "backend-3"}
+	cell := &fakeCell{
+		cfg: proto.ConfigResp{ShardAddrs: shards, PendingShards: 5,
+			PendingShardAddrs: append(append([]string{}, shards...), "spare-0")},
+		stats: map[string]proto.StatsResp{
+			"backend-0": {Gets: 10, ResidentKeys: 1}, "backend-1": {Gets: 20, ResidentKeys: 2},
+			"backend-3": {Sets: 5, ResidentKeys: 4}, "spare-0": {Sets: 1000, ResidentKeys: 7},
+		},
+		debug: map[string]proto.DebugResp{ // backend-0 answers Stats but not Debug
+			"backend-1": {OpsTotal: 111, HotKeys: []proto.DebugHotKey{{Key: "a", Count: 5, Err: 1}, {Key: "b", Count: 4}}},
+			"backend-2": {OpsTotal: 222, HotKeys: []proto.DebugHotKey{{Key: "c", Count: 9}}},
+			"backend-3": {OpsTotal: 333, HotKeys: []proto.DebugHotKey{{Key: "a", Count: 6, Err: 2}}},
+		},
+		health:    &proto.HealthResp{Rounds: 3, Classes: []proto.HealthClass{{Class: "GET", State: "ok"}}},
+		badHealth: map[string]bool{"backend-0": true},
+		maxSlow:   make(map[string]int),
+	}
+	tgt := Target{Name: "solo", Caller: cell}
+	cs, err := ScrapeCell(context.Background(), tgt, 8, time.Unix(100, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Stats) != 4 || len(cs.Errors) != 1 || cs.Errors["backend-2"] == "" {
+		t.Errorf("stats %v, errors %v; want 4 answers and backend-2 in errors", cs.Stats, cs.Errors)
+	}
+	if cs.Ops != 35 || cs.Keys != 7 {
+		t.Errorf("ops=%d keys=%d, want 35 and 7 (the pending-only spare holds copies, not load)", cs.Ops, cs.Keys)
+	}
+	if !cs.DebugOK || cs.Debug.OpsTotal != 111 {
+		t.Errorf("tracer snapshot should be backend-1's, the first responder: %+v", cs.Debug)
+	}
+	if want := map[string]int{"backend-1": 8, "backend-2": 1, "backend-3": 1}; !reflect.DeepEqual(cell.maxSlow, want) {
+		t.Errorf("Debug bounds asked: %v, want %v", cell.maxSlow, want)
+	}
+	union := []proto.DebugHotKey{{Key: "a", Count: 11, Err: 3}, {Key: "c", Count: 9}, {Key: "b", Count: 4}}
+	if !reflect.DeepEqual(cs.HotKeys, union) {
+		t.Errorf("hot keys %+v, want the 3-shard union %+v", cs.HotKeys, union)
+	}
+	if v := New([]Target{tgt}, Options{}).ScrapeOnce(context.Background()); !reflect.DeepEqual(v.HotKeys, cs.HotKeys) {
+		t.Errorf("one-cell fleet view ranks %+v, the cell scrape %+v", v.HotKeys, cs.HotKeys)
+	}
+	if !cs.HealthOK || cs.Health.Rounds != 3 {
+		t.Errorf("health should come from backend-1 after backend-0's damaged frame: ok=%v %+v", cs.HealthOK, cs.Health)
+	}
+	if cs.TierOK {
+		t.Errorf("no shard serves Tier, yet TierOK: %+v", cs.Tier)
+	}
+
+	// No shard answers Stats (a cell that predates or fails the method): an
+	// error for the aggregator, and the whole scrape for cmstat, which
+	// prints one unreachable row per address from Errors.
+	cell.stats = nil
+	cs, err = ScrapeCell(context.Background(), tgt, 8, time.Unix(101, 0))
+	if err == nil || !strings.Contains(err.Error(), "backend-2:") {
+		t.Errorf("err = %v, want one naming every address's reason", err)
+	}
+	if len(cs.Errors) != 5 || cs.Errors["spare-0"] == "" || len(cs.Config.ShardAddrs) != 4 || !cs.DebugOK || !cs.HealthOK {
+		t.Errorf("errors %v config %v debugOK=%v healthOK=%v; want 5 reasons beside the planes that did answer",
+			cs.Errors, cs.Config.ShardAddrs, cs.DebugOK, cs.HealthOK)
+	}
+	cell.fail = true
+	if cs, err = ScrapeCell(context.Background(), tgt, 8, time.Unix(102, 0)); err == nil || len(cs.Errors) != 0 {
+		t.Errorf("err = %v errors = %v, want a config failure and an empty scrape", err, cs.Errors)
 	}
 }

@@ -146,8 +146,8 @@ const NumBuckets = 64 * 16
 // histogram travels in on the wire, so remote aggregators can merge true
 // distributions instead of averaging quantiles.
 type HistBucket struct {
-	Index uint32
-	Count uint64
+	Index uint32 `wire:"1"`
+	Count uint64 `wire:"2"`
 }
 
 // Buckets returns the occupied buckets in index order. Latency

@@ -87,10 +87,12 @@ func (c *FakeClock) Set(micros int64) { c.micros.Store(micros) }
 // Version is the CliqueMap VersionNumber: globally unique, monotonic within
 // a key, and monotonic in the sequence emitted by a single client. The
 // zero Version is "no version" and compares below every real version.
+// The wire tags are its field order inside every proto message, which
+// splice it in `flat` at their own base tag (internal/wire/codec.go).
 type Version struct {
-	Micros   int64  // TrueTime latest bound at nomination (uppermost bits)
-	ClientID uint64 // tie-break between clients in the same microsecond
-	Seq      uint64 // per-client sequence, tie-break for one client
+	Micros   int64  `wire:"1"` // TrueTime latest bound at nomination (uppermost bits)
+	ClientID uint64 `wire:"2"` // tie-break between clients in the same microsecond
+	Seq      uint64 `wire:"3"` // per-client sequence, tie-break for one client
 }
 
 // Zero reports whether v is the absent version.

@@ -52,7 +52,9 @@ JSON="$("$BIN/cmstat" -fleet "$SPEC" -json)"
 for want in '"Round":1' '"Verdict":"ok"' '"Name":"us"' '"Name":"eu"' '"Name":"asia"' '"Hists"' '"HotKeys"'; do
   grep -q "$want" <<<"$JSON" || { echo "json missing $want" >&2; exit 1; }
 done
-grep -q '"Stale":true' <<<"$JSON" && { echo "unexpected stale cell" >&2; exit 1; }
+# CellScrape.Stale is tagged `json:"stale,omitempty"`: this is the key the
+# encoder emits (the stale-marker section below proves the grep can fire).
+grep -q '"stale":true' <<<"$JSON" && { echo "unexpected stale cell" >&2; exit 1; }
 
 echo "== prom =="
 PROM="$("$BIN/cmstat" -fleet "$SPEC" -prom)"
@@ -61,10 +63,32 @@ for want in "cliquemap_fleet_cells 3" 'cliquemap_fleet_cell_up{cell="asia"} 1' \
   grep -q "$want" <<<"$PROM" || { echo "prom missing '$want'" >&2; exit 1; }
 done
 
-# Stale-marker path: kill one cell and re-scrape twice with -watch so the
-# second round must carry the last good snapshot marked STALE.
+# Stale-marker path. A -watch -json scraper that has seen all three cells
+# live keeps running across the kill: its next round must carry the dead
+# cell's last good snapshot under the very key the check above greps for.
+"$BIN/cmstat" -fleet "$SPEC" -watch 1s -json >"$BIN/watch.json" 2>/dev/null &
+WATCHER=$!
+for attempt in $(seq 1 50); do
+  [ -s "$BIN/watch.json" ] && break
+  sleep 0.2
+done
+FIRST="$(head -1 "$BIN/watch.json")"
+grep -q '"Round":1' <<<"$FIRST" || { echo "json watcher never scraped" >&2; exit 1; }
+grep -q '"stale":true' <<<"$FIRST" && { echo "stale cell before the kill" >&2; exit 1; }
+
 kill %1
-sleep 1
+for attempt in $(seq 1 30); do
+  grep -q '"stale":true' "$BIN/watch.json" && break
+  if [ "$attempt" -eq 30 ]; then
+    echo "killed cell never surfaced as \"stale\":true in the -watch -json stream" >&2
+    exit 1
+  fi
+  sleep 0.5
+done
+kill "$WATCHER"
+
+# A scraper started after the kill has no last good snapshot to fall back
+# on: the dead cell shows as DOWN (or STALE on a later round).
 WATCH="$(timeout 30 "$BIN/cmstat" -fleet "$SPEC" -watch 1s 2>/dev/null | head -80 || true)"
 grep -Eq "STALE as of|DOWN" <<<"$WATCH" || {
   echo "killed cell never surfaced as STALE/DOWN:" >&2
