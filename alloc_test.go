@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/rpc"
 )
 
 // TestGetAllocBudget holds the one-sided GET to the per-op allocation
@@ -16,6 +17,15 @@ import (
 //	SCAR miss  the same without the value                      = 8
 //	2×R hit    3 × (bucket + leg spans) + (data + leg spans)
 //	           + op span buffer + trace context + the value    = 11
+//
+// and the two-sided GET of an out-of-process caller — a tracer-less
+// StrategyRPC client on one loopback connection to the cell's gateway — to
+// the budget of "TCP RPC datapath: where a call's allocations go":
+//
+//	RPC hit    3 × (response frame + its spans, the gateway's request
+//	over TCP   frame, the span sink's context node + the in-cell
+//	           call's spans, the handler's response)
+//	           + the request, marshalled once + op span buffer  = 20
 //
 // A regression here is an allocation back on every GET, which the gated
 // benchmark (bench/, allocs_per_op) would only report much later.
@@ -58,6 +68,35 @@ func TestGetAllocBudget(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("RPC hit over TCP", func(t *testing.T) {
+		c := newCell(t, Options{})
+		cc := c.Internal()
+		gw, err := cc.ServeTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		conn, err := rpc.DialTCP(gw.Addr(), "budget")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		cl := client.New(client.Options{ID: 1 << 20, Strategy: client.StrategyRPC},
+			cc.Store, conn, cc.Clock, nil, nil, nil, nil)
+		if err := cl.Set(ctx, key, make([]byte, 128)); err != nil {
+			t.Fatal(err)
+		}
+		get := func() {
+			if v, found, err := cl.Get(ctx, key); err != nil || !found || len(v) != 128 {
+				t.Fatalf("get: %d bytes found=%v err=%v", len(v), found, err)
+			}
+		}
+		get() // the connection's dispatchers and scratch warm up
+		if got := testing.AllocsPerRun(200, get); got > 20 {
+			t.Errorf("%v allocations per GET, budget 20", got)
+		}
+	})
 
 	// A client without a tracer (every rpc.DialTCP caller is one) makes the
 	// same one span buffer as a traced client, and never grows it.

@@ -16,32 +16,47 @@ import (
 	"cliquemap/internal/truetime"
 )
 
-// lookup reads key's client-visible value and version from the index or
-// the side shard; the key's stripe lock (s) is held.
-func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte) (value []byte, ver truetime.Version, found bool) {
+// lookup finds key's stored entry in the index or the side shard; the
+// key's stripe lock (s) is held. The entry is a view — of *buf, into which
+// an indexed entry is read, or of the side shard's bytes, which are never
+// rewritten in place — and its Value is as stored, possibly compressed.
+func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte, buf *[]byte) (layout.DataEntry, bool) {
 	idx := b.idx.Load()
 	if e, _, ok := idx.bucket(idx.bucketOf(h)).Find(h); ok {
-		if de, err := b.readEntry(e); err == nil && string(de.Key) == string(key) {
-			if val, merr := de.MaterializeValue(); merr == nil {
-				return val, de.Version, true
-			}
+		if de, err := b.readEntry(e, buf); err == nil && string(de.Key) == string(key) {
+			return de, true
 		}
 	}
 	if se, ok := s.side[string(key)]; ok {
-		return append([]byte(nil), se.value...), se.version, true
+		return layout.DataEntry{Key: key, Value: se.value, Version: se.version}, true
 	}
-	return nil, truetime.Version{}, false
+	return layout.DataEntry{}, false
 }
 
-// get serves the RPC/MSG lookup path and repair reads.
-func (b *Backend) get(sink *trace.SpanSink, key []byte) (value []byte, ver truetime.Version, found bool) {
+// view is the read both two-sided lookups and get share: count it, note
+// the key's heat, and look the key up under its stripe lock into *buf.
+func (b *Backend) view(sink *trace.SpanSink, key []byte, buf *[]byte) (layout.DataEntry, bool) {
 	h := b.opt.Hash(key)
 	s := b.stripeOf(h)
 	s.ctr.gets.Add(1)
 	b.noteHeat(key, h)
 	lockStripe(s, sink)
 	defer s.unlock()
-	return b.lookup(s, h, key)
+	return b.lookup(s, h, key, buf)
+}
+
+// get returns key's client-visible value as the caller's own copy: repair
+// reads, handoff, tests. The RPC/MSG lookup path encodes a view instead
+// (serveGet).
+func (b *Backend) get(sink *trace.SpanSink, key []byte) (value []byte, ver truetime.Version, found bool) {
+	bp := dataBufs.Get().(*[]byte)
+	defer dataBufs.Put(bp)
+	de, found := b.view(sink, key, bp)
+	if !found {
+		return nil, truetime.Version{}, false
+	}
+	value, err := de.MaterializeValue()
+	return value, de.Version, err == nil
 }
 
 // versionBound returns the threshold a mutation's version must exceed: the
@@ -73,8 +88,8 @@ func (b *Backend) versionGate(s *stripe, raw layout.RawBucket, key []byte, h has
 	return bound, true
 }
 
-// dataBufs pools DataEntry encode buffers to keep the mutation path
-// allocation-free.
+// dataBufs pools DataEntry-sized scratch: the mutation path encodes into
+// one, the lookup paths read into one, and neither allocates for it.
 var dataBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeEntry encodes and stores a DataEntry, compressing the value when
@@ -207,10 +222,16 @@ func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Versio
 func (b *Backend) updateVersion(key []byte, v truetime.Version) bool {
 	h := b.opt.Hash(key)
 	s := b.stripeOf(h)
+	bp := dataBufs.Get().(*[]byte)
+	defer dataBufs.Put(bp)
 	lockStripe(s, nil)
-	value, _, found := b.lookup(s, h, key)
+	de, found := b.lookup(s, h, key, bp)
 	s.unlock()
 	if !found {
+		return false
+	}
+	value, err := de.MaterializeValue()
+	if err != nil {
 		return false
 	}
 	applied, _, _ := b.install(nil, s, h, key, value, v, true)
@@ -293,7 +314,8 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawB
 			return false
 		}
 		// The victim shares this bucket, hence this stripe.
-		if de, err := b.readEntry(victim); err == nil {
+		var scratch []byte
+		if de, err := b.readEntry(victim, &scratch); err == nil {
 			s.policy.RemoveBytes(de.Key)
 		}
 		b.clearSlot(idx, bucket, slot, victim)

@@ -385,7 +385,12 @@ func (b *Backend) serveGet(sink *trace.SpanSink, req []byte) ([]byte, error) {
 	if r.ConfigID != 0 && r.ConfigID != b.configID.Load() {
 		return nil, layout.ErrConfigChanged
 	}
-	value, ver, found := b.get(sink, r.Key)
+	// One copy, one allocation: the entry is read into pooled scratch,
+	// checksum-validated there, and its value encoded straight into the
+	// response.
+	bp := dataBufs.Get().(*[]byte)
+	defer dataBufs.Put(bp)
+	de, found := b.view(sink, r.Key, bp)
 	if !found && b.recovering.Load() {
 		// A recovering replica cannot distinguish "never stored" from
 		// "acked before the crash, not yet recovered": a clean miss
@@ -394,7 +399,12 @@ func (b *Backend) serveGet(sink *trace.SpanSink, req []byte) ([]byte, error) {
 		// misses bounce until the self-validation sweep ends.
 		return nil, proto.ErrRecovering
 	}
-	return proto.GetResp{Found: found, Value: value, Version: ver}.Marshal(), nil
+	if de.Compressed {
+		if de.Value, err = layout.DecompressValue(de.Value); err != nil {
+			return nil, err
+		}
+	}
+	return proto.GetResp{Found: found, Value: de.Value, Version: de.Version}.Marshal(), nil
 }
 
 // admitMutation is the admission check every client mutation passes before

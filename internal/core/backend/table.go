@@ -164,10 +164,25 @@ func (d *dataRegion) free(p layout.Pointer) {
 	d.alloc.Free(slab.Ref{Offset: int(p.Offset), Size: sizeClassOf(int(p.Size))}, int(p.Size))
 }
 
-// readEntry materializes the DataEntry behind e.
-func (b *Backend) readEntry(e layout.IndexEntry) (layout.DataEntry, error) {
-	raw, err := b.reg.Read(e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
+// readEntry reads and validates the DataEntry behind e into *buf, grown to
+// fit; the entry returned aliases it. The copy runs under rmem's own range
+// locks, as Registry.Read's does, so the tearing model is the same, and the
+// checksum still decides whether what was read is an entry.
+func (b *Backend) readEntry(e layout.IndexEntry, buf *[]byte) (layout.DataEntry, error) {
+	w, err := b.reg.Lookup(e.Ptr.Window)
 	if err != nil {
+		return layout.DataEntry{}, err
+	}
+	// Bounds before bytes: Ptr was read out of RMA-visible memory.
+	off, n := int(e.Ptr.Offset), int(e.Ptr.Size)
+	if !w.Region.InBounds(off, n) {
+		return layout.DataEntry{}, rmem.ErrOutOfBounds
+	}
+	if cap(*buf) < n {
+		*buf = make([]byte, n+n/2)
+	}
+	raw := (*buf)[:n]
+	if err := w.Region.ReadInto(off, raw); err != nil {
 		return layout.DataEntry{}, err
 	}
 	return layout.DecodeDataEntry(raw)

@@ -101,6 +101,23 @@ func (r *rig) newClient1RMA(opt Options) *Client {
 	return New(opt, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
 }
 
+// newClientTCP builds the client of an out-of-process caller: everything it
+// does is an RPC framed over one loopback connection to a gateway on the
+// rig's network. No NIC, no tracer.
+func (r *rig) newClientTCP(t testing.TB, opt Options) *Client {
+	gw, err := rpc.ServeTCP(r.net, "127.0.0.1:0", clientHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	conn, err := rpc.DialTCP(gw.Addr(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return New(opt, r.store, conn, r.clock, nil, nil, nil, nil)
+}
+
 func TestStrategyStrings(t *testing.T) {
 	want := map[Strategy]string{Strategy2xR: "2xR", StrategySCAR: "SCAR", StrategyMSG: "MSG", StrategyRPC: "RPC"}
 	for s, w := range want {

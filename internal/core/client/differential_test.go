@@ -16,22 +16,25 @@ import (
 // fetch, so every op must return the same (value, found), and every GET's
 // trace must have the same shape: an index phase that costs the k-th
 // fastest of the live legs, followed by a data read only where the fetch
-// did not already carry the value (2×R). The last row asks for SCAR from
-// a 1RMA cohort, whose NICs cannot scan: it must degrade to exactly 2×R —
+// did not already carry the value (2×R). One row asks for SCAR from a
+// 1RMA cohort, whose NICs cannot scan: it must degrade to exactly 2×R —
 // same results, the dependent data read, and no hit ever mistaken for a
-// torn scan and pushed down the retry ladder to the RPC fallback.
+// torn scan and pushed down the retry ladder to the RPC fallback. The last
+// row is the out-of-process caller: RPC lookups and mutations framed over
+// one loopback connection to a gateway, where every value served is a view
+// of a response frame and every span crossed the wire.
 func TestStrategiesAgree(t *testing.T) {
 	type result struct {
 		val   string
 		found bool
 	}
-	replay := func(t *testing.T, strat Strategy, on1RMA bool) []result {
+	type dialer func(testing.TB, *rig, Options) *Client
+	pony := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient(opt) }
+	oneRMA := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient1RMA(opt) }
+	overTCP := func(t testing.TB, r *rig, opt Options) *Client { return r.newClientTCP(t, opt) }
+	replay := func(t *testing.T, strat Strategy, newClient dialer, on1RMA bool) []result {
 		r := newRig(t)
-		newClient := r.newClient
-		if on1RMA {
-			newClient = r.newClient1RMA
-		}
-		cl := newClient(Options{Strategy: strat})
+		cl := newClient(t, r, Options{Strategy: strat})
 		ctx := context.Background()
 		rng := rand.New(rand.NewSource(14))
 		var out []result
@@ -79,17 +82,19 @@ func TestStrategiesAgree(t *testing.T) {
 		return out
 	}
 
-	want := replay(t, Strategy2xR, false)
+	want := replay(t, Strategy2xR, pony, false)
 	for _, tc := range []struct {
-		name   string
-		strat  Strategy
-		on1RMA bool
+		name      string
+		strat     Strategy
+		newClient dialer
+		on1RMA    bool
 	}{
-		{"SCAR", StrategySCAR, false}, {"MSG", StrategyMSG, false}, {"RPC", StrategyRPC, false},
-		{"SCAR-on-1RMA", StrategySCAR, true},
+		{"SCAR", StrategySCAR, pony, false}, {"MSG", StrategyMSG, pony, false}, {"RPC", StrategyRPC, pony, false},
+		{"SCAR-on-1RMA", StrategySCAR, oneRMA, true},
+		{"RPC-over-TCP", StrategyRPC, overTCP, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := replay(t, tc.strat, tc.on1RMA)
+			got := replay(t, tc.strat, tc.newClient, tc.on1RMA)
 			if len(got) != len(want) {
 				t.Fatalf("%d GETs, want %d", len(got), len(want))
 			}

@@ -80,14 +80,17 @@ func (c *Client) fetchViews(ctx context.Context, cfg config.CellConfig, rt route
 		views = append(views, indexView{rep: rep, err: err})
 	}
 
-	// Two-sided lookups bill the client once per attempt; one-sided legs
-	// bill themselves (Figure 7 calibration).
+	// Two-sided lookups bill the client once per attempt — one-sided legs
+	// bill themselves (Figure 7 calibration) — and marshal their request
+	// once for the whole fan-out.
 	var req []byte
 	switch how {
 	case fetchRPC:
 		c.chargeCPU(cpuRPC)
 	case fetchMsg:
 		c.chargeCPU(cpuMSG)
+	}
+	if !how.oneSided() {
 		req = proto.GetReq{Key: key, ConfigID: cfg.ID}.Marshal()
 	}
 
@@ -128,16 +131,19 @@ func (c *Client) fetchViews(ctx context.Context, cfg config.CellConfig, rt route
 func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashring.KeyHash, cfgID uint64, how fetch, req []byte, v *indexView) {
 	if !how.oneSided() {
 		// The server ran the lookup — stamp check, key match, checksum —
-		// and answers (found, version, value).
-		var g proto.GetResp
+		// and answers (found, version, value). The value is a view of the
+		// response, which this leg owns.
+		var resp []byte
 		if how == fetchMsg {
-			var resp []byte
-			if resp, v.trace, v.err = c.msg(v.rep.host, at, req); v.err == nil {
-				g, v.err = proto.UnmarshalGetResp(resp)
-			}
+			resp, v.trace, v.err = c.msg(v.rep.host, at, req)
 		} else {
-			g, v.trace, v.err = c.rpcGetAt(ctx, v.rep.addr, key, cfgID)
+			resp, v.trace, v.err = c.rpcc.Call(ctx, v.rep.addr, proto.MethodGet, req)
 		}
+		if v.err != nil {
+			return
+		}
+		var g proto.GetResp
+		g, v.err = proto.UnmarshalGetResp(resp)
 		v.present, v.entry.Version, v.data = g.Found, g.Version, g.Value
 		return
 	}

@@ -411,12 +411,14 @@ func (r GetResp) Marshal() []byte {
 	return e.Encoded()
 }
 
-// UnmarshalGetResp decodes the response.
+// UnmarshalGetResp decodes the response. Value aliases b: a response
+// buffer belongs to the call that received it and is never reused, so the
+// value is served from where it arrived.
 func UnmarshalGetResp(b []byte) (GetResp, error) {
 	var r GetResp
 	var v versionAcc
-	d, err := wire.NewDecoder(b)
-	if err != nil {
+	var d wire.Decoder
+	if err := d.Init(b); err != nil {
 		return r, err
 	}
 	for d.Next() {
@@ -424,7 +426,7 @@ func UnmarshalGetResp(b []byte) (GetResp, error) {
 		case 1:
 			r.Found = d.Bool()
 		case 2:
-			r.Value = append([]byte(nil), d.Bytes()...)
+			r.Value = d.Bytes()
 		case 3:
 			v.m = d.Uint()
 		case 4:

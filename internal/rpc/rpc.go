@@ -56,7 +56,9 @@ func DefaultCostModel() CostModel {
 }
 
 // Handler serves one method. The request and response are opaque payloads
-// (conventionally internal/wire messages).
+// (conventionally internal/wire messages). ctx is the handler's only until
+// it returns: the span sink in it, and behind the TCP gateway the context
+// node itself, are recycled for the next call.
 type Handler func(ctx context.Context, principal string, req []byte) ([]byte, error)
 
 // Authenticator decides whether principal may invoke method — the per-RPC
@@ -127,7 +129,7 @@ type Server struct {
 	stopped  bool
 	failRate float64
 	failRng  *rand.Rand
-	pool     *workerPool // bounded handler-execution pool
+	pool     *workerPool[task] // bounded handler-execution pool
 
 	sat satCounters // admission-queue saturation telemetry
 }
@@ -179,25 +181,88 @@ func (s *Server) admit(now func() uint64, serviceNs uint64, limit int32) uint64 
 	return q
 }
 
-// workerPool runs handlers on a bounded set of persistent worker
-// goroutines — the request-processing thread pool of a production server.
-// Workers are spawned lazily up to limit and then parked between requests,
-// so steady-state dispatch costs two channel handoffs and no goroutine
-// creation (a fresh goroutine per call would re-grow its stack on every
-// request — measurably dominant on the mutation hot path).
-type workerPool struct {
-	tasks   chan task
+// workerPool runs tasks on a bounded set of persistent worker goroutines.
+// It serves twice: as a server's request-processing thread pool (tasks
+// are handler invocations, see submit) and as a TCP gateway connection's
+// dispatchers (tasks are framed calls). Workers are spawned lazily up to
+// limit and then parked between tasks, so steady-state dispatch costs a
+// channel handoff and no goroutine creation (a fresh goroutine per call
+// would re-grow its stack on every request — measurably dominant on the
+// mutation hot path).
+type workerPool[T any] struct {
+	tasks   chan T
+	run     func(T)
 	limit   int32
 	running atomic.Int32
-	busy    atomic.Int32 // workers currently executing a handler (gauge)
+	busy    atomic.Int32   // workers currently executing a task (gauge)
+	wg      sync.WaitGroup // the workers, for shutdown
 
 	// Occupancy telemetry for the wall side of the admission queue: both
 	// are touched only on the at-limit path, so the uncontended fast path
 	// pays nothing.
-	queuedSubmits atomic.Uint64 // submits that waited for a worker at the pool limit
-	submitWaitNs  atomic.Uint64 // cumulative measured wall-ns those submits waited
+	queuedSubmits atomic.Uint64 // dispatches that waited for a worker at the pool limit
+	submitWaitNs  atomic.Uint64 // cumulative measured wall-ns those dispatches waited
 }
 
+func newWorkerPool[T any](limit int, run func(T)) *workerPool[T] {
+	if limit < 1 {
+		limit = 1
+	}
+	return &workerPool[T]{tasks: make(chan T), run: run, limit: int32(limit)}
+}
+
+// dispatch hands t to a worker. When every worker is busy and the pool is
+// at its limit, dispatch blocks — the pool is its owner's admission
+// semaphore. It reports false, with t not run, when ctx expires first.
+func (p *workerPool[T]) dispatch(ctx context.Context, t T) bool {
+	select {
+	case p.tasks <- t: // an idle worker took it
+		return true
+	default:
+	}
+	if n := p.running.Add(1); n <= p.limit {
+		p.wg.Add(1)
+		go p.worker()
+		select {
+		case p.tasks <- t:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	// At the pool limit with every worker busy: this dispatch is genuinely
+	// queued, so the clock reads live only here.
+	p.running.Add(-1)
+	p.queuedSubmits.Add(1)
+	t0 := time.Now()
+	select {
+	case p.tasks <- t:
+		p.submitWaitNs.Add(uint64(time.Since(t0)))
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// worker serves tasks for the life of the pool, keeping its grown stack
+// warm across requests.
+func (p *workerPool[T]) worker() {
+	defer p.wg.Done()
+	for t := range p.tasks {
+		p.busy.Add(1)
+		p.run(t)
+		p.busy.Add(-1)
+	}
+}
+
+// shutdown retires the pool once its owner has stopped dispatching: parked
+// workers exit at once, busy ones after the task in hand.
+func (p *workerPool[T]) shutdown() {
+	close(p.tasks)
+	p.wg.Wait()
+}
+
+// task is one handler invocation on a server's pool.
 type task struct {
 	ctx       context.Context
 	h         Handler
@@ -211,11 +276,9 @@ type taskResult struct {
 	err  error
 }
 
-func newWorkerPool(limit int) *workerPool {
-	if limit < 1 {
-		limit = 1
-	}
-	return &workerPool{tasks: make(chan task), limit: int32(limit)}
+func runTask(t task) {
+	resp, err := t.h(t.ctx, t.principal, t.req)
+	t.done <- taskResult{resp: resp, err: err}
 }
 
 // doneChans recycles single-use result channels across submits: a worker
@@ -223,54 +286,19 @@ func newWorkerPool(limit int) *workerPool {
 // provably empty when returned to the pool.
 var doneChans = sync.Pool{New: func() any { return make(chan taskResult, 1) }}
 
-// submit hands t to a worker and waits for the result. When every worker
-// is busy and the pool is at its limit, submit blocks — the worker pool is
-// the server's admission semaphore. A context that expires while queued
-// fails without running the handler; once admitted, handlers run to
-// completion (a server does not abandon work mid-mutation).
-func (p *workerPool) submit(ctx context.Context, h Handler, principal string, req []byte) ([]byte, error) {
+// submit runs h on one of p's workers and waits for the result. A context
+// that expires while queued fails without running the handler; once
+// admitted, handlers run to completion (a server does not abandon work
+// mid-mutation).
+func submit(ctx context.Context, p *workerPool[task], h Handler, principal string, req []byte) ([]byte, error) {
 	done := doneChans.Get().(chan taskResult)
-	t := task{ctx: ctx, h: h, principal: principal, req: req, done: done}
-	select {
-	case p.tasks <- t: // an idle worker took it
-	default:
-		if n := p.running.Add(1); n <= p.limit {
-			go p.worker()
-			select {
-			case p.tasks <- t:
-			case <-ctx.Done():
-				doneChans.Put(done)
-				return nil, ErrDeadlineExceeded
-			}
-		} else {
-			// At the pool limit with every worker busy: this submit is
-			// genuinely queued, so the clock reads live only here.
-			p.running.Add(-1)
-			p.queuedSubmits.Add(1)
-			t0 := time.Now()
-			select {
-			case p.tasks <- t:
-				p.submitWaitNs.Add(uint64(time.Since(t0)))
-			case <-ctx.Done():
-				doneChans.Put(done)
-				return nil, ErrDeadlineExceeded
-			}
-		}
+	if !p.dispatch(ctx, task{ctx: ctx, h: h, principal: principal, req: req, done: done}) {
+		doneChans.Put(done)
+		return nil, ErrDeadlineExceeded
 	}
 	r := <-done
 	doneChans.Put(done)
 	return r.resp, r.err
-}
-
-// worker serves tasks for the life of the pool, keeping its grown stack
-// warm across requests.
-func (p *workerPool) worker() {
-	for t := range p.tasks {
-		p.busy.Add(1)
-		resp, err := t.h(t.ctx, t.principal, t.req)
-		p.busy.Add(-1)
-		t.done <- taskResult{resp: resp, err: err}
-	}
 }
 
 // Serve registers a server at addr on host hostID. Re-serving an address
@@ -280,7 +308,7 @@ func (n *Network) Serve(addr string, hostID int) *Server {
 		n: n, addr: addr, hostID: hostID,
 		handlers: make(map[string]Handler),
 		costs:    make(map[string]uint64),
-		pool:     newWorkerPool(DefaultWorkerLimit),
+		pool:     newWorkerPool(DefaultWorkerLimit, runTask),
 	}
 	n.mu.Lock()
 	n.servers[addr] = s
@@ -316,7 +344,7 @@ func (s *Server) SetMethodCost(method string, ns uint64) {
 // independently; new calls use the new one.
 func (s *Server) SetWorkerLimit(limit int) {
 	s.mu.Lock()
-	s.pool = newWorkerPool(limit)
+	s.pool = newWorkerPool(limit, runTask)
 	s.mu.Unlock()
 }
 
@@ -514,7 +542,7 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 	// blocks for the response (RPCs are synchronous) but handlers for
 	// different calls run on distinct worker goroutines, so mutations
 	// against different lock stripes overlap inside one backend.
-	resp, err := pool.submit(hctx, h, c.principal, req)
+	resp, err := submit(hctx, pool, h, c.principal, req)
 	var deposited []fabric.Span
 	depositedAt := tr.Ns
 	if sink != nil {

@@ -27,9 +27,32 @@ import (
 // method, principal, payload}; responses carry {id, ok, payload|error}.
 // Responses may arrive out of order; the id correlates them, so one
 // connection multiplexes concurrent calls.
+//
+// Buffer ownership, the same rule nic.RMA follows: a received frame's
+// buffer belongs to exactly one call and is never recycled — Caller has no
+// release point, so the payload handed up (and, on the gateway, the
+// handler's req) aliases it. Everything on the send side, and every
+// per-call record, is scratch owned by the connection or pooled.
 
-// maxTCPFrame bounds a frame (fail-closed against corrupt prefixes).
-const maxTCPFrame = 64 << 20
+const (
+	// maxTCPFrame bounds a frame (fail-closed against corrupt prefixes).
+	maxTCPFrame = 64 << 20
+	// tcpPrefix is the length prefix in front of every frame.
+	tcpPrefix = 4
+	// frameChunk is the largest buffer a length prefix gets on its word
+	// alone; see readTCPFrame.
+	frameChunk = 64 << 10
+	// maxSendScratch is the largest send buffer a connection keeps between
+	// frames, so one huge message does not pin its size for good.
+	maxSendScratch = 1 << 20
+	// tcpDispatchLimit bounds the calls of one connection the gateway runs
+	// at once; past it the connection's reader stops reading.
+	tcpDispatchLimit = 64
+	// A connection interns at most internEntries strings of at most
+	// internMaxLen bytes.
+	internEntries = 64
+	internMaxLen  = 128
+)
 
 type tcpRequest struct {
 	ID        uint64
@@ -45,8 +68,7 @@ type tcpRequest struct {
 	Attempt uint64
 }
 
-func (r tcpRequest) marshal() []byte {
-	e := wire.NewEncoder()
+func (r *tcpRequest) encode(e *wire.Encoder) {
 	e.Uint(1, r.ID)
 	e.String(2, r.Addr)
 	e.String(3, r.Method)
@@ -57,36 +79,55 @@ func (r tcpRequest) marshal() []byte {
 		e.String(7, r.Kind)
 		e.Uint(8, r.Attempt)
 	}
-	return e.Encoded()
 }
 
-func unmarshalTCPRequest(b []byte) (tcpRequest, error) {
-	var r tcpRequest
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
+// decode parses frame in place: Payload aliases it and the strings come
+// out of names.
+func (r *tcpRequest) decode(frame []byte, names internTable) error {
+	*r = tcpRequest{}
+	var d wire.Decoder
+	if err := d.Init(frame); err != nil {
+		return err
 	}
 	for d.Next() {
 		switch d.Tag() {
 		case 1:
 			r.ID = d.Uint()
 		case 2:
-			r.Addr = d.String()
+			r.Addr = names.get(d.Bytes())
 		case 3:
-			r.Method = d.String()
+			r.Method = names.get(d.Bytes())
 		case 4:
-			r.Principal = d.String()
+			r.Principal = names.get(d.Bytes())
 		case 5:
-			r.Payload = append([]byte(nil), d.Bytes()...)
+			r.Payload = d.Bytes()
 		case 6:
 			r.TraceID = d.Uint()
 		case 7:
-			r.Kind = d.String()
+			r.Kind = names.get(d.Bytes())
 		case 8:
 			r.Attempt = d.Uint()
 		}
 	}
-	return r, d.Err()
+	return d.Err()
+}
+
+// internTable hands out one shared string per distinct byte string a
+// connection's frames name — a handful of addrs, methods, principals and
+// op kinds — so decoding them stops allocating once each has been seen.
+// It is bounded in entries and in entry length; past either, get allocates
+// like string(b).
+type internTable map[string]string
+
+func (t internTable) get(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t) < internEntries && len(s) <= internMaxLen {
+		t[s] = s
+	}
+	return s
 }
 
 type tcpResponse struct {
@@ -100,22 +141,22 @@ type tcpResponse struct {
 	Spans []fabric.Span
 }
 
-func (r tcpResponse) marshal() []byte {
-	e := wire.NewEncoder()
+func (r *tcpResponse) encode(e *wire.Encoder) {
 	e.Uint(1, r.ID)
 	e.Bool(2, r.OK)
 	e.Bytes(3, r.Payload)
 	e.String(4, r.Err)
 	e.Uint(5, r.TraceNs)
 	trace.EncodeSpans(e, 6, r.Spans)
-	return e.Encoded()
 }
 
-func unmarshalTCPResponse(b []byte) (tcpResponse, error) {
-	var r tcpResponse
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
+// decode parses frame in place: Payload aliases it. Spans are counted
+// first and land in one exact-size slice, capped at trace.MaxWireSpans.
+func (r *tcpResponse) decode(frame []byte) error {
+	*r = tcpResponse{}
+	var d wire.Decoder
+	if err := d.Init(frame); err != nil {
+		return err
 	}
 	for d.Next() {
 		switch d.Tag() {
@@ -124,44 +165,80 @@ func unmarshalTCPResponse(b []byte) (tcpResponse, error) {
 		case 2:
 			r.OK = d.Bool()
 		case 3:
-			r.Payload = append([]byte(nil), d.Bytes()...)
+			r.Payload = d.Bytes()
 		case 4:
 			r.Err = d.String()
 		case 5:
 			r.TraceNs = d.Uint()
 		case 6:
+			if r.Spans == nil {
+				n := 1
+				for rest := d; rest.Next(); { // a copy scans ahead; d stays put
+					if rest.Tag() == 6 {
+						n++
+					}
+				}
+				r.Spans = make([]fabric.Span, 0, min(n, trace.MaxWireSpans))
+			}
 			if len(r.Spans) < trace.MaxWireSpans {
 				r.Spans = append(r.Spans, trace.DecodeSpan(d.Bytes()))
 			}
 		}
 	}
-	return r, d.Err()
+	return d.Err()
 }
 
-func writeTCPFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// beginTCPFrame starts a message behind room for its length prefix in a
+// connection's send scratch; the caller holds that connection's write lock
+// until writeTCPFrame has sent the result.
+func beginTCPFrame(scratch []byte) (e wire.Encoder) {
+	e.InitAppend(scratch[:tcpPrefix])
+	return e
+}
+
+// writeTCPFrame fills in frame's length prefix and sends prefix and message
+// in one Write, leaving the storage in *scratch for the next frame. A
+// failed or short write leaves the stream mis-framed for good: the caller
+// must close the connection.
+func writeTCPFrame(w io.Writer, scratch *[]byte, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-tcpPrefix))
+	if cap(frame) <= maxSendScratch {
+		*scratch = frame[:tcpPrefix]
 	}
-	_, err := w.Write(payload)
+	n, err := w.Write(frame)
+	if err == nil && n != len(frame) {
+		err = io.ErrShortWrite
+	}
 	return err
 }
 
-func readTCPFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readTCPFrame reads one frame into a fresh buffer, which belongs to the
+// frame's call. Bounds before bytes: the prefix is a stranger's word, so a
+// frame longer than frameChunk gets its buffer in doubling steps, each
+// earned by the bytes that arrived before it.
+func readTCPFrame(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(tcpPrefix)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
+	br.Discard(tcpPrefix)
 	if n > maxTCPFrame {
 		return nil, fmt.Errorf("rpc: tcp frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	size := int(n)
+	buf := make([]byte, min(size, frameChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(br, buf[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(buf); got == size {
+			return buf, nil
+		}
+		next := make([]byte, min(size, 2*got))
+		copy(next, buf)
+		buf = next
 	}
-	return buf, nil
 }
 
 // TCPGateway proxies socket connections into an in-process Network.
@@ -172,7 +249,7 @@ type TCPGateway struct {
 	mu      sync.Mutex
 	closed  bool
 	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // one per live connection, released after its dispatchers
 	accepts sync.WaitGroup
 }
 
@@ -184,16 +261,21 @@ func ServeTCP(n *Network, addr string, hostID int) (*TCPGateway, error) {
 	if err != nil {
 		return nil, err
 	}
+	return serveListener(n, ln, hostID), nil
+}
+
+func serveListener(n *Network, ln net.Listener, hostID int) *TCPGateway {
 	g := &TCPGateway{n: n, ln: ln, hostID: hostID, conns: make(map[net.Conn]struct{})}
 	g.accepts.Add(1)
 	go g.acceptLoop()
-	return g, nil
+	return g
 }
 
 // Addr returns the gateway's listen address.
 func (g *TCPGateway) Addr() string { return g.ln.Addr().String() }
 
-// Close stops accepting and tears down live connections.
+// Close stops accepting and tears down live connections. It waits for the
+// calls already dispatched to return.
 func (g *TCPGateway) Close() error {
 	g.mu.Lock()
 	g.closed = true
@@ -231,63 +313,102 @@ func (g *TCPGateway) acceptLoop() {
 	}
 }
 
+// gatewayConn is one accepted connection: the reader (serveConn's loop),
+// the bounded dispatchers that run its calls, and the send scratch their
+// responses share.
+type gatewayConn struct {
+	g    *TCPGateway
+	conn net.Conn
+	wmu  sync.Mutex // responses from concurrent dispatchers interleave
+	send []byte     // under wmu
+}
+
+// gatewayCall is one call's record between the reader and a dispatcher:
+// the decoded request, which aliases the call's frame, and the context
+// node that carries the remote op's identity into the cell. Records are
+// pooled; the dispatcher recycles one once its response has been written.
+type gatewayCall struct {
+	req tcpRequest
+	ctx trace.OpContext
+}
+
+var gatewayCalls = sync.Pool{New: func() any { return new(gatewayCall) }}
+
 func (g *TCPGateway) serveConn(conn net.Conn) {
+	gc := &gatewayConn{g: g, conn: conn, send: make([]byte, tcpPrefix, 512)}
+	// Each call runs on its own dispatcher so one slow handler does not
+	// head-of-line-block the connection — up to tcpDispatchLimit of them,
+	// after which dispatch blocks, the reader stops reading, and TCP pushes
+	// back on the peer.
+	pool := newWorkerPool(tcpDispatchLimit, gc.run)
 	defer func() {
 		g.mu.Lock()
 		delete(g.conns, conn)
 		g.mu.Unlock()
-		conn.Close()
+		conn.Close() // before the wait: unblocks a dispatcher writing to a stalled peer
+		pool.shutdown()
 		g.wg.Done()
 	}()
 	br := bufio.NewReader(conn)
-	var wmu sync.Mutex // responses from concurrent handlers interleave
+	names := make(internTable)
 	for {
 		frame, err := readTCPFrame(br)
 		if err != nil {
 			return
 		}
-		req, err := unmarshalTCPRequest(frame)
-		if err != nil {
+		call := gatewayCalls.Get().(*gatewayCall)
+		if err := call.req.decode(frame, names); err != nil {
 			return
 		}
-		// Each call runs in its own goroutine so one slow handler does
-		// not head-of-line-block the connection.
-		g.wg.Add(1)
-		go func(req tcpRequest) {
-			defer g.wg.Done()
-			caller := g.n.Client(g.hostID, req.Principal)
-			resp := tcpResponse{ID: req.ID}
-			ctx := context.Background()
-			var sc *trace.SpanContext
-			if req.TraceID != 0 {
-				// The remote caller's op identity crosses into the cell, so
-				// in-cell layers (stripe locks, handlers) deposit spans
-				// against it and the cell tracer sees remote traffic.
-				ctx, sc = trace.NewContext(ctx, trace.SpanContext{
-					OpID:    req.TraceID,
-					Kind:    trace.KindOf(req.Kind),
-					Attempt: uint32(req.Attempt),
-				})
-			}
-			payload, tr, cerr := caller.Call(ctx, req.Addr, req.Method, req.Payload)
-			resp.TraceNs = tr.Ns
-			resp.Spans = tr.Spans
-			if cerr != nil {
-				resp.Err = cerr.Error()
-			} else {
-				resp.OK = true
-				resp.Payload = payload
-			}
-			if sc != nil && cerr == nil {
-				if t := g.n.Tracer(); t != nil {
-					t.Record(sc.OpID, sc.Kind, trace.TransportRPC, sc.Attempt+1, tr)
-				}
-			}
-			wmu.Lock()
-			defer wmu.Unlock()
-			writeTCPFrame(conn, resp.marshal())
-		}(req)
+		pool.dispatch(context.Background(), call)
 	}
+}
+
+// run proxies one call into the cell and writes its response.
+func (gc *gatewayConn) run(call *gatewayCall) {
+	g, req := gc.g, &call.req
+	caller := Client{n: g.n, hostID: g.hostID, principal: req.Principal}
+	resp := tcpResponse{ID: req.ID}
+	ctx := context.Background()
+	var sc *trace.SpanContext
+	if req.TraceID != 0 {
+		// The remote caller's op identity crosses into the cell, so
+		// in-cell layers (stripe locks, handlers) deposit spans
+		// against it and the cell tracer sees remote traffic.
+		sc = call.ctx.Init(ctx, trace.SpanContext{
+			OpID:    req.TraceID,
+			Kind:    trace.KindOf(req.Kind),
+			Attempt: uint32(req.Attempt),
+		})
+		ctx = &call.ctx
+	}
+	payload, tr, cerr := caller.Call(ctx, req.Addr, req.Method, req.Payload)
+	resp.TraceNs = tr.Ns
+	resp.Spans = tr.Spans
+	if cerr != nil {
+		resp.Err = cerr.Error()
+	} else {
+		resp.OK = true
+		resp.Payload = payload
+	}
+	if sc != nil && cerr == nil {
+		if t := g.n.Tracer(); t != nil {
+			t.Record(sc.OpID, sc.Kind, trace.TransportRPC, sc.Attempt+1, tr)
+		}
+	}
+
+	gc.wmu.Lock()
+	e := beginTCPFrame(gc.send)
+	resp.encode(&e)
+	err := writeTCPFrame(gc.conn, &gc.send, e.Encoded())
+	gc.wmu.Unlock()
+	if err != nil {
+		// The peer may hold half a frame and a caller without a deadline
+		// would wait on the rest forever; closing fails its calls instead.
+		gc.conn.Close()
+	}
+	*call = gatewayCall{} // the frame and the payload are not the pool's to keep alive
+	gatewayCalls.Put(call)
 }
 
 // TCPClient implements Caller over a gateway connection. Safe for
@@ -297,13 +418,22 @@ type TCPClient struct {
 
 	conn net.Conn
 	wmu  sync.Mutex // serializes frame writes
-	bw   *bufio.Writer
+	send []byte     // under wmu
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan tcpResponse
 	closed  error
 }
+
+// tcpCalls recycles the response channel that is a pending call's record.
+// Each registration in TCPClient.pending receives exactly one send (by
+// readLoop or failAll, whichever unregisters it), so a channel is provably
+// empty once Call has received from it — and only then is it recycled. A
+// call that stops waiting instead (cancelled, or its write failed) leaves
+// its channel to the GC: a response still in flight lands in a channel
+// nobody else will ever hold.
+var tcpCalls = sync.Pool{New: func() any { return make(chan tcpResponse, 1) }}
 
 // DialTCP connects to a gateway.
 func DialTCP(gatewayAddr, principal string) (*TCPClient, error) {
@@ -314,7 +444,7 @@ func DialTCP(gatewayAddr, principal string) (*TCPClient, error) {
 	c := &TCPClient{
 		principal: principal,
 		conn:      conn,
-		bw:        bufio.NewWriter(conn),
+		send:      make([]byte, tcpPrefix, 512),
 		pending:   make(map[uint64]chan tcpResponse),
 	}
 	go c.readLoop()
@@ -332,19 +462,25 @@ func (c *TCPClient) readLoop() {
 			c.failAll(fmt.Errorf("rpc: tcp connection lost: %w", err))
 			return
 		}
-		resp, err := unmarshalTCPResponse(frame)
-		if err != nil {
+		var resp tcpResponse
+		if err := resp.decode(frame); err != nil {
 			c.failAll(fmt.Errorf("rpc: tcp protocol error: %w", err))
 			return
 		}
-		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ch != nil {
+		if ch := c.unregister(resp.ID); ch != nil {
 			ch <- resp
 		}
 	}
+}
+
+// unregister removes and returns id's pending call, nil if it is gone.
+// Whoever gets the channel owes it its one send, or abandons it.
+func (c *TCPClient) unregister(id uint64) chan tcpResponse {
+	c.mu.Lock()
+	ch := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	return ch
 }
 
 func (c *TCPClient) failAll(err error) {
@@ -357,17 +493,19 @@ func (c *TCPClient) failAll(err error) {
 	}
 }
 
-// Call implements Caller across the socket.
+// Call implements Caller across the socket. The returned payload and spans
+// are the call's own: they alias the response frame, which nothing reuses.
 func (c *TCPClient) Call(ctx context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	ch := tcpCalls.Get().(chan tcpResponse)
 	c.mu.Lock()
 	if c.closed != nil {
 		err := c.closed
 		c.mu.Unlock()
+		tcpCalls.Put(ch) // never registered: still empty
 		return nil, fabric.OpTrace{}, err
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan tcpResponse, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
@@ -383,29 +521,28 @@ func (c *TCPClient) Call(ctx context.Context, addr, method string, req []byte) (
 		r.Kind = methodKind(method).String()
 	}
 	c.wmu.Lock()
-	err := writeTCPFrame(c.bw, r.marshal())
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	e := beginTCPFrame(c.send)
+	r.encode(&e)
+	err := writeTCPFrame(c.conn, &c.send, e.Encoded())
 	c.wmu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		// Nothing after half a frame can be framed: the connection is done,
+		// and readLoop fails the other pending calls.
+		c.conn.Close()
+		c.unregister(id)
 		return nil, fabric.OpTrace{}, err
 	}
 
 	select {
 	case resp := <-ch:
+		tcpCalls.Put(ch)
 		tr := fabric.OpTrace{Ns: resp.TraceNs, Spans: resp.Spans}
 		if !resp.OK {
 			return nil, tr, mapTCPError(resp.Err)
 		}
 		return resp.Payload, tr, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.unregister(id)
 		return nil, fabric.OpTrace{}, ErrDeadlineExceeded
 	}
 }

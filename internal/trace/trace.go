@@ -203,27 +203,37 @@ const (
 	sinkKey
 )
 
-// spanCtx is a context node that carries its SpanContext by value, so
+// OpContext is a context node that carries its SpanContext by value, so
 // opening an op costs one allocation, not a SpanContext plus a
-// context.WithValue node.
-type spanCtx struct {
+// context.WithValue node — and none at all for a caller that owns the
+// node's storage: the TCP gateway embeds one in each pooled call record
+// and re-arms it with Init.
+type OpContext struct {
 	context.Context
 	sc SpanContext
 }
 
-func (c *spanCtx) Value(key any) any {
+func (c *OpContext) Value(key any) any {
 	if key == any(spanContextKey) {
 		return &c.sc
 	}
 	return c.Context.Value(key)
 }
 
+// Init arms c as a child of parent carrying sc, and returns the attached
+// copy (see NewContext). Everything handed c as its context must be done
+// with it before the next Init.
+func (c *OpContext) Init(parent context.Context, sc SpanContext) *SpanContext {
+	c.Context, c.sc = parent, sc
+	return &c.sc
+}
+
 // NewContext attaches sc to ctx. The returned pointer is the attached
 // copy — the one FromContext hands to every layer below — so the opener
 // updates Attempt through it.
 func NewContext(ctx context.Context, sc SpanContext) (context.Context, *SpanContext) {
-	c := &spanCtx{Context: ctx, sc: sc}
-	return c, &c.sc
+	c := new(OpContext)
+	return c, c.Init(ctx, sc)
 }
 
 // FromContext returns the span context attached to ctx, or nil.

@@ -14,20 +14,16 @@ import (
 // memory.
 const MaxWireSpans = 4096
 
-// EncodeSpans appends spans as repeated nested messages under tag.
+// EncodeSpans appends spans as repeated nested messages under tag, each
+// encoded in place in e.
 func EncodeSpans(e *wire.Encoder, tag uint64, spans []fabric.Span) {
-	if len(spans) == 0 {
-		return
-	}
-	// One nested encoder for the whole call: Message copies its bytes out.
-	m := wire.NewRawEncoder()
 	for _, s := range spans {
-		m.Reset(false)
-		m.Uint(1, uint64(s.Code))
-		m.Uint(2, uint64(s.Arg))
-		m.Uint(3, s.Start)
-		m.Uint(4, s.Dur)
-		e.Message(tag, m)
+		at := e.BeginMessage(tag)
+		e.Uint(1, uint64(s.Code))
+		e.Uint(2, uint64(s.Arg))
+		e.Uint(3, s.Start)
+		e.Uint(4, s.Dur)
+		e.EndMessage(at)
 	}
 }
 

@@ -148,16 +148,9 @@ func (e *Encoder) encodeValue(f *field, v reflect.Value) {
 	case reflect.Slice: // []byte; every other slice is repeated
 		e.Bytes(f.tag, v.Bytes())
 	case reflect.Struct:
-		// Encoded in place, then shifted right to admit its length prefix:
-		// no buffer per nested message.
-		e.header(f.tag, typeBytes)
-		at := len(e.buf)
+		at := e.BeginMessage(f.tag)
 		e.encodeStruct(v)
-		var pre [10]byte
-		n := AppendUvarint(pre[:0], uint64(len(e.buf)-at))
-		e.buf = append(e.buf, n...)
-		copy(e.buf[at+len(n):], e.buf[at:])
-		copy(e.buf[at:], n)
+		e.EndMessage(at)
 	default:
 		panic(fmt.Sprintf("wire: tag %d: unsupported kind %s", f.tag, v.Kind()))
 	}

@@ -106,6 +106,16 @@ func (e *Encoder) InitSized(capacity int) {
 	e.buf = AppendUvarint(e.buf, FormatMinor)
 }
 
+// InitAppend readies a (typically stack-allocated) encoder to append a
+// message, version header first, to buf, whose storage it takes over:
+// Encoded returns buf's bytes followed by the message, in buf's array when
+// the message fits its capacity. A transport that keeps one send buffer per
+// connection passes it here with room for its frame prefix in front.
+func (e *Encoder) InitAppend(buf []byte) {
+	e.buf = AppendUvarint(buf, FormatMajor)
+	e.buf = AppendUvarint(e.buf, FormatMinor)
+}
+
 // NewRawEncoder returns an encoder with no version header, for nested
 // messages.
 func NewRawEncoder() *Encoder { return &Encoder{buf: make([]byte, 0, 64)} }
@@ -161,6 +171,24 @@ func (e *Encoder) String(tag uint64, v string) {
 
 // Message encodes a nested raw-encoded message.
 func (e *Encoder) Message(tag uint64, m *Encoder) { e.Bytes(tag, m.buf) }
+
+// BeginMessage opens a nested message under tag that is encoded in place:
+// the fields written until the matching EndMessage are its body, and no
+// second buffer is involved. The bytes equal Message's.
+func (e *Encoder) BeginMessage(tag uint64) (at int) {
+	e.header(tag, typeBytes)
+	return len(e.buf)
+}
+
+// EndMessage closes the nested message opened at at, shifting its body
+// right to admit the length prefix.
+func (e *Encoder) EndMessage(at int) {
+	var pre [10]byte
+	n := AppendUvarint(pre[:0], uint64(len(e.buf)-at))
+	e.buf = append(e.buf, n...)
+	copy(e.buf[at+len(n):], e.buf[at:])
+	copy(e.buf[at:], n)
+}
 
 // Encoded returns the encoded message. The slice aliases internal storage.
 func (e *Encoder) Encoded() []byte { return e.buf }

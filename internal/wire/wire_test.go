@@ -257,3 +257,51 @@ func BenchmarkDecodeSmallMessage(b *testing.B) {
 		}
 	}
 }
+
+// BeginMessage/EndMessage must produce Message's bytes at every width of
+// the length prefix: the body is shifted right by one byte up to 127, by
+// two from 128, by three from 16384.
+func TestInPlaceMessageMatchesMessage(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384} {
+		body := bytes.Repeat([]byte{0xa5}, n)
+		nested := NewRawEncoder()
+		nested.Bytes(1, body)
+		nested.Uint(2, uint64(n))
+		want := NewEncoder()
+		want.Uint(1, 7)
+		want.Message(9, nested)
+		want.String(10, "after")
+
+		got := NewEncoder()
+		got.Uint(1, 7)
+		at := got.BeginMessage(9)
+		got.Bytes(1, body)
+		got.Uint(2, uint64(n))
+		got.EndMessage(at)
+		got.String(10, "after")
+		if !bytes.Equal(got.Encoded(), want.Encoded()) {
+			t.Errorf("%d-byte body: in-place nesting differs from Message", n)
+		}
+	}
+}
+
+// InitAppend encodes behind a caller's prefix, in the caller's storage when
+// the message fits and in fresh storage — prefix carried along — when not.
+func TestInitAppend(t *testing.T) {
+	ref := NewEncoder()
+	ref.String(1, "hello")
+	for _, capacity := range []int{4, 64} {
+		scratch := make([]byte, 4, capacity)
+		copy(scratch, "PFX!")
+		var e Encoder
+		e.InitAppend(scratch)
+		e.String(1, "hello")
+		got := e.Encoded()
+		if string(got[:4]) != "PFX!" || !bytes.Equal(got[4:], ref.Encoded()) {
+			t.Errorf("cap %d: encoded %q", capacity, got)
+		}
+		if inPlace := &got[0] == &scratch[0]; inPlace != (capacity == 64) {
+			t.Errorf("cap %d: message in the caller's storage = %v", capacity, inPlace)
+		}
+	}
+}
