@@ -3,6 +3,7 @@ package cliquemap
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -114,6 +115,34 @@ func TestPublicCrashRestart(t *testing.T) {
 	}
 	if c.Stats().RepairsIssued == 0 {
 		t.Error("restart did not repair")
+	}
+}
+
+// TestRestartLeavesNoGoroutines: a replaced task's RPC server must not
+// strand anything — handlers run on their callers, so crash/restart cycles
+// with traffic between leave the goroutine count where it was.
+func TestRestartLeavesNoGoroutines(t *testing.T) {
+	c := newCell(t, Options{Shards: 3})
+	cl := c.NewClient(ClientOptions{})
+	ctx := context.Background()
+	traffic := func() {
+		for i := 0; i < 50; i++ {
+			if err := cl.Set(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	traffic()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		c.Crash(i % 3)
+		if err := c.Restart(ctx, i%3); err != nil {
+			t.Fatal(err)
+		}
+		traffic()
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Errorf("20 crash/restart cycles: %d goroutines, %d before", now, before)
 	}
 }
 

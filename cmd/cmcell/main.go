@@ -11,7 +11,7 @@
 //	               plane (latency quantiles per kind/transport, slow-op
 //	               counters, CPU accounts), the health plane's SLO
 //	               burn-rate and alert-state gauges, and the per-task
-//	               saturation plane (worker-pool occupancy, admission ρ,
+//	               saturation plane (RPC worker occupancy, admission ρ,
 //	               stripe-lock contention, NIC engine queueing);
 //	               /debug/pprof/* exposes the standard Go profiling
 //	               endpoints

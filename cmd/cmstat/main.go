@@ -6,7 +6,7 @@
 // and the key-heat telemetry — the operational dashboard view. When a
 // resize is in flight (the Config response carries a pending epoch) a
 // RESIZE section shows per-shard handoff progress. Cells that export
-// saturation telemetry get a SATURATION section: worker-pool occupancy,
+// saturation telemetry get a SATURATION section: RPC worker occupancy,
 // admission ρ, stripe-lock contention, and NIC engine queueing — the
 // live view of the resources a load-wall run names as limiting. Shards
 // promoting hot keys (§hot-key adaptive serving) get a PROMOTED section:

@@ -125,10 +125,10 @@ type Surface interface {
 	// migrate to a warm spare, then hand back — the §6.1 control-plane
 	// churn that opens handoff windows.
 	MaintainShard(ctx context.Context, shard int) error
-	// ResizeTo changes the cell's logical shard count online (two-epoch
+	// Resize changes the cell's logical shard count online (two-epoch
 	// handoff). Unlike the fault hazards it is a deliberate state change:
 	// there is no heal, a later event resizes back instead.
-	ResizeTo(ctx context.Context, shards int) error
+	Resize(ctx context.Context, shards int) error
 }
 
 // Plane is the unified fault-injection front door. Every injection —
@@ -270,7 +270,7 @@ func (p *Plane) Maintain(ctx context.Context, shard int) error {
 // ResizeCell changes the cell's logical shard count online.
 func (p *Plane) ResizeCell(ctx context.Context, shards int) error {
 	p.note(HazardResize)
-	return p.sur.ResizeTo(ctx, shards)
+	return p.sur.Resize(ctx, shards)
 }
 
 // ConfigStale pins or unpins the config store's read snapshot.

@@ -139,7 +139,7 @@ func (f *fakeSurface) MaintainShard(_ context.Context, shard int) error {
 	return nil
 }
 
-func (f *fakeSurface) ResizeTo(_ context.Context, shards int) error {
+func (f *fakeSurface) Resize(_ context.Context, shards int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if shards < 1 {

@@ -300,6 +300,26 @@ type Counters struct {
 	CorruptPurged         uint64
 }
 
+// Add sums o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.Sets += o.Sets
+	c.SetsApplied += o.SetsApplied
+	c.Erases += o.Erases
+	c.ErasesApplied += o.ErasesApplied
+	c.CasOps += o.CasOps
+	c.CasApplied += o.CasApplied
+	c.Gets += o.Gets
+	c.VersionRejects += o.VersionRejects
+	c.CapacityEvictions += o.CapacityEvictions
+	c.AssocEvictions += o.AssocEvictions
+	c.Overflows += o.Overflows
+	c.Touches += o.Touches
+	c.IndexResizes += o.IndexResizes
+	c.DataGrows += o.DataGrows
+	c.RepairsIssued += o.RepairsIssued
+	c.CorruptPurged += o.CorruptPurged
+}
+
 // counterShard is one stripe's share of the counters, updated lock-free so
 // stats reads never contend with serving.
 type counterShard struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cliquemap/internal/core/config"
@@ -652,5 +653,23 @@ func TestSealRejectsMutations(t *testing.T) {
 	// Reads unaffected.
 	if _, _, err := client.Call(ctx, "b0", proto.MethodGet, proto.GetReq{Key: []byte("k")}.Marshal()); err != nil {
 		t.Errorf("read on sealed backend: %v", err)
+	}
+}
+
+// TestCountersAddSumsEveryField fills every field of two snapshots by
+// reflection and checks every field of their sum, so a field added to
+// Counters and not to Add fails here by name.
+func TestCountersAddSumsEveryField(t *testing.T) {
+	var a, b Counters
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Counters.Add: %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

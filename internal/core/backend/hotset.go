@@ -149,16 +149,6 @@ func (b *Backend) HotSnapshot() (uint64, [][]byte) {
 	return hs.epoch, hs.keys
 }
 
-// IsHot reports whether key is currently promoted on this backend.
-func (b *Backend) IsHot(key []byte) bool {
-	hs := b.hot.Load()
-	if hs == nil {
-		return false
-	}
-	_, ok := hs.set[string(key)]
-	return ok
-}
-
 // RepairHot settles every currently promoted key to all-replica residency:
 // the targeted, prompt complement of the full RepairShard sweep (whose
 // all-views-agree clean check already converges divergent keys, just on

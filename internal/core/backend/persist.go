@@ -52,15 +52,6 @@ func (b *Backend) stampID() uint64 {
 // self-validation window.
 func (b *Backend) Recovering() bool { return b.recovering.Load() }
 
-// StartRecovery (re-)enters the recovering state and restamps buckets
-// with the sentinel. Normally set at construction via Options.Recovering;
-// exposed for tests that flip a live backend.
-func (b *Backend) StartRecovery() {
-	if !b.recovering.Swap(true) {
-		b.restampAll()
-	}
-}
-
 // EndRecovery lifts the recovering guard after the self-validation sweep:
 // computes how many recovered entries rejoined the quorum unchanged,
 // restamps bucket headers with the true config ID, and resumes serving

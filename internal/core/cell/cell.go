@@ -60,15 +60,13 @@ type Options struct {
 	ACL rpc.Authenticator
 	// Hash overrides the cell-wide key hash (§6.5); backends and every
 	// client constructed by this cell share it. nil = DefaultHash.
-	Hash    hashring.HashFunc
-	RPCCost rpc.CostModel
+	Hash hashring.HashFunc
 	// Health shapes the fleet health plane (SLO windows, burn thresholds);
 	// zero values take the production defaults. See Cell.Health / Prober.
 	Health health.Config
 
 	Pony    pony.CostModel
 	PonyEng pony.EngineConfig
-	OneRMA  onerma.CostModel
 
 	// DataDir, when non-empty, enables durable warm restarts: each task
 	// journals and checkpoints its corpus under DataDir/<addr>, and a
@@ -150,7 +148,7 @@ func New(opt Options) (*Cell, error) {
 		byAddr:     make(map[string]*node),
 		clientNICs: make(map[int]interface{}),
 	}
-	c.Net = rpc.NewNetwork(c.Fabric, opt.RPCCost, c.Acct)
+	c.Net = rpc.NewNetwork(c.Fabric, rpc.CostModel{}, c.Acct)
 	c.Net.SetTracer(c.Tracer)
 
 	// Initial configuration: shard i on host i; spares idle after.
@@ -225,7 +223,7 @@ func (c *Cell) startNode(info config.BackendInfo, recovering bool) (*node, error
 			return backend.NICSaturation{Engines: s.Engines, RhoMilli: s.RhoMilli, QueueNs: s.QueueNs, Ops: s.Ops}
 		})
 	case Transport1RMA:
-		n.oneNIC = onerma.New(c.Fabric.Host(info.HostID), reg, c.opt.OneRMA, c.Acct, nil)
+		n.oneNIC = onerma.New(c.Fabric.Host(info.HostID), reg, onerma.CostModel{}, c.Acct, nil)
 	}
 	return n, nil
 }
@@ -276,7 +274,7 @@ func (c *Cell) PonyEngines() []int {
 }
 
 // WriteSaturationProm renders every task's saturation plane as
-// Prometheus text exposition: worker-pool occupancy and modelled
+// Prometheus text exposition: RPC worker occupancy and modelled
 // admission ρ, stripe-lock contention, and serving-NIC engine queueing
 // — the same telemetry MethodStats exports and the cmstat SATURATION
 // table renders. Gauges are instantaneous; *_total counters are
@@ -362,7 +360,7 @@ func (c *Cell) clientNIC(host int) interface{} {
 	case TransportPony:
 		n = pony.New(c.Fabric.Host(host), nil, c.opt.Pony, c.opt.PonyEng, c.Acct)
 	case Transport1RMA:
-		n = onerma.New(c.Fabric.Host(host), nil, c.opt.OneRMA, c.Acct, c.HWHist)
+		n = onerma.New(c.Fabric.Host(host), nil, onerma.CostModel{}, c.Acct, c.HWHist)
 	}
 	c.clientNICs[host] = n
 	return n
@@ -564,10 +562,6 @@ func (c *Cell) MaintainShard(ctx context.Context, shard int) error {
 	}
 	return c.CompleteMaintenance(ctx, shard, orig)
 }
-
-// ResizeTo (chaos.Surface actuator) is Resize under the surface's
-// basic-types contract.
-func (c *Cell) ResizeTo(ctx context.Context, shards int) error { return c.Resize(ctx, shards) }
 
 // SetEngineDelay injects extra per-command service time into the node
 // serving shard s — the chaos plane's Brownout actuator (an overloaded
@@ -1046,22 +1040,7 @@ func (c *Cell) LoadImmutable(ctx context.Context, items map[string][]byte) error
 func (c *Cell) AggregateCounters() backend.Counters {
 	var out backend.Counters
 	for _, b := range c.Nodes() {
-		s := b.CountersSnapshot()
-		out.Sets += s.Sets
-		out.SetsApplied += s.SetsApplied
-		out.Erases += s.Erases
-		out.ErasesApplied += s.ErasesApplied
-		out.CasOps += s.CasOps
-		out.CasApplied += s.CasApplied
-		out.Gets += s.Gets
-		out.VersionRejects += s.VersionRejects
-		out.CapacityEvictions += s.CapacityEvictions
-		out.AssocEvictions += s.AssocEvictions
-		out.Overflows += s.Overflows
-		out.Touches += s.Touches
-		out.IndexResizes += s.IndexResizes
-		out.DataGrows += s.DataGrows
-		out.RepairsIssued += s.RepairsIssued
+		out.Add(b.CountersSnapshot())
 	}
 	return out
 }

@@ -1036,3 +1036,25 @@ func TestTCPGatewayFullProtocol(t *testing.T) {
 		t.Fatalf("local view: %q %v %v", got, found, err)
 	}
 }
+
+// TestAggregateCountersCountsCorruptPurges: a checksum purge on one task
+// shows up in the cell-wide sum (AggregateCounters used to add Counters'
+// fields by hand and had dropped this one).
+func TestAggregateCountersCountsCorruptPurges(t *testing.T) {
+	c := newTestCell(t, small32())
+	cl := c.NewClient(client.Options{})
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if err := cl.Set(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damaged := len(c.CorruptData(0, 3, 1))
+	if damaged == 0 {
+		t.Fatal("nothing corrupted; test ineffective")
+	}
+	c.Backend(0).Items(-1, 0) // the corpus walk quarantines what fails its checksum
+	if got := c.AggregateCounters().CorruptPurged; got != uint64(damaged) {
+		t.Errorf("AggregateCounters().CorruptPurged = %d, want %d", got, damaged)
+	}
+}

@@ -153,9 +153,6 @@ func (b *RetryBudget) Credit() {
 	}
 }
 
-// Remaining reports whole tokens left (for tests and stats).
-func (b *RetryBudget) Remaining() float64 { return float64(b.milli.Load()) / 1000 }
-
 // Health-score constants. Scores live in milli-units 0..1000: failures
 // pull the score up toward 1000 by healthFailStep, successes decay it
 // multiplicatively. A replica at or above healthDemote is demoted from

@@ -115,20 +115,6 @@ func (p *PendingEpoch) AddrFor(s int) string {
 	return p.ShardAddrs[s]
 }
 
-// SealedCount returns how many old-epoch shards are sealed.
-func (p *PendingEpoch) SealedCount() int {
-	if p == nil {
-		return 0
-	}
-	n := 0
-	for _, s := range p.SealedOld {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
 // CellConfig is a point-in-time view of the cell.
 type CellConfig struct {
 	// ID increases on every change and is stamped into bucket headers.
@@ -224,7 +210,7 @@ func (c CellConfig) PendingAuthoritative(oldCohort []int) bool {
 	return sealed >= r-q+1
 }
 
-// clone deep-copies the slices so watchers never share storage.
+// clone deep-copies the slices so snapshots never share storage.
 func (c CellConfig) clone() CellConfig {
 	c.ShardAddrs = append([]string(nil), c.ShardAddrs...)
 	c.Backends = append([]BackendInfo(nil), c.Backends...)
@@ -233,12 +219,12 @@ func (c CellConfig) clone() CellConfig {
 }
 
 // Store is the high-availability configuration registry. Reads are cheap;
-// updates bump the ConfigID and notify watchers.
+// updates bump the ConfigID (clients learn of one when a response fails
+// validation against their cached ID, and refresh).
 type Store struct {
-	mu       sync.Mutex
-	cur      CellConfig
-	stale    *CellConfig // pinned snapshot served to readers while set
-	watchers []chan CellConfig
+	mu    sync.Mutex
+	cur   CellConfig
+	stale *CellConfig // pinned snapshot served to readers while set
 }
 
 // NewStore initializes a store with cfg at ID 1.
@@ -262,7 +248,6 @@ func (s *Store) Get() CellConfig {
 // Spanner-backed registry can exhibit): while stale, Get keeps serving the
 // configuration current at the SetStale(true) call even as Updates apply
 // underneath, so refresh-based repair reads outdated shard placements.
-// Watch deliveries are unaffected — staleness is a read-path property.
 // SetStale(false) unpins and readers immediately see the latest config.
 func (s *Store) SetStale(stale bool) {
 	s.mu.Lock()
@@ -279,27 +264,10 @@ func (s *Store) SetStale(stale bool) {
 // publishes it. It returns the new configuration.
 func (s *Store) Update(mutate func(*CellConfig)) CellConfig {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	next := s.cur.clone()
 	mutate(&next)
 	next.ID = s.cur.ID + 1
 	s.cur = next.clone()
-	watchers := append([]chan CellConfig(nil), s.watchers...)
-	s.mu.Unlock()
-	for _, w := range watchers {
-		select {
-		case w <- next.clone():
-		default: // a slow watcher drops intermediate updates, never blocks
-		}
-	}
 	return next
-}
-
-// Watch returns a channel receiving subsequent configurations. The channel
-// is buffered; slow consumers observe only the latest updates.
-func (s *Store) Watch() <-chan CellConfig {
-	ch := make(chan CellConfig, 4)
-	s.mu.Lock()
-	s.watchers = append(s.watchers, ch)
-	s.mu.Unlock()
-	return ch
 }

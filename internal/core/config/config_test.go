@@ -103,32 +103,6 @@ func TestSnapshotsIsolated(t *testing.T) {
 	}
 }
 
-func TestWatch(t *testing.T) {
-	s := NewStore(sample())
-	w := s.Watch()
-	s.Update(func(c *CellConfig) { c.ShardAddrs[1] = "x" })
-	got := <-w
-	if got.ID != 2 || got.AddrFor(1) != "x" {
-		t.Errorf("watched config = %+v", got)
-	}
-}
-
-func TestWatchSlowConsumerNeverBlocks(t *testing.T) {
-	s := NewStore(sample())
-	_ = s.Watch() // never read
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ {
-			s.Update(func(c *CellConfig) {})
-		}
-		close(done)
-	}()
-	<-done // must not deadlock
-	if s.Get().ID != 101 {
-		t.Errorf("ID = %d", s.Get().ID)
-	}
-}
-
 func TestConcurrentUpdates(t *testing.T) {
 	s := NewStore(sample())
 	var wg sync.WaitGroup

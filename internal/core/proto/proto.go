@@ -696,7 +696,7 @@ type StatsResp struct {
 	Recovering      bool   `wire:"26"`
 	// Saturation telemetry (the cmstat SATURATION columns and the loadwall
 	// limiting-resource probe). Stripe* cover lock contention on the
-	// mutation path; RPC* cover the server's worker pool and modelled
+	// mutation path; RPC* cover the server's handler admission and modelled
 	// admission queue; NIC* cover the serving NIC's engine queue. Gauges
 	// (RPCWorkerLimit, RPCWorkersBusy, RPCRhoMilli, NICEngines,
 	// NICRhoMilli) are instantaneous; the rest are cumulative and may

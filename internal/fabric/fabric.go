@@ -269,11 +269,6 @@ func (h *Host) SetExtraLatency(ns uint64) {
 	h.extraNs.Store(ns)
 }
 
-// ExtraLatency returns the host's fixed extra one-way latency.
-func (h *Host) ExtraLatency() uint64 {
-	return h.extraNs.Load()
-}
-
 // xorshift for cheap reproducible jitter. The CAS keeps the sequence a
 // permutation under concurrency (no two arrivals consume the same state).
 func (h *Host) rand() float64 {
@@ -287,12 +282,6 @@ func (h *Host) rand() float64 {
 			return float64(n>>11) / float64(1<<53)
 		}
 	}
-}
-
-// bytesPerNs returns the host's usable downlink rate given antagonist load.
-func (h *Host) bytesPerNs() float64 {
-	gbps := h.f.params.HostGbps * (1 - h.ExternalLoad())
-	return gbps * 1e9 / 8 / 1e9 // Gbit/s → bytes/ns
 }
 
 // frameBytes returns on-wire bytes for a payload of sz, including per-MTU

@@ -60,17 +60,6 @@ func (s State) String() string {
 	return "ok"
 }
 
-// StateOf parses a state name; unknown names map to Ok.
-func StateOf(s string) State {
-	switch s {
-	case "warn":
-		return Warn
-	case "page":
-		return Page
-	}
-	return Ok
-}
-
 // Objective is one op class's SLO: an availability target and a latency
 // threshold above which a successful op still counts against the budget.
 type Objective struct {

@@ -158,13 +158,6 @@ func (s *Store) die(point string) bool {
 	return false
 }
 
-// Dead reports whether an injected crash point has fired.
-func (s *Store) Dead() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dead
-}
-
 // ------------------------------------------------------------- encoding --
 
 func appendFrame(dst, payload []byte) []byte {

@@ -117,22 +117,6 @@ func (r *Region) Grow(additional int) int {
 	}
 }
 
-// Shrink reduces the populated extent (non-disruptive restart downsizing).
-func (r *Region) Shrink(to int) {
-	if to < 0 {
-		to = 0
-	}
-	for {
-		cur := r.populated.Load()
-		if int64(to) >= cur {
-			return
-		}
-		if r.populated.CompareAndSwap(cur, int64(to)) {
-			return
-		}
-	}
-}
-
 // Read copies length bytes at off into a fresh slice. The read is atomic
 // at chunk granularity only — matching DMA semantics — but since it holds
 // its span's locks for the whole copy, a single Read is internally
@@ -164,7 +148,7 @@ func (r *Region) InBounds(off, length int) bool {
 // byte range externally (the backend reads its own index bucket this way
 // under the bucket's stripe lock, which also serializes that bucket's
 // writers). The slice stays valid while the region does — Grow never
-// reallocates the backing array — but is invalidated by Shrink.
+// reallocates the backing array, and the populated extent never recedes.
 func (r *Region) View(off, length int) ([]byte, error) {
 	if !r.InBounds(off, length) {
 		return nil, ErrOutOfBounds
@@ -218,11 +202,6 @@ func (r *Region) WriteChunked(off int, data []byte) error {
 		// runtime.Gosched here parks the writer on the global run queue,
 		// which a busy single-P scheduler drains so rarely that a hot-key
 		// read storm starved SETs for entire seconds.)
-		//
-		// Re-check: a concurrent Shrink could have raced us.
-		if !r.InBounds(off, end) {
-			return ErrOutOfBounds
-		}
 		lo, hi := r.lockRange(off+i, end-i)
 		copy(r.buf[off+i:], data[i:end])
 		r.unlockRange(lo, hi)

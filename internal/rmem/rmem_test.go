@@ -125,21 +125,6 @@ func TestGrowPopulatesReservedRange(t *testing.T) {
 	}
 }
 
-func TestShrink(t *testing.T) {
-	r := NewRegion(1024, 1024)
-	r.Shrink(100)
-	if r.Populated() != 100 {
-		t.Errorf("populated = %d", r.Populated())
-	}
-	if _, err := r.Read(50, 100); err != ErrOutOfBounds {
-		t.Error("read past shrunk extent should fail")
-	}
-	r.Shrink(-5)
-	if r.Populated() != 0 {
-		t.Errorf("negative shrink -> %d", r.Populated())
-	}
-}
-
 // TestTornReadObservable proves the tearing model: a reader that races a
 // chunked writer can observe a mix of old and new bytes. Tearing requires
 // temporal overlap — the reader contends on the stripe locks in a tight

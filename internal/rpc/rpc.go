@@ -129,17 +129,26 @@ type Server struct {
 	stopped  bool
 	failRate float64
 	failRng  *rand.Rand
-	pool     *workerPool[task] // bounded handler-execution pool
 
-	sat satCounters // admission-queue saturation telemetry
+	adm admission
 }
 
-// satCounters is the server's modelled admission-queue state: utilization
-// is estimated from sampled arrival timing (one virtual-clock read per
-// rhoSampleEvery calls) so per-call cost stays at one atomic add, and the
-// M/M/c-ish queue wait derived from it is billed into each call's modelled
-// latency. These counters survive SetWorkerLimit pool swaps.
-type satCounters struct {
+// admission bounds a server's concurrent handler executions — the modelled
+// size of its request-processing thread pool — and keeps both sides of the
+// saturation telemetry. The wall side is a counting semaphore a call takes
+// on its own goroutine; SetWorkerLimit swaps the channel and nothing else,
+// so every counter here is cumulative for the server's life. The model
+// side estimates utilization from sampled arrival timing (one virtual-clock
+// read per rhoSampleEvery calls) so per-call cost stays at one atomic add,
+// and bills the M/M/c-ish queue wait derived from it into each call's
+// modelled latency.
+type admission struct {
+	slots chan struct{} // under Server.mu; cap is the limit, a send takes a slot
+
+	// Touched only at the limit, so the uncontended path pays nothing.
+	queuedSubmits atomic.Uint64 // calls that waited for a slot
+	submitWaitNs  atomic.Uint64 // cumulative measured wall-ns those calls waited
+
 	arrivals    atomic.Uint64 // calls that reached dispatch
 	sampleAtNs  atomic.Uint64 // virtual instant of the previous rho sample
 	rhoMilli    atomic.Uint64 // smoothed modelled utilization, ×1000 (gauge)
@@ -157,8 +166,7 @@ const rhoSampleEvery = 64
 // representative) with 3:1 smoothing; QueueModel's 0.98 clamp bounds the
 // worst-case billed wait at 49× the per-worker service share, so an
 // unloaded server bills ~0 and existing latency figures are undisturbed.
-func (s *Server) admit(now func() uint64, serviceNs uint64, limit int32) uint64 {
-	c := &s.sat
+func (c *admission) admit(now func() uint64, serviceNs uint64, limit int) uint64 {
 	if c.arrivals.Add(1)%rhoSampleEvery == 0 {
 		t := now()
 		prev := c.sampleAtNs.Swap(t)
@@ -181,124 +189,26 @@ func (s *Server) admit(now func() uint64, serviceNs uint64, limit int32) uint64 
 	return q
 }
 
-// workerPool runs tasks on a bounded set of persistent worker goroutines.
-// It serves twice: as a server's request-processing thread pool (tasks
-// are handler invocations, see submit) and as a TCP gateway connection's
-// dispatchers (tasks are framed calls). Workers are spawned lazily up to
-// limit and then parked between tasks, so steady-state dispatch costs a
-// channel handoff and no goroutine creation (a fresh goroutine per call
-// would re-grow its stack on every request — measurably dominant on the
-// mutation hot path).
-type workerPool[T any] struct {
-	tasks   chan T
-	run     func(T)
-	limit   int32
-	running atomic.Int32
-	busy    atomic.Int32   // workers currently executing a task (gauge)
-	wg      sync.WaitGroup // the workers, for shutdown
-
-	// Occupancy telemetry for the wall side of the admission queue: both
-	// are touched only on the at-limit path, so the uncontended fast path
-	// pays nothing.
-	queuedSubmits atomic.Uint64 // dispatches that waited for a worker at the pool limit
-	submitWaitNs  atomic.Uint64 // cumulative measured wall-ns those dispatches waited
-}
-
-func newWorkerPool[T any](limit int, run func(T)) *workerPool[T] {
-	if limit < 1 {
-		limit = 1
-	}
-	return &workerPool[T]{tasks: make(chan T), run: run, limit: int32(limit)}
-}
-
-// dispatch hands t to a worker. When every worker is busy and the pool is
-// at its limit, dispatch blocks — the pool is its owner's admission
-// semaphore. It reports false, with t not run, when ctx expires first.
-func (p *workerPool[T]) dispatch(ctx context.Context, t T) bool {
+// run executes h on the caller's goroutine under one of slots. At the limit
+// the call queues for a slot; a context that expires while queued fails
+// without running the handler. Once admitted, a handler runs to completion
+// (a server does not abandon work mid-mutation).
+func (c *admission) run(ctx context.Context, slots chan struct{}, h Handler, principal string, req []byte) ([]byte, error) {
 	select {
-	case p.tasks <- t: // an idle worker took it
-		return true
+	case slots <- struct{}{}:
 	default:
-	}
-	if n := p.running.Add(1); n <= p.limit {
-		p.wg.Add(1)
-		go p.worker()
+		// Genuinely queued, so the clock reads live only here.
+		c.queuedSubmits.Add(1)
+		t0 := time.Now()
 		select {
-		case p.tasks <- t:
-			return true
+		case slots <- struct{}{}:
+			c.submitWaitNs.Add(uint64(time.Since(t0)))
 		case <-ctx.Done():
-			return false
+			return nil, ErrDeadlineExceeded
 		}
 	}
-	// At the pool limit with every worker busy: this dispatch is genuinely
-	// queued, so the clock reads live only here.
-	p.running.Add(-1)
-	p.queuedSubmits.Add(1)
-	t0 := time.Now()
-	select {
-	case p.tasks <- t:
-		p.submitWaitNs.Add(uint64(time.Since(t0)))
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// worker serves tasks for the life of the pool, keeping its grown stack
-// warm across requests.
-func (p *workerPool[T]) worker() {
-	defer p.wg.Done()
-	for t := range p.tasks {
-		p.busy.Add(1)
-		p.run(t)
-		p.busy.Add(-1)
-	}
-}
-
-// shutdown retires the pool once its owner has stopped dispatching: parked
-// workers exit at once, busy ones after the task in hand.
-func (p *workerPool[T]) shutdown() {
-	close(p.tasks)
-	p.wg.Wait()
-}
-
-// task is one handler invocation on a server's pool.
-type task struct {
-	ctx       context.Context
-	h         Handler
-	principal string
-	req       []byte
-	done      chan taskResult
-}
-
-type taskResult struct {
-	resp []byte
-	err  error
-}
-
-func runTask(t task) {
-	resp, err := t.h(t.ctx, t.principal, t.req)
-	t.done <- taskResult{resp: resp, err: err}
-}
-
-// doneChans recycles single-use result channels across submits: a worker
-// sends exactly one result and submit always receives it, so a channel is
-// provably empty when returned to the pool.
-var doneChans = sync.Pool{New: func() any { return make(chan taskResult, 1) }}
-
-// submit runs h on one of p's workers and waits for the result. A context
-// that expires while queued fails without running the handler; once
-// admitted, handlers run to completion (a server does not abandon work
-// mid-mutation).
-func submit(ctx context.Context, p *workerPool[task], h Handler, principal string, req []byte) ([]byte, error) {
-	done := doneChans.Get().(chan taskResult)
-	if !p.dispatch(ctx, task{ctx: ctx, h: h, principal: principal, req: req, done: done}) {
-		doneChans.Put(done)
-		return nil, ErrDeadlineExceeded
-	}
-	r := <-done
-	doneChans.Put(done)
-	return r.resp, r.err
+	defer func() { <-slots }()
+	return h(ctx, principal, req)
 }
 
 // Serve registers a server at addr on host hostID. Re-serving an address
@@ -308,7 +218,7 @@ func (n *Network) Serve(addr string, hostID int) *Server {
 		n: n, addr: addr, hostID: hostID,
 		handlers: make(map[string]Handler),
 		costs:    make(map[string]uint64),
-		pool:     newWorkerPool(DefaultWorkerLimit, runTask),
+		adm:      admission{slots: make(chan struct{}, DefaultWorkerLimit)},
 	}
 	n.mu.Lock()
 	n.servers[addr] = s
@@ -339,12 +249,13 @@ func (s *Server) SetMethodCost(method string, ns uint64) {
 	s.mu.Unlock()
 }
 
-// SetWorkerLimit resizes the server's handler-concurrency bound by
-// installing a fresh worker pool. Calls in flight under the old pool drain
-// independently; new calls use the new one.
+// SetWorkerLimit resizes the server's handler-concurrency bound. Calls in
+// flight hold (and calls already queued wait for) slots of the old bound
+// and drain independently; new calls take slots of the new one.
 func (s *Server) SetWorkerLimit(limit int) {
+	slots := make(chan struct{}, max(limit, 1))
 	s.mu.Lock()
-	s.pool = newWorkerPool(limit, runTask)
+	s.adm.slots = slots
 	s.mu.Unlock()
 }
 
@@ -395,39 +306,35 @@ func (s *Server) Stopped() bool {
 func (s *Server) Addr() string { return s.addr }
 
 // Saturation is a point-in-time snapshot of one server's admission-side
-// saturation telemetry: how full the worker pool is (wall side) and how
-// hard the modelled admission queue is pushing back (model side).
+// saturation telemetry: how many handlers are running against the limit
+// (wall side) and how hard the modelled admission queue is pushing back
+// (model side).
 type Saturation struct {
-	WorkerLimit   uint64 // pool size (gauge)
-	WorkersBusy   uint64 // workers executing a handler right now (gauge)
-	QueuedSubmits uint64 // submits that waited for a worker at the pool limit
-	SubmitWaitNs  uint64 // cumulative measured wall-ns those submits waited
+	WorkerLimit   uint64 // handler-concurrency bound (gauge)
+	WorkersBusy   uint64 // handlers running right now (gauge)
+	QueuedSubmits uint64 // calls that waited for a slot at the limit
+	SubmitWaitNs  uint64 // cumulative measured wall-ns those calls waited
 	Calls         uint64 // calls that reached dispatch on this server
 	QueuedCalls   uint64 // calls billed a modelled admission-queue wait
 	QueueNs       uint64 // cumulative modelled admission-queue ns billed
 	RhoMilli      uint64 // smoothed modelled utilization ×1000 (gauge)
 }
 
-// Saturation snapshots the server's saturation counters. Pool-side
-// counters reset when SetWorkerLimit installs a fresh pool; consumers
-// (cmstat -watch) clamp deltas on restart.
+// Saturation snapshots the server's saturation counters. Everything but the
+// two gauges is cumulative for the server's life.
 func (s *Server) Saturation() Saturation {
 	s.mu.Lock()
-	pool := s.pool
+	slots := s.adm.slots
 	s.mu.Unlock()
-	busy := pool.busy.Load()
-	if busy < 0 {
-		busy = 0
-	}
 	return Saturation{
-		WorkerLimit:   uint64(pool.limit),
-		WorkersBusy:   uint64(busy),
-		QueuedSubmits: pool.queuedSubmits.Load(),
-		SubmitWaitNs:  pool.submitWaitNs.Load(),
-		Calls:         s.sat.arrivals.Load(),
-		QueuedCalls:   s.sat.queuedCalls.Load(),
-		QueueNs:       s.sat.queueNs.Load(),
-		RhoMilli:      s.sat.rhoMilli.Load(),
+		WorkerLimit:   uint64(cap(slots)),
+		WorkersBusy:   uint64(len(slots)),
+		QueuedSubmits: s.adm.queuedSubmits.Load(),
+		SubmitWaitNs:  s.adm.submitWaitNs.Load(),
+		Calls:         s.adm.arrivals.Load(),
+		QueuedCalls:   s.adm.queuedCalls.Load(),
+		QueueNs:       s.adm.queueNs.Load(),
+		RhoMilli:      s.adm.rhoMilli.Load(),
 	}
 }
 
@@ -484,7 +391,7 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 	extra := s.costs[method]
 	auth := s.auth
 	hostID := s.hostID
-	pool := s.pool
+	slots := s.adm.slots
 	dropped := s.failRate > 0 && s.failRng != nil && s.failRng.Float64() < s.failRate
 	s.mu.Unlock()
 
@@ -523,9 +430,9 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 	sb.add(&tr, trace.SpanRPCServer, uint32(extra), n.cost.ServerCPUNs+n.cost.LatencyNs/2+extra)
 
 	// Modelled admission queue: as offered load approaches the worker
-	// pool's capacity, calls wait for a worker before the handler runs.
-	if qns := s.admit(n.f.NowNs, n.cost.ServerCPUNs+extra, pool.limit); qns > 0 {
-		sb.add(&tr, trace.SpanRPCQueue, uint32(s.sat.rhoMilli.Load()), qns)
+	// limit, calls wait for a worker before the handler runs.
+	if qns := s.adm.admit(n.f.NowNs, n.cost.ServerCPUNs+extra, cap(slots)); qns > 0 {
+		sb.add(&tr, trace.SpanRPCQueue, uint32(s.adm.rhoMilli.Load()), qns)
 	}
 
 	// Traced calls get a span sink so the handler can deposit measured
@@ -538,50 +445,39 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 		hctx = trace.WithSink(ctx, sink)
 	}
 
-	// Dispatch the handler to the server's bounded worker pool. The caller
-	// blocks for the response (RPCs are synchronous) but handlers for
-	// different calls run on distinct worker goroutines, so mutations
+	// The handler runs here, on the caller's goroutine (RPCs are
+	// synchronous); concurrent callers are distinct goroutines, so mutations
 	// against different lock stripes overlap inside one backend.
-	resp, err := submit(hctx, pool, h, c.principal, req)
-	var deposited []fabric.Span
+	resp, err := s.adm.run(hctx, slots, h, c.principal, req)
 	depositedAt := tr.Ns
-	if sink != nil {
-		deposited = sink.Take()
-	}
-	if err != nil {
-		tr.Add(n.f.Host(c.hostID).Deliver(128))
-		n.bytesSent.Add(128)
-		sb.attach(&tr, deposited, depositedAt)
-		if sink != nil {
-			trace.PutSink(sink)
-		}
-		return nil, tr, err
-	}
 
 	// Response direction: the handler has already executed, so a cut here
 	// yields the indeterminate outcome of §5 — the mutation may have
 	// applied even though the caller sees a failure.
-	if !n.f.Linked(hostID, c.hostID) {
-		tr.Add(n.f.Host(c.hostID).Deliver(128))
-		n.bytesSent.Add(128)
-		sb.attach(&tr, deposited, depositedAt)
-		if sink != nil {
-			trace.PutSink(sink)
-		}
-		return nil, tr, fmt.Errorf("%w: %s (partitioned)", ErrUnavailable, addr)
+	if err == nil && !n.f.Linked(hostID, c.hostID) {
+		err = fmt.Errorf("%w: %s (partitioned)", ErrUnavailable, addr)
 	}
 
-	// Response returns.
-	sb.add(&tr, trace.SpanFabric, uint32(len(resp)+128), n.f.Host(c.hostID).Deliver(len(resp)+128))
-	tr.AddBytes(len(resp) + 128)
+	// Response returns; a failure travels as a bare header and is not part
+	// of the op's payload accounting.
+	if err != nil {
+		resp = nil
+		tr.Add(n.f.Host(c.hostID).Deliver(128))
+	} else {
+		sb.add(&tr, trace.SpanFabric, uint32(len(resp)+128), n.f.Host(c.hostID).Deliver(len(resp)+128))
+		tr.AddBytes(len(resp) + 128)
+	}
 	n.bytesSent.Add(uint64(len(resp) + 128))
-	sb.attach(&tr, deposited, depositedAt)
-	if sink != nil {
+	if sink != nil { // else nothing is armed and there is nothing to attach
+		sb.attach(&tr, sink.Take(), depositedAt)
 		trace.PutSink(sink)
 	}
 
-	if ctx.Err() != nil {
-		return nil, tr, ErrDeadlineExceeded
+	if err == nil && ctx.Err() != nil {
+		err = ErrDeadlineExceeded
+	}
+	if err != nil {
+		return nil, tr, err
 	}
 	return resp, tr, nil
 }

@@ -39,9 +39,6 @@ const (
 	maxTCPFrame = 64 << 20
 	// tcpPrefix is the length prefix in front of every frame.
 	tcpPrefix = 4
-	// frameChunk is the largest buffer a length prefix gets on its word
-	// alone; see readTCPFrame.
-	frameChunk = 64 << 10
 	// maxSendScratch is the largest send buffer a connection keeps between
 	// frames, so one huge message does not pin its size for good.
 	maxSendScratch = 1 << 20
@@ -213,9 +210,7 @@ func writeTCPFrame(w io.Writer, scratch *[]byte, frame []byte) error {
 }
 
 // readTCPFrame reads one frame into a fresh buffer, which belongs to the
-// frame's call. Bounds before bytes: the prefix is a stranger's word, so a
-// frame longer than frameChunk gets its buffer in doubling steps, each
-// earned by the bytes that arrived before it.
+// frame's call.
 func readTCPFrame(br *bufio.Reader) ([]byte, error) {
 	hdr, err := br.Peek(tcpPrefix)
 	if err != nil {
@@ -226,19 +221,7 @@ func readTCPFrame(br *bufio.Reader) ([]byte, error) {
 	if n > maxTCPFrame {
 		return nil, fmt.Errorf("rpc: tcp frame of %d bytes exceeds limit", n)
 	}
-	size := int(n)
-	buf := make([]byte, min(size, frameChunk))
-	for got := 0; ; {
-		if _, err := io.ReadFull(br, buf[got:]); err != nil {
-			return nil, err
-		}
-		if got = len(buf); got == size {
-			return buf, nil
-		}
-		next := make([]byte, min(size, 2*got))
-		copy(next, buf)
-		buf = next
-	}
+	return wire.ReadFrameBody(br, int(n))
 }
 
 // TCPGateway proxies socket connections into an in-process Network.
@@ -334,13 +317,51 @@ type gatewayCall struct {
 
 var gatewayCalls = sync.Pool{New: func() any { return new(gatewayCall) }}
 
+// workerPool is one connection's dispatchers: each call runs on its own so
+// one slow handler does not head-of-line-block the calls pipelined behind it
+// — up to tcpDispatchLimit of them, after which dispatch blocks, the reader
+// stops reading, and TCP pushes back on the peer. Dispatchers are spawned
+// lazily and parked between calls, so steady state costs a channel handoff
+// and no goroutine creation (a fresh goroutine would re-grow its stack on
+// every call).
+type workerPool struct {
+	tasks   chan *gatewayCall
+	run     func(*gatewayCall)
+	running int            // dispatchers spawned; the connection's reader alone dispatches
+	wg      sync.WaitGroup // the dispatchers, for shutdown
+}
+
+// dispatch hands call to an idle dispatcher, spawning one if the pool is
+// below its limit, else blocks until one frees up.
+func (p *workerPool) dispatch(call *gatewayCall) {
+	select {
+	case p.tasks <- call:
+		return
+	default:
+	}
+	if p.running < tcpDispatchLimit {
+		p.running++
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for call := range p.tasks {
+				p.run(call)
+			}
+		}()
+	}
+	p.tasks <- call
+}
+
+// shutdown retires the pool once the reader has stopped dispatching: parked
+// dispatchers exit at once, busy ones after the call in hand.
+func (p *workerPool) shutdown() {
+	close(p.tasks)
+	p.wg.Wait()
+}
+
 func (g *TCPGateway) serveConn(conn net.Conn) {
 	gc := &gatewayConn{g: g, conn: conn, send: make([]byte, tcpPrefix, 512)}
-	// Each call runs on its own dispatcher so one slow handler does not
-	// head-of-line-block the connection — up to tcpDispatchLimit of them,
-	// after which dispatch blocks, the reader stops reading, and TCP pushes
-	// back on the peer.
-	pool := newWorkerPool(tcpDispatchLimit, gc.run)
+	pool := &workerPool{tasks: make(chan *gatewayCall), run: gc.run}
 	defer func() {
 		g.mu.Lock()
 		delete(g.conns, conn)
@@ -360,7 +381,7 @@ func (g *TCPGateway) serveConn(conn net.Conn) {
 		if err := call.req.decode(frame, names); err != nil {
 			return
 		}
-		pool.dispatch(context.Background(), call)
+		pool.dispatch(call)
 	}
 }
 

@@ -332,9 +332,11 @@ func TestTCPHostilePrefixAllocatesLittle(t *testing.T) {
 	}
 }
 
-// Frames past frameChunk take the doubling path; they must arrive whole,
-// in a buffer of exactly their size, across the chunk boundaries.
+// Frames past wire.ReadFrameBody's first 64 KiB step take the doubling
+// path; they must arrive whole, in a buffer of exactly their size, across
+// the chunk boundaries.
 func TestTCPLargeFrames(t *testing.T) {
+	const frameChunk = 64 << 10
 	_, _, c := newTCPRig(t)
 	for _, n := range []int{frameChunk - 64, frameChunk, 2*frameChunk + 1, 5*frameChunk + 12345} {
 		req := make([]byte, n)

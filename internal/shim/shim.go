@@ -41,82 +41,38 @@ const (
 
 // Request is one shim call.
 type Request struct {
-	ID    uint64
-	Op    Op
-	Key   []byte
-	Value []byte
+	ID    uint64 `wire:"1"`
+	Op    Op     `wire:"2"`
+	Key   []byte `wire:"3"`
+	Value []byte `wire:"4"`
 }
 
 // Response answers one Request (matched by ID).
 type Response struct {
-	ID    uint64
-	Found bool
-	Value []byte
-	Err   string
+	ID    uint64 `wire:"1"`
+	Found bool   `wire:"2"`
+	Value []byte `wire:"3"`
+	Err   string `wire:"4"`
 }
 
 // Marshal encodes a request.
-func (r Request) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, r.ID)
-	e.Uint(2, uint64(r.Op))
-	e.Bytes(3, r.Key)
-	e.Bytes(4, r.Value)
-	return e.Encoded()
-}
+func (r Request) Marshal() []byte { return wire.Marshal(&r) }
 
 // UnmarshalRequest decodes a request.
 func UnmarshalRequest(b []byte) (Request, error) {
 	var r Request
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.ID = d.Uint()
-		case 2:
-			r.Op = Op(d.Uint())
-		case 3:
-			r.Key = append([]byte(nil), d.Bytes()...)
-		case 4:
-			r.Value = append([]byte(nil), d.Bytes()...)
-		}
-	}
-	return r, d.Err()
+	err := wire.Unmarshal(b, &r)
+	return r, err
 }
 
 // Marshal encodes a response.
-func (r Response) Marshal() []byte {
-	e := wire.NewEncoder()
-	e.Uint(1, r.ID)
-	e.Bool(2, r.Found)
-	e.Bytes(3, r.Value)
-	e.String(4, r.Err)
-	return e.Encoded()
-}
+func (r Response) Marshal() []byte { return wire.Marshal(&r) }
 
 // UnmarshalResponse decodes a response.
 func UnmarshalResponse(b []byte) (Response, error) {
 	var r Response
-	d, err := wire.NewDecoder(b)
-	if err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.ID = d.Uint()
-		case 2:
-			r.Found = d.Bool()
-		case 3:
-			r.Value = append([]byte(nil), d.Bytes()...)
-		case 4:
-			r.Err = d.String()
-		}
-	}
-	return r, d.Err()
+	err := wire.Unmarshal(b, &r)
+	return r, err
 }
 
 // WriteFrame writes a length-prefixed frame.
@@ -140,11 +96,7 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("shim: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return wire.ReadFrameBody(r, int(n))
 }
 
 // Store is what the host side serves — normally the primary CliqueMap

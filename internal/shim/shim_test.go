@@ -3,9 +3,13 @@ package shim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -83,6 +87,76 @@ func TestFrameTruncated(t *testing.T) {
 	short := buf.Bytes()[:6]
 	if _, err := ReadFrame(bytes.NewReader(short)); err == nil {
 		t.Error("truncated frame accepted")
+	}
+}
+
+// Four bytes from the other side of the pipe must not cost a frame-limit-
+// sized buffer: a maximal length prefix followed by nothing allocates one
+// chunk, and a prefix past the limit allocates nothing.
+func TestShimHostilePrefixAllocatesLittle(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a prefix with no frame behind it read as a frame")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a %d-byte length prefix and EOF allocated %d bytes", MaxFrame, got)
+	}
+	binary.LittleEndian.PutUint32(hdr[:], MaxFrame+1)
+	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
+		t.Error("a frame over the limit was accepted")
+	}
+}
+
+// TestGoldenFrames: the frames below were captured from the hand-written
+// Marshal bodies Request and Response had before their wire tags became
+// the codec. The tag-driven encoder must produce each of them and the
+// decoder must read each back to the message it was made from.
+func TestGoldenFrames(t *testing.T) {
+	reqs := []struct {
+		msg Request
+		hex string
+	}{
+		{Request{}, "0104080010001a002200"},
+		{Request{ID: 1, Op: OpPing}, "0104080110001a002200"},
+		{Request{ID: 2, Op: OpGet, Key: []byte("user:42")}, "0104080210011a07757365723a34322200"},
+		{Request{ID: 0x1234567890, Op: OpSet, Key: []byte("k"), Value: []byte("hello world")},
+			"01040890f1d9a2a30210021a016b220b68656c6c6f20776f726c64"},
+		{Request{ID: 300, Op: OpErase, Key: []byte{0, 1, 2, 0xff}}, "010408ac0210031a04000102ff2200"},
+		{Request{ID: 7, Op: Op(200), Value: []byte("v-only")}, "0104080710c8011a002206762d6f6e6c79"},
+	}
+	for i, tc := range reqs {
+		want, _ := hex.DecodeString(tc.hex)
+		if got := tc.msg.Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("request %d encodes to\n%x\nwant\n%x", i, got, want)
+		}
+		if got, err := UnmarshalRequest(want); err != nil || !reflect.DeepEqual(got, tc.msg) {
+			t.Errorf("request %d decodes to %+v, %v; want %+v", i, got, err, tc.msg)
+		}
+	}
+	resps := []struct {
+		msg Response
+		hex string
+	}{
+		{Response{}, "0104080010001a002200"},
+		{Response{ID: 1, Found: true}, "0104080110011a002200"},
+		{Response{ID: 2, Found: true, Value: []byte("value-bytes")}, "0104080210011a0b76616c75652d62797465732200"},
+		{Response{ID: 0x1234567890, Err: "shim: unknown op 9"},
+			"01040890f1d9a2a30210001a0022127368696d3a20756e6b6e6f776e206f702039"},
+		{Response{ID: 300, Value: []byte{0, 0xff}, Err: "x"}, "010408ac0210001a0200ff220178"},
+	}
+	for i, tc := range resps {
+		want, _ := hex.DecodeString(tc.hex)
+		if got := tc.msg.Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("response %d encodes to\n%x\nwant\n%x", i, got, want)
+		}
+		if got, err := UnmarshalResponse(want); err != nil || !reflect.DeepEqual(got, tc.msg) {
+			t.Errorf("response %d decodes to %+v, %v; want %+v", i, got, err, tc.msg)
+		}
 	}
 }
 

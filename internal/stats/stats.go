@@ -1,12 +1,10 @@
 // Package stats provides the measurement machinery behind every figure in
 // the evaluation: log-bucketed latency histograms with percentile
-// extraction, monotonic counters and rates, CPU-cost accounting (the paper
-// reports CPU-µs/op and CPU-ns/op extensively), and a time-series recorder
-// for the longitudinal plots (Figures 8, 9, 13–17).
+// extraction, monotonic counters and rates, and CPU-cost accounting (the
+// paper reports CPU-µs/op and CPU-ns/op extensively).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -342,71 +340,4 @@ func (a *CPUAccount) GrandTotalNanos() uint64 {
 		return true
 	})
 	return t
-}
-
-// Point is one sample in a time series.
-type Point struct {
-	T time.Duration // offset from series start (simulated)
-	V float64
-}
-
-// Series is a named time series.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// TimeSeries records multiple named series, used to regenerate the
-// longitudinal figures.
-type TimeSeries struct {
-	mu     sync.Mutex
-	series map[string]*Series
-	order  []string
-}
-
-// NewTimeSeries returns an empty recorder.
-func NewTimeSeries() *TimeSeries {
-	return &TimeSeries{series: make(map[string]*Series)}
-}
-
-// Record appends a sample to the named series.
-func (ts *TimeSeries) Record(name string, t time.Duration, v float64) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	s, ok := ts.series[name]
-	if !ok {
-		s = &Series{Name: name}
-		ts.series[name] = s
-		ts.order = append(ts.order, name)
-	}
-	s.Points = append(s.Points, Point{T: t, V: v})
-}
-
-// Get returns the named series, or nil.
-func (ts *TimeSeries) Get(name string) *Series {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.series[name]
-}
-
-// Names returns series names in insertion order.
-func (ts *TimeSeries) Names() []string {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]string(nil), ts.order...)
-}
-
-// FormatNanos renders a nanosecond quantity the way the paper labels its
-// axes (µs for latencies).
-func FormatNanos(ns uint64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fus", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }

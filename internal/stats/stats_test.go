@@ -207,37 +207,6 @@ func TestCPUAccount(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries()
-	ts.Record("p50", time.Second, 10)
-	ts.Record("p99", time.Second, 50)
-	ts.Record("p50", 2*time.Second, 12)
-	if names := ts.Names(); len(names) != 2 || names[0] != "p50" {
-		t.Errorf("names = %v", names)
-	}
-	s := ts.Get("p50")
-	if len(s.Points) != 2 || s.Points[1].V != 12 {
-		t.Errorf("p50 series = %+v", s)
-	}
-	if ts.Get("nope") != nil {
-		t.Error("missing series should be nil")
-	}
-}
-
-func TestFormatNanos(t *testing.T) {
-	cases := map[uint64]string{
-		500:        "500ns",
-		1500:       "1.5us",
-		2500000:    "2.5ms",
-		3000000000: "3.00s",
-	}
-	for in, want := range cases {
-		if got := FormatNanos(in); got != want {
-			t.Errorf("FormatNanos(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	b.RunParallel(func(pb *testing.PB) {

@@ -181,9 +181,6 @@ func (c *Client) Metrics() *Metrics { return &c.m }
 // Tracer returns the tier-edge tracer tier ops record into.
 func (c *Client) Tracer() *trace.Tracer { return c.tracer }
 
-// OutcomeHist returns the live latency histogram for one outcome class.
-func (c *Client) OutcomeHist(o Outcome) *stats.Histogram { return &c.outcomes[o] }
-
 // OutcomeStats summarizes the per-outcome-class latency histograms
 // (classes with traffic only).
 func (c *Client) OutcomeStats() []OutcomeStat {

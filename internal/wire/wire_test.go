@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -303,5 +304,34 @@ func TestInitAppend(t *testing.T) {
 		if inPlace := &got[0] == &scratch[0]; inPlace != (capacity == 64) {
 			t.Errorf("cap %d: message in the caller's storage = %v", capacity, inPlace)
 		}
+	}
+}
+
+// ReadFrameBody: a body of any size lands whole in a buffer of exactly that
+// size, and a size nothing backs costs one chunk, not the size.
+func TestReadFrameBody(t *testing.T) {
+	for _, n := range []int{0, 1, frameChunk - 1, frameChunk, frameChunk + 1, 3*frameChunk + 7} {
+		src := make([]byte, n+5) // trailing bytes belong to the next frame
+		for i := range src {
+			src[i] = byte(i * 31)
+		}
+		r := bytes.NewReader(src)
+		got, err := ReadFrameBody(r, n)
+		if err != nil || !bytes.Equal(got, src[:n]) || cap(got) != n {
+			t.Errorf("size %d: read %d bytes into cap %d, err %v", n, len(got), cap(got), err)
+		}
+		if r.Len() != 5 {
+			t.Errorf("size %d: %d bytes left unread, want 5", n, r.Len())
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrameBody(bytes.NewReader(make([]byte, 10)), 64<<20)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a truncated body read as whole")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a 64 MiB size over a 10-byte stream allocated %d bytes", got)
 	}
 }
