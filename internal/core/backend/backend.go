@@ -505,7 +505,8 @@ type Backend struct {
 	// Hot-key promotion state (hotset.go). Cold: evaluated on touch
 	// ingestion and stats scrapes, read via one atomic load everywhere
 	// else.
-	hotMu        sync.Mutex // serializes epoch bumps
+	hotMu        sync.Mutex      // serializes evaluations and their epoch bumps
+	hotCand      []stats.HotCand // under hotMu: evalHot's selection scratch
 	hot          atomic.Pointer[hotSet]
 	hotEvalTotal atomic.Uint64 // sketch total at the last evaluation
 	hotResidency atomic.Bool   // a RepairHot sweep is in flight

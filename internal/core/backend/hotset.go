@@ -75,31 +75,41 @@ func (b *Backend) evalHot(total uint64) {
 	if demoteBar < hotMinCount/2 {
 		demoteBar = hotMinCount / 2
 	}
+	// One evaluation at a time: hotMu guards the candidate scratch as well
+	// as the epoch bump.
+	b.hotMu.Lock()
 	cur := b.hot.Load()
-	cand := b.heat.TopN(2 * k)
-	keys := make([][]byte, 0, k)
-	set := make(map[string]struct{}, k)
-	for _, hk := range cand {
-		if len(keys) >= k {
-			break
-		}
+	var curSet map[string]struct{}
+	if cur != nil {
+		curSet = cur.set
+	}
+	b.hotCand = b.heat.AppendTop(b.hotCand, 2*k)
+	// Move the candidates that clear their bar to the front, hottest first,
+	// and see whether they are the set already published — the usual
+	// outcome, and it builds nothing.
+	cand, next, same := b.hotCand, 0, true
+	for i := 0; i < len(cand) && next < k; i++ {
 		bar := promoteBar
-		if cur != nil {
-			if _, ok := cur.set[hk.Key]; ok {
-				bar = demoteBar
-			}
+		_, promoted := curSet[string(cand[i].Key)]
+		if promoted {
+			bar = demoteBar
 		}
-		if hk.Count >= bar {
-			keys = append(keys, []byte(hk.Key))
-			set[hk.Key] = struct{}{}
+		if cand[i].Count >= bar {
+			cand[next], cand[i] = cand[i], cand[next]
+			next++
+			same = same && promoted
 		}
 	}
-
-	b.hotMu.Lock()
-	cur = b.hot.Load() // re-read: a concurrent eval may have won the swap
-	if hotSameSet(cur, set) {
+	if same && next == len(curSet) {
 		b.hotMu.Unlock()
 		return
+	}
+	keys := make([][]byte, 0, next)
+	set := make(map[string]struct{}, next)
+	for _, hk := range cand[:next] {
+		key := string(hk.Key)
+		keys = append(keys, []byte(key))
+		set[key] = struct{}{}
 	}
 	epoch := uint64(1)
 	if cur != nil {
@@ -120,22 +130,6 @@ func (b *Backend) evalHot(total uint64) {
 			b.RepairHot(context.Background())
 		}()
 	}
-}
-
-func hotSameSet(cur *hotSet, next map[string]struct{}) bool {
-	curLen := 0
-	if cur != nil {
-		curLen = len(cur.set)
-	}
-	if curLen != len(next) {
-		return false
-	}
-	for k := range next {
-		if _, ok := cur.set[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // HotSnapshot returns the promotion epoch and the promoted keys, hottest

@@ -184,7 +184,7 @@ type Client struct {
 	cfg    config.CellConfig
 	conns  map[int]nic.RMA            // by host id
 	hellos map[string]proto.HelloResp // by backend addr
-	touchQ map[string][][]byte        // by backend addr
+	touchQ map[string]*touchQueue     // by backend addr
 
 	health   healthState   // per-replica demotion scores
 	rngState atomic.Uint64 // jitter/probe randomness (xorshift)
@@ -224,7 +224,7 @@ func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock
 		acct:   acct,
 		conns:  make(map[int]nic.RMA),
 		hellos: make(map[string]proto.HelloResp),
-		touchQ: make(map[string][][]byte),
+		touchQ: make(map[string]*touchQueue),
 	}
 	c.rngState.Store(opt.Seed)
 	c.cfg = store.Get()

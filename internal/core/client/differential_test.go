@@ -181,3 +181,103 @@ func TestGetTraceParity(t *testing.T) {
 		})
 	}
 }
+
+// TestMutationTraceParity pins the assembled OpTrace of one quiet SET, CAS
+// and ERASE — Ns, Bytes, and every span's code/arg/start/dur in order — to
+// goldens captured at the commit before mutate stopped building a trace per
+// attempt and copying it into the op's, on TestGetTraceParity's
+// deterministic fixture (the CAS and the ERASE follow one SET of the key on
+// a fresh cell). The client is traced, or the RPC legs record no spans.
+func TestMutationTraceParity(t *testing.T) {
+	type golden struct {
+		ns, bytes uint64
+		spans     []fabric.Span
+	}
+	for _, tc := range []struct {
+		kind trace.Kind
+		want golden
+	}{
+		{trace.KindSet, golden{77100, 1839, []fabric.Span{
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 464, Start: 32000, Dur: 2257},
+			{Code: 6, Arg: 2600, Start: 34257, Dur: 40600},
+			{Code: 7, Arg: 149, Start: 74857, Dur: 2257},
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 464, Start: 32000, Dur: 2257},
+			{Code: 6, Arg: 2600, Start: 34257, Dur: 40600},
+			{Code: 7, Arg: 149, Start: 74857, Dur: 2193},
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 464, Start: 32000, Dur: 2257},
+			{Code: 6, Arg: 2600, Start: 34257, Dur: 40600},
+			{Code: 7, Arg: 149, Start: 74857, Dur: 2243},
+			{Code: 2, Arg: 2, Start: 77050, Dur: 50},
+		}}},
+		{trace.KindCas, golden{76860, 1572, []fabric.Span{
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 375, Start: 32000, Dur: 2212},
+			{Code: 6, Arg: 2600, Start: 34212, Dur: 40600},
+			{Code: 7, Arg: 149, Start: 74812, Dur: 2048},
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 375, Start: 32000, Dur: 2099},
+			{Code: 6, Arg: 2600, Start: 34099, Dur: 40600},
+			{Code: 7, Arg: 149, Start: 74699, Dur: 2238},
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 375, Start: 32000, Dur: 2080},
+			{Code: 6, Arg: 2600, Start: 34080, Dur: 40600},
+			{Code: 7, Arg: 149, Start: 74680, Dur: 2159},
+			{Code: 2, Arg: 2, Start: 76839, Dur: 21},
+		}}},
+		{trace.KindErase, golden{76060, 924, []fabric.Span{
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 159, Start: 32000, Dur: 2212},
+			{Code: 6, Arg: 1800, Start: 34212, Dur: 39800},
+			{Code: 7, Arg: 149, Start: 74012, Dur: 2048},
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 159, Start: 32000, Dur: 2099},
+			{Code: 6, Arg: 1800, Start: 34099, Dur: 39800},
+			{Code: 7, Arg: 149, Start: 73899, Dur: 2238},
+			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
+			{Code: 7, Arg: 159, Start: 32000, Dur: 2080},
+			{Code: 6, Arg: 1800, Start: 34080, Dur: 39800},
+			{Code: 7, Arg: 149, Start: 73880, Dur: 2159},
+			{Code: 2, Arg: 2, Start: 76039, Dur: 21},
+		}}},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			r := newRigOn(t, fabric.Params{HostGbps: 1e12})
+			cl := r.newClientAt(Options{Strategy: Strategy2xR, Seed: 7, Tracer: trace.NewTracer()}, nil)
+			ctx := context.Background()
+			key := []byte("golden-key")
+			var tr fabric.OpTrace
+			var err error
+			if tc.kind == trace.KindSet {
+				_, tr, err = cl.SetVersionedTraced(ctx, key, make([]byte, 300))
+			} else {
+				v, _, serr := cl.SetVersionedTraced(ctx, key, make([]byte, 300))
+				if serr != nil {
+					t.Fatal(serr)
+				}
+				if tc.kind == trace.KindCas {
+					var applied bool
+					if applied, tr, err = cl.CasTraced(ctx, key, make([]byte, 200), v); !applied {
+						t.Errorf("cas at the stored version did not apply")
+					}
+				} else {
+					tr, err = cl.EraseTraced(ctx, key)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Ns != tc.want.ns || tr.Bytes != tc.want.bytes {
+				t.Errorf("trace = %dns %dB, want %dns %dB", tr.Ns, tr.Bytes, tc.want.ns, tc.want.bytes)
+			}
+			if !slices.Equal(tr.Spans, tc.want.spans) {
+				t.Errorf("spans:\n got %v\nwant %v", tr.Spans, tc.want.spans)
+			}
+			if cap(tr.Spans) != mutSpans {
+				t.Errorf("span buffer grew to %d; the op makes one of %d", cap(tr.Spans), mutSpans)
+			}
+		})
+	}
+}

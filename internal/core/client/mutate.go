@@ -7,6 +7,7 @@ package client
 import (
 	"context"
 
+	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
@@ -75,6 +76,10 @@ func (c *Client) CasTraced(ctx context.Context, key, value []byte, expected true
 	return applied >= c.Config().Mode.Quorum(), tr, nil
 }
 
+// mutSpans sizes a mutation's span buffer: three RPC legs of four spans (five
+// at a loaded server) and the quorum-wait annotation; the quiet path uses 13.
+const mutSpans = 16
+
 // mutate runs one mutation end to end: a fan-out to every cohort member
 // that must collect a write quorum of acknowledgements (applied or
 // superseded-by-newer both count: the mutation's ordering is settled
@@ -85,6 +90,8 @@ func (c *Client) CasTraced(ctx context.Context, key, value []byte, expected true
 // reported the mutation applied (CAS semantics).
 func (c *Client) mutate(ctx context.Context, kind trace.Kind, method string, key []byte, nominated truetime.Version, build func(pending bool, cfgID uint64) []byte) (total fabric.OpTrace, applied int, err error) {
 	sc, ctx := c.traceOp(ctx, kind)
+	// The op's one span buffer, as in GetTraced.
+	total.Spans = make([]fabric.Span, 0, mutSpans)
 	err = ErrUnavailable
 	attempt := 0
 	for ; attempt <= c.opt.Retries; attempt++ {
@@ -97,9 +104,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, method string, key
 				break
 			}
 		}
-		var tr fabric.OpTrace
-		tr, applied, err = c.mutateOnce(ctx, key, method, build, nominated)
-		total.Sequence(tr)
+		applied, err = c.mutateOnce(ctx, key, method, build, nominated, &total)
 		if err == nil {
 			c.opt.Budget.Credit()
 			break
@@ -130,12 +135,15 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, method string, key
 // the write would exist only where handoff can no longer see it), so
 // MutateResp.Sealed legs count only toward the pending epoch when they
 // serve there. The mutation acks when either epoch reaches its quorum.
-func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version) (fabric.OpTrace, int, error) {
+// The attempt is appended to tr, the op's trace: its legs fan out from where
+// tr ends.
+func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version, tr *fabric.OpTrace) (int, error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
-	legs := mutationLegs(cfg, h)
+	var legBuf [2 * config.MaxReplicas]mutLeg
+	legs := mutationLegs(cfg, h, legBuf[:0])
 
-	var tr fabric.OpTrace
+	origin := tr.Ns
 	var legArr [8]uint64
 	legNs := legArr[:0]
 	oldAcks, pendAcks, applied := 0, 0, 0
@@ -183,9 +191,8 @@ func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, buil
 		}
 		legNs = append(legNs, ltr.Ns)
 		tr.AddBytes(int(ltr.Bytes))
-		// Replica legs fan out from the op start; spans keep the
-		// common origin.
-		tr.Spans = append(tr.Spans, ltr.Spans...)
+		// Replica legs fan out together: spans share the attempt's origin.
+		tr.AppendSpans(ltr.Spans, origin)
 	}
 	q := cfg.Mode.Quorum()
 	// The pending-epoch quorum only DECIDES the ack once reads route to
@@ -205,9 +212,9 @@ func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, buil
 		if lastErr == nil {
 			lastErr = ErrUnavailable
 		}
-		return tr, applied, lastErr
+		return applied, lastErr
 	}
 	// A mutation completes when the write quorum has acked.
-	settleFanout(&tr, legNs, q, 0)
-	return tr, applied, nil
+	settleFanout(tr, legNs, q, 0)
+	return applied, nil
 }

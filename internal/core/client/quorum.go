@@ -97,10 +97,7 @@ func quorum(tr *fabric.OpTrace, views []indexView, need int) (winner truetime.Ve
 		tr.AddBytes(int(v.trace.Bytes))
 		// The legs ran in parallel: their spans all start where the phase
 		// does, at the op's current critical-path end.
-		for _, s := range v.trace.Spans {
-			s.Start += tr.Ns
-			tr.Spans = append(tr.Spans, s)
-		}
+		tr.AppendSpans(v.trace.Spans, tr.Ns)
 	}
 	if len(legNs) < need {
 		if legErr == nil {

@@ -7,6 +7,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
@@ -15,11 +16,18 @@ import (
 )
 
 // refreshConfig re-reads the HA store and drops cached handshakes, the
-// §6.1 recovery path for config-ID mismatches.
+// §6.1 recovery path for config-ID mismatches — and the touch queues of
+// backends that serve no shard in either epoch any more: nothing would fill
+// them again, and FlushTouches would keep reporting to a departed address.
 func (c *Client) refreshConfig() {
 	c.mu.Lock()
 	c.cfg = c.store.Get()
 	c.hellos = make(map[string]proto.HelloResp)
+	for addr := range c.touchQ {
+		if !slices.Contains(c.cfg.ShardAddrs, addr) && (c.cfg.Pending == nil || !slices.Contains(c.cfg.Pending.ShardAddrs, addr)) {
+			delete(c.touchQ, addr)
+		}
+	}
 	c.mu.Unlock()
 }
 
@@ -90,16 +98,17 @@ type mutLeg struct {
 	inPending bool
 }
 
-// mutationLegs builds the union fan-out for a mutation: every old-epoch
-// cohort member plus, mid-resize, every pending-epoch cohort member,
-// deduplicated by address (a backend often serves a shard in both
-// epochs; it gets one RPC, counted toward both quorums).
-func mutationLegs(cfg config.CellConfig, h hashring.KeyHash) []mutLeg {
-	legs := make([]mutLeg, 0, 6)
-	for _, s := range cfg.Cohort(int(h.Hi % uint64(cfg.Shards))) {
+// mutationLegs appends the union fan-out for a mutation to legs (room for
+// 2×MaxReplicas holds any): every old-epoch cohort member plus, mid-resize,
+// every pending-epoch cohort member, deduplicated by address (a backend
+// often serves a shard in both epochs; it gets one RPC, counted toward both
+// quorums).
+func mutationLegs(cfg config.CellConfig, h hashring.KeyHash, legs []mutLeg) []mutLeg {
+	var cohort [config.MaxReplicas]int
+	for _, s := range cfg.AppendCohort(cohort[:0], int(h.Hi%uint64(cfg.Shards))) {
 		legs = addLeg(legs, cfg.AddrFor(s), false)
 	}
-	if cfg.Pending != nil {
+	if cfg.Pending != nil { // mid-resize only: this one may allocate
 		for _, s := range cfg.PendingCohort(int(h.Hi % uint64(cfg.Pending.Shards))) {
 			legs = addLeg(legs, cfg.Pending.AddrFor(s), true)
 		}

@@ -7,8 +7,36 @@ package client
 import (
 	"context"
 
+	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/wire"
 )
+
+// touchQueue is one backend's pending access records, kept as the TouchReq
+// that will report them: a hit appends its key to the encoding and a flush
+// sends the buffer as it stands. A flushed batch's storage comes back as
+// spare once its RPC has returned (the request is the callee's only until
+// then), so a steady stream of hits allocates nothing.
+type touchQueue struct {
+	enc   wire.Encoder
+	n     int // keys in enc
+	spare []byte
+}
+
+// touchBatch is a batch on its way out, and the queue its storage returns to.
+type touchBatch struct {
+	addr string
+	q    *touchQueue
+	req  []byte
+}
+
+// take hands the queued records over and restarts the queue in the spare.
+func (q *touchQueue) take(addr string) touchBatch {
+	b := touchBatch{addr: addr, q: q, req: q.enc.Encoded()}
+	q.enc.InitAppend(q.spare[:0])
+	q.n, q.spare = 0, nil
+	return b
+}
 
 // noteTouch queues an access record for the key's primary backend and
 // flushes opportunistically (§4.2's batched background reporting).
@@ -16,41 +44,47 @@ func (c *Client) noteTouch(key []byte) {
 	if c.opt.TouchBatch <= 0 {
 		return
 	}
+	var full [config.MaxReplicas]touchBatch
+	nfull := 0
 	c.mu.Lock()
 	cfg := c.cfg
 	h := c.opt.Hash(key)
-	var flush map[string][][]byte
-	for _, shard := range cfg.Cohort(int(h.Hi % uint64(cfg.Shards))) {
+	var cohort [config.MaxReplicas]int
+	for _, shard := range cfg.AppendCohort(cohort[:0], int(h.Hi%uint64(cfg.Shards))) {
 		addr := cfg.AddrFor(shard)
 		if addr == "" {
 			continue
 		}
-		c.touchQ[addr] = append(c.touchQ[addr], append([]byte(nil), key...))
-		if len(c.touchQ[addr]) >= c.opt.TouchBatch {
-			if flush == nil {
-				flush = map[string][][]byte{}
-			}
-			flush[addr] = c.touchQ[addr]
-			c.touchQ[addr] = nil
+		q := c.touchQ[addr]
+		if q == nil {
+			q = new(touchQueue)
+			q.enc.InitAppend(nil)
+			c.touchQ[addr] = q
+		}
+		proto.AppendTouchKey(&q.enc, key)
+		if q.n++; q.n >= c.opt.TouchBatch {
+			full[nfull] = q.take(addr)
+			nfull++
 		}
 	}
 	c.mu.Unlock()
-	for addr, keys := range flush {
-		c.sendTouches(context.Background(), addr, keys)
+	for _, b := range full[:nfull] {
+		c.sendTouches(context.Background(), b)
 	}
 }
 
 // FlushTouches force-flushes all pending access records.
 func (c *Client) FlushTouches(ctx context.Context) {
+	var pending []touchBatch
 	c.mu.Lock()
-	pending := c.touchQ
-	c.touchQ = make(map[string][][]byte)
-	c.mu.Unlock()
-	for addr, keys := range pending {
-		if len(keys) == 0 {
-			continue
+	for addr, q := range c.touchQ {
+		if q.n > 0 {
+			pending = append(pending, q.take(addr))
 		}
-		c.sendTouches(ctx, addr, keys)
+	}
+	c.mu.Unlock()
+	for _, b := range pending {
+		c.sendTouches(ctx, b)
 	}
 }
 
@@ -58,12 +92,17 @@ func (c *Client) FlushTouches(ctx context.Context) {
 // piggybacked promotion set into the client's hot-key view (§4.2 made
 // bidirectional): the same traffic that feeds the server's heat sketch
 // carries its promotion decisions back.
-func (c *Client) sendTouches(ctx context.Context, addr string, keys [][]byte) {
-	resp, _, err := c.rpcc.Call(ctx, addr, proto.MethodTouch, proto.TouchReq{Keys: keys}.Marshal())
+func (c *Client) sendTouches(ctx context.Context, b touchBatch) {
+	resp, _, err := c.rpcc.Call(ctx, b.addr, proto.MethodTouch, b.req)
+	c.mu.Lock()
+	if b.q.spare == nil {
+		b.q.spare = b.req
+	}
+	c.mu.Unlock()
 	if err != nil {
 		return
 	}
 	if tr, terr := proto.UnmarshalTouchResp(resp); terr == nil {
-		c.ingestPromo(addr, tr.HotEpoch, tr.HotKeys)
+		c.ingestPromo(b.addr, tr.HotEpoch, tr.HotKeys)
 	}
 }

@@ -449,21 +449,29 @@ type TouchReq struct {
 func (r TouchReq) Marshal() []byte {
 	e := wire.NewEncoder()
 	for _, k := range r.Keys {
-		e.Bytes(1, k)
+		AppendTouchKey(e, k)
 	}
 	return e.Encoded()
 }
 
-// UnmarshalTouchReq decodes the request.
+// AppendTouchKey adds one access record to the TouchReq being encoded in e:
+// a client keeps its pending records as the request that will report them.
+func AppendTouchKey(e *wire.Encoder, key []byte) { e.Bytes(1, key) }
+
+// UnmarshalTouchReq decodes the request. Keys alias b, which is the
+// handler's only until it returns: IngestTouches copies what it keeps.
 func UnmarshalTouchReq(b []byte) (TouchReq, error) {
 	var r TouchReq
-	d, err := wire.NewDecoder(b)
-	if err != nil {
+	var d wire.Decoder
+	if err := d.Init(b); err != nil {
 		return r, err
 	}
 	for d.Next() {
 		if d.Tag() == 1 {
-			r.Keys = append(r.Keys, append([]byte(nil), d.Bytes()...))
+			if r.Keys == nil {
+				r.Keys = make([][]byte, 0, 1+d.Count(1))
+			}
+			r.Keys = append(r.Keys, d.Bytes())
 		}
 	}
 	return r, d.Err()
@@ -484,7 +492,8 @@ type TouchResp struct {
 
 // Marshal encodes the response.
 func (r TouchResp) Marshal() []byte {
-	e := wire.NewEncoder()
+	var e wire.Encoder
+	e.InitSized(128)
 	if r.HotEpoch != 0 {
 		e.Uint(1, r.HotEpoch)
 	}
@@ -494,11 +503,12 @@ func (r TouchResp) Marshal() []byte {
 	return e.Encoded()
 }
 
-// UnmarshalTouchResp decodes the response.
+// UnmarshalTouchResp decodes the response. HotKeys alias b, the caller's
+// response frame: ingestPromo copies what it keeps.
 func UnmarshalTouchResp(b []byte) (TouchResp, error) {
 	var r TouchResp
-	d, err := wire.NewDecoder(b)
-	if err != nil {
+	var d wire.Decoder
+	if err := d.Init(b); err != nil {
 		return r, err
 	}
 	for d.Next() {
@@ -506,7 +516,10 @@ func UnmarshalTouchResp(b []byte) (TouchResp, error) {
 		case 1:
 			r.HotEpoch = d.Uint()
 		case 2:
-			r.HotKeys = append(r.HotKeys, append([]byte(nil), d.Bytes()...))
+			if r.HotKeys == nil {
+				r.HotKeys = make([][]byte, 0, 1+d.Count(2))
+			}
+			r.HotKeys = append(r.HotKeys, d.Bytes())
 		}
 	}
 	return r, d.Err()

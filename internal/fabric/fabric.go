@@ -418,17 +418,19 @@ func (t *OpTrace) Merge(o OpTrace) {
 	t.Spans = append(t.Spans, o.Spans...)
 }
 
-// Sequence folds a dependent leg: latency adds, bytes sum. The leg began
-// where this trace currently ends, so its spans shift by the current
-// critical-path length.
-func (t *OpTrace) Sequence(o OpTrace) {
-	if len(o.Spans) > 0 {
-		base := t.Ns
-		for _, s := range o.Spans {
-			s.Start += base
-			t.Spans = append(t.Spans, s)
-		}
+// AppendSpans records a leg's spans on this trace's timeline: the leg began
+// at origin, so its spans shift by that much.
+func (t *OpTrace) AppendSpans(spans []Span, origin uint64) {
+	for _, s := range spans {
+		s.Start += origin
+		t.Spans = append(t.Spans, s)
 	}
+}
+
+// Sequence folds a dependent leg: latency adds, bytes sum. The leg began
+// where this trace currently ends.
+func (t *OpTrace) Sequence(o OpTrace) {
+	t.AppendSpans(o.Spans, t.Ns)
 	t.Ns += o.Ns
 	t.Bytes += o.Bytes
 }

@@ -436,19 +436,24 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 	}
 
 	// Traced calls get a span sink so the handler can deposit measured
-	// costs (stripe lock waits) back into this call's trace. Untraced
-	// callers skip the context allocation entirely.
+	// costs (stripe lock waits) back into this call's trace; it rides the
+	// op's own context node unless a concurrent or nested leg of the op
+	// holds that slot. Untraced callers skip all of it.
 	hctx := ctx
 	var sink *trace.SpanSink
+	var slot *trace.OpContext
 	if sb.on {
 		sink = trace.GetSink()
-		hctx = trace.WithSink(ctx, sink)
+		hctx, slot = trace.AttachSink(ctx, sink)
 	}
 
 	// The handler runs here, on the caller's goroutine (RPCs are
 	// synchronous); concurrent callers are distinct goroutines, so mutations
 	// against different lock stripes overlap inside one backend.
 	resp, err := s.adm.run(hctx, slots, h, c.principal, req)
+	if slot != nil {
+		slot.ReleaseSink()
+	}
 	depositedAt := tr.Ns
 
 	// Response direction: the handler has already executed, so a cut here

@@ -169,13 +169,7 @@ func (r *tcpResponse) decode(frame []byte) error {
 			r.TraceNs = d.Uint()
 		case 6:
 			if r.Spans == nil {
-				n := 1
-				for rest := d; rest.Next(); { // a copy scans ahead; d stays put
-					if rest.Tag() == 6 {
-						n++
-					}
-				}
-				r.Spans = make([]fabric.Span, 0, min(n, trace.MaxWireSpans))
+				r.Spans = make([]fabric.Span, 0, min(1+d.Count(6), trace.MaxWireSpans))
 			}
 			if len(r.Spans) < trace.MaxWireSpans {
 				r.Spans = append(r.Spans, trace.DecodeSpan(d.Bytes()))

@@ -386,7 +386,8 @@ func TestInternTableBounded(t *testing.T) {
 //
 //	client   the response frame + its exact-size span slice   = 2
 //	gateway  the request frame                                = 1
-//	in-cell  the span sink's context node + the call's spans  = 2
+//	in-cell  the call's spans (its sink rides the gateway
+//	         record's context node)                           = 1
 func TestTCPCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -401,7 +402,7 @@ func TestTCPCallAllocBudget(t *testing.T) {
 		}
 	}
 	call() // the connection's dispatcher, scratch and intern table warm up
-	const budget = 5
+	const budget = 4
 	if got := testing.AllocsPerRun(500, call); got > budget {
 		t.Errorf("%v allocations per traced TCP call, budget %d", got, budget)
 	}

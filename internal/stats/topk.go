@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 )
@@ -134,26 +135,56 @@ type HotKey struct {
 	Err   uint64
 }
 
-// TopN returns up to n tracked keys, hottest first. Ties break by key for
-// deterministic output.
-func (t *TopK) TopN(n int) []HotKey {
-	var out []HotKey
+// HotCand is a HotKey whose key is still bytes, in a buffer it owns.
+type HotCand struct {
+	Key   []byte
+	Count uint64
+	Err   uint64
+}
+
+// AppendTop selects the up-to-n hottest tracked keys (n ≤ 0: all) into
+// sel[:0], hottest first, ties broken by key. It is a bounded selection:
+// each shard is walked once under its lock, and only a key that beats the
+// current n-th is copied out of its slot — into a Key buffer sel's elements
+// already own, so a caller that hands the same sel back allocates nothing
+// once it has warmed.
+func (t *TopK) AppendTop(sel []HotCand, n int) []HotCand {
+	sel = sel[:0]
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
 		for j := range s.items {
-			out = append(out, HotKey{Key: string(s.items[j].key), Count: s.counts[j], Err: s.items[j].err})
+			key, count := s.items[j].key, s.counts[j]
+			at := sort.Search(len(sel), func(k int) bool { // the slot's rank among the survivors
+				return count > sel[k].Count || count == sel[k].Count && bytes.Compare(key, sel[k].Key) < 0
+			})
+			if n > 0 && len(sel) == n {
+				if at == n {
+					continue // does not beat the n-th
+				}
+			} else if len(sel) < cap(sel) {
+				sel = sel[:len(sel)+1] // with whatever buffer the element holds
+			} else {
+				sel = append(sel, HotCand{})
+			}
+			// The last element — just exposed, or the n-th, which falls
+			// off — gives its buffer to the newcomer.
+			buf := sel[len(sel)-1].Key
+			copy(sel[at+1:], sel[at:])
+			sel[at] = HotCand{Key: append(buf[:0], key...), Count: count, Err: s.items[j].err}
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	return sel
+}
+
+// TopN returns up to n tracked keys, hottest first. Ties break by key for
+// deterministic output.
+func (t *TopK) TopN(n int) []HotKey {
+	sel := t.AppendTop(nil, n)
+	out := make([]HotKey, len(sel))
+	for i, c := range sel {
+		out[i] = HotKey{Key: string(c.Key), Count: c.Count, Err: c.Err}
 	}
 	return out
 }

@@ -3,6 +3,9 @@ package stats
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -151,5 +154,79 @@ func TestTopKConcurrent(t *testing.T) {
 	sk.Reset()
 	if sk.Total() != 0 || sk.Tracked() != 0 {
 		t.Fatalf("Reset left Total=%d Tracked=%d", sk.Total(), sk.Tracked())
+	}
+}
+
+// topNFullSort is TopN as it was before the bounded selection: materialise
+// every tracked key, sort, truncate. Kept as the reference the selection is
+// held to.
+func topNFullSort(t *TopK, n int) []HotKey {
+	var out []HotKey
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		for j := range s.items {
+			out = append(out, HotKey{Key: string(s.items[j].key), Count: s.counts[j], Err: s.items[j].err})
+		}
+		s.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Key < out[j].Key
+	})
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
+
+// TestTopKSelectionMatchesFullSort holds TopN's bounded selection to the
+// full sort over seeded random sketches — empty, part-filled and churning;
+// few distinct counts, so ties abound and the key order decides; keys that
+// are prefixes of one another — for every n that matters: all, one, the
+// promotion evaluator's 16, and more than are tracked. AppendTop is handed
+// the same scratch throughout, so a stale buffer surviving into a later
+// selection would show.
+func TestTopKSelectionMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var scratch []HotCand
+	for round := 0; round < 200; round++ {
+		sk := NewTopK(1 + rng.Intn(12))
+		keys := 1 + rng.Intn(300)
+		for ops := rng.Intn(2000); ops > 0; ops-- {
+			id := rng.Intn(keys)
+			sk.TouchString("k" + strings.Repeat("x", id%5) + fmt.Sprint(id/5))
+		}
+		for _, n := range []int{0, 1, 16, sk.Tracked() + 3} {
+			want := topNFullSort(sk, n)
+			if got := sk.TopN(n); !slices.Equal(got, want) {
+				t.Fatalf("round %d: TopN(%d)\n got %v\nwant %v", round, n, got, want)
+			}
+			scratch = sk.AppendTop(scratch, n)
+			if len(scratch) != len(want) {
+				t.Fatalf("round %d: AppendTop(%d) selected %d keys, want %d", round, n, len(scratch), len(want))
+			}
+			for i, c := range scratch {
+				if got := (HotKey{Key: string(c.Key), Count: c.Count, Err: c.Err}); got != want[i] {
+					t.Fatalf("round %d: AppendTop(%d)[%d] = %v, want %v", round, n, i, got, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTopKAppendTopReusesScratch: a selection into a warmed scratch
+// allocates nothing — what lets the backend re-evaluate its promoted set
+// on every touch window for free.
+func TestTopKAppendTopReusesScratch(t *testing.T) {
+	sk := NewTopK(0)
+	for i := 0; i < 5000; i++ {
+		sk.TouchString(fmt.Sprintf("key-%d", i%700))
+	}
+	scratch := sk.AppendTop(nil, 16)
+	if got := testing.AllocsPerRun(100, func() { scratch = sk.AppendTop(scratch, 16) }); got != 0 {
+		t.Errorf("%v allocations per selection into a warmed scratch, want 0", got)
 	}
 }

@@ -201,21 +201,31 @@ type ctxKey int
 const (
 	spanContextKey ctxKey = iota
 	sinkKey
+	opContextKey
 )
 
 // OpContext is a context node that carries its SpanContext by value, so
 // opening an op costs one allocation, not a SpanContext plus a
 // context.WithValue node — and none at all for a caller that owns the
 // node's storage: the TCP gateway embeds one in each pooled call record
-// and re-arms it with Init.
+// and re-arms it with Init. It also has the op's one sink slot, which
+// AttachSink fills for the RPC leg whose handler is running.
 type OpContext struct {
 	context.Context
-	sc SpanContext
+	sc   SpanContext
+	sink atomic.Pointer[SpanSink]
 }
 
 func (c *OpContext) Value(key any) any {
-	if key == any(spanContextKey) {
+	switch key {
+	case any(spanContextKey):
 		return &c.sc
+	case any(opContextKey):
+		return c
+	case any(sinkKey):
+		if s := c.sink.Load(); s != nil {
+			return s
+		}
 	}
 	return c.Context.Value(key)
 }
@@ -271,10 +281,24 @@ func PutSink(s *SpanSink) {
 	sinkPool.Put(s)
 }
 
-// WithSink attaches a sink to ctx for the handler side of a call.
-func WithSink(ctx context.Context, s *SpanSink) context.Context {
-	return context.WithValue(ctx, sinkKey, s)
+// AttachSink attaches s to ctx for the handler side of one call. It goes
+// in the sink slot of ctx's op node when that is free, and the caller owes
+// the returned node a ReleaseSink once the handler is back. The slot is
+// claimed, never assumed: an op's concurrent legs (GetBatch, a tier edge)
+// and a handler's own nested calls share the one node, so a call that finds
+// a sink already visible from ctx — or no op node — gets a context node of
+// its own and a nil slot.
+func AttachSink(ctx context.Context, s *SpanSink) (context.Context, *OpContext) {
+	if SinkFrom(ctx) == nil {
+		if oc, _ := ctx.Value(opContextKey).(*OpContext); oc != nil && oc.sink.CompareAndSwap(nil, s) {
+			return ctx, oc
+		}
+	}
+	return context.WithValue(ctx, sinkKey, s), nil
 }
+
+// ReleaseSink frees the slot AttachSink took.
+func (c *OpContext) ReleaseSink() { c.sink.Store(nil) }
 
 // SinkFrom returns the sink attached to ctx, or nil.
 func SinkFrom(ctx context.Context) *SpanSink {

@@ -54,7 +54,8 @@ func TestSpanContextRoundTrip(t *testing.T) {
 	// The op's opener bumps Attempt through its pointer; layers below, even
 	// behind derived contexts, must see it.
 	sc.Attempt = 5
-	child, cancel := context.WithCancel(WithSink(ctx, GetSink()))
+	sinkCtx, _ := AttachSink(ctx, GetSink())
+	child, cancel := context.WithCancel(sinkCtx)
 	defer cancel()
 	if got := FromContext(child); got != sc || got.Attempt != 5 {
 		t.Fatalf("derived FromContext = %+v, want the same node with Attempt 5", got)
@@ -80,10 +81,68 @@ func TestSinkCollectsAndRecycles(t *testing.T) {
 	if len(s2.Take()) != 0 {
 		t.Fatal("pooled sink not reset")
 	}
-	ctx := WithSink(context.Background(), s2)
-	if SinkFrom(ctx) != s2 {
+	ctx, slot := AttachSink(context.Background(), s2)
+	if slot != nil || SinkFrom(ctx) != s2 {
 		t.Fatal("SinkFrom lost the sink")
 	}
+}
+
+// TestSinkSlotIsClaimedNeverAssumed walks the ownership rule of an op
+// node's sink slot: the first leg of an op takes it and its handler finds
+// the sink there at no cost; while it is held, a concurrent leg and the
+// handler's own nested call both get a node of their own; so does a call
+// made under such a node, which would shadow the slot; released, the slot
+// is free again.
+func TestSinkSlotIsClaimedNeverAssumed(t *testing.T) {
+	ctx, _ := NewContext(context.Background(), SpanContext{OpID: 1})
+	a, b := GetSink(), GetSink()
+	actx, slot := AttachSink(ctx, a)
+	if slot == nil || actx != ctx || SinkFrom(ctx) != a {
+		t.Fatalf("first leg: slot %p, handler sees %p, want sink %p in the op's own node", slot, SinkFrom(ctx), a)
+	}
+	child, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if SinkFrom(child) != a {
+		t.Fatal("a context derived from the op's must reach the slot")
+	}
+	bctx, bslot := AttachSink(child, b)
+	if bslot != nil || SinkFrom(bctx) != b || SinkFrom(ctx) != a {
+		t.Fatal("a second leg must wrap, and each handler see its own sink")
+	}
+	slot.ReleaseSink()
+	if SinkFrom(ctx) != nil {
+		t.Fatal("released slot still visible")
+	}
+	if nctx, nslot := AttachSink(bctx, a); nslot != nil || SinkFrom(nctx) != a {
+		t.Fatal("a call under a wrapped sink took the slot: its handler would find the wrong sink")
+	}
+	if _, slot = AttachSink(ctx, b); slot == nil {
+		t.Fatal("released slot cannot be claimed again")
+	}
+	slot.ReleaseSink()
+
+	// Concurrent legs of one op: at most one holds the slot at a time, and
+	// every handler finds its own sink. Run under -race.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s := GetSink()
+				hctx, slot := AttachSink(ctx, s)
+				SinkFrom(hctx).Annotate(SpanStripeWait, 0, 1)
+				if got := s.Take(); len(got) != 1 {
+					t.Errorf("a leg's sink holds %d spans, want its handler's 1", len(got))
+				}
+				if slot != nil {
+					slot.ReleaseSink()
+				}
+				PutSink(s)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTracerRecordsHistogramsPerKindTransport(t *testing.T) {

@@ -317,6 +317,18 @@ func (d *Decoder) Next() bool {
 	return true
 }
 
+// Count returns how many fields under tag follow the current one, so a
+// repeated field can land in one exact-size slice. It scans a copy: d stays
+// put.
+func (d Decoder) Count(tag uint64) (n int) {
+	for d.Next() {
+		if d.tag == tag {
+			n++
+		}
+	}
+	return n
+}
+
 // Err returns the first decoding error encountered.
 func (d *Decoder) Err() error { return d.err }
 

@@ -178,3 +178,44 @@ func TestResizeErasesSurvive(t *testing.T) {
 		}
 	}
 }
+
+// TestResizeShrinkDropsDepartedTouchQueue: a touching client queues access
+// records per backend address. After a 4→3 shrink the demoted task serves
+// no shard, so nothing would ever fill its queue to the flush threshold
+// again — the records must go when the client refreshes its config, not sit
+// there for good while every FlushTouches reports them to a spare.
+func TestResizeShrinkDropsDepartedTouchQueue(t *testing.T) {
+	c := newCell(t, Options{Shards: 4, Mode: R32})
+	cc := c.Internal()
+	cl := c.NewClient(ClientOptions{Strategy: Lookup2xR, TouchBatch: 64})
+	ctx := context.Background()
+
+	// Few enough hits that no queue reaches the threshold on its own,
+	// enough that every backend's holds some.
+	hitAll := func() {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			k := []byte(fmt.Sprintf("touched-%02d", i))
+			if _, ok, err := cl.Get(ctx, k); err != nil || !ok {
+				t.Fatalf("get %s: found=%v err=%v", k, ok, err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if err := cl.Set(ctx, []byte(fmt.Sprintf("touched-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hitAll()
+	departed := cc.BackendByAddr(cc.Store.Get().ShardAddrs[3])
+	if err := c.Resize(ctx, 3); err != nil {
+		t.Fatalf("resize 4→3: %v", err)
+	}
+	hitAll() // trips the config stamp: the client refreshes into the 3-shard epoch
+
+	before := departed.CountersSnapshot().Touches
+	cl.Internal().FlushTouches(ctx)
+	if got := departed.CountersSnapshot().Touches - before; got != 0 {
+		t.Errorf("FlushTouches reported %d access records to %s, which serves no shard since the shrink", got, departed.Addr())
+	}
+}
