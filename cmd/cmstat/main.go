@@ -173,9 +173,9 @@ func printTables(cur, prev *fleet.CellScrape, showTrace, showTier bool, maxHot i
 	delt := prev != nil
 	var restartedShards []string
 	if delt {
-		fmt.Fprintln(w, "SHARD\tADDR\tKEYS\tMEMORY\tGETS/s\tSETS/s\tEVICT\tREPAIRS\tREJECTS\tSKEW\tSEALED")
+		fmt.Fprintln(w, "SHARD\tADDR\tKEYS\tMEMORY\tGETS/s\tSETS/s\tEVICT\tDRAINS\tMOVED\tFRAG\tREPAIRS\tREJECTS\tSKEW\tSEALED")
 	} else {
-		fmt.Fprintln(w, "SHARD\tADDR\tKEYS\tMEMORY\tSETS\tEVICT\tRESIZE\tGROWS\tREPAIRS\tREJECTS\tSTRIPES\tSKEW\tSEALED")
+		fmt.Fprintln(w, "SHARD\tADDR\tKEYS\tMEMORY\tSETS\tEVICT\tDRAINS\tMOVED\tFRAG\tTAIL\tRESIZE\tGROWS\tREPAIRS\tREJECTS\tSTRIPES\tSKEW\tSEALED")
 	}
 	for shard, addr := range cfg.ShardAddrs {
 		st, ok := cur.Stats[addr]
@@ -187,11 +187,14 @@ func printTables(cur, prev *fleet.CellScrape, showTrace, showTier bool, maxHot i
 			elapsed := cur.At.Sub(prev.At).Seconds()
 			p := prev.Stats[addr]
 			restarted := false
-			fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%s\t%s\t%d\t%d\t%d\t%s\t%v\n",
+			fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%s\t%s\t%d\t%d\t%d\t%.1f%%\t%d\t%d\t%s\t%v\n",
 				shard, addr, st.ResidentKeys, fmtBytes(st.MemoryBytes),
 				fmtRate(delta(st.Gets, p.Gets, &restarted), elapsed),
 				fmtRate(delta(st.Sets, p.Sets, &restarted), elapsed),
 				delta(st.Evictions, p.Evictions, &restarted),
+				delta(st.SlabDrains, p.SlabDrains, &restarted),
+				delta(st.EntriesMoved, p.EntriesMoved, &restarted),
+				float64(st.DataFragMilli)/10, // FRAG: allocated chunk bytes no entry asked for
 				delta(st.RepairsIssued, p.RepairsIssued, &restarted),
 				delta(st.VersionRejects, p.VersionRejects, &restarted),
 				fmtSkew(st), fmtSeal(st))
@@ -199,9 +202,10 @@ func printTables(cur, prev *fleet.CellScrape, showTrace, showTier bool, maxHot i
 				restartedShards = append(restartedShards, addr)
 			}
 		} else {
-			fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%v\n",
+			fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%.1f%%\t%s\t%d\t%d\t%d\t%d\t%d\t%s\t%v\n",
 				shard, addr, st.ResidentKeys, fmtBytes(st.MemoryBytes),
-				st.Sets, st.Evictions, st.IndexResizes, st.DataGrows,
+				st.Sets, st.Evictions, st.SlabDrains, st.EntriesMoved, float64(st.DataFragMilli)/10, fmtBytes(st.DataTailBytes),
+				st.IndexResizes, st.DataGrows,
 				st.RepairsIssued, st.VersionRejects, st.Stripes,
 				fmtSkew(st), fmtSeal(st))
 		}

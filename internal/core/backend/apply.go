@@ -122,65 +122,75 @@ func (b *Backend) writeEntry(dr *dataRegion, key, value []byte, v truetime.Versi
 	return ptr, evictions, nil
 }
 
-// allocWithEviction carves space, evicting under capacity conflicts and
-// growing the data region at the §4.1 high watermark. No stripe lock may
-// be held by the caller.
+// allocWithEviction carves space: growing the data region at the §4.1 high
+// watermark, else evicting the policy's victim, and — when that victim's
+// chunk was of another class and no slab has emptied, so the region is
+// calcified rather than full — repurposing a slab (drainSlab). A drain only
+// ever follows an eviction, so the loop makes room or fails. No stripe lock
+// may be held by the caller.
 func (b *Backend) allocWithEviction(dr *dataRegion, need int) (slab.Ref, int, error) {
-	evictions := 0
+	evictions, wrongClass := 0, false
 	for {
 		ref, err := dr.alloc.Alloc(need)
-		if err == nil {
+		switch {
+		case err == nil:
 			b.maybeGrow(dr)
 			return ref, evictions, nil
-		}
-		if err != slab.ErrNoCapacity {
+		case err != slab.ErrNoCapacity:
 			return slab.Ref{}, evictions, err
+		case b.grow(dr):
+			// Growth is preferred over eviction while headroom remains.
+		case wrongClass:
+			evictions += b.drainSlab(dr)
+			wrongClass = false
+		default:
+			freed, ok := b.evictOne()
+			if !ok {
+				return slab.Ref{}, evictions, slab.ErrNoCapacity
+			}
+			evictions++
+			wrongClass = freed != 0 && slab.ClassSize(freed) != slab.ClassSize(need)
 		}
-		// Prefer growth over eviction when reshaping is on and headroom
-		// remains.
-		if b.grow(dr) {
-			continue
-		}
-		if !b.evictOne() {
-			return slab.Ref{}, evictions, slab.ErrNoCapacity
-		}
-		evictions++
 	}
 }
 
 // evictOne removes one policy-chosen victim (capacity conflict), trying
-// stripes round-robin. Must be called with NO stripe lock held. Returns
+// stripes round-robin, and returns the size of the DataEntry that freed (0
+// for a side-shard victim). Must be called with NO stripe lock held. ok is
 // false if nothing is evictable.
-func (b *Backend) evictOne() bool {
+func (b *Backend) evictOne() (freed int, ok bool) {
 	start := b.evictCursor.Add(1)
 	n := uint64(len(b.stripes))
 	for i := uint64(0); i < n; i++ {
 		s := &b.stripes[(start+i)%n]
 		s.mu.Lock()
-		victim, ok := s.policy.Victim()
-		if ok {
+		victim, found := s.policy.Victim()
+		if found {
 			key := []byte(victim)
-			b.removeLocked(s, b.opt.Hash(key), key)
+			freed = b.removeLocked(s, b.opt.Hash(key), key)
 			s.ctr.capacityEvictions.Add(1)
 		}
 		s.unlock()
-		if ok {
-			return true
+		if found {
+			return freed, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // removeLocked drops key from the index, the side shard and the eviction
-// policy; the key's stripe lock (s) is held.
-func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash, key []byte) {
+// policy, and returns the size of the DataEntry it freed (0 if the key was
+// not indexed); the key's stripe lock (s) is held.
+func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash, key []byte) (freed int) {
 	idx := b.idx.Load()
 	bucket := idx.bucketOf(h)
 	if e, slot, ok := idx.bucket(bucket).Find(h); ok {
 		b.clearSlot(idx, bucket, slot, e)
+		freed = int(e.Ptr.Size)
 	}
 	delete(s.side, string(key))
 	s.policy.RemoveBytes(key)
+	return freed
 }
 
 // ApplySet installs a KV pair directly (bulk loaders and tests); normal

@@ -31,8 +31,9 @@
 //     the data region's wmu, the rmem region stripes, the slab allocator's
 //     internal locks, a stripe's policy — guarded by that stripe's own
 //     mutex) may be taken under stripe locks but never the reverse.
-//  3. Allocation that can evict (allocWithEviction) must be entered with
-//     NO stripe lock held: eviction locks a victim's stripe. Installs
+//  3. Allocation that can evict or drain a slab (allocWithEviction) must be
+//     entered with NO stripe lock held: eviction locks a victim's stripe,
+//     and a drain locks the stripe of each entry it relocates. Installs
 //     therefore run as gate → unlock → allocate+write → relock → re-gate →
 //     publish.
 //
@@ -41,7 +42,7 @@
 //	backend.go   options, the Backend struct, New, stripe locks, accessors
 //	table.go     the index table (bucket view, put/clear slot, header stamp) and the corpus walker
 //	apply.go     lookup, version gate, install (SET/CAS/UpdateVersion), erase, eviction, publish
-//	reshape.go   data-region growth, index resize, compact-restart, clear, post-resize GC
+//	reshape.go   data-region growth, slab drains (relocation), index resize, compact-restart, clear, post-resize GC
 //	tombstone.go the tombstone cache and the Backend's only access to it
 //	handoff.go   seal, handoff journal, the one handoff source loop; persist.go the durable tee,
 //	             checkpoints and recovery; service.go the RPC surface and repair; hotset.go promotion
@@ -298,6 +299,8 @@ type Counters struct {
 	DataGrows             uint64
 	RepairsIssued         uint64
 	CorruptPurged         uint64
+	SlabDrains            uint64 // slabs sealed for repurposing to another size class
+	EntriesMoved          uint64 // entries a drain relocated rather than evicted
 }
 
 // Add sums o into c, field by field.
@@ -318,6 +321,8 @@ func (c *Counters) Add(o Counters) {
 	c.DataGrows += o.DataGrows
 	c.RepairsIssued += o.RepairsIssued
 	c.CorruptPurged += o.CorruptPurged
+	c.SlabDrains += o.SlabDrains
+	c.EntriesMoved += o.EntriesMoved
 }
 
 // counterShard is one stripe's share of the counters, updated lock-free so
@@ -336,6 +341,8 @@ type counterShard struct {
 	dataGrows             atomic.Uint64
 	repairsIssued         atomic.Uint64
 	corruptPurged         atomic.Uint64
+	slabDrains            atomic.Uint64
+	entriesMoved          atomic.Uint64
 }
 
 // ops returns the stripe's total op count (for skew reporting).
@@ -360,6 +367,8 @@ func (c *counterShard) addTo(out *Counters) {
 	out.DataGrows += c.dataGrows.Load()
 	out.RepairsIssued += c.repairsIssued.Load()
 	out.CorruptPurged += c.corruptPurged.Load()
+	out.SlabDrains += c.slabDrains.Load()
+	out.EntriesMoved += c.entriesMoved.Load()
 }
 
 // dataRegion is the slab-managed DataEntry pool.

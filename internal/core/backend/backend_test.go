@@ -26,7 +26,7 @@ type rig struct {
 	b     *Backend
 }
 
-func newRig(t *testing.T, opt Options) *rig {
+func newRig(t testing.TB, opt Options) *rig {
 	t.Helper()
 	f := fabric.New(8, fabric.Params{})
 	net := rpc.NewNetwork(f, rpc.CostModel{}, nil)

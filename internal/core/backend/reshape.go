@@ -1,8 +1,9 @@
 package backend
 
-// Reshaping: growing the data region, upsizing the index, and the
-// whole-corpus rebuilds (compact-restart, clear, post-resize GC). All of
-// them swap or rewrite regions under the all-stripe barrier.
+// Reshaping: growing the data region, repurposing its slabs (drains, which
+// relocate entries one stripe lock at a time), upsizing the index, and the
+// whole-corpus rebuilds (compact-restart, clear, post-resize GC), which swap
+// or rewrite regions under the all-stripe barrier.
 
 import (
 	"fmt"
@@ -108,6 +109,78 @@ func (b *Backend) grow(dr *dataRegion) bool {
 	return true
 }
 
+// drainSlab repurposes one slab of dr: the allocator seals the slab that is
+// cheapest to empty, and each entry living there is moved to a free chunk of
+// its own class elsewhere, or — its class having none — evicted (co-residents
+// of a sparse slab are not cold, so that is the last resort). Returns the
+// evictions. Must be called with NO stripe lock held.
+func (b *Backend) drainSlab(dr *dataRegion) (evictions int) {
+	chunks := dr.alloc.Drain()
+	if len(chunks) == 0 {
+		return 0
+	}
+	b.stripes[0].ctr.slabDrains.Add(1)
+	bp := dataBufs.Get().(*[]byte)
+	defer dataBufs.Put(bp)
+	n := chunks[0].Size // one slab, one class
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	for _, c := range chunks {
+		if b.relocate(dr, c, (*bp)[:n]) {
+			evictions++
+		}
+	}
+	return evictions
+}
+
+// relocate moves the entry in chunk c of dr to another chunk, reporting
+// true when it had to evict it instead. The chunk is decoded where it lies
+// and confirmed under its key's stripe lock: unless the slot for its hash
+// holds this offset at this version in the still-current region, the chunk
+// is being freed, or an install has not yet published it, and it is left
+// alone. A move is not a mutation (DESIGN.md, "Data region"): the bytes are
+// copied whole and the slot rewritten with the same hash and version, so no
+// journal, tombstone or policy hears of it, and a one-sided reader sees what
+// it sees after an overwrite.
+func (b *Backend) relocate(dr *dataRegion, c slab.Ref, raw []byte) (evicted bool) {
+	if dr.region.ReadInto(c.Offset, raw) != nil {
+		return false
+	}
+	de, err := layout.DecodeDataEntry(raw)
+	if err != nil {
+		return false
+	}
+	h := b.opt.Hash(de.Key)
+	s := b.stripeOf(h)
+	s.mu.Lock()
+	defer s.unlock()
+	if b.data.Load() != dr {
+		return false
+	}
+	idx := b.idx.Load()
+	bucket := idx.bucketOf(h)
+	e, slot, ok := idx.bucket(bucket).Find(h)
+	if !ok || int(e.Ptr.Offset) != c.Offset || e.Version != de.Version {
+		return false
+	}
+	n := int(e.Ptr.Size)
+	ref, err := dr.alloc.Alloc(n)
+	if err != nil {
+		b.removeLocked(s, h, de.Key)
+		s.ctr.capacityEvictions.Add(1)
+		return true
+	}
+	if dr.region.WriteChunked(ref.Offset, raw[:n]) != nil {
+		dr.alloc.Free(ref, n)
+		return false
+	}
+	e.Ptr = layout.Pointer{Window: dr.current().ID, Offset: uint64(ref.Offset), Size: uint64(n)}
+	b.putSlot(idx, bucket, slot, e)
+	s.ctr.entriesMoved.Add(1)
+	return false
+}
+
 // maybeResizeIndex upsizes the index past the target load factor (§4.1):
 // build a new, larger index, repopulate it, revoke remote access to the
 // original. All stripes are taken (mutations stall); client RMAs against
@@ -172,7 +245,7 @@ func (b *Backend) CompactRestart(slack float64) {
 	// Size the new pool to fit current usage plus slack.
 	var need int
 	for _, it := range items {
-		need += sizeClassOf(layout.DataEntrySize(len(it.Key), len(it.Value)))
+		need += slab.ClassSize(layout.DataEntrySize(len(it.Key), len(it.Value)))
 	}
 	newBytes := int(float64(need) * (1 + slack))
 	if newBytes < b.opt.SlabBytes*2 {

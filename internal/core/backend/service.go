@@ -216,6 +216,7 @@ func (b *Backend) registerHandlers() {
 		// that never send touch batches (MSG/RPC-only clients).
 		b.maybeEvalHot()
 		hotEpoch, hotKeys := b.HotSnapshot()
+		slabs := b.data.Load().alloc.Stats()
 		return proto.StatsResp{
 			Shard:          b.Shard(),
 			Sealed:         b.Sealed(),
@@ -263,6 +264,11 @@ func (b *Backend) registerHandlers() {
 
 			HotEpoch: hotEpoch,
 			HotKeys:  hotKeys,
+
+			SlabDrains:    c.SlabDrains,
+			EntriesMoved:  c.EntriesMoved,
+			DataFragMilli: uint64(slabs.InternalFrag * 1000),
+			DataTailBytes: uint64(slabs.TailBytes),
 		}.Marshal(), nil
 	})
 

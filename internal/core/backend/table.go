@@ -146,22 +146,9 @@ func (b *Backend) clearSlot(idx *indexRegion, bucket, slot int, e layout.IndexEn
 	b.data.Load().free(e.Ptr)
 }
 
-// defaultClasses is cached: sizeClassOf runs on every free.
-var defaultClasses = slab.DefaultSizeClasses()
-
-// sizeClassOf recovers the slab class for an entry of encoded size n.
-func sizeClassOf(n int) int {
-	for _, c := range defaultClasses {
-		if c >= n {
-			return c
-		}
-	}
-	return n
-}
-
 // free returns the DataEntry at p to the allocator.
 func (d *dataRegion) free(p layout.Pointer) {
-	d.alloc.Free(slab.Ref{Offset: int(p.Offset), Size: sizeClassOf(int(p.Size))}, int(p.Size))
+	d.alloc.Free(slab.Ref{Offset: int(p.Offset), Size: slab.ClassSize(int(p.Size))}, int(p.Size))
 }
 
 // readEntry reads and validates the DataEntry behind e into *buf, grown to

@@ -392,6 +392,7 @@ func FuzzStatsResp(f *testing.F) {
 		RPCQueuedCalls: 120, RPCQueueNs: 9_000_000, RPCRhoMilli: 870,
 		NICEngines: 4, NICRhoMilli: 930, NICQueueNs: 1_234_567, NICOps: 88_000,
 		HotEpoch: 5, HotKeys: [][]byte{[]byte("hot"), {0x00, 0x01}},
+		SlabDrains: 21, EntriesMoved: 1900, DataFragMilli: 153, DataTailBytes: 64 << 10,
 	}.Marshal())
 	// Hostile saturation tags: every new field maxed, plus the hot-key
 	// promotion tags (42/43) with a maxed epoch and a binary key, plus an

@@ -735,6 +735,14 @@ type StatsResp struct {
 	// residency, read-spread) status.
 	HotEpoch uint64   `wire:"42"`
 	HotKeys  [][]byte `wire:"43"`
+	// Data-region health: evictions with SlabDrains (slabs repurposed,
+	// EntriesMoved relocated rather than evicted) mean calcified, without
+	// mean full. DataFragMilli (1 − requested/allocated, ×1000) and
+	// DataTailBytes (stranded past a slab's last chunk) are gauges.
+	SlabDrains    uint64 `wire:"44,omitzero"`
+	EntriesMoved  uint64 `wire:"45,omitzero"`
+	DataFragMilli uint64 `wire:"46,omitzero"`
+	DataTailBytes uint64 `wire:"47,omitzero"`
 }
 
 // Marshal encodes the stats snapshot.

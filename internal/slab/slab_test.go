@@ -21,10 +21,10 @@ func TestAllocBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Size != 128 {
-		t.Errorf("size class = %d, want 128", r.Size)
+	if r.Size != 112 {
+		t.Errorf("size class = %d, want 112", r.Size)
 	}
-	if r.Offset%128 != 0 {
+	if r.Offset%(1<<16)%112 != 0 {
 		t.Errorf("offset %d misaligned", r.Offset)
 	}
 	if err := a.Free(r, 100); err != nil {
@@ -98,18 +98,56 @@ func TestSlabRepurposing(t *testing.T) {
 
 func TestSizeClassSelection(t *testing.T) {
 	a := mustNew(t, 1<<22, 1<<18, nil)
-	cases := map[int]int{1: 64, 64: 64, 65: 128, 4096: 4096, 4097: 8192, 128 * 1024: 128 * 1024}
+	cases := map[int]int{
+		1: 64, 64: 64, 65: 80, 80: 80, 81: 96, 100: 112, 128: 128, 129: 160,
+		1084: 1280, 4096: 4096, 4097: 5120, 114688: 114688, 114689: 131072, 131072: 131072,
+	}
 	for req, want := range cases {
 		r, err := a.Alloc(req)
 		if err != nil {
 			t.Fatalf("Alloc(%d): %v", req, err)
 		}
-		if r.Size != want {
-			t.Errorf("Alloc(%d) class = %d, want %d", req, r.Size, want)
+		if r.Size != want || ClassSize(req) != want {
+			t.Errorf("Alloc(%d) class = %d, ClassSize = %d, want %d", req, r.Size, ClassSize(req), want)
 		}
 	}
-	if _, err := a.Alloc(128*1024 + 1); err == nil {
-		t.Error("oversize alloc should fail")
+	if _, err := a.Alloc(131073); err == nil || err == ErrNoCapacity {
+		t.Errorf("oversize alloc: %v, want a size error", err)
+	}
+	// A slab smaller than the largest class keeps the classes that fit.
+	small := mustNew(t, 1<<16, 1<<12, nil)
+	if r, err := small.Alloc(4096); err != nil || r.Size != 4096 {
+		t.Errorf("Alloc(4096) in 4 KiB slabs = %+v, %v", r, err)
+	}
+	if _, err := small.Alloc(4097); err == nil || err == ErrNoCapacity {
+		t.Errorf("Alloc(4097) in 4 KiB slabs: %v, want a size error", err)
+	}
+}
+
+// TestClassLookupMatchesTable holds the O(1) class arithmetic to a linear
+// scan of the table it indexes, for every size the table serves.
+func TestClassLookupMatchesTable(t *testing.T) {
+	table := DefaultSizeClasses()
+	if len(table) != 45 || table[0] != 64 || table[1] != 80 || table[44] != 131072 {
+		t.Fatalf("table = %v", table)
+	}
+	for i := 1; i < len(table); i++ {
+		// A request one past a class fills at least 4/5 of the next.
+		if prev, c := table[i-1], table[i]; c <= prev || (prev+1)*5 < c*4 {
+			t.Errorf("classes %d → %d: spacing wastes more than a fifth", prev, c)
+		}
+	}
+	want := 0
+	for size := 1; size <= 131072; size++ {
+		if table[want] < size {
+			want++
+		}
+		if got := classIndex(size); got != want {
+			t.Fatalf("classIndex(%d) = %d, want %d (%d B)", size, got, want, table[want])
+		}
+	}
+	if got := classIndex(131073); got != len(table) {
+		t.Errorf("classIndex(131073) = %d, want %d (past the table)", got, len(table))
 	}
 }
 
@@ -169,6 +207,30 @@ func TestStatsFragmentation(t *testing.T) {
 	}
 	if st.InternalFrag != 0.5 {
 		t.Errorf("frag = %v, want 0.5", st.InternalFrag)
+	}
+}
+
+// TestStatsTailBytes: a slab whose size is not a multiple of its chunk
+// strands the remainder, which InternalFrag (a per-chunk ratio) cannot see.
+func TestStatsTailBytes(t *testing.T) {
+	a := mustNew(t, 256<<10, 256<<10, nil)
+	r, err := a.Alloc(96 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.TailBytes != 64<<10 || st.InternalFrag != 0 || st.FreeSlabs != 0 {
+		t.Errorf("one 96 KiB chunk in a 256 KiB slab: %+v, want a 64 KiB tail, no internal frag, no free slab", st)
+	}
+	a.Free(r, 96<<10)
+	if st := a.Stats(); st.FreeSlabs != 1 {
+		t.Errorf("an emptied slab counts as free: %+v", st)
+	}
+	// Repurposing the slab to a class that nearly divides it drops the tail.
+	if _, err := a.Alloc(100); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.TailBytes != (256<<10)%112 || st.FreeSlabs != 0 {
+		t.Errorf("after repurposing: %+v, want a %d B tail", st, (256<<10)%112)
 	}
 }
 

@@ -1,0 +1,186 @@
+package cliquemap
+
+// Relocation stress: slab drains move entries behind their readers (a drain
+// rewrites an index slot with the same hash and version and a new pointer),
+// so this test keeps small data regions permanently calcified — mixed-size
+// writers over a corpus several times the region — while one client per
+// lookup strategy reads a fixed hot set that is itself being rewritten at
+// changing sizes. Whatever a GET returns must be a value that was issued
+// for exactly that key, whole, and no older than the newest SET acked before
+// the GET began; once the storm stops every strategy must agree with what
+// the backends hold, and no entry may have failed its checksum.
+//
+// Run with `go test -race -run TestRelocationInvisibleToReaders`.
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"cliquemap/internal/core/client"
+)
+
+const (
+	relocHotKeys    = 24
+	relocColdKeys   = 10000 // per cold writer
+	relocColdWriter = 2
+)
+
+func relocHotKey(k int) []byte { return []byte(fmt.Sprintf("hot-%02d", k)) }
+
+// relocHotValue is the value of hot key k at sequence seq: a header naming
+// both, then a seq-derived fill, so a wrong-key, stale or torn read shows.
+func relocHotValue(k int, seq uint64) []byte {
+	sizes := [...]int{90, 200, 700, 1500, 3000, 6000}
+	v := make([]byte, sizes[(uint64(k)+seq)%uint64(len(sizes))])
+	n := copy(v, fmt.Sprintf("hot-%02d#%08d#", k, seq))
+	for i := n; i < len(v); i++ {
+		v[i] = byte(seq) + byte(i)
+	}
+	return v
+}
+
+func TestRelocationInvisibleToReaders(t *testing.T) {
+	t.Run("pony", func(t *testing.T) { relocationStress(t, PonyExpress, LookupSCAR, Lookup2xR, LookupRPC) })
+	t.Run("1rma", func(t *testing.T) { relocationStress(t, OneRMA, Lookup2xR) })
+}
+
+func relocationStress(t *testing.T, transport Transport, strategies ...Strategy) {
+	c := newCell(t, Options{
+		Shards: 3, Mode: R1, Transport: transport,
+		DataBytes: 8 << 20, DataMaxBytes: 8 << 20, DisableReshaping: true,
+	})
+	ctx := context.Background()
+	var issued, acked [relocHotKeys]atomic.Uint64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+
+	// check validates one GET result for hot key k against the sequence
+	// window [floor, issued].
+	check := func(who string, k int, floor uint64, val []byte) error {
+		var gotK int
+		var seq uint64
+		if _, err := fmt.Sscanf(string(val[:min(len(val), 16)]), "hot-%02d#%08d#", &gotK, &seq); err != nil || gotK != k {
+			return fmt.Errorf("%s: GET hot-%02d returned foreign bytes %q", who, k, val[:min(len(val), 16)])
+		}
+		if seq < floor || seq > issued[k].Load() {
+			return fmt.Errorf("%s: GET hot-%02d returned seq %d, acked %d before the read, issued %d", who, k, seq, floor, issued[k].Load())
+		}
+		if !bytes.Equal(val, relocHotValue(k, seq)) {
+			return fmt.Errorf("%s: GET hot-%02d seq %d returned %d damaged bytes", who, k, seq, len(val))
+		}
+		return nil
+	}
+
+	// The hot writer: one goroutine, so each key's acked sequence only grows.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cl := c.NewClient(ClientOptions{})
+		for seq := uint64(1); !stop.Load(); seq++ {
+			for k := 0; k < relocHotKeys; k++ {
+				issued[k].Store(seq)
+				if err := cl.Set(ctx, relocHotKey(k), relocHotValue(k, seq)); err == nil {
+					acked[k].Store(seq)
+				}
+			}
+		}
+	}()
+
+	// Readers, one per strategy.
+	hits := make([]atomic.Uint64, len(strategies))
+	for i, st := range strategies {
+		wg.Add(1)
+		go func(i int, st Strategy) {
+			defer wg.Done()
+			cl := c.NewClient(ClientOptions{Strategy: st})
+			who := fmt.Sprintf("strategy %d", st)
+			for n := 0; !stop.Load(); n++ {
+				k := n % relocHotKeys
+				floor := acked[k].Load()
+				val, found, err := cl.Get(ctx, relocHotKey(k))
+				if errors.Is(err, client.ErrExhausted) {
+					continue // the retry budget tripping under a rewrite storm is fail-fast, not a wrong answer
+				}
+				if err != nil {
+					t.Errorf("%s: GET hot-%02d: %v", who, k, err)
+					return
+				}
+				if !found {
+					continue // evicted; the hot writer brings it back
+				}
+				hits[i].Add(1)
+				if err := check(who, k, floor, val); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i, st)
+	}
+
+	// Cold writers: the mixed-size churn that keeps the regions calcified.
+	var cold sync.WaitGroup
+	for w := 0; w < relocColdWriter; w++ {
+		cold.Add(1)
+		go func(w int) {
+			defer cold.Done()
+			cl := c.NewClient(ClientOptions{})
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			buf := make([]byte, 12<<10)
+			for i := 0; i < relocColdKeys; i++ {
+				size := 128 << uint(rng.Intn(6)) // 128 B … 6 KiB
+				size += rng.Intn(size / 2)
+				if err := cl.Set(ctx, []byte(fmt.Sprintf("cold-%d-%05d", w, i)), buf[:size]); err != nil && !errors.Is(err, client.ErrExhausted) {
+					t.Errorf("cold SET: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	cold.Wait()
+	stop.Store(true)
+	wg.Wait()
+
+	agg := c.Internal().AggregateCounters()
+	if agg.SlabDrains == 0 || agg.EntriesMoved == 0 {
+		t.Fatalf("drains %d, moved %d: the regions never calcified", agg.SlabDrains, agg.EntriesMoved)
+	}
+	for i, st := range strategies {
+		if hits[i].Load() == 0 {
+			t.Errorf("strategy %d never hit", st)
+		}
+	}
+
+	// Quiesced: what the backends hold is what every strategy serves, at the
+	// last acked sequence, and every held entry still passes its checksum.
+	held := map[string]bool{}
+	for _, b := range c.Internal().Nodes() {
+		for _, it := range b.Items(-1, 0) {
+			held[string(it.Key)] = true
+		}
+	}
+	for _, st := range strategies {
+		cl := c.NewClient(ClientOptions{Strategy: st})
+		for k := 0; k < relocHotKeys; k++ {
+			val, found, err := cl.Get(ctx, relocHotKey(k))
+			if err != nil || found != held[string(relocHotKey(k))] {
+				t.Errorf("strategy %d: hot-%02d found %v (err %v), backend holds it: %v", st, k, found, err, held[string(relocHotKey(k))])
+				continue
+			}
+			if found {
+				if err := check(fmt.Sprintf("strategy %d, quiesced", st), k, acked[k].Load(), val); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	if n := c.Internal().AggregateCounters().CorruptPurged; n != 0 {
+		t.Errorf("%d entries failed their checksum", n)
+	}
+	t.Logf("drains %d, moved %d, capacity evictions %d", agg.SlabDrains, agg.EntriesMoved, agg.CapacityEvictions)
+}
