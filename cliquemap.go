@@ -37,7 +37,6 @@ import (
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/health"
-	"cliquemap/internal/stats"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
@@ -486,10 +485,6 @@ func (c *Client) Stats() ClientStats {
 		GetP99:       time.Duration(m.GetLatency.Percentile(99)),
 	}
 }
-
-// GetLatencyHistogram exposes the client's GET latency histogram for
-// experiment harnesses.
-func (c *Client) GetLatencyHistogram() *stats.Histogram { return &c.cl.M.GetLatency }
 
 // Internal exposes the underlying client for the benchmark harness. Not
 // part of the stable API.

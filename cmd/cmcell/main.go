@@ -7,12 +7,13 @@
 //	-listen addr   serve the cell's RPC surface on a TCP socket, so
 //	               cmstat (and any rpc.DialTCP caller) can inspect it
 //	-http addr     serve HTTP observability: GET /metrics returns
-//	               Prometheus text exposition of the cell's op-tracing
-//	               plane (latency quantiles per kind/transport, slow-op
-//	               counters, CPU accounts), the health plane's SLO
-//	               burn-rate and alert-state gauges, and the per-task
-//	               saturation plane (RPC worker occupancy, admission ρ,
-//	               stripe-lock contention, NIC engine queueing);
+//	               Prometheus text exposition of the cell's own telemetry
+//	               scrape — what cmstat -prom renders remotely: the
+//	               op-tracing plane (latency summaries per kind/transport,
+//	               slow-op counters, CPU accounts), the health plane's SLO
+//	               burn-rate and alert-state gauges, and one family per
+//	               per-task column cmstat tabulates (op counters, data
+//	               region, durability, RPC / stripe-lock / NIC saturation);
 //	               /debug/pprof/* exposes the standard Go profiling
 //	               endpoints
 //	-probes n      spread n E2E prober rounds across the run (default
@@ -34,6 +35,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -134,9 +136,7 @@ func main() {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			cell.Tracer().WriteProm(w, cell.Internal().Acct)
-			cell.Health().WriteProm(w)
-			cell.Internal().WriteSaturationProm(w)
+			writeMetrics(w, cell)
 		})
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -300,6 +300,13 @@ func main() {
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 	}
+}
+
+// writeMetrics renders the /metrics page: the cell's own scrape through
+// the one exposition writer cmstat -prom uses on a remote one.
+func writeMetrics(w io.Writer, cell *cliquemap.Cell) {
+	cs := cell.Internal().Scrape(time.Now())
+	cs.WriteProm(w)
 }
 
 func fatal(format string, args ...interface{}) {

@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
-	"text/tabwriter"
 	"time"
 
 	"cliquemap/internal/fabric"
@@ -80,7 +80,7 @@ func runFleet(ctx context.Context, spec, principal string, watch time.Duration, 
 	if err != nil {
 		fatal("%v", err)
 	}
-	agg := fleet.New(targets, fleet.Options{Interval: watch})
+	agg := fleet.New(targets, fleet.Options{})
 	var prev *fleet.View
 	for {
 		cur := agg.ScrapeOnce(ctx)
@@ -88,12 +88,9 @@ func runFleet(ctx context.Context, spec, principal string, watch time.Duration, 
 		case promOut:
 			cur.WriteProm(os.Stdout)
 		case jsonOut:
-			enc := json.NewEncoder(os.Stdout)
-			if err := enc.Encode(cur); err != nil {
-				fatal("json encode: %v", err)
-			}
+			printFleetJSON(os.Stdout, cur)
 		default:
-			printFleet(cur, prev, maxHot)
+			printFleet(os.Stdout, cur, prev, maxHot)
 		}
 		if watch <= 0 {
 			return
@@ -106,25 +103,31 @@ func runFleet(ctx context.Context, spec, principal string, watch time.Duration, 
 	}
 }
 
+func printFleetJSON(w io.Writer, v *fleet.View) {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		fatal("json encode: %v", err)
+	}
+}
+
 // printFleet renders one merged fleet view: the per-cell roster (with
 // stale-as-of markers for cells that dropped out mid-watch), the merged
 // latency distributions, the fleet SLO verdict, the global hot-key
 // ranking, and the routing-skew table.
-func printFleet(cur, prev *fleet.View, maxHot int) {
+func printFleet(w io.Writer, cur, prev *fleet.View, maxHot int) {
 	live := 0
 	for _, c := range cur.Cells {
 		if !c.Stale && c.Err == "" {
 			live++
 		}
 	}
-	fmt.Printf("fleet: %d/%d cells live, verdict=%s", live, len(cur.Cells), strings.ToUpper(cur.Verdict))
+	fmt.Fprintf(w, "fleet: %d/%d cells live, verdict=%s", live, len(cur.Cells), strings.ToUpper(cur.Verdict))
 	if cur.RingOK {
-		fmt.Printf(", ring v%d", cur.Ring.RingVersion)
+		fmt.Fprintf(w, ", ring v%d", cur.Ring.RingVersion)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "CELL\tSTATE\tKEYS\tMEMORY\tOPS\tOWNED\tOBSERVED\tSKEW")
+	tw := newTab(w)
+	fmt.Fprintln(tw, "CELL\tSTATE\tKEYS\tMEMORY\tOPS\tOWNED\tOBSERVED\tSKEW")
 	skews := make(map[string]fleet.CellSkew, len(cur.Skew))
 	for _, s := range cur.Skew {
 		skews[s.Name] = s
@@ -145,46 +148,28 @@ func printFleet(cur, prev *fleet.View, maxHot int) {
 				ratio = fmt.Sprintf("%.2f", float64(s.RatioMilli)/1000)
 			}
 		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%s\t%d\t%s\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%s\t%s\t%s\n",
 			c.Name, state, c.Keys, fmtBytes(c.Bytes), c.Ops, owned, observed, ratio)
 	}
-	w.Flush()
+	tw.Flush()
 
 	if len(cur.Hists) > 0 {
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "\nKIND\tVIA\tCELLS\tCOUNT\tMEAN\tP50\tP90\tP99\tP99.9\tMAX")
-		for _, h := range cur.Hists {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%v\t%v\t%v\t%v\t%v\t%v\n",
-				h.Kind, h.Transport, h.Cells, h.Count,
-				time.Duration(h.MeanNs), time.Duration(h.P50Ns), time.Duration(h.P90Ns),
-				time.Duration(h.P99Ns), time.Duration(h.P999Ns), time.Duration(h.MaxNs))
-		}
-		w.Flush()
+		printLatency(w, cur.Hists, true)
 	}
 
 	if len(cur.Classes) > 0 {
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "\nSLO CLASS\tSTATE\tCELLS\tBURN(fast,max)\tBURN(slow,max)\tWINDOW G/B\tPAGES\tWARNS")
+		tw = newTab(w)
+		fmt.Fprintln(tw, "\nSLO CLASS\tSTATE\tCELLS\tBURN(fast,max)\tBURN(slow,max)\tWINDOW G/B\tPAGES\tWARNS")
 		for _, c := range cur.Classes {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%.2f\t%.2f\t%d/%d\t%d\t%d\n",
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%.2f\t%.2f\t%d/%d\t%d\t%d\n",
 				c.Class, strings.ToUpper(c.State), c.Cells,
 				float64(c.FastBurnMilli)/1000, float64(c.SlowBurnMilli)/1000,
 				c.WindowGood, c.WindowBad, c.Pages, c.Warns)
 		}
-		w.Flush()
+		tw.Flush()
 	}
 
-	if n := len(cur.HotKeys); n > 0 {
-		if n > maxHot {
-			n = maxHot
-		}
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "\nGLOBAL HOT KEY\tCOUNT\tERR")
-		for _, hk := range cur.HotKeys[:n] {
-			fmt.Fprintf(w, "%s\t%d\t%d\n", fmtKey(hk.Key), hk.Count, hk.Err)
-		}
-		w.Flush()
-	}
+	printHotKeys(w, "GLOBAL HOT KEY", cur.HotKeys, maxHot)
 
 	if prev != nil {
 		elapsed := cur.At.Sub(prev.At).Seconds()
@@ -193,7 +178,7 @@ func printFleet(cur, prev *fleet.View, maxHot int) {
 			dOps += s.Ops
 		}
 		if elapsed > 0 {
-			fmt.Printf("interval: %s ops/s fleet-wide\n", fmtRate(dOps, elapsed))
+			fmt.Fprintf(w, "interval: %s ops/s fleet-wide\n", fmtRate(dOps, elapsed))
 		}
 	}
 }

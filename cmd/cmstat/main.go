@@ -38,8 +38,9 @@
 //	                and per-cell routing skew vs. ring ownership. Cells
 //	                that stop answering mid -watch stay in the table
 //	                marked "STALE as of <time>" with their last state.
-//	-prom           with -fleet: print Prometheus text exposition of the
-//	                merged view instead of tables
+//	-prom           print Prometheus text exposition instead of tables: the
+//	                page cmcell's /metrics serves, rendered from the remote
+//	                scrape; with -fleet, the merged view's
 //
 // Usage:
 //
@@ -53,6 +54,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -72,7 +74,7 @@ func main() {
 	showTrace := flag.Bool("trace", false, "print slow-op traces and exemplars")
 	showTier := flag.Bool("tier", false, "print the federation tier ring table")
 	fleetSpec := flag.String("fleet", "", "comma-separated cell gateways (name=addr or addr) to scrape and merge into one fleet view")
-	promOut := flag.Bool("prom", false, "with -fleet: emit Prometheus text exposition instead of tables")
+	promOut := flag.Bool("prom", false, "emit Prometheus text exposition instead of tables (with -fleet: of the merged view)")
 	maxSlow := flag.Int("slow", 8, "slow ops to request per snapshot")
 	maxHot := flag.Int("hot", 10, "hot keys to print")
 	flag.Parse()
@@ -101,17 +103,20 @@ func main() {
 		if err != nil && len(cur.Errors) == 0 {
 			fatal("%v", err)
 		}
-		if *jsonOut {
-			printJSON(&cur)
-		} else {
-			printTables(&cur, prev, *showTrace, *showTier, *maxHot)
+		switch {
+		case *promOut:
+			cur.WriteProm(os.Stdout)
+		case *jsonOut:
+			printJSON(os.Stdout, &cur)
+		default:
+			printTables(os.Stdout, &cur, prev, *showTrace, *showTier, *maxHot)
 		}
 		if *watch <= 0 {
 			return
 		}
 		prev = &cur
 		time.Sleep(*watch)
-		if !*jsonOut {
+		if !*jsonOut && !*promOut {
 			fmt.Println()
 		}
 	}
@@ -129,7 +134,7 @@ type jsonReport struct {
 	Tier   *proto.TierResp            `json:"tier,omitempty"`
 }
 
-func printJSON(cur *fleet.CellScrape) {
+func printJSON(w io.Writer, cur *fleet.CellScrape) {
 	rep := jsonReport{At: cur.At, Config: cur.Config, Stats: cur.Stats, Errors: cur.Errors}
 	if cur.DebugOK {
 		dbg := cur.Debug
@@ -142,8 +147,7 @@ func printJSON(cur *fleet.CellScrape) {
 	if cur.TierOK && len(cur.Tier.Cells) > 0 {
 		rep.Tier = &cur.Tier
 	}
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(rep); err != nil {
+	if err := json.NewEncoder(w).Encode(rep); err != nil {
 		fatal("json encode: %v", err)
 	}
 }
@@ -151,194 +155,171 @@ func printJSON(cur *fleet.CellScrape) {
 // delta returns cur−prev for a monotonic counter, clamped at zero. A
 // backend restart resets its counters to zero, so a raw uint64
 // subtraction would wrap to ~2^64 and print absurd rates; a reset
-// interval instead reads as zero and sets restarted so the output can
-// say why.
-func delta(cur, prev uint64, restarted *bool) uint64 {
+// interval instead reads as zero, and reset says why.
+func delta(cur, prev uint64) (d uint64, reset bool) {
 	if cur < prev {
-		*restarted = true
-		return 0
+		return 0, true
 	}
-	return cur - prev
+	return cur - prev, false
 }
 
-func printTables(cur, prev *fleet.CellScrape, showTrace, showTier bool, maxHot int) {
+func printTables(w io.Writer, cur, prev *fleet.CellScrape, showTrace, showTier bool, maxHot int) {
 	cfg := cur.Config
-	fmt.Printf("cell config id=%d replicas=%d quorum=%d shards=%d\n",
+	fmt.Fprintf(w, "cell config id=%d replicas=%d quorum=%d shards=%d\n",
 		cfg.ConfigID, cfg.Replicas, cfg.Quorum, len(cfg.ShardAddrs))
 	if cfg.PendingShards > 0 {
-		printResize(cur)
+		printResize(w, cur)
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	delt := prev != nil
-	var restartedShards []string
-	if delt {
-		fmt.Fprintln(w, "SHARD\tADDR\tKEYS\tMEMORY\tGETS/s\tSETS/s\tEVICT\tDRAINS\tMOVED\tFRAG\tREPAIRS\tREJECTS\tSKEW\tSEALED")
-	} else {
-		fmt.Fprintln(w, "SHARD\tADDR\tKEYS\tMEMORY\tSETS\tEVICT\tDRAINS\tMOVED\tFRAG\tTAIL\tRESIZE\tGROWS\tREPAIRS\tREJECTS\tSTRIPES\tSKEW\tSEALED")
-	}
-	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.Stats[addr]
-		if !ok {
-			fmt.Fprintf(w, "%d\t%s\t(unreachable: %s)\n", shard, addr, cur.Errors[addr])
-			continue
-		}
-		if delt {
-			elapsed := cur.At.Sub(prev.At).Seconds()
-			p := prev.Stats[addr]
-			restarted := false
-			fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%s\t%s\t%d\t%d\t%d\t%.1f%%\t%d\t%d\t%s\t%v\n",
-				shard, addr, st.ResidentKeys, fmtBytes(st.MemoryBytes),
-				fmtRate(delta(st.Gets, p.Gets, &restarted), elapsed),
-				fmtRate(delta(st.Sets, p.Sets, &restarted), elapsed),
-				delta(st.Evictions, p.Evictions, &restarted),
-				delta(st.SlabDrains, p.SlabDrains, &restarted),
-				delta(st.EntriesMoved, p.EntriesMoved, &restarted),
-				float64(st.DataFragMilli)/10, // FRAG: allocated chunk bytes no entry asked for
-				delta(st.RepairsIssued, p.RepairsIssued, &restarted),
-				delta(st.VersionRejects, p.VersionRejects, &restarted),
-				fmtSkew(st), fmtSeal(st))
-			if restarted {
-				restartedShards = append(restartedShards, addr)
+	printTable(w, "", cur, prev)
+	if prev != nil {
+		// One verdict per task for all three tables: it restarted if any of
+		// its cumulative columns, shown under -watch or not, went backwards.
+		var restarted []string
+		for _, addr := range cfg.ShardAddrs {
+			st, ok := cur.Stats[addr]
+			if p, had := prev.Stats[addr]; ok && had && fleet.Restarted(&st, &p) {
+				restarted = append(restarted, addr)
 			}
-		} else {
-			fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%.1f%%\t%s\t%d\t%d\t%d\t%d\t%d\t%s\t%v\n",
-				shard, addr, st.ResidentKeys, fmtBytes(st.MemoryBytes),
-				st.Sets, st.Evictions, st.SlabDrains, st.EntriesMoved, float64(st.DataFragMilli)/10, fmtBytes(st.DataTailBytes),
-				st.IndexResizes, st.DataGrows,
-				st.RepairsIssued, st.VersionRejects, st.Stripes,
-				fmtSkew(st), fmtSeal(st))
+		}
+		if len(restarted) > 0 {
+			fmt.Fprintf(w, "note: counters reset on %s (backend restart); affected deltas clamped to zero\n",
+				strings.Join(restarted, ", "))
 		}
 	}
-	w.Flush()
-	if len(restartedShards) > 0 {
-		fmt.Printf("note: counters reset on %s (backend restart); affected deltas clamped to zero\n",
-			strings.Join(restartedShards, ", "))
-	}
-
-	printRecovery(cur)
-	printSaturation(cur, prev)
-	printPromoted(cur)
+	printTable(w, "RECOVERY", cur, prev)
+	printTable(w, "SATURATION", cur, prev)
+	printPromoted(w, cur)
 
 	if cur.TierOK && (showTier || len(cur.Tier.Cells) > 0) {
-		printTier(cur.Tier)
+		printTier(w, cur.Tier)
 	}
 	if cur.HealthOK {
-		printHealth(cur.Health)
+		printHealth(w, cur.Health)
 	}
 	if cur.DebugOK {
-		printDebug(cur, prev, showTrace, maxHot)
+		printDebug(w, cur, prev, showTrace, maxHot)
 	}
 }
 
-// printRecovery renders the durability plane: one row per shard with
-// the age of its last durable checkpoint, the delta journal depth since
-// that checkpoint, and — after a warm restart — how much of the corpus
-// came back from disk and how much of it has self-validated against the
-// quorum. Omitted entirely when no shard runs with a data directory.
-func printRecovery(cur *fleet.CellScrape) {
-	cfg := cur.Config
-	any := false
-	for _, addr := range cfg.ShardAddrs {
-		st, ok := cur.Stats[addr]
-		if ok && (st.CkptUnixNano != 0 || st.JournalRecords != 0 || st.JournalBytes != 0 ||
-			st.RecoveredKeys != 0 || st.Recovering) {
-			any = true
-			break
+// printTable renders one of the per-task tables — the main one ("") or a
+// named plane — from fleet.Columns: a row per shard, a cell per column
+// that has a header in this mode (cumulative, or -watch when prev is set).
+// A named plane no task has anything to show in is omitted: the cell
+// predates its telemetry or runs without it (no data directory, say).
+func printTable(w io.Writer, table string, cur, prev *fleet.CellScrape) {
+	watch, elapsed := prev != nil, 0.0
+	if watch {
+		elapsed = cur.At.Sub(prev.At).Seconds()
+	}
+	header := func(c *fleet.Column) string {
+		if watch {
+			return c.Watch
 		}
+		return c.Head
 	}
-	if !any {
-		return
+	lead, shown := "\n"+table, false
+	if table == "" {
+		lead, shown = "SHARD", true
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "\nRECOVERY\tADDR\tCKPT EPOCH\tCKPT AGE\tJOURNAL\tJBYTES\tRECOVERED\tREPLAYED\tSELFVAL\tRECOVERING")
-	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.Stats[addr]
-		if !ok {
+	var cols []*fleet.Column
+	for i := range fleet.Columns {
+		c := &fleet.Columns[i]
+		if c.Table != table {
 			continue
 		}
-		age := "-"
-		if st.CkptUnixNano != 0 {
-			age = cur.At.Sub(time.Unix(0, int64(st.CkptUnixNano))).Round(time.Second).String()
+		if header(c) != "" {
+			cols = append(cols, c)
 		}
-		fmt.Fprintf(w, "%d\t%s\t%d\t%s\t%d\t%s\t%d\t%d\t%d\t%v\n",
-			shard, addr, st.CkptEpoch, age,
-			st.JournalRecords, fmtBytes(st.JournalBytes),
-			st.RecoveredKeys, st.ReplayedRecords, st.SelfValidated, st.Recovering)
-	}
-	w.Flush()
-}
-
-// printSaturation renders the per-shard saturation plane: how busy each
-// resource on the serving path is, so a load-wall report's "limited by X"
-// can be read straight off a live cell. Gauges (worker occupancy, ρ,
-// engines) are instantaneous; the queue-time columns are cumulative
-// counters, so under -watch they print as queue-seconds accumulated per
-// wall second over the interval — the same score the loadwall probe
-// ranks resources by — with restart resets clamped to zero like every
-// other counter. Omitted for cells that predate the telemetry (all
-// saturation fields decode as zero).
-func printSaturation(cur, prev *fleet.CellScrape) {
-	cfg := cur.Config
-	any := false
-	for _, addr := range cfg.ShardAddrs {
-		st, ok := cur.Stats[addr]
-		if ok && (st.RPCWorkerLimit != 0 || st.NICEngines != 0) {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	delt := prev != nil
-	if delt {
-		fmt.Fprintln(w, "\nSATURATION\tADDR\tWORKERS\tRPCρ\tQWAIT s/s\tLOCK s/s\tCONT/s\tENG\tNICρ\tNICQ s/s\tNICOPS/s")
-	} else {
-		fmt.Fprintln(w, "\nSATURATION\tADDR\tWORKERS\tRPCρ\tQUEUED\tQWAIT\tCONTENDED\tLOCKWAIT\tENG\tNICρ\tNICQ\tNICOPS")
-	}
-	var restartedShards []string
-	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.Stats[addr]
-		if !ok {
-			continue
-		}
-		workers := fmt.Sprintf("%d/%d", st.RPCWorkersBusy, st.RPCWorkerLimit)
-		if delt {
-			elapsed := cur.At.Sub(prev.At).Seconds()
-			p := prev.Stats[addr]
-			restarted := false
-			qwait := delta(st.RPCSubmitWaitNs, p.RPCSubmitWaitNs, &restarted) +
-				delta(st.RPCQueueNs, p.RPCQueueNs, &restarted)
-			lock := delta(st.StripeWaitNs, p.StripeWaitNs, &restarted)
-			cont := delta(st.StripeContended, p.StripeContended, &restarted)
-			nicq := delta(st.NICQueueNs, p.NICQueueNs, &restarted)
-			nops := delta(st.NICOps, p.NICOps, &restarted)
-			fmt.Fprintf(w, "%d\t%s\t%s\t%.2f\t%s\t%s\t%s\t%d\t%.2f\t%s\t%s\n",
-				shard, addr, workers, float64(st.RPCRhoMilli)/1000,
-				fmtQSec(qwait, elapsed), fmtQSec(lock, elapsed),
-				fmtRate(cont, elapsed),
-				st.NICEngines, float64(st.NICRhoMilli)/1000,
-				fmtQSec(nicq, elapsed), fmtRate(nops, elapsed))
-			if restarted {
-				restartedShards = append(restartedShards, addr)
+		for _, addr := range cur.Config.ShardAddrs {
+			if st, ok := cur.Stats[addr]; ok && !blank(c, &st) {
+				shown = true
 			}
-		} else {
-			fmt.Fprintf(w, "%d\t%s\t%s\t%.2f\t%d\t%v\t%d\t%v\t%d\t%.2f\t%v\t%d\n",
-				shard, addr, workers, float64(st.RPCRhoMilli)/1000,
-				st.RPCQueuedCalls,
-				time.Duration(st.RPCSubmitWaitNs+st.RPCQueueNs),
-				st.StripeContended, time.Duration(st.StripeWaitNs),
-				st.NICEngines, float64(st.NICRhoMilli)/1000,
-				time.Duration(st.NICQueueNs), st.NICOps)
 		}
 	}
-	w.Flush()
-	if len(restartedShards) > 0 {
-		fmt.Printf("note: saturation counters reset on %s (backend restart); affected deltas clamped to zero\n",
-			strings.Join(restartedShards, ", "))
+	if !shown {
+		return
 	}
+	tw := newTab(w)
+	fmt.Fprint(tw, lead, "\tADDR")
+	for _, c := range cols {
+		fmt.Fprint(tw, "\t", header(c))
+	}
+	fmt.Fprintln(tw)
+	for shard, addr := range cur.Config.ShardAddrs {
+		st, ok := cur.Stats[addr]
+		if !ok {
+			if table == "" {
+				fmt.Fprintf(tw, "%d\t%s\t(unreachable: %s)\n", shard, addr, cur.Errors[addr])
+			}
+			continue
+		}
+		var before *proto.StatsResp // nil: the task answered no previous round
+		if watch {
+			if p, had := prev.Stats[addr]; had {
+				before = &p
+			}
+		}
+		fmt.Fprintf(tw, "%d\t%s", shard, addr)
+		for _, c := range cols {
+			fmt.Fprint(tw, "\t", cell(c, &st, before, watch, cur.At, elapsed))
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
+}
+
+// blank reports whether column c reads for st as it does for a task that
+// reports nothing.
+func blank(c *fleet.Column, st *proto.StatsResp) bool {
+	return cell(c, st, nil, false, time.Time{}, 0) == cell(c, new(proto.StatsResp), nil, false, time.Time{}, 0)
+}
+
+// cell renders one column of one task's row. Gauges read the same in both
+// modes. A cumulative column prints its lifetime total, or under -watch
+// the interval since prev — clamped at zero across a restart, and "-" for
+// a task with no previous round (a spare a resize just promoted: its
+// lifetime is not one interval's work): a queue time as queue-seconds per
+// second, a count as a rate under a "…/s" header, else as the delta.
+func cell(c *fleet.Column, cur, prev *proto.StatsResp, watch bool, at time.Time, elapsed float64) string {
+	if c.Kind == fleet.Text {
+		return c.Text(cur)
+	}
+	v := c.Get(cur)
+	switch c.Kind {
+	case fleet.Occupancy:
+		return fmt.Sprintf("%d/%d", v, c.Of(cur))
+	case fleet.Bytes:
+		return fmtBytes(v)
+	case fleet.Milli:
+		return fmt.Sprintf("%.2f", float64(v)/1000)
+	case fleet.Percent:
+		return fmt.Sprintf("%.1f%%", float64(v)/10)
+	case fleet.Age:
+		if v == 0 {
+			return "-"
+		}
+		return at.Sub(time.Unix(0, int64(v))).Round(time.Second).String()
+	case fleet.Gauge:
+		return fmt.Sprint(v)
+	}
+	// Counter or Nanos.
+	switch {
+	case !watch && c.Kind == fleet.Nanos:
+		return time.Duration(v).String()
+	case !watch:
+		return fmt.Sprint(v)
+	case prev == nil:
+		return "-"
+	}
+	d, _ := delta(v, c.Get(prev))
+	switch {
+	case c.Kind == fleet.Nanos:
+		return fmtQSec(d, elapsed)
+	case strings.HasSuffix(c.Watch, "/s"):
+		return fmtRate(d, elapsed)
+	}
+	return fmt.Sprint(d)
 }
 
 // printPromoted renders the hot-key promotion plane: one row per shard
@@ -346,7 +327,7 @@ func printSaturation(cur, prev *fleet.CellScrape) {
 // membership change — clients revalidate their piggybacked view against
 // it) and the keys themselves. Omitted when no shard promotes (HotK
 // disabled, or the workload has no stable head).
-func printPromoted(cur *fleet.CellScrape) {
+func printPromoted(w io.Writer, cur *fleet.CellScrape) {
 	cfg := cur.Config
 	any := false
 	for _, addr := range cfg.ShardAddrs {
@@ -358,8 +339,8 @@ func printPromoted(cur *fleet.CellScrape) {
 	if !any {
 		return
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "\nPROMOTED\tADDR\tEPOCH\tKEYS\tSET")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "\nPROMOTED\tADDR\tEPOCH\tKEYS\tSET")
 	for shard, addr := range cfg.ShardAddrs {
 		st, ok := cur.Stats[addr]
 		if !ok {
@@ -377,9 +358,9 @@ func printPromoted(cur *fleet.CellScrape) {
 		if set == "" {
 			set = "-"
 		}
-		fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%s\n", shard, addr, st.HotEpoch, len(st.HotKeys), set)
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%s\n", shard, addr, st.HotEpoch, len(st.HotKeys), set)
 	}
-	w.Flush()
+	tw.Flush()
 }
 
 // fmtQSec renders accumulated queue-nanoseconds over a wall interval as
@@ -396,22 +377,22 @@ func fmtQSec(ns uint64, seconds float64) string {
 // member cell with its live routing weight against the configured base,
 // the health state driving any demotion, and the exact keyspace share
 // its ring arcs own.
-func printTier(t proto.TierResp) {
+func printTier(w io.Writer, t proto.TierResp) {
 	if len(t.Cells) == 0 {
-		fmt.Printf("\ntier: cell is not part of a federation tier\n")
+		fmt.Fprintf(w, "\ntier: cell is not part of a federation tier\n")
 		return
 	}
-	fmt.Printf("\ntier: ring v%d, %d vnodes/unit weight, %d cells\n",
+	fmt.Fprintf(w, "\ntier: ring v%d, %d vnodes/unit weight, %d cells\n",
 		t.RingVersion, t.Vnodes, len(t.Cells))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "CELL\tSTATE\tWEIGHT\tBASE\tOWNED\tDEMOTED")
+	tw := newTab(w)
+	fmt.Fprintln(tw, "CELL\tSTATE\tWEIGHT\tBASE\tOWNED\tDEMOTED")
 	for _, c := range t.Cells {
-		fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\t%.1f%%\t%v\n",
+		fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.3f\t%.1f%%\t%v\n",
 			c.Name, strings.ToUpper(c.State),
 			float64(c.WeightMilli)/1000, float64(c.BaseMilli)/1000,
 			float64(c.OwnedPpm)/1e4, c.Demoted)
 	}
-	w.Flush()
+	tw.Flush()
 }
 
 // printResize renders an in-flight resize: the old→new shard count, how
@@ -419,7 +400,7 @@ func printTier(t proto.TierResp) {
 // flips read authority to the pending epoch), and one row per pending
 // shard with the owning backend's own view of the handoff — useful for
 // spotting a resize wedged mid-shard.
-func printResize(cur *fleet.CellScrape) {
+func printResize(w io.Writer, cur *fleet.CellScrape) {
 	cfg := cur.Config
 	sealed := 0
 	for _, s := range cfg.SealedOld {
@@ -427,10 +408,10 @@ func printResize(cur *fleet.CellScrape) {
 			sealed++
 		}
 	}
-	fmt.Printf("RESIZE in progress: %d -> %d shards, %d/%d old shards sealed\n",
+	fmt.Fprintf(w, "RESIZE in progress: %d -> %d shards, %d/%d old shards sealed\n",
 		len(cfg.ShardAddrs), cfg.PendingShards, sealed, len(cfg.SealedOld))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "PENDING\tADDR\tOLD SHARD\tOLD SEALED\tBACKEND HSEAL\tBACKEND TARGET")
+	tw := newTab(w)
+	fmt.Fprintln(tw, "PENDING\tADDR\tOLD SHARD\tOLD SEALED\tBACKEND HSEAL\tBACKEND TARGET")
 	for ps, addr := range cfg.PendingShardAddrs {
 		oldShard, oldSealed := "-", "-"
 		for s, a := range cfg.ShardAddrs {
@@ -446,20 +427,20 @@ func printResize(cur *fleet.CellScrape) {
 			hseal = fmt.Sprintf("%v", st.HandoffSealed)
 			target = fmt.Sprintf("%d", st.PendingShards)
 		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%s\t%s\n", ps, addr, oldShard, oldSealed, hseal, target)
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\n", ps, addr, oldShard, oldSealed, hseal, target)
 	}
-	w.Flush()
+	tw.Flush()
 }
 
 // printHealth renders the SLO engine's evaluated state: one row per op
 // class with its alert state and burn rates, then per-probe-target
 // availability.
-func printHealth(h proto.HealthResp) {
-	fmt.Printf("\nhealth: prober rounds=%d\n", h.Rounds)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "CLASS\tSTATE\tSLO\tBURN(fast)\tBURN(slow)\tWINDOW G/B\tPROBE P50\tP99\tPAGES\tWARNS")
+func printHealth(w io.Writer, h proto.HealthResp) {
+	fmt.Fprintf(w, "\nhealth: prober rounds=%d\n", h.Rounds)
+	tw := newTab(w)
+	fmt.Fprintln(tw, "CLASS\tSTATE\tSLO\tBURN(fast)\tBURN(slow)\tWINDOW G/B\tPROBE P50\tP99\tPAGES\tWARNS")
 	for _, c := range h.Classes {
-		fmt.Fprintf(w, "%s\t%s\t%s<%v\t%.2f\t%.2f\t%d/%d\t%v\t%v\t%d\t%d\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s<%v\t%.2f\t%.2f\t%d/%d\t%v\t%v\t%d\t%d\n",
 			c.Class, strings.ToUpper(c.State),
 			fmtPpm(c.AvailabilityPpm), time.Duration(c.LatencyTargetNs),
 			float64(c.FastBurnMilli)/1000, float64(c.SlowBurnMilli)/1000,
@@ -467,166 +448,171 @@ func printHealth(h proto.HealthResp) {
 			time.Duration(c.ProbeP50Ns), time.Duration(c.ProbeP99Ns),
 			c.Pages, c.Warns)
 	}
-	w.Flush()
+	tw.Flush()
 	if len(h.Targets) > 0 {
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "TARGET\tPROBES\tBAD\tAVAIL")
+		tw = newTab(w)
+		fmt.Fprintln(tw, "TARGET\tPROBES\tBAD\tAVAIL")
 		for _, t := range h.Targets {
 			total := t.Good + t.Bad
 			avail := 1.0
 			if total > 0 {
 				avail = float64(t.Good) / float64(total)
 			}
-			fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\n", t.Name, total, t.Bad, avail)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%.4f\n", t.Name, total, t.Bad, avail)
 		}
-		w.Flush()
+		tw.Flush()
 	}
 }
 
-// printHeat renders the key-heat telemetry: the heavy-hitter sketch
-// unioned across the cell's shards (counts are over-estimates by at most
-// ERR) and the per-stripe load spread.
-func printHeat(hotKeys []proto.DebugHotKey, stripeHeat []uint64, maxHot int) {
-	if n := len(hotKeys); n > 0 {
-		if n > maxHot {
-			n = maxHot
-		}
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "\nHOT KEY\tCOUNT\tERR")
-		for _, hk := range hotKeys[:n] {
-			fmt.Fprintf(w, "%s\t%d\t%d\n", fmtKey(hk.Key), hk.Count, hk.Err)
-		}
-		w.Flush()
+// printLatency renders kind/transport latency summaries — one cell's, or
+// (cells set) a fleet's merged ones with how many cells fed each.
+func printLatency(w io.Writer, hists []proto.DebugHist, cells bool) {
+	tw := newTab(w)
+	if cells {
+		fmt.Fprintln(tw, "\nKIND\tVIA\tCELLS\tCOUNT\tMEAN\tP50\tP90\tP99\tP99.9\tMAX")
+	} else {
+		fmt.Fprintln(tw, "KIND\tVIA\tCOUNT\tMEAN\tP50\tP90\tP99\tP99.9\tMAX")
 	}
-	if len(stripeHeat) > 0 {
-		var total, max uint64
-		for _, n := range stripeHeat {
-			total += n
-			if n > max {
-				max = n
-			}
+	for _, h := range hists {
+		via := h.Transport
+		if cells {
+			via += fmt.Sprintf("\t%d", h.Cells)
 		}
-		if total > 0 {
-			mean := float64(total) / float64(len(stripeHeat))
-			fmt.Printf("stripe heat: %d stripes, %d ops, hottest %.2fx mean\n",
-				len(stripeHeat), total, float64(max)/mean)
-		}
-	}
-}
-
-func printDebug(cur, prev *fleet.CellScrape, showTrace bool, maxHot int) {
-	dbg := cur.Debug
-	fmt.Printf("\ntracing: ops=%d slow=%d slow_threshold=%v\n",
-		dbg.OpsTotal, dbg.SlowTotal, time.Duration(dbg.SlowThresholdNs))
-	if prev != nil && prev.DebugOK {
-		elapsed := cur.At.Sub(prev.At).Seconds()
-		restarted := false
-		dOps := delta(dbg.OpsTotal, prev.Debug.OpsTotal, &restarted)
-		dSlow := delta(dbg.SlowTotal, prev.Debug.SlowTotal, &restarted)
-		note := ""
-		if restarted {
-			note = " (tracer reset; interval clamped)"
-		}
-		fmt.Printf("interval: %s ops/s, %d slow promoted%s\n",
-			fmtRate(dOps, elapsed), dSlow, note)
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "KIND\tVIA\tCOUNT\tMEAN\tP50\tP90\tP99\tP99.9\tMAX")
-	for _, h := range dbg.Hists {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%v\t%v\t%v\t%v\t%v\t%v\n",
-			h.Kind, h.Transport, h.Count,
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%v\t%v\t%v\t%v\t%v\t%v\n",
+			h.Kind, via, h.Count,
 			time.Duration(h.MeanNs), time.Duration(h.P50Ns), time.Duration(h.P90Ns),
 			time.Duration(h.P99Ns), time.Duration(h.P999Ns), time.Duration(h.MaxNs))
 	}
-	w.Flush()
+	tw.Flush()
+}
+
+// printHotKeys renders a heavy-hitter ranking — a cell's sketch unioned
+// across its shards, or the fleet's across cells. Counts over-estimate by
+// at most ERR.
+func printHotKeys(w io.Writer, title string, keys []proto.DebugHotKey, maxHot int) {
+	if len(keys) == 0 {
+		return
+	}
+	tw := newTab(w)
+	fmt.Fprintln(tw, "\n"+title+"\tCOUNT\tERR")
+	for _, hk := range keys[:min(len(keys), maxHot)] {
+		fmt.Fprintf(tw, "%s\t%d\t%d\n", fmtKey(hk.Key), hk.Count, hk.Err)
+	}
+	tw.Flush()
+}
+
+func printDebug(w io.Writer, cur, prev *fleet.CellScrape, showTrace bool, maxHot int) {
+	dbg := cur.Debug
+	fmt.Fprintf(w, "\ntracing: ops=%d slow=%d slow_threshold=%v\n",
+		dbg.OpsTotal, dbg.SlowTotal, time.Duration(dbg.SlowThresholdNs))
+	watch := prev != nil && prev.DebugOK
+	var elapsed float64
+	if watch {
+		elapsed = cur.At.Sub(prev.At).Seconds()
+		dOps, r1 := delta(dbg.OpsTotal, prev.Debug.OpsTotal)
+		dSlow, r2 := delta(dbg.SlowTotal, prev.Debug.SlowTotal)
+		note := ""
+		if r1 || r2 {
+			note = " (tracer reset; interval clamped)"
+		}
+		fmt.Fprintf(w, "interval: %s ops/s, %d slow promoted%s\n", fmtRate(dOps, elapsed), dSlow, note)
+	}
+	printLatency(w, dbg.Hists, false)
 
 	if len(dbg.CPU) > 0 {
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		if prev != nil && prev.DebugOK {
+		tw := newTab(w)
+		if watch {
 			// Per-interval attribution: CPU-ns spent per op completed in
 			// the window, per component.
-			elapsed := cur.At.Sub(prev.At).Seconds()
-			fmt.Fprintln(w, "\nCPU COMPONENT\tOPS/s\tCPU-ns/op")
+			fmt.Fprintln(tw, "\nCPU COMPONENT\tOPS/s\tCPU-ns/op")
 			prevCPU := make(map[string]proto.DebugCPU, len(prev.Debug.CPU))
 			for _, c := range prev.Debug.CPU {
 				prevCPU[c.Component] = c
 			}
 			for _, c := range dbg.CPU {
 				p := prevCPU[c.Component]
-				restarted := false
-				dOps := delta(c.Ops, p.Ops, &restarted)
-				dNs := delta(c.TotalNs, p.TotalNs, &restarted)
-				if dOps == 0 || restarted {
+				dOps, r1 := delta(c.Ops, p.Ops)
+				dNs, r2 := delta(c.TotalNs, p.TotalNs)
+				if dOps == 0 || r1 || r2 {
 					continue
 				}
-				fmt.Fprintf(w, "%s\t%s\t%d\n", c.Component,
-					fmtRate(dOps, elapsed), dNs/dOps)
+				fmt.Fprintf(tw, "%s\t%s\t%d\n", c.Component, fmtRate(dOps, elapsed), dNs/dOps)
 			}
 		} else {
-			fmt.Fprintln(w, "\nCPU COMPONENT\tOPS\tTOTAL CPU\tCPU-ns/op")
+			fmt.Fprintln(tw, "\nCPU COMPONENT\tOPS\tTOTAL CPU\tCPU-ns/op")
 			for _, c := range dbg.CPU {
 				perOp := uint64(0)
 				if c.Ops > 0 {
 					perOp = c.TotalNs / c.Ops
 				}
-				fmt.Fprintf(w, "%s\t%d\t%v\t%d\n", c.Component, c.Ops,
-					time.Duration(c.TotalNs), perOp)
+				fmt.Fprintf(tw, "%s\t%d\t%v\t%d\n", c.Component, c.Ops, time.Duration(c.TotalNs), perOp)
 			}
 		}
-		w.Flush()
+		tw.Flush()
 	}
 
 	if len(dbg.Hazards) > 0 {
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "\nHAZARD\tINJECTIONS")
+		tw := newTab(w)
+		fmt.Fprintln(tw, "\nHAZARD\tINJECTIONS")
 		for _, hz := range dbg.Hazards {
-			fmt.Fprintf(w, "%s\t%d\n", hz.Name, hz.Count)
+			fmt.Fprintf(tw, "%s\t%d\n", hz.Name, hz.Count)
 		}
-		w.Flush()
+		tw.Flush()
 	}
 	if len(dbg.Health) > 0 {
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "\nREPLICA\tHEALTH\tDEMOTED")
+		tw := newTab(w)
+		fmt.Fprintln(tw, "\nREPLICA\tHEALTH\tDEMOTED")
 		for _, rh := range dbg.Health {
-			fmt.Fprintf(w, "%s\t%.2f\t%v\n", rh.Addr, float64(rh.ScoreMilli)/1000, rh.Demoted)
+			fmt.Fprintf(tw, "%s\t%.2f\t%v\n", rh.Addr, float64(rh.ScoreMilli)/1000, rh.Demoted)
 		}
-		w.Flush()
+		tw.Flush()
 	}
 
-	printHeat(cur.HotKeys, dbg.StripeHeat, maxHot)
+	// Key heat: the cell's heavy hitters, and the per-stripe load spread.
+	printHotKeys(w, "HOT KEY", cur.HotKeys, maxHot)
+	var total, hottest uint64
+	for _, n := range dbg.StripeHeat {
+		total, hottest = total+n, max(hottest, n)
+	}
+	if total > 0 {
+		mean := float64(total) / float64(len(dbg.StripeHeat))
+		fmt.Fprintf(w, "stripe heat: %d stripes, %d ops, hottest %.2fx mean\n",
+			len(dbg.StripeHeat), total, float64(hottest)/mean)
+	}
 
 	if !showTrace {
 		return
 	}
 	if len(dbg.SlowOps) > 0 {
-		fmt.Printf("\nslow ops (newest first):\n")
+		fmt.Fprintf(w, "\nslow ops (newest first):\n")
 		for _, op := range dbg.SlowOps {
-			printOp(op)
+			printOp(w, op)
 		}
 	}
 	if len(dbg.Exemplars) > 0 {
-		fmt.Printf("\nexemplars:\n")
+		fmt.Fprintf(w, "\nexemplars:\n")
 		for _, op := range dbg.Exemplars {
-			printOp(op)
+			printOp(w, op)
 		}
 	}
 }
 
 // printOp renders one retained op and its span timeline, indented under
 // the op header, each span as [start +dur] name(arg).
-func printOp(op proto.DebugOp) {
+func printOp(w io.Writer, op proto.DebugOp) {
 	when := ""
 	if op.WallNs != 0 {
 		when = " at " + time.Unix(0, op.WallNs).Format("15:04:05.000")
 	}
-	fmt.Printf("  op=%d %s/%s attempts=%d latency=%v bytes=%d%s\n",
+	fmt.Fprintf(w, "  op=%d %s/%s attempts=%d latency=%v bytes=%d%s\n",
 		op.ID, op.Kind, op.Transport, op.Attempts, time.Duration(op.Ns), op.Bytes, when)
 	for _, sp := range op.Spans {
-		fmt.Printf("    [%8v +%8v] %s(%d)\n",
+		fmt.Fprintf(w, "    [%8v +%8v] %s(%d)\n",
 			time.Duration(sp.Start), time.Duration(sp.Dur), trace.CodeName(sp.Code), sp.Arg)
 	}
 }
+
+func newTab(w io.Writer) *tabwriter.Writer { return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0) }
 
 func fmtRate(n uint64, seconds float64) string {
 	if seconds <= 0 {
@@ -650,44 +636,12 @@ func fmtPpm(ppm uint64) string {
 
 // fmtKey renders a possibly-binary key for terminal display.
 func fmtKey(k string) string {
-	clean := true
 	for i := 0; i < len(k); i++ {
 		if k[i] < 0x20 || k[i] > 0x7e {
-			clean = false
-			break
+			return fmt.Sprintf("%q", k)
 		}
 	}
-	if clean {
-		return k
-	}
-	return fmt.Sprintf("%q", k)
-}
-
-// fmtSeal renders the two independent seals on a backend: the corpus
-// seal (R2Immutable mode) and the handoff seal (a shard migration is
-// draining its journal; mutations bounce until the seal lifts).
-func fmtSeal(st proto.StatsResp) string {
-	switch {
-	case st.Sealed && st.HandoffSealed:
-		return "corpus+handoff"
-	case st.Sealed:
-		return "corpus"
-	case st.HandoffSealed:
-		return "handoff"
-	}
-	return "-"
-}
-
-// fmtSkew renders the busiest stripe's op count relative to the mean
-// stripe (1.00 = perfectly even load; nStripes = everything on one
-// stripe). High skew means the bucket-stripe locks are degenerating
-// toward a global lock for this workload.
-func fmtSkew(st proto.StatsResp) string {
-	if st.Stripes == 0 || st.StripeTotalOps == 0 {
-		return "-"
-	}
-	mean := float64(st.StripeTotalOps) / float64(st.Stripes)
-	return fmt.Sprintf("%.2f", float64(st.StripeMaxOps)/mean)
+	return k
 }
 
 func fmtBytes(n uint64) string {

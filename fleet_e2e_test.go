@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fleet"
 	"cliquemap/internal/health"
 )
@@ -73,7 +74,7 @@ func TestFleetAggregatorMergesLiveTier(t *testing.T) {
 	v := agg.ScrapeOnce(ctx)
 
 	// Merged latency: the GET distribution must combine all three cells.
-	var got *fleet.MergedHist
+	var got *proto.DebugHist
 	for i := range v.Hists {
 		if v.Hists[i].Kind == "GET" && v.Hists[i].Cells == 3 {
 			got = &v.Hists[i]

@@ -247,14 +247,9 @@ func (p *Plane) HealPartitions() {
 	p.sur.HealPartitions()
 }
 
-// Corrupt flips one bit in up to n live entries on shard's backend with a
-// derived seed, returning the damaged keys.
-func (p *Plane) Corrupt(shard int, n int) [][]byte {
-	return p.CorruptSeeded(shard, n, p.subSeed())
-}
-
-// CorruptSeeded is Corrupt with an explicit seed (scheduled events carry
-// their own so replays are exact).
+// CorruptSeeded flips one bit in up to n live entries on shard's backend,
+// returning the damaged keys. The seed is explicit: scheduled events carry
+// their own so replays are exact.
 func (p *Plane) CorruptSeeded(shard int, n int, seed uint64) [][]byte {
 	p.note(HazardCorruption)
 	return p.sur.CorruptData(shard, n, seed)

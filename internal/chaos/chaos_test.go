@@ -425,7 +425,7 @@ func TestPlaneCounters(t *testing.T) {
 	p.Partition(1)
 	p.LinkLoss(2, 0.25)
 	p.HealPartitions()
-	p.Corrupt(0, 3)
+	p.CorruptSeeded(0, 3, 1)
 	p.ConfigStale(true)
 	p.ConfigStale(false)
 

@@ -110,27 +110,25 @@ func (b *Backend) NICSat() NICSaturation {
 	return NICSaturation{}
 }
 
-// StripeSaturation aggregates the per-stripe lock-contention counters:
+// stripeSaturation aggregates the per-stripe lock-contention counters:
 // how often mutations collided on a stripe, how long contended acquirers
 // waited, and the sampled critical-section occupancy.
-type StripeSaturation struct {
-	Acquisitions uint64 // lockStripe acquisitions
-	Contended    uint64 // acquisitions that found the lock held
-	WaitNs       uint64 // wall-ns contended acquirers waited
-	HeldNs       uint64 // wall-ns of sampled (1/heldSampleEvery) critical sections
-	HeldSampled  uint64 // critical sections measured into HeldNs
+type stripeSaturation struct {
+	Contended   uint64 // acquisitions that found the lock held
+	WaitNs      uint64 // wall-ns contended acquirers waited
+	HeldNs      uint64 // wall-ns of sampled (1/heldSampleEvery) critical sections
+	HeldSampled uint64 // critical sections measured into HeldNs
 }
 
-// StripeSaturation snapshots the stripe-lock contention counters. The
+// stripeSaturation snapshots the stripe-lock contention counters. The
 // counters live under each stripe's mutex (keeping them off the hot
 // path's pre-lock cache traffic), so the snapshot takes each lock
-// briefly; it only runs on MethodStats.
-func (b *Backend) StripeSaturation() StripeSaturation {
-	var out StripeSaturation
+// briefly; it only runs on a Stats snapshot.
+func (b *Backend) stripeSaturation() stripeSaturation {
+	var out stripeSaturation
 	for i := range b.stripes {
 		s := &b.stripes[i]
 		s.mu.Lock()
-		out.Acquisitions += s.lockAcq
 		out.Contended += s.lockContended
 		out.WaitNs += s.lockWaitNs
 		out.HeldNs += s.lockHeldNs
@@ -245,11 +243,10 @@ type Options struct {
 	// readers to RPC, until EndRecovery. Set by restarts rejoining a
 	// quorum whose corpus may be behind.
 	Recovering bool
-	// PersistHook and PersistSync pass through to persist.Options (crash
-	// injection for tests; per-append fsync for power-loss durability —
-	// kill -9 survival needs neither, the OS page cache persists).
+	// PersistHook passes through to persist.Options (crash injection for
+	// tests). Journal appends are not fsynced: kill -9 survival does not
+	// need it, the OS page cache persists.
 	PersistHook func(point string) bool
-	PersistSync bool
 }
 
 func (o Options) withDefaults() Options {

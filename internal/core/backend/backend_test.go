@@ -384,7 +384,7 @@ func TestOverflowSideTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Overflowed() {
+	if dec.Flags&layout.OverflowFlag == 0 {
 		t.Error("overflow bit not set")
 	}
 }
@@ -670,6 +670,32 @@ func TestCountersAddSumsEveryField(t *testing.T) {
 	for i := 0; i < av.NumField(); i++ {
 		if got, want := av.Field(i).Uint(), uint64(101*(i+1)); got != want {
 			t.Errorf("Counters.Add: %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// TestCountersReachStats sets each Counters field alone and expects the
+// Stats snapshot built from it to differ from the empty one, so a counter
+// added to Counters and carried nowhere — invisible to every operator
+// surface, as CorruptPurged was — fails here by name, unless it is listed
+// with the reason it stays in the process.
+func TestCountersReachStats(t *testing.T) {
+	stays := map[string]string{
+		"SetsApplied":   "read in-process (bench's backend.sets_applied_ratio, the mutation tests); VersionRejects is the operator's view of the attempted/applied gap",
+		"ErasesApplied": "as SetsApplied",
+		"CasApplied":    "as SetsApplied; a lost CAS is a result the client sees, not an operator signal",
+	}
+	typ := reflect.TypeOf(Counters{})
+	for i := 0; i < typ.NumField(); i++ {
+		var c Counters
+		reflect.ValueOf(&c).Elem().Field(i).SetUint(1)
+		name := typ.Field(i).Name
+		reached := !reflect.DeepEqual(c.stats(), proto.StatsResp{})
+		switch _, listed := stays[name]; {
+		case reached && listed:
+			t.Errorf("Counters.%s reaches StatsResp but is still listed as staying in-process", name)
+		case !reached && !listed:
+			t.Errorf("Counters.%s reaches no StatsResp field: carry it in Counters.stats or list why not", name)
 		}
 	}
 }

@@ -257,12 +257,12 @@ func TestEveryPublishIsTeed(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(r)
 			}
-			before, _ := r.b.PersistStore().Depth()
+			before, _ := r.b.persist.Load().Depth()
 			r.b.journalStart()
 			v := r.v()
 			applied := tc.op(r, v)
 			keys := r.b.journalSwap()
-			after, _ := r.b.PersistStore().Depth()
+			after, _ := r.b.persist.Load().Depth()
 			if applied != tc.want {
 				t.Fatalf("applied = %v, want %v", applied, tc.want)
 			}

@@ -85,7 +85,6 @@ func (b *Backend) noteRecoverySettle() {
 func (b *Backend) openPersist() error {
 	store, rec, err := persist.Open(b.opt.DataDir, b.opt.Shard, persist.Options{
 		Hook: b.opt.PersistHook,
-		Sync: b.opt.PersistSync,
 	})
 	if err != nil {
 		return err
@@ -211,10 +210,6 @@ func (b *Backend) persistReset() {
 		_ = p.Reset()
 	}
 }
-
-// PersistStore exposes the durable store (tests, telemetry); nil when the
-// backend runs memory-only.
-func (b *Backend) PersistStore() *persist.Store { return b.persist.Load() }
 
 // RecoveryStats is the backend's durable-restart telemetry, served via
 // MethodStats.

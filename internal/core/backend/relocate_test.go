@@ -66,7 +66,7 @@ func TestDrainMovesWithoutPublishing(t *testing.T) {
 	}
 	before, resident := b.CountersSnapshot(), b.Len()
 	freeBefore := b.data.Load().alloc.Stats().FreeSlabs
-	records, _ := b.PersistStore().Depth()
+	records, _ := b.persist.Load().Depth()
 	b.journalStart()
 
 	evicted := 0
@@ -87,7 +87,7 @@ func TestDrainMovesWithoutPublishing(t *testing.T) {
 	if keys := b.journalSwap(); len(keys) != 0 {
 		t.Errorf("moves noted handoff-journal keys %q", keys)
 	}
-	if now, _ := b.PersistStore().Depth(); now != records {
+	if now, _ := b.persist.Load().Depth(); now != records {
 		t.Errorf("moves appended %d durable records", now-records)
 	}
 	for i := range b.stripes {

@@ -195,81 +195,7 @@ func (b *Backend) registerHandlers() {
 	})
 
 	s.Handle(proto.MethodStats, func(_ context.Context, _ string, _ []byte) ([]byte, error) {
-		c := b.CountersSnapshot()
-		stripeOps := b.StripeOps()
-		var maxOps, totalOps uint64
-		for _, ops := range stripeOps {
-			totalOps += ops
-			if ops > maxOps {
-				maxOps = ops
-			}
-		}
-		var pendingShards uint64
-		if p := b.store.Get().Pending; p != nil {
-			pendingShards = uint64(p.Shards)
-		}
-		rec := b.RecoveryStatsSnapshot()
-		ssat := b.StripeSaturation()
-		rsat := s.Saturation()
-		nsat := b.NICSat()
-		// Stats scrapes double as a promotion heartbeat for workloads
-		// that never send touch batches (MSG/RPC-only clients).
-		b.maybeEvalHot()
-		hotEpoch, hotKeys := b.HotSnapshot()
-		slabs := b.data.Load().alloc.Stats()
-		return proto.StatsResp{
-			Shard:          b.Shard(),
-			Sealed:         b.Sealed(),
-			ResidentKeys:   uint64(b.Len()),
-			MemoryBytes:    uint64(b.MemoryBytes()),
-			Sets:           c.Sets,
-			Gets:           c.Gets,
-			Evictions:      c.CapacityEvictions + c.AssocEvictions,
-			IndexResizes:   c.IndexResizes,
-			DataGrows:      c.DataGrows,
-			RepairsIssued:  c.RepairsIssued,
-			VersionRejects: c.VersionRejects,
-			Stripes:        uint64(len(stripeOps)),
-			StripeMaxOps:   maxOps,
-			StripeTotalOps: totalOps,
-			HeatTracked:    uint64(b.heat.Tracked()),
-			HeatTotal:      b.heat.Total(),
-			HandoffSealed:  b.HandoffSealed(),
-			PendingShards:  pendingShards,
-
-			CkptEpoch:       rec.CkptEpoch,
-			CkptUnixNano:    uint64(rec.CkptUnixNano),
-			JournalRecords:  rec.JournalRecords,
-			JournalBytes:    rec.JournalBytes,
-			RecoveredKeys:   rec.RecoveredKeys,
-			ReplayedRecords: rec.ReplayedRecords,
-			SelfValidated:   rec.SelfValidated,
-			Recovering:      rec.Recovering,
-
-			StripeContended:   ssat.Contended,
-			StripeWaitNs:      ssat.WaitNs,
-			StripeHeldNs:      ssat.HeldNs,
-			StripeHeldSampled: ssat.HeldSampled,
-			RPCWorkerLimit:    rsat.WorkerLimit,
-			RPCWorkersBusy:    rsat.WorkersBusy,
-			RPCQueuedSubmits:  rsat.QueuedSubmits,
-			RPCSubmitWaitNs:   rsat.SubmitWaitNs,
-			RPCQueuedCalls:    rsat.QueuedCalls,
-			RPCQueueNs:        rsat.QueueNs,
-			RPCRhoMilli:       rsat.RhoMilli,
-			NICEngines:        nsat.Engines,
-			NICRhoMilli:       nsat.RhoMilli,
-			NICQueueNs:        nsat.QueueNs,
-			NICOps:            nsat.Ops,
-
-			HotEpoch: hotEpoch,
-			HotKeys:  hotKeys,
-
-			SlabDrains:    c.SlabDrains,
-			EntriesMoved:  c.EntriesMoved,
-			DataFragMilli: uint64(slabs.InternalFrag * 1000),
-			DataTailBytes: uint64(slabs.TailBytes),
-		}.Marshal(), nil
+		return b.Stats().Marshal(), nil
 	})
 
 	s.Handle(proto.MethodDebug, func(_ context.Context, _ string, req []byte) ([]byte, error) {
@@ -277,46 +203,7 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		var resp proto.DebugResp
-		if t := b.tracer.Load(); t != nil {
-			snap := t.Snapshot(r.MaxSlow)
-			resp.OpsTotal = snap.Ops
-			resp.SlowTotal = snap.SlowTotal
-			resp.SlowThresholdNs = snap.SlowThresholdNs
-			for _, h := range snap.Hists {
-				resp.Hists = append(resp.Hists, proto.DebugHist{
-					Kind: h.Kind.String(), Transport: h.Transport.String(),
-					Count: h.Count, MeanNs: h.MeanNs,
-					P50Ns: h.P50Ns, P90Ns: h.P90Ns,
-					P99Ns: h.P99Ns, P999Ns: h.P999Ns, MaxNs: h.MaxNs,
-					SumNs: h.SumNs, Buckets: h.Buckets,
-				})
-			}
-			resp.SlowOps = debugOps(snap.Slow)
-			resp.Exemplars = debugOps(snap.Exemplars)
-			for _, hz := range snap.Hazards {
-				resp.Hazards = append(resp.Hazards, proto.DebugHazard{Name: hz.Name, Count: hz.Count})
-			}
-			for _, rh := range snap.Health {
-				resp.Health = append(resp.Health, proto.DebugHealth{
-					Addr: rh.Addr, ScoreMilli: uint64(rh.Score * 1000), Demoted: rh.Demoted,
-				})
-			}
-		}
-		if b.acct != nil {
-			for _, comp := range b.acct.Components() {
-				resp.CPU = append(resp.CPU, proto.DebugCPU{
-					Component: comp,
-					TotalNs:   b.acct.TotalNanos(comp),
-					Ops:       b.acct.OpCount(comp),
-				})
-			}
-		}
-		for _, hk := range b.heat.TopN(debugHotKeys) {
-			resp.HotKeys = append(resp.HotKeys, proto.DebugHotKey{Key: hk.Key, Count: hk.Count, Err: hk.Err})
-		}
-		resp.StripeHeat = b.StripeOps()
-		return resp.Marshal(), nil
+		return b.Debug(r.MaxSlow).Marshal(), nil
 	})
 
 	s.Handle(proto.MethodHealth, func(_ context.Context, _ string, _ []byte) ([]byte, error) {
@@ -364,17 +251,96 @@ func (b *Backend) registerHandlers() {
 	})
 }
 
-// debugOps converts tracer records to their wire form.
-func debugOps(recs []trace.OpRecord) []proto.DebugOp {
-	out := make([]proto.DebugOp, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, proto.DebugOp{
-			ID: r.ID, Kind: r.Kind.String(), Transport: r.Transport.String(),
-			Attempts: r.Attempts, Ns: r.Ns, Bytes: r.Bytes, WallNs: r.WallNs,
-			Spans: r.Spans,
-		})
+// The two telemetry snapshot functions. Each is the whole body of its RPC
+// method, and is also called directly — by the cell's own /metrics
+// exposition and the loadwall probe — so a reader inside the process sees
+// exactly what a scrape over the wire does, without billing the RPC
+// framework it reports on.
+
+// Stats snapshots the task's counters, gauges and saturation telemetry
+// (MethodStats). A new counter is one StatsResp field, one line here (or
+// in Counters.stats), and one row of fleet.Columns.
+func (b *Backend) Stats() proto.StatsResp {
+	st := b.CountersSnapshot().stats()
+	st.Shard, st.Sealed, st.HandoffSealed = b.Shard(), b.Sealed(), b.HandoffSealed()
+	st.ResidentKeys, st.MemoryBytes = uint64(b.Len()), uint64(b.MemoryBytes())
+	if p := b.store.Get().Pending; p != nil {
+		st.PendingShards = uint64(p.Shards)
 	}
-	return out
+
+	stripeOps := b.StripeOps()
+	st.Stripes = uint64(len(stripeOps))
+	for _, ops := range stripeOps {
+		st.StripeTotalOps += ops
+		st.StripeMaxOps = max(st.StripeMaxOps, ops)
+	}
+	st.HeatTracked, st.HeatTotal = uint64(b.heat.Tracked()), b.heat.Total()
+	// Stats scrapes double as a promotion heartbeat for workloads
+	// that never send touch batches (MSG/RPC-only clients).
+	b.maybeEvalHot()
+	st.HotEpoch, st.HotKeys = b.HotSnapshot()
+
+	rec := b.RecoveryStatsSnapshot()
+	st.CkptEpoch, st.CkptUnixNano = rec.CkptEpoch, uint64(rec.CkptUnixNano)
+	st.JournalRecords, st.JournalBytes = rec.JournalRecords, rec.JournalBytes
+	st.RecoveredKeys, st.ReplayedRecords = rec.RecoveredKeys, rec.ReplayedRecords
+	st.SelfValidated, st.Recovering = rec.SelfValidated, rec.Recovering
+
+	ssat := b.stripeSaturation()
+	st.StripeContended, st.StripeWaitNs = ssat.Contended, ssat.WaitNs
+	st.StripeHeldNs, st.StripeHeldSampled = ssat.HeldNs, ssat.HeldSampled
+	rsat := b.srv.Saturation()
+	st.RPCWorkerLimit, st.RPCWorkersBusy, st.RPCRhoMilli = rsat.WorkerLimit, rsat.WorkersBusy, rsat.RhoMilli
+	st.RPCQueuedSubmits, st.RPCSubmitWaitNs = rsat.QueuedSubmits, rsat.SubmitWaitNs
+	st.RPCQueuedCalls, st.RPCQueueNs = rsat.QueuedCalls, rsat.QueueNs
+	nsat := b.NICSat()
+	st.NICEngines, st.NICRhoMilli, st.NICQueueNs, st.NICOps = nsat.Engines, nsat.RhoMilli, nsat.QueueNs, nsat.Ops
+
+	slabs := b.data.Load().alloc.Stats()
+	st.DataFragMilli, st.DataTailBytes = uint64(slabs.InternalFrag*1000), uint64(slabs.TailBytes)
+	return st
+}
+
+// stats starts a Stats snapshot from the op counters. Every Counters field
+// lands here or on the reflection test's skip list, with its reason.
+func (c Counters) stats() proto.StatsResp {
+	return proto.StatsResp{
+		Sets:           c.Sets,
+		Gets:           c.Gets,
+		Erases:         c.Erases,
+		CasOps:         c.CasOps,
+		Touches:        c.Touches,
+		Evictions:      c.CapacityEvictions + c.AssocEvictions,
+		Overflows:      c.Overflows,
+		CorruptPurged:  c.CorruptPurged,
+		IndexResizes:   c.IndexResizes,
+		DataGrows:      c.DataGrows,
+		RepairsIssued:  c.RepairsIssued,
+		VersionRejects: c.VersionRejects,
+		SlabDrains:     c.SlabDrains,
+		EntriesMoved:   c.EntriesMoved,
+	}
+}
+
+// Debug snapshots the cell's op tracer (when attached), this task's CPU
+// accounts, heavy-hitter sketch and per-stripe op counts (MethodDebug).
+// maxSlow bounds the slow-op log; ≤ 0 means all retained.
+func (b *Backend) Debug(maxSlow int) proto.DebugResp {
+	var resp proto.DebugResp
+	if t := b.tracer.Load(); t != nil {
+		snap := t.Snapshot(maxSlow)
+		resp = proto.DebugResp{
+			OpsTotal: snap.Ops, SlowTotal: snap.SlowTotal, SlowThresholdNs: snap.SlowThresholdNs,
+			Hists: snap.Hists, SlowOps: snap.Slow, Exemplars: snap.Exemplars,
+			Hazards: snap.Hazards, Health: snap.Health,
+		}
+	}
+	if b.acct != nil {
+		resp.CPU = b.acct.Rows()
+	}
+	resp.HotKeys = b.heat.TopN(debugHotKeys)
+	resp.StripeHeat = b.StripeOps()
+	return resp
 }
 
 // HandleMsg serves the two-sided MSG lookup strategy (Figure 7) delivered

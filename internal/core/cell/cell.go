@@ -11,7 +11,6 @@ package cell
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -271,60 +270,6 @@ func (c *Cell) PonyEngines() []int {
 		}
 	}
 	return out
-}
-
-// WriteSaturationProm renders every task's saturation plane as
-// Prometheus text exposition: RPC worker occupancy and modelled
-// admission ρ, stripe-lock contention, and serving-NIC engine queueing
-// — the same telemetry MethodStats exports and the cmstat SATURATION
-// table renders. Gauges are instantaneous; *_total counters are
-// cumulative per task lifetime and reset when the task restarts.
-func (c *Cell) WriteSaturationProm(w io.Writer) {
-	c.mu.Lock()
-	nodes := make([]*node, len(c.nodes))
-	copy(nodes, c.nodes)
-	c.mu.Unlock()
-	fmt.Fprintf(w, "# TYPE cliquemap_rpc_workers gauge\n")
-	for _, n := range nodes {
-		s := n.b.Server().Saturation()
-		fmt.Fprintf(w, "cliquemap_rpc_workers{task=%q,state=\"busy\"} %d\n", n.b.Addr(), s.WorkersBusy)
-		fmt.Fprintf(w, "cliquemap_rpc_workers{task=%q,state=\"limit\"} %d\n", n.b.Addr(), s.WorkerLimit)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_rpc_utilization gauge\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "cliquemap_rpc_utilization{task=%q} %g\n",
-			n.b.Addr(), float64(n.b.Server().Saturation().RhoMilli)/1000)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_rpc_queue_seconds_total counter\n")
-	for _, n := range nodes {
-		s := n.b.Server().Saturation()
-		fmt.Fprintf(w, "cliquemap_rpc_queue_seconds_total{task=%q} %g\n",
-			n.b.Addr(), float64(s.SubmitWaitNs+s.QueueNs)/1e9)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_stripe_lock_contended_total counter\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "cliquemap_stripe_lock_contended_total{task=%q} %d\n",
-			n.b.Addr(), n.b.StripeSaturation().Contended)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_stripe_lock_wait_seconds_total counter\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "cliquemap_stripe_lock_wait_seconds_total{task=%q} %g\n",
-			n.b.Addr(), float64(n.b.StripeSaturation().WaitNs)/1e9)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_nic_engines gauge\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "cliquemap_nic_engines{task=%q} %d\n", n.b.Addr(), n.b.NICSat().Engines)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_nic_utilization gauge\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "cliquemap_nic_utilization{task=%q} %g\n",
-			n.b.Addr(), float64(n.b.NICSat().RhoMilli)/1000)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_nic_queue_seconds_total counter\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "cliquemap_nic_queue_seconds_total{task=%q} %g\n",
-			n.b.Addr(), float64(n.b.NICSat().QueueNs)/1e9)
-	}
 }
 
 // TotalMemoryBytes sums every task's populated DRAM (Figure 3).

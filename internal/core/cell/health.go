@@ -1,8 +1,11 @@
 package cell
 
 import (
+	"time"
+
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fleet"
 	"cliquemap/internal/health"
 )
 
@@ -18,7 +21,7 @@ import (
 func (c *Cell) Health() *health.Plane {
 	c.healthOnce.Do(func() {
 		plane := health.NewPlane(c.opt.Health, c.Fabric.NowNs)
-		src := func() []byte { return HealthWire(plane.Evaluate()).Marshal() }
+		src := func() []byte { return healthWire(plane.Evaluate()).Marshal() }
 		c.mu.Lock()
 		c.healthPlane = plane
 		c.healthSrc = src
@@ -83,10 +86,30 @@ func (c *Cell) Prober() *health.Prober {
 	return c.prober
 }
 
-// HealthWire converts an evaluated health snapshot into its MethodHealth
+// Scrape assembles the cell's own telemetry scrape — the parts of the
+// record cmstat builds over RPC (fleet.ScrapeCell) that an exposition page
+// renders — straight from the snapshot functions behind those RPC methods:
+// every task's Stats (idle spares included), the tracer and CPU accounts
+// from the first task, the evaluated health plane. It is what cmcell's
+// /metrics serves; it deliberately does not go through rpc.Client, which
+// would bill the CPU account and tracer it reports.
+func (c *Cell) Scrape(now time.Time) fleet.CellScrape {
+	nodes := c.Nodes()
+	cs := fleet.CellScrape{At: now, Stats: make(map[string]proto.StatsResp, len(nodes))}
+	for _, b := range nodes {
+		cs.Stats[b.Addr()] = b.Stats()
+	}
+	if len(nodes) > 0 {
+		cs.Debug, cs.DebugOK = nodes[0].Debug(1), true // the page renders no slow-op log
+	}
+	cs.Health, cs.HealthOK = healthWire(c.Health().Evaluate()), true
+	return cs
+}
+
+// healthWire converts an evaluated health snapshot into its MethodHealth
 // wire frame: states as display strings, burn rates in milli-units,
 // availability objectives in parts-per-million.
-func HealthWire(s health.Snapshot) proto.HealthResp {
+func healthWire(s health.Snapshot) proto.HealthResp {
 	r := proto.HealthResp{GeneratedNs: s.GeneratedNs, Rounds: s.Rounds}
 	for _, cl := range s.Classes {
 		r.Classes = append(r.Classes, proto.HealthClass{

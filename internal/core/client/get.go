@@ -328,20 +328,14 @@ func (c *Client) rpcGetAny(ctx context.Context, key []byte) (proto.GetResp, fabr
 	return proto.GetResp{}, tr, lastErr
 }
 
-// GetVersioned is a single-replica RPC lookup returning the stored value
-// and its version. It is the federation tier's follower-read primitive:
-// the version lets a non-owner cell revalidate a cached entry against
-// the owner, and a single replica (no quorum) is acceptable because the
-// tier bounds staleness and revalidates. Not a substitute for Get on the
-// quorum read path.
-func (c *Client) GetVersioned(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, error) {
-	v, ver, found, _, err := c.GetVersionedTraced(ctx, key)
-	return v, ver, found, err
-}
-
-// GetVersionedTraced is GetVersioned plus the op's modelled latency
-// trace, so a tier edge can fold the owner cell's revalidation legs into
-// the federated op's single trace.
+// GetVersionedTraced is a single-replica RPC lookup returning the stored
+// value, its version, and the op's modelled latency trace. It is the
+// federation tier's follower-read primitive: the version lets a non-owner
+// cell revalidate a cached entry against the owner, a single replica (no
+// quorum) is acceptable because the tier bounds staleness and
+// revalidates, and the trace lets the tier edge fold the owner cell's
+// revalidation legs into the federated op's single trace. Not a
+// substitute for Get on the quorum read path.
 func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
 	var total fabric.OpTrace
 	var lastErr error

@@ -279,7 +279,7 @@ func (c *Client) noteReplicaFailure(addr string) {
 	}
 	score, dem := c.health.noteFailure(addr)
 	if c.opt.Tracer != nil {
-		c.opt.Tracer.SetReplicaHealth(addr, float64(score)/1000, dem)
+		c.opt.Tracer.SetReplicaHealth(addr, uint64(score), dem)
 	}
 }
 
@@ -290,7 +290,7 @@ func (c *Client) noteReplicaSuccess(addr string) {
 	}
 	score, dem, changed := c.health.noteSuccess(addr)
 	if changed && c.opt.Tracer != nil {
-		c.opt.Tracer.SetReplicaHealth(addr, float64(score)/1000, dem)
+		c.opt.Tracer.SetReplicaHealth(addr, uint64(score), dem)
 	}
 }
 

@@ -186,9 +186,6 @@ type Bucket struct {
 	Entries  []IndexEntry
 }
 
-// Overflowed reports the RPC-fallback overflow bit (§4.2).
-func (b Bucket) Overflowed() bool { return b.Flags&OverflowFlag != 0 }
-
 // DecodeBucket parses a raw bucket of the given associativity into a
 // Bucket. It is the reference decoder: the serving paths scan buckets in
 // place through RawBucket, and tests hold the two to the same answers.
@@ -298,14 +295,9 @@ func DataEntrySize(keyLen, valLen int) int {
 	return DataEntryHeaderSize + keyLen + valLen
 }
 
-// EntryChecksum computes the self-validation checksum over key, value, and
-// version metadata (uncompressed entries).
-func EntryChecksum(key, value []byte, v truetime.Version) uint64 {
-	return EntryChecksumF(key, value, v, 0)
-}
-
-// EntryChecksumF is EntryChecksum with the entry's flag word folded in, so
-// a torn or flipped compression flag also fails validation.
+// EntryChecksumF computes the self-validation checksum over key, value,
+// version metadata and the entry's flag word, so a torn or flipped
+// compression flag also fails validation.
 func EntryChecksumF(key, value []byte, v truetime.Version, flags uint64) uint64 {
 	return checksum.SumMeta(key, value, uint64(v.Micros), v.ClientID, v.Seq, flags)
 }

@@ -108,7 +108,7 @@ func TestBucketEncodeDecodeFind(t *testing.T) {
 	if b.ConfigID != 77 {
 		t.Errorf("config id = %d", b.ConfigID)
 	}
-	if !b.Overflowed() {
+	if b.Flags&OverflowFlag == 0 {
 		t.Error("overflow flag lost")
 	}
 	got, slot, ok := b.Find(want.Hash)
@@ -243,8 +243,8 @@ func TestValidateAgainst(t *testing.T) {
 
 func TestEntryChecksumVersionSensitive(t *testing.T) {
 	k, val := []byte("k"), []byte("v")
-	a := EntryChecksum(k, val, truetime.Version{Micros: 1})
-	b := EntryChecksum(k, val, truetime.Version{Micros: 2})
+	a := EntryChecksumF(k, val, truetime.Version{Micros: 1}, 0)
+	b := EntryChecksumF(k, val, truetime.Version{Micros: 2}, 0)
 	if a == b {
 		t.Error("checksum insensitive to version")
 	}

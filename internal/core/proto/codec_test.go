@@ -147,6 +147,37 @@ var goldenFrames = []struct {
 		"010408091080011a120a02757310e80718e80722026f6b30c8a9141a160a02657510fa0118e807220470616765280130" +
 			"98e3061a120a0461736961100018002204646561643000"},
 
+	// Frames captured at the commit before the telemetry records moved to
+	// their producers (DebugHist & co. became aliases of trace / stats
+	// types) and StatsResp grew tags 48–52: the data-region tags 44–47 set,
+	// a spare's negative shard, and every Debug list populated.
+	{StatsResp{
+		Shard: -1, ResidentKeys: 26_112, MemoryBytes: 32 << 20, Sets: 70_000, Gets: 1 << 33,
+		Evictions: 43_888, RepairsIssued: 2, Stripes: 64, StripeMaxOps: 9_000, StripeTotalOps: 95_000,
+		RPCWorkerLimit: 64, NICEngines: 1, NICOps: 1 << 40,
+		SlabDrains: 21, EntriesMoved: 1900, DataFragMilli: 153, DataTailBytes: 64 << 10},
+		anyDecoder(UnmarshalStatsResp),
+		"0104080110001880cc01208080801028f0a20430808080802038f0d6024000480050025800604068a8467098e6057800" +
+			"800100880100900100980100a00100a80100b00100b80100c00100c80100d00100d80100e00100e80100f00100f80140" +
+			"800200880200900200980200a00200a80200b00201b80200c00200c802808080808020d00200e00215e802ec0ef00299" +
+			"01f802808004"},
+	{DebugResp{
+		OpsTotal: 1 << 34, SlowTotal: 1,
+		Hists: []DebugHist{{Kind: "ERASE", Transport: "MSG", Count: 3, MeanNs: 11, P50Ns: 10, P90Ns: 12, P99Ns: 12, P999Ns: 12,
+			MaxNs: 13, SumNs: 35, Buckets: []stats.HistBucket{{Index: 10, Count: 1}, {Index: 12, Count: 2}}}},
+		CPU: []DebugCPU{{Component: "rpc-server", TotalNs: 1, Ops: 1}, {Component: "handler"}},
+		Exemplars: []DebugOp{{ID: 1 << 40, Kind: "OTHER", Transport: "RPC", WallNs: 1_700_000_000_000_000_000,
+			Spans: []fabric.Span{{Code: 22, Arg: 870, Start: 1, Dur: 2}}}},
+		Hazards:    []DebugHazard{{Name: "nic-delay", Count: 1 << 20}},
+		Health:     []DebugHealth{{Addr: "spare-0", ScoreMilli: 1}},
+		HotKeys:    []DebugHotKey{{Key: "\xff\xfe", Count: 1, Err: 1}},
+		StripeHeat: []uint64{1 << 50}},
+		anyDecoder(UnmarshalDebugResp),
+		"01040880808080401001180022280a05455241534512034d53471803200b280a300c380c400c480d50235a04080a1001" +
+			"5a04080c10022a100a0a7270632d736572766572100118012a0d0a0768616e646c6572100018003a2e08808080808020" +
+			"12054f544845521a03525043200028003000388080d0e2c6bfce972f4209081610e60618012002420f0a096e69632d64" +
+			"656c6179108080404a0b0a0773706172652d30100152080a02fffe10011801588080808080808002"},
+
 	// The same messages with every field zero, one empty element per nested
 	// list: which zeros still travel and which (omitzero) do not.
 	{HelloResp{}, anyDecoder(UnmarshalHelloResp),
@@ -199,6 +230,40 @@ func TestGoldenFrames(t *testing.T) {
 		if again := got.Marshal(); !bytes.Equal(again, frame) {
 			t.Errorf("%s: re-encoded frame differs from the parent's:\n got  %x\n want %x", name, again, frame)
 		}
+	}
+}
+
+// TestOldDecoderSkipsNewStatsTags decodes a frame carrying the additive
+// tags 48–52 with the schema as it stood before them — StatsResp's own
+// fields cut off at tag 47 — and expects every older field intact: a cmstat
+// built before the tags reads a new backend's frame as it always did.
+func TestOldDecoderSkipsNewStatsTags(t *testing.T) {
+	cur := StatsResp{Shard: -1, Sealed: true, Gets: 9000, NICOps: 88_000, HotKeys: [][]byte{[]byte("hot")},
+		DataTailBytes: 64 << 10, Erases: 300, CasOps: 200, Overflows: 2, Touches: 640, CorruptPurged: 1}
+	typ := reflect.TypeOf(cur)
+	var older []reflect.StructField
+	for i := 0; i < typ.NumField(); i++ {
+		if n, _ := strconv.Atoi(strings.Split(typ.Field(i).Tag.Get("wire"), ",")[0]); n <= 47 {
+			older = append(older, typ.Field(i))
+		}
+	}
+	if len(older) != 47 {
+		t.Fatalf("schema through tag 47 has %d fields", len(older))
+	}
+	old := reflect.New(reflect.StructOf(older))
+	if err := wire.Unmarshal(cur.Marshal(), old.Interface()); err != nil {
+		t.Fatalf("old decoder on a new frame: %v", err)
+	}
+	for _, f := range older {
+		if got, want := old.Elem().FieldByName(f.Name).Interface(), reflect.ValueOf(cur).FieldByName(f.Name).Interface(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: old decoder read %v, sent %v", f.Name, got, want)
+		}
+	}
+	// And the other direction: a frame from a sender that predates the tags
+	// leaves them zero.
+	cur.Erases, cur.CasOps, cur.Overflows, cur.Touches, cur.CorruptPurged = 0, 0, 0, 0, 0
+	if got, err := UnmarshalStatsResp(wire.Marshal(old.Interface())); err != nil || !reflect.DeepEqual(got, cur) {
+		t.Errorf("old sender's frame decoded to %+v (err %v), want %+v", got, err, cur)
 	}
 }
 
@@ -369,7 +434,7 @@ func TestSchemaLint(t *testing.T) {
 	}
 	// A tag literal cannot name a constant, so the two hostile-frame caps
 	// are spelled as numbers; hold them to the constants they stand for.
-	want := map[string]int{"DebugHist.Buckets": stats.NumBuckets, "DebugOp.Spans": trace.MaxWireSpans}
+	want := map[string]int{"HistStat.Buckets": stats.NumBuckets, "OpRecord.Spans": trace.MaxWireSpans}
 	if !reflect.DeepEqual(caps, want) {
 		t.Errorf("max= caps are %v, want %v", caps, want)
 	}

@@ -1,8 +1,8 @@
 package proto
 
 import (
-	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
+	"cliquemap/internal/trace"
 	"cliquemap/internal/wire"
 )
 
@@ -27,68 +27,16 @@ func (r DebugReq) Marshal() []byte { return wire.Marshal(r) }
 // UnmarshalDebugReq decodes the request.
 func UnmarshalDebugReq(b []byte) (DebugReq, error) { return decode[DebugReq](b) }
 
-// DebugHist summarizes one kind/transport latency histogram. SumNs and
-// Buckets (added after initial deployment — additive tags, absent from
-// old senders) carry the raw log-linear distribution so a fleet
-// aggregator can merge per-cell histograms into true fleet percentiles
-// instead of averaging quantiles. A received frame keeps at most
-// stats.NumBuckets buckets: a histogram has no more.
-type DebugHist struct {
-	Kind      string             `wire:"1"`
-	Transport string             `wire:"2"`
-	Count     uint64             `wire:"3"`
-	MeanNs    uint64             `wire:"4"`
-	P50Ns     uint64             `wire:"5"`
-	P90Ns     uint64             `wire:"6"`
-	P99Ns     uint64             `wire:"7"`
-	P999Ns    uint64             `wire:"8"`
-	MaxNs     uint64             `wire:"9"`
-	SumNs     uint64             `wire:"10"`
-	Buckets   []stats.HistBucket `wire:"11,max=1024"`
-}
-
-// DebugCPU is one component's CPU account.
-type DebugCPU struct {
-	Component string `wire:"1"`
-	TotalNs   uint64 `wire:"2"`
-	Ops       uint64 `wire:"3"`
-}
-
-// DebugOp is one retained op trace. A received frame keeps at most
-// trace.MaxWireSpans spans.
-type DebugOp struct {
-	ID        uint64        `wire:"1"`
-	Kind      string        `wire:"2"`
-	Transport string        `wire:"3"`
-	Attempts  uint32        `wire:"4"`
-	Ns        uint64        `wire:"5"`
-	Bytes     uint64        `wire:"6"`
-	WallNs    int64         `wire:"7,zigzag"`
-	Spans     []fabric.Span `wire:"8,max=4096"`
-}
-
-// DebugHazard is one chaos hazard class's injection count.
-type DebugHazard struct {
-	Name  string `wire:"1"`
-	Count uint64 `wire:"2"`
-}
-
-// DebugHealth is one backend's client-observed health gauge. Score
-// travels in milli-units (0..1000) to stay integer on the wire.
-type DebugHealth struct {
-	Addr       string `wire:"1"`
-	ScoreMilli uint64 `wire:"2"`
-	Demoted    bool   `wire:"3,omitzero"`
-}
-
-// DebugHotKey is one entry of the backend's space-saving top-k sketch:
-// an (over-)estimated access count and the bound on the over-estimate
-// (≤ N/k), so consumers can judge how trustworthy the ranking is.
-type DebugHotKey struct {
-	Key   string `wire:"1"`
-	Count uint64 `wire:"2"`
-	Err   uint64 `wire:"3"`
-}
+// The snapshot's records are declared — wire tags included — where they
+// are produced; these names are the schema's view of them.
+type (
+	DebugHist   = trace.HistStat      // one kind/transport latency summary
+	DebugCPU    = stats.CPURow        // one component's CPU account
+	DebugOp     = trace.OpRecord      // one retained op trace
+	DebugHazard = trace.HazardCount   // one chaos hazard class's injection count
+	DebugHealth = trace.ReplicaHealth // one backend's client-observed health gauge
+	DebugHotKey = stats.HotKey        // one entry of the backend's space-saving top-k sketch
+)
 
 // DebugResp is the tracer snapshot.
 type DebugResp struct {

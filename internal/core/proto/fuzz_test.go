@@ -393,12 +393,17 @@ func FuzzStatsResp(f *testing.F) {
 		NICEngines: 4, NICRhoMilli: 930, NICQueueNs: 1_234_567, NICOps: 88_000,
 		HotEpoch: 5, HotKeys: [][]byte{[]byte("hot"), {0x00, 0x01}},
 		SlabDrains: 21, EntriesMoved: 1900, DataFragMilli: 153, DataTailBytes: 64 << 10,
+		Erases: 300, CasOps: 200, Overflows: 2, Touches: 640, CorruptPurged: 1,
 	}.Marshal())
 	// Hostile saturation tags: every new field maxed, plus the hot-key
-	// promotion tags (42/43) with a maxed epoch and a binary key, plus an
-	// unknown tag beyond the current ceiling (forward compatibility).
+	// promotion tags (42/43) with a maxed epoch and a binary key, the op and
+	// fault counters (48–52) maxed, plus an unknown tag beyond the current
+	// ceiling (forward compatibility).
 	e := wire.NewEncoder()
 	for tag := uint64(27); tag <= 41; tag++ {
+		e.Uint(tag, ^uint64(0))
+	}
+	for tag := uint64(48); tag <= 52; tag++ {
 		e.Uint(tag, ^uint64(0))
 	}
 	e.Uint(42, ^uint64(0))

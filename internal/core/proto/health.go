@@ -22,9 +22,6 @@ type HealthReq struct{}
 // Marshal encodes the request.
 func (r HealthReq) Marshal() []byte { return wire.Marshal(r) }
 
-// UnmarshalHealthReq decodes the request.
-func UnmarshalHealthReq(b []byte) (HealthReq, error) { return decode[HealthReq](b) }
-
 // HealthClass is one op class's evaluated SLO state.
 type HealthClass struct {
 	Class           string `wire:"1"`

@@ -743,6 +743,14 @@ type StatsResp struct {
 	EntriesMoved  uint64 `wire:"45,omitzero"`
 	DataFragMilli uint64 `wire:"46,omitzero"`
 	DataTailBytes uint64 `wire:"47,omitzero"`
+	// The op and fault counters that rode no tag before: ERASE and CAS
+	// attempts, SETs that overflowed their bucket to the RPC fallback,
+	// access records ingested, and entries purged on a failed checksum.
+	Erases        uint64 `wire:"48,omitzero"`
+	CasOps        uint64 `wire:"49,omitzero"`
+	Overflows     uint64 `wire:"50,omitzero"`
+	Touches       uint64 `wire:"51,omitzero"`
+	CorruptPurged uint64 `wire:"52,omitzero"`
 }
 
 // Marshal encodes the stats snapshot.

@@ -21,9 +21,6 @@ type TierReq struct{}
 // Marshal encodes the request.
 func (r TierReq) Marshal() []byte { return wire.Marshal(r) }
 
-// UnmarshalTierReq decodes the request.
-func UnmarshalTierReq(b []byte) (TierReq, error) { return decode[TierReq](b) }
-
 // TierCell is one member cell's routing state.
 type TierCell struct {
 	Name        string `wire:"1"`

@@ -99,11 +99,10 @@ func loadwallProbe(c *cell.Cell, clients []*client.Client, stepDurNs uint64) loa
 	collect := func() snap {
 		s := snap{wall: time.Now()}
 		for _, b := range c.Nodes() {
-			ss := b.StripeSaturation()
-			s.stripeWait += ss.WaitNs
-			rs := b.Server().Saturation()
-			s.rpcQueue += rs.QueueNs + rs.SubmitWaitNs
-			s.nicQueue += b.NICSat().QueueNs
+			st := b.Stats() // the snapshot a MethodStats scrape serves
+			s.stripeWait += st.StripeWaitNs
+			s.rpcQueue += st.RPCQueueNs + st.RPCSubmitWaitNs
+			s.nicQueue += st.NICQueueNs
 		}
 		for _, cl := range clients {
 			s.backoff += cl.M.BackoffNs.Value()

@@ -353,12 +353,6 @@ func (h *Host) Backlog() uint64 {
 	return 0
 }
 
-// RTT models a request of reqBytes to dst followed by a response of
-// respBytes back to src, returning the round-trip latency.
-func (f *Fabric) RTT(src, dst int, reqBytes, respBytes int) uint64 {
-	return f.Host(dst).Deliver(reqBytes) + f.Host(src).Deliver(respBytes)
-}
-
 // Span is one attributed slice of an operation's timeline: which layer
 // the time went to (engine service, quorum wait, stripe lock, …) and how
 // long it took. Start is the ns offset from the owning trace's origin.

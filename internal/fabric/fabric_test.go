@@ -104,14 +104,6 @@ func TestBacklogDrainsOverTime(t *testing.T) {
 	}
 }
 
-func TestRTTSumsBothLegs(t *testing.T) {
-	f := New(2, Params{JitterFrac: 1e-9})
-	rtt := f.RTT(0, 1, 100, 4096)
-	if rtt < f.Params().BaseRTTNs {
-		t.Errorf("RTT %d below one base RTT", rtt)
-	}
-}
-
 func TestFrameOverheadPerMTU(t *testing.T) {
 	f := New(1, Params{MTU: 1000, FrameOverhead: 100})
 	if got := f.frameBytes(2500); got != 2500+3*100 {

@@ -10,26 +10,29 @@
 //
 // The aggregator is transport-agnostic: anything with the rpc Call shape
 // (in-process rpc.Client, TCP gateway rpc.TCPClient) scrapes a cell, so
-// the same code serves tests, cmstat -fleet, and embedded monitors. Cells
-// fail independently: a cell that stops answering keeps its last good
-// scrape in the view, marked stale with the time it was last seen, rather
-// than vanishing from the table.
+// the same code serves tests and cmstat -fleet. Cells fail independently:
+// a cell that stops answering keeps its last good scrape in the view,
+// marked stale with the time it was last seen, rather than vanishing from
+// the table.
+//
+// It is also where a scrape is rendered: prom.go is the one Prometheus
+// exposition writer (a cell's page and the fleet's), columns.go the one
+// list of per-task metrics behind cmstat's tables and the page's per-task
+// families.
 package fleet
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
+	"cliquemap/internal/trace"
 )
 
 // Caller is the scrape transport: the Call shape shared by the in-process
@@ -46,9 +49,6 @@ type Target struct {
 
 // Options tunes the aggregator.
 type Options struct {
-	// Interval between scrape rounds for Run; 0 means 2s.
-	Interval time.Duration
-
 	// Now is the wall clock (test hook); nil means time.Now.
 	Now func() time.Time
 }
@@ -78,21 +78,6 @@ type CellScrape struct {
 	Ops   uint64 `json:"ops"`
 	Keys  uint64 `json:"keys"`
 	Bytes uint64 `json:"bytes"`
-}
-
-// MergedHist is one kind/transport latency distribution merged across
-// every contributing cell.
-type MergedHist struct {
-	Kind      string
-	Transport string
-	Count     uint64
-	MeanNs    uint64
-	P50Ns     uint64
-	P90Ns     uint64
-	P99Ns     uint64
-	P999Ns    uint64
-	MaxNs     uint64
-	Cells     int // cells contributing observations
 }
 
 // ClassVerdict rolls one SLO class across the fleet: worst state wins,
@@ -125,9 +110,9 @@ type CellSkew struct {
 type View struct {
 	At      time.Time
 	Round   uint64
-	Cells   []CellScrape // target order
-	Hists   []MergedHist
-	Verdict string // fleet-wide worst SLO state: "ok" | "warn" | "page" | "unknown"
+	Cells   []CellScrape     // target order
+	Hists   []trace.HistStat // one per kind/transport, merged across cells (Cells says how many); no Buckets
+	Verdict string           // fleet-wide worst SLO state: "ok" | "warn" | "page" | "unknown"
 	Classes []ClassVerdict
 	HotKeys []proto.DebugHotKey // global union, hottest first
 	Skew    []CellSkew
@@ -135,7 +120,8 @@ type View struct {
 	RingOK  bool
 }
 
-// Aggregator scrapes a set of cells and maintains the latest merged View.
+// Aggregator scrapes a set of cells into merged Views, remembering each
+// cell's last good scrape between rounds.
 type Aggregator struct {
 	targets []Target
 	opt     Options
@@ -144,15 +130,10 @@ type Aggregator struct {
 	last    map[string]CellScrape // last good scrape per cell
 	prevOps map[string]uint64     // previous round's cumulative ops (skew deltas)
 	round   uint64
-
-	view atomic.Pointer[View]
 }
 
 // New builds an aggregator over the given cells.
 func New(targets []Target, opt Options) *Aggregator {
-	if opt.Interval <= 0 {
-		opt.Interval = 2 * time.Second
-	}
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
@@ -164,27 +145,9 @@ func New(targets []Target, opt Options) *Aggregator {
 	}
 }
 
-// View returns the latest merged view, or nil before the first scrape.
-func (a *Aggregator) View() *View { return a.view.Load() }
-
-// Run scrapes on the configured interval until ctx is done. The first
-// round fires immediately.
-func (a *Aggregator) Run(ctx context.Context) {
-	t := time.NewTicker(a.opt.Interval)
-	defer t.Stop()
-	for {
-		a.ScrapeOnce(ctx)
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
-}
-
-// ScrapeOnce polls every cell once (concurrently), merges, publishes and
-// returns the new view. Unreachable cells contribute their last good
-// scrape, marked stale.
+// ScrapeOnce polls every cell once (concurrently), merges, and returns the
+// new view. Unreachable cells contribute their last good scrape, marked
+// stale.
 func (a *Aggregator) ScrapeOnce(ctx context.Context) *View {
 	now := a.opt.Now()
 	type result struct {
@@ -216,7 +179,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) *View {
 	for _, r := range results {
 		if r.ok {
 			a.last[r.cs.Name] = r.cs
-			opsDelta[r.cs.Name] = r.cs.Ops - minu(a.prevOps[r.cs.Name], r.cs.Ops)
+			opsDelta[r.cs.Name] = r.cs.Ops - min(a.prevOps[r.cs.Name], r.cs.Ops)
 			a.prevOps[r.cs.Name] = r.cs.Ops
 			cells = append(cells, r.cs)
 			continue
@@ -234,16 +197,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) *View {
 	}
 	a.mu.Unlock()
 
-	v := merge(now, round, cells, opsDelta)
-	a.view.Store(v)
-	return v
-}
-
-func minu(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return merge(now, round, cells, opsDelta)
 }
 
 // ScrapeCell polls one cell once — the Config → Stats → Debug → Health →
@@ -399,7 +353,7 @@ func merge(now time.Time, round uint64, cells []CellScrape, opsDelta map[string]
 	// buckets) cannot be merged exactly and are skipped.
 	type histKey struct{ kind, transport string }
 	merged := make(map[histKey]*stats.Histogram)
-	contrib := make(map[histKey]int)
+	contrib := make(map[histKey]uint64)
 	var order []histKey
 	for _, cs := range cells {
 		if !cs.DebugOK {
@@ -427,14 +381,9 @@ func merge(now time.Time, round uint64, cells []CellScrape, opsDelta map[string]
 		return order[i].transport < order[j].transport
 	})
 	for _, k := range order {
-		h := merged[k]
-		q := h.Quantiles(50, 90, 99, 99.9)
-		v.Hists = append(v.Hists, MergedHist{
-			Kind: k.kind, Transport: k.transport,
-			Count: h.Count(), MeanNs: uint64(h.Mean()),
-			P50Ns: q[0], P90Ns: q[1], P99Ns: q[2], P999Ns: q[3],
-			MaxNs: h.Max(), Cells: contrib[k],
-		})
+		h := trace.Summarize(k.kind, k.transport, merged[k])
+		h.Buckets, h.Cells = nil, contrib[k]
+		v.Hists = append(v.Hists, h)
 	}
 
 	// SLO verdict: per class, worst state across cells wins; burn rates
@@ -526,69 +475,4 @@ func merge(now time.Time, round uint64, cells []CellScrape, opsDelta map[string]
 		v.Skew = append(v.Skew, sk)
 	}
 	return v
-}
-
-// MaxSkewMilli returns the largest observed/owned ratio across cells
-// (1000 = proportional), or 0 with no skew data.
-func (v *View) MaxSkewMilli() uint64 {
-	var m uint64
-	for _, s := range v.Skew {
-		if s.RatioMilli > m {
-			m = s.RatioMilli
-		}
-	}
-	return m
-}
-
-// WriteProm renders the merged fleet view as Prometheus text exposition.
-func (v *View) WriteProm(w io.Writer) {
-	fmt.Fprintf(w, "# TYPE cliquemap_fleet_cells gauge\n")
-	fmt.Fprintf(w, "cliquemap_fleet_cells %d\n", len(v.Cells))
-	fmt.Fprintf(w, "# TYPE cliquemap_fleet_cell_up gauge\n")
-	for _, cs := range v.Cells {
-		up := 1
-		if cs.Stale || cs.Err != "" {
-			up = 0
-		}
-		fmt.Fprintf(w, "cliquemap_fleet_cell_up{cell=%s} %d\n", strconv.Quote(cs.Name), up)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_fleet_cell_ops_total counter\n")
-	for _, cs := range v.Cells {
-		fmt.Fprintf(w, "cliquemap_fleet_cell_ops_total{cell=%s} %d\n", strconv.Quote(cs.Name), cs.Ops)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_fleet_op_latency_ns summary\n")
-	for _, h := range v.Hists {
-		base := fmt.Sprintf("kind=%s,transport=%s", strconv.Quote(h.Kind), strconv.Quote(h.Transport))
-		fmt.Fprintf(w, "cliquemap_fleet_op_latency_ns{%s,quantile=\"0.5\"} %d\n", base, h.P50Ns)
-		fmt.Fprintf(w, "cliquemap_fleet_op_latency_ns{%s,quantile=\"0.9\"} %d\n", base, h.P90Ns)
-		fmt.Fprintf(w, "cliquemap_fleet_op_latency_ns{%s,quantile=\"0.99\"} %d\n", base, h.P99Ns)
-		fmt.Fprintf(w, "cliquemap_fleet_op_latency_ns{%s,quantile=\"0.999\"} %d\n", base, h.P999Ns)
-		fmt.Fprintf(w, "cliquemap_fleet_op_latency_ns_count{%s} %d\n", base, h.Count)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_fleet_slo_state gauge\n")
-	fmt.Fprintf(w, "cliquemap_fleet_slo_state %d\n", stateRank(v.Verdict))
-	fmt.Fprintf(w, "# TYPE cliquemap_fleet_slo_burn gauge\n")
-	for _, c := range v.Classes {
-		fmt.Fprintf(w, "cliquemap_fleet_slo_burn{class=%s,window=\"fast\"} %g\n",
-			strconv.Quote(c.Class), float64(c.FastBurnMilli)/1000)
-		fmt.Fprintf(w, "cliquemap_fleet_slo_burn{class=%s,window=\"slow\"} %g\n",
-			strconv.Quote(c.Class), float64(c.SlowBurnMilli)/1000)
-	}
-	if len(v.HotKeys) > 0 {
-		fmt.Fprintf(w, "# TYPE cliquemap_fleet_hot_key_count gauge\n")
-		n := len(v.HotKeys)
-		if n > 16 {
-			n = 16
-		}
-		for _, hk := range v.HotKeys[:n] {
-			fmt.Fprintf(w, "cliquemap_fleet_hot_key_count{key=%s} %d\n", strconv.Quote(hk.Key), hk.Count)
-		}
-	}
-	if len(v.Skew) > 0 {
-		fmt.Fprintf(w, "# TYPE cliquemap_fleet_route_skew gauge\n")
-		for _, s := range v.Skew {
-			fmt.Fprintf(w, "cliquemap_fleet_route_skew{cell=%s} %g\n",
-				strconv.Quote(s.Name), float64(s.RatioMilli)/1000)
-		}
-	}
 }

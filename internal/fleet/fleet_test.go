@@ -12,6 +12,7 @@ import (
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
+	"cliquemap/internal/trace"
 )
 
 // fakeCell serves canned method responses through the Caller interface,
@@ -70,20 +71,14 @@ func (f *fakeCell) Call(_ context.Context, addr, method string, req []byte) ([]b
 	return nil, fabric.OpTrace{}, errDown
 }
 
-// wireHist renders a histogram of the given observations as its DebugHist
-// wire form, the way a backend's MethodDebug handler does.
+// wireHist summarises a histogram of the given observations the way a
+// tracer snapshot does.
 func wireHist(kind, transport string, obs []uint64) proto.DebugHist {
 	var h stats.Histogram
 	for _, v := range obs {
 		h.Record(v)
 	}
-	q := h.Quantiles(50, 90, 99, 99.9)
-	return proto.DebugHist{
-		Kind: kind, Transport: transport,
-		Count: h.Count(), MeanNs: uint64(h.Mean()),
-		P50Ns: q[0], P90Ns: q[1], P99Ns: q[2], P999Ns: q[3],
-		MaxNs: h.Max(), SumNs: h.Sum(), Buckets: h.Buckets(),
-	}
+	return trace.Summarize(kind, transport, &h)
 }
 
 func simpleCell(name string, ops uint64, hists []proto.DebugHist, hot []proto.DebugHotKey) *fakeCell {
@@ -134,8 +129,8 @@ func TestMergedPercentilesMatchUnion(t *testing.T) {
 	if h.P99Ns < 900_000 {
 		t.Errorf("p99 %d does not reflect the slow cell", h.P99Ns)
 	}
-	if h.MaxNs != union.Max() || h.MeanNs != uint64(union.Mean()) {
-		t.Errorf("max/mean = %d/%d, want %d/%d", h.MaxNs, h.MeanNs, union.Max(), uint64(union.Mean()))
+	if h.MaxNs != union.Max() || h.MeanNs != uint64(union.Mean()) || h.SumNs != union.Sum() {
+		t.Errorf("max/mean/sum = %d/%d/%d, want %d/%d/%d", h.MaxNs, h.MeanNs, h.SumNs, union.Max(), uint64(union.Mean()), union.Sum())
 	}
 }
 
@@ -239,8 +234,8 @@ func TestSkewAgainstRingShares(t *testing.T) {
 	if sa.ObservedPpm != 750_000 || sa.RatioMilli != 1000 {
 		t.Errorf("cell a skew: %+v", sa)
 	}
-	if v.MaxSkewMilli() != 1000 {
-		t.Errorf("max skew: %d", v.MaxSkewMilli())
+	if sb := v.Skew[1]; sb.ObservedPpm != 250_000 || sb.RatioMilli != 1000 {
+		t.Errorf("cell b skew: %+v", sb)
 	}
 }
 

@@ -120,16 +120,6 @@ func (r *Ring) Cohort(h KeyHash, replicas int) []int {
 	return out
 }
 
-// CohortOf reports whether backend b hosts any replica of h.
-func (r *Ring) CohortOf(h KeyHash, replicas, b int) bool {
-	for _, m := range r.Cohort(h, replicas) {
-		if m == b {
-			return true
-		}
-	}
-	return false
-}
-
 // Bucket returns the bucket index for h in a table of nBuckets buckets.
 // The low word is used so bucket choice is independent of backend choice.
 func (r *Ring) Bucket(h KeyHash, nBuckets int) int {

@@ -105,20 +105,6 @@ func TestCohortClamped(t *testing.T) {
 	}
 }
 
-func TestCohortOf(t *testing.T) {
-	r := New(5, nil)
-	h := r.Hash([]byte("k"))
-	members := map[int]bool{}
-	for _, b := range r.Cohort(h, 3) {
-		members[b] = true
-	}
-	for b := 0; b < 5; b++ {
-		if got := r.CohortOf(h, 3, b); got != members[b] {
-			t.Errorf("CohortOf(%d) = %v, want %v", b, got, members[b])
-		}
-	}
-}
-
 func TestCohortDistinctMembers(t *testing.T) {
 	f := func(raw uint64, nRaw uint8) bool {
 		n := int(nRaw%20) + 3

@@ -89,9 +89,6 @@ func BuildWeighted(members []Member, vnodes int) *WeightedRing {
 	return r
 }
 
-// Members returns the ring's member list (including zero-weight members).
-func (r *WeightedRing) Members() []Member { return r.members }
-
 // Owner returns the index into Members of the member owning h, or -1 if
 // no member has positive weight.
 func (r *WeightedRing) Owner(h KeyHash) int {

@@ -217,7 +217,7 @@ func TestWeightedRingConcurrentRouteReweight(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				r := cur.Load()
-				if o := r.Owner(hs[i%len(hs)]); o < -1 || o >= len(r.Members()) {
+				if o := r.Owner(hs[i%len(hs)]); o < -1 || o >= len(r.members) {
 					t.Error("owner out of range")
 					return
 				}

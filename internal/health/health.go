@@ -25,8 +25,6 @@
 package health
 
 import (
-	"fmt"
-	"io"
 	"sync"
 
 	"cliquemap/internal/stats"
@@ -465,34 +463,4 @@ func (p *Plane) noteRound() {
 	p.mu.Lock()
 	p.rounds++
 	p.mu.Unlock()
-}
-
-// WriteProm renders the evaluated health plane as Prometheus text
-// exposition: per-class burn-rate and alert-state gauges plus probe
-// outcome counters.
-func (p *Plane) WriteProm(w io.Writer) {
-	s := p.Evaluate()
-	fmt.Fprintf(w, "# TYPE cliquemap_slo_burn_rate gauge\n")
-	for _, c := range s.Classes {
-		fmt.Fprintf(w, "cliquemap_slo_burn_rate{class=%q,window=\"fast\"} %g\n", c.Class, c.FastBurn)
-		fmt.Fprintf(w, "cliquemap_slo_burn_rate{class=%q,window=\"slow\"} %g\n", c.Class, c.SlowBurn)
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_slo_alert_state gauge\n")
-	for _, c := range s.Classes {
-		fmt.Fprintf(w, "cliquemap_slo_alert_state{class=%q} %d\n", c.Class, int(c.State))
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_probe_ops_total counter\n")
-	for _, c := range s.Classes {
-		fmt.Fprintf(w, "cliquemap_probe_ops_total{class=%q,outcome=\"good\"} %d\n", c.Class, c.Good)
-		fmt.Fprintf(w, "cliquemap_probe_ops_total{class=%q,outcome=\"bad\"} %d\n", c.Class, c.Bad)
-	}
-	if len(s.Targets) > 0 {
-		fmt.Fprintf(w, "# TYPE cliquemap_probe_target_ops_total counter\n")
-		for _, t := range s.Targets {
-			fmt.Fprintf(w, "cliquemap_probe_target_ops_total{target=%q,outcome=\"good\"} %d\n", t.Name, t.Good)
-			fmt.Fprintf(w, "cliquemap_probe_target_ops_total{target=%q,outcome=\"bad\"} %d\n", t.Name, t.Bad)
-		}
-	}
-	fmt.Fprintf(w, "# TYPE cliquemap_probe_rounds_total counter\n")
-	fmt.Fprintf(w, "cliquemap_probe_rounds_total %d\n", s.Rounds)
 }

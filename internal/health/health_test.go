@@ -1,9 +1,6 @@
 package health
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fakeClock is a settable virtual clock.
 type fakeClock struct{ ns uint64 }
@@ -197,26 +194,5 @@ func TestEmptyWindowsStayOk(t *testing.T) {
 	c := classOf(t, p.Evaluate(), "GET")
 	if c.SlowBurn != 0 {
 		t.Fatalf("ancient failure leaked into the window: %+v", c)
-	}
-}
-
-// TestWriteProm smoke-checks the exposition format.
-func TestWriteProm(t *testing.T) {
-	clk := &fakeClock{}
-	p := NewPlane(testConfig(), clk.now)
-	p.Record("GET", 10, false)
-	p.recordTarget("2xR", false)
-	var b strings.Builder
-	p.WriteProm(&b)
-	out := b.String()
-	for _, want := range []string{
-		`cliquemap_slo_burn_rate{class="GET",window="fast"}`,
-		`cliquemap_slo_alert_state{class="GET"} 0`,
-		`cliquemap_probe_ops_total{class="GET",outcome="good"} 1`,
-		`cliquemap_probe_target_ops_total{target="2xR",outcome="good"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteProm output missing %q:\n%s", want, out)
-		}
 	}
 }

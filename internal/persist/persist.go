@@ -204,15 +204,6 @@ func appendFooterPayload(dst []byte, count uint64) []byte {
 	return append(dst, b[:]...)
 }
 
-// EncodeHeaderFrame returns a header frame (exposed for fuzz seeding).
-func EncodeHeaderFrame(h Header) []byte { return appendFrame(nil, appendHeaderPayload(nil, h)) }
-
-// EncodeRecordFrame returns a record frame (exposed for fuzz seeding).
-func EncodeRecordFrame(r Record) []byte { return appendFrame(nil, appendRecordPayload(nil, r)) }
-
-// EncodeFooterFrame returns a footer frame (exposed for fuzz seeding).
-func EncodeFooterFrame(count uint64) []byte { return appendFrame(nil, appendFooterPayload(nil, count)) }
-
 // ------------------------------------------------------------- decoding --
 
 // nextFrame returns the payload of the frame at b[off:] and the offset

@@ -138,13 +138,6 @@ func (n *NIC) Engines() int {
 	return n.engines
 }
 
-// OpsServed returns the cumulative op count.
-func (n *NIC) OpsServed() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.opCounter
-}
-
 // service accounts one engine visit: updates the load estimate, adapts the
 // engine count, and returns the modelled service + queue latency.
 func (n *NIC) service(opCost uint64) (uint64, error) {

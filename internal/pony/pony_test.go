@@ -248,7 +248,7 @@ func TestEngineScaleOutUnderLoad(t *testing.T) {
 	if server.Engines() < 2 {
 		t.Errorf("engines = %d after sustained load; scale-out broken", server.Engines())
 	}
-	if server.OpsServed() == 0 {
+	if server.Saturation().Ops == 0 {
 		t.Error("ops not counted")
 	}
 }

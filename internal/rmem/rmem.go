@@ -98,9 +98,6 @@ func (r *Region) unlockRange(lo, hi int) {
 // Populated returns the usable extent.
 func (r *Region) Populated() int { return int(r.populated.Load()) }
 
-// Capacity returns the reserved maximum.
-func (r *Region) Capacity() int { return len(r.buf) }
-
 // Grow populates additional bytes, up to capacity, returning the new
 // populated extent. Growth is what data-region reshaping performs off the
 // critical path (§4.1).

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram is a concurrent log-linear histogram of non-negative values
@@ -53,16 +52,6 @@ func (h *Histogram) Record(v uint64) {
 			break
 		}
 	}
-}
-
-// RecordDuration adds one latency observation.
-func (h *Histogram) RecordDuration(d time.Duration) { h.Record(uint64(max64(0, d.Nanoseconds()))) }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Count returns the number of observations.
@@ -319,6 +308,22 @@ func (a *CPUAccount) PerOpNanos(component string) float64 {
 		return 0
 	}
 	return float64(cb.nanos.Load()) / float64(ops)
+}
+
+// CPURow is one component's account as it travels (MethodDebug's CPU).
+type CPURow struct {
+	Component string `wire:"1"`
+	TotalNs   uint64 `wire:"2"`
+	Ops       uint64 `wire:"3"`
+}
+
+// Rows snapshots every component's account, sorted by component.
+func (a *CPUAccount) Rows() []CPURow {
+	var out []CPURow
+	for _, comp := range a.Components() {
+		out = append(out, CPURow{Component: comp, TotalNs: a.TotalNanos(comp), Ops: a.OpCount(comp)})
+	}
+	return out
 }
 
 // Components lists billed components in sorted order.

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestHistogramExactSmallValues(t *testing.T) {
@@ -135,14 +134,6 @@ func TestHistogramEmptyPercentile(t *testing.T) {
 	var h Histogram
 	if h.Percentile(99) != 0 || h.Mean() != 0 {
 		t.Error("empty histogram must read 0")
-	}
-}
-
-func TestRecordDurationNegativeClamped(t *testing.T) {
-	var h Histogram
-	h.RecordDuration(-5 * time.Second)
-	if h.Max() != 0 {
-		t.Error("negative duration not clamped")
 	}
 }
 

@@ -128,11 +128,12 @@ func (t *TopK) TouchString(key string) {
 }
 
 // HotKey is one tracked key with its (over-)estimated count and the bound
-// on the over-estimate.
+// on the over-estimate (≤ N/k), so consumers can judge how trustworthy a
+// ranking is. It travels as declared (MethodDebug's HotKeys).
 type HotKey struct {
-	Key   string
-	Count uint64
-	Err   uint64
+	Key   string `wire:"1"`
+	Count uint64 `wire:"2"`
+	Err   uint64 `wire:"3"`
 }
 
 // HotCand is a HotKey whose key is still bytes, in a buffer it owns.

@@ -105,16 +105,6 @@ func Outcomes() []Outcome {
 	return []Outcome{OutcomeOwnerDirect, OutcomeFollowerHit, OutcomeRevalidateMiss, OutcomeForward}
 }
 
-// OutcomeStat summarizes one outcome class's latency histogram.
-type OutcomeStat struct {
-	Outcome Outcome
-	Count   uint64
-	MeanNs  uint64
-	P50Ns   uint64
-	P99Ns   uint64
-	MaxNs   uint64
-}
-
 // Metrics counts tier-client outcomes. Read with ClientMetrics.
 type Metrics struct {
 	Ops               atomic.Uint64 // tier-level ops attempted
@@ -182,19 +172,13 @@ func (c *Client) Metrics() *Metrics { return &c.m }
 func (c *Client) Tracer() *trace.Tracer { return c.tracer }
 
 // OutcomeStats summarizes the per-outcome-class latency histograms
-// (classes with traffic only).
-func (c *Client) OutcomeStats() []OutcomeStat {
-	var out []OutcomeStat
+// (classes with traffic only), the outcome's name as each record's Kind.
+func (c *Client) OutcomeStats() []trace.HistStat {
+	var out []trace.HistStat
 	for _, o := range Outcomes() {
-		h := c.outcomes[o].Snapshot()
-		if h.Count() == 0 {
-			continue
+		if h := c.outcomes[o].Snapshot(); h.Count() != 0 {
+			out = append(out, trace.Summarize(o.String(), "", h))
 		}
-		q := h.Quantiles(50, 99)
-		out = append(out, OutcomeStat{
-			Outcome: o, Count: h.Count(), MeanNs: uint64(h.Mean()),
-			P50Ns: q[0], P99Ns: q[1], MaxNs: h.Max(),
-		})
 	}
 	return out
 }
@@ -442,9 +426,6 @@ func (c *Client) Cas(ctx context.Context, key, value []byte, expected truetime.V
 		})
 	return applied && err == nil, err
 }
-
-// CellClient exposes the underlying per-cell client (tooling, tests).
-func (c *Client) CellClient(name string) *client.Client { return c.cls[name] }
 
 func followerKey(key []byte) []byte {
 	fk := make([]byte, len(followerPrefix)+len(key))

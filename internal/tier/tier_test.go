@@ -81,7 +81,7 @@ func TestTierRoutesAndServes(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		key := testKey(i)
 		owner := tr.Owner(key)
-		_, found, err := cl.CellClient(owner).Get(ctx, key)
+		_, found, err := cl.cls[owner].Get(ctx, key)
 		if err != nil || !found {
 			t.Fatalf("key %d not on its owner %s: found=%v err=%v", i, owner, found, err)
 		}

@@ -7,15 +7,15 @@
 // ops are recorded into a per-cell Tracer: per-kind × per-transport
 // latency histograms, a fixed-size ring of recent ops, reservoir-sampled
 // exemplars per kind, and a retained log of slow ops (latency above a
-// rolling p99-derived threshold). The proto.MethodDebug RPC serializes a
-// Tracer snapshot for remote inspection (cmstat -trace), and WriteProm
-// renders it as Prometheus text exposition (cmcell -http).
+// rolling p99-derived threshold). The records a Snapshot returns carry
+// their own wire tags — they are the MethodDebug payload as declared here —
+// and every table and exposition page is rendered from that scrape
+// (internal/fleet).
 package trace
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -173,19 +173,6 @@ func (t Transport) String() string {
 	return "RPC"
 }
 
-// TransportOf parses a transport name; unknown names map to TransportRPC.
-func TransportOf(s string) Transport {
-	switch s {
-	case "2xR":
-		return Transport2xR
-	case "SCAR":
-		return TransportSCAR
-	case "MSG":
-		return TransportMSG
-	}
-	return TransportRPC
-}
-
 // SpanContext identifies one in-flight op as it crosses layers. The
 // client creates one per op and carries it in the context; the TCP
 // gateway reconstructs one from the wire frame's trace fields so remote
@@ -306,17 +293,19 @@ func SinkFrom(ctx context.Context) *SpanSink {
 	return s
 }
 
-// OpRecord is one completed operation as retained by the Tracer.
+// OpRecord is one completed operation as retained by the Tracer and as it
+// travels in a Debug snapshot. Kind and Transport are display strings, so
+// the wire contract survives enum renumbering and unknown values degrade to
+// readable text. A received frame keeps at most MaxWireSpans spans.
 type OpRecord struct {
-	ID        uint64
-	Seq       uint64 // completion order within this tracer
-	Kind      Kind
-	Transport Transport
-	Attempts  uint32
-	Ns        uint64
-	Bytes     uint64
-	WallNs    int64 // unix ns at retention; stamped for slow ops only
-	Spans     []fabric.Span
+	ID        uint64        `wire:"1"`
+	Kind      string        `wire:"2"`
+	Transport string        `wire:"3"`
+	Attempts  uint32        `wire:"4"`
+	Ns        uint64        `wire:"5"`
+	Bytes     uint64        `wire:"6"`
+	WallNs    int64         `wire:"7,zigzag"` // unix ns at retention; stamped for slow ops only
+	Spans     []fabric.Span `wire:"8,max=4096"`
 }
 
 // Tracer sizing and promotion policy.
@@ -363,18 +352,18 @@ type Tracer struct {
 }
 
 // ReplicaHealth is one backend's client-observed health gauge: a failure
-// EWMA in [0,1] and whether the client currently demotes it from
-// preferred-replica selection.
+// EWMA in milli-units (0..1000, integer on the wire) and whether the
+// client currently demotes it from preferred-replica selection.
 type ReplicaHealth struct {
-	Addr    string
-	Score   float64
-	Demoted bool
+	Addr       string `wire:"1"`
+	ScoreMilli uint64 `wire:"2"`
+	Demoted    bool   `wire:"3,omitzero"`
 }
 
-// HazardCount is one hazard class's cumulative injection count.
+// HazardCount is one chaos hazard class's cumulative injection count.
 type HazardCount struct {
-	Name  string
-	Count uint64
+	Name  string `wire:"1"`
+	Count uint64 `wire:"2"`
 }
 
 // NewTracer returns an empty tracer.
@@ -406,14 +395,6 @@ func (t *Tracer) Ops() uint64 { return t.seq.Load() }
 // SlowOpsSeen returns the cumulative count of promoted slow ops.
 func (t *Tracer) SlowOpsSeen() uint64 { return t.slowSeen.Load() }
 
-// Hist returns the live histogram for one kind/transport cell.
-func (t *Tracer) Hist(k Kind, tp Transport) *stats.Histogram {
-	return &t.hists[k][tp]
-}
-
-// Overall returns the live all-ops histogram.
-func (t *Tracer) Overall() *stats.Histogram { return &t.overall }
-
 // Record retains one completed op: its latency feeds the kind/transport
 // and overall histograms, the op enters the recent ring and the kind's
 // exemplar reservoir, and ops above the slow threshold are promoted to
@@ -436,7 +417,7 @@ func (t *Tracer) Record(id uint64, kind Kind, transport Transport, attempts uint
 		t.slowNs.Store(th)
 	}
 	rec := OpRecord{
-		ID: id, Seq: seq, Kind: kind, Transport: transport,
+		ID: id, Kind: kind.String(), Transport: transport.String(),
 		Attempts: attempts, Ns: tr.Ns, Bytes: tr.Bytes, Spans: tr.Spans,
 	}
 	slow := tr.Ns >= t.SlowThreshold()
@@ -492,30 +473,46 @@ func (t *Tracer) HazardInc(name string, delta uint64) {
 }
 
 // SetReplicaHealth publishes one backend's client-side health gauge.
-func (t *Tracer) SetReplicaHealth(addr string, score float64, demoted bool) {
+func (t *Tracer) SetReplicaHealth(addr string, scoreMilli uint64, demoted bool) {
 	t.auxMu.Lock()
 	if t.health == nil {
 		t.health = make(map[string]ReplicaHealth)
 	}
-	t.health[addr] = ReplicaHealth{Addr: addr, Score: score, Demoted: demoted}
+	t.health[addr] = ReplicaHealth{Addr: addr, ScoreMilli: scoreMilli, Demoted: demoted}
 	t.auxMu.Unlock()
 }
 
-// HistStat is one kind/transport histogram summary. SumNs and Buckets
-// carry the raw distribution so fleet-level consumers can merge
-// histograms exactly instead of averaging quantiles.
+// HistStat is the one latency summary: a kind/transport histogram as a
+// tracer snapshots it, as it travels, and as a fleet merge re-derives it.
+// SumNs and Buckets (additive tags, absent from old senders) carry the raw
+// log-linear distribution so an aggregator can merge per-cell histograms
+// into true percentiles instead of averaging quantiles; a received frame
+// keeps at most stats.NumBuckets buckets, a histogram has no more. Cells
+// counts the cells merged into a fleet-level record and is zero (and off
+// the wire) in a cell's own.
 type HistStat struct {
-	Kind      Kind
-	Transport Transport
-	Count     uint64
-	MeanNs    uint64
-	P50Ns     uint64
-	P90Ns     uint64
-	P99Ns     uint64
-	P999Ns    uint64
-	MaxNs     uint64
-	SumNs     uint64
-	Buckets   []stats.HistBucket
+	Kind      string             `wire:"1"`
+	Transport string             `wire:"2"`
+	Count     uint64             `wire:"3"`
+	MeanNs    uint64             `wire:"4"`
+	P50Ns     uint64             `wire:"5"`
+	P90Ns     uint64             `wire:"6"`
+	P99Ns     uint64             `wire:"7"`
+	P999Ns    uint64             `wire:"8"`
+	MaxNs     uint64             `wire:"9"`
+	SumNs     uint64             `wire:"10"`
+	Buckets   []stats.HistBucket `wire:"11,max=1024" json:",omitempty"`
+	Cells     uint64             `wire:"12,omitzero" json:",omitempty"`
+}
+
+// Summarize reads the summary off a quiescent histogram.
+func Summarize(kind, transport string, h *stats.Histogram) HistStat {
+	q := h.Quantiles(50, 90, 99, 99.9)
+	return HistStat{
+		Kind: kind, Transport: transport, Count: h.Count(), MeanNs: uint64(h.Mean()),
+		P50Ns: q[0], P90Ns: q[1], P99Ns: q[2], P999Ns: q[3],
+		MaxNs: h.Max(), SumNs: h.Sum(), Buckets: h.Buckets(),
+	}
 }
 
 // Snapshot is a point-in-time view of the tracer, the payload behind the
@@ -541,17 +538,9 @@ func (t *Tracer) Snapshot(maxSlow int) Snapshot {
 	}
 	for k := Kind(0); k < numKinds; k++ {
 		for tp := Transport(0); tp < numTransports; tp++ {
-			h := t.hists[k][tp].Snapshot()
-			if h.Count() == 0 {
-				continue
+			if h := t.hists[k][tp].Snapshot(); h.Count() != 0 {
+				s.Hists = append(s.Hists, Summarize(k.String(), tp.String(), h))
 			}
-			q := h.Quantiles(50, 90, 99, 99.9)
-			s.Hists = append(s.Hists, HistStat{
-				Kind: k, Transport: tp, Count: h.Count(),
-				MeanNs: uint64(h.Mean()),
-				P50Ns:  q[0], P90Ns: q[1], P99Ns: q[2], P999Ns: q[3],
-				MaxNs: h.Max(), SumNs: h.Sum(), Buckets: h.Buckets(),
-			})
 		}
 	}
 
@@ -595,57 +584,11 @@ func (t *Tracer) Recent(max int) []OpRecord {
 	t.mu.Lock()
 	for i := uint64(0); i < uint64(max) && i < seq; i++ {
 		r := t.ring[(seq-i)%ringSize]
-		if r.Seq == 0 {
+		if r.Kind == "" { // a Record that has its sequence number but not yet its slot
 			break
 		}
 		out = append(out, r)
 	}
 	t.mu.Unlock()
 	return out
-}
-
-// WriteProm renders the tracer as Prometheus text exposition: op counts,
-// latency quantile gauges per kind/transport, and slow-op totals. acct,
-// when non-nil, adds per-component CPU counters.
-func (t *Tracer) WriteProm(w io.Writer, acct *stats.CPUAccount) {
-	s := t.Snapshot(0)
-	fmt.Fprintf(w, "# TYPE cliquemap_ops_total counter\n")
-	fmt.Fprintf(w, "cliquemap_ops_total %d\n", s.Ops)
-	fmt.Fprintf(w, "# TYPE cliquemap_slow_ops_total counter\n")
-	fmt.Fprintf(w, "cliquemap_slow_ops_total %d\n", s.SlowTotal)
-	fmt.Fprintf(w, "# TYPE cliquemap_slow_threshold_ns gauge\n")
-	fmt.Fprintf(w, "cliquemap_slow_threshold_ns %d\n", s.SlowThresholdNs)
-	fmt.Fprintf(w, "# TYPE cliquemap_op_latency_ns summary\n")
-	for _, h := range s.Hists {
-		l := fmt.Sprintf("kind=%q,transport=%q", h.Kind, h.Transport)
-		fmt.Fprintf(w, "cliquemap_op_latency_ns{%s,quantile=\"0.5\"} %d\n", l, h.P50Ns)
-		fmt.Fprintf(w, "cliquemap_op_latency_ns{%s,quantile=\"0.9\"} %d\n", l, h.P90Ns)
-		fmt.Fprintf(w, "cliquemap_op_latency_ns{%s,quantile=\"0.99\"} %d\n", l, h.P99Ns)
-		fmt.Fprintf(w, "cliquemap_op_latency_ns{%s,quantile=\"0.999\"} %d\n", l, h.P999Ns)
-		fmt.Fprintf(w, "cliquemap_op_latency_ns_count{%s} %d\n", l, h.Count)
-		fmt.Fprintf(w, "cliquemap_op_latency_ns_sum{%s} %d\n", l, h.Count*h.MeanNs)
-	}
-	if len(s.Hazards) > 0 {
-		fmt.Fprintf(w, "# TYPE cliquemap_hazard_injections_total counter\n")
-		for _, h := range s.Hazards {
-			fmt.Fprintf(w, "cliquemap_hazard_injections_total{hazard=%q} %d\n", h.Name, h.Count)
-		}
-	}
-	if len(s.Health) > 0 {
-		fmt.Fprintf(w, "# TYPE cliquemap_replica_health_score gauge\n")
-		for _, h := range s.Health {
-			demoted := 0
-			if h.Demoted {
-				demoted = 1
-			}
-			fmt.Fprintf(w, "cliquemap_replica_health_score{replica=%q} %g\n", h.Addr, h.Score)
-			fmt.Fprintf(w, "cliquemap_replica_demoted{replica=%q} %d\n", h.Addr, demoted)
-		}
-	}
-	if acct != nil {
-		fmt.Fprintf(w, "# TYPE cliquemap_cpu_ns_total counter\n")
-		for _, comp := range acct.Components() {
-			fmt.Fprintf(w, "cliquemap_cpu_ns_total{component=%q} %d\n", comp, acct.TotalNanos(comp))
-		}
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cliquemap/internal/fabric"
-	"cliquemap/internal/stats"
 	"cliquemap/internal/wire"
 )
 
@@ -22,15 +21,17 @@ func TestKindTransportRoundTrip(t *testing.T) {
 			t.Errorf("KindOf(%q) = %v, want %v", k.String(), got, k)
 		}
 	}
+	names := make(map[string]Transport)
 	for tp := Transport(0); tp < numTransports; tp++ {
-		if got := TransportOf(tp.String()); got != tp {
-			t.Errorf("TransportOf(%q) = %v, want %v", tp.String(), got, tp)
+		if other, dup := names[tp.String()]; dup {
+			t.Errorf("transports %d and %d share the name %q", other, tp, tp.String())
 		}
+		names[tp.String()] = tp
 	}
 	if KindOf("garbage") != KindOther {
 		t.Error("unknown kind must map to KindOther")
 	}
-	if TransportOf("garbage") != TransportRPC {
+	if Transport(200).String() != "RPC" {
 		t.Error("unknown transport must map to TransportRPC")
 	}
 }
@@ -150,13 +151,13 @@ func TestTracerRecordsHistogramsPerKindTransport(t *testing.T) {
 	tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(7_000))
 	tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(9_000))
 	tr.Record(tr.NextID(), KindSet, TransportRPC, 1, opTrace(100_000))
-	if got := tr.Hist(KindGet, TransportSCAR).Count(); got != 2 {
+	if got := tr.hists[KindGet][TransportSCAR].Count(); got != 2 {
 		t.Errorf("GET/SCAR count = %d", got)
 	}
-	if got := tr.Hist(KindSet, TransportRPC).Count(); got != 1 {
+	if got := tr.hists[KindSet][TransportRPC].Count(); got != 1 {
 		t.Errorf("SET/RPC count = %d", got)
 	}
-	if got := tr.Overall().Count(); got != 3 {
+	if got := tr.overall.Count(); got != 3 {
 		t.Errorf("overall count = %d", got)
 	}
 	if tr.Ops() != 3 {
@@ -316,7 +317,8 @@ func TestEncodeSpansReusesOneEncoder(t *testing.T) {
 	}
 
 	many := make([]fabric.Span, 64)
-	e := wire.NewEncoderSized(8 << 10)
+	e := new(wire.Encoder)
+	e.InitSized(8 << 10)
 	if n := testing.AllocsPerRun(50, func() {
 		e.Reset(true)
 		EncodeSpans(e, 5, many)
@@ -346,26 +348,5 @@ func TestDecodeSpanMalformedDegradesToZero(t *testing.T) {
 	s := DecodeSpan(e.Encoded())
 	if s.Code != uint16(0xABCDE&0xFFFF) || s.Dur != 5 {
 		t.Errorf("wide-id span = %+v", s)
-	}
-}
-
-func TestWritePromExposition(t *testing.T) {
-	tr := NewTracer()
-	tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(7_000))
-	acct := stats.NewCPUAccount()
-	acct.Charge("client", 2_000)
-	var sb strings.Builder
-	tr.WriteProm(&sb, acct)
-	out := sb.String()
-	for _, want := range []string{
-		"cliquemap_ops_total 1",
-		`kind="GET"`,
-		`transport="SCAR"`,
-		`quantile="0.99"`,
-		`cliquemap_cpu_ns_total{component="client"} 2000`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -86,15 +86,6 @@ func NewEncoder() *Encoder {
 	return e
 }
 
-// NewEncoderSized is NewEncoder with a capacity hint, so hot-path
-// marshalers holding payloads larger than the default 128 bytes encode
-// without re-growing the buffer.
-func NewEncoderSized(capacity int) *Encoder {
-	e := &Encoder{}
-	e.InitSized(capacity)
-	return e
-}
-
 // InitSized readies a (typically stack-allocated) encoder with a sized
 // buffer and the version header. Hot-path marshalers use a value Encoder
 // with InitSized so only the returned buffer escapes to the heap.

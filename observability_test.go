@@ -134,7 +134,7 @@ func TestSlowMutationAttributesQuorumWait(t *testing.T) {
 	snap := c.Tracer().Snapshot(8)
 	var slow *trace.OpRecord
 	for i := range snap.Slow {
-		if snap.Slow[i].Kind == trace.KindSet {
+		if snap.Slow[i].Kind == trace.KindSet.String() {
 			slow = &snap.Slow[i]
 			break
 		}
@@ -238,7 +238,7 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 	var missRec, hitRec, revalRec *trace.OpRecord
 	for _, r := range tr.Cell("us").Tracer().Recent(0) {
 		r := r
-		if r.Kind != trace.KindGet {
+		if r.Kind != trace.KindGet.String() {
 			continue
 		}
 		switch {
@@ -277,7 +277,7 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 	// The tier edge classifies outcomes into per-class histograms.
 	outcomes := map[string]bool{}
 	for _, os := range reader.Internal().OutcomeStats() {
-		outcomes[os.Outcome.String()] = true
+		outcomes[os.Kind] = true
 	}
 	if !outcomes["follower-hit"] || !outcomes["revalidate-miss"] {
 		t.Errorf("outcome classes %v, want follower-hit and revalidate-miss", outcomes)
