@@ -143,8 +143,8 @@ type Options struct {
 	// its pending-settle queue of evicted tombstones (default 8192 each).
 	TombstoneCap int
 	// HotK caps each backend's promoted hot-key set (0 takes the default
-	// of 8; negative disables promotion). Promoted keys gain all-replica
-	// residency and are advertised to clients for near-caching/steering.
+	// of 8; negative disables promotion). Promoted keys are advertised to
+	// clients for near-caching, steering and read spreading.
 	HotK int
 	// Hash overrides the cell-wide 128-bit key hash (§6.5 added
 	// customizable hash functions for disaggregation users): hi selects
@@ -180,18 +180,15 @@ type ClientOptions struct {
 	// TouchBatch enables batched access-record reporting at the given
 	// flush threshold; 0 disables (§4.2).
 	TouchBatch int
-	// NearCacheEntries sizes the client-side near-cache for server-
-	// promoted hot keys; 0 disables it. Near-serves are validated by a
-	// 1-RTT index-only quorum read, so they never return a value no
-	// quorum currently vouches for. RMA strategies (2xR, SCAR) only.
-	// Requires TouchBatch > 0: promotion decisions ride Touch acks.
+	// NearCacheEntries turns on hot-key adaptive serving (0 = off): a
+	// client-side near-cache of that many server-promoted keys, RPC
+	// steering for promoted keys with values past the Figure 20 crossover,
+	// and promoted keys' data reads spread across the quorum members.
+	// Near-serves are validated by a 1-RTT index-only quorum read, so they
+	// never return a value no quorum currently vouches for. RMA strategies
+	// (2xR, SCAR) only. Requires TouchBatch > 0: promotion decisions ride
+	// Touch acks.
 	NearCacheEntries int
-	// HotSteer fetches promoted keys with large values over RPC instead
-	// of the RMA path (the Figure 20 value-size crossover).
-	HotSteer bool
-	// HotSpread rotates promoted keys' data reads across the healthy
-	// quorum members instead of always reading the fastest replica.
-	HotSpread bool
 }
 
 // Cell is a running CliqueMap cell: backends, spares, NICs, config store.
@@ -242,8 +239,6 @@ func (c *Cell) NewClient(opt ClientOptions) *Client {
 		Retries:          opt.Retries,
 		TouchBatch:       opt.TouchBatch,
 		NearCacheEntries: opt.NearCacheEntries,
-		HotSteer:         opt.HotSteer,
-		HotSpread:        opt.HotSpread,
 	})
 	return &Client{cl: cl}
 }

@@ -1,9 +1,10 @@
 package cliquemap
 
 // End-to-end tests for the hot-key adaptive serving loop: server-side
-// promotion (heat sketch → promoted set → all-replica residency),
-// piggybacked promotion learning on Touch acks, the client near-cache
-// with quorum revalidation, and per-key transport steering.
+// promotion (heat sketch → promoted set), piggybacked promotion learning
+// on Touch acks, and the one client switch (NearCacheEntries) that turns
+// on the near-cache with quorum revalidation, per-key transport steering
+// and data-read spreading.
 
 import (
 	"bytes"
@@ -160,7 +161,7 @@ func TestHotChurnRace(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cl := c.NewClient(ClientOptions{TouchBatch: 4, NearCacheEntries: 16, HotSpread: true})
+			cl := c.NewClient(ClientOptions{TouchBatch: 4, NearCacheEntries: 16})
 			last := make([]uint64, nKeys)
 			for i := 0; ; i++ {
 				select {

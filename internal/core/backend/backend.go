@@ -224,9 +224,8 @@ type Options struct {
 	// hashring.DefaultHash.
 	Hash hashring.HashFunc
 	// HotK caps the hot-key promoted set (hotset.go): the top keys whose
-	// traffic share clears the promotion bar are settled to all-replica
-	// residency and advertised to clients via response piggybacks. 0
-	// takes a default; negative disables promotion entirely.
+	// traffic share clears the promotion bar are advertised to clients on
+	// Touch acks. 0 takes a default; negative disables promotion entirely.
 	HotK int
 
 	// DataDir, when non-empty, enables the durability plane (persist.go):
@@ -515,7 +514,6 @@ type Backend struct {
 	hotCand      []stats.HotCand // under hotMu: evalHot's selection scratch
 	hot          atomic.Pointer[hotSet]
 	hotEvalTotal atomic.Uint64 // sketch total at the last evaluation
-	hotResidency atomic.Bool   // a RepairHot sweep is in flight
 }
 
 // New builds and registers a backend task: its memory regions, RMA

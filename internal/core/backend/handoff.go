@@ -27,12 +27,10 @@ package backend
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/hashring"
-	"cliquemap/internal/rpc"
 	"cliquemap/internal/truetime"
 )
 
@@ -190,44 +188,20 @@ func (b *Backend) snapshotKeys(keys []string) []proto.MigrateItem {
 
 // ------------------------------------------------------------ streaming --
 
-// sendMigrate ships one frame, preferring MethodMigrateDelta for
-// delta/tombstone frames and degrading to MethodMigrateBatch when the
-// receiver predates it (§6's additive evolution). Tombstone items are
-// dropped on fallback: an old receiver would decode them as empty-value
-// installs, which is strictly worse than the old behavior of tombstones
-// simply not migrating.
-func (b *Backend) sendMigrate(ctx context.Context, client *rpc.Client, addr string, req proto.MigrateBatchReq, delta bool) error {
-	method := proto.MethodMigrateBatch
-	if delta {
-		method = proto.MethodMigrateDelta
-	}
-	_, _, err := client.Call(ctx, addr, method, req.Marshal())
-	if err != nil && delta && errors.Is(err, rpc.ErrNoSuchMethod) {
-		kept := req.Items[:0:0]
-		for _, it := range req.Items {
-			if !it.Tombstone {
-				kept = append(kept, it)
-			}
-		}
-		req.Items = kept
-		req.TombSummary = truetime.Version{}
-		if len(req.Items) == 0 && !req.Final {
-			return nil
-		}
-		_, _, err = client.Call(ctx, addr, proto.MethodMigrateBatch, req.Marshal())
-	}
-	return err
-}
-
 // handoff is the source side of every shard handoff, planned maintenance
 // and resize step alike: journal on → bulk snapshot+stream → seal → drain
 // the journal until dry → tombstones → coarse summary. The two callers
 // differ only in routing: targetsOf names the receivers of one key, and
 // allTargets every receiver of the final summary frame (a whole-backend
-// bound, so it travels wide).
+// bound, so it travels wide). Every frame — bulk, delta, tombstones,
+// summary — is one MethodMigrateBatch call.
 func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Context) error, targetsOf func(key []byte) []string, allTargets []string) error {
 	client := b.rpcClient()
-	stream := func(items []proto.MigrateItem, delta bool) error {
+	send := func(addr string, req proto.MigrateBatchReq) error {
+		_, _, err := client.Call(ctx, addr, proto.MethodMigrateBatch, req.Marshal())
+		return err
+	}
+	stream := func(items []proto.MigrateItem) error {
 		routed := make(map[string][]proto.MigrateItem)
 		for _, it := range items {
 			for _, addr := range targetsOf(it.Key) {
@@ -237,8 +211,7 @@ func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Cont
 		for addr, its := range routed {
 			for len(its) > 0 {
 				n := min(len(its), migrateBatchSize)
-				req := proto.MigrateBatchReq{Shard: shard, Items: its[:n]}
-				if err := b.sendMigrate(ctx, client, addr, req, delta); err != nil {
+				if err := send(addr, proto.MigrateBatchReq{Shard: shard, Items: its[:n]}); err != nil {
 					return err
 				}
 				its = its[n:]
@@ -252,7 +225,7 @@ func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Cont
 
 	// Bulk: everything this backend holds (copies for every shard of its
 	// cohorts), while writes continue — journaled as they land.
-	if err := stream(b.Items(-1, 0), false); err != nil {
+	if err := stream(b.Items(-1, 0)); err != nil {
 		return err
 	}
 	if err := seal(ctx); err != nil {
@@ -261,7 +234,7 @@ func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Cont
 	// Catch-up: mutations that raced the bulk stream. journalNote stops
 	// recording once sealed, so the loop terminates.
 	for keys := b.journalSwap(); len(keys) > 0; keys = b.journalSwap() {
-		if err := stream(b.snapshotKeys(keys), true); err != nil {
+		if err := stream(b.snapshotKeys(keys)); err != nil {
 			return err
 		}
 	}
@@ -270,13 +243,12 @@ func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Cont
 	b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
 		tombs = append(tombs, proto.MigrateItem{Key: key, Version: v, Tombstone: true})
 	})
-	if err := stream(tombs, true); err != nil {
+	if err := stream(tombs); err != nil {
 		return err
 	}
 	if sum := b.tombSummary(); !sum.Zero() {
 		for _, addr := range allTargets {
-			req := proto.MigrateBatchReq{Shard: shard, Final: true, TombSummary: sum}
-			if err := b.sendMigrate(ctx, client, addr, req, true); err != nil {
+			if err := send(addr, proto.MigrateBatchReq{Shard: shard, Final: true, TombSummary: sum}); err != nil {
 				return err
 			}
 		}

@@ -1,10 +1,8 @@
 package backend
 
 import (
-	"context"
-
-	"cliquemap/internal/core/proto"
-	"cliquemap/internal/truetime"
+	"bytes"
+	"slices"
 )
 
 // Hot-key promotion: the server side of the hot-key adaptive serving loop.
@@ -14,16 +12,12 @@ import (
 // report for one-sided RMA GETs. Promotion distills that telemetry into a
 // small actionable set: the top-k keys whose estimated share of traffic
 // clears a promotion bar are PROMOTED, and the set (with a monotonically
-// increasing epoch) piggybacks on responses clients already receive
-// (Touch acks, Stats and Health polls), so clients learn which keys are
-// hot without a dedicated round trip.
-//
-// Promotion drives two server behaviours and two client behaviours:
-//   - server: promoted keys are promptly settled to all-replica residency
-//     (RepairHot), so R-way read spreading never hits a missing replica;
-//   - server: the promotion epoch lets clients cheaply detect change;
-//   - client: promoted keys become near-cache admission candidates and
-//     get per-key transport steering / R-way data-read spreading.
+// increasing epoch) rides the two responses that have readers: Touch acks
+// (clients near-cache, steer and spread promoted keys) and Stats scrapes
+// (cmstat's PROMOTED table). A promoted key is otherwise an ordinary key:
+// it converges through RepairShard like any other, and read spreading
+// needs no residency guarantee because the client only reads data from
+// quorum members holding the winning version.
 //
 // Hysteresis: a key promotes when its estimated count reaches the
 // promote bar (a traffic share floor with an absolute minimum) and stays
@@ -41,7 +35,6 @@ const (
 type hotSet struct {
 	epoch uint64
 	keys  [][]byte // hottest first; shared read-only
-	set   map[string]struct{}
 }
 
 // maybeEvalHot re-evaluates the promoted set if enough new traffic has
@@ -78,11 +71,7 @@ func (b *Backend) evalHot(total uint64) {
 	// One evaluation at a time: hotMu guards the candidate scratch as well
 	// as the epoch bump.
 	b.hotMu.Lock()
-	cur := b.hot.Load()
-	var curSet map[string]struct{}
-	if cur != nil {
-		curSet = cur.set
-	}
+	epoch, cur := b.HotSnapshot()
 	b.hotCand = b.heat.AppendTop(b.hotCand, 2*k)
 	// Move the candidates that clear their bar to the front, hottest first,
 	// and see whether they are the set already published — the usual
@@ -90,7 +79,7 @@ func (b *Backend) evalHot(total uint64) {
 	cand, next, same := b.hotCand, 0, true
 	for i := 0; i < len(cand) && next < k; i++ {
 		bar := promoteBar
-		_, promoted := curSet[string(cand[i].Key)]
+		promoted := slices.ContainsFunc(cur, func(key []byte) bool { return bytes.Equal(key, cand[i].Key) })
 		if promoted {
 			bar = demoteBar
 		}
@@ -100,36 +89,16 @@ func (b *Backend) evalHot(total uint64) {
 			same = same && promoted
 		}
 	}
-	if same && next == len(curSet) {
+	if same && next == len(cur) {
 		b.hotMu.Unlock()
 		return
 	}
 	keys := make([][]byte, 0, next)
-	set := make(map[string]struct{}, next)
 	for _, hk := range cand[:next] {
-		key := string(hk.Key)
-		keys = append(keys, []byte(key))
-		set[key] = struct{}{}
+		keys = append(keys, bytes.Clone(hk.Key))
 	}
-	epoch := uint64(1)
-	if cur != nil {
-		epoch = cur.epoch + 1
-	}
-	b.hot.Store(&hotSet{epoch: epoch, keys: keys, set: set})
+	b.hot.Store(&hotSet{epoch: epoch + 1, keys: keys})
 	b.hotMu.Unlock()
-
-	// Server-driven residency: settle freshly promoted keys to all
-	// replicas now rather than waiting for the next full repair sweep, so
-	// clients that start spreading reads R-ways never hit a replica that
-	// is missing the key. One sweep in flight at a time; a promotion that
-	// lands mid-sweep is picked up by the next epoch change or full
-	// repair.
-	if len(keys) > 0 && b.hotResidency.CompareAndSwap(false, true) {
-		go func() {
-			defer b.hotResidency.Store(false)
-			b.RepairHot(context.Background())
-		}()
-	}
 }
 
 // HotSnapshot returns the promotion epoch and the promoted keys, hottest
@@ -141,84 +110,4 @@ func (b *Backend) HotSnapshot() (uint64, [][]byte) {
 		return 0, nil
 	}
 	return hs.epoch, hs.keys
-}
-
-// RepairHot settles every currently promoted key to all-replica residency:
-// the targeted, prompt complement of the full RepairShard sweep (whose
-// all-views-agree clean check already converges divergent keys, just on
-// sweep cadence rather than promotion cadence).
-//
-// Safety mirrors RepairShard's settle rule: a laggard is written AT the
-// best observed version, and only when a read quorum already holds that
-// version — so an incomplete (never-acked) erase on a minority cannot
-// block residency, while a completed quorum erase leaves fewer than
-// quorum value-holders and the key is skipped. Every install re-validates
-// version monotonicity and the tombstone bound under the key's stripe
-// lock, so a racing newer mutation or erase wins and the next sweep
-// re-evaluates.
-func (b *Backend) RepairHot(ctx context.Context) (settled int) {
-	_, keys := b.HotSnapshot()
-	if len(keys) == 0 {
-		return 0
-	}
-	cfg := b.store.Get()
-	if cfg.Shards == 0 {
-		return 0
-	}
-	quorum := cfg.Mode.Quorum()
-	client := b.rpcClient()
-
-	type view struct {
-		addr  string
-		found bool
-		ver   truetime.Version
-		val   []byte
-	}
-	for _, key := range keys {
-		h := b.opt.Hash(key)
-		cohort := cfg.Cohort(int(h.Hi % uint64(cfg.Shards)))
-		views := make([]view, 0, len(cohort))
-		for _, shard := range cohort {
-			v := view{addr: cfg.AddrFor(shard)}
-			v.val, v.ver, v.found = b.getAt(ctx, client, v.addr, key)
-			views = append(views, v)
-		}
-		var bestV truetime.Version
-		bestIdx, votes := -1, 0
-		for i, v := range views {
-			if v.found && (bestIdx < 0 || bestV.Less(v.ver)) {
-				bestIdx, bestV = i, v.ver
-			}
-		}
-		if bestIdx < 0 {
-			continue
-		}
-		for _, v := range views {
-			if v.found && v.ver == bestV {
-				votes++
-			}
-		}
-		if votes < quorum {
-			// No read quorum at the best version: either an erase
-			// completed (value holders are the minority that missed it)
-			// or a write is still settling. Leave it to the full repair
-			// sweep, which sees tombstones.
-			continue
-		}
-		value := views[bestIdx].val
-		for _, v := range views {
-			if v.found && v.ver == bestV {
-				continue
-			}
-			if v.addr == b.opt.Addr {
-				if applied, _, _ := b.set(nil, key, value, bestV); applied {
-					settled++
-				}
-			} else {
-				client.Call(ctx, v.addr, proto.MethodSet, proto.SetReq{Key: key, Value: value, Version: bestV, Repair: true}.Marshal())
-				settled++
-			}
-		}
-	}
-	return settled
 }

@@ -153,8 +153,6 @@ func (b *Backend) registerHandlers() {
 	}
 	s.Handle(proto.MethodMigrateBatch, migrate)
 	s.SetMethodCost(proto.MethodMigrateBatch, setHandlerCPU)
-	s.Handle(proto.MethodMigrateDelta, migrate)
-	s.SetMethodCost(proto.MethodMigrateDelta, setHandlerCPU)
 
 	s.Handle(proto.MethodSeal, func(_ context.Context, _ string, req []byte) ([]byte, error) {
 		r, err := proto.UnmarshalSealReq(req)
@@ -210,22 +208,11 @@ func (b *Backend) registerHandlers() {
 		// The health plane is cell-wide state; the cell attaches a
 		// marshalled-snapshot source after construction. A bare backend
 		// (tests, spares before wiring) serves an empty snapshot rather
-		// than an error so tooling can always poll. The serving backend's
-		// hot-key promotion set rides along (additive tags), so health
-		// pollers learn the hot set on a poll they already make.
-		epoch, hot := b.HotSnapshot()
+		// than an error so tooling can always poll.
 		if fn := b.healthSrc.Load(); fn != nil {
-			body := (*fn)()
-			if epoch == 0 {
-				return body, nil
-			}
-			if hr, err := proto.UnmarshalHealthResp(body); err == nil {
-				hr.HotEpoch, hr.HotKeys = epoch, hot
-				return hr.Marshal(), nil
-			}
-			return body, nil
+			return (*fn)(), nil
 		}
-		return proto.HealthResp{HotEpoch: epoch, HotKeys: hot}.Marshal(), nil
+		return proto.HealthResp{}.Marshal(), nil
 	})
 
 	s.Handle(proto.MethodTier, func(_ context.Context, _ string, _ []byte) ([]byte, error) {
@@ -237,17 +224,6 @@ func (b *Backend) registerHandlers() {
 			return (*fn)(), nil
 		}
 		return proto.TierResp{}.Marshal(), nil
-	})
-
-	s.Handle(proto.MethodRequestRepair, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		r, err := proto.UnmarshalAssumeShardReq(req) // carries just the shard
-		if err != nil {
-			return nil, err
-		}
-		if _, err := b.RepairShard(ctx, r.Shard); err != nil {
-			return nil, err
-		}
-		return proto.Ack{}.Marshal(), nil
 	})
 }
 

@@ -130,17 +130,13 @@ type Options struct {
 	// Seed perturbs the client's jitter/probe randomness; 0 derives from
 	// ID so distinct clients desynchronize by default.
 	Seed uint64
-	// NearCacheEntries sizes the client-side near-cache for server-
-	// promoted hot keys; 0 disables it. Only the RMA lookup strategies
-	// (2xR, SCAR) use it: their index-only revalidation round is what
-	// makes a near-serve cheaper than the full path.
+	// NearCacheEntries is the one hot-key adaptive-serving switch (0 = off):
+	// it sizes the client-side near-cache for server-promoted keys and turns
+	// on their per-key steering to RPC past the Fig 20 size crossover and
+	// their data-read spreading across the quorum. Only the RMA lookup
+	// strategies (2xR, SCAR) use it: their index-only revalidation round is
+	// what makes a near-serve cheaper than the full path.
 	NearCacheEntries int
-	// HotSteer enables per-key transport steering: promoted keys whose
-	// last observed value clears the Fig 20 size crossover fetch over RPC.
-	HotSteer bool
-	// HotSpread rotates hot keys' data reads across the healthy quorum
-	// members instead of always reading from the fastest replica.
-	HotSpread bool
 }
 
 func (o Options) withDefaults() Options {
@@ -191,13 +187,12 @@ type Client struct {
 	dataEWMA atomic.Uint64 // rolling data-read latency, drives hedging
 
 	// Hot-key adaptive serving state (nearcache.go). promo is the merged
-	// promoted-key set piggybacked on Touch acks; promoMu guards the
-	// per-backend epoch bookkeeping behind it.
-	near        *nearCache
-	promo       atomic.Pointer[promoSet]
-	promoMu     sync.Mutex
-	promoEpochs map[string]uint64
-	promoSets   map[string]map[string]struct{}
+	// promoted-key set piggybacked on Touch acks, swapped whole; promoMu
+	// guards the per-backend sets behind it.
+	near    *nearCache
+	promo   atomic.Pointer[map[string]struct{}]
+	promoMu sync.Mutex
+	promoBy map[string]backendPromo // by backend addr
 
 	M Metrics
 }
@@ -214,17 +209,18 @@ const (
 func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock, dial DialFunc, msg MsgFunc, now NowFunc, acct *stats.CPUAccount) *Client {
 	opt = opt.withDefaults()
 	c := &Client{
-		opt:    opt,
-		store:  store,
-		rpcc:   rpcc,
-		gen:    truetime.NewGenerator(clock, opt.ID),
-		dial:   dial,
-		msg:    msg,
-		now:    now,
-		acct:   acct,
-		conns:  make(map[int]nic.RMA),
-		hellos: make(map[string]proto.HelloResp),
-		touchQ: make(map[string]*touchQueue),
+		opt:     opt,
+		store:   store,
+		rpcc:    rpcc,
+		gen:     truetime.NewGenerator(clock, opt.ID),
+		dial:    dial,
+		msg:     msg,
+		now:     now,
+		acct:    acct,
+		conns:   make(map[int]nic.RMA),
+		hellos:  make(map[string]proto.HelloResp),
+		touchQ:  make(map[string]*touchQueue),
+		promoBy: make(map[string]backendPromo),
 	}
 	c.rngState.Store(opt.Seed)
 	c.cfg = store.Get()

@@ -197,11 +197,13 @@ func (c *Client) readData(at, origin uint64, key []byte, how fetch, views []inde
 		}
 		return cmp.Compare(a.ns, b.ns)
 	})
-	// Hot-key spread: rotate the healthy prefix so a promoted key's data
-	// reads load-balance across the quorum instead of always landing on
-	// the fastest (soon to be hottest) replica. Demoted members keep
-	// their sorted-last position; failover order is unchanged.
-	if c.opt.HotSpread && len(cands) > 1 && c.isPromoted(key) {
+	// Hot-key spread (on with the near-cache): rotate the healthy prefix so
+	// a promoted key's data reads load-balance across the quorum instead of
+	// always landing on the fastest (soon to be hottest) replica. Every
+	// candidate holds the winning version, so no rotation can address a
+	// replica that lacks it. Demoted members keep their sorted-last
+	// position; failover order is unchanged.
+	if c.near != nil && len(cands) > 1 && c.isPromoted(key) {
 		healthy := 0
 		for healthy < len(cands) && !cands[healthy].demoted {
 			healthy++

@@ -1,7 +1,8 @@
 package client
 
 // Hot-key adaptive serving — the client half of the loop the server's
-// promotion machinery (backend/hotset.go) drives:
+// promotion machinery (backend/hotset.go) drives. Its one switch,
+// Options.NearCacheEntries > 0, turns on all of
 //
 //   - NEAR-CACHE: values of server-promoted (sketch-hot) keys are cached
 //     client-side with their quorum-winning VersionNumber. A near-serve is
@@ -20,7 +21,9 @@ package client
 //     at large sizes); everything else keeps the configured strategy.
 //   - SPREADING: promoted keys rotate the data-read candidate order
 //     across the healthy quorum members instead of always hammering the
-//     fastest replica, so a hot key's data reads load-balance R-ways.
+//     fastest replica, so a hot key's data reads load-balance R-ways. The
+//     candidates are only members holding the winning version, so no
+//     rotation reads a replica that lacks it.
 //
 // What the near-cache does NOT guarantee: a hit is as fresh as the
 // revalidation quorum — a mutation acked after the revalidation round
@@ -32,8 +35,10 @@ package client
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
+	"cliquemap/internal/core/config"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/truetime"
 )
@@ -52,15 +57,27 @@ var errNearInconclusive = errors.New("client: near-cache revalidation inconclusi
 type nearEntry struct {
 	val []byte
 	ver truetime.Version
+	seq uint64 // its order record's; older records for the key are stale
+}
+
+type nearOrder struct {
+	key string
+	seq uint64
 }
 
 // nearCache is a small FIFO map of version-validated hot-key values.
-// Admission is promotion-gated (nearStore), retention is cap-gated.
+// Admission is promotion-gated (nearStore), retention is cap-gated. The
+// FIFO follows backend.tombQueue's discipline: each entry carries the
+// sequence number of its order record, so the record a drop leaves behind
+// is recognizably stale — eviction skips it rather than evicting the key's
+// re-admitted entry ahead of older ones — and compaction bounds the order
+// slice at 2·cap however often a key is dropped and re-admitted.
 type nearCache struct {
 	mu    sync.Mutex
 	cap   int
+	seq   uint64
 	m     map[string]nearEntry
-	order []string // FIFO; may hold stale keys, skipped on pop
+	order []nearOrder
 
 	// sizes keeps last-observed value sizes for steering — advisory
 	// only, so entries survive drops and are evicted on their own FIFO.
@@ -98,15 +115,27 @@ func (n *nearCache) put(key, val []byte, ver truetime.Version) {
 		}
 		n.sizes[k] = len(val)
 	}
-	if _, ok := n.m[k]; !ok {
-		for len(n.m) >= n.cap && len(n.order) > 0 {
-			victim := n.order[0]
-			n.order = n.order[1:]
-			delete(n.m, victim)
-		}
-		n.order = append(n.order, k)
+	if e, ok := n.m[k]; ok {
+		e.val, e.ver = append([]byte(nil), val...), ver
+		n.m[k] = e
+		return
 	}
-	n.m[k] = nearEntry{val: append([]byte(nil), val...), ver: ver}
+	for len(n.m) >= n.cap && len(n.order) > 0 {
+		r := n.order[0]
+		n.order = n.order[1:]
+		if e, ok := n.m[r.key]; ok && e.seq == r.seq {
+			delete(n.m, r.key)
+		}
+	}
+	n.seq++
+	n.m[k] = nearEntry{val: append([]byte(nil), val...), ver: ver, seq: n.seq}
+	n.order = append(n.order, nearOrder{key: k, seq: n.seq})
+	if len(n.order) > 2*n.cap {
+		n.order = slices.DeleteFunc(n.order, func(r nearOrder) bool {
+			e, ok := n.m[r.key]
+			return !ok || e.seq != r.seq
+		})
+	}
 }
 
 func (n *nearCache) drop(key []byte) {
@@ -124,19 +153,7 @@ func (n *nearCache) sizeHint(key []byte) (int, bool) {
 	return sz, ok
 }
 
-func (n *nearCache) len() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.m)
-}
-
 // ----------------------------------------------------- promotion state --
-
-// promoSet is the merged promoted-key set across all backends the client
-// has heard from, swapped atomically.
-type promoSet struct {
-	keys map[string]struct{}
-}
 
 // isPromoted reports whether key is in any backend's promoted set, as
 // last piggybacked to this client.
@@ -145,7 +162,7 @@ func (c *Client) isPromoted(key []byte) bool {
 	if p == nil {
 		return false
 	}
-	_, ok := p.keys[string(key)]
+	_, ok := (*p)[string(key)]
 	return ok
 }
 
@@ -156,39 +173,60 @@ func (c *Client) PromotedKeys() int {
 	if p == nil {
 		return 0
 	}
-	return len(p.keys)
+	return len(*p)
+}
+
+// backendPromo is one backend's last piggybacked promotion set.
+type backendPromo struct {
+	epoch uint64
+	keys  map[string]struct{}
 }
 
 // ingestPromo folds one backend's piggybacked promotion set into the
 // merged snapshot. Epoch-gated per backend: replayed or unchanged
-// responses are free. Epoch 0 (old servers, nothing promoted yet) is a
-// no-op by construction.
+// responses are free, as is epoch 0 (nothing promoted yet) from a backend
+// not heard from before.
 func (c *Client) ingestPromo(addr string, epoch uint64, keys [][]byte) {
-	if epoch == 0 {
-		return
-	}
 	c.promoMu.Lock()
 	defer c.promoMu.Unlock()
-	if c.promoEpochs == nil {
-		c.promoEpochs = make(map[string]uint64)
-		c.promoSets = make(map[string]map[string]struct{})
-	}
-	if c.promoEpochs[addr] == epoch {
+	if c.promoBy[addr].epoch == epoch {
 		return
 	}
-	c.promoEpochs[addr] = epoch
 	set := make(map[string]struct{}, len(keys))
 	for _, k := range keys {
 		set[string(k)] = struct{}{}
 	}
-	c.promoSets[addr] = set
+	c.promoBy[addr] = backendPromo{epoch: epoch, keys: set}
+	c.mergePromo()
+}
+
+// forgetPromo drops the promotion sets of backends that serve no shard
+// under cfg — a departed backend's last set would otherwise stay merged
+// for good, since nothing it sends will ever replace it.
+func (c *Client) forgetPromo(cfg config.CellConfig) {
+	c.promoMu.Lock()
+	defer c.promoMu.Unlock()
+	n := len(c.promoBy)
+	for addr := range c.promoBy {
+		if !servesShard(cfg, addr) {
+			delete(c.promoBy, addr)
+		}
+	}
+	if len(c.promoBy) != n {
+		c.mergePromo()
+	}
+}
+
+// mergePromo publishes the union of the per-backend sets. Callers hold
+// promoMu.
+func (c *Client) mergePromo() {
 	merged := make(map[string]struct{})
-	for _, s := range c.promoSets {
-		for k := range s {
+	for _, p := range c.promoBy {
+		for k := range p.keys {
 			merged[k] = struct{}{}
 		}
 	}
-	c.promo.Store(&promoSet{keys: merged})
+	c.promo.Store(&merged)
 }
 
 // ------------------------------------------------------- near-serving --
@@ -270,7 +308,7 @@ func (c *Client) revalidateIndex(ctx context.Context, key []byte, tr *fabric.OpT
 // the Fig 20 crossover move more bytes over the RMA paths (bucket + data
 // or SCAR piggyback) than a single RPC round trip carrying the value.
 func (c *Client) steerToRPC(key []byte) bool {
-	if !c.opt.HotSteer || c.near == nil || !c.isPromoted(key) {
+	if c.near == nil || !c.isPromoted(key) {
 		return false
 	}
 	sz, ok := c.near.sizeHint(key)

@@ -16,19 +16,27 @@ import (
 )
 
 // refreshConfig re-reads the HA store and drops cached handshakes, the
-// §6.1 recovery path for config-ID mismatches — and the touch queues of
-// backends that serve no shard in either epoch any more: nothing would fill
-// them again, and FlushTouches would keep reporting to a departed address.
+// §6.1 recovery path for config-ID mismatches — and the touch queues and
+// promotion sets of backends that serve no shard in either epoch any more:
+// nothing would fill or replace them again, and FlushTouches would keep
+// reporting to a departed address.
 func (c *Client) refreshConfig() {
 	c.mu.Lock()
 	c.cfg = c.store.Get()
+	cfg := c.cfg
 	c.hellos = make(map[string]proto.HelloResp)
 	for addr := range c.touchQ {
-		if !slices.Contains(c.cfg.ShardAddrs, addr) && (c.cfg.Pending == nil || !slices.Contains(c.cfg.Pending.ShardAddrs, addr)) {
+		if !servesShard(cfg, addr) {
 			delete(c.touchQ, addr)
 		}
 	}
 	c.mu.Unlock()
+	c.forgetPromo(cfg)
+}
+
+// servesShard reports whether addr serves a shard in either of cfg's epochs.
+func servesShard(cfg config.CellConfig, addr string) bool {
+	return slices.Contains(cfg.ShardAddrs, addr) || (cfg.Pending != nil && slices.Contains(cfg.Pending.ShardAddrs, addr))
 }
 
 // forgetHandshake drops one backend's cached geometry, forcing a fresh

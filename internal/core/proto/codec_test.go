@@ -130,12 +130,11 @@ var goldenFrames = []struct {
 				ProbeP50Ns: 7000, ProbeP99Ns: 70000, Pages: 2, Warns: 1},
 			{Class: "SET", State: "ok"},
 		},
-		Targets:  []HealthTarget{{Name: "2xR", Good: 50, Bad: 1}, {Name: "RPC", Good: 49}},
-		HotEpoch: 4, HotKeys: [][]byte{[]byte("hot-h")}},
+		Targets: []HealthTarget{{Name: "2xR", Good: 50, Bad: 1}, {Name: "RPC", Good: 49}}},
 		anyDecoder(UnmarshalHealthResp),
 		"010408b96010071a2e0a03474554120470616765186320d8fc3c28c0843d30c07038c070400a48055064580660d83668" +
 			"f0a204700278011a230a0353455412026f6b180020002800300038004000480050005800600068007000780022090a03" +
-			"3278521032180122090a035250431031180028043205686f742d68"},
+			"3278521032180122090a0352504310311800"},
 	{TierReq{}, anyDecoder(UnmarshalTierReq), "0104"},
 	{TierResp{RingVersion: 9, Vnodes: 128,
 		Cells: []TierCell{
@@ -212,6 +211,15 @@ var goldenFrames = []struct {
 		"0104080010001a0a0a001000180022003000"},
 }
 
+// retiredHealthTags is what the captured populated HealthResp frame carried
+// past tag 4 — tag 5 (HotEpoch 4) and tag 6 (HotKeys "hot-h"), a hot-key
+// piggyback nothing read; the golden frame above is the capture less them.
+const retiredHealthTags = "28043205686f742d68"
+
+// retiredTags are tags a message once carried: senders built before their
+// removal may still send them, so no field may claim them again.
+var retiredTags = map[reflect.Type][]uint64{reflect.TypeOf(HealthResp{}): {5, 6}}
+
 func TestGoldenFrames(t *testing.T) {
 	for _, c := range goldenFrames {
 		name := reflect.TypeOf(c.value).Name()
@@ -229,6 +237,24 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		if again := got.Marshal(); !bytes.Equal(again, frame) {
 			t.Errorf("%s: re-encoded frame differs from the parent's:\n got  %x\n want %x", name, again, frame)
+		}
+	}
+}
+
+// TestRetiredHealthTagsDecode: a HealthResp frame from a server that still
+// sends the retired tags 5–6 decodes to the same snapshot as one without.
+func TestRetiredHealthTagsDecode(t *testing.T) {
+	for _, c := range goldenFrames {
+		if _, ok := c.value.(HealthResp); !ok {
+			continue
+		}
+		frame, err := hex.DecodeString(c.frame + retiredHealthTags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UnmarshalHealthResp(frame)
+		if err != nil || !reflect.DeepEqual(got, c.value) {
+			t.Errorf("old frame decoded to %+v (err %v), want %+v", got, err, c.value)
 		}
 	}
 }
@@ -365,6 +391,9 @@ func lintSchema(t *testing.T, typ reflect.Type, seen map[reflect.Type]bool, caps
 	}
 	seen[typ] = true
 	owner := make(map[uint64]string)
+	for _, n := range retiredTags[typ] {
+		owner[n] = "a retired field"
+	}
 	claim := func(tag uint64, field string) {
 		if tag == 0 {
 			t.Errorf("%s.%s: tag 0", typ, field)

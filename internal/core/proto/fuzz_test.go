@@ -53,9 +53,8 @@ func TestDebugRespHeatRoundTrip(t *testing.T) {
 
 func FuzzHealthResp(f *testing.F) {
 	f.Add(HealthResp{GeneratedNs: 1, Rounds: 2,
-		Classes:  []HealthClass{{Class: "GET", State: "warn", FastBurnMilli: 3000}},
-		Targets:  []HealthTarget{{Name: "SCAR", Good: 9, Bad: 1}},
-		HotEpoch: 4, HotKeys: [][]byte{[]byte("hot-h")},
+		Classes: []HealthClass{{Class: "GET", State: "warn", FastBurnMilli: 3000}},
+		Targets: []HealthTarget{{Name: "SCAR", Good: 9, Bad: 1}},
 	}.Marshal())
 	// A class whose nested fields are hostile: non-UTF8 state, maxed
 	// varints, and an extra unknown tag (forward compatibility).
@@ -91,7 +90,7 @@ func FuzzHealthResp(f *testing.F) {
 }
 
 // The handoff-plane frames below cross trust boundaries during a resize
-// or maintenance migration: SealReq and MigrateBatch/MigrateDelta bodies
+// or maintenance migration: SealReq and MigrateBatch bodies
 // arrive at backends from whichever peer claims to run the handoff, and
 // GetReq's ConfigID stamp is the self-validation gate on the two-sided
 // read path. A malformed frame must error, never panic, and never
@@ -154,9 +153,9 @@ func FuzzGetReq(f *testing.F) {
 }
 
 func FuzzMigrateBatchReq(f *testing.F) {
-	// Shared schema for MethodMigrateBatch and MethodMigrateDelta: the
-	// delta stream additionally leans on tombstone items and the
-	// final-frame summary fold, so both shapes seed the corpus.
+	// Every handoff frame is a MigrateBatch: the bulk stream's value items,
+	// and the delta stream's tombstone items and final-frame summary fold,
+	// so both shapes seed the corpus.
 	f.Add(MigrateBatchReq{
 		Shard: 1,
 		Items: []MigrateItem{

@@ -48,18 +48,14 @@ type HealthTarget struct {
 	Bad  uint64 `wire:"3"`
 }
 
-// HealthResp is the health plane snapshot.
+// HealthResp is the health plane snapshot. Tags 5–6 are retired (a
+// hot-key promotion piggyback nothing read) and are never reused: older
+// servers may still send them, and decoders skip them.
 type HealthResp struct {
 	GeneratedNs uint64         `wire:"1"` // virtual generation instant
 	Rounds      uint64         `wire:"2"` // prober rounds completed
 	Classes     []HealthClass  `wire:"3"`
 	Targets     []HealthTarget `wire:"4"`
-	// Hot-key promotion piggyback (additive tags 5/6): the serving
-	// backend's promoted-key set and its epoch, so health pollers learn
-	// the hot set on a poll they already make. Zero/empty from
-	// pre-promotion servers.
-	HotEpoch uint64   `wire:"5,omitzero"`
-	HotKeys  [][]byte `wire:"6"`
 }
 
 // Marshal encodes the snapshot.

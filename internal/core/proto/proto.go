@@ -33,10 +33,11 @@ const (
 	MethodTouch         = "CliqueMap.Touch"
 	MethodScan          = "CliqueMap.Scan"
 	MethodUpdateVersion = "CliqueMap.UpdateVersion"
-	MethodMigrateStart  = "CliqueMap.MigrateStart"
-	MethodMigrateBatch  = "CliqueMap.MigrateBatch"
 	MethodAssumeShard   = "CliqueMap.AssumeShard"
-	MethodRequestRepair = "CliqueMap.RequestRepair"
+	// MethodMigrateBatch carries every shard-handoff frame: the bulk
+	// stream, the sealed journal delta, tombstones, and the final coarse
+	// tombstone summary.
+	MethodMigrateBatch = "CliqueMap.MigrateBatch"
 	// MethodStats was added after initial deployment — the kind of
 	// additive protocol evolution §6 describes. Old clients simply never
 	// call it; old servers answer ErrNoSuchMethod and new clients cope.
@@ -63,12 +64,6 @@ const (
 	// to a closed set. Additive: old servers answer ErrNoSuchMethod and
 	// the resize orchestrator aborts rather than risking a lost write.
 	MethodSeal = "CliqueMap.Seal"
-	// MethodMigrateDelta streams the catch-up delta of a sealed handoff:
-	// mutations journaled since the bulk stream, plus the source's live
-	// tombstones and coarse tombstone summary. Same schema as
-	// MigrateBatch; callers fall back to MethodMigrateBatch on
-	// ErrNoSuchMethod (losing only the summary fold).
-	MethodMigrateDelta = "CliqueMap.MigrateDelta"
 )
 
 // ErrShardSealed is returned by a handoff-sealed backend for client
@@ -478,13 +473,10 @@ func UnmarshalTouchReq(b []byte) (TouchReq, error) {
 }
 
 // TouchResp acknowledges a batched access-record report and piggybacks
-// the backend's hot-key promotion set: the keys this backend has promoted
-// to all-replica residency plus the epoch that identifies the set. Touch
-// flushes are the one RPC every heat-reporting client already sends, so
-// riding the promotion set on the reply teaches clients to near-cache and
-// spread hot reads without a new round trip. Additive: pre-promotion
-// servers answered a bare Ack (an empty frame), which decodes as epoch 0
-// with no keys, and pre-promotion clients ignore the body entirely.
+// the backend's hot-key promotion set (its keys and the epoch naming it):
+// the feed clients learn promotion from. Additive: pre-promotion servers
+// answered a bare Ack (an empty frame), which decodes as epoch 0 with no
+// keys, and pre-promotion clients ignore the body entirely.
 type TouchResp struct {
 	HotEpoch uint64   `wire:"1,omitzero"`
 	HotKeys  [][]byte `wire:"2"`
@@ -731,8 +723,7 @@ type StatsResp struct {
 	NICOps            uint64 `wire:"41"`
 	// Hot-key promotion set (the cmstat PROMOTED column): HotEpoch
 	// identifies the set (bumped on every membership change), HotKeys are
-	// the keys this backend currently holds at promoted (all-replica
-	// residency, read-spread) status.
+	// the keys this backend currently advertises as promoted.
 	HotEpoch uint64   `wire:"42"`
 	HotKeys  [][]byte `wire:"43"`
 	// Data-region health: evictions with SlabDrains (slabs repurposed,

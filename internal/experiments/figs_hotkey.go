@@ -72,9 +72,7 @@ func runHotkeyCase(hc hotkeyCase) Row {
 
 	copt := client.Options{Strategy: client.StrategySCAR, TouchBatch: 64}
 	if hc.adaptive {
-		copt.NearCacheEntries = 128
-		copt.HotSteer = true
-		copt.HotSpread = true
+		copt.NearCacheEntries = 128 // with steering and spreading
 	}
 	clients := make([]*client.Client, hotkeyWorkers)
 	for i := range clients {
