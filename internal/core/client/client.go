@@ -185,6 +185,7 @@ type Client struct {
 	health   healthState   // per-replica demotion scores
 	rngState atomic.Uint64 // jitter/probe randomness (xorshift)
 	dataEWMA atomic.Uint64 // rolling data-read latency, drives hedging
+	ops      trace.Leases  // the spare op record every public op leases
 
 	// Hot-key adaptive serving state (nearcache.go). promo is the merged
 	// promoted-key set piggybacked on Touch acks, swapped whole; promoMu
@@ -264,17 +265,17 @@ func (c *Client) observe(kind trace.Kind, transport trace.Transport, ns uint64, 
 	}
 }
 
-// traceOp opens a span context for one op, attaching it to ctx so every
-// layer below (RPC framework, backend handlers, TCP gateway) attributes
-// work to it. Returns (nil, ctx) when tracing is not wired — or when ctx
-// already carries a span context opened by an enclosing op (a federation
-// tier edge): then this op is one leg of that op, its spans ride the
-// returned OpTrace under the enclosing op id, and only the enclosing
-// layer records — one user op, one trace, even across cells.
-func (c *Client) traceOp(ctx context.Context, k trace.Kind) (*trace.SpanContext, context.Context) {
+// traceOp opens a span context for one op in its leased record, attaching
+// it to ctx so every layer below (RPC framework, backend handlers, TCP
+// gateway) attributes work to it. Returns (nil, ctx) when tracing is not
+// wired — or when ctx already carries a span context opened by an enclosing
+// op (a federation tier edge): then this op is one leg of that op, its spans
+// ride the returned OpTrace under the enclosing op id, and only the
+// enclosing layer records — one user op, one trace, even across cells.
+func (c *Client) traceOp(ctx context.Context, op *trace.OpLease, k trace.Kind) (*trace.SpanContext, context.Context) {
 	if c.opt.Tracer == nil || trace.FromContext(ctx) != nil {
 		return nil, ctx
 	}
-	ctx, sc := trace.NewContext(ctx, trace.SpanContext{OpID: c.opt.Tracer.NextID(), Kind: k})
-	return sc, ctx
+	sc := op.Init(ctx, trace.SpanContext{OpID: c.opt.Tracer.NextID(), Kind: k})
+	return sc, &op.OpContext
 }

@@ -24,23 +24,32 @@ const opSpans = 16
 
 // Get looks up key, transparently retrying transient hazards.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	v, found, _, err := c.GetTraced(ctx, key)
+	v, found, _, err := c.get(ctx, key, false)
 	return v, found, err
 }
 
 // GetTraced is Get plus the op's modelled latency trace.
-func (c *Client) GetTraced(ctx context.Context, key []byte) (value []byte, found bool, tr fabric.OpTrace, err error) {
+func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabric.OpTrace, error) {
+	return c.get(ctx, key, true)
+}
+
+// get runs one GET on a leased op record; only keep gives its trace spans
+// that outlive the op.
+func (c *Client) get(ctx context.Context, key []byte, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
+	op := c.ops.Take()
+	defer c.ops.Put(op)
 	c.M.Gets.Inc()
 	var total fabric.OpTrace
 	if c.opt.Observer != nil {
 		defer func() { c.observe(trace.KindGet, c.Transport(), total.Ns, err) }()
 	}
-	sc, ctx := c.traceOp(ctx, trace.KindGet)
-	// The op's one span buffer, traced or not — the caller gets the trace
-	// either way. Every stage below appends leg spans and annotations
-	// straight into it; opSpans covers a full fan-out plus a data leg, so
-	// an op that does not retry never grows it.
-	total.Spans = make([]fabric.Span, 0, opSpans)
+	sc, ctx := c.traceOp(ctx, op, trace.KindGet)
+	// The op's one span buffer, the record's unless the caller keeps the
+	// trace. Every stage below appends to it, and opSpans covers a full
+	// fan-out plus a data leg: an op that does not retry never grows it.
+	if total.Spans = op.Spans[:0]; keep {
+		total.Spans = make([]fabric.Span, 0, opSpans)
+	}
 	// Near-cache fast path: a cached hot-key value serves after one
 	// index-only revalidation round (1 RTT, no data leg). An inconclusive
 	// round falls through to the full path with its legs already billed.

@@ -23,33 +23,25 @@ func (c *Client) Set(ctx context.Context, key, value []byte) error {
 
 // SetVersioned is Set returning the nominated version (for later CAS).
 func (c *Client) SetVersioned(ctx context.Context, key, value []byte) (truetime.Version, error) {
-	v, _, err := c.SetVersionedTraced(ctx, key, value)
+	v, _, _, err := c.mutate(ctx, trace.KindSet, key, value, truetime.Version{}, false)
 	return v, err
 }
 
 // SetVersionedTraced is SetVersioned plus the op's modelled latency trace.
 func (c *Client) SetVersionedTraced(ctx context.Context, key, value []byte) (truetime.Version, fabric.OpTrace, error) {
-	c.M.Sets.Inc()
-	v := c.gen.Next()
-	tr, _, err := c.mutate(ctx, trace.KindSet, proto.MethodSet, key, v, func(pending bool, cfgID uint64) []byte {
-		return proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
-	})
+	v, tr, _, err := c.mutate(ctx, trace.KindSet, key, value, truetime.Version{}, true)
 	return v, tr, err
 }
 
 // Erase removes key on every replica, tombstoning the version (§5.2).
 func (c *Client) Erase(ctx context.Context, key []byte) error {
-	_, err := c.EraseTraced(ctx, key)
+	_, _, _, err := c.mutate(ctx, trace.KindErase, key, nil, truetime.Version{}, false)
 	return err
 }
 
 // EraseTraced is Erase plus the op's modelled latency trace.
 func (c *Client) EraseTraced(ctx context.Context, key []byte) (fabric.OpTrace, error) {
-	c.M.Erases.Inc()
-	v := c.gen.Next()
-	tr, _, err := c.mutate(ctx, trace.KindErase, proto.MethodErase, key, v, func(pending bool, cfgID uint64) []byte {
-		return proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
-	})
+	_, tr, _, err := c.mutate(ctx, trace.KindErase, key, nil, truetime.Version{}, true)
 	return tr, err
 }
 
@@ -59,41 +51,58 @@ func (c *Client) EraseTraced(ctx context.Context, key []byte) (fabric.OpTrace, e
 // recognizes its own nominated version as applied, so the decision stays
 // stable across attempts.
 func (c *Client) Cas(ctx context.Context, key, value []byte, expected truetime.Version) (bool, error) {
-	applied, _, err := c.CasTraced(ctx, key, value, expected)
-	return applied, err
+	_, _, swapped, err := c.mutate(ctx, trace.KindCas, key, value, expected, false)
+	return swapped, err
 }
 
 // CasTraced is Cas plus the op's modelled latency trace.
 func (c *Client) CasTraced(ctx context.Context, key, value []byte, expected truetime.Version) (bool, fabric.OpTrace, error) {
-	c.M.CasOps.Inc()
-	v := c.gen.Next()
-	tr, applied, err := c.mutate(ctx, trace.KindCas, proto.MethodCas, key, v, func(pending bool, cfgID uint64) []byte {
-		return proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
-	})
-	if err != nil {
-		return false, tr, err
-	}
-	return applied >= c.Config().Mode.Quorum(), tr, nil
+	_, tr, swapped, err := c.mutate(ctx, trace.KindCas, key, value, expected, true)
+	return swapped, tr, err
 }
 
 // mutSpans sizes a mutation's span buffer: three RPC legs of four spans (five
 // at a loaded server) and the quorum-wait annotation; the quiet path uses 13.
 const mutSpans = 16
 
-// mutate runs one mutation end to end: a fan-out to every cohort member
-// that must collect a write quorum of acknowledgements (applied or
-// superseded-by-newer both count: the mutation's ordering is settled
-// either way, §5.2/§5.3), retried through classifyAndRepair exactly like
-// GETs — config refresh, re-handshake, budgeted backoff — so every
+// mutate runs one mutation end to end on a leased op record: a fan-out to
+// every cohort member that must collect a write quorum of acknowledgements
+// (applied or superseded-by-newer both count: the mutation's ordering is
+// settled either way, §5.2/§5.3), retried through classifyAndRepair exactly
+// like GETs — config refresh, re-handshake, budgeted backoff — so every
 // mutation hazard shares the one §3 repair mechanism; then the epilogue
-// every kind shares. Returns the trace and the count of replicas that
-// reported the mutation applied (CAS semantics).
-func (c *Client) mutate(ctx context.Context, kind trace.Kind, method string, key []byte, nominated truetime.Version, build func(pending bool, cfgID uint64) []byte) (total fabric.OpTrace, applied int, err error) {
-	sc, ctx := c.traceOp(ctx, kind)
-	// The op's one span buffer, as in GetTraced.
-	total.Spans = make([]fabric.Span, 0, mutSpans)
+// every kind shares. For CAS, swapped reports a quorum applied it.
+func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte, expected truetime.Version, keep bool) (v truetime.Version, total fabric.OpTrace, swapped bool, err error) {
+	method := proto.MethodSet
+	switch kind {
+	case trace.KindSet:
+		c.M.Sets.Inc()
+	case trace.KindErase:
+		c.M.Erases.Inc()
+		method = proto.MethodErase
+	case trace.KindCas:
+		c.M.CasOps.Inc()
+		method = proto.MethodCas
+	}
+	v = c.gen.Next()
+	build := func(pending bool, cfgID uint64) []byte {
+		switch kind {
+		case trace.KindErase:
+			return proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+		case trace.KindCas:
+			return proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+		}
+		return proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+	}
+	op := c.ops.Take()
+	defer c.ops.Put(op)
+	sc, ctx := c.traceOp(ctx, op, kind)
+	// The op's one span buffer, as in get.
+	if total.Spans = op.Spans[:0]; keep {
+		total.Spans = make([]fabric.Span, 0, mutSpans)
+	}
 	err = ErrUnavailable
-	attempt := 0
+	attempt, applied := 0, 0
 	for ; attempt <= c.opt.Retries; attempt++ {
 		if ctx.Err() != nil {
 			err = ErrExhausted
@@ -104,7 +113,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, method string, key
 				break
 			}
 		}
-		applied, err = c.mutateOnce(ctx, key, method, build, nominated, &total)
+		applied, err = c.mutateOnce(ctx, key, method, build, v, &total)
 		if err == nil {
 			c.opt.Budget.Credit()
 			break
@@ -117,11 +126,13 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, method string, key
 	c.observe(kind, trace.TransportRPC, total.Ns, err)
 	if kind != trace.KindCas {
 		c.M.SetLatency.Record(total.Ns)
+	} else if err == nil {
+		swapped = applied >= c.Config().Mode.Quorum()
 	}
 	if sc != nil && err == nil {
 		c.opt.Tracer.Record(sc.OpID, kind, trace.TransportRPC, uint32(attempt+1), total)
 	}
-	return total, applied, err
+	return v, total, swapped, err
 }
 
 // mutateOnce is one fan-out to the cohort — mid-resize, to the union of

@@ -393,10 +393,11 @@ func TestTCPCallAllocBudget(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	_, _, c := newTCPRig(t)
-	ctx, _ := trace.NewContext(context.Background(), trace.SpanContext{OpID: 42, Kind: trace.KindGet})
+	var ctx trace.OpContext
+	ctx.Init(context.Background(), trace.SpanContext{OpID: 42, Kind: trace.KindGet})
 	req := make([]byte, 256)
 	call := func() {
-		resp, tr, err := c.Call(ctx, "b", "Echo", req)
+		resp, tr, err := c.Call(&ctx, "b", "Echo", req)
 		if err != nil || len(resp) != len(req) || len(tr.Spans) == 0 {
 			t.Fatalf("echo: %d bytes, %d spans, err %v", len(resp), len(tr.Spans), err)
 		}

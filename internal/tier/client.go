@@ -130,6 +130,7 @@ type Client struct {
 	m     Metrics
 
 	tracer   *trace.Tracer
+	ops      trace.Leases      // the spare op record every tier op leases
 	cellIdx  map[string]uint32 // cell name → configuration-order index, for span args
 	outcomes [numOutcomes]stats.Histogram
 }
@@ -183,18 +184,18 @@ func (c *Client) OutcomeStats() []trace.HistStat {
 	return out
 }
 
-// traceOp opens the tier-level span context for one user op. The per-cell
-// clients see it in ctx and contribute their spans to THIS op instead of
-// recording their own — the cross-cell propagation mechanism: over TCP
-// the wire frames carry this op id into the remote cell, and every leg's
-// spans come back on its OpTrace.
-func (c *Client) traceOp(ctx context.Context, k trace.Kind) (*trace.SpanContext, context.Context, *fabric.OpTrace) {
+// traceOp opens the tier-level span context for one user op in its leased
+// record, and returns total with the record's span buffer (nil: untraced).
+// The per-cell clients see it in ctx and contribute their spans to THIS op
+// instead of recording their own — the cross-cell propagation mechanism:
+// over TCP the wire frames carry this op id into the remote cell, and
+// every leg's spans come back on its OpTrace.
+func (c *Client) traceOp(ctx context.Context, op *trace.OpLease, total *fabric.OpTrace, k trace.Kind) (*trace.SpanContext, context.Context, *fabric.OpTrace) {
 	if c.tracer == nil || trace.FromContext(ctx) != nil {
 		return nil, ctx, nil
 	}
-	ctx, sc := trace.NewContext(ctx, trace.SpanContext{OpID: c.tracer.NextID(), Kind: k})
-	tr := &fabric.OpTrace{Spans: make([]fabric.Span, 0, 12)}
-	return sc, ctx, tr
+	total.Spans = op.Spans[:0]
+	return op.Init(ctx, trace.SpanContext{OpID: c.tracer.NextID(), Kind: k}), &op.OpContext, total
 }
 
 // finish records one completed tier op into the tier-edge tracer and its
@@ -261,7 +262,10 @@ func (c *Client) noteFailed(owner string) {
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	c.m.Ops.Add(1)
 	h := c.t.opt.Hash(key)
-	sc, ctx, total := c.traceOp(ctx, trace.KindGet)
+	op := c.ops.Take()
+	defer c.ops.Put(op)
+	var optr fabric.OpTrace
+	sc, ctx, total := c.traceOp(ctx, op, &optr, trace.KindGet)
 	var lastErr error = ErrNoCells
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		owner, err := c.route(h, total, attempt)
@@ -357,7 +361,10 @@ func (c *Client) followerGet(ctx context.Context, owner string, key []byte, tota
 func (c *Client) mutate(ctx context.Context, k trace.Kind, key []byte, run func(context.Context, *client.Client) (fabric.OpTrace, error), settle func(context.Context)) error {
 	c.m.Ops.Add(1)
 	h := c.t.opt.Hash(key)
-	sc, ctx, total := c.traceOp(ctx, k)
+	op := c.ops.Take()
+	defer c.ops.Put(op)
+	var optr fabric.OpTrace
+	sc, ctx, total := c.traceOp(ctx, op, &optr, k)
 	var lastErr error = ErrNoCells
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		owner, err := c.route(h, total, attempt)

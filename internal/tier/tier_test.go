@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cliquemap/internal/core/cell"
+	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/health"
@@ -478,5 +479,51 @@ func TestTierValidation(t *testing.T) {
 	}
 	if _, err := tr.NewClient(ClientOptions{Local: "nope"}); err == nil {
 		t.Error("unknown local cell accepted")
+	}
+}
+
+// TestTierGetAllocatesOnlyItsLeg: a traced tier GET that its local cell
+// owns allocates exactly what its cell leg, a GetTraced on that cell's
+// client, does. The tier op's context node, trace and span buffer are its
+// leased record. Before leasing they were 3 allocations per op, and the
+// tier GET cost 2 more than a standalone leg, which then made a context
+// node of its own that the tier's leg did not.
+func TestTierGetAllocatesOnlyItsLeg(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	tr := newTestTier(t, "us", "eu")
+	cl, err := tr.NewClient(ClientOptions{PerCell: client.Options{Strategy: client.StrategySCAR}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	key := testKey(0)
+	for i := 1; tr.Owner(key) != "us"; i++ {
+		key = testKey(i)
+	}
+	if err := cl.Set(ctx, key, make([]byte, 128)); err != nil {
+		t.Fatal(err)
+	}
+	leg := func() {
+		if _, found, _, err := cl.local.GetTraced(ctx, key); err != nil || !found {
+			t.Fatalf("cell get: found=%v err=%v", found, err)
+		}
+	}
+	edge := func() {
+		if _, found, err := cl.Get(ctx, key); err != nil || !found {
+			t.Fatalf("tier get: found=%v err=%v", found, err)
+		}
+	}
+	for i := 0; i < 600; i++ { // past the tracer ring's first fill
+		edge()
+	}
+	ops := cl.Tracer().Ops()
+	want := testing.AllocsPerRun(200, leg)
+	if got := testing.AllocsPerRun(200, edge); got != want {
+		t.Errorf("a tier GET allocates %v, its cell leg %v: the tier edge must add nothing", got, want)
+	}
+	if n := cl.Tracer().Ops() - ops; n != 2*201 {
+		t.Errorf("%d ops recorded, want one per GET: both GETs are traced", n)
 	}
 }

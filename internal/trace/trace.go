@@ -16,6 +16,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,9 +195,9 @@ const (
 // OpContext is a context node that carries its SpanContext by value, so
 // opening an op costs one allocation, not a SpanContext plus a
 // context.WithValue node — and none at all for a caller that owns the
-// node's storage: the TCP gateway embeds one in each pooled call record
-// and re-arms it with Init. It also has the op's one sink slot, which
-// AttachSink fills for the RPC leg whose handler is running.
+// node's storage (an OpLease, a TCP gateway call record) and re-arms it
+// with Init. It also has the op's one sink slot, which AttachSink fills
+// for the RPC leg whose handler is running.
 type OpContext struct {
 	context.Context
 	sc   SpanContext
@@ -218,19 +219,37 @@ func (c *OpContext) Value(key any) any {
 }
 
 // Init arms c as a child of parent carrying sc, and returns the attached
-// copy (see NewContext). Everything handed c as its context must be done
-// with it before the next Init.
+// copy that FromContext hands every layer below (the opener updates Attempt
+// through it). Everything handed c must be done with it before the next Init.
 func (c *OpContext) Init(parent context.Context, sc SpanContext) *SpanContext {
 	c.Context, c.sc = parent, sc
 	return &c.sc
 }
 
-// NewContext attaches sc to ctx. The returned pointer is the attached
-// copy — the one FromContext hands to every layer below — so the opener
-// updates Attempt through it.
-func NewContext(ctx context.Context, sc SpanContext) (context.Context, *SpanContext) {
-	c := new(OpContext)
-	return c, c.Init(ctx, sc)
+// OpLease is one op's leased record, its context node and span buffer. The
+// op takes it at entry and puts it back on return, so nothing below may keep
+// either: a handler's ctx is its own until it returns, and the Tracer copies.
+type OpLease struct {
+	OpContext
+	Spans [16]fabric.Span // a quiet 2×R GET, the longest client trace, is 15
+}
+
+// Leases is a client's spare op record, swapped atomically: unlike a pool's
+// per-P slot, an op resumed on another P sees it. A concurrent op allocates.
+type Leases struct{ spare atomic.Pointer[OpLease] }
+
+// Take leases a record.
+func (s *Leases) Take() *OpLease {
+	if l := s.spare.Swap(nil); l != nil {
+		return l
+	}
+	return new(OpLease)
+}
+
+// Put returns a record once its op, and all the op handed it to, are done.
+func (s *Leases) Put(l *OpLease) {
+	l.Context = nil // keep nothing of the caller's alive
+	s.spare.Store(l)
 }
 
 // FromContext returns the span context attached to ctx, or nil.
@@ -306,6 +325,17 @@ type OpRecord struct {
 	Bytes     uint64        `wire:"6"`
 	WallNs    int64         `wire:"7,zigzag"` // unix ns at retention; stamped for slow ops only
 	Spans     []fabric.Span `wire:"8,max=4096"`
+}
+
+// keep overwrites r with src, copying src's spans into storage r owns.
+func (r *OpRecord) keep(src *OpRecord) {
+	*r, r.Spans = *src, append(r.Spans[:0], src.Spans...)
+}
+
+// clone returns r with spans of its own.
+func (r OpRecord) clone() OpRecord {
+	r.Spans = slices.Clone(r.Spans)
+	return r
 }
 
 // Tracer sizing and promotion policy.
@@ -398,7 +428,7 @@ func (t *Tracer) SlowOpsSeen() uint64 { return t.slowSeen.Load() }
 // Record retains one completed op: its latency feeds the kind/transport
 // and overall histograms, the op enters the recent ring and the kind's
 // exemplar reservoir, and ops above the slow threshold are promoted to
-// the retained slow log with a wall-clock stamp.
+// the retained slow log with a wall-clock stamp, each as a copy (keep).
 func (t *Tracer) Record(id uint64, kind Kind, transport Transport, attempts uint32, tr fabric.OpTrace) {
 	if kind >= numKinds {
 		kind = KindOther
@@ -427,21 +457,21 @@ func (t *Tracer) Record(id uint64, kind Kind, transport Transport, attempts uint
 	}
 
 	t.mu.Lock()
-	t.ring[seq%ringSize] = rec
+	t.ring[seq%ringSize].keep(&rec)
 	ex := t.exemplars[kind]
 	if len(ex) < exemplarsPerKind {
-		t.exemplars[kind] = append(ex, rec)
+		t.exemplars[kind] = append(ex, rec.clone())
 	} else {
 		// Reservoir: the n-th op of this kind replaces a kept exemplar
 		// with probability k/n, giving every op an equal chance.
 		n := t.hists[kind][0].Count() + t.hists[kind][1].Count() +
 			t.hists[kind][2].Count() + t.hists[kind][3].Count()
 		if j := t.randn(n); j < uint64(len(ex)) {
-			ex[j] = rec
+			ex[j].keep(&rec)
 		}
 	}
 	if slow {
-		t.slow[t.slowN%slowSize] = rec
+		t.slow[t.slowN%slowSize].keep(&rec)
 		t.slowN++
 	}
 	t.mu.Unlock()
@@ -529,7 +559,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures current state. maxSlow bounds the slow-op log
-// returned (≤ 0 means all retained).
+// returned (≤ 0 means all retained). Its records are deep copies.
 func (t *Tracer) Snapshot(maxSlow int) Snapshot {
 	s := Snapshot{
 		Ops:             t.seq.Load(),
@@ -553,10 +583,12 @@ func (t *Tracer) Snapshot(maxSlow int) Snapshot {
 		n = uint64(maxSlow)
 	}
 	for i := uint64(0); i < n; i++ {
-		s.Slow = append(s.Slow, t.slow[(t.slowN-1-i)%slowSize])
+		s.Slow = append(s.Slow, t.slow[(t.slowN-1-i)%slowSize].clone())
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		s.Exemplars = append(s.Exemplars, t.exemplars[k]...)
+		for _, r := range t.exemplars[k] {
+			s.Exemplars = append(s.Exemplars, r.clone())
+		}
 	}
 	t.mu.Unlock()
 
@@ -573,7 +605,7 @@ func (t *Tracer) Snapshot(maxSlow int) Snapshot {
 	return s
 }
 
-// Recent returns up to max recent ops, newest first — in-process
+// Recent returns copies of up to max recent ops, newest first — in-process
 // debugging and tests; the wire plane ships Slow + Exemplars.
 func (t *Tracer) Recent(max int) []OpRecord {
 	if max <= 0 || max > ringSize {
@@ -587,7 +619,7 @@ func (t *Tracer) Recent(max int) []OpRecord {
 		if r.Kind == "" { // a Record that has its sequence number but not yet its slot
 			break
 		}
-		out = append(out, r)
+		out = append(out, r.clone())
 	}
 	t.mu.Unlock()
 	return out

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,7 +49,8 @@ func TestCodeNameCoversAllCodes(t *testing.T) {
 }
 
 func TestSpanContextRoundTrip(t *testing.T) {
-	ctx, sc := NewContext(context.Background(), SpanContext{OpID: 7, Kind: KindSet, Attempt: 2})
+	ctx := new(OpContext)
+	sc := ctx.Init(context.Background(), SpanContext{OpID: 7, Kind: KindSet, Attempt: 2})
 	if got := FromContext(ctx); got != sc || *got != (SpanContext{OpID: 7, Kind: KindSet, Attempt: 2}) {
 		t.Fatalf("FromContext = %p %+v, want %p", got, got, sc)
 	}
@@ -95,7 +97,8 @@ func TestSinkCollectsAndRecycles(t *testing.T) {
 // made under such a node, which would shadow the slot; released, the slot
 // is free again.
 func TestSinkSlotIsClaimedNeverAssumed(t *testing.T) {
-	ctx, _ := NewContext(context.Background(), SpanContext{OpID: 1})
+	ctx := new(OpContext)
+	ctx.Init(context.Background(), SpanContext{OpID: 1})
 	a, b := GetSink(), GetSink()
 	actx, slot := AttachSink(ctx, a)
 	if slot == nil || actx != ctx || SinkFrom(ctx) != a {
@@ -233,6 +236,80 @@ func TestRecentNewestFirst(t *testing.T) {
 	recent := tr.Recent(3)
 	if len(recent) != 3 || recent[0].ID != 5 || recent[2].ID != 3 {
 		t.Fatalf("recent = %+v", recent)
+	}
+}
+
+// TestTracerKeepsCopies: a recorded op's spans are the tracer's own copy,
+// and what Recent and Snapshot hand out is the caller's. A client op
+// records its leased span buffer and reuses it for the next op; the slot
+// storage behind a ring, exemplar or slow record is overwritten in place.
+func TestTracerKeepsCopies(t *testing.T) {
+	tr := NewTracer()
+	tr.SetSlowThreshold(1) // every op is slow, so all three retain it
+	spans := []fabric.Span{{Code: SpanIndexFetch, Arg: 3, Dur: 4200}, {Code: SpanDataRead, Arg: 1, Start: 4200, Dur: 900}}
+	want := slices.Clone(spans)
+	tr.Record(1, KindGet, TransportSCAR, 1, opTrace(5100, spans...))
+	for i := range spans { // the caller reuses its buffer
+		spans[i] = fabric.Span{Code: SpanRetry}
+	}
+	snap := tr.Snapshot(0)
+	recent := tr.Recent(1)
+	for name, got := range map[string][]fabric.Span{
+		"Recent": recent[0].Spans, "Snapshot.Slow": snap.Slow[0].Spans, "Snapshot.Exemplars": snap.Exemplars[0].Spans,
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s after the caller reused its buffer: %+v, want %+v", name, got, want)
+		}
+	}
+
+	// Every slot the snapshot came from is overwritten: the ring (512) and
+	// the slow log (64) wrap, and the reservoir replaces exemplars.
+	for i := 0; i < 600; i++ {
+		tr.Record(uint64(100+i), KindGet, TransportSCAR, 1, opTrace(7, fabric.Span{Code: SpanRetry, Arg: uint32(i)}))
+	}
+	for name, got := range map[string][]fabric.Span{
+		"Recent": recent[0].Spans, "Snapshot.Slow": snap.Slow[0].Spans, "Snapshot.Exemplars": snap.Exemplars[0].Spans,
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s after 600 more Records: %+v, want %+v", name, got, want)
+		}
+	}
+	if got := tr.Recent(1)[0]; got.ID != 699 || len(got.Spans) != 1 || got.Spans[0].Arg != 599 {
+		t.Errorf("newest record = %+v", got)
+	}
+
+	// Once every ring slot has its storage, recording costs nothing.
+	tr.SetSlowThreshold(1 << 62)
+	for i := 0; i < ringSize; i++ {
+		tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(7, want...))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(7, want...))
+	}); n != 0 {
+		t.Errorf("Record allocates %v times", n)
+	}
+}
+
+// TestLeasesReuseOneRecord: an op's record comes back to the next op, and
+// the spare keeps nothing of the context it was armed under; a second op
+// while the first holds the record gets one of its own.
+func TestLeasesReuseOneRecord(t *testing.T) {
+	var ls Leases
+	a := ls.Take()
+	ctx := context.WithValue(context.Background(), ctxKey(99), "caller")
+	sc := a.Init(ctx, SpanContext{OpID: 3})
+	if FromContext(&a.OpContext) != sc || len(a.Spans) < 15 {
+		t.Fatal("a leased record must carry its span context and a span buffer for a 2×R GET")
+	}
+	if b := ls.Take(); b == a {
+		t.Fatal("a record held by an op was leased again")
+	}
+	ls.Put(a)
+	if a.Context != nil {
+		t.Error("the spare keeps its last op's caller context alive")
+	}
+	if ls.Take() != a {
+		t.Error("the returned record was not reused")
 	}
 }
 
