@@ -319,12 +319,6 @@ func (c *Cell) RestartWarm(ctx context.Context, shard int) error { return c.c.Re
 // RepairAll runs one cohort-scan repair sweep, returning repairs issued.
 func (c *Cell) RepairAll(ctx context.Context) (int, error) { return c.c.RepairAll(ctx) }
 
-// StartRepairLoop runs periodic repair sweeps until StopRepairLoop.
-func (c *Cell) StartRepairLoop(interval time.Duration) { c.c.StartRepairLoop(interval) }
-
-// StopRepairLoop halts the periodic sweep.
-func (c *Cell) StopRepairLoop() { c.c.StopRepairLoop() }
-
 // SetAntagonist applies competing load (0..1 of NIC bandwidth) to the
 // host serving a shard (§7.2.1).
 func (c *Cell) SetAntagonist(shard int, frac float64) { c.c.SetAntagonist(shard, frac) }
@@ -389,15 +383,6 @@ func (c *Cell) Health() *health.Plane { return c.c.Health() }
 // namespace with the full GET/SET/CAS/ERASE mix. Drive Round from the
 // workload loop so probe cadence rides the cell's virtual clock.
 func (c *Cell) Prober() *health.Prober { return c.c.Prober() }
-
-// SetEngineDelay injects extra per-command service time into the NIC
-// serving a shard — fault injection for the slow-op tracing plane.
-//
-// Deprecated: this is the chaos plane's brownout actuator; inject via
-// Chaos().Brownout so the hazard is seeded and counted.
-func (c *Cell) SetEngineDelay(shard int, delay time.Duration) {
-	c.c.Chaos().Brownout(shard, uint64(delay.Nanoseconds()))
-}
 
 // Internal exposes the underlying cell for the benchmark harness. It is
 // not part of the stable API.

@@ -195,15 +195,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestRepairLoopLifecycle(t *testing.T) {
-	c := newCell(t, Options{})
-	c.StartRepairLoop(10 * time.Millisecond)
-	c.StartRepairLoop(10 * time.Millisecond) // idempotent
-	time.Sleep(30 * time.Millisecond)
-	c.StopRepairLoop()
-	c.StopRepairLoop() // idempotent
-}
-
 func TestPublicWANClient(t *testing.T) {
 	c := newCell(t, Options{ClientHosts: 2})
 	local := c.NewClient(ClientOptions{Strategy: LookupSCAR})

@@ -113,7 +113,6 @@ type Cell struct {
 	clientNICs  map[int]interface{} // host → *pony.NIC or *onerma.NIC
 	nextClient  int
 	clientIDSeq uint64
-	repairStop  chan struct{}
 
 	// maintMu serializes the shard-movement control plane: planned
 	// maintenance, its completion, and resizes each stream whole shards
@@ -666,7 +665,9 @@ func (c *Cell) RepairCohortsOf(ctx context.Context, s int) error {
 	return nil
 }
 
-// RepairAll runs one cohort-scan repair sweep across every shard.
+// RepairAll runs one cohort-scan repair sweep across every shard. It is a
+// step: a driver calls it on its own clock (the paper tunes the inter-scan
+// interval per deployment; tens of seconds is typical).
 func (c *Cell) RepairAll(ctx context.Context) (int, error) {
 	cfg := c.Store.Get()
 	total := 0
@@ -682,42 +683,6 @@ func (c *Cell) RepairAll(ctx context.Context) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// StartRepairLoop runs RepairAll on the given cadence until StopRepairLoop
-// (the paper tunes the inter-scan interval per deployment; tens of
-// seconds is typical).
-func (c *Cell) StartRepairLoop(interval time.Duration) {
-	c.mu.Lock()
-	if c.repairStop != nil {
-		c.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	c.repairStop = stop
-	c.mu.Unlock()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.RepairAll(context.Background())
-			}
-		}
-	}()
-}
-
-// StopRepairLoop halts the background repair sweep.
-func (c *Cell) StopRepairLoop() {
-	c.mu.Lock()
-	if c.repairStop != nil {
-		close(c.repairStop)
-		c.repairStop = nil
-	}
-	c.mu.Unlock()
 }
 
 // PlannedMaintenance migrates shard s to an idle warm spare ahead of

@@ -760,29 +760,6 @@ func truetimeVersionForTest() truetime.Version {
 	return truetime.Version{Micros: time.Now().UnixMicro() + 1_000_000, ClientID: 7, Seq: 1}
 }
 
-// TestRepairLoopHealsContinuously: the background sweep (§5.4's periodic
-// cohort scans) picks up divergence without explicit triggers.
-func TestRepairLoopHealsContinuously(t *testing.T) {
-	c := newTestCell(t, small32())
-	ctx := context.Background()
-	key := []byte("loop-key")
-	cohort := c.Store.Get().Cohort(primaryShard(c, key))
-	c.Backend(cohort[0]).ApplySet(key, []byte("x"), truetimeVersionForTest())
-
-	c.StartRepairLoop(5 * time.Millisecond)
-	defer c.StopRepairLoop()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, _ := c.Backend(cohort[2]).HandleMsg(proto.GetReq{Key: key}.Marshal())
-		if g, _ := proto.UnmarshalGetResp(resp); g.Found {
-			return // healed
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	_ = ctx
-	t.Fatal("repair loop never healed the dirty key")
-}
-
 // TestWANClient exercises Table 1's WAN access path: a remote-region
 // client reaches the cell purely over RPC, works correctly, and pays the
 // WAN distance on every op.

@@ -200,7 +200,7 @@ func runLoadwallCase(rc loadwallCase, prof loadwallProfile) *loadwall.Report {
 		Class:          "GET",
 		Objective:      health.Objective{Availability: 0.999, LatencyNs: rc.latObjNs},
 	}
-	return loadwall.FindKnee(loadwall.NewWallClock(), cfg, op, loadwallProbe(c, clients, prof.stepDurNs))
+	return loadwall.FindKnee(c.Fabric.Params().Clock, cfg, op, loadwallProbe(c, clients, prof.stepDurNs))
 }
 
 // figLoadWallWith runs a set of cases under a profile; FigLoadWall is the

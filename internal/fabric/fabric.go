@@ -9,8 +9,8 @@
 //	latency = propagation + serialization (bytes/bandwidth)
 //	        + downlink queueing (backlog + antagonist load) + jitter
 //
-// Per-host downlink backlog is tracked against a monotonic arrival clock,
-// which is what reproduces the incast effects of §6.3/§7.2.2: when SCAR
+// Per-host downlink backlog is tracked against the fabric's Clock, which is
+// what reproduces the incast effects of §6.3/§7.2.2: when SCAR
 // solicits three full copies of a 64KB value, the copies serialize on the
 // client's downlink and the op's critical path inflates. An "antagonist"
 // (§7.2.1) is modelled as a fractional reduction of a host's usable
@@ -19,6 +19,13 @@
 // Latencies are virtual nanoseconds; callers accumulate them on an OpTrace
 // and record the critical-path sum. Absolute constants are calibrated to
 // the paper's reported magnitudes (Table/figure shapes, not silicon).
+//
+// The Clock is the one time source of the modelled system: the NIC models
+// read it through Host.NowNs, the RPC admission model and the health plane
+// through Fabric.NowNs. By default it is monotonic wall time since New (1
+// real second ≡ 1 virtual second, so offered op rates translate directly
+// into modelled utilization); a test that sets Params.Clock to a
+// ManualClock makes a serial run a function of its seed.
 package fabric
 
 import (
@@ -46,7 +53,39 @@ type Params struct {
 	JitterFrac float64
 	// Seed makes jitter reproducible.
 	Seed uint64
+	// Clock is the arrival clock; nil means wall time since New.
+	Clock Clock
 }
+
+// Clock is a monotonic ns clock from an arbitrary origin. SleepNs blocks
+// the caller for (at least) the given duration.
+type Clock interface {
+	NowNs() uint64
+	SleepNs(ns uint64)
+}
+
+// wallClock is the default Clock: monotonic wall time.
+type wallClock struct{ start time.Time }
+
+func (c wallClock) NowNs() uint64 { return uint64(time.Since(c.start)) }
+
+func (c wallClock) SleepNs(ns uint64) {
+	// time.Sleep undershoot is harmless (a pacing caller re-checks), but
+	// oversleep inflates measured lag, so sleep slightly short and leave the
+	// remainder to the caller's re-check loop.
+	if ns > 100_000 {
+		ns -= 50_000
+	}
+	time.Sleep(time.Duration(ns))
+}
+
+// ManualClock is a Clock that moves only when told to: SleepNs advances it
+// at once, and Advance models work that takes time.
+type ManualClock struct{ now atomic.Uint64 }
+
+func (c *ManualClock) NowNs() uint64     { return c.now.Load() }
+func (c *ManualClock) SleepNs(ns uint64) { c.now.Add(ns) }
+func (c *ManualClock) Advance(ns uint64) { c.now.Add(ns) }
 
 // DefaultParams matches the §7.2.4 testbed: 50 Gbps hosts, 5KB MTU, ~4µs
 // base RTT.
@@ -102,7 +141,6 @@ type Host struct {
 type Fabric struct {
 	params Params
 	hosts  []*Host
-	start  time.Time
 
 	// Link-level fault state (partitions, asymmetric loss). The rule
 	// table is consulted on every delivery, so the healthy path is gated
@@ -119,7 +157,10 @@ func New(n int, p Params) *Fabric {
 	if n <= 0 {
 		panic("fabric: need at least one host")
 	}
-	f := &Fabric{params: p.withDefaults(), start: time.Now()}
+	f := &Fabric{params: p.withDefaults()}
+	if f.params.Clock == nil {
+		f.params.Clock = wallClock{start: time.Now()}
+	}
 	f.hosts = make([]*Host, n)
 	for i := range f.hosts {
 		h := &Host{id: i, f: f}
@@ -143,19 +184,15 @@ func (f *Fabric) Host(i int) *Host {
 	return f.hosts[i]
 }
 
-// nowNs is the arrival clock: monotonic real time doubles as virtual time
-// (1 real second ≡ 1 virtual second), so offered op rates translate
-// directly into modelled link utilization.
-func (f *Fabric) nowNs() uint64 {
-	return uint64(time.Since(f.start).Nanoseconds())
-}
-
-// NowNs exposes the arrival clock so op initiators can pin a common
-// virtual start instant across an op's parallel legs.
-func (f *Fabric) NowNs() uint64 { return f.nowNs() }
+// NowNs reads the arrival clock, so op initiators can pin a common virtual
+// start instant across an op's parallel legs.
+func (f *Fabric) NowNs() uint64 { return f.params.Clock.NowNs() }
 
 // ID returns the host's index.
 func (h *Host) ID() int { return h.id }
+
+// NowNs reads the fabric's clock: the instant the NIC models price load at.
+func (h *Host) NowNs() uint64 { return h.f.NowNs() }
 
 func linkKey(src, dst int) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(dst))
@@ -307,7 +344,7 @@ func (h *Host) Deliver(sz int) uint64 { return h.DeliverAt(0, sz) }
 // at == 0 means "now".
 func (h *Host) DeliverAt(at uint64, sz int) uint64 {
 	wire := float64(h.f.frameBytes(sz))
-	now := h.f.nowNs()
+	now := h.NowNs()
 	if at != 0 && at < now {
 		now = at
 	}
@@ -346,7 +383,7 @@ func (h *Host) DeliverAt(at uint64, sz int) uint64 {
 // saturation gauge: near zero below capacity, growing without bound once
 // offered load exceeds the drain rate.
 func (h *Host) Backlog() uint64 {
-	now := h.f.nowNs()
+	now := h.NowNs()
 	if nf := h.nextFree.Load(); nf > now {
 		return nf - now
 	}

@@ -91,13 +91,20 @@ func TestIncastQueueing(t *testing.T) {
 }
 
 func TestBacklogDrainsOverTime(t *testing.T) {
-	f := New(1, Params{JitterFrac: 1e-9})
+	clk := &ManualClock{}
+	f := New(1, Params{JitterFrac: 1e-9, Clock: clk})
 	h := f.Host(0)
 	for i := 0; i < 20; i++ {
 		h.Deliver(64 * 1024)
 	}
 	congested := h.Deliver(1024)
-	time.Sleep(5 * time.Millisecond) // real time drains virtual backlog
+	if h.Backlog() == 0 {
+		t.Fatal("21 back-to-back deliveries left no backlog")
+	}
+	clk.Advance(h.Backlog()) // the clock moving drains the backlog
+	if b := h.Backlog(); b != 0 {
+		t.Errorf("backlog %dns after advancing past it", b)
+	}
 	drained := h.Deliver(1024)
 	if drained >= congested {
 		t.Errorf("backlog did not drain: %d then %d", congested, drained)
@@ -203,18 +210,20 @@ func BenchmarkDeliver(b *testing.B) {
 // other on the downlink even when the simulation issues them sequentially
 // in real time.
 func TestDeliverAtPinsArrival(t *testing.T) {
-	f := New(1, Params{JitterFrac: 1e-9})
+	clk := &ManualClock{}
+	clk.Advance(1) // at == 0 means "now"; pin a real instant
+	f := New(1, Params{JitterFrac: 1e-9, Clock: clk})
 	h := f.Host(0)
 	at := f.NowNs()
 	const sz = 64 * 1024
 	first := h.DeliverAt(at, sz)
-	time.Sleep(2 * time.Millisecond) // real time passes; backlog would drain
-	second := h.DeliverAt(at, sz)    // but the pinned arrival still queues
+	clk.Advance(2_000_000)        // time passes; backlog would drain
+	second := h.DeliverAt(at, sz) // but the pinned arrival still queues
 	if second < first+first/2 {
 		t.Errorf("pinned second leg %dns did not queue behind first %dns", second, first)
 	}
-	// An unpinned delivery after the sleep sees a drained queue.
-	time.Sleep(2 * time.Millisecond)
+	// An unpinned delivery later sees a drained queue.
+	clk.Advance(2_000_000)
 	third := h.Deliver(sz)
 	if third >= second {
 		t.Errorf("unpinned delivery %dns should be faster than pinned-queued %dns", third, second)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/health"
 )
 
@@ -104,7 +105,7 @@ type Report struct {
 // then bisects (geometric midpoints) between the last pass and the first
 // fail. op is the system under test; probe (optional) supplies saturation
 // scores so the report can name the wall.
-func FindKnee(clock Clock, cfg Config, op Op, probe Probe) *Report {
+func FindKnee(clock fabric.Clock, cfg Config, op Op, probe Probe) *Report {
 	cfg = cfg.withDefaults()
 	rep := &Report{}
 

@@ -14,57 +14,20 @@
 // offered QPS therefore surfaces as ~500 ops of queued latency, which is
 // what the paper's open-loop figures (Figs 8–10 run at fixed offered
 // loads) and any honest tail percentile require.
+//
+// The generator keeps its arrival schedule on a fabric.Clock: against a
+// cell, the cell's own, so offered QPS is QPS of the clock the modelled
+// system prices load at; in unit tests, a fabric.ManualClock.
 package loadwall
 
 import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
 )
-
-// Clock abstracts time so the generator is unit-testable with a fake
-// clock. NowNs is monotonic from an arbitrary origin; SleepNs blocks the
-// caller for (at least) the given duration.
-type Clock interface {
-	NowNs() uint64
-	SleepNs(ns uint64)
-}
-
-// wallClock is the production clock: monotonic wall time. Virtual time in
-// this repo runs at wall speed (fabric.nowNs is time.Since(start)), so
-// offered QPS against the simulated cell is also real wall QPS.
-type wallClock struct{ start time.Time }
-
-// NewWallClock returns a Clock backed by monotonic wall time.
-func NewWallClock() Clock { return &wallClock{start: time.Now()} }
-
-func (c *wallClock) NowNs() uint64 { return uint64(time.Since(c.start)) }
-
-func (c *wallClock) SleepNs(ns uint64) {
-	// time.Sleep undershoot is harmless (the issue loop re-checks), but
-	// oversleep inflates measured lag, so sleep slightly short and spin the
-	// remainder in the caller's re-check loop.
-	if ns > 100_000 {
-		time.Sleep(time.Duration(ns - 50_000))
-		return
-	}
-	if ns > 0 {
-		time.Sleep(time.Duration(ns))
-	}
-}
-
-// FakeClock is a deterministic test clock: SleepNs advances time
-// immediately, and Advance models work stalling the caller.
-type FakeClock struct{ now atomic.Uint64 }
-
-func (c *FakeClock) NowNs() uint64     { return c.now.Load() }
-func (c *FakeClock) SleepNs(ns uint64) { c.now.Add(ns) }
-
-// Advance moves time forward without an op yielding — a server stall.
-func (c *FakeClock) Advance(ns uint64) { c.now.Add(ns) }
 
 // Arrival selects the inter-arrival law for a step.
 type Arrival int
@@ -158,7 +121,7 @@ type StepResult struct {
 // Workers pull arrivals from a shared index: an op is issued no earlier
 // than its scheduled instant, and if all workers are busy when it comes
 // due, the lateness is charged to its latency.
-func RunStep(clock Clock, cfg StepConfig, op Op) StepResult {
+func RunStep(clock fabric.Clock, cfg StepConfig, op Op) StepResult {
 	sched := Schedule(cfg.Arrival, cfg.QPS, cfg.Ops, cfg.Seed)
 	res := StepResult{OfferedQPS: cfg.QPS, Scheduled: len(sched), Latency: &stats.Histogram{}}
 	if len(sched) == 0 {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/health"
 )
 
@@ -48,7 +49,7 @@ func TestSchedulePoissonMean(t *testing.T) {
 // scheduled-time latency — NOT one slow op and silently reduced
 // throughput, which is what a closed-loop driver would report.
 func TestCoordinatedOmission(t *testing.T) {
-	clock := &FakeClock{}
+	clock := &fabric.ManualClock{}
 	const (
 		qps       = 10000.0
 		serviceNs = 10_000     // 10µs modelled service
@@ -90,7 +91,7 @@ func TestCoordinatedOmission(t *testing.T) {
 // TestRunStepNoStall: an unloaded run keeps latency at service time and
 // accrues no backlog.
 func TestRunStepNoStall(t *testing.T) {
-	clock := &FakeClock{}
+	clock := &fabric.ManualClock{}
 	res := RunStep(clock, StepConfig{QPS: 10000, Ops: 500, Arrival: ArrivalUniform, Workers: 1},
 		func(seq uint64) (uint64, error) { return 10_000, nil })
 	if res.MaxLagNs != 0 {
@@ -103,7 +104,7 @@ func TestRunStepNoStall(t *testing.T) {
 
 // TestRunStepErrors: failures count as errors, not completions.
 func TestRunStepErrors(t *testing.T) {
-	clock := &FakeClock{}
+	clock := &fabric.ManualClock{}
 	boom := errors.New("boom")
 	res := RunStep(clock, StepConfig{QPS: 10000, Ops: 100, Arrival: ArrivalUniform, Workers: 1},
 		func(seq uint64) (uint64, error) {
@@ -121,7 +122,7 @@ func TestRunStepErrors(t *testing.T) {
 // service): the knee search must land in [6k, 10k] and name the probed
 // resource that tracked utilization.
 func TestFindKnee(t *testing.T) {
-	clock := &FakeClock{}
+	clock := &fabric.ManualClock{}
 	var nextFree, busyNs uint64 // the fake server's drain clock + busy time
 	op := func(seq uint64) (uint64, error) {
 		const svc = 100_000 // 100µs serial service ⇒ 10k QPS capacity
@@ -173,7 +174,7 @@ func TestFindKnee(t *testing.T) {
 // TestFindKneeAllPass: a system faster than MaxQPS reports the last step
 // as the knee with no limiting resource.
 func TestFindKneeAllPass(t *testing.T) {
-	clock := &FakeClock{}
+	clock := &fabric.ManualClock{}
 	rep := FindKnee(clock, Config{
 		StartQPS: 1000, MaxQPS: 4000, Grow: 2, Bisect: 2,
 		StepDurationNs: 50e6, Arrival: ArrivalUniform, Workers: 1,

@@ -72,10 +72,10 @@ type NIC struct {
 	// Figure 16 measurement.
 	hwHist *stats.Histogram
 
-	mu      sync.Mutex
-	lastOp  time.Time
-	down    bool
-	extraNs uint64 // injected per-command service delay (chaos brownout)
+	mu       sync.Mutex
+	sleepsAt uint64 // fabric instant the idle host drops into a deep C-state
+	down     bool
+	extraNs  uint64 // injected per-command service delay (chaos brownout)
 }
 
 // New builds a 1RMA NIC. reg may be nil for client-only hosts. hwHist may
@@ -84,7 +84,7 @@ func New(host *fabric.Host, reg *rmem.Registry, cost CostModel, acct *stats.CPUA
 	if cost == (CostModel{}) {
 		cost = DefaultCostModel()
 	}
-	return &NIC{host: host, reg: reg, cost: cost, acct: acct, hwHist: hwHist, lastOp: time.Now().Add(-time.Second)}
+	return &NIC{host: host, reg: reg, cost: cost, acct: acct, hwHist: hwHist}
 }
 
 // Host returns the attached fabric host.
@@ -117,17 +117,23 @@ func (n *NIC) serviceDelay() uint64 {
 }
 
 // cstatePenalty returns the wake cost if the host has been idle long
-// enough to enter a deep C-state, and stamps the op time.
+// enough to enter a deep C-state, and stamps the op time. A new NIC has
+// been idle forever. The clock is read under mu and held to the last op's
+// instant, so a late caller's older instant cannot fake an idle gap.
 func (n *NIC) cstatePenalty() (uint64, bool) {
-	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return 0, false
 	}
-	idle := now.Sub(n.lastOp)
-	n.lastOp = now
-	if idle >= n.cost.CStateIdleGap {
+	gap := uint64(n.cost.CStateIdleGap)
+	now := n.host.NowNs()
+	if now+gap < n.sleepsAt {
+		now = n.sleepsAt - gap
+	}
+	asleep := now >= n.sleepsAt
+	n.sleepsAt = now + gap
+	if asleep {
 		return n.cost.CStateWakeNs, true
 	}
 	return 0, true

@@ -4,17 +4,20 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/nic"
 	"cliquemap/internal/rmem"
 	"cliquemap/internal/stats"
+	"cliquemap/internal/trace"
 )
 
-func newPair(hw *stats.Histogram) (*Conn, *rmem.Window) {
-	f := fabric.New(2, fabric.Params{})
+func newPair(hw *stats.Histogram) (*Conn, *rmem.Window) { return newPairOn(nil, hw) }
+
+// newPairOn is newPair on clock (nil: the wall).
+func newPairOn(clock fabric.Clock, hw *stats.Histogram) (*Conn, *rmem.Window) {
+	f := fabric.New(2, fabric.Params{Clock: clock})
 	reg := rmem.NewRegistry()
 	region := rmem.NewRegion(1<<16, 1<<16)
 	for i := 0; i < 1<<16; i += 4096 {
@@ -69,26 +72,69 @@ func TestHWTimestampsRecorded(t *testing.T) {
 	}
 }
 
+// woke reports whether an op paid the C-state wake.
+func woke(tr fabric.OpTrace) bool {
+	for _, sp := range tr.Spans {
+		if sp.Code == trace.SpanCStateWake {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCStatePenaltyAtIdle reproduces the §7.2.4 observation: the first op
 // after an idle gap pays a wake penalty, so latency is highest at lowest
-// load.
+// load. An op one ns short of the gap pays nothing; an op a full gap after
+// the last one pays the wake.
 func TestCStatePenaltyAtIdle(t *testing.T) {
-	conn, w := newPair(nil)
+	clk := &fabric.ManualClock{}
+	conn, w := newPairOn(clk, nil)
 	cm := DefaultCostModel()
+	gap := uint64(cm.CStateIdleGap)
 
-	// Warm: back-to-back ops avoid the penalty.
-	conn.Read(0, w.ID, 0, 64)
+	if _, first, _ := conn.Read(0, w.ID, 0, 64); !woke(first) {
+		t.Error("first op on a new NIC paid no wake")
+	}
+	clk.Advance(gap - 1)
 	_, warm, err := conn.Read(0, w.ID, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(cm.CStateIdleGap + time.Millisecond)
+	clk.Advance(gap)
 	_, cold, err := conn.Read(0, w.ID, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if woke(warm) || !woke(cold) {
+		t.Errorf("wake after gap-1: %v, after gap: %v; want false, true", woke(warm), woke(cold))
+	}
 	if cold.Ns < warm.Ns+cm.CStateWakeNs/2 {
 		t.Errorf("idle op %dns vs warm %dns: C-state penalty missing", cold.Ns, warm.Ns)
+	}
+}
+
+// setClock is a fabric.Clock a serial test sets by hand, backwards too.
+type setClock struct{ now uint64 }
+
+func (c *setClock) NowNs() uint64     { return c.now }
+func (c *setClock) SleepNs(ns uint64) { c.now += ns }
+
+// TestBackwardsInstantNoSpuriousWake: a caller preempted between reading
+// the clock and stamping the NIC presents an instant older than one already
+// recorded. The last-op stamp must not move back with it, or the next op
+// sees an idle gap that never happened and pays a wake.
+func TestBackwardsInstantNoSpuriousWake(t *testing.T) {
+	clk := &setClock{}
+	conn, w := newPairOn(clk, nil)
+	for i, at := range []uint64{1_000_000, 0, 200_000} {
+		clk.now = at
+		_, tr, err := conn.Read(0, w.ID, 0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := i == 0; woke(tr) != want {
+			t.Errorf("op %d at %dns: wake %v, want %v", i+1, at, woke(tr), want)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ package pony
 
 import (
 	"sync"
-	"time"
 
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/fabric"
@@ -76,7 +75,7 @@ type NIC struct {
 	mu         sync.Mutex
 	engines    int
 	rateEWMA   float64 // ops/sec estimate (windowed, smoothed)
-	winStart   time.Time
+	winStart   uint64  // fabric instant the current rate window opened
 	winOps     int
 	down       bool
 	opCounter  uint64
@@ -141,28 +140,30 @@ func (n *NIC) Engines() int {
 // service accounts one engine visit: updates the load estimate, adapts the
 // engine count, and returns the modelled service + queue latency.
 func (n *NIC) service(opCost uint64) (uint64, error) {
-	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return 0, nic.ErrUnreachable
 	}
 	n.opCounter++
-	// Windowed op-rate estimate: ops per wall second over ≥5ms windows,
-	// EWMA-smoothed. Averaging inverse inter-arrival gaps instead would
-	// diverge under concurrent callers — clustered arrivals make E[1/gap]
-	// unbounded, so the estimate pegs at burst rate no matter how low the
-	// offered load is, and rho saturates spuriously.
-	if n.winStart.IsZero() {
+	// Windowed op-rate estimate: ops per second of the fabric clock over
+	// ≥5ms windows, EWMA-smoothed. Averaging inverse inter-arrival gaps
+	// instead would diverge under concurrent callers — clustered arrivals
+	// make E[1/gap] unbounded, so the estimate pegs at burst rate no matter
+	// how low the offered load is, and rho saturates spuriously. The clock
+	// is read under mu and held to the window start, so an instant older
+	// than one already recorded cannot wrap the window.
+	now := max(n.host.NowNs(), n.winStart)
+	if n.opCounter == 1 {
 		n.winStart = now
 	}
 	n.winOps++
-	if el := now.Sub(n.winStart).Seconds(); el >= 0.005 {
+	if el := float64(now-n.winStart) / 1e9; el >= 0.005 {
 		inst := float64(n.winOps) / el
 		n.rateEWMA = 0.7*n.rateEWMA + 0.3*inst
 		n.winStart, n.winOps = now, 0
 	}
-	// Per-engine utilization: offered CPU-seconds per wall second.
+	// Per-engine utilization: offered CPU-seconds per clock second.
 	rho := n.rateEWMA * float64(opCost) / 1e9 / float64(n.engines)
 	switch {
 	case rho > n.ecfg.ScaleOutAt && n.engines < n.ecfg.MaxEngines:

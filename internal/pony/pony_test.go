@@ -30,11 +30,6 @@ type testRig struct {
 
 func newRig(t *testing.T, key, value []byte) *testRig {
 	t.Helper()
-	return newRigCfg(t, key, value, EngineConfig{})
-}
-
-func newRigCfg(t *testing.T, key, value []byte, ecfg EngineConfig) *testRig {
-	t.Helper()
 	f := fabric.New(2, fabric.Params{})
 	acct := stats.NewCPUAccount()
 	reg := rmem.NewRegistry()
@@ -64,7 +59,7 @@ func newRigCfg(t *testing.T, key, value []byte, ecfg EngineConfig) *testRig {
 		t.Fatal(err)
 	}
 
-	server := New(f.Host(1), reg, CostModel{}, ecfg, acct)
+	server := New(f.Host(1), reg, CostModel{}, EngineConfig{}, acct)
 	client := New(f.Host(0), nil, CostModel{}, EngineConfig{}, acct)
 	return &testRig{
 		f: f, conn: Dial(f, client, server),
@@ -228,28 +223,74 @@ func TestClientOnlyNICCannotServe(t *testing.T) {
 	}
 }
 
+// setClock is a fabric.Clock a serial test sets by hand, backwards too.
+type setClock struct{ now uint64 }
+
+func (c *setClock) NowNs() uint64     { return c.now }
+func (c *setClock) SleepNs(ns uint64) { c.now += ns }
+
+// slowEngineConn dials a client NIC to a serving NIC whose engine costs
+// 100µs per read, under the default 0.70 / 0.25 scale-out calibration, so
+// a one-engine server saturates at 10K reads per second of clock.
+func slowEngineConn(clock fabric.Clock) (*Conn, rmem.WindowID) {
+	f := fabric.New(2, fabric.Params{Clock: clock})
+	reg := rmem.NewRegistry()
+	w := reg.Register(rmem.NewRegion(1<<12, 1<<12), 1)
+	server := New(f.Host(1), reg, CostModel{EngineServiceNs: 100_000}, EngineConfig{}, nil)
+	return Dial(f, New(f.Host(0), nil, CostModel{}, EngineConfig{}, nil), server), w.ID
+}
+
+// TestEngineScaleOutUnderLoad drives the serving engine at fixed rates of
+// the fabric clock: ρ 0.625 stays on one engine, ρ 1.0 scales out to two
+// (ρ 0.5 each), and ρ 0.1 scales back in.
 func TestEngineScaleOutUnderLoad(t *testing.T) {
-	// The rate estimator measures real inter-arrival gaps, so how hard a
-	// tight loop drives utilization depends on host speed and
-	// instrumentation (the race detector slows ops ~10x). Use a threshold
-	// low enough that any machine hammering back-to-back crosses it; the
-	// default 0.70 calibration is exercised by the Figure 15 ramp.
-	ecfg := EngineConfig{MaxEngines: 4, ScaleOutAt: 0.002, ScaleInAt: 0.0005}
-	rig := newRigCfg(t, []byte("k"), []byte("v"), ecfg)
-	server := rig.conn.Target()
-	if server.Engines() != 1 {
-		t.Fatalf("initial engines = %d", server.Engines())
+	clk := &fabric.ManualClock{}
+	conn, win := slowEngineConn(clk)
+	server := conn.Target()
+	run := func(gapNs uint64, ops int) {
+		for i := 0; i < ops; i++ {
+			clk.Advance(gapNs)
+			if _, _, err := conn.Read(0, win, 0, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Hammer the server; the EWMA rate estimator should push utilization
-	// over the scale-out threshold.
-	for i := 0; i < 20000; i++ {
-		rig.conn.Read(0, rig.dataWin.ID, 0, 64)
+	for _, step := range []struct {
+		gapNs   uint64
+		ops     int
+		engines int
+	}{
+		{160_000, 1000, 1},  // 6 250/s: below ScaleOutAt
+		{100_000, 1000, 2},  // 10 000/s: above it
+		{1_000_000, 200, 1}, // 1 000/s: below ScaleInAt
+	} {
+		run(step.gapNs, step.ops)
+		if got := server.Engines(); got != step.engines {
+			t.Errorf("%dns between reads: engines = %d, want %d (ρ %.3f)", step.gapNs, got, step.engines, float64(server.Saturation().RhoMilli)/1000)
+		}
 	}
-	if server.Engines() < 2 {
-		t.Errorf("engines = %d after sustained load; scale-out broken", server.Engines())
+	if server.Saturation().Ops != 2200 {
+		t.Errorf("ops = %d, want 2200", server.Saturation().Ops)
 	}
-	if server.Saturation().Ops == 0 {
-		t.Error("ops not counted")
+}
+
+// TestBackwardsInstantLeavesRate: a caller that read the clock and was
+// preempted presents an instant older than one already recorded. The rate
+// window must not wrap: ρ and the engine count stay where they were.
+func TestBackwardsInstantLeavesRate(t *testing.T) {
+	clk := &setClock{}
+	conn, win := slowEngineConn(clk)
+	server := conn.Target()
+	for i := 0; i < 1000; i++ {
+		clk.now += 100_000
+		conn.Read(0, win, 0, 64)
+	}
+	before := server.Saturation()
+	clk.now = 0
+	conn.Read(0, win, 0, 64)
+	after := server.Saturation()
+	if after.RhoMilli != before.RhoMilli || after.Engines != before.Engines {
+		t.Errorf("backwards instant moved ρ %d → %d, engines %d → %d", before.RhoMilli, after.RhoMilli, before.Engines, after.Engines)
 	}
 }
 

@@ -31,11 +31,11 @@ func TestSlowGetVisibleOverDebugRPC(t *testing.T) {
 
 	const delay = 10 * time.Millisecond
 	c.Tracer().SetSlowThreshold(uint64(2 * time.Millisecond))
-	c.SetEngineDelay(0, delay)
+	c.Chaos().Brownout(0, uint64(delay))
 	if _, ok, err := cl.Get(ctx, []byte("slow-key")); err != nil || !ok {
 		t.Fatalf("get: %v %v", ok, err)
 	}
-	c.SetEngineDelay(0, 0)
+	c.Chaos().Brownout(0, 0)
 
 	g, err := c.Internal().ServeTCP("127.0.0.1:0")
 	if err != nil {
@@ -123,13 +123,13 @@ func TestSlowMutationAttributesQuorumWait(t *testing.T) {
 
 	const delay = 10 * time.Millisecond
 	c.Tracer().SetSlowThreshold(uint64(2 * time.Millisecond))
-	c.SetEngineDelay(1, delay)
-	c.SetEngineDelay(2, delay)
+	c.Chaos().Brownout(1, uint64(delay))
+	c.Chaos().Brownout(2, uint64(delay))
 	if err := cl.Set(ctx, []byte("quorum-key"), []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	c.SetEngineDelay(1, 0)
-	c.SetEngineDelay(2, 0)
+	c.Chaos().Brownout(1, 0)
+	c.Chaos().Brownout(2, 0)
 
 	snap := c.Tracer().Snapshot(8)
 	var slow *trace.OpRecord
