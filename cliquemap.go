@@ -398,7 +398,8 @@ func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	return c.cl.Get(ctx, key)
 }
 
-// GetBatch looks up many keys as one logical, overlapped operation.
+// GetBatch looks up many keys as one logical operation whose legs are
+// pinned to one modelled instant; the error is the first by key order.
 func (c *Client) GetBatch(ctx context.Context, keys [][]byte) ([][]byte, []bool, error) {
 	vals, found, _, err := c.cl.GetBatch(ctx, keys)
 	return vals, found, err

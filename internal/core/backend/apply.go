@@ -297,6 +297,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 		b.publish(persist.OpSet, key, value, v)
 		s.unlock()
 		b.maybeResizeIndex()
+		b.maybeCheckpoint()
 		return true, v, evictions
 	}
 }
@@ -343,14 +344,16 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 	s.ctr.erases.Add(1)
 	b.noteHeat(key, h)
 	lockStripe(s, sink)
-	defer s.unlock()
 	idx := b.idx.Load()
 	if bound, ok := b.versionGate(s, idx.bucket(idx.bucketOf(h)), key, h, v, false); !ok {
+		s.unlock()
 		return false, bound
 	}
 	b.removeLocked(s, h, key)
 	s.ctr.erasesApplied.Add(1)
 	b.publish(persist.OpErase, key, nil, v)
+	s.unlock()
+	b.maybeCheckpoint()
 	return true, v
 }
 
@@ -385,6 +388,8 @@ func (b *Backend) cas(sink *trace.SpanSink, key, value []byte, expected, v truet
 // (hence before the ack). That lock orders its three notes against the
 // handoff seal barrier and the checkpoint rotation barrier, which both
 // take every stripe. value is the client-visible (uncompressed) bytes.
+// The checkpoint trigger is not a note: it takes every stripe, so the
+// caller runs it after releasing this one (maybeCheckpoint).
 func (b *Backend) publish(op byte, key, value []byte, v truetime.Version) {
 	if op == persist.OpErase {
 		b.tombInsert(key, v)
@@ -393,5 +398,4 @@ func (b *Backend) publish(op byte, key, value []byte, v truetime.Version) {
 	}
 	b.journalNote(key)
 	b.persistNote(op, key, value, v)
-	b.maybeCheckpoint()
 }

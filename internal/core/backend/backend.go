@@ -233,8 +233,8 @@ type Options struct {
 	// checkpoints collapse the journal, and New recovers the corpus warm
 	// from the newest checkpoint + journal tail before serving.
 	DataDir string
-	// CheckpointEvery is the journal depth (records) that triggers an
-	// async checkpoint; 0 takes a default.
+	// CheckpointEvery is the journal depth (records) at which the mutation
+	// that reaches it runs a checkpoint; 0 takes a default.
 	CheckpointEvery int
 	// Recovering starts the backend in the §5.4 self-validation window:
 	// resident entries serve, misses bounce with proto.ErrRecovering, and
@@ -488,8 +488,9 @@ type Backend struct {
 	persist    atomic.Pointer[persist.Store]
 	recovering atomic.Bool
 	// ckptMu serializes checkpoints — CheckpointNow callers wait for it,
-	// the journal-depth trigger skips while it is held — so two never
-	// interleave records in the one temp image.
+	// the journal-depth trigger on a mutation skips while it is held — so
+	// two never interleave records in the one temp image. It is taken
+	// before any stripe lock, never under one.
 	ckptMu sync.Mutex
 
 	// Warm-restart telemetry behind the RECOVERY stats columns.

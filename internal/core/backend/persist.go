@@ -124,9 +124,10 @@ func (b *Backend) persistNote(op byte, key, value []byte, v truetime.Version) {
 	}
 }
 
-// maybeCheckpoint spawns an async checkpoint when the journal is deep
-// enough and none is running. Safe under a stripe lock: the checkpoint
-// itself runs on its own goroutine.
+// maybeCheckpoint runs a checkpoint on the mutation whose journal record
+// crossed CheckpointEvery, unless one is already running — the rule index
+// resize follows: the write that crossed the trigger pays the corpus scan.
+// The caller must hold no stripe lock (the checkpoint takes them all).
 func (b *Backend) maybeCheckpoint() {
 	p := b.persist.Load()
 	if p == nil {
@@ -139,10 +140,8 @@ func (b *Backend) maybeCheckpoint() {
 	if recs, _ := p.Depth(); recs < every || !b.ckptMu.TryLock() {
 		return
 	}
-	go func() {
-		defer b.ckptMu.Unlock()
-		_ = b.checkpoint(p)
-	}()
+	defer b.ckptMu.Unlock()
+	_ = b.checkpoint(p)
 }
 
 // CheckpointNow takes a full corpus checkpoint, waiting out one already in

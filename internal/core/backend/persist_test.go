@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/persist"
 	"cliquemap/internal/truetime"
@@ -149,24 +151,93 @@ func TestWarmRestartSurvivesMidCheckpointCrash(t *testing.T) {
 	}
 }
 
-// TestJournalDepthTriggersCheckpoint: crossing CheckpointEvery collapses
-// the journal into a checkpoint automatically.
+// TestJournalDepthTriggersCheckpoint: the mutation whose journal record
+// crosses CheckpointEvery collapses the journal into a checkpoint before
+// it returns — nothing else in the test takes one.
 func TestJournalDepthTriggersCheckpoint(t *testing.T) {
+	const every = 16
 	dir := t.TempDir()
-	r := newRig(t, Options{Shard: 0, DataDir: dir, CheckpointEvery: 16})
-	for i := 0; i < 64; i++ {
-		r.b.ApplySet([]byte(fmt.Sprintf("k%03d", i)), []byte("v"), r.v())
-	}
-	// The trigger runs async; force completion deterministically.
-	if err := r.b.CheckpointNow(); err != nil {
-		t.Fatal(err)
+	r := newRig(t, Options{Shard: 0, DataDir: dir, CheckpointEvery: every})
+	for i := 0; i < 4*every; i++ {
+		if applied, _, _ := r.b.ApplySet([]byte(fmt.Sprintf("k%03d", i)), []byte("v"), r.v()); !applied {
+			t.Fatalf("set %d not applied", i)
+		}
 	}
 	rs := r.b.RecoveryStatsSnapshot()
 	if rs.CkptEpoch == 0 {
 		t.Fatal("no checkpoint after crossing the journal-depth trigger")
 	}
-	if rs.JournalRecords != 0 {
-		t.Fatalf("journal depth %d after checkpoint, want 0", rs.JournalRecords)
+	if rs.JournalRecords >= every {
+		t.Fatalf("journal depth %d after the last SET returned, want < %d", rs.JournalRecords, every)
+	}
+}
+
+// TestJournalDepthCheckpointLetsOtherStripesWrite: the SET that crosses
+// CheckpointEvery scans the corpus inline, one stripe at a time, so SETs
+// on other stripes keep completing while it runs — and every write acked
+// during a scan is in the new journal, so a reopen recovers it.
+func TestJournalDepthCheckpointLetsOtherStripesWrite(t *testing.T) {
+	const corpus, every, writers, perWriter = 4096, 512, 4, 400
+	var scanning atomic.Bool // between a checkpoint's begin and its footer
+	dir := t.TempDir()
+	geo := layout.Geometry{Buckets: 4096} // room for the corpus: nothing is evicted
+	r1 := newRig(t, Options{Shard: 0, DataDir: dir, CheckpointEvery: every, Geometry: geo, PersistHook: func(p string) bool {
+		switch p {
+		case "checkpoint.begin":
+			scanning.Store(true)
+		case "checkpoint.footer":
+			scanning.Store(false)
+		}
+		return false
+	}})
+	val := make([]byte, 256)
+	for i := 0; i < corpus; i++ {
+		if applied, _, _ := r1.b.ApplySet([]byte(fmt.Sprintf("c%05d", i)), val, r1.gen.Next()); !applied {
+			t.Fatalf("corpus set %d not applied", i)
+		}
+	}
+	epoch := r1.b.RecoveryStatsSnapshot().CkptEpoch
+	acked := make([]map[string]truetime.Version, writers)
+	var during atomic.Int64 // SETs acked while a checkpoint was scanning
+	var sets sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		acked[w] = map[string]truetime.Version{}
+		sets.Add(1)
+		go func(w int) {
+			defer sets.Done()
+			for i := 0; i < perWriter; i++ {
+				k := fmt.Sprintf("w%d-k%03d", w, i)
+				v := r1.gen.Next()
+				if applied, _, _ := r1.b.ApplySet([]byte(k), []byte(k), v); applied {
+					acked[w][k] = v
+					if scanning.Load() {
+						during.Add(1)
+					}
+				}
+			}
+		}(w)
+	}
+	sets.Wait()
+	if c := r1.b.CountersSnapshot(); c.CapacityEvictions+c.AssocEvictions != 0 {
+		t.Fatalf("%d evictions: the corpus must fit, or a lost key proves nothing", c.CapacityEvictions+c.AssocEvictions)
+	}
+	if got := r1.b.RecoveryStatsSnapshot().CkptEpoch; got <= epoch {
+		t.Fatalf("checkpoint epoch %d after %d more SETs, want past %d", got, writers*perWriter, epoch)
+	}
+	if during.Load() == 0 {
+		t.Fatal("no SET completed while an inline checkpoint was scanning")
+	}
+
+	r2 := newRig(t, Options{Shard: 0, DataDir: dir, Geometry: geo, Recovering: true})
+	for w := range acked {
+		if len(acked[w]) != perWriter {
+			t.Fatalf("writer %d: %d of %d SETs acked", w, len(acked[w]), perWriter)
+		}
+		for k, want := range acked[w] {
+			if got, ver, found := r2.b.get(nil, []byte(k)); !found || string(got) != k || ver != want {
+				t.Fatalf("key %q after reopen: found=%v value=%q version=%v, want version %v", k, found, got, ver, want)
+			}
+		}
 	}
 }
 

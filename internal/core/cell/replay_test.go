@@ -83,16 +83,7 @@ func replayRun(t *testing.T, transport Transport, strategy client.Strategy, proc
 			delete(vers, k)
 			op.kind = trace.KindErase
 		}
-		if err != nil {
-			op.outcome += " err=" + err.Error()
-		}
-		op.ns, op.bytes = tr.Ns, tr.Bytes
-		for _, s := range tr.Spans {
-			// Stripe waits carry measured wall ns by design.
-			if s.Code != trace.SpanStripeWait {
-				op.spans = append(op.spans, s)
-			}
-		}
+		op.record(tr, err)
 		ops = append(ops, op)
 		clk.Advance(tr.Ns + replayThinkNs)
 	}
@@ -102,22 +93,138 @@ func replayRun(t *testing.T, transport Transport, strategy client.Strategy, proc
 	return ops
 }
 
+// record fills op's modelled side from its trace and error.
+func (op *replayOp) record(tr fabric.OpTrace, err error) {
+	if err != nil {
+		op.outcome += " err=" + err.Error()
+	}
+	op.ns, op.bytes = tr.Ns, tr.Bytes
+	for _, s := range tr.Spans {
+		// Stripe waits carry measured wall ns by design.
+		if s.Code != trace.SpanStripeWait {
+			op.spans = append(op.spans, s)
+		}
+	}
+}
+
+const (
+	batchRuns   = 300
+	batchKeys   = 12
+	batchCorpus = 600
+)
+
+// batchReplayRun drives one SCAR client on Pony through 300 seeded batches
+// of 12 Zipf keys (4 KiB values, a third of the corpus never written) on a
+// manual clock, and returns each batch as the modelled system saw it.
+func batchReplayRun(t *testing.T, procs int) []replayOp {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	clk := &fabric.ManualClock{}
+	c := newTestCell(t, Options{
+		Shards: 3, Mode: config.R32, Transport: TransportPony,
+		Fabric: fabric.Params{Clock: clk},
+		Backend: backend.Options{
+			Geometry:     layout.Geometry{Buckets: 256, Ways: 8},
+			DataBytes:    4 << 20,
+			DataMaxBytes: 4 << 20,
+			SlabBytes:    64 << 10,
+		},
+	})
+	cl := c.NewClient(client.Options{Strategy: client.StrategySCAR, TouchBatch: 64})
+	ctx := context.Background()
+	val := make([]byte, 4<<10)
+	for k := 0; k < batchCorpus; k++ {
+		if k%3 == 0 {
+			continue
+		}
+		if err := cl.Set(ctx, []byte(fmt.Sprintf("batch-%03d", k)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(28)), 1.1, 1, batchCorpus-1)
+	ops := make([]replayOp, 0, batchRuns)
+	keys := make([][]byte, batchKeys)
+	for i := 0; i < batchRuns; i++ {
+		for j := range keys {
+			keys[j] = []byte(fmt.Sprintf("batch-%03d", zipf.Uint64()))
+		}
+		_, found, tr, err := cl.GetBatch(ctx, keys)
+		op := replayOp{kind: trace.KindGet, outcome: fmt.Sprint("found=", found)}
+		op.record(tr, err)
+		ops = append(ops, op)
+		clk.Advance(tr.Ns + replayThinkNs)
+	}
+	return ops
+}
+
+// steppingClock moves step ns on every read: each read sees a slow host's
+// worth of wall time since the last.
+type steppingClock struct {
+	fabric.ManualClock
+	step uint64
+}
+
+func (c *steppingClock) NowNs() uint64 {
+	c.Advance(c.step)
+	return c.ManualClock.NowNs()
+}
+
+// TestGetBatchChargesNoWallTime: a batch's keys run one after another
+// while their legs are pinned to one instant, so whatever the batch sends
+// at the clock's now — a fresh client's Hellos, a touch flush — must not
+// land ahead of the pinned legs that follow it, or they bill the time the
+// loop has run as downlink queueing. On a clock that jumps 1 ms per read,
+// no batch may take a modelled millisecond: the first pays its Hellos
+// mid-batch, and at TouchBatch 8 every batch fills its touch queues.
+func TestGetBatchChargesNoWallTime(t *testing.T) {
+	const step = 1_000_000
+	c := newTestCell(t, Options{
+		Shards: 3, Mode: config.R32, Transport: TransportPony,
+		Fabric: fabric.Params{Clock: &steppingClock{step: step}},
+	})
+	ctx := context.Background()
+	keys := make([][]byte, 48)
+	w := c.NewClient(client.Options{})
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("wall-%02d", i))
+		if err := w.Set(ctx, keys[i], make([]byte, 4<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := c.NewClient(client.Options{Strategy: client.StrategySCAR, TouchBatch: 8})
+	for i := 0; i < 4; i++ {
+		_, found, tr, err := cl.GetBatch(ctx, keys)
+		if err != nil || slices.Contains(found, false) {
+			t.Fatalf("batch %d: found=%v err=%v", i, found, err)
+		}
+		if tr.Ns >= step {
+			t.Fatalf("batch %d took %d modelled ns on a clock stepping %d ns per read: the loop's wall time leaked into the model", i, tr.Ns, step)
+		}
+	}
+	if got := cl.M.Hits.Value(); got != 4*uint64(len(keys)) {
+		t.Fatalf("hits = %d, want every key of every batch", got)
+	}
+}
+
 // TestManualClockReplays: on a fabric.ManualClock every modelled component
 // (fabric, Pony or 1RMA, rpc admission) reads one clock that moves only
 // when the driver moves it, so a serial run is a function of its seed.
-// Two runs, one on one P and one on two, must agree op for op.
+// Two runs, one on one P and one on two, must agree op for op — batches
+// included: a batch's keys share one pinned origin and fold in key order.
 func TestManualClockReplays(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		transport Transport
-		strategy  client.Strategy
+		name string
+		run  func(t *testing.T, procs int) []replayOp
 	}{
-		{"pony-scar", TransportPony, client.StrategySCAR},
-		{"1rma-2xr", Transport1RMA, client.Strategy2xR},
+		{"pony-scar", func(t *testing.T, procs int) []replayOp {
+			return replayRun(t, TransportPony, client.StrategySCAR, procs)
+		}},
+		{"1rma-2xr", func(t *testing.T, procs int) []replayOp {
+			return replayRun(t, Transport1RMA, client.Strategy2xR, procs)
+		}},
+		{"pony-scar-batch", batchReplayRun},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := replayRun(t, tc.transport, tc.strategy, 1)
-			b := replayRun(t, tc.transport, tc.strategy, 2)
+			a, b := tc.run(t, 1), tc.run(t, 2)
 			for i := range a {
 				x, y := a[i], b[i]
 				if x.kind != y.kind || x.outcome != y.outcome || x.ns != y.ns || x.bytes != y.bytes || !slices.Equal(x.spans, y.spans) {

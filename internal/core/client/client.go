@@ -185,6 +185,7 @@ type Client struct {
 	health   healthState   // per-replica demotion scores
 	rngState atomic.Uint64 // jitter/probe randomness (xorshift)
 	dataEWMA atomic.Uint64 // rolling data-read latency, drives hedging
+	rpcAt    atomic.Uint64 // the clock's now when this client's last RPC returned
 	ops      trace.Leases  // the spare op record every public op leases
 
 	// Hot-key adaptive serving state (nearcache.go). promo is the merged
@@ -236,6 +237,16 @@ func (c *Client) Config() config.CellConfig {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cfg
+}
+
+// call sends one RPC. Its legs land at the clock's now, not at a batch's
+// pinned instant, so it notes when it returned (see fetchViews).
+func (c *Client) call(ctx context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	resp, tr, err := c.rpcc.Call(ctx, addr, method, req)
+	if c.now != nil {
+		c.rpcAt.Store(c.now())
+	}
+	return resp, tr, err
 }
 
 func (c *Client) chargeCPU(ns uint64) {

@@ -69,12 +69,11 @@ func (c *Client) fetchFor(key []byte) fetch {
 // fetchViews resolves the read cohort and fans the fetch out to it,
 // appending one view per consulted member to views (errors included, so
 // the vote can surface them). It returns the views and the virtual
-// instant the legs were pinned to.
-func (c *Client) fetchViews(ctx context.Context, cfg config.CellConfig, rt route, key []byte, h hashring.KeyHash, how fetch, views []indexView) ([]indexView, uint64) {
+// instant the legs were pinned to: pin, or now if pin is 0 or predates
+// the client's last RPC.
+func (c *Client) fetchViews(ctx context.Context, pin uint64, cfg config.CellConfig, rt route, key []byte, h hashring.KeyHash, how fetch, views []indexView) ([]indexView, uint64) {
 	// Resolve replicas — first use pays a Hello RPC — before pinning the
-	// op's virtual start. Connection setup is control-plane work; were it
-	// inside the pinned window, the wall time it consumes would read as
-	// downlink backlog for the op's own data-plane legs.
+	// op's virtual start: connection setup is control-plane work.
 	for i, shard := range rt.shards[:rt.n] {
 		rep, err := c.resolveReplica(ctx, cfg, shard, rt.addrs[i], how)
 		views = append(views, indexView{rep: rep, err: err})
@@ -96,8 +95,11 @@ func (c *Client) fetchViews(ctx context.Context, cfg config.CellConfig, rt route
 
 	// All NIC legs are pinned to one virtual op-start instant (0 = unpinned)
 	// so their responses contend for this client's downlink in the model.
-	var at uint64
-	if c.now != nil {
+	// An RPC that returned after pin (a Hello above, a fallback) landed at
+	// the clock's now: legs pinned before it would bill the wall time
+	// between as queueing, so they re-pin to now.
+	at := pin
+	if (at == 0 || at < c.rpcAt.Load()) && c.now != nil {
 		at = c.now()
 	}
 
@@ -137,7 +139,7 @@ func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashri
 		if how == fetchMsg {
 			resp, v.trace, v.err = c.msg(v.rep.host, at, req)
 		} else {
-			resp, v.trace, v.err = c.rpcc.Call(ctx, v.rep.addr, proto.MethodGet, req)
+			resp, v.trace, v.err = c.call(ctx, v.rep.addr, proto.MethodGet, req)
 		}
 		if v.err != nil {
 			return
@@ -195,7 +197,7 @@ func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashri
 
 // rpcGetAt is the one GetReq→GetResp RPC round trip against addr.
 func (c *Client) rpcGetAt(ctx context.Context, addr string, key []byte, cfgID uint64) (proto.GetResp, fabric.OpTrace, error) {
-	resp, tr, err := c.rpcc.Call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key, ConfigID: cfgID}.Marshal())
+	resp, tr, err := c.call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key, ConfigID: cfgID}.Marshal())
 	if err != nil {
 		return proto.GetResp{}, tr, err
 	}

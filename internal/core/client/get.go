@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
@@ -24,18 +23,20 @@ const opSpans = 16
 
 // Get looks up key, transparently retrying transient hazards.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	v, found, _, err := c.get(ctx, key, false)
+	v, found, _, err := c.get(ctx, key, 0, false)
 	return v, found, err
 }
 
 // GetTraced is Get plus the op's modelled latency trace.
 func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabric.OpTrace, error) {
-	return c.get(ctx, key, true)
+	return c.get(ctx, key, 0, true)
 }
 
 // get runs one GET on a leased op record; only keep gives its trace spans
-// that outlive the op.
-func (c *Client) get(ctx context.Context, key []byte, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
+// that outlive the op. pin is the virtual instant the op starts at (0 =
+// now): each round of legs is pinned to pin plus the op's elapsed modelled
+// time, so a batch's keys share one origin.
+func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
 	op := c.ops.Take()
 	defer c.ops.Put(op)
 	c.M.Gets.Inc()
@@ -54,9 +55,9 @@ func (c *Client) get(ctx context.Context, key []byte, keep bool) (value []byte, 
 	// index-only revalidation round (1 RTT, no data leg). An inconclusive
 	// round falls through to the full path with its legs already billed.
 	if c.near != nil {
-		nval, nfound, served := c.nearGet(ctx, key, &total)
+		nval, nfound, served := c.nearGet(ctx, key, pin, &total)
 		if served {
-			c.finishGet(sc, key, nfound, c.Transport(), 1, &total)
+			c.finishGet(sc, key, pin != 0, nfound, c.Transport(), 1, &total)
 			return nval, nfound, total, nil
 		}
 	}
@@ -73,13 +74,13 @@ func (c *Client) get(ctx context.Context, key []byte, keep bool) (value []byte, 
 			sc.Attempt = uint32(attempt)
 		}
 		attemptStart := total.Ns
-		val, ok, wver, aerr := c.attemptGet(ctx, key, &total)
+		val, ok, wver, aerr := c.attemptGet(ctx, key, after(pin, total.Ns), &total)
 		if aerr == nil {
 			c.opt.Budget.Credit()
 			if ok {
 				c.nearStore(key, val, wver)
 			}
-			c.finishGet(sc, key, ok, c.Transport(), uint32(attempt+1), &total)
+			c.finishGet(sc, key, pin != 0, ok, c.Transport(), uint32(attempt+1), &total)
 			return val, ok, total, nil
 		}
 		if sc != nil {
@@ -98,7 +99,7 @@ func (c *Client) get(ctx context.Context, key []byte, keep bool) (value []byte, 
 			total.Sequence(ftr)
 			c.opt.Budget.Credit()
 			c.M.RPCFallbacks.Inc()
-			c.finishGet(sc, key, g.Found, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
+			c.finishGet(sc, key, pin != 0, g.Found, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
 			return g.Value, g.Found, total, nil
 		}
 	}
@@ -108,11 +109,11 @@ func (c *Client) get(ctx context.Context, key []byte, keep bool) (value []byte, 
 
 // finishGet is the one success epilogue of a GET, however it was served
 // (near-cache, a quorum attempt, the RPC fallback): count the outcome,
-// report the access, record latency and the trace.
-func (c *Client) finishGet(sc *trace.SpanContext, key []byte, found bool, transport trace.Transport, attempts uint32, total *fabric.OpTrace) {
+// report the access (held inside a batch), record latency and the trace.
+func (c *Client) finishGet(sc *trace.SpanContext, key []byte, hold, found bool, transport trace.Transport, attempts uint32, total *fabric.OpTrace) {
 	if found {
 		c.M.Hits.Inc()
-		c.noteTouch(key)
+		c.noteTouch(key, hold)
 	} else {
 		c.M.Misses.Inc()
 	}
@@ -125,8 +126,8 @@ func (c *Client) finishGet(sc *trace.SpanContext, key []byte, found bool, transp
 // attemptGet performs one lookup attempt, appending it to the op's trace:
 // fetch views from the read cohort, vote, take the data from a quorum
 // member. On a hit it also returns the quorum-winning version, which feeds
-// the near-cache.
-func (c *Client) attemptGet(ctx context.Context, key []byte, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
+// the near-cache. pin is the attempt's virtual start (0 = now).
+func (c *Client) attemptGet(ctx context.Context, key []byte, pin uint64, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	how := c.fetchFor(key)
@@ -134,7 +135,7 @@ func (c *Client) attemptGet(ctx context.Context, key []byte, tr *fabric.OpTrace)
 	// at is the virtual instant the attempt's legs are pinned to; on the
 	// op's own timeline that instant is origin.
 	origin := tr.Ns
-	views, at := c.fetchViews(ctx, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
+	views, at := c.fetchViews(ctx, pin, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
 
 	winner, err := quorum(tr, views, cfg.Mode.Quorum())
 	if err != nil {
@@ -368,36 +369,32 @@ func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, tr
 }
 
 // GetBatch looks up many keys as one logical op (§7.1: Ads/Geo fetches are
-// highly batched). Lookups run concurrently with bounded fan-out; the
-// batch trace is the slowest leg, and the shared client downlink makes
-// large batches incast-bound, which the fabric model charges for.
+// highly batched). Every key's legs are pinned to one virtual instant, the
+// way a GET pins its replica fan-out, so the simulation runs the keys one
+// after another while the model overlaps them: the batch trace is the
+// slowest key, and the keys' responses queue on the shared client downlink
+// — the incast the fabric model charges for. Nothing the loop sends at the
+// clock's now may precede a pinned leg: access records wait for the loop
+// to end, and an RPC a key needs (a Hello, a fallback) re-pins the keys
+// after it to now. The error is the first by key order; the other keys'
+// results stand.
 func (c *Client) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, tr fabric.OpTrace, err error) {
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, found, tr, nil
-	}
-	const fanout = 8
-	sem := make(chan struct{}, fanout)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
+	var pin uint64
 	for i, k := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, k []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			v, ok, ktr, kerr := c.GetTraced(ctx, k)
-			mu.Lock()
-			values[i], found[i] = v, ok
-			if kerr != nil && firstErr == nil {
-				firstErr = kerr
-			}
-			tr.Merge(ktr)
-			mu.Unlock()
-		}(i, k)
+		if c.now != nil && (pin == 0 || pin < c.rpcAt.Load()) {
+			pin = c.now()
+		}
+		v, ok, ktr, kerr := c.get(ctx, k, pin, true)
+		values[i], found[i] = v, ok
+		if kerr != nil && err == nil {
+			err = kerr
+		}
+		tr.Merge(ktr)
 	}
-	wg.Wait()
-	return values, found, tr, firstErr
+	if pin != 0 {
+		c.flushTouches(ctx, c.opt.TouchBatch)
+	}
+	return values, found, tr, err
 }

@@ -179,7 +179,7 @@ func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, buil
 			}
 			body = plainBytes
 		}
-		resp, ltr, err := c.rpcc.Call(ctx, leg.addr, method, body)
+		resp, ltr, err := c.call(ctx, leg.addr, method, body)
 		if err != nil {
 			c.noteReplicaFailure(leg.addr)
 			lastErr = err

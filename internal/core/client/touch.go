@@ -38,14 +38,14 @@ func (q *touchQueue) take(addr string) touchBatch {
 	return b
 }
 
-// noteTouch queues an access record for the key's primary backend and
-// flushes opportunistically (§4.2's batched background reporting).
-func (c *Client) noteTouch(key []byte) {
+// noteTouch queues an access record for the key's cohort and flushes the
+// queues it filled (§4.2's batched background reporting) — unless hold: a
+// batch's keys sit in its pinned window, so GetBatch flushes after them.
+func (c *Client) noteTouch(key []byte, hold bool) {
 	if c.opt.TouchBatch <= 0 {
 		return
 	}
-	var full [config.MaxReplicas]touchBatch
-	nfull := 0
+	full := false
 	c.mu.Lock()
 	cfg := c.cfg
 	h := c.opt.Hash(key)
@@ -62,23 +62,24 @@ func (c *Client) noteTouch(key []byte) {
 			c.touchQ[addr] = q
 		}
 		proto.AppendTouchKey(&q.enc, key)
-		if q.n++; q.n >= c.opt.TouchBatch {
-			full[nfull] = q.take(addr)
-			nfull++
-		}
+		q.n++
+		full = full || q.n >= c.opt.TouchBatch
 	}
 	c.mu.Unlock()
-	for _, b := range full[:nfull] {
-		c.sendTouches(context.Background(), b)
+	if full && !hold {
+		c.flushTouches(context.Background(), c.opt.TouchBatch)
 	}
 }
 
 // FlushTouches force-flushes all pending access records.
-func (c *Client) FlushTouches(ctx context.Context) {
-	var pending []touchBatch
+func (c *Client) FlushTouches(ctx context.Context) { c.flushTouches(ctx, 1) }
+
+// flushTouches sends every queue holding at least atLeast records.
+func (c *Client) flushTouches(ctx context.Context, atLeast int) {
+	pending := make([]touchBatch, 0, 8)
 	c.mu.Lock()
 	for addr, q := range c.touchQ {
-		if q.n > 0 {
+		if q.n >= atLeast {
 			pending = append(pending, q.take(addr))
 		}
 	}
@@ -93,7 +94,7 @@ func (c *Client) FlushTouches(ctx context.Context) {
 // bidirectional): the same traffic that feeds the server's heat sketch
 // carries its promotion decisions back.
 func (c *Client) sendTouches(ctx context.Context, b touchBatch) {
-	resp, _, err := c.rpcc.Call(ctx, b.addr, proto.MethodTouch, b.req)
+	resp, _, err := c.call(ctx, b.addr, proto.MethodTouch, b.req)
 	c.mu.Lock()
 	if b.q.spare == nil {
 		b.q.spare = b.req

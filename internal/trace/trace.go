@@ -290,8 +290,8 @@ func PutSink(s *SpanSink) {
 // AttachSink attaches s to ctx for the handler side of one call. It goes
 // in the sink slot of ctx's op node when that is free, and the caller owes
 // the returned node a ReleaseSink once the handler is back. The slot is
-// claimed, never assumed: an op's concurrent legs (GetBatch, a tier edge)
-// and a handler's own nested calls share the one node, so a call that finds
+// claimed, never assumed: an op's legs (a tier edge's cell legs) and a
+// handler's own nested calls share the one node, so a call that finds
 // a sink already visible from ctx — or no op node — gets a context node of
 // its own and a nil slot.
 func AttachSink(ctx context.Context, s *SpanSink) (context.Context, *OpContext) {
