@@ -13,10 +13,9 @@ import (
 // budget DESIGN.md ("GET datapath: where a GET's allocations go") records
 // by name, on a public cell with the cell tracer on:
 //
-//	SCAR hit   3 × (response buffer + leg spans) + the caller's value = 7
-//	SCAR miss  the same without the value                             = 6
-//	2×R hit    3 × (bucket + leg spans) + (data + leg spans)
-//	           + the value                                            = 9
+//	SCAR hit   the caller's value                                    = 1
+//	SCAR miss  nothing                                               = 0
+//	2×R hit    the caller's value                                    = 1
 //
 // and the two-sided GET of an out-of-process caller — a tracer-less
 // StrategyRPC client on one loopback connection to the cell's gateway — to
@@ -27,11 +26,13 @@ import (
 //	           response)
 //	           + the request, marshalled once                         = 16
 //
-// The op's context node and span buffer are its leased record
-// (trace.OpLease), reused from op to op. Each cell is warmed past its
-// tracer's 512-slot ring first: a slot makes the storage for its copy of an
-// op's spans on first use, which is the tracer's cost, not the op's. The
-// parent of the change that leased the record measured 9, 8, 11 and 17.
+// The op's context node, span buffer, and the receive arena and span slots
+// its NIC legs read into are its leased record (trace.OpLease), reused from
+// op to op. Each cell is warmed past its tracer's 512-slot ring first: a
+// slot makes the storage for its copy of an op's spans on first use, which
+// is the tracer's cost, not the op's. The parent of the change that leased
+// the record measured 9, 8, 11 and 17; the parent of the change that gave
+// it the receive arena, 7, 6 and 9 for the one-sided rows.
 //
 // A regression here is an allocation back on every GET, which the gated
 // benchmark (bench/, allocs_per_op) would only report much later.
@@ -50,9 +51,9 @@ func TestGetAllocBudget(t *testing.T) {
 		found     bool
 		budget    float64
 	}{
-		{"SCAR hit", PonyExpress, LookupSCAR, key, true, 7},
-		{"SCAR miss", PonyExpress, LookupSCAR, absent, false, 6},
-		{"2xR hit over 1RMA", OneRMA, Lookup2xR, key, true, 9},
+		{"SCAR hit", PonyExpress, LookupSCAR, key, true, 1},
+		{"SCAR miss", PonyExpress, LookupSCAR, absent, false, 0},
+		{"2xR hit over 1RMA", OneRMA, Lookup2xR, key, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCell(t, Options{Transport: tc.transport})
@@ -139,18 +140,19 @@ func TestGetAllocBudget(t *testing.T) {
 //	                    the handler's response)                       = 7
 //	ERASE               the same, + 3 × the tombstone's key, which each
 //	                    backend keeps                                 = 10
-//	2×R hit, touching   the GET's own 9, plus its share of a flush:
+//	2×R hit, touching   the GET's own 1, plus its share of a flush:
 //	                    every TouchBatch-th hit sends each cohort member
 //	                    its queue buffer as it stands; the handler makes
 //	                    one slice of key views and a response, the
-//	                    client one slice of promoted-key views        ≤ 9 + 1
+//	                    client one slice of promoted-key views        ≤ 1 + 1
 //
 // The context node and span buffer are the op's leased record, and the
 // cell is warmed past its tracer's ring, as in TestGetAllocBudget. A SET
 // that inserts a key costs what the backends keep of it on top (the
 // eviction policy's entry). The parents of the changes that set these
-// measured SET 20 → 9 → 7, CAS 20 → 9 → 7, ERASE 23 → 12 → 10, and 12.6
-// allocations of touch feedback per hit before it fell to ≤ 1.
+// measured SET 20 → 9 → 7, CAS 20 → 9 → 7, ERASE 23 → 12 → 10, 12.6
+// allocations of touch feedback per hit before it fell to ≤ 1, and a
+// touching hit at 9 + 1 before its legs read into the op's arena.
 func TestMutationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -213,12 +215,53 @@ func TestMutationAllocBudget(t *testing.T) {
 			get()
 		}
 		runtime.ReadMemStats(&after)
-		if got := float64(after.Mallocs-before.Mallocs) / hits; got > 10 {
-			t.Errorf("%.2f allocations per touching GET, budget 9 + 1", got)
+		if got := float64(after.Mallocs-before.Mallocs) / hits; got > 2 {
+			t.Errorf("%.2f allocations per touching GET, budget 1 + 1", got)
 		}
 	})
 	if n := cl.M.RetryCount(); n != 0 {
 		t.Errorf("%d retries on a quiet cell: the budget is for the quiet path", n)
+	}
+}
+
+// TestGetKeepsBoundedArena: a GET whose legs total past trace.MaxRecv — a
+// 120 KiB value over SCAR, three ~121 KiB legs; the largest slab class
+// (128 KiB) bounds what can be stored — reads what does not fit into
+// buffers of its own and leaves the client's arena no larger than the
+// bound, and no smaller than a get_large_scar GET needs: the 16 KiB GET
+// after it allocates only its value.
+func TestGetKeepsBoundedArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ctx := context.Background()
+	c := newCell(t, Options{})
+	cl := c.NewClient(ClientOptions{Strategy: LookupSCAR})
+	large, huge := []byte("large"), []byte("huge")
+	if err := cl.Set(ctx, large, make([]byte, 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Set(ctx, huge, make([]byte, 120<<10)); err != nil {
+		t.Fatal(err)
+	}
+	get := func(key []byte) {
+		if _, found, err := cl.Get(ctx, key); err != nil || !found {
+			t.Fatalf("get %s: found=%v err=%v", key, found, err)
+		}
+	}
+	warm(func() { get(large) })
+	var mallocs uint64
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		get(huge)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		get(large)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	if mallocs > rounds {
+		t.Errorf("%d allocations over %d 16 KiB GETs, each after a 120 KiB one; want only their values", mallocs, rounds)
 	}
 }
 

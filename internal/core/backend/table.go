@@ -152,26 +152,16 @@ func (d *dataRegion) free(p layout.Pointer) {
 }
 
 // readEntry reads and validates the DataEntry behind e into *buf, grown to
-// fit; the entry returned aliases it. The copy runs under rmem's own range
-// locks, as Registry.Read's does, so the tearing model is the same, and the
-// checksum still decides whether what was read is an entry.
+// fit; the entry returned aliases it. The read is the one a NIC serves
+// (Registry.AppendRead: bounds before bytes, rmem's range locks), so the
+// tearing model is the same, and the checksum still decides whether what
+// was read is an entry.
 func (b *Backend) readEntry(e layout.IndexEntry, buf *[]byte) (layout.DataEntry, error) {
-	w, err := b.reg.Lookup(e.Ptr.Window)
+	raw, err := b.reg.AppendRead((*buf)[:0], e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
 	if err != nil {
 		return layout.DataEntry{}, err
 	}
-	// Bounds before bytes: Ptr was read out of RMA-visible memory.
-	off, n := int(e.Ptr.Offset), int(e.Ptr.Size)
-	if !w.Region.InBounds(off, n) {
-		return layout.DataEntry{}, rmem.ErrOutOfBounds
-	}
-	if cap(*buf) < n {
-		*buf = make([]byte, n+n/2)
-	}
-	raw := (*buf)[:n]
-	if err := w.Region.ReadInto(off, raw); err != nil {
-		return layout.DataEntry{}, err
-	}
+	*buf = raw
 	return layout.DecodeDataEntry(raw)
 }
 
@@ -262,7 +252,7 @@ func (r *resident) read() (layout.DataEntry, bool) {
 	if r.slot < 0 {
 		return layout.DataEntry{Key: []byte(r.sideKey), Value: r.sideVal, Version: r.Version}, true
 	}
-	raw, err := r.b.reg.Read(r.Ptr.Window, int(r.Ptr.Offset), int(r.Ptr.Size))
+	raw, err := r.b.reg.AppendRead(nil, r.Ptr.Window, int(r.Ptr.Offset), int(r.Ptr.Size))
 	if err != nil {
 		return layout.DataEntry{}, false
 	}

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -445,5 +446,83 @@ func TestDamagedIndexPointerFailsOver(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// slowOrDamagedConn is a replica whose data reads (any Read but a
+// bucket's) come back with a flipped bit, or every eighth of them
+// slowEvery8 more modelled time: the cases a failover and a hedge exist
+// for.
+type slowOrDamagedConn struct {
+	*pony.Conn
+	bucketLen  int
+	slowEvery8 uint64
+	reads      *int
+	flip       bool
+}
+
+func (s slowOrDamagedConn) AppendRead(dst []byte, spans []fabric.Span, at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error) {
+	b, tr, err := s.Conn.AppendRead(dst, spans, at, win, off, length)
+	if err == nil && length != s.bucketLen {
+		if *s.reads++; *s.reads%8 == 0 {
+			tr.Ns += s.slowEvery8
+		}
+		if s.flip {
+			b[len(b)-1] ^= 1
+		}
+	}
+	return b, tr, err
+}
+
+// TestArenaValuesOutliveHedgesAndFailovers: one replica's data legs are
+// now and then a millisecond slow and another's come back damaged, so 2×R GETs are served
+// by hedges and by failovers, each leg reading into the op's receive arena
+// after the legs before it. Every value returned must still read as it did
+// after later GETs have reused the arena. Run with `go test -race
+// -count=10 -run TestArenaValuesOutliveHedgesAndFailovers
+// ./internal/core/client/`.
+func TestArenaValuesOutliveHedgesAndFailovers(t *testing.T) {
+	r := newRig(t)
+	local := pony.New(r.f.Host(clientHost), nil, pony.CostModel{}, pony.EngineConfig{}, r.acct)
+	bucketLen := layout.Geometry{Buckets: 32, Ways: 8}.BucketSize()
+	dial := func(host int) nic.RMA {
+		c := slowOrDamagedConn{Conn: pony.Dial(r.f, local, r.nics[host]), bucketLen: bucketLen, reads: new(int), flip: host == 1}
+		if host == 0 {
+			c.slowEvery8 = 1_000_000
+		}
+		return c
+	}
+	cl := New(Options{HostID: clientHost, Strategy: Strategy2xR}, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
+	ctx := context.Background()
+	const keys = 16
+	want := make([][]byte, keys)
+	for k := range want {
+		key := fmt.Sprintf("hedged-%02d", k)
+		want[k] = bytes.Repeat([]byte(key+"|"), (16<<(k%10))/len(key)+1)
+		if err := cl.Set(ctx, []byte(key), want[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type held struct {
+		k   int
+		val []byte
+	}
+	var kept []held
+	for round := 0; round < 20; round++ {
+		for k := range want {
+			v, found, err := cl.Get(ctx, []byte(fmt.Sprintf("hedged-%02d", k)))
+			if err != nil || !found || !bytes.Equal(v, want[k]) {
+				t.Fatalf("round %d key %d: %d bytes found=%v err=%v", round, k, len(v), found, err)
+			}
+			kept = append(kept, held{k, v})
+		}
+	}
+	for i, h := range kept {
+		if !bytes.Equal(h.val, want[h.k]) {
+			t.Fatalf("GET #%d's value changed under later GETs", i)
+		}
+	}
+	if cl.M.HedgeWins.Value() == 0 || cl.M.Failovers.Value() == 0 {
+		t.Errorf("hedge wins %d, failovers %d: both paths must have served", cl.M.HedgeWins.Value(), cl.M.Failovers.Value())
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/nic"
+	"cliquemap/internal/rmem"
+	"cliquemap/internal/trace"
 )
 
 // fetch names how one replica is turned into an indexView.
@@ -68,10 +70,10 @@ func (c *Client) fetchFor(key []byte) fetch {
 
 // fetchViews resolves the read cohort and fans the fetch out to it,
 // appending one view per consulted member to views (errors included, so
-// the vote can surface them). It returns the views and the virtual
-// instant the legs were pinned to: pin, or now if pin is 0 or predates
-// the client's last RPC.
-func (c *Client) fetchViews(ctx context.Context, pin uint64, cfg config.CellConfig, rt route, key []byte, h hashring.KeyHash, how fetch, views []indexView) ([]indexView, uint64) {
+// the vote can surface them), its legs reading into op's storage. It
+// returns the views and the virtual instant the legs were pinned to: pin,
+// or now if pin is 0 or predates the client's last RPC.
+func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, cfg config.CellConfig, rt route, key []byte, h hashring.KeyHash, how fetch, views []indexView) ([]indexView, uint64) {
 	// Resolve replicas — first use pays a Hello RPC — before pinning the
 	// op's virtual start: connection setup is control-plane work.
 	for i, shard := range rt.shards[:rt.n] {
@@ -112,7 +114,7 @@ func (c *Client) fetchViews(ctx context.Context, pin uint64, cfg config.CellConf
 		if v.err != nil {
 			continue
 		}
-		c.fetchIndex(ctx, at, key, h, cfg.ID, how, req, v)
+		c.fetchIndex(ctx, op, at, key, h, cfg.ID, how, req, v)
 		if v.err != nil {
 			c.noteReplicaFailure(v.rep.addr)
 			continue
@@ -130,7 +132,7 @@ func (c *Client) fetchViews(ctx context.Context, pin uint64, cfg config.CellConf
 // start must not masquerade as data-plane queueing. cfgID is the config
 // the client routed with; an answer stamped differently means the fleet
 // moved on (maintenance or resize) and cannot be trusted.
-func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashring.KeyHash, cfgID uint64, how fetch, req []byte, v *indexView) {
+func (c *Client) fetchIndex(ctx context.Context, op *trace.OpLease, at uint64, key []byte, h hashring.KeyHash, cfgID uint64, how fetch, req []byte, v *indexView) {
 	if !how.oneSided() {
 		// The server ran the lookup — stamp check, key match, checksum —
 		// and answers (found, version, value). The value is a view of the
@@ -159,15 +161,17 @@ func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashri
 	var err error
 	if how == fetchScar && rep.conn.SupportsScar() {
 		c.chargeCPU(cpuSCAR)
+		dst, spans := op.Leg()
 		var res nic.ScarResult
-		res, v.trace, err = rep.conn.ScanAndRead(at, rep.hello.IndexWindow, off, geo.BucketSize(), h, geo.Ways)
+		res, v.trace, err = nic.Appending(rep.conn).AppendScanAndRead(dst, spans, at, rep.hello.IndexWindow, off, geo.BucketSize(), h, geo.Ways)
+		op.Received(len(res.Bucket) + len(res.Data))
 		raw = res.Bucket
 		if res.Found {
 			v.data = res.Data
 		}
 	} else {
 		c.chargeCPU(cpu2xR / 2) // per index leg; data leg bills the rest
-		raw, v.trace, err = rep.conn.Read(at, rep.hello.IndexWindow, off, geo.BucketSize())
+		raw, v.trace, err = readLeg(op, rep.conn, at, rep.hello.IndexWindow, off, geo.BucketSize())
 	}
 	if err != nil {
 		v.err = wrapTransportErr(rep.addr, err)
@@ -193,6 +197,14 @@ func (c *Client) fetchIndex(ctx context.Context, at uint64, key []byte, h hashri
 	}
 	v.overflow = b.Flags()&layout.OverflowFlag != 0
 	v.entry, _, v.present = b.Find(h)
+}
+
+// readLeg is one plain one-sided Read into op's storage.
+func readLeg(op *trace.OpLease, conn nic.RMA, at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error) {
+	dst, spans := op.Leg()
+	b, tr, err := nic.Appending(conn).AppendRead(dst, spans, at, win, off, length)
+	op.Received(len(b))
+	return b, tr, err
 }
 
 // rpcGetAt is the one GetReq→GetResp RPC round trip against addr.

@@ -55,7 +55,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 	// index-only revalidation round (1 RTT, no data leg). An inconclusive
 	// round falls through to the full path with its legs already billed.
 	if c.near != nil {
-		nval, nfound, served := c.nearGet(ctx, key, pin, &total)
+		nval, nfound, served := c.nearGet(ctx, op, key, pin, &total)
 		if served {
 			c.finishGet(sc, key, pin != 0, nfound, c.Transport(), 1, &total)
 			return nval, nfound, total, nil
@@ -74,7 +74,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 			sc.Attempt = uint32(attempt)
 		}
 		attemptStart := total.Ns
-		val, ok, wver, aerr := c.attemptGet(ctx, key, after(pin, total.Ns), &total)
+		val, ok, wver, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), &total)
 		if aerr == nil {
 			c.opt.Budget.Credit()
 			if ok {
@@ -127,7 +127,7 @@ func (c *Client) finishGet(sc *trace.SpanContext, key []byte, hold, found bool, 
 // fetch views from the read cohort, vote, take the data from a quorum
 // member. On a hit it also returns the quorum-winning version, which feeds
 // the near-cache. pin is the attempt's virtual start (0 = now).
-func (c *Client) attemptGet(ctx context.Context, key []byte, pin uint64, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
+func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	how := c.fetchFor(key)
@@ -135,7 +135,7 @@ func (c *Client) attemptGet(ctx context.Context, key []byte, pin uint64, tr *fab
 	// at is the virtual instant the attempt's legs are pinned to; on the
 	// op's own timeline that instant is origin.
 	origin := tr.Ns
-	views, at := c.fetchViews(ctx, pin, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
+	views, at := c.fetchViews(ctx, op, pin, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
 
 	winner, err := quorum(tr, views, cfg.Mode.Quorum())
 	if err != nil {
@@ -156,7 +156,7 @@ func (c *Client) attemptGet(ctx context.Context, key []byte, pin uint64, tr *fab
 		}
 		return nil, false, truetime.Version{}, nil
 	}
-	val, err := c.readData(at, origin, key, how, views, winner, tr)
+	val, err := c.readData(op, at, origin, key, how, views, winner, tr)
 	if err != nil {
 		return nil, false, truetime.Version{}, err
 	}
@@ -177,7 +177,7 @@ type cand struct {
 // retry. The checksum (§3) is the only corruption defense, so every
 // absorbed failure is counted. Dependent legs are pinned relative to at,
 // which sits at origin on tr's timeline.
-func (c *Client) readData(at, origin uint64, key []byte, how fetch, views []indexView, winner truetime.Version, tr *fabric.OpTrace) ([]byte, error) {
+func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how fetch, views []indexView, winner truetime.Version, tr *fabric.OpTrace) ([]byte, error) {
 	// Candidates fastest first (§5.1 — speculate on the first responder),
 	// with health-demoted members sorted last so a browned-out backend
 	// serves data only when no healthy member can.
@@ -248,7 +248,7 @@ func (c *Client) readData(at, origin uint64, key []byte, how fetch, views []inde
 			c.chargeCPU(cpu2xR / 2)
 			e := v.entry
 			dataStart := tr.Ns
-			data, dtr, derr := v.rep.conn.Read(after(at, dataStart-origin), e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
+			data, dtr, derr := readLeg(op, v.rep.conn, after(at, dataStart-origin), e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
 			if derr != nil {
 				tr.Sequence(dtr)
 				c.noteReplicaFailure(v.rep.addr)
@@ -265,7 +265,7 @@ func (c *Client) readData(at, origin uint64, key []byte, how fetch, views []inde
 			if hedgeAfter := c.hedgeAfterNs(); ci == 0 && !last && hedgeAfter > 0 && dtr.Ns > hedgeAfter {
 				c.M.Hedges.Inc()
 				b := &views[cands[1].view]
-				hdata, htr, herr := b.rep.conn.Read(after(at, dataStart-origin+hedgeAfter), b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
+				hdata, htr, herr := readLeg(op, b.rep.conn, after(at, dataStart-origin+hedgeAfter), b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
 				if herr == nil && hedgeAfter+htr.Ns < dtr.Ns {
 					if hval, err := c.openEntry(b.rep.addr, hdata, key, &winner); err == nil {
 						c.M.HedgeWins.Inc()

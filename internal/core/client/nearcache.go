@@ -40,6 +40,7 @@ import (
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
 
@@ -254,12 +255,12 @@ func (c *Client) nearInvalidate(key []byte) {
 // the caller must run the full GET path — any revalidation legs already
 // paid are appended to tr either way so latency accounting stays honest.
 // pin is the round's virtual start (0 = now).
-func (c *Client) nearGet(ctx context.Context, key []byte, pin uint64, tr *fabric.OpTrace) (val []byte, found, served bool) {
+func (c *Client) nearGet(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, tr *fabric.OpTrace) (val []byte, found, served bool) {
 	e, ok := c.near.get(key)
 	if !ok {
 		return nil, false, false
 	}
-	ver, vfound, err := c.revalidateIndex(ctx, key, pin, tr)
+	ver, vfound, err := c.revalidateIndex(ctx, op, key, pin, tr)
 	if err != nil {
 		c.M.NearRevalFails.Inc()
 		return nil, false, false
@@ -285,11 +286,11 @@ func (c *Client) nearGet(ctx context.Context, key []byte, pin uint64, tr *fabric
 // plain Reads even under SCAR, so no data bytes move — and returns the
 // quorum-winning version (found=false for an agreed miss). Any error
 // means the round was inconclusive.
-func (c *Client) revalidateIndex(ctx context.Context, key []byte, pin uint64, tr *fabric.OpTrace) (ver truetime.Version, found bool, err error) {
+func (c *Client) revalidateIndex(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, tr *fabric.OpTrace) (ver truetime.Version, found bool, err error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	var viewArr [8]indexView
-	views, _ := c.fetchViews(ctx, pin, cfg, readRoute(cfg, h), key, h, fetchBucket, viewArr[:0])
+	views, _ := c.fetchViews(ctx, op, pin, cfg, readRoute(cfg, h), key, h, fetchBucket, viewArr[:0])
 	ver, err = quorum(tr, views, cfg.Mode.Quorum())
 	if err != nil || !ver.Zero() {
 		return ver, err == nil, err

@@ -51,3 +51,30 @@ type RMA interface {
 	// SupportsScar reports whether ScanAndRead is available.
 	SupportsScar() bool
 }
+
+// Appender is RMA's two ops on the caller's storage: the response comes
+// back as append(dst, …) (for a SCAR, as views of it) and the spans as
+// append(spans, …); on error dst comes back unchanged.
+type Appender interface {
+	AppendRead(dst []byte, spans []fabric.Span, at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error)
+	AppendScanAndRead(dst []byte, spans []fabric.Span, at uint64, idxWin rmem.WindowID, bucketOff, bucketLen int, hash hashring.KeyHash, ways int) (ScarResult, fabric.OpTrace, error)
+}
+
+// Appending returns conn's append form, or, for a conn without one (a
+// decorator that wraps only RMA), its Read and ScanAndRead behind it.
+func Appending(conn RMA) Appender {
+	if a, ok := conn.(Appender); ok {
+		return a
+	}
+	return oldForm{conn}
+}
+
+type oldForm struct{ RMA }
+
+func (o oldForm) AppendRead(_ []byte, _ []fabric.Span, at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error) {
+	return o.Read(at, win, off, length)
+}
+
+func (o oldForm) AppendScanAndRead(_ []byte, _ []fabric.Span, at uint64, idxWin rmem.WindowID, bucketOff, bucketLen int, hash hashring.KeyHash, ways int) (ScarResult, fabric.OpTrace, error) {
+	return o.ScanAndRead(at, idxWin, bucketOff, bucketLen, hash, ways)
+}

@@ -158,7 +158,12 @@ func (c *Conn) Target() *NIC { return c.to }
 func (c *Conn) SupportsScar() bool { return false }
 
 // ScanAndRead is unsupported on 1RMA.
-func (c *Conn) ScanAndRead(uint64, rmem.WindowID, int, int, hashring.KeyHash, int) (nic.ScarResult, fabric.OpTrace, error) {
+func (c *Conn) ScanAndRead(at uint64, idxWin rmem.WindowID, bucketOff, bucketLen int, hash hashring.KeyHash, ways int) (nic.ScarResult, fabric.OpTrace, error) {
+	return c.AppendScanAndRead(nil, nil, at, idxWin, bucketOff, bucketLen, hash, ways)
+}
+
+// AppendScanAndRead is unsupported on 1RMA.
+func (c *Conn) AppendScanAndRead([]byte, []fabric.Span, uint64, rmem.WindowID, int, int, hashring.KeyHash, int) (nic.ScarResult, fabric.OpTrace, error) {
 	return nic.ScarResult{}, fabric.OpTrace{}, nic.ErrNotSupported
 }
 
@@ -166,12 +171,16 @@ func (c *Conn) ScanAndRead(uint64, rmem.WindowID, int, int, hashring.KeyHash, in
 // (fabric + remote PCIe) is recorded to the NIC's hardware-timestamp
 // histogram; client CPU is added on top for the end-to-end trace.
 func (c *Conn) Read(at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error) {
-	var tr fabric.OpTrace
-	tr.Spans = make([]fabric.Span, 0, 4)
+	return c.AppendRead(nil, make([]fabric.Span, 0, 4), at, win, off, length)
+}
+
+// AppendRead is Read on the caller's storage (nic.Appender).
+func (c *Conn) AppendRead(dst []byte, spans []fabric.Span, at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error) {
+	tr := fabric.OpTrace{Spans: spans}
 
 	wake, up := c.from.cstatePenalty()
 	if !up {
-		return nil, tr, nic.ErrUnreachable
+		return dst, tr, nic.ErrUnreachable
 	}
 	if wake > 0 {
 		tr.AddSpan(trace.SpanCStateWake, 0, wake)
@@ -184,13 +193,13 @@ func (c *Conn) Read(at uint64, win rmem.WindowID, off, length int) ([]byte, fabr
 	}
 
 	if c.to.reg == nil {
-		return nil, tr, nic.ErrUnreachable
+		return dst, tr, nic.ErrUnreachable
 	}
 	c.to.mu.Lock()
 	down := c.to.down
 	c.to.mu.Unlock()
 	if down || !c.f.Linked(c.from.host.ID(), c.to.host.ID()) {
-		return nil, tr, nic.ErrUnreachable
+		return dst, tr, nic.ErrUnreachable
 	}
 
 	// Hardware portion: scaled fabric RTT + fixed HW service + PCIe
@@ -208,18 +217,18 @@ func (c *Conn) Read(at uint64, win rmem.WindowID, off, length int) ([]byte, fabr
 	if at != 0 {
 		respAt = at + tr.Ns + hw
 	}
-	data, rerr := c.to.reg.Read(win, off, length)
+	resp, rerr := c.to.reg.AppendRead(dst, win, off, length)
 	if rerr != nil {
 		hw += uint64(float64(c.from.host.DeliverAt(respAt, 64)) * c.from.cost.RTTScale)
 		if c.from.hwHist != nil {
 			c.from.hwHist.Record(hw)
 		}
 		tr.AddSpan(trace.SpanHWService, uint32(length), hw)
-		return nil, tr, rerr
+		return dst, tr, rerr
 	}
 
 	if !c.f.Linked(c.to.host.ID(), c.from.host.ID()) {
-		return nil, tr, nic.ErrUnreachable
+		return dst, tr, nic.ErrUnreachable
 	}
 	hw += uint64(float64(c.from.host.DeliverAt(respAt, length)) * c.from.cost.RTTScale)
 	if c.from.hwHist != nil {
@@ -227,5 +236,5 @@ func (c *Conn) Read(at uint64, win rmem.WindowID, off, length int) ([]byte, fabr
 	}
 	tr.AddSpan(trace.SpanHWService, uint32(length), hw)
 	tr.AddBytes(reqBytes + length)
-	return data, tr, nil
+	return resp, tr, nil
 }

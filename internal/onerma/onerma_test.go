@@ -1,8 +1,11 @@
 package onerma
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cliquemap/internal/fabric"
@@ -214,5 +217,55 @@ func TestDamagedPointerIsBoundsError(t *testing.T) {
 		if tr.Ns == 0 {
 			t.Errorf("Read(%d, %d): the refused command still crossed the fabric and must be billed", tc.off, tc.n)
 		}
+	}
+}
+
+// TestAppendFormMatchesOldForm: Read is a wrapper over AppendRead (and
+// ScanAndRead over AppendScanAndRead), so on every outcome — a hit, a
+// damaged pointer, a revoked window, an unreachable target — the two
+// return the same bytes, trace and error on twin fixtures. The append
+// form's response follows dst's bytes, and an error hands dst back as it
+// was.
+func TestAppendFormMatchesOldForm(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		prep   func(*Conn, *rmem.Window)
+		off, n int
+	}{
+		{"hit", func(_ *Conn, w *rmem.Window) { w.Region.Write(4100, []byte("one-sided")) }, 4096, 1024},
+		{"damaged pointer", nil, 0, 1 << 40},
+		{"revoked window", func(c *Conn, w *rmem.Window) { c.Target().Registry().Revoke(w.ID) }, 0, 64},
+		{"unreachable target", func(c *Conn, _ *rmem.Window) { c.Target().SetDown(true) }, 0, 64},
+	} {
+		for _, dst := range [][]byte{nil, []byte("prefix"), append(make([]byte, 0, 4096), "prefix"...)} {
+			t.Run(fmt.Sprintf("%s/dst len %d cap %d", tc.name, len(dst), cap(dst)), func(t *testing.T) {
+				old, ow := newPairOn(&fabric.ManualClock{}, nil)
+				app, aw := newPairOn(&fabric.ManualClock{}, nil)
+				if tc.prep != nil {
+					tc.prep(old, ow)
+					tc.prep(app, aw)
+				}
+				want, wtr, werr := old.Read(0, ow.ID, tc.off, tc.n)
+				got, gtr, gerr := app.AppendRead(dst, make([]fabric.Span, 0, 4), 0, aw.ID, tc.off, tc.n)
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Errorf("err = %v, old form %v", gerr, werr)
+				}
+				if gtr.Ns != wtr.Ns || gtr.Bytes != wtr.Bytes || !slices.Equal(gtr.Spans, wtr.Spans) {
+					t.Errorf("trace = %dns %dB %v\n old form %dns %dB %v", gtr.Ns, gtr.Bytes, gtr.Spans, wtr.Ns, wtr.Bytes, wtr.Spans)
+				}
+				if gerr != nil {
+					if len(got) != len(dst) || cap(got) != cap(dst) || len(dst) > 0 && &got[0] != &dst[0] {
+						t.Errorf("an error handed back %d bytes of %d, not dst (%d of %d)", len(got), cap(got), len(dst), cap(dst))
+					}
+				} else if !bytes.Equal(got[:len(dst)], dst) || !bytes.Equal(got[len(dst):], want) {
+					t.Errorf("append form read %d bytes after dst %q, old form %d", len(got)-len(dst), got[:len(dst)], len(want))
+				}
+			})
+		}
+	}
+	old, _ := newPair(nil)
+	res, tr, err := old.AppendScanAndRead([]byte("prefix"), nil, 0, 1, 0, 64, hashring.KeyHash{Hi: 1}, 4)
+	if err != nic.ErrNotSupported || res.Bucket != nil || tr.Ns != 0 || tr.Spans != nil {
+		t.Errorf("AppendScanAndRead on 1RMA: %+v %+v %v", res, tr, err)
 	}
 }

@@ -31,6 +31,7 @@ package rmem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -273,11 +274,21 @@ func (g *Registry) Lookup(id WindowID) (*Window, error) {
 	return w.(*Window), nil
 }
 
-// Read serves a one-sided read against window id.
-func (g *Registry) Read(id WindowID, off, length int) ([]byte, error) {
+// AppendRead serves a one-sided read against window id into dst's tail: it
+// returns append(dst, bytes…), or dst unchanged on error. off and length
+// come from outside — the initiator's geometry, a pointer read out of
+// RMA-visible memory — so the extent is checked before dst grows.
+func (g *Registry) AppendRead(dst []byte, id WindowID, off, length int) ([]byte, error) {
 	w, err := g.Lookup(id)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return w.Region.Read(off, length)
+	if !w.Region.InBounds(off, length) {
+		return dst, ErrOutOfBounds
+	}
+	out := slices.Grow(dst, length)[:len(dst)+length]
+	if err := w.Region.ReadInto(off, out[len(dst):]); err != nil {
+		return dst, err
+	}
+	return out, nil
 }

@@ -76,8 +76,8 @@ func TestBoundsAreOverflowSafe(t *testing.T) {
 		if _, err := r.View(tc.off, tc.n); err != ErrOutOfBounds {
 			t.Errorf("View(%d, %d): %v", tc.off, tc.n, err)
 		}
-		if _, err := reg.Read(w.ID, tc.off, tc.n); err != ErrOutOfBounds {
-			t.Errorf("Registry.Read(%d, %d): %v", tc.off, tc.n, err)
+		if _, err := reg.AppendRead(nil, w.ID, tc.off, tc.n); err != ErrOutOfBounds {
+			t.Errorf("Registry.AppendRead(%d, %d): %v", tc.off, tc.n, err)
 		}
 		if tc.n >= 0 && tc.n <= 64 { // the slice-taking entry points, with a length one can hold
 			buf := make([]byte, tc.n)
@@ -279,7 +279,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if w.ID == 0 {
 		t.Fatal("window ID should be nonzero")
 	}
-	got, err := g.Read(w.ID, 0, 11)
+	got, err := g.AppendRead(nil, w.ID, 0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 
 	g.Revoke(w.ID)
-	if _, err := g.Read(w.ID, 0, 11); err == nil {
+	if _, err := g.AppendRead(nil, w.ID, 0, 11); err == nil {
 		t.Error("read after revoke should fail")
 	}
 	if _, err := g.Lookup(w.ID); err == nil {
@@ -321,10 +321,10 @@ func TestOverlappingWindows(t *testing.T) {
 	newW := g.Register(region, 2)
 
 	region.Write(300, []byte{42})
-	if _, err := g.Read(oldW.ID, 300, 1); err != nil {
+	if _, err := g.AppendRead(nil, oldW.ID, 300, 1); err != nil {
 		t.Errorf("old window should still serve in-bounds reads: %v", err)
 	}
-	got, err := g.Read(newW.ID, 300, 1)
+	got, err := g.AppendRead(nil, newW.ID, 300, 1)
 	if err != nil || got[0] != 42 {
 		t.Errorf("new window read = %v, %v", got, err)
 	}
@@ -333,10 +333,10 @@ func TestOverlappingWindows(t *testing.T) {
 	}
 
 	g.Revoke(oldW.ID)
-	if _, err := g.Read(oldW.ID, 0, 1); err == nil {
+	if _, err := g.AppendRead(nil, oldW.ID, 0, 1); err == nil {
 		t.Error("old window must fail after revocation")
 	}
-	if _, err := g.Read(newW.ID, 0, 1); err != nil {
+	if _, err := g.AppendRead(nil, newW.ID, 0, 1); err != nil {
 		t.Errorf("new window unaffected by old revocation: %v", err)
 	}
 }
@@ -351,7 +351,7 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				if _, err := g.Read(w.ID, 0, 64); err != nil {
+				if _, err := g.AppendRead(nil, w.ID, 0, 64); err != nil {
 					t.Error(err)
 					return
 				}

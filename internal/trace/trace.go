@@ -226,12 +226,49 @@ func (c *OpContext) Init(parent context.Context, sc SpanContext) *SpanContext {
 	return &c.sc
 }
 
-// OpLease is one op's leased record, its context node and span buffer. The
-// op takes it at entry and puts it back on return, so nothing below may keep
-// either: a handler's ctx is its own until it returns, and the Tracer copies.
+// OpLease is one op's leased record: its context node, span buffer, and the
+// storage its NIC legs read into. The op takes it at entry and puts it back
+// on return, so nothing below may keep any of it: a handler's ctx is its own
+// until it returns, the Tracer copies, and a value leaves Recv as a copy.
 type OpLease struct {
 	OpContext
 	Spans [16]fabric.Span // a quiet 2×R GET, the longest client trace, is 15
+
+	// The receive arena, and span slots for eight legs: a near-cache
+	// round, a fan-out of three, a data leg and its hedge.
+	Recv  []byte
+	slots [8 * legSpans]fabric.Span
+	used  int // slots handed out
+}
+
+// legSpans is one NIC leg's span room: issue, service and receive, and a
+// 1RMA C-state wake.
+const legSpans = 4
+
+// MaxRecv bounds a lease's receive arena: a SCAR GET of a 16 KiB value
+// (~52 KiB) keeps one; a larger GET's legs past it read into their own.
+const MaxRecv = 256 << 10
+
+// Leg hands one NIC leg its storage: the arena's free tail, and spans
+// capped at legSpans so that no leg's append reaches another's (a fresh
+// slice once a retrying op has used the storage up).
+func (l *OpLease) Leg() ([]byte, []fabric.Span) {
+	if l.used == len(l.slots) {
+		return l.Recv[len(l.Recv):], make([]fabric.Span, 0, legSpans)
+	}
+	l.used += legSpans
+	return l.Recv[len(l.Recv):], l.slots[l.used-legSpans : l.used-legSpans : l.used]
+}
+
+// Received records a leg's n-byte response. One that fit is in the tail Leg
+// handed out; one that did not read into its own buffer, and the arena
+// regrows, up to MaxRecv, for later legs (earlier views keep the old one).
+func (l *OpLease) Received(n int) {
+	if n <= cap(l.Recv)-len(l.Recv) {
+		l.Recv = l.Recv[:len(l.Recv)+n]
+	} else if c := min(2*cap(l.Recv)+n, MaxRecv); c > cap(l.Recv) {
+		l.Recv = make([]byte, 0, c)
+	}
 }
 
 // Leases is a client's spare op record, swapped atomically: unlike a pool's
@@ -249,6 +286,7 @@ func (s *Leases) Take() *OpLease {
 // Put returns a record once its op, and all the op handed it to, are done.
 func (s *Leases) Put(l *OpLease) {
 	l.Context = nil // keep nothing of the caller's alive
+	l.Recv, l.used = l.Recv[:0], 0
 	s.spare.Store(l)
 }
 

@@ -313,6 +313,52 @@ func TestLeasesReuseOneRecord(t *testing.T) {
 	}
 }
 
+// TestLeaseArena: a leg that outgrows the receive arena reads into its own
+// buffer and the arena regrows for the legs after it, leaving what earlier
+// legs hold where it was; after one op of three 17.5 KiB legs the next
+// allocates nothing; and an op whose legs total past MaxRecv leaves the
+// spare holding no more than MaxRecv. Spans past the leg storage, on a
+// retrying op, come from a fresh slice of the same capacity.
+func TestLeaseArena(t *testing.T) {
+	var ls Leases
+	var src [3][]byte // leg i's response bytes
+	for i := range src {
+		src[i] = bytes.Repeat([]byte{byte('a' + i)}, 120<<10)
+	}
+	op := func(n int) {
+		l := ls.Take()
+		var views [3][]byte
+		for i := range views {
+			dst, spans := l.Leg()
+			if cap(spans) != legSpans || len(spans) != 0 {
+				t.Fatalf("leg spans len %d cap %d, want room for %d", len(spans), cap(spans), legSpans)
+			}
+			views[i] = append(dst, src[i][:n]...)
+			l.Received(len(views[i]))
+		}
+		for i, v := range views {
+			if !bytes.Equal(v, src[i][:n]) {
+				t.Fatalf("leg %d's bytes changed under the legs after it", i)
+			}
+		}
+		ls.Put(l)
+	}
+	op(17_920)
+	if n := testing.AllocsPerRun(20, func() { op(17_920) }); n != 0 {
+		t.Errorf("a warmed op of three 17.5 KiB legs allocates %v times", n)
+	}
+	op(120 << 10)
+	l := ls.Take()
+	if c := cap(l.Recv); c > MaxRecv || c < 3*17_920 {
+		t.Errorf("after an op of three 120 KiB legs the arena holds %d bytes, want between %d and %d", c, 3*17_920, MaxRecv)
+	}
+	for i := 0; i < len(l.slots)/legSpans+1; i++ {
+		if _, spans := l.Leg(); cap(spans) != legSpans {
+			t.Fatalf("leg %d: span room %d, want %d", i, cap(spans), legSpans)
+		}
+	}
+}
+
 func TestTracerConcurrentRecord(t *testing.T) {
 	tr := NewTracer()
 	var wg sync.WaitGroup

@@ -10,6 +10,7 @@ package cliquemap
 // Run with `go test -race -count=10 -run TestOpLeaseStress .`.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -158,4 +159,90 @@ func TestOpLeaseStress(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readerDone.Wait()
+}
+
+// TestOpLeaseValuesOutliveArena: a GET's NIC legs read into its client's
+// leased receive arena, which the client's next op reuses, and a value
+// leaves the arena as a copy. Every value a client's GETs returned — over
+// SCAR and 2×R, served by the first replica, by a failover past a damaged
+// copy, or past a hedged leg — must still read as it did after later GETs
+// have reused the arena, whatever the arena's regrowth mid-op did. Values
+// are distinct per key and span 16 B to 120 KiB.
+//
+// Run with `go test -race -count=10 -run TestOpLeaseValuesOutliveArena .`.
+func TestOpLeaseValuesOutliveArena(t *testing.T) {
+	const (
+		workers = 4
+		keysPer = 12
+		rounds  = 6
+	)
+	for _, tc := range []struct {
+		name      string
+		transport Transport
+		strategy  Strategy
+	}{
+		{"SCAR", PonyExpress, LookupSCAR},
+		{"2xR", PonyExpress, Lookup2xR},
+		{"2xR over 1RMA", OneRMA, Lookup2xR},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCell(t, Options{Transport: tc.transport})
+			cl := c.NewClient(ClientOptions{Strategy: tc.strategy})
+			ctx := context.Background()
+			want := make(map[string][]byte)
+			for w := 0; w < workers; w++ {
+				for k := 0; k < keysPer; k++ {
+					key := fmt.Sprintf("arena-%d-%d", w, k)
+					size := 16 << (k % 9) // up to 4 KiB
+					if k == keysPer-1 {
+						size = 120 << 10 // slow to read: its data leg draws a hedge
+					}
+					val := bytes.Repeat([]byte(key+"|"), size/len(key)+1)[:size]
+					if err := cl.Set(ctx, []byte(key), val); err != nil {
+						t.Fatal(err)
+					}
+					want[key] = val
+				}
+			}
+			// One replica's copies of some keys are damaged: reading them
+			// there fails its checksum and the GET fails over.
+			c.Internal().CorruptData(1, len(want)/3, 11)
+			inner := cl.Internal()
+			failovers := inner.M.Failovers.Value()
+
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					type held struct {
+						key string
+						val []byte
+					}
+					var kept []held
+					for r := 0; r < rounds; r++ {
+						for k := 0; k < keysPer; k++ {
+							key := fmt.Sprintf("arena-%d-%d", w, k)
+							v, found, err := cl.Get(ctx, []byte(key))
+							if err != nil || !found || !bytes.Equal(v, want[key]) {
+								t.Errorf("get %s: %d bytes found=%v err=%v", key, len(v), found, err)
+								return
+							}
+							kept = append(kept, held{key, v})
+						}
+					}
+					for i, h := range kept {
+						if !bytes.Equal(h.val, want[h.key]) {
+							t.Errorf("worker %d: GET #%d's value for %s changed under later GETs", w, i, h.key)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if inner.M.Failovers.Value() == failovers {
+				t.Error("no GET failed over past a damaged copy")
+			}
+		})
+	}
 }
