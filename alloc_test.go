@@ -9,30 +9,31 @@ import (
 	"cliquemap/internal/rpc"
 )
 
-// TestGetAllocBudget holds the one-sided GET to the per-op allocation
-// budget DESIGN.md ("GET datapath: where a GET's allocations go") records
-// by name, on a public cell with the cell tracer on:
+// TestGetAllocBudget holds the GET to the per-op allocation budget DESIGN.md
+// ("GET datapath: where a GET's allocations go") records by name, on a
+// public cell with the cell tracer on:
 //
 //	SCAR hit   the caller's value                                    = 1
 //	SCAR miss  nothing                                               = 0
 //	2×R hit    the caller's value                                    = 1
+//	RPC hit    the caller's value                                    = 1
 //
 // and the two-sided GET of an out-of-process caller — a tracer-less
 // StrategyRPC client on one loopback connection to the cell's gateway — to
 // the budget of "TCP RPC datapath: where a call's allocations go":
 //
-//	RPC hit    3 × (response frame + its spans, the gateway's request
-//	over TCP   frame, the in-cell call's spans, the handler's
-//	           response)
-//	           + the request, marshalled once                         = 16
+//	RPC hit over TCP   the caller's value                            = 1
 //
-// The op's context node, span buffer, and the receive arena and span slots
-// its NIC legs read into are its leased record (trace.OpLease), reused from
-// op to op. Each cell is warmed past its tracer's 512-slot ring first: a
-// slot makes the storage for its copy of an op's spans on first use, which
-// is the tracer's cost, not the op's. The parent of the change that leased
-// the record measured 9, 8, 11 and 17; the parent of the change that gave
-// it the receive arena, 7, 6 and 9 for the one-sided rows.
+// The op's context node, span buffer, and the arena and span slots its
+// request is marshalled into and its legs read into are its leased record
+// (trace.OpLease), reused from op to op; the frames, the gateway's call
+// records and their reply storage are the connection's. Each cell is warmed
+// past its tracer's 512-slot ring first: a slot makes the storage for its
+// copy of an op's spans on first use, which is the tracer's cost, not the
+// op's. The parent of the change that leased the record measured 9, 8, 11
+// and 17; the parent of the change that gave it the receive arena, 7, 6 and
+// 9 for the one-sided rows; the parent of the change that read RPC legs
+// into it, 7 and 16 for the RPC rows.
 //
 // A regression here is an allocation back on every GET, which the gated
 // benchmark (bench/, allocs_per_op) would only report much later.
@@ -54,6 +55,7 @@ func TestGetAllocBudget(t *testing.T) {
 		{"SCAR hit", PonyExpress, LookupSCAR, key, true, 1},
 		{"SCAR miss", PonyExpress, LookupSCAR, absent, false, 0},
 		{"2xR hit over 1RMA", OneRMA, Lookup2xR, key, true, 1},
+		{"RPC hit", PonyExpress, LookupRPC, key, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCell(t, Options{Transport: tc.transport})
@@ -100,8 +102,8 @@ func TestGetAllocBudget(t *testing.T) {
 			}
 		}
 		warm(get) // the connection's dispatchers and scratch, the tracer's ring
-		if got := testing.AllocsPerRun(200, get); got > 16 {
-			t.Errorf("%v allocations per GET, budget 16", got)
+		if got := testing.AllocsPerRun(200, get); got > 1 {
+			t.Errorf("%v allocations per GET, budget 1", got)
 		}
 	})
 
@@ -136,10 +138,10 @@ func TestGetAllocBudget(t *testing.T) {
 // ("Mutation datapath: where a SET's allocations go", "Access records: what
 // a hit costs"), on a quiet 1RMA cell with the cell tracer on:
 //
-//	SET overwrite, CAS  the request, marshalled once + 3 × (leg spans +
-//	                    the handler's response)                       = 7
-//	ERASE               the same, + 3 × the tombstone's key, which each
-//	                    backend keeps                                 = 10
+//	SET overwrite, CAS  nothing: the request, the legs' spans and the
+//	                    handlers' responses are the op's leased record = 0
+//	ERASE               3 × the tombstone's key, which each backend
+//	                    keeps                                         = 3
 //	2×R hit, touching   the GET's own 1, plus its share of a flush:
 //	                    every TouchBatch-th hit sends each cohort member
 //	                    its queue buffer as it stands; the handler makes
@@ -150,8 +152,8 @@ func TestGetAllocBudget(t *testing.T) {
 // cell is warmed past its tracer's ring, as in TestGetAllocBudget. A SET
 // that inserts a key costs what the backends keep of it on top (the
 // eviction policy's entry). The parents of the changes that set these
-// measured SET 20 → 9 → 7, CAS 20 → 9 → 7, ERASE 23 → 12 → 10, 12.6
-// allocations of touch feedback per hit before it fell to ≤ 1, and a
+// measured SET 20 → 9 → 7 → 0, CAS 20 → 9 → 7 → 0, ERASE 23 → 12 → 10 → 3,
+// 12.6 allocations of touch feedback per hit before it fell to ≤ 1, and a
 // touching hit at 9 + 1 before its legs read into the op's arena.
 func TestMutationAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -175,17 +177,17 @@ func TestMutationAllocBudget(t *testing.T) {
 			if err := cl.Set(ctx, key, value); err != nil {
 				t.Fatal(err)
 			}
-		}, 7},
+		}, 0},
 		{"CAS", func() { // a stale expectation: decided on every replica, nothing applied
 			if applied, err := cl.Cas(ctx, key, value, ver); err != nil || applied {
 				t.Fatalf("cas: applied=%v err=%v", applied, err)
 			}
-		}, 7},
+		}, 0},
 		{"ERASE", func() {
 			if err := cl.Erase(ctx, key); err != nil {
 				t.Fatal(err)
 			}
-		}, 10},
+		}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			warm(tc.op)

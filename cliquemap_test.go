@@ -1,11 +1,15 @@
 package cliquemap
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
+
+	"cliquemap/internal/core/client"
+	"cliquemap/internal/core/proto"
 )
 
 func newCell(t *testing.T, opt Options) *Cell {
@@ -282,5 +286,44 @@ func TestPublicCustomHash(t *testing.T) {
 	}
 	if v, ok, err := zcl.Get(ctx, []byte("zk")); err != nil || !ok || string(v) != "zv" {
 		t.Fatalf("zero-hash cell: %q %v %v", v, ok, err)
+	}
+}
+
+// TestOversizedMutationFails: a SET or CAS whose entry no backend can store
+// (past the largest slab class, 128 KiB) fails, where it used to be acked
+// and not applied — at once, without spending the retry budget, on the
+// one-sided clients and across the TCP gateway — and the value before it
+// still reads back.
+func TestOversizedMutationFails(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		strategy client.Strategy
+		tcp      bool
+	}{
+		{"2xR", client.Strategy2xR, false},
+		{"SCAR", client.StrategySCAR, false},
+		{"RPC over TCP", client.StrategyRPC, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := dialClient(t, newCell(t, Options{}).Internal(), client.Options{Strategy: tc.strategy}, tc.tcp)
+			ctx := context.Background()
+			key, old, huge := []byte("k"), []byte("old"), make([]byte, 129<<10)
+			ver, err := cl.SetVersioned(ctx, key, old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Set(ctx, key, huge); !proto.NotStored(err) {
+				t.Errorf("129 KiB SET: %v, want the entry refused", err)
+			}
+			if swapped, err := cl.Cas(ctx, key, huge, ver); swapped || !proto.NotStored(err) {
+				t.Errorf("129 KiB CAS: swapped=%v err=%v, want the entry refused", swapped, err)
+			}
+			if v, found, err := cl.Get(ctx, key); err != nil || !found || !bytes.Equal(v, old) {
+				t.Errorf("after the refused mutations: %q found=%v err=%v, want %q", v, found, err, old)
+			}
+			if n, ns := cl.M.RetryCount(), cl.M.BackoffNs.Value(); n != 0 || ns != 0 {
+				t.Errorf("%d retries, %d ns of backoff: a refused entry is not worth a retry", n, ns)
+			}
+		})
 	}
 }

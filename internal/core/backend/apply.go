@@ -6,9 +6,11 @@ package backend
 // cache, the handoff journal and the durable journal.
 
 import (
+	"fmt"
 	"sync"
 
 	"cliquemap/internal/core/layout"
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/persist"
 	"cliquemap/internal/slab"
@@ -194,9 +196,11 @@ func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash, key []byte) (freed
 }
 
 // ApplySet installs a KV pair directly (bulk loaders and tests); normal
-// traffic arrives via the SET RPC handler.
+// traffic arrives via the SET RPC handler. An entry that could not be
+// stored reads as not applied.
 func (b *Backend) ApplySet(key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
-	return b.set(nil, key, value, v)
+	applied, stored, evictions, _ = b.set(nil, key, value, v)
+	return applied, stored, evictions
 }
 
 // ApplyErase erases a key directly (model checking and tests); normal
@@ -206,23 +210,26 @@ func (b *Backend) ApplyErase(key []byte, v truetime.Version) (applied bool, stor
 }
 
 // ApplyCas compare-and-swaps directly (stress tests); normal traffic
-// arrives via the CAS RPC handler.
+// arrives via the CAS RPC handler. As for ApplySet, an entry that could not
+// be stored reads as not applied.
 func (b *Backend) ApplyCas(key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
-	return b.cas(nil, key, value, expected, v)
+	applied, stored, _ = b.cas(nil, key, value, expected, v)
+	return applied, stored
 }
 
 // set is the SET RPC's core (§3, §5.2): version-gated install with
-// eviction under capacity and associativity conflicts.
-func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
+// eviction under capacity and associativity conflicts. err (wrapping
+// proto.ErrNotStored) reports an entry the data region could not take.
+func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int, err error) {
 	h := b.opt.Hash(key)
 	s := b.stripeOf(h)
 	s.ctr.sets.Add(1)
 	b.noteHeat(key, h)
-	applied, stored, evictions = b.install(sink, s, h, key, value, v, false)
+	applied, stored, evictions, err = b.install(sink, s, h, key, value, v, false)
 	if applied {
 		s.ctr.setsApplied.Add(1)
 	}
-	return applied, stored, evictions
+	return applied, stored, evictions, err
 }
 
 // updateVersion rewrites key's stored version (repair step 2, §5.4): read
@@ -244,7 +251,7 @@ func (b *Backend) updateVersion(key []byte, v truetime.Version) bool {
 	if err != nil {
 		return false
 	}
-	applied, _, _ := b.install(nil, s, h, key, value, v, true)
+	applied, _, _, _ := b.install(nil, s, h, key, value, v, true)
 	return applied
 }
 
@@ -254,8 +261,9 @@ func (b *Backend) updateVersion(key []byte, v truetime.Version) bool {
 // stripe lock. The second gate after relocking restores atomicity: if a
 // concurrent mutation moved the version bound past v (or, for mustExist,
 // removed the key), the prepared entry is discarded exactly as if the first
-// gate had failed.
-func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, mustExist bool) (applied bool, stored truetime.Version, evictions int) {
+// gate had failed. An entry the data region cannot take (past the largest
+// slab class, or nothing left to evict) fails with proto.ErrNotStored.
+func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, mustExist bool) (applied bool, stored truetime.Version, evictions int, err error) {
 	for {
 		lockStripe(s, sink)
 		idx := b.idx.Load()
@@ -263,13 +271,13 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 		dr := b.data.Load()
 		s.unlock()
 		if !ok {
-			return false, bound, evictions
+			return false, bound, evictions, nil
 		}
 
 		ptr, ev, err := b.writeEntry(dr, key, value, v)
 		evictions += ev
 		if err != nil {
-			return false, bound, evictions
+			return false, bound, evictions, fmt.Errorf("%w: %w", proto.ErrNotStored, err)
 		}
 
 		lockStripe(s, sink)
@@ -289,7 +297,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 		if !ok {
 			s.unlock()
 			dr.free(ptr)
-			return false, bound, evictions
+			return false, bound, evictions, nil
 		}
 		if !mustExist {
 			s.policy.AddBytes(key)
@@ -298,7 +306,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 		s.unlock()
 		b.maybeResizeIndex()
 		b.maybeCheckpoint()
-		return true, v, evictions
+		return true, v, evictions, nil
 	}
 }
 
@@ -361,8 +369,8 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 // (or, for an absent key, its tombstone bound) matches the expectation. The
 // expectation is read under the stripe lock; set then re-gates on version
 // monotonicity, so a racing mutation between the two phases can only cause
-// a spurious CAS failure, never a lost update.
-func (b *Backend) cas(sink *trace.SpanSink, key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
+// a spurious CAS failure, never a lost update. err is set's.
+func (b *Backend) cas(sink *trace.SpanSink, key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version, err error) {
 	h := b.opt.Hash(key)
 	s := b.stripeOf(h)
 	s.ctr.casOps.Add(1)
@@ -372,13 +380,13 @@ func (b *Backend) cas(sink *trace.SpanSink, key, value []byte, expected, v truet
 	cur, _ := b.versionBound(s, idx.bucket(idx.bucketOf(h)), key, h)
 	s.unlock()
 	if cur != expected {
-		return false, cur
+		return false, cur, nil
 	}
-	applied, stored, _ = b.set(sink, key, value, v)
+	applied, stored, _, err = b.set(sink, key, value, v)
 	if applied {
 		s.ctr.casApplied.Add(1)
 	}
-	return applied, stored
+	return applied, stored, err
 }
 
 // publish is the one publication point. Every applied mutation — insert,

@@ -36,7 +36,8 @@ func (b *Backend) registerHandlers() {
 	})
 
 	s.Handle(proto.MethodGet, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		return b.serveGet(trace.SinkFrom(ctx), req)
+		sink := trace.SinkFrom(ctx)
+		return b.serveGet(sink, sink.Reply(), req)
 	})
 	s.SetMethodCost(proto.MethodGet, getHandlerCPU)
 
@@ -49,11 +50,15 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		applied, stored, ev := b.set(trace.SinkFrom(ctx), r.Key, r.Value, r.Version)
+		sink := trace.SinkFrom(ctx)
+		applied, stored, ev, err := b.set(sink, r.Key, r.Value, r.Version)
+		if err != nil {
+			return nil, err
+		}
 		if applied && r.Repair {
 			b.noteRecoverySettle()
 		}
-		return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID)}.Marshal(), nil
+		return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), nil
 	})
 	s.SetMethodCost(proto.MethodSet, setHandlerCPU)
 
@@ -66,8 +71,9 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		applied, stored := b.erase(trace.SinkFrom(ctx), r.Key, r.Version)
-		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.Marshal(), nil
+		sink := trace.SinkFrom(ctx)
+		applied, stored := b.erase(sink, r.Key, r.Version)
+		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), nil
 	})
 	s.SetMethodCost(proto.MethodErase, eraseHandlerCPU)
 
@@ -80,12 +86,16 @@ func (b *Backend) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		applied, stored := b.cas(trace.SinkFrom(ctx), r.Key, r.Value, r.Expected, r.Version)
-		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.Marshal(), nil
+		sink := trace.SinkFrom(ctx)
+		applied, stored, err := b.cas(sink, r.Key, r.Value, r.Expected, r.Version)
+		if err != nil {
+			return nil, err
+		}
+		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), nil
 	})
 	s.SetMethodCost(proto.MethodCas, setHandlerCPU)
 
-	s.Handle(proto.MethodTouch, func(_ context.Context, _ string, req []byte) ([]byte, error) {
+	s.Handle(proto.MethodTouch, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
 		r, err := proto.UnmarshalTouchReq(req)
 		if err != nil {
 			return nil, err
@@ -98,7 +108,7 @@ func (b *Backend) registerHandlers() {
 		// round trip. Old clients decode this as the empty Ack frame they
 		// expect (additive tags).
 		epoch, hot := b.HotSnapshot()
-		return proto.TouchResp{HotEpoch: epoch, HotKeys: hot}.Marshal(), nil
+		return proto.TouchResp{HotEpoch: epoch, HotKeys: hot}.AppendTo(trace.SinkFrom(ctx).Reply()), nil
 	})
 	s.SetMethodCost(proto.MethodTouch, touchHandlerCPU)
 
@@ -321,11 +331,11 @@ func (b *Backend) Debug(maxSlow int) proto.DebugResp {
 
 // HandleMsg serves the two-sided MSG lookup strategy (Figure 7) delivered
 // through the software NIC: a GET that wakes a backend application thread.
-func (b *Backend) HandleMsg(req []byte) ([]byte, error) { return b.serveGet(nil, req) }
+func (b *Backend) HandleMsg(req []byte) ([]byte, error) { return b.serveGet(nil, nil, req) }
 
 // serveGet is the server side of both two-sided lookups, the MethodGet RPC
-// and the NIC MSG exchange.
-func (b *Backend) serveGet(sink *trace.SpanSink, req []byte) ([]byte, error) {
+// and the NIC MSG exchange: it appends the response to dst.
+func (b *Backend) serveGet(sink *trace.SpanSink, dst, req []byte) ([]byte, error) {
 	r, err := proto.UnmarshalGetReq(req)
 	if err != nil {
 		return nil, err
@@ -352,7 +362,7 @@ func (b *Backend) serveGet(sink *trace.SpanSink, req []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return proto.GetResp{Found: found, Value: de.Value, Version: de.Version}.Marshal(), nil
+	return proto.GetResp{Found: found, Value: de.Value, Version: de.Version}.AppendTo(dst), nil
 }
 
 // admitMutation is the admission check every client mutation passes before
@@ -549,7 +559,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 				continue
 			}
 			if v.local {
-				if applied, _, _ := b.set(nil, []byte(k), value, bestV); applied {
+				if applied, _, _, _ := b.set(nil, []byte(k), value, bestV); applied {
 					b.noteRecoverySettle()
 				}
 			} else {

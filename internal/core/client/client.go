@@ -239,10 +239,17 @@ func (c *Client) Config() config.CellConfig {
 	return c.cfg
 }
 
-// call sends one RPC. Its legs land at the clock's now, not at a batch's
-// pinned instant, so it notes when it returned (see fetchViews).
-func (c *Client) call(ctx context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
-	resp, tr, err := c.rpcc.Call(ctx, addr, method, req)
+// call sends one RPC, reading it into op's storage when op is set. Its legs
+// land at the clock's now, not at a batch's pinned instant, so it notes
+// when it returned (see fetchViews).
+func (c *Client) call(ctx context.Context, op *trace.OpLease, addr, method string, req []byte) (resp []byte, tr fabric.OpTrace, err error) {
+	if op == nil {
+		resp, tr, err = c.rpcc.Call(ctx, addr, method, req)
+	} else {
+		dst, spans := op.Leg()
+		resp, tr, err = rpc.Appending(c.rpcc).AppendCall(ctx, dst, spans, addr, method, req)
+		op.Received(len(resp))
+	}
 	if c.now != nil {
 		c.rpcAt.Store(c.now())
 	}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
@@ -83,7 +84,7 @@ func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, 
 
 	// Two-sided lookups bill the client once per attempt — one-sided legs
 	// bill themselves (Figure 7 calibration) — and marshal their request
-	// once for the whole fan-out.
+	// once for the whole fan-out, into op's arena.
 	var req []byte
 	switch how {
 	case fetchRPC:
@@ -92,7 +93,7 @@ func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, 
 		c.chargeCPU(cpuMSG)
 	}
 	if !how.oneSided() {
-		req = proto.GetReq{Key: key, ConfigID: cfg.ID}.Marshal()
+		req = op.Keep(proto.GetReq{Key: key, ConfigID: cfg.ID}.AppendTo(op.Free()))
 	}
 
 	// All NIC legs are pinned to one virtual op-start instant (0 = unpinned)
@@ -136,12 +137,12 @@ func (c *Client) fetchIndex(ctx context.Context, op *trace.OpLease, at uint64, k
 	if !how.oneSided() {
 		// The server ran the lookup — stamp check, key match, checksum —
 		// and answers (found, version, value). The value is a view of the
-		// response, which this leg owns.
+		// response: in op's arena over RPC, the leg's own buffer over MSG.
 		var resp []byte
 		if how == fetchMsg {
 			resp, v.trace, v.err = c.msg(v.rep.host, at, req)
 		} else {
-			resp, v.trace, v.err = c.call(ctx, v.rep.addr, proto.MethodGet, req)
+			resp, v.trace, v.err = c.call(ctx, op, v.rep.addr, proto.MethodGet, req)
 		}
 		if v.err != nil {
 			return
@@ -207,13 +208,16 @@ func readLeg(op *trace.OpLease, conn nic.RMA, at uint64, win rmem.WindowID, off,
 	return b, tr, err
 }
 
-// rpcGetAt is the one GetReq→GetResp RPC round trip against addr.
-func (c *Client) rpcGetAt(ctx context.Context, addr string, key []byte, cfgID uint64) (proto.GetResp, fabric.OpTrace, error) {
-	resp, tr, err := c.call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key, ConfigID: cfgID}.Marshal())
+// rpcGetAt is the one GetReq→GetResp RPC round trip against addr, a leg of
+// op. The value leaves op's arena as the caller's copy.
+func (c *Client) rpcGetAt(ctx context.Context, op *trace.OpLease, addr string, key []byte, cfgID uint64) (proto.GetResp, fabric.OpTrace, error) {
+	req := op.Keep(proto.GetReq{Key: key, ConfigID: cfgID}.AppendTo(op.Free()))
+	resp, tr, err := c.call(ctx, op, addr, proto.MethodGet, req)
 	if err != nil {
 		return proto.GetResp{}, tr, err
 	}
 	g, err := proto.UnmarshalGetResp(resp)
+	g.Value = slices.Clone(g.Value)
 	return g, tr, err
 }
 

@@ -95,7 +95,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 		if err := c.takeRetryToken(); err != nil {
 			return nil, false, total, err
 		}
-		if g, ftr, ferr := c.rpcGetAny(ctx, key); ferr == nil {
+		if g, ftr, ferr := c.rpcGetAny(ctx, op, key); ferr == nil {
 			total.Sequence(ftr)
 			c.opt.Budget.Credit()
 			c.M.RPCFallbacks.Inc()
@@ -146,7 +146,7 @@ func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, 
 		// in a side table reachable only via RPC (§4.2).
 		for i := range views {
 			if v := &views[i]; v.err == nil && v.overflow {
-				g, ftr, ferr := c.rpcGetAt(ctx, v.rep.addr, key, cfg.ID)
+				g, ftr, ferr := c.rpcGetAt(ctx, op, v.rep.addr, key, cfg.ID)
 				tr.Sequence(ftr)
 				if ferr == nil {
 					c.M.RPCFallbacks.Inc()
@@ -187,7 +187,11 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 		v := &views[i]
 		if v.err == nil && v.present && v.entry.Version == winner && n < len(candArr) {
 			if !how.oneSided() {
-				// The server validated what it sent: the value serves as is.
+				// The server validated what it sent: the value serves as is,
+				// out of op's arena as the caller's copy when it came by RPC.
+				if how == fetchRPC {
+					return slices.Clone(v.data), nil
+				}
 				return v.data, nil
 			}
 			candArr[n] = cand{view: i, ns: v.trace.Ns, demoted: c.replicaDemoted(v.rep.addr)}
@@ -321,7 +325,7 @@ func (c *Client) openEntry(addr string, raw, key []byte, winner *truetime.Versio
 
 // rpcGetAny tries an RPC lookup on each read-cohort member until one
 // answers; every leg tried is billed.
-func (c *Client) rpcGetAny(ctx context.Context, key []byte) (proto.GetResp, fabric.OpTrace, error) {
+func (c *Client) rpcGetAny(ctx context.Context, op *trace.OpLease, key []byte) (proto.GetResp, fabric.OpTrace, error) {
 	cfg := c.Config()
 	var tr fabric.OpTrace
 	var lastErr error = ErrUnavailable
@@ -330,7 +334,7 @@ func (c *Client) rpcGetAny(ctx context.Context, key []byte) (proto.GetResp, fabr
 		if addr == "" {
 			continue
 		}
-		g, ltr, err := c.rpcGetAt(ctx, addr, key, cfg.ID)
+		g, ltr, err := c.rpcGetAt(ctx, op, addr, key, cfg.ID)
 		tr.Sequence(ltr)
 		if err == nil {
 			return g, tr, nil
@@ -349,6 +353,8 @@ func (c *Client) rpcGetAny(ctx context.Context, key []byte) (proto.GetResp, fabr
 // revalidation legs into the federated op's single trace. Not a
 // substitute for Get on the quorum read path.
 func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
+	op := c.ops.Take()
+	defer c.ops.Put(op)
 	var total fabric.OpTrace
 	var lastErr error
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
@@ -358,7 +364,7 @@ func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, tr
 			// the stale ConfigID; refresh and re-route before retrying.
 			c.classifyAndRepair(lastErr)
 		}
-		g, tr, err := c.rpcGetAny(ctx, key)
+		g, tr, err := c.rpcGetAny(ctx, op, key)
 		total.Sequence(tr)
 		if err == nil {
 			return g.Value, g.Version, g.Found, total, nil

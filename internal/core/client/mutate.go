@@ -85,17 +85,17 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 		method = proto.MethodCas
 	}
 	v = c.gen.Next()
+	op := c.ops.Take()
+	defer c.ops.Put(op)
 	build := func(pending bool, cfgID uint64) []byte {
 		switch kind {
 		case trace.KindErase:
-			return proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+			return op.Keep(proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID}.AppendTo(op.Free()))
 		case trace.KindCas:
-			return proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+			return op.Keep(proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID}.AppendTo(op.Free()))
 		}
-		return proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID}.Marshal()
+		return op.Keep(proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID}.AppendTo(op.Free()))
 	}
-	op := c.ops.Take()
-	defer c.ops.Put(op)
 	sc, ctx := c.traceOp(ctx, op, kind)
 	// The op's one span buffer, as in get.
 	if total.Spans = op.Spans[:0]; keep {
@@ -113,10 +113,13 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 				break
 			}
 		}
-		applied, err = c.mutateOnce(ctx, key, method, build, v, &total)
+		applied, err = c.mutateOnce(ctx, op, key, method, build, v, &total)
 		if err == nil {
 			c.opt.Budget.Credit()
 			break
+		}
+		if proto.NotStored(err) {
+			break // no replica can store the entry: a retry would fail alike
 		}
 		c.classifyAndRepair(err)
 	}
@@ -147,8 +150,8 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 // MutateResp.Sealed legs count only toward the pending epoch when they
 // serve there. The mutation acks when either epoch reaches its quorum.
 // The attempt is appended to tr, the op's trace: its legs fan out from where
-// tr ends.
-func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version, tr *fabric.OpTrace) (int, error) {
+// tr ends, reading into op's storage.
+func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version, tr *fabric.OpTrace) (int, error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	var legBuf [2 * config.MaxReplicas]mutLeg
@@ -179,9 +182,11 @@ func (c *Client) mutateOnce(ctx context.Context, key []byte, method string, buil
 			}
 			body = plainBytes
 		}
-		resp, ltr, err := c.call(ctx, leg.addr, method, body)
+		resp, ltr, err := c.call(ctx, op, leg.addr, method, body)
 		if err != nil {
-			c.noteReplicaFailure(leg.addr)
+			if !proto.NotStored(err) { // a refused entry is no fault of the replica's
+				c.noteReplicaFailure(leg.addr)
+			}
 			lastErr = err
 			continue
 		}

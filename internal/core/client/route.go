@@ -164,7 +164,7 @@ func (c *Client) resolveReplica(ctx context.Context, cfg config.CellConfig, shar
 		c.mu.Unlock()
 	}
 	if !haveHello {
-		resp, _, err := c.call(ctx, addr, proto.MethodHello, nil)
+		resp, _, err := c.call(ctx, nil, addr, proto.MethodHello, nil)
 		if err != nil {
 			return replica{}, err
 		}

@@ -94,7 +94,7 @@ func (c *Client) flushTouches(ctx context.Context, atLeast int) {
 // bidirectional): the same traffic that feeds the server's heat sketch
 // carries its promotion decisions back.
 func (c *Client) sendTouches(ctx context.Context, b touchBatch) {
-	resp, _, err := c.call(ctx, b.addr, proto.MethodTouch, b.req)
+	resp, _, err := c.call(ctx, nil, b.addr, proto.MethodTouch, b.req)
 	c.mu.Lock()
 	if b.q.spare == nil {
 		b.q.spare = b.req

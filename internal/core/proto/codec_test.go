@@ -328,6 +328,14 @@ func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) 
 			if got := wire.Marshal(&m); !bytes.Equal(got, frame) {
 				t.Fatalf("encoders disagree on %+v:\n tags %x\n own  %x", m, got, frame)
 			}
+			// A datapath message appends itself after what the caller's
+			// storage holds, in that storage when it has the room.
+			if a, ok := any(m).(interface{ AppendTo([]byte) []byte }); ok {
+				dst := append(make([]byte, 0, 64<<10), "prefix"...)
+				if got := a.AppendTo(dst); string(got[:6]) != "prefix" || !bytes.Equal(got[6:], frame) || &got[0] != &dst[0] {
+					t.Fatalf("AppendTo after a prefix gave %x, want prefix then %x in the caller's storage", got, frame)
+				}
+			}
 			var viaTags T
 			if err := wire.Unmarshal(frame, &viaTags); err != nil {
 				t.Fatalf("wire.Unmarshal: %v", err)

@@ -12,11 +12,15 @@
 // wrappers over wire.Marshal / wire.Unmarshal. The eight datapath messages
 // (SetReq, EraseReq, CasReq, GetReq, GetResp, MutateResp, TouchReq,
 // TouchResp) carry the same tags but keep hand-written, allocation-tuned
-// codecs; TestCodecDifferential holds each to the tag-driven codec.
+// codecs (all but TouchReq append to storage the caller owns: AppendTo);
+// TestCodecDifferential holds each to the tag-driven codec.
 package proto
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"cliquemap/internal/rmem"
 	"cliquemap/internal/truetime"
@@ -73,6 +77,16 @@ const (
 // backend can errors.Is against it without importing each other.
 var ErrShardSealed = fmt.Errorf("proto: shard sealed for handoff")
 
+// ErrNotStored is returned by a backend whose data region cannot take a
+// SET's or CAS's entry (past its largest slab class, or nothing to evict):
+// nothing applied, and a retry would fail alike.
+var ErrNotStored = errors.New("proto: entry not stored")
+
+// NotStored reports ErrNotStored, in process or as a TCP error's message.
+func NotStored(err error) bool {
+	return errors.Is(err, ErrNotStored) || err != nil && strings.HasPrefix(err.Error(), ErrNotStored.Error())
+}
+
 // ErrRecovering is returned by a freshly-restarted backend for a GET that
 // misses while the backend is still self-validating back into the quorum
 // (§5.4): the replica cannot distinguish "never stored" from "acked
@@ -81,6 +95,16 @@ var ErrShardSealed = fmt.Errorf("proto: shard sealed for handoff")
 // it like a transient replica fault: drop the vote and lean on the rest
 // of the quorum.
 var ErrRecovering = fmt.Errorf("proto: backend recovering, miss vote withheld")
+
+// begin starts a datapath message at the end of b. A b with no room at all
+// (Marshal's nil) first grows to fit about size bytes; room is trusted.
+func begin(b []byte, size int) (e wire.Encoder) {
+	if len(b) == cap(b) {
+		b = slices.Grow(b, size)
+	}
+	e.InitAppend(b)
+	return e
+}
 
 // Version field tags, shared by every message embedding a VersionNumber.
 func encodeVersion(e *wire.Encoder, base uint64, v truetime.Version) {
@@ -140,10 +164,9 @@ type SetReq struct {
 	ConfigID uint64 `wire:"8"`
 }
 
-// Marshal encodes the request.
-func (r SetReq) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(len(r.Key) + len(r.Value) + 48)
+// AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
+func (r SetReq) AppendTo(b []byte) []byte {
+	e := begin(b, len(r.Key)+len(r.Value)+48)
 	e.Bytes(1, r.Key)
 	e.Bytes(2, r.Value)
 	encodeVersion(&e, 3, r.Version)
@@ -152,6 +175,8 @@ func (r SetReq) Marshal() []byte {
 	e.Uint(8, r.ConfigID)
 	return e.Encoded()
 }
+
+func (r SetReq) Marshal() []byte { return r.AppendTo(nil) }
 
 // UnmarshalSetReq decodes the request. Key and Value alias b: they are
 // valid only while b is — fine for RPC handlers, which finish with the
@@ -200,16 +225,17 @@ type MutateResp struct {
 	Sealed    bool             `wire:"6"`
 }
 
-// Marshal encodes the response.
-func (r MutateResp) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(48)
+// AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
+func (r MutateResp) AppendTo(b []byte) []byte {
+	e := begin(b, 48)
 	e.Bool(1, r.Applied)
 	encodeVersion(&e, 2, r.Stored)
 	e.Uint(5, uint64(r.Evictions))
 	e.Bool(6, r.Sealed)
 	return e.Encoded()
 }
+
+func (r MutateResp) Marshal() []byte { return r.AppendTo(nil) }
 
 // UnmarshalMutateResp decodes the response.
 func UnmarshalMutateResp(b []byte) (MutateResp, error) {
@@ -249,16 +275,17 @@ type EraseReq struct {
 	ConfigID uint64           `wire:"6"` // see SetReq.ConfigID
 }
 
-// Marshal encodes the request.
-func (r EraseReq) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(len(r.Key) + 48)
+// AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
+func (r EraseReq) AppendTo(b []byte) []byte {
+	e := begin(b, len(r.Key)+48)
 	e.Bytes(1, r.Key)
 	encodeVersion(&e, 2, r.Version)
 	e.Bool(5, r.Pending)
 	e.Uint(6, r.ConfigID)
 	return e.Encoded()
 }
+
+func (r EraseReq) Marshal() []byte { return r.AppendTo(nil) }
 
 // UnmarshalEraseReq decodes the request. Key aliases b (see
 // UnmarshalSetReq).
@@ -299,10 +326,9 @@ type CasReq struct {
 	ConfigID uint64           `wire:"10"`     // see SetReq.ConfigID
 }
 
-// Marshal encodes the request.
-func (r CasReq) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(len(r.Key) + len(r.Value) + 80)
+// AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
+func (r CasReq) AppendTo(b []byte) []byte {
+	e := begin(b, len(r.Key)+len(r.Value)+80)
 	e.Bytes(1, r.Key)
 	e.Bytes(2, r.Value)
 	encodeVersion(&e, 3, r.Expected)
@@ -311,6 +337,8 @@ func (r CasReq) Marshal() []byte {
 	e.Uint(10, r.ConfigID)
 	return e.Encoded()
 }
+
+func (r CasReq) Marshal() []byte { return r.AppendTo(nil) }
 
 // UnmarshalCasReq decodes the request. Key and Value alias b (see
 // UnmarshalSetReq).
@@ -361,14 +389,15 @@ type GetReq struct {
 	ConfigID uint64 `wire:"2"`
 }
 
-// Marshal encodes the request.
-func (r GetReq) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(len(r.Key) + 24)
+// AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
+func (r GetReq) AppendTo(b []byte) []byte {
+	e := begin(b, len(r.Key)+24)
 	e.Bytes(1, r.Key)
 	e.Uint(2, r.ConfigID)
 	return e.Encoded()
 }
+
+func (r GetReq) Marshal() []byte { return r.AppendTo(nil) }
 
 // UnmarshalGetReq decodes the request. Key aliases b (see
 // UnmarshalSetReq).
@@ -396,19 +425,19 @@ type GetResp struct {
 	Version truetime.Version `wire:"3,flat"`
 }
 
-// Marshal encodes the response.
-func (r GetResp) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(len(r.Value) + 48)
+// AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
+func (r GetResp) AppendTo(b []byte) []byte {
+	e := begin(b, len(r.Value)+48)
 	e.Bool(1, r.Found)
 	e.Bytes(2, r.Value)
 	encodeVersion(&e, 3, r.Version)
 	return e.Encoded()
 }
 
-// UnmarshalGetResp decodes the response. Value aliases b: a response
-// buffer belongs to the call that received it and is never reused, so the
-// value is served from where it arrived.
+func (r GetResp) Marshal() []byte { return r.AppendTo(nil) }
+
+// UnmarshalGetResp decodes the response. Value aliases b, which a client
+// reads into its op's reused arena: the value leaves it as a copy.
 func UnmarshalGetResp(b []byte) (GetResp, error) {
 	var r GetResp
 	var v versionAcc
@@ -482,10 +511,9 @@ type TouchResp struct {
 	HotKeys  [][]byte `wire:"2"`
 }
 
-// Marshal encodes the response.
-func (r TouchResp) Marshal() []byte {
-	var e wire.Encoder
-	e.InitSized(128)
+// AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
+func (r TouchResp) AppendTo(b []byte) []byte {
+	e := begin(b, 128)
 	if r.HotEpoch != 0 {
 		e.Uint(1, r.HotEpoch)
 	}
@@ -494,6 +522,8 @@ func (r TouchResp) Marshal() []byte {
 	}
 	return e.Encoded()
 }
+
+func (r TouchResp) Marshal() []byte { return r.AppendTo(nil) }
 
 // UnmarshalTouchResp decodes the response. HotKeys alias b, the caller's
 // response frame: ingestPromo copies what it keeps.

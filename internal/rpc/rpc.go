@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,9 +57,10 @@ func DefaultCostModel() CostModel {
 }
 
 // Handler serves one method. The request and response are opaque payloads
-// (conventionally internal/wire messages). ctx is the handler's only until
-// it returns: the span sink in it, and behind the TCP gateway the context
-// node itself, are recycled for the next call.
+// (conventionally internal/wire messages). ctx and req are the handler's
+// only until it returns: the span sink in ctx (which may lend it reply
+// storage, trace.SpanSink.Reply), the TCP gateway's context node and frame
+// are recycled for the next call.
 type Handler func(ctx context.Context, principal string, req []byte) ([]byte, error)
 
 // Authenticator decides whether principal may invoke method — the per-RPC
@@ -345,6 +347,29 @@ type Caller interface {
 	Call(ctx context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error)
 }
 
+// Appender is Caller's call on the caller's storage: the response comes
+// back as append(dst, …) and the spans as append(spans, …); on error dst
+// comes back unchanged. dst's spare capacity may be written either way, so
+// req must not live there.
+type Appender interface {
+	AppendCall(ctx context.Context, dst []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error)
+}
+
+// Appending returns c's append form, or, for a c without one (a decorator
+// that wraps only Caller), its Call behind it, as nic.Appending does.
+func Appending(c Caller) Appender {
+	if a, ok := c.(Appender); ok {
+		return a
+	}
+	return oldForm{c}
+}
+
+type oldForm struct{ Caller }
+
+func (o oldForm) AppendCall(ctx context.Context, _ []byte, _ []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	return o.Call(ctx, addr, method, req)
+}
+
 // Client issues calls from a particular fabric host under a principal.
 type Client struct {
 	n         *Network
@@ -363,7 +388,24 @@ func (n *Network) Client(hostID int, principal string) *Client {
 // deadline whose remaining budget is below the modelled latency, Call
 // fails with ErrDeadlineExceeded (the handler is not run).
 func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
-	var tr fabric.OpTrace
+	return c.call(ctx, nil, nil, addr, method, req)
+}
+
+// AppendCall is Call on the caller's storage (Appender). A traced call
+// lends the handler dst's free tail, so a response appended there is in
+// place already.
+func (c *Client) AppendCall(ctx context.Context, dst []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	resp, tr, err := c.call(ctx, dst[len(dst):], spans, addr, method, req)
+	if err != nil {
+		return dst, tr, err
+	}
+	return append(dst, resp...), tr, nil
+}
+
+// call lends reply to a traced call's handler, appends the spans to spans,
+// and returns the handler's response.
+func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	tr := fabric.OpTrace{Spans: spans}
 	n := c.n
 
 	if err := ctx.Err(); err != nil {
@@ -372,8 +414,8 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 
 	// Span capture is armed only when the caller carries an op identity;
 	// internal traffic (repairs, handshakes, touch batches) records no
-	// spans and allocates nothing. Armed calls buffer spans on the stack
-	// and materialize them in one exact-size allocation at exit.
+	// spans and allocates nothing. Armed calls stage spans on the stack and
+	// append them to the caller's at exit.
 	sb := spanBuf{on: trace.FromContext(ctx) != nil}
 
 	// Client-side framework CPU.
@@ -444,6 +486,7 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 	var slot *trace.OpContext
 	if sb.on {
 		sink = trace.GetSink()
+		sink.Lend(reply)
 		hctx, slot = trace.AttachSink(ctx, sink)
 	}
 
@@ -487,8 +530,8 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 	return resp, tr, nil
 }
 
-// spanBuf stages a Call's framework spans on the stack so an armed call
-// pays a single exact-size allocation and an unarmed call pays none.
+// spanBuf stages a call's framework spans on the stack, at most four of
+// them, so that a call failing before its handler reports none.
 type spanBuf struct {
 	on  bool
 	n   int
@@ -503,14 +546,13 @@ func (b *spanBuf) add(tr *fabric.OpTrace, code uint16, arg uint32, ns uint64) {
 	tr.Add(ns)
 }
 
-// attach materializes the staged spans plus any handler-deposited spans
-// (which annotate at the dispatch point rather than extending the path).
+// attach appends the staged spans plus any handler-deposited spans (which
+// annotate at the dispatch point rather than extending the path).
 func (b *spanBuf) attach(tr *fabric.OpTrace, deposited []fabric.Span, at uint64) {
 	if !b.on || b.n+len(deposited) == 0 {
 		return
 	}
-	s := make([]fabric.Span, b.n, b.n+len(deposited))
-	copy(s, b.buf[:b.n])
+	s := append(slices.Grow(tr.Spans, b.n+len(deposited)), b.buf[:b.n]...)
 	for _, sp := range deposited {
 		s = append(s, fabric.Span{Code: sp.Code, Arg: sp.Arg, Start: at, Dur: sp.Dur})
 	}

@@ -28,19 +28,19 @@ import (
 // Responses may arrive out of order; the id correlates them, so one
 // connection multiplexes concurrent calls.
 //
-// Buffer ownership, the same rule nic.RMA follows: a received frame's
-// buffer belongs to exactly one call and is never recycled — Caller has no
-// release point, so the payload handed up (and, on the gateway, the
-// handler's req) aliases it. Everything on the send side, and every
-// per-call record, is scratch owned by the connection or pooled.
+// Buffer ownership, the rule nic.Appender follows: a received frame is
+// scratch of its connection (client) or of its call record (gateway), and
+// what leaves it is a copy into storage the caller owns — AppendCall's dst
+// and spans. The gateway's handler gets req as a view of the record's frame,
+// its until it returns. Everything on the send side is connection scratch.
 
 const (
 	// maxTCPFrame bounds a frame (fail-closed against corrupt prefixes).
 	maxTCPFrame = 64 << 20
 	// tcpPrefix is the length prefix in front of every frame.
 	tcpPrefix = 4
-	// maxSendScratch is the largest send buffer a connection keeps between
-	// frames, so one huge message does not pin its size for good.
+	// maxSendScratch is the largest buffer a connection or call record
+	// keeps, so one huge message does not pin its size for good.
 	maxSendScratch = 1 << 20
 	// tcpDispatchLimit bounds the calls of one connection the gateway runs
 	// at once; past it the connection's reader stops reading.
@@ -147,10 +147,10 @@ func (r *tcpResponse) encode(e *wire.Encoder) {
 	trace.EncodeSpans(e, 6, r.Spans)
 }
 
-// decode parses frame in place: Payload aliases it. Spans are counted
-// first and land in one exact-size slice, capped at trace.MaxWireSpans.
-func (r *tcpResponse) decode(frame []byte) error {
-	*r = tcpResponse{}
+// decode parses frame in place: Payload aliases it, and the spans, at most
+// trace.MaxWireSpans of them, land in spans' storage.
+func (r *tcpResponse) decode(frame []byte, spans []fabric.Span) error {
+	*r = tcpResponse{Spans: spans[:0]}
 	var d wire.Decoder
 	if err := d.Init(frame); err != nil {
 		return err
@@ -168,9 +168,6 @@ func (r *tcpResponse) decode(frame []byte) error {
 		case 5:
 			r.TraceNs = d.Uint()
 		case 6:
-			if r.Spans == nil {
-				r.Spans = make([]fabric.Span, 0, min(1+d.Count(6), trace.MaxWireSpans))
-			}
 			if len(r.Spans) < trace.MaxWireSpans {
 				r.Spans = append(r.Spans, trace.DecodeSpan(d.Bytes()))
 			}
@@ -203,9 +200,9 @@ func writeTCPFrame(w io.Writer, scratch *[]byte, frame []byte) error {
 	return err
 }
 
-// readTCPFrame reads one frame into a fresh buffer, which belongs to the
-// frame's call.
-func readTCPFrame(br *bufio.Reader) ([]byte, error) {
+// readTCPFrame reads one frame into dst's storage, or into a buffer of its
+// own when dst lacks the room.
+func readTCPFrame(br *bufio.Reader, dst []byte) ([]byte, error) {
 	hdr, err := br.Peek(tcpPrefix)
 	if err != nil {
 		return nil, err
@@ -215,7 +212,15 @@ func readTCPFrame(br *bufio.Reader) ([]byte, error) {
 	if n > maxTCPFrame {
 		return nil, fmt.Errorf("rpc: tcp frame of %d bytes exceeds limit", n)
 	}
-	return wire.ReadFrameBody(br, int(n))
+	return wire.ReadFrameBody(dst, br, int(n))
+}
+
+// reusable returns b emptied for reuse, or nil past maxSendScratch.
+func reusable(b []byte) []byte {
+	if cap(b) > maxSendScratch {
+		return nil
+	}
+	return b[:0]
 }
 
 // TCPGateway proxies socket connections into an in-process Network.
@@ -301,12 +306,16 @@ type gatewayConn struct {
 }
 
 // gatewayCall is one call's record between the reader and a dispatcher:
-// the decoded request, which aliases the call's frame, and the context
-// node that carries the remote op's identity into the cell. Records are
-// pooled; the dispatcher recycles one once its response has been written.
+// the request, decoded in place from the record's frame, the context node
+// that carries the remote op's identity into the cell, and the storage the
+// in-cell call appends its reply and spans to. Records are pooled; the
+// dispatcher recycles one once its response has been written.
 type gatewayCall struct {
-	req tcpRequest
-	ctx trace.OpContext
+	req   tcpRequest
+	ctx   trace.OpContext
+	frame []byte
+	reply []byte
+	spans []fabric.Span
 }
 
 var gatewayCalls = sync.Pool{New: func() any { return new(gatewayCall) }}
@@ -367,11 +376,12 @@ func (g *TCPGateway) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	names := make(internTable)
 	for {
-		frame, err := readTCPFrame(br)
+		call := gatewayCalls.Get().(*gatewayCall)
+		frame, err := readTCPFrame(br, call.frame)
 		if err != nil {
 			return
 		}
-		call := gatewayCalls.Get().(*gatewayCall)
+		call.frame = frame
 		if err := call.req.decode(frame, names); err != nil {
 			return
 		}
@@ -397,7 +407,7 @@ func (gc *gatewayConn) run(call *gatewayCall) {
 		})
 		ctx = &call.ctx
 	}
-	payload, tr, cerr := caller.Call(ctx, req.Addr, req.Method, req.Payload)
+	payload, tr, cerr := caller.AppendCall(ctx, call.reply, call.spans, req.Addr, req.Method, req.Payload)
 	resp.TraceNs = tr.Ns
 	resp.Spans = tr.Spans
 	if cerr != nil {
@@ -422,7 +432,8 @@ func (gc *gatewayConn) run(call *gatewayCall) {
 		// would wait on the rest forever; closing fails its calls instead.
 		gc.conn.Close()
 	}
-	*call = gatewayCall{} // the frame and the payload are not the pool's to keep alive
+	// The record keeps its storage and nothing of the call.
+	*call = gatewayCall{frame: reusable(call.frame), reply: reusable(payload), spans: tr.Spans[:0]}
 	gatewayCalls.Put(call)
 }
 
@@ -437,18 +448,26 @@ type TCPClient struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan tcpResponse
+	pending map[uint64]*tcpCall
 	closed  error
 }
 
-// tcpCalls recycles the response channel that is a pending call's record.
-// Each registration in TCPClient.pending receives exactly one send (by
-// readLoop or failAll, whichever unregisters it), so a channel is provably
-// empty once Call has received from it — and only then is it recycled. A
-// call that stops waiting instead (cancelled, or its write failed) leaves
-// its channel to the GC: a response still in flight lands in a channel
-// nobody else will ever hold.
-var tcpCalls = sync.Pool{New: func() any { return make(chan tcpResponse, 1) }}
+// tcpCall is a pending call's record. Whoever unregisters it (readLoop or
+// failAll) copies the response into it and signals done, exactly once, so
+// only the AppendCall that received from done recycles it, storage and all.
+// A call that stops waiting leaves its record to the GC: a late response
+// lands where nobody else will ever look, never in the caller's dst.
+type tcpCall struct {
+	done chan struct{}
+	resp tcpResponse // its own copy
+}
+
+var tcpCalls = sync.Pool{New: func() any { return &tcpCall{done: make(chan struct{}, 1)} }}
+
+func (t *tcpCall) fill(r *tcpResponse) {
+	t.resp = tcpResponse{OK: r.OK, Err: r.Err, TraceNs: r.TraceNs,
+		Payload: append(t.resp.Payload[:0], r.Payload...), Spans: append(t.resp.Spans[:0], r.Spans...)}
+}
 
 // DialTCP connects to a gateway.
 func DialTCP(gatewayAddr, principal string) (*TCPClient, error) {
@@ -460,7 +479,7 @@ func DialTCP(gatewayAddr, principal string) (*TCPClient, error) {
 		principal: principal,
 		conn:      conn,
 		send:      make([]byte, tcpPrefix, 512),
-		pending:   make(map[uint64]chan tcpResponse),
+		pending:   make(map[uint64]*tcpCall),
 	}
 	go c.readLoop()
 	return c, nil
@@ -469,59 +488,69 @@ func DialTCP(gatewayAddr, principal string) (*TCPClient, error) {
 // Close tears the connection down; in-flight calls fail.
 func (c *TCPClient) Close() error { return c.conn.Close() }
 
+// readLoop reads every response into the connection's frame and spans and
+// hands each to its call as a copy.
 func (c *TCPClient) readLoop() {
 	br := bufio.NewReader(c.conn)
+	var frame []byte
+	var resp tcpResponse
 	for {
-		frame, err := readTCPFrame(br)
-		if err != nil {
+		var err error
+		if frame, err = readTCPFrame(br, reusable(frame)); err != nil {
 			c.failAll(fmt.Errorf("rpc: tcp connection lost: %w", err))
 			return
 		}
-		var resp tcpResponse
-		if err := resp.decode(frame); err != nil {
+		if err := resp.decode(frame, resp.Spans); err != nil {
 			c.failAll(fmt.Errorf("rpc: tcp protocol error: %w", err))
 			return
 		}
-		if ch := c.unregister(resp.ID); ch != nil {
-			ch <- resp
+		if call := c.unregister(resp.ID); call != nil {
+			call.fill(&resp)
+			call.done <- struct{}{}
 		}
 	}
 }
 
 // unregister removes and returns id's pending call, nil if it is gone.
-// Whoever gets the channel owes it its one send, or abandons it.
-func (c *TCPClient) unregister(id uint64) chan tcpResponse {
+// Whoever gets the record owes it its one fill and signal.
+func (c *TCPClient) unregister(id uint64) *tcpCall {
 	c.mu.Lock()
-	ch := c.pending[id]
+	call := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
-	return ch
+	return call
 }
 
 func (c *TCPClient) failAll(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = err
-	for id, ch := range c.pending {
-		ch <- tcpResponse{ID: id, Err: err.Error()}
+	for id, call := range c.pending {
+		call.fill(&tcpResponse{ID: id, Err: err.Error()})
+		call.done <- struct{}{}
 		delete(c.pending, id)
 	}
 }
 
-// Call implements Caller across the socket. The returned payload and spans
-// are the call's own: they alias the response frame, which nothing reuses.
+// Call implements Caller across the socket.
 func (c *TCPClient) Call(ctx context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
-	ch := tcpCalls.Get().(chan tcpResponse)
+	return c.AppendCall(ctx, nil, nil, addr, method, req)
+}
+
+// AppendCall implements Appender across the socket, copying the response
+// out of the call's record.
+func (c *TCPClient) AppendCall(ctx context.Context, dst []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	call := tcpCalls.Get().(*tcpCall)
 	c.mu.Lock()
 	if c.closed != nil {
 		err := c.closed
 		c.mu.Unlock()
-		tcpCalls.Put(ch) // never registered: still empty
-		return nil, fabric.OpTrace{}, err
+		tcpCalls.Put(call) // never registered: never signalled
+		return dst, fabric.OpTrace{}, err
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = call
 	c.mu.Unlock()
 
 	r := tcpRequest{ID: id, Addr: addr, Method: method, Principal: c.principal, Payload: req}
@@ -545,20 +574,23 @@ func (c *TCPClient) Call(ctx context.Context, addr, method string, req []byte) (
 		// and readLoop fails the other pending calls.
 		c.conn.Close()
 		c.unregister(id)
-		return nil, fabric.OpTrace{}, err
+		return dst, fabric.OpTrace{}, err
 	}
 
 	select {
-	case resp := <-ch:
-		tcpCalls.Put(ch)
-		tr := fabric.OpTrace{Ns: resp.TraceNs, Spans: resp.Spans}
-		if !resp.OK {
-			return nil, tr, mapTCPError(resp.Err)
+	case <-call.done:
+		tr := fabric.OpTrace{Ns: call.resp.TraceNs, Spans: append(spans, call.resp.Spans...)}
+		if call.resp.OK {
+			dst = append(dst, call.resp.Payload...)
+		} else {
+			err = mapTCPError(call.resp.Err)
 		}
-		return resp.Payload, tr, nil
+		call.resp.Payload = reusable(call.resp.Payload)
+		tcpCalls.Put(call)
+		return dst, tr, err
 	case <-ctx.Done():
 		c.unregister(id)
-		return nil, fabric.OpTrace{}, ErrDeadlineExceeded
+		return dst, fabric.OpTrace{}, ErrDeadlineExceeded
 	}
 }
 

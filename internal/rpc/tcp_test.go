@@ -265,11 +265,8 @@ func TestTCPGoldenFrames(t *testing.T) {
 			t.Errorf("response %d encodes to\n%x\nwant\n%x", i, got, want)
 		}
 		var got tcpResponse
-		if err := got.decode(want); err != nil || !sameResponse(got, tc.msg) {
+		if err := got.decode(want, nil); err != nil || !sameResponse(got, tc.msg) {
 			t.Errorf("response %d decodes to %+v, %v; want %+v", i, got, err, tc.msg)
-		}
-		if len(got.Spans) != cap(got.Spans) {
-			t.Errorf("response %d: %d spans in a slice of %d", i, len(got.Spans), cap(got.Spans))
 		}
 	}
 }
@@ -299,7 +296,7 @@ func TestTCPSendScratchReuse(t *testing.T) {
 	br := bufioOver(sent.Bytes())
 	names := make(internTable)
 	for i := range msgs {
-		frame, err := readTCPFrame(br)
+		frame, err := readTCPFrame(br, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +315,7 @@ func TestTCPHostilePrefixAllocatesLittle(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[:], maxTCPFrame)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readTCPFrame(bufioOver(hdr[:]))
+	_, err := readTCPFrame(bufioOver(hdr[:]), nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a prefix with no frame behind it read as a frame")
@@ -327,7 +324,7 @@ func TestTCPHostilePrefixAllocatesLittle(t *testing.T) {
 		t.Errorf("a %d-byte length prefix and EOF allocated %d bytes", maxTCPFrame, got)
 	}
 	binary.LittleEndian.PutUint32(hdr[:], maxTCPFrame+1)
-	if _, err := readTCPFrame(bufioOver(hdr[:])); err == nil {
+	if _, err := readTCPFrame(bufioOver(hdr[:]), nil); err == nil {
 		t.Error("a frame over the limit was accepted")
 	}
 }
@@ -349,7 +346,7 @@ func TestTCPLargeFrames(t *testing.T) {
 	// The buffer itself: exact size, however many steps it took.
 	var hdr [tcpPrefix]byte
 	binary.LittleEndian.PutUint32(hdr[:], 3*frameChunk+7)
-	frame, err := readTCPFrame(bufioOver(append(hdr[:], make([]byte, 3*frameChunk+7)...)))
+	frame, err := readTCPFrame(bufioOver(append(hdr[:], make([]byte, 3*frameChunk+7)...)), nil)
 	if err != nil || len(frame) != 3*frameChunk+7 || cap(frame) != len(frame) {
 		t.Errorf("frame of %d bytes read into len %d cap %d, err %v", 3*frameChunk+7, len(frame), cap(frame), err)
 	}
@@ -381,13 +378,11 @@ func TestInternTableBounded(t *testing.T) {
 }
 
 // TestTCPCallAllocBudget holds one traced 256-byte echo over loopback —
-// client, gateway and the in-process call behind it — to the framing rows
-// of DESIGN.md's "TCP RPC datapath" table:
-//
-//	client   the response frame + its exact-size span slice   = 2
-//	gateway  the request frame                                = 1
-//	in-cell  the call's spans (its sink rides the gateway
-//	         record's context node)                           = 1
+// client, gateway and the in-process call behind it — to DESIGN.md's "TCP
+// RPC datapath" table: through AppendCall into storage the caller owns, it
+// allocates nothing (the frames, the call records and the gateway's reply
+// and span storage are all reused), and a plain Call allocates only the
+// payload and the spans it hands back.
 func TestTCPCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -396,16 +391,64 @@ func TestTCPCallAllocBudget(t *testing.T) {
 	var ctx trace.OpContext
 	ctx.Init(context.Background(), trace.SpanContext{OpID: 42, Kind: trace.KindGet})
 	req := make([]byte, 256)
-	call := func() {
-		resp, tr, err := c.Call(&ctx, "b", "Echo", req)
-		if err != nil || len(resp) != len(req) || len(tr.Spans) == 0 {
-			t.Fatalf("echo: %d bytes, %d spans, err %v", len(resp), len(tr.Spans), err)
+	dst, spans := make([]byte, 0, 512), make([]fabric.Span, 0, 8)
+	for _, tc := range []struct {
+		name   string
+		call   func() ([]byte, fabric.OpTrace, error)
+		budget float64
+	}{
+		{"AppendCall", func() ([]byte, fabric.OpTrace, error) { return c.AppendCall(&ctx, dst, spans, "b", "Echo", req) }, 0},
+		{"Call", func() ([]byte, fabric.OpTrace, error) { return c.Call(&ctx, "b", "Echo", req) }, 2},
+	} {
+		call := func() {
+			resp, tr, err := tc.call()
+			if err != nil || len(resp) != len(req) || len(tr.Spans) == 0 {
+				t.Fatalf("%s echo: %d bytes, %d spans, err %v", tc.name, len(resp), len(tr.Spans), err)
+			}
+		}
+		call() // the connection's dispatcher, scratch, records and intern table warm up
+		if got := testing.AllocsPerRun(500, call); got > tc.budget {
+			t.Errorf("%v allocations per traced TCP %s, budget %v", got, tc.name, tc.budget)
 		}
 	}
-	call() // the connection's dispatcher, scratch and intern table warm up
-	const budget = 4
-	if got := testing.AllocsPerRun(500, call); got > budget {
-		t.Errorf("%v allocations per traced TCP call, budget %d", got, budget)
+}
+
+// TestAppendCallAppends: AppendCall, in process and across the socket, puts
+// the response after what dst holds and the spans after what spans holds —
+// in their storage when it has the room, whether the handler appended to
+// the storage it was lent or returned a buffer of its own — and on an error
+// hands dst back as it was. Appending reaches a Caller without the append
+// form through its Call.
+func TestAppendCallAppends(t *testing.T) {
+	n, _, tcp := newTCPRig(t)
+	s, _ := n.lookup("b")
+	s.Handle("Lent", func(ctx context.Context, _ string, req []byte) ([]byte, error) {
+		return append(trace.SinkFrom(ctx).Reply(), req...), nil
+	})
+	var ctx trace.OpContext
+	ctx.Init(context.Background(), trace.SpanContext{OpID: 7, Kind: trace.KindGet})
+	req := []byte("payload")
+	for name, a := range map[string]Appender{
+		"in-process": n.Client(0, "p"), "tcp": tcp,
+	} {
+		for _, method := range []string{"Echo", "Lent"} {
+			dst := append(make([]byte, 0, 64), "head"...)
+			spans := append(make([]fabric.Span, 0, 8), fabric.Span{Code: 99})
+			got, tr, err := a.AppendCall(&ctx, dst, spans, "b", method, req)
+			if err != nil || string(got) != "headpayload" || &got[0] != &dst[0] {
+				t.Errorf("%s %s: %q, err %v; want headpayload in dst's storage", name, method, got, err)
+			}
+			if len(tr.Spans) < 2 || tr.Spans[0].Code != 99 || &tr.Spans[0] != &spans[:1][0] {
+				t.Errorf("%s %s: spans %+v, want the call's after the one held, in spans' storage", name, method, tr.Spans)
+			}
+		}
+		dst := []byte("head")
+		if got, _, err := a.AppendCall(&ctx, dst, nil, "b", "Nope", req); err == nil || string(got) != "head" {
+			t.Errorf("%s: a failed call gave %q, %v; want dst as it was and the error", name, got, err)
+		}
+	}
+	if got, _, err := Appending(struct{ Caller }{tcp}).AppendCall(&ctx, nil, nil, "b", "Echo", req); err != nil || string(got) != "payload" {
+		t.Errorf("Appending over Call: %q, %v", got, err)
 	}
 }
 
@@ -558,7 +601,9 @@ func TestTCPGatewayBoundsInflight(t *testing.T) {
 // on the way. A record recycled by anyone but the call that received its
 // response would deliver that late response to a stranger, so every call
 // that succeeds must see its own payload and its own op's spans, and
-// nothing else. Run it under -race, repeatedly (CI does).
+// nothing else. Each call appends into storage of its own, filled with a
+// sentinel: a late response must never land in a call's storage after the
+// call gave up. Run it under -race, repeatedly (CI does).
 func TestTCPLateResponseAfterCancel(t *testing.T) {
 	n := newNet(nil)
 	n.Serve("b", 1).Handle("Jitter", func(_ context.Context, _ string, req []byte) ([]byte, error) {
@@ -577,8 +622,10 @@ func TestTCPLateResponseAfterCancel(t *testing.T) {
 	defer c.Close()
 
 	const goroutines, per = 8, 300
+	const sentinel = 0xEE
 	var wg sync.WaitGroup
 	var served, gaveUp atomic.Int64
+	abandoned := make([][][]byte, goroutines) // each given-up call's storage
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -591,15 +638,26 @@ func TestTCPLateResponseAfterCancel(t *testing.T) {
 				size := 8 + w*per + i
 				req := bytes.Repeat([]byte{byte(rng.Intn(8))}, size)
 				binary.LittleEndian.PutUint32(req[1:], uint32(size))
-				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(300))*time.Microsecond)
-				resp, tr, err := c.Call(ctx, "b", "Jitter", req)
+				// Most calls may give up around their round trip; every 8th
+				// waits it out, so a slow (-race, loaded) host still serves.
+				wait := time.Duration(rng.Intn(300)) * time.Microsecond
+				if i%8 == 0 {
+					wait = time.Second
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), wait)
+				dst := bytes.Repeat([]byte{sentinel}, size)
+				resp, tr, err := c.AppendCall(ctx, dst[:0], nil, "b", "Jitter", req)
 				cancel()
 				if err != nil {
 					if !errors.Is(err, ErrDeadlineExceeded) {
 						t.Errorf("call %d/%d: %v", w, i, err)
 						return
 					}
+					if len(resp) != 0 {
+						t.Errorf("call %d/%d gave up with %d bytes in dst", w, i, len(resp))
+					}
 					gaveUp.Add(1)
+					abandoned[w] = append(abandoned[w], dst)
 					continue
 				}
 				served.Add(1)
@@ -619,9 +677,19 @@ func TestTCPLateResponseAfterCancel(t *testing.T) {
 	if served.Load() == 0 || gaveUp.Load() == 0 {
 		t.Errorf("served %d, gave up %d: the hammer needs both outcomes to mean anything", served.Load(), gaveUp.Load())
 	}
-	// The connection survives its abandoned calls.
-	if resp, _, err := c.Call(context.Background(), "b", "Jitter", []byte{0, 9, 9, 9, 9}); err != nil || len(resp) != 5 {
+	// The connection survives its abandoned calls; this call, as slow as the
+	// slowest of them, gives their late responses time to arrive.
+	if resp, _, err := c.Call(context.Background(), "b", "Jitter", []byte{7, 9, 9, 9, 9}); err != nil || len(resp) != 5 {
 		t.Errorf("after the hammer: %v", err)
+	}
+	for w := range abandoned {
+		for _, dst := range abandoned[w] {
+			for i, b := range dst {
+				if b != sentinel {
+					t.Fatalf("worker %d: a call's storage changed at byte %d of %d after it gave up", w, i, len(dst))
+				}
+			}
+		}
 	}
 }
 

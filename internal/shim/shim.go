@@ -96,7 +96,7 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("shim: frame of %d bytes exceeds limit", n)
 	}
-	return wire.ReadFrameBody(r, int(n))
+	return wire.ReadFrameBody(nil, r, int(n))
 }
 
 // Store is what the host side serves — normally the primary CliqueMap

@@ -227,9 +227,10 @@ func (c *OpContext) Init(parent context.Context, sc SpanContext) *SpanContext {
 }
 
 // OpLease is one op's leased record: its context node, span buffer, and the
-// storage its NIC legs read into. The op takes it at entry and puts it back
-// on return, so nothing below may keep any of it: a handler's ctx is its own
-// until it returns, the Tracer copies, and a value leaves Recv as a copy.
+// storage its requests are marshalled into and its legs read into. The op
+// takes it at entry and puts it back on return, so nothing below may keep
+// any of it: a handler's ctx and req are its own until it returns, the
+// Tracer copies, and a value leaves Recv as a copy.
 type OpLease struct {
 	OpContext
 	Spans [16]fabric.Span // a quiet 2×R GET, the longest client trace, is 15
@@ -241,23 +242,32 @@ type OpLease struct {
 	used  int // slots handed out
 }
 
-// legSpans is one NIC leg's span room: issue, service and receive, and a
-// 1RMA C-state wake.
+// legSpans is one leg's span room: issue, service and receive, and a 1RMA
+// C-state wake; an RPC leg's four framework spans.
 const legSpans = 4
 
 // MaxRecv bounds a lease's receive arena: a SCAR GET of a 16 KiB value
 // (~52 KiB) keeps one; a larger GET's legs past it read into their own.
 const MaxRecv = 256 << 10
 
-// Leg hands one NIC leg its storage: the arena's free tail, and spans
-// capped at legSpans so that no leg's append reaches another's (a fresh
-// slice once a retrying op has used the storage up).
+// Leg hands one NIC or RPC leg its storage: the arena's free tail, and
+// spans capped at legSpans so that no leg's append reaches another's (a
+// fresh slice once a retrying op has used the storage up).
 func (l *OpLease) Leg() ([]byte, []fabric.Span) {
 	if l.used == len(l.slots) {
-		return l.Recv[len(l.Recv):], make([]fabric.Span, 0, legSpans)
+		return l.Free(), make([]fabric.Span, 0, legSpans)
 	}
 	l.used += legSpans
-	return l.Recv[len(l.Recv):], l.slots[l.used-legSpans : l.used-legSpans : l.used]
+	return l.Free(), l.slots[l.used-legSpans : l.used-legSpans : l.used]
+}
+
+// Free is the arena's free tail. Keep records a message the op appended
+// there as its own and caps it, so that no leg's append reaches it.
+func (l *OpLease) Free() []byte { return l.Recv[len(l.Recv):] }
+
+func (l *OpLease) Keep(msg []byte) []byte {
+	l.Received(len(msg))
+	return msg[:len(msg):len(msg)]
 }
 
 // Received records a leg's n-byte response. One that fit is in the tail Leg
@@ -303,6 +313,19 @@ func FromContext(ctx context.Context) *SpanContext {
 // a time; the framework reads only after the handler returns.
 type SpanSink struct {
 	spans []fabric.Span
+	reply []byte
+}
+
+// Lend lends the handler the caller's storage for its response. Reply is
+// that storage, for the handler to append its response to (nil without a
+// sink).
+func (s *SpanSink) Lend(reply []byte) { s.reply = reply }
+
+func (s *SpanSink) Reply() []byte {
+	if s == nil {
+		return nil
+	}
+	return s.reply
 }
 
 // Annotate deposits one span. Start offsets are resolved by the RPC
@@ -321,7 +344,7 @@ func GetSink() *SpanSink { return sinkPool.Get().(*SpanSink) }
 
 // PutSink returns a sink to the pool.
 func PutSink(s *SpanSink) {
-	s.spans = s.spans[:0]
+	s.spans, s.reply = s.spans[:0], nil
 	sinkPool.Put(s)
 }
 

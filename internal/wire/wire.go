@@ -358,21 +358,20 @@ func (d *Decoder) Bytes() []byte {
 // String returns the current field as a string (copies).
 func (d *Decoder) String() string { return string(d.Bytes()) }
 
-// Skip is a no-op provided for readability at call sites that intentionally
-// ignore a field; Next already consumed the value.
-func (d *Decoder) Skip() {}
-
 // frameChunk is the largest buffer a frame's length prefix gets on its word
 // alone; see ReadFrameBody.
 const frameChunk = 64 << 10
 
 // ReadFrameBody reads the size-byte body of a length-prefixed frame from r
-// into a fresh buffer of exactly that size. Bounds before bytes: size comes
-// from a prefix a stranger wrote (the caller has checked it against its own
-// frame limit), so a body longer than frameChunk gets its buffer in
-// doubling steps, each earned by the bytes that arrived before it.
-func ReadFrameBody(r io.Reader, size int) ([]byte, error) {
-	buf := make([]byte, min(size, frameChunk))
+// into dst's storage, or a fresh buffer of exactly that size. Bounds before
+// bytes: size comes from a prefix a stranger wrote (the caller has checked
+// it against its own frame limit), so a body past frameChunk and dst gets
+// its buffer in doubling steps, each earned by the bytes before it.
+func ReadFrameBody(dst []byte, r io.Reader, size int) ([]byte, error) {
+	buf := dst[:min(size, cap(dst))]
+	if len(buf) < min(size, frameChunk) {
+		buf = make([]byte, min(size, frameChunk))
+	}
 	for got := 0; ; {
 		if _, err := io.ReadFull(r, buf[got:]); err != nil {
 			return nil, err

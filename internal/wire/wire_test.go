@@ -308,25 +308,35 @@ func TestInitAppend(t *testing.T) {
 }
 
 // ReadFrameBody: a body of any size lands whole in a buffer of exactly that
-// size, and a size nothing backs costs one chunk, not the size.
+// size, or in the caller's storage when that has room; and a size nothing
+// backs costs one chunk, not the size.
 func TestReadFrameBody(t *testing.T) {
 	for _, n := range []int{0, 1, frameChunk - 1, frameChunk, frameChunk + 1, 3*frameChunk + 7} {
 		src := make([]byte, n+5) // trailing bytes belong to the next frame
 		for i := range src {
 			src[i] = byte(i * 31)
 		}
-		r := bytes.NewReader(src)
-		got, err := ReadFrameBody(r, n)
-		if err != nil || !bytes.Equal(got, src[:n]) || cap(got) != n {
-			t.Errorf("size %d: read %d bytes into cap %d, err %v", n, len(got), cap(got), err)
-		}
-		if r.Len() != 5 {
-			t.Errorf("size %d: %d bytes left unread, want 5", n, r.Len())
+		for _, room := range []int{0, frameChunk, 3*frameChunk + 7} {
+			dst := make([]byte, 3, room+3)[3:]
+			r := bytes.NewReader(src)
+			got, err := ReadFrameBody(dst, r, n)
+			if err != nil || !bytes.Equal(got, src[:n]) {
+				t.Errorf("size %d, room %d: read %d bytes, err %v", n, room, len(got), err)
+			}
+			if inPlace := n > 0 && cap(got) == cap(dst) && &got[0] == &dst[:1][0]; inPlace != (n > 0 && n <= room) {
+				t.Errorf("size %d, room %d: body in the caller's storage = %v", n, room, inPlace)
+			}
+			if n > room && cap(got) != n {
+				t.Errorf("size %d, room %d: read into cap %d, want exactly the size", n, room, cap(got))
+			}
+			if r.Len() != 5 {
+				t.Errorf("size %d, room %d: %d bytes left unread, want 5", n, room, r.Len())
+			}
 		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadFrameBody(bytes.NewReader(make([]byte, 10)), 64<<20)
+	_, err := ReadFrameBody(nil, bytes.NewReader(make([]byte, 10)), 64<<20)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Error("a truncated body read as whole")

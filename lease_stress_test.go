@@ -1,11 +1,13 @@
 package cliquemap
 
 // Lease-safety stress test: every public client op runs on one leased op
-// record (a context node plus an inline span buffer), recycled through the
+// record (a context node, an inline span buffer, and the arena its requests
+// are marshalled into and its legs read into), recycled through the
 // client's one-slot spare the moment the op returns, and the tracer copies
 // the spans it records. A record reused while something still references
-// it shows up here as a wrong value, a trace that changes after it was
-// handed out, or (under -race) a data race.
+// it shows up here as a wrong value, a value or trace that changes after it
+// was handed out, or (under -race) a data race — over one-sided GETs and
+// over StrategyRPC, in process and across the TCP gateway.
 //
 // Run with `go test -race -count=10 -run TestOpLeaseStress .`.
 
@@ -18,19 +20,56 @@ import (
 	"sync"
 	"testing"
 
+	"cliquemap/internal/core/cell"
+	"cliquemap/internal/core/client"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
+	"cliquemap/internal/truetime"
 )
 
 func TestOpLeaseStress(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		strategy client.Strategy
+		tcp      bool
+	}{
+		{"2xR", client.Strategy2xR, false},
+		{"RPC", client.StrategyRPC, false},
+		{"RPC over TCP", client.StrategyRPC, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCell(t, Options{})
+			opLeaseStress(t, c.Tracer(), dialClient(t, c.Internal(), client.Options{Strategy: tc.strategy}, tc.tcp))
+		})
+	}
+}
+
+// dialClient is a client of cc: an in-process one, or one whose only way in
+// is one TCP connection to the cell's gateway.
+func dialClient(t *testing.T, cc *cell.Cell, copt client.Options, tcp bool) *client.Client {
+	if !tcp {
+		return cc.NewClient(copt)
+	}
+	gw, err := cc.ServeTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	conn, err := rpc.DialTCP(gw.Addr(), "lease")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return client.New(copt, cc.Store, conn, cc.Clock, nil, nil, nil, nil)
+}
+
+func opLeaseStress(t *testing.T, tracer *trace.Tracer, cl *client.Client) {
 	const (
 		workers = 8
 		keysPer = 4
 		ops     = 400
 	)
-	c := newCell(t, Options{})
-	cl := c.NewClient(ClientOptions{})
-	tracer := c.Tracer()
 	ctx := context.Background()
 
 	// The tracer reader: a record ID seen twice — in Recent, in a snapshot's
@@ -76,7 +115,7 @@ func TestOpLeaseStress(t *testing.T) {
 				keys[k] = []byte(fmt.Sprintf("lease-%d-%d", w, k))
 			}
 			acked := make([]string, keysPer) // "" = absent
-			vers := make([]Version, keysPer)
+			vers := make([]truetime.Version, keysPer)
 			verKnown := make([]bool, keysPer)
 			check := func(op string, k int, v []byte, found bool, err error) bool {
 				if err != nil || found != (acked[k] != "") || string(v) != acked[k] {
@@ -87,12 +126,13 @@ func TestOpLeaseStress(t *testing.T) {
 			}
 			var kept fabric.OpTrace // a GetTraced caller's trace, which must stay put
 			var keptCopy []fabric.Span
+			var keptVals, keptValsCopy [][]byte // the last GET's or batch's values, likewise
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < ops; i++ {
 				k := rng.Intn(keysPer)
 				val := fmt.Sprintf("w%d-k%d-i%d", w, k, i)
 				op := rng.Intn(6)
-				if op == 1 && vers[k] == (Version{}) {
+				if op == 1 && vers[k] == (truetime.Version{}) {
 					op = 0 // no version to expect yet
 				}
 				switch op {
@@ -127,8 +167,9 @@ func TestOpLeaseStress(t *testing.T) {
 					if !check("get", k, v, found, err) {
 						return
 					}
+					keptVals = [][]byte{v}
 				case 4:
-					vals, found, err := cl.GetBatch(ctx, keys)
+					vals, found, _, err := cl.GetBatch(ctx, keys)
 					if err != nil {
 						t.Errorf("worker %d batch: %v", w, err)
 						return
@@ -138,8 +179,9 @@ func TestOpLeaseStress(t *testing.T) {
 							return
 						}
 					}
+					keptVals = vals
 				case 5:
-					v, found, tr, err := cl.Internal().GetTraced(ctx, keys[k])
+					v, found, tr, err := cl.GetTraced(ctx, keys[k])
 					if !check("traced get", k, v, found, err) {
 						return
 					}
@@ -148,6 +190,18 @@ func TestOpLeaseStress(t *testing.T) {
 						return
 					}
 					kept, keptCopy = tr, slices.Clone(tr.Spans)
+				}
+				if op >= 3 {
+					keptValsCopy = keptValsCopy[:0]
+					for _, v := range keptVals {
+						keptValsCopy = append(keptValsCopy, slices.Clone(v))
+					}
+				}
+				for j := range keptVals {
+					if !bytes.Equal(keptVals[j], keptValsCopy[j]) {
+						t.Errorf("worker %d: a value a GET returned changed under later ops: was %q, now %q", w, keptValsCopy[j], keptVals[j])
+						return
+					}
 				}
 				if !slices.Equal(kept.Spans, keptCopy) {
 					t.Errorf("worker %d: a kept GetTraced trace changed under later ops:\n was %+v\n now %+v", w, keptCopy, kept.Spans)
@@ -161,13 +215,15 @@ func TestOpLeaseStress(t *testing.T) {
 	readerDone.Wait()
 }
 
-// TestOpLeaseValuesOutliveArena: a GET's NIC legs read into its client's
-// leased receive arena, which the client's next op reuses, and a value
-// leaves the arena as a copy. Every value a client's GETs returned — over
-// SCAR and 2×R, served by the first replica, by a failover past a damaged
-// copy, or past a hedged leg — must still read as it did after later GETs
-// have reused the arena, whatever the arena's regrowth mid-op did. Values
-// are distinct per key and span 16 B to 120 KiB.
+// TestOpLeaseValuesOutliveArena: a GET's NIC and RPC legs read into its
+// client's leased receive arena, which the client's next op reuses, and a
+// value leaves the arena as a copy. Every value a client's GETs returned —
+// over SCAR and 2×R, served by the first replica, by a failover past a
+// damaged copy, or past a hedged leg; over StrategyRPC in process and across
+// the TCP gateway; by the RPC lookup of an overflowed bucket and by the
+// final RPC fallback past two crashed replicas — must still read as it did
+// after later GETs have reused the arena, whatever the arena's regrowth
+// mid-op did. Values are distinct per key and span 16 B to 120 KiB.
 //
 // Run with `go test -race -count=10 -run TestOpLeaseValuesOutliveArena .`.
 func TestOpLeaseValuesOutliveArena(t *testing.T) {
@@ -176,18 +232,33 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 		keysPer = 12
 		rounds  = 6
 	)
+	// Every key indexes to one bucket, whose ways overflow to the side table.
+	oneBucket := func(key []byte) (uint64, uint64) {
+		h := DefaultHash(key)
+		return h.Hi, h.Lo << 16
+	}
+	failovers := func(m *client.Metrics) uint64 { return m.Failovers.Value() }
+	fallbacks := func(m *client.Metrics) uint64 { return m.RPCFallbacks.Value() }
 	for _, tc := range []struct {
-		name      string
-		transport Transport
-		strategy  Strategy
+		name     string
+		opt      Options
+		strategy client.Strategy
+		tcp      bool
+		hazard   func(c *cell.Cell) // after the values are set
+		served   func(m *client.Metrics) uint64
 	}{
-		{"SCAR", PonyExpress, LookupSCAR},
-		{"2xR", PonyExpress, Lookup2xR},
-		{"2xR over 1RMA", OneRMA, Lookup2xR},
+		{"SCAR", Options{}, client.StrategySCAR, false, damage, failovers},
+		{"2xR", Options{}, client.Strategy2xR, false, damage, failovers},
+		{"2xR over 1RMA", Options{Transport: OneRMA}, client.Strategy2xR, false, damage, failovers},
+		{"RPC", Options{}, client.StrategyRPC, false, nil, nil},
+		{"RPC over TCP", Options{}, client.StrategyRPC, true, nil, nil},
+		{"overflow fallback", Options{OverflowFallback: true, Hash: oneBucket}, client.Strategy2xR, false, nil, fallbacks},
+		{"final fallback", Options{}, client.Strategy2xR, false, func(c *cell.Cell) { c.Crash(0); c.Crash(1) }, fallbacks},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCell(t, Options{Transport: tc.transport})
-			cl := c.NewClient(ClientOptions{Strategy: tc.strategy})
+			cc := newCell(t, tc.opt).Internal()
+			// The final fallback spends a retry token on every GET.
+			cl := dialClient(t, cc, client.Options{Strategy: tc.strategy, Retries: 1, Budget: client.NewRetryBudget(1e9, 1)}, tc.tcp)
 			ctx := context.Background()
 			want := make(map[string][]byte)
 			for w := 0; w < workers; w++ {
@@ -204,11 +275,13 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 					want[key] = val
 				}
 			}
-			// One replica's copies of some keys are damaged: reading them
-			// there fails its checksum and the GET fails over.
-			c.Internal().CorruptData(1, len(want)/3, 11)
-			inner := cl.Internal()
-			failovers := inner.M.Failovers.Value()
+			if tc.hazard != nil {
+				tc.hazard(cc)
+			}
+			var served uint64
+			if tc.served != nil {
+				served = tc.served(&cl.M)
+			}
 
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -240,9 +313,13 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			if inner.M.Failovers.Value() == failovers {
-				t.Error("no GET failed over past a damaged copy")
+			if tc.served != nil && tc.served(&cl.M) == served {
+				t.Error("no GET took the path under test")
 			}
 		})
 	}
 }
+
+// damage breaks one replica's copies of some keys: reading them there fails
+// its checksum and the GET fails over.
+func damage(c *cell.Cell) { c.CorruptData(1, 16, 11) }
