@@ -2,6 +2,7 @@ package cliquemap
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -147,14 +148,17 @@ func TestGetAllocBudget(t *testing.T) {
 //	                    its queue buffer as it stands; the handler makes
 //	                    one slice of key views and a response, the
 //	                    client one slice of promoted-key views        ≤ 1 + 1
+//	evicting SET        a new key into a full data region, each backend
+//	                    evicting one, under lru, arc, clock and slfu:
+//	                    the policies track hashes in an arena          = 0
 //
 // The context node and span buffer are the op's leased record, and the
-// cell is warmed past its tracer's ring, as in TestGetAllocBudget. A SET
-// that inserts a key costs what the backends keep of it on top (the
-// eviction policy's entry). The parents of the changes that set these
-// measured SET 20 → 9 → 7 → 0, CAS 20 → 9 → 7 → 0, ERASE 23 → 12 → 10 → 3,
-// 12.6 allocations of touch feedback per hit before it fell to ≤ 1, and a
-// touching hit at 9 + 1 before its legs read into the op's arena.
+// cell is warmed past its tracer's ring, as in TestGetAllocBudget. The
+// parents of the changes that set these measured SET 20 → 9 → 7 → 0, CAS
+// 20 → 9 → 7 → 0, ERASE 23 → 12 → 10 → 3, 12.6 allocations of touch
+// feedback per hit before it fell to ≤ 1, a touching hit at 9 + 1 before
+// its legs read into the op's arena, and an evicting SET at 12 (lru), 27
+// (arc), 15 (clock) and 6 (slfu) while policies kept string keys.
 func TestMutationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -223,6 +227,35 @@ func TestMutationAllocBudget(t *testing.T) {
 	})
 	if n := cl.M.RetryCount(); n != 0 {
 		t.Errorf("%d retries on a quiet cell: the budget is for the quiet path", n)
+	}
+
+	for _, pol := range []string{"lru", "arc", "clock", "slfu"} {
+		t.Run("evicting SET "+pol, func(t *testing.T) {
+			c := newCell(t, Options{Transport: OneRMA, Eviction: pol, DataBytes: 1 << 20, DataMaxBytes: 1 << 20, DisableReshaping: true})
+			cl := c.NewClient(ClientOptions{Strategy: Lookup2xR})
+			keys := make([][]byte, 1024)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("evict-%04d", i))
+			}
+			value, next := make([]byte, 4<<10), 0
+			set := func() {
+				if err := cl.Set(ctx, keys[next], value); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			warm(set) // ~200 entries fill each backend's 1 MiB; the tracer's ring
+			if c.Stats().Evictions == 0 {
+				t.Fatal("the data region is not full")
+			}
+			before, sets := c.Stats().Evictions, next
+			if got := testing.AllocsPerRun(200, set); got > 0 {
+				t.Errorf("%v allocations per evicting SET, budget 0", got)
+			}
+			if ev := c.Stats().Evictions - before; ev < uint64(3*(next-sets)) {
+				t.Errorf("%d evictions over %d SETs of new keys on 3 replicas", ev, next-sets)
+			}
+		})
 	}
 }
 

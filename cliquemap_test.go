@@ -169,17 +169,32 @@ func TestPublicModesAndTransports(t *testing.T) {
 	}
 }
 
+// TestPublicEvictionPolicies: under each policy a cell whose data region
+// fills evicts, and every acked key reads back its own value or is absent.
 func TestPublicEvictionPolicies(t *testing.T) {
 	for _, pol := range []string{"lru", "arc", "clock", "slfu"} {
 		t.Run(pol, func(t *testing.T) {
-			c := newCell(t, Options{Eviction: pol})
+			c := newCell(t, Options{Eviction: pol, DataBytes: 1 << 20, DataMaxBytes: 1 << 20, DisableReshaping: true})
 			cl := c.NewClient(ClientOptions{TouchBatch: 8})
 			ctx := context.Background()
-			for i := 0; i < 20; i++ {
-				cl.Set(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v"))
-				cl.Get(ctx, []byte(fmt.Sprintf("k%d", i)))
+			value := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 4<<10) }
+			const keys = 400 // ~200 fit each backend's 1 MiB
+			for i := 0; i < keys; i++ {
+				if err := cl.Set(ctx, []byte(fmt.Sprintf("k%d", i)), value(i)); err != nil {
+					t.Fatal(err)
+				}
+				cl.Get(ctx, []byte(fmt.Sprintf("k%d", i%20))) // a hot twenty
 			}
 			cl.FlushTouches(ctx)
+			if n := c.Internal().AggregateCounters().CapacityEvictions; n == 0 {
+				t.Error("no capacity eviction")
+			}
+			for i := 0; i < keys; i++ {
+				v, found, err := cl.Get(ctx, []byte(fmt.Sprintf("k%d", i)))
+				if err != nil || found && !bytes.Equal(v, value(i)) || !found && i == keys-1 {
+					t.Errorf("k%d: %d bytes, found %v, err %v", i, len(v), found, err)
+				}
+			}
 		})
 	}
 	if _, err := NewCell(Options{Eviction: "bogus"}); err == nil {

@@ -29,7 +29,7 @@ func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte, buf *[]byte)
 			return de, true
 		}
 	}
-	if se, ok := s.side[string(key)]; ok {
+	if se, ok := s.side[h]; ok && string(se.key) == string(key) {
 		return layout.DataEntry{Key: key, Value: se.value, Version: se.version}, true
 	}
 	return layout.DataEntry{}, false
@@ -68,7 +68,7 @@ func (b *Backend) versionBound(s *stripe, raw layout.RawBucket, key []byte, h ha
 	if e, _, ok := raw.Find(h); ok {
 		return e.Version, true
 	}
-	if se, ok := s.side[string(key)]; ok {
+	if se, ok := s.side[h]; ok {
 		return se.version, true
 	}
 	return b.tombBound(key), false
@@ -168,8 +168,7 @@ func (b *Backend) evictOne() (freed int, ok bool) {
 		s.mu.Lock()
 		victim, found := s.policy.Victim()
 		if found {
-			key := []byte(victim)
-			freed = b.removeLocked(s, b.opt.Hash(key), key)
+			freed = b.removeLocked(s, victim)
 			s.ctr.capacityEvictions.Add(1)
 		}
 		s.unlock()
@@ -180,18 +179,18 @@ func (b *Backend) evictOne() (freed int, ok bool) {
 	return 0, false
 }
 
-// removeLocked drops key from the index, the side shard and the eviction
-// policy, and returns the size of the DataEntry it freed (0 if the key was
-// not indexed); the key's stripe lock (s) is held.
-func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash, key []byte) (freed int) {
+// removeLocked drops the key hashing to h from the index, the side shard and
+// the eviction policy, and returns the size of the DataEntry it freed (0 if
+// the key was not indexed); the key's stripe lock (s) is held.
+func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash) (freed int) {
 	idx := b.idx.Load()
 	bucket := idx.bucketOf(h)
 	if e, slot, ok := idx.bucket(bucket).Find(h); ok {
 		b.clearSlot(idx, bucket, slot, e)
 		freed = int(e.Ptr.Size)
 	}
-	delete(s.side, string(key))
-	s.policy.RemoveBytes(key)
+	delete(s.side, h)
+	s.policy.Remove(h)
 	return freed
 }
 
@@ -300,7 +299,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 			return false, bound, evictions, nil
 		}
 		if !mustExist {
-			s.policy.AddBytes(key)
+			s.policy.Add(h)
 		}
 		b.publish(persist.OpSet, key, value, v)
 		s.unlock()
@@ -322,7 +321,7 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawB
 	}
 	if !ok && b.opt.OverflowFallback {
 		b.data.Load().free(e.Ptr)
-		s.side[string(key)] = sideEntry{value: append([]byte(nil), value...), version: e.Version}
+		s.side[e.Hash] = newSideEntry(key, value, e.Version)
 		b.stampBucket(idx, bucket, layout.OverflowFlag)
 		s.ctr.overflows.Add(1)
 		return true
@@ -333,15 +332,12 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawB
 			return false
 		}
 		// The victim shares this bucket, hence this stripe.
-		var scratch []byte
-		if de, err := b.readEntry(victim, &scratch); err == nil {
-			s.policy.RemoveBytes(de.Key)
-		}
+		s.policy.Remove(victim.Hash)
 		b.clearSlot(idx, bucket, slot, victim)
 		s.ctr.assocEvictions.Add(1)
 	}
 	b.putSlot(idx, bucket, slot, e)
-	delete(s.side, string(key))
+	delete(s.side, e.Hash)
 	return true
 }
 
@@ -357,7 +353,7 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 		s.unlock()
 		return false, bound
 	}
-	b.removeLocked(s, h, key)
+	b.removeLocked(s, h)
 	s.ctr.erasesApplied.Add(1)
 	b.publish(persist.OpErase, key, nil, v)
 	s.unlock()

@@ -389,10 +389,17 @@ func (d *dataRegion) windowIDs() []rmem.WindowID {
 	return out
 }
 
-// sideEntry is an overflowed KV pair reachable only via RPC (§4.2).
+// sideEntry is an overflowed KV pair reachable only via RPC (§4.2), filed
+// under its key's hash like an index entry.
 type sideEntry struct {
-	value   []byte
-	version truetime.Version
+	key, value []byte
+	version    truetime.Version
+}
+
+// newSideEntry copies key and value into one buffer the entry owns.
+func newSideEntry(key, value []byte, v truetime.Version) sideEntry {
+	kv := append(append(make([]byte, 0, len(key)+len(value)), key...), value...)
+	return sideEntry{key: kv[:len(key):len(key)], value: kv[len(key):], version: v}
 }
 
 // stripe owns an equivalence class of buckets (bucket % nStripes), that
@@ -400,7 +407,7 @@ type sideEntry struct {
 type stripe struct {
 	mu     sync.Mutex
 	policy eviction.Policy
-	side   map[string]sideEntry
+	side   map[hashring.KeyHash]sideEntry
 	ctr    counterShard
 
 	// Lock-contention telemetry (the loadwall saturation plane). All of
@@ -677,21 +684,21 @@ func (b *Backend) Seal() { b.sealed.Store(true) }
 // Sealed reports whether client mutations are rejected.
 func (b *Backend) Sealed() bool { return b.sealed.Load() }
 
-// IngestTouches feeds batched access records to the eviction policy
-// (§4.2). Each key is routed to its stripe's policy.
-func (b *Backend) IngestTouches(keys [][]byte) {
-	for _, k := range keys {
+// ingestTouches feeds an encoded TouchReq's access records to the eviction
+// policy (§4.2), each key's hash to its stripe's, as the request lies.
+func (b *Backend) ingestTouches(req []byte) error {
+	return proto.RangeTouchKeys(req, func(k []byte) {
 		h := b.opt.Hash(k)
 		s := b.stripeOf(h)
 		s.mu.Lock()
-		s.policy.TouchBytes(k)
+		s.policy.Touch(h)
 		s.unlock()
 		s.ctr.touches.Add(1)
 		// Touch batches carry the keys of one-sided RMA GETs the backend
 		// never executes — without this feed, RMA-heavy hot keys would be
 		// invisible to heat telemetry.
 		b.noteHeat(k, h)
-	}
+	})
 }
 
 // rpcClient builds the backend's outbound RPC identity (repairs,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cliquemap/internal/core/layout"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/truetime"
 )
 
@@ -60,7 +61,7 @@ func checkResident(t *testing.T, b *Backend, want map[string]truetime.Version) {
 func TestDrainMovesWithoutPublishing(t *testing.T) {
 	r, kept := sparseRig(t, Options{DataDir: t.TempDir()})
 	b := r.b
-	victims := make([]string, len(b.stripes))
+	victims := make([]hashring.KeyHash, len(b.stripes))
 	for i := range b.stripes {
 		victims[i], _ = b.stripes[i].policy.Victim()
 	}
@@ -92,7 +93,7 @@ func TestDrainMovesWithoutPublishing(t *testing.T) {
 	}
 	for i := range b.stripes {
 		if v, _ := b.stripes[i].policy.Victim(); v != victims[i] {
-			t.Errorf("stripe %d: next victim %q → %q", i, victims[i], v)
+			t.Errorf("stripe %d: next victim %v → %v", i, victims[i], v)
 		}
 	}
 	checkResident(t, b, kept)

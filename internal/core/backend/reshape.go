@@ -44,8 +44,8 @@ func (b *Backend) resetStripes(geo layout.Geometry) error {
 		if err != nil {
 			return err
 		}
-		b.stripes[i].policy = pol
-		b.stripes[i].side = make(map[string]sideEntry)
+		b.stripes[i].policy = pol.Policy
+		b.stripes[i].side = make(map[hashring.KeyHash]sideEntry)
 	}
 	return nil
 }
@@ -167,7 +167,7 @@ func (b *Backend) relocate(dr *dataRegion, c slab.Ref, raw []byte) (evicted bool
 	n := int(e.Ptr.Size)
 	ref, err := dr.alloc.Alloc(n)
 	if err != nil {
-		b.removeLocked(s, h, de.Key)
+		b.removeLocked(s, h)
 		s.ctr.capacityEvictions.Add(1)
 		return true
 	}
@@ -264,7 +264,7 @@ func (b *Backend) CompactRestart(slack float64) {
 	for i := range b.stripes {
 		// Side-shard entries are in items too; reinstalling them re-marks
 		// their buckets overflowed in the fresh index.
-		b.stripes[i].side = make(map[string]sideEntry)
+		b.stripes[i].side = make(map[hashring.KeyHash]sideEntry)
 	}
 	b.unlockAll()
 
@@ -307,19 +307,16 @@ func (b *Backend) DropForeign(shards, replicas int) int {
 		return (my-int(h.Hi%uint64(shards))+shards)%shards >= r
 	}
 
-	var victims [][]byte
+	var victims []hashring.KeyHash
 	b.lockAll()
 	b.walk(walkOpts{stripe: allStripes}, func(e *resident) bool {
 		if foreign(e.Hash) {
-			if key, ok := e.key(); ok {
-				victims = append(victims, key)
-			}
+			victims = append(victims, e.Hash)
 		}
 		return true
 	})
-	for _, k := range victims {
-		h := b.opt.Hash(k)
-		b.removeLocked(b.stripeOf(h), h, k)
+	for _, h := range victims {
+		b.removeLocked(b.stripeOf(h), h)
 	}
 	b.unlockAll()
 

@@ -1,13 +1,13 @@
 package backend
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/truetime"
 )
 
@@ -102,26 +102,102 @@ func TestHandlersKeepNoRequestBytes(t *testing.T) {
 			t.Errorf("heat sketch tracks %q: a view of a recycled request", hk.Key)
 		}
 	}
-	policed := 0
+	tracked := map[hashring.KeyHash]bool{}
 	for i := range r.b.stripes {
 		s := &r.b.stripes[i]
 		for {
-			k, ok := s.policy.Victim()
+			h, ok := s.policy.Victim()
 			if !ok {
 				break
 			}
-			if _, ok := live[k]; !ok || bytes.Contains([]byte(k), []byte{0xA5}) {
-				t.Errorf("eviction policy holds %q, no live key", k)
-			}
-			s.policy.RemoveBytes([]byte(k))
-			policed++
+			tracked[h] = true
+			s.policy.Remove(h)
 		}
 	}
-	if policed == 0 {
-		t.Error("the eviction policy holds no key")
+	for k := range live {
+		if !tracked[hashring.DefaultHash([]byte(k))] {
+			t.Errorf("the eviction policy does not track live key %s", k)
+		}
+	}
+	if len(tracked) != len(live) {
+		t.Errorf("the eviction policy tracks %d keys, %d are live", len(tracked), len(live))
 	}
 	check("after a warm restart", newRig(t, Options{
 		Shard: 0, DataDir: dir, OverflowFallback: true, MaxLoadFactor: 10,
 		Geometry: opt.Geometry, Recovering: true,
 	}).b)
+}
+
+// TestPolicyTracksOnlyResidentKeys: an entry that leaves the index leaves
+// its stripe's eviction policy too, even when its bytes are corrupt and its
+// key cannot be read — purged by the walker's quarantine, or dropped as an
+// associativity victim — so no ghost is later picked as a capacity victim
+// that frees nothing and still counts as an eviction.
+func TestPolicyTracksOnlyResidentKeys(t *testing.T) {
+	r := newRig(t, Options{
+		Shard: 0, DataBytes: 64 << 10, DataMaxBytes: 64 << 10, SlabBytes: 16 << 10,
+		Geometry:      layout.Geometry{Buckets: 1, Ways: 8},
+		MaxLoadFactor: 10, // no resize: a ninth key is an associativity conflict
+	})
+	b := r.b
+	set := func(key string, n int) {
+		t.Helper()
+		if applied, _, _ := b.ApplySet([]byte(key), make([]byte, n), r.v()); !applied {
+			t.Fatalf("set %s not applied", key)
+		}
+	}
+	corrupt := func(key string) {
+		t.Helper()
+		h := b.opt.Hash([]byte(key))
+		idx := b.idx.Load()
+		e, _, ok := idx.bucket(idx.bucketOf(h)).Find(h)
+		if !ok {
+			t.Fatalf("%s is not indexed", key)
+		}
+		if err := b.data.Load().region.FlipBit(int(e.Ptr.Offset+e.Ptr.Size/2), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracked := func(when string) {
+		t.Helper()
+		n := 0
+		for i := range b.stripes {
+			n += b.stripes[i].policy.Len()
+		}
+		if n != b.Len() {
+			t.Errorf("%s: the policies track %d keys, %d are resident", when, n, b.Len())
+		}
+	}
+
+	for i := 0; i < 8; i++ {
+		set(fmt.Sprintf("k%d", i), 16)
+	}
+	corrupt("k1")
+	b.Items(-1, 0) // the walker meets k1 and purges it
+	if c := b.CountersSnapshot(); c.CorruptPurged != 1 {
+		t.Fatalf("purged %d corrupt entries, want 1", c.CorruptPurged)
+	}
+	tracked("after a quarantine")
+
+	set("k8", 16) // takes k1's slot
+	corrupt("k0") // the oldest version: the next conflict's victim
+	set("k9", 16)
+	if c := b.CountersSnapshot(); c.AssocEvictions != 1 {
+		t.Fatalf("%d associativity evictions, want 1", c.AssocEvictions)
+	}
+	tracked("after a corrupt associativity victim")
+
+	before, resident := b.CountersSnapshot(), b.Len()
+	for i := 0; i < 16; i++ {
+		set(fmt.Sprintf("big%d", i), 6000)
+	}
+	after := b.CountersSnapshot()
+	capacity, assoc := after.CapacityEvictions-before.CapacityEvictions, after.AssocEvictions-before.AssocEvictions
+	if capacity == 0 {
+		t.Fatal("no capacity eviction: the data region is not full")
+	}
+	if left := uint64(resident + 16 - b.Len()); capacity+assoc != left {
+		t.Errorf("%d capacity + %d associativity evictions counted, %d entries left", capacity, assoc, left)
+	}
+	tracked("after capacity evictions")
 }

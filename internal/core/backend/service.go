@@ -96,11 +96,9 @@ func (b *Backend) registerHandlers() {
 	s.SetMethodCost(proto.MethodCas, setHandlerCPU)
 
 	s.Handle(proto.MethodTouch, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		r, err := proto.UnmarshalTouchReq(req)
-		if err != nil {
+		if err := b.ingestTouches(req); err != nil {
 			return nil, err
 		}
-		b.IngestTouches(r.Keys)
 		b.maybeEvalHot()
 		// Piggyback the hot-key promotion set on the ack clients already
 		// wait for: touch batches are exactly the traffic that makes keys

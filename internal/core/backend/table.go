@@ -191,10 +191,9 @@ type resident struct {
 	layout.IndexEntry
 	bucket, slot int
 
-	b       *Backend
-	idx     *indexRegion
-	sideKey string
-	sideVal []byte
+	b    *Backend
+	idx  *indexRegion
+	side sideEntry
 }
 
 // walk is the one corpus iterator: every resident index entry from bucket
@@ -227,9 +226,8 @@ func (b *Backend) walk(o walkOpts, fn func(r *resident) bool) {
 		if o.stripe != allStripes && i != o.stripe {
 			continue
 		}
-		for k, se := range b.stripes[i].side {
-			r.IndexEntry = layout.IndexEntry{Hash: b.opt.Hash([]byte(k)), Version: se.version}
-			r.sideKey, r.sideVal = k, se.value
+		for h, se := range b.stripes[i].side {
+			r.IndexEntry, r.side = layout.IndexEntry{Hash: h, Version: se.version}, se
 			if o.filter.match(r.Hash) && !fn(&r) {
 				return
 			}
@@ -244,13 +242,14 @@ func (b *Backend) walk(o walkOpts, fn func(r *resident) bool) {
 // fully written, so a checksum/decode failure here is durable §3 damage,
 // not a §5.3 tear: the entry can never be served again, yet its index
 // version would keep version-blocking repair settles at that version
-// forever. Zero the slot and free the storage, so the cohort's repair
-// sweep can re-install the authoritative bytes from a healthy replica
-// (§5.4 convergence). Registry read errors are skipped without purging:
-// they can be transient (e.g. a window revoked mid-reconfiguration).
+// forever. Zero the slot, free the storage and forget the key's hash in
+// the policy, so the cohort's repair sweep can re-install the authoritative
+// bytes from a healthy replica (§5.4 convergence). Registry read errors are
+// skipped without purging: they can be transient (e.g. a window revoked
+// mid-reconfiguration).
 func (r *resident) read() (layout.DataEntry, bool) {
 	if r.slot < 0 {
-		return layout.DataEntry{Key: []byte(r.sideKey), Value: r.sideVal, Version: r.Version}, true
+		return layout.DataEntry{Key: append([]byte(nil), r.side.key...), Value: r.side.value, Version: r.Version}, true
 	}
 	raw, err := r.b.reg.AppendRead(nil, r.Ptr.Window, int(r.Ptr.Offset), int(r.Ptr.Size))
 	if err != nil {
@@ -259,6 +258,7 @@ func (r *resident) read() (layout.DataEntry, bool) {
 	de, err := layout.DecodeDataEntry(raw)
 	if err != nil {
 		r.b.clearSlot(r.idx, r.bucket, r.slot, r.IndexEntry)
+		r.b.stripeOf(r.Hash).policy.Remove(r.Hash)
 		r.b.stripes[0].ctr.corruptPurged.Add(1)
 		return layout.DataEntry{}, false
 	}

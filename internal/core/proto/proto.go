@@ -482,23 +482,26 @@ func (r TouchReq) Marshal() []byte {
 // a client keeps its pending records as the request that will report them.
 func AppendTouchKey(e *wire.Encoder, key []byte) { e.Bytes(1, key) }
 
-// UnmarshalTouchReq decodes the request. Keys alias b, which is the
-// handler's only until it returns: IngestTouches copies what it keeps.
-func UnmarshalTouchReq(b []byte) (TouchReq, error) {
-	var r TouchReq
+// RangeTouchKeys calls fn with each access record of the encoded TouchReq
+// b, in order, as a view of b: the handler walks its request where it lies
+// and keeps only what it copies.
+func RangeTouchKeys(b []byte, fn func(key []byte)) error {
 	var d wire.Decoder
 	if err := d.Init(b); err != nil {
-		return r, err
+		return err
 	}
 	for d.Next() {
 		if d.Tag() == 1 {
-			if r.Keys == nil {
-				r.Keys = make([][]byte, 0, 1+d.Count(1))
-			}
-			r.Keys = append(r.Keys, d.Bytes())
+			fn(d.Bytes())
 		}
 	}
-	return r, d.Err()
+	return d.Err()
+}
+
+// UnmarshalTouchReq decodes the request; Keys alias b.
+func UnmarshalTouchReq(b []byte) (r TouchReq, err error) {
+	err = RangeTouchKeys(b, func(k []byte) { r.Keys = append(r.Keys, k) })
+	return r, err
 }
 
 // TouchResp acknowledges a batched access-record report and piggybacks

@@ -7,12 +7,17 @@
 // code behind one interface — the paper's point about RPC-side mutations
 // keeping rich replacement logic easy to write.
 //
+// A policy tracks keys by their 128-bit KeyHash, the identity the index
+// already gives a key (§3), and keeps them in one index-linked arena
+// (lists), so tracking a key makes no heap object of its own.
+//
 // Provided policies: LRU, ARC (Megiddo & Modha), CLOCK, and SampledLFU.
 package eviction
 
 import (
-	"container/list"
 	"fmt"
+
+	"cliquemap/internal/hashring"
 )
 
 // Policy tracks resident keys and nominates eviction victims.
@@ -20,121 +25,199 @@ import (
 // under its own lock (all calls already happen inside RPC handlers).
 type Policy interface {
 	// Add registers a newly inserted key.
-	Add(key string)
+	Add(h hashring.KeyHash)
 	// Touch records an access (from ingested client access records).
-	Touch(key string)
+	Touch(h hashring.KeyHash)
 	// Remove drops a key (erased or evicted by the caller).
-	Remove(key string)
-	// AddBytes, TouchBytes and RemoveBytes are the byte-keyed forms of
-	// Add/Touch/Remove. The backend's hot mutation path holds keys as
-	// []byte; these variants let implementations use the allocation-free
-	// m[string(b)] map-access form so the already-resident case (the
-	// common one under a steady working set) costs no string conversion.
-	AddBytes(key []byte)
-	TouchBytes(key []byte)
-	RemoveBytes(key []byte)
+	Remove(h hashring.KeyHash)
 	// Victim nominates the next key to evict, without removing it.
-	Victim() (string, bool)
+	Victim() (hashring.KeyHash, bool)
 	// Len returns the tracked key count.
 	Len() int
 	// Name identifies the policy.
 	Name() string
 }
 
+// Named is a Policy built by New. AddBytes and TouchBytes key it by
+// hashring.DefaultHash of a raw key, for a caller that holds keys rather
+// than hashes; the backend passes the hash it already has.
+type Named struct{ Policy }
+
+// AddBytes adds the key whose default hash is hashring.DefaultHash(key).
+func (p Named) AddBytes(key []byte) { p.Add(hashring.DefaultHash(key)) }
+
+// TouchBytes touches the key whose default hash is hashring.DefaultHash(key).
+func (p Named) TouchBytes(key []byte) { p.Touch(hashring.DefaultHash(key)) }
+
 // New constructs a policy by name: "lru", "arc", "clock", "slfu".
-func New(name string, capacityHint int) (Policy, error) {
+func New(name string, capacityHint int) (Named, error) {
 	switch name {
 	case "lru", "":
-		return NewLRU(), nil
+		return Named{NewLRU()}, nil
 	case "arc":
-		return NewARC(capacityHint), nil
+		return Named{NewARC(capacityHint)}, nil
 	case "clock":
-		return NewClock(), nil
+		return Named{NewClock()}, nil
 	case "slfu":
-		return NewSampledLFU(), nil
+		return Named{NewSampledLFU()}, nil
 	default:
-		return nil, fmt.Errorf("eviction: unknown policy %q", name)
+		return Named{}, fmt.Errorf("eviction: unknown policy %q", name)
 	}
+}
+
+// -------------------------------------------------------------- lists --
+
+// none is the link of no node.
+const none = -1
+
+// node is one key's slot in a lists arena.
+type node struct {
+	h          hashring.KeyHash
+	prev, next int32
+	list       uint8 // which of the policy's lists holds it (ARC)
+	ref        bool  // the reference bit (CLOCK)
+}
+
+// lists is the arena a policy's doubly linked lists share: every node lives
+// in one slice, linked by index, a released node waits on a free chain
+// (through next) for the next insert, and a key finds its node through one
+// map. A key is on at most one list.
+type lists struct {
+	nodes []node
+	at    map[hashring.KeyHash]int32
+	free  int32
+}
+
+// list is one list of an arena: its two ends and its length.
+type list struct {
+	front, back int32
+	n           int
+}
+
+func newLists() lists { return lists{at: make(map[hashring.KeyHash]int32), free: none} }
+
+func newList() list { return list{front: none, back: none} }
+
+// insert takes a node for h, linked into no list yet; its list field is 0
+// (ARC's t1).
+func (s *lists) insert(h hashring.KeyHash) int32 {
+	i := s.free
+	if i == none {
+		i = int32(len(s.nodes))
+		s.nodes = append(s.nodes, node{})
+	} else {
+		s.free = s.nodes[i].next
+	}
+	s.nodes[i] = node{h: h, prev: none, next: none}
+	s.at[h] = i
+	return i
+}
+
+// release forgets unlinked node i and chains it for reuse.
+func (s *lists) release(i int32) {
+	delete(s.at, s.nodes[i].h)
+	s.nodes[i].next = s.free
+	s.free = i
+}
+
+func (s *lists) pushFront(l *list, i int32) {
+	s.nodes[i].prev, s.nodes[i].next = none, l.front
+	if l.front != none {
+		s.nodes[l.front].prev = i
+	} else {
+		l.back = i
+	}
+	l.front = i
+	l.n++
+}
+
+func (s *lists) pushBack(l *list, i int32) {
+	s.nodes[i].prev, s.nodes[i].next = l.back, none
+	if l.back != none {
+		s.nodes[l.back].next = i
+	} else {
+		l.front = i
+	}
+	l.back = i
+	l.n++
+}
+
+func (s *lists) unlink(l *list, i int32) {
+	n := &s.nodes[i]
+	if n.prev != none {
+		s.nodes[n.prev].next = n.next
+	} else {
+		l.front = n.next
+	}
+	if n.next != none {
+		s.nodes[n.next].prev = n.prev
+	} else {
+		l.back = n.prev
+	}
+	l.n--
 }
 
 // ---------------------------------------------------------------- LRU --
 
 // LRU evicts the least recently used key.
 type LRU struct {
-	ll    *list.List // front = most recent
-	items map[string]*list.Element
+	s lists
+	l list // front = most recent
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{ll: list.New(), items: make(map[string]*list.Element)}
-}
+func NewLRU() *LRU { return &LRU{s: newLists(), l: newList()} }
 
 // Name implements Policy.
 func (p *LRU) Name() string { return "lru" }
 
 // Len implements Policy.
-func (p *LRU) Len() int { return len(p.items) }
+func (p *LRU) Len() int { return p.l.n }
 
 // Add implements Policy.
-func (p *LRU) Add(key string) {
-	if el, ok := p.items[key]; ok {
-		p.ll.MoveToFront(el)
-		return
+func (p *LRU) Add(h hashring.KeyHash) {
+	i, ok := p.s.at[h]
+	if ok {
+		p.s.unlink(&p.l, i)
+	} else {
+		i = p.s.insert(h)
 	}
-	p.items[key] = p.ll.PushFront(key)
+	p.s.pushFront(&p.l, i)
 }
 
 // Touch implements Policy.
-func (p *LRU) Touch(key string) {
-	if el, ok := p.items[key]; ok {
-		p.ll.MoveToFront(el)
+func (p *LRU) Touch(h hashring.KeyHash) {
+	if i, ok := p.s.at[h]; ok {
+		p.s.unlink(&p.l, i)
+		p.s.pushFront(&p.l, i)
 	}
 }
 
 // Remove implements Policy.
-func (p *LRU) Remove(key string) {
-	if el, ok := p.items[key]; ok {
-		p.ll.Remove(el)
-		delete(p.items, key)
-	}
-}
-
-// AddBytes implements Policy; resident keys re-rank without allocating.
-func (p *LRU) AddBytes(key []byte) {
-	if el, ok := p.items[string(key)]; ok {
-		p.ll.MoveToFront(el)
-		return
-	}
-	k := string(key)
-	p.items[k] = p.ll.PushFront(k)
-}
-
-// TouchBytes implements Policy.
-func (p *LRU) TouchBytes(key []byte) {
-	if el, ok := p.items[string(key)]; ok {
-		p.ll.MoveToFront(el)
-	}
-}
-
-// RemoveBytes implements Policy.
-func (p *LRU) RemoveBytes(key []byte) {
-	if el, ok := p.items[string(key)]; ok {
-		p.ll.Remove(el)
-		delete(p.items, string(key))
+func (p *LRU) Remove(h hashring.KeyHash) {
+	if i, ok := p.s.at[h]; ok {
+		p.s.unlink(&p.l, i)
+		p.s.release(i)
 	}
 }
 
 // Victim implements Policy.
-func (p *LRU) Victim() (string, bool) {
-	el := p.ll.Back()
-	if el == nil {
-		return "", false
+func (p *LRU) Victim() (hashring.KeyHash, bool) {
+	if p.l.back == none {
+		return hashring.KeyHash{}, false
 	}
-	return el.Value.(string), true
+	return p.s.nodes[p.l.back].h, true
 }
 
 // ---------------------------------------------------------------- ARC --
+
+// ARC's lists: two resident (t1 recency, t2 frequency) and their ghosts.
+const (
+	t1 uint8 = iota
+	t2
+	b1
+	b2
+)
 
 // ARC is the self-tuning Adaptive Replacement Cache: two resident lists
 // (t1 recency, t2 frequency) plus two ghost lists (b1, b2) steering the
@@ -142,15 +225,9 @@ func (p *LRU) Victim() (string, bool) {
 type ARC struct {
 	c          int // target resident capacity for adaptation
 	p          int // adaptation: target size of t1
-	t1, t2     *list.List
-	b1, b2     *list.List
-	where      map[string]*arcEntry
+	s          lists
+	l          [4]list // t1, t2, b1, b2
 	ghostLimit int
-}
-
-type arcEntry struct {
-	el   *list.Element
-	list *list.List
 }
 
 // NewARC returns an ARC policy adapting around capacityHint resident keys.
@@ -158,214 +235,153 @@ func NewARC(capacityHint int) *ARC {
 	if capacityHint <= 0 {
 		capacityHint = 1024
 	}
-	return &ARC{
-		c: capacityHint, t1: list.New(), t2: list.New(), b1: list.New(), b2: list.New(),
-		where: make(map[string]*arcEntry), ghostLimit: capacityHint,
+	p := &ARC{c: capacityHint, s: newLists(), ghostLimit: capacityHint}
+	for i := range p.l {
+		p.l[i] = newList()
 	}
+	return p
 }
 
 // Name implements Policy.
 func (p *ARC) Name() string { return "arc" }
 
 // Len implements Policy.
-func (p *ARC) Len() int { return p.t1.Len() + p.t2.Len() }
+func (p *ARC) Len() int { return p.l[t1].n + p.l[t2].n }
 
-func (p *ARC) trimGhost(l *list.List) {
-	for l.Len() > p.ghostLimit {
-		el := l.Back()
-		delete(p.where, el.Value.(string))
-		l.Remove(el)
+// move re-links node i at the front of list to.
+func (p *ARC) move(i int32, to uint8) {
+	p.s.unlink(&p.l[p.s.nodes[i].list], i)
+	p.s.nodes[i].list = to
+	p.s.pushFront(&p.l[to], i)
+}
+
+func (p *ARC) trimGhost(g uint8) {
+	for l := &p.l[g]; l.n > p.ghostLimit; {
+		i := l.back
+		p.s.unlink(l, i)
+		p.s.release(i)
 	}
 }
 
 // Add implements Policy.
-func (p *ARC) Add(key string) {
-	if e, ok := p.where[key]; ok {
-		switch e.list {
-		case p.t1, p.t2:
-			p.promote(key, e)
-			return
-		case p.b1:
-			// Ghost hit in recency list: grow p.
-			p.p = min(p.p+max(1, p.b2.Len()/max(1, p.b1.Len())), p.c)
-			p.b1.Remove(e.el)
-			p.where[key] = &arcEntry{el: p.t2.PushFront(key), list: p.t2}
-			return
-		case p.b2:
-			// Ghost hit in frequency list: shrink p.
-			p.p = max(p.p-max(1, p.b1.Len()/max(1, p.b2.Len())), 0)
-			p.b2.Remove(e.el)
-			p.where[key] = &arcEntry{el: p.t2.PushFront(key), list: p.t2}
-			return
-		}
+func (p *ARC) Add(h hashring.KeyHash) {
+	i, ok := p.s.at[h]
+	if !ok {
+		p.s.pushFront(&p.l[t1], p.s.insert(h))
+		return
 	}
-	p.where[key] = &arcEntry{el: p.t1.PushFront(key), list: p.t1}
-}
-
-func (p *ARC) promote(key string, e *arcEntry) {
-	e.list.Remove(e.el)
-	p.where[key] = &arcEntry{el: p.t2.PushFront(key), list: p.t2}
+	switch p.s.nodes[i].list {
+	case b1:
+		// Ghost hit in recency list: grow p.
+		p.p = min(p.p+max(1, p.l[b2].n/max(1, p.l[b1].n)), p.c)
+	case b2:
+		// Ghost hit in frequency list: shrink p.
+		p.p = max(p.p-max(1, p.l[b1].n/max(1, p.l[b2].n)), 0)
+	}
+	p.move(i, t2)
 }
 
 // Touch implements Policy.
-func (p *ARC) Touch(key string) {
-	if e, ok := p.where[key]; ok && (e.list == p.t1 || e.list == p.t2) {
-		p.promote(key, e)
+func (p *ARC) Touch(h hashring.KeyHash) {
+	if i, ok := p.s.at[h]; ok && p.s.nodes[i].list <= t2 {
+		p.move(i, t2)
 	}
 }
 
 // Remove implements Policy.
-func (p *ARC) Remove(key string) {
-	e, ok := p.where[key]
+func (p *ARC) Remove(h hashring.KeyHash) {
+	i, ok := p.s.at[h]
 	if !ok {
 		return
 	}
-	if e.list == p.t1 || e.list == p.t2 {
+	switch p.s.nodes[i].list {
+	case t1, t2:
 		// Evicted/erased resident keys leave a ghost trace.
-		e.list.Remove(e.el)
-		var ghost *list.List
-		if e.list == p.t1 {
-			ghost = p.b1
-		} else {
-			ghost = p.b2
-		}
-		p.where[key] = &arcEntry{el: ghost.PushFront(key), list: ghost}
+		ghost := p.s.nodes[i].list + b1
+		p.move(i, ghost)
 		p.trimGhost(ghost)
-		return
-	}
-	e.list.Remove(e.el)
-	delete(p.where, key)
-}
-
-// AddBytes implements Policy. Every ARC add path re-links the key into a
-// list, which stores a string, so this cannot avoid the conversion.
-func (p *ARC) AddBytes(key []byte) { p.Add(string(key)) }
-
-// TouchBytes implements Policy.
-func (p *ARC) TouchBytes(key []byte) {
-	if e, ok := p.where[string(key)]; ok && (e.list == p.t1 || e.list == p.t2) {
-		p.promote(string(key), e)
-	}
-}
-
-// RemoveBytes implements Policy.
-func (p *ARC) RemoveBytes(key []byte) {
-	if _, ok := p.where[string(key)]; ok {
-		p.Remove(string(key))
+	default:
+		p.s.unlink(&p.l[p.s.nodes[i].list], i)
+		p.s.release(i)
 	}
 }
 
 // Victim implements Policy: evict from t1 if it exceeds the adaptive
 // target p, else from t2.
-func (p *ARC) Victim() (string, bool) {
-	if p.t1.Len() > 0 && (p.t1.Len() >= p.p || p.t2.Len() == 0) {
-		return p.t1.Back().Value.(string), true
+func (p *ARC) Victim() (hashring.KeyHash, bool) {
+	r1, r2 := &p.l[t1], &p.l[t2]
+	if r1.n > 0 && (r1.n >= p.p || r2.n == 0) {
+		return p.s.nodes[r1.back].h, true
 	}
-	if p.t2.Len() > 0 {
-		return p.t2.Back().Value.(string), true
+	if r2.n > 0 {
+		return p.s.nodes[r2.back].h, true
 	}
-	return "", false
+	return hashring.KeyHash{}, false
 }
 
 // -------------------------------------------------------------- CLOCK --
 
 // Clock approximates LRU with a reference bit and a sweeping hand.
 type Clock struct {
-	ll    *list.List // ring order
-	items map[string]*clockEntry
-	hand  *list.Element
-}
-
-type clockEntry struct {
-	el  *list.Element
-	ref bool
+	s    lists
+	l    list  // ring order
+	hand int32 // none: the next sweep starts at the front
 }
 
 // NewClock returns an empty CLOCK policy.
-func NewClock() *Clock {
-	return &Clock{ll: list.New(), items: make(map[string]*clockEntry)}
-}
+func NewClock() *Clock { return &Clock{s: newLists(), l: newList(), hand: none} }
 
 // Name implements Policy.
 func (p *Clock) Name() string { return "clock" }
 
 // Len implements Policy.
-func (p *Clock) Len() int { return len(p.items) }
+func (p *Clock) Len() int { return p.l.n }
 
 // Add implements Policy.
-func (p *Clock) Add(key string) {
-	if e, ok := p.items[key]; ok {
-		e.ref = true
+func (p *Clock) Add(h hashring.KeyHash) {
+	if i, ok := p.s.at[h]; ok {
+		p.s.nodes[i].ref = true
 		return
 	}
-	p.items[key] = &clockEntry{el: p.ll.PushBack(key)}
+	p.s.pushBack(&p.l, p.s.insert(h))
 }
 
 // Touch implements Policy.
-func (p *Clock) Touch(key string) {
-	if e, ok := p.items[key]; ok {
-		e.ref = true
+func (p *Clock) Touch(h hashring.KeyHash) {
+	if i, ok := p.s.at[h]; ok {
+		p.s.nodes[i].ref = true
 	}
 }
 
 // Remove implements Policy.
-func (p *Clock) Remove(key string) {
-	if e, ok := p.items[key]; ok {
-		if p.hand == e.el {
-			p.hand = e.el.Next()
+func (p *Clock) Remove(h hashring.KeyHash) {
+	if i, ok := p.s.at[h]; ok {
+		if p.hand == i {
+			p.hand = p.s.nodes[i].next
 		}
-		p.ll.Remove(e.el)
-		delete(p.items, key)
-	}
-}
-
-// AddBytes implements Policy; resident keys just set the reference bit.
-func (p *Clock) AddBytes(key []byte) {
-	if e, ok := p.items[string(key)]; ok {
-		e.ref = true
-		return
-	}
-	k := string(key)
-	p.items[k] = &clockEntry{el: p.ll.PushBack(k)}
-}
-
-// TouchBytes implements Policy.
-func (p *Clock) TouchBytes(key []byte) {
-	if e, ok := p.items[string(key)]; ok {
-		e.ref = true
-	}
-}
-
-// RemoveBytes implements Policy.
-func (p *Clock) RemoveBytes(key []byte) {
-	if e, ok := p.items[string(key)]; ok {
-		if p.hand == e.el {
-			p.hand = e.el.Next()
-		}
-		p.ll.Remove(e.el)
-		delete(p.items, string(key))
+		p.s.unlink(&p.l, i)
+		p.s.release(i)
 	}
 }
 
 // Victim implements Policy: sweep, clearing reference bits, until an
 // unreferenced key is found.
-func (p *Clock) Victim() (string, bool) {
-	if p.ll.Len() == 0 {
-		return "", false
+func (p *Clock) Victim() (hashring.KeyHash, bool) {
+	if p.l.n == 0 {
+		return hashring.KeyHash{}, false
 	}
-	for sweeps := 0; sweeps < 2*p.ll.Len()+1; sweeps++ {
-		if p.hand == nil {
-			p.hand = p.ll.Front()
+	for sweeps := 0; sweeps < 2*p.l.n+1; sweeps++ {
+		if p.hand == none {
+			p.hand = p.l.front
 		}
-		key := p.hand.Value.(string)
-		e := p.items[key]
-		if !e.ref {
-			return key, true
+		n := &p.s.nodes[p.hand]
+		if !n.ref {
+			return n.h, true
 		}
-		e.ref = false
-		p.hand = p.hand.Next()
+		n.ref = false
+		p.hand = n.next
 	}
-	return p.ll.Front().Value.(string), true
+	return p.s.nodes[p.l.front].h, true
 }
 
 // --------------------------------------------------------- SampledLFU --
@@ -374,109 +390,73 @@ func (p *Clock) Victim() (string, bool) {
 // lowest-frequency key among a deterministic sample — the cheap LFU
 // approximation used by several production caches.
 type SampledLFU struct {
-	counts map[string]uint64
-	keys   []string
-	pos    map[string]int
+	slots  []lfuSlot
+	pos    map[hashring.KeyHash]int32
 	cursor int
 	sample int
 }
 
+// lfuSlot is one tracked key and its access count.
+type lfuSlot struct {
+	h     hashring.KeyHash
+	count uint64
+}
+
 // NewSampledLFU returns an empty sampled-LFU policy.
 func NewSampledLFU() *SampledLFU {
-	return &SampledLFU{counts: make(map[string]uint64), pos: make(map[string]int), sample: 8}
+	return &SampledLFU{pos: make(map[hashring.KeyHash]int32), sample: 8}
 }
 
 // Name implements Policy.
 func (p *SampledLFU) Name() string { return "slfu" }
 
 // Len implements Policy.
-func (p *SampledLFU) Len() int { return len(p.keys) }
+func (p *SampledLFU) Len() int { return len(p.slots) }
 
 // Add implements Policy.
-func (p *SampledLFU) Add(key string) {
-	if _, ok := p.pos[key]; !ok {
-		p.pos[key] = len(p.keys)
-		p.keys = append(p.keys, key)
+func (p *SampledLFU) Add(h hashring.KeyHash) {
+	if i, ok := p.pos[h]; ok {
+		p.slots[i].count++
+		return
 	}
-	p.counts[key]++
+	p.pos[h] = int32(len(p.slots))
+	p.slots = append(p.slots, lfuSlot{h: h, count: 1})
 }
 
 // Touch implements Policy.
-func (p *SampledLFU) Touch(key string) {
-	if _, ok := p.pos[key]; ok {
-		p.counts[key]++
+func (p *SampledLFU) Touch(h hashring.KeyHash) {
+	if i, ok := p.pos[h]; ok {
+		p.slots[i].count++
 	}
 }
 
 // Remove implements Policy.
-func (p *SampledLFU) Remove(key string) {
-	i, ok := p.pos[key]
+func (p *SampledLFU) Remove(h hashring.KeyHash) {
+	i, ok := p.pos[h]
 	if !ok {
 		return
 	}
-	last := len(p.keys) - 1
-	p.keys[i] = p.keys[last]
-	p.pos[p.keys[i]] = i
-	p.keys = p.keys[:last]
-	delete(p.pos, key)
-	delete(p.counts, key)
-}
-
-// AddBytes implements Policy; known keys bump their count allocation-free.
-func (p *SampledLFU) AddBytes(key []byte) {
-	if i, ok := p.pos[string(key)]; ok {
-		p.counts[p.keys[i]]++
-		return
-	}
-	k := string(key)
-	p.pos[k] = len(p.keys)
-	p.keys = append(p.keys, k)
-	p.counts[k]++
-}
-
-// TouchBytes implements Policy.
-func (p *SampledLFU) TouchBytes(key []byte) {
-	if i, ok := p.pos[string(key)]; ok {
-		p.counts[p.keys[i]]++
-	}
-}
-
-// RemoveBytes implements Policy.
-func (p *SampledLFU) RemoveBytes(key []byte) {
-	if _, ok := p.pos[string(key)]; ok {
-		p.Remove(string(key))
-	}
+	last := len(p.slots) - 1
+	p.slots[i] = p.slots[last]
+	p.pos[p.slots[i].h] = i
+	p.slots = p.slots[:last]
+	delete(p.pos, h)
 }
 
 // Victim implements Policy: scan a rotating sample window for the
 // lowest-count key.
-func (p *SampledLFU) Victim() (string, bool) {
-	n := len(p.keys)
+func (p *SampledLFU) Victim() (hashring.KeyHash, bool) {
+	n := len(p.slots)
 	if n == 0 {
-		return "", false
+		return hashring.KeyHash{}, false
 	}
-	best := ""
-	var bestCount uint64
+	best := -1
 	for i := 0; i < p.sample && i < n; i++ {
-		k := p.keys[(p.cursor+i)%n]
-		if best == "" || p.counts[k] < bestCount {
-			best, bestCount = k, p.counts[k]
+		j := (p.cursor + i) % n
+		if best < 0 || p.slots[j].count < p.slots[best].count {
+			best = j
 		}
 	}
 	p.cursor = (p.cursor + p.sample) % n
-	return best, true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return p.slots[best].h, true
 }
