@@ -2,224 +2,104 @@ package cliquemap
 
 // Jepsen-lite chaos soak: concurrent workers run a keyed workload while a
 // seeded chaos schedule injects crashes, partitions, brownouts, bit
-// corruption, and config staleness — then a per-key oracle checks the
-// paper's end-to-end safety story (§3, §5.2, §5.4):
+// corruption, and config staleness. Every op lands in one history, which
+// internal/history checks against a versioned register — the paper's
+// end-to-end safety story (§3, §5.2, §5.4): no lost acked write, no
+// resurrected erase, no read that goes backwards, no value that was never
+// written (a corrupted one must not leak past the checksum). After the
+// fault window heals, repair must quiesce and every key must read back
+// stably.
 //
-//   - no lost acked writes: an acknowledged SET is never superseded by
-//     anything older, and an acknowledged ERASE never resurrects;
-//   - monotone observation: the sequence number a reader observes for a
-//     key never regresses (quorum + version ordering);
-//   - no phantom values: every observed value was actually issued by the
-//     key's single writer, and unparseable (corrupted) values never leak
-//     past the checksum;
-//   - convergence: after the fault window heals, repair quiesces and
-//     every key reads back to a stable, oracle-legal state.
-//
-// Workers own disjoint key ranges so each key has one sequential writer,
-// which keeps the oracle exact without a global linearizability search.
-// Run under -race; CI pins the seeds so a failure replays byte-for-byte.
+// Workers split into key groups; with two writers per key, two workers
+// write (and read) each group. Run under -race; CI pins the seeds so a
+// failure replays byte-for-byte.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/history"
 	"cliquemap/internal/truetime"
 )
 
 const (
-	soakWorkers       = 4
-	soakKeysPerWorker = 8
-	soakQuorum        = 2 // R=3.2
+	soakWorkers      = 4
+	soakKeysPerGroup = 8
 )
 
-func soakKey(w, k int) []byte { return []byte(fmt.Sprintf("soak-w%d-k%d", w, k)) }
+// checkRegister fails t on the first key of rec's history that breaks the
+// versioned register, printing that key's whole history.
+func checkRegister(t *testing.T, rec *history.Recorder, evictions uint64) {
+	t.Helper()
+	if vs := history.Check(rec.Ops(), evictions); len(vs) > 0 {
+		t.Fatalf("%d keys break the register; the first:\n%v", len(vs), vs[0])
+	}
+}
+
+func soakKey(g, k int) []byte { return []byte(fmt.Sprintf("soak-g%d-k%d", g, k)) }
 
 func soakVal(w, k int, seq uint64) []byte {
 	return []byte(fmt.Sprintf("w%d.k%d.s%d|chaos-soak-payload", w, k, seq))
 }
 
-func soakSeq(w, k int, val []byte) (uint64, bool) {
-	var gw, gk int
-	var seq uint64
-	n, err := fmt.Sscanf(string(val), "w%d.k%d.s%d|", &gw, &gk, &seq)
-	if err != nil || n != 3 || gw != w || gk != k {
-		return 0, false
-	}
-	return seq, true
-}
-
-// soakKeyState is the oracle's view of one key. The key has a single
-// sequential writer, so acked/indeterminate bookkeeping is exact:
-// mutations that returned nil error are acked (must persist until
-// superseded); mutations that errored are indeterminate (may or may not
-// have applied, and may surface later).
-type soakKeyState struct {
-	ackedSeq      uint64          // seq of the newest acked mutation
-	ackedIsSet    bool            // that mutation was a SET (false: ERASE)
-	indetSets     map[uint64]bool // indeterminate SETs newer than ackedSeq
-	indetEraseMax uint64          // newest indeterminate ERASE > ackedSeq
-	lastObserved  uint64          // newest seq any read has returned
-}
-
-func newSoakKeyState() *soakKeyState {
-	return &soakKeyState{indetSets: make(map[uint64]bool)}
-}
-
-func (st *soakKeyState) noteAcked(seq uint64, isSet bool) {
-	st.ackedSeq, st.ackedIsSet = seq, isSet
-	for s := range st.indetSets {
-		if s <= seq {
-			delete(st.indetSets, s)
-		}
-	}
-	if st.indetEraseMax <= seq {
-		st.indetEraseMax = 0
-	}
-}
-
-func (st *soakKeyState) noteIndeterminate(seq uint64, isSet bool) {
-	if isSet {
-		st.indetSets[seq] = true
-	} else if seq > st.indetEraseMax {
-		st.indetEraseMax = seq
-	}
-}
-
-// observe validates one read result against the oracle state.
-func (st *soakKeyState) observe(w, k int, val []byte, hit bool) error {
-	if !hit {
-		maxErase := st.indetEraseMax
-		if !st.ackedIsSet && st.ackedSeq > maxErase {
-			maxErase = st.ackedSeq
-		}
-		if maxErase == 0 {
-			return fmt.Errorf("w%d/k%d: miss with no erase issued (lost write, acked s%d)", w, k, st.ackedSeq)
-		}
-		if st.ackedIsSet && maxErase <= st.ackedSeq {
-			return fmt.Errorf("w%d/k%d: miss but newest erase s%d predates acked set s%d (lost acked write)",
-				w, k, maxErase, st.ackedSeq)
-		}
-		if maxErase <= st.lastObserved {
-			return fmt.Errorf("w%d/k%d: miss but newest erase s%d predates observed s%d (observation regressed)",
-				w, k, maxErase, st.lastObserved)
-		}
-		return nil
-	}
-	seq, ok := soakSeq(w, k, val)
-	if !ok {
-		return fmt.Errorf("w%d/k%d: unparseable value %q leaked past the checksum", w, k, val)
-	}
-	if seq < st.lastObserved {
-		return fmt.Errorf("w%d/k%d: observed seq regressed s%d -> s%d", w, k, st.lastObserved, seq)
-	}
-	switch {
-	case seq < st.ackedSeq:
-		return fmt.Errorf("w%d/k%d: read s%d older than acked s%d (lost acked write)", w, k, seq, st.ackedSeq)
-	case seq == st.ackedSeq:
-		if !st.ackedIsSet {
-			return fmt.Errorf("w%d/k%d: read s%d after acked erase s%d (resurrection)", w, k, seq, st.ackedSeq)
-		}
-	default: // seq > ackedSeq: must be a known indeterminate SET
-		if !st.indetSets[seq] {
-			return fmt.Errorf("w%d/k%d: phantom value s%d (never issued or superseded)", w, k, seq)
-		}
-	}
-	st.lastObserved = seq
-	return nil
-}
-
-// soakWorker drives one worker's keys until stop closes, validating every
-// read inline. Errors are oracle violations; op failures during fault
-// windows are recorded as indeterminate, never fatal.
-func soakWorker(ctx context.Context, cl *client.Client, w int, stop <-chan struct{}, states []*soakKeyState, violations chan<- error) {
-	seq := uint64(1) // seq 1 was the preload SET
-	rnd := uint64(w)*0x9e3779b97f4a7c15 + 1
-	nextRnd := func() uint64 {
-		rnd ^= rnd << 13
-		rnd ^= rnd >> 7
-		rnd ^= rnd << 17
-		return rnd
-	}
-	// lastVer tracks the version of each key's newest acked SET so CAS ops
-	// can present a plausibly-current expectation.
-	lastVer := make([]truetime.Version, soakKeysPerWorker)
+// soakWorker drives key group g until stop closes. Op failures during
+// fault windows are outcomes in the history, never fatal.
+func soakWorker(ctx context.Context, h history.Client, w, g int, stop <-chan struct{}) {
+	rng := rand.New(rand.NewSource(int64(w)))
+	// lastVer tracks the version of this worker's newest acked SET of each
+	// key, so CAS ops present a plausibly-current expectation.
+	lastVer := make([]truetime.Version, soakKeysPerGroup)
 	for i := 0; ; i++ {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		k := i % soakKeysPerWorker
-		st := states[k]
-		seq++
+		k := i % soakKeysPerGroup
+		val := soakVal(w, k, uint64(i+1)) // seq 0 is the preload
 		switch {
 		case i%7 == 6:
-			err := cl.Erase(ctx, soakKey(w, k))
-			if err == nil {
-				st.noteAcked(seq, false)
+			if h.Erase(ctx, soakKey(g, k)) == nil {
 				lastVer[k] = truetime.Version{}
-			} else {
-				st.noteIndeterminate(seq, false)
 			}
 		case i%7 == 3 && !lastVer[k].Zero():
-			// CAS against the newest acked SET's version. Applied = acked
-			// write; a mismatch or error is indeterminate (replicas may
-			// have partially applied before the op gave up).
-			applied, err := cl.Cas(ctx, soakKey(w, k), soakVal(w, k, seq), lastVer[k])
-			if err == nil && applied {
-				st.noteAcked(seq, true)
-			} else {
-				st.noteIndeterminate(seq, true)
-			}
+			h.Cas(ctx, soakKey(g, k), val, lastVer[k])
 			// The CAS nominated a fresh version either way; the old
 			// expectation is spent.
 			lastVer[k] = truetime.Version{}
 		default:
-			v, err := cl.SetVersioned(ctx, soakKey(w, k), soakVal(w, k, seq))
-			if err == nil {
-				st.noteAcked(seq, true)
+			if v, err := h.SetVersioned(ctx, soakKey(g, k), val); err == nil {
 				lastVer[k] = v
-			} else {
-				st.noteIndeterminate(seq, true)
 			}
 		}
 		for r := 0; r < 2; r++ {
-			rk := int(nextRnd() % soakKeysPerWorker)
-			val, hit, err := cl.Get(ctx, soakKey(w, rk))
-			if err != nil {
-				continue // fault-window read failure: no observation
-			}
-			if verr := states[rk].observe(w, rk, val, hit); verr != nil {
-				select {
-				case violations <- verr:
-				default:
-				}
-				return
-			}
+			h.Get(ctx, soakKey(g, rng.Intn(soakKeysPerGroup)))
 		}
 	}
 }
 
-// runChaosSoak is the shared harness: build a cell, preload, run workers
-// while stepping the preset's schedule, then heal, repair to quiescence,
-// and verify the converged state.
-func runChaosSoak(t *testing.T, preset string, seed uint64) {
-	t.Helper()
-	// Three spares: the maintenance-storm preset grows the cell by two
-	// shards and still runs a maintenance handoff while grown, so the
-	// storm needs +2 growth capacity plus one idle spare at all times.
-	runChaosSoakCell(t, preset, seed, Options{Shards: 3, Spares: 3, Mode: R32})
-}
+// soakCell is the soaks' cell. Three spares: the maintenance-storm preset
+// grows the cell by two shards and still runs a maintenance handoff while
+// grown, so the storm needs +2 growth capacity plus one idle spare at all
+// times.
+var soakCell = Options{Shards: 3, Spares: 3, Mode: R32}
 
-func runChaosSoakCell(t *testing.T, preset string, seed uint64, copt Options) {
+// runChaosSoak is the shared harness: build a cell, preload, run workers
+// with the given writers per key while stepping the preset's schedule
+// (seed 1), then heal, repair to quiescence, read every key back, and
+// check the history.
+func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 	t.Helper()
+	const seed = 1
+	groups := soakWorkers / writers // worker w writes group w % groups
 	c := newCell(t, copt)
 	cc := c.Internal()
 	ctx := context.Background()
@@ -229,35 +109,32 @@ func runChaosSoakCell(t *testing.T, preset string, seed uint64, copt Options) {
 		t.Fatal(err)
 	}
 
-	clients := make([]*client.Client, soakWorkers)
-	states := make([][]*soakKeyState, soakWorkers)
+	rec := &history.Recorder{}
+	clients := make([]history.Client, soakWorkers)
 	for w := range clients {
-		clients[w] = cc.NewClient(client.Options{
+		clients[w] = history.Client{R: rec, ID: w, C: cc.NewClient(client.Options{
 			Strategy:   client.StrategySCAR,
-			NoFallback: true, // a single-replica fallback read could legally be stale; the oracle wants quorum reads only
+			NoFallback: true, // a single-replica fallback read could legally be stale; the history wants quorum reads only
 			Retries:    8,
 			Budget:     client.NewRetryBudget(500, 1),
-		})
-		states[w] = make([]*soakKeyState, soakKeysPerWorker)
-		for k := range states[w] {
-			states[w][k] = newSoakKeyState()
-			// Preload (seq 1) before the fault window so every key has an
-			// acked baseline the oracle can hold reads against.
-			if err := clients[w].Set(ctx, soakKey(w, k), soakVal(w, k, 1)); err != nil {
-				t.Fatalf("preload w%d/k%d: %v", w, k, err)
+		})}
+	}
+	// Preload before the fault window so every key has an acked baseline.
+	for g := 0; g < groups; g++ {
+		for k := 0; k < soakKeysPerGroup; k++ {
+			if _, err := clients[g].SetVersioned(ctx, soakKey(g, k), soakVal(g, k, 0)); err != nil {
+				t.Fatalf("preload g%d/k%d: %v", g, k, err)
 			}
-			states[w][k].noteAcked(1, true)
 		}
 	}
 
 	stop := make(chan struct{})
-	violations := make(chan error, soakWorkers)
 	var wg sync.WaitGroup
 	for w := 0; w < soakWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			soakWorker(ctx, clients[w], w, stop, states[w], violations)
+			soakWorker(ctx, clients[w], w, w%groups, stop)
 		}(w)
 	}
 
@@ -273,11 +150,6 @@ func runChaosSoakCell(t *testing.T, preset string, seed uint64, copt Options) {
 	time.Sleep(5 * time.Millisecond) // post-heal load, catches lingering damage
 	close(stop)
 	wg.Wait()
-	select {
-	case verr := <-violations:
-		t.Fatalf("oracle violation during %s soak (seed %d): %v", preset, seed, verr)
-	default:
-	}
 
 	// Fault window over: force-heal anything outstanding, then repair
 	// until quiescent — §5.4's permanent repair must converge.
@@ -299,39 +171,33 @@ func runChaosSoakCell(t *testing.T, preset string, seed uint64, copt Options) {
 		t.Fatalf("repair did not quiesce within 12 sweeps after %s", preset)
 	}
 
-	// Converged-state verification with a fresh client: every key must
-	// read cleanly, legally, and identically twice (stability).
-	vcl := cc.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true})
-	for w := 0; w < soakWorkers; w++ {
-		for k := 0; k < soakKeysPerWorker; k++ {
-			v1, hit1, err := vcl.Get(ctx, soakKey(w, k))
+	// Converged state, through a fresh client: every key reads cleanly and
+	// identically twice (stability), and both reads join the history.
+	vcl := history.Client{R: rec, ID: soakWorkers, C: cc.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true})}
+	for g := 0; g < groups; g++ {
+		for k := 0; k < soakKeysPerGroup; k++ {
+			v1, hit1, err := vcl.Get(ctx, soakKey(g, k))
 			if err != nil {
-				t.Fatalf("post-heal read w%d/k%d: %v", w, k, err)
+				t.Fatalf("post-heal read g%d/k%d: %v", g, k, err)
 			}
-			if verr := states[w][k].observe(w, k, v1, hit1); verr != nil {
-				t.Errorf("post-heal oracle violation: %v", verr)
-			}
-			v2, hit2, err := vcl.Get(ctx, soakKey(w, k))
+			v2, hit2, err := vcl.Get(ctx, soakKey(g, k))
 			if err != nil {
-				t.Fatalf("post-heal re-read w%d/k%d: %v", w, k, err)
+				t.Fatalf("post-heal re-read g%d/k%d: %v", g, k, err)
 			}
 			if hit1 != hit2 || !bytes.Equal(v1, v2) {
-				t.Errorf("w%d/k%d unstable after repair: (%v,%q) then (%v,%q)", w, k, hit1, v1, hit2, v2)
+				t.Errorf("g%d/k%d unstable after repair: (%v,%q) then (%v,%q)", g, k, hit1, v1, hit2, v2)
 			}
 		}
 	}
 
-	// The oracle is only meaningful if nothing was evicted (an evicted
-	// key legitimately reads as a miss) and chaos actually fired.
-	for s := 0; s < 3; s++ {
-		if b := cc.Backend(s); b != nil {
-			cs := b.CountersSnapshot()
-			if cs.CapacityEvictions+cs.AssocEvictions > 0 {
-				t.Fatalf("shard %d evicted (%d cap, %d assoc): soak sizing invalidates the oracle",
-					s, cs.CapacityEvictions, cs.AssocEvictions)
-			}
-		}
+	// An evicted key legitimately reads as a miss, which would blunt the
+	// check: the soak is sized to evict nothing.
+	agg := cc.AggregateCounters()
+	evictions := agg.CapacityEvictions + agg.AssocEvictions
+	if evictions > 0 {
+		t.Fatalf("the cell evicted %d entries: soak sizing blunts the history check", evictions)
 	}
+	checkRegister(t, rec, evictions)
 	counters := eng.Counters()
 	if len(counters) == 0 {
 		t.Fatalf("%s soak fired no hazards", preset)
@@ -339,19 +205,21 @@ func runChaosSoakCell(t *testing.T, preset string, seed uint64, copt Options) {
 	t.Logf("%s seed %d: hazards %v", preset, seed, counters)
 }
 
-func TestChaosSoakBrownout(t *testing.T)      { runChaosSoak(t, "brownout", 1) }
-func TestChaosSoakPartitionHeal(t *testing.T) { runChaosSoak(t, "partition-heal", 1) }
-func TestChaosSoakCorruption(t *testing.T)    { runChaosSoak(t, "corruption-soak", 1) }
-func TestChaosSoakRollingCrash(t *testing.T)  { runChaosSoak(t, "rolling-crash", 1) }
+func TestChaosSoakBrownout(t *testing.T)      { runChaosSoak(t, "brownout", 2, soakCell) }
+func TestChaosSoakPartitionHeal(t *testing.T) { runChaosSoak(t, "partition-heal", 2, soakCell) }
+func TestChaosSoakCorruption(t *testing.T)    { runChaosSoak(t, "corruption-soak", 2, soakCell) }
+func TestChaosSoakRollingCrash(t *testing.T)  { runChaosSoak(t, "rolling-crash", 2, soakCell) }
 
 // TestChaosSoakRollingCrashWarm is the rolling-crash soak with durable
 // warm restarts: every crashed shard rejoins from its checkpoint+journal
 // lineage (recovering state, miss-bounce, self-validation) instead of
-// cold-empty. The same oracle must hold — in particular, a warm-restarted
-// replica's recovered-but-stale residents must never surface past the
-// quorum as resurrections or regressed observations.
+// cold-empty. The same history check must hold: in particular, a
+// warm-restarted replica's recovered-but-stale residents must never
+// surface past the quorum as resurrections or regressed observations.
 func TestChaosSoakRollingCrashWarm(t *testing.T) {
-	runChaosSoakCell(t, "rolling-crash-warm", 1, Options{Shards: 3, Spares: 3, Mode: R32, DataDir: t.TempDir()})
+	copt := soakCell
+	copt.DataDir = t.TempDir()
+	runChaosSoak(t, "rolling-crash-warm", 2, copt)
 }
 
 // TestRestartLostWriteRegressionCold is the distilled rolling-crash
@@ -376,12 +244,13 @@ func testRestartLostWriteRegression(t *testing.T, copt Options) {
 	c := newCell(t, copt)
 	cc := c.Internal()
 	ctx := context.Background()
-	cl := cc.NewClient(client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2})
+	rec := &history.Recorder{}
+	cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2}), R: rec}
 
 	key, val := []byte("ghost"), []byte("acked-by-two")
 	// Replica 2's mutation leg fails outright: the SET acks on {0,1} alone.
 	cc.SetRPCFailRate(2, 1.0, 1)
-	if err := cl.Set(ctx, key, val); err != nil {
+	if _, err := cl.SetVersioned(ctx, key, val); err != nil {
 		t.Fatalf("quorum-of-two set: %v", err)
 	}
 	cc.SetRPCFailRate(2, 0, 0)
@@ -389,24 +258,16 @@ func testRestartLostWriteRegression(t *testing.T, copt Options) {
 	// Crash an acker and bring it back mid-recovery (RestartBegin swaps in
 	// the new backend but does NOT repair yet — the window the flake lived
 	// in). Every read in this window must refuse to agree-miss: a value, or
-	// an error, never a clean miss.
+	// an error (quorum starved by the withheld vote: safe, retryable), never
+	// a clean miss.
 	c.Crash(0)
 	if _, err := cc.RestartBegin(0); err != nil {
 		t.Fatal(err)
 	}
 	sawHit := false
 	for i := 0; i < 20; i++ {
-		got, hit, err := cl.Get(ctx, key)
-		if err != nil {
-			continue // quorum starved by the withheld vote: safe, retryable
-		}
-		if !hit {
-			t.Fatal("lost acked write: quorum agreed miss while an acker was mid-restart")
-		}
-		if !bytes.Equal(got, val) {
-			t.Fatalf("get = %q, want %q", got, val)
-		}
-		sawHit = true
+		_, hit, err := cl.Get(ctx, key)
+		sawHit = sawHit || err == nil && hit
 	}
 	if copt.DataDir != "" {
 		// Warm: the journal already restored the key on the restarted
@@ -424,10 +285,10 @@ func testRestartLostWriteRegression(t *testing.T, copt Options) {
 	if err := cc.RestartComplete(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, hit, err := cl.Get(ctx, key)
-	if err != nil || !hit || !bytes.Equal(got, val) {
-		t.Fatalf("post-repair get: %q hit=%v err=%v", got, hit, err)
+	if _, _, err := cl.Get(ctx, key); err != nil {
+		t.Fatalf("post-repair get: %v", err)
 	}
+	checkRegister(t, rec, 0)
 	if cc.Backend(0).Recovering() {
 		t.Fatal("recovering guard still up after RestartComplete")
 	}
@@ -448,11 +309,13 @@ func TestRestartLostWriteUnderContention(t *testing.T) {
 	c := newCell(t, Options{Shards: 3, Mode: R32})
 	cc := c.Internal()
 	ctx := context.Background()
-	cl := cc.NewClient(client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2})
+	rec := &history.Recorder{}
+	quorumRPC := client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2}
+	cl := history.Client{C: cc.NewClient(quorumRPC), R: rec}
 
 	key, val := []byte("ghost-contended"), []byte("acked-by-two")
 	cc.SetRPCFailRate(2, 1.0, 1)
-	if err := cl.Set(ctx, key, val); err != nil {
+	if _, err := cl.SetVersioned(ctx, key, val); err != nil {
 		t.Fatalf("quorum-of-two set: %v", err)
 	}
 	cc.SetRPCFailRate(2, 0, 0)
@@ -483,52 +346,40 @@ func TestRestartLostWriteUnderContention(t *testing.T) {
 		}(w)
 	}
 	// Racing readers on the ghost key: every answered read in the window
-	// must be the acked value — an agreed miss is the lost write.
-	errCh := make(chan string, 8)
+	// must be the acked value — an agreed miss is the lost write. An error
+	// (quorum starved by the withheld vote) is safe.
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
-		go func() {
+		go func(r int) {
 			defer readers.Done()
-			rcl := cc.NewClient(client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2})
+			rcl := history.Client{C: cc.NewClient(quorumRPC), R: rec, ID: 1 + r}
 			for i := 0; i < 30; i++ {
-				got, hit, err := rcl.Get(ctx, key)
-				if err != nil {
-					continue // quorum starved by the withheld vote: safe
-				}
-				if !hit {
-					errCh <- "lost acked write: agreed miss during contended mid-restart window"
-					return
-				}
-				if !bytes.Equal(got, val) {
-					errCh <- fmt.Sprintf("ghost read %q, want %q", got, val)
-					return
-				}
+				rcl.Get(ctx, key)
 			}
-		}()
+		}(r)
 	}
 	readers.Wait()
 	close(stop)
 	writers.Wait()
-	select {
-	case msg := <-errCh:
-		t.Fatal(msg)
-	default:
-	}
 	if err := cc.RestartComplete(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, hit, err := cl.Get(ctx, key)
-	if err != nil || !hit || !bytes.Equal(got, val) {
-		t.Fatalf("post-repair get: %q hit=%v err=%v", got, hit, err)
+	if _, _, err := cl.Get(ctx, key); err != nil {
+		t.Fatalf("post-repair get: %v", err)
 	}
+	checkRegister(t, rec, 0)
 }
 
 // TestChaosSoakMaintenanceStorm runs the full SET/ERASE/CAS-adjacent
 // workload through repeated planned-maintenance cycles and an online
 // grow-then-shrink — every seal/drain/flip window the control plane can
-// open — holding the same oracle: no lost acked writes, no resurrection,
-// monotone observations, convergence after the storm.
-func TestChaosSoakMaintenanceStorm(t *testing.T) { runChaosSoak(t, "maintenance-storm", 1) }
+// open — holding the same history check and convergence after the storm.
+//
+// It keeps one writer per key. With two, about 1 run in 25 breaks the
+// register: a CAS reports a swap against a version that an acked write had
+// already superseded, and two reads that do not overlap, both concurrent
+// with one SET, go backwards (ROADMAP item 1(b)).
+func TestChaosSoakMaintenanceStorm(t *testing.T) { runChaosSoak(t, "maintenance-storm", 1, soakCell) }
 
 // TestRetryBudgetExhaustion: when every retry fails, the token-bucket
 // budget must cut the op off promptly with ErrExhausted — not let it

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/history"
 )
 
 // The two stress tests below are distilled regressions for the mixed-quorum
@@ -26,47 +27,41 @@ import (
 //   - a pending-epoch quorum acking before read authority flipped
 //     (client.mutateOnce's authority gate).
 //
-// handoffStress runs concurrent SET workers against a live cell while the
-// control-plane churn in `churn` executes, then verifies with a fresh
-// client that every acked write is readable at no less than its acked
-// sequence number. On a violation it dumps per-backend residency of the
-// lost key to make the next diagnosis cheap.
+// handoffStress runs concurrent SET workers, two per key, against a live
+// cell while the control-plane churn in `churn` executes, then reads every
+// key back through a fresh client and checks the whole history against a
+// versioned register (internal/history). On a violation it dumps the
+// violating key's residency on every backend to make the next diagnosis
+// cheap.
 func handoffStress(t *testing.T, opt Options, churn func(t *testing.T, c *Cell)) {
 	c := newCell(t, opt)
 	cc := c.Internal()
 	ctx := context.Background()
 
 	const workers = 4
+	const groups = workers / 2 // worker w writes group w % groups
 	const keys = 8
+	key := func(g, k int) []byte { return []byte(fmt.Sprintf("hs-g%d-k%d", g, k)) }
 
-	pre := cc.NewClient(client.Options{Strategy: client.StrategySCAR})
-	for w := 0; w < workers; w++ {
+	rec := &history.Recorder{}
+	pre := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategySCAR}), R: rec, ID: workers}
+	for g := 0; g < groups; g++ {
 		for k := 0; k < keys; k++ {
-			if err := pre.Set(ctx, []byte(fmt.Sprintf("hs-w%d-k%d", w, k)), []byte("s0")); err != nil {
+			if _, err := pre.SetVersioned(ctx, key(g, k), []byte("s0")); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
 	var stop atomic.Bool
-	var mu sync.Mutex
-	acked := make(map[string]int) // key -> highest acked seq
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl := cc.NewClient(client.Options{Strategy: client.StrategySCAR, NoFallback: true, Retries: 8, Budget: client.NewRetryBudget(500, 1)})
-			seq := 0
-			for !stop.Load() {
-				seq++
-				k := fmt.Sprintf("hs-w%d-k%d", w, seq%keys)
-				if err := cl.Set(ctx, []byte(k), []byte(fmt.Sprintf("s%d", seq))); err == nil {
-					mu.Lock()
-					acked[k] = seq
-					mu.Unlock()
-				}
+			cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategySCAR, NoFallback: true, Retries: 8, Budget: client.NewRetryBudget(500, 1)}), R: rec, ID: w}
+			for seq := 1; !stop.Load(); seq++ {
+				cl.SetVersioned(ctx, key(w%groups, seq%keys), []byte(fmt.Sprintf("w%d.s%d", w, seq)))
 			}
 		}(w)
 	}
@@ -76,30 +71,20 @@ func handoffStress(t *testing.T, opt Options, churn func(t *testing.T, c *Cell))
 	stop.Store(true)
 	wg.Wait()
 
-	check := cc.NewClient(client.Options{Strategy: client.Strategy2xR})
-	mu.Lock()
-	defer mu.Unlock()
-	for k, seq := range acked {
-		v, ok, err := check.Get(ctx, []byte(k))
-		if err != nil {
-			t.Fatalf("check get %s: %v", k, err)
-		}
-		if !ok {
-			t.Errorf("key %s: acked s%d but missing", k, seq)
-		} else {
-			var got int
-			fmt.Sscanf(string(v), "s%d", &got)
-			if got >= seq {
-				continue
-			}
-			t.Errorf("key %s: acked s%d but read s%d (lost acked write)", k, seq, got)
-		}
+	// Quorum reads only: the single-replica RPC fallback is outside the
+	// register.
+	check := history.Client{C: cc.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true}), R: rec, ID: workers + 1}
+	if err := check.ReadAll(ctx, cc.RepairAll); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range history.Check(rec.Ops(), 0) {
+		t.Error(v)
 		cfg := cc.Store.Get()
 		t.Logf("config ID=%d shards=%d addrs=%v", cfg.ID, cfg.Shards, cfg.ShardAddrs)
 		for _, b := range cc.Nodes() {
 			found := false
 			for _, it := range b.Items(-1, cfg.Shards) {
-				if string(it.Key) == k {
+				if string(it.Key) == v.Key {
 					t.Logf("  node %s shard=%d: %s ver=%+v tomb=%v", b.Addr(), b.Shard(), it.Value, it.Version, it.Tombstone)
 					found = true
 				}

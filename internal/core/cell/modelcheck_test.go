@@ -1,7 +1,6 @@
 package cell
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -9,6 +8,8 @@ import (
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/hashring"
+	"cliquemap/internal/history"
+	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
 
@@ -21,23 +22,26 @@ func primaryShard(c *Cell, key []byte) int {
 // This file is a miniature model checker for the R=3.2 quorum protocol —
 // the property the paper verified in TLA+ (§5, footnote 3: "We proved
 // single failure tolerance"). It exhaustively enumerates interleavings of
-// two concurrent SETs' per-replica applications (optionally with one
+// two concurrent mutations' per-replica applications (optionally with one
 // crashed replica) and, after *every* prefix, runs a real client GET
-// against the real backends, asserting:
+// against the real backends. The mutations, recorded with their explicit
+// versions, and the GETs form one history, which internal/history checks
+// against a versioned register:
 //
 //  1. Safety: a successful GET never returns a value that was not
 //     written, and never reports a miss while the key exists.
 //  2. Monotonicity: the version successful GETs observe never goes
 //     backwards as the interleaving advances (replica versions are
 //     monotone, so quorumed versions must be too).
-//  3. Convergence: once all steps of both SETs have applied, every GET
-//     succeeds with the higher-versioned SET's value — obstruction-free
-//     progress once the competing SETs have quiesced (§5.3).
+//  3. Convergence: once all steps of both mutations have applied, a GET
+//     succeeds with the higher-versioned one's outcome — obstruction-free
+//     progress once the competing mutations have quiesced (§5.3).
 //
 // Mid-race, a GET may legitimately fail to assemble a quorum: §5.3 notes
 // that a GET racing *multiple* concurrent SETs "may subsequently fail to
-// achieve quorum" and is retried. The model therefore tolerates
-// ErrInquorate on incomplete prefixes but never a wrong answer.
+// achieve quorum" and is retried. A failed GET observes nothing, so the
+// model tolerates ErrInquorate on incomplete prefixes but never a wrong
+// answer.
 
 // interleavings enumerates all merges of two sequences of lengths m and n
 // as boolean step lists (false = first writer's next step, true = second).
@@ -66,164 +70,88 @@ func TestInterleavingsCount(t *testing.T) {
 	}
 }
 
-// modelState drives one scenario.
-type modelState struct {
-	t       *testing.T
-	c       *Cell
-	cl      *client.Client
-	key     []byte
-	valueOf map[string]truetime.Version // value → version written with
-	lastVer truetime.Version
-	crashed int // crashed shard, or -1
-}
-
-func (m *modelState) get(step string) {
-	got, found, err := m.cl.Get(context.Background(), m.key)
-	if err != nil {
-		// Inquorate mid-race is legal (§5.3): three replicas at three
-		// distinct versions while two SETs are in flight.
-		return
-	}
-	if !found {
-		m.t.Fatalf("%s: GET missed an existing key", step)
-	}
-	ver, ok := m.valueOf[string(got)]
-	if !ok {
-		m.t.Fatalf("%s: GET returned a value that was never written: %q", step, got)
-	}
-	if ver.Less(m.lastVer) {
-		m.t.Fatalf("%s: observed version went backwards: %v after %v", step, ver, m.lastVer)
-	}
-	m.lastVer = ver
-}
-
 // TestModelCheckConcurrentSets exhaustively explores two racing SETs under
 // R=3.2, with and without a single crashed replica.
 func TestModelCheckConcurrentSets(t *testing.T) {
-	key := []byte("model-key")
-	orders := interleavings(3, 3)
-
 	for crash := -1; crash < 3; crash++ {
-		for oi, order := range orders {
-			name := fmt.Sprintf("crash%d/order%d", crash, oi)
-			// Fresh cell per scenario: deterministic initial state.
-			c := newTestCell(t, small32())
-			// The RPC fallback reads one replica without a quorum; keep it
-			// off so every answer the model sees is quorum-backed.
-			cl := c.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true, Retries: 1})
-			ctx := context.Background()
-
-			// Initial value v0 fully installed.
-			if err := cl.Set(ctx, key, []byte("v0")); err != nil {
-				t.Fatal(err)
-			}
-
-			// Two writers with racing versions: ver1 < ver2 always, so the
-			// converged value must be "v2".
-			clk := &truetime.FakeClock{}
-			clk.Set(time.Now().UnixMicro() + 1_000_000_000) // far above v0's wall-clock version
-			g1 := truetime.NewGenerator(clk, 101)
-			g2 := truetime.NewGenerator(clk, 102)
-			ver1 := g1.Next()
-			ver2 := g2.Next() // same micros, higher client id → ver1 < ver2
-
-			ms := &modelState{
-				t: t, c: c, cl: cl, key: key, crashed: crash,
-				valueOf: map[string]truetime.Version{
-					"v0": {}, "v1": ver1, "v2": ver2,
-				},
-			}
-			if crash >= 0 {
-				c.Crash(crash)
-			}
-
-			// The cohort of the key under 3 shards is all three backends;
-			// apply order within each SET is replica 0,1,2 of the cohort.
-			cfg := c.Store.Get()
-			cohort := cfg.Cohort(primaryShard(c, key))
-			i1, i2 := 0, 0
-			ms.get("initial")
-			for si, second := range order {
-				var shard int
-				var val []byte
-				var ver truetime.Version
-				if !second {
-					shard = cohort[i1]
-					val, ver = []byte("v1"), ver1
-					i1++
-				} else {
-					shard = cohort[i2]
-					val, ver = []byte("v2"), ver2
-					i2++
-				}
-				if shard != crash {
-					b := c.Backend(shard)
-					b.ApplySet(key, val, ver)
-				}
-				ms.get(fmt.Sprintf("%s step %d", name, si))
-			}
-			// Converged: the higher version must win everywhere live.
-			got, found, err := cl.Get(ctx, key)
-			if err != nil || !found || !bytes.Equal(got, []byte("v2")) {
-				t.Fatalf("%s converged on %q (found=%v err=%v), want v2", name, got, found, err)
-			}
-		}
+		modelCheck(t, trace.KindSet, crash)
 	}
 }
 
 // TestModelCheckSetEraseRace explores a SET racing an ERASE step-by-step:
 // the erase's tombstone must make the outcome deterministic per version
 // order, and an erased value must never resurrect.
-func TestModelCheckSetEraseRace(t *testing.T) {
-	key := []byte("model-key")
-	orders := interleavings(3, 3)
+func TestModelCheckSetEraseRace(t *testing.T) { modelCheck(t, trace.KindErase, -1) }
 
-	for oi, order := range orders {
+// modelCheck runs every interleaving of a SET of "v1" racing a second
+// mutation of kind second (a SET of "v2", or an ERASE) at a higher
+// version in the same microsecond, each applied replica by replica, with
+// shard crash down (-1: none). Converged, the second mutation wins, and
+// the first one's stale late copy must not resurrect anything.
+func modelCheck(t *testing.T, second trace.Kind, crash int) {
+	key := []byte("model-key")
+	for oi, order := range interleavings(3, 3) {
+		name := fmt.Sprintf("crash%d/order%d", crash, oi)
+		// Fresh cell per scenario: deterministic initial state.
 		c := newTestCell(t, small32())
-		cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})
+		rec := &history.Recorder{}
+		// The RPC fallback reads one replica without a quorum; keep it off
+		// so every answer the model sees is quorum-backed (mid-race, a
+		// fallback read of the one replica an erase reached answers a miss
+		// that the quorum read after it contradicts).
+		cl := history.Client{C: c.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true, Retries: 1}), R: rec}
 		ctx := context.Background()
-		if err := cl.Set(ctx, key, []byte("v0")); err != nil {
+		if _, err := cl.SetVersioned(ctx, key, []byte("v0")); err != nil {
 			t.Fatal(err)
 		}
-
 		clk := &truetime.FakeClock{}
-		clk.Set(time.Now().UnixMicro() + 1_000_000_000)
-		gSet := truetime.NewGenerator(clk, 101)
-		gErase := truetime.NewGenerator(clk, 102)
-		setVer := gSet.Next()
-		eraseVer := gErase.Next() // eraseVer > setVer
-
-		cfg := c.Store.Get()
-		cohort := cfg.Cohort(primaryShard(c, key))
-		iS, iE := 0, 0
-		for _, second := range order {
-			if !second {
-				b := c.Backend(cohort[iS])
-				b.ApplySet(key, []byte("v1"), setVer)
-				iS++
-			} else {
-				b := c.Backend(cohort[iE])
-				b.ApplyErase(key, eraseVer)
-				iE++
+		clk.Set(time.Now().UnixMicro() + 1_000_000_000) // far above v0's wall-clock version
+		ver1 := truetime.NewGenerator(clk, 101).Next()
+		ver2 := truetime.NewGenerator(clk, 102).Next() // same micros, higher client id → ver1 < ver2
+		if crash >= 0 {
+			c.Crash(crash)
+		}
+		// Both mutations span every step, and every GET between.
+		start := rec.Tick()
+		// The cohort of the key under 3 shards is all three backends; each
+		// mutation applies to replica 0, 1, 2 of the cohort in turn.
+		cohort := c.Store.Get().Cohort(primaryShard(c, key))
+		next := [2]int{}
+		cl.Get(ctx, key)
+		for _, two := range order {
+			i := 0
+			if two {
+				i = 1
 			}
-			// Mid-race GETs must never see a value that was never written.
-			got, found, err := cl.Get(ctx, key)
-			if err == nil && found {
-				if string(got) != "v0" && string(got) != "v1" {
-					t.Fatalf("order %d: phantom value %q", oi, got)
+			if shard := cohort[next[i]]; shard != crash {
+				switch {
+				case !two:
+					c.Backend(shard).ApplySet(key, []byte("v1"), ver1)
+				case second == trace.KindSet:
+					c.Backend(shard).ApplySet(key, []byte("v2"), ver2)
+				default:
+					c.Backend(shard).ApplyErase(key, ver2)
 				}
 			}
+			next[i]++
+			cl.Get(ctx, key) // an inquorate GET observes nothing
 		}
-		// Erase has the higher version: the key must be gone everywhere.
-		if _, found, err := cl.Get(ctx, key); err != nil || found {
-			t.Fatalf("order %d: erased key still visible (found=%v err=%v)", oi, found, err)
+		rec.Add(history.Op{Invoke: start, Client: 101, Kind: trace.KindSet, Key: string(key), Value: history.Tag([]byte("v1")), Version: ver1})
+		op := history.Op{Invoke: start, Client: 102, Kind: second, Key: string(key), Version: ver2}
+		if second == trace.KindSet {
+			op.Value = history.Tag([]byte("v2"))
 		}
-		// And a stale late SET must not resurrect it (§5.2 tombstones).
+		rec.Add(op)
 		for _, shard := range cohort {
-			c.Backend(shard).ApplySet(key, []byte("v1"), setVer)
+			if shard != crash {
+				c.Backend(shard).ApplySet(key, []byte("v1"), ver1)
+			}
 		}
-		if _, found, _ := cl.Get(ctx, key); found {
-			t.Fatalf("order %d: stale SET resurrected erased key", oi)
+		if _, _, err := cl.Get(ctx, key); err != nil {
+			t.Fatalf("%s: converged GET: %v", name, err)
+		}
+		if vs := history.Check(rec.Ops(), 0); len(vs) > 0 {
+			t.Fatalf("%s:\n%v", name, vs[0])
 		}
 	}
 }
