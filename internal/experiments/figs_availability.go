@@ -26,7 +26,7 @@ func Fig11Preferred() Result {
 			Backend: smallBackend(),
 		})
 		cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})
-		keys := preload(cl, 1, 4096)
+		keys := preload(cl.SetVersioned, 1, 4096)
 		if load {
 			// Load the host of the key's primary replica so R=1 cannot
 			// avoid it.
@@ -87,7 +87,7 @@ func maintenanceRun(name, title string, inject func(c *cell.Cell, interval int))
 		Backend:   smallBackend(),
 	})
 	cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})
-	keys := preload(cl, keyCount, 1024)
+	keys := preload(cl.SetVersioned, keyCount, 1024)
 
 	res := Result{Name: name, Title: title}
 	lastBytes := c.Net.BytesSent()
@@ -169,7 +169,7 @@ func FigWarmRestart() Result {
 			DataDir:   dataDir,
 		})
 		cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})
-		keys := preload(cl, keyCount, 1024)
+		keys := preload(cl.SetVersioned, keyCount, 1024)
 
 		c.Crash(1)
 		if _, err := c.RestartBegin(1); err != nil {

@@ -40,7 +40,7 @@ func Fig6Languages() Result {
 	for _, prof := range shim.Profiles() {
 		c := std32()
 		cl := c.NewClient(client.Options{Strategy: client.StrategySCAR})
-		kk := preload(cl, keys, 64)
+		kk := preload(cl.SetVersioned, keys, 64)
 
 		var hist stats.Histogram
 		var cpuNs float64
@@ -108,7 +108,7 @@ func Fig7LookupCPU() Result {
 			Backend:   smallBackend(),
 		})
 		cl := c.NewClient(client.Options{Strategy: strat})
-		kk := preload(cl, keys, 64)
+		kk := preload(cl.SetVersioned, keys, 64)
 		// Per-op accounting: divide total CPU by completed GETs.
 		startClient := c.Acct.TotalNanos("client")
 		startPony := c.Acct.TotalNanos("pony")

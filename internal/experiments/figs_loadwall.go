@@ -164,7 +164,7 @@ func runLoadwallCase(rc loadwallCase, prof loadwallProfile) *loadwall.Report {
 	if rc.valSize >= 8<<10 {
 		nKeys = 256 // keep the large-value corpus within the data segment
 	}
-	keys := preload(c.NewClient(client.Options{}), nKeys, rc.valSize)
+	keys := preload(c.NewClient(client.Options{}).SetVersioned, nKeys, rc.valSize)
 
 	// One client per generator worker, checked out through a pool so an op
 	// always holds its client exclusively; NewClient round-robins them

@@ -15,7 +15,7 @@ import (
 func mixRun(getFrac float64, valSize, ops int) (getHist, setHist *stats.Histogram, cpuPerSec, cpuUsPerOp float64) {
 	c := std32()
 	cl := c.NewClient(client.Options{Strategy: client.StrategySCAR})
-	keys := preload(cl, 200, valSize)
+	keys := preload(cl.SetVersioned, 200, valSize)
 
 	mix := workload.NewMix(getFrac, 42)
 	getHist = &stats.Histogram{}

@@ -27,7 +27,7 @@ func Fig12Incast() Result {
 			Backend: smallBackend(),
 		})
 		cl := c.NewClient(client.Options{Strategy: strat})
-		keys := preload(cl, 4, valSize)
+		keys := preload(cl.SetVersioned, 4, valSize)
 		if clientLoad {
 			// Competing demand through the client's own NIC exacerbates
 			// the incast condition (§7.2.2).
@@ -102,7 +102,7 @@ func rampStep(cl *client.Client, keys [][]byte, rate float64, wall time.Duration
 func Fig15PonyRamp() Result {
 	c := rampCell(cell.TransportPony)
 	cl := c.NewClient(client.Options{Strategy: client.StrategySCAR})
-	keys := preload(cl, 100, 4096)
+	keys := preload(cl.SetVersioned, 100, 4096)
 
 	res := Result{
 		Name:  "fig15",
@@ -135,7 +135,7 @@ func Fig15PonyRamp() Result {
 func oneRMARamp() (hwRows, getRows []Row) {
 	c := rampCell(cell.Transport1RMA)
 	cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})
-	keys := preload(cl, 100, 4096)
+	keys := preload(cl.SetVersioned, 100, 4096)
 
 	for _, rate := range []float64{200, 2000, 10000, 0} {
 		c.HWHist.Reset()
