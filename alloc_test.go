@@ -191,7 +191,7 @@ func TestMutationAllocBudget(t *testing.T) {
 			if err := cl.Erase(ctx, key); err != nil {
 				t.Fatal(err)
 			}
-		}, 3},
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			warm(tc.op)
@@ -200,6 +200,27 @@ func TestMutationAllocBudget(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("ERASE into a full tombstone cache", func(t *testing.T) {
+		const capacity = 64 // each backend's exact and pending lists
+		c := newCell(t, Options{Transport: OneRMA, TombstoneCap: capacity})
+		cl := c.NewClient(ClientOptions{Strategy: Lookup2xR})
+		keys := make([][]byte, 10*64+300)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("fresh-%06d", i))
+		}
+		next := 0
+		erase := func() {
+			if err := cl.Erase(ctx, keys[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		warm(erase) // 640 erases fill both lists of every backend many times over
+		if got := testing.AllocsPerRun(200, erase); got > 0 {
+			t.Errorf("%v allocations per ERASE of a fresh key, budget 0", got)
+		}
+	})
 
 	t.Run("2xR hit with touch feedback", func(t *testing.T) {
 		tcl := c.NewClient(ClientOptions{Strategy: Lookup2xR, TouchBatch: 64})

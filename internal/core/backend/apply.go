@@ -71,7 +71,8 @@ func (b *Backend) versionBound(s *stripe, raw layout.RawBucket, key []byte, h ha
 	if se, ok := s.side[h]; ok {
 		return se.version, true
 	}
-	return b.tombBound(key), false
+	bound, _ = b.tombBound(h, key)
+	return bound, false
 }
 
 // versionGate is the check every mutation passes under its stripe lock —
@@ -301,7 +302,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 		if !mustExist {
 			s.policy.Add(h)
 		}
-		b.publish(persist.OpSet, key, value, v)
+		b.publish(persist.OpSet, h, key, value, v)
 		s.unlock()
 		b.maybeResizeIndex()
 		b.maybeCheckpoint()
@@ -355,7 +356,7 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 	}
 	b.removeLocked(s, h)
 	s.ctr.erasesApplied.Add(1)
-	b.publish(persist.OpErase, key, nil, v)
+	b.publish(persist.OpErase, h, key, nil, v)
 	s.unlock()
 	b.maybeCheckpoint()
 	return true, v
@@ -394,12 +395,8 @@ func (b *Backend) cas(sink *trace.SpanSink, key, value []byte, expected, v truet
 // take every stripe. value is the client-visible (uncompressed) bytes.
 // The checkpoint trigger is not a note: it takes every stripe, so the
 // caller runs it after releasing this one (maybeCheckpoint).
-func (b *Backend) publish(op byte, key, value []byte, v truetime.Version) {
-	if op == persist.OpErase {
-		b.tombInsert(key, v)
-	} else {
-		b.tombDrop(key)
-	}
+func (b *Backend) publish(op byte, h hashring.KeyHash, key, value []byte, v truetime.Version) {
+	b.tombPublish(op == persist.OpErase, h, key, v)
 	b.journalNote(key)
 	b.persistNote(op, key, value, v)
 }

@@ -77,8 +77,8 @@ func TestCorpusViewsAgree(t *testing.T) {
 		r.b.ApplyErase([]byte(k), v)
 		want.tombs[k] = v
 	}
-	if len(r.b.tomb.pending.m) != 1 || len(r.b.tomb.live.m) != 1 {
-		t.Fatalf("fixture tombstones: %d live, %d pending", len(r.b.tomb.live.m), len(r.b.tomb.pending.m))
+	if r.b.tomb.n[pendingStage] != 1 || r.b.tomb.n[exactStage] != 1 {
+		t.Fatalf("fixture tombstones: %d exact, %d pending", r.b.tomb.n[exactStage], r.b.tomb.n[pendingStage])
 	}
 	damaged := r.b.CorruptEntries(1, 7)
 	if len(damaged) != 1 {

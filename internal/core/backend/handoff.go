@@ -26,6 +26,7 @@ package backend
 //     handoff cannot resurrect on the new owner (§5.2).
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -179,7 +180,7 @@ func (b *Backend) snapshotKeys(keys []string) []proto.MigrateItem {
 		kb := []byte(k)
 		if val, ver, ok := b.get(nil, kb); ok {
 			out = append(out, proto.MigrateItem{Key: kb, Value: val, Version: ver})
-		} else if v, ok := b.tombExact(kb); ok {
+		} else if v, exact := b.tombBound(b.opt.Hash(kb), kb); exact {
 			out = append(out, proto.MigrateItem{Key: kb, Version: v, Tombstone: true})
 		}
 	}
@@ -241,7 +242,7 @@ func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Cont
 	// Tombstones as first-class items, then the coarse summary.
 	var tombs []proto.MigrateItem
 	b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
-		tombs = append(tombs, proto.MigrateItem{Key: key, Version: v, Tombstone: true})
+		tombs = append(tombs, proto.MigrateItem{Key: bytes.Clone(key), Version: v, Tombstone: true})
 	})
 	if err := stream(tombs); err != nil {
 		return err

@@ -321,7 +321,7 @@ func (b *Backend) DropForeign(shards, replicas int) int {
 	b.unlockAll()
 
 	b.tombMutate(func(t *tombstoneCache) {
-		t.dropIf(func(k string) bool { return foreign(b.opt.Hash([]byte(k))) })
+		t.dropIf(foreign)
 	})
 	if len(victims) > 0 && b.persist.Load() != nil {
 		// Collapse the durable lineage to the trimmed corpus so a later

@@ -91,7 +91,7 @@ func TestHandlersKeepNoRequestBytes(t *testing.T) {
 			}
 		}
 		for k, want := range erased {
-			if ver, ok := b.tombExact([]byte(k)); !ok || ver != want {
+			if ver, ok := b.tombBound(b.opt.Hash([]byte(k)), []byte(k)); !ok || ver != want {
 				t.Errorf("%s: tombstone of %s = %v (%v), want %v", when, k, ver, ok, want)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
@@ -440,9 +441,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 			for _, it := range page.Items {
 				view.items[string(it.Key)] = it
 			}
-			if view.summary.Less(page.TombSummary) {
-				view.summary = page.TombSummary
-			}
+			view.summary = view.summary.Max(page.TombSummary)
 			cursor, done = page.NextCursor, page.Done
 		}
 		views = append(views, view)
@@ -461,6 +460,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 		bestIdx := -1
 		var bestV truetime.Version
 		bestTomb := false
+		var bestH hashring.KeyHash
 		for i, v := range views {
 			it, ok := v.items[k]
 			if !ok {
@@ -470,6 +470,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 			versions = append(versions, it.Version)
 			if bestIdx < 0 || bestV.Less(it.Version) {
 				bestIdx, bestV, bestTomb = i, it.Version, it.Tombstone
+				bestH = hashring.KeyHash{Hi: it.HashHi, Lo: it.HashLo}
 			}
 		}
 		clean := true
@@ -484,7 +485,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 				// Every replica holds the tombstone at bestV: the erase
 				// is cohort-settled, so a pending-settle copy of it can
 				// retire.
-				b.tombSettled(k, bestV)
+				b.tombSettled(bestH, []byte(k), bestV)
 			}
 			continue
 		}
@@ -518,7 +519,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 				}
 			}
 			if settledAll {
-				b.tombSettled(k, bestV)
+				b.tombSettled(bestH, []byte(k), bestV)
 			}
 			repaired++
 			continue

@@ -5,6 +5,7 @@ package backend
 // holds, goes through the primitives in this file.
 
 import (
+	"bytes"
 	"sync/atomic"
 
 	"cliquemap/internal/core/layout"
@@ -328,7 +329,7 @@ func (b *Backend) scan(req proto.ScanReq) (resp proto.ScanResp) {
 		return resp
 	}
 	b.eachTombstone(filter, func(key []byte, h hashring.KeyHash, v truetime.Version) {
-		resp.Items = append(resp.Items, proto.ScanItem{HashHi: h.Hi, HashLo: h.Lo, Version: v, Key: key, Tombstone: true})
+		resp.Items = append(resp.Items, proto.ScanItem{HashHi: h.Hi, HashLo: h.Lo, Version: v, Key: bytes.Clone(key), Tombstone: true})
 	})
 	// The coarse summary travels with the scan so repair peers can tell
 	// "never saw this key" apart from "erased it, but the tombstone was

@@ -1,196 +1,210 @@
 package backend
 
 import (
+	"bytes"
+
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/truetime"
 )
 
-// tombstoneCache retains VersionNumbers of ERASEd keys (§5.2): late
-// arriving SETs must not resurrect affirmatively-erased values, but erased
-// versions cannot live in the index region without wasting RMA-accessible
-// DRAM. The cache is a fully associative, fixed-size structure on the
-// backend's heap.
+// tombstoneCache keeps the VersionNumbers of ERASEd keys (§5.2) on the
+// backend's heap, not in RMA-accessible DRAM, so late SETs cannot
+// resurrect erased values. Eviction is two-staged: a tombstone evicted
+// from the exact list moves to the PENDING-SETTLE list, precise and
+// enumerable to cohort scans until a repair sweep sees its cohort settled;
+// only a pending-list overflow collapses it into the coarse summary, which
+// blocks stale SETs but is invisible to repair (see RepairShard). The
+// resurrection residual is bounded to keys that fall out of BOTH stages
+// between sweeps, and overflow counts them.
 //
-// Eviction is two-staged. A tombstone evicted from the exact cache first
-// moves to the PENDING-SETTLE queue: it keeps its precise (key, version)
-// and stays enumerable to cohort scans, so the next repair sweep can fold
-// the erase back into cohort state (re-erasing any replica that missed
-// it) and then retire the entry once the cohort is observed settled.
-// Only when the pending queue itself overflows does a tombstone collapse
-// into the single coarse summary VersionNumber — coarse, but never
-// inconsistent. The summary blocks stale SETs but is invisible to repair
-// (repair must stay neutral on summary-dominated keys, see RepairShard),
-// so the resurrection residual is formally bounded to keys that fall out
-// of BOTH stages before a repair sweep runs; overflow counts the times
-// that bound was consumed.
+// Both lists are FIFO by first insertion, in one index-linked arena with
+// a free chain and one KeyHash → node map. The key stays the identity (a
+// lookup compares its bytes); a second key whose hash slot is taken folds
+// into the summary, which only blocks. Key bytes live in one arena that
+// compacts into a spare buffer, so a warm cache's inserts allocate nothing.
 type tombstoneCache struct {
-	live     tombQueue // the exact cache
-	pending  tombQueue // evicted-but-not-yet-settled tombstones
-	summary  truetime.Version
-	overflow uint64 // pending evictions folded into the summary
+	nodes       []tombNode // 0 and 1 are the lists' sentinels
+	at          map[hashring.KeyHash]int32
+	free        int32    // chained through next; a sentinel never is, so 0 ends it
+	n           [2]int32 // each list's length
+	cap         int32    // each list's bound
+	keys, spare []byte   // the nodes' key bytes; the buffer store compacts into
+	summary     truetime.Version
+	overflow    uint64
 }
 
-// tombQueue is one stage: an exact key → version map that evicts in FIFO
-// order of first insertion. Each map entry carries the sequence number of
-// its own order record, so a record left behind by a drop or settle (or
-// by a drop-then-reinsert of the same key) is recognizably stale: eviction
-// skips it rather than evicting the key's newer incarnation ahead of older
-// tombstones, and compaction bounds the order slice at 2·cap however the
-// keys churn.
-type tombQueue struct {
-	cap   int
-	seq   uint64
-	m     map[string]tombEntry
-	order []tombOrder // order[head:] is the queue; compaction reuses the array
-	head  int
+// A node is on one list, the stage's: its sentinel's next is the oldest.
+type tombNode struct {
+	h                  hashring.KeyHash
+	v                  truetime.Version
+	off, n, prev, next int32 // the key is keys[off:off+n]
+	stage              int32
 }
 
-type tombEntry struct {
-	v   truetime.Version
-	seq uint64
-}
-
-type tombOrder struct {
-	key string
-	seq uint64
-}
+const exactStage, pendingStage = 0, 1
 
 func newTombstoneCache(capacity int) *tombstoneCache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &tombstoneCache{
-		live:    tombQueue{cap: capacity, m: make(map[string]tombEntry)},
-		pending: tombQueue{cap: capacity, m: make(map[string]tombEntry)},
-	}
+	sentinels := []tombNode{{prev: 0, next: 0}, {prev: 1, next: 1}}
+	return &tombstoneCache{nodes: sentinels, at: make(map[hashring.KeyHash]int32), cap: int32(capacity)}
 }
 
-// put records key at v; a newer version for a key already queued wins in
-// place. A new key at capacity first evicts the oldest live entry, which
-// is returned for the caller to demote.
-func (q *tombQueue) put(key string, v truetime.Version) (victim string, vv truetime.Version, evicted bool) {
-	if old, ok := q.m[key]; ok {
-		if old.v.Less(v) {
-			old.v = v
-			q.m[key] = old
-		}
-		return "", truetime.Version{}, false
-	}
-	for len(q.m) >= q.cap && q.head < len(q.order) && !evicted {
-		r := q.order[q.head]
-		q.head++
-		if e, ok := q.m[r.key]; ok && e.seq == r.seq {
-			delete(q.m, r.key)
-			victim, vv, evicted = r.key, e.v, true
-		}
-	}
-	q.seq++
-	q.m[key] = tombEntry{v: v, seq: q.seq}
-	q.order = append(q.order, tombOrder{key: key, seq: q.seq})
-	if len(q.order) > 2*q.cap {
-		kept := q.order[:0]
-		for _, r := range q.order[q.head:] {
-			if e, ok := q.m[r.key]; ok && e.seq == r.seq {
-				kept = append(kept, r)
-			}
-		}
-		clear(q.order[len(kept):]) // release the dropped records' keys
-		q.order, q.head = kept, 0
-	}
-	return victim, vv, evicted
+func (t *tombstoneCache) key(i int32) []byte {
+	n := &t.nodes[i]
+	return t.keys[n.off : n.off+n.n : n.off+n.n]
 }
 
-// insert records key as erased at v, demoting the oldest tombstone into
-// the pending-settle queue if the exact cache is full, and folding the
-// pending queue's own oldest entry into the coarse summary when that
-// overflows too — the formally-bounded residual.
-func (t *tombstoneCache) insert(key string, v truetime.Version) {
-	if _, ok := t.live.m[key]; !ok {
-		// The exact entry supersedes any older pending copy of the same key.
-		delete(t.pending.m, key)
-	}
-	victim, vv, evicted := t.live.put(key, v)
-	if !evicted {
+func (t *tombstoneCache) find(h hashring.KeyHash, key []byte) (int32, bool) {
+	i, ok := t.at[h]
+	return i, ok && bytes.Equal(t.key(i), key)
+}
+
+// push appends node i to the back of stage's list.
+func (t *tombstoneCache) push(i, stage int32) {
+	n := &t.nodes[i]
+	n.stage, n.prev, n.next = stage, t.nodes[stage].prev, stage
+	t.nodes[n.prev].next, t.nodes[stage].prev = i, i
+	t.n[stage]++
+}
+
+func (t *tombstoneCache) unlink(i int32) {
+	n := &t.nodes[i]
+	t.nodes[n.prev].next, t.nodes[n.next].prev = n.next, n.prev
+	t.n[n.stage]--
+}
+
+// remove unlinks node i, forgets its key and chains it for reuse.
+func (t *tombstoneCache) remove(i int32) {
+	t.unlink(i)
+	delete(t.at, t.nodes[i].h)
+	t.nodes[i].next, t.free = t.free, i
+}
+
+// fold raises the summary to v for a tombstone leaving the exact stages.
+func (t *tombstoneCache) fold(v truetime.Version) {
+	t.summary = t.summary.Max(v)
+	t.overflow++
+}
+
+// insert records key as erased at v. A key already in the exact cache
+// takes a newer v in place; any other, at capacity, demotes the oldest
+// exact tombstone to the pending list, whose own oldest folds into the
+// summary when that is full too — the formally-bounded residual.
+func (t *tombstoneCache) insert(h hashring.KeyHash, key []byte, v truetime.Version) {
+	i, ok := t.at[h]
+	switch {
+	case ok && !bytes.Equal(t.key(i), key):
+		t.fold(v)
 		return
+	case ok && t.nodes[i].stage == exactStage:
+		t.nodes[i].v = t.nodes[i].v.Max(v)
+		return
+	case ok: // the exact entry supersedes the key's pending copy
+		t.unlink(i)
 	}
-	if _, pv, over := t.pending.put(victim, vv); over {
-		if t.summary.Less(pv) {
-			t.summary = pv
+	if d := t.nodes[exactStage].next; t.n[exactStage] >= t.cap {
+		t.unlink(d)
+		if p := t.nodes[pendingStage].next; t.n[pendingStage] >= t.cap {
+			t.fold(t.nodes[p].v)
+			t.remove(p)
 		}
-		t.overflow++
+		t.push(d, pendingStage)
+	}
+	if !ok {
+		off := t.store(key)
+		if i = t.free; i == 0 {
+			i = int32(len(t.nodes))
+			t.nodes = append(t.nodes, tombNode{})
+		} else {
+			t.free = t.nodes[i].next
+		}
+		t.nodes[i] = tombNode{h: h, off: off, n: int32(len(key))}
+		t.at[h] = i
+	}
+	t.nodes[i].v = v
+	t.push(i, exactStage)
+}
+
+// store appends key to the key arena and returns its offset. A full arena
+// is first compacted: the linked nodes' keys are copied into spare, grown
+// to twice what they and key need, and the two buffers swap.
+func (t *tombstoneCache) store(key []byte) int32 {
+	if len(t.keys)+len(key) > cap(t.keys) {
+		need := len(key)
+		t.each(func(i int32) { need += int(t.nodes[i].n) })
+		if cap(t.spare) < 2*need {
+			t.spare = make([]byte, 0, 2*need)
+		}
+		s := t.spare[:0]
+		t.each(func(i int32) {
+			s = append(s, t.key(i)...)
+			t.nodes[i].off = int32(len(s)) - t.nodes[i].n
+		})
+		t.keys, t.spare = s, t.keys[:0]
+	}
+	t.keys = append(t.keys, key...)
+	return int32(len(t.keys) - len(key))
+}
+
+// each calls fn with every linked node: the exact list, then the pending
+// one, each oldest first. fn may remove the node it is given.
+func (t *tombstoneCache) each(fn func(i int32)) {
+	for s := range int32(2) {
+		for i := t.nodes[s].next; i != s; {
+			next := t.nodes[i].next
+			fn(i)
+			i = next
+		}
 	}
 }
 
-// settled retires key's pending tombstone once a repair sweep has
-// observed the cohort settled at version v (every replica holds the
-// tombstone, or every laggard's re-erase was delivered). A pending entry
-// newer than v stays — it still needs its own settle.
-func (t *tombstoneCache) settled(key string, v truetime.Version) {
-	if p, ok := t.pending.m[key]; ok && !v.Less(p.v) {
-		delete(t.pending.m, key)
+// settled retires key's pending tombstone once a repair sweep observed the
+// cohort settled at v (every replica holds it, or every laggard's
+// re-erase was delivered); one newer than v still needs its own settle.
+func (t *tombstoneCache) settled(h hashring.KeyHash, key []byte, v truetime.Version) {
+	if i, ok := t.find(h, key); ok && t.nodes[i].stage == pendingStage && !v.Less(t.nodes[i].v) {
+		t.remove(i)
 	}
 }
 
 // drop removes key's tombstone (a newer SET superseded it). The summary is
-// untouched — it only ever grows. Takes the raw key bytes so the hot SET
-// path avoids a string conversion (delete with an inline string(k) compiles
-// allocation-free).
-func (t *tombstoneCache) drop(key []byte) {
-	delete(t.live.m, string(key))
-	delete(t.pending.m, string(key))
-}
-
-// exact returns key's precise tombstone, live or pending.
-func (t *tombstoneCache) exact(key []byte) (truetime.Version, bool) {
-	if e, ok := t.live.m[string(key)]; ok {
-		return e.v, true
-	}
-	e, ok := t.pending.m[string(key)]
-	return e.v, ok
-}
-
-// bound returns the highest version that could have erased key: the exact
-// tombstone when cached (live or pending), else the summary upper bound.
-func (t *tombstoneCache) bound(key []byte) truetime.Version {
-	if v, ok := t.exact(key); ok {
-		return v
-	}
-	return t.summary
-}
-
-// each enumerates every exact tombstone once: the live cache, then the
-// pending-settle entries (a key is never in both; see insert).
-func (t *tombstoneCache) each(fn func(key string, v truetime.Version)) {
-	for k, e := range t.live.m {
-		fn(k, e.v)
-	}
-	for k, e := range t.pending.m {
-		fn(k, e.v)
+// untouched — it only ever grows.
+func (t *tombstoneCache) drop(h hashring.KeyHash, key []byte) {
+	if i, ok := t.find(h, key); ok {
+		t.remove(i)
 	}
 }
 
-// dropIf removes every exact tombstone whose key satisfies pred.
-func (t *tombstoneCache) dropIf(pred func(key string) bool) {
-	for _, m := range []map[string]tombEntry{t.live.m, t.pending.m} {
-		for k := range m {
-			if pred(k) {
-				delete(m, k)
-			}
+// bound returns the highest version that could have erased key, and
+// whether that is key's own tombstone (exact or pending) rather than the
+// summary upper bound.
+func (t *tombstoneCache) bound(h hashring.KeyHash, key []byte) (truetime.Version, bool) {
+	if i, ok := t.find(h, key); ok {
+		return t.nodes[i].v, true
+	}
+	return t.summary, false
+}
+
+// dropIf removes every precise tombstone whose hash satisfies pred.
+func (t *tombstoneCache) dropIf(pred func(h hashring.KeyHash) bool) {
+	t.each(func(i int32) {
+		if pred(t.nodes[i].h) {
+			t.remove(i)
 		}
-	}
+	})
 }
 
-// len returns the enumerable tombstone count: live entries plus the
-// pending-settle queue (both feed bound and cohort scans, so both gate
-// the tombLive fast-path shadow).
-func (t *tombstoneCache) len() int { return len(t.live.m) + len(t.pending.m) }
+// len returns the enumerable tombstone count: both lists feed bound and
+// cohort scans, so both gate the tombLive fast-path shadow.
+func (t *tombstoneCache) len() int { return int(t.n[exactStage] + t.n[pendingStage]) }
 
 // The tombstone cache stays global — its coarse summary bound (§5.2) is a
-// whole-backend property (and TestTombstoneSummaryCoarseButConsistent pins
-// that) — behind its own leaf mutex, tombMu. Everything below is the
-// Backend's only access to it. Reads and drops first consult the atomic
-// shadow state so that with no live tombstones (the common case) SETs
-// never touch tombMu.
+// whole-backend property (TestTombstoneSummaryCoarseButConsistent) —
+// behind its own leaf mutex, tombMu. Below is the Backend's only access to
+// it; callers pass the key's hash. Reads and drops first consult atomic
+// shadows, so with no tombstones (the common case) SETs skip tombMu.
 
 // tombMutate runs fn on the cache under tombMu and refreshes the shadows.
 func (b *Backend) tombMutate(fn func(t *tombstoneCache)) {
@@ -201,20 +215,13 @@ func (b *Backend) tombMutate(fn func(t *tombstoneCache)) {
 	b.tombSummarySet.Store(!b.tomb.summary.Zero())
 }
 
-func (b *Backend) tombBound(key []byte) truetime.Version {
+func (b *Backend) tombBound(h hashring.KeyHash, key []byte) (truetime.Version, bool) {
 	if b.tombLive.Load() == 0 && !b.tombSummarySet.Load() {
-		return truetime.Version{}
+		return truetime.Version{}, false
 	}
 	b.tombMu.Lock()
 	defer b.tombMu.Unlock()
-	return b.tomb.bound(key)
-}
-
-// tombExact returns key's precise tombstone, if one is still enumerable.
-func (b *Backend) tombExact(key []byte) (truetime.Version, bool) {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	return b.tomb.exact(key)
+	return b.tomb.bound(h, key)
 }
 
 // tombSummary returns the coarse tombstone-summary version (§5.2).
@@ -224,33 +231,28 @@ func (b *Backend) tombSummary() truetime.Version {
 	return b.tomb.summary
 }
 
-func (b *Backend) tombInsert(key []byte, v truetime.Version) {
-	b.tombMutate(func(t *tombstoneCache) { t.insert(string(key), v) })
-}
-
-func (b *Backend) tombDrop(key []byte) {
-	if b.tombLive.Load() != 0 {
-		b.tombMutate(func(t *tombstoneCache) { t.drop(key) })
+// tombPublish records an applied mutation: an erase's tombstone, or the
+// drop of the one a newer SET superseded.
+func (b *Backend) tombPublish(erase bool, h hashring.KeyHash, key []byte, v truetime.Version) {
+	if erase {
+		b.tombMutate(func(t *tombstoneCache) { t.insert(h, key, v) })
+	} else if b.tombLive.Load() != 0 {
+		b.tombMutate(func(t *tombstoneCache) { t.drop(h, key) })
 	}
 }
 
 // tombSettled retires key's pending-settle tombstone after a repair sweep
 // observed the erase cohort-settled at v (see tombstoneCache.settled).
-func (b *Backend) tombSettled(key string, v truetime.Version) {
+func (b *Backend) tombSettled(h hashring.KeyHash, key []byte, v truetime.Version) {
 	if b.tombLive.Load() != 0 {
-		b.tombMutate(func(t *tombstoneCache) { t.settled(key, v) })
+		b.tombMutate(func(t *tombstoneCache) { t.settled(h, key, v) })
 	}
 }
 
-// tombSummaryFold raises this backend's summary to at least v — the
-// receiving half of a handoff's summary transfer. The summary only ever
-// grows, so folding is monotone and idempotent.
+// tombSummaryFold raises the summary to at least v — the receiving half of
+// a handoff's summary transfer (monotone and idempotent).
 func (b *Backend) tombSummaryFold(v truetime.Version) {
-	b.tombMutate(func(t *tombstoneCache) {
-		if t.summary.Less(v) {
-			t.summary = v
-		}
-	})
+	b.tombMutate(func(t *tombstoneCache) { t.summary = t.summary.Max(v) })
 }
 
 // tombReset empties the cache, summary included (Clear).
@@ -258,18 +260,16 @@ func (b *Backend) tombReset() {
 	b.tombMutate(func(*tombstoneCache) { b.tomb = newTombstoneCache(b.opt.TombstoneCap) })
 }
 
-// eachTombstone enumerates the exact tombstones f admits — the live cache
-// plus the pending-settle queue — so scans, handoffs and checkpoints all
-// see erases as first-class versioned state. Only tombstones that also
-// overflow the pending queue collapse into the §5.2 coarse summary, which
-// still blocks stale SETs but is invisible here; that double-overflow-
-// before-a-sweep window is the formally-bounded resurrection residual.
+// eachTombstone enumerates the precise tombstones f admits, exact and
+// pending, so scans, handoffs and checkpoints see erases as first-class
+// versioned state (the summary is invisible here: the bounded residual).
+// key is the cache's own storage: fn copies what it keeps.
 func (b *Backend) eachTombstone(f shardFilter, fn func(key []byte, h hashring.KeyHash, v truetime.Version)) {
 	b.tombMu.Lock()
 	defer b.tombMu.Unlock()
-	b.tomb.each(func(k string, v truetime.Version) {
-		if h := b.opt.Hash([]byte(k)); f.match(h) {
-			fn([]byte(k), h, v)
+	b.tomb.each(func(i int32) {
+		if n := &b.tomb.nodes[i]; f.match(n.h) {
+			fn(b.tomb.key(i), n.h, n.v)
 		}
 	})
 }

@@ -14,26 +14,38 @@ import (
 
 // The golden driver reaches the cache through these, so a change of the
 // cache's signatures changes only them.
-func goldenInsert(tc *tombstoneCache, k string, v truetime.Version)  { tc.insert(k, v) }
-func goldenDrop(tc *tombstoneCache, k string)                        { tc.drop([]byte(k)) }
-func goldenSettled(tc *tombstoneCache, k string, v truetime.Version) { tc.settled(k, v) }
-func goldenDropIf(tc *tombstoneCache, pred func(h hashring.KeyHash) bool) {
-	tc.dropIf(func(k string) bool { return pred(hashring.DefaultHash([]byte(k))) })
+func goldenHash(k string) hashring.KeyHash { return hashring.DefaultHash([]byte(k)) }
+func goldenInsert(tc *tombstoneCache, k string, v truetime.Version) {
+	tc.insert(goldenHash(k), []byte(k), v)
 }
+func goldenDrop(tc *tombstoneCache, k string) { tc.drop(goldenHash(k), []byte(k)) }
+func goldenSettled(tc *tombstoneCache, k string, v truetime.Version) {
+	tc.settled(goldenHash(k), []byte(k), v)
+}
+func goldenDropIf(tc *tombstoneCache, pred func(h hashring.KeyHash) bool) { tc.dropIf(pred) }
 func goldenExact(tc *tombstoneCache, k string) (truetime.Version, bool) {
-	return tc.exact([]byte(k))
+	if v, ok := tc.bound(goldenHash(k), []byte(k)); ok {
+		return v, true
+	}
+	return truetime.Version{}, false
 }
-func goldenBound(tc *tombstoneCache, k string) truetime.Version            { return tc.bound([]byte(k)) }
-func goldenEach(tc *tombstoneCache, fn func(k string, v truetime.Version)) { tc.each(fn) }
+func goldenBound(tc *tombstoneCache, k string) truetime.Version {
+	v, _ := tc.bound(goldenHash(k), []byte(k))
+	return v
+}
+func goldenEach(tc *tombstoneCache, fn func(k string, v truetime.Version)) {
+	tc.each(func(i int32) { fn(string(tc.key(i)), tc.nodes[i].v) })
+}
 
-// goldenStages returns the live and the pending-settle keys, sorted.
+// goldenStages returns the exact and the pending-settle keys, sorted.
 func goldenStages(tc *tombstoneCache) (live, pending []string) {
-	for k := range tc.live.m {
-		live = append(live, k)
-	}
-	for k := range tc.pending.m {
-		pending = append(pending, k)
-	}
+	tc.each(func(i int32) {
+		if tc.nodes[i].stage == exactStage {
+			live = append(live, string(tc.key(i)))
+		} else {
+			pending = append(pending, string(tc.key(i)))
+		}
+	})
 	slices.Sort(live)
 	slices.Sort(pending)
 	return live, pending
@@ -111,5 +123,56 @@ func TestTombstoneGolden(t *testing.T) {
 				t.Errorf("%s: digest %s, want %s", name, got, want[name])
 			}
 		}
+	}
+}
+
+// TestTombstoneHashCollision: the key, not its hash, is a tombstone's
+// identity. Under an injected Hash that gives two keys one KeyHash, the
+// second key's erase folds into the summary (which only blocks), the
+// first keeps its exact tombstone, and neither can be resurrected by a
+// stale SET.
+func TestTombstoneHashCollision(t *testing.T) {
+	a, b := []byte("twin-a"), []byte("twin-b")
+	hash := func(k []byte) hashring.KeyHash {
+		if string(k) == string(b) {
+			k = a
+		}
+		return hashring.DefaultHash(k)
+	}
+	r := newRig(t, Options{Shard: 0, Hash: hash})
+	vOld, vA, vB := r.v(), r.v(), r.v()
+	if applied, _ := r.b.ApplyErase(a, vA); !applied {
+		t.Fatal("erase of twin-a rejected")
+	}
+	if applied, _ := r.b.ApplyErase(b, vB); !applied {
+		t.Fatal("erase of twin-b rejected")
+	}
+	if v, exact := r.b.tombBound(hash(a), a); !exact || v != vA {
+		t.Errorf("twin-a bound = %v exact=%v, want its own v%v", v, exact, vA)
+	}
+	if v, exact := r.b.tombBound(hash(b), b); exact || v != vB {
+		t.Errorf("twin-b bound = %v exact=%v, want the summary at %v", v, exact, vB)
+	}
+	if r.b.tomb.overflow != 1 {
+		t.Errorf("overflow = %d, want the one folded erase", r.b.tomb.overflow)
+	}
+	var each []string
+	r.b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
+		each = append(each, fmt.Sprintf("%s@%v", key, v))
+	})
+	if want := []string{fmt.Sprintf("twin-a@%v", vA)}; !slices.Equal(each, want) {
+		t.Errorf("enumerated %v, want %v", each, want)
+	}
+	for _, k := range [][]byte{a, b} {
+		if applied, _, _ := r.b.ApplySet(k, []byte("zombie"), vOld); applied {
+			t.Errorf("stale SET resurrected %s", k)
+		}
+	}
+	// A SET of twin-b leaves twin-a's exact tombstone alone.
+	tc := r.b.tomb
+	tc.drop(hash(b), b)
+	tc.settled(hash(b), b, vB)
+	if v, exact := tc.bound(hash(a), a); !exact || v != vA {
+		t.Errorf("twin-b's drop and settle reached twin-a: %v exact=%v", v, exact)
 	}
 }

@@ -4,31 +4,54 @@ import (
 	"fmt"
 	"testing"
 
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/truetime"
 )
 
 func ver(n int64) truetime.Version { return truetime.Version{Micros: n, ClientID: 1, Seq: 1} }
 
+// ins, bnd, drp and stl reach the cache for a key hashed by default.
+func ins(tc *tombstoneCache, k string, v truetime.Version) {
+	tc.insert(hashring.DefaultHash([]byte(k)), []byte(k), v)
+}
+
+func bnd(tc *tombstoneCache, k string) truetime.Version {
+	v, _ := tc.bound(hashring.DefaultHash([]byte(k)), []byte(k))
+	return v
+}
+
+func drp(tc *tombstoneCache, k string) { tc.drop(hashring.DefaultHash([]byte(k)), []byte(k)) }
+
+func stl(tc *tombstoneCache, k string, v truetime.Version) {
+	tc.settled(hashring.DefaultHash([]byte(k)), []byte(k), v)
+}
+
+// stageOf reports whether k has a precise tombstone, and on which list.
+func stageOf(tc *tombstoneCache, k string) (int32, bool) {
+	i, ok := tc.find(hashring.DefaultHash([]byte(k)), []byte(k))
+	return tc.nodes[i].stage, ok
+}
+
 func TestTombstoneExactLookup(t *testing.T) {
 	tc := newTombstoneCache(4)
-	tc.insert("a", ver(10))
-	if got := tc.bound([]byte("a")); got != ver(10) {
+	ins(tc, "a", ver(10))
+	if got := bnd(tc, "a"); got != ver(10) {
 		t.Errorf("bound(a) = %v", got)
 	}
-	if got := tc.bound([]byte("absent")); !got.Zero() {
+	if got := bnd(tc, "absent"); !got.Zero() {
 		t.Errorf("bound(absent) = %v, want zero (empty summary)", got)
 	}
 }
 
 func TestTombstoneNewerWins(t *testing.T) {
 	tc := newTombstoneCache(4)
-	tc.insert("a", ver(10))
-	tc.insert("a", ver(5)) // older: ignored
-	if got := tc.bound([]byte("a")); got != ver(10) {
+	ins(tc, "a", ver(10))
+	ins(tc, "a", ver(5)) // older: ignored
+	if got := bnd(tc, "a"); got != ver(10) {
 		t.Errorf("bound = %v, want v10", got)
 	}
-	tc.insert("a", ver(20))
-	if got := tc.bound([]byte("a")); got != ver(20) {
+	ins(tc, "a", ver(20))
+	if got := bnd(tc, "a"); got != ver(20) {
 		t.Errorf("bound = %v, want v20", got)
 	}
 	if tc.len() != 1 {
@@ -41,18 +64,18 @@ func TestTombstoneNewerWins(t *testing.T) {
 // enumerable to repair) instead of collapsing into the coarse summary.
 func TestTombstonePendingKeepsExactBound(t *testing.T) {
 	tc := newTombstoneCache(2)
-	tc.insert("a", ver(10))
-	tc.insert("b", ver(20))
-	tc.insert("c", ver(5)) // evicts "a" (FIFO) into the pending queue
-	if len(tc.live.m) != 2 {
-		t.Fatalf("entries = %d, want 2", len(tc.live.m))
+	ins(tc, "a", ver(10))
+	ins(tc, "b", ver(20))
+	ins(tc, "c", ver(5)) // evicts "a" (FIFO) into the pending queue
+	if tc.n[exactStage] != 2 {
+		t.Fatalf("entries = %d, want 2", tc.n[exactStage])
 	}
-	if got := tc.bound([]byte("a")); got != ver(10) {
+	if got := bnd(tc, "a"); got != ver(10) {
 		t.Errorf("bound(a) = %v, want exact pending v10", got)
 	}
 	// Unrelated keys are NOT bounded until the pending queue itself
 	// overflows — the summary is the second stage, not the first.
-	if got := tc.bound([]byte("never-seen")); !got.Zero() {
+	if got := bnd(tc, "never-seen"); !got.Zero() {
 		t.Errorf("bound(never-seen) = %v, want zero (summary unset)", got)
 	}
 	if tc.overflow != 0 {
@@ -66,17 +89,17 @@ func TestTombstonePendingKeepsExactBound(t *testing.T) {
 // inconsistent").
 func TestTombstoneSummaryUpperBound(t *testing.T) {
 	tc := newTombstoneCache(1) // pendingCap == cap == 1
-	tc.insert("a", ver(10))
-	tc.insert("b", ver(20)) // "a" → pending
-	tc.insert("c", ver(5))  // "b" → pending, "a" overflows → summary v10
-	if got := tc.bound([]byte("a")); got.Less(ver(10)) {
+	ins(tc, "a", ver(10))
+	ins(tc, "b", ver(20)) // "a" → pending
+	ins(tc, "c", ver(5))  // "b" → pending, "a" overflows → summary v10
+	if got := bnd(tc, "a"); got.Less(ver(10)) {
 		t.Errorf("bound(a) = %v < evicted version", got)
 	}
-	if got := tc.bound([]byte("b")); got != ver(20) {
+	if got := bnd(tc, "b"); got != ver(20) {
 		t.Errorf("bound(b) = %v, want exact pending v20", got)
 	}
 	// The summary also bounds never-erased keys (documented coarseness).
-	if got := tc.bound([]byte("never-seen")); got.Less(ver(10)) {
+	if got := bnd(tc, "never-seen"); got.Less(ver(10)) {
 		t.Errorf("summary bound = %v", got)
 	}
 	if tc.overflow != 1 {
@@ -88,8 +111,8 @@ func TestTombstoneSummaryMonotone(t *testing.T) {
 	tc := newTombstoneCache(1)
 	var last truetime.Version
 	for i := 1; i <= 50; i++ {
-		tc.insert(fmt.Sprintf("k%d", i), ver(int64(i)))
-		b := tc.bound([]byte("probe"))
+		ins(tc, fmt.Sprintf("k%d", i), ver(int64(i)))
+		b := bnd(tc, "probe")
 		if b.Less(last) {
 			t.Fatalf("summary regressed: %v after %v", b, last)
 		}
@@ -97,33 +120,33 @@ func TestTombstoneSummaryMonotone(t *testing.T) {
 	}
 	// With both stages at capacity 1, the 48 oldest overflowed into the
 	// summary: summary >= v48 (k49 pending, k50 live).
-	if tc.bound([]byte("probe")).Less(ver(48)) {
-		t.Errorf("summary = %v, want >= v48", tc.bound([]byte("probe")))
+	if bnd(tc, "probe").Less(ver(48)) {
+		t.Errorf("summary = %v, want >= v48", bnd(tc, "probe"))
 	}
 }
 
 func TestTombstoneDrop(t *testing.T) {
 	tc := newTombstoneCache(4)
-	tc.insert("a", ver(10))
-	tc.drop([]byte("a"))
-	if got := tc.bound([]byte("a")); !got.Zero() {
+	ins(tc, "a", ver(10))
+	drp(tc, "a")
+	if got := bnd(tc, "a"); !got.Zero() {
 		t.Errorf("after drop, bound = %v", got)
 	}
 	// Dropping one key must not shrink another key's pending bound.
 	tc2 := newTombstoneCache(1)
-	tc2.insert("x", ver(10))
-	tc2.insert("y", ver(20)) // x evicted → pending v10
-	tc2.drop([]byte("y"))
-	if tc2.bound([]byte("x")).Less(ver(10)) {
+	ins(tc2, "x", ver(10))
+	ins(tc2, "y", ver(20)) // x evicted → pending v10
+	drp(tc2, "y")
+	if bnd(tc2, "x").Less(ver(10)) {
 		t.Error("drop shrank an unrelated pending bound")
 	}
 	// Nor the summary, once set by double overflow.
 	tc3 := newTombstoneCache(1)
-	tc3.insert("x", ver(10))
-	tc3.insert("y", ver(20))
-	tc3.insert("z", ver(30)) // x overflows → summary v10
-	tc3.drop([]byte("z"))
-	if tc3.bound([]byte("anything")).Less(ver(10)) {
+	ins(tc3, "x", ver(10))
+	ins(tc3, "y", ver(20))
+	ins(tc3, "z", ver(30)) // x overflows → summary v10
+	drp(tc3, "z")
+	if bnd(tc3, "anything").Less(ver(10)) {
 		t.Error("drop shrank the summary")
 	}
 }
@@ -132,14 +155,14 @@ func TestTombstoneDrop(t *testing.T) {
 // a settle version at least as new as the parked erase.
 func TestTombstonePendingSettled(t *testing.T) {
 	tc := newTombstoneCache(1)
-	tc.insert("a", ver(10))
-	tc.insert("b", ver(20)) // a → pending v10
-	tc.settled("a", ver(5)) // older settle: must NOT retire it
-	if got := tc.bound([]byte("a")); got != ver(10) {
+	ins(tc, "a", ver(10))
+	ins(tc, "b", ver(20)) // a → pending v10
+	stl(tc, "a", ver(5))  // older settle: must NOT retire it
+	if got := bnd(tc, "a"); got != ver(10) {
 		t.Errorf("bound(a) = %v after stale settle, want v10", got)
 	}
-	tc.settled("a", ver(10))
-	if got := tc.bound([]byte("a")); !got.Zero() {
+	stl(tc, "a", ver(10))
+	if got := bnd(tc, "a"); !got.Zero() {
 		t.Errorf("bound(a) = %v after settle, want zero", got)
 	}
 	if tc.len() != 1 { // only "b" remains
@@ -149,15 +172,15 @@ func TestTombstonePendingSettled(t *testing.T) {
 
 func TestTombstoneZeroCapDefaults(t *testing.T) {
 	tc := newTombstoneCache(0)
-	if tc.live.cap <= 0 {
+	if tc.cap <= 0 {
 		t.Error("zero capacity not defaulted")
 	}
 }
 
 // TestTombstoneQueuesStayBounded: erase → set → erase churn over a few keys
-// (drop leaves an order record behind each cycle) must not grow either FIFO
-// queue, and a re-erased key must not inherit its stale early position: the
-// victim is always the oldest live tombstone.
+// (drop frees a node and strands its key bytes each cycle) must not grow the
+// arena's nodes or key bytes, and a re-erased key must not inherit its stale
+// early position: the victim is always the oldest live tombstone.
 func TestTombstoneQueuesStayBounded(t *testing.T) {
 	const capacity, keys, cycles = 4, 8, 1_000_000
 	tc := newTombstoneCache(capacity)
@@ -165,32 +188,33 @@ func TestTombstoneQueuesStayBounded(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		k := fmt.Sprintf("k%d", i%keys)
 		if i%3 == 0 {
-			tc.drop([]byte(k)) // the SET between two erases
+			drp(tc, k) // the SET between two erases
 			delete(age, k)
 		}
-		_, wasLive := tc.live.m[k]
+		stage, ok := stageOf(tc, k)
+		wasLive := ok && stage == exactStage
 		oldest, oldestAge := "", i
 		for lk, a := range age {
 			if a < oldestAge {
 				oldest, oldestAge = lk, a
 			}
 		}
-		full := len(tc.live.m) >= capacity
-		tc.insert(k, ver(int64(i+1)))
+		full := tc.n[exactStage] >= capacity
+		ins(tc, k, ver(int64(i+1)))
 		if !wasLive {
 			if full {
-				if _, still := tc.live.m[oldest]; still {
+				if stage, ok := stageOf(tc, oldest); ok && stage == exactStage {
 					t.Fatalf("cycle %d: inserting %s at capacity did not evict the oldest live tombstone %s", i, k, oldest)
 				}
-				if got := tc.bound([]byte(oldest)); got != ver(int64(oldestAge+1)) {
+				if got := bnd(tc, oldest); got != ver(int64(oldestAge+1)) {
 					t.Fatalf("cycle %d: evicted %s lost its exact bound: %v", i, oldest, got)
 				}
 				delete(age, oldest)
 			}
 			age[k] = i
 		}
-		if len(tc.live.order) > 2*capacity || len(tc.pending.order) > 2*capacity {
-			t.Fatalf("cycle %d: order queues grew to %d / %d, cap %d", i, len(tc.live.order), len(tc.pending.order), capacity)
+		if len(tc.nodes) > 2+2*capacity || cap(tc.keys) > 2*(2*capacity+1)*len(k) {
+			t.Fatalf("cycle %d: arena grew to %d nodes / %d key bytes, cap %d", i, len(tc.nodes), cap(tc.keys), capacity)
 		}
 	}
 }

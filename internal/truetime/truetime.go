@@ -109,6 +109,14 @@ func (v Version) Less(o Version) bool {
 	return v.Seq < o.Seq
 }
 
+// Max returns the later of v and o.
+func (v Version) Max(o Version) Version {
+	if v.Less(o) {
+		return o
+	}
+	return v
+}
+
 // String renders a compact debugging form.
 func (v Version) String() string {
 	return fmt.Sprintf("v{%d.%d.%d}", v.Micros, v.ClientID, v.Seq)
