@@ -3,6 +3,7 @@ package cliquemap
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -234,16 +235,23 @@ func TestMutationAllocBudget(t *testing.T) {
 		}
 		warm(get) // handshakes; both buffers of every queue; the tracer's ring
 		// Whole flush periods, counted exactly: AllocsPerRun rounds its
-		// average down, which would hide most of a flush's share.
+		// average down, which would hide most of a flush's share. A flush's
+		// allocations recur in every period; the best of three windows
+		// leaves out the one-off ones outside the op (a tracer slot growing
+		// for a longer trace than it held, the runtime's own after a GC).
 		const hits = 10 * 64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < hits; i++ {
-			get()
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < hits; i++ {
+				get()
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
 		}
-		runtime.ReadMemStats(&after)
-		if got := float64(after.Mallocs-before.Mallocs) / hits; got > 2 {
-			t.Errorf("%.2f allocations per touching GET, budget 1 + 1", got)
+		if got := float64(best) / hits; got > 1 {
+			t.Errorf("%.3f allocations per touching GET, budget 1", got)
 		}
 	})
 	if n := cl.M.RetryCount(); n != 0 {

@@ -26,7 +26,6 @@ package backend
 //     handoff cannot resurrect on the new owner (§5.2).
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -241,13 +240,13 @@ func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Cont
 	}
 	// Tombstones as first-class items, then the coarse summary.
 	var tombs []proto.MigrateItem
-	b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
-		tombs = append(tombs, proto.MigrateItem{Key: bytes.Clone(key), Version: v, Tombstone: true})
+	sum := b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
+		tombs = append(tombs, proto.MigrateItem{Key: append([]byte(nil), key...), Version: v, Tombstone: true})
 	})
 	if err := stream(tombs); err != nil {
 		return err
 	}
-	if sum := b.tombSummary(); !sum.Zero() {
+	if !sum.Zero() {
 		for _, addr := range allTargets {
 			if err := send(addr, proto.MigrateBatchReq{Shard: shard, Final: true, TombSummary: sum}); err != nil {
 				return err

@@ -24,7 +24,6 @@ package backend
 // restamps the buckets and lifts the guard.
 
 import (
-	"bytes"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/persist"
 	"cliquemap/internal/truetime"
@@ -190,7 +189,7 @@ func (b *Backend) checkpoint(p *persist.Store) error {
 	// not; it re-forms as the cache refills).
 	var tombs []persist.Record
 	b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
-		tombs = append(tombs, persist.Record{Op: persist.OpErase, Key: bytes.Clone(key), Version: v})
+		tombs = append(tombs, persist.Record{Op: persist.OpErase, Key: append([]byte(nil), key...), Version: v})
 	})
 	for _, r := range tombs {
 		if err := cw.Write(r); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
-	"cliquemap/internal/hashring"
 	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
@@ -460,7 +459,6 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 		bestIdx := -1
 		var bestV truetime.Version
 		bestTomb := false
-		var bestH hashring.KeyHash
 		for i, v := range views {
 			it, ok := v.items[k]
 			if !ok {
@@ -470,7 +468,6 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 			versions = append(versions, it.Version)
 			if bestIdx < 0 || bestV.Less(it.Version) {
 				bestIdx, bestV, bestTomb = i, it.Version, it.Tombstone
-				bestH = hashring.KeyHash{Hi: it.HashHi, Lo: it.HashLo}
 			}
 		}
 		clean := true
@@ -485,7 +482,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 				// Every replica holds the tombstone at bestV: the erase
 				// is cohort-settled, so a pending-settle copy of it can
 				// retire.
-				b.tombSettled(bestH, []byte(k), bestV)
+				b.tombSettled(views[bestIdx].items[k])
 			}
 			continue
 		}
@@ -519,7 +516,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 				}
 			}
 			if settledAll {
-				b.tombSettled(bestH, []byte(k), bestV)
+				b.tombSettled(views[bestIdx].items[k])
 			}
 			repaired++
 			continue

@@ -5,7 +5,6 @@ package backend
 // holds, goes through the primitives in this file.
 
 import (
-	"bytes"
 	"sync/atomic"
 
 	"cliquemap/internal/core/layout"
@@ -328,13 +327,12 @@ func (b *Backend) scan(req proto.ScanReq) (resp proto.ScanResp) {
 	if more {
 		return resp
 	}
-	b.eachTombstone(filter, func(key []byte, h hashring.KeyHash, v truetime.Version) {
-		resp.Items = append(resp.Items, proto.ScanItem{HashHi: h.Hi, HashLo: h.Lo, Version: v, Key: bytes.Clone(key), Tombstone: true})
-	})
 	// The coarse summary travels with the scan so repair peers can tell
 	// "never saw this key" apart from "erased it, but the tombstone was
 	// evicted into the summary" (§5.2).
-	resp.TombSummary = b.tombSummary()
+	resp.TombSummary = b.eachTombstone(filter, func(key []byte, h hashring.KeyHash, v truetime.Version) {
+		resp.Items = append(resp.Items, proto.ScanItem{HashHi: h.Hi, HashLo: h.Lo, Version: v, Key: append([]byte(nil), key...), Tombstone: true})
+	})
 	resp.Done = true
 	return resp
 }

@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/truetime"
 )
@@ -196,8 +197,7 @@ func (t *tombstoneCache) dropIf(pred func(h hashring.KeyHash) bool) {
 	})
 }
 
-// len returns the enumerable tombstone count: both lists feed bound and
-// cohort scans, so both gate the tombLive fast-path shadow.
+// len counts both lists: both feed bound, so both gate the tombLive shadow.
 func (t *tombstoneCache) len() int { return int(t.n[exactStage] + t.n[pendingStage]) }
 
 // The tombstone cache stays global — its coarse summary bound (§5.2) is a
@@ -224,13 +224,6 @@ func (b *Backend) tombBound(h hashring.KeyHash, key []byte) (truetime.Version, b
 	return b.tomb.bound(h, key)
 }
 
-// tombSummary returns the coarse tombstone-summary version (§5.2).
-func (b *Backend) tombSummary() truetime.Version {
-	b.tombMu.Lock()
-	defer b.tombMu.Unlock()
-	return b.tomb.summary
-}
-
 // tombPublish records an applied mutation: an erase's tombstone, or the
 // drop of the one a newer SET superseded.
 func (b *Backend) tombPublish(erase bool, h hashring.KeyHash, key []byte, v truetime.Version) {
@@ -241,11 +234,12 @@ func (b *Backend) tombPublish(erase bool, h hashring.KeyHash, key []byte, v true
 	}
 }
 
-// tombSettled retires key's pending-settle tombstone after a repair sweep
-// observed the erase cohort-settled at v (see tombstoneCache.settled).
-func (b *Backend) tombSettled(h hashring.KeyHash, key []byte, v truetime.Version) {
+// tombSettled retires the pending tombstone of it, the newest replica's
+// scan item, once a repair sweep observed its erase cohort-settled.
+func (b *Backend) tombSettled(it proto.ScanItem) {
 	if b.tombLive.Load() != 0 {
-		b.tombMutate(func(t *tombstoneCache) { t.settled(h, key, v) })
+		h := hashring.KeyHash{Hi: it.HashHi, Lo: it.HashLo}
+		b.tombMutate(func(t *tombstoneCache) { t.settled(h, it.Key, it.Version) })
 	}
 }
 
@@ -262,9 +256,10 @@ func (b *Backend) tombReset() {
 
 // eachTombstone enumerates the precise tombstones f admits, exact and
 // pending, so scans, handoffs and checkpoints see erases as first-class
-// versioned state (the summary is invisible here: the bounded residual).
-// key is the cache's own storage: fn copies what it keeps.
-func (b *Backend) eachTombstone(f shardFilter, fn func(key []byte, h hashring.KeyHash, v truetime.Version)) {
+// versioned state, and returns the coarse summary (§5.2), which repair
+// and handoffs carry beside them: what it swallowed is the bounded
+// residual. key is the cache's own storage: fn copies what it keeps.
+func (b *Backend) eachTombstone(f shardFilter, fn func(key []byte, h hashring.KeyHash, v truetime.Version)) truetime.Version {
 	b.tombMu.Lock()
 	defer b.tombMu.Unlock()
 	b.tomb.each(func(i int32) {
@@ -272,4 +267,5 @@ func (b *Backend) eachTombstone(f shardFilter, fn func(key []byte, h hashring.Ke
 			fn(b.tomb.key(i), n.h, n.v)
 		}
 	})
+	return b.tomb.summary
 }

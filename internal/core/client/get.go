@@ -35,10 +35,16 @@ func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabri
 // get runs one GET on a leased op record; only keep gives its trace spans
 // that outlive the op. pin is the virtual instant the op starts at (0 =
 // now): each round of legs is pinned to pin plus the op's elapsed modelled
-// time, so a batch's keys share one origin.
+// time, so a batch's keys share one origin. A hit reports its access once
+// the record is back, so a flush the access fills can lease it.
 func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
 	op := c.ops.Take()
-	defer c.ops.Put(op)
+	defer func() {
+		c.ops.Put(op)
+		if found {
+			c.noteTouch(key, pin != 0)
+		}
+	}()
 	c.M.Gets.Inc()
 	var total fabric.OpTrace
 	if c.opt.Observer != nil {
@@ -57,7 +63,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 	if c.near != nil {
 		nval, nfound, served := c.nearGet(ctx, op, key, pin, &total)
 		if served {
-			c.finishGet(sc, key, pin != 0, nfound, c.Transport(), 1, &total)
+			c.finishGet(sc, nfound, c.Transport(), 1, &total)
 			return nval, nfound, total, nil
 		}
 	}
@@ -80,7 +86,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 			if ok {
 				c.nearStore(key, val, wver)
 			}
-			c.finishGet(sc, key, pin != 0, ok, c.Transport(), uint32(attempt+1), &total)
+			c.finishGet(sc, ok, c.Transport(), uint32(attempt+1), &total)
 			return val, ok, total, nil
 		}
 		if sc != nil {
@@ -99,7 +105,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 			total.Sequence(ftr)
 			c.opt.Budget.Credit()
 			c.M.RPCFallbacks.Inc()
-			c.finishGet(sc, key, pin != 0, g.Found, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
+			c.finishGet(sc, g.Found, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
 			return g.Value, g.Found, total, nil
 		}
 	}
@@ -109,11 +115,10 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 
 // finishGet is the one success epilogue of a GET, however it was served
 // (near-cache, a quorum attempt, the RPC fallback): count the outcome,
-// report the access (held inside a batch), record latency and the trace.
-func (c *Client) finishGet(sc *trace.SpanContext, key []byte, hold, found bool, transport trace.Transport, attempts uint32, total *fabric.OpTrace) {
+// record latency and the trace.
+func (c *Client) finishGet(sc *trace.SpanContext, found bool, transport trace.Transport, attempts uint32, total *fabric.OpTrace) {
 	if found {
 		c.M.Hits.Inc()
-		c.noteTouch(key, hold)
 	} else {
 		c.M.Misses.Inc()
 	}

@@ -78,7 +78,8 @@ const mutSpans = 16
 // settled either way, §5.2/§5.3), retried through classifyAndRepair exactly
 // like GETs — config refresh, re-handshake, budgeted backoff — so every
 // mutation hazard shares the one §3 repair mechanism; then the epilogue
-// every kind shares. For CAS, swapped reports a quorum applied it.
+// every kind shares. For CAS, swapped reports that the quorum which
+// decided the ack applied it (mutVerdict).
 func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte, expected truetime.Version, keep bool) (v truetime.Version, total fabric.OpTrace, swapped bool, err error) {
 	method := proto.MethodSet
 	switch kind {
@@ -109,7 +110,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 		total.Spans = make([]fabric.Span, 0, mutSpans)
 	}
 	err = ErrUnavailable
-	attempt, applied := 0, 0
+	attempt, won := 0, false
 	for ; attempt <= c.opt.Retries; attempt++ {
 		if ctx.Err() != nil {
 			err = ErrExhausted
@@ -120,7 +121,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 				break
 			}
 		}
-		applied, err = c.mutateOnce(ctx, op, key, method, build, v, &total)
+		won, err = c.mutateOnce(ctx, op, key, method, build, v, &total)
 		if err == nil {
 			c.opt.Budget.Credit()
 			break
@@ -136,8 +137,8 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 	c.observe(kind, trace.TransportRPC, total.Ns, err)
 	if kind != trace.KindCas {
 		c.M.SetLatency.Record(total.Ns)
-	} else if err == nil {
-		swapped = applied >= c.Config().Mode.Quorum()
+	} else {
+		swapped = err == nil && won
 	}
 	if sc != nil && err == nil {
 		c.opt.Tracer.Record(sc.OpID, kind, trace.TransportRPC, uint32(attempt+1), total)
@@ -155,10 +156,11 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 // must NOT count toward the old-epoch quorum (its journal has drained —
 // the write would exist only where handoff can no longer see it), so
 // MutateResp.Sealed legs count only toward the pending epoch when they
-// serve there. The mutation acks when either epoch reaches its quorum.
-// The attempt is appended to tr, the op's trace: its legs fan out from where
-// tr ends, reading into op's storage.
-func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version, tr *fabric.OpTrace) (int, error) {
+// serve there. The mutation acks when either epoch reaches its quorum, and
+// applied reports that the deciding epoch's quorum applied it
+// (mutVerdict). The attempt is appended to tr, the op's trace: its legs
+// fan out from where tr ends, reading into op's storage.
+func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version, tr *fabric.OpTrace) (applied bool, err error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	var legBuf [2 * config.MaxReplicas]mutLeg
@@ -167,7 +169,8 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 	origin := tr.Ns
 	var legArr [8]uint64
 	legNs := legArr[:0]
-	oldAcks, pendAcks, applied := 0, 0, 0
+	var ackBuf [2 * config.MaxReplicas]mutAck
+	acks := ackBuf[:0]
 	// Requests are built per attempt so each fan-out stamps the client's
 	// CURRENT ConfigID — backends reject stale stamps, which is what
 	// forces a mutate-only client (no bucket reads to trip the §6.1
@@ -203,15 +206,7 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 			continue
 		}
 		c.noteReplicaSuccess(leg.addr)
-		if leg.inOld && !mr.Sealed {
-			oldAcks++
-		}
-		if leg.inPending {
-			pendAcks++
-		}
-		if mr.Applied || mr.Stored == nominated {
-			applied++
-		}
+		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == nominated})
 		legNs = append(legNs, ltr.Ns)
 		tr.AddBytes(int(ltr.Bytes))
 		// Replica legs fan out together: spans share the attempt's origin.
@@ -231,11 +226,12 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 	if cfg.Pending != nil {
 		pendingDecides = cfg.PendingAuthoritative(cfg.Cohort(int(h.Hi % uint64(cfg.Shards))))
 	}
-	if oldAcks < q && (!pendingDecides || pendAcks < q) {
+	ok, applied := mutVerdict(acks, q, pendingDecides)
+	if !ok {
 		if lastErr == nil {
 			lastErr = ErrUnavailable
 		}
-		return applied, lastErr
+		return false, lastErr
 	}
 	// A mutation completes when the write quorum has acked.
 	settleFanout(tr, legNs, q, 0)

@@ -39,6 +39,7 @@ import (
 	"sync"
 
 	"cliquemap/internal/core/config"
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
@@ -186,17 +187,15 @@ type backendPromo struct {
 // ingestPromo folds one backend's piggybacked promotion set into the
 // merged snapshot. Epoch-gated per backend: replayed or unchanged
 // responses are free, as is epoch 0 (nothing promoted yet) from a backend
-// not heard from before.
-func (c *Client) ingestPromo(addr string, epoch uint64, keys [][]byte) {
+// not heard from before. The keys are copied from the encoded ack, resp.
+func (c *Client) ingestPromo(addr string, epoch uint64, resp []byte) {
 	c.promoMu.Lock()
 	defer c.promoMu.Unlock()
 	if c.promoBy[addr].epoch == epoch {
 		return
 	}
-	set := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		set[string(k)] = struct{}{}
-	}
+	set := make(map[string]struct{})
+	proto.RangeHotKeys(resp, func(k []byte) { set[string(k)] = struct{}{} }) // resp decoded once already
 	c.promoBy[addr] = backendPromo{epoch: epoch, keys: set}
 	c.mergePromo()
 }

@@ -76,6 +76,34 @@ next:
 	return winner.ver, nil
 }
 
+// mutAck is one answered mutation leg: the epochs whose cohort it serves,
+// MutateResp.Sealed, and whether it holds the nominated version.
+type mutAck struct{ inOld, inPending, sealed, applied bool }
+
+// mutVerdict decides a mutation fan-out: ok once the deciding epoch's
+// quorum acked, swapped once that quorum applied the write (a CAS's
+// answer). The pending epoch decides when authoritative and quorate, else
+// the old one, less its sealed members; one old and one pending leg are a
+// quorum of neither.
+func mutVerdict(acks []mutAck, q int, pendingDecides bool) (ok, swapped bool) {
+	var n [2][2]int // [old, pending][acked, applied]
+	for _, a := range acks {
+		for e, in := range [2]bool{a.inOld && !a.sealed, a.inPending} {
+			if in {
+				n[e][0]++
+				if a.applied {
+					n[e][1]++
+				}
+			}
+		}
+	}
+	e := 0 // the deciding epoch
+	if pendingDecides && n[1][0] >= q {
+		e = 1
+	}
+	return n[e][0] >= q, n[e][1] >= q
+}
+
 // quorum appends a fetch's index phase to the op's trace and returns the
 // quorum-winning version (zero = an agreed miss). With fewer than need
 // live views there is nothing to vote on: the first leg error surfaces,

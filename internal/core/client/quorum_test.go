@@ -109,3 +109,37 @@ func TestFanoutCostsKthFastestLeg(t *testing.T) {
 		t.Errorf("k=1 fan-out = %+v, want 7ns and no wait span", one)
 	}
 }
+
+// TestMutationVerdict pins mutVerdict: each epoch's quorum is counted over
+// its own members, with the membership rules of the acks, and swapped comes
+// from the epoch that decided the ack.
+func TestMutationVerdict(t *testing.T) {
+	old := func(applied bool) mutAck { return mutAck{inOld: true, applied: applied} }
+	sealed := func(applied bool) mutAck { return mutAck{inOld: true, sealed: true, applied: applied} }
+	pend := func(applied bool) mutAck { return mutAck{inPending: true, applied: applied} }
+	both := func(applied bool) mutAck { return mutAck{inOld: true, inPending: true, applied: applied} }
+	for _, tc := range []struct {
+		name           string
+		acks           []mutAck
+		pendingDecides bool
+		ok, swapped    bool
+	}{
+		{"old only, a quorum applied", []mutAck{old(true), old(true), old(false)}, false, true, true},
+		{"old only, one applied", []mutAck{old(true), old(false), old(false)}, false, true, false},
+		{"old only, below quorum", []mutAck{old(true)}, false, false, false},
+		{"sealed old legs count for neither ack nor swap", []mutAck{old(true), sealed(true), sealed(true)}, false, false, false},
+		{"a sealed leg's apply is not the old epoch's", []mutAck{old(true), old(false), sealed(true)}, false, true, false},
+		{"pending decides once authoritative", []mutAck{sealed(false), sealed(false), pend(true), pend(true)}, true, true, true},
+		{"pending does not decide before authority", []mutAck{sealed(true), sealed(true), pend(true), pend(true)}, false, false, false},
+		{"authoritative pending swap is pending's", []mutAck{old(true), old(true), pend(false), pend(false)}, true, true, false},
+		{"one old and one pending apply: a quorum of neither", []mutAck{old(true), old(false), pend(true), pend(false)}, true, true, false},
+		{"one old and one pending apply, old deciding", []mutAck{old(true), old(false), pend(true)}, false, true, false},
+		{"a leg in both epochs counts in both", []mutAck{both(true), old(true), pend(true)}, true, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if ok, swapped := mutVerdict(tc.acks, 2, tc.pendingDecides); ok != tc.ok || swapped != tc.swapped {
+				t.Errorf("ok=%v swapped=%v, want ok=%v swapped=%v", ok, swapped, tc.ok, tc.swapped)
+			}
+		})
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/trace"
 	"cliquemap/internal/wire"
 )
 
@@ -92,9 +93,13 @@ func (c *Client) flushTouches(ctx context.Context, atLeast int) {
 // sendTouches reports one batch of access records and folds the ack's
 // piggybacked promotion set into the client's hot-key view (§4.2 made
 // bidirectional): the same traffic that feeds the server's heat sketch
-// carries its promotion decisions back.
+// carries its promotion decisions back. The ack is appended to a leased op
+// record's arena, lent through its context node, which arms no spans.
 func (c *Client) sendTouches(ctx context.Context, b touchBatch) {
-	resp, _, err := c.call(ctx, nil, b.addr, proto.MethodTouch, b.req)
+	op := c.ops.Take()
+	defer c.ops.Put(op)
+	op.Init(ctx, trace.SpanContext{})
+	resp, _, err := c.call(&op.OpContext, op, b.addr, proto.MethodTouch, b.req)
 	c.mu.Lock()
 	if b.q.spare == nil {
 		b.q.spare = b.req
@@ -103,7 +108,7 @@ func (c *Client) sendTouches(ctx context.Context, b touchBatch) {
 	if err != nil {
 		return
 	}
-	if tr, terr := proto.UnmarshalTouchResp(resp); terr == nil {
-		c.ingestPromo(b.addr, tr.HotEpoch, tr.HotKeys)
+	if epoch, terr := proto.TouchRespEpoch(resp); terr == nil {
+		c.ingestPromo(b.addr, epoch, resp)
 	}
 }

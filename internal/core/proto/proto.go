@@ -485,13 +485,17 @@ func AppendTouchKey(e *wire.Encoder, key []byte) { e.Bytes(1, key) }
 // RangeTouchKeys calls fn with each access record of the encoded TouchReq
 // b, in order, as a view of b: the handler walks its request where it lies
 // and keeps only what it copies.
-func RangeTouchKeys(b []byte, fn func(key []byte)) error {
+func RangeTouchKeys(b []byte, fn func(key []byte)) error { return rangeBytes(b, 1, fn) }
+
+// rangeBytes calls fn with each tag field of the message b, in order, as a
+// view of b.
+func rangeBytes(b []byte, tag uint64, fn func(v []byte)) error {
 	var d wire.Decoder
 	if err := d.Init(b); err != nil {
 		return err
 	}
 	for d.Next() {
-		if d.Tag() == 1 {
+		if d.Tag() == tag {
 			fn(d.Bytes())
 		}
 	}
@@ -528,26 +532,30 @@ func (r TouchResp) AppendTo(b []byte) []byte {
 
 func (r TouchResp) Marshal() []byte { return r.AppendTo(nil) }
 
-// UnmarshalTouchResp decodes the response. HotKeys alias b, the caller's
-// response frame: ingestPromo copies what it keeps.
-func UnmarshalTouchResp(b []byte) (TouchResp, error) {
-	var r TouchResp
+// TouchRespEpoch returns the HotEpoch of the encoded TouchResp b, and
+// RangeHotKeys calls fn with each of its promoted keys, in order, as a view
+// of b: a client reads the epoch and walks the keys only when it changed.
+func TouchRespEpoch(b []byte) (epoch uint64, err error) {
 	var d wire.Decoder
 	if err := d.Init(b); err != nil {
-		return r, err
+		return 0, err
 	}
 	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.HotEpoch = d.Uint()
-		case 2:
-			if r.HotKeys == nil {
-				r.HotKeys = make([][]byte, 0, 1+d.Count(2))
-			}
-			r.HotKeys = append(r.HotKeys, d.Bytes())
+		if d.Tag() == 1 {
+			epoch = d.Uint()
 		}
 	}
-	return r, d.Err()
+	return epoch, d.Err()
+}
+
+func RangeHotKeys(b []byte, fn func(key []byte)) error { return rangeBytes(b, 2, fn) }
+
+// UnmarshalTouchResp decodes the response; HotKeys alias b.
+func UnmarshalTouchResp(b []byte) (r TouchResp, err error) {
+	if r.HotEpoch, err = TouchRespEpoch(b); err == nil {
+		err = RangeHotKeys(b, func(k []byte) { r.HotKeys = append(r.HotKeys, k) })
+	}
+	return r, err
 }
 
 // ScanItem is one KV summary in a cohort scan (§5.4): KeyHash + version,

@@ -391,9 +391,9 @@ func (c *Client) Call(ctx context.Context, addr, method string, req []byte) ([]b
 	return c.call(ctx, nil, nil, addr, method, req)
 }
 
-// AppendCall is Call on the caller's storage (Appender). A traced call
-// lends the handler dst's free tail, so a response appended there is in
-// place already.
+// AppendCall is Call on the caller's storage (Appender). A traced call,
+// or one whose ctx has a free op-node sink slot, lends the handler dst's
+// free tail, so a response appended there is in place already.
 func (c *Client) AppendCall(ctx context.Context, dst []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
 	resp, tr, err := c.call(ctx, dst[len(dst):], spans, addr, method, req)
 	if err != nil {
@@ -402,8 +402,8 @@ func (c *Client) AppendCall(ctx context.Context, dst []byte, spans []fabric.Span
 	return append(dst, resp...), tr, nil
 }
 
-// call lends reply to a traced call's handler, appends the spans to spans,
-// and returns the handler's response.
+// call lends reply to the handler (see AppendCall), appends the spans to
+// spans, and returns the handler's response.
 func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
 	tr := fabric.OpTrace{Spans: spans}
 	n := c.n
@@ -480,11 +480,12 @@ func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, ad
 	// Traced calls get a span sink so the handler can deposit measured
 	// costs (stripe lock waits) back into this call's trace; it rides the
 	// op's own context node unless a concurrent or nested leg of the op
-	// holds that slot. Untraced callers skip all of it.
+	// holds that slot. It lends the handler reply, as for an untraced call
+	// whose ctx has a free slot (a touch flush); others skip all of it.
 	hctx := ctx
 	var sink *trace.SpanSink
 	var slot *trace.OpContext
-	if sb.on {
+	if sb.on || cap(reply) > 0 && trace.Slotted(ctx) {
 		sink = trace.GetSink()
 		sink.Lend(reply)
 		hctx, slot = trace.AttachSink(ctx, sink)

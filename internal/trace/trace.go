@@ -197,7 +197,8 @@ const (
 // context.WithValue node — and none at all for a caller that owns the
 // node's storage (an OpLease, a TCP gateway call record) and re-arms it
 // with Init. It also has the op's one sink slot, which AttachSink fills
-// for the RPC leg whose handler is running.
+// for the RPC leg whose handler is running. Armed with OpID 0 it carries
+// no span context, only the slot, to lend a handler reply storage.
 type OpContext struct {
 	context.Context
 	sc   SpanContext
@@ -207,7 +208,9 @@ type OpContext struct {
 func (c *OpContext) Value(key any) any {
 	switch key {
 	case any(spanContextKey):
-		return &c.sc
+		if c.sc.OpID != 0 {
+			return &c.sc
+		}
 	case any(opContextKey):
 		return c
 	case any(sinkKey):
@@ -346,6 +349,12 @@ func GetSink() *SpanSink { return sinkPool.Get().(*SpanSink) }
 func PutSink(s *SpanSink) {
 	s.spans, s.reply = s.spans[:0], nil
 	sinkPool.Put(s)
+}
+
+// Slotted reports whether AttachSink can take a slot of ctx's op node.
+func Slotted(ctx context.Context) bool {
+	oc, _ := ctx.Value(opContextKey).(*OpContext)
+	return oc != nil && SinkFrom(ctx) == nil
 }
 
 // AttachSink attaches s to ctx for the handler side of one call. It goes
