@@ -142,13 +142,14 @@ func TestGetAllocBudget(t *testing.T) {
 //
 //	SET overwrite, CAS  nothing: the request, the legs' spans and the
 //	                    handlers' responses are the op's leased record = 0
-//	ERASE               3 × the tombstone's key, which each backend
-//	                    keeps                                         = 3
+//	ERASE               the tombstone's key goes into each backend's
+//	                    reused key arena, also when a fresh key
+//	                    demotes and folds in a full cache             = 0
 //	2×R hit, touching   the GET's own 1, plus its share of a flush:
 //	                    every TouchBatch-th hit sends each cohort member
-//	                    its queue buffer as it stands; the handler makes
-//	                    one slice of key views and a response, the
-//	                    client one slice of promoted-key views        ≤ 1 + 1
+//	                    its queue buffer as it stands, on a leased op
+//	                    record whose arena the handler appends its ack
+//	                    to; the client walks the ack in place          = 1
 //	evicting SET        a new key into a full data region, each backend
 //	                    evicting one, under lru, arc, clock and slfu:
 //	                    the policies track hashes in an arena          = 0
@@ -156,10 +157,11 @@ func TestGetAllocBudget(t *testing.T) {
 // The context node and span buffer are the op's leased record, and the
 // cell is warmed past its tracer's ring, as in TestGetAllocBudget. The
 // parents of the changes that set these measured SET 20 → 9 → 7 → 0, CAS
-// 20 → 9 → 7 → 0, ERASE 23 → 12 → 10 → 3, 12.6 allocations of touch
+// 20 → 9 → 7 → 0, ERASE 23 → 12 → 10 → 3 → 0, 12.6 allocations of touch
 // feedback per hit before it fell to ≤ 1, a touching hit at 9 + 1 before
-// its legs read into the op's arena, and an evicting SET at 12 (lru), 27
-// (arc), 15 (clock) and 6 (slfu) while policies kept string keys.
+// its legs read into the op's arena and at 1 + 0.09 before the flush
+// leased a record, and an evicting SET at 12 (lru), 27 (arc), 15 (clock)
+// and 6 (slfu) while policies kept string keys.
 func TestMutationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

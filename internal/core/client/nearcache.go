@@ -68,12 +68,12 @@ type nearOrder struct {
 }
 
 // nearCache is a small FIFO map of version-validated hot-key values.
-// Admission is promotion-gated (nearStore), retention is cap-gated. The
-// FIFO follows backend.tombQueue's discipline: each entry carries the
-// sequence number of its order record, so the record a drop leaves behind
-// is recognizably stale — eviction skips it rather than evicting the key's
-// re-admitted entry ahead of older ones — and compaction bounds the order
-// slice at 2·cap however often a key is dropped and re-admitted.
+// Admission is promotion-gated (nearStore), retention is cap-gated. Each
+// entry carries the sequence number of its order record, so the record a
+// drop leaves behind is recognizably stale — eviction skips it rather than
+// evicting the key's re-admitted entry ahead of older ones — and compaction
+// bounds the order slice at 2·cap however often a key is dropped and
+// re-admitted.
 type nearCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -195,7 +195,9 @@ func (c *Client) ingestPromo(addr string, epoch uint64, resp []byte) {
 		return
 	}
 	set := make(map[string]struct{})
-	proto.RangeHotKeys(resp, func(k []byte) { set[string(k)] = struct{}{} }) // resp decoded once already
+	if proto.RangeHotKeys(resp, func(k []byte) { set[string(k)] = struct{}{} }) != nil {
+		return
+	}
 	c.promoBy[addr] = backendPromo{epoch: epoch, keys: set}
 	c.mergePromo()
 }

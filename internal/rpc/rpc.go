@@ -477,11 +477,10 @@ func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, ad
 		sb.add(&tr, trace.SpanRPCQueue, uint32(s.adm.rhoMilli.Load()), qns)
 	}
 
-	// Traced calls get a span sink so the handler can deposit measured
-	// costs (stripe lock waits) back into this call's trace; it rides the
-	// op's own context node unless a concurrent or nested leg of the op
-	// holds that slot. It lends the handler reply, as for an untraced call
-	// whose ctx has a free slot (a touch flush); others skip all of it.
+	// A traced call gets a span sink that lends the handler reply and takes
+	// back measured costs (stripe lock waits); it rides the op's own context
+	// node unless a concurrent or nested leg of the op holds that slot. An
+	// untraced call gets one only to lend reply into a free slot.
 	hctx := ctx
 	var sink *trace.SpanSink
 	var slot *trace.OpContext

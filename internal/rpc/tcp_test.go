@@ -452,6 +452,43 @@ func TestAppendCallAppends(t *testing.T) {
 	}
 }
 
+// TestAppendCallLendsUntracedSlot: an untraced call whose ctx has an op
+// node armed with OpID 0 (a touch flush's leased record) lends its handler
+// dst's tail through the node's slot and records no spans; an untraced
+// call without a node lends nothing, as before.
+func TestAppendCallLendsUntracedSlot(t *testing.T) {
+	n, _, _ := newTCPRig(t)
+	s, _ := n.lookup("b")
+	var lent int // the reply capacity the handler was lent
+	s.Handle("Lent", func(ctx context.Context, _ string, req []byte) ([]byte, error) {
+		if trace.FromContext(ctx) != nil {
+			t.Error("a bare node carried a span context to the handler")
+		}
+		lent = cap(trace.SinkFrom(ctx).Reply())
+		return append(trace.SinkFrom(ctx).Reply(), req...), nil
+	})
+	var bare trace.OpContext
+	bare.Init(context.Background(), trace.SpanContext{})
+	c := n.Client(0, "p")
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		lent bool
+	}{{"bare node", &bare, true}, {"no node", context.Background(), false}} {
+		dst := append(make([]byte, 0, 64), "head"...)
+		got, tr, err := c.AppendCall(tc.ctx, dst, nil, "b", "Lent", []byte("payload"))
+		if err != nil || string(got) != "headpayload" {
+			t.Fatalf("%s: %q, %v", tc.name, got, err)
+		}
+		if len(tr.Spans) != 0 {
+			t.Errorf("%s: an untraced call recorded %d spans", tc.name, len(tr.Spans))
+		}
+		if (lent == 60) != tc.lent {
+			t.Errorf("%s: the handler was lent %d bytes of dst's 60-byte tail, want lent=%v", tc.name, lent, tc.lent)
+		}
+	}
+}
+
 // failingConn fails its Write once budget bytes have gone out, part-way
 // through whichever frame crosses the line.
 type failingConn struct {
