@@ -218,3 +218,42 @@ func TestTombstoneQueuesStayBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestTombstoneStorageAllocations: filling the cache with N tombstones
+// allocates far fewer than N times — the node slice and the key arena
+// double (O(log N)); the Go map splits a table per ~1 024 slots, about
+// N/100 — and once both lists are full an insert of a fresh key,
+// demoting one tombstone and folding another, allocates nothing.
+func TestTombstoneStorageAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const capacity = 4096
+	keys := make([][]byte, 4*capacity)
+	hashes := make([]hashring.KeyHash, len(keys))
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("fill-%08d", i))
+		hashes[i] = hashring.DefaultHash(keys[i])
+	}
+	var tc *tombstoneCache
+	next := 0
+	insert := func() {
+		tc.insert(hashes[next], keys[next], ver(int64(next+1)))
+		next++
+	}
+	fill := testing.AllocsPerRun(1, func() {
+		tc, next = newTombstoneCache(capacity), 0
+		for next < 2*capacity {
+			insert()
+		}
+	})
+	if fill > 2*capacity/32 {
+		t.Errorf("filling %d tombstones allocated %v times, want fewer than N/32", 2*capacity, fill)
+	}
+	if got := testing.AllocsPerRun(1000, insert); got != 0 {
+		t.Errorf("%v allocations per insert into a full cache, want 0", got)
+	}
+	if tc.overflow == 0 || tc.len() != 2*capacity {
+		t.Errorf("overflow %d, len %d: the cache was not full", tc.overflow, tc.len())
+	}
+}
