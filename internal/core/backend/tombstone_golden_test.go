@@ -12,7 +12,7 @@ import (
 	"cliquemap/internal/truetime"
 )
 
-// The golden driver reaches the cache through these, so a change of the
+// tombGoldenRun reaches the cache through these, so a change of the
 // cache's signatures changes only them.
 func goldenHash(k string) hashring.KeyHash { return hashring.DefaultHash([]byte(k)) }
 func goldenInsert(tc *tombstoneCache, k string, v truetime.Version) {
@@ -51,7 +51,7 @@ func goldenStages(tc *tombstoneCache) (live, pending []string) {
 	return live, pending
 }
 
-// tombGoldenRun drives one seeded sequence of insert/drop/settled/dropIf
+// tombGoldenRun runs one seeded sequence of insert/drop/settled/dropIf
 // over a cache of capacity cap and logs, after every step, each stage's
 // keys (so which key each insert demoted and which one overflowed),
 // overflow, the summary, every key's exact and bound answers, and the each
