@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cliquemap/internal/core/layout"
+	"cliquemap/internal/slab"
 	"cliquemap/internal/workload"
 )
 
@@ -70,12 +71,21 @@ func runCapacity(t *testing.T, nextKey func() uint64, nextSize func() int) capac
 }
 
 // TestMixedSizeCapacity holds the data region to what it has room for under
-// the paper's two size curves (Figure 10): with quarter-spaced classes and
-// slab drains that relocate, a mixed-size corpus fills the pool instead of
-// calcifying it. The floors sit below what this tree measures (in the logs)
-// and above the size-blind eviction loop it replaced, which on this harness
-// holds 80 081 Geo/uniform and 9 335 Ads/uniform entries and serves Ads/Zipf
-// at 0.778 for 0.215 evictions per SET; eviction-only drains serve it at 0.74.
+// the paper's two size curves (Figure 10): with eight classes per doubling
+// and slab drains that relocate, a mixed-size corpus fills the pool instead
+// of calcifying it. The floors sit below what this tree measures (in the
+// logs) and above the size-blind eviction loop it replaced, which on this
+// harness holds 80 081 Geo/uniform and 9 335 Ads/uniform entries and serves
+// Ads/Zipf at 0.778 for 0.215 evictions per SET; eviction-only drains serve
+// it at 0.74.
+//
+// Four classes per doubling → eight (resident; hit ratio; evictions per SET;
+// drains):
+//
+//	GeoUniform   108 545 → 110 217; 0.2672 → 0.2693; 0.720 → 0.699; 56 179 → 57 368
+//	AdsUniform    24 781 →  24 847; 0.0614 → 0.0621; 0.936 → 0.937; 69 101 → 70 304
+//	AdsZipf       17 357 →  16 602; 0.7968 → 0.7980; 0.192 → 0.194; 21 065 → 21 429
+//	GeoZipfFits   48 674 →  48 674; 0.8695 → 0.8695; 0 → 0;         0 → 0
 func TestMixedSizeCapacity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-goroutine, 2.4 M ops: nothing for the race detector")
@@ -118,7 +128,10 @@ func TestMixedSizeCapacity(t *testing.T) {
 
 // TestSingleSizeEvictionNeverDrains: with one size class in use the policy's
 // victim always frees a chunk the new entry fits, so a full region costs one
-// eviction per inserting SET and no slab is ever drained.
+// eviction per inserting SET and no slab is ever drained. The full region
+// holds as many entries as its slabs have chunks of the entry's class: a
+// 1 084 B entry takes a 1 152 B chunk, 227 to a 256 KiB slab, 3 632 in
+// 4 MiB.
 func TestSingleSizeEvictionNeverDrains(t *testing.T) {
 	r := newRig(t, Options{Shard: 0, Geometry: layout.Geometry{Buckets: 1024}, DataBytes: 4 << 20, DataMaxBytes: 4 << 20})
 	value := make([]byte, 1024)
@@ -138,6 +151,11 @@ func TestSingleSizeEvictionNeverDrains(t *testing.T) {
 	}
 	if util := r.b.DataUtilization(); util < 0.99 {
 		t.Errorf("utilisation %.3f, want ≥ 0.99", util)
+	}
+	entry := layout.DataEntrySize(len(workload.Key(0)), len(value))
+	perSlab := r.b.opt.SlabBytes / slab.ClassSize(entry)
+	if want := (4 << 20) / r.b.opt.SlabBytes * perSlab; perSlab != 227 || r.b.Len() != want {
+		t.Errorf("resident %d %d B entries, want %d (%d per slab of class %d B, want 227)", r.b.Len(), entry, want, perSlab, slab.ClassSize(entry))
 	}
 }
 

@@ -21,10 +21,10 @@ func TestAllocBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Size != 112 {
-		t.Errorf("size class = %d, want 112", r.Size)
+	if r.Size != 104 {
+		t.Errorf("size class = %d, want 104", r.Size)
 	}
-	if r.Offset%(1<<16)%112 != 0 {
+	if r.Offset%(1<<16)%104 != 0 {
 		t.Errorf("offset %d misaligned", r.Offset)
 	}
 	if err := a.Free(r, 100); err != nil {
@@ -99,8 +99,8 @@ func TestSlabRepurposing(t *testing.T) {
 func TestSizeClassSelection(t *testing.T) {
 	a := mustNew(t, 1<<22, 1<<18, nil)
 	cases := map[int]int{
-		1: 64, 64: 64, 65: 80, 80: 80, 81: 96, 100: 112, 128: 128, 129: 160,
-		1084: 1280, 4096: 4096, 4097: 5120, 114688: 114688, 114689: 131072, 131072: 131072,
+		1: 64, 64: 64, 65: 72, 72: 72, 73: 80, 100: 104, 128: 128, 129: 144,
+		1084: 1152, 4096: 4096, 4097: 4608, 16444: 18432, 122880: 122880, 122881: 131072, 131072: 131072,
 	}
 	for req, want := range cases {
 		r, err := a.Alloc(req)
@@ -128,14 +128,8 @@ func TestSizeClassSelection(t *testing.T) {
 // scan of the table it indexes, for every size the table serves.
 func TestClassLookupMatchesTable(t *testing.T) {
 	table := DefaultSizeClasses()
-	if len(table) != 45 || table[0] != 64 || table[1] != 80 || table[44] != 131072 {
+	if len(table) != 89 || table[0] != 64 || table[1] != 72 || table[8] != 128 || table[88] != 131072 {
 		t.Fatalf("table = %v", table)
-	}
-	for i := 1; i < len(table); i++ {
-		// A request one past a class fills at least 4/5 of the next.
-		if prev, c := table[i-1], table[i]; c <= prev || (prev+1)*5 < c*4 {
-			t.Errorf("classes %d → %d: spacing wastes more than a fifth", prev, c)
-		}
 	}
 	want := 0
 	for size := 1; size <= 131072; size++ {
@@ -148,6 +142,17 @@ func TestClassLookupMatchesTable(t *testing.T) {
 	}
 	if got := classIndex(131073); got != len(table) {
 		t.Errorf("classIndex(131073) = %d, want %d (past the table)", got, len(table))
+	}
+}
+
+// TestClassFillBound checks that every size the table serves past its
+// smallest class fills more than 8/9 of the chunk it is given.
+func TestClassFillBound(t *testing.T) {
+	for size := 65; size <= 131072; size++ {
+		c := ClassSize(size)
+		if size > c || 9*size <= 8*c {
+			t.Fatalf("ClassSize(%d) = %d: want size ≤ class < 9/8 size", size, c)
+		}
 	}
 }
 
