@@ -93,9 +93,9 @@ func soakWorker(ctx context.Context, h history.Client, w, g int, stop <-chan str
 var soakCell = Options{Shards: 3, Spares: 3, Mode: R32}
 
 // runChaosSoak is the shared harness: build a cell, preload, run workers
-// with the given writers per key while stepping the preset's schedule
-// (seed 1), then heal, repair to quiescence, read every key back, and
-// check the history.
+// with the given writers per key and one StrategyRPC reader while stepping
+// the preset's schedule (seed 1), then heal, repair to quiescence, read
+// every key back, and check the history.
 func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 	t.Helper()
 	const seed = 1
@@ -137,6 +137,28 @@ func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 			soakWorker(ctx, clients[w], w, w%groups, stop)
 		}(w)
 	}
+	// One two-sided reader: a StrategyRPC GET asks a read quorum and the
+	// rest of the cohort only when it disagrees, so that escalation runs
+	// under every fault and its answers join the history too.
+	rpcReader := history.Client{R: rec, ID: soakWorkers + 1, C: cc.NewClient(client.Options{
+		Strategy:   client.StrategyRPC,
+		NoFallback: true,
+		Retries:    8,
+		Budget:     client.NewRetryBudget(500, 1),
+	})}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(soakWorkers + 1))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rpcReader.Get(ctx, soakKey(rng.Intn(groups), rng.Intn(soakKeysPerGroup)))
+		}
+	}()
 
 	// Step the schedule through while the workers hammer the cell, so
 	// every fire and heal lands under load.
@@ -150,6 +172,9 @@ func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 	time.Sleep(5 * time.Millisecond) // post-heal load, catches lingering damage
 	close(stop)
 	wg.Wait()
+	if rpcReader.C.M.Gets.Value() == 0 {
+		t.Fatal("the StrategyRPC reader ran no GET")
+	}
 
 	// Fault window over: force-heal anything outstanding, then repair
 	// until quiescent — §5.4's permanent repair must converge.
@@ -538,14 +563,21 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 
 	// Per-replica witness: the victim replicates every key (3-shard
 	// cohort), and its local GET decodes through the checksum. Damaged
-	// entries must be rejected (not found), untouched ones served intact
-	// — detection is exact, not probabilistic.
+	// entries must be rejected with an error (the replica abstains from a
+	// two-sided quorum vote; a miss would vote for the zero version),
+	// untouched ones served intact — detection is exact, not probabilistic.
 	victimAddr := cc.Store.Get().AddrFor(victim)
 	probe := cc.Net.Client(cc.Fabric.NumHosts()-1, "corruption-probe")
 	probeShard := func(wantClean map[string]bool) {
 		t.Helper()
 		for k := range want {
 			resp, _, err := probe.Call(ctx, victimAddr, proto.MethodGet, proto.GetReq{Key: []byte(k)}.Marshal())
+			if !wantClean[k] {
+				if err == nil {
+					t.Errorf("victim replica answered damaged %q, want an error (checksum mis-detected the flip, or a miss vote)", k)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("probe %q: %v", k, err)
 			}
@@ -553,8 +585,8 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 			if err != nil {
 				t.Fatalf("probe %q: %v", k, err)
 			}
-			if wantClean[k] != g.Found {
-				t.Errorf("victim replica %q: found=%v, want %v (checksum mis-detected the flip)", k, g.Found, wantClean[k])
+			if !g.Found {
+				t.Errorf("victim replica %q: not found, want its intact entry", k)
 			}
 			if g.Found && !bytes.Equal(g.Value, want[k]) {
 				t.Errorf("victim replica served wrong bytes for %q: %q", k, g.Value)

@@ -22,22 +22,23 @@ import (
 // key's stripe lock (s) is held. The entry is a view — of *buf, into which
 // an indexed entry is read, or of the side shard's bytes, which are never
 // rewritten in place — and its Value is as stored, possibly compressed.
-func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte, buf *[]byte) (layout.DataEntry, bool) {
+// Finding nothing, err says why an indexed entry could not be read.
+func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte, buf *[]byte) (de layout.DataEntry, found bool, err error) {
 	idx := b.idx.Load()
 	if e, _, ok := idx.bucket(idx.bucketOf(h)).Find(h); ok {
-		if de, err := b.readEntry(e, buf); err == nil && string(de.Key) == string(key) {
-			return de, true
+		if de, err = b.readEntry(e, buf); err == nil && string(de.Key) == string(key) {
+			return de, true, nil
 		}
 	}
 	if se, ok := s.side[h]; ok && string(se.key) == string(key) {
-		return layout.DataEntry{Key: key, Value: se.value, Version: se.version}, true
+		return layout.DataEntry{Key: key, Value: se.value, Version: se.version}, true, nil
 	}
-	return layout.DataEntry{}, false
+	return layout.DataEntry{}, false, err
 }
 
 // view is the read both two-sided lookups and get share: count it, note
 // the key's heat, and look the key up under its stripe lock into *buf.
-func (b *Backend) view(sink *trace.SpanSink, key []byte, buf *[]byte) (layout.DataEntry, bool) {
+func (b *Backend) view(sink *trace.SpanSink, key []byte, buf *[]byte) (layout.DataEntry, bool, error) {
 	h := b.opt.Hash(key)
 	s := b.stripeOf(h)
 	s.ctr.gets.Add(1)
@@ -53,7 +54,7 @@ func (b *Backend) view(sink *trace.SpanSink, key []byte, buf *[]byte) (layout.Da
 func (b *Backend) get(sink *trace.SpanSink, key []byte) (value []byte, ver truetime.Version, found bool) {
 	bp := dataBufs.Get().(*[]byte)
 	defer dataBufs.Put(bp)
-	de, found := b.view(sink, key, bp)
+	de, found, _ := b.view(sink, key, bp) // damaged reads as absent: repair rewrites it
 	if !found {
 		return nil, truetime.Version{}, false
 	}
@@ -242,7 +243,7 @@ func (b *Backend) updateVersion(key []byte, v truetime.Version) bool {
 	bp := dataBufs.Get().(*[]byte)
 	defer dataBufs.Put(bp)
 	lockStripe(s, nil)
-	de, found := b.lookup(s, h, key, bp)
+	de, found, _ := b.lookup(s, h, key, bp) // a damaged entry has no value to re-install
 	s.unlock()
 	if !found {
 		return false

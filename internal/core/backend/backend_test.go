@@ -75,6 +75,30 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
+// TestDamagedEntryIsNotAMiss: a two-sided lookup of a key whose stored
+// entry fails its checksum answers an error, so that replica abstains from
+// the client's vote, as a one-sided reader's failed checksum does. A miss
+// would vote for the zero version and, beside one other, read an acked key
+// as absent.
+func TestDamagedEntryIsNotAMiss(t *testing.T) {
+	r := newRig(t, Options{Shard: 0})
+	key := []byte("damaged")
+	if applied, _, _ := r.b.ApplySet(key, []byte("stored"), r.v()); !applied {
+		t.Fatal("set not applied")
+	}
+	if damaged := r.b.CorruptEntries(1, 3); len(damaged) != 1 {
+		t.Fatalf("corrupted %d entries, want 1", len(damaged))
+	}
+	resp, err := r.b.HandleMsg(proto.GetReq{Key: key}.Marshal())
+	if err == nil {
+		g, _ := proto.UnmarshalGetResp(resp)
+		t.Fatalf("damaged entry answered found=%v, want an error", g.Found)
+	}
+	if _, _, found := r.b.get(nil, key); found {
+		t.Error("get served a damaged entry")
+	}
+}
+
 func TestVersionMonotonicity(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	v1 := r.v()

@@ -346,7 +346,11 @@ func (b *Backend) serveGet(sink *trace.SpanSink, dst, req []byte) ([]byte, error
 	// response.
 	bp := dataBufs.Get().(*[]byte)
 	defer dataBufs.Put(bp)
-	de, found := b.view(sink, r.Key, bp)
+	de, found, err := b.view(sink, r.Key, bp)
+	if err != nil {
+		// A damaged entry abstains: a miss vote could join a false miss quorum.
+		return nil, err
+	}
 	if !found && b.recovering.Load() {
 		// A recovering replica cannot distinguish "never stored" from
 		// "acked before the crash, not yet recovered": a clean miss

@@ -21,8 +21,9 @@ import (
 	"cliquemap/internal/truetime"
 )
 
-// rig assembles a 3-backend R=3.2 cell by hand (without internal/core/cell,
-// which has its own tests) so client behaviours can be probed in isolation.
+// rig assembles a 3-backend cell (R=3.2 unless built by newRigMode) by
+// hand (without internal/core/cell, which has its own tests) so client
+// behaviours can be probed in isolation.
 type rig struct {
 	f        *fabric.Fabric
 	net      *rpc.Network
@@ -38,7 +39,9 @@ const clientHost = 3
 
 func newRig(t testing.TB) *rig { return newRigOn(t, fabric.Params{}) }
 
-func newRigOn(t testing.TB, p fabric.Params) *rig {
+func newRigOn(t testing.TB, p fabric.Params) *rig { return newRigMode(t, p, config.R32) }
+
+func newRigMode(t testing.TB, p fabric.Params, mode config.Mode) *rig {
 	t.Helper()
 	r := &rig{
 		f:     fabric.New(5, p),
@@ -46,7 +49,7 @@ func newRigOn(t testing.TB, p fabric.Params) *rig {
 		clock: truetime.NewSystemClock(),
 	}
 	r.net = rpc.NewNetwork(r.f, rpc.CostModel{}, r.acct)
-	cfg := config.CellConfig{Mode: config.R32, Shards: 3}
+	cfg := config.CellConfig{Mode: mode, Shards: 3}
 	for i := 0; i < 3; i++ {
 		cfg.ShardAddrs = append(cfg.ShardAddrs, fmt.Sprintf("b%d", i))
 		cfg.Backends = append(cfg.Backends, config.BackendInfo{Shard: i, Addr: fmt.Sprintf("b%d", i), HostID: i})

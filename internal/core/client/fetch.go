@@ -48,6 +48,7 @@ type indexView struct {
 	data     []byte
 	trace    fabric.OpTrace
 	err      error
+	late     bool // asked in an escalation round, after the first ended
 }
 
 // fetchFor picks this GET's fetch: the configured strategy, unless per-
@@ -69,17 +70,35 @@ func (c *Client) fetchFor(key []byte) fetch {
 	return fetchBucket
 }
 
-// fetchViews resolves the read cohort and fans the fetch out to it,
-// appending one view per consulted member to views (errors included, so
-// the vote can surface them), its legs reading into op's storage. It
-// returns the views and the virtual instant the legs were pinned to: pin,
-// or now if pin is 0 or predates the client's last RPC.
+// fetchViews resolves the read cohort and fetches from it, appending one
+// view per consulted member to views (errors included, so the vote can
+// surface them), its legs reading into op's storage. It returns the views
+// and the virtual instant the first round's legs were pinned to: pin, or
+// now if pin is 0 or predates the client's last RPC.
 func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, cfg config.CellConfig, rt route, key []byte, h hashring.KeyHash, how fetch, views []indexView) ([]indexView, uint64) {
+	// A two-sided leg costs a backend's CPU, so a two-sided fetch asks a
+	// read quorum, rotated by the key's hash so each member serves its
+	// share, and the rest only when its live views do not all vote one
+	// version: once need views agree on V, a tally over the whole cohort
+	// returns V too. R=2/Immutable asks one replica (§6.4); one-sided
+	// R=3.2 asks all three at once to hide a slow one (§5.1).
+	need, round, rot := cfg.Mode.Quorum(), rt.n, 0
+	if need < round && (!how.oneSided() || need == 1) {
+		round, rot = need, int((h.Lo>>32)%uint64(rt.n))
+	}
 	// Resolve replicas — first use pays a Hello RPC — before pinning the
 	// op's virtual start: connection setup is control-plane work.
-	for i, shard := range rt.shards[:rt.n] {
-		rep, err := c.resolveReplica(ctx, cfg, shard, rt.addrs[i], how)
+	for j := range rt.n {
+		i := (j + rot) % rt.n
+		rep, err := c.resolveReplica(ctx, cfg, rt.shards[i], rt.addrs[i], how)
 		views = append(views, indexView{rep: rep, err: err})
+	}
+	// Members the health layer has demoted, or that did not resolve, go last.
+	for i, front := 0, 0; round < rt.n && i < rt.n; i++ {
+		if v := &views[i]; v.err == nil && !c.replicaDemoted(v.rep.addr) {
+			views[front], views[i] = views[i], views[front]
+			front++
+		}
 	}
 
 	// Two-sided lookups bill the client once per attempt — one-sided legs
@@ -106,24 +125,25 @@ func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, 
 		at = c.now()
 	}
 
-	// R=2/Immutable consults a single replica for most operations; the
-	// second serves only when the first fails (§6.4). Two-sided lookups
-	// keep the full fan-out.
-	consultOne := cfg.Mode == config.R2Immutable && how.oneSided()
+	legAt, roundNs := at, uint64(0)
 	for i := range views {
 		v := &views[i]
-		if v.err != nil {
+		if i == round { // the first round is over: ask the rest, after it, if it disagreed
+			if _, err := tally(views[:i], need); err == nil {
+				return views[:i], at
+			}
+			legAt = after(at, roundNs)
+		}
+		if v.late = i >= round; v.err != nil {
 			continue
 		}
-		c.fetchIndex(ctx, op, at, key, h, cfg.ID, how, req, v)
+		c.fetchIndex(ctx, op, legAt, key, h, cfg.ID, how, req, v)
+		roundNs = max(roundNs, v.trace.Ns)
 		if v.err != nil {
 			c.noteReplicaFailure(v.rep.addr)
 			continue
 		}
 		c.noteReplicaSuccess(v.rep.addr)
-		if consultOne {
-			return views[:i+1], at
-		}
 	}
 	return views, at
 }

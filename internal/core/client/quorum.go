@@ -110,29 +110,43 @@ func mutVerdict(acks []mutAck, q int, pendingDecides bool) (ok, swapped bool) {
 // so the retry layer repairs the actual cause instead of guessing from a
 // bare ErrUnavailable.
 func quorum(tr *fabric.OpTrace, views []indexView, need int) (winner truetime.Version, err error) {
+	// One round ends at its need-th live answer. An escalated fetch's
+	// rounds ran in sequence, each ending with its slowest leg, failed or not.
+	escalated := len(views) > 0 && views[len(views)-1].late
 	var legArr [8]uint64
 	legNs := legArr[:0]
 	var legErr error
+	live := 0
 	for i := range views {
 		v := &views[i]
-		if v.err != nil {
-			if legErr == nil {
-				legErr = v.err
-			}
+		if i > 0 && v.late && !views[i-1].late {
+			settleFanout(tr, legNs, len(legNs), trace.SpanIndexFetch)
+			legNs = legNs[:0]
+		}
+		if v.err == nil {
+			live++
+		} else if legErr == nil {
+			legErr = v.err
+		}
+		if v.err != nil && !escalated {
 			continue
 		}
 		legNs = append(legNs, v.trace.Ns)
 		tr.AddBytes(int(v.trace.Bytes))
-		// The legs ran in parallel: their spans all start where the phase
-		// does, at the op's current critical-path end.
+		// The legs of a round ran in parallel: their spans all start where
+		// the round does, at the op's current critical-path end.
 		tr.AppendSpans(v.trace.Spans, tr.Ns)
 	}
-	if len(legNs) < need {
+	if escalated {
+		settleFanout(tr, legNs, len(legNs), trace.SpanIndexFetch)
+	} else if len(legNs) >= need {
+		settleFanout(tr, legNs, need, trace.SpanIndexFetch)
+	}
+	if live < need {
 		if legErr == nil {
 			legErr = ErrUnavailable
 		}
 		return truetime.Version{}, legErr
 	}
-	settleFanout(tr, legNs, need, trace.SpanIndexFetch)
 	return tally(views, need)
 }
