@@ -199,7 +199,9 @@ type Client struct {
 	M Metrics
 }
 
-// Client-side CPU per lookup attempt by strategy (Figure 7 calibration).
+// Client-side CPU of a lookup by strategy (Figure 7 calibration). The
+// two-sided ones bill once per attempt; one-sided legs bill themselves:
+// cpuSCAR per SCAR leg, cpu2xR/2 per index leg and per data leg.
 const (
 	cpu2xR  = 900
 	cpuSCAR = 560

@@ -141,8 +141,17 @@ func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, 
 	// op's own timeline that instant is origin.
 	origin := tr.Ns
 	views, at := c.fetchViews(ctx, op, pin, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
+	sp := c.speculate(op, at, key, how, views, cfg.Mode.Quorum())
 
 	winner, err := quorum(tr, views, cfg.Mode.Quorum())
+	if sp.view >= 0 {
+		if err == nil && views[sp.view].entry.Version == winner {
+			hideWait(tr, origin+views[sp.view].trace.Ns+sp.tr.Ns)
+		} else { // the vote went elsewhere: the read moved its bytes for nothing
+			tr.AddBytes(int(sp.tr.Bytes))
+			sp.view = -1
+		}
+	}
 	if err != nil {
 		return nil, false, truetime.Version{}, err
 	}
@@ -161,11 +170,41 @@ func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, 
 		}
 		return nil, false, truetime.Version{}, nil
 	}
-	val, err := c.readData(op, at, origin, key, how, views, winner, tr)
+	val, err := c.readData(op, at, origin, key, how, views, winner, &sp, tr)
 	if err != nil {
 		return nil, false, truetime.Version{}, err
 	}
 	return val, true, winner, nil
+}
+
+// specRead is §5.1's speculative data read of views[view] (-1: none),
+// pinned at the end of that view's index leg.
+type specRead struct {
+	view int
+	data []byte
+	tr   fabric.OpTrace
+	err  error
+}
+
+// speculate issues, while the quorum forms, the data read of the fastest
+// first-round view if that replica is healthy and its entry takes a
+// dependent read. Need-1 modes (the first answer is the quorum) and
+// promoted keys (spread over the quorum) wait for the vote.
+func (c *Client) speculate(op *trace.OpLease, at uint64, key []byte, how fetch, views []indexView, need int) (sp specRead) {
+	sp.view = -1 // the fastest first-round view; a late leg counts from its own pin
+	for i := range views {
+		if v := &views[i]; v.err == nil && !v.late && (sp.view < 0 || v.trace.Ns < views[sp.view].trace.Ns) {
+			sp.view = i
+		}
+	}
+	if sp.view >= 0 && need > 1 && (c.near == nil || !c.isPromoted(key)) {
+		if v := &views[sp.view]; v.present && (how == fetchBucket || how == fetchScar && !v.rep.conn.SupportsScar()) && !c.replicaDemoted(v.rep.addr) {
+			c.chargeCPU(cpu2xR / 2)
+			sp.data, sp.tr, sp.err = readLeg(op, v.rep.conn, after(at, v.trace.Ns), v.entry.Ptr.Window, int(v.entry.Ptr.Offset), int(v.entry.Ptr.Size))
+			return sp
+		}
+	}
+	return specRead{view: -1}
 }
 
 // cand is one data source: a quorum member holding the winning version,
@@ -180,12 +219,11 @@ type cand struct {
 // quorum member, failing over along the candidate list — a torn, corrupt,
 // or unreachable copy costs one more dependent read instead of a whole-op
 // retry. The checksum (§3) is the only corruption defense, so every
-// absorbed failure is counted. Dependent legs are pinned relative to at,
-// which sits at origin on tr's timeline.
-func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how fetch, views []indexView, winner truetime.Version, tr *fabric.OpTrace) ([]byte, error) {
-	// Candidates fastest first (§5.1 — speculate on the first responder),
-	// with health-demoted members sorted last so a browned-out backend
-	// serves data only when no healthy member can.
+// absorbed failure is counted. Each leg but a kept speculative read
+// starts where tr ends, pinned relative to at (origin on tr's timeline).
+func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how fetch, views []indexView, winner truetime.Version, sp *specRead, tr *fabric.OpTrace) ([]byte, error) {
+	// Candidates fastest first, with health-demoted members sorted last so
+	// a browned-out backend serves data only when no healthy member can.
 	var candArr [8]cand
 	n := 0
 	for i := range views {
@@ -199,7 +237,7 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 				}
 				return v.data, nil
 			}
-			candArr[n] = cand{view: i, ns: v.trace.Ns, demoted: c.replicaDemoted(v.rep.addr)}
+			candArr[n] = cand{view: i, ns: v.trace.Ns, demoted: i != sp.view && c.replicaDemoted(v.rep.addr)}
 			n++
 		}
 	}
@@ -254,12 +292,14 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 			lastErr = layout.ErrTornRead
 			continue
 		default:
-			c.chargeCPU(cpu2xR / 2)
-			e := v.entry
-			dataStart := tr.Ns
-			data, dtr, derr := readLeg(op, v.rep.conn, after(at, dataStart-origin), e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size))
+			dataStart, data, dtr, derr := origin+v.trace.Ns, sp.data, sp.tr, sp.err
+			if cd.view != sp.view {
+				c.chargeCPU(cpu2xR / 2)
+				dataStart = tr.Ns
+				data, dtr, derr = readLeg(op, v.rep.conn, after(at, dataStart-origin), v.entry.Ptr.Window, int(v.entry.Ptr.Offset), int(v.entry.Ptr.Size))
+			}
 			if derr != nil {
-				tr.Sequence(dtr)
+				tr.Place(dtr, dataStart)
 				c.noteReplicaFailure(v.rep.addr)
 				lastErr = wrapTransportErr(v.rep.addr, derr)
 				if !last {
@@ -270,22 +310,24 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 			c.observeDataNs(dtr.Ns)
 			// Hedge: the primary's read exceeded the rolling threshold, so
 			// (in wall-time terms) a backup read launched at +hedgeAfter
-			// may complete first; the op takes whichever finishes sooner.
+			// may complete first; the op takes whichever finishes sooner
+			// and bills both legs' bytes.
 			if hedgeAfter := c.hedgeAfterNs(); ci == 0 && !last && hedgeAfter > 0 && dtr.Ns > hedgeAfter {
 				c.M.Hedges.Inc()
 				b := &views[cands[1].view]
 				hdata, htr, herr := readLeg(op, b.rep.conn, after(at, dataStart-origin+hedgeAfter), b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
+				tr.AddBytes(int(htr.Bytes))
 				if herr == nil && hedgeAfter+htr.Ns < dtr.Ns {
 					if hval, err := c.openEntry(b.rep.addr, hdata, key, &winner); err == nil {
 						c.M.HedgeWins.Inc()
 						tr.Annotate(trace.SpanHedge, uint32(b.rep.shard), dataStart+hedgeAfter, htr.Ns)
-						tr.AddBytes(int(htr.Bytes))
-						tr.Add(hedgeAfter + htr.Ns)
+						tr.AddBytes(int(dtr.Bytes))
+						tr.Ns = max(tr.Ns, dataStart+hedgeAfter+htr.Ns)
 						return hval, nil
 					}
 				}
 			}
-			tr.Sequence(dtr)
+			tr.Place(dtr, dataStart)
 			tr.Annotate(trace.SpanDataRead, uint32(v.rep.shard), dataStart, dtr.Ns)
 			raw = data
 		}

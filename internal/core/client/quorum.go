@@ -30,6 +30,18 @@ func settleFanout(tr *fabric.OpTrace, legNs []uint64, k int, phase uint16) {
 	tr.Add(legNs[k-1])
 }
 
+// hideWait trims the index phase's closing quorum-wait annotation to what
+// outlasts busy, the end of a kept speculative read that overlapped it.
+func hideWait(tr *fabric.OpTrace, busy uint64) {
+	if n := len(tr.Spans) - 1; n >= 0 && tr.Spans[n].Code == trace.SpanQuorumWait {
+		if w := &tr.Spans[n]; busy < w.Start+w.Dur {
+			w.Start, w.Dur = busy, w.Start+w.Dur-busy
+		} else {
+			tr.Spans = tr.Spans[:n]
+		}
+	}
+}
+
 // vote is one distinct version's support among the live views.
 type vote struct {
 	ver   truetime.Version

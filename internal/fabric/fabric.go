@@ -460,9 +460,13 @@ func (t *OpTrace) AppendSpans(spans []Span, origin uint64) {
 
 // Sequence folds a dependent leg: latency adds, bytes sum. The leg began
 // where this trace currently ends.
-func (t *OpTrace) Sequence(o OpTrace) {
-	t.AppendSpans(o.Spans, t.Ns)
-	t.Ns += o.Ns
+func (t *OpTrace) Sequence(o OpTrace) { t.Place(o, t.Ns) }
+
+// Place folds a leg that began at start, which may precede the trace's
+// end (a speculative read): the later of the two ends it; bytes sum.
+func (t *OpTrace) Place(o OpTrace, start uint64) {
+	t.AppendSpans(o.Spans, start)
+	t.Ns = max(t.Ns, start+o.Ns)
 	t.Bytes += o.Bytes
 }
 
