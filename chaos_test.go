@@ -113,10 +113,9 @@ func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 	clients := make([]history.Client, soakWorkers)
 	for w := range clients {
 		clients[w] = history.Client{R: rec, ID: w, C: cc.NewClient(client.Options{
-			Strategy:   client.StrategySCAR,
-			NoFallback: true, // a single-replica fallback read could legally be stale; the history wants quorum reads only
-			Retries:    8,
-			Budget:     client.NewRetryBudget(500, 1),
+			Strategy: client.StrategySCAR,
+			Retries:  8,
+			Budget:   client.NewRetryBudget(500, 1),
 		})}
 	}
 	// Preload before the fault window so every key has an acked baseline.
@@ -141,10 +140,9 @@ func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 	// rest of the cohort only when it disagrees, so that escalation runs
 	// under every fault and its answers join the history too.
 	rpcReader := history.Client{R: rec, ID: soakWorkers + 1, C: cc.NewClient(client.Options{
-		Strategy:   client.StrategyRPC,
-		NoFallback: true,
-		Retries:    8,
-		Budget:     client.NewRetryBudget(500, 1),
+		Strategy: client.StrategyRPC,
+		Retries:  8,
+		Budget:   client.NewRetryBudget(500, 1),
 	})}
 	wg.Add(1)
 	go func() {
@@ -198,7 +196,7 @@ func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 
 	// Converged state, through a fresh client: every key reads cleanly and
 	// identically twice (stability), and both reads join the history.
-	vcl := history.Client{R: rec, ID: soakWorkers, C: cc.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true})}
+	vcl := history.Client{R: rec, ID: soakWorkers, C: cc.NewClient(client.Options{Strategy: client.Strategy2xR})}
 	for g := 0; g < groups; g++ {
 		for k := 0; k < soakKeysPerGroup; k++ {
 			v1, hit1, err := vcl.Get(ctx, soakKey(g, k))
@@ -270,7 +268,7 @@ func testRestartLostWriteRegression(t *testing.T, copt Options) {
 	cc := c.Internal()
 	ctx := context.Background()
 	rec := &history.Recorder{}
-	cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2}), R: rec}
+	cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategyRPC, Retries: 2}), R: rec}
 
 	key, val := []byte("ghost"), []byte("acked-by-two")
 	// Replica 2's mutation leg fails outright: the SET acks on {0,1} alone.
@@ -335,7 +333,7 @@ func TestRestartLostWriteUnderContention(t *testing.T) {
 	cc := c.Internal()
 	ctx := context.Background()
 	rec := &history.Recorder{}
-	quorumRPC := client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2}
+	quorumRPC := client.Options{Strategy: client.StrategyRPC, Retries: 2}
 	cl := history.Client{C: cc.NewClient(quorumRPC), R: rec}
 
 	key, val := []byte("ghost-contended"), []byte("acked-by-two")
@@ -416,10 +414,9 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	ctx := context.Background()
 	budget := client.NewRetryBudget(2, 0.001)
 	cl := cc.NewClient(client.Options{
-		Strategy:   client.StrategySCAR,
-		NoFallback: true,
-		Retries:    100, // the budget, not the retry cap, must bind
-		Budget:     budget,
+		Strategy: client.StrategySCAR,
+		Retries:  100, // the budget, not the retry cap, must bind
+		Budget:   budget,
 	})
 	key := []byte("budget-key")
 	if err := cl.Set(ctx, key, []byte("v1")); err != nil {
@@ -471,9 +468,8 @@ func TestBrownoutAmplificationBounded(t *testing.T) {
 	cc := c.Internal()
 	ctx := context.Background()
 	cl := cc.NewClient(client.Options{
-		Strategy:   client.StrategySCAR,
-		NoFallback: true,
-		Budget:     client.NewRetryBudget(10_000, 1), // roomy: measure structural amplification, not budget cutoff
+		Strategy: client.StrategySCAR,
+		Budget:   client.NewRetryBudget(10_000, 1), // roomy: measure structural amplification, not budget cutoff
 	})
 	const keys = 16
 	for i := 0; i < keys; i++ {
@@ -536,11 +532,7 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 	c := newCell(t, Options{Shards: 3, Mode: R32})
 	cc := c.Internal()
 	ctx := context.Background()
-	cl := cc.NewClient(client.Options{
-		Strategy:   client.Strategy2xR,
-		NoFallback: true,
-		NoHedge:    true,
-	})
+	cl := cc.NewClient(client.Options{Strategy: client.Strategy2xR})
 	const keys = 64
 	want := make(map[string][]byte, keys)
 	for i := 0; i < keys; i++ {
@@ -666,7 +658,7 @@ func TestEvictedTombstoneResurrection(t *testing.T) {
 	c := newCell(t, Options{Shards: 3, Mode: R32, TombstoneCap: 2})
 	cc := c.Internal()
 	ctx := context.Background()
-	cl := cc.NewClient(client.Options{Strategy: client.StrategyRPC, NoFallback: true, Retries: 2})
+	cl := cc.NewClient(client.Options{Strategy: client.StrategyRPC, Retries: 2})
 
 	key := []byte("lazarus")
 	if err := cl.Set(ctx, key, []byte("alive")); err != nil {

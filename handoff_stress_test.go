@@ -59,7 +59,7 @@ func handoffStress(t *testing.T, opt Options, churn func(t *testing.T, c *Cell))
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategySCAR, NoFallback: true, Retries: 8, Budget: client.NewRetryBudget(500, 1)}), R: rec, ID: w}
+			cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategySCAR, Retries: 8, Budget: client.NewRetryBudget(500, 1)}), R: rec, ID: w}
 			for seq := 1; !stop.Load(); seq++ {
 				cl.SetVersioned(ctx, key(w%groups, seq%keys), []byte(fmt.Sprintf("w%d.s%d", w, seq)))
 			}
@@ -71,9 +71,7 @@ func handoffStress(t *testing.T, opt Options, churn func(t *testing.T, c *Cell))
 	stop.Store(true)
 	wg.Wait()
 
-	// Quorum reads only: the single-replica RPC fallback is outside the
-	// register.
-	check := history.Client{C: cc.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true}), R: rec, ID: workers + 1}
+	check := history.Client{C: cc.NewClient(client.Options{Strategy: client.Strategy2xR}), R: rec, ID: workers + 1}
 	if err := check.ReadAll(ctx, cc.RepairAll); err != nil {
 		t.Fatal(err)
 	}

@@ -136,9 +136,7 @@ func TestHotChurnRace(t *testing.T) {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
-			// Quorum reads only: the single-replica RPC fallback is outside
-			// the register.
-			cl := history.Client{C: c.Internal().NewClient(client.Options{TouchBatch: 4, NearCacheEntries: 16, NoFallback: true}), R: rec, ID: 1 + r}
+			cl := history.Client{C: c.Internal().NewClient(client.Options{TouchBatch: 4, NearCacheEntries: 16}), R: rec, ID: 1 + r}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:

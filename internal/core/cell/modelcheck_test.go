@@ -95,11 +95,7 @@ func modelCheck(t *testing.T, second trace.Kind, crash int) {
 		// Fresh cell per scenario: deterministic initial state.
 		c := newTestCell(t, small32())
 		rec := &history.Recorder{}
-		// The RPC fallback reads one replica without a quorum; keep it off
-		// so every answer the model sees is quorum-backed (mid-race, a
-		// fallback read of the one replica an erase reached answers a miss
-		// that the quorum read after it contradicts).
-		cl := history.Client{C: c.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true, Retries: 1}), R: rec}
+		cl := history.Client{C: c.NewClient(client.Options{Strategy: client.Strategy2xR, Retries: 1}), R: rec}
 		ctx := context.Background()
 		if _, err := cl.SetVersioned(ctx, key, []byte("v0")); err != nil {
 			t.Fatal(err)

@@ -2,9 +2,9 @@
 // only component that touches every transport.
 //
 // GETs run over one-sided RMA — 2×R (bucket fetch then data fetch), SCAR
-// (single round trip on software NICs), MSG (two-sided messaging), or a
-// pure RPC fallback — while every mutation is an RPC to all replicas with
-// a client-nominated VersionNumber.
+// (single round trip on software NICs), MSG (two-sided messaging), or RPC,
+// which is also every GET's last attempt — while every mutation is an RPC
+// to all replicas with a client-nominated VersionNumber.
 //
 // Under R=3.2 the client fetches the index from all three replicas,
 // speculatively reads data from the first responder (the preferred
@@ -84,7 +84,7 @@ type Metrics struct {
 	ConfigRetries          stats.Counter // config-ID mismatches → refresh (§6.1)
 	QuorumRetries          stats.Counter // preferred backend outside quorum (§5.1)
 	Inquorate              stats.Counter
-	RPCFallbacks           stats.Counter // overflow-bit / final RPC lookups
+	RPCFallbacks           stats.Counter // GETs served by an overflow re-read or the final attempt, over RPC
 	Hedges                 stats.Counter // backup data reads issued past the hedge delay
 	HedgeWins              stats.Counter // hedged reads that beat the primary
 	Failovers              stats.Counter // data reads absorbed by a backup quorum member
@@ -109,9 +109,8 @@ type Options struct {
 	ID         uint64 // client identity for VersionNumbers
 	HostID     int    // fabric host the client runs on
 	Strategy   Strategy
-	Retries    int  // per-op retry budget (default 5)
-	TouchBatch int  // flush threshold for access records; 0 disables (§4.2)
-	NoFallback bool // disable the final RPC lookup fallback
+	Retries    int // per-op retry budget (default 5)
+	TouchBatch int // flush threshold for access records; 0 disables (§4.2)
 	Hash       hashring.HashFunc
 	// Tracer, when set, records every completed op (kind, transport,
 	// attempts, per-layer spans) into the cell's telemetry plane.
@@ -119,8 +118,6 @@ type Options struct {
 	// Budget bounds retry amplification across all of this client's ops;
 	// nil gets a private default budget (10 tokens, 0.1 credit/success).
 	Budget *RetryBudget
-	// NoHedge disables backup-replica hedged/failover data reads.
-	NoHedge bool
 	// Observer, when set, receives every completed op's kind, transport,
 	// modelled latency, and outcome (nil error = success, including clean
 	// misses). The fleet health plane's E2E probers feed their SLO burn-

@@ -3,8 +3,10 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cliquemap/internal/core/backend"
@@ -12,6 +14,7 @@ import (
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/nic"
 	"cliquemap/internal/onerma"
 	"cliquemap/internal/pony"
@@ -41,7 +44,8 @@ func newRig(t testing.TB) *rig { return newRigOn(t, fabric.Params{}) }
 
 func newRigOn(t testing.TB, p fabric.Params) *rig { return newRigMode(t, p, config.R32) }
 
-func newRigMode(t testing.TB, p fabric.Params, mode config.Mode) *rig {
+// newRigMode builds the rig in mode; each tweak edits every backend's options.
+func newRigMode(t testing.TB, p fabric.Params, mode config.Mode, tweaks ...func(*backend.Options)) *rig {
 	t.Helper()
 	r := &rig{
 		f:     fabric.New(5, p),
@@ -57,14 +61,18 @@ func newRigMode(t testing.TB, p fabric.Params, mode config.Mode) *rig {
 	r.store = config.NewStore(cfg)
 	for i := 0; i < 3; i++ {
 		reg := rmem.NewRegistry()
-		b, err := backend.New(backend.Options{
+		opt := backend.Options{
 			Shard: i, HostID: i, Addr: fmt.Sprintf("b%d", i),
 			Geometry:       layout.Geometry{Buckets: 32, Ways: 8},
 			DataBytes:      1 << 20,
 			DataMaxBytes:   4 << 20,
 			SlabBytes:      64 << 10,
 			ReshapeEnabled: true,
-		}, r.store, reg, r.net, truetime.NewGenerator(r.clock, uint64(100+i)), r.acct)
+		}
+		for _, tw := range tweaks {
+			tw(&opt)
+		}
+		b, err := backend.New(opt, r.store, reg, r.net, truetime.NewGenerator(r.clock, uint64(100+i)), r.acct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,37 +203,121 @@ func med(xs []uint64) uint64 {
 	return s[len(s)/2]
 }
 
-func TestNoFallbackSurfacesInquorate(t *testing.T) {
+// TestTwoCrashedReplicasSurfaceInquorate: with two of three backends
+// crashed no attempt, the final RPC one included, gathers a quorum, so
+// the default client reports ErrInquorate rather than one replica's answer.
+func TestTwoCrashedReplicasSurfaceInquorate(t *testing.T) {
 	r := newRig(t)
-	cl := r.newClient(Options{Strategy: Strategy2xR, NoFallback: true, Retries: 1})
+	cl := r.newClient(Options{Strategy: Strategy2xR, Retries: 1})
 	ctx := context.Background()
 	cl.Set(ctx, []byte("k"), []byte("v"))
-	// Kill two backends: no quorum possible.
 	for i := 0; i < 2; i++ {
 		r.backends[i].Server().Stop()
 		r.nics[i].SetDown(true)
 	}
-	_, _, err := cl.Get(ctx, []byte("k"))
-	if err == nil {
-		t.Fatal("expected failure with 2/3 backends down and no fallback")
+	if _, _, err := cl.Get(ctx, []byte("k")); !errors.Is(err, ErrInquorate) {
+		t.Fatalf("get with 2/3 backends down: err=%v, want ErrInquorate", err)
+	}
+	if cl.M.Inquorate.Value() != 1 || cl.M.RPCFallbacks.Value() != 0 {
+		t.Errorf("inquorate=%d rpc fallbacks=%d, want 1 and 0", cl.M.Inquorate.Value(), cl.M.RPCFallbacks.Value())
 	}
 }
 
+// TestRPCFallbackServesWithOneReplica: with two replicas' NICs down and
+// their RPC servers up, every one-sided attempt is inquorate and the final
+// attempt serves the value over RPC.
 func TestRPCFallbackServesWithOneReplica(t *testing.T) {
 	r := newRig(t)
 	cl := r.newClient(Options{Strategy: Strategy2xR})
 	ctx := context.Background()
 	cl.Set(ctx, []byte("k"), []byte("v"))
 	for i := 0; i < 2; i++ {
-		r.backends[i].Server().Stop()
 		r.nics[i].SetDown(true)
 	}
 	got, found, err := cl.Get(ctx, []byte("k"))
 	if err != nil || !found || string(got) != "v" {
 		t.Fatalf("fallback get: %q %v %v", got, found, err)
 	}
-	if cl.M.RPCFallbacks.Value() == 0 {
-		t.Error("fallback not counted")
+	if cl.M.RPCFallbacks.Value() != 1 {
+		t.Errorf("%d fallbacks counted, want 1", cl.M.RPCFallbacks.Value())
+	}
+}
+
+// staleFirstReplica writes val at a version newer than any client's to
+// every replica of key but the first of its read cohort, which keeps the
+// acked value: a single-replica read of that member answers stale. It
+// returns the stale replica's index.
+func staleFirstReplica(t *testing.T, r *rig, key, val []byte) int {
+	t.Helper()
+	cfg := r.store.Get()
+	stale := slices.Index(cfg.ShardAddrs, readRoute(cfg, hashring.DefaultHash(key)).addrs[0])
+	newer := truetime.Version{Micros: math.MaxInt64 / 2, ClientID: 99, Seq: 1}
+	for i, b := range r.backends {
+		if i == stale {
+			continue
+		}
+		if ok, _, _ := b.ApplySet(key, val, newer); !ok {
+			t.Fatalf("replica %d refused the newer version", i)
+		}
+	}
+	return stale
+}
+
+// TestFallbackReadVotes: the final RPC attempt votes. Replica 0 of the
+// key's cohort missed an overwrite; the other two replicas' NICs are down
+// (their RPC servers up), so every one-sided attempt is inquorate, and the
+// fallback must return the overwrite the two hold, not replica 0's value.
+func TestFallbackReadVotes(t *testing.T) {
+	r := newRig(t)
+	cl := r.newClient(Options{Strategy: Strategy2xR})
+	ctx := context.Background()
+	key := []byte("fallback-votes")
+	if err := cl.Set(ctx, key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	stale := staleFirstReplica(t, r, key, []byte("new"))
+	for i := range r.nics {
+		r.nics[i].SetDown(i != stale)
+	}
+	got, found, err := cl.Get(ctx, key)
+	if err != nil || !found || string(got) != "new" {
+		t.Fatalf("get: %q found=%v err=%v, want the quorate \"new\"", got, found, err)
+	}
+	if cl.M.RPCFallbacks.Value() != 1 {
+		t.Errorf("%d fallbacks counted, want 1", cl.M.RPCFallbacks.Value())
+	}
+}
+
+// TestOverflowReadVotes: on a miss quorum that saw a bucket's overflow bit
+// the client re-asks the cohort over RPC and votes (§4.2). Every key
+// hashes to one bucket, so the key lives in each replica's side table, and
+// replica 0 of its cohort holds a stale copy there.
+func TestOverflowReadVotes(t *testing.T) {
+	oneBucket := func(key []byte) hashring.KeyHash {
+		h := hashring.DefaultHash(key)
+		return hashring.KeyHash{Hi: h.Hi, Lo: h.Lo << 16}
+	}
+	r := newRigMode(t, fabric.Params{}, config.R32, func(o *backend.Options) {
+		o.OverflowFallback, o.Hash = true, oneBucket
+	})
+	cl := r.newClient(Options{Strategy: Strategy2xR, Hash: oneBucket})
+	ctx := context.Background()
+	for i := range 8 { // the bucket's ways
+		if err := cl.Set(ctx, fmt.Appendf(nil, "filler-%d", i), []byte("f")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := []byte("overflow-votes")
+	if err := cl.Set(ctx, key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	staleFirstReplica(t, r, key, []byte("new"))
+	got, found, err := cl.Get(ctx, key)
+	if err != nil || !found || string(got) != "new" {
+		t.Fatalf("get: %q found=%v err=%v, want the quorate \"new\"", got, found, err)
+	}
+	if cl.M.RPCFallbacks.Value() != 1 || cl.M.RetryCount() != 0 {
+		t.Errorf("%d overflow lookups and %d retries, want 1 and 0", cl.M.RPCFallbacks.Value(), cl.M.RetryCount())
 	}
 }
 
@@ -405,7 +497,7 @@ func TestDamagedIndexPointerFailsOver(t *testing.T) {
 		} {
 			t.Run(strat.String()+"/"+damage.name, func(t *testing.T) {
 				r := newRig(t)
-				cl := r.newClient(Options{Strategy: strat, NoFallback: true})
+				cl := r.newClient(Options{Strategy: strat})
 				ctx := context.Background()
 				key, val := []byte("damaged-ptr"), []byte("still-served")
 				if err := cl.Set(ctx, key, val); err != nil {

@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
@@ -117,9 +116,9 @@ func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, 
 
 	// All NIC legs are pinned to one virtual op-start instant (0 = unpinned)
 	// so their responses contend for this client's downlink in the model.
-	// An RPC that returned after pin (a Hello above, a fallback) landed at
-	// the clock's now: legs pinned before it would bill the wall time
-	// between as queueing, so they re-pin to now.
+	// An RPC that returned after pin (a Hello above, an earlier RPC lookup)
+	// landed at the clock's now: legs pinned before it would bill the wall
+	// time between as queueing, so they re-pin to now.
 	at := pin
 	if (at == 0 || at < c.rpcAt.Load()) && c.now != nil {
 		at = c.now()
@@ -226,19 +225,6 @@ func readLeg(op *trace.OpLease, conn nic.RMA, at uint64, win rmem.WindowID, off,
 	b, tr, err := nic.Appending(conn).AppendRead(dst, spans, at, win, off, length)
 	op.Received(len(b))
 	return b, tr, err
-}
-
-// rpcGetAt is the one GetReq→GetResp RPC round trip against addr, a leg of
-// op. The value leaves op's arena as the caller's copy.
-func (c *Client) rpcGetAt(ctx context.Context, op *trace.OpLease, addr string, key []byte, cfgID uint64) (proto.GetResp, fabric.OpTrace, error) {
-	req := op.Keep(proto.GetReq{Key: key, ConfigID: cfgID}.AppendTo(op.Free()))
-	resp, tr, err := c.call(ctx, op, addr, proto.MethodGet, req)
-	if err != nil {
-		return proto.GetResp{}, tr, err
-	}
-	g, err := proto.UnmarshalGetResp(resp)
-	g.Value = slices.Clone(g.Value)
-	return g, tr, err
 }
 
 // errStale wraps a window error with the backend it came from.

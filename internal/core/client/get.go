@@ -1,7 +1,8 @@
 package client
 
-// GET: the retry loop around one fetch → vote → data attempt, plus the
-// RPC-only lookups (final fallback, follower reads) and batching.
+// GET: the retry loop around one fetch → vote → data attempt (the last
+// attempt, the final fallback, fetches over RPC), plus batching and the
+// tier's single-replica follower read.
 
 import (
 	"cmp"
@@ -80,7 +81,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 			sc.Attempt = uint32(attempt)
 		}
 		attemptStart := total.Ns
-		val, ok, wver, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), &total)
+		val, ok, wver, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), c.fetchFor(key), &total)
 		if aerr == nil {
 			c.opt.Budget.Credit()
 			if ok {
@@ -94,27 +95,24 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 		}
 		c.classifyAndRepair(aerr)
 	}
-	// Final fallback: a plain RPC lookup against any reachable replica —
-	// CliqueMap always keeps an RPC path for lookups (§3, Table 1). The
-	// fallback is itself another attempt, so it too costs a retry token.
-	if !c.opt.NoFallback {
-		if err := c.takeRetryToken(); err != nil {
-			return nil, false, total, err
-		}
-		if g, ftr, ferr := c.rpcGetAny(ctx, op, key); ferr == nil {
-			total.Sequence(ftr)
-			c.opt.Budget.Credit()
-			c.M.RPCFallbacks.Inc()
-			c.finishGet(sc, g.Found, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
-			return g.Value, g.Found, total, nil
-		}
+	// Final fallback: one more attempt over RPC — CliqueMap always keeps an
+	// RPC path for lookups (§3, Table 1). It votes like any two-sided
+	// fetch, and costs a retry token like any other attempt.
+	if err := c.takeRetryToken(); err != nil {
+		return nil, false, total, err
+	}
+	if val, ok, _, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), fetchRPC, &total); aerr == nil {
+		c.opt.Budget.Credit()
+		c.M.RPCFallbacks.Inc()
+		c.finishGet(sc, ok, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
+		return val, ok, total, nil
 	}
 	c.M.Inquorate.Inc()
 	return nil, false, total, fmt.Errorf("%w for key %q", ErrInquorate, key)
 }
 
 // finishGet is the one success epilogue of a GET, however it was served
-// (near-cache, a quorum attempt, the RPC fallback): count the outcome,
+// (near-cache, a quorum attempt, the final RPC attempt): count the outcome,
 // record latency and the trace.
 func (c *Client) finishGet(sc *trace.SpanContext, found bool, transport trace.Transport, attempts uint32, total *fabric.OpTrace) {
 	if found {
@@ -129,13 +127,13 @@ func (c *Client) finishGet(sc *trace.SpanContext, found bool, transport trace.Tr
 }
 
 // attemptGet performs one lookup attempt, appending it to the op's trace:
-// fetch views from the read cohort, vote, take the data from a quorum
-// member. On a hit it also returns the quorum-winning version, which feeds
-// the near-cache. pin is the attempt's virtual start (0 = now).
-func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
+// fetch views from the read cohort the way how names, vote, take the data
+// from a quorum member. On a hit it also returns the quorum-winning
+// version, which feeds the near-cache. pin is the attempt's virtual start
+// (0 = now).
+func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, how fetch, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
-	how := c.fetchFor(key)
 	var viewArr [8]indexView
 	// at is the virtual instant the attempt's legs are pinned to; on the
 	// op's own timeline that instant is origin.
@@ -156,16 +154,17 @@ func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, 
 		return nil, false, truetime.Version{}, err
 	}
 	if winner.Zero() {
-		// Miss quorum. If any replica flagged overflow, the key may live
-		// in a side table reachable only via RPC (§4.2).
+		// Miss quorum. If any replica flagged overflow, the key may live in
+		// a side table only a lookup RPC reaches (§4.2): ask the cohort
+		// again over RPC, after this round, and vote on those answers. RPC
+		// views carry no overflow bit, so this recurses once at most.
 		for i := range views {
 			if v := &views[i]; v.err == nil && v.overflow {
-				g, ftr, ferr := c.rpcGetAt(ctx, op, v.rep.addr, key, cfg.ID)
-				tr.Sequence(ftr)
-				if ferr == nil {
+				val, ok, ver, err := c.attemptGet(ctx, op, key, after(at, tr.Ns-origin), fetchRPC, tr)
+				if err == nil {
 					c.M.RPCFallbacks.Inc()
-					return g.Value, g.Found, g.Version, nil
 				}
+				return val, ok, ver, err
 			}
 		}
 		return nil, false, truetime.Version{}, nil
@@ -370,40 +369,21 @@ func (c *Client) openEntry(addr string, raw, key []byte, winner *truetime.Versio
 	return de.MaterializeValue()
 }
 
-// rpcGetAny tries an RPC lookup on each read-cohort member until one
-// answers; every leg tried is billed.
-func (c *Client) rpcGetAny(ctx context.Context, op *trace.OpLease, key []byte) (proto.GetResp, fabric.OpTrace, error) {
-	cfg := c.Config()
-	var tr fabric.OpTrace
-	var lastErr error = ErrUnavailable
-	rt := readRoute(cfg, c.opt.Hash(key))
-	for _, addr := range rt.addrs[:rt.n] {
-		if addr == "" {
-			continue
-		}
-		g, ltr, err := c.rpcGetAt(ctx, op, addr, key, cfg.ID)
-		tr.Sequence(ltr)
-		if err == nil {
-			return g, tr, nil
-		}
-		lastErr = err
-	}
-	return proto.GetResp{}, tr, lastErr
-}
-
 // GetVersionedTraced is a single-replica RPC lookup returning the stored
-// value, its version, and the op's modelled latency trace. It is the
-// federation tier's follower-read primitive: the version lets a non-owner
-// cell revalidate a cached entry against the owner, a single replica (no
-// quorum) is acceptable because the tier bounds staleness and
-// revalidates, and the trace lets the tier edge fold the owner cell's
-// revalidation legs into the federated op's single trace. Not a
-// substitute for Get on the quorum read path.
+// value, its version, and the op's modelled latency trace: each attempt
+// asks the read cohort's members in turn until one answers, and bills
+// every leg it tried. It is the federation tier's follower-read
+// primitive: the version lets a non-owner cell revalidate a cached entry
+// against the owner, a single replica (no quorum) is acceptable because
+// the tier bounds staleness and revalidates, and the trace lets the tier
+// edge fold the owner cell's revalidation legs into the federated op's
+// single trace. It is the client's only read that no quorum votes on, so
+// it is no substitute for Get.
 func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
 	op := c.ops.Take()
 	defer c.ops.Put(op)
 	var total fabric.OpTrace
-	var lastErr error
+	var lastErr error = ErrUnavailable
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if attempt > 0 {
 			// Same layered repair as the quorum paths: a resize or handoff
@@ -411,12 +391,24 @@ func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, tr
 			// the stale ConfigID; refresh and re-route before retrying.
 			c.classifyAndRepair(lastErr)
 		}
-		g, tr, err := c.rpcGetAny(ctx, op, key)
-		total.Sequence(tr)
-		if err == nil {
-			return g.Value, g.Version, g.Found, total, nil
+		cfg := c.Config()
+		req := op.Keep(proto.GetReq{Key: key, ConfigID: cfg.ID}.AppendTo(op.Free()))
+		rt := readRoute(cfg, c.opt.Hash(key))
+		for _, addr := range rt.addrs[:rt.n] {
+			if addr == "" {
+				continue
+			}
+			resp, tr, err := c.call(ctx, op, addr, proto.MethodGet, req)
+			total.Sequence(tr)
+			var g proto.GetResp
+			if err == nil {
+				g, err = proto.UnmarshalGetResp(resp)
+			}
+			if err == nil {
+				return slices.Clone(g.Value), g.Version, g.Found, total, nil
+			}
+			lastErr = err
 		}
-		lastErr = err
 	}
 	return nil, truetime.Version{}, false, total, lastErr
 }
@@ -428,7 +420,7 @@ func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, tr
 // slowest key, and the keys' responses queue on the shared client downlink
 // — the incast the fabric model charges for. Nothing the loop sends at the
 // clock's now may precede a pinned leg: access records wait for the loop
-// to end, and an RPC a key needs (a Hello, a fallback) re-pins the keys
+// to end, and an RPC a key needs (a Hello, a lookup over RPC) re-pins the keys
 // after it to now. The error is the first by key order; the other keys'
 // results stand.
 func (c *Client) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, tr fabric.OpTrace, err error) {

@@ -161,7 +161,7 @@ func TestTwoSidedReadEscalates(t *testing.T) {
 			escalated := 0
 			for d := range 3 { // the replica holding a version nobody acked
 				r := newRig(t)
-				cl := r.newClient(Options{Strategy: strat, NoFallback: true})
+				cl := r.newClient(Options{Strategy: strat})
 				if err := cl.Set(ctx, key, []byte("acked")); err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func TestTwoSidedReadEscalates(t *testing.T) {
 			escalated := 0
 			for d := range 3 { // the crashed replica
 				r := newRig(t)
-				cl := r.newClient(Options{Strategy: strat, NoFallback: true})
+				cl := r.newClient(Options{Strategy: strat})
 				if err := cl.Set(ctx, key, []byte("v")); err != nil {
 					t.Fatal(err)
 				}
@@ -314,7 +314,7 @@ func TestFailoverLegIsBilled(t *testing.T) {
 	var notes []legNote
 	local := pony.New(r.f.Host(clientHost), nil, pony.CostModel{}, pony.EngineConfig{}, r.acct)
 	dial := func(host int) nic.RMA { return legLog{pony.Dial(r.f, local, r.nics[host]), &notes} }
-	cl := New(Options{Strategy: Strategy2xR, HostID: clientHost, NoFallback: true}, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
+	cl := New(Options{Strategy: Strategy2xR, HostID: clientHost}, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
 	ctx := context.Background()
 	bucketLen := layout.Geometry{Buckets: 32, Ways: 8}.BucketSize()
 	keys := make([][]byte, 24)

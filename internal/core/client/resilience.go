@@ -310,11 +310,6 @@ func (c *Client) observeDataNs(ns uint64) {
 }
 
 // hedgeAfterNs returns the virtual delay after which a data read should
-// be hedged to a backup replica (≈ rolling p99: 4× the EWMA), or 0 when
-// hedging is off or uncalibrated.
-func (c *Client) hedgeAfterNs() uint64 {
-	if c.opt.NoHedge {
-		return 0
-	}
-	return 4 * c.dataEWMA.Load()
-}
+// be hedged to a backup replica (≈ rolling p99: 4× the EWMA), or 0 until
+// a data read has calibrated it.
+func (c *Client) hedgeAfterNs() uint64 { return 4 * c.dataEWMA.Load() }

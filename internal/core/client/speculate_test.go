@@ -99,7 +99,7 @@ func newScriptedClient(t *testing.T, mode config.Mode, key, val []byte) (*rig, *
 	s := &script{bucketLen: layout.Geometry{Buckets: 32, Ways: 8}.BucketSize()}
 	local := pony.New(r.f.Host(clientHost), nil, pony.CostModel{}, pony.EngineConfig{}, r.acct)
 	dial := func(host int) nic.RMA { return scriptedConn{pony.Dial(r.f, local, r.nics[host]), host, s} }
-	cl := New(Options{Strategy: Strategy2xR, HostID: clientHost, NoFallback: true}, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
+	cl := New(Options{Strategy: Strategy2xR, HostID: clientHost}, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
 	if err := cl.Set(context.Background(), key, val); err != nil {
 		t.Fatal(err)
 	}

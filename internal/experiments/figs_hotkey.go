@@ -144,7 +144,7 @@ func runHotkeyCase(hc hotkeyCase) Row {
 	// Safety: with the writer quiet, every key reads back once more, and
 	// each key that stays unreadable or breaks the register is lost.
 	lost := 0
-	if (history.Client{C: c.NewClient(client.Options{NoFallback: true}), R: rec, ID: 2}).ReadAll(ctx, c.RepairAll) != nil {
+	if (history.Client{C: c.NewClient(client.Options{}), R: rec, ID: 2}).ReadAll(ctx, c.RepairAll) != nil {
 		lost++
 	}
 	lost += len(history.Check(rec.Ops(), 0)) // the cells are sized to evict nothing

@@ -48,8 +48,7 @@ func FigResize() Result {
 	go func() {
 		defer wg.Done()
 		w := history.Client{R: rec, ID: 1, C: c.NewClient(client.Options{
-			Strategy: client.StrategySCAR, NoFallback: true,
-			Retries: 8, Budget: client.NewRetryBudget(5000, 1),
+			Strategy: client.StrategySCAR, Retries: 8, Budget: client.NewRetryBudget(5000, 1),
 		})}
 		for seq := uint64(1); !stop.Load(); seq++ {
 			if _, err := w.SetVersioned(ctx, keys[seq%keyCount], []byte(fmt.Sprintf("rs%d", seq))); err == nil {
@@ -91,7 +90,7 @@ func FigResize() Result {
 
 	stop.Store(true)
 	wg.Wait()
-	check := history.Client{C: c.NewClient(client.Options{Strategy: client.Strategy2xR, NoFallback: true}), R: rec, ID: 2}
+	check := history.Client{C: c.NewClient(client.Options{Strategy: client.Strategy2xR}), R: rec, ID: 2}
 	if err := check.ReadAll(ctx, c.RepairAll); err != nil {
 		panic(fmt.Sprintf("experiments: resize audit: %v", err))
 	}

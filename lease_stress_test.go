@@ -201,10 +201,11 @@ func opLeaseStress(t *testing.T, tracer *trace.Tracer, cl *client.Client) {
 // value leaves the arena as a copy. Every value a client's GETs returned —
 // over SCAR and 2×R, served by the first replica, by a failover past a
 // damaged copy, or past a hedged leg; over StrategyRPC in process and across
-// the TCP gateway; by the RPC lookup of an overflowed bucket and by the
-// final RPC fallback past two crashed replicas — must still read as it did
-// after later GETs have reused the arena, whatever the arena's regrowth
-// mid-op did. Values are distinct per key and span 16 B to 120 KiB.
+// the TCP gateway; by the RPC lookup of an overflowed bucket — must still
+// read as it did after later GETs have reused the arena, whatever the
+// arena's regrowth mid-op did. Values are distinct per key and span 16 B to
+// 120 KiB. Past two crashed replicas every attempt, the final RPC one
+// included, is inquorate: each GET must say so.
 //
 // Run with `go test -race -count=10 -run TestOpLeaseValuesOutliveArena .`.
 func TestOpLeaseValuesOutliveArena(t *testing.T) {
@@ -220,6 +221,7 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 	}
 	failovers := func(m *client.Metrics) uint64 { return m.Failovers.Value() }
 	fallbacks := func(m *client.Metrics) uint64 { return m.RPCFallbacks.Value() }
+	inquorate := func(m *client.Metrics) uint64 { return m.Inquorate.Value() }
 	for _, tc := range []struct {
 		name     string
 		opt      Options
@@ -227,18 +229,19 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 		tcp      bool
 		hazard   func(c *cell.Cell) // after the values are set
 		served   func(m *client.Metrics) uint64
+		wantErr  error
 	}{
-		{"SCAR", Options{}, client.StrategySCAR, false, damage, failovers},
-		{"2xR", Options{}, client.Strategy2xR, false, damage, failovers},
-		{"2xR over 1RMA", Options{Transport: OneRMA}, client.Strategy2xR, false, damage, failovers},
-		{"RPC", Options{}, client.StrategyRPC, false, nil, nil},
-		{"RPC over TCP", Options{}, client.StrategyRPC, true, nil, nil},
-		{"overflow fallback", Options{OverflowFallback: true, Hash: oneBucket}, client.Strategy2xR, false, nil, fallbacks},
-		{"final fallback", Options{}, client.Strategy2xR, false, func(c *cell.Cell) { c.Crash(0); c.Crash(1) }, fallbacks},
+		{"SCAR", Options{}, client.StrategySCAR, false, damage, failovers, nil},
+		{"2xR", Options{}, client.Strategy2xR, false, damage, failovers, nil},
+		{"2xR over 1RMA", Options{Transport: OneRMA}, client.Strategy2xR, false, damage, failovers, nil},
+		{"RPC", Options{}, client.StrategyRPC, false, nil, nil, nil},
+		{"RPC over TCP", Options{}, client.StrategyRPC, true, nil, nil, nil},
+		{"overflow fallback", Options{OverflowFallback: true, Hash: oneBucket}, client.Strategy2xR, false, nil, fallbacks, nil},
+		{"final fallback", Options{}, client.Strategy2xR, false, func(c *cell.Cell) { c.Crash(0); c.Crash(1) }, inquorate, client.ErrInquorate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cc := newCell(t, tc.opt).Internal()
-			// The final fallback spends a retry token on every GET.
+			// The final RPC attempt spends a retry token on every GET.
 			cl := dialClient(t, cc, client.Options{Strategy: tc.strategy, Retries: 1, Budget: client.NewRetryBudget(1e9, 1)}, tc.tcp)
 			ctx := context.Background()
 			want := make(map[string][]byte)
@@ -278,6 +281,13 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 						for k := 0; k < keysPer; k++ {
 							key := fmt.Sprintf("arena-%d-%d", w, k)
 							v, found, err := cl.Get(ctx, []byte(key))
+							if tc.wantErr != nil {
+								if !errors.Is(err, tc.wantErr) {
+									t.Errorf("get %s: err=%v, want %v", key, err, tc.wantErr)
+									return
+								}
+								continue
+							}
 							if err != nil || !found || !bytes.Equal(v, want[key]) {
 								t.Errorf("get %s: %d bytes found=%v err=%v", key, len(v), found, err)
 								return

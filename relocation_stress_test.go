@@ -74,10 +74,9 @@ func relocationStress(t *testing.T, transport Transport, strategies ...Strategy)
 		}
 	}()
 
-	// Readers, one per strategy, by quorum only: the single-replica RPC
-	// fallback is outside the register.
+	// Readers, one per strategy.
 	reader := func(st Strategy) *client.Client {
-		return c.Internal().NewClient(client.Options{Strategy: st.internal(), NoFallback: true})
+		return c.Internal().NewClient(client.Options{Strategy: st.internal()})
 	}
 	hits := make([]atomic.Uint64, len(strategies))
 	for i, st := range strategies {

@@ -30,13 +30,10 @@ func TestResizeGrowUnderLoad(t *testing.T) {
 	}
 
 	// Mixed load concurrent with the resize: workers w and w+2 share keys.
-	// Quorum reads only: mid-resize the single-replica RPC fallback can
-	// answer a read older than the reader's own acked SET.
-	quorumOnly := client.Options{NoFallback: true}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < workers; w++ {
-		h := history.Client{C: c.Internal().NewClient(quorumOnly), R: rec, ID: w}
+		h := history.Client{C: c.Internal().NewClient(client.Options{}), R: rec, ID: w}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -68,7 +65,7 @@ func TestResizeGrowUnderLoad(t *testing.T) {
 	}
 
 	// Every key reads back through a fresh client in the new epoch.
-	check := history.Client{C: c.Internal().NewClient(quorumOnly), R: rec, ID: workers + 1}
+	check := history.Client{C: c.Internal().NewClient(client.Options{}), R: rec, ID: workers + 1}
 	if err := check.ReadAll(ctx, c.RepairAll); err != nil {
 		t.Fatal(err)
 	}
