@@ -81,20 +81,7 @@ func TestGetAllocBudget(t *testing.T) {
 	}
 
 	t.Run("RPC hit over TCP", func(t *testing.T) {
-		c := newCell(t, Options{})
-		cc := c.Internal()
-		gw, err := cc.ServeTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gw.Close()
-		conn, err := rpc.DialTCP(gw.Addr(), "budget")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		cl := client.New(client.Options{ID: 1 << 20, Strategy: client.StrategyRPC},
-			cc.Store, conn, cc.Clock, nil, nil, nil, nil)
+		cl := tcpClient(t, newCell(t, Options{}))
 		if err := cl.Set(ctx, key, make([]byte, 128)); err != nil {
 			t.Fatal(err)
 		}
@@ -154,6 +141,11 @@ func TestGetAllocBudget(t *testing.T) {
 //	                    evicting one, under lru, arc, clock and slfu:
 //	                    the policies track hashes in an arena          = 0
 //
+// The SET, CAS and ERASE rows also run for an out-of-process caller
+// (tcpClient): every leg of its fan-out is on the wire before the first is
+// read, each leg's response waits in its pooled call record, and the
+// frames and the gateway's call records are the connection's.
+//
 // The context node and span buffer are the op's leased record, and the
 // cell is warmed past its tracer's ring, as in TestGetAllocBudget. The
 // parents of the changes that set these measured SET 20 → 9 → 7 → 0, CAS
@@ -171,37 +163,43 @@ func TestMutationAllocBudget(t *testing.T) {
 	c := newCell(t, Options{Transport: OneRMA})
 
 	cl := c.NewClient(ClientOptions{Strategy: Lookup2xR}).Internal()
-	ver, err := cl.SetVersioned(ctx, key, value)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		op     func()
-		budget float64
-	}{
-		{"SET overwrite", func() {
-			if err := cl.Set(ctx, key, value); err != nil {
-				t.Fatal(err)
-			}
-		}, 0},
-		{"CAS", func() { // a stale expectation: decided on every replica, nothing applied
-			if applied, err := cl.Cas(ctx, key, value, ver); err != nil || applied {
-				t.Fatalf("cas: applied=%v err=%v", applied, err)
-			}
-		}, 0},
-		{"ERASE", func() {
-			if err := cl.Erase(ctx, key); err != nil {
-				t.Fatal(err)
-			}
-		}, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			warm(tc.op)
-			if got := testing.AllocsPerRun(200, tc.op); got > tc.budget {
-				t.Errorf("%v allocations per op, budget %v", got, tc.budget)
-			}
-		})
+	for _, over := range []struct {
+		suffix string
+		cl     *client.Client
+	}{{"", cl}, {" over TCP", tcpClient(t, c)}} {
+		cl := over.cl
+		ver, err := cl.SetVersioned(ctx, key, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			op     func()
+			budget float64
+		}{
+			{"SET overwrite", func() {
+				if err := cl.Set(ctx, key, value); err != nil {
+					t.Fatal(err)
+				}
+			}, 0},
+			{"CAS", func() { // a stale expectation: decided on every replica, nothing applied
+				if applied, err := cl.Cas(ctx, key, value, ver); err != nil || applied {
+					t.Fatalf("cas: applied=%v err=%v", applied, err)
+				}
+			}, 0},
+			{"ERASE", func() {
+				if err := cl.Erase(ctx, key); err != nil {
+					t.Fatal(err)
+				}
+			}, 0},
+		} {
+			t.Run(tc.name+over.suffix, func(t *testing.T) {
+				warm(tc.op)
+				if got := testing.AllocsPerRun(200, tc.op); got > tc.budget {
+					t.Errorf("%v allocations per op, budget %v", got, tc.budget)
+				}
+			})
+		}
 	}
 
 	t.Run("ERASE into a full tombstone cache", func(t *testing.T) {
@@ -334,6 +332,25 @@ func TestGetKeepsBoundedArena(t *testing.T) {
 // warm runs op past everything a first use makes: handshakes, connection
 // scratch, and the span storage of each of the cell tracer's 512 ring slots.
 // 640 is also whole TouchBatch-64 flush periods.
+// tcpClient is an out-of-process caller of c: a tracer-less StrategyRPC
+// client on one loopback connection to the cell's gateway.
+func tcpClient(t *testing.T, c *Cell) *client.Client {
+	t.Helper()
+	cc := c.Internal()
+	gw, err := cc.ServeTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	conn, err := rpc.DialTCP(gw.Addr(), "budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return client.New(client.Options{ID: 1 << 20, Strategy: client.StrategyRPC},
+		cc.Store, conn, cc.Clock, nil, nil, nil, nil)
+}
+
 func warm(op func()) {
 	for i := 0; i < 10*64; i++ {
 		op()

@@ -16,6 +16,7 @@ import (
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/nic"
 	"cliquemap/internal/rmem"
+	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 )
 
@@ -124,19 +125,45 @@ func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, 
 		at = c.now()
 	}
 
-	legAt, roundNs := at, uint64(0)
+	roundNs := c.fetchRound(ctx, op, at, h, cfg.ID, how, req, views[:round])
+	if round == len(views) {
+		return views, at
+	}
+	if _, err := tally(views[:round], need); err == nil {
+		return views[:round], at
+	}
+	// The first round disagreed: ask the rest, after it.
+	for i := round; i < len(views); i++ {
+		views[i].late = true
+	}
+	c.fetchRound(ctx, op, after(at, roundNs), h, cfg.ID, how, req, views[round:])
+	return views, at
+}
+
+// fetchRound asks every resolved member of views, its legs pinned at at,
+// notes each answer with the health layer, and returns the slowest leg's
+// ns. An RPC round starts every leg before it waits for the first, so that
+// legs over a socket overlap; the answers are read in views' order either
+// way.
+func (c *Client) fetchRound(ctx context.Context, op *trace.OpLease, at uint64, h hashring.KeyHash, cfgID uint64, how fetch, req []byte, views []indexView) (roundNs uint64) {
+	var legs [config.MaxReplicas]rpc.Pending
+	if how == fetchRPC {
+		for i := range views {
+			if views[i].err == nil {
+				legs[i] = c.start(ctx, op, views[i].rep.addr, proto.MethodGet, req)
+			}
+		}
+	}
 	for i := range views {
 		v := &views[i]
-		if i == round { // the first round is over: ask the rest, after it, if it disagreed
-			if _, err := tally(views[:i], need); err == nil {
-				return views[:i], at
-			}
-			legAt = after(at, roundNs)
-		}
-		if v.late = i >= round; v.err != nil {
+		if v.err != nil {
 			continue
 		}
-		c.fetchIndex(ctx, op, legAt, key, h, cfg.ID, how, req, v)
+		if how == fetchRPC {
+			v.answer(c.wait(op, &legs[i]))
+		} else {
+			c.fetchIndex(op, at, h, cfgID, how, req, v)
+		}
 		roundNs = max(roundNs, v.trace.Ns)
 		if v.err != nil {
 			c.noteReplicaFailure(v.rep.addr)
@@ -144,31 +171,31 @@ func (c *Client) fetchViews(ctx context.Context, op *trace.OpLease, pin uint64, 
 		}
 		c.noteReplicaSuccess(v.rep.addr)
 	}
-	return views, at
+	return roundNs
 }
 
-// fetchIndex asks v.rep what it holds for key and fills v in place. The
-// replica must already be resolved: Hello traffic ahead of the pinned op
-// start must not masquerade as data-plane queueing. cfgID is the config
-// the client routed with; an answer stamped differently means the fleet
-// moved on (maintenance or resize) and cannot be trusted.
-func (c *Client) fetchIndex(ctx context.Context, op *trace.OpLease, at uint64, key []byte, h hashring.KeyHash, cfgID uint64, how fetch, req []byte, v *indexView) {
-	if !how.oneSided() {
-		// The server ran the lookup — stamp check, key match, checksum —
-		// and answers (found, version, value). The value is a view of the
-		// response: in op's arena over RPC, the leg's own buffer over MSG.
-		var resp []byte
-		if how == fetchMsg {
-			resp, v.trace, v.err = c.msg(v.rep.host, at, req)
-		} else {
-			resp, v.trace, v.err = c.call(ctx, op, v.rep.addr, proto.MethodGet, req)
-		}
-		if v.err != nil {
-			return
-		}
-		var g proto.GetResp
-		g, v.err = proto.UnmarshalGetResp(resp)
-		v.present, v.entry.Version, v.data = g.Found, g.Version, g.Value
+// answer fills v from a two-sided lookup. The server ran the lookup —
+// stamp check, key match, checksum — and answers (found, version, value).
+// The value is a view of the response: in op's arena over RPC, the leg's
+// own buffer over MSG.
+func (v *indexView) answer(resp []byte, tr fabric.OpTrace, err error) {
+	if v.trace, v.err = tr, err; err != nil {
+		return
+	}
+	var g proto.GetResp
+	g, v.err = proto.UnmarshalGetResp(resp)
+	v.present, v.entry.Version, v.data = g.Found, g.Version, g.Value
+}
+
+// fetchIndex asks v.rep what it holds for the key over MSG or one-sided RMA
+// (fetchRound runs RPC legs) and fills v in place. The replica must
+// already be resolved: Hello traffic ahead of the pinned op start must not
+// masquerade as data-plane queueing. cfgID is the config the client routed
+// with; an answer stamped differently means the fleet moved on
+// (maintenance or resize) and cannot be trusted.
+func (c *Client) fetchIndex(op *trace.OpLease, at uint64, h hashring.KeyHash, cfgID uint64, how fetch, req []byte, v *indexView) {
+	if how == fetchMsg {
+		v.answer(c.msg(v.rep.host, at, req))
 		return
 	}
 

@@ -10,6 +10,7 @@ import (
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
@@ -176,8 +177,10 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 	// forces a mutate-only client (no bucket reads to trip the §6.1
 	// stamp) to refresh before writing into a superseded epoch.
 	var plainBytes, pendingBytes []byte
-	var lastErr error
-	for _, leg := range legs {
+	// Every leg is started before the first is waited for, so that legs
+	// over a socket overlap; the acks are read in leg order.
+	var pend [2 * config.MaxReplicas]rpc.Pending
+	for i, leg := range legs {
 		var body []byte
 		if leg.inPending {
 			// Pending-epoch legs carry the Pending flag so a sealed
@@ -192,7 +195,11 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 			}
 			body = plainBytes
 		}
-		resp, ltr, err := c.call(ctx, op, leg.addr, method, body)
+		pend[i] = c.start(ctx, op, leg.addr, method, body)
+	}
+	var lastErr error
+	for i, leg := range legs {
+		resp, ltr, err := c.wait(op, &pend[i])
 		if err != nil {
 			if !proto.NotStored(err) { // a refused entry is no fault of the replica's
 				c.noteReplicaFailure(leg.addr)

@@ -370,6 +370,54 @@ func (o oldForm) AppendCall(ctx context.Context, _ []byte, _ []fabric.Span, addr
 	return o.Call(ctx, addr, method, req)
 }
 
+// Pending is a call Start began. One in flight holds its TCP record until
+// Wait; one that completed at start holds its outcome.
+type Pending struct {
+	c     *TCPClient
+	call  *tcpCall // nil once the outcome is in
+	id    uint64
+	ctx   context.Context
+	spans []fabric.Span
+
+	resp []byte
+	tr   fabric.OpTrace
+	err  error
+}
+
+// Start begins one call of c on the caller's storage, as AppendCall takes
+// it. A TCPClient sends the request and returns the call in flight, so one
+// goroutine can have several calls on the wire at once. Any other caller
+// completes the call now, synchronously, through Appending: its response
+// is in dst when Start returns.
+func Start(ctx context.Context, c Caller, dst []byte, spans []fabric.Span, addr, method string, req []byte) Pending {
+	if t, ok := c.(*TCPClient); ok {
+		return t.start(ctx, spans, addr, method, req)
+	}
+	var p Pending
+	p.resp, p.tr, p.err = Appending(c).AppendCall(ctx, dst, spans, addr, method, req)
+	return p
+}
+
+// InFlight reports whether p's response is still to come, so that Wait
+// reads it into the dst it is given.
+func (p *Pending) InFlight() bool { return p.call != nil }
+
+// Wait returns p's outcome as AppendCall does, dst as given on an error. A
+// call in flight appends its response to dst and its spans to Start's
+// spans, and gives up with ErrDeadlineExceeded when its ctx ends first —
+// unless the response has arrived by then. A call whose outcome is in
+// returns it again, its response where it was read.
+func (p *Pending) Wait(dst []byte) ([]byte, fabric.OpTrace, error) {
+	if p.call != nil {
+		p.resp, p.tr, p.err = p.c.await(p.ctx, p.call, p.id, dst, p.spans)
+		p.call = nil
+	}
+	if p.err != nil {
+		return dst, p.tr, p.err
+	}
+	return p.resp, p.tr, nil
+}
+
 // Client issues calls from a particular fabric host under a principal.
 type Client struct {
 	n         *Network

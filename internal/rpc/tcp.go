@@ -453,10 +453,11 @@ type TCPClient struct {
 }
 
 // tcpCall is a pending call's record. Whoever unregisters it (readLoop or
-// failAll) copies the response into it and signals done, exactly once, so
-// only the AppendCall that received from done recycles it, storage and all.
-// A call that stops waiting leaves its record to the GC: a late response
-// lands where nobody else will ever look, never in the caller's dst.
+// failAll) copies the response into it and signals done, exactly once. A
+// caller that gives up and unregisters it first owns it again, as one that
+// received from done does, and recycles it, storage and all. One that finds
+// it gone waits for the signal and takes the response that arrived, so a
+// late response lands in the record, never in the caller's dst.
 type tcpCall struct {
 	done chan struct{}
 	resp tcpResponse // its own copy
@@ -540,13 +541,25 @@ func (c *TCPClient) Call(ctx context.Context, addr, method string, req []byte) (
 // AppendCall implements Appender across the socket, copying the response
 // out of the call's record.
 func (c *TCPClient) AppendCall(ctx context.Context, dst []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	p := c.start(ctx, spans, addr, method, req)
+	return p.Wait(dst)
+}
+
+// start sends one call (rpc.Start) and returns it in flight; Wait reads
+// its response into the dst it is given then, and its spans into spans. A
+// ctx that has already ended sends nothing, as an in-process call runs
+// nothing.
+func (c *TCPClient) start(ctx context.Context, spans []fabric.Span, addr, method string, req []byte) Pending {
+	if ctx.Err() != nil {
+		return Pending{err: ErrDeadlineExceeded}
+	}
 	call := tcpCalls.Get().(*tcpCall)
 	c.mu.Lock()
 	if c.closed != nil {
 		err := c.closed
 		c.mu.Unlock()
 		tcpCalls.Put(call) // never registered: never signalled
-		return dst, fabric.OpTrace{}, err
+		return Pending{err: err}
 	}
 	c.nextID++
 	id := c.nextID
@@ -573,25 +586,42 @@ func (c *TCPClient) AppendCall(ctx context.Context, dst []byte, spans []fabric.S
 		// Nothing after half a frame can be framed: the connection is done,
 		// and readLoop fails the other pending calls.
 		c.conn.Close()
-		c.unregister(id)
-		return dst, fabric.OpTrace{}, err
+		if c.unregister(id) != nil {
+			tcpCalls.Put(call)
+		}
+		return Pending{err: err}
 	}
+	return Pending{c: c, call: call, id: id, ctx: ctx, spans: spans}
+}
 
+// await collects call id's response into dst and spans and recycles its
+// record, or gives up when ctx ends before the response arrives.
+func (c *TCPClient) await(ctx context.Context, call *tcpCall, id uint64, dst []byte, spans []fabric.Span) ([]byte, fabric.OpTrace, error) {
 	select {
 	case <-call.done:
-		tr := fabric.OpTrace{Ns: call.resp.TraceNs, Spans: append(spans, call.resp.Spans...)}
-		if call.resp.OK {
-			dst = append(dst, call.resp.Payload...)
-		} else {
-			err = mapTCPError(call.resp.Err)
+	default:
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			if c.unregister(id) != nil {
+				tcpCalls.Put(call) // nobody else can reach it now
+				return dst, fabric.OpTrace{}, ErrDeadlineExceeded
+			}
+			// readLoop or failAll took the record first and owes it its one
+			// signal: the response is in.
+			<-call.done
 		}
-		call.resp.Payload = reusable(call.resp.Payload)
-		tcpCalls.Put(call)
-		return dst, tr, err
-	case <-ctx.Done():
-		c.unregister(id)
-		return dst, fabric.OpTrace{}, ErrDeadlineExceeded
 	}
+	tr := fabric.OpTrace{Ns: call.resp.TraceNs, Spans: append(spans, call.resp.Spans...)}
+	var err error
+	if call.resp.OK {
+		dst = append(dst, call.resp.Payload...)
+	} else {
+		err = mapTCPError(call.resp.Err)
+	}
+	call.resp.Payload = reusable(call.resp.Payload)
+	tcpCalls.Put(call)
+	return dst, tr, err
 }
 
 // methodKind maps an RPC method name ("CliqueMap.Get") onto an op kind

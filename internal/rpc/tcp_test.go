@@ -392,6 +392,11 @@ func TestTCPCallAllocBudget(t *testing.T) {
 	ctx.Init(context.Background(), trace.SpanContext{OpID: 42, Kind: trace.KindGet})
 	req := make([]byte, 256)
 	dst, spans := make([]byte, 0, 512), make([]fabric.Span, 0, 8)
+	var fanDst [3][]byte
+	var fanSpans [3][]fabric.Span
+	for i := range fanDst {
+		fanDst[i], fanSpans[i] = make([]byte, 0, 512), make([]fabric.Span, 0, 8)
+	}
 	for _, tc := range []struct {
 		name   string
 		call   func() ([]byte, fabric.OpTrace, error)
@@ -399,6 +404,25 @@ func TestTCPCallAllocBudget(t *testing.T) {
 	}{
 		{"AppendCall", func() ([]byte, fabric.OpTrace, error) { return c.AppendCall(&ctx, dst, spans, "b", "Echo", req) }, 0},
 		{"Call", func() ([]byte, fabric.OpTrace, error) { return c.Call(&ctx, "b", "Echo", req) }, 2},
+		{"Start+Wait", func() ([]byte, fabric.OpTrace, error) {
+			p := Start(&ctx, c, dst, spans, "b", "Echo", req)
+			return p.Wait(dst)
+		}, 0},
+		{"three-leg fan-out", func() ([]byte, fabric.OpTrace, error) {
+			var legs [3]Pending
+			for i := range legs {
+				legs[i] = Start(&ctx, c, nil, fanSpans[i], "b", "Echo", req)
+			}
+			var resp []byte
+			var tr fabric.OpTrace
+			var err error
+			for i := range legs {
+				if resp, tr, err = legs[i].Wait(fanDst[i]); err != nil || len(resp) != len(req) {
+					break
+				}
+			}
+			return resp, tr, err
+		}, 0},
 	} {
 		call := func() {
 			resp, tr, err := tc.call()
@@ -727,6 +751,229 @@ func TestTCPLateResponseAfterCancel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTCPPreCancelledCallRunsNothing: a call whose ctx has already ended
+// fails with ErrDeadlineExceeded and sends nothing, as an in-process call
+// runs nothing: a cancelled SET must not apply remotely. The call after it
+// proves the connection read past anything the first could have sent, and
+// Close waits for every handler the gateway dispatched.
+func TestTCPPreCancelledCallRunsNothing(t *testing.T) {
+	n := newNet(nil)
+	var runs atomic.Int64
+	n.Serve("b", 1).Handle("Set", func(context.Context, string, []byte) ([]byte, error) {
+		runs.Add(1)
+		return nil, nil
+	})
+	g, err := ServeTCP(n, "127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	c, err := DialTCP(g.Addr(), "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dst := []byte("head")
+	if got, _, err := c.AppendCall(ctx, dst, nil, "b", "Set", []byte("v")); !errors.Is(err, ErrDeadlineExceeded) || string(got) != "head" {
+		t.Errorf("pre-cancelled call: %q, %v; want dst as it was and ErrDeadlineExceeded", got, err)
+	}
+	if p := c.start(ctx, nil, "b", "Set", []byte("v")); p.InFlight() {
+		t.Error("a pre-cancelled start is in flight")
+	}
+	if _, _, err := c.Call(context.Background(), "b", "Set", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	if got := runs.Load(); got != 1 {
+		t.Errorf("the handler ran %d times; only the live call may reach it", got)
+	}
+}
+
+// scriptedPeer is the far end of a TCPClient's connection, played by the
+// test: it hands over each request frame it reads, and writes the
+// responses the test asks for in the order it asks.
+type scriptedPeer struct {
+	conn net.Conn
+	reqs chan tcpRequest
+	send []byte
+}
+
+func newScriptedPeer(t *testing.T) (*TCPClient, *scriptedPeer) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := DialTCP(ln.Addr().String(), "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &scriptedPeer{conn: conn, reqs: make(chan tcpRequest, 16), send: make([]byte, tcpPrefix, 512)}
+	done := make(chan struct{})
+	go func() { // stops when Cleanup closes the connection
+		defer close(done)
+		br, names := bufio.NewReader(conn), make(internTable)
+		for {
+			frame, err := readTCPFrame(br, nil)
+			if err != nil {
+				return
+			}
+			var r tcpRequest
+			if err := r.decode(frame, names); err != nil {
+				return
+			}
+			select {
+			case p.reqs <- r:
+			default:
+				t.Error("the test left more than 16 requests unread")
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		c.Close()
+		conn.Close()
+		<-done
+	})
+	return c, p
+}
+
+// next returns the next request the client sent.
+func (p *scriptedPeer) next(t *testing.T) tcpRequest {
+	t.Helper()
+	select {
+	case r := <-p.reqs:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("no request arrived")
+	}
+	return tcpRequest{}
+}
+
+// reply answers r with its own payload and one fabric span sized by it.
+func (p *scriptedPeer) reply(t *testing.T, r tcpRequest) {
+	t.Helper()
+	resp := tcpResponse{ID: r.ID, OK: true, Payload: r.Payload,
+		Spans: []fabric.Span{{Code: trace.SpanFabric, Arg: uint32(len(r.Payload))}}}
+	e := beginTCPFrame(p.send)
+	resp.encode(&e)
+	if err := writeTCPFrame(p.conn, &p.send, e.Encoded()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (c *TCPClient) registered() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
+}
+
+// TestTCPAbandonedLegs: a caller with two legs in flight gives up while it
+// waits on the first. Both legs fail with ErrDeadlineExceeded; when their
+// responses arrive late, neither lands in the caller's sentinel-filled
+// storage; no record stays registered; and no record goes back to the pool
+// twice, so the calls after them each hold a record of their own. The
+// peer writes frames in the test's order, so a call that answers after the
+// late ones proves they were read.
+func TestTCPAbandonedLegs(t *testing.T) {
+	c, peer := newScriptedPeer(t)
+	const sentinel = 0xEE
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var dst [2][]byte
+	var spans [2][]fabric.Span
+	var legs [2]Pending
+	for i := range legs {
+		dst[i] = bytes.Repeat([]byte{sentinel}, 64)
+		spans[i] = make([]fabric.Span, 4)
+		for j := range spans[i] {
+			spans[i][j] = fabric.Span{Code: sentinel}
+		}
+		legs[i] = c.start(ctx, spans[i][:0], "b", "Leg", []byte{byte(i), 1, 2, 3})
+	}
+	if legs[0].call == legs[1].call {
+		t.Fatal("two legs in flight share one call record")
+	}
+	reqs := [2]tcpRequest{peer.next(t), peer.next(t)}
+	time.AfterFunc(20*time.Millisecond, cancel)
+	for i := range legs { // the first blocks until ctx ends; the second finds it ended
+		if got, tr, err := legs[i].Wait(dst[i][:0]); !errors.Is(err, ErrDeadlineExceeded) || len(got) != 0 || len(tr.Spans) != 0 {
+			t.Errorf("leg %d: %d bytes, %d spans, %v; want nothing and ErrDeadlineExceeded", i, len(got), len(tr.Spans), err)
+		}
+	}
+	if n := c.registered(); n != 0 {
+		t.Errorf("%d records registered after both legs gave up", n)
+	}
+	peer.reply(t, reqs[0])
+	peer.reply(t, reqs[1])
+	marker := c.start(context.Background(), nil, "b", "Marker", []byte("marker"))
+	peer.reply(t, peer.next(t))
+	if got, _, err := marker.Wait(nil); err != nil || string(got) != "marker" {
+		t.Fatalf("the call after the late responses: %q, %v", got, err)
+	}
+	for i := range legs {
+		for j, b := range dst[i] {
+			if b != sentinel {
+				t.Fatalf("leg %d's storage changed at byte %d after it gave up", i, j)
+			}
+		}
+		for j, sp := range spans[i] {
+			if sp.Code != sentinel {
+				t.Fatalf("leg %d's span storage changed at slot %d after it gave up", i, j)
+			}
+		}
+	}
+	if n := c.registered(); n != 0 {
+		t.Errorf("%d records registered after the late responses", n)
+	}
+
+	// The calls after hold distinct records, and each gets its own answer.
+	var next [4]Pending
+	for i := range next {
+		next[i] = c.start(context.Background(), nil, "b", "Next", []byte{byte(i)})
+		for j := 0; j < i; j++ {
+			if next[i].call == next[j].call {
+				t.Fatalf("calls %d and %d in flight share one call record", j, i)
+			}
+		}
+	}
+	for range next {
+		peer.reply(t, peer.next(t))
+	}
+	for i := range next {
+		if got, _, err := next[i].Wait(nil); err != nil || len(got) != 1 || got[0] != byte(i) {
+			t.Errorf("call %d: %v, %v", i, got, err)
+		}
+	}
+}
+
+// TestTCPWaitTakesArrivedResponse: a leg whose response was read before
+// its ctx ended returns that response, not ErrDeadlineExceeded.
+func TestTCPWaitTakesArrivedResponse(t *testing.T) {
+	c, peer := newScriptedPeer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	leg := c.start(ctx, nil, "b", "Leg", []byte("leg"))
+	marker := c.start(context.Background(), nil, "b", "Marker", []byte("marker"))
+	req := peer.next(t)
+	peer.reply(t, req)
+	peer.reply(t, peer.next(t))
+	if _, _, err := marker.Wait(nil); err != nil {
+		t.Fatal(err)
+	}
+	cancel() // the leg's response was read before the marker's
+	if got, tr, err := leg.Wait(nil); err != nil || string(got) != "leg" || len(tr.Spans) != 1 {
+		t.Errorf("leg: %q, %d spans, %v; want its response", got, len(tr.Spans), err)
 	}
 }
 
