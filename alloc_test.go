@@ -81,7 +81,7 @@ func TestGetAllocBudget(t *testing.T) {
 	}
 
 	t.Run("RPC hit over TCP", func(t *testing.T) {
-		cl := tcpClient(t, newCell(t, Options{}))
+		cl := tcpClient(t, newCell(t, Options{}), 0)
 		if err := cl.Set(ctx, key, make([]byte, 128)); err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +132,16 @@ func TestGetAllocBudget(t *testing.T) {
 //	ERASE               the tombstone's key goes into each backend's
 //	                    reused key arena, also when a fresh key
 //	                    demotes and folds in a full cache             = 0
+//	SET, CAS, ERASE     each leg copies its backend's queued access
+//	carrying records    records (a GET hit's, whose value is its 1) into
+//	                    its request in the op's arena; the handler walks
+//	                    them in place and appends the promotion set to
+//	                    its ack; the client walks it in place          = 0
 //	2×R hit, touching   the GET's own 1, plus its share of a flush:
-//	                    every TouchBatch-th hit sends each cohort member
-//	                    its queue buffer as it stands, on a leased op
-//	                    record whose arena the handler appends its ack
-//	                    to; the client walks the ack in place          = 1
+//	                    every TouchBatch-th hit copies each cohort
+//	                    member's queue into a leased op record's arena,
+//	                    where the handler appends its ack; the client
+//	                    walks the ack in place                         = 1
 //	evicting SET        a new key into a full data region, each backend
 //	                    evicting one, under lru, arc, clock and slfu:
 //	                    the policies track hashes in an arena          = 0
@@ -163,40 +168,62 @@ func TestMutationAllocBudget(t *testing.T) {
 	c := newCell(t, Options{Transport: OneRMA})
 
 	cl := c.NewClient(ClientOptions{Strategy: Lookup2xR}).Internal()
+	hitKey := []byte("budget-hit")
 	for _, over := range []struct {
 		suffix string
 		cl     *client.Client
-	}{{"", cl}, {" over TCP", tcpClient(t, c)}} {
-		cl := over.cl
-		ver, err := cl.SetVersioned(ctx, key, value)
+		touch  *client.Client // TouchBatch 64: its mutations carry records
+	}{
+		{"", cl, c.NewClient(ClientOptions{Strategy: Lookup2xR, TouchBatch: 64}).Internal()},
+		{" over TCP", tcpClient(t, c, 0), tcpClient(t, c, 64)},
+	} {
+		ver, err := over.cl.SetVersioned(ctx, key, value)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := over.cl.Set(ctx, hitKey, value); err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
-			name   string
-			op     func()
-			budget float64
+			name string
+			op   func(cl *client.Client)
 		}{
-			{"SET overwrite", func() {
+			{"SET overwrite", func(cl *client.Client) {
 				if err := cl.Set(ctx, key, value); err != nil {
 					t.Fatal(err)
 				}
-			}, 0},
-			{"CAS", func() { // a stale expectation: decided on every replica, nothing applied
+			}},
+			{"CAS", func(cl *client.Client) { // a stale expectation: decided on every replica, nothing applied
 				if applied, err := cl.Cas(ctx, key, value, ver); err != nil || applied {
 					t.Fatalf("cas: applied=%v err=%v", applied, err)
 				}
-			}, 0},
-			{"ERASE", func() {
+			}},
+			{"ERASE", func(cl *client.Client) {
 				if err := cl.Erase(ctx, key); err != nil {
 					t.Fatal(err)
 				}
-			}, 0},
+			}},
 		} {
 			t.Run(tc.name+over.suffix, func(t *testing.T) {
-				warm(tc.op)
-				if got := testing.AllocsPerRun(200, tc.op); got > tc.budget {
-					t.Errorf("%v allocations per op, budget %v", got, tc.budget)
+				op := func() { tc.op(over.cl) }
+				warm(op)
+				if got := testing.AllocsPerRun(200, op); got > 0 {
+					t.Errorf("%v allocations per op, budget 0", got)
+				}
+			})
+			t.Run(tc.name+" carrying records"+over.suffix, func(t *testing.T) {
+				op := func() {
+					if _, found, err := over.touch.Get(ctx, hitKey); err != nil || !found {
+						t.Fatalf("get: found=%v err=%v", found, err)
+					}
+					tc.op(over.touch)
+				}
+				warm(op)
+				if got := testing.AllocsPerRun(200, op); got > 1 {
+					t.Errorf("%v allocations per GET hit and the op carrying its record, budget 1: the GET's value", got)
+				}
+				if n := over.touch.M.RetryCount(); n != 0 {
+					t.Errorf("%d retries on a quiet cell: the budget is for the quiet path", n)
 				}
 			})
 		}
@@ -333,8 +360,9 @@ func TestGetKeepsBoundedArena(t *testing.T) {
 // scratch, and the span storage of each of the cell tracer's 512 ring slots.
 // 640 is also whole TouchBatch-64 flush periods.
 // tcpClient is an out-of-process caller of c: a tracer-less StrategyRPC
-// client on one loopback connection to the cell's gateway.
-func tcpClient(t *testing.T, c *Cell) *client.Client {
+// client on one loopback connection to the cell's gateway, reporting
+// access records at touchBatch.
+func tcpClient(t *testing.T, c *Cell, touchBatch int) *client.Client {
 	t.Helper()
 	cc := c.Internal()
 	gw, err := cc.ServeTCP("127.0.0.1:0")
@@ -347,7 +375,7 @@ func tcpClient(t *testing.T, c *Cell) *client.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return client.New(client.Options{ID: 1 << 20, Strategy: client.StrategyRPC},
+	return client.New(client.Options{ID: 1<<20 + uint64(touchBatch), Strategy: client.StrategyRPC, TouchBatch: touchBatch},
 		cc.Store, conn, cc.Clock, nil, nil, nil, nil)
 }
 

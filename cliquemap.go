@@ -177,8 +177,10 @@ type ClientOptions struct {
 	Strategy Strategy
 	// Retries bounds per-op transparent retries (default 5).
 	Retries int
-	// TouchBatch enables batched access-record reporting at the given
-	// flush threshold; 0 disables (§4.2).
+	// TouchBatch enables access-record reporting (§4.2); 0 disables. The
+	// records of a client's hits ride its next mutations to each replica;
+	// a replica's records flush as their own RPC once TouchBatch of them
+	// wait with no mutation headed its way.
 	TouchBatch int
 	// NearCacheEntries turns on hot-key adaptive serving (0 = off): a
 	// client-side near-cache of that many server-promoted keys, RPC
@@ -187,7 +189,7 @@ type ClientOptions struct {
 	// Near-serves are validated by a 1-RTT index-only quorum read, so they
 	// never return a value no quorum currently vouches for. RMA strategies
 	// (2xR, SCAR) only. Requires TouchBatch > 0: promotion decisions ride
-	// Touch acks.
+	// the acks to access records.
 	NearCacheEntries int
 }
 

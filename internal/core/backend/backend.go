@@ -225,7 +225,8 @@ type Options struct {
 	Hash hashring.HashFunc
 	// HotK caps the hot-key promoted set (hotset.go): the top keys whose
 	// traffic share clears the promotion bar are advertised to clients on
-	// Touch acks. 0 takes a default; negative disables promotion entirely.
+	// the acks to their access records. 0 takes a default; negative
+	// disables promotion entirely.
 	HotK int
 
 	// DataDir, when non-empty, enables the durability plane (persist.go):
@@ -439,8 +440,8 @@ type Backend struct {
 
 	// heat is the always-on key-heat sketch behind the health plane's
 	// hot-key telemetry. It sees every mutation and RPC/MSG lookup plus
-	// the client-reported touch batches (which carry the keys of
-	// one-sided RMA GETs the backend never executes), so heavy hitters
+	// the client-reported access records (the keys of one-sided RMA GETs
+	// the backend never executes), so heavy hitters
 	// are visible on every transport.
 	heat *stats.TopK
 

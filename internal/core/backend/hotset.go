@@ -3,17 +3,20 @@ package backend
 import (
 	"bytes"
 	"slices"
+
+	"cliquemap/internal/core/proto"
 )
 
 // Hot-key promotion: the server side of the hot-key adaptive serving loop.
 //
 // The heat sketch (stats.TopK) already sees every access on every
-// transport — mutations, RPC/MSG lookups, and the touch batches clients
+// transport — mutations, RPC/MSG lookups, and the access records clients
 // report for one-sided RMA GETs. Promotion distills that telemetry into a
 // small actionable set: the top-k keys whose estimated share of traffic
 // clears a promotion bar are PROMOTED, and the set (with a monotonically
-// increasing epoch) rides the two responses that have readers: Touch acks
-// (clients near-cache, steer and spread promoted keys) and Stats scrapes
+// increasing epoch) rides the responses that have readers: the acks to
+// access records, of a Touch RPC or of a mutation leg that carried them
+// (clients near-cache, steer and spread promoted keys), and Stats scrapes
 // (cmstat's PROMOTED table). A promoted key is otherwise an ordinary key:
 // it converges through RepairShard like any other, and read spreading
 // needs no residency guarantee because the client only reads data from
@@ -35,7 +38,11 @@ const (
 type hotSet struct {
 	epoch uint64
 	keys  [][]byte // hottest first; shared read-only
+	ack   []byte   // TouchResp{epoch, keys}, encoded once for every ack
 }
+
+// noHot is the ack of a backend that has never promoted a key.
+var noHot = proto.TouchResp{}.Marshal()
 
 // maybeEvalHot re-evaluates the promoted set if enough new traffic has
 // accumulated since the last evaluation. Called from touch ingestion and
@@ -97,7 +104,7 @@ func (b *Backend) evalHot(total uint64) {
 	for _, hk := range cand[:next] {
 		keys = append(keys, bytes.Clone(hk.Key))
 	}
-	b.hot.Store(&hotSet{epoch: epoch + 1, keys: keys})
+	b.hot.Store(&hotSet{epoch: epoch + 1, keys: keys, ack: proto.TouchResp{HotEpoch: epoch + 1, HotKeys: keys}.Marshal()})
 	b.hotMu.Unlock()
 }
 
@@ -110,4 +117,13 @@ func (b *Backend) HotSnapshot() (uint64, [][]byte) {
 		return 0, nil
 	}
 	return hs.epoch, hs.keys
+}
+
+// hotAck is the promotion set as the encoded TouchResp an ack to access
+// records carries; shared read-only.
+func (b *Backend) hotAck() []byte {
+	if hs := b.hot.Load(); hs != nil {
+		return hs.ack
+	}
+	return noHot
 }

@@ -43,10 +43,23 @@ func TestHandlersKeepNoRequestBytes(t *testing.T) {
 		ver truetime.Version
 	}
 	live := map[string]kv{}
+	// Mutations also carry access records (SetReq.Touches and kin), here
+	// naming keys that stay live.
+	carried := func(keys ...string) []byte {
+		var r proto.TouchReq
+		for _, k := range keys {
+			r.Keys = append(r.Keys, []byte(k))
+		}
+		return r.Marshal()
+	}
 	for i := 0; i < 5; i++ {
 		k, v := fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i)
 		ver := r.v()
-		call(proto.MethodSet, proto.SetReq{Key: []byte(k), Value: []byte(v), Version: ver}.Marshal())
+		var touches []byte
+		if i == 4 {
+			touches = carried("key-0", "key-2")
+		}
+		call(proto.MethodSet, proto.SetReq{Key: []byte(k), Value: []byte(v), Version: ver, Touches: touches}.Marshal())
 		live[k] = kv{v, ver}
 	}
 	if r.b.CountersSnapshot().Overflows == 0 {
@@ -57,13 +70,13 @@ func TestHandlersKeepNoRequestBytes(t *testing.T) {
 	}
 	// After the checkpoint, the journal's tail: one op of each kind.
 	casVer := r.v()
-	resp := call(proto.MethodCas, proto.CasReq{Key: []byte("key-0"), Value: []byte("swapped-0"), Expected: live["key-0"].ver, Version: casVer}.Marshal())
+	resp := call(proto.MethodCas, proto.CasReq{Key: []byte("key-0"), Value: []byte("swapped-0"), Expected: live["key-0"].ver, Version: casVer, Touches: carried("key-3")}.Marshal())
 	if mr, _ := proto.UnmarshalMutateResp(resp); !mr.Applied {
 		t.Fatal("cas not applied")
 	}
 	live["key-0"] = kv{"swapped-0", casVer}
 	erased := map[string]truetime.Version{"key-1": r.v()}
-	call(proto.MethodErase, proto.EraseReq{Key: []byte("key-1"), Version: erased["key-1"]}.Marshal())
+	call(proto.MethodErase, proto.EraseReq{Key: []byte("key-1"), Version: erased["key-1"], Touches: carried("key-4")}.Marshal())
 	delete(live, "key-1")
 	uv := r.v()
 	call(proto.MethodUpdateVersion, proto.UpdateVersionReq{Key: []byte("key-3"), Version: uv}.Marshal())

@@ -41,72 +41,78 @@ func (b *Backend) registerHandlers() {
 	})
 	s.SetMethodCost(proto.MethodGet, getHandlerCPU)
 
-	s.Handle(proto.MethodSet, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
+	s.HandleBilled(proto.MethodSet, func(ctx context.Context, _ string, req []byte) ([]byte, uint64, error) {
 		r, err := proto.UnmarshalSetReq(req)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		hot, cost, err := b.carried(r.Touches)
+		if err != nil {
+			return nil, cost, err
 		}
 		entryID, err := b.admitMutation(r.ConfigID, r.Pending, r.Repair)
 		if err != nil {
-			return nil, err
+			return nil, cost, err
 		}
 		sink := trace.SinkFrom(ctx)
 		applied, stored, ev, err := b.set(sink, r.Key, r.Value, r.Version)
 		if err != nil {
-			return nil, err
+			return nil, cost, err
 		}
 		if applied && r.Repair {
 			b.noteRecoverySettle()
 		}
-		return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), nil
+		return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
 	})
 	s.SetMethodCost(proto.MethodSet, setHandlerCPU)
 
-	s.Handle(proto.MethodErase, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
+	s.HandleBilled(proto.MethodErase, func(ctx context.Context, _ string, req []byte) ([]byte, uint64, error) {
 		r, err := proto.UnmarshalEraseReq(req)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		hot, cost, err := b.carried(r.Touches)
+		if err != nil {
+			return nil, cost, err
 		}
 		entryID, err := b.admitMutation(r.ConfigID, r.Pending, false)
 		if err != nil {
-			return nil, err
+			return nil, cost, err
 		}
 		sink := trace.SinkFrom(ctx)
 		applied, stored := b.erase(sink, r.Key, r.Version)
-		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), nil
+		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
 	})
 	s.SetMethodCost(proto.MethodErase, eraseHandlerCPU)
 
-	s.Handle(proto.MethodCas, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
+	s.HandleBilled(proto.MethodCas, func(ctx context.Context, _ string, req []byte) ([]byte, uint64, error) {
 		r, err := proto.UnmarshalCasReq(req)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		hot, cost, err := b.carried(r.Touches)
+		if err != nil {
+			return nil, cost, err
 		}
 		entryID, err := b.admitMutation(r.ConfigID, r.Pending, false)
 		if err != nil {
-			return nil, err
+			return nil, cost, err
 		}
 		sink := trace.SinkFrom(ctx)
 		applied, stored, err := b.cas(sink, r.Key, r.Value, r.Expected, r.Version)
 		if err != nil {
-			return nil, err
+			return nil, cost, err
 		}
-		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), nil
+		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
 	})
 	s.SetMethodCost(proto.MethodCas, setHandlerCPU)
 
 	s.Handle(proto.MethodTouch, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		if err := b.ingestTouches(req); err != nil {
+		ack, err := b.touch(req)
+		if err != nil {
 			return nil, err
 		}
-		b.maybeEvalHot()
-		// Piggyback the hot-key promotion set on the ack clients already
-		// wait for: touch batches are exactly the traffic that makes keys
-		// hot, so their senders learn the promoted set with no extra
-		// round trip. Old clients decode this as the empty Ack frame they
-		// expect (additive tags).
-		epoch, hot := b.HotSnapshot()
-		return proto.TouchResp{HotEpoch: epoch, HotKeys: hot}.AppendTo(trace.SinkFrom(ctx).Reply()), nil
+		return append(trace.SinkFrom(ctx).Reply(), ack...), nil
 	})
 	s.SetMethodCost(proto.MethodTouch, touchHandlerCPU)
 
@@ -365,6 +371,29 @@ func (b *Backend) serveGet(sink *trace.SpanSink, dst, req []byte) ([]byte, error
 		}
 	}
 	return proto.GetResp{Found: found, Value: de.Value, Version: de.Version}.AppendTo(dst), nil
+}
+
+// touch feeds access records (§4.2), an encoded TouchReq, to eviction and
+// the heat sketch, and returns the ack they earn: the promotion set, since
+// access records are exactly the traffic that makes keys hot. Old clients
+// read a TouchResp as the empty Ack they expect (additive tags).
+func (b *Backend) touch(records []byte) ([]byte, error) {
+	if err := b.ingestTouches(records); err != nil {
+		return nil, err
+	}
+	b.maybeEvalHot()
+	return b.hotAck(), nil
+}
+
+// carried takes the access records a mutation leg carried (nil: none)
+// through touch, whatever the mutation's verdict, and returns their ack
+// and their cost: what the Touch RPC they stand in for bills its handler.
+func (b *Backend) carried(records []byte) (ack []byte, cost uint64, err error) {
+	if records == nil {
+		return nil, 0, nil
+	}
+	ack, err = b.touch(records)
+	return ack, touchHandlerCPU, err
 }
 
 // admitMutation is the admission check every client mutation passes before

@@ -106,11 +106,15 @@ func (m *Metrics) RetryCount() uint64 {
 
 // Options configures a client.
 type Options struct {
-	ID         uint64 // client identity for VersionNumbers
-	HostID     int    // fabric host the client runs on
-	Strategy   Strategy
-	Retries    int // per-op retry budget (default 5)
-	TouchBatch int // flush threshold for access records; 0 disables (§4.2)
+	ID       uint64 // client identity for VersionNumbers
+	HostID   int    // fabric host the client runs on
+	Strategy Strategy
+	Retries  int // per-op retry budget (default 5)
+	// TouchBatch enables access-record reporting (§4.2); 0 disables. A
+	// hit queues its key for each cohort member; the next mutation leg to
+	// that member carries the queue, and a queue that reaches TouchBatch
+	// first flushes as a Touch RPC.
+	TouchBatch int
 	Hash       hashring.HashFunc
 	// Tracer, when set, records every completed op (kind, transport,
 	// attempts, per-layer spans) into the cell's telemetry plane.
@@ -186,8 +190,8 @@ type Client struct {
 	ops      trace.Leases  // the spare op record every public op leases
 
 	// Hot-key adaptive serving state (nearcache.go). promo is the merged
-	// promoted-key set piggybacked on Touch acks, swapped whole; promoMu
-	// guards the per-backend sets behind it.
+	// promoted-key set piggybacked on access-record acks, swapped whole;
+	// promoMu guards the per-backend sets behind it.
 	near    *nearCache
 	promo   atomic.Pointer[map[string]struct{}]
 	promoMu sync.Mutex

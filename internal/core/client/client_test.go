@@ -90,6 +90,11 @@ func (r *rig) newClient(opt Options) *Client { return r.newClientAt(opt, r.f.Now
 // newClientAt builds a client on the given virtual clock; nil leaves its
 // legs unpinned.
 func (r *rig) newClientAt(opt Options, now NowFunc) *Client {
+	return r.newClientVia(opt, now, r.net.Client(clientHost, "test"))
+}
+
+// newClientVia is newClientAt with every RPC made through rpcc.
+func (r *rig) newClientVia(opt Options, now NowFunc, rpcc rpc.Caller) *Client {
 	opt.HostID = clientHost
 	local := pony.New(r.f.Host(clientHost), nil, pony.CostModel{}, pony.EngineConfig{}, r.acct)
 	dial := func(host int) nic.RMA {
@@ -98,7 +103,7 @@ func (r *rig) newClientAt(opt Options, now NowFunc) *Client {
 	msg := func(host int, at uint64, req []byte) ([]byte, fabric.OpTrace, error) {
 		return pony.Dial(r.f, local, r.nics[host]).Message(at, req)
 	}
-	return New(opt, r.store, r.net.Client(clientHost, "test"), r.clock, dial, msg, now, r.acct)
+	return New(opt, r.store, rpcc, r.clock, dial, msg, now, r.acct)
 }
 
 // newClient1RMA builds a client reaching the rig's backends through

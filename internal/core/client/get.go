@@ -37,15 +37,16 @@ func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabri
 // that outlive the op. pin is the virtual instant the op starts at (0 =
 // now): each round of legs is pinned to pin plus the op's elapsed modelled
 // time, so a batch's keys share one origin. A hit reports its access once
-// the record is back, so a flush the access fills can lease it.
+// the record is back, so a flush the access fills can lease it; the flush
+// runs under the caller's ctx, as the op's node is back in the pool.
 func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
 	op := c.ops.Take()
-	defer func() {
+	defer func(ctx context.Context) {
 		c.ops.Put(op)
 		if found {
-			c.noteTouch(key, pin != 0)
+			c.noteTouch(ctx, key, pin != 0)
 		}
-	}()
+	}(ctx)
 	c.M.Gets.Inc()
 	var total fabric.OpTrace
 	if c.opt.Observer != nil {

@@ -96,14 +96,14 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 	v = c.gen.Next()
 	op := c.ops.Take()
 	defer c.ops.Put(op)
-	build := func(pending bool, cfgID uint64) []byte {
+	build := func(pending bool, cfgID uint64, touches []byte) []byte {
 		switch kind {
 		case trace.KindErase:
-			return op.Keep(proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID}.AppendTo(op.Free()))
+			return op.Keep(proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID, Touches: touches}.AppendTo(op.Free()))
 		case trace.KindCas:
-			return op.Keep(proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID}.AppendTo(op.Free()))
+			return op.Keep(proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID, Touches: touches}.AppendTo(op.Free()))
 		}
-		return op.Keep(proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID}.AppendTo(op.Free()))
+		return op.Keep(proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID, Touches: touches}.AppendTo(op.Free()))
 	}
 	sc, ctx := c.traceOp(ctx, op, kind)
 	// The op's one span buffer, as in get.
@@ -161,7 +161,10 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 // applied reports that the deciding epoch's quorum applied it
 // (mutVerdict). The attempt is appended to tr, the op's trace: its legs
 // fan out from where tr ends, reading into op's storage.
-func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, method string, build func(pending bool, cfgID uint64) []byte, nominated truetime.Version, tr *fabric.OpTrace) (applied bool, err error) {
+//
+// Each leg carries its backend's queued access records (§4.2) in place of
+// a Touch RPC, and its ack carries back the promotion set.
+func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, method string, build func(pending bool, cfgID uint64, touches []byte) []byte, nominated truetime.Version, tr *fabric.OpTrace) (applied bool, err error) {
 	cfg := c.Config()
 	h := c.opt.Hash(key)
 	var legBuf [2 * config.MaxReplicas]mutLeg
@@ -175,25 +178,26 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 	// Requests are built per attempt so each fan-out stamps the client's
 	// CURRENT ConfigID — backends reject stale stamps, which is what
 	// forces a mutate-only client (no bucket reads to trip the §6.1
-	// stamp) to refresh before writing into a superseded epoch.
+	// stamp) to refresh before writing into a superseded epoch. Pending-
+	// epoch legs carry the Pending flag so a sealed backend that owns the
+	// key in the new epoch still accepts. Legs with no records to carry
+	// share one request per flag.
 	var plainBytes, pendingBytes []byte
 	// Every leg is started before the first is waited for, so that legs
 	// over a socket overlap; the acks are read in leg order.
 	var pend [2 * config.MaxReplicas]rpc.Pending
 	for i, leg := range legs {
 		var body []byte
-		if leg.inPending {
-			// Pending-epoch legs carry the Pending flag so a sealed
-			// backend that owns the key in the new epoch still accepts.
-			if pendingBytes == nil {
-				pendingBytes = build(true, cfg.ID)
+		c.takeTouches(leg.addr, func(records []byte) { body = build(leg.inPending, cfg.ID, records) })
+		if body == nil {
+			shared := &plainBytes
+			if leg.inPending {
+				shared = &pendingBytes
 			}
-			body = pendingBytes
-		} else {
-			if plainBytes == nil {
-				plainBytes = build(false, cfg.ID)
+			if *shared == nil {
+				*shared = build(leg.inPending, cfg.ID, nil)
 			}
-			body = plainBytes
+			body = *shared
 		}
 		pend[i] = c.start(ctx, op, leg.addr, method, body)
 	}
@@ -213,6 +217,9 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 			continue
 		}
 		c.noteReplicaSuccess(leg.addr)
+		if mr.Hot != nil {
+			c.ingestPromo(leg.addr, mr.Hot)
+		}
 		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == nominated})
 		legNs = append(legNs, ltr.Ns)
 		tr.AddBytes(int(ltr.Bytes))

@@ -13,8 +13,8 @@ package client
 //     invalidates the entry within one revalidation RTT, because any
 //     read quorum intersects the mutation's ack quorum.
 //   - PROMOTION LEARNING: the promoted-key set piggybacks on responses
-//     the client already receives (Touch acks, §4.2); per-backend sets
-//     are epoch-gated and merged into one atomic snapshot.
+//     the client already receives (access-record acks, §4.2);
+//     per-backend sets are epoch-gated and merged into one atomic snapshot.
 //   - STEERING: per-key transport choice. Promoted keys whose last
 //     observed value size clears the Fig 20 crossover are fetched over
 //     RPC (one round trip carrying the value beats index+data RMA reads
@@ -184,18 +184,23 @@ type backendPromo struct {
 	keys  map[string]struct{}
 }
 
-// ingestPromo folds one backend's piggybacked promotion set into the
-// merged snapshot. Epoch-gated per backend: replayed or unchanged
-// responses are free, as is epoch 0 (nothing promoted yet) from a backend
-// not heard from before. The keys are copied from the encoded ack, resp.
-func (c *Client) ingestPromo(addr string, epoch uint64, resp []byte) {
+// ingestPromo folds one backend's piggybacked promotion set, the encoded
+// TouchResp ack (a Touch RPC's, or a mutation ack's Hot), into the merged
+// snapshot. Epoch-gated per backend: replayed or unchanged responses are
+// free, as is epoch 0 (nothing promoted yet) from a backend not heard from
+// before. The keys are copied from ack.
+func (c *Client) ingestPromo(addr string, ack []byte) {
+	epoch, err := proto.TouchRespEpoch(ack)
+	if err != nil {
+		return
+	}
 	c.promoMu.Lock()
 	defer c.promoMu.Unlock()
 	if c.promoBy[addr].epoch == epoch {
 		return
 	}
 	set := make(map[string]struct{})
-	if proto.RangeHotKeys(resp, func(k []byte) { set[string(k)] = struct{}{} }) != nil {
+	if proto.RangeHotKeys(ack, func(k []byte) { set[string(k)] = struct{}{} }) != nil {
 		return
 	}
 	c.promoBy[addr] = backendPromo{epoch: epoch, keys: set}

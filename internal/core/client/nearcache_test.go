@@ -44,8 +44,8 @@ func TestNearCacheOrderBounded(t *testing.T) {
 func TestRefreshConfigForgetsDepartedPromotion(t *testing.T) {
 	r := newRig(t)
 	cl := r.newClient(Options{Strategy: Strategy2xR})
-	cl.ingestPromo("b0", 1, proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{[]byte("stays")}}.Marshal())
-	cl.ingestPromo("spare-0", 3, proto.TouchResp{HotEpoch: 3, HotKeys: [][]byte{[]byte("departed")}}.Marshal())
+	cl.ingestPromo("b0", proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{[]byte("stays")}}.Marshal())
+	cl.ingestPromo("spare-0", proto.TouchResp{HotEpoch: 3, HotKeys: [][]byte{[]byte("departed")}}.Marshal())
 	if n := cl.PromotedKeys(); n != 2 {
 		t.Fatalf("merged view holds %d keys, want 2", n)
 	}
@@ -87,7 +87,7 @@ func TestNearCacheSpreadReadsOnlyWinners(t *testing.T) {
 				}
 			}
 			for _, c := range []*Client{cl, plain} {
-				c.ingestPromo("b0", 1, proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{key}}.Marshal())
+				c.ingestPromo("b0", proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{key}}.Marshal())
 			}
 
 			reads := map[uint32]int{}

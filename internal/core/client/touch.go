@@ -1,8 +1,10 @@
 package client
 
 // Access reporting (§4.2): one-sided reads never run backend code, so the
-// client batches access records back over RPC to feed eviction and the
-// hot-key sketch.
+// client reports the keys of its hits back to each cohort member, to feed
+// eviction and the hot-key sketch. A record rides the next mutation leg to
+// its backend (mutateOnce); a queue that fills with no mutation headed its
+// way flushes as a Touch RPC.
 
 import (
 	"context"
@@ -14,35 +16,34 @@ import (
 )
 
 // touchQueue is one backend's pending access records, kept as the TouchReq
-// that will report them: a hit appends its key to the encoding and a flush
-// sends the buffer as it stands. A flushed batch's storage comes back as
-// spare once its RPC has returned (the request is the callee's only until
-// then), so a steady stream of hits allocates nothing.
+// that will report them: a hit appends its key to the encoding, and
+// takeTouches lends it out as it stands and restarts it in place.
 type touchQueue struct {
-	enc   wire.Encoder
-	n     int // keys in enc
-	spare []byte
+	enc wire.Encoder
+	n   int // keys in enc
 }
 
-// touchBatch is a batch on its way out, and the queue its storage returns to.
-type touchBatch struct {
-	addr string
-	q    *touchQueue
-	req  []byte
-}
-
-// take hands the queued records over and restarts the queue in the spare.
-func (q *touchQueue) take(addr string) touchBatch {
-	b := touchBatch{addr: addr, q: q, req: q.enc.Encoded()}
-	q.enc.InitAppend(q.spare[:0])
-	q.n, q.spare = 0, nil
-	return b
+// takeTouches lends use the access records queued for addr, as the encoded
+// TouchReq that reports them, and restarts the queue in the same storage,
+// so use must copy them. It does nothing when none are queued. use runs
+// under c.mu: a record is taken by one leg or flush, and only once.
+func (c *Client) takeTouches(addr string, use func(records []byte)) {
+	if c.opt.TouchBatch <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if q := c.touchQ[addr]; q != nil && q.n > 0 {
+		use(q.enc.Encoded())
+		q.enc.InitAppend(q.enc.Encoded()[:0])
+		q.n = 0
+	}
 }
 
 // noteTouch queues an access record for the key's cohort and flushes the
-// queues it filled (§4.2's batched background reporting) — unless hold: a
-// batch's keys sit in its pinned window, so GetBatch flushes after them.
-func (c *Client) noteTouch(key []byte, hold bool) {
+// queues it filled, under ctx, the GET's caller's — unless hold: a batch's
+// keys sit in its pinned window, so GetBatch flushes after them.
+func (c *Client) noteTouch(ctx context.Context, key []byte, hold bool) {
 	if c.opt.TouchBatch <= 0 {
 		return
 	}
@@ -68,47 +69,43 @@ func (c *Client) noteTouch(key []byte, hold bool) {
 	}
 	c.mu.Unlock()
 	if full && !hold {
-		c.flushTouches(context.Background(), c.opt.TouchBatch)
+		c.flushTouches(ctx, c.opt.TouchBatch)
 	}
 }
 
 // FlushTouches force-flushes all pending access records.
 func (c *Client) FlushTouches(ctx context.Context) { c.flushTouches(ctx, 1) }
 
-// flushTouches sends every queue holding at least atLeast records.
+// flushTouches sends every queue holding at least atLeast records. A batch
+// whose ctx has ended is dropped, as a failed one is: records are hints.
 func (c *Client) flushTouches(ctx context.Context, atLeast int) {
-	pending := make([]touchBatch, 0, 8)
+	due := make([]string, 0, 8)
 	c.mu.Lock()
 	for addr, q := range c.touchQ {
 		if q.n >= atLeast {
-			pending = append(pending, q.take(addr))
+			due = append(due, addr)
 		}
 	}
 	c.mu.Unlock()
-	for _, b := range pending {
-		c.sendTouches(ctx, b)
+	for _, addr := range due {
+		c.sendTouches(ctx, addr)
 	}
 }
 
-// sendTouches reports one batch of access records and folds the ack's
-// piggybacked promotion set into the client's hot-key view (§4.2 made
-// bidirectional): the same traffic that feeds the server's heat sketch
-// carries its promotion decisions back. The ack is appended to a leased op
+// sendTouches reports addr's queued access records as a Touch RPC and
+// folds the promotion set its ack carries into the client's hot-key view.
+// The request is copied into, and the ack appended to, a leased op
 // record's arena, lent through its context node, which arms no spans.
-func (c *Client) sendTouches(ctx context.Context, b touchBatch) {
+func (c *Client) sendTouches(ctx context.Context, addr string) {
 	op := c.ops.Take()
 	defer c.ops.Put(op)
 	op.Init(ctx, trace.SpanContext{})
-	resp, _, err := c.call(&op.OpContext, op, b.addr, proto.MethodTouch, b.req)
-	c.mu.Lock()
-	if b.q.spare == nil {
-		b.q.spare = b.req
+	var req []byte
+	c.takeTouches(addr, func(records []byte) { req = op.Keep(append(op.Free(), records...)) })
+	if req == nil {
+		return // a mutation leg took them first
 	}
-	c.mu.Unlock()
-	if err != nil {
-		return
-	}
-	if epoch, terr := proto.TouchRespEpoch(resp); terr == nil {
-		c.ingestPromo(b.addr, epoch, resp)
+	if ack, _, err := c.call(&op.OpContext, op, addr, proto.MethodTouch, req); err == nil {
+		c.ingestPromo(addr, ack)
 	}
 }

@@ -162,24 +162,33 @@ type SetReq struct {
 	// refresh instead of writing into a superseded epoch. 0 = unchecked
 	// (repair traffic, old senders).
 	ConfigID uint64 `wire:"8"`
+	// Touches is the sender's queued access records for this backend, as
+	// the encoded TouchReq that would have reported them (§4.2): a
+	// mutation leg carries them instead of a Touch RPC, and its ack
+	// carries back the promotion set (MutateResp.Hot). nil = none. An old
+	// server skips the field; records are hints.
+	Touches []byte `wire:"9,omitzero"`
 }
 
 // AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
 func (r SetReq) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Key)+len(r.Value)+48)
+	e := begin(b, len(r.Key)+len(r.Value)+len(r.Touches)+48)
 	e.Bytes(1, r.Key)
 	e.Bytes(2, r.Value)
 	encodeVersion(&e, 3, r.Version)
 	e.Bool(6, r.Repair)
 	e.Bool(7, r.Pending)
 	e.Uint(8, r.ConfigID)
+	if r.Touches != nil {
+		e.Bytes(9, r.Touches)
+	}
 	return e.Encoded()
 }
 
 func (r SetReq) Marshal() []byte { return r.AppendTo(nil) }
 
-// UnmarshalSetReq decodes the request. Key and Value alias b: they are
-// valid only while b is — fine for RPC handlers, which finish with the
+// UnmarshalSetReq decodes the request. Key, Value and Touches alias b: they
+// are valid only while b is — fine for RPC handlers, which finish with the
 // request before returning and copy anything they keep.
 func UnmarshalSetReq(b []byte) (SetReq, error) {
 	var r SetReq
@@ -206,6 +215,8 @@ func UnmarshalSetReq(b []byte) (SetReq, error) {
 			r.Pending = d.Bool()
 		case 8:
 			r.ConfigID = d.Uint()
+		case 9:
+			r.Touches = d.Bytes()
 		}
 	}
 	r.Version = v.version()
@@ -217,27 +228,33 @@ func UnmarshalSetReq(b []byte) (SetReq, error) {
 // eviction-to-SET ratios). Sealed reports that the answering backend is
 // handoff-sealed: its mutation journal has already drained, so the ack
 // must not count toward the old epoch's quorum (the write survives only
-// through the backend's pending-epoch ownership).
+// through the backend's pending-epoch ownership). Hot answers a request
+// that carried access records: the backend's promotion set, as the encoded
+// TouchResp a Touch RPC would have returned.
 type MutateResp struct {
 	Applied   bool             `wire:"1"`
 	Stored    truetime.Version `wire:"2,flat"`
 	Evictions int              `wire:"5"`
 	Sealed    bool             `wire:"6"`
+	Hot       []byte           `wire:"7,omitzero"`
 }
 
 // AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
 func (r MutateResp) AppendTo(b []byte) []byte {
-	e := begin(b, 48)
+	e := begin(b, len(r.Hot)+48)
 	e.Bool(1, r.Applied)
 	encodeVersion(&e, 2, r.Stored)
 	e.Uint(5, uint64(r.Evictions))
 	e.Bool(6, r.Sealed)
+	if r.Hot != nil {
+		e.Bytes(7, r.Hot)
+	}
 	return e.Encoded()
 }
 
 func (r MutateResp) Marshal() []byte { return r.AppendTo(nil) }
 
-// UnmarshalMutateResp decodes the response.
+// UnmarshalMutateResp decodes the response. Hot aliases b.
 func UnmarshalMutateResp(b []byte) (MutateResp, error) {
 	var r MutateResp
 	var v versionAcc
@@ -259,6 +276,8 @@ func UnmarshalMutateResp(b []byte) (MutateResp, error) {
 			r.Evictions = int(d.Uint())
 		case 6:
 			r.Sealed = d.Bool()
+		case 7:
+			r.Hot = d.Bytes()
 		}
 	}
 	r.Stored = v.version()
@@ -271,23 +290,27 @@ func UnmarshalMutateResp(b []byte) (MutateResp, error) {
 type EraseReq struct {
 	Key      []byte           `wire:"1"`
 	Version  truetime.Version `wire:"2,flat"`
-	Pending  bool             `wire:"5"` // see SetReq.Pending
-	ConfigID uint64           `wire:"6"` // see SetReq.ConfigID
+	Pending  bool             `wire:"5"`          // see SetReq.Pending
+	ConfigID uint64           `wire:"6"`          // see SetReq.ConfigID
+	Touches  []byte           `wire:"7,omitzero"` // see SetReq.Touches
 }
 
 // AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
 func (r EraseReq) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Key)+48)
+	e := begin(b, len(r.Key)+len(r.Touches)+48)
 	e.Bytes(1, r.Key)
 	encodeVersion(&e, 2, r.Version)
 	e.Bool(5, r.Pending)
 	e.Uint(6, r.ConfigID)
+	if r.Touches != nil {
+		e.Bytes(7, r.Touches)
+	}
 	return e.Encoded()
 }
 
 func (r EraseReq) Marshal() []byte { return r.AppendTo(nil) }
 
-// UnmarshalEraseReq decodes the request. Key aliases b (see
+// UnmarshalEraseReq decodes the request. Key and Touches alias b (see
 // UnmarshalSetReq).
 func UnmarshalEraseReq(b []byte) (EraseReq, error) {
 	var r EraseReq
@@ -310,6 +333,8 @@ func UnmarshalEraseReq(b []byte) (EraseReq, error) {
 			r.Pending = d.Bool()
 		case 6:
 			r.ConfigID = d.Uint()
+		case 7:
+			r.Touches = d.Bytes()
 		}
 	}
 	r.Version = v.version()
@@ -321,26 +346,30 @@ type CasReq struct {
 	Key      []byte           `wire:"1"`
 	Value    []byte           `wire:"2"`
 	Expected truetime.Version `wire:"3,flat"`
-	Version  truetime.Version `wire:"6,flat"` // new version on success
-	Pending  bool             `wire:"9"`      // see SetReq.Pending
-	ConfigID uint64           `wire:"10"`     // see SetReq.ConfigID
+	Version  truetime.Version `wire:"6,flat"`      // new version on success
+	Pending  bool             `wire:"9"`           // see SetReq.Pending
+	ConfigID uint64           `wire:"10"`          // see SetReq.ConfigID
+	Touches  []byte           `wire:"11,omitzero"` // see SetReq.Touches
 }
 
 // AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
 func (r CasReq) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Key)+len(r.Value)+80)
+	e := begin(b, len(r.Key)+len(r.Value)+len(r.Touches)+80)
 	e.Bytes(1, r.Key)
 	e.Bytes(2, r.Value)
 	encodeVersion(&e, 3, r.Expected)
 	encodeVersion(&e, 6, r.Version)
 	e.Bool(9, r.Pending)
 	e.Uint(10, r.ConfigID)
+	if r.Touches != nil {
+		e.Bytes(11, r.Touches)
+	}
 	return e.Encoded()
 }
 
 func (r CasReq) Marshal() []byte { return r.AppendTo(nil) }
 
-// UnmarshalCasReq decodes the request. Key and Value alias b (see
+// UnmarshalCasReq decodes the request. Key, Value and Touches alias b (see
 // UnmarshalSetReq).
 func UnmarshalCasReq(b []byte) (CasReq, error) {
 	var r CasReq
@@ -371,6 +400,8 @@ func UnmarshalCasReq(b []byte) (CasReq, error) {
 			r.Pending = d.Bool()
 		case 10:
 			r.ConfigID = d.Uint()
+		case 11:
+			r.Touches = d.Bytes()
 		}
 	}
 	r.Expected = exp.version()
@@ -461,101 +492,6 @@ func UnmarshalGetResp(b []byte) (GetResp, error) {
 	}
 	r.Version = v.version()
 	return r, d.Err()
-}
-
-// TouchReq is the batched access-record report clients send so backends
-// can run recency-based eviction despite never seeing RMA GETs (§4.2).
-type TouchReq struct {
-	Keys [][]byte `wire:"1"`
-}
-
-// Marshal encodes the request.
-func (r TouchReq) Marshal() []byte {
-	e := wire.NewEncoder()
-	for _, k := range r.Keys {
-		AppendTouchKey(e, k)
-	}
-	return e.Encoded()
-}
-
-// AppendTouchKey adds one access record to the TouchReq being encoded in e:
-// a client keeps its pending records as the request that will report them.
-func AppendTouchKey(e *wire.Encoder, key []byte) { e.Bytes(1, key) }
-
-// RangeTouchKeys calls fn with each access record of the encoded TouchReq
-// b, in order, as a view of b: the handler walks its request where it lies
-// and keeps only what it copies.
-func RangeTouchKeys(b []byte, fn func(key []byte)) error { return rangeBytes(b, 1, fn) }
-
-// rangeBytes calls fn with each tag field of the message b, in order, as a
-// view of b.
-func rangeBytes(b []byte, tag uint64, fn func(v []byte)) error {
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return err
-	}
-	for d.Next() {
-		if d.Tag() == tag {
-			fn(d.Bytes())
-		}
-	}
-	return d.Err()
-}
-
-// UnmarshalTouchReq decodes the request; Keys alias b.
-func UnmarshalTouchReq(b []byte) (r TouchReq, err error) {
-	err = RangeTouchKeys(b, func(k []byte) { r.Keys = append(r.Keys, k) })
-	return r, err
-}
-
-// TouchResp acknowledges a batched access-record report and piggybacks
-// the backend's hot-key promotion set (its keys and the epoch naming it):
-// the feed clients learn promotion from. Additive: pre-promotion servers
-// answered a bare Ack (an empty frame), which decodes as epoch 0 with no
-// keys, and pre-promotion clients ignore the body entirely.
-type TouchResp struct {
-	HotEpoch uint64   `wire:"1,omitzero"`
-	HotKeys  [][]byte `wire:"2"`
-}
-
-// AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
-func (r TouchResp) AppendTo(b []byte) []byte {
-	e := begin(b, 128)
-	if r.HotEpoch != 0 {
-		e.Uint(1, r.HotEpoch)
-	}
-	for _, k := range r.HotKeys {
-		e.Bytes(2, k)
-	}
-	return e.Encoded()
-}
-
-func (r TouchResp) Marshal() []byte { return r.AppendTo(nil) }
-
-// TouchRespEpoch returns the HotEpoch of the encoded TouchResp b, and
-// RangeHotKeys calls fn with each of its promoted keys, in order, as a view
-// of b: a client reads the epoch and walks the keys only when it changed.
-func TouchRespEpoch(b []byte) (epoch uint64, err error) {
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return 0, err
-	}
-	for d.Next() {
-		if d.Tag() == 1 {
-			epoch = d.Uint()
-		}
-	}
-	return epoch, d.Err()
-}
-
-func RangeHotKeys(b []byte, fn func(key []byte)) error { return rangeBytes(b, 2, fn) }
-
-// UnmarshalTouchResp decodes the response; HotKeys alias b.
-func UnmarshalTouchResp(b []byte) (r TouchResp, err error) {
-	if r.HotEpoch, err = TouchRespEpoch(b); err == nil {
-		err = RangeHotKeys(b, func(k []byte) { r.HotKeys = append(r.HotKeys, k) })
-	}
-	return r, err
 }
 
 // ScanItem is one KV summary in a cohort scan (§5.4): KeyHash + version,

@@ -56,12 +56,12 @@ func TestSetReqProperty(t *testing.T) {
 }
 
 func TestMutateRespRoundTrip(t *testing.T) {
-	in := MutateResp{Applied: true, Stored: v(1, 2, 3), Evictions: 4}
+	in := MutateResp{Applied: true, Stored: v(1, 2, 3), Evictions: 4, Hot: TouchResp{HotEpoch: 5}.Marshal()}
 	out, err := UnmarshalMutateResp(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
+	if !reflect.DeepEqual(out, in) {
 		t.Errorf("%+v != %+v", out, in)
 	}
 }

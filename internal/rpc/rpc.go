@@ -63,6 +63,11 @@ func DefaultCostModel() CostModel {
 // are recycled for the next call.
 type Handler func(ctx context.Context, principal string, req []byte) ([]byte, error)
 
+// BilledHandler is a Handler that also returns the modelled CPU (ns) its
+// request cost past the method's SetMethodCost, which the call bills as
+// server CPU and server time, as it bills the method's own.
+type BilledHandler func(ctx context.Context, principal string, req []byte) ([]byte, uint64, error)
+
 // Authenticator decides whether principal may invoke method — the per-RPC
 // ACL layer (ALTS analogue).
 type Authenticator func(principal, method string) error
@@ -125,7 +130,7 @@ type Server struct {
 	hostID int
 
 	mu       sync.Mutex
-	handlers map[string]Handler
+	handlers map[string]BilledHandler
 	costs    map[string]uint64 // extra modelled handler CPU by method
 	auth     Authenticator
 	stopped  bool
@@ -195,7 +200,7 @@ func (c *admission) admit(now func() uint64, serviceNs uint64, limit int) uint64
 // the call queues for a slot; a context that expires while queued fails
 // without running the handler. Once admitted, a handler runs to completion
 // (a server does not abandon work mid-mutation).
-func (c *admission) run(ctx context.Context, slots chan struct{}, h Handler, principal string, req []byte) ([]byte, error) {
+func (c *admission) run(ctx context.Context, slots chan struct{}, h BilledHandler, principal string, req []byte) ([]byte, uint64, error) {
 	select {
 	case slots <- struct{}{}:
 	default:
@@ -206,7 +211,7 @@ func (c *admission) run(ctx context.Context, slots chan struct{}, h Handler, pri
 		case slots <- struct{}{}:
 			c.submitWaitNs.Add(uint64(time.Since(t0)))
 		case <-ctx.Done():
-			return nil, ErrDeadlineExceeded
+			return nil, 0, ErrDeadlineExceeded
 		}
 	}
 	defer func() { <-slots }()
@@ -218,7 +223,7 @@ func (c *admission) run(ctx context.Context, slots chan struct{}, h Handler, pri
 func (n *Network) Serve(addr string, hostID int) *Server {
 	s := &Server{
 		n: n, addr: addr, hostID: hostID,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]BilledHandler),
 		costs:    make(map[string]uint64),
 		adm:      admission{slots: make(chan struct{}, DefaultWorkerLimit)},
 	}
@@ -238,6 +243,15 @@ func (n *Network) lookup(addr string) (*Server, bool) {
 
 // Handle registers h for method.
 func (s *Server) Handle(method string, h Handler) {
+	s.HandleBilled(method, func(ctx context.Context, principal string, req []byte) ([]byte, uint64, error) {
+		resp, err := h(ctx, principal, req)
+		return resp, 0, err
+	})
+}
+
+// HandleBilled registers h for method, a handler whose cost depends on its
+// request.
+func (s *Server) HandleBilled(method string, h BilledHandler) {
 	s.mu.Lock()
 	s.handlers[method] = h
 	s.mu.Unlock()
@@ -517,7 +531,7 @@ func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, ad
 	if extra > 0 {
 		n.handlerMeter.ChargeOnly(extra)
 	}
-	sb.add(&tr, trace.SpanRPCServer, uint32(extra), n.cost.ServerCPUNs+n.cost.LatencyNs/2+extra)
+	server := sb.add(&tr, trace.SpanRPCServer, uint32(extra), n.cost.ServerCPUNs+n.cost.LatencyNs/2+extra)
 
 	// Modelled admission queue: as offered load approaches the worker
 	// limit, calls wait for a worker before the handler runs.
@@ -541,9 +555,13 @@ func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, ad
 	// The handler runs here, on the caller's goroutine (RPCs are
 	// synchronous); concurrent callers are distinct goroutines, so mutations
 	// against different lock stripes overlap inside one backend.
-	resp, err := s.adm.run(hctx, slots, h, c.principal, req)
+	resp, billed, err := s.adm.run(hctx, slots, h, c.principal, req)
 	if slot != nil {
 		slot.ReleaseSink()
+	}
+	if billed > 0 {
+		n.handlerMeter.ChargeOnly(billed)
+		sb.extend(&tr, server, billed)
 	}
 	depositedAt := tr.Ns
 
@@ -586,10 +604,26 @@ type spanBuf struct {
 	buf [4]fabric.Span
 }
 
-func (b *spanBuf) add(tr *fabric.OpTrace, code uint16, arg uint32, ns uint64) {
+func (b *spanBuf) add(tr *fabric.OpTrace, code uint16, arg uint32, ns uint64) (at int) {
+	at = -1
 	if b.on && b.n < len(b.buf) {
 		b.buf[b.n] = fabric.Span{Code: code, Arg: arg, Start: tr.Ns, Dur: ns}
+		at = b.n
 		b.n++
+	}
+	tr.Add(ns)
+	return at
+}
+
+// extend lengthens the span add staged at at (-1: none) by ns, in its
+// duration and its arg, and the call with it: the spans after it move.
+func (b *spanBuf) extend(tr *fabric.OpTrace, at int, ns uint64) {
+	if at >= 0 {
+		b.buf[at].Dur += ns
+		b.buf[at].Arg += uint32(ns)
+		for i := at + 1; i < b.n; i++ {
+			b.buf[i].Start += ns
+		}
 	}
 	tr.Add(ns)
 }

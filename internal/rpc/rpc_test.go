@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
+	"cliquemap/internal/trace"
 )
 
 func newNet(acct *stats.CPUAccount) *Network {
@@ -156,6 +158,31 @@ func TestMethodCostBilled(t *testing.T) {
 	n.Client(0, "p").Call(context.Background(), "b", "Heavy", nil)
 	if acct.TotalNanos("handler") != 12345 {
 		t.Errorf("handler CPU = %d", acct.TotalNanos("handler"))
+	}
+	// A handler's billed part adds to the method's cost, in CPU and in the
+	// server's span of the call's modelled time.
+	s.HandleBilled("Heavy", func(_ context.Context, _ string, req []byte) ([]byte, uint64, error) {
+		return nil, 1000 * uint64(len(req)), nil
+	})
+	var oc trace.OpContext
+	oc.Init(context.Background(), trace.SpanContext{OpID: 1})
+	_, tr, err := n.Client(0, "p").Call(&oc, "b", "Heavy", []byte("abcde"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := acct.TotalNanos("handler"); got != 2*12345+5000 {
+		t.Errorf("handler CPU = %d, want %d", got, 2*12345+5000)
+	}
+	var sum uint64
+	for _, sp := range tr.Spans {
+		sum += sp.Dur
+	}
+	want := DefaultCostModel().ServerCPUNs + DefaultCostModel().LatencyNs/2 + 12345 + 5000
+	if i := slices.IndexFunc(tr.Spans, func(sp fabric.Span) bool { return sp.Code == trace.SpanRPCServer }); i < 0 || tr.Spans[i].Dur != want || tr.Spans[i].Arg != 12345+5000 {
+		t.Errorf("spans %+v, want a server span of %d ns", tr.Spans, want)
+	}
+	if sum != tr.Ns {
+		t.Errorf("spans sum to %d ns, the call took %d", sum, tr.Ns)
 	}
 }
 
