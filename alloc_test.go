@@ -9,6 +9,7 @@ import (
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/rpc"
+	"cliquemap/internal/truetime"
 )
 
 // TestGetAllocBudget holds the GET to the per-op allocation budget DESIGN.md
@@ -19,6 +20,9 @@ import (
 //	SCAR miss  nothing                                               = 0
 //	2×R hit    the caller's value                                    = 1
 //	RPC hit    the caller's value                                    = 1
+//	SCAR conditional GET confirming the version its caller holds:
+//	           no value; the trace it hands back (GetIfChanged is
+//	           traced) keeps its own span buffer, as GetTraced's does = 1
 //
 // and the two-sided GET of an out-of-process caller — a tracer-less
 // StrategyRPC client on one loopback connection to the cell's gateway — to
@@ -79,6 +83,26 @@ func TestGetAllocBudget(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("SCAR conditional confirm", func(t *testing.T) {
+		cl := newCell(t, Options{}).NewClient(ClientOptions{Strategy: LookupSCAR}).Internal()
+		if err := cl.Set(ctx, key, make([]byte, 128)); err != nil {
+			t.Fatal(err)
+		}
+		_, have, _, _, err := cl.GetIfChanged(ctx, key, truetime.Version{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		get := func() {
+			if v, ver, found, _, err := cl.GetIfChanged(ctx, key, have); err != nil || !found || ver != have || v != nil {
+				t.Fatalf("conditional get: %d bytes at %v found=%v err=%v, want %v confirmed", len(v), ver, found, err, have)
+			}
+		}
+		warm(get)
+		if got := testing.AllocsPerRun(200, get); got > 1 {
+			t.Errorf("%v allocations per confirming GET, budget 1 (its kept span buffer)", got)
+		}
+	})
 
 	t.Run("RPC hit over TCP", func(t *testing.T) {
 		cl := tcpClient(t, newCell(t, Options{}), 0)

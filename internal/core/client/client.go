@@ -92,8 +92,6 @@ type Metrics struct {
 	BackoffNs              stats.Counter // virtual ns spent backing off
 	NearHits               stats.Counter // near-cache serves validated by an index quorum
 	NearStale              stats.Counter // near entries dropped: version moved under us
-	NearInval              stats.Counter // near entries dropped: quorum-agreed miss (erase)
-	NearRevalFails         stats.Counter // inconclusive revalidation rounds → full path
 	SteerRPC               stats.Counter // hot large-value GETs steered to RPC (Fig 20)
 	SpreadReads            stats.Counter // hot data reads rotated off the fastest replica
 	GetLatency, SetLatency stats.Histogram

@@ -10,6 +10,7 @@ import (
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
+	"cliquemap/internal/truetime"
 )
 
 // TestStrategiesAgree replays one seeded SET/GET/ERASE sequence under each
@@ -26,7 +27,11 @@ import (
 // torn scan and pushed down the retry ladder to the RPC fallback. The last
 // row is the out-of-process caller: RPC lookups and mutations framed over
 // one loopback connection to a gateway, where every value served is a view
-// of a response frame and every span crossed the wire.
+// of a response frame and every span crossed the wire. The conditional
+// rows replay the sequence through GetIfChanged, each GET holding the
+// version the previous read of its key returned: a read that confirms it
+// stands for that read's value, and on a one-sided strategy it moves no
+// data.
 func TestStrategiesAgree(t *testing.T) {
 	type result struct {
 		val   string
@@ -36,7 +41,11 @@ func TestStrategiesAgree(t *testing.T) {
 	pony := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient(opt) }
 	oneRMA := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient1RMA(opt) }
 	overTCP := func(t testing.TB, r *rig, opt Options) *Client { return r.newClientTCP(t, opt) }
-	replay := func(t *testing.T, mode config.Mode, strat Strategy, newClient dialer, on1RMA bool) []result {
+	type held struct {
+		val string
+		ver truetime.Version
+	}
+	replay := func(t *testing.T, mode config.Mode, strat Strategy, newClient dialer, on1RMA, cond bool) []result {
 		r := newRigMode(t, fabric.Params{}, mode)
 		cl := newClient(t, r, Options{Strategy: strat})
 		ctx := context.Background()
@@ -47,6 +56,7 @@ func TestStrategiesAgree(t *testing.T) {
 			legs = mode.Replicas()
 		}
 		var out []result
+		last, confirms := map[string]held{}, 0
 		for op := 0; op < 300; op++ {
 			key := []byte(fmt.Sprintf("k%02d", rng.Intn(24)))
 			switch p := rng.Intn(10); {
@@ -58,6 +68,21 @@ func TestStrategiesAgree(t *testing.T) {
 				if err := cl.Erase(ctx, key); err != nil {
 					t.Fatalf("op %d erase: %v", op, err)
 				}
+			case cond:
+				h := last[string(key)]
+				val, ver, found, tr, err := cl.GetIfChanged(ctx, key, h.ver)
+				if err != nil {
+					t.Fatalf("op %d get: %v", op, err)
+				}
+				if confirmed := found && ver == h.ver; confirmed {
+					if _, hasData := spanOf(tr, trace.SpanDataRead); val != nil || hasData && strat != StrategyRPC {
+						t.Fatalf("op %d: a read confirming %v returned %q (data-read span %v)", op, ver, val, hasData)
+					}
+					val = []byte(h.val)
+					confirms++
+				}
+				last[string(key)] = held{string(val), ver}
+				out = append(out, result{string(val), found})
 			default:
 				val, found, tr, err := cl.GetTraced(ctx, key)
 				if err != nil {
@@ -103,6 +128,9 @@ func TestStrategiesAgree(t *testing.T) {
 		if n := cl.M.RetryCount() + cl.M.RPCFallbacks.Value(); n != 0 {
 			t.Fatalf("quiet cell needed %d retries/fallbacks", n)
 		}
+		if cond && confirms == 0 {
+			t.Fatal("no conditional read confirmed its version")
+		}
 		return out
 	}
 
@@ -112,19 +140,23 @@ func TestStrategiesAgree(t *testing.T) {
 		prefix string
 		mode   config.Mode
 	}{{"", config.R32}, {"R1/", config.R1}, {"R2Immutable/", config.R2Immutable}} {
-		want := replay(t, cell.mode, Strategy2xR, pony, false)
+		want := replay(t, cell.mode, Strategy2xR, pony, false, false)
 		for _, tc := range []struct {
 			name      string
 			strat     Strategy
 			newClient dialer
 			on1RMA    bool
+			cond      bool
 		}{
-			{"SCAR", StrategySCAR, pony, false}, {"MSG", StrategyMSG, pony, false}, {"RPC", StrategyRPC, pony, false},
-			{"SCAR-on-1RMA", StrategySCAR, oneRMA, true},
-			{"RPC-over-TCP", StrategyRPC, overTCP, false},
+			{"SCAR", StrategySCAR, pony, false, false}, {"MSG", StrategyMSG, pony, false, false}, {"RPC", StrategyRPC, pony, false, false},
+			{"SCAR-on-1RMA", StrategySCAR, oneRMA, true, false},
+			{"RPC-over-TCP", StrategyRPC, overTCP, false, false},
+			{"2xR-conditional", Strategy2xR, pony, false, true},
+			{"SCAR-conditional", StrategySCAR, pony, false, true},
+			{"RPC-conditional", StrategyRPC, pony, false, true},
 		} {
 			t.Run(cell.prefix+tc.name, func(t *testing.T) {
-				got := replay(t, cell.mode, tc.strat, tc.newClient, tc.on1RMA)
+				got := replay(t, cell.mode, tc.strat, tc.newClient, tc.on1RMA, tc.cond)
 				if len(got) != len(want) {
 					t.Fatalf("%d GETs, want %d", len(got), len(want))
 				}

@@ -1,8 +1,9 @@
 package client
 
 // GET: the retry loop around one fetch → vote → data attempt (the last
-// attempt, the final fallback, fetches over RPC), plus batching and the
-// tier's single-replica follower read.
+// attempt, the final fallback, fetches over RPC), behind the index-only
+// round that revalidates a version the caller or the near-cache holds,
+// plus batching.
 
 import (
 	"cmp"
@@ -11,7 +12,6 @@ import (
 	"slices"
 
 	"cliquemap/internal/core/layout"
-	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
@@ -24,22 +24,43 @@ const opSpans = 16
 
 // Get looks up key, transparently retrying transient hazards.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	v, found, _, err := c.get(ctx, key, 0, false)
+	v, _, found, _, err := c.get(ctx, key, truetime.Version{}, 0, false)
 	return v, found, err
 }
 
 // GetTraced is Get plus the op's modelled latency trace.
 func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabric.OpTrace, error) {
-	return c.get(ctx, key, 0, true)
+	v, _, found, tr, err := c.get(ctx, key, truetime.Version{}, 0, true)
+	return v, found, tr, err
+}
+
+// GetIfChanged is a conditional GET for a caller that holds key's value at
+// version have (zero: nothing held): it returns the quorum-winning version
+// with the value, and the op's modelled latency trace. A read that
+// confirms have returns no value — the caller's copy stands. It is the
+// federation tier's follower-cache revalidation: the version lets a
+// non-owner cell revalidate a cached entry against the owner, and the
+// trace lets the tier edge fold the owner cell's legs into the federated
+// op's one trace.
+func (c *Client) GetIfChanged(ctx context.Context, key []byte, have truetime.Version) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
+	val, ver, found, tr, err := c.get(ctx, key, have, 0, true)
+	if found && ver == have {
+		val = nil
+	}
+	return val, ver, found, tr, err
 }
 
 // get runs one GET on a leased op record; only keep gives its trace spans
-// that outlive the op. pin is the virtual instant the op starts at (0 =
+// that outlive the op. have is the version the caller already holds (0 =
+// none; the near-cache fills it from its entry): on a one-sided strategy
+// one index-only round that confirms it, or agrees on a miss, serves the
+// GET, and any other round falls through to the attempt loop with its
+// legs already billed. pin is the virtual instant the op starts at (0 =
 // now): each round of legs is pinned to pin plus the op's elapsed modelled
 // time, so a batch's keys share one origin. A hit reports its access once
 // the record is back, so a flush the access fills can lease it; the flush
 // runs under the caller's ctx, as the op's node is back in the pool.
-func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
+func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin uint64, keep bool) (value []byte, ver truetime.Version, found bool, tr fabric.OpTrace, err error) {
 	op := c.ops.Take()
 	defer func(ctx context.Context) {
 		c.ops.Put(op)
@@ -59,23 +80,38 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 	if total.Spans = op.Spans[:0]; keep {
 		total.Spans = make([]fabric.Span, 0, opSpans)
 	}
-	// Near-cache fast path: a cached hot-key value serves after one
-	// index-only revalidation round (1 RTT, no data leg). An inconclusive
-	// round falls through to the full path with its legs already billed.
-	if c.near != nil {
-		nval, nfound, served := c.nearGet(ctx, op, key, pin, &total)
-		if served {
-			c.finishGet(sc, nfound, c.Transport(), 1, &total)
-			return nval, nfound, total, nil
+	near, cached := nearEntry{}, false
+	if have.Zero() && c.near != nil {
+		if near, cached = c.near.get(key); cached {
+			have = near.ver
+		}
+	}
+	if !have.Zero() && (c.opt.Strategy == Strategy2xR || c.opt.Strategy == StrategySCAR) {
+		ver, found, err = c.revalidateIndex(ctx, op, key, pin, &total)
+		if err == nil && (!found || ver == have) {
+			if cached && found {
+				c.M.NearHits.Inc()
+				value = slices.Clone(near.val)
+			} else if cached {
+				// An agreed miss: the key was erased (or the entry outlived
+				// the corpus). The cached value must never resurrect it.
+				c.near.drop(key)
+			}
+			c.finishGet(sc, found, c.Transport(), 1, &total)
+			return value, ver, found, total, nil
+		}
+		if cached && err == nil { // the version moved: the loop refreshes the entry
+			c.near.drop(key)
+			c.M.NearStale.Inc()
 		}
 	}
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if ctx.Err() != nil {
-			return nil, false, total, ErrExhausted
+			return nil, truetime.Version{}, false, total, ErrExhausted
 		}
 		if attempt > 0 {
 			if err := c.beginRetry(&total, attempt); err != nil {
-				return nil, false, total, err
+				return nil, truetime.Version{}, false, total, err
 			}
 		}
 		if sc != nil {
@@ -89,7 +125,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 				c.nearStore(key, val, wver)
 			}
 			c.finishGet(sc, ok, c.Transport(), uint32(attempt+1), &total)
-			return val, ok, total, nil
+			return val, wver, ok, total, nil
 		}
 		if sc != nil {
 			total.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, total.Ns-attemptStart)
@@ -100,16 +136,16 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 	// RPC path for lookups (§3, Table 1). It votes like any two-sided
 	// fetch, and costs a retry token like any other attempt.
 	if err := c.takeRetryToken(); err != nil {
-		return nil, false, total, err
+		return nil, truetime.Version{}, false, total, err
 	}
-	if val, ok, _, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), fetchRPC, &total); aerr == nil {
+	if val, ok, wver, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), fetchRPC, &total); aerr == nil {
 		c.opt.Budget.Credit()
 		c.M.RPCFallbacks.Inc()
 		c.finishGet(sc, ok, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
-		return val, ok, total, nil
+		return val, wver, ok, total, nil
 	}
 	c.M.Inquorate.Inc()
-	return nil, false, total, fmt.Errorf("%w for key %q", ErrInquorate, key)
+	return nil, truetime.Version{}, false, total, fmt.Errorf("%w for key %q", ErrInquorate, key)
 }
 
 // finishGet is the one success epilogue of a GET, however it was served
@@ -370,50 +406,6 @@ func (c *Client) openEntry(addr string, raw, key []byte, winner *truetime.Versio
 	return de.MaterializeValue()
 }
 
-// GetVersionedTraced is a single-replica RPC lookup returning the stored
-// value, its version, and the op's modelled latency trace: each attempt
-// asks the read cohort's members in turn until one answers, and bills
-// every leg it tried. It is the federation tier's follower-read
-// primitive: the version lets a non-owner cell revalidate a cached entry
-// against the owner, a single replica (no quorum) is acceptable because
-// the tier bounds staleness and revalidates, and the trace lets the tier
-// edge fold the owner cell's revalidation legs into the federated op's
-// single trace. It is the client's only read that no quorum votes on, so
-// it is no substitute for Get.
-func (c *Client) GetVersionedTraced(ctx context.Context, key []byte) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
-	op := c.ops.Take()
-	defer c.ops.Put(op)
-	var total fabric.OpTrace
-	var lastErr error = ErrUnavailable
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if attempt > 0 {
-			// Same layered repair as the quorum paths: a resize or handoff
-			// bumps the config epoch underneath us and the backend bounces
-			// the stale ConfigID; refresh and re-route before retrying.
-			c.classifyAndRepair(lastErr)
-		}
-		cfg := c.Config()
-		req := op.Keep(proto.GetReq{Key: key, ConfigID: cfg.ID}.AppendTo(op.Free()))
-		rt := readRoute(cfg, c.opt.Hash(key))
-		for _, addr := range rt.addrs[:rt.n] {
-			if addr == "" {
-				continue
-			}
-			resp, tr, err := c.call(ctx, op, addr, proto.MethodGet, req)
-			total.Sequence(tr)
-			var g proto.GetResp
-			if err == nil {
-				g, err = proto.UnmarshalGetResp(resp)
-			}
-			if err == nil {
-				return slices.Clone(g.Value), g.Version, g.Found, total, nil
-			}
-			lastErr = err
-		}
-	}
-	return nil, truetime.Version{}, false, total, lastErr
-}
-
 // GetBatch looks up many keys as one logical op (§7.1: Ads/Geo fetches are
 // highly batched). Every key's legs are pinned to one virtual instant, the
 // way a GET pins its replica fan-out, so the simulation runs the keys one
@@ -432,7 +424,7 @@ func (c *Client) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, 
 		if c.now != nil && (pin == 0 || pin < c.rpcAt.Load()) {
 			pin = c.now()
 		}
-		v, ok, ktr, kerr := c.get(ctx, k, pin, true)
+		v, _, ok, ktr, kerr := c.get(ctx, k, truetime.Version{}, pin, true)
 		values[i], found[i] = v, ok
 		if kerr != nil && err == nil {
 			err = kerr

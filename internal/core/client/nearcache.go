@@ -255,39 +255,6 @@ func (c *Client) nearInvalidate(key []byte) {
 	}
 }
 
-// nearGet tries to serve key from the near-cache behind one index-only
-// revalidation round. Returns served=true when the round was conclusive
-// (fresh hit, or an agreed miss that also drops the entry); otherwise
-// the caller must run the full GET path — any revalidation legs already
-// paid are appended to tr either way so latency accounting stays honest.
-// pin is the round's virtual start (0 = now).
-func (c *Client) nearGet(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, tr *fabric.OpTrace) (val []byte, found, served bool) {
-	e, ok := c.near.get(key)
-	if !ok {
-		return nil, false, false
-	}
-	ver, vfound, err := c.revalidateIndex(ctx, op, key, pin, tr)
-	if err != nil {
-		c.M.NearRevalFails.Inc()
-		return nil, false, false
-	}
-	if vfound && ver == e.ver {
-		c.M.NearHits.Inc()
-		return append([]byte(nil), e.val...), true, true
-	}
-	c.near.drop(key)
-	if !vfound {
-		// A read quorum agreed the key is absent: it was erased (or the
-		// cached entry outlived the corpus). Serve the miss; never the
-		// cached value — erased keys must not resurrect from here.
-		c.M.NearInval.Inc()
-		return nil, false, true
-	}
-	// Version moved: the full path refreshes the entry.
-	c.M.NearStale.Inc()
-	return nil, false, false
-}
-
 // revalidateIndex runs one quorum round of index-only bucket reads —
 // plain Reads even under SCAR, so no data bytes move — and returns the
 // quorum-winning version (found=false for an agreed miss). Any error

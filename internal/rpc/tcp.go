@@ -631,7 +631,7 @@ func methodKind(method string) trace.Kind {
 		method = method[i+1:]
 	}
 	switch method {
-	case "Get", "GetBatch":
+	case "Get":
 		return trace.KindGet
 	case "Set":
 		return trace.KindSet

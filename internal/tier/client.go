@@ -296,61 +296,60 @@ func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 }
 
 // followerGet serves a remotely-owned key through the local follower
-// cache: fresh entries answer locally; stale entries revalidate by
-// version against the owner; misses fetch (with version) from the owner
-// and populate the cache. The legs' spans fold into total: local-cell
-// spans first, then — if the entry was stale or missing — the owner
-// cell's revalidation legs, bracketed by follower-revalidate /
-// tier-forward annotations.
+// cache: an entry inside the staleness bound answers locally; otherwise one
+// conditional GET on the owner, holding the entry's version (zero without
+// a usable entry), confirms the entry or fetches the current value, which
+// a read quorum of the owner cell vouches for either way. The legs' spans
+// fold into total: local-cell spans first, then the owner cell's,
+// bracketed by a follower-revalidate annotation (an aged entry) or a
+// tier-forward one (no entry).
 func (c *Client) followerGet(ctx context.Context, owner string, key []byte, total *fabric.OpTrace) ([]byte, bool, Outcome, error) {
 	raw, found, tr, err := c.local.GetTraced(ctx, followerKey(key))
 	fold(total, tr, 0, 0)
+	var have truetime.Version
+	var payload []byte
 	if err == nil && found {
-		if ver, stamp, payload, ok := decodeFollower(raw); ok {
+		if ver, stamp, p, ok := decodeFollower(raw); ok {
 			if age := c.now() - stamp; age <= c.opt.StaleBoundNs {
 				c.m.FollowerHits.Add(1)
 				fold(total, fabric.OpTrace{}, trace.SpanFollowerHit, uint32(age/1000))
-				return payload, true, OutcomeFollowerHit, nil
+				return p, true, OutcomeFollowerHit, nil
 			}
-			// Stale: ask the owner for the current version (the probe
-			// also carries the value, so a changed key refreshes in one
-			// round trip).
-			oval, over, ofound, otr, oerr := c.cls[owner].GetVersionedTraced(ctx, key)
-			arg := uint32(0) // confirmed
-			switch {
-			case oerr == nil && !ofound:
-				arg = 2 // erased at the owner
-			case oerr == nil && over != ver:
-				arg = 1 // refreshed with a newer value
-			}
-			fold(total, otr, trace.SpanFollowerReval, arg)
-			if oerr != nil {
-				return nil, false, OutcomeRevalidateMiss, oerr
-			}
-			if !ofound {
-				_ = c.local.Erase(ctx, followerKey(key))
-				return nil, false, OutcomeRevalidateMiss, nil
-			}
-			if over == ver {
-				c.m.FollowerRevalids.Add(1)
-				c.storeFollower(ctx, key, payload, ver)
-				return payload, true, OutcomeFollowerHit, nil
-			}
-			c.m.FollowerRefreshes.Add(1)
-			c.storeFollower(ctx, key, oval, over)
-			return oval, true, OutcomeRevalidateMiss, nil
+			have, payload = ver, p
 		}
 	}
-	c.m.FollowerMisses.Add(1)
-	val, ver, found, otr, err := c.cls[owner].GetVersionedTraced(ctx, key)
-	fold(total, otr, trace.SpanTierForward, c.cellIdx[owner])
-	if err != nil {
+	if have.Zero() {
+		c.m.FollowerMisses.Add(1)
+	}
+	val, ver, found, otr, err := c.cls[owner].GetIfChanged(ctx, key, have)
+	code, arg := trace.SpanFollowerReval, uint32(0) // confirmed
+	switch {
+	case have.Zero():
+		code, arg = trace.SpanTierForward, c.cellIdx[owner]
+	case err == nil && !found:
+		arg = 2 // erased at the owner
+	case err == nil && ver != have:
+		arg = 1 // refreshed with a newer value
+	}
+	fold(total, otr, code, arg)
+	switch {
+	case err != nil:
 		return nil, false, OutcomeRevalidateMiss, err
+	case !found:
+		if !have.Zero() {
+			_ = c.local.Erase(ctx, followerKey(key))
+		}
+		return nil, false, OutcomeRevalidateMiss, nil
+	case ver == have:
+		c.m.FollowerRevalids.Add(1)
+		c.storeFollower(ctx, key, payload, ver)
+		return payload, true, OutcomeFollowerHit, nil
 	}
-	if found {
-		c.storeFollower(ctx, key, val, ver)
+	if !have.Zero() {
+		c.m.FollowerRefreshes.Add(1)
 	}
-	return val, found, OutcomeRevalidateMiss, nil
+	c.storeFollower(ctx, key, val, ver)
+	return val, true, OutcomeRevalidateMiss, nil
 }
 
 // mutate routes one mutation to key's owning cell — the ack means the

@@ -351,6 +351,55 @@ func TestTierFollowerReads(t *testing.T) {
 	}
 }
 
+// TestFollowerReadHoldsBoundPastLaggingPrimary: a follower entry past its
+// staleness bound is revalidated by a read quorum of the owner cell, not
+// by whichever cohort member answers first. The owner's primary refuses
+// RPCs while a SET of v2 acks on the other two replicas, so its copy
+// still holds v1; a revalidation that trusted the first answer would
+// reconfirm v1 at every bound until a repair sweep ran.
+func TestFollowerReadHoldsBoundPastLaggingPrimary(t *testing.T) {
+	tr := newTestTier(t, "us", "eu")
+	ctx := context.Background()
+	const staleBound = 50 * time.Millisecond
+	writer, err := tr.NewClient(ClientOptions{Local: "eu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := tr.NewClient(ClientOptions{Local: "us", FollowerReads: true, StaleBoundNs: uint64(staleBound)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(0)
+	for i := 1; tr.Owner(key) != "eu"; i++ {
+		key = testKey(i)
+	}
+	if err := writer.Set(ctx, key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if val, _, err := reader.Get(ctx, key); err != nil || string(val) != "v1" {
+		t.Fatalf("first read: %q %v", val, err)
+	}
+
+	owner := tr.Cell("eu")
+	primary := int(hashring.DefaultHash(key).Hi % uint64(owner.Shards()))
+	owner.SetRPCFailRate(primary, 1.0, 1)
+	err = writer.Set(ctx, key, []byte("v2"))
+	owner.SetRPCFailRate(primary, 0, 1)
+	if err != nil {
+		t.Fatalf("set v2 with the primary refusing RPCs: %v", err)
+	}
+
+	time.Sleep(staleBound + 20*time.Millisecond)
+	refreshes := reader.Metrics().FollowerRefreshes.Load()
+	val, found, err := reader.Get(ctx, key)
+	if err != nil || !found || string(val) != "v2" {
+		t.Fatalf("read past the bound: %q found=%v err=%v, want v2", val, found, err)
+	}
+	if reader.Metrics().FollowerRefreshes.Load() == refreshes {
+		t.Error("the read past the bound recorded no follower refresh")
+	}
+}
+
 // TestTierResizeKeepsCellAlive is the regression test for the federation
 // tier's deadliest false positive: an online resize bumps the cell's
 // config epoch, and if any tier-client path keeps using the stale

@@ -226,15 +226,6 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 		}
 		return false
 	}
-	countSpan := func(spans []fabric.Span, code uint16) int {
-		n := 0
-		for _, sp := range spans {
-			if sp.Code == code {
-				n++
-			}
-		}
-		return n
-	}
 	var missRec, hitRec, revalRec *trace.OpRecord
 	for _, r := range tr.Cell("us").Tracer().Recent(0) {
 		r := r
@@ -259,15 +250,30 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 		}
 	}
 	// The miss and revalidation paths touch BOTH cells under one op id:
-	// the follower cell contributes its one-sided index lookup
-	// (SpanIndexFetch), the owner cell its RPC-served fetch
-	// (SpanRPCServer), in the same span list.
-	for name, r := range map[string]*trace.OpRecord{"miss": missRec, "reval": revalRec} {
-		if countSpan(r.Spans, trace.SpanIndexFetch) < 1 {
-			t.Errorf("%s record lacks the follower cell's index lookup: %+v", name, r.Spans)
+	// the follower cell's index lookup (SpanIndexFetch) ends before the
+	// owner bracket (tier-forward or follower-revalidate) opens, and the
+	// owner cell's own index lookup lies inside that bracket, in the same
+	// span list.
+	bothCells := func(spans []fabric.Span) bool {
+		var br fabric.Span
+		for _, sp := range spans {
+			if sp.Code == trace.SpanTierForward || sp.Code == trace.SpanFollowerReval {
+				br = sp
+			}
 		}
-		if countSpan(r.Spans, trace.SpanRPCServer) < 1 {
-			t.Errorf("%s record lacks the owner cell's RPC fetch: %+v", name, r.Spans)
+		follower, owner := false, false
+		for _, sp := range spans {
+			if sp.Code != trace.SpanIndexFetch {
+				continue
+			}
+			follower = follower || sp.Start+sp.Dur <= br.Start
+			owner = owner || sp.Start >= br.Start && sp.Start+sp.Dur <= br.Start+br.Dur
+		}
+		return br.Dur > 0 && follower && owner
+	}
+	for name, r := range map[string]*trace.OpRecord{"miss": missRec, "reval": revalRec} {
+		if !bothCells(r.Spans) {
+			t.Errorf("%s record lacks a cell's index lookup around its owner bracket: %+v", name, r.Spans)
 		}
 	}
 	// The fresh hit never left the follower cell.
@@ -312,7 +318,7 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 		if !hasSpan(op.Spans, trace.SpanFollowerReval) || !hasSpan(op.Spans, trace.SpanTierRoute) {
 			t.Errorf("wire copy of op %d lost tier spans: %+v", op.ID, op.Spans)
 		}
-		if countSpan(op.Spans, trace.SpanIndexFetch) < 1 || countSpan(op.Spans, trace.SpanRPCServer) < 1 {
+		if !bothCells(op.Spans) {
 			t.Errorf("wire copy of op %d lost a cell's spans: %+v", op.ID, op.Spans)
 		}
 	}
