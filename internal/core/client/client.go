@@ -198,9 +198,9 @@ type Client struct {
 	M Metrics
 }
 
-// Client-side CPU of a lookup by strategy (Figure 7 calibration). The
-// two-sided ones bill once per attempt; one-sided legs bill themselves:
-// cpuSCAR per SCAR leg, cpu2xR/2 per index leg and per data leg.
+// Client-side CPU of a lookup by strategy (Figure 7 calibration). legTable
+// (leg.go) bills them: cpuSCAR per SCAR leg, cpu2xR/2 per index leg and
+// per data leg, and the two-sided ones once per fetch.
 const (
 	cpu2xR  = 900
 	cpuSCAR = 560
@@ -238,52 +238,6 @@ func (c *Client) Config() config.CellConfig {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cfg
-}
-
-// call sends one RPC and waits for it, reading it into op's storage when
-// op is set.
-func (c *Client) call(ctx context.Context, op *trace.OpLease, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
-	p := c.start(ctx, op, addr, method, req)
-	return c.wait(op, &p)
-}
-
-// start sends one RPC leg; wait collects it. A fan-out starts every leg
-// before it waits for the first, so that legs over a socket overlap. A leg
-// that completes at start (in process) reads into op's storage there, one
-// in flight (TCP) at wait.
-func (c *Client) start(ctx context.Context, op *trace.OpLease, addr, method string, req []byte) rpc.Pending {
-	if op == nil {
-		return rpc.Start(ctx, c.rpcc, nil, nil, addr, method, req)
-	}
-	dst, spans := op.Leg()
-	p := rpc.Start(ctx, c.rpcc, dst, spans, addr, method, req)
-	if !p.InFlight() {
-		resp, _, _ := p.Wait(nil)
-		op.Received(len(resp))
-	}
-	return p
-}
-
-// wait returns the outcome of a leg start sent. Its legs land at the
-// clock's now, not at a batch's pinned instant, so it notes when it
-// returned (see fetchViews).
-func (c *Client) wait(op *trace.OpLease, p *rpc.Pending) (resp []byte, tr fabric.OpTrace, err error) {
-	if op != nil && p.InFlight() {
-		resp, tr, err = p.Wait(op.Free())
-		op.Received(len(resp))
-	} else {
-		resp, tr, err = p.Wait(nil)
-	}
-	if c.now != nil {
-		c.rpcAt.Store(c.now())
-	}
-	return resp, tr, err
-}
-
-func (c *Client) chargeCPU(ns uint64) {
-	if c.acct != nil {
-		c.acct.Charge("client", ns)
-	}
 }
 
 // Transport is the trace label of the configured lookup strategy — the

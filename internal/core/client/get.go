@@ -69,16 +69,17 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 		}
 	}(ctx)
 	c.M.Gets.Inc()
-	var total fabric.OpTrace
+	var x legExec // the op's legs, and its trace x.tr
 	if c.opt.Observer != nil {
-		defer func() { c.observe(trace.KindGet, c.Transport(), total.Ns, err) }()
+		defer func() { c.observe(trace.KindGet, c.Transport(), x.tr.Ns, err) }()
 	}
 	sc, ctx := c.traceOp(ctx, op, trace.KindGet)
+	x = legExec{c: c, ctx: ctx, op: op, h: c.opt.Hash(key)}
 	// The op's one span buffer, the record's unless the caller keeps the
 	// trace. Every stage below appends to it, and opSpans covers a full
 	// fan-out plus a data leg: an op that does not retry never grows it.
-	if total.Spans = op.Spans[:0]; keep {
-		total.Spans = make([]fabric.Span, 0, opSpans)
+	if x.tr.Spans = op.Spans[:0]; keep {
+		x.tr.Spans = make([]fabric.Span, 0, opSpans)
 	}
 	near, cached := nearEntry{}, false
 	if have.Zero() && c.near != nil {
@@ -87,7 +88,7 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 		}
 	}
 	if !have.Zero() && (c.opt.Strategy == Strategy2xR || c.opt.Strategy == StrategySCAR) {
-		ver, found, err = c.revalidateIndex(ctx, op, key, pin, &total)
+		ver, found, err = c.revalidateIndex(&x, key, pin)
 		if err == nil && (!found || ver == have) {
 			if cached && found {
 				c.M.NearHits.Inc()
@@ -97,8 +98,8 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 				// the corpus). The cached value must never resurrect it.
 				c.near.drop(key)
 			}
-			c.finishGet(sc, found, c.Transport(), 1, &total)
-			return value, ver, found, total, nil
+			c.finishGet(sc, found, c.Transport(), 1, &x.tr)
+			return value, ver, found, x.tr, nil
 		}
 		if cached && err == nil { // the version moved: the loop refreshes the entry
 			c.near.drop(key)
@@ -107,28 +108,28 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 	}
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if ctx.Err() != nil {
-			return nil, truetime.Version{}, false, total, ErrExhausted
+			return nil, truetime.Version{}, false, x.tr, ErrExhausted
 		}
 		if attempt > 0 {
-			if err := c.beginRetry(&total, attempt); err != nil {
-				return nil, truetime.Version{}, false, total, err
+			if err := c.beginRetry(&x.tr, attempt); err != nil {
+				return nil, truetime.Version{}, false, x.tr, err
 			}
 		}
 		if sc != nil {
 			sc.Attempt = uint32(attempt)
 		}
-		attemptStart := total.Ns
-		val, ok, wver, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), c.fetchFor(key), &total)
+		attemptStart := x.tr.Ns
+		val, ok, wver, aerr := c.attemptGet(&x, key, after(pin, x.tr.Ns), c.fetchFor(key))
 		if aerr == nil {
 			c.opt.Budget.Credit()
 			if ok {
 				c.nearStore(key, val, wver)
 			}
-			c.finishGet(sc, ok, c.Transport(), uint32(attempt+1), &total)
-			return val, wver, ok, total, nil
+			c.finishGet(sc, ok, c.Transport(), uint32(attempt+1), &x.tr)
+			return val, wver, ok, x.tr, nil
 		}
 		if sc != nil {
-			total.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, total.Ns-attemptStart)
+			x.tr.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, x.tr.Ns-attemptStart)
 		}
 		c.classifyAndRepair(aerr)
 	}
@@ -136,16 +137,16 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 	// RPC path for lookups (§3, Table 1). It votes like any two-sided
 	// fetch, and costs a retry token like any other attempt.
 	if err := c.takeRetryToken(); err != nil {
-		return nil, truetime.Version{}, false, total, err
+		return nil, truetime.Version{}, false, x.tr, err
 	}
-	if val, ok, wver, aerr := c.attemptGet(ctx, op, key, after(pin, total.Ns), fetchRPC, &total); aerr == nil {
+	if val, ok, wver, aerr := c.attemptGet(&x, key, after(pin, x.tr.Ns), legRPC); aerr == nil {
 		c.opt.Budget.Credit()
 		c.M.RPCFallbacks.Inc()
-		c.finishGet(sc, ok, trace.TransportRPC, uint32(c.opt.Retries+2), &total)
-		return val, wver, ok, total, nil
+		c.finishGet(sc, ok, trace.TransportRPC, uint32(c.opt.Retries+2), &x.tr)
+		return val, wver, ok, x.tr, nil
 	}
 	c.M.Inquorate.Inc()
-	return nil, truetime.Version{}, false, total, fmt.Errorf("%w for key %q", ErrInquorate, key)
+	return nil, truetime.Version{}, false, x.tr, fmt.Errorf("%w for key %q", ErrInquorate, key)
 }
 
 // finishGet is the one success epilogue of a GET, however it was served
@@ -163,27 +164,26 @@ func (c *Client) finishGet(sc *trace.SpanContext, found bool, transport trace.Tr
 	}
 }
 
-// attemptGet performs one lookup attempt, appending it to the op's trace:
-// fetch views from the read cohort the way how names, vote, take the data
-// from a quorum member. On a hit it also returns the quorum-winning
-// version, which feeds the near-cache. pin is the attempt's virtual start
-// (0 = now).
-func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, how fetch, tr *fabric.OpTrace) ([]byte, bool, truetime.Version, error) {
+// attemptGet performs one lookup attempt on x, appending it to the op's
+// trace: fetch views from the read cohort the way how names, vote, take
+// the data from a quorum member. On a hit it also returns the
+// quorum-winning version, which feeds the near-cache. pin is the attempt's
+// virtual start (0 = now).
+func (c *Client) attemptGet(x *legExec, key []byte, pin uint64, how legKind) ([]byte, bool, truetime.Version, error) {
 	cfg := c.Config()
-	h := c.opt.Hash(key)
 	var viewArr [8]indexView
-	// at is the virtual instant the attempt's legs are pinned to; on the
-	// op's own timeline that instant is origin.
-	origin := tr.Ns
-	views, at := c.fetchViews(ctx, op, pin, cfg, readRoute(cfg, h), key, h, how, viewArr[:0])
-	sp := c.speculate(op, at, key, how, views, cfg.Mode.Quorum())
+	views := c.fetchViews(x, pin, cfg, key, how, viewArr[:0])
+	// Whether the key is promoted decides both the speculative read and the
+	// data read's spread, so it is read once: a mutation ack on another
+	// goroutine can change it mid-attempt.
+	promoted := c.near != nil && c.isPromoted(key)
+	sp := c.speculate(x, how, views, cfg.Mode.Quorum(), promoted)
 
-	winner, err := quorum(tr, views, cfg.Mode.Quorum())
+	winner, err := quorum(&x.tr, views, cfg.Mode.Quorum())
 	if sp.view >= 0 {
 		if err == nil && views[sp.view].entry.Version == winner {
-			hideWait(tr, origin+views[sp.view].trace.Ns+sp.tr.Ns)
-		} else { // the vote went elsewhere: the read moved its bytes for nothing
-			tr.AddBytes(int(sp.tr.Bytes))
+			hideWait(&x.tr, sp.leg.at+sp.leg.tr.Ns)
+		} else { // the vote went elsewhere: the read is not waited for
 			sp.view = -1
 		}
 	}
@@ -197,7 +197,7 @@ func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, 
 		// views carry no overflow bit, so this recurses once at most.
 		for i := range views {
 			if v := &views[i]; v.err == nil && v.overflow {
-				val, ok, ver, err := c.attemptGet(ctx, op, key, after(at, tr.Ns-origin), fetchRPC, tr)
+				val, ok, ver, err := c.attemptGet(x, key, x.pinned(x.tr.Ns), legRPC)
 				if err == nil {
 					c.M.RPCFallbacks.Inc()
 				}
@@ -206,7 +206,7 @@ func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, 
 		}
 		return nil, false, truetime.Version{}, nil
 	}
-	val, err := c.readData(op, at, origin, key, how, views, winner, &sp, tr)
+	val, err := c.readData(x, key, how, views, winner, &sp, promoted)
 	if err != nil {
 		return nil, false, truetime.Version{}, err
 	}
@@ -214,29 +214,26 @@ func (c *Client) attemptGet(ctx context.Context, op *trace.OpLease, key []byte, 
 }
 
 // specRead is §5.1's speculative data read of views[view] (-1: none),
-// pinned at the end of that view's index leg.
+// starting at the end of that view's index leg.
 type specRead struct {
 	view int
-	data []byte
-	tr   fabric.OpTrace
-	err  error
+	leg  leg
 }
 
-// speculate issues, while the quorum forms, the data read of the fastest
+// speculate starts, while the quorum forms, the data read of the fastest
 // first-round view if that replica is healthy and its entry takes a
 // dependent read. Need-1 modes (the first answer is the quorum) and
 // promoted keys (spread over the quorum) wait for the vote.
-func (c *Client) speculate(op *trace.OpLease, at uint64, key []byte, how fetch, views []indexView, need int) (sp specRead) {
+func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int, promoted bool) (sp specRead) {
 	sp.view = -1 // the fastest first-round view; a late leg counts from its own pin
 	for i := range views {
-		if v := &views[i]; v.err == nil && !v.late && (sp.view < 0 || v.trace.Ns < views[sp.view].trace.Ns) {
+		if v := &views[i]; v.err == nil && !v.late && (sp.view < 0 || v.ns < views[sp.view].ns) {
 			sp.view = i
 		}
 	}
-	if sp.view >= 0 && need > 1 && (c.near == nil || !c.isPromoted(key)) {
-		if v := &views[sp.view]; v.present && (how == fetchBucket || how == fetchScar && !v.rep.conn.SupportsScar()) && !c.replicaDemoted(v.rep.addr) {
-			c.chargeCPU(cpu2xR / 2)
-			sp.data, sp.tr, sp.err = readLeg(op, v.rep.conn, after(at, v.trace.Ns), v.entry.Ptr.Window, int(v.entry.Ptr.Offset), int(v.entry.Ptr.Size))
+	if sp.view >= 0 && need > 1 && !promoted {
+		if v := &views[sp.view]; v.present && (how == legIndex || how == legScar && !v.rep.conn.SupportsScar()) && !c.replicaDemoted(v.rep.addr) {
+			sp.leg = x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.origin+v.ns)
 			return sp
 		}
 	}
@@ -256,8 +253,8 @@ type cand struct {
 // or unreachable copy costs one more dependent read instead of a whole-op
 // retry. The checksum (§3) is the only corruption defense, so every
 // absorbed failure is counted. Each leg but a kept speculative read
-// starts where tr ends, pinned relative to at (origin on tr's timeline).
-func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how fetch, views []indexView, winner truetime.Version, sp *specRead, tr *fabric.OpTrace) ([]byte, error) {
+// starts where the op's trace ends.
+func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView, winner truetime.Version, sp *specRead, promoted bool) ([]byte, error) {
 	// Candidates fastest first, with health-demoted members sorted last so
 	// a browned-out backend serves data only when no healthy member can.
 	var candArr [8]cand
@@ -268,12 +265,12 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 			if !how.oneSided() {
 				// The server validated what it sent: the value serves as is,
 				// out of op's arena as the caller's copy when it came by RPC.
-				if how == fetchRPC {
+				if how == legRPC {
 					return slices.Clone(v.data), nil
 				}
 				return v.data, nil
 			}
-			candArr[n] = cand{view: i, ns: v.trace.Ns, demoted: i != sp.view && c.replicaDemoted(v.rep.addr)}
+			candArr[n] = cand{view: i, ns: v.ns, demoted: i != sp.view && c.replicaDemoted(v.rep.addr)}
 			n++
 		}
 	}
@@ -296,7 +293,7 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 	// candidate holds the winning version, so no rotation can address a
 	// replica that lacks it. Demoted members keep their sorted-last
 	// position; failover order is unchanged.
-	if c.near != nil && len(cands) > 1 && c.isPromoted(key) {
+	if promoted && len(cands) > 1 {
 		healthy := 0
 		for healthy < len(cands) && !cands[healthy].demoted {
 			healthy++
@@ -321,21 +318,39 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 		switch {
 		case v.data != nil:
 			raw = v.data
-		case how == fetchScar && v.rep.conn.SupportsScar():
+		case how == legScar && v.rep.conn.SupportsScar():
 			// Scan missed on the wire (e.g. racing rewrite): retryable. A
 			// connection that cannot scan (1RMA) got a plain bucket Read in
-			// fetchIndex and takes the dependent read below.
+			// fetchRound and takes the dependent read below.
 			lastErr = layout.ErrTornRead
 			continue
 		default:
-			dataStart, data, dtr, derr := origin+v.trace.Ns, sp.data, sp.tr, sp.err
+			l := sp.leg
 			if cd.view != sp.view {
-				c.chargeCPU(cpu2xR / 2)
-				dataStart = tr.Ns
-				data, dtr, derr = readLeg(op, v.rep.conn, after(at, dataStart-origin), v.entry.Ptr.Window, int(v.entry.Ptr.Offset), int(v.entry.Ptr.Size))
+				l = x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.tr.Ns)
 			}
+			// A NIC leg's outcome is in once started, so the hedge is
+			// decided before wait places the primary. Hedge: the primary's
+			// read exceeded the rolling threshold, so (in wall-time terms) a
+			// backup read launched at +hedgeAfter may complete first; the op
+			// takes whichever finishes sooner, and the other is not waited for.
+			if l.err == nil {
+				c.observeDataNs(l.tr.Ns)
+			}
+			if hedgeAfter := c.hedgeAfterNs(); ci == 0 && !last && l.err == nil && hedgeAfter > 0 && l.tr.Ns > hedgeAfter {
+				c.M.Hedges.Inc()
+				b := &views[cands[1].view]
+				h := x.start(legHedge, member{rep: b.rep, ptr: b.entry.Ptr}, l.at+hedgeAfter)
+				if h.err == nil && hedgeAfter+h.tr.Ns < l.tr.Ns {
+					if hval, err := c.openEntry(b.rep.addr, h.resp, key, &winner); err == nil {
+						c.M.HedgeWins.Inc()
+						x.wait(&h)
+						return hval, nil
+					}
+				}
+			}
+			data, _, derr := x.wait(&l)
 			if derr != nil {
-				tr.Place(dtr, dataStart)
 				c.noteReplicaFailure(v.rep.addr)
 				lastErr = wrapTransportErr(v.rep.addr, derr)
 				if !last {
@@ -343,28 +358,6 @@ func (c *Client) readData(op *trace.OpLease, at, origin uint64, key []byte, how 
 				}
 				continue
 			}
-			c.observeDataNs(dtr.Ns)
-			// Hedge: the primary's read exceeded the rolling threshold, so
-			// (in wall-time terms) a backup read launched at +hedgeAfter
-			// may complete first; the op takes whichever finishes sooner
-			// and bills both legs' bytes.
-			if hedgeAfter := c.hedgeAfterNs(); ci == 0 && !last && hedgeAfter > 0 && dtr.Ns > hedgeAfter {
-				c.M.Hedges.Inc()
-				b := &views[cands[1].view]
-				hdata, htr, herr := readLeg(op, b.rep.conn, after(at, dataStart-origin+hedgeAfter), b.entry.Ptr.Window, int(b.entry.Ptr.Offset), int(b.entry.Ptr.Size))
-				tr.AddBytes(int(htr.Bytes))
-				if herr == nil && hedgeAfter+htr.Ns < dtr.Ns {
-					if hval, err := c.openEntry(b.rep.addr, hdata, key, &winner); err == nil {
-						c.M.HedgeWins.Inc()
-						tr.Annotate(trace.SpanHedge, uint32(b.rep.shard), dataStart+hedgeAfter, htr.Ns)
-						tr.AddBytes(int(dtr.Bytes))
-						tr.Ns = max(tr.Ns, dataStart+hedgeAfter+htr.Ns)
-						return hval, nil
-					}
-				}
-			}
-			tr.Place(dtr, dataStart)
-			tr.Annotate(trace.SpanDataRead, uint32(v.rep.shard), dataStart, dtr.Ns)
 			raw = data
 		}
 		val, err := c.openEntry(v.rep.addr, raw, key, &winner)

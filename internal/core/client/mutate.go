@@ -10,7 +10,6 @@ import (
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
-	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
@@ -106,9 +105,10 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 		return op.Keep(proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID, Touches: touches}.AppendTo(op.Free()))
 	}
 	sc, ctx := c.traceOp(ctx, op, kind)
+	x := legExec{c: c, ctx: ctx, op: op, h: c.opt.Hash(key)} // the op's legs, and its trace x.tr
 	// The op's one span buffer, as in get.
-	if total.Spans = op.Spans[:0]; keep {
-		total.Spans = make([]fabric.Span, 0, mutSpans)
+	if x.tr.Spans = op.Spans[:0]; keep {
+		x.tr.Spans = make([]fabric.Span, 0, mutSpans)
 	}
 	err = ErrUnavailable
 	attempt, won := 0, false
@@ -118,11 +118,11 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 			break
 		}
 		if attempt > 0 {
-			if err = c.beginRetry(&total, attempt); err != nil {
+			if err = c.beginRetry(&x.tr, attempt); err != nil {
 				break
 			}
 		}
-		won, err = c.mutateOnce(ctx, op, key, method, build, v, &total)
+		won, err = c.mutateOnce(&x, method, build, v)
 		if err == nil {
 			c.opt.Budget.Credit()
 			break
@@ -135,16 +135,16 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 	// Even a failed fan-out may have applied somewhere: the cached copy is
 	// unconditionally suspect after our own mutation.
 	c.nearInvalidate(key)
-	c.observe(kind, trace.TransportRPC, total.Ns, err)
+	c.observe(kind, trace.TransportRPC, x.tr.Ns, err)
 	if kind != trace.KindCas {
-		c.M.SetLatency.Record(total.Ns)
+		c.M.SetLatency.Record(x.tr.Ns)
 	} else {
 		swapped = err == nil && won
 	}
 	if sc != nil && err == nil {
-		c.opt.Tracer.Record(sc.OpID, kind, trace.TransportRPC, uint32(attempt+1), total)
+		c.opt.Tracer.Record(sc.OpID, kind, trace.TransportRPC, uint32(attempt+1), x.tr)
 	}
-	return v, total, swapped, err
+	return v, x.tr, swapped, err
 }
 
 // mutateOnce is one fan-out to the cohort — mid-resize, to the union of
@@ -159,18 +159,17 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 // MutateResp.Sealed legs count only toward the pending epoch when they
 // serve there. The mutation acks when either epoch reaches its quorum, and
 // applied reports that the deciding epoch's quorum applied it
-// (mutVerdict). The attempt is appended to tr, the op's trace: its legs
-// fan out from where tr ends, reading into op's storage.
+// (mutVerdict). The attempt is appended to the op's trace: its legs fan
+// out on x from where the trace ends.
 //
 // Each leg carries its backend's queued access records (§4.2) in place of
 // a Touch RPC, and its ack carries back the promotion set.
-func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, method string, build func(pending bool, cfgID uint64, touches []byte) []byte, nominated truetime.Version, tr *fabric.OpTrace) (applied bool, err error) {
+func (c *Client) mutateOnce(x *legExec, method string, build func(pending bool, cfgID uint64, touches []byte) []byte, nominated truetime.Version) (applied bool, err error) {
 	cfg := c.Config()
-	h := c.opt.Hash(key)
 	var legBuf [2 * config.MaxReplicas]mutLeg
-	legs := mutationLegs(cfg, h, legBuf[:0])
+	legs := mutationLegs(cfg, x.h, legBuf[:0])
 
-	origin := tr.Ns
+	origin := x.tr.Ns
 	var legArr [8]uint64
 	legNs := legArr[:0]
 	var ackBuf [2 * config.MaxReplicas]mutAck
@@ -185,7 +184,7 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 	var plainBytes, pendingBytes []byte
 	// Every leg is started before the first is waited for, so that legs
 	// over a socket overlap; the acks are read in leg order.
-	var pend [2 * config.MaxReplicas]rpc.Pending
+	var pend [2 * config.MaxReplicas]leg
 	for i, leg := range legs {
 		var body []byte
 		c.takeTouches(leg.addr, func(records []byte) { body = build(leg.inPending, cfg.ID, records) })
@@ -199,11 +198,11 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 			}
 			body = *shared
 		}
-		pend[i] = c.start(ctx, op, leg.addr, method, body)
+		pend[i] = x.start(legMutate, member{rep: replica{addr: leg.addr}, method: method, req: body}, origin)
 	}
 	var lastErr error
 	for i, leg := range legs {
-		resp, ltr, err := c.wait(op, &pend[i])
+		resp, ltr, err := x.wait(&pend[i])
 		if err != nil {
 			if !proto.NotStored(err) { // a refused entry is no fault of the replica's
 				c.noteReplicaFailure(leg.addr)
@@ -222,9 +221,6 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 		}
 		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == nominated})
 		legNs = append(legNs, ltr.Ns)
-		tr.AddBytes(int(ltr.Bytes))
-		// Replica legs fan out together: spans share the attempt's origin.
-		tr.AppendSpans(ltr.Spans, origin)
 	}
 	q := cfg.Mode.Quorum()
 	// The pending-epoch quorum only DECIDES the ack once reads route to
@@ -238,7 +234,7 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 	// that lands the write under the authoritative epoch.
 	pendingDecides := false
 	if cfg.Pending != nil {
-		pendingDecides = cfg.PendingAuthoritative(cfg.Cohort(int(h.Hi % uint64(cfg.Shards))))
+		pendingDecides = cfg.PendingAuthoritative(cfg.Cohort(int(x.h.Hi % uint64(cfg.Shards))))
 	}
 	ok, applied := mutVerdict(acks, q, pendingDecides)
 	if !ok {
@@ -248,6 +244,6 @@ func (c *Client) mutateOnce(ctx context.Context, op *trace.OpLease, key []byte, 
 		return false, lastErr
 	}
 	// A mutation completes when the write quorum has acked.
-	settleFanout(tr, legNs, q, 0)
+	settleFanout(&x.tr, legNs, q, 0)
 	return applied, nil
 }

@@ -33,15 +33,12 @@ package client
 // the miss).
 
 import (
-	"context"
 	"errors"
 	"slices"
 	"sync"
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
-	"cliquemap/internal/fabric"
-	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
 
@@ -255,16 +252,15 @@ func (c *Client) nearInvalidate(key []byte) {
 	}
 }
 
-// revalidateIndex runs one quorum round of index-only bucket reads —
+// revalidateIndex runs one quorum round of index-only bucket reads on x —
 // plain Reads even under SCAR, so no data bytes move — and returns the
 // quorum-winning version (found=false for an agreed miss). Any error
 // means the round was inconclusive.
-func (c *Client) revalidateIndex(ctx context.Context, op *trace.OpLease, key []byte, pin uint64, tr *fabric.OpTrace) (ver truetime.Version, found bool, err error) {
+func (c *Client) revalidateIndex(x *legExec, key []byte, pin uint64) (ver truetime.Version, found bool, err error) {
 	cfg := c.Config()
-	h := c.opt.Hash(key)
 	var viewArr [8]indexView
-	views, _ := c.fetchViews(ctx, op, pin, cfg, readRoute(cfg, h), key, h, fetchBucket, viewArr[:0])
-	ver, err = quorum(tr, views, cfg.Mode.Quorum())
+	views := c.fetchViews(x, pin, cfg, key, legIndex, viewArr[:0])
+	ver, err = quorum(&x.tr, views, cfg.Mode.Quorum())
 	if err != nil || !ver.Zero() {
 		return ver, err == nil, err
 	}

@@ -116,11 +116,11 @@ func mutVerdict(acks []mutAck, q int, pendingDecides bool) (ok, swapped bool) {
 	return n[e][0] >= q, n[e][1] >= q
 }
 
-// quorum appends a fetch's index phase to the op's trace and returns the
-// quorum-winning version (zero = an agreed miss). With fewer than need
-// live views there is nothing to vote on: the first leg error surfaces,
-// so the retry layer repairs the actual cause instead of guessing from a
-// bare ErrUnavailable.
+// quorum ends a fetch's index phase on the op's trace, where the legs
+// were placed as each round started, and returns the quorum-winning
+// version (zero = an agreed miss). With fewer than need live views there
+// is nothing to vote on: the first leg error surfaces, so the retry layer
+// repairs the actual cause instead of guessing from a bare ErrUnavailable.
 func quorum(tr *fabric.OpTrace, views []indexView, need int) (winner truetime.Version, err error) {
 	// One round ends at its need-th live answer. An escalated fetch's
 	// rounds ran in sequence, each ending with its slowest leg, failed or not.
@@ -140,14 +140,9 @@ func quorum(tr *fabric.OpTrace, views []indexView, need int) (winner truetime.Ve
 		} else if legErr == nil {
 			legErr = v.err
 		}
-		if v.err != nil && !escalated {
-			continue
+		if v.err == nil || escalated {
+			legNs = append(legNs, v.ns)
 		}
-		legNs = append(legNs, v.trace.Ns)
-		tr.AddBytes(int(v.trace.Bytes))
-		// The legs of a round ran in parallel: their spans all start where
-		// the round does, at the op's current critical-path end.
-		tr.AppendSpans(v.trace.Spans, tr.Ns)
 	}
 	if escalated {
 		settleFanout(tr, legNs, len(legNs), trace.SpanIndexFetch)

@@ -25,7 +25,7 @@ func view(ver truetime.Version, ns uint64) indexView {
 	return indexView{
 		present: !ver.Zero(),
 		entry:   layout.IndexEntry{Version: ver},
-		trace:   fabric.OpTrace{Ns: ns},
+		ns:      ns,
 	}
 }
 
@@ -102,7 +102,7 @@ func TestFanoutCostsKthFastestLeg(t *testing.T) {
 	// An escalated fetch: the first round ends with its slowest leg, a
 	// failed one included, and the late round follows it.
 	down := failed(errors.New("down"))
-	down.trace.Ns = 40
+	down.ns = 40
 	late := view(v, 25)
 	late.late = true
 	var esc fabric.OpTrace

@@ -143,9 +143,9 @@ func addLeg(legs []mutLeg, addr string, pending bool) []mutLeg {
 // at addr. One-sided fetches dial the host and perform the Hello
 // handshake if needed; an RPC fetch needs only a routable address (a
 // remote caller has no fabric host to name).
-func (c *Client) resolveReplica(ctx context.Context, cfg config.CellConfig, shard int, addr string, how fetch) (replica, error) {
+func (c *Client) resolveReplica(ctx context.Context, cfg config.CellConfig, shard int, addr string, how legKind) (replica, error) {
 	host := cfg.HostForAddr(addr)
-	if addr == "" || host < 0 && how != fetchRPC {
+	if addr == "" || host < 0 && how != legRPC {
 		return replica{}, fmt.Errorf("%w: shard %d unresolved", ErrUnavailable, shard)
 	}
 	if !how.oneSided() {
@@ -164,7 +164,12 @@ func (c *Client) resolveReplica(ctx context.Context, cfg config.CellConfig, shar
 		c.mu.Unlock()
 	}
 	if !haveHello {
-		resp, _, err := c.call(ctx, nil, addr, proto.MethodHello, nil)
+		// A handshake is control plane, no op's leg. It lands at the
+		// clock's now, as a leg's RPC does (see legExec.wait).
+		resp, _, err := c.rpcc.Call(ctx, addr, proto.MethodHello, nil)
+		if c.now != nil {
+			c.rpcAt.Store(c.now())
+		}
 		if err != nil {
 			return replica{}, err
 		}

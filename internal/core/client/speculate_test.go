@@ -10,6 +10,7 @@ import (
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/nic"
 	"cliquemap/internal/pony"
@@ -19,14 +20,17 @@ import (
 )
 
 // script drives a client's one-sided connections for a test: it adds
-// index[host] to every bucket Read a host serves, hands data[i] (and
-// flip[i]: one bit of the entry turned) to the i-th data Read, and logs
-// every Read.
+// index[host] to every bucket Read a host serves (and restamps host
+// stale's bucket with another config), hands data[i] (and flip[i]: one
+// bit of the entry turned) to the i-th data Read, runs onData during every
+// data Read, and logs every Read.
 type script struct {
 	bucketLen int
 	index     [3]uint64
+	stale     int
 	data      []uint64
 	flip      []bool
+	onData    func()
 	reads     int
 	log       []scriptedRead
 }
@@ -50,7 +54,13 @@ func (c scriptedConn) AppendRead(dst []byte, spans []fabric.Span, at uint64, win
 	index := length == c.s.bucketLen
 	if err == nil && index {
 		tr.Ns += c.s.index[c.host]
+		if c.host == c.s.stale {
+			b[len(b)-length] ^= 1 // the bucket's ConfigID
+		}
 	} else if err == nil {
+		if c.s.onData != nil {
+			c.s.onData()
+		}
 		if i := c.s.reads; i < len(c.s.data) {
 			tr.Ns += c.s.data[i]
 			if i < len(c.s.flip) && c.s.flip[i] {
@@ -90,16 +100,21 @@ func (s *script) split() (index, data []scriptedRead) {
 
 // newScriptedClient is a 2×R client of a mode's rig on a manual clock,
 // its connections run by the returned script, with key written and read
-// once (the handshakes cached, the hedge threshold calibrated).
-func newScriptedClient(t *testing.T, mode config.Mode, key, val []byte) (*rig, *Client, *script, *fabric.ManualClock) {
+// once (the handshakes cached, the hedge threshold calibrated). Each tweak
+// edits the client's options.
+func newScriptedClient(t *testing.T, mode config.Mode, key, val []byte, tweaks ...func(*Options)) (*rig, *Client, *script, *fabric.ManualClock) {
 	t.Helper()
 	clk := &fabric.ManualClock{}
 	clk.Advance(1)
 	r := newRigMode(t, fabric.Params{Clock: clk}, mode)
-	s := &script{bucketLen: layout.Geometry{Buckets: 32, Ways: 8}.BucketSize()}
+	s := &script{bucketLen: layout.Geometry{Buckets: 32, Ways: 8}.BucketSize(), stale: -1}
 	local := pony.New(r.f.Host(clientHost), nil, pony.CostModel{}, pony.EngineConfig{}, r.acct)
 	dial := func(host int) nic.RMA { return scriptedConn{pony.Dial(r.f, local, r.nics[host]), host, s} }
-	cl := New(Options{Strategy: Strategy2xR, HostID: clientHost}, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
+	opt := Options{Strategy: Strategy2xR, HostID: clientHost}
+	for _, tw := range tweaks {
+		tw(&opt)
+	}
+	cl := New(opt, r.store, r.net.Client(clientHost, "test"), r.clock, dial, nil, r.f.NowNs, r.acct)
 	if err := cl.Set(context.Background(), key, val); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +272,7 @@ func TestSpeculativeDataRead(t *testing.T) {
 // the fabric whichever of them serves — the hedge, the primary after a
 // slower hedge, or the primary after a hedge that failed validation — and
 // the hedge launches hedgeAfter past the primary's start, the first index
-// answer.
+// answer. The hedge bills no client CPU.
 func TestHedgeBillsBothLegs(t *testing.T) {
 	key, val := []byte("hedged"), bytes.Repeat([]byte("h"), 2000)
 	for _, tc := range []struct {
@@ -271,9 +286,9 @@ func TestHedgeBillsBothLegs(t *testing.T) {
 		{"hedge-damaged", []uint64{1_000_000, 0}, []bool{false, true}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, cl, s, clk := newScriptedClient(t, config.R32, key, val)
+			r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 			s.data, s.flip = tc.data, tc.flip
-			wins := cl.M.HedgeWins.Value()
+			wins, cpu := cl.M.HedgeWins.Value(), r.acct.TotalNanos("client")
 			got, tr := s.get(t, clk, cl, key)
 			if !bytes.Equal(got, val) {
 				t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
@@ -296,6 +311,52 @@ func TestHedgeBillsBothLegs(t *testing.T) {
 			if tr.Bytes != legBytes {
 				t.Errorf("GET billed %dB, want every leg's %dB (primary %dB, hedge %dB)", tr.Bytes, legBytes, data[0].bytes, data[1].bytes)
 			}
+			if got := r.acct.TotalNanos("client") - cpu; got != 4*cpu2xR/2 {
+				t.Errorf("client CPU %dns, want the index legs and the primary at %d each, the hedge none", got, cpu2xR/2)
+			}
 		})
+	}
+}
+
+// TestPromotionDecidedOncePerAttempt: a mutation ack on another goroutine
+// can promote a key while its GET's speculative data read is out. The
+// attempt decided on the key's promotion once, before it speculated, so
+// the data stage keeps the speculative read instead of spreading to
+// another member: every leg's bytes are billed, and the quorum wait shows
+// only what outlasts the read that served.
+func TestPromotionDecidedOncePerAttempt(t *testing.T) {
+	key, val := []byte("promoted-mid-get"), bytes.Repeat([]byte("p"), 1000)
+	// Seed 2's first draw spreads a promoted key's data read off the
+	// fastest member, so a data stage that re-read the promotion would.
+	_, cl, s, clk := newScriptedClient(t, config.R32, key, val, func(o *Options) { o.NearCacheEntries, o.Seed = 16, 2 })
+	s.index = [3]uint64{0, 50_000, 90_000}
+	s.onData = func() { cl.ingestPromo("b0", proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{key}}.Marshal()) }
+	got, tr := s.get(t, clk, cl, key)
+	if !bytes.Equal(got, val) {
+		t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
+	}
+	if !cl.isPromoted(key) {
+		t.Fatal("the data read did not promote the key")
+	}
+	var legBytes uint64
+	for _, l := range s.log {
+		legBytes += l.bytes
+	}
+	if tr.Bytes != legBytes {
+		t.Errorf("GET billed %dB, want every leg's %dB", tr.Bytes, legBytes)
+	}
+	// The wait is hidden only behind a data read that ran during it.
+	index, data := s.split()
+	first, k := kth(index, 2)
+	d, _ := spanOf(tr, trace.SpanDataRead)
+	from := first
+	if d.Start < k {
+		from = d.Start + d.Dur
+	}
+	if w, ok := spanOf(tr, trace.SpanQuorumWait); !ok || w.Start != from || w.Start+w.Dur != k {
+		t.Errorf("quorum-wait %+v (present=%v), want [%d, %d) beside the data read %+v", w, ok, from, k, d)
+	}
+	if len(index) != 3 || len(data) != 1 {
+		t.Errorf("legs %+v, want three index legs and the speculative read", s.log)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/wire"
 )
@@ -105,7 +106,11 @@ func (c *Client) sendTouches(ctx context.Context, addr string) {
 	if req == nil {
 		return // a mutation leg took them first
 	}
-	if ack, _, err := c.call(&op.OpContext, op, addr, proto.MethodTouch, req); err == nil {
+	// A flush is no caller's op: its leg lands in the record's span
+	// buffer, which nothing reads.
+	x := legExec{c: c, ctx: &op.OpContext, op: op, tr: fabric.OpTrace{Spans: op.Spans[:0]}}
+	l := x.start(legTouch, member{rep: replica{addr: addr}, method: proto.MethodTouch, req: req}, 0)
+	if ack, _, err := x.wait(&l); err == nil {
 		c.ingestPromo(addr, ack)
 	}
 }
