@@ -72,7 +72,7 @@ func BenchmarkMutationThroughput(b *testing.B) {
 			key := []byte(fmt.Sprintf("mt-%d-%d", id, slot))
 			if i%4 == 3 && !lastVer[slot].Zero() {
 				v := gen.Next()
-				req := proto.CasReq{Key: key, Value: val, Expected: lastVer[slot], Version: v}
+				req := proto.SetReq{Key: key, Value: val, Expected: lastVer[slot], Version: v}
 				resp, _, err := rpcc.Call(ctx, "backend-0", proto.MethodCas, req.Marshal())
 				if err != nil {
 					b.Fatal(err)

@@ -62,27 +62,31 @@ func (b *Backend) get(sink *trace.SpanSink, key []byte) (value []byte, ver truet
 	return value, de.Version, err == nil
 }
 
-// versionBound returns the threshold a mutation's version must exceed: the
-// stored version when the key is resident (in raw's bucket or the side
-// shard), else its tombstone bound (§5.2). The stripe lock is held.
-func (b *Backend) versionBound(s *stripe, raw layout.RawBucket, key []byte, h hashring.KeyHash) (bound truetime.Version, resident bool) {
-	if e, _, ok := raw.Find(h); ok {
-		return e.Version, true
-	}
-	if se, ok := s.side[h]; ok {
-		return se.version, true
-	}
-	bound, _ = b.tombBound(h, key)
-	return bound, false
+// precond is what an install needs beyond a version above the key's bound:
+// UpdateVersion needs the key still resident, a CAS the bound to equal
+// expected.
+type precond struct {
+	mustExist, cas bool
+	expected       truetime.Version
 }
 
 // versionGate is the check every mutation passes under its stripe lock —
-// installs pass it twice, before preparing the entry and again before
-// publishing it: v must exceed the key's bound, and a mustExist install
-// (UpdateVersion) also needs the key still resident.
-func (b *Backend) versionGate(s *stripe, raw layout.RawBucket, key []byte, h hashring.KeyHash, v truetime.Version, mustExist bool) (truetime.Version, bool) {
-	bound, resident := b.versionBound(s, raw, key, h)
-	if mustExist && !resident {
+// installs pass it twice, before preparing the entry and again under the
+// lock that publishes it. The key's bound is its stored version when it is
+// resident (in raw's bucket or the side shard), else its tombstone bound
+// (§5.2); pre must hold and v must exceed the bound. A failed precondition
+// is not a version reject.
+func (b *Backend) versionGate(s *stripe, raw layout.RawBucket, key []byte, h hashring.KeyHash, v truetime.Version, pre precond) (bound truetime.Version, ok bool) {
+	e, _, resident := raw.Find(h)
+	if bound = e.Version; !resident {
+		var se sideEntry
+		if se, resident = s.side[h]; resident {
+			bound = se.version
+		} else {
+			bound, _ = b.tombBound(h, key)
+		}
+	}
+	if pre.mustExist && !resident || pre.cas && bound != pre.expected {
 		return bound, false
 	}
 	if !bound.Less(v) {
@@ -200,7 +204,7 @@ func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash) (freed int) {
 // traffic arrives via the SET RPC handler. An entry that could not be
 // stored reads as not applied.
 func (b *Backend) ApplySet(key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
-	applied, stored, evictions, _ = b.set(nil, key, value, v)
+	applied, stored, evictions, _ = b.set(nil, key, value, v, precond{})
 	return applied, stored, evictions
 }
 
@@ -214,21 +218,25 @@ func (b *Backend) ApplyErase(key []byte, v truetime.Version) (applied bool, stor
 // arrives via the CAS RPC handler. As for ApplySet, an entry that could not
 // be stored reads as not applied.
 func (b *Backend) ApplyCas(key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
-	applied, stored, _ = b.cas(nil, key, value, expected, v)
+	applied, stored, _, _ = b.set(nil, key, value, v, precond{cas: true, expected: expected})
 	return applied, stored
 }
 
-// set is the SET RPC's core (§3, §5.2): version-gated install with
-// eviction under capacity and associativity conflicts. err (wrapping
+// set is the SET RPC's core (§3, §5.2) and, with pre.cas, the CAS RPC's:
+// a version-gated install with eviction under capacity and associativity
+// conflicts, counted as a SET or as a CAS, never both. err (wrapping
 // proto.ErrNotStored) reports an entry the data region could not take.
-func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int, err error) {
+func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Version, pre precond) (applied bool, stored truetime.Version, evictions int, err error) {
 	h := b.opt.Hash(key)
 	s := b.stripeOf(h)
-	s.ctr.sets.Add(1)
+	ops, done := &s.ctr.sets, &s.ctr.setsApplied
+	if pre.cas {
+		ops, done = &s.ctr.casOps, &s.ctr.casApplied
+	}
+	ops.Add(1)
 	b.noteHeat(key, h)
-	applied, stored, evictions, err = b.install(sink, s, h, key, value, v, false)
-	if applied {
-		s.ctr.setsApplied.Add(1)
+	if applied, stored, evictions, err = b.install(sink, s, h, key, value, v, pre); applied {
+		done.Add(1)
 	}
 	return applied, stored, evictions, err
 }
@@ -252,7 +260,7 @@ func (b *Backend) updateVersion(key []byte, v truetime.Version) bool {
 	if err != nil {
 		return false
 	}
-	applied, _, _, _ := b.install(nil, s, h, key, value, v, true)
+	applied, _, _, _ := b.install(nil, s, h, key, value, v, precond{mustExist: true})
 	return applied
 }
 
@@ -260,15 +268,15 @@ func (b *Backend) updateVersion(key []byte, v truetime.Version) bool {
 // relock → re-gate → publish. Allocation can evict (locking other stripes)
 // and performs the chunked body write, so it must not run under this key's
 // stripe lock. The second gate after relocking restores atomicity: if a
-// concurrent mutation moved the version bound past v (or, for mustExist,
-// removed the key), the prepared entry is discarded exactly as if the first
-// gate had failed. An entry the data region cannot take (past the largest
-// slab class, or nothing left to evict) fails with proto.ErrNotStored.
-func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, mustExist bool) (applied bool, stored truetime.Version, evictions int, err error) {
+// concurrent mutation moved the version bound past v or broke pre, the
+// prepared entry is discarded exactly as if the first gate had failed. An
+// entry the data region cannot take (past the largest slab class, or
+// nothing left to evict) fails with proto.ErrNotStored.
+func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, pre precond) (applied bool, stored truetime.Version, evictions int, err error) {
 	for {
 		lockStripe(s, sink)
 		idx := b.idx.Load()
-		bound, ok := b.versionGate(s, idx.bucket(idx.bucketOf(h)), key, h, v, mustExist)
+		bound, ok := b.versionGate(s, idx.bucket(idx.bucketOf(h)), key, h, v, pre)
 		dr := b.data.Load()
 		s.unlock()
 		if !ok {
@@ -292,7 +300,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 		idx = b.idx.Load() // may have resized while unlocked
 		bucket := idx.bucketOf(h)
 		raw := idx.bucket(bucket)
-		if bound, ok = b.versionGate(s, raw, key, h, v, mustExist); ok {
+		if bound, ok = b.versionGate(s, raw, key, h, v, pre); ok {
 			ok = b.place(s, idx, bucket, raw, layout.IndexEntry{Hash: h, Version: v, Ptr: ptr}, key, value)
 		}
 		if !ok {
@@ -300,7 +308,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 			dr.free(ptr)
 			return false, bound, evictions, nil
 		}
-		if !mustExist {
+		if !pre.mustExist {
 			s.policy.Add(h)
 		}
 		b.publish(persist.OpSet, h, key, value, v)
@@ -351,7 +359,7 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 	b.noteHeat(key, h)
 	lockStripe(s, sink)
 	idx := b.idx.Load()
-	if bound, ok := b.versionGate(s, idx.bucket(idx.bucketOf(h)), key, h, v, false); !ok {
+	if bound, ok := b.versionGate(s, idx.bucket(idx.bucketOf(h)), key, h, v, precond{}); !ok {
 		s.unlock()
 		return false, bound
 	}
@@ -361,30 +369,6 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 	s.unlock()
 	b.maybeCheckpoint()
 	return true, v
-}
-
-// cas is the CAS RPC's core (§5.2): install only when the stored version
-// (or, for an absent key, its tombstone bound) matches the expectation. The
-// expectation is read under the stripe lock; set then re-gates on version
-// monotonicity, so a racing mutation between the two phases can only cause
-// a spurious CAS failure, never a lost update. err is set's.
-func (b *Backend) cas(sink *trace.SpanSink, key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version, err error) {
-	h := b.opt.Hash(key)
-	s := b.stripeOf(h)
-	s.ctr.casOps.Add(1)
-	b.noteHeat(key, h)
-	lockStripe(s, sink)
-	idx := b.idx.Load()
-	cur, _ := b.versionBound(s, idx.bucket(idx.bucketOf(h)), key, h)
-	s.unlock()
-	if cur != expected {
-		return false, cur, nil
-	}
-	applied, stored, _, err = b.set(sink, key, value, v)
-	if applied {
-		s.ctr.casApplied.Add(1)
-	}
-	return applied, stored, err
 }
 
 // publish is the one publication point. Every applied mutation — insert,

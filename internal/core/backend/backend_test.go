@@ -237,6 +237,35 @@ func TestCas(t *testing.T) {
 	}
 }
 
+// TestCasCountsOnce: an applied CAS moves CasOps, CasApplied and the heat
+// total by one and nothing else — it is not also a SET — and a lost CAS
+// moves only CasOps and the heat: a failed expectation is no version reject.
+func TestCasCountsOnce(t *testing.T) {
+	r := newRig(t, Options{Shard: 0})
+	v1 := r.v()
+	r.b.ApplySet([]byte("k"), []byte("a"), v1)
+	for _, c := range []struct {
+		expected truetime.Version
+		applied  bool
+	}{{v1, true}, {v1, false}} {
+		before, heat := r.b.CountersSnapshot(), r.b.Heat().Total()
+		if applied, _ := r.b.ApplyCas([]byte("k"), []byte("b"), c.expected, r.v()); applied != c.applied {
+			t.Fatalf("CAS at %v: applied=%v, want %v", c.expected, applied, c.applied)
+		}
+		want := before
+		want.CasOps++
+		if c.applied {
+			want.CasApplied++
+		}
+		if got := r.b.CountersSnapshot(); got != want {
+			t.Errorf("CAS (applied=%v) moved the counters\n from %+v\n   to %+v\n want %+v", c.applied, before, got, want)
+		}
+		if got := r.b.Heat().Total() - heat; got != 1 {
+			t.Errorf("CAS (applied=%v) heated its key %d times, want 1", c.applied, got)
+		}
+	}
+}
+
 func TestCasOnAbsentKeyZeroExpected(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	if applied, _ := r.b.ApplyCas([]byte("new"), []byte("v"), truetime.Version{}, r.v()); !applied {

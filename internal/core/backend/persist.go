@@ -107,7 +107,7 @@ func (b *Backend) openPersist() error {
 func (b *Backend) replayRecord(r persist.Record) {
 	switch r.Op {
 	case persist.OpSet:
-		b.set(nil, r.Key, r.Value, r.Version)
+		b.set(nil, r.Key, r.Value, r.Version, precond{})
 	case persist.OpErase:
 		b.erase(nil, r.Key, r.Version)
 	}

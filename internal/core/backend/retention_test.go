@@ -70,13 +70,13 @@ func TestHandlersKeepNoRequestBytes(t *testing.T) {
 	}
 	// After the checkpoint, the journal's tail: one op of each kind.
 	casVer := r.v()
-	resp := call(proto.MethodCas, proto.CasReq{Key: []byte("key-0"), Value: []byte("swapped-0"), Expected: live["key-0"].ver, Version: casVer, Touches: carried("key-3")}.Marshal())
+	resp := call(proto.MethodCas, proto.SetReq{Key: []byte("key-0"), Value: []byte("swapped-0"), Expected: live["key-0"].ver, Version: casVer, Touches: carried("key-3")}.Marshal())
 	if mr, _ := proto.UnmarshalMutateResp(resp); !mr.Applied {
 		t.Fatal("cas not applied")
 	}
 	live["key-0"] = kv{"swapped-0", casVer}
 	erased := map[string]truetime.Version{"key-1": r.v()}
-	call(proto.MethodErase, proto.EraseReq{Key: []byte("key-1"), Version: erased["key-1"], Touches: carried("key-4")}.Marshal())
+	call(proto.MethodErase, proto.SetReq{Key: []byte("key-1"), Version: erased["key-1"], Touches: carried("key-4")}.Marshal())
 	delete(live, "key-1")
 	uv := r.v()
 	call(proto.MethodUpdateVersion, proto.UpdateVersionReq{Key: []byte("key-3"), Version: uv}.Marshal())

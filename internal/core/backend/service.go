@@ -25,6 +25,26 @@ const (
 	scanHandlerCPU  = 4000
 )
 
+// mutations is the handler table of the three client mutation methods,
+// keyed by method. Each decodes one SetReq, takes the access records it
+// carries, passes admission and acks the same way; a row names the cost its
+// handler bills and the core that applies it.
+var mutations = map[string]struct {
+	cost  uint64
+	apply func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (applied bool, stored truetime.Version, evictions int, err error)
+}{
+	proto.MethodSet: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (bool, truetime.Version, int, error) {
+		return b.set(sink, r.Key, r.Value, r.Version, precond{})
+	}},
+	proto.MethodErase: {eraseHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (bool, truetime.Version, int, error) {
+		applied, stored := b.erase(sink, r.Key, r.Version)
+		return applied, stored, 0, nil
+	}},
+	proto.MethodCas: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (bool, truetime.Version, int, error) {
+		return b.set(sink, r.Key, r.Value, r.Version, precond{cas: true, expected: r.Expected})
+	}},
+}
+
 // debugHotKeys caps the heavy-hitter list shipped per Debug snapshot.
 const debugHotKeys = 32
 
@@ -41,71 +61,32 @@ func (b *Backend) registerHandlers() {
 	})
 	s.SetMethodCost(proto.MethodGet, getHandlerCPU)
 
-	s.HandleBilled(proto.MethodSet, func(ctx context.Context, _ string, req []byte) ([]byte, uint64, error) {
-		r, err := proto.UnmarshalSetReq(req)
-		if err != nil {
-			return nil, 0, err
-		}
-		hot, cost, err := b.carried(r.Touches)
-		if err != nil {
-			return nil, cost, err
-		}
-		entryID, err := b.admitMutation(r.ConfigID, r.Pending, r.Repair)
-		if err != nil {
-			return nil, cost, err
-		}
-		sink := trace.SinkFrom(ctx)
-		applied, stored, ev, err := b.set(sink, r.Key, r.Value, r.Version)
-		if err != nil {
-			return nil, cost, err
-		}
-		if applied && r.Repair {
-			b.noteRecoverySettle()
-		}
-		return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
-	})
-	s.SetMethodCost(proto.MethodSet, setHandlerCPU)
-
-	s.HandleBilled(proto.MethodErase, func(ctx context.Context, _ string, req []byte) ([]byte, uint64, error) {
-		r, err := proto.UnmarshalEraseReq(req)
-		if err != nil {
-			return nil, 0, err
-		}
-		hot, cost, err := b.carried(r.Touches)
-		if err != nil {
-			return nil, cost, err
-		}
-		entryID, err := b.admitMutation(r.ConfigID, r.Pending, false)
-		if err != nil {
-			return nil, cost, err
-		}
-		sink := trace.SinkFrom(ctx)
-		applied, stored := b.erase(sink, r.Key, r.Version)
-		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
-	})
-	s.SetMethodCost(proto.MethodErase, eraseHandlerCPU)
-
-	s.HandleBilled(proto.MethodCas, func(ctx context.Context, _ string, req []byte) ([]byte, uint64, error) {
-		r, err := proto.UnmarshalCasReq(req)
-		if err != nil {
-			return nil, 0, err
-		}
-		hot, cost, err := b.carried(r.Touches)
-		if err != nil {
-			return nil, cost, err
-		}
-		entryID, err := b.admitMutation(r.ConfigID, r.Pending, false)
-		if err != nil {
-			return nil, cost, err
-		}
-		sink := trace.SinkFrom(ctx)
-		applied, stored, err := b.cas(sink, r.Key, r.Value, r.Expected, r.Version)
-		if err != nil {
-			return nil, cost, err
-		}
-		return proto.MutateResp{Applied: applied, Stored: stored, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
-	})
-	s.SetMethodCost(proto.MethodCas, setHandlerCPU)
+	for method, m := range mutations {
+		s.HandleBilled(method, func(ctx context.Context, _ string, req []byte) ([]byte, uint64, error) {
+			r, err := proto.UnmarshalSetReq(req)
+			if err != nil {
+				return nil, 0, err
+			}
+			hot, cost, err := b.carried(r.Touches)
+			if err != nil {
+				return nil, cost, err
+			}
+			entryID, err := b.admitMutation(r.ConfigID, r.Pending, r.Repair)
+			if err != nil {
+				return nil, cost, err
+			}
+			sink := trace.SinkFrom(ctx)
+			applied, stored, ev, err := m.apply(b, sink, r)
+			if err != nil {
+				return nil, cost, err
+			}
+			if applied && r.Repair {
+				b.noteRecoverySettle()
+			}
+			return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
+		})
+		s.SetMethodCost(method, m.cost)
+	}
 
 	s.Handle(proto.MethodTouch, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
 		ack, err := b.touch(req)
@@ -157,7 +138,7 @@ func (b *Backend) registerHandlers() {
 			if it.Tombstone {
 				b.erase(nil, it.Key, it.Version)
 			} else {
-				b.set(nil, it.Key, it.Value, it.Version)
+				b.set(nil, it.Key, it.Value, it.Version, precond{})
 			}
 		}
 		if r.Final {
@@ -479,6 +460,26 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 		views = append(views, view)
 	}
 
+	// settle sends the repair mutation r through method to each laggard
+	// (versions[i] is not r's): here through the method's core, to a peer
+	// over RPC. It reports whether every laggard was reached.
+	settle := func(method string, r proto.SetReq, versions []truetime.Version) (reached bool) {
+		reached = true
+		for i, v := range views {
+			switch {
+			case versions[i] == r.Version:
+			case v.local:
+				if applied, _, _, _ := mutations[method].apply(b, nil, r); applied {
+					b.noteRecoverySettle()
+				}
+			default:
+				_, _, err := client.Call(ctx, v.addr, method, r.Marshal())
+				reached = reached && err == nil
+			}
+		}
+		return reached
+	}
+
 	// Union of keys across replicas.
 	keys := map[string]bool{}
 	for _, v := range views {
@@ -532,23 +533,9 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 			// Newest state is an ERASE: propagate the tombstone. Replicas
 			// still holding the value missed the erase; re-erasing at the
 			// tombstone's version completes it (§5.2) without resurrection.
-			settledAll := true
-			for i, v := range views {
-				if versions[i] == bestV {
-					continue
-				}
-				if v.local {
-					if applied, _ := b.erase(nil, []byte(k), bestV); applied {
-						b.noteRecoverySettle()
-					}
-				} else if _, _, cerr := client.Call(ctx, v.addr, proto.MethodErase, proto.EraseReq{Key: []byte(k), Version: bestV}.Marshal()); cerr != nil {
-					// Unreachable laggard: the erase was not delivered, so
-					// a pending-settle tombstone must stay enumerable for
-					// the next sweep.
-					settledAll = false
-				}
-			}
-			if settledAll {
+			// An unreachable laggard was not erased, so a pending-settle
+			// tombstone must then stay enumerable for the next sweep.
+			if settle(proto.MethodErase, proto.SetReq{Key: []byte(k), Version: bestV, Repair: true}, versions) {
 				b.tombSettled(views[bestIdx].items[k])
 			}
 			repaired++
@@ -583,18 +570,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 		if !found || ver != bestV {
 			continue
 		}
-		for i, v := range views {
-			if versions[i] == bestV {
-				continue
-			}
-			if v.local {
-				if applied, _, _, _ := b.set(nil, []byte(k), value, bestV); applied {
-					b.noteRecoverySettle()
-				}
-			} else {
-				client.Call(ctx, v.addr, proto.MethodSet, proto.SetReq{Key: []byte(k), Value: value, Version: bestV, Repair: true}.Marshal())
-			}
-		}
+		settle(proto.MethodSet, proto.SetReq{Key: []byte(k), Value: value, Version: bestV, Repair: true}, versions)
 		repaired++
 	}
 

@@ -234,6 +234,48 @@ func TestCrashRestartRepair(t *testing.T) {
 	}
 }
 
+// TestRemoteRepairEraseCountsAsSettle: a replica warm-restarts holding a
+// key the cohort erased while it was down. The key's primary is another
+// shard, so what settles it is that primary's repair ERASE over RPC; the
+// recovered entry was corrected, not confirmed, so it does not count as
+// self-validated.
+func TestRemoteRepairEraseCountsAsSettle(t *testing.T) {
+	opt := small32()
+	opt.DataDir = t.TempDir()
+	c := newTestCell(t, opt)
+	cl := c.NewClient(client.Options{})
+	ctx := context.Background()
+	const down, keys = 0, 20
+	var gone []byte
+	for i := 0; i < keys; i++ {
+		k := []byte(fmt.Sprintf("k%d", i))
+		if err := cl.Set(ctx, k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if gone == nil && int(hashring.DefaultHash(k).Hi%uint64(opt.Shards)) != down {
+			gone = k
+		}
+	}
+	c.Crash(down)
+	if err := cl.Erase(ctx, gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartWarm(ctx, down); err != nil {
+		t.Fatal(err)
+	}
+	b := c.Backend(down)
+	if b.Len() != keys-1 {
+		t.Fatalf("restarted replica holds %d keys after repair, want %d", b.Len(), keys-1)
+	}
+	rs := b.RecoveryStatsSnapshot()
+	if rs.RecoveredKeys != keys {
+		t.Fatalf("RecoveredKeys = %d, want %d", rs.RecoveredKeys, keys)
+	}
+	if rs.SelfValidated != rs.RecoveredKeys-1 {
+		t.Errorf("SelfValidated = %d, want %d: the erased key was repaired, not confirmed", rs.SelfValidated, rs.RecoveredKeys-1)
+	}
+}
+
 func TestPlannedMaintenanceSparing(t *testing.T) {
 	c := newTestCell(t, small32())
 	cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})

@@ -252,6 +252,8 @@ func TestGetTraceParity(t *testing.T) {
 // attempt and copying it into the op's, on TestGetTraceParity's
 // deterministic fixture (the CAS and the ERASE follow one SET of the key on
 // a fresh cell). The client is traced, or the RPC legs record no spans.
+// An ERASE travels as a SetReq, whose empty Value and false Repair add four
+// bytes to each leg's request; its byte goldens count them.
 func TestMutationTraceParity(t *testing.T) {
 	type golden struct {
 		ns, bytes uint64
@@ -291,17 +293,17 @@ func TestMutationTraceParity(t *testing.T) {
 			{Code: 7, Arg: 149, Start: 74680, Dur: 2159},
 			{Code: 2, Arg: 2, Start: 76839, Dur: 21},
 		}}},
-		{trace.KindErase, golden{76060, 924, []fabric.Span{
+		{trace.KindErase, golden{76060, 936, []fabric.Span{
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
-			{Code: 7, Arg: 159, Start: 32000, Dur: 2212},
+			{Code: 7, Arg: 163, Start: 32000, Dur: 2212},
 			{Code: 6, Arg: 1800, Start: 34212, Dur: 39800},
 			{Code: 7, Arg: 149, Start: 74012, Dur: 2048},
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
-			{Code: 7, Arg: 159, Start: 32000, Dur: 2099},
+			{Code: 7, Arg: 163, Start: 32000, Dur: 2099},
 			{Code: 6, Arg: 1800, Start: 34099, Dur: 39800},
 			{Code: 7, Arg: 149, Start: 73899, Dur: 2238},
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
-			{Code: 7, Arg: 159, Start: 32000, Dur: 2080},
+			{Code: 7, Arg: 163, Start: 32000, Dur: 2080},
 			{Code: 6, Arg: 1800, Start: 34080, Dur: 39800},
 			{Code: 7, Arg: 149, Start: 73880, Dur: 2159},
 			{Code: 2, Arg: 2, Start: 76039, Dur: 21},

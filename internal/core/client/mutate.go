@@ -95,15 +95,6 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 	v = c.gen.Next()
 	op := c.ops.Take()
 	defer c.ops.Put(op)
-	build := func(pending bool, cfgID uint64, touches []byte) []byte {
-		switch kind {
-		case trace.KindErase:
-			return op.Keep(proto.EraseReq{Key: key, Version: v, Pending: pending, ConfigID: cfgID, Touches: touches}.AppendTo(op.Free()))
-		case trace.KindCas:
-			return op.Keep(proto.CasReq{Key: key, Value: value, Expected: expected, Version: v, Pending: pending, ConfigID: cfgID, Touches: touches}.AppendTo(op.Free()))
-		}
-		return op.Keep(proto.SetReq{Key: key, Value: value, Version: v, Pending: pending, ConfigID: cfgID, Touches: touches}.AppendTo(op.Free()))
-	}
 	sc, ctx := c.traceOp(ctx, op, kind)
 	x := legExec{c: c, ctx: ctx, op: op, h: c.opt.Hash(key)} // the op's legs, and its trace x.tr
 	// The op's one span buffer, as in get.
@@ -122,7 +113,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 				break
 			}
 		}
-		won, err = c.mutateOnce(&x, method, build, v)
+		won, err = c.mutateOnce(&x, method, proto.SetReq{Key: key, Value: value, Expected: expected, Version: v})
 		if err == nil {
 			c.opt.Budget.Credit()
 			break
@@ -162,9 +153,10 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 // (mutVerdict). The attempt is appended to the op's trace: its legs fan
 // out on x from where the trace ends.
 //
-// Each leg carries its backend's queued access records (§4.2) in place of
-// a Touch RPC, and its ack carries back the promotion set.
-func (c *Client) mutateOnce(x *legExec, method string, build func(pending bool, cfgID uint64, touches []byte) []byte, nominated truetime.Version) (applied bool, err error) {
+// Every kind sends req, one SetReq; method names the kind. Each leg
+// carries its backend's queued access records (§4.2) in place of a Touch
+// RPC, and its ack carries back the promotion set.
+func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applied bool, err error) {
 	cfg := c.Config()
 	var legBuf [2 * config.MaxReplicas]mutLeg
 	legs := mutationLegs(cfg, x.h, legBuf[:0])
@@ -181,20 +173,25 @@ func (c *Client) mutateOnce(x *legExec, method string, build func(pending bool, 
 	// epoch legs carry the Pending flag so a sealed backend that owns the
 	// key in the new epoch still accepts. Legs with no records to carry
 	// share one request per flag.
+	req.ConfigID = cfg.ID
+	build := func(pending bool, touches []byte) []byte {
+		req.Pending, req.Touches = pending, touches
+		return x.op.Keep(req.AppendTo(x.op.Free()))
+	}
 	var plainBytes, pendingBytes []byte
 	// Every leg is started before the first is waited for, so that legs
 	// over a socket overlap; the acks are read in leg order.
 	var pend [2 * config.MaxReplicas]leg
 	for i, leg := range legs {
 		var body []byte
-		c.takeTouches(leg.addr, func(records []byte) { body = build(leg.inPending, cfg.ID, records) })
+		c.takeTouches(leg.addr, func(records []byte) { body = build(leg.inPending, records) })
 		if body == nil {
 			shared := &plainBytes
 			if leg.inPending {
 				shared = &pendingBytes
 			}
 			if *shared == nil {
-				*shared = build(leg.inPending, cfg.ID, nil)
+				*shared = build(leg.inPending, nil)
 			}
 			body = *shared
 		}
@@ -219,7 +216,7 @@ func (c *Client) mutateOnce(x *legExec, method string, build func(pending bool, 
 		if mr.Hot != nil {
 			c.ingestPromo(leg.addr, mr.Hot)
 		}
-		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == nominated})
+		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == req.Version})
 		legNs = append(legNs, ltr.Ns)
 	}
 	q := cfg.Mode.Quorum()

@@ -21,7 +21,7 @@ import (
 // The struct tags are the one schema of every message. These tests pin
 // that claim from three sides: frames captured from the hand-written
 // encoders the tags replaced still decode and re-encode byte-identically
-// (interop with every peer built before the switch); the eight datapath
+// (interop with every peer built before the switch); the six datapath
 // messages that keep allocation-tuned hand-written codecs agree with the
 // tag-driven codec on every value (they are a checked optimisation of the
 // schema, not a second format); and the tags themselves are well-formed.
@@ -362,10 +362,8 @@ func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) 
 
 func TestCodecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	// The eight datapath messages: hand-written codecs, same schema.
+	// The six datapath messages: hand-written codecs, same schema.
 	t.Run("SetReq", differential(rng, UnmarshalSetReq))
-	t.Run("EraseReq", differential(rng, UnmarshalEraseReq))
-	t.Run("CasReq", differential(rng, UnmarshalCasReq))
 	t.Run("GetReq", differential(rng, UnmarshalGetReq))
 	t.Run("GetResp", differential(rng, UnmarshalGetResp))
 	t.Run("MutateResp", differential(rng, UnmarshalMutateResp))
@@ -457,7 +455,7 @@ func TestSchemaLint(t *testing.T) {
 	seen := make(map[reflect.Type]bool)
 	caps := make(map[string]int)
 	for _, m := range []any{
-		SetReq{}, EraseReq{}, CasReq{}, GetReq{}, GetResp{}, MutateResp{}, TouchReq{}, TouchResp{},
+		SetReq{}, GetReq{}, GetResp{}, MutateResp{}, TouchReq{}, TouchResp{},
 		HelloResp{}, ScanReq{}, ScanResp{}, UpdateVersionReq{}, MigrateBatchReq{}, AssumeShardReq{},
 		SealReq{}, ConfigResp{}, StatsResp{}, DebugReq{}, DebugResp{}, HealthReq{}, HealthResp{},
 		TierReq{}, TierResp{},
@@ -508,7 +506,7 @@ func TestDecodeCaps(t *testing.T) {
 // (ScanReq.Limit keys) — through the tag-driven codec; run the same
 // benchmark on the commit before it for the hand-written side. datapath:
 // one SET and one GET round trip (the bench probes' shape) through the
-// hand-written codecs the eight datapath messages keep, and through the
+// hand-written codecs the six datapath messages keep, and through the
 // tags they would otherwise use.
 func BenchmarkCodecCost(b *testing.B) {
 	ver := truetime.Version{Micros: 1e15, ClientID: 7, Seq: 3}

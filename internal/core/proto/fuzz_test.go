@@ -153,6 +153,46 @@ func FuzzGetReq(f *testing.F) {
 	})
 }
 
+// FuzzSetReq: the one mutation request (SET, ERASE and CAS alike) is
+// decoded off the gateway socket. Whatever the bytes, the decoder must not
+// panic or fabricate fields longer than its input, and a decoded request
+// must re-encode to a frame that decodes to the same fields.
+func FuzzSetReq(f *testing.F) {
+	ver := v(1<<50, 7, 3)
+	f.Add(SetReq{Key: []byte("k"), Value: []byte("value"), Version: ver, ConfigID: 4}.Marshal())
+	f.Add(SetReq{Key: []byte("k"), Version: ver, Repair: true}.Marshal()) // a repair sweep's ERASE
+	f.Add(SetReq{Key: []byte{0x00, 0xff}, Value: []byte("nv"), Version: ver, Expected: v(1, 0, 2), Pending: true,
+		Touches: TouchReq{Keys: [][]byte{[]byte("a")}}.Marshal()}.Marshal())
+	// Expected's last part at the varint ceiling, its first part after
+	// it, and a field under an unknown tag.
+	e := wire.NewEncoder()
+	e.Bytes(1, []byte("key"))
+	e.Uint(12, ^uint64(0))
+	e.Uint(10, 1)
+	e.Bytes(99, []byte("stray"))
+	f.Add(e.Encoded())
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := UnmarshalSetReq(data)
+		if err != nil {
+			return
+		}
+		if n := len(r.Key) + len(r.Value) + len(r.Touches); n > len(data) {
+			t.Fatalf("decoder fabricated %d bytes of fields from %d input bytes", n, len(data))
+		}
+		again, err := UnmarshalSetReq(r.Marshal())
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		emptyToNil(reflect.ValueOf(&r).Elem())
+		emptyToNil(reflect.ValueOf(&again).Elem())
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("re-decode drift: first %+v second %+v", r, again)
+		}
+	})
+}
+
 func FuzzMigrateBatchReq(f *testing.F) {
 	// Every handoff frame is a MigrateBatch: the bulk stream's value items,
 	// and the delta stream's tombstone items and final-frame summary fold,

@@ -9,11 +9,11 @@
 // A message's schema is its `wire:"N,..."` struct tags (grammar in
 // internal/wire/codec.go), and for every message off the GET/SET datapath
 // the tags are also the codec: Marshal and UnmarshalX are one-line
-// wrappers over wire.Marshal / wire.Unmarshal. The eight datapath messages
-// (SetReq, EraseReq, CasReq, GetReq, GetResp, MutateResp, TouchReq,
-// TouchResp) carry the same tags but keep hand-written, allocation-tuned
-// codecs (all but TouchReq append to storage the caller owns: AppendTo);
-// TestCodecDifferential holds each to the tag-driven codec.
+// wrappers over wire.Marshal / wire.Unmarshal. The six datapath messages
+// (SetReq, which every SET, ERASE and CAS sends, GetReq, GetResp,
+// MutateResp, TouchReq, TouchResp) keep hand-written, allocation-tuned
+// codecs of the same tags (all but TouchReq append to storage the caller
+// owns: AppendTo); TestCodecDifferential holds each to the tags' codec.
 package proto
 
 import (
@@ -146,11 +146,14 @@ func (h HelloResp) Marshal() []byte { return wire.Marshal(h) }
 // UnmarshalHelloResp decodes the handshake.
 func UnmarshalHelloResp(b []byte) (HelloResp, error) { return decode[HelloResp](b) }
 
-// SetReq installs key=value at a client-nominated version (§5.2). Repair
-// marks repair-driven SETs (§5.4) for observability. Pending marks a
-// mutation leg addressed to a pending-epoch owner during a resize: it
-// bypasses the handoff seal on backends that own the key in the pending
-// shard map.
+// SetReq is every single-key mutation at a client-nominated version
+// (§5.2); the RPC method names the kind. A SET installs key=value. An ERASE
+// sends no value and removes key, its version retained in the tombstone
+// cache so late SETs cannot resurrect the value. A CAS installs only if the
+// stored version equals Expected. Repair marks repair-driven mutations
+// (§5.4). Pending marks a mutation leg addressed to a pending-epoch owner
+// during a resize: it bypasses the handoff seal on backends that own the
+// key in the pending shard map.
 type SetReq struct {
 	Key     []byte           `wire:"1"`
 	Value   []byte           `wire:"2"`
@@ -168,6 +171,8 @@ type SetReq struct {
 	// carries back the promotion set (MutateResp.Hot). nil = none. An old
 	// server skips the field; records are hints.
 	Touches []byte `wire:"9,omitzero"`
+	// Expected is a CAS's precondition; zero elsewhere, and then not sent.
+	Expected truetime.Version `wire:"10,flat,omitzero"`
 }
 
 // AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
@@ -182,6 +187,11 @@ func (r SetReq) AppendTo(b []byte) []byte {
 	if r.Touches != nil {
 		e.Bytes(9, r.Touches)
 	}
+	for i, x := range [...]uint64{uint64(r.Expected.Micros), r.Expected.ClientID, r.Expected.Seq} {
+		if x != 0 {
+			e.Uint(10+uint64(i), x)
+		}
+	}
 	return e.Encoded()
 }
 
@@ -192,7 +202,7 @@ func (r SetReq) Marshal() []byte { return r.AppendTo(nil) }
 // request before returning and copy anything they keep.
 func UnmarshalSetReq(b []byte) (SetReq, error) {
 	var r SetReq
-	var v versionAcc
+	var v, exp versionAcc
 	var d wire.Decoder
 	if err := d.Init(b); err != nil {
 		return r, err
@@ -217,9 +227,15 @@ func UnmarshalSetReq(b []byte) (SetReq, error) {
 			r.ConfigID = d.Uint()
 		case 9:
 			r.Touches = d.Bytes()
+		case 10:
+			exp.m = d.Uint()
+		case 11:
+			exp.c = d.Uint()
+		case 12:
+			exp.s = d.Uint()
 		}
 	}
-	r.Version = v.version()
+	r.Version, r.Expected = v.version(), exp.version()
 	return r, d.Err()
 }
 
@@ -281,131 +297,6 @@ func UnmarshalMutateResp(b []byte) (MutateResp, error) {
 		}
 	}
 	r.Stored = v.version()
-	return r, d.Err()
-}
-
-// EraseReq removes key at a client-nominated version; the version is
-// retained in the tombstone cache so late SETs cannot resurrect the value
-// (§5.2).
-type EraseReq struct {
-	Key      []byte           `wire:"1"`
-	Version  truetime.Version `wire:"2,flat"`
-	Pending  bool             `wire:"5"`          // see SetReq.Pending
-	ConfigID uint64           `wire:"6"`          // see SetReq.ConfigID
-	Touches  []byte           `wire:"7,omitzero"` // see SetReq.Touches
-}
-
-// AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
-func (r EraseReq) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Key)+len(r.Touches)+48)
-	e.Bytes(1, r.Key)
-	encodeVersion(&e, 2, r.Version)
-	e.Bool(5, r.Pending)
-	e.Uint(6, r.ConfigID)
-	if r.Touches != nil {
-		e.Bytes(7, r.Touches)
-	}
-	return e.Encoded()
-}
-
-func (r EraseReq) Marshal() []byte { return r.AppendTo(nil) }
-
-// UnmarshalEraseReq decodes the request. Key and Touches alias b (see
-// UnmarshalSetReq).
-func UnmarshalEraseReq(b []byte) (EraseReq, error) {
-	var r EraseReq
-	var v versionAcc
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Key = d.Bytes()
-		case 2:
-			v.m = d.Uint()
-		case 3:
-			v.c = d.Uint()
-		case 4:
-			v.s = d.Uint()
-		case 5:
-			r.Pending = d.Bool()
-		case 6:
-			r.ConfigID = d.Uint()
-		case 7:
-			r.Touches = d.Bytes()
-		}
-	}
-	r.Version = v.version()
-	return r, d.Err()
-}
-
-// CasReq installs Value only if the stored version equals Expected (§5.2).
-type CasReq struct {
-	Key      []byte           `wire:"1"`
-	Value    []byte           `wire:"2"`
-	Expected truetime.Version `wire:"3,flat"`
-	Version  truetime.Version `wire:"6,flat"`      // new version on success
-	Pending  bool             `wire:"9"`           // see SetReq.Pending
-	ConfigID uint64           `wire:"10"`          // see SetReq.ConfigID
-	Touches  []byte           `wire:"11,omitzero"` // see SetReq.Touches
-}
-
-// AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
-func (r CasReq) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Key)+len(r.Value)+len(r.Touches)+80)
-	e.Bytes(1, r.Key)
-	e.Bytes(2, r.Value)
-	encodeVersion(&e, 3, r.Expected)
-	encodeVersion(&e, 6, r.Version)
-	e.Bool(9, r.Pending)
-	e.Uint(10, r.ConfigID)
-	if r.Touches != nil {
-		e.Bytes(11, r.Touches)
-	}
-	return e.Encoded()
-}
-
-func (r CasReq) Marshal() []byte { return r.AppendTo(nil) }
-
-// UnmarshalCasReq decodes the request. Key, Value and Touches alias b (see
-// UnmarshalSetReq).
-func UnmarshalCasReq(b []byte) (CasReq, error) {
-	var r CasReq
-	var exp, nv versionAcc
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Key = d.Bytes()
-		case 2:
-			r.Value = d.Bytes()
-		case 3:
-			exp.m = d.Uint()
-		case 4:
-			exp.c = d.Uint()
-		case 5:
-			exp.s = d.Uint()
-		case 6:
-			nv.m = d.Uint()
-		case 7:
-			nv.c = d.Uint()
-		case 8:
-			nv.s = d.Uint()
-		case 9:
-			r.Pending = d.Bool()
-		case 10:
-			r.ConfigID = d.Uint()
-		case 11:
-			r.Touches = d.Bytes()
-		}
-	}
-	r.Expected = exp.version()
-	r.Version = nv.version()
 	return r, d.Err()
 }
 

@@ -66,16 +66,21 @@ func TestMutateRespRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEraseCasRoundTrip: an ERASE (no value) and a CAS (Expected set) are
+// SetReqs like a SET, and a SET leaves Expected off the wire.
 func TestEraseCasRoundTrip(t *testing.T) {
-	e := EraseReq{Key: []byte("k"), Version: v(9, 8, 7)}
-	eo, err := UnmarshalEraseReq(e.Marshal())
-	if err != nil || !bytes.Equal(eo.Key, e.Key) || eo.Version != e.Version {
+	e := SetReq{Key: []byte("k"), Version: v(9, 8, 7)}
+	eo, err := UnmarshalSetReq(e.Marshal())
+	if err != nil || !bytes.Equal(eo.Key, e.Key) || len(eo.Value) != 0 || eo.Version != e.Version || !eo.Expected.Zero() {
 		t.Errorf("erase: %+v %v", eo, err)
 	}
-	c := CasReq{Key: []byte("k"), Value: []byte("nv"), Expected: v(1, 1, 1), Version: v(2, 2, 2)}
-	co, err := UnmarshalCasReq(c.Marshal())
+	c := SetReq{Key: []byte("k"), Value: []byte("nv"), Expected: v(1, 1, 1), Version: v(2, 2, 2)}
+	co, err := UnmarshalSetReq(c.Marshal())
 	if err != nil || !bytes.Equal(co.Value, c.Value) || co.Expected != c.Expected || co.Version != c.Version {
 		t.Errorf("cas: %+v %v", co, err)
+	}
+	if cas, set := len(c.Marshal()), len(SetReq{Key: c.Key, Value: c.Value, Version: c.Version}.Marshal()); cas != set+6 {
+		t.Errorf("CAS frame is %d bytes, SET frame %d: Expected should add exactly its three fields", cas, set)
 	}
 }
 

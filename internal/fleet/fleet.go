@@ -73,7 +73,7 @@ type CellScrape struct {
 	TierOK   bool                       `json:"tierOk,omitempty"`
 	HotKeys  []proto.DebugHotKey        `json:"hotKeys,omitempty"` // unioned across the cell's shards
 
-	// Ops is Σ Gets+Sets across shards (cumulative); Keys and Bytes sum
+	// Ops is Σ Gets+Sets+CasOps+Erases across shards (cumulative); Keys and Bytes sum
 	// resident keys and memory.
 	Ops   uint64 `json:"ops"`
 	Keys  uint64 `json:"keys"`
@@ -234,7 +234,7 @@ func ScrapeCell(ctx context.Context, tgt Target, maxSlow int, now time.Time) (Ce
 		}
 		cs.Stats[addr] = st
 		if i < len(cfg.ShardAddrs) { // a pending-only spare holds copies in flight, not load
-			cs.Ops += st.Gets + st.Sets
+			cs.Ops += st.Gets + st.Sets + st.CasOps + st.Erases
 			cs.Keys += st.ResidentKeys
 			cs.Bytes += st.MemoryBytes
 		}

@@ -19,7 +19,8 @@ import (
 //	flat      nested struct spliced into the parent's tag space: inner
 //	          tag t lands on N+t-1 (truetime.Version at N, N+1, N+2)
 //	omitzero  encode only when non-zero (a later-added field whose
-//	          absence old decoders already read as zero)
+//	          absence old decoders already read as zero); on a flat
+//	          field it applies to each inner field
 //	max=K     repeated field: keep at most K elements of a received
 //	          frame and skip the rest (diagnostic freight from a hostile
 //	          peer must not balloon memory)
@@ -92,6 +93,7 @@ func schemaOf(t reflect.Type) *schema {
 		for _, in := range schemaOf(sf.Type).fields {
 			in.tag += n - 1
 			in.index = append([]int{i}, in.index...)
+			in.omitzero = in.omitzero || f.omitzero
 			s.fields = append(s.fields, in)
 		}
 	}

@@ -146,6 +146,31 @@ func TestCodecDecodeEdges(t *testing.T) {
 	}
 }
 
+// TestCodecFlatOmitzero: omitzero on a flat field applies to each inner
+// field, so a zero struct encodes to nothing and a partly zero one sends
+// only its non-zero fields; either round-trips.
+func TestCodecFlatOmitzero(t *testing.T) {
+	type msg struct {
+		ID uint64 `wire:"1"`
+		At stamp  `wire:"2,flat,omitzero"` // tags 2, 3
+	}
+	e := NewEncoder()
+	e.Uint(1, 7)
+	if got := Marshal(msg{ID: 7}); !bytes.Equal(got, e.Encoded()) {
+		t.Errorf("zero flat field: got %x, want %x", got, e.Encoded())
+	}
+	e.Uint(3, 6)
+	if got := Marshal(msg{ID: 7, At: stamp{Client: 6}}); !bytes.Equal(got, e.Encoded()) {
+		t.Errorf("partly zero flat field: got %x, want %x", got, e.Encoded())
+	}
+	for _, in := range []msg{{ID: 7}, {At: stamp{Micros: -5, Client: 6}}, {ID: 1, At: stamp{Client: 6}}} {
+		var out msg
+		if err := Unmarshal(Marshal(in), &out); err != nil || out != in {
+			t.Errorf("round trip of %+v: %+v, err %v", in, out, err)
+		}
+	}
+}
+
 func TestCodecRejectsMalformedSchema(t *testing.T) {
 	for name, v := range map[string]any{
 		"tag zero": struct {

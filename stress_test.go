@@ -175,11 +175,11 @@ func TestConcurrentMutationStress(t *testing.T) {
 				case op < 8 && !lastApplied[string(key)].Zero():
 					m.kind = 'c'
 					m.payload = fmt.Sprintf("w%d-%d", id, i)
-					req := proto.CasReq{Key: key, Value: []byte(m.payload), Expected: lastApplied[string(key)], Version: v}.Marshal()
+					req := proto.SetReq{Key: key, Value: []byte(m.payload), Expected: lastApplied[string(key)], Version: v}.Marshal()
 					acked, m.applied = send(proto.MethodCas, req)
 				default:
 					m.kind = 'e'
-					req := proto.EraseReq{Key: key, Version: v}.Marshal()
+					req := proto.SetReq{Key: key, Version: v}.Marshal()
 					acked, m.applied = send(proto.MethodErase, req)
 				}
 				if acked != len(addrs) {
