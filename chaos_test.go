@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"cliquemap/internal/chaos"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/history"
@@ -424,8 +425,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 
 	plane := cc.Chaos()
-	for s := 0; s < 3; s++ {
-		plane.RPCFailRate(s, 1.0)
+	if err := plane.Inject(ctx, chaos.Event{Hazard: chaos.HazardRPCFail, Shard: -1, Rate: 1.0}); err != nil {
+		t.Fatal(err)
 	}
 	start := time.Now()
 	err := cl.Set(ctx, key, []byte("v2"))
@@ -448,8 +449,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 
 	// Heal: first attempts are free, so an empty bucket must not block
 	// healthy traffic, and successes re-credit it.
-	for s := 0; s < 3; s++ {
-		plane.RPCFailRate(s, 0)
+	if err := plane.Heal(ctx, chaos.Event{Hazard: chaos.HazardRPCFail, Shard: -1}); err != nil {
+		t.Fatal(err)
 	}
 	if err := cl.Set(ctx, key, []byte("v4")); err != nil {
 		t.Fatalf("post-heal Set with empty budget: %v", err)
@@ -479,8 +480,8 @@ func TestBrownoutAmplificationBounded(t *testing.T) {
 	}
 
 	plane := cc.Chaos()
-	for s := 0; s < 3; s++ {
-		plane.RPCFailRate(s, 0.3)
+	if err := plane.Inject(ctx, chaos.Event{Hazard: chaos.HazardRPCFail, Shard: -1, Rate: 0.3}); err != nil {
+		t.Fatal(err)
 	}
 	const ops = 300
 	base := cc.Net.Calls()
@@ -505,8 +506,8 @@ func TestBrownoutAmplificationBounded(t *testing.T) {
 
 	// Heal and verify recovery: every op succeeds and amplification
 	// returns to ~1 (a handful of calls of slack for config refresh).
-	for s := 0; s < 3; s++ {
-		plane.RPCFailRate(s, 0)
+	if err := plane.Heal(ctx, chaos.Event{Hazard: chaos.HazardRPCFail, Shard: -1}); err != nil {
+		t.Fatal(err)
 	}
 	base = cc.Net.Calls()
 	const healedOps = 100
@@ -546,7 +547,7 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 
 	const victim = 1
 	damaged := map[string]bool{}
-	for _, k := range cc.Chaos().CorruptSeeded(victim, keys, 7) {
+	for _, k := range cc.CorruptData(victim, keys, 7) {
 		damaged[string(k)] = true
 	}
 	if len(damaged) == 0 {

@@ -41,6 +41,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"time"
 
 	"cliquemap"
@@ -64,7 +65,7 @@ func main() {
 	maintain := flag.Bool("maintain", false, "inject a planned maintenance mid-run")
 	crash := flag.Bool("crash", false, "inject a crash + restart mid-run")
 	resizeTo := flag.Int("resize", 0, "resize the cell to this shard count at 1/4 of the run and back at 3/4 (0 disables; needs enough spares to grow)")
-	chaosPreset := flag.String("chaos", "", "run a chaos schedule during the workload: brownout, partition-heal, corruption-soak, rolling-crash, maintenance-storm")
+	chaosPreset := flag.String("chaos", "", "run a chaos schedule during the workload: "+strings.Join(chaos.Presets(), ", "))
 	chaosSeed := flag.Uint64("chaosseed", 1, "chaos schedule seed (same seed = same schedule)")
 	dataDir := flag.String("data", "", "durable warm-restart directory: journal + checkpoint each task's corpus here and recover it on startup")
 	listen := flag.String("listen", "", "also serve the RPC surface on this TCP address (e.g. 127.0.0.1:7070)")

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"cliquemap"
+	"cliquemap/internal/chaos"
 	"cliquemap/internal/health"
 	"cliquemap/internal/workload"
 )
@@ -195,8 +196,9 @@ func main() {
 	// Day 2, second half: a US brownout pages its health plane; the
 	// router demotes it with hysteresis and sheds most of its range.
 	usChaos := tier.Cell("us").Chaos()
-	for s := 0; s < 3; s++ {
-		usChaos.Brownout(s, uint64(2*time.Millisecond))
+	if err := usChaos.Inject(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1, Delay: uint64(2 * time.Millisecond)}); err != nil {
+		fmt.Println("FAIL:", err)
+		os.Exit(1)
 	}
 	before = owners()
 	demoted := false
@@ -218,8 +220,9 @@ func main() {
 
 	// Heal: probes must run clean for HealHold rounds before the router
 	// restores full weight — no flapping on the first good round.
-	for s := 0; s < 3; s++ {
-		usChaos.Brownout(s, 0)
+	if err := usChaos.Heal(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1}); err != nil {
+		fmt.Println("FAIL:", err)
+		os.Exit(1)
 	}
 	restored := false
 	for round := 0; round < 400 && !restored; round++ {

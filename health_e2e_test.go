@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cliquemap/internal/chaos"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/health"
 	"cliquemap/internal/rpc"
@@ -55,8 +56,8 @@ func runBrownoutScenario(t *testing.T) (pageAfterNs, clearAfterNs uint64, states
 	// past its 1ms SLO threshold (mutations fan out concurrently and stay
 	// under their 5ms threshold, so the page isolates to GET).
 	ch := c.Chaos()
-	for s := 0; s < 3; s++ {
-		ch.Brownout(s, uint64(2*time.Millisecond))
+	if err := ch.Inject(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1, Delay: uint64(2 * time.Millisecond)}); err != nil {
+		t.Fatal(err)
 	}
 	injected := c.Internal().Fabric.NowNs()
 	paged := false
@@ -77,8 +78,8 @@ func runBrownoutScenario(t *testing.T) (pageAfterNs, clearAfterNs uint64, states
 	// Heal. The fast window drains within FastWindowNs of good probes,
 	// breaking the both-windows page condition, so the alert must clear
 	// well inside one slow window.
-	for s := 0; s < 3; s++ {
-		ch.Brownout(s, 0)
+	if err := ch.Heal(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1}); err != nil {
+		t.Fatal(err)
 	}
 	healed := c.Internal().Fabric.NowNs()
 	cleared := false
@@ -162,8 +163,8 @@ func TestHealthServedOverRPC(t *testing.T) {
 	ctx := context.Background()
 
 	ch := c.Chaos()
-	for s := 0; s < 3; s++ {
-		ch.Brownout(s, uint64(2*time.Millisecond))
+	if err := ch.Inject(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1, Delay: uint64(2 * time.Millisecond)}); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		prober.Round(ctx)

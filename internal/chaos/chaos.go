@@ -13,14 +13,14 @@
 // scheduled partitions and crashes. This package is that fault model made
 // executable:
 //
-//   - Hazard taxonomy: crash/restart, network partition, asymmetric
-//     packet loss, transient RPC failure rates, NIC-engine brownouts,
+//   - Hazard taxonomy: one table row per class — crash/restart, network
+//     partition, transient RPC failure rates, NIC-engine brownouts,
 //     registered-memory bit corruption, config-store staleness, and
 //     control-plane churn (planned-maintenance handoffs, online resize).
-//   - Plane: the single front door that applies any hazard through a
-//     Surface (implemented by the cell), deriving every actuator's seed
-//     from one master seed and tallying injections into hazard counters
-//     (mirrored to the cell tracer for cmstat / Prometheus).
+//   - Plane: the single front door, Inject and Heal, that applies any
+//     hazard through a Surface (implemented by the cell), deriving every
+//     actuator's seed from one master seed and tallying injections into
+//     hazard counters (mirrored to the cell tracer for cmstat / Prometheus).
 //   - Schedule: a deterministic event list — a pure function of
 //     (preset, seed, shards) — with per-event auto-heal steps.
 //   - Engine: applies a schedule step by step from a test or cmcell's
@@ -39,14 +39,13 @@ import (
 	"cliquemap/internal/trace"
 )
 
-// Hazard enumerates the injectable fault classes.
+// Hazard enumerates the injectable fault classes; it indexes hazards.
 type Hazard uint8
 
 const (
 	HazardCrash Hazard = iota
 	HazardRestart
 	HazardPartition
-	HazardLinkLoss
 	HazardRPCFail
 	HazardBrownout
 	HazardCorruption
@@ -60,33 +59,63 @@ const (
 
 // String names the hazard for counters and schedule dumps.
 func (h Hazard) String() string {
-	switch h {
-	case HazardCrash:
-		return "crash"
-	case HazardRestart:
-		return "restart"
-	case HazardPartition:
-		return "partition"
-	case HazardLinkLoss:
-		return "link-loss"
-	case HazardRPCFail:
-		return "rpc-fail"
-	case HazardBrownout:
-		return "brownout"
-	case HazardCorruption:
-		return "corruption"
-	case HazardConfigStale:
-		return "config-stale"
-	case HazardMaintain:
-		return "maintain"
-	case HazardResize:
-		return "resize"
-	case HazardHeal:
-		return "heal"
-	case HazardRestartWarm:
-		return "restart-warm"
+	if h < numHazards {
+		return hazards[h].name
 	}
 	return fmt.Sprintf("hazard-%d", uint8(h))
+}
+
+// actuator applies or reverts one event on one target shard.
+type actuator func(ctx context.Context, p *Plane, ev Event, shard int) error
+
+// hazards is the fault model, one row per Hazard: its counter name, how
+// an event fires on one target shard, and how it heals (nil: no revert —
+// repair, overwrites or a later event are the cure). A wide row acts once
+// for the whole cell whatever the event's Shard.
+var hazards = [numHazards]struct {
+	name       string
+	wide       bool
+	fire, heal actuator
+}{
+	HazardCrash: {name: "crash",
+		fire: func(_ context.Context, p *Plane, _ Event, s int) error { p.sur.Crash(s); return nil },
+		heal: func(ctx context.Context, p *Plane, ev Event, s int) error {
+			if ev.Warm {
+				return p.sur.RestartWarm(ctx, s)
+			}
+			return p.sur.Restart(ctx, s)
+		}},
+	HazardPartition: {name: "partition",
+		fire: func(_ context.Context, p *Plane, _ Event, s int) error { p.sur.PartitionShard(s); return nil },
+		heal: func(_ context.Context, p *Plane, _ Event, _ int) error { p.sur.HealPartitions(); return nil }},
+	HazardRPCFail: {name: "rpc-fail",
+		fire: func(_ context.Context, p *Plane, ev Event, s int) error {
+			p.sur.SetRPCFailRate(s, ev.Rate, int64(p.subSeed()))
+			return nil
+		},
+		heal: func(_ context.Context, p *Plane, _ Event, s int) error { p.sur.SetRPCFailRate(s, 0, 0); return nil }},
+	HazardBrownout: {name: "brownout",
+		fire: func(_ context.Context, p *Plane, ev Event, s int) error {
+			p.sur.SetEngineDelay(s, ev.Delay)
+			return nil
+		},
+		heal: func(_ context.Context, p *Plane, _ Event, s int) error { p.sur.SetEngineDelay(s, 0); return nil }},
+	HazardCorruption: {name: "corruption",
+		fire: func(_ context.Context, p *Plane, ev Event, s int) error {
+			p.sur.CorruptData(s, ev.Count, ev.Seed)
+			return nil
+		}},
+	HazardConfigStale: {name: "config-stale", wide: true,
+		fire: func(_ context.Context, p *Plane, _ Event, _ int) error { p.sur.SetConfigStale(true); return nil },
+		heal: func(_ context.Context, p *Plane, _ Event, _ int) error { p.sur.SetConfigStale(false); return nil }},
+	HazardMaintain: {name: "maintain",
+		fire: func(ctx context.Context, p *Plane, _ Event, s int) error { return p.sur.MaintainShard(ctx, s) }},
+	HazardResize: {name: "resize", wide: true,
+		fire: func(ctx context.Context, p *Plane, ev Event, _ int) error { return p.sur.Resize(ctx, ev.Count) }},
+	// Counter names only: a heal, and the restart a crash heals with.
+	HazardHeal:        {name: "heal"},
+	HazardRestart:     {name: "restart"},
+	HazardRestartWarm: {name: "restart-warm"},
 }
 
 // Surface is what the plane drives — implemented by the cell. Methods use
@@ -110,10 +139,7 @@ type Surface interface {
 	SetEngineDelay(shard int, ns uint64)
 	// PartitionShard cuts shard's host off from every other host.
 	PartitionShard(shard int)
-	// SetShardLinkLoss applies fractional symmetric packet loss between
-	// shard's host and the rest of the cell; 0 heals that shard's links.
-	SetShardLinkLoss(shard int, loss float64)
-	// HealPartitions removes every partition and loss rule.
+	// HealPartitions removes every partition.
 	HealPartitions()
 	// CorruptData flips one bit in up to n live entries on shard's
 	// backend, returning the damaged keys.
@@ -131,10 +157,10 @@ type Surface interface {
 	Resize(ctx context.Context, shards int) error
 }
 
-// Plane is the unified fault-injection front door. Every injection —
-// scheduled by an Engine or invoked directly — goes through one of its
-// methods, which derive per-actuator seeds from the master seed, count
-// the hazard, and mirror the count into the cell tracer when attached.
+// Plane is the unified fault-injection front door. Every injection and
+// heal — scheduled by an Engine or invoked directly — goes through Inject
+// or Heal, which count the hazard per target (mirrored into the cell
+// tracer when attached) and run its row of the hazard table.
 type Plane struct {
 	sur    Surface
 	seed   uint64
@@ -185,97 +211,48 @@ func (p *Plane) Counters() map[string]uint64 {
 	return out
 }
 
-// Crash kills shard's backend.
-func (p *Plane) Crash(shard int) {
-	p.note(HazardCrash)
-	p.sur.Crash(shard)
-}
-
-// Restart revives shard's backend and triggers cohort repair.
-func (p *Plane) Restart(ctx context.Context, shard int) error {
-	p.note(HazardRestart)
-	return p.sur.Restart(ctx, shard)
-}
-
-// RestartWarm revives shard's backend from its durable state (cold when
-// none) and triggers the self-validation rejoin.
-func (p *Plane) RestartWarm(ctx context.Context, shard int) error {
-	p.note(HazardRestartWarm)
-	return p.sur.RestartWarm(ctx, shard)
-}
-
-// RPCFailRate injects transient call failures at shard; rate 0 heals.
-func (p *Plane) RPCFailRate(shard int, rate float64) {
-	if rate > 0 {
-		p.note(HazardRPCFail)
-		p.sur.SetRPCFailRate(shard, rate, int64(p.subSeed()))
-		return
+// Inject fires ev on each of its targets (every shard when ev.Shard is
+// -1; once for a cell-wide hazard), counting ev.Hazard per target. It
+// stops at the first target that fails.
+func (p *Plane) Inject(ctx context.Context, ev Event) error {
+	if ev.Hazard >= numHazards || hazards[ev.Hazard].fire == nil {
+		return fmt.Errorf("chaos: %s cannot be injected", ev.Hazard)
 	}
-	p.note(HazardHeal)
-	p.sur.SetRPCFailRate(shard, 0, 0)
+	fire := hazards[ev.Hazard].fire
+	return p.each(ev, ev.Hazard, func(s int) error { return fire(ctx, p, ev, s) })
 }
 
-// Brownout injects ns of engine service delay at shard; 0 heals.
-func (p *Plane) Brownout(shard int, ns uint64) {
-	if ns > 0 {
-		p.note(HazardBrownout)
-	} else {
-		p.note(HazardHeal)
+// Heal reverts ev on each of its targets, counting one heal per target —
+// a crash's heal is its restart and counts as restart or restart-warm. A
+// hazard with no revert is a no-op.
+func (p *Plane) Heal(ctx context.Context, ev Event) error {
+	if ev.Hazard >= numHazards || hazards[ev.Hazard].heal == nil {
+		return nil
 	}
-	p.sur.SetEngineDelay(shard, ns)
-}
-
-// Partition isolates shard's host from the cell.
-func (p *Plane) Partition(shard int) {
-	p.note(HazardPartition)
-	p.sur.PartitionShard(shard)
-}
-
-// LinkLoss applies fractional packet loss on shard's links; 0 heals them.
-func (p *Plane) LinkLoss(shard int, loss float64) {
-	if loss > 0 {
-		p.note(HazardLinkLoss)
-	} else {
-		p.note(HazardHeal)
+	heal := hazards[ev.Hazard].heal
+	as := HazardHeal
+	if ev.Hazard == HazardCrash {
+		as = HazardRestart
+		if ev.Warm {
+			as = HazardRestartWarm
+		}
 	}
-	p.sur.SetShardLinkLoss(shard, loss)
+	return p.each(ev, as, func(s int) error { return heal(ctx, p, ev, s) })
 }
 
-// HealPartitions removes every partition and loss rule.
-func (p *Plane) HealPartitions() {
-	p.note(HazardHeal)
-	p.sur.HealPartitions()
-}
-
-// CorruptSeeded flips one bit in up to n live entries on shard's backend,
-// returning the damaged keys. The seed is explicit: scheduled events carry
-// their own so replays are exact.
-func (p *Plane) CorruptSeeded(shard int, n int, seed uint64) [][]byte {
-	p.note(HazardCorruption)
-	return p.sur.CorruptData(shard, n, seed)
-}
-
-// Maintain runs one full planned-maintenance cycle on shard (out to a
-// spare and back) through the surface.
-func (p *Plane) Maintain(ctx context.Context, shard int) error {
-	p.note(HazardMaintain)
-	return p.sur.MaintainShard(ctx, shard)
-}
-
-// ResizeCell changes the cell's logical shard count online.
-func (p *Plane) ResizeCell(ctx context.Context, shards int) error {
-	p.note(HazardResize)
-	return p.sur.Resize(ctx, shards)
-}
-
-// ConfigStale pins or unpins the config store's read snapshot.
-func (p *Plane) ConfigStale(stale bool) {
-	if stale {
-		p.note(HazardConfigStale)
-	} else {
-		p.note(HazardHeal)
+// each counts h and runs act once per target of ev.
+func (p *Plane) each(ev Event, h Hazard, act func(shard int) error) error {
+	if ev.Shard >= 0 || hazards[ev.Hazard].wide {
+		p.note(h)
+		return act(ev.Shard)
 	}
-	p.sur.SetConfigStale(stale)
+	for s, n := 0, p.sur.Shards(); s < n; s++ {
+		p.note(h)
+		if err := act(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Event is one scheduled injection: fire when the engine reaches Step,
@@ -285,7 +262,7 @@ type Event struct {
 	Step   int
 	Hazard Hazard
 	Shard  int     // target shard; -1 = cell-wide
-	Rate   float64 // rpc-fail fraction or link-loss fraction
+	Rate   float64 // rpc-fail fraction
 	Delay  uint64  // brownout engine delay ns
 	Count  int     // corruption flips, or resize target shard count
 	Seed   uint64  // per-event actuator seed
@@ -487,13 +464,13 @@ func (e *Engine) Step(ctx context.Context) (int, error) {
 	var firstErr error
 	n := 0
 	for _, ev := range heals {
-		if err := e.heal(ctx, ev); err != nil && firstErr == nil {
+		if err := e.plane.Heal(ctx, ev); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		n++
 	}
 	for _, ev := range fires {
-		if err := e.apply(ctx, ev); err != nil && firstErr == nil {
+		if err := e.plane.Inject(ctx, ev); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		n++
@@ -533,103 +510,11 @@ func (e *Engine) HealAll(ctx context.Context) error {
 	e.mu.Unlock()
 	var firstErr error
 	for _, ev := range pending {
-		if err := e.heal(ctx, ev); err != nil && firstErr == nil {
+		if err := e.plane.Heal(ctx, ev); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
-}
-
-// targets expands an event's shard field (-1 = every shard).
-func (e *Engine) targets(ev Event) []int {
-	if ev.Shard >= 0 {
-		return []int{ev.Shard}
-	}
-	n := e.plane.sur.Shards()
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func (e *Engine) apply(ctx context.Context, ev Event) error {
-	switch ev.Hazard {
-	case HazardCrash:
-		for _, s := range e.targets(ev) {
-			e.plane.Crash(s)
-		}
-	case HazardRestart:
-		for _, s := range e.targets(ev) {
-			if err := e.plane.Restart(ctx, s); err != nil {
-				return err
-			}
-		}
-	case HazardPartition:
-		for _, s := range e.targets(ev) {
-			e.plane.Partition(s)
-		}
-	case HazardLinkLoss:
-		for _, s := range e.targets(ev) {
-			e.plane.LinkLoss(s, ev.Rate)
-		}
-	case HazardRPCFail:
-		for _, s := range e.targets(ev) {
-			e.plane.RPCFailRate(s, ev.Rate)
-		}
-	case HazardBrownout:
-		for _, s := range e.targets(ev) {
-			e.plane.Brownout(s, ev.Delay)
-		}
-	case HazardCorruption:
-		for _, s := range e.targets(ev) {
-			e.plane.CorruptSeeded(s, ev.Count, ev.Seed)
-		}
-	case HazardConfigStale:
-		e.plane.ConfigStale(true)
-	case HazardMaintain:
-		for _, s := range e.targets(ev) {
-			if err := e.plane.Maintain(ctx, s); err != nil {
-				return err
-			}
-		}
-	case HazardResize:
-		if err := e.plane.ResizeCell(ctx, ev.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// heal reverts one fired event.
-func (e *Engine) heal(ctx context.Context, ev Event) error {
-	switch ev.Hazard {
-	case HazardCrash:
-		for _, s := range e.targets(ev) {
-			var err error
-			if ev.Warm {
-				err = e.plane.RestartWarm(ctx, s)
-			} else {
-				err = e.plane.Restart(ctx, s)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	case HazardPartition, HazardLinkLoss:
-		e.plane.HealPartitions()
-	case HazardRPCFail:
-		for _, s := range e.targets(ev) {
-			e.plane.RPCFailRate(s, 0)
-		}
-	case HazardBrownout:
-		for _, s := range e.targets(ev) {
-			e.plane.Brownout(s, 0)
-		}
-	case HazardConfigStale:
-		e.plane.ConfigStale(false)
-	}
-	return nil
 }
 
 // Counters returns the engine's cumulative injections per hazard name.

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -18,7 +19,6 @@ type fakeSurface struct {
 	failRate     map[int]float64
 	delay        map[int]uint64
 	isolated     map[int]bool
-	linkLoss     map[int]float64
 	stale        bool
 	corrupts     int
 	maintains    int
@@ -31,7 +31,6 @@ func newFakeSurface(shards int) *fakeSurface {
 		failRate: make(map[int]float64),
 		delay:    make(map[int]uint64),
 		isolated: make(map[int]bool),
-		linkLoss: make(map[int]float64),
 	}
 }
 
@@ -95,21 +94,10 @@ func (f *fakeSurface) PartitionShard(shard int) {
 	f.isolated[shard] = true
 }
 
-func (f *fakeSurface) SetShardLinkLoss(shard int, loss float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if loss == 0 {
-		delete(f.linkLoss, shard)
-		return
-	}
-	f.linkLoss[shard] = loss
-}
-
 func (f *fakeSurface) HealPartitions() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.isolated = make(map[int]bool)
-	f.linkLoss = make(map[int]float64)
 }
 
 func (f *fakeSurface) CorruptData(_ int, n int, _ uint64) [][]byte {
@@ -149,8 +137,8 @@ func (f *fakeSurface) Resize(_ context.Context, shards int) error {
 	return nil
 }
 
-// healedExcept reports the first residual injection, ignoring the named
-// hazards (corruption has no heal, by design).
+// residual reports the first injection still in effect (corruption has no
+// heal, by design).
 func (f *fakeSurface) residual() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -165,9 +153,6 @@ func (f *fakeSurface) residual() string {
 	}
 	if len(f.isolated) > 0 {
 		return fmt.Sprintf("partitions: %v", f.isolated)
-	}
-	if len(f.linkLoss) > 0 {
-		return fmt.Sprintf("link loss: %v", f.linkLoss)
 	}
 	if f.stale {
 		return "config store still stale"
@@ -407,52 +392,80 @@ func TestEngineHealAllMidFault(t *testing.T) {
 	}
 }
 
-// TestPlaneCounters: every injection routed through the plane increments
-// exactly its hazard counter, and Counters omits hazards never fired.
+// TestPlaneCounters: every injection and heal routed through the plane
+// increments exactly its hazard counter — one per target shard, a crash's
+// heal as its restart, nothing for a hazard with no revert — and Counters
+// omits hazards never fired.
 func TestPlaneCounters(t *testing.T) {
 	sur := newFakeSurface(3)
 	p := NewPlane(sur, 1)
 	ctx := context.Background()
 
-	p.Crash(0)
-	if err := p.Restart(ctx, 0); err != nil {
+	for _, step := range []struct {
+		heal bool
+		ev   Event
+	}{
+		{false, Event{Hazard: HazardCrash, Shard: 0}},
+		{true, Event{Hazard: HazardCrash, Shard: 0}},
+		{false, Event{Hazard: HazardCrash, Shard: 1}},
+		{true, Event{Hazard: HazardCrash, Shard: 1, Warm: true}},
+		{false, Event{Hazard: HazardRPCFail, Shard: 1, Rate: 0.5}},
+		{true, Event{Hazard: HazardRPCFail, Shard: 1}},
+		{false, Event{Hazard: HazardBrownout, Shard: 2, Delay: 1000}},
+		{true, Event{Hazard: HazardBrownout, Shard: 2}},
+		{false, Event{Hazard: HazardPartition, Shard: 1}},
+		{true, Event{Hazard: HazardPartition, Shard: 1}},
+		{false, Event{Hazard: HazardCorruption, Shard: 0, Count: 3, Seed: 1}},
+		{true, Event{Hazard: HazardCorruption, Shard: 0}},
+		{false, Event{Hazard: HazardConfigStale, Shard: -1}},
+		{true, Event{Hazard: HazardConfigStale, Shard: -1}},
+		{false, Event{Hazard: HazardMaintain, Shard: 0}},
+		{false, Event{Hazard: HazardResize, Shard: -1, Count: 3}},
+	} {
+		act := p.Inject
+		if step.heal {
+			act = p.Heal
+		}
+		if err := act(ctx, step.ev); err != nil {
+			t.Fatalf("%s (heal=%v): %v", step.ev, step.heal, err)
+		}
+	}
+
+	// A cell-wide rpc-fail hits, counts and heals every shard.
+	if err := p.Inject(ctx, Event{Hazard: HazardRPCFail, Shard: -1, Rate: 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	p.RPCFailRate(1, 0.5)
-	p.RPCFailRate(1, 0) // heal — counts as heal, not rpc-fail
-	p.Brownout(2, 1000)
-	p.Brownout(2, 0)
-	p.Partition(1)
-	p.LinkLoss(2, 0.25)
-	p.HealPartitions()
-	p.CorruptSeeded(0, 3, 1)
-	p.ConfigStale(true)
-	p.ConfigStale(false)
+	sur.mu.Lock()
+	failing := len(sur.failRate)
+	sur.mu.Unlock()
+	if failing != 3 {
+		t.Errorf("cell-wide rpc-fail reached %d shards, want 3", failing)
+	}
+	if err := p.Heal(ctx, Event{Hazard: HazardRPCFail, Shard: -1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []Hazard{HazardHeal, numHazards} {
+		if err := p.Inject(ctx, Event{Hazard: h, Shard: 0}); err == nil {
+			t.Errorf("injecting %s did not error", h)
+		}
+	}
 
 	got := p.Counters()
 	want := map[string]uint64{
-		HazardCrash.String():       1,
+		HazardCrash.String():       2,
 		HazardRestart.String():     1,
-		HazardRPCFail.String():     1,
+		HazardRestartWarm.String(): 1,
+		HazardRPCFail.String():     1 + 3,
 		HazardBrownout.String():    1,
 		HazardPartition.String():   1,
-		HazardLinkLoss.String():    1,
 		HazardCorruption.String():  1,
 		HazardConfigStale.String(): 1,
-		HazardHeal.String():        5, // rpc heal, brownout heal, partitions, stale unpin... and restart path heals
+		HazardMaintain.String():    1,
+		HazardResize.String():      1,
+		HazardHeal.String():        4 + 3, // rpc-fail, brownout, partition, stale; then 3 shards
 	}
-	// Heal accounting differs by implementation detail; assert presence
-	// and exact counts for the unambiguous hazards, and that heal > 0.
-	for name, n := range want {
-		if name == HazardHeal.String() {
-			continue
-		}
-		if got[name] != n {
-			t.Errorf("counter %s = %d, want %d (all: %v)", name, got[name], n, got)
-		}
-	}
-	if got[HazardHeal.String()] == 0 {
-		t.Errorf("no heal events counted: %v", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("counters = %v, want %v", got, want)
 	}
 	if res := sur.residual(); res != "" {
 		t.Errorf("surface not healed: %s", res)

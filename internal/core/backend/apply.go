@@ -1,7 +1,7 @@
 package backend
 
 // The mutation core: lookup, the version gate, the one install sequence
-// behind SET / CAS / UpdateVersion, ERASE, eviction, and publish — the
+// behind SET and CAS, ERASE, eviction, and publish — the
 // single point where an applied mutation becomes visible to the tombstone
 // cache, the handoff journal and the durable journal.
 
@@ -63,11 +63,10 @@ func (b *Backend) get(sink *trace.SpanSink, key []byte) (value []byte, ver truet
 }
 
 // precond is what an install needs beyond a version above the key's bound:
-// UpdateVersion needs the key still resident, a CAS the bound to equal
-// expected.
+// a CAS needs the bound to equal expected.
 type precond struct {
-	mustExist, cas bool
-	expected       truetime.Version
+	cas      bool
+	expected truetime.Version
 }
 
 // versionGate is the check every mutation passes under its stripe lock —
@@ -86,7 +85,7 @@ func (b *Backend) versionGate(s *stripe, raw layout.RawBucket, key []byte, h has
 			bound, _ = b.tombBound(h, key)
 		}
 	}
-	if pre.mustExist && !resident || pre.cas && bound != pre.expected {
+	if pre.cas && bound != pre.expected {
 		return bound, false
 	}
 	if !bound.Less(v) {
@@ -241,29 +240,6 @@ func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Versio
 	return applied, stored, evictions, err
 }
 
-// updateVersion rewrites key's stored version (repair step 2, §5.4): read
-// the value under the lock, then re-install it at v — the same sequence as
-// a SET, except that it applies only while the key stays resident and does
-// not count as a use of the key.
-func (b *Backend) updateVersion(key []byte, v truetime.Version) bool {
-	h := b.opt.Hash(key)
-	s := b.stripeOf(h)
-	bp := dataBufs.Get().(*[]byte)
-	defer dataBufs.Put(bp)
-	lockStripe(s, nil)
-	de, found, _ := b.lookup(s, h, key, bp) // a damaged entry has no value to re-install
-	s.unlock()
-	if !found {
-		return false
-	}
-	value, err := de.MaterializeValue()
-	if err != nil {
-		return false
-	}
-	applied, _, _, _ := b.install(nil, s, h, key, value, v, precond{mustExist: true})
-	return applied
-}
-
 // install is the one write sequence: gate → unlock → allocate+write →
 // relock → re-gate → publish. Allocation can evict (locking other stripes)
 // and performs the chunked body write, so it must not run under this key's
@@ -308,9 +284,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 			dr.free(ptr)
 			return false, bound, evictions, nil
 		}
-		if !pre.mustExist {
-			s.policy.Add(h)
-		}
+		s.policy.Add(h)
 		b.publish(persist.OpSet, h, key, value, v)
 		s.unlock()
 		b.maybeResizeIndex()

@@ -465,27 +465,6 @@ func TestSetConfigIDRestampsBuckets(t *testing.T) {
 	}
 }
 
-func TestUpdateVersion(t *testing.T) {
-	r := newRig(t, Options{Shard: 0})
-	v1 := r.v()
-	r.b.ApplySet([]byte("k"), []byte("v"), v1)
-	n := r.v()
-	if !r.b.updateVersion([]byte("k"), n) {
-		t.Fatal("update version failed")
-	}
-	_, ver, _ := r.b.get(nil, []byte("k"))
-	if ver != n {
-		t.Errorf("version = %v, want %v", ver, n)
-	}
-	// Downgrade attempts are rejected.
-	if r.b.updateVersion([]byte("k"), v1) {
-		t.Error("version downgrade applied")
-	}
-	if r.b.updateVersion([]byte("absent"), r.v()) {
-		t.Error("update of absent key applied")
-	}
-}
-
 func TestHelloReflectsState(t *testing.T) {
 	r := newRig(t, Options{Shard: 2, Geometry: layout.Geometry{Buckets: 8, Ways: 4}})
 	h := r.b.hello()

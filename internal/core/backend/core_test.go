@@ -224,11 +224,6 @@ func TestEveryPublishIsTeed(t *testing.T) {
 			}},
 		{name: "erase", setup: seed, key: "k", erase: true, want: true,
 			op: func(r *rig, v truetime.Version) bool { ok, _ := r.b.ApplyErase([]byte("k"), v); return ok }},
-		{name: "update-version resident", setup: seed, key: "k", want: true,
-			op: func(r *rig, v truetime.Version) bool { return r.b.updateVersion([]byte("k"), v) }},
-		{name: "update-version side", opt: fullSide, key: "c", want: true,
-			setup: func(r *rig) { fill(r); r.b.ApplySet([]byte("c"), compressible, r.v()) },
-			op:    func(r *rig, v truetime.Version) bool { return r.b.updateVersion([]byte("c"), v) }},
 
 		{name: "stale set", setup: seed, key: "k",
 			op: func(r *rig, _ truetime.Version) bool {
@@ -242,10 +237,6 @@ func TestEveryPublishIsTeed(t *testing.T) {
 				ok, _ := r.b.ApplyCas([]byte("k"), compressible, old, v)
 				return ok
 			}},
-		{name: "update-version absent", key: "k",
-			op: func(r *rig, v truetime.Version) bool { return r.b.updateVersion([]byte("k"), v) }},
-		{name: "update-version stale", setup: seed, key: "k",
-			op: func(r *rig, _ truetime.Version) bool { return r.b.updateVersion([]byte("k"), old) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

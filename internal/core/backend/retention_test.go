@@ -78,9 +78,6 @@ func TestHandlersKeepNoRequestBytes(t *testing.T) {
 	erased := map[string]truetime.Version{"key-1": r.v()}
 	call(proto.MethodErase, proto.SetReq{Key: []byte("key-1"), Version: erased["key-1"], Touches: carried("key-4")}.Marshal())
 	delete(live, "key-1")
-	uv := r.v()
-	call(proto.MethodUpdateVersion, proto.UpdateVersionReq{Key: []byte("key-3"), Version: uv}.Marshal())
-	live["key-3"] = kv{live["key-3"].val, uv}
 	mig := proto.MigrateBatchReq{Shard: 0, Final: true}
 	for i := 0; i < 2; i++ {
 		k, v, ver := fmt.Sprintf("moved-%d", i), fmt.Sprintf("moved-value-%d", i), r.v()

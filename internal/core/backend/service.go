@@ -48,6 +48,15 @@ var mutations = map[string]struct {
 // debugHotKeys caps the heavy-hitter list shipped per Debug snapshot.
 const debugHotKeys = 32
 
+// SetServiceDelay adds ns of modelled handler time to every GET and client
+// mutation — a brownout of this task; 0 restores the handlers' own costs.
+func (b *Backend) SetServiceDelay(ns uint64) {
+	b.srv.SetMethodCost(proto.MethodGet, getHandlerCPU+ns)
+	for method, m := range mutations {
+		b.srv.SetMethodCost(method, m.cost+ns)
+	}
+}
+
 // registerHandlers wires the RPC service surface.
 func (b *Backend) registerHandlers() {
 	s := b.srv
@@ -105,25 +114,6 @@ func (b *Backend) registerHandlers() {
 		return b.scan(r).Marshal(), nil
 	})
 	s.SetMethodCost(proto.MethodScan, scanHandlerCPU)
-
-	s.Handle(proto.MethodUpdateVersion, func(_ context.Context, _ string, req []byte) ([]byte, error) {
-		if b.Shard() < 0 || b.handoffSealed.Load() {
-			// Repair-only method; a failed leg is retried next sweep.
-			// Shardless tasks bounce too: raising a stale resident copy's
-			// version on a demoted spare would poison a later merge.
-			return nil, proto.ErrShardSealed
-		}
-		r, err := proto.UnmarshalUpdateVersionReq(req)
-		if err != nil {
-			return nil, err
-		}
-		applied := b.updateVersion(r.Key, r.Version)
-		if applied {
-			b.noteRecoverySettle()
-		}
-		return proto.MutateResp{Applied: applied, Stored: r.Version}.Marshal(), nil
-	})
-	s.SetMethodCost(proto.MethodUpdateVersion, eraseHandlerCPU)
 
 	// Migration streams bypass both seals: they preserve, rather than
 	// originate, state. Tombstone-flagged items re-play as erases so the
@@ -416,8 +406,8 @@ func (b *Backend) getAt(ctx context.Context, client *rpc.Client, addr string, ke
 // backend should only do when it participates in s's cohort. For every key
 // of shard s, it gathers the per-replica versions (its own view plus
 // cohort scans over RPC), detects dirty quorums, and settles all replicas
-// on a fresh VersionNumber N: SET to replicas missing the key,
-// UpdateVersion to replicas holding it.
+// on the newest version: a SET (or, for a tombstone, an ERASE) at that
+// version to each replica that lags it.
 func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err error) {
 	cfg := b.store.Get()
 	cohort := cfg.Cohort(s)

@@ -19,7 +19,6 @@ import (
 	"cliquemap/internal/core/backend"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
-	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/health"
@@ -423,8 +422,8 @@ var _ chaos.Surface = (*Cell)(nil)
 
 // Chaos returns the cell's unified fault-injection plane (lazily built,
 // seeded from the fabric seed so a whole cell's fault behaviour replays
-// from one number). Every ad-hoc injection should go through it; the
-// legacy hooks below remain as the leaf actuators it drives.
+// from one number). Every ad-hoc injection should go through its Inject
+// and Heal; the methods below are the leaf actuators it drives.
 func (c *Cell) Chaos() *chaos.Plane {
 	c.chaosOnce.Do(func() {
 		c.chaosPlane = chaos.NewPlane(c, c.Fabric.Params().Seed)
@@ -469,15 +468,7 @@ func (c *Cell) PartitionShard(shard int) {
 	}
 }
 
-// SetShardLinkLoss applies fractional symmetric packet loss between the
-// shard's host and the rest of the cell; 0 heals those links.
-func (c *Cell) SetShardLinkLoss(shard int, loss float64) {
-	if host := c.Store.Get().HostFor(shard); host >= 0 {
-		c.Fabric.SetHostLoss(host, loss)
-	}
-}
-
-// HealPartitions removes every partition and loss rule from the fabric.
+// HealPartitions removes every partition from the fabric.
 func (c *Cell) HealPartitions() { c.Fabric.HealLinks() }
 
 // CorruptData flips one bit in up to n live DataEntries on the backend
@@ -511,7 +502,7 @@ func (c *Cell) MaintainShard(ctx context.Context, shard int) error {
 // or misbehaving serving engine). The delay covers the one-sided path
 // (Pony Express or 1RMA engine visits) and the two-sided data RPCs, so
 // GETs and mutation quorum legs both see it. Prefer injecting through
-// Chaos().Brownout so the injection is seeded and counted.
+// Chaos().Inject so the injection is counted.
 func (c *Cell) SetEngineDelay(shard int, ns uint64) {
 	host := c.Store.Get().HostFor(shard)
 	if host < 0 {
@@ -527,10 +518,7 @@ func (c *Cell) SetEngineDelay(shard int, ns uint64) {
 	if n.oneNIC != nil {
 		n.oneNIC.SetServiceDelay(ns)
 	}
-	srv := n.b.Server()
-	for _, m := range []string{proto.MethodGet, proto.MethodSet, proto.MethodErase, proto.MethodCas} {
-		srv.SetMethodCost(m, ns)
-	}
+	n.b.SetServiceDelay(ns)
 }
 
 // SetAntagonist places external load on the host serving shard s

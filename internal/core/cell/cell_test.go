@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"cliquemap/internal/chaos"
 	"cliquemap/internal/core/backend"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/rpc"
+	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
 
@@ -680,6 +684,58 @@ func TestImmutableR2(t *testing.T) {
 	}
 	if served != len(corpus) {
 		t.Errorf("with one replica down, served %d/%d", served, len(corpus))
+	}
+}
+
+// TestBrownoutHealRestoresHandlerCost: a brownout adds its delay to the
+// handler cost every replica's server bills a SET and a GET, and its heal
+// restores that cost rather than zeroing it.
+func TestBrownoutHealRestoresHandlerCost(t *testing.T) {
+	c := newTestCell(t, small32())
+	cl := c.NewClient(client.Options{Strategy: client.StrategyRPC})
+	ctx := context.Background()
+	key := []byte("k")
+	// serverArg is the handler cost one op's server spans carry.
+	serverArg := func(op string, tr fabric.OpTrace, err error) uint32 {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		var args []uint32
+		for _, sp := range tr.Spans {
+			if sp.Code == trace.SpanRPCServer {
+				args = append(args, sp.Arg)
+			}
+		}
+		if len(args) == 0 || slices.Min(args) != slices.Max(args) {
+			t.Fatalf("%s: server span args %v, want one cost", op, args)
+		}
+		return args[0]
+	}
+	costs := func() (set, get uint32) {
+		_, tr, err := cl.SetVersionedTraced(ctx, key, []byte("v"))
+		set = serverArg("SET", tr, err)
+		_, _, tr, err = cl.GetTraced(ctx, key)
+		return set, serverArg("GET", tr, err)
+	}
+
+	baseSet, baseGet := costs()
+	if baseSet == 0 || baseGet == 0 {
+		t.Fatalf("handler costs SET %d GET %d, want both billed", baseSet, baseGet)
+	}
+	const delay = 5000
+	ev := chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1, Delay: delay}
+	if err := c.Chaos().Inject(ctx, ev); err != nil {
+		t.Fatal(err)
+	}
+	if set, get := costs(); set != baseSet+delay || get != baseGet+delay {
+		t.Errorf("browned out: SET %d GET %d, want %d and %d", set, get, baseSet+delay, baseGet+delay)
+	}
+	if err := c.Chaos().Heal(ctx, ev); err != nil {
+		t.Fatal(err)
+	}
+	if set, get := costs(); set != baseSet || get != baseGet {
+		t.Errorf("healed: SET %d GET %d, want %d and %d", set, get, baseSet, baseGet)
 	}
 }
 

@@ -3,6 +3,7 @@ package config
 import (
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func sample() CellConfig {
@@ -56,6 +57,17 @@ func TestCohortClampedToShards(t *testing.T) {
 	c := CellConfig{Mode: R32, Shards: 2, ShardAddrs: []string{"a", "b"}}
 	if got := len(c.Cohort(0)); got != 2 {
 		t.Errorf("cohort on 2-shard cell = %d members", got)
+	}
+}
+
+func TestCohortDistinctMembers(t *testing.T) {
+	f := func(hi uint64, nRaw uint8) bool {
+		c := CellConfig{Mode: R32, Shards: int(nRaw%20) + 3}
+		got := c.Cohort(int(hi % uint64(c.Shards)))
+		return len(got) == 3 && got[0] != got[1] && got[1] != got[2] && got[0] != got[2]
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -55,8 +55,6 @@ var goldenFrames = []struct {
 		anyDecoder(UnmarshalScanResp),
 		"01040a1b080110ffffffffffffffffff0118032004280532046c69766538000a190806100018f8ffffffffffffffff01" +
 			"2009280a320200ff380110c801180120808080808080800228073001"},
-	{UpdateVersionReq{Key: []byte("k"), Version: v(4, 5, 6)},
-		anyDecoder(UnmarshalUpdateVersionReq), "01040a016b100418052006"},
 	{MigrateBatchReq{
 		Shard: 2,
 		Items: []MigrateItem{
@@ -185,8 +183,6 @@ var goldenFrames = []struct {
 		"0104080010001800"},
 	{ScanResp{Items: []ScanItem{{}}}, anyDecoder(UnmarshalScanResp),
 		"01040a0e080010001800200028003200380010001800200028003000"},
-	{UpdateVersionReq{}, anyDecoder(UnmarshalUpdateVersionReq),
-		"01040a00100018002000"},
 	{MigrateBatchReq{Items: []MigrateItem{{}}}, anyDecoder(UnmarshalMigrateBatchReq),
 		"01040800120c0a00120018002000280030001800200028003000"},
 	{AssumeShardReq{}, anyDecoder(UnmarshalAssumeShardReq),
@@ -369,11 +365,10 @@ func TestCodecDifferential(t *testing.T) {
 	t.Run("MutateResp", differential(rng, UnmarshalMutateResp))
 	t.Run("TouchReq", differential(rng, UnmarshalTouchReq))
 	t.Run("TouchResp", differential(rng, UnmarshalTouchResp))
-	// The fifteen off-datapath messages: thin wrappers over the tags.
+	// The fourteen off-datapath messages: thin wrappers over the tags.
 	t.Run("HelloResp", differential(rng, UnmarshalHelloResp))
 	t.Run("ScanReq", differential(rng, UnmarshalScanReq))
 	t.Run("ScanResp", differential(rng, UnmarshalScanResp))
-	t.Run("UpdateVersionReq", differential(rng, UnmarshalUpdateVersionReq))
 	t.Run("MigrateBatchReq", differential(rng, UnmarshalMigrateBatchReq))
 	t.Run("AssumeShardReq", differential(rng, UnmarshalAssumeShardReq))
 	t.Run("SealReq", differential(rng, UnmarshalSealReq))
@@ -456,7 +451,7 @@ func TestSchemaLint(t *testing.T) {
 	caps := make(map[string]int)
 	for _, m := range []any{
 		SetReq{}, GetReq{}, GetResp{}, MutateResp{}, TouchReq{}, TouchResp{},
-		HelloResp{}, ScanReq{}, ScanResp{}, UpdateVersionReq{}, MigrateBatchReq{}, AssumeShardReq{},
+		HelloResp{}, ScanReq{}, ScanResp{}, MigrateBatchReq{}, AssumeShardReq{},
 		SealReq{}, ConfigResp{}, StatsResp{}, DebugReq{}, DebugResp{}, HealthReq{}, HealthResp{},
 		TierReq{}, TierResp{},
 	} {

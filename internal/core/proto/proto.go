@@ -29,15 +29,14 @@ import (
 
 // Method names served by every backend.
 const (
-	MethodHello         = "CliqueMap.Hello"
-	MethodGet           = "CliqueMap.Get"
-	MethodSet           = "CliqueMap.Set"
-	MethodErase         = "CliqueMap.Erase"
-	MethodCas           = "CliqueMap.Cas"
-	MethodTouch         = "CliqueMap.Touch"
-	MethodScan          = "CliqueMap.Scan"
-	MethodUpdateVersion = "CliqueMap.UpdateVersion"
-	MethodAssumeShard   = "CliqueMap.AssumeShard"
+	MethodHello       = "CliqueMap.Hello"
+	MethodGet         = "CliqueMap.Get"
+	MethodSet         = "CliqueMap.Set"
+	MethodErase       = "CliqueMap.Erase"
+	MethodCas         = "CliqueMap.Cas"
+	MethodTouch       = "CliqueMap.Touch"
+	MethodScan        = "CliqueMap.Scan"
+	MethodAssumeShard = "CliqueMap.AssumeShard"
 	// MethodMigrateBatch carries every shard-handoff frame: the bulk
 	// stream, the sealed journal delta, tombstones, and the final coarse
 	// tombstone summary.
@@ -428,22 +427,6 @@ func (r ScanResp) Marshal() []byte { return wire.Marshal(r) }
 
 // UnmarshalScanResp decodes the response.
 func UnmarshalScanResp(b []byte) (ScanResp, error) { return decode[ScanResp](b) }
-
-// UpdateVersionReq bumps the stored version of key to Version without
-// changing its value — step 2 of the §5.4 repair procedure, which settles
-// all three replicas on one VersionNumber.
-type UpdateVersionReq struct {
-	Key     []byte           `wire:"1"`
-	Version truetime.Version `wire:"2,flat"`
-}
-
-// Marshal encodes the request.
-func (r UpdateVersionReq) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalUpdateVersionReq decodes the request.
-func UnmarshalUpdateVersionReq(b []byte) (UpdateVersionReq, error) {
-	return decode[UpdateVersionReq](b)
-}
 
 // MigrateItem is one KV pair streamed during warm-spare migration (§6.1).
 // Tombstone marks an erased key (mirroring ScanItem tag 7): the receiver

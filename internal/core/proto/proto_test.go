@@ -127,14 +127,6 @@ func TestScanRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUpdateVersionRoundTrip(t *testing.T) {
-	in := UpdateVersionReq{Key: []byte("k"), Version: v(4, 5, 6)}
-	out, err := UnmarshalUpdateVersionReq(in.Marshal())
-	if err != nil || !bytes.Equal(out.Key, in.Key) || out.Version != in.Version {
-		t.Errorf("update version: %+v %v", out, err)
-	}
-}
-
 func TestMigrateBatchRoundTrip(t *testing.T) {
 	in := MigrateBatchReq{
 		Shard: 1,

@@ -31,7 +31,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -135,6 +134,7 @@ type Host struct {
 	extraNs  atomic.Uint64 // fixed extra one-way latency (WAN distance)
 	nextFree atomic.Uint64 // virtual ns at which the downlink drains
 	rngState atomic.Uint64
+	isolated atomic.Bool // cut off from every other host (IsolateHost)
 }
 
 // Fabric is the set of hosts plus the shared latency model.
@@ -142,14 +142,9 @@ type Fabric struct {
 	params Params
 	hosts  []*Host
 
-	// Link-level fault state (partitions, asymmetric loss). The rule
-	// table is consulted on every delivery, so the healthy path is gated
-	// by a single atomic counter: with zero rules installed, Linked
-	// returns immediately without touching the map or its lock.
-	linkRules atomic.Int32
-	linkRng   atomic.Uint64
-	linkMu    sync.Mutex
-	linkLoss  map[uint64]float64 // src<<32|dst -> drop probability
+	// isolated counts the partitioned hosts. Linked runs on every
+	// delivery, so the healthy path is this one atomic load.
+	isolated atomic.Int32
 }
 
 // New builds a fabric of n hosts.
@@ -194,92 +189,30 @@ func (h *Host) ID() int { return h.id }
 // NowNs reads the fabric's clock: the instant the NIC models price load at.
 func (h *Host) NowNs() uint64 { return h.f.NowNs() }
 
-func linkKey(src, dst int) uint64 {
-	return uint64(uint32(src))<<32 | uint64(uint32(dst))
-}
-
-// SetLinkLoss installs a one-directional drop probability on the src→dst
-// link: 1.0 is a hard partition, fractions model asymmetric packet loss.
-// loss <= 0 removes the rule. Directionality matters — an RPC whose
-// request crosses a healthy direction but whose response crosses a lossy
-// one fails after the server has executed it, which is exactly the
-// indeterminate-outcome hazard the §5 client retry policy must absorb.
-func (f *Fabric) SetLinkLoss(src, dst int, loss float64) {
-	f.linkMu.Lock()
-	defer f.linkMu.Unlock()
-	if f.linkLoss == nil {
-		f.linkLoss = make(map[uint64]float64)
-	}
-	if loss <= 0 {
-		delete(f.linkLoss, linkKey(src, dst))
-	} else {
-		if loss > 1 {
-			loss = 1
-		}
-		f.linkLoss[linkKey(src, dst)] = loss
-	}
-	f.linkRules.Store(int32(len(f.linkLoss)))
-}
-
-// SetHostLoss applies loss symmetrically between host h and every other
-// host; loss >= 1 fully isolates h from the rest of the cell.
-func (f *Fabric) SetHostLoss(h int, loss float64) {
-	for i := range f.hosts {
-		if i == h {
-			continue
-		}
-		f.SetLinkLoss(h, i, loss)
-		f.SetLinkLoss(i, h, loss)
+// IsolateHost partitions host h from every other host, both directions.
+func (f *Fabric) IsolateHost(h int) {
+	if !f.Host(h).isolated.Swap(true) {
+		f.isolated.Add(1)
 	}
 }
 
-// IsolateHost hard-partitions host h from every other host.
-func (f *Fabric) IsolateHost(h int) { f.SetHostLoss(h, 1) }
-
-// HealLinks removes every partition and loss rule.
+// HealLinks rejoins every isolated host.
 func (f *Fabric) HealLinks() {
-	f.linkMu.Lock()
-	defer f.linkMu.Unlock()
-	f.linkLoss = nil
-	f.linkRules.Store(0)
+	for _, h := range f.hosts {
+		if h.isolated.Swap(false) {
+			f.isolated.Add(-1)
+		}
+	}
 }
 
 // Linked reports whether a message from src to dst gets through right
-// now. With no rules installed (the steady state) this is a single atomic
-// load; under chaos, fractional-loss links are sampled with a seeded
-// xorshift so schedules replay deterministically given a serial caller.
+// now. With no host isolated (the steady state) this is a single atomic
+// load.
 func (f *Fabric) Linked(src, dst int) bool {
-	if f.linkRules.Load() == 0 {
+	if f.isolated.Load() == 0 {
 		return true
 	}
-	f.linkMu.Lock()
-	loss, ok := f.linkLoss[linkKey(src, dst)]
-	f.linkMu.Unlock()
-	if !ok || loss <= 0 {
-		return true
-	}
-	if loss >= 1 {
-		return false
-	}
-	return f.linkRand() >= loss
-}
-
-// linkRand draws from the fabric-wide loss-sampling stream (CAS-advanced
-// xorshift, same recurrence as Host.rand).
-func (f *Fabric) linkRand() float64 {
-	for {
-		x := f.linkRng.Load()
-		n := x
-		if n == 0 {
-			n = f.params.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-		}
-		n ^= n << 13
-		n ^= n >> 7
-		n ^= n << 17
-		if f.linkRng.CompareAndSwap(x, n) {
-			return float64(n>>11) / float64(1<<53)
-		}
-	}
+	return src == dst || !f.hosts[src].isolated.Load() && !f.hosts[dst].isolated.Load()
 }
 
 // SetExternalLoad installs an antagonist consuming frac (0..1) of the

@@ -28,6 +28,27 @@ func TestHostOutOfRangePanics(t *testing.T) {
 	f.Host(5)
 }
 
+// TestIsolateHostCutsBothDirections: an isolated host reaches no other
+// host and none reaches it, in either direction, until HealLinks; the
+// other hosts stay linked, and isolating twice is one isolation.
+func TestIsolateHostCutsBothDirections(t *testing.T) {
+	f := New(3, Params{})
+	f.IsolateHost(1)
+	f.IsolateHost(1)
+	for _, c := range []struct {
+		src, dst int
+		want     bool
+	}{{0, 1, false}, {1, 0, false}, {2, 1, false}, {1, 2, false}, {0, 2, true}, {2, 0, true}, {1, 1, true}} {
+		if got := f.Linked(c.src, c.dst); got != c.want {
+			t.Errorf("Linked(%d, %d) = %v, want %v", c.src, c.dst, got, c.want)
+		}
+	}
+	f.HealLinks()
+	if !f.Linked(0, 1) || !f.Linked(1, 0) || f.isolated.Load() != 0 {
+		t.Errorf("after HealLinks: linked %v/%v, %d isolated", f.Linked(0, 1), f.Linked(1, 0), f.isolated.Load())
+	}
+}
+
 func TestDeliverLatencyComponents(t *testing.T) {
 	f := New(2, Params{JitterFrac: 1e-9}) // effectively no jitter
 	h := f.Host(0)

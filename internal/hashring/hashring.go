@@ -1,8 +1,8 @@
-// Package hashring implements CliqueMap's key placement: a 128-bit KeyHash
-// that uniquely identifies a backend and a Bucket (§3), plus the replica
-// cohort rule of §5.1 — for each key, a consistent hash determines the
-// logical primary backend i, and copies live on physical backends i, i+1,
-// and i+2 (all mod N).
+// Package hashring implements CliqueMap's key hash: a 128-bit KeyHash
+// whose high word picks a key's logical primary shard (Hi mod N; the §5.1
+// cohort rule lives in config.CellConfig.Cohort) and whose low word picks
+// its bucket (Lo mod buckets, §3), plus the weighted ring the federation
+// tier routes by.
 //
 // Hash functions are customizable (§6.5 added customizable hash functions
 // for disaggregation users); the default is a double FNV-1a producing 128
@@ -71,60 +71,4 @@ func DefaultHash(key []byte) KeyHash {
 		lo = 1 // never the reserved empty hash
 	}
 	return KeyHash{Hi: hi, Lo: lo}
-}
-
-// Ring maps KeyHashes to backends and buckets for a cell of N backends.
-type Ring struct {
-	n    int
-	hash HashFunc
-}
-
-// New returns a ring over n backends using hash (DefaultHash if nil).
-func New(n int, hash HashFunc) *Ring {
-	if n <= 0 {
-		panic("hashring: non-positive backend count")
-	}
-	if hash == nil {
-		hash = DefaultHash
-	}
-	return &Ring{n: n, hash: hash}
-}
-
-// N returns the backend count.
-func (r *Ring) N() int { return r.n }
-
-// Hash returns the KeyHash for key.
-func (r *Ring) Hash(key []byte) KeyHash { return r.hash(key) }
-
-// Primary returns the logical primary backend for h, as if no replication
-// existed (§5.1).
-func (r *Ring) Primary(h KeyHash) int {
-	return int(h.Hi % uint64(r.n))
-}
-
-// Cohort returns the physical backends hosting copies of h for the given
-// replica count: i, i+1, ..., i+replicas-1 (mod N). replicas is clamped to
-// N.
-func (r *Ring) Cohort(h KeyHash, replicas int) []int {
-	if replicas > r.n {
-		replicas = r.n
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	p := r.Primary(h)
-	out := make([]int, replicas)
-	for i := range out {
-		out[i] = (p + i) % r.n
-	}
-	return out
-}
-
-// Bucket returns the bucket index for h in a table of nBuckets buckets.
-// The low word is used so bucket choice is independent of backend choice.
-func (r *Ring) Bucket(h KeyHash, nBuckets int) int {
-	if nBuckets <= 0 {
-		panic("hashring: non-positive bucket count")
-	}
-	return int(h.Lo % uint64(nBuckets))
 }

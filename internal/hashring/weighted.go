@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// This file grows hashring beyond the fixed-N intra-cell cohort math into
+// This file grows hashring beyond the intra-cell key hash into
 // a weighted consistent-hash ring for the federation tier (§2, §7 — a
 // fleet of O(10²) independent cells). Each member owns a number of
 // virtual nodes proportional to its weight; a key routes to the member

@@ -257,7 +257,7 @@ func (c *Conn) Target() *NIC { return c.to }
 
 // linkUp / linkBack report whether the request / response direction of
 // this conn is passing traffic — a single atomic load unless chaos has
-// installed partition or loss rules on the fabric.
+// isolated a host on the fabric.
 func (c *Conn) linkUp() bool   { return c.f.Linked(c.from.host.ID(), c.to.host.ID()) }
 func (c *Conn) linkBack() bool { return c.f.Linked(c.to.host.ID(), c.from.host.ID()) }
 

@@ -511,9 +511,9 @@ func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, ad
 	if dropped {
 		return nil, tr, fmt.Errorf("%w: %s (transient)", ErrUnavailable, addr)
 	}
-	// A partitioned (or lossy) request link drops the call before the
-	// handler runs; the response direction is checked separately below, so
-	// an asymmetric cut can fail a call whose side effects persisted.
+	// A partitioned request link drops the call before the handler runs;
+	// the response direction is checked again below, so a partition that
+	// lands mid-call can fail a call whose side effects persisted.
 	if !n.f.Linked(c.hostID, hostID) {
 		return nil, tr, fmt.Errorf("%w: %s (partitioned)", ErrUnavailable, addr)
 	}

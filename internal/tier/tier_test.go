@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cliquemap/internal/chaos"
 	"cliquemap/internal/core/cell"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
@@ -195,8 +196,8 @@ func TestTierHealthDemoteHysteresis(t *testing.T) {
 
 	// Brownout every eu shard past the 1ms GET SLO.
 	ch := tr.Cell("eu").Chaos()
-	for s := 0; s < 3; s++ {
-		ch.Brownout(s, uint64(2*time.Millisecond))
+	if err := ch.Inject(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1, Delay: uint64(2 * time.Millisecond)}); err != nil {
+		t.Fatal(err)
 	}
 	demoted := false
 	for i := 0; i < 40 && !demoted; i++ {
@@ -234,8 +235,8 @@ func TestTierHealthDemoteHysteresis(t *testing.T) {
 	// Heal. Demotion must persist until HealHold consecutive clean
 	// evaluations — the plane itself also holds the page until its fast
 	// window drains, so count rounds from the first clean one.
-	for s := 0; s < 3; s++ {
-		ch.Brownout(s, 0)
+	if err := ch.Heal(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1}); err != nil {
+		t.Fatal(err)
 	}
 	cleanRounds := 0
 	restored := false

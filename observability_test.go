@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cliquemap/internal/chaos"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/fleet"
@@ -31,11 +32,15 @@ func TestSlowGetVisibleOverDebugRPC(t *testing.T) {
 
 	const delay = 10 * time.Millisecond
 	c.Tracer().SetSlowThreshold(uint64(2 * time.Millisecond))
-	c.Chaos().Brownout(0, uint64(delay))
+	if err := c.Chaos().Inject(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: 0, Delay: uint64(delay)}); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, err := cl.Get(ctx, []byte("slow-key")); err != nil || !ok {
 		t.Fatalf("get: %v %v", ok, err)
 	}
-	c.Chaos().Brownout(0, 0)
+	if err := c.Chaos().Heal(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: 0}); err != nil {
+		t.Fatal(err)
+	}
 
 	g, err := c.Internal().ServeTCP("127.0.0.1:0")
 	if err != nil {
@@ -123,13 +128,23 @@ func TestSlowMutationAttributesQuorumWait(t *testing.T) {
 
 	const delay = 10 * time.Millisecond
 	c.Tracer().SetSlowThreshold(uint64(2 * time.Millisecond))
-	c.Chaos().Brownout(1, uint64(delay))
-	c.Chaos().Brownout(2, uint64(delay))
+	browned := []chaos.Event{
+		{Hazard: chaos.HazardBrownout, Shard: 1, Delay: uint64(delay)},
+		{Hazard: chaos.HazardBrownout, Shard: 2, Delay: uint64(delay)},
+	}
+	for _, ev := range browned {
+		if err := c.Chaos().Inject(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := cl.Set(ctx, []byte("quorum-key"), []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	c.Chaos().Brownout(1, 0)
-	c.Chaos().Brownout(2, 0)
+	for _, ev := range browned {
+		if err := c.Chaos().Heal(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	snap := c.Tracer().Snapshot(8)
 	var slow *trace.OpRecord
