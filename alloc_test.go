@@ -34,10 +34,10 @@ import (
 // request is marshalled into and its legs read into are its leased record
 // (trace.OpLease), reused from op to op; the frames, the gateway's call
 // records and their reply storage are the connection's. Each cell is warmed
-// past its tracer's 512-slot ring first: a slot makes the storage for its
-// copy of an op's spans on first use, which is the tracer's cost, not the
-// op's. The parent of the change that leased the record measured 9, 8, 11
-// and 17; the parent of the change that gave it the receive arena, 7, 6 and
+// first: the tracer's exemplar reservoir makes the storage for its copies
+// of an op's spans on first use, which is the tracer's cost, not the op's.
+// The parent of the change that leased the record measured 9, 8, 11 and
+// 17; the parent of the change that gave it the receive arena, 7, 6 and
 // 9 for the one-sided rows; the parent of the change that read RPC legs
 // into it, 7 and 16 for the RPC rows.
 //
@@ -74,7 +74,7 @@ func TestGetAllocBudget(t *testing.T) {
 					t.Fatalf("get: found=%v err=%v", found, err)
 				}
 			}
-			warm(get) // the handshakes, the tracer's ring
+			warm(get) // the handshakes, the tracer's reservoir
 			if got := testing.AllocsPerRun(200, get); got > tc.budget {
 				t.Errorf("%v allocations per GET, budget %v", got, tc.budget)
 			}
@@ -114,7 +114,7 @@ func TestGetAllocBudget(t *testing.T) {
 				t.Fatalf("get: %d bytes found=%v err=%v", len(v), found, err)
 			}
 		}
-		warm(get) // the connection's dispatchers and scratch, the tracer's ring
+		warm(get) // the connection's dispatchers and scratch, the tracer's reservoir
 		if got := testing.AllocsPerRun(200, get); got > 1 {
 			t.Errorf("%v allocations per GET, budget 1", got)
 		}
@@ -176,13 +176,13 @@ func TestGetAllocBudget(t *testing.T) {
 // frames and the gateway's call records are the connection's.
 //
 // The context node and span buffer are the op's leased record, and the
-// cell is warmed past its tracer's ring, as in TestGetAllocBudget. The
-// parents of the changes that set these measured SET 20 → 9 → 7 → 0, CAS
-// 20 → 9 → 7 → 0, ERASE 23 → 12 → 10 → 3 → 0, 12.6 allocations of touch
-// feedback per hit before it fell to ≤ 1, a touching hit at 9 + 1 before
-// its legs read into the op's arena and at 1 + 0.09 before the flush
-// leased a record, and an evicting SET at 12 (lru), 27 (arc), 15 (clock)
-// and 6 (slfu) while policies kept string keys.
+// cell is warmed first, as in TestGetAllocBudget. The parents of the
+// changes that set these measured SET 20 → 9 → 7 → 0, CAS 20 → 9 → 7 → 0,
+// ERASE 23 → 12 → 10 → 3 → 0, 12.6 allocations of touch feedback per hit
+// before it fell to ≤ 1, a touching hit at 9 + 1 before its legs read into
+// the op's arena and at 1 + 0.09 before the flush leased a record, and an
+// evicting SET at 12 (lru), 27 (arc), 15 (clock) and 6 (slfu) while
+// policies kept string keys.
 func TestMutationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -284,7 +284,7 @@ func TestMutationAllocBudget(t *testing.T) {
 				t.Fatalf("get: found=%v err=%v", found, err)
 			}
 		}
-		warm(get) // handshakes; both buffers of every queue; the tracer's ring
+		warm(get) // handshakes; both buffers of every queue; the tracer's reservoir
 		// Whole flush periods, counted exactly: AllocsPerRun rounds its
 		// average down, which would hide most of a flush's share. A flush's
 		// allocations recur in every period; the best of three windows
@@ -324,7 +324,7 @@ func TestMutationAllocBudget(t *testing.T) {
 				}
 				next++
 			}
-			warm(set) // ~200 entries fill each backend's 1 MiB; the tracer's ring
+			warm(set) // ~200 entries fill each backend's 1 MiB; the tracer's reservoir
 			if c.Stats().Evictions == 0 {
 				t.Fatal("the data region is not full")
 			}
@@ -381,7 +381,7 @@ func TestGetKeepsBoundedArena(t *testing.T) {
 }
 
 // warm runs op past everything a first use makes: handshakes, connection
-// scratch, and the span storage of each of the cell tracer's 512 ring slots.
+// scratch, and the span storage of the cell tracer's exemplar reservoir.
 // 640 is also whole TouchBatch-64 flush periods.
 // tcpClient is an out-of-process caller of c: a tracer-less StrategyRPC
 // client on one loopback connection to the cell's gateway, reporting

@@ -358,7 +358,7 @@ func (c *Cell) Stats() Stats {
 }
 
 // Tracer exposes the cell-wide op tracer: per-kind/per-transport latency
-// histograms, recent-op ring, exemplars, and the retained slow-op log.
+// histograms, exemplars, and the retained slow-op log.
 // Remote tools read the same data over the Debug RPC (cmstat -trace).
 func (c *Cell) Tracer() *trace.Tracer { return c.c.Tracer }
 

@@ -32,6 +32,29 @@ func healthTestConfig() health.Config {
 	}
 }
 
+// TestProberRecordsEachOpOnce: one prober round on a healthy Pony cell
+// records every canary op into the plane exactly once — 4 targets × 8
+// probe keys gives each op class 32 records, and each target its 8 keys ×
+// 4 ops.
+func TestProberRecordsEachOpOnce(t *testing.T) {
+	c := newCell(t, Options{Shards: 3, Spares: 1, Mode: R32})
+	snap := c.Prober().Round(context.Background())
+	for _, class := range []string{"SET", "GET", "CAS", "ERASE"} {
+		cs, ok := snap.Class(class)
+		if !ok || cs.Good+cs.Bad != 32 {
+			t.Errorf("class %s: good %d + bad %d (present %v), want 32", class, cs.Good, cs.Bad, ok)
+		}
+	}
+	if len(snap.Targets) != 4 {
+		t.Errorf("targets %+v, want 4", snap.Targets)
+	}
+	for _, tg := range snap.Targets {
+		if tg.Good+tg.Bad != 32 {
+			t.Errorf("target %s: good %d + bad %d, want 32", tg.Name, tg.Good, tg.Bad)
+		}
+	}
+}
+
 // runBrownoutScenario drives the canonical incident — healthy baseline,
 // cell-wide GET brownout, heal — and reports the virtual nanoseconds the
 // plane took to page after injection and to return to ok after the heal,

@@ -410,10 +410,6 @@ func NewEngine(sched Schedule, sur Surface) *Engine {
 	return &Engine{plane: NewPlane(sur, sched.Seed), sched: sched}
 }
 
-// Plane exposes the engine's plane (for tracer attachment or ad-hoc
-// injections between steps).
-func (e *Engine) Plane() *Plane { return e.plane }
-
 // SetTracer mirrors hazard counts into t.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.plane.SetTracer(t) }
 

@@ -62,19 +62,16 @@ func (c *Cell) probeStrategies() []client.Strategy {
 }
 
 // Prober returns the cell's E2E prober, lazily building one canary
-// client per transport strategy. Each canary reports availability and
-// latency into the health plane through its Observer hook; drive rounds
-// from the workload loop (or a test) so probe cadence rides virtual time.
+// client per transport strategy. The prober records each canary op's
+// availability and latency into the health plane; drive rounds from the
+// workload loop (or a test) so probe cadence rides virtual time.
 func (c *Cell) Prober() *health.Prober {
 	plane := c.Health()
 	c.proberOnce.Do(func() {
 		var targets []health.Target
 		for _, st := range c.probeStrategies() {
 			name := st.String()
-			cl := c.NewClient(client.Options{
-				Strategy: st,
-				Observer: plane.Observer(name),
-			})
+			cl := c.NewClient(client.Options{Strategy: st})
 			targets = append(targets, health.Target{Name: name, Client: cl})
 		}
 		c.mu.Lock()

@@ -78,7 +78,7 @@ var (
 // Metrics aggregates client-observable behaviour for the experiments.
 type Metrics struct {
 	Gets, Hits, Misses     stats.Counter
-	Sets, Erases, CasOps   stats.Counter
+	Sets                   stats.Counter
 	TornRetries            stats.Counter // checksum failures (§3)
 	WindowRetries          stats.Counter // revoked windows → re-handshake (§4.1)
 	ConfigRetries          stats.Counter // config-ID mismatches → refresh (§6.1)
@@ -120,12 +120,6 @@ type Options struct {
 	// Budget bounds retry amplification across all of this client's ops;
 	// nil gets a private default budget (10 tokens, 0.1 credit/success).
 	Budget *RetryBudget
-	// Observer, when set, receives every completed op's kind, transport,
-	// modelled latency, and outcome (nil error = success, including clean
-	// misses). The fleet health plane's E2E probers feed their SLO burn-
-	// rate windows through this hook. Called synchronously on the op's
-	// goroutine; implementations must be cheap and concurrency-safe.
-	Observer func(kind trace.Kind, transport trace.Transport, ns uint64, err error)
 	// Seed perturbs the client's jitter/probe randomness; 0 derives from
 	// ID so distinct clients desynchronize by default.
 	Seed uint64
@@ -252,13 +246,6 @@ func (c *Client) Transport() trace.Transport {
 		return trace.TransportRPC
 	}
 	return trace.Transport2xR
-}
-
-// observe reports one completed op to the configured Observer.
-func (c *Client) observe(kind trace.Kind, transport trace.Transport, ns uint64, err error) {
-	if c.opt.Observer != nil {
-		c.opt.Observer(kind, transport, ns, err)
-	}
 }
 
 // traceOp opens a span context for one op in its leased record, attaching

@@ -69,12 +69,8 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 		}
 	}(ctx)
 	c.M.Gets.Inc()
-	var x legExec // the op's legs, and its trace x.tr
-	if c.opt.Observer != nil {
-		defer func() { c.observe(trace.KindGet, c.Transport(), x.tr.Ns, err) }()
-	}
 	sc, ctx := c.traceOp(ctx, op, trace.KindGet)
-	x = legExec{c: c, ctx: ctx, op: op, h: c.opt.Hash(key)}
+	x := legExec{c: c, ctx: ctx, op: op, h: c.opt.Hash(key)} // the op's legs, and its trace x.tr
 	// The op's one span buffer, the record's unless the caller keeps the
 	// trace. Every stage below appends to it, and opSpans covers a full
 	// fan-out plus a data leg: an op that does not retry never grows it.

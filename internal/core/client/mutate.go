@@ -86,10 +86,8 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 	case trace.KindSet:
 		c.M.Sets.Inc()
 	case trace.KindErase:
-		c.M.Erases.Inc()
 		method = proto.MethodErase
 	case trace.KindCas:
-		c.M.CasOps.Inc()
 		method = proto.MethodCas
 	}
 	v = c.gen.Next()
@@ -126,7 +124,6 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 	// Even a failed fan-out may have applied somewhere: the cached copy is
 	// unconditionally suspect after our own mutation.
 	c.nearInvalidate(key)
-	c.observe(kind, trace.TransportRPC, x.tr.Ns, err)
 	if kind != trace.KindCas {
 		c.M.SetLatency.Record(x.tr.Ns)
 	} else {

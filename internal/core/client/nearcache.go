@@ -235,8 +235,9 @@ func (c *Client) mergePromo() {
 
 // ------------------------------------------------------- near-serving --
 
-// nearStore records a quorum-validated GET result: the value size always
-// feeds the steering hint, and promoted keys are admitted to the cache.
+// nearStore admits a quorum-validated GET result to the cache when its key
+// is promoted; only then does its value size feed the steering hint, so a
+// key's first read after promotion still uses the configured strategy.
 func (c *Client) nearStore(key, val []byte, ver truetime.Version) {
 	if c.near == nil || ver.Zero() || !c.isPromoted(key) {
 		return

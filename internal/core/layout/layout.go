@@ -45,12 +45,9 @@ const DataEntryHeaderSize = 40
 // (§9: compression was one of the features delivered post-launch through
 // the RPC mutation path; old clients that predate it simply fail
 // validation on such entries and fall back to RPC, where the backend
-// decompresses for them).
+// decompresses for them). It takes the length word's top bit, so a value
+// is at most 1<<31 - 1 bytes.
 const compressedBit = 1 << 31
-
-// MaxValueLen bounds a value so the length field's top bit is free for the
-// compression flag.
-const MaxValueLen = 1<<31 - 1
 
 // ProbeKeyPrefix reserves a key namespace for the fleet health plane's
 // E2E prober canaries (§6). The leading NUL byte keeps the namespace

@@ -295,9 +295,9 @@ func (p *Plane) recordTarget(name string, failed bool) {
 	p.mu.Unlock()
 }
 
-// Observer returns a client op observer that feeds this plane, tagging
-// availability by probe target. Wire it as the canary client's
-// Options.Observer.
+// Observer returns a recorder of completed ops that feeds this plane,
+// tagging availability by probe target. The prober records each canary op
+// through it.
 func (p *Plane) Observer(target string) func(kind trace.Kind, transport trace.Transport, ns uint64, err error) {
 	return func(kind trace.Kind, transport trace.Transport, ns uint64, err error) {
 		p.Record(kind.String(), ns, err != nil)

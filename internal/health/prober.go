@@ -7,18 +7,20 @@ import (
 	"fmt"
 
 	"cliquemap/internal/core/layout"
+	"cliquemap/internal/fabric"
+	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
 
 // Canary is the client surface the prober exercises — *client.Client
-// satisfies it. Availability and latency are reported out-of-band through
-// the client's Observer hook (see Plane.Observer); the prober itself only
-// adds correctness checks on top.
+// satisfies it. Each op's traced form hands back its modelled latency,
+// which the prober records into the plane with the op's outcome.
 type Canary interface {
-	Get(ctx context.Context, key []byte) ([]byte, bool, error)
-	SetVersioned(ctx context.Context, key, value []byte) (truetime.Version, error)
-	Cas(ctx context.Context, key, value []byte, expected truetime.Version) (bool, error)
-	Erase(ctx context.Context, key []byte) error
+	GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabric.OpTrace, error)
+	SetVersionedTraced(ctx context.Context, key, value []byte) (truetime.Version, fabric.OpTrace, error)
+	CasTraced(ctx context.Context, key, value []byte, expected truetime.Version) (bool, fabric.OpTrace, error)
+	EraseTraced(ctx context.Context, key []byte) (fabric.OpTrace, error)
+	Transport() trace.Transport
 }
 
 // Target is one probe path: a canary client pinned to a transport (and,
@@ -80,27 +82,32 @@ func probeValue(round uint64, key []byte, gen byte) []byte {
 
 // Round performs one full sweep: for every target and probe key, SET a
 // fresh payload, GET it back (verifying the bytes), CAS it forward at the
-// SET's version, and ERASE it. Op availability and latency flow into the
-// plane through each client's Observer; Round adds the correctness
-// verdicts (wrong value, lost CAS) and finishes with an Evaluate so alert
-// states track probe cadence.
+// SET's version, and ERASE it. Each op's availability and latency go into
+// the plane through the target's Plane.Observer; Round adds the
+// correctness verdicts (wrong value, lost CAS) and finishes with an
+// Evaluate so alert states track probe cadence.
 func (p *Prober) Round(ctx context.Context) Snapshot {
 	p.round++
 	for _, t := range p.targets {
+		observe, tp := p.plane.Observer(t.Name), t.Client.Transport()
 		for _, key := range p.keys {
 			val := probeValue(p.round, key, 0)
-			v, err := t.Client.SetVersioned(ctx, key, val)
+			v, tr, err := t.Client.SetVersionedTraced(ctx, key, val)
+			observe(trace.KindSet, trace.TransportRPC, tr.Ns, err)
 			if err == nil {
-				got, found, gerr := t.Client.Get(ctx, key)
+				got, found, tr, gerr := t.Client.GetTraced(ctx, key)
+				observe(trace.KindGet, tp, tr.Ns, gerr)
 				if gerr == nil && (!found || !bytes.Equal(got, val)) {
 					p.plane.RecordViolation("GET")
 				}
-				applied, cerr := t.Client.Cas(ctx, key, probeValue(p.round, key, 1), v)
+				applied, tr, cerr := t.Client.CasTraced(ctx, key, probeValue(p.round, key, 1), v)
+				observe(trace.KindCas, trace.TransportRPC, tr.Ns, cerr)
 				if cerr == nil && !applied {
 					p.plane.RecordViolation("CAS")
 				}
 			}
-			_ = t.Client.Erase(ctx, key)
+			tr, err = t.Client.EraseTraced(ctx, key)
+			observe(trace.KindErase, trace.TransportRPC, tr.Ns, err)
 		}
 	}
 	p.plane.noteRound()

@@ -134,16 +134,15 @@ type Store struct {
 	shard int64
 	opt   Options
 
-	mu          sync.Mutex
-	dead        bool
-	epoch       uint64
-	wal         *os.File
-	walRecords  uint64
-	walBytes    uint64
-	ckptEpoch   uint64
-	ckptUnixNs  int64
-	encodeBuf   []byte
-	totalOnDisk uint64 // records appended over the store's lifetime (debug)
+	mu         sync.Mutex
+	dead       bool
+	epoch      uint64
+	wal        *os.File
+	walRecords uint64
+	walBytes   uint64
+	ckptEpoch  uint64
+	ckptUnixNs int64
+	encodeBuf  []byte
 }
 
 // die consults the crash hook.
@@ -522,7 +521,6 @@ func (s *Store) Append(r Record) error {
 	}
 	s.walRecords++
 	s.walBytes += uint64(len(s.encodeBuf))
-	s.totalOnDisk++
 	return nil
 }
 
@@ -603,15 +601,19 @@ func (s *Store) BeginCheckpoint(epoch, configID uint64) (*CheckpointWriter, erro
 	return cw, nil
 }
 
-// Write appends one corpus record to the image.
+// Write appends one corpus record to the image. A failed write closes the
+// image and leaves it on disk as a crash would (Open never recovers from
+// ckpt.tmp).
 func (cw *CheckpointWriter) Write(r Record) error {
 	cw.s.mu.Lock()
 	defer cw.s.mu.Unlock()
 	if cw.s.die("checkpoint.record") {
+		cw.f.Close()
 		return ErrCrashed
 	}
 	cw.buf = appendFrame(cw.buf[:0], appendRecordPayload(nil, r))
 	if err := cw.s.writeChunked(cw.f, cw.buf, "checkpoint.record"); err != nil {
+		cw.f.Close()
 		return err
 	}
 	cw.count++
@@ -662,12 +664,6 @@ func (cw *CheckpointWriter) Commit() error {
 	}
 	s.pruneLocked(cw.epoch)
 	return nil
-}
-
-// Abort discards the in-flight image.
-func (cw *CheckpointWriter) Abort() {
-	_ = cw.f.Close()
-	_ = os.Remove(filepath.Join(cw.s.dir, "ckpt.tmp"))
 }
 
 // pruneLocked removes every lineage file older than keepEpoch.
@@ -739,6 +735,3 @@ func (s *Store) Close() error {
 	s.dead = true
 	return err
 }
-
-// Dir returns the store's directory (telemetry).
-func (s *Store) Dir() string { return s.dir }

@@ -2,6 +2,7 @@ package persist_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -186,6 +187,31 @@ func TestRoundTripNoCrash(t *testing.T) {
 	}
 	if len(got.live()) != len(acked.live()) {
 		t.Fatalf("recovered %d live keys, want %d", len(got.live()), len(acked.live()))
+	}
+}
+
+// TestFailedCheckpointWriteClosesImage: a checkpoint Write that fails
+// closes the temp image's file, as BeginCheckpoint and Commit do on theirs;
+// its caller returns on the error and nothing else would close it.
+func TestFailedCheckpointWriteClosesImage(t *testing.T) {
+	st, _, err := persist.Open(t.TempDir(), 0, persist.Options{Hook: func(p string) bool { return p == "checkpoint.record" }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ep, err := st.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := st.BeginCheckpoint(ep, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Write(rec(0)); !errors.Is(err, persist.ErrCrashed) {
+		t.Fatalf("Write at the checkpoint.record hook: %v, want ErrCrashed", err)
+	}
+	if err := persist.CheckpointFile(cw).Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("image file after a failed Write: Close = %v, want os.ErrClosed", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/hashring"
-	"cliquemap/internal/stats"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
 )
@@ -49,7 +48,7 @@ type ClientOptions struct {
 	Retries int
 
 	// PerCell templates the per-cell client options (strategy, R,
-	// observer, ...). ID/HostID are assigned per cell as usual.
+	// ...). ID/HostID are assigned per cell as usual.
 	PerCell client.Options
 
 	// Tracer records completed tier-level ops: one trace per user op,
@@ -61,48 +60,6 @@ type ClientOptions struct {
 	// end-to-end; the per-cell clients see the tier's span context in
 	// ctx and contribute spans instead of double-recording.
 	Tracer *trace.Tracer
-}
-
-// Outcome classifies how the tier served one op — the tier edge's
-// latency axis: each class has its own histogram because their latency
-// regimes differ by an order of magnitude (a local follower hit never
-// leaves the cell; a forward pays a full remote quorum).
-type Outcome uint8
-
-const (
-	// OutcomeOwnerDirect: the co-located cell owns the key; the op ran
-	// locally with no tier hop.
-	OutcomeOwnerDirect Outcome = iota
-	// OutcomeFollowerHit: a remotely-owned GET served from the local
-	// follower cache — fresh inside the staleness bound, or stale but
-	// confirmed current by the owner's version.
-	OutcomeFollowerHit
-	// OutcomeRevalidateMiss: the follower cache could not serve the
-	// value — no usable entry, or the owner held a newer version — so
-	// the op paid an owner-cell round trip.
-	OutcomeRevalidateMiss
-	// OutcomeForward: the op went to a remote owner outside the
-	// follower path (all mutations, and GETs with FollowerReads off).
-	OutcomeForward
-	numOutcomes
-)
-
-// String names the outcome class.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeOwnerDirect:
-		return "owner-direct"
-	case OutcomeFollowerHit:
-		return "follower-hit"
-	case OutcomeRevalidateMiss:
-		return "revalidate-miss"
-	}
-	return "forward"
-}
-
-// Outcomes lists the outcome classes in display order.
-func Outcomes() []Outcome {
-	return []Outcome{OutcomeOwnerDirect, OutcomeFollowerHit, OutcomeRevalidateMiss, OutcomeForward}
 }
 
 // Metrics counts tier-client outcomes. Read with ClientMetrics.
@@ -129,10 +86,9 @@ type Client struct {
 	now   func() uint64 // local cell's virtual clock
 	m     Metrics
 
-	tracer   *trace.Tracer
-	ops      trace.Leases      // the spare op record every tier op leases
-	cellIdx  map[string]uint32 // cell name → configuration-order index, for span args
-	outcomes [numOutcomes]stats.Histogram
+	tracer  *trace.Tracer
+	ops     trace.Leases      // the spare op record every tier op leases
+	cellIdx map[string]uint32 // cell name → configuration-order index, for span args
 }
 
 // NewClient builds a tier client with one per-cell client each.
@@ -172,18 +128,6 @@ func (c *Client) Metrics() *Metrics { return &c.m }
 // Tracer returns the tier-edge tracer tier ops record into.
 func (c *Client) Tracer() *trace.Tracer { return c.tracer }
 
-// OutcomeStats summarizes the per-outcome-class latency histograms
-// (classes with traffic only), the outcome's name as each record's Kind.
-func (c *Client) OutcomeStats() []trace.HistStat {
-	var out []trace.HistStat
-	for _, o := range Outcomes() {
-		if h := c.outcomes[o].Snapshot(); h.Count() != 0 {
-			out = append(out, trace.Summarize(o.String(), "", h))
-		}
-	}
-	return out
-}
-
 // traceOp opens the tier-level span context for one user op in its leased
 // record, and returns total with the record's span buffer (nil: untraced).
 // The per-cell clients see it in ctx and contribute their spans to THIS op
@@ -198,14 +142,13 @@ func (c *Client) traceOp(ctx context.Context, op *trace.OpLease, total *fabric.O
 	return op.Init(ctx, trace.SpanContext{OpID: c.tracer.NextID(), Kind: k}), &op.OpContext, total
 }
 
-// finish records one completed tier op into the tier-edge tracer and its
-// outcome-class histogram. Nil-safe: a nil sc (tracing off, or an
-// enclosing op already tracing) records nothing.
-func (c *Client) finish(sc *trace.SpanContext, total *fabric.OpTrace, k trace.Kind, tp trace.Transport, attempts uint32, outcome Outcome, err error) {
-	if sc == nil || err != nil {
+// finish records one completed tier op into the tier-edge tracer.
+// Nil-safe: a nil sc (tracing off, or an enclosing op already tracing)
+// records nothing.
+func (c *Client) finish(sc *trace.SpanContext, total *fabric.OpTrace, k trace.Kind, tp trace.Transport, attempts uint32) {
+	if sc == nil {
 		return
 	}
-	c.outcomes[outcome].Record(total.Ns)
 	c.tracer.Record(sc.OpID, k, tp, attempts, *total)
 }
 
@@ -239,14 +182,13 @@ func fold(total *fabric.OpTrace, tr fabric.OpTrace, code uint16, arg uint32) {
 }
 
 // ownerLeg folds an owner-cell leg into total, bracketing a remote
-// owner's with a tier-forward span, and classifies the attempt.
-func (c *Client) ownerLeg(total *fabric.OpTrace, owner string, tr fabric.OpTrace) Outcome {
+// owner's with a tier-forward span.
+func (c *Client) ownerLeg(total *fabric.OpTrace, owner string, tr fabric.OpTrace) {
 	if owner == c.opt.Local {
 		fold(total, tr, 0, 0)
-		return OutcomeOwnerDirect
+		return
 	}
 	fold(total, tr, trace.SpanTierForward, c.cellIdx[owner])
-	return OutcomeForward
 }
 
 // noteFailed reports a failed op on owner and counts the retry flavor.
@@ -274,19 +216,18 @@ func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 		}
 		var val []byte
 		var found bool
-		var outcome Outcome
 		served := c.cls[owner]
 		if c.opt.FollowerReads && owner != c.opt.Local {
 			served = c.local
-			val, found, outcome, err = c.followerGet(ctx, owner, key, total)
+			val, found, err = c.followerGet(ctx, owner, key, total)
 		} else {
 			var tr fabric.OpTrace
 			val, found, tr, err = served.GetTraced(ctx, key)
-			outcome = c.ownerLeg(total, owner, tr)
+			c.ownerLeg(total, owner, tr)
 		}
 		if err == nil {
 			c.t.router.NoteSuccess(owner)
-			c.finish(sc, total, trace.KindGet, served.Transport(), uint32(attempt+1), outcome, nil)
+			c.finish(sc, total, trace.KindGet, served.Transport(), uint32(attempt+1))
 			return val, found, nil
 		}
 		lastErr = err
@@ -303,7 +244,7 @@ func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 // fold into total: local-cell spans first, then the owner cell's,
 // bracketed by a follower-revalidate annotation (an aged entry) or a
 // tier-forward one (no entry).
-func (c *Client) followerGet(ctx context.Context, owner string, key []byte, total *fabric.OpTrace) ([]byte, bool, Outcome, error) {
+func (c *Client) followerGet(ctx context.Context, owner string, key []byte, total *fabric.OpTrace) ([]byte, bool, error) {
 	raw, found, tr, err := c.local.GetTraced(ctx, followerKey(key))
 	fold(total, tr, 0, 0)
 	var have truetime.Version
@@ -313,7 +254,7 @@ func (c *Client) followerGet(ctx context.Context, owner string, key []byte, tota
 			if age := c.now() - stamp; age <= c.opt.StaleBoundNs {
 				c.m.FollowerHits.Add(1)
 				fold(total, fabric.OpTrace{}, trace.SpanFollowerHit, uint32(age/1000))
-				return p, true, OutcomeFollowerHit, nil
+				return p, true, nil
 			}
 			have, payload = ver, p
 		}
@@ -334,22 +275,22 @@ func (c *Client) followerGet(ctx context.Context, owner string, key []byte, tota
 	fold(total, otr, code, arg)
 	switch {
 	case err != nil:
-		return nil, false, OutcomeRevalidateMiss, err
+		return nil, false, err
 	case !found:
 		if !have.Zero() {
 			_ = c.local.Erase(ctx, followerKey(key))
 		}
-		return nil, false, OutcomeRevalidateMiss, nil
+		return nil, false, nil
 	case ver == have:
 		c.m.FollowerRevalids.Add(1)
 		c.storeFollower(ctx, key, payload, ver)
-		return payload, true, OutcomeFollowerHit, nil
+		return payload, true, nil
 	}
 	if !have.Zero() {
 		c.m.FollowerRefreshes.Add(1)
 	}
 	c.storeFollower(ctx, key, val, ver)
-	return val, true, OutcomeRevalidateMiss, nil
+	return val, true, nil
 }
 
 // mutate routes one mutation to key's owning cell — the ack means the
@@ -371,13 +312,13 @@ func (c *Client) mutate(ctx context.Context, k trace.Kind, key []byte, run func(
 			return err
 		}
 		tr, err := run(ctx, c.cls[owner])
-		outcome := c.ownerLeg(total, owner, tr)
+		c.ownerLeg(total, owner, tr)
 		if err == nil {
 			c.t.router.NoteSuccess(owner)
 			if c.opt.FollowerReads && owner != c.opt.Local {
 				settle(ctx)
 			}
-			c.finish(sc, total, k, trace.TransportRPC, uint32(attempt+1), outcome, nil)
+			c.finish(sc, total, k, trace.TransportRPC, uint32(attempt+1))
 			return nil
 		}
 		lastErr = err

@@ -565,7 +565,7 @@ func TestTierGetAllocatesOnlyItsLeg(t *testing.T) {
 			t.Fatalf("tier get: found=%v err=%v", found, err)
 		}
 	}
-	for i := 0; i < 600; i++ { // past the tracer ring's first fill
+	for i := 0; i < 600; i++ { // past the tracer reservoir's first fill
 		edge()
 	}
 	ops := cl.Tracer().Ops()

@@ -5,12 +5,11 @@
 // locks, the Pony Express / 1RMA NIC models — attributes its share of the
 // latency as fabric.Spans riding on the op's fabric.OpTrace. Completed
 // ops are recorded into a per-cell Tracer: per-kind × per-transport
-// latency histograms, a fixed-size ring of recent ops, reservoir-sampled
-// exemplars per kind, and a retained log of slow ops (latency above a
-// rolling p99-derived threshold). The records a Snapshot returns carry
-// their own wire tags — they are the MethodDebug payload as declared here —
-// and every table and exposition page is rendered from that scrape
-// (internal/fleet).
+// latency histograms, reservoir-sampled exemplars per kind, and a
+// retained log of slow ops (latency above a rolling p99-derived
+// threshold). The records a Snapshot returns carry their own wire tags —
+// they are the MethodDebug payload as declared here — and every table and
+// exposition page is rendered from that scrape (internal/fleet).
 package trace
 
 import (
@@ -410,9 +409,8 @@ func (r OpRecord) clone() OpRecord {
 
 // Tracer sizing and promotion policy.
 const (
-	ringSize         = 512 // recent-op ring
-	slowSize         = 64  // retained slow-op log
-	exemplarsPerKind = 4   // reservoir size per op kind
+	slowSize         = 64 // retained slow-op log
+	exemplarsPerKind = 4  // reservoir size per op kind
 	// thresholdEvery refreshes the rolling slow threshold every 2^12 ops.
 	thresholdEvery = 1 << 12
 	// SlowFactor scales the rolling p99 into the promotion threshold.
@@ -436,7 +434,6 @@ type Tracer struct {
 	slowSeen atomic.Uint64
 
 	mu        sync.Mutex
-	ring      [ringSize]OpRecord
 	slow      [slowSize]OpRecord
 	slowN     uint64
 	exemplars [numKinds][]OpRecord
@@ -496,9 +493,10 @@ func (t *Tracer) Ops() uint64 { return t.seq.Load() }
 func (t *Tracer) SlowOpsSeen() uint64 { return t.slowSeen.Load() }
 
 // Record retains one completed op: its latency feeds the kind/transport
-// and overall histograms, the op enters the recent ring and the kind's
-// exemplar reservoir, and ops above the slow threshold are promoted to
-// the retained slow log with a wall-clock stamp, each as a copy (keep).
+// and overall histograms, the op is offered to the kind's exemplar
+// reservoir, and ops above the slow threshold are promoted to the
+// retained slow log with a wall-clock stamp. Its spans are copied (keep)
+// only where the op is kept.
 func (t *Tracer) Record(id uint64, kind Kind, transport Transport, attempts uint32, tr fabric.OpTrace) {
 	if kind >= numKinds {
 		kind = KindOther
@@ -527,7 +525,6 @@ func (t *Tracer) Record(id uint64, kind Kind, transport Transport, attempts uint
 	}
 
 	t.mu.Lock()
-	t.ring[seq%ringSize].keep(&rec)
 	ex := t.exemplars[kind]
 	if len(ex) < exemplarsPerKind {
 		t.exemplars[kind] = append(ex, rec.clone())
@@ -673,24 +670,4 @@ func (t *Tracer) Snapshot(maxSlow int) Snapshot {
 	sort.Slice(s.Hazards, func(i, j int) bool { return s.Hazards[i].Name < s.Hazards[j].Name })
 	sort.Slice(s.Health, func(i, j int) bool { return s.Health[i].Addr < s.Health[j].Addr })
 	return s
-}
-
-// Recent returns copies of up to max recent ops, newest first — in-process
-// debugging and tests; the wire plane ships Slow + Exemplars.
-func (t *Tracer) Recent(max int) []OpRecord {
-	if max <= 0 || max > ringSize {
-		max = ringSize
-	}
-	seq := t.seq.Load()
-	var out []OpRecord
-	t.mu.Lock()
-	for i := uint64(0); i < uint64(max) && i < seq; i++ {
-		r := t.ring[(seq-i)%ringSize]
-		if r.Kind == "" { // a Record that has its sequence number but not yet its slot
-			break
-		}
-		out = append(out, r.clone())
-	}
-	t.mu.Unlock()
-	return out
 }

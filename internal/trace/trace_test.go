@@ -228,21 +228,10 @@ func TestExemplarReservoirBounded(t *testing.T) {
 	}
 }
 
-func TestRecentNewestFirst(t *testing.T) {
-	tr := NewTracer()
-	for i := 1; i <= 5; i++ {
-		tr.Record(uint64(i), KindGet, Transport2xR, 1, opTrace(uint64(i*100)))
-	}
-	recent := tr.Recent(3)
-	if len(recent) != 3 || recent[0].ID != 5 || recent[2].ID != 3 {
-		t.Fatalf("recent = %+v", recent)
-	}
-}
-
 // TestTracerKeepsCopies: a recorded op's spans are the tracer's own copy,
-// and what Recent and Snapshot hand out is the caller's. A client op
-// records its leased span buffer and reuses it for the next op; the slot
-// storage behind a ring, exemplar or slow record is overwritten in place.
+// and what Snapshot hands out is the caller's. A client op records its
+// leased span buffer and reuses it for the next op; the slot storage
+// behind an exemplar or slow record is overwritten in place.
 func TestTracerKeepsCopies(t *testing.T) {
 	tr := NewTracer()
 	tr.SetSlowThreshold(1) // every op is slow, so all three retain it
@@ -253,38 +242,48 @@ func TestTracerKeepsCopies(t *testing.T) {
 		spans[i] = fabric.Span{Code: SpanRetry}
 	}
 	snap := tr.Snapshot(0)
-	recent := tr.Recent(1)
 	for name, got := range map[string][]fabric.Span{
-		"Recent": recent[0].Spans, "Snapshot.Slow": snap.Slow[0].Spans, "Snapshot.Exemplars": snap.Exemplars[0].Spans,
+		"Snapshot.Slow": snap.Slow[0].Spans, "Snapshot.Exemplars": snap.Exemplars[0].Spans,
 	} {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s after the caller reused its buffer: %+v, want %+v", name, got, want)
 		}
 	}
 
-	// Every slot the snapshot came from is overwritten: the ring (512) and
-	// the slow log (64) wrap, and the reservoir replaces exemplars.
+	// Every slot the snapshot came from is overwritten: the slow log (64)
+	// wraps, and the reservoir replaces exemplars.
 	for i := 0; i < 600; i++ {
 		tr.Record(uint64(100+i), KindGet, TransportSCAR, 1, opTrace(7, fabric.Span{Code: SpanRetry, Arg: uint32(i)}))
 	}
 	for name, got := range map[string][]fabric.Span{
-		"Recent": recent[0].Spans, "Snapshot.Slow": snap.Slow[0].Spans, "Snapshot.Exemplars": snap.Exemplars[0].Spans,
+		"Snapshot.Slow": snap.Slow[0].Spans, "Snapshot.Exemplars": snap.Exemplars[0].Spans,
 	} {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s after 600 more Records: %+v, want %+v", name, got, want)
 		}
 	}
-	if got := tr.Recent(1)[0]; got.ID != 699 || len(got.Spans) != 1 || got.Spans[0].Arg != 599 {
-		t.Errorf("newest record = %+v", got)
-	}
 
-	// Once every ring slot has its storage, recording costs nothing.
+	// Once the slots hold storage, an op that is not slow costs nothing.
 	tr.SetSlowThreshold(1 << 62)
-	for i := 0; i < ringSize; i++ {
-		tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(7, want...))
-	}
 	if n := testing.AllocsPerRun(100, func() {
 		tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(7, want...))
+	}); n != 0 {
+		t.Errorf("Record allocates %v times", n)
+	}
+}
+
+// TestTracerRecordCopiesOnlyKeptOps: a tracer keeps no per-op copy beyond
+// its slow log and its exemplar reservoir, so on a fresh tracer, once the
+// reservoir is full, an op that is not slow allocates nothing.
+func TestTracerRecordCopiesOnlyKeptOps(t *testing.T) {
+	tr := NewTracer()
+	spans := []fabric.Span{{Code: SpanIndexFetch, Arg: 3, Dur: 4200}, {Code: SpanDataRead, Arg: 1, Start: 4200, Dur: 900}}
+	for i := 0; i < exemplarsPerKind; i++ {
+		tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(5100, spans...))
+	}
+	tr.SetSlowThreshold(1 << 62)
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Record(tr.NextID(), KindGet, TransportSCAR, 1, opTrace(5100, spans...))
 	}); n != 0 {
 		t.Errorf("Record allocates %v times", n)
 	}

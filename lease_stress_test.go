@@ -74,8 +74,8 @@ func opLeaseStress(t *testing.T, tracer *trace.Tracer, cl *client.Client) {
 	)
 	ctx := context.Background()
 
-	// The tracer reader: a record ID seen twice — in Recent, in a snapshot's
-	// exemplars or slow log — must carry the same spans every time.
+	// The tracer reader: a record ID seen twice — in a snapshot's exemplars
+	// or slow log — must carry the same spans every time.
 	stop := make(chan struct{})
 	var readerDone sync.WaitGroup
 	readerDone.Add(1)
@@ -98,7 +98,6 @@ func opLeaseStress(t *testing.T, tracer *trace.Tracer, cl *client.Client) {
 				return
 			default:
 			}
-			check("Recent", tracer.Recent(0))
 			snap := tracer.Snapshot(0)
 			check("Snapshot.Exemplars", snap.Exemplars)
 			check("Snapshot.Slow", snap.Slow)

@@ -193,6 +193,9 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every op the follower cell records is slow, so its slow log keeps
+	// each tier GET for the checks below.
+	tr.Cell("us").Tracer().SetSlowThreshold(1)
 	const staleBound = 500 * time.Millisecond
 	reader, err := tr.NewClient(TierClientOptions{
 		Local: "us", FollowerReads: true, StaleBound: staleBound,
@@ -242,7 +245,7 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 		return false
 	}
 	var missRec, hitRec, revalRec *trace.OpRecord
-	for _, r := range tr.Cell("us").Tracer().Recent(0) {
+	for _, r := range tr.Cell("us").Tracer().Snapshot(0).Slow {
 		r := r
 		if r.Kind != trace.KindGet.String() {
 			continue
@@ -294,14 +297,6 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 	// The fresh hit never left the follower cell.
 	if hasSpan(hitRec.Spans, trace.SpanTierForward) {
 		t.Errorf("follower hit shows a tier forward: %+v", hitRec.Spans)
-	}
-	// The tier edge classifies outcomes into per-class histograms.
-	outcomes := map[string]bool{}
-	for _, os := range reader.Internal().OutcomeStats() {
-		outcomes[os.Kind] = true
-	}
-	if !outcomes["follower-hit"] || !outcomes["revalidate-miss"] {
-		t.Errorf("outcome classes %v, want follower-hit and revalidate-miss", outcomes)
 	}
 
 	// Wire path: the same op id, with its cross-cell spans, is readable
