@@ -274,6 +274,68 @@ func TestMutationAllocBudget(t *testing.T) {
 		}
 	})
 
+	// Each backend's tombstone cache takes its storage at its first
+	// erase; from then on, ERASEs of fresh keys into the emptied cache
+	// fill both lists and overflow without allocating. Counted exactly
+	// over the whole fill (AllocsPerRun rounds down), each time on a new
+	// cell, and the best of three leaves out a tracer slot's one-off
+	// growth. The warm-up SETs fresh keys, so each backend's heat summary
+	// has copied a key into every slot, and erases 16, which fills the
+	// tracer's ERASE exemplars and which SETs then drop: the cache has
+	// held 16 tombstones when the count starts.
+	for _, over := range []struct {
+		suffix string
+		client func(c *Cell) *client.Client
+	}{
+		{"", func(c *Cell) *client.Client { return c.NewClient(ClientOptions{Strategy: Lookup2xR}).Internal() }},
+		{" over TCP", func(c *Cell) *client.Client { return tcpClient(t, c, 0) }},
+	} {
+		t.Run("ERASE into an empty tombstone cache"+over.suffix, func(t *testing.T) {
+			// Three shards at R=3.2: every backend sees every ERASE, so
+			// each fills its exact list, then its pending one, then folds.
+			const capacity, erases = 64, 3 * 64
+			fresh := func(prefix string, n int) [][]byte {
+				keys := make([][]byte, n)
+				for i := range keys {
+					keys[i] = fmt.Appendf(nil, "%s-%06d", prefix, i)
+				}
+				return keys
+			}
+			best := uint64(math.MaxUint64)
+			for range 3 {
+				c := newCell(t, Options{Transport: OneRMA, TombstoneCap: capacity})
+				cl := over.client(c)
+				set := func(keys [][]byte) {
+					for _, k := range keys {
+						if err := cl.Set(ctx, k, value); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				erase := func(keys [][]byte) {
+					for _, k := range keys {
+						if err := cl.Erase(ctx, k); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				set(fresh("warm", 10*64))
+				take := fresh("take", 16)
+				erase(take)
+				set(take) // drops the tombstones
+				keys := fresh("empty", erases)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				erase(keys)
+				runtime.ReadMemStats(&after)
+				best = min(best, after.Mallocs-before.Mallocs)
+			}
+			if best != 0 {
+				t.Errorf("%d allocations over %d ERASEs of fresh keys into an empty cache, budget 0", best, erases)
+			}
+		})
+	}
+
 	t.Run("2xR hit with touch feedback", func(t *testing.T) {
 		tcl := c.NewClient(ClientOptions{Strategy: Lookup2xR, TouchBatch: 64})
 		if err := tcl.Set(ctx, key, value); err != nil {

@@ -141,6 +141,9 @@ type Options struct {
 	CompressThreshold int
 	// TombstoneCap sizes each backend's exact tombstone cache (§5.2) and
 	// its pending-settle queue of evicted tombstones (default 8192 each).
+	// A backend takes the cache's storage once, at its first ERASE:
+	// 2·TombstoneCap+2 nodes of 96 B, about 1.5 MiB at the default. A key
+	// longer than 32 B adds a buffer to the node that holds it.
 	TombstoneCap int
 	// HotK caps each backend's promoted hot-key set (0 takes the default
 	// of 8; negative disables promotion). Promoted keys are advertised to

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"math/bits"
 
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/hashring"
@@ -19,27 +20,33 @@ import (
 // between sweeps, and overflow counts them.
 //
 // Both lists are FIFO by first insertion, in one index-linked arena with
-// a free chain and one KeyHash → node map. The key stays the identity (a
-// lookup compares its bytes); a second key whose hash slot is taken folds
-// into the summary, which only blocks. Key bytes live in one arena that
-// compacts into a spare buffer, so a warm cache's inserts allocate nothing.
+// a free chain. The arena is also the KeyHash index: node b heads the
+// chain of the hashes that land in bucket b. The key stays the identity (a
+// lookup compares its bytes); a second key whose hash is taken folds into
+// the summary, which only blocks. The first insert takes the whole arena,
+// sized by the bound, so no later insert allocates or grows anything but
+// the spill buffer of a key longer than any this repository makes.
 type tombstoneCache struct {
-	nodes       []tombNode // 0 and 1 are the lists' sentinels
-	at          map[hashring.KeyHash]int32
-	free        int32    // chained through next; a sentinel never is, so 0 ends it
-	n           [2]int32 // each list's length
-	cap         int32    // each list's bound
-	keys, spare []byte   // the nodes' key bytes; the buffer store compacts into
-	summary     truetime.Version
-	overflow    uint64
+	nodes    []tombNode // nil until the first insert; 0 and 1 are the lists' sentinels
+	spill    [][]byte   // by node: the bytes of a key past tombCell, kept for its next key
+	free     int32      // chained through next; a sentinel never is, so 0 ends it
+	n        [2]int32   // each list's length
+	cap      int32      // each list's bound
+	summary  truetime.Version
+	overflow uint64
 }
+
+// tombCell holds every key this repository generates inline: workload
+// keys are 20 B, tier-prefixed ones 26 B, probe canaries 18 B.
+const tombCell = 32
 
 // A node is on one list, the stage's: its sentinel's next is the oldest.
 type tombNode struct {
-	h                  hashring.KeyHash
-	v                  truetime.Version
-	off, n, prev, next int32 // the key is keys[off:off+n]
-	stage              int32
+	h                    hashring.KeyHash
+	v                    truetime.Version
+	n, prev, next, stage int32 // n is the key's length
+	head, chain          int32 // bucket b's first node; the next in this node's bucket
+	cell                 [tombCell]byte
 }
 
 const exactStage, pendingStage = 0, 1
@@ -48,18 +55,61 @@ func newTombstoneCache(capacity int) *tombstoneCache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	sentinels := []tombNode{{prev: 0, next: 0}, {prev: 1, next: 1}}
-	return &tombstoneCache{nodes: sentinels, at: make(map[hashring.KeyHash]int32), cap: int32(capacity)}
+	return &tombstoneCache{cap: int32(capacity)}
+}
+
+// take allocates the arena: both lists' bound, their sentinels, every
+// other node on the free chain.
+func (t *tombstoneCache) take() {
+	t.nodes = make([]tombNode, 2*t.cap+2)
+	t.nodes[pendingStage].prev, t.nodes[pendingStage].next = pendingStage, pendingStage
+	for i := int32(len(t.nodes)) - 1; i > pendingStage; i-- {
+		t.nodes[i].next, t.free = t.free, i
+	}
 }
 
 func (t *tombstoneCache) key(i int32) []byte {
 	n := &t.nodes[i]
-	return t.keys[n.off : n.off+n.n : n.off+n.n]
+	if n.n <= tombCell {
+		return n.cell[:n.n:n.n]
+	}
+	return t.spill[i][:n.n:n.n]
+}
+
+// setKey stores key in node i: in its cell, or in its spill buffer.
+func (t *tombstoneCache) setKey(i int32, key []byte) {
+	n := &t.nodes[i]
+	if n.n = int32(len(key)); n.n <= tombCell {
+		copy(n.cell[:], key)
+		return
+	}
+	if t.spill == nil {
+		t.spill = make([][]byte, len(t.nodes))
+	}
+	t.spill[i] = append(t.spill[i][:0], key...)
+}
+
+// bucket maps h onto a node whose head starts its chain.
+func (t *tombstoneCache) bucket(h hashring.KeyHash) int32 {
+	b, _ := bits.Mul64(h.Lo, uint64(len(t.nodes)))
+	return int32(b)
+}
+
+// lookup returns the node holding h, or 0.
+func (t *tombstoneCache) lookup(h hashring.KeyHash) int32 {
+	if t.nodes == nil {
+		return 0
+	}
+	i := t.nodes[t.bucket(h)].head
+	for i != 0 && t.nodes[i].h != h {
+		i = t.nodes[i].chain
+	}
+	return i
 }
 
 func (t *tombstoneCache) find(h hashring.KeyHash, key []byte) (int32, bool) {
-	i, ok := t.at[h]
-	return i, ok && bytes.Equal(t.key(i), key)
+	i := t.lookup(h)
+	return i, i != 0 && bytes.Equal(t.key(i), key)
 }
 
 // push appends node i to the back of stage's list.
@@ -76,10 +126,15 @@ func (t *tombstoneCache) unlink(i int32) {
 	t.n[n.stage]--
 }
 
-// remove unlinks node i, forgets its key and chains it for reuse.
+// remove unlinks node i, takes it off its bucket's chain and chains it for
+// reuse.
 func (t *tombstoneCache) remove(i int32) {
 	t.unlink(i)
-	delete(t.at, t.nodes[i].h)
+	p := &t.nodes[t.bucket(t.nodes[i].h)].head
+	for *p != i {
+		p = &t.nodes[*p].chain
+	}
+	*p = t.nodes[i].chain
 	t.nodes[i].next, t.free = t.free, i
 }
 
@@ -94,15 +149,18 @@ func (t *tombstoneCache) fold(v truetime.Version) {
 // exact tombstone to the pending list, whose own oldest folds into the
 // summary when that is full too — the formally-bounded residual.
 func (t *tombstoneCache) insert(h hashring.KeyHash, key []byte, v truetime.Version) {
-	i, ok := t.at[h]
+	if t.nodes == nil {
+		t.take()
+	}
+	i := t.lookup(h)
 	switch {
-	case ok && !bytes.Equal(t.key(i), key):
+	case i != 0 && !bytes.Equal(t.key(i), key):
 		t.fold(v)
 		return
-	case ok && t.nodes[i].stage == exactStage:
+	case i != 0 && t.nodes[i].stage == exactStage:
 		t.nodes[i].v = t.nodes[i].v.Max(v)
 		return
-	case ok: // the exact entry supersedes the key's pending copy
+	case i != 0: // the exact entry supersedes the key's pending copy
 		t.unlink(i)
 	}
 	if d := t.nodes[exactStage].next; t.n[exactStage] >= t.cap {
@@ -113,45 +171,22 @@ func (t *tombstoneCache) insert(h hashring.KeyHash, key []byte, v truetime.Versi
 		}
 		t.push(d, pendingStage)
 	}
-	if !ok {
-		off := t.store(key)
-		if i = t.free; i == 0 {
-			i = int32(len(t.nodes))
-			t.nodes = append(t.nodes, tombNode{})
-		} else {
-			t.free = t.nodes[i].next
-		}
-		t.nodes[i] = tombNode{h: h, off: off, n: int32(len(key))}
-		t.at[h] = i
+	if i == 0 {
+		i, t.free = t.free, t.nodes[t.free].next
+		t.setKey(i, key)
+		b := t.bucket(h)
+		t.nodes[i].h, t.nodes[i].chain, t.nodes[b].head = h, t.nodes[b].head, i
 	}
 	t.nodes[i].v = v
 	t.push(i, exactStage)
 }
 
-// store appends key to the key arena and returns its offset. A full arena
-// is first compacted: the linked nodes' keys are copied into spare, grown
-// to twice what they and key need, and the two buffers swap.
-func (t *tombstoneCache) store(key []byte) int32 {
-	if len(t.keys)+len(key) > cap(t.keys) {
-		need := len(key)
-		t.each(func(i int32) { need += int(t.nodes[i].n) })
-		if cap(t.spare) < 2*need {
-			t.spare = make([]byte, 0, 2*need)
-		}
-		s := t.spare[:0]
-		t.each(func(i int32) {
-			s = append(s, t.key(i)...)
-			t.nodes[i].off = int32(len(s)) - t.nodes[i].n
-		})
-		t.keys, t.spare = s, t.keys[:0]
-	}
-	t.keys = append(t.keys, key...)
-	return int32(len(t.keys) - len(key))
-}
-
 // each calls fn with every linked node: the exact list, then the pending
 // one, each oldest first. fn may remove the node it is given.
 func (t *tombstoneCache) each(fn func(i int32)) {
+	if t.nodes == nil {
+		return
+	}
 	for s := range int32(2) {
 		for i := t.nodes[s].next; i != s; {
 			next := t.nodes[i].next

@@ -2,6 +2,10 @@ package backend
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cliquemap/internal/hashring"
@@ -29,7 +33,10 @@ func stl(tc *tombstoneCache, k string, v truetime.Version) {
 // stageOf reports whether k has a precise tombstone, and on which list.
 func stageOf(tc *tombstoneCache, k string) (int32, bool) {
 	i, ok := tc.find(hashring.DefaultHash([]byte(k)), []byte(k))
-	return tc.nodes[i].stage, ok
+	if !ok {
+		return 0, false
+	}
+	return tc.nodes[i].stage, true
 }
 
 func TestTombstoneExactLookup(t *testing.T) {
@@ -178,12 +185,13 @@ func TestTombstoneZeroCapDefaults(t *testing.T) {
 }
 
 // TestTombstoneQueuesStayBounded: erase → set → erase churn over a few keys
-// (drop frees a node and strands its key bytes each cycle) must not grow the
-// arena's nodes or key bytes, and a re-erased key must not inherit its stale
-// early position: the victim is always the oldest live tombstone.
+// (drop frees a node each cycle) must keep the arena the first insert took,
+// and a re-erased key must not inherit its stale early position: the
+// victim is always the oldest live tombstone.
 func TestTombstoneQueuesStayBounded(t *testing.T) {
 	const capacity, keys, cycles = 4, 8, 1_000_000
 	tc := newTombstoneCache(capacity)
+	var arena *tombNode     // the storage the first insert took
 	age := map[string]int{} // live key → cycle of the insert that created it
 	for i := 0; i < cycles; i++ {
 		k := fmt.Sprintf("k%d", i%keys)
@@ -213,47 +221,150 @@ func TestTombstoneQueuesStayBounded(t *testing.T) {
 			}
 			age[k] = i
 		}
-		if len(tc.nodes) > 2+2*capacity || cap(tc.keys) > 2*(2*capacity+1)*len(k) {
-			t.Fatalf("cycle %d: arena grew to %d nodes / %d key bytes, cap %d", i, len(tc.nodes), cap(tc.keys), capacity)
+		if arena == nil {
+			arena = &tc.nodes[0]
+		}
+		if len(tc.nodes) != 2+2*capacity || &tc.nodes[0] != arena || tc.spill != nil {
+			t.Fatalf("cycle %d: arena of %d nodes (cap %d) moved or spilled", i, len(tc.nodes), capacity)
 		}
 	}
 }
 
-// TestTombstoneStorageAllocations: filling the cache with N tombstones
-// allocates far fewer than N times — the node slice and the key arena
-// double (O(log N)); the Go map splits a table per ~1 024 slots, about
-// N/100 — and once both lists are full an insert of a fresh key,
-// demoting one tombstone and folding another, allocates nothing.
+// TestTombstoneSpilledKeys: a key past tombCell lives in its node's spill
+// buffer, which the node keeps while it holds short keys and reuses for
+// its next long one. A cache whose every other key is long, of growing
+// lengths, answers step for step as one whose keys are all short: the
+// same lists in the same order, versions, summary and overflow.
+func TestTombstoneSpilledKeys(t *testing.T) {
+	const capacity, nkeys = 8, 40
+	short, mixed := make([][]byte, nkeys), make([][]byte, nkeys)
+	index := map[string]int{}
+	for i := range short {
+		short[i] = fmt.Appendf(nil, "k%d", i)
+		mixed[i] = short[i]
+		if i%2 == 0 {
+			mixed[i] = fmt.Appendf(nil, "k%d-%s", i, strings.Repeat("x", tombCell+i))
+		}
+		index[string(short[i])], index[string(mixed[i])] = i, i
+	}
+	view := func(c *tombstoneCache) string {
+		var b strings.Builder
+		c.each(func(i int32) {
+			k, ok := index[string(c.key(i))]
+			fmt.Fprintf(&b, "%d,%v/%d@%v ", k, ok, c.nodes[i].stage, c.nodes[i].v)
+		})
+		fmt.Fprintf(&b, "| %v %d", c.summary, c.overflow)
+		return b.String()
+	}
+	caches := []struct {
+		c    *tombstoneCache
+		keys [][]byte
+	}{{newTombstoneCache(capacity), short}, {newTombstoneCache(capacity), mixed}}
+	rng := rand.New(rand.NewSource(1))
+	for step := range 4000 {
+		k, op, v := rng.Intn(nkeys), rng.Intn(4), ver(int64(1+rng.Intn(100)))
+		for _, tc := range caches {
+			key := tc.keys[k]
+			h := hashring.DefaultHash(key)
+			switch op {
+			case 0, 1:
+				tc.c.insert(h, key, v)
+			case 2:
+				tc.c.drop(h, key)
+			default:
+				tc.c.settled(h, key, v)
+			}
+		}
+		if a, b := view(caches[0].c), view(caches[1].c); a != b {
+			t.Fatalf("step %d: short keys %s\nmixed keys %s", step, a, b)
+		}
+	}
+	if caches[1].c.spill == nil || caches[1].c.overflow == 0 {
+		t.Fatal("no key spilled or no tombstone folded: the run proves nothing")
+	}
+}
+
+// TestTombstoneStorageAllocations: a cache takes all of its storage at its
+// first insert — one arena of 2·cap+2 nodes at the default cap — and then
+// allocates nothing while it fills, past overflow (each fresh key demotes
+// one tombstone and folds another) or in steady drop/re-erase churn. A key
+// longer than tombCell pays once per node: the spill table at the first
+// one, then a buffer per node, which the node keeps for its next long key.
 func TestTombstoneStorageAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const capacity = 4096
-	keys := make([][]byte, 4*capacity)
-	hashes := make([]hashring.KeyHash, len(keys))
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("fill-%08d", i))
-		hashes[i] = hashring.DefaultHash(keys[i])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const capacity = 8192 // Options.TombstoneCap's default
+	for _, tc := range []struct {
+		name      string
+		keyLen    int
+		takeCount uint64 // allocations taking the storage, filling included
+		takeBytes uint64 // their bound, or 0
+	}{
+		{"short keys", 20, 1, 1600 << 10},              // the arena: TombstoneCap's doc states 1.5 MiB
+		{"long keys", 2 * tombCell, 2 + 2*capacity, 0}, // the arena, the spill table, a buffer per node
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := make([][]byte, 5*capacity)
+			hashes := make([]hashring.KeyHash, len(keys))
+			for i := range keys {
+				keys[i] = fmt.Appendf(nil, "fill-%0*d", tc.keyLen-len("fill-"), i)
+				hashes[i] = hashring.DefaultHash(keys[i])
+			}
+			// The best of three fresh caches, phase by phase: the runtime
+			// may allocate on its own in any one window.
+			best := [4]uint64{math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64}
+			for range 3 {
+				c, next := newTombstoneCache(capacity), 0
+				insert := func(n int) {
+					for range n {
+						c.insert(hashes[next], keys[next], ver(int64(next+1)))
+						next++
+					}
+				}
+				churn := func() { // a SET drops a live tombstone; a fresh ERASE takes its node
+					for j := next - capacity/2; j < next; j++ {
+						c.drop(hashes[j], keys[j])
+					}
+					insert(capacity / 2)
+				}
+				var taken uint64
+				best[0] = min(best[0], countAllocs(&taken, func() { insert(2 * capacity) }))
+				best[1] = min(best[1], taken)
+				best[2] = min(best[2], countAllocs(nil, func() { insert(2 * capacity) }))
+				if c.overflow == 0 || c.len() != 2*capacity {
+					t.Fatalf("overflow %d, len %d: the cache was not full", c.overflow, c.len())
+				}
+				best[3] = min(best[3], countAllocs(nil, churn))
+			}
+			if best[0] != tc.takeCount {
+				t.Errorf("taking the storage and filling both lists: %d allocations, want %d", best[0], tc.takeCount)
+			}
+			if tc.takeBytes != 0 && best[1] > tc.takeBytes {
+				t.Errorf("the storage took %d B, want at most %d", best[1], tc.takeBytes)
+			}
+			if best[2] != 0 {
+				t.Errorf("%d allocations inserting past overflow, want 0", best[2])
+			}
+			if best[3] != 0 {
+				t.Errorf("%d allocations in drop/erase churn, want 0", best[3])
+			}
+		})
 	}
-	var tc *tombstoneCache
-	next := 0
-	insert := func() {
-		tc.insert(hashes[next], keys[next], ver(int64(next+1)))
-		next++
+}
+
+// countAllocs runs fn and returns how many heap allocations it made, and
+// in *took (when set) how many bytes they took. It collects first: a
+// cycle the key setup left running otherwise adds stray counts.
+func countAllocs(took *uint64, fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	if took != nil {
+		*took = after.TotalAlloc - before.TotalAlloc
 	}
-	fill := testing.AllocsPerRun(1, func() {
-		tc, next = newTombstoneCache(capacity), 0
-		for next < 2*capacity {
-			insert()
-		}
-	})
-	if fill > 2*capacity/32 {
-		t.Errorf("filling %d tombstones allocated %v times, want fewer than N/32", 2*capacity, fill)
-	}
-	if got := testing.AllocsPerRun(1000, insert); got != 0 {
-		t.Errorf("%v allocations per insert into a full cache, want 0", got)
-	}
-	if tc.overflow == 0 || tc.len() != 2*capacity {
-		t.Errorf("overflow %d, len %d: the cache was not full", tc.overflow, tc.len())
-	}
+	return after.Mallocs - before.Mallocs
 }

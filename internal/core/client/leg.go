@@ -52,7 +52,7 @@ var legTable = [...]struct {
 	legIndex:  {cpu: cpu2xR / 2},
 	legScar:   {cpu: cpuSCAR},
 	legData:   {cpu: cpu2xR / 2, extends: true, note: trace.SpanDataRead},
-	legHedge:  {extends: true, note: trace.SpanHedge},
+	legHedge:  {cpu: cpu2xR / 2, extends: true, note: trace.SpanHedge},
 	legMsg:    {cpu: cpuMSG, perFetch: true},
 	legRPC:    {cpu: cpuRPC, perFetch: true},
 	legMutate: {},

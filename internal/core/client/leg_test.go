@@ -120,8 +120,8 @@ func placedAt(tr fabric.OpTrace, leg legRecord, from int) (uint64, int, bool) {
 }
 
 // TestLegKindsBill: every leg a client op sends is billed from one table —
-// its kind's client CPU (two-sided lookups once per fetch, hedges,
-// mutation and Touch legs none), its bytes once, its spans placed where
+// its kind's client CPU (two-sided lookups once per fetch, mutation and
+// Touch legs none), its bytes once, its spans placed where
 // it started on the op's timeline (a fan-out's round origin, a dependent
 // leg's instant). Exact, on a manual clock. The hedge and the speculative
 // data leg are held by TestHedgeBillsBothLegs and TestSpeculativeDataRead.

@@ -272,7 +272,7 @@ func TestSpeculativeDataRead(t *testing.T) {
 // the fabric whichever of them serves — the hedge, the primary after a
 // slower hedge, or the primary after a hedge that failed validation — and
 // the hedge launches hedgeAfter past the primary's start, the first index
-// answer. The hedge bills no client CPU.
+// answer. The hedge bills client CPU like any data leg.
 func TestHedgeBillsBothLegs(t *testing.T) {
 	key, val := []byte("hedged"), bytes.Repeat([]byte("h"), 2000)
 	for _, tc := range []struct {
@@ -311,8 +311,8 @@ func TestHedgeBillsBothLegs(t *testing.T) {
 			if tr.Bytes != legBytes {
 				t.Errorf("GET billed %dB, want every leg's %dB (primary %dB, hedge %dB)", tr.Bytes, legBytes, data[0].bytes, data[1].bytes)
 			}
-			if got := r.acct.TotalNanos("client") - cpu; got != 4*cpu2xR/2 {
-				t.Errorf("client CPU %dns, want the index legs and the primary at %d each, the hedge none", got, cpu2xR/2)
+			if got := r.acct.TotalNanos("client") - cpu; got != 5*cpu2xR/2 {
+				t.Errorf("client CPU %dns, want the index legs, the primary and the hedge at %d each", got, cpu2xR/2)
 			}
 		})
 	}

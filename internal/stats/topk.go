@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -29,20 +30,21 @@ type TopK struct {
 }
 
 // topkShard is a flat-array space-saving summary tuned for the backend's
-// mutation hot path rather than asymptotics: a hit is a hash-keyed map
+// mutation hot path rather than asymptotics: a hit is a hash-keyed index
 // lookup plus one increment (no heap, so hits pay nothing to keep an
 // ordering current), and an eviction finds the exact minimum by scanning
 // the contiguous counts array, stopping at the cached floor — the
 // per-shard minimum only ever grows, so in the steady churn state most
 // slots sit within one increment of it and the scan ends after a couple
-// of probes. Key bytes live in reusable per-slot buffers, so steady-state
-// evictions allocate nothing.
+// of probes. Key bytes live in reusable per-slot buffers and the hash
+// index is k fixed chains through the slots, so steady-state evictions
+// allocate nothing.
 type topkShard struct {
 	mu     sync.Mutex
 	n      uint64
-	floor  uint64           // lower bound on min(counts); mins only ever grow
-	idx    map[uint64]int32 // key hash -> slot
-	counts []uint64         // estimated count per slot (scanned for min)
+	floor  uint64   // lower bound on min(counts); mins only ever grow
+	heads  []int32  // by bucket of the key hash: its first slot + 1, 0 if none
+	counts []uint64 // estimated count per slot (scanned for min)
 	items  []topkItem
 }
 
@@ -50,6 +52,37 @@ type topkItem struct {
 	key  []byte // reused across evictions; copied out on read
 	hash uint64
 	err  uint64
+	next int32 // the next slot + 1 in this slot's bucket, 0 ends it
+}
+
+// bucket maps h onto one of the shard's chains.
+func (s *topkShard) bucket(h uint64) *int32 {
+	b, _ := bits.Mul64(h, uint64(len(s.heads)))
+	return &s.heads[b]
+}
+
+// slot returns the slot tracking h, or -1.
+func (s *topkShard) slot(h uint64) int {
+	e := *s.bucket(h)
+	for e != 0 && s.items[e-1].hash != h {
+		e = s.items[e-1].next
+	}
+	return int(e) - 1
+}
+
+// link indexes slot j under its item's hash.
+func (s *topkShard) link(j int) {
+	head := s.bucket(s.items[j].hash)
+	s.items[j].next, *head = *head, int32(j+1)
+}
+
+// unlink takes slot j off its bucket's chain.
+func (s *topkShard) unlink(j int) {
+	p := s.bucket(s.items[j].hash)
+	for *p != int32(j+1) {
+		p = &s.items[*p-1].next
+	}
+	*p = s.items[j].next
 }
 
 const topkShardCount = 8 // power of two
@@ -66,7 +99,7 @@ func NewTopK(k int) *TopK {
 		k:      k,
 	}
 	for i := range t.shards {
-		t.shards[i].idx = make(map[uint64]int32, k)
+		t.shards[i].heads = make([]int32, k)
 		t.shards[i].counts = make([]uint64, 0, k)
 		t.shards[i].items = make([]topkItem, 0, k)
 	}
@@ -83,12 +116,12 @@ func (t *TopK) Touch(key []byte, h uint64) {
 	s := &t.shards[h&t.mask]
 	s.mu.Lock()
 	s.n++
-	if slot, ok := s.idx[h]; ok {
-		s.counts[slot]++
+	if j := s.slot(h); j >= 0 {
+		s.counts[j]++
 	} else if len(s.counts) < t.k {
-		s.idx[h] = int32(len(s.counts))
 		s.counts = append(s.counts, 1)
 		s.items = append(s.items, topkItem{key: append([]byte(nil), key...), hash: h})
+		s.link(len(s.items) - 1)
 	} else {
 		// Space-saving eviction: the minimum-count key yields its slot and
 		// its count becomes the newcomer's over-estimate bound. The min
@@ -105,12 +138,12 @@ func (t *TopK) Touch(key []byte, h uint64) {
 			}
 		}
 		s.floor = mc
+		s.unlink(m)
 		it := &s.items[m]
-		delete(s.idx, it.hash)
 		it.key = append(it.key[:0], key...)
 		it.hash = h
 		it.err = mc
-		s.idx[h] = int32(m)
+		s.link(m)
 		s.counts[m] = mc + 1
 	}
 	s.mu.Unlock()
@@ -223,9 +256,7 @@ func (t *TopK) Reset() {
 		s.floor = 0
 		s.counts = s.counts[:0]
 		s.items = s.items[:0]
-		for k := range s.idx {
-			delete(s.idx, k)
-		}
+		clear(s.heads)
 		s.mu.Unlock()
 	}
 }

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -228,5 +230,42 @@ func TestTopKAppendTopReusesScratch(t *testing.T) {
 	scratch := sk.AppendTop(nil, 16)
 	if got := testing.AllocsPerRun(100, func() { scratch = sk.AppendTop(scratch, 16) }); got != 0 {
 		t.Errorf("%v allocations per selection into a warmed scratch, want 0", got)
+	}
+}
+
+// TestTopKChurnAllocatesNothing: once every slot holds a key, each new key
+// evicts a slot and re-indexes it without allocating, however long the
+// churn runs: every eviction takes one hash out of the index and puts
+// another in.
+func TestTopKChurnAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	keys := make([][]byte, 100_000)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "churn-%06d", i)
+	}
+	fill := 4 * topkShardCount * NewTopK(0).K() // every slot has copied a key
+	// The best of three fresh sketches: the runtime may allocate on its
+	// own in any one window.
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		tk := NewTopK(0)
+		touch := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				tk.Touch(keys[i], uint64(i+1)*0x9e3779b97f4a7c15)
+			}
+		}
+		touch(0, fill)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		touch(fill, len(keys))
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best != 0 {
+		t.Errorf("%d allocations over %d touches of new keys into a full sketch, want 0", best, len(keys)-fill)
 	}
 }
