@@ -20,13 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"cliquemap/internal/chaos"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/history"
 	"cliquemap/internal/truetime"
 )
@@ -51,19 +51,14 @@ func soakVal(w, k int, seq uint64) []byte {
 	return []byte(fmt.Sprintf("w%d.k%d.s%d|chaos-soak-payload", w, k, seq))
 }
 
-// soakWorker drives key group g until stop closes. Op failures during
-// fault windows are outcomes in the history, never fatal.
-func soakWorker(ctx context.Context, h history.Client, w, g int, stop <-chan struct{}) {
+// soakWorker is worker w's op over key group g. Op failures during fault
+// windows are outcomes in the history, never fatal.
+func soakWorker(ctx context.Context, h history.Client, w, g int) drive.Op {
 	rng := rand.New(rand.NewSource(int64(w)))
 	// lastVer tracks the version of this worker's newest acked SET of each
 	// key, so CAS ops present a plausibly-current expectation.
 	lastVer := make([]truetime.Version, soakKeysPerGroup)
-	for i := 0; ; i++ {
-		select {
-		case <-stop:
-			return
-		default:
-		}
+	return func(i int) (uint64, error) {
 		k := i % soakKeysPerGroup
 		val := soakVal(w, k, uint64(i+1)) // seq 0 is the preload
 		switch {
@@ -84,6 +79,7 @@ func soakWorker(ctx context.Context, h history.Client, w, g int, stop <-chan str
 		for r := 0; r < 2; r++ {
 			h.Get(ctx, soakKey(g, rng.Intn(soakKeysPerGroup)))
 		}
+		return 0, nil
 	}
 }
 
@@ -128,15 +124,9 @@ func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 		}
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < soakWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			soakWorker(ctx, clients[w], w, w%groups, stop)
-		}(w)
-	}
+	workers := drive.Group{Workers: soakWorkers, Worker: func(w int) drive.Op {
+		return soakWorker(ctx, clients[w], w, w%groups)
+	}}
 	// One two-sided reader: a StrategyRPC GET asks a read quorum and the
 	// rest of the cohort only when it disagrees, so that escalation runs
 	// under every fault and its answers join the history too.
@@ -145,32 +135,25 @@ func runChaosSoak(t *testing.T, preset string, writers int, copt Options) {
 		Retries:  8,
 		Budget:   client.NewRetryBudget(500, 1),
 	})}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	reader := drive.Group{Worker: func(int) drive.Op {
 		rng := rand.New(rand.NewSource(soakWorkers + 1))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		return func(int) (uint64, error) {
 			rpcReader.Get(ctx, soakKey(rng.Intn(groups), rng.Intn(soakKeysPerGroup)))
+			return 0, nil
 		}
-	}()
-
+	}}
 	// Step the schedule through while the workers hammer the cell, so
 	// every fire and heal lands under load.
-	for !eng.Done() {
-		if _, serr := eng.Step(ctx); serr != nil {
-			t.Errorf("chaos step: %v", serr)
-			break
+	drive.Run(ctx, func() {
+		for !eng.Done() {
+			if _, serr := eng.Step(ctx); serr != nil {
+				t.Errorf("chaos step: %v", serr)
+				break
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond) // post-heal load, catches lingering damage
-	close(stop)
-	wg.Wait()
+		time.Sleep(5 * time.Millisecond) // post-heal load, catches lingering damage
+	}, workers, reader)
 	if rpcReader.C.M.Gets.Value() == 0 {
 		t.Fatal("the StrategyRPC reader ran no GET")
 	}
@@ -349,42 +332,27 @@ func TestRestartLostWriteUnderContention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	var writers, readers sync.WaitGroup
 	// Contention writers: disjoint keys, full mutation pressure on every
 	// backend (including the recovering one) for the whole window.
-	for w := 0; w < 3; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			wcl := cc.NewClient(client.Options{Strategy: client.StrategyRPC, Retries: 2})
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := []byte(fmt.Sprintf("contender-w%d-k%d", w, i%8))
-				wcl.Set(ctx, k, []byte(fmt.Sprintf("w%d.s%d", w, i)))
-			}
-		}(w)
-	}
-	// Racing readers on the ghost key: every answered read in the window
-	// must be the acked value — an agreed miss is the lost write. An error
-	// (quorum starved by the withheld vote) is safe.
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			rcl := history.Client{C: cc.NewClient(quorumRPC), R: rec, ID: 1 + r}
-			for i := 0; i < 30; i++ {
-				rcl.Get(ctx, key)
-			}
-		}(r)
-	}
-	readers.Wait()
-	close(stop)
-	writers.Wait()
+	writers := drive.Group{Workers: 3, Worker: func(w int) drive.Op {
+		wcl := cc.NewClient(client.Options{Strategy: client.StrategyRPC, Retries: 2})
+		return func(i int) (uint64, error) {
+			k := []byte(fmt.Sprintf("contender-w%d-k%d", w, i%8))
+			return 0, wcl.Set(ctx, k, []byte(fmt.Sprintf("w%d.s%d", w, i)))
+		}
+	}}
+	// Racing readers on the ghost key, 90 reads between them: every
+	// answered read in the window must be the acked value — an agreed miss
+	// is the lost write. An error (quorum starved by the withheld vote) is
+	// safe.
+	readers := drive.Group{Workers: 3, Ops: 3 * 30, Worker: func(r int) drive.Op {
+		rcl := history.Client{C: cc.NewClient(quorumRPC), R: rec, ID: 1 + r}
+		return func(int) (uint64, error) {
+			_, _, err := rcl.Get(ctx, key)
+			return 0, err
+		}
+	}}
+	drive.Run(ctx, nil, writers, readers)
 	if err := cc.RestartComplete(ctx, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,10 @@ package cliquemap
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/history"
 )
 
@@ -53,23 +52,14 @@ func handoffStress(t *testing.T, opt Options, churn func(t *testing.T, c *Cell))
 		}
 	}
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategySCAR, Retries: 8, Budget: client.NewRetryBudget(500, 1)}), R: rec, ID: w}
-			for seq := 1; !stop.Load(); seq++ {
-				cl.SetVersioned(ctx, key(w%groups, seq%keys), []byte(fmt.Sprintf("w%d.s%d", w, seq)))
-			}
-		}(w)
-	}
-
-	churn(t, c)
-
-	stop.Store(true)
-	wg.Wait()
+	drive.Run(ctx, func() { churn(t, c) }, drive.Group{Workers: workers, Worker: func(w int) drive.Op {
+		cl := history.Client{C: cc.NewClient(client.Options{Strategy: client.StrategySCAR, Retries: 8, Budget: client.NewRetryBudget(500, 1)}), R: rec, ID: w}
+		return func(i int) (uint64, error) {
+			seq := i + 1
+			_, err := cl.SetVersioned(ctx, key(w%groups, seq%keys), []byte(fmt.Sprintf("w%d.s%d", w, seq)))
+			return 0, err
+		}
+	}})
 
 	check := history.Client{C: cc.NewClient(client.Options{Strategy: client.Strategy2xR}), R: rec, ID: workers + 1}
 	if err := check.ReadAll(ctx, cc.RepairAll); err != nil {

@@ -9,10 +9,10 @@ package cliquemap
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/history"
 )
 
@@ -130,36 +130,26 @@ func TestHotChurnRace(t *testing.T) {
 
 	// Readers: each phase hammers a different key group so the promoted
 	// set churns — keys heat up, get promoted, cool off, get demoted.
-	var readers sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			cl := history.Client{C: c.Internal().NewClient(client.Options{TouchBatch: 4, NearCacheEntries: 16}), R: rec, ID: 1 + r}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Phase-shifted focus: 3/4 of reads hit the phase's hot
-				// key, the rest scatter.
-				k := ((i / 400) + r) % nKeys
-				if i%4 == 3 {
-					k = i % nKeys
-				}
-				cl.Get(ctx, keys[k]) // an error (churn racing an overwrite's window) observes nothing
+	readers := drive.Group{Workers: 2, Worker: func(r int) drive.Op {
+		cl := history.Client{C: c.Internal().NewClient(client.Options{TouchBatch: 4, NearCacheEntries: 16}), R: rec, ID: 1 + r}
+		return func(i int) (uint64, error) {
+			// Phase-shifted focus: 3/4 of reads hit the phase's hot key,
+			// the rest scatter.
+			k := ((i / 400) + r) % nKeys
+			if i%4 == 3 {
+				k = i % nKeys
 			}
-		}(r)
-	}
+			_, _, err := cl.Get(ctx, keys[k]) // an error (churn racing an overwrite's window) observes nothing
+			return 0, err
+		}
+	}}
 
 	// Bounded by the writer's progress, not wall time: 500 rounds over
 	// every key push enough churn through.
-	for i := nKeys; i < 501*nKeys; i++ {
-		writer.SetVersioned(ctx, keys[i%nKeys], []byte(fmt.Sprintf("k%d.s%d", i%nKeys, i/nKeys)))
-	}
-	close(stop)
-	readers.Wait()
+	drive.Run(ctx, func() {
+		for i := nKeys; i < 501*nKeys; i++ {
+			writer.SetVersioned(ctx, keys[i%nKeys], []byte(fmt.Sprintf("k%d.s%d", i%nKeys, i/nKeys)))
+		}
+	}, readers)
 	checkRegister(t, rec, 0)
 }

@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"cliquemap/internal/core/cell"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/hashring"
-	"cliquemap/internal/stats"
 )
 
 // Fig11Preferred regenerates Figure 11: preferred-backend selection under
@@ -32,8 +31,7 @@ func Fig11Preferred() Result {
 			// avoid it.
 			c.SetAntagonist(primaryShardOf(c, keys[0]), 0.95)
 		}
-		var hist stats.Histogram
-		driveGets(cl, keys, ops, 0, &hist)
+		hist := &drive.Run(ctx, nil, drive.Group{Ops: ops, Worker: gets(cl, keys)}).Service
 		return float64(hist.Percentile(50)), float64(hist.Percentile(99))
 	}
 
@@ -75,39 +73,14 @@ func primaryShardOf(c *cell.Cell, key []byte) int {
 // unplanned maintenance) is injected mid-run, sampling latency and RPC
 // byte rates per interval — Figures 13 and 14.
 func maintenanceRun(name, title string, inject func(c *cell.Cell, interval int)) Result {
-	const (
-		intervals   = 6
-		intervalLen = 400 * time.Millisecond
-		opsPerIntvl = 600
-		keyCount    = 200
-	)
 	c := mustCell(cell.Options{
 		Shards: 3, Spares: 1, Mode: config.R32,
 		Transport: cell.TransportPony,
 		Backend:   smallBackend(),
 	})
 	cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})
-	keys := preload(cl.SetVersioned, keyCount, 1024)
-
-	res := Result{Name: name, Title: title}
-	lastBytes := c.Net.BytesSent()
-	for iv := 0; iv < intervals; iv++ {
-		inject(c, iv)
-		var hist stats.Histogram
-		start := time.Now()
-		pace := intervalLen / opsPerIntvl
-		driveGets(cl, keys, opsPerIntvl, pace, &hist)
-		wall := time.Since(start).Seconds()
-		bytes := c.Net.BytesSent()
-		res.Rows = append(res.Rows, Row{
-			Label: fmt.Sprintf("t%d", iv),
-			Cols: append(latCols(&hist, 50, 99.9),
-				Col{Name: "rpc_rate", Value: float64(bytes-lastBytes) / wall, Unit: "B/s", Noisy: true},
-			),
-		})
-		lastBytes = bytes
-	}
-	return res
+	keys := preload(cl.SetVersioned, 200, 1024)
+	return Result{Name: name, Title: title, Rows: intervalRows(c, cl, keys, func(iv int) { inject(c, iv) })}
 }
 
 // Fig13Planned regenerates Figure 13: planned maintenance hidden by warm

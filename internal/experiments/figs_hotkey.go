@@ -15,14 +15,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cliquemap/internal/core/cell"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/history"
-	"cliquemap/internal/stats"
 	"cliquemap/internal/workload"
 )
 
@@ -95,37 +93,18 @@ func runHotkeyCase(hc hotkeyCase) Row {
 	wcl := history.Client{C: c.NewClient(client.Options{}), R: rec, ID: 1}
 	var wseq uint64
 
-	var hist stats.Histogram
-	var histMu sync.Mutex
-	var next atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < hotkeyWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := clients[w]
-			var local stats.Histogram
-			for {
-				i := next.Add(1) - 1
-				if i >= uint64(totalOps) {
-					break
-				}
-				if w == 0 && i%4 == 0 {
-					wseq++
-					k := int(wseq) % hotkeyHotSet
-					wcl.SetVersioned(ctx, keys[k], hotkeyVal(k, wseq, hc.valSize))
-				}
-				_, _, tr, err := cl.GetTraced(ctx, keys[seq[i]])
-				if err == nil {
-					local.Record(tr.Ns)
-				}
+	run := drive.Run(ctx, nil, drive.Group{Workers: hotkeyWorkers, Ops: totalOps, Worker: func(w int) drive.Op {
+		cl := clients[w]
+		return func(i int) (uint64, error) {
+			if w == 0 && i%4 == 0 {
+				wseq++
+				k := int(wseq) % hotkeyHotSet
+				wcl.SetVersioned(ctx, keys[k], hotkeyVal(k, wseq, hc.valSize))
 			}
-			histMu.Lock()
-			hist.Merge(&local)
-			histMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
+			_, _, tr, err := cl.GetTraced(ctx, keys[seq[i]])
+			return tr.Ns, err
+		}
+	}})
 
 	var gets, nearHits, steered, spread uint64
 	for _, cl := range clients {
@@ -155,7 +134,7 @@ func runHotkeyCase(hc hotkeyCase) Row {
 	// promotion timing. benchdiff reports their drift informationally.
 	// `promoted` and `lost` stay gated: the promoted-set size is
 	// deterministic and lost must be exactly zero.
-	cols := latCols(&hist, 50, 99, 99.9)
+	cols := latCols(&run.Service, 50, 99, 99.9)
 	for i := range cols {
 		cols[i].Noisy = true
 	}

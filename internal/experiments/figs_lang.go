@@ -6,6 +6,7 @@ import (
 	"cliquemap/internal/core/cell"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/shim"
 	"cliquemap/internal/stats"
 )
@@ -42,32 +43,25 @@ func Fig6Languages() Result {
 		cl := c.NewClient(client.Options{Strategy: client.StrategySCAR})
 		kk := preload(cl.SetVersioned, keys, 64)
 
-		var hist stats.Histogram
+		var hist *stats.Histogram
 		var cpuNs float64
 
 		if !prof.PipeHop {
 			// Native path: the client library directly.
-			for i := 0; i < ops; i++ {
-				_, _, tr, err := cl.GetTraced(ctx, kk[i%len(kk)])
-				if err != nil {
-					continue
-				}
-				hist.Record(tr.Ns)
-			}
+			hist = &drive.Run(ctx, nil, drive.Group{Ops: ops, Worker: gets(cl, kk)}).Service
 			cpuNs = c.Acct.PerOpNanos("client")
 		} else {
 			ip, err := shim.NewInProcess(ctx, clientStore{cl: cl}, prof, c.Acct)
 			if err != nil {
 				panic(err)
 			}
-			for i := 0; i < ops; i++ {
-				_, _, shimNs, gerr := ip.Client.Get(kk[i%len(kk)])
-				if gerr != nil {
-					continue
+			hist = &drive.Run(ctx, nil, drive.Group{Ops: ops, Worker: func(int) drive.Op {
+				return func(i int) (uint64, error) {
+					_, _, shimNs, err := ip.Client.Get(kk[i%len(kk)])
+					// Op latency = native op latency + the shim hop.
+					return cl.M.GetLatency.Percentile(50) + shimNs, err
 				}
-				// Op latency = native op latency + the shim hop.
-				hist.Record(cl.M.GetLatency.Percentile(50) + shimNs)
-			}
+			}}).Service
 			ip.Close()
 			cpuNs = c.Acct.PerOpNanos("client") + c.Acct.PerOpNanos("shim-"+prof.Name)
 		}
@@ -112,15 +106,8 @@ func Fig7LookupCPU() Result {
 		// Per-op accounting: divide total CPU by completed GETs.
 		startClient := c.Acct.TotalNanos("client")
 		startPony := c.Acct.TotalNanos("pony")
-		done := 0
-		for i := 0; i < ops; i++ {
-			if _, _, err := cl.Get(ctx, kk[i%len(kk)]); err == nil {
-				done++
-			}
-		}
-		if done == 0 {
-			done = 1
-		}
+		r := drive.Run(ctx, nil, drive.Group{Ops: ops, Worker: gets(cl, kk)})
+		done := max(r.Ops-r.Errors, 1)
 		clientNs := float64(c.Acct.TotalNanos("client")-startClient) / float64(done)
 		ponyNs := float64(c.Acct.TotalNanos("pony")-startPony) / float64(done)
 		res.Rows = append(res.Rows, Row{

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"cliquemap/internal/core/cell"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/history"
-	"cliquemap/internal/stats"
 )
 
 // FigResize is the online-resizing companion to Figure 13: where the
@@ -25,12 +22,7 @@ import (
 // to a versioned register (internal/history): no acked SET is lost. A
 // violation panics: that is a correctness bug, not a data point.
 func FigResize() Result {
-	const (
-		intervals   = 6
-		intervalLen = 400 * time.Millisecond
-		opsPerIntvl = 600
-		keyCount    = 200
-	)
+	const keyCount = 200
 	c := mustCell(cell.Options{
 		Shards: 4, Spares: 2, Mode: config.R32,
 		Transport: cell.TransportPony,
@@ -40,56 +32,32 @@ func FigResize() Result {
 	rec := &history.Recorder{}
 	keys := preload(history.Client{C: cl, R: rec}.SetVersioned, keyCount, 1024)
 
-	// The mixed-load writer: round-robin SETs of distinct values.
-	var stop atomic.Bool
-	var sets atomic.Uint64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w := history.Client{R: rec, ID: 1, C: c.NewClient(client.Options{
-			Strategy: client.StrategySCAR, Retries: 8, Budget: client.NewRetryBudget(5000, 1),
-		})}
-		for seq := uint64(1); !stop.Load(); seq++ {
-			if _, err := w.SetVersioned(ctx, keys[seq%keyCount], []byte(fmt.Sprintf("rs%d", seq))); err == nil {
-				sets.Add(1)
-			}
-		}
-	}()
-
 	res := Result{
 		Name:  "resize",
 		Title: "Online resize 4 -> 6 -> 4 shards under mixed GET/SET load",
 	}
-	lastBytes := c.Net.BytesSent()
-	for iv := 0; iv < intervals; iv++ {
-		switch iv {
-		case 2:
-			if err := c.Resize(ctx, 6); err != nil {
-				panic(fmt.Sprintf("experiments: resize to 6: %v", err))
-			}
-		case 4:
-			if err := c.Resize(ctx, 4); err != nil {
-				panic(fmt.Sprintf("experiments: resize to 4: %v", err))
-			}
+	resize := func(iv int) {
+		n := map[int]int{2: 6, 4: 4}[iv]
+		if n == 0 {
+			return
 		}
-		var hist stats.Histogram
-		start := time.Now()
-		pace := intervalLen / opsPerIntvl
-		driveGets(cl, keys, opsPerIntvl, pace, &hist)
-		wall := time.Since(start).Seconds()
-		bytes := c.Net.BytesSent()
-		res.Rows = append(res.Rows, Row{
-			Label: fmt.Sprintf("t%d", iv),
-			Cols: append(latCols(&hist, 50, 99.9),
-				Col{Name: "rpc_rate", Value: float64(bytes-lastBytes) / wall, Unit: "B/s", Noisy: true},
-			),
-		})
-		lastBytes = bytes
+		if err := c.Resize(ctx, n); err != nil {
+			panic(fmt.Sprintf("experiments: resize to %d: %v", n, err))
+		}
 	}
+	// The mixed-load writer: round-robin SETs of distinct values.
+	writer := drive.Group{Worker: func(int) drive.Op {
+		w := history.Client{R: rec, ID: 1, C: c.NewClient(client.Options{
+			Strategy: client.StrategySCAR, Retries: 8, Budget: client.NewRetryBudget(5000, 1),
+		})}
+		return func(i int) (uint64, error) {
+			seq := uint64(i + 1)
+			_, err := w.SetVersioned(ctx, keys[seq%keyCount], []byte(fmt.Sprintf("rs%d", seq)))
+			return 0, err
+		}
+	}}
+	churn := drive.Run(ctx, func() { res.Rows = intervalRows(c, cl, keys, resize) }, writer)
 
-	stop.Store(true)
-	wg.Wait()
 	check := history.Client{C: c.NewClient(client.Options{Strategy: client.Strategy2xR}), R: rec, ID: 2}
 	if err := check.ReadAll(ctx, c.RepairAll); err != nil {
 		panic(fmt.Sprintf("experiments: resize audit: %v", err))
@@ -97,6 +65,6 @@ func FigResize() Result {
 	if vs := history.Check(rec.Ops(), 0); len(vs) > 0 { // the cell is sized to evict nothing
 		panic(fmt.Sprintf("experiments: resize broke the register on %d keys; the first:\n%v", len(vs), vs[0]))
 	}
-	res.Notes = fmt.Sprintf("grew 4->6 at t2, shrank back at t4; %d SETs acked during churn, 0 lost", sets.Load())
+	res.Notes = fmt.Sprintf("grew 4->6 at t2, shrank back at t4; %d SETs acked during churn, 0 lost", churn.Ops-churn.Errors)
 	return res
 }

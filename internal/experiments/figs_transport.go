@@ -7,6 +7,7 @@ import (
 	"cliquemap/internal/core/cell"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/pony"
 	"cliquemap/internal/stats"
 )
@@ -31,15 +32,12 @@ func Fig12Incast() Result {
 		if clientLoad {
 			// Competing demand through the client's own NIC exacerbates
 			// the incast condition (§7.2.2).
-			clientHost := 4 // shards 3 + spare 0 ⇒ first client host is 3... resolved below
-			_ = clientHost
 			c.SetClientLoad(c.Fabric.NumHosts()-1, 0.6)
 		}
-		var hist stats.Histogram
 		// Pace ops so each GET's latency reflects its own response incast
 		// (three simultaneous 64KB copies) rather than cross-op backlog.
-		driveGets(cl, keys, ops, time.Millisecond, &hist)
-		return float64(hist.Percentile(50)) / 1000
+		r := drive.Run(ctx, nil, drive.Group{Ops: ops, Pace: time.Millisecond, Worker: gets(cl, keys)})
+		return float64(r.Service.Percentile(50)) / 1000
 	}
 
 	res := Result{
@@ -82,7 +80,6 @@ func rampCell(tp cell.Transport) *cell.Cell {
 
 // rampStep drives lookups at a target rate and samples percentiles.
 func rampStep(cl *client.Client, keys [][]byte, rate float64, wall time.Duration) *stats.Histogram {
-	var hist stats.Histogram
 	ops := int(rate * wall.Seconds())
 	if ops < 50 {
 		ops = 50
@@ -91,8 +88,7 @@ func rampStep(cl *client.Client, keys [][]byte, rate float64, wall time.Duration
 	if rate > 0 {
 		pace = time.Duration(float64(time.Second) / rate)
 	}
-	driveGets(cl, keys, ops, pace, &hist)
-	return &hist
+	return &drive.Run(ctx, nil, drive.Group{Ops: ops, Pace: pace, Worker: gets(cl, keys)}).Service
 }
 
 // Fig15PonyRamp regenerates Figure 15: GET latency percentiles and Pony

@@ -10,6 +10,7 @@ import (
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/stats"
 	"cliquemap/internal/truetime"
 	"cliquemap/internal/workload"
@@ -61,25 +62,43 @@ func preload(set func(ctx context.Context, key, value []byte) (truetime.Version,
 	return keys
 }
 
-// driveGets performs count lookups round-robin over keys, recording each
-// op's modelled latency. pace > 0 throttles the offered rate.
-func driveGets(cl *client.Client, keys [][]byte, count int, pace time.Duration, hist *stats.Histogram) {
-	next := time.Now()
-	for i := 0; i < count; i++ {
-		if pace > 0 {
-			next = next.Add(pace)
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		_, _, tr, err := cl.GetTraced(ctx, keys[i%len(keys)])
-		if err != nil {
-			continue
-		}
-		if hist != nil {
-			hist.Record(tr.Ns)
+// gets builds a drive worker that GETs keys round-robin on cl and reports
+// each op's modelled latency.
+func gets(cl *client.Client, keys [][]byte) func(int) drive.Op {
+	return func(int) drive.Op {
+		return func(i int) (uint64, error) {
+			_, _, tr, err := cl.GetTraced(ctx, keys[i%len(keys)])
+			return tr.Ns, err
 		}
 	}
+}
+
+// intervalRows drives six 400 ms intervals of 600 paced GETs on cl and
+// renders one row per interval, t0 to t5: GET p50 and p99.9 and the cell's
+// RPC byte rate. event(iv) runs before interval iv.
+func intervalRows(c *cell.Cell, cl *client.Client, keys [][]byte, event func(iv int)) []Row {
+	const (
+		intervals   = 6
+		intervalLen = 400 * time.Millisecond
+		opsPerIntvl = 600
+	)
+	var rows []Row
+	lastBytes := c.Net.BytesSent()
+	for iv := 0; iv < intervals; iv++ {
+		event(iv)
+		start := time.Now()
+		r := drive.Run(ctx, nil, drive.Group{Ops: opsPerIntvl, Pace: intervalLen / opsPerIntvl, Worker: gets(cl, keys)})
+		wall := time.Since(start).Seconds()
+		bytes := c.Net.BytesSent()
+		rows = append(rows, Row{
+			Label: fmt.Sprintf("t%d", iv),
+			Cols: append(latCols(&r.Service, 50, 99.9),
+				Col{Name: "rpc_rate", Value: float64(bytes-lastBytes) / wall, Unit: "B/s", Noisy: true},
+			),
+		})
+		lastBytes = bytes
+	}
+	return rows
 }
 
 // latCols renders the standard latency percentile columns in µs.

@@ -21,10 +21,10 @@
 package loadwall
 
 import (
+	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"cliquemap/internal/drive"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
 )
@@ -99,21 +99,16 @@ type StepConfig struct {
 
 // StepResult is one step's measurement.
 type StepResult struct {
-	OfferedQPS  float64
-	Scheduled   int
-	Completed   uint64
-	Errors      uint64
-	ElapsedNs   uint64
-	AchievedQPS float64
+	OfferedQPS float64
+	Completed  uint64
+	Errors     uint64
 	// Latency measures from scheduled send time: issue lag (backlog) plus
 	// the op's own service time. This is the coordinated-omission-correct
 	// number; percentiles come from here.
 	Latency *stats.Histogram
-	// LagNs totals the issue-after-schedule backlog across ops, and
-	// MaxLagNs is the worst single backlog — the generator's own
-	// saturation signal (a backlogged generator means offered > capacity
-	// regardless of what the SLO says).
-	LagNs    uint64
+	// MaxLagNs is the worst issue-after-schedule backlog — the generator's
+	// own saturation signal (a backlogged generator means offered >
+	// capacity regardless of what the SLO says).
 	MaxLagNs uint64
 }
 
@@ -123,71 +118,20 @@ type StepResult struct {
 // due, the lateness is charged to its latency.
 func RunStep(clock fabric.Clock, cfg StepConfig, op Op) StepResult {
 	sched := Schedule(cfg.Arrival, cfg.QPS, cfg.Ops, cfg.Seed)
-	res := StepResult{OfferedQPS: cfg.QPS, Scheduled: len(sched), Latency: &stats.Histogram{}}
 	if len(sched) == 0 {
-		return res
+		return StepResult{OfferedQPS: cfg.QPS, Latency: &stats.Histogram{}}
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 32
 	}
-	if workers > len(sched) {
-		workers = len(sched)
-	}
-
-	var next atomic.Uint64
-	var completed, errors, lagNs, maxLag atomic.Uint64
-	start := clock.NowNs()
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= uint64(len(sched)) {
-					return
-				}
-				due := start + sched[i]
-				now := clock.NowNs()
-				for now < due {
-					clock.SleepNs(due - now)
-					now = clock.NowNs()
-				}
-				lag := now - due
-				ns, err := op(i)
-				lat := lag + ns
-				res.Latency.Record(lat)
-				if lag > 0 {
-					lagNs.Add(lag)
-					for {
-						m := maxLag.Load()
-						if lag <= m || maxLag.CompareAndSwap(m, lag) {
-							break
-						}
-					}
-				}
-				if err != nil {
-					errors.Add(1)
-				} else {
-					completed.Add(1)
-				}
-				if cfg.OnResult != nil {
-					cfg.OnResult(lat, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	res.Completed = completed.Load()
-	res.Errors = errors.Load()
-	res.LagNs = lagNs.Load()
-	res.MaxLagNs = maxLag.Load()
-	res.ElapsedNs = clock.NowNs() - start
-	if res.ElapsedNs > 0 {
-		res.AchievedQPS = float64(res.Completed+res.Errors) / (float64(res.ElapsedNs) / 1e9)
-	}
-	return res
+	r := drive.Run(context.Background(), nil, drive.Group{
+		Workers:  min(workers, len(sched)),
+		Ops:      len(sched),
+		Arrivals: &drive.Timetable{Clock: clock, At: sched, Done: cfg.OnResult},
+		Worker: func(int) drive.Op {
+			return func(i int) (uint64, error) { return op(uint64(i)) }
+		},
+	})
+	return StepResult{OfferedQPS: cfg.QPS, Completed: r.Ops - r.Errors, Errors: r.Errors, Latency: &r.Lagged, MaxLagNs: r.MaxLagNs}
 }

@@ -176,30 +176,6 @@ func (h *Histogram) AddBuckets(bs []HistBucket, sum, max uint64) {
 	}
 }
 
-// Merge adds every observation in o into h. Percentile reads of the
-// merged histogram equal those over the union of both observation sets
-// (within bucket resolution). o should be a quiescent snapshot; h may be
-// live.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.total.Add(o.total.Load())
-	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		m := h.max.Load()
-		if om <= m || h.max.CompareAndSwap(m, om) {
-			break
-		}
-	}
-}
-
 // Counter is a monotonic event counter.
 type Counter struct{ v atomic.Uint64 }
 

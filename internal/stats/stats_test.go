@@ -257,39 +257,10 @@ func TestHistogramPercentileErrorBoundOverLatencyRange(t *testing.T) {
 	}
 }
 
-// Sharded histograms merged into one must read identically to a single
-// histogram fed the same observations — the Debug RPC aggregates per-cell
-// histograms this way.
-func TestHistogramMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var ref Histogram
-	shards := make([]Histogram, 4)
-	for i := 0; i < 20_000; i++ {
-		v := uint64(rng.ExpFloat64() * 75_000)
-		ref.Record(v)
-		shards[i%len(shards)].Record(v)
-	}
-	var merged Histogram
-	for i := range shards {
-		merged.Merge(shards[i].Snapshot())
-	}
-	if merged.Count() != ref.Count() {
-		t.Fatalf("merged count = %d, ref %d", merged.Count(), ref.Count())
-	}
-	if merged.Max() != ref.Max() {
-		t.Fatalf("merged max = %d, ref %d", merged.Max(), ref.Max())
-	}
-	for _, p := range []float64{1, 25, 50, 75, 90, 99, 99.9, 100} {
-		if m, r := merged.Percentile(p), ref.Percentile(p); m != r {
-			t.Errorf("p%g: merged %d != ref %d", p, m, r)
-		}
-	}
-}
-
-// Snapshot and Merge against a live, concurrently-written histogram must
-// stay internally consistent: monotone non-decreasing counts, percentiles
+// Snapshot against a live, concurrently-written histogram must stay
+// internally consistent: monotone non-decreasing counts, percentiles
 // within observed bounds, and no torn totals.
-func TestHistogramSnapshotMergeUnderConcurrentRecord(t *testing.T) {
+func TestHistogramSnapshotUnderConcurrentRecord(t *testing.T) {
 	var h Histogram
 	const writers, per = 4, 50_000
 	const maxVal = 1 << 30
@@ -332,13 +303,7 @@ func TestHistogramSnapshotMergeUnderConcurrentRecord(t *testing.T) {
 				return
 			}
 			prevCount = snap.Count()
-			var agg Histogram
-			agg.Merge(snap)
-			if agg.Count() != snap.Count() {
-				readerErrs <- fmt.Errorf("merge changed count: %d != %d", agg.Count(), snap.Count())
-				return
-			}
-			if p := agg.Percentile(99); p > maxVal {
+			if p := snap.Percentile(99); p > maxVal {
 				readerErrs <- fmt.Errorf("p99 %d beyond any recorded value", p)
 				return
 			}

@@ -18,11 +18,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"cliquemap/internal/core/cell"
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/history"
 	"cliquemap/internal/rpc"
@@ -76,33 +76,27 @@ func opLeaseStress(t *testing.T, tracer *trace.Tracer, cl *client.Client) {
 
 	// The tracer reader: a record ID seen twice — in a snapshot's exemplars
 	// or slow log — must carry the same spans every time.
-	stop := make(chan struct{})
-	var readerDone sync.WaitGroup
-	readerDone.Add(1)
-	go func() {
-		defer readerDone.Done()
+	reader := drive.Group{Worker: func(int) drive.Op {
 		seen := make(map[uint64][]fabric.Span)
-		check := func(where string, recs []trace.OpRecord) {
+		check := func(where string, recs []trace.OpRecord) error {
 			for _, r := range recs {
 				if prev, ok := seen[r.ID]; !ok {
 					seen[r.ID] = r.Spans
 				} else if !slices.Equal(prev, r.Spans) {
 					t.Errorf("%s: op %d changed its spans after it was recorded:\n was %+v\n now %+v", where, r.ID, prev, r.Spans)
-					return
+					return drive.ErrStop
 				}
 			}
+			return nil
 		}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		return func(int) (uint64, error) {
 			snap := tracer.Snapshot(0)
-			check("Snapshot.Exemplars", snap.Exemplars)
-			check("Snapshot.Slow", snap.Slow)
+			if err := check("Snapshot.Exemplars", snap.Exemplars); err != nil {
+				return 0, err
+			}
+			return 0, check("Snapshot.Slow", snap.Slow)
 		}
-	}()
+	}}
 
 	// Every op lands in one history, held to the register. Each worker is
 	// its keys' only writer, so a CAS against the version of its own last
@@ -110,88 +104,81 @@ func opLeaseStress(t *testing.T, tracer *trace.Tracer, cl *client.Client) {
 	// garbled expected version in a reused record fails one way or the
 	// other.
 	rec := &history.Recorder{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := history.Client{C: cl, R: rec, ID: w}
-			keys := make([][]byte, keysPer)
-			for k := range keys {
-				keys[k] = []byte(fmt.Sprintf("lease-%d-%d", w, k))
+	drive.Run(ctx, nil, reader, drive.Group{Workers: workers, Ops: workers * ops, Worker: func(w int) drive.Op {
+		h := history.Client{C: cl, R: rec, ID: w}
+		keys := make([][]byte, keysPer)
+		for k := range keys {
+			keys[k] = []byte(fmt.Sprintf("lease-%d-%d", w, k))
+		}
+		vers := make([]truetime.Version, keysPer) // the newest SET's, for CAS
+		current := make([]bool, keysPer)          // vers[k] is still k's version
+		var kept fabric.OpTrace                   // a GetTraced caller's trace, which must stay put
+		var keptCopy []fabric.Span
+		var keptVals, keptValsCopy [][]byte // the last GET's or batch's values, likewise
+		rng := rand.New(rand.NewSource(int64(w)))
+		return func(i int) (uint64, error) {
+			k := rng.Intn(keysPer)
+			val := fmt.Sprintf("w%d-k%d-i%d", w, k, i)
+			op := rng.Intn(6)
+			if op == 1 && vers[k] == (truetime.Version{}) {
+				op = 0 // no version to expect yet
 			}
-			vers := make([]truetime.Version, keysPer) // the newest SET's, for CAS
-			current := make([]bool, keysPer)          // vers[k] is still k's version
-			var kept fabric.OpTrace                   // a GetTraced caller's trace, which must stay put
-			var keptCopy []fabric.Span
-			var keptVals, keptValsCopy [][]byte // the last GET's or batch's values, likewise
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < ops; i++ {
-				k := rng.Intn(keysPer)
-				val := fmt.Sprintf("w%d-k%d-i%d", w, k, i)
-				op := rng.Intn(6)
-				if op == 1 && vers[k] == (truetime.Version{}) {
-					op = 0 // no version to expect yet
+			var err error
+			switch op {
+			case 0:
+				vers[k], err = h.SetVersioned(ctx, keys[k], []byte(val))
+				current[k] = true
+			case 1:
+				var swapped bool
+				if swapped, err = h.Cas(ctx, keys[k], []byte(val), vers[k]); err == nil && swapped != current[k] {
+					err = fmt.Errorf("cas swapped=%v, want %v", swapped, current[k])
 				}
-				var err error
-				switch op {
-				case 0:
-					vers[k], err = h.SetVersioned(ctx, keys[k], []byte(val))
-					current[k] = true
-				case 1:
-					var swapped bool
-					if swapped, err = h.Cas(ctx, keys[k], []byte(val), vers[k]); err == nil && swapped != current[k] {
-						err = fmt.Errorf("cas swapped=%v, want %v", swapped, current[k])
-					}
-					current[k] = false // a swap's version is not returned
-				case 2:
-					err = h.Erase(ctx, keys[k])
-					current[k] = false
-				case 3:
-					var v []byte
-					v, _, err = h.Get(ctx, keys[k])
-					keptVals = [][]byte{v}
-				case 4:
-					inv := rec.Tick()
-					var found []bool
-					keptVals, found, _, err = cl.GetBatch(ctx, keys)
-					for j := range found {
-						h.Observe(inv, keys[j], keptVals[j], found[j], err)
-					}
-				case 5:
-					inv := rec.Tick()
-					v, found, tr, gerr := cl.GetTraced(ctx, keys[k])
-					if h.Observe(inv, keys[k], v, found, gerr); gerr == nil && len(tr.Spans) == 0 {
-						gerr = errors.New("a traced GET returned no spans")
-					}
-					kept, keptCopy, err = tr, slices.Clone(tr.Spans), gerr
+				current[k] = false // a swap's version is not returned
+			case 2:
+				err = h.Erase(ctx, keys[k])
+				current[k] = false
+			case 3:
+				var v []byte
+				v, _, err = h.Get(ctx, keys[k])
+				keptVals = [][]byte{v}
+			case 4:
+				inv := rec.Tick()
+				var found []bool
+				keptVals, found, _, err = cl.GetBatch(ctx, keys)
+				for j := range found {
+					h.Observe(inv, keys[j], keptVals[j], found[j], err)
 				}
-				if err != nil {
-					t.Errorf("worker %d op %d on %s: %v", w, op, keys[k], err)
-					return
+			case 5:
+				inv := rec.Tick()
+				v, found, tr, gerr := cl.GetTraced(ctx, keys[k])
+				if h.Observe(inv, keys[k], v, found, gerr); gerr == nil && len(tr.Spans) == 0 {
+					gerr = errors.New("a traced GET returned no spans")
 				}
-				if op >= 3 {
-					keptValsCopy = keptValsCopy[:0]
-					for _, v := range keptVals {
-						keptValsCopy = append(keptValsCopy, slices.Clone(v))
-					}
-				}
-				for j := range keptVals {
-					if !bytes.Equal(keptVals[j], keptValsCopy[j]) {
-						t.Errorf("worker %d: a value a GET returned changed under later ops: was %q, now %q", w, keptValsCopy[j], keptVals[j])
-						return
-					}
-				}
-				if !slices.Equal(kept.Spans, keptCopy) {
-					t.Errorf("worker %d: a kept GetTraced trace changed under later ops:\n was %+v\n now %+v", w, keptCopy, kept.Spans)
-					return
+				kept, keptCopy, err = tr, slices.Clone(tr.Spans), gerr
+			}
+			if err != nil {
+				t.Errorf("worker %d op %d on %s: %v", w, op, keys[k], err)
+				return 0, drive.ErrStop
+			}
+			if op >= 3 {
+				keptValsCopy = keptValsCopy[:0]
+				for _, v := range keptVals {
+					keptValsCopy = append(keptValsCopy, slices.Clone(v))
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	readerDone.Wait()
+			for j := range keptVals {
+				if !bytes.Equal(keptVals[j], keptValsCopy[j]) {
+					t.Errorf("worker %d: a value a GET returned changed under later ops: was %q, now %q", w, keptValsCopy[j], keptVals[j])
+					return 0, drive.ErrStop
+				}
+			}
+			if !slices.Equal(kept.Spans, keptCopy) {
+				t.Errorf("worker %d: a kept GetTraced trace changed under later ops:\n was %+v\n now %+v", w, keptCopy, kept.Spans)
+				return 0, drive.ErrStop
+			}
+			return 0, nil
+		}
+	}})
 	checkRegister(t, rec, 0)
 }
 
@@ -266,43 +253,42 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 				served = tc.served(&cl.M)
 			}
 
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					type held struct {
-						key string
-						val []byte
-					}
-					var kept []held
-					for r := 0; r < rounds; r++ {
-						for k := 0; k < keysPer; k++ {
-							key := fmt.Sprintf("arena-%d-%d", w, k)
-							v, found, err := cl.Get(ctx, []byte(key))
-							if tc.wantErr != nil {
-								if !errors.Is(err, tc.wantErr) {
-									t.Errorf("get %s: err=%v, want %v", key, err, tc.wantErr)
-									return
-								}
-								continue
-							}
-							if err != nil || !found || !bytes.Equal(v, want[key]) {
-								t.Errorf("get %s: %d bytes found=%v err=%v", key, len(v), found, err)
-								return
-							}
-							kept = append(kept, held{key, v})
-						}
-					}
-					for i, h := range kept {
-						if !bytes.Equal(h.val, want[h.key]) {
-							t.Errorf("worker %d: GET #%d's value for %s changed under later GETs", w, i, h.key)
-							return
-						}
-					}
-				}(w)
+			// Each worker GETs its own keys round-robin and keeps every
+			// value it was handed.
+			type held struct {
+				key string
+				val []byte
 			}
-			wg.Wait()
+			kept := make([][]held, workers)
+			drive.Run(ctx, nil, drive.Group{Workers: workers, Ops: workers * rounds * keysPer, Worker: func(w int) drive.Op {
+				n := 0
+				return func(int) (uint64, error) {
+					key := fmt.Sprintf("arena-%d-%d", w, n%keysPer)
+					n++
+					v, found, err := cl.Get(ctx, []byte(key))
+					if tc.wantErr != nil {
+						if !errors.Is(err, tc.wantErr) {
+							t.Errorf("get %s: err=%v, want %v", key, err, tc.wantErr)
+							return 0, drive.ErrStop
+						}
+						return 0, nil
+					}
+					if err != nil || !found || !bytes.Equal(v, want[key]) {
+						t.Errorf("get %s: %d bytes found=%v err=%v", key, len(v), found, err)
+						return 0, drive.ErrStop
+					}
+					kept[w] = append(kept[w], held{key, v})
+					return 0, nil
+				}
+			}})
+			for w := range kept {
+				for i, h := range kept[w] {
+					if !bytes.Equal(h.val, want[h.key]) {
+						t.Errorf("worker %d: GET #%d's value for %s changed under later GETs", w, i, h.key)
+						break
+					}
+				}
+			}
 			if tc.served != nil && tc.served(&cl.M) == served {
 				t.Error("no GET took the path under test")
 			}

@@ -19,11 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/history"
 )
 
@@ -59,71 +59,60 @@ func relocationStress(t *testing.T, transport Transport, strategies ...Strategy)
 	})
 	ctx := context.Background()
 	rec := &history.Recorder{}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
 
 	// The hot writer rewrites the hot set at changing sizes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	hotWriter := drive.Group{Worker: func(int) drive.Op {
 		cl := history.Client{C: c.NewClient(ClientOptions{}).Internal(), R: rec}
-		for seq := uint64(1); !stop.Load(); seq++ {
+		return func(i int) (uint64, error) {
 			for k := 0; k < relocHotKeys; k++ {
-				cl.SetVersioned(ctx, relocHotKey(k), relocHotValue(k, seq))
+				cl.SetVersioned(ctx, relocHotKey(k), relocHotValue(k, uint64(i+1)))
 			}
+			return 0, nil
 		}
-	}()
+	}}
 
 	// Readers, one per strategy.
 	reader := func(st Strategy) *client.Client {
 		return c.Internal().NewClient(client.Options{Strategy: st.internal()})
 	}
 	hits := make([]atomic.Uint64, len(strategies))
-	for i, st := range strategies {
-		wg.Add(1)
-		go func(i int, st Strategy) {
-			defer wg.Done()
-			cl := history.Client{C: reader(st), R: rec, ID: 1 + i}
-			who := fmt.Sprintf("strategy %d", st)
-			for n := 0; !stop.Load(); n++ {
-				k := n % relocHotKeys
-				_, found, err := cl.Get(ctx, relocHotKey(k))
-				if errors.Is(err, client.ErrExhausted) {
-					continue // the retry budget tripping under a rewrite storm is fail-fast, not a wrong answer
-				}
-				if err != nil {
-					t.Errorf("%s: GET hot-%02d: %v", who, k, err)
-					return
-				}
-				if found { // else evicted, and the hot writer brings it back
-					hits[i].Add(1)
-				}
+	readers := drive.Group{Workers: len(strategies), Worker: func(i int) drive.Op {
+		st := strategies[i]
+		cl := history.Client{C: reader(st), R: rec, ID: 1 + i}
+		return func(n int) (uint64, error) {
+			k := n % relocHotKeys
+			_, found, err := cl.Get(ctx, relocHotKey(k))
+			if errors.Is(err, client.ErrExhausted) {
+				return 0, err // the retry budget tripping under a rewrite storm is fail-fast, not a wrong answer
 			}
-		}(i, st)
-	}
+			if err != nil {
+				t.Errorf("strategy %d: GET hot-%02d: %v", st, k, err)
+				return 0, drive.ErrStop
+			}
+			if found { // else evicted, and the hot writer brings it back
+				hits[i].Add(1)
+			}
+			return 0, nil
+		}
+	}}
 
-	// Cold writers: the mixed-size churn that keeps the regions calcified.
-	var cold sync.WaitGroup
-	for w := 0; w < relocColdWriter; w++ {
-		cold.Add(1)
-		go func(w int) {
-			defer cold.Done()
-			cl := c.NewClient(ClientOptions{})
-			rng := rand.New(rand.NewSource(int64(w + 1)))
-			buf := make([]byte, 12<<10)
-			for i := 0; i < relocColdKeys; i++ {
-				size := 128 << uint(rng.Intn(6)) // 128 B … 6 KiB
-				size += rng.Intn(size / 2)
-				if err := cl.Set(ctx, []byte(fmt.Sprintf("cold-%d-%05d", w, i)), buf[:size]); err != nil && !errors.Is(err, client.ErrExhausted) {
-					t.Errorf("cold SET: %v", err)
-					return
-				}
+	// Cold writers: the mixed-size churn that keeps the regions calcified,
+	// relocColdKeys fresh keys each.
+	cold := drive.Group{Workers: relocColdWriter, Ops: relocColdWriter * relocColdKeys, Worker: func(w int) drive.Op {
+		cl := c.NewClient(ClientOptions{})
+		rng := rand.New(rand.NewSource(int64(w + 1)))
+		buf := make([]byte, 12<<10)
+		return func(i int) (uint64, error) {
+			size := 128 << uint(rng.Intn(6)) // 128 B … 6 KiB
+			size += rng.Intn(size / 2)
+			if err := cl.Set(ctx, []byte(fmt.Sprintf("cold-%d-%05d", w, i)), buf[:size]); err != nil && !errors.Is(err, client.ErrExhausted) {
+				t.Errorf("cold SET: %v", err)
+				return 0, drive.ErrStop
 			}
-		}(w)
-	}
-	cold.Wait()
-	stop.Store(true)
-	wg.Wait()
+			return 0, nil
+		}
+	}}
+	drive.Run(ctx, nil, hotWriter, readers, cold)
 
 	agg := c.Internal().AggregateCounters()
 	if agg.SlabDrains == 0 || agg.EntriesMoved == 0 {

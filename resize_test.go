@@ -3,10 +3,10 @@ package cliquemap
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/history"
 )
 
@@ -30,35 +30,22 @@ func TestResizeGrowUnderLoad(t *testing.T) {
 	}
 
 	// Mixed load concurrent with the resize: workers w and w+2 share keys.
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < workers; w++ {
+	load := drive.Group{Workers: workers, Worker: func(w int) drive.Op {
 		h := history.Client{C: c.Internal().NewClient(client.Options{}), R: rec, ID: w}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := []byte(fmt.Sprintf("live-%d-%03d", w%2, i%50))
-				h.SetVersioned(ctx, k, []byte(fmt.Sprintf("w%d-i%d", w, i)))
-				if i%3 == 0 {
-					h.Get(ctx, k)
-				}
+		return func(i int) (uint64, error) {
+			k := []byte(fmt.Sprintf("live-%d-%03d", w%2, i%50))
+			h.SetVersioned(ctx, k, []byte(fmt.Sprintf("w%d-i%d", w, i)))
+			if i%3 == 0 {
+				h.Get(ctx, k)
 			}
-		}(w)
-	}
-
-	if err := c.Resize(ctx, 6); err != nil {
-		close(stop)
-		wg.Wait()
-		t.Fatalf("resize 4→6: %v", err)
-	}
-	close(stop)
-	wg.Wait()
+			return 0, nil
+		}
+	}}
+	drive.Run(ctx, func() {
+		if err := c.Resize(ctx, 6); err != nil {
+			t.Fatalf("resize 4→6: %v", err)
+		}
+	}, load)
 
 	if got := c.Shards(); got != 6 {
 		t.Fatalf("shards after resize = %d, want 6", got)

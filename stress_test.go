@@ -25,6 +25,7 @@ import (
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/drive"
 	"cliquemap/internal/truetime"
 )
 
@@ -59,22 +60,12 @@ func TestConcurrentMutationStress(t *testing.T) {
 	var recMu sync.Mutex
 	recs := make(map[string][]stressMut)
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	// Per-replica readers: found versions for a key must never regress.
-	readerErrs := make(chan error, stressQuorumReader+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	// Per-replica reader: found versions for a key must never regress.
+	readerErrs := make(chan error, stressQuorumReader+stressWriters+1)
+	replicaReader := drive.Group{Worker: func(int) drive.Op {
 		rpcc := cc.Net.Client(clientHost, "stress-reader")
 		last := make(map[string]truetime.Version, 3*stressKeys)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		return func(i int) (uint64, error) {
 			key := stressKey(i % stressKeys)
 			for r, addr := range addrs {
 				resp, _, err := rpcc.Call(ctx, addr, proto.MethodGet, proto.GetReq{Key: key}.Marshal())
@@ -88,117 +79,103 @@ func TestConcurrentMutationStress(t *testing.T) {
 				id := fmt.Sprintf("%d/%s", r, key)
 				if gr.Version.Less(last[id]) {
 					readerErrs <- fmt.Errorf("replica %d key %s: version regressed %v -> %v", r, key, last[id], gr.Version)
-					return
+					return 0, drive.ErrStop
 				}
 				last[id] = gr.Version
 			}
+			return 0, nil
 		}
-	}()
+	}}
 
 	// Quorum-GET readers exercise the client's RMA read path (including
 	// torn-read detection and retry) against live mutation.
-	for qr := 0; qr < stressQuorumReader; qr++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cl := c.NewClient(ClientOptions{Strategy: LookupSCAR})
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				val, found, err := cl.Get(ctx, stressKey((i+id)%stressKeys))
-				if errors.Is(err, client.ErrExhausted) {
-					// Retry-budget exhaustion is the client's intended
-					// fail-fast under overload, not a consistency violation —
-					// and this storm of tight-loop quorum reads against 12
-					// keys under live mutation can legitimately trip it when
-					// the box is slow (e.g. under the race detector). Back
-					// off and keep hammering; the oracles below still catch
-					// any real lost update or regression.
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				if err != nil {
-					readerErrs <- fmt.Errorf("quorum get: %v", err)
-					return
-				}
-				if found && (len(val) == 0 || val[0] != 'w') {
-					readerErrs <- fmt.Errorf("quorum get returned foreign value %q", val)
-					return
-				}
+	quorumReaders := drive.Group{Workers: stressQuorumReader, Worker: func(id int) drive.Op {
+		cl := c.NewClient(ClientOptions{Strategy: LookupSCAR})
+		return func(i int) (uint64, error) {
+			val, found, err := cl.Get(ctx, stressKey((i+id)%stressKeys))
+			if errors.Is(err, client.ErrExhausted) {
+				// Retry-budget exhaustion is the client's intended
+				// fail-fast under overload, not a consistency violation —
+				// and this storm of tight-loop quorum reads against 12
+				// keys under live mutation can legitimately trip it when
+				// the box is slow (e.g. under the race detector). Back
+				// off and keep hammering; the oracles below still catch
+				// any real lost update or regression.
+				time.Sleep(time.Millisecond)
+				return 0, err
 			}
-		}(qr)
-	}
+			if err != nil {
+				readerErrs <- fmt.Errorf("quorum get: %v", err)
+				return 0, drive.ErrStop
+			}
+			if found && (len(val) == 0 || val[0] != 'w') {
+				readerErrs <- fmt.Errorf("quorum get returned foreign value %q", val)
+				return 0, drive.ErrStop
+			}
+			return 0, nil
+		}
+	}}
 
 	// Writers: versioned mutations to the full cohort, overlapping keys.
-	var writerWg sync.WaitGroup
-	for w := 0; w < stressWriters; w++ {
-		writerWg.Add(1)
-		go func(id int) {
-			defer writerWg.Done()
-			gen := truetime.NewGenerator(cc.Clock, uint64(7000+id))
-			rpcc := cc.Net.Client(clientHost, fmt.Sprintf("stress-writer-%d", id))
-			rng := rand.New(rand.NewSource(int64(id)))
-			lastApplied := make(map[string]truetime.Version, stressKeys)
+	writers := drive.Group{Workers: stressWriters, Ops: stressWriters * stressOpsPerWriter, Worker: func(id int) drive.Op {
+		gen := truetime.NewGenerator(cc.Clock, uint64(7000+id))
+		rpcc := cc.Net.Client(clientHost, fmt.Sprintf("stress-writer-%d", id))
+		rng := rand.New(rand.NewSource(int64(id)))
+		lastApplied := make(map[string]truetime.Version, stressKeys)
 
-			send := func(method string, req []byte) (acked, applied int) {
-				for _, addr := range addrs {
-					resp, _, err := rpcc.Call(ctx, addr, method, req)
-					if err != nil {
-						continue
-					}
-					mr, merr := proto.UnmarshalMutateResp(resp)
-					if merr != nil {
-						continue
-					}
-					acked++
-					if mr.Applied {
-						applied++
-					}
+		send := func(method string, req []byte) (acked, applied int) {
+			for _, addr := range addrs {
+				resp, _, err := rpcc.Call(ctx, addr, method, req)
+				if err != nil {
+					continue
 				}
-				return acked, applied
+				mr, merr := proto.UnmarshalMutateResp(resp)
+				if merr != nil {
+					continue
+				}
+				acked++
+				if mr.Applied {
+					applied++
+				}
 			}
+			return acked, applied
+		}
 
-			for i := 0; i < stressOpsPerWriter; i++ {
-				key := stressKey(rng.Intn(stressKeys))
-				v := gen.Next()
-				m := stressMut{v: v}
-				var acked int
-				switch op := rng.Intn(10); {
-				case op < 6:
-					m.kind = 's'
-					m.payload = fmt.Sprintf("w%d-%d", id, i)
-					req := proto.SetReq{Key: key, Value: []byte(m.payload), Version: v}.Marshal()
-					acked, m.applied = send(proto.MethodSet, req)
-				case op < 8 && !lastApplied[string(key)].Zero():
-					m.kind = 'c'
-					m.payload = fmt.Sprintf("w%d-%d", id, i)
-					req := proto.SetReq{Key: key, Value: []byte(m.payload), Expected: lastApplied[string(key)], Version: v}.Marshal()
-					acked, m.applied = send(proto.MethodCas, req)
-				default:
-					m.kind = 'e'
-					req := proto.SetReq{Key: key, Version: v}.Marshal()
-					acked, m.applied = send(proto.MethodErase, req)
-				}
-				if acked != len(addrs) {
-					readerErrs <- fmt.Errorf("writer %d: only %d/%d replicas acked", id, acked, len(addrs))
-					return
-				}
-				if m.applied >= stressQuorum && m.kind != 'e' {
-					lastApplied[string(key)] = v
-				}
-				recMu.Lock()
-				recs[string(key)] = append(recs[string(key)], m)
-				recMu.Unlock()
+		return func(i int) (uint64, error) {
+			key := stressKey(rng.Intn(stressKeys))
+			v := gen.Next()
+			m := stressMut{v: v}
+			var acked int
+			switch op := rng.Intn(10); {
+			case op < 6:
+				m.kind = 's'
+				m.payload = fmt.Sprintf("w%d-%d", id, i)
+				req := proto.SetReq{Key: key, Value: []byte(m.payload), Version: v}.Marshal()
+				acked, m.applied = send(proto.MethodSet, req)
+			case op < 8 && !lastApplied[string(key)].Zero():
+				m.kind = 'c'
+				m.payload = fmt.Sprintf("w%d-%d", id, i)
+				req := proto.SetReq{Key: key, Value: []byte(m.payload), Expected: lastApplied[string(key)], Version: v}.Marshal()
+				acked, m.applied = send(proto.MethodCas, req)
+			default:
+				m.kind = 'e'
+				req := proto.SetReq{Key: key, Version: v}.Marshal()
+				acked, m.applied = send(proto.MethodErase, req)
 			}
-		}(w)
-	}
-
-	writerWg.Wait()
-	close(stop)
-	wg.Wait()
+			if acked != len(addrs) {
+				readerErrs <- fmt.Errorf("writer %d: only %d/%d replicas acked", id, acked, len(addrs))
+				return 0, drive.ErrStop
+			}
+			if m.applied >= stressQuorum && m.kind != 'e' {
+				lastApplied[string(key)] = v
+			}
+			recMu.Lock()
+			recs[string(key)] = append(recs[string(key)], m)
+			recMu.Unlock()
+			return 0, nil
+		}
+	}}
+	drive.Run(ctx, nil, replicaReader, quorumReaders, writers)
 	select {
 	case err := <-readerErrs:
 		t.Fatal(err)
