@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/rmem"
@@ -18,13 +19,13 @@ import (
 	"cliquemap/internal/wire"
 )
 
-// The struct tags are the one schema of every message. These tests pin
-// that claim from three sides: frames captured from the hand-written
-// encoders the tags replaced still decode and re-encode byte-identically
-// (interop with every peer built before the switch); the six datapath
-// messages that keep allocation-tuned hand-written codecs agree with the
-// tag-driven codec on every value (they are a checked optimisation of the
-// schema, not a second format); and the tags themselves are well-formed.
+// The struct tags are the one schema of every message, and wire's plan
+// compiled from them is the one codec. These tests pin that from three
+// sides: frames captured from the hand-written encoders of earlier commits
+// still decode and re-encode byte-identically (interop with every peer
+// built before the switch); the plan agrees with the reflective reference
+// codec (reference_test.go) on every value of every message; and the tags
+// themselves are well-formed.
 
 type message interface{ Marshal() []byte }
 
@@ -33,9 +34,10 @@ func anyDecoder[T message](f func([]byte) (T, error)) func([]byte) (message, err
 	return func(b []byte) (message, error) { return f(b) }
 }
 
-// goldenFrames holds, for a populated and a zero value of each of the 15
-// off-datapath messages, the frame the hand-written Marshal of the commit
-// before the struct-tag codec produced for it.
+// goldenFrames holds, for a populated and a zero value of each message,
+// the frame the hand-written Marshal of the commit before the struct-tag
+// codec produced for it (before the compiled plan, for the six datapath
+// messages).
 var goldenFrames = []struct {
 	value  message
 	decode func([]byte) (message, error)
@@ -144,6 +146,31 @@ var goldenFrames = []struct {
 		"010408091080011a120a02757310e80718e80722026f6b30c8a9141a160a02657510fa0118e807220470616765280130" +
 			"98e3061a120a0461736961100018002204646561643000"},
 
+	// The six datapath messages, captured from the hand-written encoders
+	// the compiled plan replaced: populated, a CAS carrying access records
+	// (a partly zero Expected sends only its non-zero parts), and zero.
+	{SetReq{Key: []byte("key-1"), Value: []byte("value-1"), Version: v(1<<50, 7, 3), Repair: true, Pending: true, ConfigID: 9},
+		anyDecoder(UnmarshalSetReq), "01040a056b65792d31120776616c75652d3118808080808080800220072803300138014009"},
+	{SetReq{Key: []byte{0x00, 0xff}, Value: []byte("nv"), Version: v(-8, 9, 10), ConfigID: 4,
+		Touches: TouchReq{Keys: [][]byte{[]byte("a"), []byte("bb")}}.Marshal(), Expected: v(1, 0, 2)},
+		anyDecoder(UnmarshalSetReq), "01040a0200ff12026e7618f8ffffffffffffffff012009280a3000380040044a0901040a01610a02626250016002"},
+	{MutateResp{Applied: true, Stored: v(5, 6, 7), Evictions: 3, Sealed: true,
+		Hot: TouchResp{HotEpoch: 4, HotKeys: [][]byte{[]byte("hot")}}.Marshal()},
+		anyDecoder(UnmarshalMutateResp), "01040801100518062007280330013a09010408041203686f74"},
+	{GetReq{Key: []byte("gk"), ConfigID: 1 << 40}, anyDecoder(UnmarshalGetReq), "01040a02676b10808080808020"},
+	{GetResp{Found: true, Value: []byte("val"), Version: v(3, 2, 1)}, anyDecoder(UnmarshalGetResp),
+		"01040801120376616c180320022801"},
+	{TouchReq{Keys: [][]byte{[]byte("a"), {0x00, 0x01}, []byte("ccc")}}, anyDecoder(UnmarshalTouchReq),
+		"01040a01610a0200010a03636363"},
+	{TouchResp{HotEpoch: 9, HotKeys: [][]byte{[]byte("h1"), []byte("h2")}}, anyDecoder(UnmarshalTouchResp),
+		"010408091202683112026832"},
+	{SetReq{}, anyDecoder(UnmarshalSetReq), "01040a001200180020002800300038004000"},
+	{MutateResp{}, anyDecoder(UnmarshalMutateResp), "0104080010001800200028003000"},
+	{GetReq{}, anyDecoder(UnmarshalGetReq), "01040a001000"},
+	{GetResp{}, anyDecoder(UnmarshalGetResp), "010408001200180020002800"},
+	{TouchReq{}, anyDecoder(UnmarshalTouchReq), "0104"},
+	{TouchResp{}, anyDecoder(UnmarshalTouchResp), "0104"},
+
 	// Frames captured at the commit before the telemetry records moved to
 	// their producers (DebugHist & co. became aliases of trace / stats
 	// types) and StatsResp grew tags 48–52: the data-region tags 44–47 set,
@@ -234,6 +261,66 @@ func TestGoldenFrames(t *testing.T) {
 		if again := got.Marshal(); !bytes.Equal(again, frame) {
 			t.Errorf("%s: re-encoded frame differs from the parent's:\n got  %x\n want %x", name, again, frame)
 		}
+		// A datapath message appends itself after what the caller's
+		// storage holds, in that storage when it has the room.
+		if a, ok := c.value.(interface{ AppendTo([]byte) []byte }); ok {
+			dst := append(make([]byte, 0, 256), "prefix"...)
+			if got := a.AppendTo(dst); string(got[:6]) != "prefix" || !bytes.Equal(got[6:], frame) || &got[0] != &dst[0] {
+				t.Errorf("%s: AppendTo after a prefix gave %x, want prefix then %x in the caller's storage", name, got, frame)
+			}
+		}
+	}
+}
+
+// TestDatapathDecodeAliasesFrame: decoding a datapath message allocates
+// nothing, and each byte field it returns is a view of the frame. The two
+// access-record messages decode into a value whose key list has room, as a
+// reused one does.
+func TestDatapathDecodeAliasesFrame(t *testing.T) {
+	inFrame := func(name string, frame, field []byte) {
+		t.Helper()
+		lo, at := uintptr(unsafe.Pointer(unsafe.SliceData(frame))), uintptr(unsafe.Pointer(unsafe.SliceData(field)))
+		if len(field) == 0 || at < lo || at+uintptr(len(field)) > lo+uintptr(len(frame)) {
+			t.Errorf("%s: %q is not a view of its frame", name, field)
+		}
+	}
+	hot := TouchResp{HotEpoch: 4, HotKeys: [][]byte{[]byte("hot")}}.Marshal()
+	set := SetReq{Key: []byte("k"), Value: []byte("v"), Version: v(1, 2, 3), Touches: TouchReq{Keys: [][]byte{[]byte("a")}}.Marshal(), Expected: v(1, 1, 1)}.Marshal()
+	mut := MutateResp{Applied: true, Stored: v(1, 2, 3), Hot: hot}.Marshal()
+	get := GetReq{Key: []byte("k"), ConfigID: 7}.Marshal()
+	resp := GetResp{Found: true, Value: []byte("value"), Version: v(1, 2, 3)}.Marshal()
+	touch := TouchReq{Keys: [][]byte{[]byte("a"), []byte("b")}}.Marshal()
+	var (
+		sr  SetReq
+		mr  MutateResp
+		gq  GetReq
+		gr  GetResp
+		tq  = TouchReq{Keys: make([][]byte, 0, 2)}
+		tr  = TouchResp{HotKeys: make([][]byte, 0, 1)}
+		err error
+	)
+	for name, decode := range map[string]func(){
+		"SetReq":     func() { sr, err = UnmarshalSetReq(set) },
+		"MutateResp": func() { mr, err = UnmarshalMutateResp(mut) },
+		"GetReq":     func() { gq, err = UnmarshalGetReq(get) },
+		"GetResp":    func() { gr, err = UnmarshalGetResp(resp) },
+		"TouchReq":   func() { err = wire.Decode(touch, &tq) },
+		"TouchResp":  func() { err = wire.Decode(hot, &tr) },
+	} {
+		if allocs := testing.AllocsPerRun(100, decode); allocs != 0 || err != nil {
+			t.Errorf("%s: decode allocates %.1f (err %v), want 0", name, allocs, err)
+		}
+	}
+	inFrame("SetReq.Key", set, sr.Key)
+	inFrame("SetReq.Value", set, sr.Value)
+	inFrame("SetReq.Touches", set, sr.Touches)
+	inFrame("MutateResp.Hot", mut, mr.Hot)
+	inFrame("GetReq.Key", get, gq.Key)
+	inFrame("GetResp.Value", resp, gr.Value)
+	inFrame("TouchReq.Keys[1]", touch, tq.Keys[1])
+	inFrame("TouchResp.HotKeys[0]", hot, tr.HotKeys[0])
+	if len(tq.Keys) != 2 || len(tr.HotKeys) != 1 || tr.HotEpoch != 4 || sr.Expected != v(1, 1, 1) || gq.ConfigID != 7 || !gr.Found {
+		t.Errorf("decoded %+v %+v %+v %+v", tq, tr, sr, gq)
 	}
 }
 
@@ -257,7 +344,8 @@ func TestRetiredHealthTagsDecode(t *testing.T) {
 
 // TestOldDecoderSkipsNewStatsTags decodes a frame carrying the additive
 // tags 48–52 with the schema as it stood before them — StatsResp's own
-// fields cut off at tag 47 — and expects every older field intact: a cmstat
+// fields cut off at tag 47, read by the reference codec — and expects
+// every older field intact: a cmstat
 // built before the tags reads a new backend's frame as it always did.
 func TestOldDecoderSkipsNewStatsTags(t *testing.T) {
 	cur := StatsResp{Shard: -1, Sealed: true, Gets: 9000, NICOps: 88_000, HotKeys: [][]byte{[]byte("hot")},
@@ -273,7 +361,7 @@ func TestOldDecoderSkipsNewStatsTags(t *testing.T) {
 		t.Fatalf("schema through tag 47 has %d fields", len(older))
 	}
 	old := reflect.New(reflect.StructOf(older))
-	if err := wire.Unmarshal(cur.Marshal(), old.Interface()); err != nil {
+	if err := refUnmarshal(cur.Marshal(), old.Interface()); err != nil {
 		t.Fatalf("old decoder on a new frame: %v", err)
 	}
 	for _, f := range older {
@@ -284,7 +372,7 @@ func TestOldDecoderSkipsNewStatsTags(t *testing.T) {
 	// And the other direction: a frame from a sender that predates the tags
 	// leaves them zero.
 	cur.Erases, cur.CasOps, cur.Overflows, cur.Touches, cur.CorruptPurged = 0, 0, 0, 0, 0
-	if got, err := UnmarshalStatsResp(wire.Marshal(old.Interface())); err != nil || !reflect.DeepEqual(got, cur) {
+	if got, err := UnmarshalStatsResp(refMarshal(old.Interface())); err != nil || !reflect.DeepEqual(got, cur) {
 		t.Errorf("old sender's frame decoded to %+v (err %v), want %+v", got, err, cur)
 	}
 }
@@ -309,9 +397,9 @@ func emptyToNil(v reflect.Value) {
 }
 
 // differential checks one message type on seeded random values: the
-// tag-driven codec and the type's own Marshal / UnmarshalX must produce
-// the same bytes, decode them to the same value (the original), and
-// agree on whether a truncated frame is an error.
+// reference codec and the type's own Marshal / UnmarshalX (the plan) must
+// produce the same bytes, decode them to the same value (the original),
+// and agree on whether a truncated frame is an error.
 func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) func(*testing.T) {
 	return func(t *testing.T) {
 		for i := 0; i < 300; i++ {
@@ -321,8 +409,8 @@ func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) 
 			}
 			m := rv.Interface().(T)
 			frame := m.Marshal()
-			if got := wire.Marshal(&m); !bytes.Equal(got, frame) {
-				t.Fatalf("encoders disagree on %+v:\n tags %x\n own  %x", m, got, frame)
+			if got := refMarshal(&m); !bytes.Equal(got, frame) {
+				t.Fatalf("encoders disagree on %+v:\n reference %x\n plan      %x", m, got, frame)
 			}
 			// A datapath message appends itself after what the caller's
 			// storage holds, in that storage when it has the room.
@@ -333,8 +421,8 @@ func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) 
 				}
 			}
 			var viaTags T
-			if err := wire.Unmarshal(frame, &viaTags); err != nil {
-				t.Fatalf("wire.Unmarshal: %v", err)
+			if err := refUnmarshal(frame, &viaTags); err != nil {
+				t.Fatalf("reference decode: %v", err)
 			}
 			viaOwn, err := unmarshal(frame)
 			if err != nil {
@@ -349,7 +437,7 @@ func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) 
 			cut := frame[:rng.Intn(len(frame)+1)]
 			var scratch T
 			_, errOwn := unmarshal(cut)
-			if errTags := wire.Unmarshal(cut, &scratch); (errTags == nil) != (errOwn == nil) {
+			if errTags := refUnmarshal(cut, &scratch); (errTags == nil) != (errOwn == nil) {
 				t.Fatalf("truncation to %d of %d bytes: tags err=%v, own err=%v", len(cut), len(frame), errTags, errOwn)
 			}
 		}
@@ -358,14 +446,14 @@ func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) 
 
 func TestCodecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	// The six datapath messages: hand-written codecs, same schema.
+	// The six datapath messages.
 	t.Run("SetReq", differential(rng, UnmarshalSetReq))
 	t.Run("GetReq", differential(rng, UnmarshalGetReq))
 	t.Run("GetResp", differential(rng, UnmarshalGetResp))
 	t.Run("MutateResp", differential(rng, UnmarshalMutateResp))
 	t.Run("TouchReq", differential(rng, UnmarshalTouchReq))
 	t.Run("TouchResp", differential(rng, UnmarshalTouchResp))
-	// The fourteen off-datapath messages: thin wrappers over the tags.
+	// The fourteen off-datapath messages.
 	t.Run("HelloResp", differential(rng, UnmarshalHelloResp))
 	t.Run("ScanReq", differential(rng, UnmarshalScanReq))
 	t.Run("ScanResp", differential(rng, UnmarshalScanResp))
@@ -495,14 +583,12 @@ func TestDecodeCaps(t *testing.T) {
 	}
 }
 
-// BenchmarkCodecCost prices the two decisions the schema rests on. bulk:
-// the converted messages that carry payload — one full handoff page
-// (migrateBatchSize items of 4 KiB) and one full repair-scan page
-// (ScanReq.Limit keys) — through the tag-driven codec; run the same
-// benchmark on the commit before it for the hand-written side. datapath:
-// one SET and one GET round trip (the bench probes' shape) through the
-// hand-written codecs the six datapath messages keep, and through the
-// tags they would otherwise use.
+// BenchmarkCodecCost prices the one codec. bulk: the messages that carry
+// payload — one full handoff page (migrateBatchSize items of 4 KiB) and
+// one full repair-scan page (ScanReq.Limit keys). datapath: one SET and one
+// GET round trip (the bench probes' shape), each message appended to a
+// reused buffer as an op appends to its leased arena. Run the same
+// benchmark on an earlier commit for the codec it replaced.
 func BenchmarkCodecCost(b *testing.B) {
 	ver := truetime.Version{Micros: 1e15, ClientID: 7, Seq: 3}
 	key, value := []byte("key-000001"), make([]byte, 128)
@@ -515,6 +601,7 @@ func BenchmarkCodecCost(b *testing.B) {
 		scan.Items = append(scan.Items, ScanItem{HashHi: uint64(i) * 0x9e3779b97f4a7c15, HashLo: ^uint64(i), Version: ver, Key: key})
 	}
 	migFrame, scanFrame := mig.Marshal(), scan.Marshal()
+	buf := make([]byte, 0, 4096)
 	for _, c := range []struct {
 		name string
 		op   func()
@@ -523,21 +610,13 @@ func BenchmarkCodecCost(b *testing.B) {
 		{"bulk/MigrateBatchReq/unmarshal", func() { UnmarshalMigrateBatchReq(migFrame) }},
 		{"bulk/ScanResp/marshal", func() { scan.Marshal() }},
 		{"bulk/ScanResp/unmarshal", func() { UnmarshalScanResp(scanFrame) }},
-		{"datapath/set/hand", func() {
-			req, _ := UnmarshalSetReq(SetReq{Key: key, Value: value, Version: ver, ConfigID: 1}.Marshal())
-			UnmarshalMutateResp(MutateResp{Applied: true, Stored: req.Version}.Marshal())
+		{"datapath/set", func() {
+			req, _ := UnmarshalSetReq(SetReq{Key: key, Value: value, Version: ver, ConfigID: 1}.AppendTo(buf))
+			UnmarshalMutateResp(MutateResp{Applied: true, Stored: req.Version}.AppendTo(buf))
 		}},
-		{"datapath/set/tags", func() {
-			req, _ := decode[SetReq](wire.Marshal(SetReq{Key: key, Value: value, Version: ver, ConfigID: 1}))
-			decode[MutateResp](wire.Marshal(MutateResp{Applied: true, Stored: req.Version}))
-		}},
-		{"datapath/get/hand", func() {
-			UnmarshalGetReq(GetReq{Key: key, ConfigID: 1}.Marshal())
-			UnmarshalGetResp(GetResp{Found: true, Value: value, Version: ver}.Marshal())
-		}},
-		{"datapath/get/tags", func() {
-			decode[GetReq](wire.Marshal(GetReq{Key: key, ConfigID: 1}))
-			decode[GetResp](wire.Marshal(GetResp{Found: true, Value: value, Version: ver}))
+		{"datapath/get", func() {
+			UnmarshalGetReq(GetReq{Key: key, ConfigID: 1}.AppendTo(buf))
+			UnmarshalGetResp(GetResp{Found: true, Value: value, Version: ver}.AppendTo(buf))
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

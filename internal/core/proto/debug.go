@@ -21,11 +21,9 @@ type DebugReq struct {
 	MaxSlow int `wire:"1"`
 }
 
-// Marshal encodes the request.
-func (r DebugReq) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalDebugReq decodes the request.
-func UnmarshalDebugReq(b []byte) (DebugReq, error) { return decode[DebugReq](b) }
+// Marshal encodes the request; UnmarshalDebugReq decodes it.
+func (r DebugReq) Marshal() []byte                       { return wire.Append(nil, &r) }
+func UnmarshalDebugReq(b []byte) (r DebugReq, err error) { err = wire.Decode(b, &r); return }
 
 // The snapshot's records are declared — wire tags included — where they
 // are produced; these names are the schema's view of them.
@@ -56,8 +54,6 @@ type DebugResp struct {
 	StripeHeat []uint64      `wire:"11"`
 }
 
-// Marshal encodes the snapshot.
-func (r DebugResp) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalDebugResp decodes the snapshot.
-func UnmarshalDebugResp(b []byte) (DebugResp, error) { return decode[DebugResp](b) }
+// Marshal encodes the snapshot; UnmarshalDebugResp decodes it.
+func (r DebugResp) Marshal() []byte                        { return wire.Append(nil, &r) }
+func UnmarshalDebugResp(b []byte) (r DebugResp, err error) { err = wire.Decode(b, &r); return }

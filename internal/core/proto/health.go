@@ -20,7 +20,7 @@ import (
 type HealthReq struct{}
 
 // Marshal encodes the request.
-func (r HealthReq) Marshal() []byte { return wire.Marshal(r) }
+func (r HealthReq) Marshal() []byte { return wire.Append(nil, &r) }
 
 // HealthClass is one op class's evaluated SLO state.
 type HealthClass struct {
@@ -58,8 +58,6 @@ type HealthResp struct {
 	Targets     []HealthTarget `wire:"4"`
 }
 
-// Marshal encodes the snapshot.
-func (r HealthResp) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalHealthResp decodes the snapshot.
-func UnmarshalHealthResp(b []byte) (HealthResp, error) { return decode[HealthResp](b) }
+// Marshal encodes the snapshot; UnmarshalHealthResp decodes it.
+func (r HealthResp) Marshal() []byte                         { return wire.Append(nil, &r) }
+func UnmarshalHealthResp(b []byte) (r HealthResp, err error) { err = wire.Decode(b, &r); return }

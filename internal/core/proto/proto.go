@@ -7,19 +7,16 @@
 // stable and append-only.
 //
 // A message's schema is its `wire:"N,..."` struct tags (grammar in
-// internal/wire/codec.go), and for every message off the GET/SET datapath
-// the tags are also the codec: Marshal and UnmarshalX are one-line
-// wrappers over wire.Marshal / wire.Unmarshal. The six datapath messages
-// (SetReq, which every SET, ERASE and CAS sends, GetReq, GetResp,
-// MutateResp, TouchReq, TouchResp) keep hand-written, allocation-tuned
-// codecs of the same tags (all but TouchReq append to storage the caller
-// owns: AppendTo); TestCodecDifferential holds each to the tags' codec.
+// internal/wire/codec.go), and the tags are the codec: every Marshal,
+// AppendTo and UnmarshalX is a one-line wrapper over wire.Append /
+// wire.Decode, which run each type's plan, compiled from its tags once.
+// Decoded []byte fields alias the frame (nil when empty): an RPC handler
+// finishes with its request before returning and copies what it keeps.
 package proto
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"cliquemap/internal/rmem"
@@ -95,37 +92,6 @@ func NotStored(err error) bool {
 // of the quorum.
 var ErrRecovering = fmt.Errorf("proto: backend recovering, miss vote withheld")
 
-// begin starts a datapath message at the end of b. A b with no room at all
-// (Marshal's nil) first grows to fit about size bytes; room is trusted.
-func begin(b []byte, size int) (e wire.Encoder) {
-	if len(b) == cap(b) {
-		b = slices.Grow(b, size)
-	}
-	e.InitAppend(b)
-	return e
-}
-
-// Version field tags, shared by every message embedding a VersionNumber.
-func encodeVersion(e *wire.Encoder, base uint64, v truetime.Version) {
-	e.Uint(base, uint64(v.Micros))
-	e.Uint(base+1, v.ClientID)
-	e.Uint(base+2, v.Seq)
-}
-
-type versionAcc struct{ m, c, s uint64 }
-
-func (a versionAcc) version() truetime.Version {
-	return truetime.Version{Micros: int64(a.m), ClientID: a.c, Seq: a.s}
-}
-
-// decode is the body of every tag-driven UnmarshalX. Like the hand-written
-// decoders it returns whatever decoded before an error alongside it.
-func decode[T any](b []byte) (T, error) {
-	var m T
-	err := wire.Unmarshal(b, &m)
-	return m, err
-}
-
 // HelloResp is the connection handshake (§3's "established at
 // connection-time alongside other RMA-relevant metadata"): everything a
 // client needs to issue raw RMAs against this backend.
@@ -139,11 +105,9 @@ type HelloResp struct {
 	DataWindows []rmem.WindowID `wire:"7"`
 }
 
-// Marshal encodes the handshake.
-func (h HelloResp) Marshal() []byte { return wire.Marshal(h) }
-
-// UnmarshalHelloResp decodes the handshake.
-func UnmarshalHelloResp(b []byte) (HelloResp, error) { return decode[HelloResp](b) }
+// Marshal encodes the handshake; UnmarshalHelloResp decodes it.
+func (h HelloResp) Marshal() []byte                        { return wire.Append(nil, &h) }
+func UnmarshalHelloResp(b []byte) (h HelloResp, err error) { err = wire.Decode(b, &h); return }
 
 // SetReq is every single-key mutation at a client-nominated version
 // (§5.2); the RPC method names the kind. A SET installs key=value. An ERASE
@@ -175,68 +139,10 @@ type SetReq struct {
 }
 
 // AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
-func (r SetReq) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Key)+len(r.Value)+len(r.Touches)+48)
-	e.Bytes(1, r.Key)
-	e.Bytes(2, r.Value)
-	encodeVersion(&e, 3, r.Version)
-	e.Bool(6, r.Repair)
-	e.Bool(7, r.Pending)
-	e.Uint(8, r.ConfigID)
-	if r.Touches != nil {
-		e.Bytes(9, r.Touches)
-	}
-	for i, x := range [...]uint64{uint64(r.Expected.Micros), r.Expected.ClientID, r.Expected.Seq} {
-		if x != 0 {
-			e.Uint(10+uint64(i), x)
-		}
-	}
-	return e.Encoded()
-}
-
-func (r SetReq) Marshal() []byte { return r.AppendTo(nil) }
-
-// UnmarshalSetReq decodes the request. Key, Value and Touches alias b: they
-// are valid only while b is — fine for RPC handlers, which finish with the
-// request before returning and copy anything they keep.
-func UnmarshalSetReq(b []byte) (SetReq, error) {
-	var r SetReq
-	var v, exp versionAcc
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Key = d.Bytes()
-		case 2:
-			r.Value = d.Bytes()
-		case 3:
-			v.m = d.Uint()
-		case 4:
-			v.c = d.Uint()
-		case 5:
-			v.s = d.Uint()
-		case 6:
-			r.Repair = d.Bool()
-		case 7:
-			r.Pending = d.Bool()
-		case 8:
-			r.ConfigID = d.Uint()
-		case 9:
-			r.Touches = d.Bytes()
-		case 10:
-			exp.m = d.Uint()
-		case 11:
-			exp.c = d.Uint()
-		case 12:
-			exp.s = d.Uint()
-		}
-	}
-	r.Version, r.Expected = v.version(), exp.version()
-	return r, d.Err()
-}
+// UnmarshalSetReq decodes it; Key, Value and Touches alias b.
+func (r SetReq) AppendTo(b []byte) []byte            { return wire.Append(b, &r) }
+func (r SetReq) Marshal() []byte                     { return r.AppendTo(nil) }
+func UnmarshalSetReq(b []byte) (r SetReq, err error) { err = wire.Decode(b, &r); return }
 
 // MutateResp answers SET/ERASE/CAS: whether the mutation applied, the
 // version now stored, and how many evictions it forced (§4.2 instruments
@@ -255,49 +161,10 @@ type MutateResp struct {
 }
 
 // AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
-func (r MutateResp) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Hot)+48)
-	e.Bool(1, r.Applied)
-	encodeVersion(&e, 2, r.Stored)
-	e.Uint(5, uint64(r.Evictions))
-	e.Bool(6, r.Sealed)
-	if r.Hot != nil {
-		e.Bytes(7, r.Hot)
-	}
-	return e.Encoded()
-}
-
-func (r MutateResp) Marshal() []byte { return r.AppendTo(nil) }
-
-// UnmarshalMutateResp decodes the response. Hot aliases b.
-func UnmarshalMutateResp(b []byte) (MutateResp, error) {
-	var r MutateResp
-	var v versionAcc
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Applied = d.Bool()
-		case 2:
-			v.m = d.Uint()
-		case 3:
-			v.c = d.Uint()
-		case 4:
-			v.s = d.Uint()
-		case 5:
-			r.Evictions = int(d.Uint())
-		case 6:
-			r.Sealed = d.Bool()
-		case 7:
-			r.Hot = d.Bytes()
-		}
-	}
-	r.Stored = v.version()
-	return r, d.Err()
-}
+// UnmarshalMutateResp decodes it; Hot aliases b.
+func (r MutateResp) AppendTo(b []byte) []byte                { return wire.Append(b, &r) }
+func (r MutateResp) Marshal() []byte                         { return r.AppendTo(nil) }
+func UnmarshalMutateResp(b []byte) (r MutateResp, err error) { err = wire.Decode(b, &r); return }
 
 // GetReq is the RPC lookup fallback (overflowed buckets, WAN access, MSG
 // strategy, and retries after RMA failures).
@@ -311,33 +178,10 @@ type GetReq struct {
 }
 
 // AppendTo appends the encoded request to b; Marshal is AppendTo(nil).
-func (r GetReq) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Key)+24)
-	e.Bytes(1, r.Key)
-	e.Uint(2, r.ConfigID)
-	return e.Encoded()
-}
-
-func (r GetReq) Marshal() []byte { return r.AppendTo(nil) }
-
-// UnmarshalGetReq decodes the request. Key aliases b (see
-// UnmarshalSetReq).
-func UnmarshalGetReq(b []byte) (GetReq, error) {
-	var r GetReq
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Key = d.Bytes()
-		case 2:
-			r.ConfigID = d.Uint()
-		}
-	}
-	return r, d.Err()
-}
+// UnmarshalGetReq decodes it; Key aliases b.
+func (r GetReq) AppendTo(b []byte) []byte            { return wire.Append(b, &r) }
+func (r GetReq) Marshal() []byte                     { return r.AppendTo(nil) }
+func UnmarshalGetReq(b []byte) (r GetReq, err error) { err = wire.Decode(b, &r); return }
 
 // GetResp carries the lookup result.
 type GetResp struct {
@@ -347,42 +191,11 @@ type GetResp struct {
 }
 
 // AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
-func (r GetResp) AppendTo(b []byte) []byte {
-	e := begin(b, len(r.Value)+48)
-	e.Bool(1, r.Found)
-	e.Bytes(2, r.Value)
-	encodeVersion(&e, 3, r.Version)
-	return e.Encoded()
-}
-
-func (r GetResp) Marshal() []byte { return r.AppendTo(nil) }
-
-// UnmarshalGetResp decodes the response. Value aliases b, which a client
+// UnmarshalGetResp decodes it; Value aliases b, which a client
 // reads into its op's reused arena: the value leaves it as a copy.
-func UnmarshalGetResp(b []byte) (GetResp, error) {
-	var r GetResp
-	var v versionAcc
-	var d wire.Decoder
-	if err := d.Init(b); err != nil {
-		return r, err
-	}
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.Found = d.Bool()
-		case 2:
-			r.Value = d.Bytes()
-		case 3:
-			v.m = d.Uint()
-		case 4:
-			v.c = d.Uint()
-		case 5:
-			v.s = d.Uint()
-		}
-	}
-	r.Version = v.version()
-	return r, d.Err()
-}
+func (r GetResp) AppendTo(b []byte) []byte             { return wire.Append(b, &r) }
+func (r GetResp) Marshal() []byte                      { return r.AppendTo(nil) }
+func UnmarshalGetResp(b []byte) (r GetResp, err error) { err = wire.Decode(b, &r); return }
 
 // ScanItem is one KV summary in a cohort scan (§5.4): KeyHash + version,
 // plus the key itself so the scanner can repair without a second lookup.
@@ -404,11 +217,9 @@ type ScanReq struct {
 	Limit  int    `wire:"3"`
 }
 
-// Marshal encodes the request.
-func (r ScanReq) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalScanReq decodes the request.
-func UnmarshalScanReq(b []byte) (ScanReq, error) { return decode[ScanReq](b) }
+// Marshal encodes the request; UnmarshalScanReq decodes it.
+func (r ScanReq) Marshal() []byte                      { return wire.Append(nil, &r) }
+func UnmarshalScanReq(b []byte) (r ScanReq, err error) { err = wire.Decode(b, &r); return }
 
 // ScanResp returns a page of summaries. TombSummary is the replica's
 // coarse tombstone-summary version (§5.2): an upper bound on erases whose
@@ -422,11 +233,9 @@ type ScanResp struct {
 	TombSummary truetime.Version `wire:"4,flat"`
 }
 
-// Marshal encodes the response.
-func (r ScanResp) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalScanResp decodes the response.
-func UnmarshalScanResp(b []byte) (ScanResp, error) { return decode[ScanResp](b) }
+// Marshal encodes the response; UnmarshalScanResp decodes it.
+func (r ScanResp) Marshal() []byte                       { return wire.Append(nil, &r) }
+func UnmarshalScanResp(b []byte) (r ScanResp, err error) { err = wire.Decode(b, &r); return }
 
 // MigrateItem is one KV pair streamed during warm-spare migration (§6.1).
 // Tombstone marks an erased key (mirroring ScanItem tag 7): the receiver
@@ -451,11 +260,12 @@ type MigrateBatchReq struct {
 	TombSummary truetime.Version `wire:"4,flat"`
 }
 
-// Marshal encodes the request.
-func (r MigrateBatchReq) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalMigrateBatchReq decodes the request.
-func UnmarshalMigrateBatchReq(b []byte) (MigrateBatchReq, error) { return decode[MigrateBatchReq](b) }
+// Marshal encodes the request; UnmarshalMigrateBatchReq decodes it.
+func (r MigrateBatchReq) Marshal() []byte { return wire.Append(nil, &r) }
+func UnmarshalMigrateBatchReq(b []byte) (r MigrateBatchReq, err error) {
+	err = wire.Decode(b, &r)
+	return
+}
 
 // AssumeShardReq tells a spare to assume (or a primary to resume) serving
 // a shard.
@@ -463,11 +273,12 @@ type AssumeShardReq struct {
 	Shard int `wire:"1,zigzag"`
 }
 
-// Marshal encodes the request.
-func (r AssumeShardReq) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalAssumeShardReq decodes the request.
-func UnmarshalAssumeShardReq(b []byte) (AssumeShardReq, error) { return decode[AssumeShardReq](b) }
+// Marshal encodes the request; UnmarshalAssumeShardReq decodes it.
+func (r AssumeShardReq) Marshal() []byte { return wire.Append(nil, &r) }
+func UnmarshalAssumeShardReq(b []byte) (r AssumeShardReq, err error) {
+	err = wire.Decode(b, &r)
+	return
+}
 
 // SealReq toggles the handoff seal on a backend (MethodSeal). On=true
 // seals; On=false unseals (after the config flip, for backends that
@@ -476,11 +287,9 @@ type SealReq struct {
 	On bool `wire:"1"`
 }
 
-// Marshal encodes the request.
-func (r SealReq) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalSealReq decodes the request.
-func UnmarshalSealReq(b []byte) (SealReq, error) { return decode[SealReq](b) }
+// Marshal encodes the request; UnmarshalSealReq decodes it.
+func (r SealReq) Marshal() []byte                      { return wire.Append(nil, &r) }
+func UnmarshalSealReq(b []byte) (r SealReq, err error) { err = wire.Decode(b, &r); return }
 
 // ConfigResp describes the cell to external callers: the replication
 // mode's replica count and the address serving each shard. During a
@@ -497,11 +306,9 @@ type ConfigResp struct {
 	SealedOld         []bool   `wire:"7"`
 }
 
-// Marshal encodes the config snapshot.
-func (r ConfigResp) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalConfigResp decodes the config snapshot.
-func UnmarshalConfigResp(b []byte) (ConfigResp, error) { return decode[ConfigResp](b) }
+// Marshal encodes the config snapshot; UnmarshalConfigResp decodes it.
+func (r ConfigResp) Marshal() []byte                         { return wire.Append(nil, &r) }
+func UnmarshalConfigResp(b []byte) (r ConfigResp, err error) { err = wire.Decode(b, &r); return }
 
 // StatsResp is a backend's introspection snapshot (a post-launch additive
 // method; see MethodStats).
@@ -595,11 +402,9 @@ type StatsResp struct {
 	CorruptPurged uint64 `wire:"52,omitzero"`
 }
 
-// Marshal encodes the stats snapshot.
-func (r StatsResp) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalStatsResp decodes the stats snapshot.
-func UnmarshalStatsResp(b []byte) (StatsResp, error) { return decode[StatsResp](b) }
+// Marshal encodes the stats snapshot; UnmarshalStatsResp decodes it.
+func (r StatsResp) Marshal() []byte                        { return wire.Append(nil, &r) }
+func UnmarshalStatsResp(b []byte) (r StatsResp, err error) { err = wire.Decode(b, &r); return }
 
 // Ack is the empty success response.
 type Ack struct{}

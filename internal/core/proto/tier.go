@@ -19,7 +19,7 @@ import (
 type TierReq struct{}
 
 // Marshal encodes the request.
-func (r TierReq) Marshal() []byte { return wire.Marshal(r) }
+func (r TierReq) Marshal() []byte { return wire.Append(nil, &r) }
 
 // TierCell is one member cell's routing state.
 type TierCell struct {
@@ -41,8 +41,6 @@ type TierResp struct {
 	Cells       []TierCell `wire:"3"`
 }
 
-// Marshal encodes the snapshot.
-func (r TierResp) Marshal() []byte { return wire.Marshal(r) }
-
-// UnmarshalTierResp decodes the snapshot.
-func UnmarshalTierResp(b []byte) (TierResp, error) { return decode[TierResp](b) }
+// Marshal encodes the snapshot; UnmarshalTierResp decodes it.
+func (r TierResp) Marshal() []byte                       { return wire.Append(nil, &r) }
+func UnmarshalTierResp(b []byte) (r TierResp, err error) { err = wire.Decode(b, &r); return }

@@ -12,14 +12,9 @@ type TouchReq struct {
 	Keys [][]byte `wire:"1"`
 }
 
-// Marshal encodes the request.
-func (r TouchReq) Marshal() []byte {
-	e := wire.NewEncoder()
-	for _, k := range r.Keys {
-		AppendTouchKey(e, k)
-	}
-	return e.Encoded()
-}
+// Marshal encodes the request; UnmarshalTouchReq decodes it, Keys aliasing b.
+func (r TouchReq) Marshal() []byte                       { return wire.Append(nil, &r) }
+func UnmarshalTouchReq(b []byte) (r TouchReq, err error) { err = wire.Decode(b, &r); return }
 
 // AppendTouchKey adds one access record to the TouchReq being encoded in e:
 // a client keeps its pending records as the request that will report them.
@@ -45,12 +40,6 @@ func rangeBytes(b []byte, tag uint64, fn func(v []byte)) error {
 	return d.Err()
 }
 
-// UnmarshalTouchReq decodes the request; Keys alias b.
-func UnmarshalTouchReq(b []byte) (r TouchReq, err error) {
-	err = RangeTouchKeys(b, func(k []byte) { r.Keys = append(r.Keys, k) })
-	return r, err
-}
-
 // TouchResp acknowledges a batched access-record report and piggybacks
 // the backend's hot-key promotion set (its keys and the epoch naming it):
 // the feed clients learn promotion from. Additive: pre-promotion servers
@@ -62,18 +51,10 @@ type TouchResp struct {
 }
 
 // AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
-func (r TouchResp) AppendTo(b []byte) []byte {
-	e := begin(b, 128)
-	if r.HotEpoch != 0 {
-		e.Uint(1, r.HotEpoch)
-	}
-	for _, k := range r.HotKeys {
-		e.Bytes(2, k)
-	}
-	return e.Encoded()
-}
-
-func (r TouchResp) Marshal() []byte { return r.AppendTo(nil) }
+// UnmarshalTouchResp decodes it; HotKeys alias b.
+func (r TouchResp) AppendTo(b []byte) []byte               { return wire.Append(b, &r) }
+func (r TouchResp) Marshal() []byte                        { return r.AppendTo(nil) }
+func UnmarshalTouchResp(b []byte) (r TouchResp, err error) { err = wire.Decode(b, &r); return }
 
 // TouchRespEpoch returns the HotEpoch of the encoded TouchResp b, and
 // RangeHotKeys calls fn with each of its promoted keys, in order, as a view
@@ -92,11 +73,3 @@ func TouchRespEpoch(b []byte) (epoch uint64, err error) {
 }
 
 func RangeHotKeys(b []byte, fn func(key []byte)) error { return rangeBytes(b, 2, fn) }
-
-// UnmarshalTouchResp decodes the response; HotKeys alias b.
-func UnmarshalTouchResp(b []byte) (r TouchResp, err error) {
-	if r.HotEpoch, err = TouchRespEpoch(b); err == nil {
-		err = RangeHotKeys(b, func(k []byte) { r.HotKeys = append(r.HotKeys, k) })
-	}
-	return r, err
-}

@@ -56,24 +56,16 @@ type Response struct {
 }
 
 // Marshal encodes a request.
-func (r Request) Marshal() []byte { return wire.Marshal(&r) }
+func (r Request) Marshal() []byte { return wire.Append(nil, &r) }
 
-// UnmarshalRequest decodes a request.
-func UnmarshalRequest(b []byte) (Request, error) {
-	var r Request
-	err := wire.Unmarshal(b, &r)
-	return r, err
-}
+// UnmarshalRequest decodes a request. Key and Value alias b.
+func UnmarshalRequest(b []byte) (r Request, err error) { err = wire.Decode(b, &r); return }
 
 // Marshal encodes a response.
-func (r Response) Marshal() []byte { return wire.Marshal(&r) }
+func (r Response) Marshal() []byte { return wire.Append(nil, &r) }
 
-// UnmarshalResponse decodes a response.
-func UnmarshalResponse(b []byte) (Response, error) {
-	var r Response
-	err := wire.Unmarshal(b, &r)
-	return r, err
-}
+// UnmarshalResponse decodes a response. Value aliases b.
+func UnmarshalResponse(b []byte) (r Response, err error) { err = wire.Decode(b, &r); return }
 
 // WriteFrame writes a length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {

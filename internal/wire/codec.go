@@ -2,16 +2,14 @@ package wire
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
+	"math/bits"
+	"slices"
+	"unsafe"
 )
 
 // The struct-tag codec: a message type declares its schema once, as
 // `wire:"N[,zigzag][,flat][,omitzero][,max=K]"` tags on its exported
-// fields, and Marshal / Unmarshal derive the encoder and decoder from it.
+// fields, and Append / Decode derive the encoder and decoder from it.
 //
 //	N         field tag on the wire; stable and append-only
 //	zigzag    signed integer that may be negative (Encoder.Int); without
@@ -29,193 +27,242 @@ import (
 // a struct is a nested headerless message; any other slice is its element
 // repeated under the one tag. Untagged fields do not travel. Decoding
 // skips unknown tags and reads a field of the wrong wire type as zero,
-// exactly as hand-written Decoder loops do; it copies every byte field out
-// of the input.
+// exactly as hand-written Decoder loops do.
+//
+// The alias rule: a decoded []byte field is a view of the input frame
+// (nil when empty), valid while the frame is; a caller that keeps one past
+// the frame's life copies it. Strings are copies.
 
-// field is one leaf of a schema: where it lives in the struct and how it
-// travels.
-type field struct {
-	tag              uint64
-	index            []int // FieldByIndex path; deeper than one under a flat parent
-	zigzag, omitzero bool
-	repeated         bool
-	max              int
+// header is the format version every message starts with.
+var header = AppendUvarint(AppendUvarint(nil, FormatMajor), FormatMinor)
+
+// sliceHeader is the layout of any Go slice.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
 }
 
-type schema struct {
-	fields []field // ascending tag: the encode order
-	byTag  map[uint64]*field
-}
+// Append appends m, version header first, to b and returns the extended
+// slice. A b with no room at all (nil, say) first grows once, to the
+// exact encoded size; room that b has is trusted.
+func Append[T any](b []byte, m *T) []byte { return appendMsg(b, m) }
 
-var schemas sync.Map // reflect.Type → *schema
+// Decode reads the message b into *m; its []byte fields alias b. A field
+// the frame carries overwrites m's; a repeated one replaces its elements,
+// reusing the storage of a list of scalars, strings or []byte. On error *m
+// holds the fields decoded so far. A malformed nested message fails the
+// whole decode.
+func Decode[T any](b []byte, m *T) error { return decodeMsg(b, m) }
 
-// schemaOf parses and caches t's tags. A malformed schema — tag 0, a
-// duplicate, an unknown option — is a programming error and panics.
-func schemaOf(t reflect.Type) *schema {
-	if s, ok := schemas.Load(t); ok {
-		return s.(*schema)
+// Append and Decode inline to these, whose escape analysis every caller
+// sees: m stays where the caller put it.
+
+func appendMsg(b []byte, m any) []byte {
+	p, at := planOf(m)
+	if len(b) == cap(b) {
+		b = slices.Grow(b, len(header)+p.size(at))
 	}
-	s := &schema{byTag: make(map[uint64]*field)}
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		spec, ok := sf.Tag.Lookup("wire")
-		if !ok {
-			continue
-		}
-		opts := strings.Split(spec, ",")
-		n, err := strconv.ParseUint(opts[0], 10, 32)
-		if err != nil || n == 0 {
-			panic(fmt.Sprintf("wire: %s.%s: bad tag %q", t, sf.Name, spec))
-		}
-		f := field{tag: n, index: []int{i}}
-		f.repeated = sf.Type.Kind() == reflect.Slice && sf.Type.Elem().Kind() != reflect.Uint8
-		flat := false
-		for _, o := range opts[1:] {
-			switch {
-			case o == "zigzag":
-				f.zigzag = true
-			case o == "omitzero":
-				f.omitzero = true
-			case o == "flat":
-				flat = true
-			case strings.HasPrefix(o, "max="):
-				if f.max, err = strconv.Atoi(o[len("max="):]); err != nil {
-					panic(fmt.Sprintf("wire: %s.%s: bad option %q", t, sf.Name, o))
-				}
-			default:
-				panic(fmt.Sprintf("wire: %s.%s: unknown option %q", t, sf.Name, o))
-			}
-		}
-		if !flat {
-			s.fields = append(s.fields, f)
-			continue
-		}
-		for _, in := range schemaOf(sf.Type).fields {
-			in.tag += n - 1
-			in.index = append([]int{i}, in.index...)
-			in.omitzero = in.omitzero || f.omitzero
-			s.fields = append(s.fields, in)
-		}
-	}
-	sort.Slice(s.fields, func(i, j int) bool { return s.fields[i].tag < s.fields[j].tag })
-	for i := range s.fields {
-		f := &s.fields[i]
-		if s.byTag[f.tag] != nil {
-			panic(fmt.Sprintf("wire: %s: duplicate tag %d", t, f.tag))
-		}
-		s.byTag[f.tag] = f
-	}
-	schemas.Store(t, s)
-	return s
+	return p.encode(append(b, header...), at)
 }
 
-// Marshal encodes the tagged struct v (or pointer to one) as a message
-// with the format version header.
-func Marshal(v any) []byte {
-	e := NewEncoder()
-	e.encodeStruct(reflect.Indirect(reflect.ValueOf(v)))
-	return e.buf
-}
-
-func (e *Encoder) encodeStruct(v reflect.Value) {
-	s := schemaOf(v.Type())
-	for i := range s.fields {
-		f := &s.fields[i]
-		fv := v.FieldByIndex(f.index)
-		switch {
-		case f.repeated:
-			for j := 0; j < fv.Len(); j++ {
-				e.encodeValue(f, fv.Index(j))
-			}
-		case !f.omitzero || !fv.IsZero():
-			e.encodeValue(f, fv)
-		}
-	}
-}
-
-func (e *Encoder) encodeValue(f *field, v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Bool:
-		e.Bool(f.tag, v.Bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if f.zigzag {
-			e.Int(f.tag, v.Int())
-		} else {
-			e.Uint(f.tag, uint64(v.Int()))
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		e.Uint(f.tag, v.Uint())
-	case reflect.String:
-		e.String(f.tag, v.String())
-	case reflect.Slice: // []byte; every other slice is repeated
-		e.Bytes(f.tag, v.Bytes())
-	case reflect.Struct:
-		at := e.BeginMessage(f.tag)
-		e.encodeStruct(v)
-		e.EndMessage(at)
-	default:
-		panic(fmt.Sprintf("wire: tag %d: unsupported kind %s", f.tag, v.Kind()))
-	}
-}
-
-// Unmarshal decodes a message produced by Marshal (or by any encoder of
-// the same schema) into the tagged struct v points to. On error v holds
-// the fields decoded so far. A malformed nested message fails the whole
-// decode.
-func Unmarshal(b []byte, v any) error {
+func decodeMsg(b []byte, m any) error {
 	var d Decoder
 	if err := d.Init(b); err != nil {
 		return err
 	}
-	return d.decodeStruct(reflect.ValueOf(v).Elem())
+	p, at := planOf(m)
+	return p.decode(d, at)
 }
 
-func (d *Decoder) decodeStruct(v reflect.Value) error {
-	s := schemaOf(v.Type())
+// encode appends the fields of the message at base, a list's elements
+// each under its tag.
+func (p *plan) encode(b []byte, base unsafe.Pointer) []byte {
+	for i := range p.ops {
+		o := &p.ops[i]
+		at := unsafe.Add(base, o.off)
+		switch o.kind {
+		case kString, kBytes:
+			if v, sent := o.body(at); sent {
+				b = append(AppendUvarint(AppendUvarint(b, o.key), uint64(len(v))), v...)
+			}
+		case kMessage:
+			b = o.sub.encode(AppendUvarint(AppendUvarint(b, o.key), uint64(o.sub.size(at))), at)
+		case kList:
+			s := (*sliceHeader)(at)
+			for j := 0; j < s.len; j++ {
+				b = o.sub.encode(b, unsafe.Add(s.data, uintptr(j)*o.esize))
+			}
+		case kWord:
+			if u := *(*uint64)(at); u != 0 || !o.omitzero {
+				b = AppendUvarint(AppendUvarint(b, o.key), u)
+			}
+		default:
+			if u := o.load(at); u != 0 || !o.omitzero {
+				b = AppendUvarint(AppendUvarint(b, o.key), u)
+			}
+		}
+	}
+	return b
+}
+
+// size is the length encode appends for the message at base.
+func (p *plan) size(base unsafe.Pointer) (n int) {
+	for i := range p.ops {
+		o := &p.ops[i]
+		at := unsafe.Add(base, o.off)
+		body := -1 // a length-delimited field's length; -1 while none is sent
+		switch o.kind {
+		case kString, kBytes:
+			if v, sent := o.body(at); sent {
+				body = len(v)
+			}
+		case kMessage:
+			body = o.sub.size(at)
+		case kList:
+			s := (*sliceHeader)(at)
+			for j := 0; j < s.len; j++ {
+				n += o.sub.size(unsafe.Add(s.data, uintptr(j)*o.esize))
+			}
+		case kWord:
+			if u := *(*uint64)(at); u != 0 || !o.omitzero {
+				n += uvarintLen(o.key) + uvarintLen(u)
+			}
+		default:
+			if u := o.load(at); u != 0 || !o.omitzero {
+				n += uvarintLen(o.key) + uvarintLen(u)
+			}
+		}
+		if body >= 0 {
+			n += uvarintLen(o.key) + uvarintLen(uint64(body)) + body
+		}
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// body reads a string or []byte field, and whether it is sent.
+func (o *op) body(at unsafe.Pointer) ([]byte, bool) {
+	if o.kind == kString {
+		s := *(*string)(at)
+		return unsafe.Slice(unsafe.StringData(s), len(s)), s != "" || !o.omitzero
+	}
+	v := *(*[]byte)(at)
+	return v, v != nil || !o.omitzero
+}
+
+// load reads a bool or integer field as the varint it travels as.
+func (o *op) load(at unsafe.Pointer) uint64 {
+	var u uint64
+	switch o.width {
+	case 1:
+		u = uint64(*(*uint8)(at))
+	case 2:
+		u = uint64(*(*uint16)(at))
+	case 4:
+		u = uint64(*(*uint32)(at))
+	default:
+		u = *(*uint64)(at)
+	}
+	if sh := 64 - 8*o.width; o.signed {
+		u = uint64(int64(u<<sh) >> sh)
+	}
+	if o.kind == kZigzag {
+		u = u<<1 ^ uint64(int64(u)>>63)
+	}
+	return u
+}
+
+// store writes a decoded varint to the bool or integer field at at,
+// keeping its low bytes.
+func (o *op) store(at unsafe.Pointer, u uint64) {
+	switch o.width {
+	case 1:
+		*(*uint8)(at) = uint8(u)
+	case 2:
+		*(*uint16)(at) = uint16(u)
+	case 4:
+		*(*uint32)(at) = uint32(u)
+	default:
+		*(*uint64)(at) = u
+	}
+}
+
+// decode reads the fields d holds into the message at base. d comes by
+// value, so a nested message's decoder stays on the stack.
+func (p *plan) decode(d Decoder, base unsafe.Pointer) error {
+	var lists uint64 // the lists met so far
 	for d.Next() {
-		f := s.byTag[d.tag]
-		if f == nil {
+		if d.tag >= uint64(len(p.byTag)) || p.byTag[d.tag] == 0 {
 			continue
 		}
-		fv := v.FieldByIndex(f.index)
-		if f.repeated {
-			if f.max > 0 && fv.Len() >= f.max {
+		o := &p.ops[p.byTag[d.tag]-1]
+		at := unsafe.Add(base, o.off)
+		if o.kind == kList {
+			if lists&o.bit == 0 {
+				lists |= o.bit
+				o.reset(&d, at)
+			}
+			s := (*sliceHeader)(at)
+			if s.len == s.cap || o.max > 0 && s.len >= o.max {
 				continue
 			}
-			fv.Grow(1) // in place: reflect.Append allocates a slice header per call
-			fv.SetLen(fv.Len() + 1)
-			fv = fv.Index(fv.Len() - 1)
-			fv.SetZero()
+			at, o = unsafe.Add(s.data, uintptr(s.len)*o.esize), &o.sub.ops[0]
+			s.len++
 		}
-		if err := d.decodeValue(f, fv); err != nil {
-			return err
+		switch o.kind {
+		case kString:
+			*(*string)(at) = d.String()
+		case kBytes:
+			v := d.Bytes()
+			if v = v[:len(v):len(v)]; len(v) == 0 {
+				v = nil
+			}
+			*(*[]byte)(at) = v
+		case kMessage:
+			sub := Decoder{buf: d.Bytes(), major: FormatMajor, minor: FormatMinor}
+			if err := o.sub.decode(sub, at); err != nil {
+				return fmt.Errorf("wire: %s (tag %d): %w", o.sub.name, o.key>>3, err)
+			}
+		case kWord:
+			*(*uint64)(at) = d.Uint()
+		case kZigzag:
+			o.store(at, uint64(d.Int()))
+		default:
+			u := d.Uint()
+			if o.boolean && u != 0 {
+				u = 1
+			}
+			o.store(at, u)
 		}
 	}
 	return d.err
 }
 
-func (d *Decoder) decodeValue(f *field, v reflect.Value) error {
-	switch v.Kind() {
-	case reflect.Bool:
-		v.SetBool(d.Bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if f.zigzag {
-			v.SetInt(d.Int())
-		} else {
-			v.SetInt(int64(d.Uint()))
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(d.Uint())
-	case reflect.String:
-		v.SetString(d.String())
-	case reflect.Slice:
-		v.SetBytes(append([]byte(nil), d.Bytes()...))
-	case reflect.Struct:
-		if err := NewRawDecoder(d.Bytes()).decodeStruct(v); err != nil {
-			return fmt.Errorf("wire: %s (tag %d): %w", v.Type(), f.tag, err)
-		}
-	default:
-		panic(fmt.Sprintf("wire: tag %d: unsupported kind %s", f.tag, v.Kind()))
+// reset empties the list at at, with room for every element of its tag
+// left in d, the current one included, up to its cap. A list of messages
+// gets fresh storage; any other reuses its own.
+func (o *op) reset(d *Decoder, at unsafe.Pointer) {
+	n := d.Count(o.key>>3) + 1
+	if o.max > 0 {
+		n = min(n, o.max)
 	}
-	return nil
+	switch e := &o.sub.ops[0]; {
+	case e.kind == kMessage:
+		*(*sliceHeader)(at) = sliceHeader{data: o.alloc(n), cap: n}
+	case e.kind == kString:
+		regrow[string](at, n)
+	case e.kind == kBytes:
+		regrow[[]byte](at, n)
+	case e.width == 1:
+		regrow[uint8](at, n)
+	case e.width == 2:
+		regrow[uint16](at, n)
+	case e.width == 4:
+		regrow[uint32](at, n)
+	default:
+		regrow[uint64](at, n)
+	}
 }
+
+func regrow[E any](at unsafe.Pointer, n int) { s := (*[]E)(at); *s = slices.Grow((*s)[:0], n) }

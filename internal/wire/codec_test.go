@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -80,16 +81,16 @@ func TestCodecMatchesHandWrittenEncoder(t *testing.T) {
 	e.Bool(16, true)
 	e.Bool(16, false)
 	e.Uint(17, 65535)
-	got := Marshal(&in)
+	got := Append(nil, &in)
 	if !bytes.Equal(got, e.Encoded()) {
-		t.Fatalf("Marshal:\n got  %x\n want %x", got, e.Encoded())
+		t.Fatalf("Append:\n got  %x\n want %x", got, e.Encoded())
 	}
-	if byValue := Marshal(in); !bytes.Equal(byValue, got) {
-		t.Errorf("Marshal(value) differs from Marshal(pointer)")
+	if after := Append([]byte("prefix"), &in); string(after[:6]) != "prefix" || !bytes.Equal(after[6:], got) {
+		t.Errorf("Append after a prefix gave %x", after)
 	}
 
 	var out everything
-	if err := Unmarshal(got, &out); err != nil {
+	if err := Decode(got, &out); err != nil {
 		t.Fatal(err)
 	}
 	in.skipped, in.Local = 0, ""
@@ -112,7 +113,7 @@ func TestCodecDecodeEdges(t *testing.T) {
 	}
 	e.Uint(17, 0x1FFFF)
 	out := everything{Leaves: []leaf{{Name: "stale"}}[:0]}
-	if err := Unmarshal(e.Encoded(), &out); err != nil {
+	if err := Decode(e.Encoded(), &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Leaves) != 3 || out.Leaves[2].N != 2 {
@@ -130,18 +131,18 @@ func TestCodecDecodeEdges(t *testing.T) {
 	bad := NewEncoder()
 	bad.Uint(1, 5)
 	bad.Bytes(11, []byte{0x10}) // leaf: header of tag 2, no value
-	err := Unmarshal(bad.Encoded(), &out)
+	err := Decode(bad.Encoded(), &out)
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated nested message: err = %v", err)
 	}
 	if out.ID != 5 {
 		t.Errorf("fields before the error should be kept: %+v", out)
 	}
-	full := Marshal(&everything{Name: "abcdef"})
-	if err := Unmarshal(full[:len(full)-1], &out); err == nil {
+	full := Append(nil, &everything{Name: "abcdef"})
+	if err := Decode(full[:len(full)-1], &out); err == nil {
 		t.Error("truncated frame decoded without error")
 	}
-	if err := Unmarshal([]byte{9, 0}, &out); !errors.Is(err, ErrVersion) {
+	if err := Decode([]byte{9, 0}, &out); !errors.Is(err, ErrVersion) {
 		t.Errorf("major version mismatch: err = %v", err)
 	}
 }
@@ -156,39 +157,75 @@ func TestCodecFlatOmitzero(t *testing.T) {
 	}
 	e := NewEncoder()
 	e.Uint(1, 7)
-	if got := Marshal(msg{ID: 7}); !bytes.Equal(got, e.Encoded()) {
+	if got := Append(nil, &msg{ID: 7}); !bytes.Equal(got, e.Encoded()) {
 		t.Errorf("zero flat field: got %x, want %x", got, e.Encoded())
 	}
 	e.Uint(3, 6)
-	if got := Marshal(msg{ID: 7, At: stamp{Client: 6}}); !bytes.Equal(got, e.Encoded()) {
+	if got := Append(nil, &msg{ID: 7, At: stamp{Client: 6}}); !bytes.Equal(got, e.Encoded()) {
 		t.Errorf("partly zero flat field: got %x, want %x", got, e.Encoded())
 	}
 	for _, in := range []msg{{ID: 7}, {At: stamp{Micros: -5, Client: 6}}, {ID: 1, At: stamp{Client: 6}}} {
 		var out msg
-		if err := Unmarshal(Marshal(in), &out); err != nil || out != in {
+		if err := Decode(Append(nil, &in), &out); err != nil || out != in {
 			t.Errorf("round trip of %+v: %+v, err %v", in, out, err)
 		}
 	}
 }
 
+// TestPlanConcurrentFirstUse: goroutines that meet a type for the first
+// time together share one plan and encode alike.
+func TestPlanConcurrentFirstUse(t *testing.T) {
+	type fresh struct {
+		A uint64 `wire:"1"`
+		B []leaf `wire:"2"`
+	}
+	in := fresh{A: 9, B: []leaf{{Name: "x", N: 1}, {N: 2}}}
+	frames := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			frames[i] = Append(nil, &in)
+		}()
+	}
+	wg.Wait()
+	for i, f := range frames {
+		var out fresh
+		if err := Decode(f, &out); err != nil || !reflect.DeepEqual(out, in) || !bytes.Equal(f, frames[0]) {
+			t.Errorf("goroutine %d: frame %x decoded to %+v (err %v)", i, f, out, err)
+		}
+	}
+}
+
 func TestCodecRejectsMalformedSchema(t *testing.T) {
-	for name, v := range map[string]any{
-		"tag zero": struct {
-			A int `wire:"0"`
-		}{},
-		"duplicate": struct {
-			A, B int `wire:"1"`
-		}{},
-		"flat collision": struct {
-			At stamp `wire:"1,flat"`
-			B  int   `wire:"2"`
-		}{},
-		"unknown option": struct {
-			A int `wire:"1,packed"`
-		}{},
-		"bad cap": struct {
-			A []int `wire:"1,max=lots"`
-		}{},
+	for name, compile := range map[string]func(){
+		"tag zero": func() {
+			Append(nil, &struct {
+				A int `wire:"0"`
+			}{})
+		},
+		"duplicate": func() {
+			Append(nil, &struct {
+				A, B int `wire:"1"`
+			}{})
+		},
+		"flat collision": func() {
+			Append(nil, &struct {
+				At stamp `wire:"1,flat"`
+				B  int   `wire:"2"`
+			}{})
+		},
+		"unknown option": func() {
+			Append(nil, &struct {
+				A int `wire:"1,packed"`
+			}{})
+		},
+		"bad cap": func() {
+			Append(nil, &struct {
+				A []int `wire:"1,max=lots"`
+			}{})
+		},
 	} {
 		func() {
 			defer func() {
@@ -196,23 +233,23 @@ func TestCodecRejectsMalformedSchema(t *testing.T) {
 					t.Errorf("%s: schema accepted", name)
 				}
 			}()
-			Marshal(v)
+			compile()
 		}()
 	}
 }
 
-// Unmarshal faces frames from the network: whatever the bytes, it must
+// Decode faces frames from the network: whatever the bytes, it must
 // not panic, must not fabricate more elements than there are input bytes,
 // and whatever it accepts must re-encode to a frame that decodes to the
 // same value (decode∘encode∘decode is a fixed point).
 func FuzzUnmarshal(f *testing.F) {
-	f.Add(Marshal(&everything{
+	f.Add(Append(nil, &everything{
 		ID: 1, Shard: -1, Plain: 3, On: true, Late: true, Epoch: 2, Name: "n", Key: []byte("k"),
 		At: stamp{Micros: 5, Client: 6}, One: leaf{Name: "o", N: 1}, Leaves: []leaf{{Name: "a", N: 1}},
 		Keys: [][]byte{{0, 0xff}}, Names: []string{"s"}, Counts: []uint64{^uint64(0)}, Flags: []bool{true},
 		Narrow: 9,
 	}))
-	f.Add(Marshal(&everything{}))
+	f.Add(Append(nil, &everything{}))
 	// Wire types crossed with the schema (a varint where a message
 	// belongs, bytes where a varint belongs), a nested message cut short,
 	// and more list elements than the cap.
@@ -235,7 +272,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var first everything
-		if err := Unmarshal(data, &first); err != nil {
+		if err := Decode(data, &first); err != nil {
 			return
 		}
 		if len(first.Leaves) > 3 {
@@ -244,15 +281,15 @@ func FuzzUnmarshal(f *testing.F) {
 		if n := len(first.Keys) + len(first.Names) + len(first.Counts) + len(first.Flags); n > len(data) {
 			t.Fatalf("fabricated %d elements from %d input bytes", n, len(data))
 		}
-		frame := Marshal(&first)
+		frame := Append(nil, &first)
 		var second everything
-		if err := Unmarshal(frame, &second); err != nil {
+		if err := Decode(frame, &second); err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("re-decode drift:\n first  %+v\n second %+v", first, second)
 		}
-		if again := Marshal(&second); !bytes.Equal(again, frame) {
+		if again := Append(nil, &second); !bytes.Equal(again, frame) {
 			t.Fatalf("re-encode drift:\n first  %x\n second %x", frame, again)
 		}
 	})
