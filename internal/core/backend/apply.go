@@ -1,7 +1,8 @@
 package backend
 
-// The mutation core: lookup, the version gate, the one install sequence
-// behind SET and CAS, ERASE, eviction, and publish — the
+// The mutation core: lookup, the version gate, the one write sequence
+// behind SET and CAS, ERASE, install (a corpus item as the write or erase
+// it records), eviction, and publish — the
 // single point where an applied mutation becomes visible to the tombstone
 // cache, the handoff journal and the durable journal.
 
@@ -12,7 +13,6 @@ import (
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/hashring"
-	"cliquemap/internal/persist"
 	"cliquemap/internal/slab"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
@@ -234,13 +234,13 @@ func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Versio
 	}
 	ops.Add(1)
 	b.noteHeat(key, h)
-	if applied, stored, evictions, err = b.install(sink, s, h, key, value, v, pre); applied {
+	if applied, stored, evictions, err = b.gatedWrite(sink, s, h, key, value, v, pre); applied {
 		done.Add(1)
 	}
 	return applied, stored, evictions, err
 }
 
-// install is the one write sequence: gate → unlock → allocate+write →
+// gatedWrite is the one write sequence: gate → unlock → allocate+write →
 // relock → re-gate → publish. Allocation can evict (locking other stripes)
 // and performs the chunked body write, so it must not run under this key's
 // stripe lock. The second gate after relocking restores atomicity: if a
@@ -248,7 +248,7 @@ func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Versio
 // prepared entry is discarded exactly as if the first gate had failed. An
 // entry the data region cannot take (past the largest slab class, or
 // nothing left to evict) fails with proto.ErrNotStored.
-func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, pre precond) (applied bool, stored truetime.Version, evictions int, err error) {
+func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, pre precond) (applied bool, stored truetime.Version, evictions int, err error) {
 	for {
 		lockStripe(s, sink)
 		idx := b.idx.Load()
@@ -285,7 +285,7 @@ func (b *Backend) install(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, k
 			return false, bound, evictions, nil
 		}
 		s.policy.Add(h)
-		b.publish(persist.OpSet, h, key, value, v)
+		b.publish(h, proto.MigrateItem{Key: key, Value: value, Version: v})
 		s.unlock()
 		b.maybeResizeIndex()
 		b.maybeCheckpoint()
@@ -339,7 +339,7 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 	}
 	b.removeLocked(s, h)
 	s.ctr.erasesApplied.Add(1)
-	b.publish(persist.OpErase, h, key, nil, v)
+	b.publish(h, proto.MigrateItem{Key: key, Version: v, Tombstone: true})
 	s.unlock()
 	b.maybeCheckpoint()
 	return true, v
@@ -351,11 +351,23 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 // lock, after the index/side-shard change and before the lock is released
 // (hence before the ack). That lock orders its three notes against the
 // handoff seal barrier and the checkpoint rotation barrier, which both
-// take every stripe. value is the client-visible (uncompressed) bytes.
+// take every stripe. it.Value is the client-visible (uncompressed) bytes.
 // The checkpoint trigger is not a note: it takes every stripe, so the
 // caller runs it after releasing this one (maybeCheckpoint).
-func (b *Backend) publish(op byte, h hashring.KeyHash, key, value []byte, v truetime.Version) {
-	b.tombPublish(op == persist.OpErase, h, key, v)
-	b.journalNote(key)
-	b.persistNote(op, key, value, v)
+func (b *Backend) publish(h hashring.KeyHash, it proto.MigrateItem) {
+	b.tombPublish(it.Tombstone, h, it.Key, it.Version)
+	b.journalNote(it.Key)
+	b.persistNote(it)
+}
+
+// install applies one corpus item — a migration frame's, a recovered
+// checkpoint or journal record, a compact-restart survivor — as the write
+// or erase it records. The version gate makes every re-application
+// idempotent and order-tolerant.
+func (b *Backend) install(it proto.MigrateItem) {
+	if it.Tombstone {
+		b.erase(nil, it.Key, it.Version)
+	} else {
+		b.set(nil, it.Key, it.Value, it.Version, precond{})
+	}
 }

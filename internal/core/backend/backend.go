@@ -41,7 +41,7 @@
 //
 //	backend.go   options, the Backend struct, New, stripe locks, accessors
 //	table.go     the index table (bucket view, put/clear slot, header stamp) and the corpus walker
-//	apply.go     lookup, version gate, install (SET/CAS), erase, eviction, publish
+//	apply.go     lookup, version gate, gated write (SET/CAS), erase, install, eviction, publish
 //	reshape.go   data-region growth, slab drains (relocation), index resize, compact-restart, clear, post-resize GC
 //	tombstone.go the tombstone cache and the Backend's only access to it
 //	handoff.go   seal, handoff journal, the one handoff source loop; persist.go the durable tee,

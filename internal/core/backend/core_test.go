@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,6 +25,24 @@ func newCorpusView() corpusView {
 	return corpusView{map[string]truetime.Version{}, map[string]truetime.Version{}}
 }
 
+// add records one item, a tombstone or a resident entry, into the view.
+func (v corpusView) add(key []byte, ver truetime.Version, tomb bool) {
+	if tomb {
+		v.tombs[string(key)] = ver
+	} else {
+		v.resident[string(key)] = ver
+	}
+}
+
+// scanView is a backend's corpus as one unpaged scan reports it.
+func scanView(b *Backend) corpusView {
+	v := newCorpusView()
+	for _, it := range b.scan(proto.ScanReq{Shard: -1, Limit: 1 << 20}).Items {
+		v.add(it.Key, it.Version, it.Tombstone)
+	}
+	return v
+}
+
 func (v corpusView) diff(t *testing.T, name string, want corpusView) {
 	t.Helper()
 	for _, side := range []struct {
@@ -42,20 +61,22 @@ func (v corpusView) diff(t *testing.T, name string, want corpusView) {
 }
 
 // TestCorpusViewsAgree: every enumeration of the corpus is the one walker,
-// so Items, a paged scan, the checkpoint image, compact-restart survivors
-// and the post-resize GC all see the same keys at the same versions — and
-// the one damaged entry is quarantined by whichever of them meets it first,
-// exactly once.
+// and every consumer of one installs it through the one install path, so
+// Items, a paged scan, the checkpoint image, a backend warm-recovered from
+// it, compact-restart survivors, the post-resize GC and a handoff stream
+// all see the same keys at the same versions — and the one damaged entry
+// is quarantined by whichever of them meets it first, exactly once.
 func TestCorpusViewsAgree(t *testing.T) {
 	dir := t.TempDir()
-	r := newRig(t, Options{
+	opt := Options{
 		Shard: 0, DataDir: dir,
 		Geometry:          layout.Geometry{Buckets: 2, Ways: 4},
 		MaxLoadFactor:     10, // no resize: the ninth key must overflow
 		OverflowFallback:  true,
 		CompressThreshold: 64,
 		TombstoneCap:      1,
-	})
+	}
+	r := newRig(t, opt)
 	want := newCorpusView()
 	set := func(k string, val []byte) {
 		v := r.v()
@@ -100,11 +121,7 @@ func TestCorpusViewsAgree(t *testing.T) {
 	for cursor, pages := uint64(0), 0; ; pages++ {
 		resp := r.b.scan(proto.ScanReq{Shard: -1, Cursor: cursor, Limit: 3})
 		for _, it := range resp.Items {
-			if it.Tombstone {
-				paged.tombs[string(it.Key)] = it.Version
-			} else {
-				paged.resident[string(it.Key)] = it.Version
-			}
+			paged.add(it.Key, it.Version, it.Tombstone)
 		}
 		if resp.Done {
 			if pages < 2 {
@@ -133,16 +150,16 @@ func TestCorpusViewsAgree(t *testing.T) {
 	}
 	ckpt := newCorpusView()
 	for _, rec := range recs {
-		if rec.Op == persist.OpErase {
-			ckpt.tombs[string(rec.Key)] = rec.Version
-		} else {
-			ckpt.resident[string(rec.Key)] = rec.Version
-		}
+		ckpt.add(rec.Key, rec.Version, rec.Tombstone)
 		if string(rec.Key) == "k01" && !bytes.Equal(rec.Value, compressible) {
 			t.Error("checkpoint carries k01's stored (compressed) bytes, not its value")
 		}
 	}
 	ckpt.diff(t, "checkpoint", want)
+
+	warmOpt := opt
+	warmOpt.Recovering = true
+	scanView(newRig(t, warmOpt).b).diff(t, "warm-recovered backend", want)
 
 	r.b.CompactRestart(0.2)
 	items().diff(t, "CompactRestart survivors", want)
@@ -165,15 +182,23 @@ func TestCorpusViewsAgree(t *testing.T) {
 	if got := r.b.DropForeign(3, 1); got != foreign {
 		t.Errorf("DropForeign dropped %d, want %d", got, foreign)
 	}
-	after := newCorpusView()
-	for _, it := range r.b.scan(proto.ScanReq{Shard: -1, Limit: 1 << 20}).Items {
-		if it.Tombstone {
-			after.tombs[string(it.Key)] = it.Version
-		} else {
-			after.resident[string(it.Key)] = it.Version
+	scanView(r.b).diff(t, "after DropForeign", kept)
+
+	// The handoff stream: every item and tombstone MigrateTo sends.
+	streamed := newCorpusView()
+	spare := r.net.Serve("spare", 1)
+	spare.Handle(proto.MethodMigrateBatch, func(_ context.Context, _ string, req []byte) ([]byte, error) {
+		m, err := proto.UnmarshalMigrateBatchReq(req)
+		for _, it := range m.Items {
+			streamed.add(it.Key, it.Version, it.Tombstone)
 		}
+		return nil, err
+	})
+	spare.Handle(proto.MethodAssumeShard, func(context.Context, string, []byte) ([]byte, error) { return nil, nil })
+	if err := r.b.MigrateTo(context.Background(), "spare"); err != nil {
+		t.Fatal(err)
 	}
-	after.diff(t, "after DropForeign", kept)
+	streamed.diff(t, "handoff stream", kept)
 
 	if got := r.b.CountersSnapshot().CorruptPurged; got != 1 {
 		t.Errorf("CorruptPurged = %d, want 1", got)
@@ -279,13 +304,13 @@ func TestEveryPublishIsTeed(t *testing.T) {
 				t.Fatalf("journal decode: %d records, %v", len(recs), err)
 			}
 			last := recs[len(recs)-1]
-			wantRec := persist.Record{Op: persist.OpSet, Key: []byte(tc.key), Value: compressible, Version: v}
+			wantRec := proto.MigrateItem{Key: []byte(tc.key), Value: compressible, Version: v}
 			if tc.erase {
-				wantRec.Op, wantRec.Value = persist.OpErase, nil
+				wantRec.Tombstone, wantRec.Value = true, nil
 			}
-			if last.Op != wantRec.Op || !bytes.Equal(last.Key, wantRec.Key) || !bytes.Equal(last.Value, wantRec.Value) || last.Version != v {
-				t.Errorf("durable record = {op %d key %q %dB value %v}, want {op %d key %q %dB value %v}",
-					last.Op, last.Key, len(last.Value), last.Version, wantRec.Op, wantRec.Key, len(wantRec.Value), v)
+			if last.Tombstone != wantRec.Tombstone || !bytes.Equal(last.Key, wantRec.Key) || !bytes.Equal(last.Value, wantRec.Value) || last.Version != v {
+				t.Errorf("durable record = {tombstone %t key %q %dB value %v}, want {tombstone %t key %q %dB value %v}",
+					last.Tombstone, last.Key, len(last.Value), last.Version, wantRec.Tombstone, wantRec.Key, len(wantRec.Value), v)
 			}
 		})
 	}

@@ -30,8 +30,6 @@ import (
 	"fmt"
 
 	"cliquemap/internal/core/proto"
-	"cliquemap/internal/hashring"
-	"cliquemap/internal/truetime"
 )
 
 // migrateBatchSize is the per-frame item count of migration streams.
@@ -239,10 +237,7 @@ func (b *Backend) handoff(ctx context.Context, shard int, seal func(context.Cont
 		}
 	}
 	// Tombstones as first-class items, then the coarse summary.
-	var tombs []proto.MigrateItem
-	sum := b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
-		tombs = append(tombs, proto.MigrateItem{Key: append([]byte(nil), key...), Version: v, Tombstone: true})
-	})
+	tombs, sum := b.tombItems()
 	if err := stream(tombs); err != nil {
 		return err
 	}

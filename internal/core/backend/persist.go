@@ -24,9 +24,8 @@ package backend
 // restamps the buckets and lifts the guard.
 
 import (
-	"cliquemap/internal/hashring"
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/persist"
-	"cliquemap/internal/truetime"
 )
 
 // recoverStampBit is OR-ed into bucket-header config stamps while the
@@ -89,11 +88,10 @@ func (b *Backend) openPersist() error {
 	if err != nil {
 		return err
 	}
-	for _, r := range rec.Checkpoint {
-		b.replayRecord(r)
-	}
-	for _, r := range rec.Journal {
-		b.replayRecord(r)
+	for _, items := range [][]proto.MigrateItem{rec.Checkpoint, rec.Journal} {
+		for _, it := range items {
+			b.install(it)
+		}
 	}
 	b.replayedRecords.Store(uint64(len(rec.Journal)))
 	b.recoveredKeys.Store(uint64(b.Len()))
@@ -101,26 +99,14 @@ func (b *Backend) openPersist() error {
 	return nil
 }
 
-// replayRecord re-applies one durable record. The version gate makes
-// replay idempotent and order-tolerant across overlapping checkpoint and
-// journal contents.
-func (b *Backend) replayRecord(r persist.Record) {
-	switch r.Op {
-	case persist.OpSet:
-		b.set(nil, r.Key, r.Value, r.Version, precond{})
-	case persist.OpErase:
-		b.erase(nil, r.Key, r.Version)
-	}
-}
-
 // persistNote tees one applied mutation into the journal. Its only caller
 // is publish, under the key's stripe lock (the mutation's publication
 // point), so the append is ordered before the ack and before any
-// checkpoint rotation barrier. value must be the uncompressed bytes (what
-// a client would read back).
-func (b *Backend) persistNote(op byte, key, value []byte, v truetime.Version) {
+// checkpoint rotation barrier. it.Value must be the uncompressed bytes
+// (what a client would read back).
+func (b *Backend) persistNote(it proto.MigrateItem) {
 	if p := b.persist.Load(); p != nil {
-		_ = p.Append(persist.Record{Op: op, Key: key, Value: value, Version: v})
+		_ = p.Append(it)
 	}
 }
 
@@ -178,22 +164,17 @@ func (b *Backend) checkpoint(p *persist.Store) error {
 		s.mu.Lock()
 		items := b.snapshot(walkOpts{stripe: si})
 		s.unlock()
+		if si == len(b.stripes)-1 {
+			// Enumerable tombstones ride last, as in a handoff, so version
+			// bounds on recently-erased keys survive the restart (the
+			// coarse summary does not; it re-forms as the cache refills).
+			tombs, _ := b.tombItems()
+			items = append(items, tombs...)
+		}
 		for _, it := range items {
-			if err := cw.Write(persist.Record{Op: persist.OpSet, Key: it.Key, Value: it.Value, Version: it.Version}); err != nil {
+			if err := cw.Write(it); err != nil {
 				return err
 			}
-		}
-	}
-	// Enumerable tombstones ride along as erase records so version bounds
-	// on recently-erased keys survive the restart (the coarse summary does
-	// not; it re-forms as the cache refills).
-	var tombs []persist.Record
-	b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
-		tombs = append(tombs, persist.Record{Op: persist.OpErase, Key: append([]byte(nil), key...), Version: v})
-	})
-	for _, r := range tombs {
-		if err := cw.Write(r); err != nil {
-			return err
 		}
 	}
 	return cw.Commit()

@@ -269,7 +269,7 @@ func (b *Backend) CompactRestart(slack float64) {
 	b.unlockAll()
 
 	for _, it := range items {
-		b.set(nil, it.Key, it.Value, it.Version, precond{})
+		b.install(it)
 	}
 }
 

@@ -125,11 +125,7 @@ func (b *Backend) registerHandlers() {
 			return nil, err
 		}
 		for _, it := range r.Items {
-			if it.Tombstone {
-				b.erase(nil, it.Key, it.Version)
-			} else {
-				b.set(nil, it.Key, it.Value, it.Version, precond{})
-			}
+			b.install(it)
 		}
 		if r.Final {
 			b.tombSummaryFold(r.TombSummary)

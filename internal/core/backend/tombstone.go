@@ -289,6 +289,16 @@ func (b *Backend) tombReset() {
 	b.tombMutate(func(*tombstoneCache) { b.tomb = newTombstoneCache(b.opt.TombstoneCap) })
 }
 
+// tombItems returns every enumerable tombstone as an item whose key is a
+// copy, and the coarse summary: what a handoff streams after its data and
+// what a checkpoint writes after its corpus.
+func (b *Backend) tombItems() (items []proto.MigrateItem, summary truetime.Version) {
+	summary = b.eachTombstone(shardFilter{}, func(key []byte, _ hashring.KeyHash, v truetime.Version) {
+		items = append(items, proto.MigrateItem{Key: append([]byte(nil), key...), Version: v, Tombstone: true})
+	})
+	return items, summary
+}
+
 // eachTombstone enumerates the precise tombstones f admits, exact and
 // pending, so scans, handoffs and checkpoints see erases as first-class
 // versioned state, and returns the coarse summary (§5.2), which repair

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -94,47 +95,40 @@ func formatCol(c Col) string {
 	}
 }
 
+// registry lists every experiment once, in figure order, under the
+// space-separated names ByName resolves: a figure id ("3") or the name of
+// a non-figure experiment.
+var registry = []struct {
+	names string
+	run   func() Result
+}{
+	{"3", Fig3Reshaping}, {"6", Fig6Languages}, {"7", Fig7LookupCPU},
+	{"8", Fig8Ads}, {"9", Fig9Geo}, {"10", Fig10SizeCDF},
+	{"11", Fig11Preferred}, {"12", Fig12Incast}, {"13", Fig13Planned},
+	{"14", Fig14Unplanned}, {"14warm warmrestart", FigWarmRestart},
+	{"15", Fig15PonyRamp}, {"16", Fig16OneRMAHW}, {"17", Fig17OneRMAGet},
+	{"18", Fig18Mix}, {"19", Fig19MixCPU}, {"20", Fig20ValueSize},
+	{"resize", FigResize}, {"tier", FigTier}, {"loadwall", FigLoadWall},
+	{"hotkey", FigHotKey},
+}
+
 // All returns every experiment in figure order.
 func All() []func() Result {
-	return []func() Result{
-		Fig3Reshaping,
-		Fig6Languages,
-		Fig7LookupCPU,
-		Fig8Ads,
-		Fig9Geo,
-		Fig10SizeCDF,
-		Fig11Preferred,
-		Fig12Incast,
-		Fig13Planned,
-		Fig14Unplanned,
-		FigWarmRestart,
-		Fig15PonyRamp,
-		Fig16OneRMAHW,
-		Fig17OneRMAGet,
-		Fig18Mix,
-		Fig19MixCPU,
-		Fig20ValueSize,
-		FigResize,
-		FigTier,
-		FigLoadWall,
-		FigHotKey,
+	out := make([]func() Result, len(registry))
+	for i, e := range registry {
+		out[i] = e.run
 	}
+	return out
 }
 
 // ByName resolves an experiment by figure id ("3", "fig3", ...) or by
 // the name of a non-figure experiment ("resize").
 func ByName(name string) (func() Result, bool) {
 	name = strings.TrimPrefix(strings.ToLower(name), "fig")
-	m := map[string]func() Result{
-		"3": Fig3Reshaping, "6": Fig6Languages, "7": Fig7LookupCPU,
-		"8": Fig8Ads, "9": Fig9Geo, "10": Fig10SizeCDF,
-		"11": Fig11Preferred, "12": Fig12Incast, "13": Fig13Planned,
-		"14": Fig14Unplanned, "15": Fig15PonyRamp, "16": Fig16OneRMAHW,
-		"17": Fig17OneRMAGet, "18": Fig18Mix, "19": Fig19MixCPU,
-		"20": Fig20ValueSize, "resize": FigResize, "tier": FigTier,
-		"14warm": FigWarmRestart, "warmrestart": FigWarmRestart,
-		"loadwall": FigLoadWall, "hotkey": FigHotKey,
+	for _, e := range registry {
+		if slices.Contains(strings.Fields(e.names), name) {
+			return e.run, true
+		}
 	}
-	f, ok := m[name]
-	return f, ok
+	return nil, false
 }

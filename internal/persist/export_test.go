@@ -1,14 +1,18 @@
 package persist
 
-import "os"
+import (
+	"os"
+
+	"cliquemap/internal/core/proto"
+)
 
 // Whole frames for the decoder tests and fuzz seeds to assemble files from.
 
-func EncodeHeaderFrame(h Header) []byte { return appendFrame(nil, appendHeaderPayload(nil, h)) }
+func EncodeHeaderFrame(h Header) []byte { return appendHeader(nil, h) }
 
-func EncodeRecordFrame(r Record) []byte { return appendFrame(nil, appendRecordPayload(nil, r)) }
+func EncodeRecordFrame(it proto.MigrateItem) []byte { return appendFrame(nil, frameRecord, &it) }
 
-func EncodeFooterFrame(count uint64) []byte { return appendFrame(nil, appendFooterPayload(nil, count)) }
+func EncodeFooterFrame(count uint64) []byte { return appendFrame(nil, frameFooter, &footer{count}) }
 
 // CheckpointFile is the temp image file cw writes into.
 func CheckpointFile(cw *CheckpointWriter) *os.File { return cw.f }

@@ -12,11 +12,14 @@
 //
 // Both file kinds share one frame codec: a 4-byte little-endian payload
 // length, the payload's 64-bit checksum (internal/checksum, the same
-// CRC32C+mix the RMA DataEntry format uses), then the payload. A file is
-// a header frame, record frames, and — for checkpoints only — a footer
-// frame carrying the record count. Frames are written in
-// rmem.WriteChunk-sized slices, mirroring the region write discipline, so
-// a torn write is bounded to a suffix of one frame.
+// CRC32C+mix the RMA DataEntry format uses), then the payload: a frame
+// kind byte and one internal/wire message. A file is a header frame,
+// record frames, and — for checkpoints only — a footer frame carrying the
+// record count. A record is a proto.MigrateItem, the tuple a shard handoff
+// streams, so the backend installs a recovered record exactly as it
+// installs a migrated one. Frames are written in rmem.WriteChunk-sized
+// slices, mirroring the region write discipline, so a torn write is
+// bounded to a suffix of one frame.
 //
 // # Crash safety
 //
@@ -52,14 +55,9 @@ import (
 	"time"
 
 	"cliquemap/internal/checksum"
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/rmem"
-	"cliquemap/internal/truetime"
-)
-
-// Record ops.
-const (
-	OpSet   = byte(1) // install Key=Value at Version
-	OpErase = byte(2) // tombstone Key at Version
+	"cliquemap/internal/wire"
 )
 
 // Frame kinds (first payload byte).
@@ -76,7 +74,7 @@ const (
 )
 
 const (
-	magic         = uint64(0x434d50455253_0001) // "CMPERS" + format v1
+	magic         = uint64(0x434d50455253_0002) // "CMPERS" + format v2
 	frameOverhead = 4 + 8                       // length + checksum
 	// maxFrame bounds a single frame so hostile length prefixes cannot
 	// drive huge allocations (fuzz discipline; generous for real values).
@@ -88,20 +86,18 @@ const (
 // were written stay on disk, nothing further is written.
 var ErrCrashed = errors.New("persist: simulated crash")
 
-// Record is one durable mutation or checkpoint entry.
-type Record struct {
-	Op      byte
-	Key     []byte
-	Value   []byte // nil for OpErase
-	Version truetime.Version
+// Header identifies a persist file. The writer stamps Magic.
+type Header struct {
+	Magic    uint64 `wire:"1"`
+	Kind     byte   `wire:"2"`
+	Epoch    uint64 `wire:"3"`
+	ConfigID uint64 `wire:"4"`
+	Shard    int64  `wire:"5"`
 }
 
-// Header identifies a persist file.
-type Header struct {
-	Kind     byte
-	Epoch    uint64
-	ConfigID uint64
-	Shard    int64
+// footer seals a checkpoint with its record count.
+type footer struct {
+	Count uint64 `wire:"1"`
 }
 
 // Options configures a Store.
@@ -119,11 +115,11 @@ type Options struct {
 
 // Recovered is what Open found on disk.
 type Recovered struct {
-	CheckpointEpoch uint64   // epoch of the loaded checkpoint (0: none)
-	ConfigID        uint64   // config stamp of that checkpoint
-	Checkpoint      []Record // checkpoint corpus, file order
-	Journal         []Record // journal tail, ascending epoch + append order
-	Epoch           uint64   // the store's new live epoch
+	CheckpointEpoch uint64              // epoch of the loaded checkpoint (0: none)
+	ConfigID        uint64              // config stamp of that checkpoint
+	Checkpoint      []proto.MigrateItem // checkpoint corpus, file order
+	Journal         []proto.MigrateItem // journal tail, ascending epoch + append order
+	Epoch           uint64              // the store's new live epoch
 }
 
 // Store manages one task's durable lineage. Append is safe under the
@@ -159,48 +155,21 @@ func (s *Store) die(point string) bool {
 
 // ------------------------------------------------------------- encoding --
 
-func appendFrame(dst, payload []byte) []byte {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(payload)))
-	dst = append(dst, n[:]...)
-	var c [8]byte
-	binary.LittleEndian.PutUint64(c[:], checksum.Sum(payload))
-	dst = append(dst, c[:]...)
-	return append(dst, payload...)
+// appendFrame appends one frame holding kind and m to dst, filling in the
+// frame's length and checksum once the payload is in place.
+func appendFrame[T any](dst []byte, kind byte, m *T) []byte {
+	at := len(dst)
+	dst = append(append(dst, make([]byte, frameOverhead)...), kind)
+	dst = wire.Append(dst, m)
+	payload := dst[at+frameOverhead:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(dst[at+4:], checksum.Sum(payload))
+	return dst
 }
 
-func appendHeaderPayload(dst []byte, h Header) []byte {
-	var b [1 + 1 + 8 + 8 + 8 + 8]byte
-	b[0] = frameHeader
-	b[1] = h.Kind
-	binary.LittleEndian.PutUint64(b[2:], magic)
-	binary.LittleEndian.PutUint64(b[10:], h.Epoch)
-	binary.LittleEndian.PutUint64(b[18:], h.ConfigID)
-	binary.LittleEndian.PutUint64(b[26:], uint64(h.Shard))
-	return append(dst, b[:]...)
-}
-
-func appendRecordPayload(dst []byte, r Record) []byte {
-	var b [1 + 1 + 8 + 8 + 8 + 4]byte
-	b[0] = frameRecord
-	b[1] = r.Op
-	binary.LittleEndian.PutUint64(b[2:], uint64(r.Version.Micros))
-	binary.LittleEndian.PutUint64(b[10:], r.Version.ClientID)
-	binary.LittleEndian.PutUint64(b[18:], r.Version.Seq)
-	binary.LittleEndian.PutUint32(b[26:], uint32(len(r.Key)))
-	dst = append(dst, b[:]...)
-	dst = append(dst, r.Key...)
-	var vl [4]byte
-	binary.LittleEndian.PutUint32(vl[:], uint32(len(r.Value)))
-	dst = append(dst, vl[:]...)
-	return append(dst, r.Value...)
-}
-
-func appendFooterPayload(dst []byte, count uint64) []byte {
-	var b [1 + 8]byte
-	b[0] = frameFooter
-	binary.LittleEndian.PutUint64(b[1:], count)
-	return append(dst, b[:]...)
+func appendHeader(dst []byte, h Header) []byte {
+	h.Magic = magic
+	return appendFrame(dst, frameHeader, &h)
 }
 
 // ------------------------------------------------------------- decoding --
@@ -224,17 +193,21 @@ func nextFrame(b []byte, off int) (payload []byte, next int, ok bool) {
 	return payload, off + frameOverhead + n, true
 }
 
-func decodeHeaderPayload(p []byte) (Header, error) {
-	if len(p) != 1+1+8+8+8+8 || p[0] != frameHeader {
-		return Header{}, errors.New("persist: malformed header frame")
+// decodePayload reads a frame payload of the given kind into *m. Its
+// []byte fields alias p.
+func decodePayload[T any](p []byte, kind byte, m *T) error {
+	if len(p) == 0 || p[0] != kind {
+		return fmt.Errorf("persist: not a %#x frame", kind)
 	}
-	h := Header{
-		Kind:     p[1],
-		Epoch:    binary.LittleEndian.Uint64(p[10:]),
-		ConfigID: binary.LittleEndian.Uint64(p[18:]),
-		Shard:    int64(binary.LittleEndian.Uint64(p[26:])),
+	return wire.Decode(p[1:], m)
+}
+
+func decodeHeader(p []byte) (Header, error) {
+	var h Header
+	if err := decodePayload(p, frameHeader, &h); err != nil {
+		return Header{}, err
 	}
-	if binary.LittleEndian.Uint64(p[2:]) != magic {
+	if h.Magic != magic {
 		return Header{}, errors.New("persist: bad magic")
 	}
 	if h.Kind != KindCheckpoint && h.Kind != KindJournal {
@@ -243,64 +216,35 @@ func decodeHeaderPayload(p []byte) (Header, error) {
 	return h, nil
 }
 
-func decodeRecordPayload(p []byte) (Record, error) {
-	const fixed = 1 + 1 + 8 + 8 + 8 + 4
-	if len(p) < fixed || p[0] != frameRecord {
-		return Record{}, errors.New("persist: malformed record frame")
+func decodeRecord(p []byte) (proto.MigrateItem, error) {
+	var it proto.MigrateItem
+	if err := decodePayload(p, frameRecord, &it); err != nil {
+		return proto.MigrateItem{}, err
 	}
-	r := Record{
-		Op: p[1],
-		Version: truetime.Version{
-			Micros:   int64(binary.LittleEndian.Uint64(p[2:])),
-			ClientID: binary.LittleEndian.Uint64(p[10:]),
-			Seq:      binary.LittleEndian.Uint64(p[18:]),
-		},
+	if it.Tombstone && it.Value != nil {
+		return proto.MigrateItem{}, errors.New("persist: erase record carries a value")
 	}
-	if r.Op != OpSet && r.Op != OpErase {
-		return Record{}, errors.New("persist: unknown record op")
-	}
-	klen := int(binary.LittleEndian.Uint32(p[26:]))
-	if klen < 0 || fixed+klen+4 > len(p) {
-		return Record{}, errors.New("persist: key length overruns frame")
-	}
-	r.Key = append([]byte(nil), p[fixed:fixed+klen]...)
-	vlen := int(binary.LittleEndian.Uint32(p[fixed+klen:]))
-	if vlen < 0 || fixed+klen+4+vlen != len(p) {
-		return Record{}, errors.New("persist: value length mismatches frame")
-	}
-	if r.Op == OpErase && vlen != 0 {
-		return Record{}, errors.New("persist: erase record carries a value")
-	}
-	if vlen > 0 || r.Op == OpSet {
-		r.Value = append([]byte(nil), p[fixed+klen+4:]...)
-	}
-	return r, nil
-}
-
-func decodeFooterPayload(p []byte) (uint64, error) {
-	if len(p) != 1+8 || p[0] != frameFooter {
-		return 0, errors.New("persist: malformed footer frame")
-	}
-	return binary.LittleEndian.Uint64(p[1:]), nil
+	return it, nil
 }
 
 // DecodeCheckpoint strictly validates a checkpoint image: header frame,
 // record frames, footer frame whose count matches, and nothing after the
 // footer. Anything less — torn tail, bit flip, truncation — rejects the
-// whole image (recovery then falls back to the previous epoch).
-func DecodeCheckpoint(b []byte) (Header, []Record, error) {
+// whole image (recovery then falls back to the previous epoch). Items
+// alias b.
+func DecodeCheckpoint(b []byte) (Header, []proto.MigrateItem, error) {
 	p, off, ok := nextFrame(b, 0)
 	if !ok {
 		return Header{}, nil, errors.New("persist: checkpoint missing header frame")
 	}
-	h, err := decodeHeaderPayload(p)
+	h, err := decodeHeader(p)
 	if err != nil {
 		return Header{}, nil, err
 	}
 	if h.Kind != KindCheckpoint {
 		return Header{}, nil, errors.New("persist: not a checkpoint file")
 	}
-	var recs []Record
+	var recs []proto.MigrateItem
 	for {
 		p, next, ok := nextFrame(b, off)
 		if !ok {
@@ -308,19 +252,19 @@ func DecodeCheckpoint(b []byte) (Header, []Record, error) {
 		}
 		off = next
 		if len(p) > 0 && p[0] == frameFooter {
-			count, ferr := decodeFooterPayload(p)
-			if ferr != nil {
+			var f footer
+			if ferr := decodePayload(p, frameFooter, &f); ferr != nil {
 				return Header{}, nil, ferr
 			}
-			if count != uint64(len(recs)) {
-				return Header{}, nil, fmt.Errorf("persist: footer count %d != %d records", count, len(recs))
+			if f.Count != uint64(len(recs)) {
+				return Header{}, nil, fmt.Errorf("persist: footer count %d != %d records", f.Count, len(recs))
 			}
 			if off != len(b) {
 				return Header{}, nil, errors.New("persist: trailing bytes after footer")
 			}
 			return h, recs, nil
 		}
-		r, rerr := decodeRecordPayload(p)
+		r, rerr := decodeRecord(p)
 		if rerr != nil {
 			return Header{}, nil, rerr
 		}
@@ -331,27 +275,28 @@ func DecodeCheckpoint(b []byte) (Header, []Record, error) {
 // DecodeJournal validates a journal image, returning every whole valid
 // record frame before the first damage and the byte length of that clean
 // prefix. A torn or bit-flipped tail truncates (never fabricates); only a
-// missing or invalid header frame rejects the file outright.
-func DecodeJournal(b []byte) (Header, []Record, int, error) {
+// missing or invalid header frame rejects the file outright. Items alias
+// b.
+func DecodeJournal(b []byte) (Header, []proto.MigrateItem, int, error) {
 	p, off, ok := nextFrame(b, 0)
 	if !ok {
 		return Header{}, nil, 0, errors.New("persist: journal missing header frame")
 	}
-	h, err := decodeHeaderPayload(p)
+	h, err := decodeHeader(p)
 	if err != nil {
 		return Header{}, nil, 0, err
 	}
 	if h.Kind != KindJournal {
 		return Header{}, nil, 0, errors.New("persist: not a journal file")
 	}
-	var recs []Record
+	var recs []proto.MigrateItem
 	clean := off
 	for {
 		p, next, ok := nextFrame(b, off)
 		if !ok {
 			return h, recs, clean, nil // torn tail: stop at the last whole frame
 		}
-		r, rerr := decodeRecordPayload(p)
+		r, rerr := decodeRecord(p)
 		if rerr != nil {
 			return h, recs, clean, nil // damaged frame: treat as torn from here
 		}
@@ -463,9 +408,7 @@ func (s *Store) openWAL() error {
 	if err != nil {
 		return err
 	}
-	hdr := appendFrame(nil, appendHeaderPayload(nil, Header{
-		Kind: KindJournal, Epoch: s.epoch, ConfigID: 0, Shard: s.shard,
-	}))
+	hdr := appendHeader(nil, Header{Kind: KindJournal, Epoch: s.epoch, Shard: s.shard})
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return err
@@ -501,13 +444,13 @@ func (s *Store) writeChunked(f *os.File, b []byte, point string) error {
 // Append journals one mutation. Callers hold the mutated key's stripe
 // lock, which orders appends against checkpoint rotation; Store.mu is a
 // leaf below it serializing appends from different stripes.
-func (s *Store) Append(r Record) error {
+func (s *Store) Append(it proto.MigrateItem) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.die("journal.append") {
 		return ErrCrashed
 	}
-	s.encodeBuf = appendFrame(s.encodeBuf[:0], appendRecordPayload(nil, r))
+	s.encodeBuf = appendFrame(s.encodeBuf[:0], frameRecord, &it)
 	if err := s.writeChunked(s.wal, s.encodeBuf, "journal.append"); err != nil {
 		return err
 	}
@@ -591,9 +534,7 @@ func (s *Store) BeginCheckpoint(epoch, configID uint64) (*CheckpointWriter, erro
 		return nil, err
 	}
 	cw := &CheckpointWriter{s: s, f: f, epoch: epoch}
-	cw.buf = appendFrame(nil, appendHeaderPayload(nil, Header{
-		Kind: KindCheckpoint, Epoch: epoch, ConfigID: configID, Shard: s.shard,
-	}))
+	cw.buf = appendHeader(nil, Header{Kind: KindCheckpoint, Epoch: epoch, ConfigID: configID, Shard: s.shard})
 	if werr := s.writeChunked(f, cw.buf, "checkpoint.header"); werr != nil {
 		f.Close()
 		return nil, werr
@@ -604,14 +545,14 @@ func (s *Store) BeginCheckpoint(epoch, configID uint64) (*CheckpointWriter, erro
 // Write appends one corpus record to the image. A failed write closes the
 // image and leaves it on disk as a crash would (Open never recovers from
 // ckpt.tmp).
-func (cw *CheckpointWriter) Write(r Record) error {
+func (cw *CheckpointWriter) Write(it proto.MigrateItem) error {
 	cw.s.mu.Lock()
 	defer cw.s.mu.Unlock()
 	if cw.s.die("checkpoint.record") {
 		cw.f.Close()
 		return ErrCrashed
 	}
-	cw.buf = appendFrame(cw.buf[:0], appendRecordPayload(nil, r))
+	cw.buf = appendFrame(cw.buf[:0], frameRecord, &it)
 	if err := cw.s.writeChunked(cw.f, cw.buf, "checkpoint.record"); err != nil {
 		cw.f.Close()
 		return err
@@ -630,7 +571,7 @@ func (cw *CheckpointWriter) Commit() error {
 		cw.f.Close()
 		return ErrCrashed
 	}
-	cw.buf = appendFrame(cw.buf[:0], appendFooterPayload(nil, cw.count))
+	cw.buf = appendFrame(cw.buf[:0], frameFooter, &footer{cw.count})
 	if err := s.writeChunked(cw.f, cw.buf, "checkpoint.footer"); err != nil {
 		cw.f.Close()
 		return err

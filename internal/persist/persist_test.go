@@ -2,12 +2,16 @@ package persist_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"cliquemap/internal/checksum"
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/persist"
 	"cliquemap/internal/truetime"
 )
@@ -19,27 +23,27 @@ func ver(i int) truetime.Version {
 
 // rec builds the i-th workload record: keys cycle over a small space so
 // later ops overwrite earlier ones, and every fifth op is an erase.
-func rec(i int) persist.Record {
+func rec(i int) proto.MigrateItem {
 	key := []byte(fmt.Sprintf("k%02d", i%7))
 	if i%5 == 4 {
-		return persist.Record{Op: persist.OpErase, Key: key, Version: ver(i)}
+		return proto.MigrateItem{Key: key, Version: ver(i), Tombstone: true}
 	}
-	return persist.Record{Op: persist.OpSet, Key: key, Value: []byte(fmt.Sprintf("v%03d", i)), Version: ver(i)}
+	return proto.MigrateItem{Key: key, Value: []byte(fmt.Sprintf("v%03d", i)), Version: ver(i)}
 }
 
-func sig(r persist.Record) string {
-	return fmt.Sprintf("%d|%s|%d.%d.%d|%s", r.Op, r.Key, r.Version.Micros, r.Version.ClientID, r.Version.Seq, r.Value)
+func sig(r proto.MigrateItem) string {
+	return fmt.Sprintf("%t|%s|%d.%d.%d|%s", r.Tombstone, r.Key, r.Version.Micros, r.Version.ClientID, r.Version.Seq, r.Value)
 }
 
 // model is the acked corpus: per-key latest acked record, version-gated
 // exactly like the backend's replay.
 type model struct {
-	state map[string]persist.Record // latest record per key (set or tombstone)
+	state map[string]proto.MigrateItem // latest record per key (set or tombstone)
 }
 
-func newModel() *model { return &model{state: make(map[string]persist.Record)} }
+func newModel() *model { return &model{state: make(map[string]proto.MigrateItem)} }
 
-func (m *model) apply(r persist.Record) {
+func (m *model) apply(r proto.MigrateItem) {
 	cur, ok := m.state[string(r.Key)]
 	if ok && r.Version.Less(cur.Version) {
 		return
@@ -47,10 +51,10 @@ func (m *model) apply(r persist.Record) {
 	m.state[string(r.Key)] = r
 }
 
-func (m *model) live() map[string]persist.Record {
-	out := make(map[string]persist.Record)
+func (m *model) live() map[string]proto.MigrateItem {
+	out := make(map[string]proto.MigrateItem)
 	for k, r := range m.state {
-		if r.Op == persist.OpSet {
+		if !r.Tombstone {
 			out[k] = r
 		}
 	}
@@ -158,7 +162,7 @@ func checkRecovery(t *testing.T, label string, acked *model, attempted map[strin
 		}
 	}
 	for k, want := range acked.state {
-		if want.Op != persist.OpErase {
+		if !want.Tombstone {
 			continue
 		}
 		if r, ok := got.live()[k]; ok && r.Version.Less(want.Version) {
@@ -292,7 +296,7 @@ func TestCrashPointMatrixSynced(t *testing.T) {
 // asserts the recovered records are always a clean prefix of what was
 // written — never a fabrication, never a reordering.
 func TestJournalTruncationSweep(t *testing.T) {
-	var want []persist.Record
+	var want []proto.MigrateItem
 	file := persist.EncodeHeaderFrame(persist.Header{Kind: persist.KindJournal, Epoch: 1, Shard: 0})
 	for i := 0; i < 5; i++ {
 		r := rec(i)
@@ -327,7 +331,7 @@ func TestJournalTruncationSweep(t *testing.T) {
 // TestJournalBitFlipSweep flips every byte of a journal image and asserts
 // the damage only ever truncates — recovered records stay a clean prefix.
 func TestJournalBitFlipSweep(t *testing.T) {
-	var want []persist.Record
+	var want []proto.MigrateItem
 	file := persist.EncodeHeaderFrame(persist.Header{Kind: persist.KindJournal, Epoch: 1, Shard: 0})
 	for i := 0; i < 5; i++ {
 		r := rec(i)
@@ -373,6 +377,99 @@ func TestCheckpointTruncationRejected(t *testing.T) {
 		if _, _, err := persist.DecodeCheckpoint(flipped); err == nil {
 			t.Fatalf("bit flip at %d accepted", pos)
 		}
+	}
+}
+
+// TestGoldenFrames pins the v2 bytes of each frame kind: a checkpoint
+// header, a SET record, an ERASE record and a footer. Each is [4B len]
+// [8B checksum][kind byte][wire message]; a record's message is a
+// proto.MigrateItem. A change here orphans every lineage on disk, so it
+// must come with a new magic.
+func TestGoldenFrames(t *testing.T) {
+	hdr := persist.Header{Kind: persist.KindCheckpoint, Epoch: 3, ConfigID: 1, Shard: 2}
+	set, erase := rec(0), rec(4)
+	frames := []struct {
+		name, hex string
+		got       []byte
+	}{
+		{"header", "150000003b45712bcde0642a100104088280cc92d588d4a6431043180320012802", persist.EncodeHeaderFrame(hdr)},
+		{"set", "16000000fae4349dd7176b472001040a036b30301204763030301801200728013000", persist.EncodeRecordFrame(set)},
+		{"erase", "12000000c91edf506f9a4a932001040a036b303412001805200728053001", persist.EncodeRecordFrame(erase)},
+		{"footer", "05000000bb783027286a1e653001040802", persist.EncodeFooterFrame(2)},
+	}
+	var file []byte
+	for _, f := range frames {
+		want, err := hex.DecodeString(f.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.got, want) {
+			t.Errorf("%s frame:\n got  %x\n want %x", f.name, f.got, want)
+		}
+		file = append(file, want...)
+	}
+	h, items, err := persist.DecodeCheckpoint(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Kind != hdr.Kind || h.Epoch != hdr.Epoch || h.ConfigID != hdr.ConfigID || h.Shard != hdr.Shard {
+		t.Errorf("header decoded to %+v, want %+v", h, hdr)
+	}
+	if len(items) != 2 || sig(items[0]) != sig(set) || sig(items[1]) != sig(erase) || items[1].Value != nil {
+		t.Errorf("records decoded to %+v, want [%+v %+v]", items, set, erase)
+	}
+}
+
+// TestInvalidRecordFrame: a record frame whose checksum passes but whose
+// item does not decode, or is an erase carrying a value, truncates a
+// journal there and rejects a checkpoint image whole.
+func TestInvalidRecordFrame(t *testing.T) {
+	frame := func(payload []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		return append(binary.LittleEndian.AppendUint64(b, checksum.Sum(payload)), payload...)
+	}
+	good := persist.EncodeRecordFrame(rec(0))
+	for name, bad := range map[string][]byte{
+		"erase with a value": persist.EncodeRecordFrame(proto.MigrateItem{Key: []byte("k"), Value: []byte("v"), Tombstone: true}),
+		"undecodable item":   frame([]byte{0x20, 0x01, 0x04, 0x0a, 0x7f}), // a record whose key overruns it
+	} {
+		j := persist.EncodeHeaderFrame(persist.Header{Kind: persist.KindJournal, Epoch: 1})
+		j = append(append(append(j, good...), bad...), good...)
+		if _, recs, clean, err := persist.DecodeJournal(j); err != nil || len(recs) != 1 || clean != len(j)-len(bad)-len(good) {
+			t.Errorf("%s: journal kept %d records and a %d-byte clean prefix (err %v), want 1 and %d", name, len(recs), clean, err, len(j)-len(bad)-len(good))
+		}
+		c := persist.EncodeHeaderFrame(persist.Header{Kind: persist.KindCheckpoint, Epoch: 1})
+		c = append(append(append(c, good...), bad...), persist.EncodeFooterFrame(2)...)
+		if _, _, err := persist.DecodeCheckpoint(c); err == nil {
+			t.Errorf("%s: checkpoint image accepted", name)
+		}
+	}
+}
+
+// TestV1LineageSkipped: a directory the v1 format wrote (a checkpoint and
+// a journal, one SET each, bytes from the v1 encoder) reads as foreign
+// files: Open recovers nothing from it and the task rejoins cold.
+func TestV1LineageSkipped(t *testing.T) {
+	dir := t.TempDir()
+	for name, h := range map[string]string{
+		"wal-0000000000000001.cm":  "220000003f03c5e4788c3dbf10570100535245504d4301000000000000000000000000000000000000000000000029000000933c9340b6d75ded2001010000000000000007000000000000000100000000000000030000006b30300400000076303030",
+		"ckpt-0000000000000001.cm": "220000007f5ad1e11a2e97d010430100535245504d4301000000000000000000000000000000000000000000000029000000933c9340b6d75ded2001010000000000000007000000000000000100000000000000030000006b3030040000007630303009000000564d2008856f31ea300100000000000000",
+	} {
+		raw, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, recd, err := persist.Open(dir, 0, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if recd.CheckpointEpoch != 0 || len(recd.Checkpoint)+len(recd.Journal) != 0 {
+		t.Errorf("v1 lineage recovered checkpoint epoch %d, %d+%d records", recd.CheckpointEpoch, len(recd.Checkpoint), len(recd.Journal))
 	}
 }
 
@@ -445,7 +542,7 @@ func TestResetWipesLineage(t *testing.T) {
 }
 
 // reencodeJournal re-marshals a decode result; used as the fuzz oracle.
-func reencodeJournal(h persist.Header, recs []persist.Record) []byte {
+func reencodeJournal(h persist.Header, recs []proto.MigrateItem) []byte {
 	out := persist.EncodeHeaderFrame(h)
 	for _, r := range recs {
 		out = append(out, persist.EncodeRecordFrame(r)...)

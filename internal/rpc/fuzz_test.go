@@ -16,8 +16,8 @@ import (
 
 func refDecodeTCPRequest(b []byte) (tcpRequest, error) {
 	var r tcpRequest
-	d, err := wire.NewDecoder(b)
-	if err != nil {
+	var d wire.Decoder
+	if err := d.Init(b); err != nil {
 		return r, err
 	}
 	for d.Next() {
@@ -45,8 +45,8 @@ func refDecodeTCPRequest(b []byte) (tcpRequest, error) {
 
 func refDecodeTCPResponse(b []byte) (tcpResponse, error) {
 	var r tcpResponse
-	d, err := wire.NewDecoder(b)
-	if err != nil {
+	var d wire.Decoder
+	if err := d.Init(b); err != nil {
 		return r, err
 	}
 	for d.Next() {

@@ -2,7 +2,6 @@ package tier
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"sync/atomic"
 
@@ -12,6 +11,7 @@ import (
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
+	"cliquemap/internal/wire"
 )
 
 // ErrNoCells means the router has no routable cell (everything dead or
@@ -387,26 +387,25 @@ func (c *Client) storeFollower(ctx context.Context, key, payload []byte, ver tru
 	_ = c.local.Set(ctx, followerKey(key), encodeFollower(ver, c.now(), payload))
 }
 
-// Follower entries are framed [Micros][ClientID][Seq][stampNs][payload],
-// all little-endian u64: the owner's version for revalidation plus the
-// local-clock freshness stamp.
-func encodeFollower(ver truetime.Version, stamp uint64, payload []byte) []byte {
-	b := make([]byte, 32+len(payload))
-	binary.LittleEndian.PutUint64(b[0:], uint64(ver.Micros))
-	binary.LittleEndian.PutUint64(b[8:], ver.ClientID)
-	binary.LittleEndian.PutUint64(b[16:], ver.Seq)
-	binary.LittleEndian.PutUint64(b[24:], stamp)
-	copy(b[32:], payload)
-	return b
+// follower is a follower-cache entry: the owner's version for
+// revalidation, the local-clock freshness stamp, and the payload, which
+// aliases the entry it was decoded from.
+type follower struct {
+	Version truetime.Version `wire:"1,flat"`
+	Stamp   uint64           `wire:"4"`
+	Payload []byte           `wire:"5"`
 }
 
+func encodeFollower(ver truetime.Version, stamp uint64, payload []byte) []byte {
+	return wire.Append(nil, &follower{ver, stamp, payload})
+}
+
+// decodeFollower reads an entry; ok is false for a corrupt or foreign one,
+// which the caller revalidates as if it held nothing.
 func decodeFollower(b []byte) (ver truetime.Version, stamp uint64, payload []byte, ok bool) {
-	if len(b) < 32 {
+	var f follower
+	if wire.Decode(b, &f) != nil {
 		return truetime.Version{}, 0, nil, false
 	}
-	ver.Micros = int64(binary.LittleEndian.Uint64(b[0:]))
-	ver.ClientID = binary.LittleEndian.Uint64(b[8:])
-	ver.Seq = binary.LittleEndian.Uint64(b[16:])
-	stamp = binary.LittleEndian.Uint64(b[24:])
-	return ver, stamp, b[32:], true
+	return f.Version, f.Stamp, f.Payload, true
 }

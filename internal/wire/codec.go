@@ -220,7 +220,7 @@ func (p *plan) decode(d Decoder, base unsafe.Pointer) error {
 			}
 			*(*[]byte)(at) = v
 		case kMessage:
-			sub := Decoder{buf: d.Bytes(), major: FormatMajor, minor: FormatMinor}
+			sub := Decoder{buf: d.Bytes()}
 			if err := o.sub.decode(sub, at); err != nil {
 				return fmt.Errorf("wire: %s (tag %d): %w", o.sub.name, o.key>>3, err)
 			}

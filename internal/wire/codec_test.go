@@ -258,7 +258,7 @@ func FuzzUnmarshal(f *testing.F) {
 	e.Uint(12, 7)
 	e.Bytes(1, []byte("not a number"))
 	e.Bytes(9, []byte{1})
-	e.Fixed64(2, 3)
+	appendFixed64(e, 2, 3)
 	f.Add(e.Encoded())
 	cut := NewEncoder()
 	cut.Bytes(12, []byte{0x0a, 0x05, 'a'})

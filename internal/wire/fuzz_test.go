@@ -8,7 +8,7 @@ func FuzzDecoder(f *testing.F) {
 	e := NewEncoder()
 	e.Uint(1, 42)
 	e.Bytes(2, []byte("payload"))
-	e.Fixed64(3, 7)
+	appendFixed64(e, 3, 7)
 	f.Add(e.Encoded())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -34,8 +34,8 @@ func FuzzDecoder(f *testing.F) {
 	bad.Message(6, wide)
 	f.Add(bad.Encoded())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := NewDecoder(data)
-		if err != nil {
+		var d Decoder
+		if err := d.Init(data); err != nil {
 			return
 		}
 		fields := 0

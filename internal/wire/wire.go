@@ -7,21 +7,19 @@
 // independently (§6 of the paper: "over a hundred changes to CliqueMap's
 // protocol definitions" were shipped against live traffic). Messages are
 // always prefixed by a format version; decoders accept any version whose
-// major component matches and surface the rest to the caller so responses
-// can self-validate.
+// major component matches.
 package wire
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Wire types. A field header is (tag<<3 | type) encoded as a uvarint.
 const (
 	typeVarint  = 0 // uint64, bool, enums
-	typeFixed64 = 1 // uint64 little-endian, float64
+	typeFixed64 = 1 // uint64 little-endian; decoded only so it can be skipped
 	typeBytes   = 2 // length-delimited: bytes, string, nested message
 )
 
@@ -136,17 +134,6 @@ func (e *Encoder) Bool(tag uint64, v bool) {
 	e.Uint(tag, u)
 }
 
-// Fixed64 encodes a fixed-width 64-bit field.
-func (e *Encoder) Fixed64(tag uint64, v uint64) {
-	e.header(tag, typeFixed64)
-	e.buf = append(e.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// Float encodes a float64 field.
-func (e *Encoder) Float(tag uint64, v float64) { e.Fixed64(tag, math.Float64bits(v)) }
-
 // Bytes encodes a length-delimited field.
 func (e *Encoder) Bytes(tag uint64, v []byte) {
 	e.header(tag, typeBytes)
@@ -200,10 +187,8 @@ func (e *Encoder) Reset(withHeader bool) {
 
 // Decoder iterates fields of an encoded message.
 type Decoder struct {
-	buf   []byte
-	pos   int
-	major uint64
-	minor uint64
+	buf []byte
+	pos int
 
 	tag uint64
 	wt  byte
@@ -212,16 +197,6 @@ type Decoder struct {
 	uval  uint64
 	bval  []byte
 	isVal bool
-}
-
-// NewDecoder parses the version header and positions the decoder at the
-// first field. It fails with ErrVersion if the major version differs.
-func NewDecoder(b []byte) (*Decoder, error) {
-	d := &Decoder{}
-	if err := d.Init(b); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // Init readies a (typically stack-allocated) decoder over b, parsing the
@@ -239,7 +214,6 @@ func (d *Decoder) Init(b []byte) error {
 		return err
 	}
 	d.pos += n
-	d.major, d.minor = maj, min
 	if maj != FormatMajor {
 		return fmt.Errorf("%w: got %d.%d, want major %d", ErrVersion, maj, min, FormatMajor)
 	}
@@ -248,11 +222,8 @@ func (d *Decoder) Init(b []byte) error {
 
 // NewRawDecoder decodes a nested message (no version header).
 func NewRawDecoder(b []byte) *Decoder {
-	return &Decoder{buf: b, major: FormatMajor, minor: FormatMinor}
+	return &Decoder{buf: b}
 }
-
-// Version reports the message's format version.
-func (d *Decoder) Version() (major, minor uint64) { return d.major, d.minor }
 
 // Next advances to the next field, returning false at end of message or on
 // error; check Err afterwards.
@@ -342,9 +313,6 @@ func (d *Decoder) Int() int64 {
 
 // Bool returns the current field as a boolean.
 func (d *Decoder) Bool() bool { return d.Uint() != 0 }
-
-// Float returns the current field as a float64.
-func (d *Decoder) Float() float64 { return math.Float64frombits(d.Uint()) }
 
 // Bytes returns the current length-delimited field. The slice aliases the
 // input buffer.
