@@ -506,7 +506,7 @@ func BenchmarkAblationEvictionPolicies(b *testing.B) {
 // BenchmarkWANGet measures the Table 1 WAN-access path: remote-region
 // lookups over RPC with added WAN latency.
 func BenchmarkWANGet(b *testing.B) {
-	c := benchCell(b, Options{ClientHosts: 2})
+	c := benchCell(b, Options{})
 	local := c.NewClient(ClientOptions{})
 	keys := benchPreload(b, local, 64, 1024)
 	wan := c.NewWANClient(ClientOptions{}, 20_000_000) // 20ms one-way

@@ -119,8 +119,6 @@ type Options struct {
 	Mode Mode
 	// Transport selects the RMA substrate (default PonyExpress).
 	Transport Transport
-	// ClientHosts is the number of fabric hosts reserved for clients.
-	ClientHosts int
 	// Eviction names the replacement policy: "lru" (default), "arc",
 	// "clock", or "slfu" (§4.2).
 	Eviction string
@@ -145,18 +143,14 @@ type Options struct {
 	// 2·TombstoneCap+2 nodes of 96 B, about 1.5 MiB at the default. A key
 	// longer than 32 B adds a buffer to the node that holds it.
 	TombstoneCap int
-	// HotK caps each backend's promoted hot-key set (0 takes the default
-	// of 8; negative disables promotion). Promoted keys are advertised to
-	// clients for near-caching, steering and read spreading.
-	HotK int
 	// Hash overrides the cell-wide 128-bit key hash (§6.5 added
 	// customizable hash functions for disaggregation users): hi selects
 	// the backend, lo the bucket. All clients of the cell share it. nil
 	// uses the default double-FNV hash.
 	Hash func(key []byte) (hi, lo uint64)
-	// Health shapes the fleet health plane's SLO windows, burn-rate
-	// thresholds, and per-op-class objectives; zero values take the
-	// production defaults (5m/1h virtual windows, page at burn 14.4).
+	// Health shapes the fleet health plane's SLO windows and per-op-class
+	// objectives; zero values take the production defaults (5m/1h
+	// virtual windows). A class pages at burn 14.4 and warns at 3.
 	Health health.Config
 	// DataDir, when non-empty, enables durable warm restarts: every
 	// backend task checkpoints its corpus and journals mutations under
@@ -178,8 +172,6 @@ func DefaultHash(key []byte) KeyHash { return hashring.DefaultHash(key) }
 type ClientOptions struct {
 	// Strategy is the GET path (default Lookup2xR).
 	Strategy Strategy
-	// Retries bounds per-op transparent retries (default 5).
-	Retries int
 	// TouchBatch enables access-record reporting (§4.2); 0 disables. The
 	// records of a client's hits ride its next mutations to each replica;
 	// a replica's records flush as their own RPC once TouchBatch of them
@@ -204,12 +196,11 @@ type Cell struct {
 // NewCell builds and starts a cell.
 func NewCell(opt Options) (*Cell, error) {
 	copt := cell.Options{
-		Shards:      opt.Shards,
-		Spares:      opt.Spares,
-		Mode:        opt.Mode.internal(),
-		ClientHosts: opt.ClientHosts,
-		Health:      opt.Health,
-		DataDir:     opt.DataDir,
+		Shards:  opt.Shards,
+		Spares:  opt.Spares,
+		Mode:    opt.Mode.internal(),
+		Health:  opt.Health,
+		DataDir: opt.DataDir,
 		Backend: backend.Options{
 			Policy:            opt.Eviction,
 			DataBytes:         opt.DataBytes,
@@ -218,7 +209,6 @@ func NewCell(opt Options) (*Cell, error) {
 			ReshapeEnabled:    !opt.DisableReshaping,
 			CompressThreshold: opt.CompressThreshold,
 			TombstoneCap:      opt.TombstoneCap,
-			HotK:              opt.HotK,
 		},
 	}
 	if opt.Buckets > 0 || opt.Ways > 0 {
@@ -241,7 +231,6 @@ func NewCell(opt Options) (*Cell, error) {
 func (c *Cell) NewClient(opt ClientOptions) *Client {
 	cl := c.c.NewClient(client.Options{
 		Strategy:         opt.Strategy.internal(),
-		Retries:          opt.Retries,
 		TouchBatch:       opt.TouchBatch,
 		NearCacheEntries: opt.NearCacheEntries,
 	})
@@ -271,10 +260,7 @@ func (c *Cell) RecoveredKeys() uint64 {
 // the RPC path with oneWay of added WAN latency per delivery (Table 1's
 // "WAN access via RPC").
 func (c *Cell) NewWANClient(opt ClientOptions, oneWay time.Duration) *Client {
-	cl := c.c.NewWANClient(client.Options{
-		Retries:    opt.Retries,
-		TouchBatch: opt.TouchBatch,
-	}, oneWay)
+	cl := c.c.NewWANClient(client.Options{TouchBatch: opt.TouchBatch}, oneWay)
 	return &Client{cl: cl}
 }
 

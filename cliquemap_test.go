@@ -215,7 +215,7 @@ func TestStatsString(t *testing.T) {
 }
 
 func TestPublicWANClient(t *testing.T) {
-	c := newCell(t, Options{ClientHosts: 2})
+	c := newCell(t, Options{})
 	local := c.NewClient(ClientOptions{Strategy: LookupSCAR})
 	wan := c.NewWANClient(ClientOptions{}, 20*time.Millisecond)
 	ctx := context.Background()
@@ -228,6 +228,47 @@ func TestPublicWANClient(t *testing.T) {
 	}
 	if wan.Stats().GetP50 < 18*time.Millisecond {
 		t.Errorf("wan p50 = %v, want ~>=20ms", wan.Stats().GetP50)
+	}
+}
+
+// TestWANClientLeavesLocalLatency: on a default cell every client shares
+// one fabric host, and a WAN client's distance is its own. A local SCAR
+// client made after a 20 ms WAN client, and one made before it, keep the
+// modelled GET latency the first one had.
+func TestWANClientLeavesLocalLatency(t *testing.T) {
+	c := newCell(t, Options{})
+	ctx := context.Background()
+	if err := c.NewClient(ClientOptions{}).Set(ctx, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	p50 := func(cl *Client, gets int) time.Duration {
+		t.Helper()
+		for i := 0; i < gets; i++ {
+			if _, ok, err := cl.Get(ctx, []byte("k")); err != nil || !ok {
+				t.Fatalf("local get: %v %v", ok, err)
+			}
+		}
+		return cl.Stats().GetP50
+	}
+	early := c.NewClient(ClientOptions{Strategy: LookupSCAR})
+	before := p50(early, 200)
+
+	wan := c.NewWANClient(ClientOptions{}, 20*time.Millisecond)
+	if _, ok, err := wan.Get(ctx, []byte("k")); err != nil || !ok {
+		t.Fatalf("wan get: %v %v", ok, err)
+	}
+	if p := wan.Stats().GetP50; p < 18*time.Millisecond {
+		t.Fatalf("wan p50 = %v, want ~>=20ms", p)
+	}
+
+	late := p50(c.NewClient(ClientOptions{Strategy: LookupSCAR}), 200)
+	// The early client's p50 now spans 800 GETs, 600 of them after the
+	// WAN client was made.
+	again := p50(early, 600)
+	for name, p := range map[string]time.Duration{"made after": late, "made before": again} {
+		if p > 2*before {
+			t.Errorf("local client %s the WAN client: GET p50 = %v, was %v", name, p, before)
+		}
 	}
 }
 

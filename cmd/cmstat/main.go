@@ -325,8 +325,8 @@ func cell(c *fleet.Column, cur, prev *proto.StatsResp, watch bool, at time.Time,
 // printPromoted renders the hot-key promotion plane: one row per shard
 // holding promoted keys, with the promotion-set epoch (bumped on every
 // membership change — clients revalidate their piggybacked view against
-// it) and the keys themselves. Omitted when no shard promotes (HotK
-// disabled, or the workload has no stable head).
+// it) and the keys themselves. Omitted when no shard promotes (the
+// workload has no stable head).
 func printPromoted(w io.Writer, cur *fleet.CellScrape) {
 	cfg := cur.Config
 	any := false

@@ -223,11 +223,6 @@ type Options struct {
 	// for disaggregation users). Must match the clients'; nil means
 	// hashring.DefaultHash.
 	Hash hashring.HashFunc
-	// HotK caps the hot-key promoted set (hotset.go): the top keys whose
-	// traffic share clears the promotion bar are advertised to clients on
-	// the acks to their access records. 0 takes a default; negative
-	// disables promotion entirely.
-	HotK int
 
 	// DataDir, when non-empty, enables the durability plane (persist.go):
 	// applied mutations tee into a write-ahead journal under DataDir,

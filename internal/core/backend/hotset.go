@@ -27,7 +27,7 @@ import (
 // promoted until it falls below the lower demote bar, so keys oscillating
 // around the threshold do not churn epochs.
 const (
-	hotDefaultK     = 8   // promoted-set capacity when Options.HotK == 0
+	hotK            = 8   // promoted-set capacity
 	hotMinCount     = 64  // absolute floor: never promote on a tiny sample
 	hotPromoteMilli = 20  // promote at ≥ 2.0% of the sketch's total traffic
 	hotDemoteMilli  = 10  // demote below 1.0% (hysteresis)
@@ -48,9 +48,6 @@ var noHot = proto.TouchResp{}.Marshal()
 // accumulated since the last evaluation. Called from touch ingestion and
 // stats scrapes (both off the per-op hot path); cheap when throttled.
 func (b *Backend) maybeEvalHot() {
-	if b.opt.HotK < 0 {
-		return
-	}
 	total := b.heat.Total()
 	last := b.hotEvalTotal.Load()
 	if total < last+hotEvalEvery {
@@ -63,10 +60,6 @@ func (b *Backend) maybeEvalHot() {
 }
 
 func (b *Backend) evalHot(total uint64) {
-	k := b.opt.HotK
-	if k == 0 {
-		k = hotDefaultK
-	}
 	promoteBar := total * hotPromoteMilli / 1000
 	if promoteBar < hotMinCount {
 		promoteBar = hotMinCount
@@ -79,12 +72,12 @@ func (b *Backend) evalHot(total uint64) {
 	// as the epoch bump.
 	b.hotMu.Lock()
 	epoch, cur := b.HotSnapshot()
-	b.hotCand = b.heat.AppendTop(b.hotCand, 2*k)
+	b.hotCand = b.heat.AppendTop(b.hotCand, 2*hotK)
 	// Move the candidates that clear their bar to the front, hottest first,
 	// and see whether they are the set already published — the usual
 	// outcome, and it builds nothing.
 	cand, next, same := b.hotCand, 0, true
-	for i := 0; i < len(cand) && next < k; i++ {
+	for i := 0; i < len(cand) && next < hotK; i++ {
 		bar := promoteBar
 		promoted := slices.ContainsFunc(cur, func(key []byte) bool { return bytes.Equal(key, cand[i].Key) })
 		if promoted {

@@ -368,3 +368,43 @@ func countAllocs(took *uint64, fn func()) uint64 {
 	}
 	return after.Mallocs - before.Mallocs
 }
+
+// TestTombItemsKeysAreCopies: the items a checkpoint or a handoff takes
+// keep their keys after the cache reuses the nodes that held them. Short
+// keys live in a node's cell and long ones in its spill buffer, and churn
+// through a small cache rewrites both in place.
+func TestTombItemsKeysAreCopies(t *testing.T) {
+	const capacity = 4
+	r := newRig(t, Options{Shard: 0, TombstoneCap: capacity})
+	keyOf := func(round, i int) string {
+		if i%2 == 0 {
+			return fmt.Sprintf("r%d-k%d", round, i)
+		}
+		return fmt.Sprintf("r%d-k%d-%s", round, i, strings.Repeat("x", tombCell))
+	}
+	for i := 0; i < capacity; i++ {
+		if applied, _ := r.b.ApplyErase([]byte(keyOf(0, i)), r.v()); !applied {
+			t.Fatalf("erase %s not applied", keyOf(0, i))
+		}
+	}
+	items, _ := r.b.tombItems()
+	if len(items) != capacity {
+		t.Fatalf("took %d tombstones, want %d", len(items), capacity)
+	}
+	want := make([]string, len(items))
+	for i, it := range items {
+		want[i] = string(it.Key)
+	}
+	// Every round's erases push the earlier rounds' tombstones through the
+	// pending list and out, so their nodes come back with new keys.
+	for round := 1; round <= 8; round++ {
+		for i := 0; i < capacity; i++ {
+			r.b.ApplyErase([]byte(keyOf(round, i)), r.v())
+		}
+	}
+	for i, it := range items {
+		if string(it.Key) != want[i] {
+			t.Errorf("item %d: key %q after churn, was %q", i, it.Key, want[i])
+		}
+	}
+}

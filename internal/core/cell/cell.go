@@ -322,6 +322,12 @@ func (c *Cell) servingNIC(host int) *node {
 
 // NewClient constructs a client attached to a client host of this cell.
 func (c *Cell) NewClient(copt client.Options) *client.Client {
+	return c.newClient(copt, 0)
+}
+
+// newClient builds a client whose RPC responses also travel wanNs of WAN
+// distance (0 for a local client).
+func (c *Cell) newClient(copt client.Options, wanNs uint64) *client.Client {
 	c.mu.Lock()
 	c.clientIDSeq++
 	if copt.ID == 0 {
@@ -362,7 +368,7 @@ func (c *Cell) NewClient(copt client.Options) *client.Client {
 	if copt.Tracer == nil {
 		copt.Tracer = c.Tracer
 	}
-	rpcc := c.Net.Client(copt.HostID, fmt.Sprintf("client-%d", copt.ID))
+	rpcc := c.Net.WANClient(copt.HostID, fmt.Sprintf("client-%d", copt.ID), wanNs)
 	return client.New(copt, c.Store, rpcc, c.Clock, dial, msg, c.Fabric.NowNs, c.Acct)
 }
 
@@ -377,15 +383,11 @@ func (c *Cell) ServeTCP(addr string) (*rpc.TCPGateway, error) {
 // NewWANClient constructs a client in a remote region reaching this cell
 // purely over RPC (Table 1: RMA protocols are not applicable over WAN, so
 // lookups fall back to the RPC path). oneWay is the extra WAN latency
-// added to every delivery at the client's host. The client's lookup
-// strategy is forced to RPC.
+// added to every response the client receives; local clients on the same
+// host do not pay it. The client's lookup strategy is forced to RPC.
 func (c *Cell) NewWANClient(copt client.Options, oneWay time.Duration) *client.Client {
 	copt.Strategy = client.StrategyRPC
-	if copt.HostID == 0 {
-		copt.HostID = c.clientHostID()
-	}
-	c.Fabric.Host(copt.HostID).SetExtraLatency(uint64(oneWay.Nanoseconds()))
-	return c.NewClient(copt)
+	return c.newClient(copt, uint64(oneWay.Nanoseconds()))
 }
 
 // deadConn fails every op — a target host with no serving backend.

@@ -862,9 +862,7 @@ func truetimeVersionForTest() truetime.Version {
 // client reaches the cell purely over RPC, works correctly, and pays the
 // WAN distance on every op.
 func TestWANClient(t *testing.T) {
-	opt := small32()
-	opt.ClientHosts = 2 // separate hosts for local and WAN clients
-	c := newTestCell(t, opt)
+	c := newTestCell(t, small32()) // one client host: local and WAN clients share it
 	ctx := context.Background()
 
 	local := c.NewClient(client.Options{Strategy: client.StrategySCAR})

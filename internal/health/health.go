@@ -84,16 +84,19 @@ type Config struct {
 	FastWindowNs uint64 // default 5 virtual minutes
 	SlowWindowNs uint64 // default 1 virtual hour
 	BucketNs     uint64 // window bucket width; default 5 virtual seconds
-	// PageBurn is the burn rate (on both windows) that enters Page;
-	// default 14.4 — the classic "2% of a 30-day budget in one hour".
-	PageBurn float64
-	// WarnBurn enters Warn; default 3.
-	WarnBurn float64
-	// ClearFactor scales the enter thresholds into exit thresholds for
-	// hysteresis; default 0.5 (an alert holds until burn halves).
-	ClearFactor float64
-	Objectives  []Objective
+	Objectives   []Objective
 }
+
+const (
+	// pageBurn is the burn rate (on both windows) that enters Page: the
+	// classic "2% of a 30-day budget in one hour".
+	pageBurn = 14.4
+	// warnBurn enters Warn.
+	warnBurn = 3
+	// clearFactor scales the enter thresholds into exit thresholds for
+	// hysteresis: an alert holds until burn halves.
+	clearFactor = 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.FastWindowNs == 0 {
@@ -110,15 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BucketNs > c.FastWindowNs {
 		c.BucketNs = c.FastWindowNs
-	}
-	if c.PageBurn == 0 {
-		c.PageBurn = 14.4
-	}
-	if c.WarnBurn == 0 {
-		c.WarnBurn = 3
-	}
-	if c.ClearFactor == 0 {
-		c.ClearFactor = 0.5
 	}
 	if len(c.Objectives) == 0 {
 		c.Objectives = DefaultObjectives()
@@ -314,14 +308,14 @@ func (p *Plane) RecordViolation(class string) {
 
 // nextState applies the alert state machine with hysteresis: entering a
 // severity requires both windows above the enter threshold; leaving it
-// requires either window below ClearFactor × that threshold. The fast
+// requires either window below clearFactor × that threshold. The fast
 // window recovers within FastWindowNs of a heal, so a page deterministically
 // clears well inside one slow window.
-func nextState(cur State, bf, bs float64, cfg Config) State {
-	pageEnter := bf >= cfg.PageBurn && bs >= cfg.PageBurn
-	pageHold := bf >= cfg.PageBurn*cfg.ClearFactor && bs >= cfg.PageBurn*cfg.ClearFactor
-	warnEnter := bf >= cfg.WarnBurn && bs >= cfg.WarnBurn
-	warnHold := bf >= cfg.WarnBurn*cfg.ClearFactor && bs >= cfg.WarnBurn*cfg.ClearFactor
+func nextState(cur State, bf, bs float64) State {
+	pageEnter := bf >= pageBurn && bs >= pageBurn
+	pageHold := bf >= pageBurn*clearFactor && bs >= pageBurn*clearFactor
+	warnEnter := bf >= warnBurn && bs >= warnBurn
+	warnHold := bf >= warnBurn*clearFactor && bs >= warnBurn*clearFactor
 	switch cur {
 	case Page:
 		if pageHold {
@@ -421,7 +415,7 @@ func (p *Plane) Evaluate() Snapshot {
 		sg, sb := c.tally(p.cfg.SlowWindowNs, p.cfg.BucketNs)
 		bf := burn(fg, fb, c.obj.Availability)
 		bs := burn(sg, sb, c.obj.Availability)
-		next := nextState(c.state, bf, bs, p.cfg)
+		next := nextState(c.state, bf, bs)
 		if next != c.state {
 			if next == Page {
 				c.pages++

@@ -12,9 +12,6 @@ func testConfig() Config {
 		FastWindowNs: 100,
 		SlowWindowNs: 1000,
 		BucketNs:     10,
-		PageBurn:     14.4,
-		WarnBurn:     3,
-		ClearFactor:  0.5,
 		Objectives: []Objective{
 			{Class: "GET", Availability: 0.999, LatencyNs: 1000},
 		},
@@ -78,7 +75,7 @@ func TestBurnRateWindows(t *testing.T) {
 }
 
 // TestAlertStateMachine walks ok → warn → page → clear and checks the
-// hysteresis: a page holds until burn falls below ClearFactor×PageBurn,
+// hysteresis: a page holds until burn falls below clearFactor×pageBurn,
 // and it must clear within one fast window of a heal (hence well inside
 // one slow window).
 func TestAlertStateMachine(t *testing.T) {
@@ -141,7 +138,7 @@ func TestAlertStateMachine(t *testing.T) {
 }
 
 // TestWarnBeforePage checks the intermediate severity: a burn above
-// WarnBurn but below PageBurn warns without paging.
+// warnBurn but below pageBurn warns without paging.
 func TestWarnBeforePage(t *testing.T) {
 	clk := &fakeClock{}
 	p := NewPlane(testConfig(), clk.now)

@@ -21,7 +21,6 @@ type Probe func() map[string]float64
 type Config struct {
 	StartQPS float64 // first ramp step (default 1000)
 	MaxQPS   float64 // give up above this (default 1<<20)
-	Grow     float64 // ramp factor between coarse steps (default 2)
 	Bisect   int     // bisection iterations after the coarse bracket (default 3)
 
 	StepDurationNs uint64  // settle window per step (default 250ms)
@@ -39,19 +38,22 @@ type Config struct {
 	// Class and Objective gate a step on the health plane: a fresh plane
 	// (windows scaled to the step) records every op, and a step fails if
 	// the class pages. Zero Objective means latency/availability gating is
-	// disabled and only MaxErrorRate and backlog apply.
+	// disabled and only the error rate and backlog apply.
 	Class     string
 	Objective health.Objective
-
-	// MaxErrorRate fails a step whose error fraction (ErrExhausted,
-	// unavailability, …) exceeds it. Default 0.01.
-	MaxErrorRate float64
-
-	// MaxBacklogFrac fails a step whose worst issue backlog exceeds this
-	// fraction of the step duration — offered load the generator could not
-	// even issue on time is unsustainable by definition. Default 0.5.
-	MaxBacklogFrac float64
 }
+
+const (
+	// grow is the ramp factor between coarse steps.
+	grow = 2
+	// maxErrorRate fails a step whose error fraction (ErrExhausted,
+	// unavailability, …) exceeds it.
+	maxErrorRate = 0.01
+	// maxBacklogFrac fails a step whose worst issue backlog exceeds this
+	// fraction of the step duration — offered load the generator could not
+	// even issue on time is unsustainable by definition.
+	maxBacklogFrac = 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.StartQPS <= 0 {
@@ -60,20 +62,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxQPS <= 0 {
 		c.MaxQPS = 1 << 20
 	}
-	if c.Grow <= 1 {
-		c.Grow = 2
-	}
 	if c.Bisect == 0 {
 		c.Bisect = 3
 	}
 	if c.StepDurationNs == 0 {
 		c.StepDurationNs = 250e6
-	}
-	if c.MaxErrorRate <= 0 {
-		c.MaxErrorRate = 0.01
-	}
-	if c.MaxBacklogFrac <= 0 {
-		c.MaxBacklogFrac = 0.5
 	}
 	if c.Class == "" {
 		c.Class = "GET"
@@ -142,7 +135,7 @@ func FindKnee(clock fabric.Clock, cfg Config, op Op, probe Probe) *Report {
 		}
 		total := out.Completed + out.Errors
 		if total > 0 {
-			if errRate := float64(out.Errors) / float64(total); errRate > cfg.MaxErrorRate {
+			if errRate := float64(out.Errors) / float64(total); errRate > maxErrorRate {
 				out.Passed = false
 				out.Reason = fmt.Sprintf("error-rate %.1f%%", errRate*100)
 			}
@@ -154,7 +147,7 @@ func FindKnee(clock fabric.Clock, cfg Config, op Op, probe Probe) *Report {
 				out.Reason = fmt.Sprintf("slo-page (burn %.1f, p99 %s)", cs.FastBurn, fmtNs(cs.ProbeP99Ns))
 			}
 		}
-		if out.Passed && float64(out.MaxLagNs) > cfg.MaxBacklogFrac*float64(cfg.StepDurationNs) {
+		if out.Passed && float64(out.MaxLagNs) > maxBacklogFrac*float64(cfg.StepDurationNs) {
 			out.Passed = false
 			out.Reason = fmt.Sprintf("backlog %s", fmtNs(out.MaxLagNs))
 		}
@@ -194,7 +187,7 @@ func FindKnee(clock fabric.Clock, cfg Config, op Op, probe Probe) *Report {
 	// Coarse geometric ramp.
 	lo, hi := 0.0, 0.0
 	var firstFail *StepOutcome
-	for qps := cfg.StartQPS; qps <= cfg.MaxQPS; qps *= cfg.Grow {
+	for qps := cfg.StartQPS; qps <= cfg.MaxQPS; qps *= grow {
 		out := step(qps)
 		if out.Passed {
 			lo = qps

@@ -151,7 +151,7 @@ func TestFindKnee(t *testing.T) {
 		return map[string]float64{"fake-server": score, "idle-thing": 0.01}
 	}
 	cfg := Config{
-		StartQPS: 2000, MaxQPS: 64000, Grow: 2, Bisect: 3,
+		StartQPS: 2000, MaxQPS: 64000, Bisect: 3,
 		StepDurationNs: 250e6, Arrival: ArrivalUniform, Workers: 1,
 		Class:     "GET",
 		Objective: health.Objective{Class: "GET", Availability: 0.999, LatencyNs: 1_000_000},
@@ -176,7 +176,7 @@ func TestFindKnee(t *testing.T) {
 func TestFindKneeAllPass(t *testing.T) {
 	clock := &fabric.ManualClock{}
 	rep := FindKnee(clock, Config{
-		StartQPS: 1000, MaxQPS: 4000, Grow: 2, Bisect: 2,
+		StartQPS: 1000, MaxQPS: 4000, Bisect: 2,
 		StepDurationNs: 50e6, Arrival: ArrivalUniform, Workers: 1,
 	}, func(seq uint64) (uint64, error) { return 1000, nil }, nil)
 	if rep.KneeQPS != 4000 {

@@ -419,11 +419,13 @@ func (s *Store) openWAL() error {
 }
 
 // writeChunked writes b to f in rmem.WriteChunk slices — the same publish
-// granularity the RMA regions use — consulting the crash hook before each
-// slice. A fired "<point>.torn" leaves half the remaining frame behind,
-// the worst torn state a real death mid-write can produce.
-func (s *Store) writeChunked(f *os.File, b []byte, point string) error {
-	if s.die(point + ".torn") {
+// granularity the RMA regions use — after consulting the crash hook at
+// torn, a "<phase>.torn" point. A fired torn point leaves half the frame
+// behind, the worst torn state a real death mid-write can produce. The
+// callers name torn as a literal, so a write with no hook allocates
+// nothing.
+func (s *Store) writeChunked(f *os.File, b []byte, torn string) error {
+	if s.die(torn) {
 		_, _ = f.Write(b[:len(b)/2])
 		return ErrCrashed
 	}
@@ -451,7 +453,7 @@ func (s *Store) Append(it proto.MigrateItem) error {
 		return ErrCrashed
 	}
 	s.encodeBuf = appendFrame(s.encodeBuf[:0], frameRecord, &it)
-	if err := s.writeChunked(s.wal, s.encodeBuf, "journal.append"); err != nil {
+	if err := s.writeChunked(s.wal, s.encodeBuf, "journal.append.torn"); err != nil {
 		return err
 	}
 	if s.opt.Sync {
@@ -535,7 +537,7 @@ func (s *Store) BeginCheckpoint(epoch, configID uint64) (*CheckpointWriter, erro
 	}
 	cw := &CheckpointWriter{s: s, f: f, epoch: epoch}
 	cw.buf = appendHeader(nil, Header{Kind: KindCheckpoint, Epoch: epoch, ConfigID: configID, Shard: s.shard})
-	if werr := s.writeChunked(f, cw.buf, "checkpoint.header"); werr != nil {
+	if werr := s.writeChunked(f, cw.buf, "checkpoint.header.torn"); werr != nil {
 		f.Close()
 		return nil, werr
 	}
@@ -553,7 +555,7 @@ func (cw *CheckpointWriter) Write(it proto.MigrateItem) error {
 		return ErrCrashed
 	}
 	cw.buf = appendFrame(cw.buf[:0], frameRecord, &it)
-	if err := cw.s.writeChunked(cw.f, cw.buf, "checkpoint.record"); err != nil {
+	if err := cw.s.writeChunked(cw.f, cw.buf, "checkpoint.record.torn"); err != nil {
 		cw.f.Close()
 		return err
 	}
@@ -572,7 +574,7 @@ func (cw *CheckpointWriter) Commit() error {
 		return ErrCrashed
 	}
 	cw.buf = appendFrame(cw.buf[:0], frameFooter, &footer{cw.count})
-	if err := s.writeChunked(cw.f, cw.buf, "checkpoint.footer"); err != nil {
+	if err := s.writeChunked(cw.f, cw.buf, "checkpoint.footer.torn"); err != nil {
 		cw.f.Close()
 		return err
 	}

@@ -219,6 +219,51 @@ func TestFailedCheckpointWriteClosesImage(t *testing.T) {
 	}
 }
 
+// TestWriteAllocations: with no crash hook set, a journal append and a
+// checkpoint record write allocate nothing once the store's encode
+// buffers have grown to the record size.
+func TestWriteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	st, _, err := persist.Open(t.TempDir(), 0, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	item := rec(0)
+	ep, err := st.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := st.BeginCheckpoint(ep, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name  string
+		write func() error
+	}{
+		{"journal append", func() error { return st.Append(item) }},
+		{"checkpoint record", func() error { return cw.Write(item) }},
+	} {
+		if err := row.write(); err != nil { // grows the encode buffer
+			t.Fatal(err)
+		}
+		var werr error
+		if n := testing.AllocsPerRun(100, func() {
+			if err := row.write(); err != nil {
+				werr = err
+			}
+		}); n != 0 || werr != nil {
+			t.Errorf("%s: %.2f allocs, want 0 (err %v)", row.name, n, werr)
+		}
+	}
+	if err := cw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCrashPointMatrix kills the store at every phase boundary of the
 // append/rotate/checkpoint protocol — including mid-frame torn writes —
 // and asserts recovery is epoch-consistent with zero lost acked writes

@@ -437,11 +437,20 @@ type Client struct {
 	n         *Network
 	hostID    int
 	principal string
+	wanNs     uint64 // one-way WAN distance added to every response
 }
 
 // Client binds a caller to host hostID with the given identity.
 func (n *Network) Client(hostID int, principal string) *Client {
 	return &Client{n: n, hostID: hostID, principal: principal}
+}
+
+// WANClient is Client for a caller in a remote region: every response
+// also travels oneWayNs of WAN distance (Table 1: CliqueMap "provides WAN
+// access via RPC"). The distance is this caller's alone; other callers on
+// the same host do not pay it.
+func (n *Network) WANClient(hostID int, principal string, oneWayNs uint64) *Client {
+	return &Client{n: n, hostID: hostID, principal: principal, wanNs: oneWayNs}
 }
 
 // Call invokes method at addr. The returned OpTrace carries the modelled
@@ -576,9 +585,9 @@ func (c *Client) call(ctx context.Context, reply []byte, spans []fabric.Span, ad
 	// of the op's payload accounting.
 	if err != nil {
 		resp = nil
-		tr.Add(n.f.Host(c.hostID).Deliver(128))
+		tr.Add(n.f.Host(c.hostID).Deliver(128) + c.wanNs)
 	} else {
-		sb.add(&tr, trace.SpanFabric, uint32(len(resp)+128), n.f.Host(c.hostID).Deliver(len(resp)+128))
+		sb.add(&tr, trace.SpanFabric, uint32(len(resp)+128), n.f.Host(c.hostID).Deliver(len(resp)+128)+c.wanNs)
 		tr.AddBytes(len(resp) + 128)
 	}
 	n.bytesSent.Add(uint64(len(resp) + 128))

@@ -41,12 +41,6 @@ type ClientOptions struct {
 	// cell's virtual clock; 0 means 50ms.
 	StaleBoundNs uint64
 
-	// Retries is the tier-level re-route budget per op, on top of each
-	// per-cell client's own retry loop. 0 means FailThreshold+1, enough
-	// for one client to push a dying cell over the dead threshold and
-	// still land its op on the new owner.
-	Retries int
-
 	// PerCell templates the per-cell client options (strategy, R,
 	// ...). ID/HostID are assigned per cell as usual.
 	PerCell client.Options
@@ -101,9 +95,6 @@ func (t *Tier) NewClient(opt ClientOptions) (*Client, error) {
 	}
 	if opt.StaleBoundNs == 0 {
 		opt.StaleBoundNs = 50e6
-	}
-	if opt.Retries <= 0 {
-		opt.Retries = t.opt.FailThreshold + 1
 	}
 	c := &Client{t: t, opt: opt, cls: make(map[string]*client.Client, len(t.order))}
 	for _, n := range t.order {
@@ -203,13 +194,13 @@ func (c *Client) noteFailed(owner string) {
 // owned keys are served from the local cell inside the staleness bound.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	c.m.Ops.Add(1)
-	h := c.t.opt.Hash(key)
+	h := hashring.DefaultHash(key)
 	op := c.ops.Take()
 	defer c.ops.Put(op)
 	var optr fabric.OpTrace
 	sc, ctx, total := c.traceOp(ctx, op, &optr, trace.KindGet)
 	var lastErr error = ErrNoCells
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
+	for attempt := 0; attempt <= reroutes; attempt++ {
 		owner, err := c.route(h, total, attempt)
 		if err != nil {
 			return nil, false, err
@@ -300,13 +291,13 @@ func (c *Client) followerGet(ctx context.Context, owner string, key []byte, tota
 // remote owner acked when FollowerReads is on.
 func (c *Client) mutate(ctx context.Context, k trace.Kind, key []byte, run func(context.Context, *client.Client) (fabric.OpTrace, error), settle func(context.Context)) error {
 	c.m.Ops.Add(1)
-	h := c.t.opt.Hash(key)
+	h := hashring.DefaultHash(key)
 	op := c.ops.Take()
 	defer c.ops.Put(op)
 	var optr fabric.OpTrace
 	sc, ctx, total := c.traceOp(ctx, op, &optr, k)
 	var lastErr error = ErrNoCells
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
+	for attempt := 0; attempt <= reroutes; attempt++ {
 		owner, err := c.route(h, total, attempt)
 		if err != nil {
 			return err

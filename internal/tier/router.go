@@ -9,23 +9,36 @@ import (
 	"cliquemap/internal/health"
 )
 
+const (
+	// demotedFactor is the weight multiplier applied to a paged cell: a
+	// demoted cell keeps a quarter of its traffic so probes and residual
+	// load keep exercising it.
+	demotedFactor = 0.25
+	// healHold is how many consecutive clean health observations a
+	// demoted cell must show before full weight returns.
+	healHold = 3
+	// failThreshold is how many consecutive failed client ops mark a
+	// cell dead (weight 0, routed around).
+	failThreshold = 3
+	// reroutes is a tier client's re-route budget per op, on top of each
+	// per-cell client's own retry loop: enough for one client to push a
+	// dying cell over failThreshold and still land its op on the new
+	// owner.
+	reroutes = failThreshold + 1
+)
+
 // Router maps keys to member cells through a weighted consistent-hash
 // ring and owns the rebalance policy: a cell whose health plane pages is
-// demoted (weight × DemotedFactor) immediately, restored only after
-// HealHold consecutive clean observations — asymmetric hysteresis so one
+// demoted (to a quarter of its weight) immediately, restored only after
+// three consecutive clean observations — asymmetric hysteresis so one
 // good probe round cannot flap the ring back while the cell is still
-// sick. A cell that fails FailThreshold consecutive client ops is routed
+// sick. A cell that fails three consecutive client ops is routed
 // around entirely (weight 0) until revived.
 //
 // Mutation is rebuild-and-swap: the current ring lives behind an atomic
 // pointer, so Route is lock-free and concurrent with any re-weight.
 type Router struct {
 	mu sync.Mutex // guards members + rebuilds
-
-	vnodes        int
-	demotedFactor float64
-	healHold      int
-	failThreshold int
 
 	order  []string
 	byName map[string]*memberState
@@ -37,7 +50,6 @@ type Router struct {
 type memberState struct {
 	name       string
 	base       float64 // configured weight
-	factor     float64 // weight multiplier applied while demoted
 	state      string  // last observed health state, for display
 	demoted    bool
 	dead       bool
@@ -50,23 +62,19 @@ func (m *memberState) live() float64 {
 	case m.dead:
 		return 0
 	case m.demoted:
-		return m.base * m.factor
+		return m.base * demotedFactor
 	default:
 		return m.base
 	}
 }
 
-func newRouter(names []string, weights []float64, vnodes int, demotedFactor float64, healHold, failThreshold int) *Router {
+func newRouter(names []string, weights []float64) *Router {
 	r := &Router{
-		vnodes:        vnodes,
-		demotedFactor: demotedFactor,
-		healHold:      healHold,
-		failThreshold: failThreshold,
-		order:         append([]string(nil), names...),
-		byName:        make(map[string]*memberState, len(names)),
+		order:  append([]string(nil), names...),
+		byName: make(map[string]*memberState, len(names)),
 	}
 	for i, n := range names {
-		r.byName[n] = &memberState{name: n, base: weights[i], state: "ok", factor: demotedFactor}
+		r.byName[n] = &memberState{name: n, base: weights[i], state: "ok"}
 	}
 	r.rebuildLocked()
 	return r
@@ -79,7 +87,7 @@ func (r *Router) rebuildLocked() {
 	for i, n := range r.order {
 		ms[i] = hashring.Member{Name: n, Weight: r.byName[n].live()}
 	}
-	r.ring.Store(hashring.BuildWeighted(ms, r.vnodes))
+	r.ring.Store(hashring.BuildWeighted(ms, hashring.DefaultVnodes))
 	r.version.Add(1)
 }
 
@@ -97,7 +105,7 @@ func (r *Router) Route(h hashring.KeyHash) (name string, ok bool) {
 }
 
 // ApplyHealth feeds one health observation for a cell into the rebalance
-// state machine. Page demotes immediately; while demoted, HealHold
+// state machine. Page demotes immediately; while demoted, three
 // consecutive Ok observations restore full weight (Warn neither demotes
 // nor counts as clean). Dead cells ignore health traffic until Revive.
 func (r *Router) ApplyHealth(name string, st health.State) {
@@ -118,7 +126,7 @@ func (r *Router) ApplyHealth(name string, st health.State) {
 	case health.Ok:
 		if m.demoted {
 			m.okStreak++
-			if m.okStreak >= r.healHold {
+			if m.okStreak >= healHold {
 				m.demoted = false
 				m.okStreak = 0
 				r.rebuildLocked()
@@ -129,7 +137,7 @@ func (r *Router) ApplyHealth(name string, st health.State) {
 }
 
 // NoteFailure records one failed client op against a cell. Crossing
-// FailThreshold consecutive failures marks the cell dead and rebuilds
+// three consecutive failures marks the cell dead and rebuilds
 // the ring without it; returns true when that transition fired (the
 // caller's cue to re-route and retry).
 func (r *Router) NoteFailure(name string) bool {
@@ -140,7 +148,7 @@ func (r *Router) NoteFailure(name string) bool {
 		return false
 	}
 	m.failStreak++
-	if m.failStreak >= r.failThreshold {
+	if m.failStreak >= failThreshold {
 		m.dead = true
 		m.state = "dead"
 		r.rebuildLocked()
@@ -196,7 +204,7 @@ func (r *Router) Snapshot() proto.TierResp {
 	shares := ring.Shares()
 	resp := proto.TierResp{
 		RingVersion: r.version.Load(),
-		Vnodes:      uint64(r.vnodes),
+		Vnodes:      hashring.DefaultVnodes,
 	}
 	for i, n := range r.order {
 		m := r.byName[n]

@@ -31,49 +31,10 @@ type CellRef struct {
 // Options configures a Tier.
 type Options struct {
 	Cells []CellRef
-
-	// Hash is the tier-level routing hash (independent of each cell's
-	// intra-cell hash). nil means hashring.DefaultHash.
-	Hash hashring.HashFunc
-
-	// Vnodes is the virtual-node count per unit weight; 0 takes
-	// hashring.DefaultVnodes.
-	Vnodes int
-
-	// DemotedFactor is the weight multiplier applied to a paged cell;
-	// 0 means 0.25 (a demoted cell keeps a quarter of its traffic so
-	// probes and residual load keep exercising it).
-	DemotedFactor float64
-
-	// HealHold is how many consecutive clean health observations a
-	// demoted cell must show before full weight returns; 0 means 3.
-	HealHold int
-
-	// FailThreshold is how many consecutive failed client ops mark a
-	// cell dead (weight 0, routed around); 0 means 3.
-	FailThreshold int
-}
-
-func (o Options) withDefaults() Options {
-	o.Hash = hashring.OrDefault(o.Hash)
-	if o.Vnodes <= 0 {
-		o.Vnodes = hashring.DefaultVnodes
-	}
-	if o.DemotedFactor <= 0 {
-		o.DemotedFactor = 0.25
-	}
-	if o.HealHold <= 0 {
-		o.HealHold = 3
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	return o
 }
 
 // Tier is a set of named cells behind one router.
 type Tier struct {
-	opt    Options
 	order  []string
 	cells  map[string]*cell.Cell
 	router *Router
@@ -83,11 +44,10 @@ type Tier struct {
 // snapshot source to every member, so any cell's gateway can answer
 // cmstat -tier.
 func New(opt Options) (*Tier, error) {
-	opt = opt.withDefaults()
 	if len(opt.Cells) == 0 {
 		return nil, fmt.Errorf("tier: no cells")
 	}
-	t := &Tier{opt: opt, cells: make(map[string]*cell.Cell, len(opt.Cells))}
+	t := &Tier{cells: make(map[string]*cell.Cell, len(opt.Cells))}
 	weights := make([]float64, 0, len(opt.Cells))
 	for _, cr := range opt.Cells {
 		if cr.Name == "" {
@@ -110,7 +70,7 @@ func New(opt Options) (*Tier, error) {
 		t.order = append(t.order, cr.Name)
 		weights = append(weights, w)
 	}
-	t.router = newRouter(t.order, weights, opt.Vnodes, opt.DemotedFactor, opt.HealHold, opt.FailThreshold)
+	t.router = newRouter(t.order, weights)
 	src := func() []byte { return t.router.Snapshot().Marshal() }
 	for _, c := range t.cells {
 		c.SetTierSource(src)
@@ -128,11 +88,11 @@ func (t *Tier) Cell(name string) *cell.Cell { return t.cells[name] }
 func (t *Tier) Router() *Router { return t.router }
 
 // Hash returns the tier-level KeyHash for key.
-func (t *Tier) Hash(key []byte) hashring.KeyHash { return t.opt.Hash(key) }
+func (t *Tier) Hash(key []byte) hashring.KeyHash { return hashring.DefaultHash(key) }
 
 // Owner returns the cell currently owning key ("" if none routable).
 func (t *Tier) Owner(key []byte) string {
-	n, _ := t.router.Route(t.opt.Hash(key))
+	n, _ := t.router.Route(hashring.DefaultHash(key))
 	return n
 }
 

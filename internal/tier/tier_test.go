@@ -182,7 +182,7 @@ func TestTierKillCellReroutes(t *testing.T) {
 // TestTierHealthDemoteHysteresis drives the full incident: brownout one
 // cell until its plane pages, verify the router demotes it (bounded key
 // movement, ring version bump), heal, and verify full weight returns
-// only after HealHold consecutive clean rounds.
+// only after healHold consecutive clean rounds.
 func TestTierHealthDemoteHysteresis(t *testing.T) {
 	tr := newTestTier(t, "us", "eu", "asia")
 	ctx := context.Background()
@@ -232,7 +232,7 @@ func TestTierHealthDemoteHysteresis(t *testing.T) {
 		t.Errorf("demotion moved %.3f of keyspace, want ≤ 1/3 + slack", frac)
 	}
 
-	// Heal. Demotion must persist until HealHold consecutive clean
+	// Heal. Demotion must persist until healHold consecutive clean
 	// evaluations — the plane itself also holds the page until its fast
 	// window drains, so count rounds from the first clean one.
 	if err := ch.Heal(ctx, chaos.Event{Hazard: chaos.HazardBrownout, Shard: -1}); err != nil {
@@ -258,8 +258,8 @@ func TestTierHealthDemoteHysteresis(t *testing.T) {
 	if !restored {
 		t.Fatal("healed cell never restored to full weight")
 	}
-	if cleanRounds < tr.opt.HealHold-1 {
-		t.Errorf("restored after %d clean rounds, want ≥ %d (hysteresis)", cleanRounds, tr.opt.HealHold-1)
+	if cleanRounds < healHold-1 {
+		t.Errorf("restored after %d clean rounds, want ≥ %d (hysteresis)", cleanRounds, healHold-1)
 	}
 	var euW uint64
 	for _, c := range tr.Router().Snapshot().Cells {
@@ -405,7 +405,7 @@ func TestFollowerReadHoldsBoundPastLaggingPrimary(t *testing.T) {
 // tier's deadliest false positive: an online resize bumps the cell's
 // config epoch, and if any tier-client path keeps using the stale
 // ConfigID (the follower revalidation RPC did), every op against that
-// cell fails and FailThreshold consecutive failures mark a perfectly
+// cell fails and failThreshold consecutive failures mark a perfectly
 // healthy cell dead. Routine maintenance must never kill a cell.
 func TestTierResizeKeepsCellAlive(t *testing.T) {
 	tr := newTestTier(t, "us", "eu", "asia")
@@ -498,7 +498,7 @@ func TestTierConcurrentOpsAndReweight(t *testing.T) {
 		case 0:
 			r.ApplyHealth("eu", health.Page)
 		case 1:
-			for k := 0; k < tr.opt.HealHold; k++ {
+			for k := 0; k < healHold; k++ {
 				r.ApplyHealth("eu", health.Ok)
 			}
 		case 2:

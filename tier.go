@@ -10,7 +10,6 @@ import (
 	"context"
 	"time"
 
-	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/tier"
 	"cliquemap/internal/truetime"
@@ -28,20 +27,12 @@ type TierCellOptions struct {
 
 // TierOptions configures NewTier.
 type TierOptions struct {
-	// Cells lists the member cells (at least one).
+	// Cells lists the member cells (at least one). The router's policy
+	// is fixed: 128 virtual nodes per unit weight, a health-paged cell
+	// keeps a quarter of its weight until three consecutive clean
+	// observations restore it, and three consecutive failed ops mark a
+	// cell dead and route around it.
 	Cells []TierCellOptions
-	// Vnodes is the ring's virtual-node count per unit weight (0 takes
-	// the default, 128).
-	Vnodes int
-	// DemotedFactor is the weight multiplier applied to a health-paged
-	// cell (0 means 0.25).
-	DemotedFactor float64
-	// HealHold is how many consecutive clean health observations restore
-	// a demoted cell to full weight (0 means 3).
-	HealHold int
-	// FailThreshold is how many consecutive failed ops mark a cell dead
-	// and route around it (0 means 3).
-	FailThreshold int
 }
 
 // Tier is a running federation of cells behind one router.
@@ -62,13 +53,7 @@ func NewTier(opt TierOptions) (*Tier, error) {
 		refs = append(refs, tier.CellRef{Name: co.Name, Cell: c.c, Weight: co.Weight})
 		cells[co.Name] = c
 	}
-	t, err := tier.New(tier.Options{
-		Cells:         refs,
-		Vnodes:        opt.Vnodes,
-		DemotedFactor: opt.DemotedFactor,
-		HealHold:      opt.HealHold,
-		FailThreshold: opt.FailThreshold,
-	})
+	t, err := tier.New(tier.Options{Cells: refs})
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +70,7 @@ func (t *Tier) Cell(name string) *Cell { return t.cells[name] }
 func (t *Tier) Owner(key []byte) string { return t.t.Owner(key) }
 
 // Observe feeds each live cell's current health evaluation into the
-// router (demote on page, restore after HealHold clean looks).
+// router (demote on page, restore after three clean looks).
 func (t *Tier) Observe() { t.t.Observe() }
 
 // ProbeRound drives one canary prober round per live cell and applies
@@ -124,11 +109,6 @@ type TierClientOptions struct {
 	// StaleBound is the follower-cache freshness bound on the local
 	// cell's virtual clock (0 means 50ms).
 	StaleBound time.Duration
-	// Retries is the tier-level re-route budget per op (0 means
-	// FailThreshold+1).
-	Retries int
-	// Client templates the per-cell clients.
-	Client ClientOptions
 }
 
 // TierClient routes ops across the tier's cells.
@@ -136,18 +116,14 @@ type TierClient struct {
 	c *tier.Client
 }
 
-// NewClient builds a tier client (one per-cell client per member).
+// NewClient builds a tier client: one default per-cell client (2×R
+// lookups) per member. An op that fails on its owner is re-routed at most
+// four times, one more than the failures that mark a cell dead.
 func (t *Tier) NewClient(opt TierClientOptions) (*TierClient, error) {
 	c, err := t.t.NewClient(tier.ClientOptions{
 		Local:         opt.Local,
 		FollowerReads: opt.FollowerReads,
 		StaleBoundNs:  uint64(opt.StaleBound.Nanoseconds()),
-		Retries:       opt.Retries,
-		PerCell: client.Options{
-			Strategy:   opt.Client.Strategy.internal(),
-			Retries:    opt.Client.Retries,
-			TouchBatch: opt.Client.TouchBatch,
-		},
 	})
 	if err != nil {
 		return nil, err
