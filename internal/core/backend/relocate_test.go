@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -200,5 +201,70 @@ func TestDrainRacesReshaping(t *testing.T) {
 	}
 	if items := b.Items(-1, 0); len(items) != b.Len() || resident != b.Len() {
 		t.Errorf("index holds %d entries, %d decode, %d match an acked key", b.Len(), len(items), resident)
+	}
+}
+
+// TestIndexResizeChurnUnderReaders: index resizes churned under concurrent
+// bucket readers, with the collector running almost continuously, never
+// fault and never serve a wrong value. Each resize drops the old index
+// region, whose array goes back to the kernel once the region is
+// collected; every bucket view is taken and used under its stripe lock,
+// where the index is the backend's current one, so no view outlives its
+// region. A view that did would read unmapped memory: a SIGSEGV.
+func TestIndexResizeChurnUnderReaders(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	const keys, readers = 400, 3
+	key := func(i int) []byte { return []byte(fmt.Sprintf("churn-%03d", i)) }
+	for round := 0; round < 4; round++ {
+		r := newRig(t, Options{
+			Shard: 0, Geometry: layout.Geometry{Buckets: 2, Ways: 4},
+			DataBytes: 1 << 20, DataMaxBytes: 1 << 22, SlabBytes: 64 << 10, ReshapeEnabled: true,
+		})
+		b := r.b
+		var stored [keys]atomic.Bool // applied, so possibly resident
+		var written atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(1 + readers)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				if ok, _, _ := b.ApplySet(key(i), relocValue(string(key(i)), 96), r.v()); ok {
+					stored[i].Store(true)
+				}
+				written.Store(int64(i + 1))
+			}
+		}()
+		for rd := 0; rd < readers; rd++ {
+			go func(rd int) {
+				defer wg.Done()
+				for n := 0; written.Load() < keys; n++ {
+					i := (n*7 + rd) % int(max(written.Load(), 1))
+					if !stored[i].Load() {
+						continue
+					}
+					// A full bucket below the resize trigger evicts a
+					// victim, so a stored key may be gone; a found one
+					// must carry its own bytes. One reader walks the
+					// whole index, holding each bucket's view longer.
+					if val, _, found := b.get(nil, key(i)); found && !bytes.Equal(val, relocValue(string(key(i)), 96)) {
+						t.Errorf("round %d: %s served %d wrong bytes", round, key(i), len(val))
+						return
+					}
+					if rd > 0 {
+						continue
+					}
+					for _, it := range b.Items(-1, 1) {
+						if !bytes.Equal(it.Value, relocValue(string(it.Key), 96)) {
+							t.Errorf("round %d: walk served %s with %d wrong bytes", round, it.Key, len(it.Value))
+							return
+						}
+					}
+				}
+			}(rd)
+		}
+		wg.Wait()
+		if c := b.CountersSnapshot(); c.IndexResizes < 5 {
+			t.Fatalf("round %d: %d index resizes, want the index to churn", round, c.IndexResizes)
+		}
 	}
 }

@@ -37,6 +37,9 @@ type Col struct {
 type Row struct {
 	Label string `json:"label"`
 	Cols  []Col  `json:"cols"`
+	// weather is the row's stall share and runtime weather, for a shape
+	// test to print beside a failing row; it is not part of the figure.
+	weather weather
 }
 
 // Result is one regenerated figure.

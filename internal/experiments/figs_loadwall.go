@@ -136,8 +136,9 @@ func loadwallProbe(c *cell.Cell, clients []*client.Client, stepDurNs uint64) loa
 	}
 }
 
-// runLoadwallCase builds the case's cell and searches for its knee.
-func runLoadwallCase(rc loadwallCase, prof loadwallProfile) *loadwall.Report {
+// runLoadwallCase builds the case's cell and searches for its knee, with
+// the weather of the search.
+func runLoadwallCase(rc loadwallCase, prof loadwallProfile) (*loadwall.Report, weather) {
 	opt := cell.Options{
 		Shards: 3, Spares: 1, Mode: config.R32,
 		Transport:   cell.TransportPony,
@@ -200,7 +201,9 @@ func runLoadwallCase(rc loadwallCase, prof loadwallProfile) *loadwall.Report {
 		Class:          "GET",
 		Objective:      health.Objective{Availability: 0.999, LatencyNs: rc.latObjNs},
 	}
-	return loadwall.FindKnee(c.Fabric.Params().Clock, cfg, op, loadwallProbe(c, clients, prof.stepDurNs))
+	w := watchWeather(c.Fabric)
+	rep := loadwall.FindKnee(c.Fabric.Params().Clock, cfg, op, loadwallProbe(c, clients, prof.stepDurNs))
+	return rep, w.done()
 }
 
 // figLoadWallWith runs a set of cases under a profile; FigLoadWall is the
@@ -216,7 +219,7 @@ func figLoadWallWith(cases []loadwallCase, prof loadwallProfile) Result {
 	// reflects the modelled system, not the generator's own allocator.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	for _, rc := range cases {
-		rep := runLoadwallCase(rc, prof)
+		rep, weather := runLoadwallCase(rc, prof)
 		h := &stats.Histogram{}
 		if ks, ok := rep.KneeStep(); ok {
 			h = ks.Latency
@@ -240,6 +243,7 @@ func figLoadWallWith(cases []loadwallCase, prof loadwallProfile) Result {
 			Cols: append(append([]Col{{Name: "knee", Value: rep.KneeQPS, Unit: "qps", Noisy: true}},
 				lats...),
 				Col{Name: "limit", Text: limit}),
+			weather: weather,
 		})
 	}
 	return res

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime/metrics"
 	"time"
 
 	"cliquemap/internal/core/backend"
@@ -11,6 +13,7 @@ import (
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/drive"
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
 	"cliquemap/internal/truetime"
 	"cliquemap/internal/workload"
@@ -86,7 +89,7 @@ func intervalRows(c *cell.Cell, cl *client.Client, keys [][]byte, event func(iv 
 	lastBytes := c.Net.BytesSent()
 	for iv := 0; iv < intervals; iv++ {
 		event(iv)
-		start := time.Now()
+		start, w := time.Now(), watchWeather(c.Fabric)
 		r := drive.Run(ctx, nil, drive.Group{Ops: opsPerIntvl, Pace: intervalLen / opsPerIntvl, Worker: gets(cl, keys)})
 		wall := time.Since(start).Seconds()
 		bytes := c.Net.BytesSent()
@@ -95,6 +98,7 @@ func intervalRows(c *cell.Cell, cl *client.Client, keys [][]byte, event func(iv 
 			Cols: append(latCols(&r.Service, 50, 99.9),
 				Col{Name: "rpc_rate", Value: float64(bytes-lastBytes) / wall, Unit: "B/s", Noisy: true},
 			),
+			weather: w.done(),
 		})
 		lastBytes = bytes
 	}
@@ -115,4 +119,81 @@ func latCols(h *stats.Histogram, ps ...float64) []Col {
 		})
 	}
 	return cols
+}
+
+// weather is what a row's run looked like from outside the model: the
+// stall share its cell's fabric billed over the row (fabric.Host.StallNs,
+// summed over hosts) and the p99 of the Go runtime's GC pauses and
+// goroutine scheduling latencies over the same span. A shape test prints
+// it beside a failing row, so a tail that is the machine's and not the
+// model's says so.
+type weather struct {
+	stallNs         uint64
+	gcP99, schedP99 float64 // seconds
+}
+
+func (w weather) String() string {
+	return fmt.Sprintf("[stall share %.1fus, GC pause p99 %.0fus, sched latency p99 %.0fus]",
+		float64(w.stallNs)/1e3, w.gcP99*1e6, w.schedP99*1e6)
+}
+
+// weatherWatch is a weather reading in progress: the fabric's stall share
+// and the runtime's histograms at its start.
+type weatherWatch struct {
+	f       *fabric.Fabric
+	stallNs uint64
+	samples [2]metrics.Sample
+}
+
+// watchWeather starts a weather reading over f.
+func watchWeather(f *fabric.Fabric) *weatherWatch {
+	w := &weatherWatch{f: f, stallNs: stallNs(f)}
+	w.samples[0].Name, w.samples[1].Name = "/gc/pauses:seconds", "/sched/latencies:seconds"
+	metrics.Read(w.samples[:])
+	return w
+}
+
+// done ends the reading: the stall share billed and the p99s of what the
+// runtime histograms gained since watchWeather.
+func (w *weatherWatch) done() weather {
+	var now [2]metrics.Sample // fresh: Read may reuse a sample's histogram
+	now[0].Name, now[1].Name = w.samples[0].Name, w.samples[1].Name
+	metrics.Read(now[:])
+	return weather{
+		stallNs:  stallNs(w.f) - w.stallNs,
+		gcP99:    histP99(w.samples[0].Value, now[0].Value),
+		schedP99: histP99(w.samples[1].Value, now[1].Value),
+	}
+}
+
+// stallNs sums f's hosts' stall shares.
+func stallNs(f *fabric.Fabric) (ns uint64) {
+	for i := 0; i < f.NumHosts(); i++ {
+		ns += f.Host(i).StallNs()
+	}
+	return ns
+}
+
+// histP99 is the p99 of the counts b gained over a, as the upper bound of
+// the bucket holding it (its lower bound for the open top bucket); 0 with
+// no counts or when the metric is unsupported.
+func histP99(a, b metrics.Value) float64 {
+	if a.Kind() != metrics.KindFloat64Histogram || b.Kind() != metrics.KindFloat64Histogram {
+		return 0
+	}
+	ha, hb := a.Float64Histogram(), b.Float64Histogram()
+	var total uint64
+	for i := range hb.Counts {
+		total += hb.Counts[i] - ha.Counts[i]
+	}
+	var seen uint64
+	for i := range hb.Counts {
+		if seen += hb.Counts[i] - ha.Counts[i]; total > 0 && seen*100 >= total*99 {
+			if up := hb.Buckets[i+1]; !math.IsInf(up, 1) {
+				return up
+			}
+			return hb.Buckets[i]
+		}
+	}
+	return 0
 }

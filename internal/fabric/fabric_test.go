@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -263,5 +264,112 @@ func TestDeliverAtZeroMeansNow(t *testing.T) {
 	}
 	if diff > int64(a) {
 		t.Errorf("DeliverAt(0) = %d vs Deliver = %d", a, b)
+	}
+}
+
+// quietHost is a one-host fabric on a manual clock parked at 10 ms, with
+// jitter too small to register, so DeliverAt returns exactly half the base
+// RTT plus serialisation plus queueing.
+func quietHost() (*Host, uint64) {
+	clk := &ManualClock{}
+	clk.Advance(10_000_000)
+	f := New(1, Params{JitterFrac: 1e-9, Clock: clk})
+	return f.Host(0), f.Params().BaseRTTNs / 2
+}
+
+// TestOutOfOrderLegsGetTheirOwnGaps: a leg that executes after another but
+// arrives virtually before it — its goroutine stalled between pinning its
+// instant and billing it — queues behind nothing that arrived after it,
+// and a leg that does overlap earlier traffic still waits out exactly the
+// overlap. A single drain clock billed the first case ~400 µs.
+func TestOutOfOrderLegsGetTheirOwnGaps(t *testing.T) {
+	h, half := quietHost()
+	const sz = 64 << 10
+	idle := h.DeliverAt(500_000, sz)
+	ser := idle - half
+	if got := h.DeliverAt(100_000, sz); got != idle {
+		t.Errorf("leg at 100µs after one at 500µs: %dns, want the idle %dns", got, idle)
+	}
+	if got, want := h.DeliverAt(500_000+ser/2, sz), idle+ser/2; got != want {
+		t.Errorf("leg inside the 500µs leg's transfer: %dns, want %dns", got, want)
+	}
+	// The gap between the two earlier legs fits one more transfer exactly.
+	if got := h.DeliverAt(100_000+ser, sz); got != idle {
+		t.Errorf("leg in the gap between them: %dns, want the idle %dns", got, idle)
+	}
+}
+
+// TestInOrderLegsQueueAsOneDrainClock: when legs are billed in virtual
+// order — an op's parallel legs at one instant, a serial client's legs at
+// rising instants — each queues exactly as behind one downlink drain clock
+// (start = max(arrival, the previous leg's end)), which is the whole model
+// the figures' incast and serialisation rows were calibrated on.
+func TestInOrderLegsQueueAsOneDrainClock(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for round := 0; round < 50; round++ {
+		h, half := quietHost()
+		var drain uint64
+		at := uint64(1) // 0 would mean now
+		for leg := 0; leg < 200; leg++ {
+			if rng.IntN(3) > 0 { // a third of the legs share the previous instant
+				at += uint64(rng.IntN(30_000))
+			}
+			sz := 1 + rng.IntN(64<<10)
+			ref, _ := quietHost()
+			idle := ref.DeliverAt(1, sz)
+			start := max(drain, at)
+			drain = start + idle - half
+			if got, want := h.DeliverAt(at, sz), idle+start-at; got != want {
+				t.Fatalf("round %d leg %d (%dB at %dns): %dns, want %dns", round, leg, sz, at, got, want)
+			}
+		}
+		if got := h.StallNs(); got != 0 {
+			t.Fatalf("round %d: in-order legs billed %dns of stall", round, got)
+		}
+	}
+}
+
+// TestLegOlderThanRingIsFree: once more busy periods than the ring holds
+// were billed after an instant, a leg at that instant queues behind none
+// of them, even where it overlaps a forgotten one.
+func TestLegOlderThanRingIsFree(t *testing.T) {
+	h, _ := quietHost()
+	const sz = 64 << 10
+	idle := h.DeliverAt(1_000_000, sz)
+	for i := 1; i <= ringLen; i++ {
+		h.DeliverAt(1_000_000+uint64(i)*100_000, sz)
+	}
+	if got := h.DeliverAt(1_000_000, sz); got != idle {
+		t.Errorf("leg at the forgotten first leg's instant: %dns, want the idle %dns", got, idle)
+	}
+}
+
+// TestStallShareCountsOnlyLateLegs: the stall share sums the queue of legs
+// that trailed the newest interval by more than a base RTT, and none of
+// the queue an op's parallel legs pay at the newest instant.
+func TestStallShareCountsOnlyLateLegs(t *testing.T) {
+	h, half := quietHost()
+	const sz = 64 << 10
+	idle := h.DeliverAt(100_000, sz)
+	h.DeliverAt(200_000, sz)
+	incast := h.DeliverAt(200_000, sz) - idle // a parallel leg: queued, not late
+	late := h.DeliverAt(100_000+1, sz) - idle // overlaps the first leg, 100µs behind the newest
+	if incast == 0 || late == 0 {
+		t.Fatalf("queues: incast %dns, late %dns; both legs should have queued", incast, late)
+	}
+	if got := h.StallNs(); got != late {
+		t.Errorf("StallNs = %dns, want the late leg's %dns (incast %dns, half RTT %dns)", got, late, incast, half)
+	}
+}
+
+// TestDeliverAtAllocatesNothing: billing sits on every RMA and RPC leg.
+func TestDeliverAtAllocatesNothing(t *testing.T) {
+	h, _ := quietHost()
+	at := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		at += 997
+		h.DeliverAt(at%5_000_000, 4096)
+	}); n != 0 {
+		t.Errorf("DeliverAt allocates %v per call", n)
 	}
 }

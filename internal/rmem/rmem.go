@@ -31,6 +31,7 @@ package rmem
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -55,23 +56,33 @@ const WriteChunk = 256
 const lockBlock = 64 << 10
 
 // Region is a registered memory area. The backing array is reserved at
-// maximum capacity up front (the paper's mmap(PROT_NONE) of a very large
-// virtual range) but only `populated` bytes are usable; Grow populates
-// more on demand.
+// maximum capacity up front (the paper's mmap of a very large virtual
+// range, §4.1) but only `populated` bytes are usable; Grow populates more
+// on demand. On unix the array is an anonymous mapping outside the Go
+// heap, resident only where written and unmapped when the Region is
+// collected; under the race detector, and elsewhere, it is a heap slice.
 type Region struct {
 	locks     []sync.Mutex // one per lockBlock of reserved capacity
 	buf       []byte
 	populated atomic.Int64
 }
 
+// mapped counts the bytes live regions hold mapped outside the heap.
+var mapped atomic.Int64
+
 // NewRegion reserves maxCap bytes and populates the first populated bytes.
 func NewRegion(populated, maxCap int) *Region {
 	if populated < 0 || maxCap < populated {
 		panic(fmt.Sprintf("rmem: invalid region geometry %d/%d", populated, maxCap))
 	}
-	r := &Region{
-		locks: make([]sync.Mutex, (maxCap+lockBlock-1)/lockBlock+1),
-		buf:   make([]byte, maxCap),
+	buf, isMapped := reserve(maxCap)
+	r := &Region{locks: make([]sync.Mutex, (maxCap+lockBlock-1)/lockBlock+1), buf: buf}
+	if isMapped {
+		mapped.Add(int64(maxCap))
+		runtime.SetFinalizer(r, func(r *Region) {
+			unreserve(r.buf)
+			mapped.Add(-int64(len(r.buf)))
+		})
 	}
 	r.populated.Store(int64(populated))
 	return r
@@ -145,8 +156,11 @@ func (r *Region) InBounds(off, length int) bool {
 // no locks: the caller must order the view against writers of the same
 // byte range externally (the backend reads its own index bucket this way
 // under the bucket's stripe lock, which also serializes that bucket's
-// writers). The slice stays valid while the region does — Grow never
-// reallocates the backing array, and the populated extent never recedes.
+// writers). The slice is valid while the Region is reachable — Grow never
+// reallocates the backing array, and the populated extent never recedes —
+// and no longer: a mapped array goes back to the kernel when the Region
+// is collected, so a caller whose last use of the Region precedes its
+// last use of the view must runtime.KeepAlive the Region.
 func (r *Region) View(off, length int) ([]byte, error) {
 	if !r.InBounds(off, length) {
 		return nil, ErrOutOfBounds

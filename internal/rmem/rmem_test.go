@@ -380,3 +380,38 @@ func BenchmarkWriteChunked4KB(b *testing.B) {
 		r.WriteChunked(0, data)
 	}
 }
+
+// collectRegions runs the collector until the finalizers of unreachable
+// regions have given their mappings back, or a second has passed.
+func collectRegions(want int64) int64 {
+	deadline := time.Now().Add(time.Second)
+	for mapped.Load() > want && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	return mapped.Load()
+}
+
+// TestDroppedRegionIsUnmapped: a region's array is a mapping outside the
+// heap, written pages and all, and a Region nothing references gives it
+// back once collected. Under the race detector the array stays on the
+// heap, where the detector sees it, and nothing is mapped.
+func TestDroppedRegionIsUnmapped(t *testing.T) {
+	const maxCap = 4 << 20
+	before := collectRegions(0)
+	r := NewRegion(1<<20, maxCap)
+	if err := r.WriteChunked(0, bytes.Repeat([]byte{0xa5}, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	want := before
+	if offHeap {
+		want += maxCap
+	}
+	if got := mapped.Load(); got != want {
+		t.Fatalf("after NewRegion: %d bytes mapped, want %d", got, want)
+	}
+	r = nil
+	if got := collectRegions(before); got > before {
+		t.Errorf("a dropped region still holds %d bytes mapped", got-before)
+	}
+}

@@ -41,10 +41,6 @@ type ClientOptions struct {
 	// cell's virtual clock; 0 means 50ms.
 	StaleBoundNs uint64
 
-	// PerCell templates the per-cell client options (strategy, R,
-	// ...). ID/HostID are assigned per cell as usual.
-	PerCell client.Options
-
 	// Tracer records completed tier-level ops: one trace per user op,
 	// carrying the tier spans (tier-route, ring-lookup, tier-forward,
 	// follower-cache-hit, follower-revalidate) plus every span the
@@ -85,7 +81,7 @@ type Client struct {
 	cellIdx map[string]uint32 // cell name → configuration-order index, for span args
 }
 
-// NewClient builds a tier client with one per-cell client each.
+// NewClient builds a tier client with one default per-cell client each.
 func (t *Tier) NewClient(opt ClientOptions) (*Client, error) {
 	if opt.Local == "" {
 		opt.Local = t.order[0]
@@ -98,7 +94,7 @@ func (t *Tier) NewClient(opt ClientOptions) (*Client, error) {
 	}
 	c := &Client{t: t, opt: opt, cls: make(map[string]*client.Client, len(t.order))}
 	for _, n := range t.order {
-		c.cls[n] = t.cells[n].NewClient(opt.PerCell)
+		c.cls[n] = t.cells[n].NewClient(client.Options{})
 	}
 	c.local = c.cls[opt.Local]
 	c.now = t.cells[opt.Local].Fabric.NowNs

@@ -68,13 +68,13 @@ func (m *memberState) live() float64 {
 	}
 }
 
-func newRouter(names []string, weights []float64) *Router {
+func newRouter(names []string) *Router {
 	r := &Router{
 		order:  append([]string(nil), names...),
 		byName: make(map[string]*memberState, len(names)),
 	}
-	for i, n := range names {
-		r.byName[n] = &memberState{name: n, base: weights[i], state: "ok"}
+	for _, n := range names {
+		r.byName[n] = &memberState{name: n, base: 1, state: "ok"}
 	}
 	r.rebuildLocked()
 	return r

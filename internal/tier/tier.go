@@ -21,11 +21,11 @@ import (
 	"cliquemap/internal/hashring"
 )
 
-// CellRef names one member cell of a tier.
+// CellRef names one member cell of a tier. Every cell starts at weight
+// 1; Router.SetWeight changes it.
 type CellRef struct {
-	Name   string
-	Cell   *cell.Cell
-	Weight float64 // relative capacity; 0 means 1
+	Name string
+	Cell *cell.Cell
 }
 
 // Options configures a Tier.
@@ -48,7 +48,6 @@ func New(opt Options) (*Tier, error) {
 		return nil, fmt.Errorf("tier: no cells")
 	}
 	t := &Tier{cells: make(map[string]*cell.Cell, len(opt.Cells))}
-	weights := make([]float64, 0, len(opt.Cells))
 	for _, cr := range opt.Cells {
 		if cr.Name == "" {
 			return nil, fmt.Errorf("tier: unnamed cell")
@@ -59,18 +58,10 @@ func New(opt Options) (*Tier, error) {
 		if _, dup := t.cells[cr.Name]; dup {
 			return nil, fmt.Errorf("tier: duplicate cell name %q", cr.Name)
 		}
-		w := cr.Weight
-		if w == 0 {
-			w = 1
-		}
-		if w < 0 {
-			return nil, fmt.Errorf("tier: cell %q has negative weight", cr.Name)
-		}
 		t.cells[cr.Name] = cr.Cell
 		t.order = append(t.order, cr.Name)
-		weights = append(weights, w)
 	}
-	t.router = newRouter(t.order, weights)
+	t.router = newRouter(t.order)
 	src := func() []byte { return t.router.Snapshot().Marshal() }
 	for _, c := range t.cells {
 		c.SetTierSource(src)

@@ -543,10 +543,14 @@ func TestTierGetAllocatesOnlyItsLeg(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	tr := newTestTier(t, "us", "eu")
-	cl, err := tr.NewClient(ClientOptions{PerCell: client.Options{Strategy: client.StrategySCAR}})
+	cl, err := tr.NewClient(ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for n := range cl.cls { // SCAR legs: a tier client's per-cell clients are default ones
+		cl.cls[n] = tr.cells[n].NewClient(client.Options{Strategy: client.StrategySCAR})
+	}
+	cl.local = cl.cls[cl.opt.Local]
 	ctx := context.Background()
 	key := testKey(0)
 	for i := 1; tr.Owner(key) != "us"; i++ {

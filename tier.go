@@ -17,10 +17,9 @@ import (
 
 // TierCellOptions names one member cell of a tier.
 type TierCellOptions struct {
-	// Name labels the cell ("us", "eu", ...). Required, unique.
+	// Name labels the cell ("us", "eu", ...). Required, unique. Every
+	// cell joins at routing weight 1; SetWeight changes it.
 	Name string
-	// Weight is the cell's relative routing capacity (0 means 1).
-	Weight float64
 	// Options builds the cell, exactly as NewCell would.
 	Options Options
 }
@@ -50,7 +49,7 @@ func NewTier(opt TierOptions) (*Tier, error) {
 		if err != nil {
 			return nil, err
 		}
-		refs = append(refs, tier.CellRef{Name: co.Name, Cell: c.c, Weight: co.Weight})
+		refs = append(refs, tier.CellRef{Name: co.Name, Cell: c.c})
 		cells[co.Name] = c
 	}
 	t, err := tier.New(tier.Options{Cells: refs})
