@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cliquemap/internal/core/client"
@@ -427,15 +428,23 @@ func TestGetKeepsBoundedArena(t *testing.T) {
 		}
 	}
 	warm(func() { get(large) })
-	var mallocs uint64
+	// Mallocs counts the whole process: with the collector off, no
+	// post-GC cleanup goroutine allocates inside a window, and the best of
+	// three windows leaves out a one-off runtime allocation (a new M).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const rounds = 10
-	for i := 0; i < rounds; i++ {
-		get(huge)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		get(large)
-		runtime.ReadMemStats(&after)
-		mallocs += after.Mallocs - before.Mallocs
+	mallocs := uint64(math.MaxUint64)
+	for range 3 {
+		var window uint64
+		for i := 0; i < rounds; i++ {
+			get(huge)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			get(large)
+			runtime.ReadMemStats(&after)
+			window += after.Mallocs - before.Mallocs
+		}
+		mallocs = min(mallocs, window)
 	}
 	if mallocs > rounds {
 		t.Errorf("%d allocations over %d 16 KiB GETs, each after a 120 KiB one; want only their values", mallocs, rounds)

@@ -290,7 +290,7 @@ func main() {
 		fmt.Printf("health: worst=%s rounds=%d\n", snap.Worst(), snap.Rounds)
 		for _, hc := range snap.Classes {
 			fmt.Printf("  %-5s %-4s burn fast=%.2f slow=%.2f probes good=%d bad=%d p50=%v p99=%v pages=%d warns=%d\n",
-				hc.Class, hc.State, hc.FastBurn, hc.SlowBurn, hc.Good, hc.Bad,
+				hc.Class, hc.State, float64(hc.FastBurnMilli)/1000, float64(hc.SlowBurnMilli)/1000, hc.Good, hc.Bad,
 				time.Duration(hc.ProbeP50Ns), time.Duration(hc.ProbeP99Ns), hc.Pages, hc.Warns)
 		}
 	}

@@ -120,7 +120,7 @@ func printFleet(w io.Writer, cur, prev *fleet.View, maxHot int) {
 			live++
 		}
 	}
-	fmt.Fprintf(w, "fleet: %d/%d cells live, verdict=%s", live, len(cur.Cells), strings.ToUpper(cur.Verdict))
+	fmt.Fprintf(w, "fleet: %d/%d cells live, verdict=%s", live, len(cur.Cells), strings.ToUpper(string(cur.Verdict)))
 	if cur.RingOK {
 		fmt.Fprintf(w, ", ring v%d", cur.Ring.RingVersion)
 	}
@@ -162,7 +162,7 @@ func printFleet(w io.Writer, cur, prev *fleet.View, maxHot int) {
 		fmt.Fprintln(tw, "\nSLO CLASS\tSTATE\tCELLS\tBURN(fast,max)\tBURN(slow,max)\tWINDOW G/B\tPAGES\tWARNS")
 		for _, c := range cur.Classes {
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%.2f\t%.2f\t%d/%d\t%d\t%d\n",
-				c.Class, strings.ToUpper(c.State), c.Cells,
+				c.Class, strings.ToUpper(string(c.State)), c.Cells,
 				float64(c.FastBurnMilli)/1000, float64(c.SlowBurnMilli)/1000,
 				c.WindowGood, c.WindowBad, c.Pages, c.Warns)
 		}

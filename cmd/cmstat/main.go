@@ -441,7 +441,7 @@ func printHealth(w io.Writer, h proto.HealthResp) {
 	fmt.Fprintln(tw, "CLASS\tSTATE\tSLO\tBURN(fast)\tBURN(slow)\tWINDOW G/B\tPROBE P50\tP99\tPAGES\tWARNS")
 	for _, c := range h.Classes {
 		fmt.Fprintf(tw, "%s\t%s\t%s<%v\t%.2f\t%.2f\t%d/%d\t%v\t%v\t%d\t%d\n",
-			c.Class, strings.ToUpper(c.State),
+			c.Class, strings.ToUpper(string(c.State)),
 			fmtPpm(c.AvailabilityPpm), time.Duration(c.LatencyTargetNs),
 			float64(c.FastBurnMilli)/1000, float64(c.SlowBurnMilli)/1000,
 			c.WindowGood, c.WindowBad,

@@ -9,6 +9,7 @@ package cliquemap
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestProberRecordsEachOpOnce(t *testing.T) {
 // cell-wide GET brownout, heal — and reports the virtual nanoseconds the
 // plane took to page after injection and to return to ok after the heal,
 // plus the per-round worst-state trace for determinism checks.
-func runBrownoutScenario(t *testing.T) (pageAfterNs, clearAfterNs uint64, states []string) {
+func runBrownoutScenario(t *testing.T) (pageAfterNs, clearAfterNs uint64, states []health.State) {
 	t.Helper()
 	c := newCell(t, Options{Shards: 3, Spares: 1, Mode: R32, Health: healthTestConfig()})
 	prober := c.Prober()
@@ -69,7 +70,7 @@ func runBrownoutScenario(t *testing.T) (pageAfterNs, clearAfterNs uint64, states
 	// Baseline: a few healthy rounds must leave every class Ok.
 	for i := 0; i < 3; i++ {
 		snap := prober.Round(ctx)
-		states = append(states, snap.Worst().String())
+		states = append(states, snap.Worst())
 		if snap.Worst() != health.Ok {
 			t.Fatalf("healthy baseline round %d: worst=%s", i, snap.Worst())
 		}
@@ -86,7 +87,7 @@ func runBrownoutScenario(t *testing.T) (pageAfterNs, clearAfterNs uint64, states
 	paged := false
 	for c.Internal().Fabric.NowNs()-injected <= cfg.FastWindowNs {
 		snap := prober.Round(ctx)
-		states = append(states, snap.Worst().String())
+		states = append(states, snap.Worst())
 		if gc, ok := snap.Class("GET"); ok && gc.State == health.Page {
 			paged = true
 			pageAfterNs = c.Internal().Fabric.NowNs() - injected
@@ -108,7 +109,7 @@ func runBrownoutScenario(t *testing.T) (pageAfterNs, clearAfterNs uint64, states
 	cleared := false
 	for c.Internal().Fabric.NowNs()-healed <= cfg.SlowWindowNs {
 		snap := prober.Round(ctx)
-		states = append(states, snap.Worst().String())
+		states = append(states, snap.Worst())
 		if snap.Worst() == health.Ok {
 			cleared = true
 			clearAfterNs = c.Internal().Fabric.NowNs() - healed
@@ -138,11 +139,11 @@ func TestHealthBrownoutPagesAndClears(t *testing.T) {
 
 // transitions collapses a per-round state trace to its distinct
 // transitions ("ok ok page page ok" → "ok page ok").
-func transitions(states []string) []string {
+func transitions(states []health.State) []string {
 	var out []string
 	for _, s := range states {
-		if len(out) == 0 || out[len(out)-1] != s {
-			out = append(out, s)
+		if len(out) == 0 || out[len(out)-1] != string(s) {
+			out = append(out, string(s))
 		}
 	}
 	return out
@@ -311,5 +312,67 @@ func TestHotKeyTelemetryE2E(t *testing.T) {
 	}
 	if !foundHot {
 		t.Errorf("planted hot key %q not ranked first on any shard", hot)
+	}
+}
+
+// TestPlanesServedAfterRestarts: the health and tier planes are the
+// cell's, so every task answers MethodHealth and MethodTier from them —
+// also a task restarted cold (Crash + Restart), one restarted warm from
+// its data directory, and the spare that PlannedMaintenance promotes.
+func TestPlanesServedAfterRestarts(t *testing.T) {
+	ctx := context.Background()
+	tr, err := NewTier(TierOptions{Cells: []TierCellOptions{
+		{Name: "us", Options: Options{Shards: 3, Spares: 1, Mode: R32, DataDir: t.TempDir()}},
+		{Name: "eu", Options: Options{Shards: 3, Spares: 0, Mode: R32}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.ProbeRound(ctx)
+	c := tr.Cell("us")
+	c.Crash(0)
+	if err := c.Restart(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(1)
+	if err := c.RestartWarm(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	spare, err := c.PlannedMaintenance(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetWeight("eu", 2) // the ring moves after every task above started
+	tr.ProbeRound(ctx)
+
+	cc := c.Internal()
+	want := proto.HealthResp(cc.Health().Evaluate())
+	if want.Rounds != 2 || len(want.Classes) == 0 {
+		t.Fatalf("plane after two rounds: %+v", want)
+	}
+	caller := cc.Net.Client(cc.Fabric.NumHosts()-1, "observer")
+	for _, addr := range []string{"backend-0", "backend-1", spare} {
+		raw, _, err := caller.Call(ctx, addr, proto.MethodHealth, proto.HealthReq{}.Marshal())
+		if err != nil {
+			t.Fatalf("%s: MethodHealth: %v", addr, err)
+		}
+		got, err := proto.UnmarshalHealthResp(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rounds != want.Rounds || !reflect.DeepEqual(got.Classes, want.Classes) || !reflect.DeepEqual(got.Targets, want.Targets) {
+			t.Errorf("%s: MethodHealth = %+v, want the cell's plane %+v", addr, got, want)
+		}
+		raw, _, err = caller.Call(ctx, addr, proto.MethodTier, proto.TierReq{}.Marshal())
+		if err != nil {
+			t.Fatalf("%s: MethodTier: %v", addr, err)
+		}
+		ring, err := proto.UnmarshalTierResp(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.RingVersion == 0 || ring.RingVersion != tr.RingVersion() {
+			t.Errorf("%s: MethodTier ring version %d, want the router's %d", addr, ring.RingVersion, tr.RingVersion())
+		}
 	}
 }

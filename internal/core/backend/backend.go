@@ -79,15 +79,6 @@ func (b *Backend) Tracer() *trace.Tracer { return b.tracer.Load() }
 // Heat returns the backend's key-heat sketch.
 func (b *Backend) Heat() *stats.TopK { return b.heat }
 
-// SetHealthSource attaches the marshalled-HealthResp provider behind
-// MethodHealth. Safe to leave unset: the handler serves an empty
-// snapshot.
-func (b *Backend) SetHealthSource(fn func() []byte) { b.healthSrc.Store(&fn) }
-
-// SetTierSource attaches the marshalled-TierResp provider behind
-// MethodTier. Safe to leave unset: the handler serves an empty snapshot.
-func (b *Backend) SetTierSource(fn func() []byte) { b.tierSrc.Store(&fn) }
-
 // NICSaturation mirrors the serving NIC's queue-pressure snapshot
 // (pony.Saturation) without importing the transport package.
 type NICSaturation struct {
@@ -440,10 +431,6 @@ type Backend struct {
 	// are visible on every transport.
 	heat *stats.TopK
 
-	// healthSrc, when set, serves MethodHealth snapshots; the cell
-	// attaches a closure over its health plane after construction.
-	healthSrc atomic.Pointer[func() []byte]
-
 	stripes  []stripe
 	nStripes uint64
 
@@ -501,11 +488,6 @@ type Backend struct {
 	replayedRecords atomic.Uint64
 	recoverySettles atomic.Uint64
 	selfValidated   atomic.Uint64
-
-	// tierSrc, when set, serves MethodTier snapshots; the federation
-	// tier attaches a closure over its router after construction. Kept
-	// at the tail: it is cold, and the fields above it are hot-path.
-	tierSrc atomic.Pointer[func() []byte]
 
 	// nicSatSrc, when set, supplies the serving NIC's saturation snapshot
 	// for MethodStats (cold; read only by stats scrapes).

@@ -184,28 +184,6 @@ func (b *Backend) registerHandlers() {
 		}
 		return b.Debug(r.MaxSlow).Marshal(), nil
 	})
-
-	s.Handle(proto.MethodHealth, func(_ context.Context, _ string, _ []byte) ([]byte, error) {
-		// The health plane is cell-wide state; the cell attaches a
-		// marshalled-snapshot source after construction. A bare backend
-		// (tests, spares before wiring) serves an empty snapshot rather
-		// than an error so tooling can always poll.
-		if fn := b.healthSrc.Load(); fn != nil {
-			return (*fn)(), nil
-		}
-		return proto.HealthResp{}.Marshal(), nil
-	})
-
-	s.Handle(proto.MethodTier, func(_ context.Context, _ string, _ []byte) ([]byte, error) {
-		// Tier routing state lives in the federation router; a tier
-		// attaches a marshalled-snapshot source to every member cell's
-		// backends. A cell outside any tier serves an empty snapshot so
-		// cmstat -tier can always poll and report "not in a tier".
-		if fn := b.tierSrc.Load(); fn != nil {
-			return (*fn)(), nil
-		}
-		return proto.TierResp{}.Marshal(), nil
-	})
 }
 
 // The two telemetry snapshot functions. Each is the whole body of its RPC

@@ -13,12 +13,14 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cliquemap/internal/chaos"
 	"cliquemap/internal/core/backend"
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/config"
+	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/hashring"
 	"cliquemap/internal/health"
@@ -123,9 +125,8 @@ type Cell struct {
 	chaosPlane *chaos.Plane
 
 	healthOnce  sync.Once
-	healthPlane *health.Plane
-	healthSrc   func() []byte // MethodHealth payload source, nil until Health()
-	tierSrc     func() []byte // MethodTier payload source, nil outside a tier
+	healthPlane atomic.Pointer[health.Plane]
+	tierSnap    atomic.Pointer[func() proto.TierResp] // MethodTier's source, nil outside a tier
 	proberOnce  sync.Once
 	prober      *health.Prober
 }
@@ -198,16 +199,7 @@ func (c *Cell) startNode(info config.BackendInfo, recovering bool) (*node, error
 		b.Server().SetAuthenticator(c.opt.ACL)
 	}
 	b.SetTracer(c.Tracer)
-	c.mu.Lock()
-	src := c.healthSrc
-	tsrc := c.tierSrc
-	c.mu.Unlock()
-	if src != nil {
-		b.SetHealthSource(src) // restarted tasks keep serving MethodHealth
-	}
-	if tsrc != nil {
-		b.SetTierSource(tsrc) // restarted tasks keep serving MethodTier
-	}
+	c.servePlanes(b.Server())
 	n := &node{info: info, b: b}
 	switch c.opt.Transport {
 	case TransportPony:

@@ -1,53 +1,52 @@
 package cell
 
 import (
+	"context"
 	"time"
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fleet"
 	"cliquemap/internal/health"
+	"cliquemap/internal/rpc"
 )
 
 // This file wires the fleet health plane (internal/health) into a cell:
-// the plane runs on the fabric's virtual clock, every backend serves its
+// the plane runs on the fabric's virtual clock, every task serves its
 // evaluated snapshot over MethodHealth, and the prober drives canary
 // clients — one per lookup strategy the transport supports — against the
 // reserved probe-key namespace.
 
 // Health returns the cell's health plane, lazily built on the fabric
-// clock from Options.Health, and attaches its snapshot source to every
-// live backend so MethodHealth serves the evaluated state.
+// clock from Options.Health. Until it is built, MethodHealth serves an
+// empty snapshot.
 func (c *Cell) Health() *health.Plane {
-	c.healthOnce.Do(func() {
-		plane := health.NewPlane(c.opt.Health, c.Fabric.NowNs)
-		src := func() []byte { return healthWire(plane.Evaluate()).Marshal() }
-		c.mu.Lock()
-		c.healthPlane = plane
-		c.healthSrc = src
-		nodes := append([]*node(nil), c.nodes...)
-		c.mu.Unlock()
-		for _, n := range nodes {
-			n.b.SetHealthSource(src)
-		}
-	})
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.healthPlane
+	c.healthOnce.Do(func() { c.healthPlane.Store(health.NewPlane(c.opt.Health, c.Fabric.NowNs)) })
+	return c.healthPlane.Load()
 }
 
-// SetTierSource attaches the federation tier's marshalled-TierResp
-// provider to every live backend (and, via startNode, to any task
-// restarted later), so MethodTier answers from any member cell's
-// gateway.
-func (c *Cell) SetTierSource(fn func() []byte) {
-	c.mu.Lock()
-	c.tierSrc = fn
-	nodes := append([]*node(nil), c.nodes...)
-	c.mu.Unlock()
-	for _, n := range nodes {
-		n.b.SetTierSource(fn)
-	}
+// SetTierSnapshot names the federation tier's router snapshot, which
+// MethodTier serves from every task of the cell. Outside a tier the
+// method serves an empty snapshot.
+func (c *Cell) SetTierSnapshot(fn func() proto.TierResp) { c.tierSnap.Store(&fn) }
+
+// servePlanes registers the cell-wide telemetry methods on a task's RPC
+// server, so every task — a restarted or promoted one too — answers from
+// the planes the cell owns. Tooling can always poll: each method serves an
+// empty snapshot while its plane does not exist.
+func (c *Cell) servePlanes(s *rpc.Server) {
+	s.Handle(proto.MethodHealth, func(context.Context, string, []byte) ([]byte, error) {
+		if plane := c.healthPlane.Load(); plane != nil {
+			return proto.HealthResp(plane.Evaluate()).Marshal(), nil
+		}
+		return proto.HealthResp{}.Marshal(), nil
+	})
+	s.Handle(proto.MethodTier, func(context.Context, string, []byte) ([]byte, error) {
+		if snap := c.tierSnap.Load(); snap != nil {
+			return (*snap)().Marshal(), nil
+		}
+		return proto.TierResp{}.Marshal(), nil
+	})
 }
 
 // probeStrategies lists the lookup strategies the cell's transport can
@@ -99,36 +98,6 @@ func (c *Cell) Scrape(now time.Time) fleet.CellScrape {
 	if len(nodes) > 0 {
 		cs.Debug, cs.DebugOK = nodes[0].Debug(1), true // the page renders no slow-op log
 	}
-	cs.Health, cs.HealthOK = healthWire(c.Health().Evaluate()), true
+	cs.Health, cs.HealthOK = proto.HealthResp(c.Health().Evaluate()), true
 	return cs
-}
-
-// healthWire converts an evaluated health snapshot into its MethodHealth
-// wire frame: states as display strings, burn rates in milli-units,
-// availability objectives in parts-per-million.
-func healthWire(s health.Snapshot) proto.HealthResp {
-	r := proto.HealthResp{GeneratedNs: s.GeneratedNs, Rounds: s.Rounds}
-	for _, cl := range s.Classes {
-		r.Classes = append(r.Classes, proto.HealthClass{
-			Class:           cl.Class,
-			State:           cl.State.String(),
-			SinceNs:         cl.SinceNs,
-			AvailabilityPpm: uint64(cl.Availability*1e6 + 0.5),
-			LatencyTargetNs: cl.LatencyNs,
-			FastBurnMilli:   uint64(cl.FastBurn*1000 + 0.5),
-			SlowBurnMilli:   uint64(cl.SlowBurn*1000 + 0.5),
-			WindowGood:      cl.WindowGood,
-			WindowBad:       cl.WindowBad,
-			Good:            cl.Good,
-			Bad:             cl.Bad,
-			ProbeP50Ns:      cl.ProbeP50Ns,
-			ProbeP99Ns:      cl.ProbeP99Ns,
-			Pages:           cl.Pages,
-			Warns:           cl.Warns,
-		})
-	}
-	for _, t := range s.Targets {
-		r.Targets = append(r.Targets, proto.HealthTarget{Name: t.Name, Good: t.Good, Bad: t.Bad})
-	}
-	return r
 }

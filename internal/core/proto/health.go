@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"cliquemap/internal/health"
 	"cliquemap/internal/wire"
 )
 
@@ -10,8 +11,8 @@ import (
 // MethodDebug it is additive: old servers answer ErrNoSuchMethod and
 // tooling degrades gracefully.
 //
-// Alert states travel as display strings ("ok"/"warn"/"page") and
-// fractional quantities as scaled integers (burn rates in milli-units,
+// Alert states travel as their health.State strings ("ok"/"warn"/"page")
+// and fractional quantities as scaled integers (burn rates in milli-units,
 // availability objectives in parts-per-million), keeping the wire
 // contract integer-only and enum-renumbering-proof.
 
@@ -22,33 +23,15 @@ type HealthReq struct{}
 // Marshal encodes the request.
 func (r HealthReq) Marshal() []byte { return wire.Append(nil, &r) }
 
-// HealthClass is one op class's evaluated SLO state.
-type HealthClass struct {
-	Class           string `wire:"1"`
-	State           string `wire:"2"` // "ok" | "warn" | "page"
-	SinceNs         uint64 `wire:"3"` // virtual instant of the last state change
-	AvailabilityPpm uint64 `wire:"4"` // objective, parts-per-million (999000 = 99.9%)
-	LatencyTargetNs uint64 `wire:"5"` // objective latency threshold
-	FastBurnMilli   uint64 `wire:"6"` // fast-window burn rate × 1000
-	SlowBurnMilli   uint64 `wire:"7"` // slow-window burn rate × 1000
-	WindowGood      uint64 `wire:"8"` // slow-window tallies
-	WindowBad       uint64 `wire:"9"`
-	Good            uint64 `wire:"10"` // lifetime probe outcomes
-	Bad             uint64 `wire:"11"`
-	ProbeP50Ns      uint64 `wire:"12"`
-	ProbeP99Ns      uint64 `wire:"13"`
-	Pages           uint64 `wire:"14"`
-	Warns           uint64 `wire:"15"`
-}
+// The snapshot's records are declared — wire tags included — where the
+// health plane produces them; these names are the schema's view of them.
+type (
+	HealthClass  = health.ClassStatus  // one op class's evaluated SLO state
+	HealthTarget = health.TargetStatus // one probe target's lifetime availability
+)
 
-// HealthTarget is one probe target's lifetime availability.
-type HealthTarget struct {
-	Name string `wire:"1"`
-	Good uint64 `wire:"2"`
-	Bad  uint64 `wire:"3"`
-}
-
-// HealthResp is the health plane snapshot. Tags 5–6 are retired (a
+// HealthResp is the health plane snapshot; a health.Snapshot converts to
+// it field for field. Tags 5–6 are retired (a
 // hot-key promotion piggyback nothing read) and are never reused: older
 // servers may still send them, and decoders skip them.
 type HealthResp struct {

@@ -31,6 +31,7 @@ import (
 
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/health"
 	"cliquemap/internal/stats"
 	"cliquemap/internal/trace"
 )
@@ -84,8 +85,8 @@ type CellScrape struct {
 // burn rates take the fleet max, tallies sum.
 type ClassVerdict struct {
 	Class         string
-	State         string // worst across cells: "page" > "warn" > "ok"
-	FastBurnMilli uint64 // max across cells
+	State         health.State // worst across cells
+	FastBurnMilli uint64       // max across cells
 	SlowBurnMilli uint64
 	WindowGood    uint64 // summed
 	WindowBad     uint64
@@ -112,7 +113,7 @@ type View struct {
 	Round   uint64
 	Cells   []CellScrape     // target order
 	Hists   []trace.HistStat // one per kind/transport, merged across cells (Cells says how many); no Buckets
-	Verdict string           // fleet-wide worst SLO state: "ok" | "warn" | "page" | "unknown"
+	Verdict health.State     // fleet-wide worst SLO state, or "unknown" before any cell reported health
 	Classes []ClassVerdict
 	HotKeys []proto.DebugHotKey // global union, hottest first
 	Skew    []CellSkew
@@ -330,19 +331,6 @@ func MergeHotKeys(rankings ...[]proto.DebugHotKey) []proto.DebugHotKey {
 	return rankHeat(heat)
 }
 
-// stateRank orders SLO states for worst-wins rollups.
-func stateRank(s string) int {
-	switch s {
-	case "page":
-		return 3
-	case "warn":
-		return 2
-	case "ok":
-		return 1
-	}
-	return 0
-}
-
 // merge folds the per-cell scrapes into one fleet view.
 func merge(now time.Time, round uint64, cells []CellScrape, opsDelta map[string]uint64) *View {
 	v := &View{At: now, Round: round, Cells: cells, Verdict: "unknown"}
@@ -400,11 +388,11 @@ func merge(now time.Time, round uint64, cells []CellScrape, opsDelta map[string]
 		for _, c := range cs.Health.Classes {
 			cv, ok := classes[c.Class]
 			if !ok {
-				cv = &ClassVerdict{Class: c.Class, State: "ok"}
+				cv = &ClassVerdict{Class: c.Class, State: health.Ok}
 				classes[c.Class] = cv
 				classOrder = append(classOrder, c.Class)
 			}
-			if stateRank(c.State) > stateRank(cv.State) {
+			if c.State.Rank() > cv.State.Rank() {
 				cv.State = c.State
 			}
 			if c.FastBurnMilli > cv.FastBurnMilli {
@@ -421,11 +409,11 @@ func merge(now time.Time, round uint64, cells []CellScrape, opsDelta map[string]
 		}
 	}
 	sort.Strings(classOrder)
-	worst := "ok"
+	worst := health.Ok
 	for _, name := range classOrder {
 		cv := classes[name]
 		v.Classes = append(v.Classes, *cv)
-		if stateRank(cv.State) > stateRank(worst) {
+		if cv.State.Rank() > worst.Rank() {
 			worst = cv.State
 		}
 	}

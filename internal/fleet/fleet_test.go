@@ -11,6 +11,7 @@ import (
 
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/health"
 	"cliquemap/internal/stats"
 	"cliquemap/internal/trace"
 )
@@ -171,7 +172,7 @@ func TestStaleCellKeepsLastGoodScrape(t *testing.T) {
 }
 
 func TestBurnVerdictRollup(t *testing.T) {
-	mk := func(state string, fast uint64, pages uint64) *proto.HealthResp {
+	mk := func(state health.State, fast uint64, pages uint64) *proto.HealthResp {
 		return &proto.HealthResp{Classes: []proto.HealthClass{{
 			Class: "GET", State: state, FastBurnMilli: fast,
 			WindowGood: 90, WindowBad: 10, Pages: pages,

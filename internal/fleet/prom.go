@@ -111,7 +111,7 @@ func (cs *CellScrape) WriteProm(w io.Writer) {
 		}
 		p.family("cliquemap_slo_alert_state", "gauge")
 		for _, c := range h.Classes {
-			p.sample("cliquemap_slo_alert_state", max(stateRank(c.State)-1, 0), "class", c.Class) // 0 ok, 1 warn, 2 page
+			p.sample("cliquemap_slo_alert_state", max(c.State.Rank()-1, 0), "class", c.Class) // 0 ok, 1 warn, 2 page
 		}
 		p.family("cliquemap_probe_ops_total", "counter")
 		for _, c := range h.Classes {
@@ -177,7 +177,7 @@ func (v *View) WriteProm(w io.Writer) {
 		p.sample("cliquemap_fleet_cell_ops_total", cs.Ops, "cell", cs.Name)
 	}
 	p.latency("cliquemap_fleet_op_latency_ns", v.Hists)
-	p.single("cliquemap_fleet_slo_state", "gauge", stateRank(v.Verdict))
+	p.single("cliquemap_fleet_slo_state", "gauge", v.Verdict.Rank())
 	p.family("cliquemap_fleet_slo_burn", "gauge")
 	for _, c := range v.Classes {
 		p.sample("cliquemap_fleet_slo_burn", milli(c.FastBurnMilli), "class", c.Class, "window", "fast")

@@ -34,28 +34,33 @@ import (
 // NowFunc samples the fabric's virtual clock in nanoseconds.
 type NowFunc func() uint64
 
-// State is the alert severity for one SLO class.
-type State int
+// State is an SLO class's alert severity, in the form it travels on the
+// wire and renders: "ok", "warn" or "page". Rank is its one ordering.
+type State string
 
 const (
 	// Ok: burn rates below the warn threshold.
-	Ok State = iota
+	Ok State = "ok"
 	// Warn: the error budget is burning faster than sustainable (ticket
 	// severity).
-	Warn
+	Warn State = "warn"
 	// Page: budget exhaustion is imminent on both windows (wake a human).
-	Page
+	Page State = "page"
 )
 
-// String names the state for wire frames and display.
-func (s State) String() string {
+// Rank orders states for worst-wins rollups: ok 1, warn 2, page 3, and 0
+// for a string that names no state (a fleet verdict before any cell
+// reported health, or a state a newer server sends).
+func (s State) Rank() int {
 	switch s {
+	case Ok:
+		return 1
 	case Warn:
-		return "warn"
+		return 2
 	case Page:
-		return "page"
+		return 3
 	}
-	return "ok"
+	return 0
 }
 
 // Objective is one op class's SLO: an availability target and a latency
@@ -175,7 +180,7 @@ func NewPlane(cfg Config, now NowFunc) *Plane {
 	}
 	n := int(cfg.SlowWindowNs/cfg.BucketNs) + 1
 	for _, obj := range cfg.Objectives {
-		p.classes[obj.Class] = &classState{obj: obj, ring: make([]winBucket, n)}
+		p.classes[obj.Class] = &classState{obj: obj, ring: make([]winBucket, n), state: Ok}
 		p.order = append(p.order, obj.Class)
 	}
 	return p
@@ -344,33 +349,37 @@ func nextState(cur State, bf, bs float64) State {
 	}
 }
 
-// ClassStatus is one class's evaluated SLO state.
+// ClassStatus is one class's evaluated SLO state, declared with its
+// MethodHealth wire tags (proto.HealthClass). Fractions travel as scaled
+// integers: availability in parts-per-million, burn rates in milli-units.
 type ClassStatus struct {
-	Class        string
-	Availability float64 // objective
-	LatencyNs    uint64  // objective
-	State        State
-	SinceNs      uint64 // virtual instant of the last state change
-	FastBurn     float64
-	SlowBurn     float64
-	WindowGood   uint64 // slow-window tallies
-	WindowBad    uint64
-	Good         uint64 // lifetime
-	Bad          uint64
-	ProbeP50Ns   uint64
-	ProbeP99Ns   uint64
-	Pages        uint64
-	Warns        uint64
+	Class           string `wire:"1"`
+	State           State  `wire:"2"`
+	SinceNs         uint64 `wire:"3"` // virtual instant of the last state change
+	AvailabilityPpm uint64 `wire:"4"` // objective, parts-per-million (999000 = 99.9%)
+	LatencyTargetNs uint64 `wire:"5"` // objective latency threshold
+	FastBurnMilli   uint64 `wire:"6"` // fast-window burn rate × 1000
+	SlowBurnMilli   uint64 `wire:"7"` // slow-window burn rate × 1000
+	WindowGood      uint64 `wire:"8"` // slow-window tallies
+	WindowBad       uint64 `wire:"9"`
+	Good            uint64 `wire:"10"` // lifetime probe outcomes
+	Bad             uint64 `wire:"11"`
+	ProbeP50Ns      uint64 `wire:"12"`
+	ProbeP99Ns      uint64 `wire:"13"`
+	Pages           uint64 `wire:"14"`
+	Warns           uint64 `wire:"15"`
 }
 
-// TargetStatus is one probe target's lifetime availability.
+// TargetStatus is one probe target's lifetime availability
+// (proto.HealthTarget).
 type TargetStatus struct {
-	Name      string
-	Good, Bad uint64
+	Name string `wire:"1"`
+	Good uint64 `wire:"2"`
+	Bad  uint64 `wire:"3"`
 }
 
-// Snapshot is the health plane's evaluated state: the MethodHealth
-// payload.
+// Snapshot is the health plane's evaluated state. Its fields are
+// proto.HealthResp's, so proto.HealthResp(s) is the MethodHealth payload.
 type Snapshot struct {
 	GeneratedNs uint64 // virtual generation instant
 	Rounds      uint64 // prober rounds completed
@@ -382,7 +391,7 @@ type Snapshot struct {
 func (s Snapshot) Worst() State {
 	w := Ok
 	for _, c := range s.Classes {
-		if c.State > w {
+		if c.State.Rank() > w.Rank() {
 			w = c.State
 		}
 	}
@@ -427,21 +436,21 @@ func (p *Plane) Evaluate() Snapshot {
 		}
 		lat := c.lat.Snapshot()
 		s.Classes = append(s.Classes, ClassStatus{
-			Class:        name,
-			Availability: c.obj.Availability,
-			LatencyNs:    c.obj.LatencyNs,
-			State:        c.state,
-			SinceNs:      c.sinceNs,
-			FastBurn:     bf,
-			SlowBurn:     bs,
-			WindowGood:   sg,
-			WindowBad:    sb,
-			Good:         c.good,
-			Bad:          c.bad,
-			ProbeP50Ns:   lat.Percentile(50),
-			ProbeP99Ns:   lat.Percentile(99),
-			Pages:        c.pages,
-			Warns:        c.warns,
+			Class:           name,
+			State:           c.state,
+			SinceNs:         c.sinceNs,
+			AvailabilityPpm: uint64(c.obj.Availability*1e6 + 0.5),
+			LatencyTargetNs: c.obj.LatencyNs,
+			FastBurnMilli:   uint64(bf*1000 + 0.5),
+			SlowBurnMilli:   uint64(bs*1000 + 0.5),
+			WindowGood:      sg,
+			WindowBad:       sb,
+			Good:            c.good,
+			Bad:             c.bad,
+			ProbeP50Ns:      lat.Percentile(50),
+			ProbeP99Ns:      lat.Percentile(99),
+			Pages:           c.pages,
+			Warns:           c.warns,
 		})
 	}
 	for _, name := range p.torder {

@@ -42,11 +42,11 @@ func TestBurnRateWindows(t *testing.T) {
 	}
 	clk.ns = 50
 	c := classOf(t, p.Evaluate(), "GET")
-	if c.FastBurn != c.SlowBurn {
-		t.Fatalf("partially filled windows disagree: fast %g, slow %g", c.FastBurn, c.SlowBurn)
+	if c.FastBurnMilli != c.SlowBurnMilli {
+		t.Fatalf("partially filled windows disagree: fast %d, slow %d milli", c.FastBurnMilli, c.SlowBurnMilli)
 	}
-	if c.FastBurn < 250 || c.FastBurn > 350 {
-		t.Fatalf("burn = %g, want ≈300", c.FastBurn)
+	if c.FastBurnMilli < 250_000 || c.FastBurnMilli > 350_000 {
+		t.Fatalf("burn = %d milli, want ≈300 000", c.FastBurnMilli)
 	}
 
 	// Heal: pure successes for one fast window. Fast burn drops to zero;
@@ -58,10 +58,10 @@ func TestBurnRateWindows(t *testing.T) {
 	}
 	clk.ns = 260 // the fast window [160,260] is entirely post-incident
 	c = classOf(t, p.Evaluate(), "GET")
-	if c.FastBurn != 0 {
-		t.Fatalf("fast burn = %g after clean fast window, want 0", c.FastBurn)
+	if c.FastBurnMilli != 0 {
+		t.Fatalf("fast burn = %d milli after clean fast window, want 0", c.FastBurnMilli)
 	}
-	if c.SlowBurn == 0 {
+	if c.SlowBurnMilli == 0 {
 		t.Fatalf("slow burn forgot the incident inside its window")
 	}
 
@@ -69,8 +69,8 @@ func TestBurnRateWindows(t *testing.T) {
 	clk.ns = 2000
 	p.Record("GET", 10, false)
 	c = classOf(t, p.Evaluate(), "GET")
-	if c.FastBurn != 0 || c.SlowBurn != 0 {
-		t.Fatalf("burns = %g/%g after full window slide, want 0/0", c.FastBurn, c.SlowBurn)
+	if c.FastBurnMilli != 0 || c.SlowBurnMilli != 0 {
+		t.Fatalf("burns = %d/%d milli after full window slide, want 0/0", c.FastBurnMilli, c.SlowBurnMilli)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestAlertStateMachine(t *testing.T) {
 	clk.ns = 90
 	c := classOf(t, p.Evaluate(), "GET")
 	if c.State != Page {
-		t.Fatalf("brownout state = %v (burns %g/%g), want page", c.State, c.FastBurn, c.SlowBurn)
+		t.Fatalf("brownout state = %v (burns %d/%d milli), want page", c.State, c.FastBurnMilli, c.SlowBurnMilli)
 	}
 	if c.Pages != 1 {
 		t.Fatalf("pages = %d, want 1", c.Pages)
@@ -130,7 +130,7 @@ func TestAlertStateMachine(t *testing.T) {
 	clk.ns = 230
 	c = classOf(t, p.Evaluate(), "GET")
 	if c.State == Page {
-		t.Fatalf("page still held one fast window after heal (burns %g/%g)", c.FastBurn, c.SlowBurn)
+		t.Fatalf("page still held one fast window after heal (burns %d/%d milli)", c.FastBurnMilli, c.SlowBurnMilli)
 	}
 	if c.State != Ok {
 		t.Fatalf("state = %v after clean fast window, want ok", c.State)
@@ -151,7 +151,7 @@ func TestWarnBeforePage(t *testing.T) {
 	clk.ns = 50
 	c := classOf(t, p.Evaluate(), "GET")
 	if c.State != Warn {
-		t.Fatalf("state = %v (burns %g/%g), want warn", c.State, c.FastBurn, c.SlowBurn)
+		t.Fatalf("state = %v (burns %d/%d milli), want warn", c.State, c.FastBurnMilli, c.SlowBurnMilli)
 	}
 	if c.Pages != 0 || c.Warns != 1 {
 		t.Fatalf("pages/warns = %d/%d, want 0/1", c.Pages, c.Warns)
@@ -182,14 +182,14 @@ func TestLatencySLO(t *testing.T) {
 func TestEmptyWindowsStayOk(t *testing.T) {
 	clk := &fakeClock{}
 	p := NewPlane(testConfig(), clk.now)
-	if c := classOf(t, p.Evaluate(), "GET"); c.State != Ok || c.FastBurn != 0 {
+	if c := classOf(t, p.Evaluate(), "GET"); c.State != Ok || c.FastBurnMilli != 0 {
 		t.Fatalf("empty plane: %+v", c)
 	}
 	p.Record("GET", 10, true)
 	clk.ns = 1 << 40 // jump far past the ring span
 	p.Record("GET", 10, false)
 	c := classOf(t, p.Evaluate(), "GET")
-	if c.SlowBurn != 0 {
+	if c.SlowBurnMilli != 0 {
 		t.Fatalf("ancient failure leaked into the window: %+v", c)
 	}
 }

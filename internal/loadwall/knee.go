@@ -141,10 +141,10 @@ func FindKnee(clock fabric.Clock, cfg Config, op Op, probe Probe) *Report {
 			}
 		}
 		if out.Passed && plane != nil {
-			if snap := plane.Evaluate(); snap.Worst() >= health.Page {
+			if snap := plane.Evaluate(); snap.Worst() == health.Page {
 				cs, _ := snap.Class(cfg.Class)
 				out.Passed = false
-				out.Reason = fmt.Sprintf("slo-page (burn %.1f, p99 %s)", cs.FastBurn, fmtNs(cs.ProbeP99Ns))
+				out.Reason = fmt.Sprintf("slo-page (burn %.1f, p99 %s)", float64(cs.FastBurnMilli)/1000, fmtNs(cs.ProbeP99Ns))
 			}
 		}
 		if out.Passed && float64(out.MaxLagNs) > maxBacklogFrac*float64(cfg.StepDurationNs) {

@@ -115,7 +115,7 @@ func (r *Router) ApplyHealth(name string, st health.State) {
 	if m == nil || m.dead {
 		return
 	}
-	m.state = st.String()
+	m.state = string(st)
 	switch st {
 	case health.Page:
 		m.okStreak = 0

@@ -40,9 +40,8 @@ type Tier struct {
 	router *Router
 }
 
-// New builds a tier over the given cells and attaches its MethodTier
-// snapshot source to every member, so any cell's gateway can answer
-// cmstat -tier.
+// New builds a tier over the given cells and names its router snapshot
+// to every member, so any cell's gateway can answer cmstat -tier.
 func New(opt Options) (*Tier, error) {
 	if len(opt.Cells) == 0 {
 		return nil, fmt.Errorf("tier: no cells")
@@ -62,9 +61,8 @@ func New(opt Options) (*Tier, error) {
 		t.order = append(t.order, cr.Name)
 	}
 	t.router = newRouter(t.order)
-	src := func() []byte { return t.router.Snapshot().Marshal() }
 	for _, c := range t.cells {
-		c.SetTierSource(src)
+		c.SetTierSnapshot(t.router.Snapshot)
 	}
 	return t, nil
 }
