@@ -2,10 +2,15 @@ package cell
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"cliquemap/internal/core/backend"
@@ -210,19 +215,32 @@ func TestGetBatchChargesNoWallTime(t *testing.T) {
 // when the driver moves it, so a serial run is a function of its seed.
 // Two runs, one on one P and one on two, must agree op for op — batches
 // included: a batch's keys share one pinned origin and fold in key order.
+// The serial run must also match testdata/replay.golden, which pins every
+// op's kind, outcome, ns, bytes and spans on each NIC and lookup strategy:
+// a change that moves any bill fails here. Rewrite it with -update only
+// when a change means to move the model.
 func TestManualClockReplays(t *testing.T) {
-	for _, tc := range []struct {
+	runs := []struct {
 		name string
 		run  func(t *testing.T, procs int) []replayOp
 	}{
 		{"pony-scar", func(t *testing.T, procs int) []replayOp {
 			return replayRun(t, TransportPony, client.StrategySCAR, procs)
 		}},
+		{"pony-2xr", func(t *testing.T, procs int) []replayOp {
+			return replayRun(t, TransportPony, client.Strategy2xR, procs)
+		}},
+		{"pony-msg", func(t *testing.T, procs int) []replayOp {
+			return replayRun(t, TransportPony, client.StrategyMSG, procs)
+		}},
 		{"1rma-2xr", func(t *testing.T, procs int) []replayOp {
 			return replayRun(t, Transport1RMA, client.Strategy2xR, procs)
 		}},
 		{"pony-scar-batch", batchReplayRun},
-	} {
+	}
+	golden := readReplayGolden(t)
+	var out strings.Builder
+	for _, tc := range runs {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tc.run(t, 1), tc.run(t, 2)
 			for i := range a {
@@ -231,6 +249,97 @@ func TestManualClockReplays(t *testing.T) {
 					t.Fatalf("op %d diverged:\n GOMAXPROCS=1: %v\n GOMAXPROCS=2: %v", i, x, y)
 				}
 			}
+			got := digestReplay(a)
+			out.WriteString(got.String(tc.name))
+			if *update {
+				return
+			}
+			want, ok := golden[tc.name]
+			if !ok {
+				t.Fatalf("%s has no run %q: rerun with -update", replayGolden, tc.name)
+			}
+			if got.sum == want.sum {
+				return
+			}
+			for i := range min(len(got.ops), len(want.ops)) {
+				if got.ops[i] != want.ops[i] {
+					t.Fatalf("run digest %s, golden %s: op %d is the first whose fingerprint differs: %+v", got.sum, want.sum, i, a[i])
+				}
+			}
+			t.Fatalf("run digest %s, golden %s: %d ops, golden %d", got.sum, want.sum, len(got.ops), len(want.ops))
 		})
 	}
+	if *update {
+		if err := os.WriteFile(replayGolden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite "+replayGolden)
+
+const replayGolden = "testdata/replay.golden"
+
+// replayDigest is a run as the golden holds it: a SHA-256 over every op,
+// and a one-byte fingerprint per op that locates the first op to differ.
+type replayDigest struct {
+	sum string
+	ops []byte
+}
+
+func digestReplay(ops []replayOp) replayDigest {
+	run := sha256.New()
+	d := replayDigest{ops: make([]byte, len(ops))}
+	for i, op := range ops {
+		var b []byte
+		b = fmt.Appendf(b, "%d|%s|%d|%d", op.kind, op.outcome, op.ns, op.bytes)
+		for _, s := range op.spans {
+			b = fmt.Appendf(b, "|%d,%d,%d,%d", s.Code, s.Arg, s.Start, s.Dur)
+		}
+		b = append(b, '\n')
+		run.Write(b)
+		d.ops[i] = sha256.Sum256(b)[0]
+	}
+	d.sum = hex.EncodeToString(run.Sum(nil))
+	return d
+}
+
+// String renders d as a "run" line followed by its fingerprints, 64 ops
+// to a line.
+func (d replayDigest) String(name string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "run %s %d %s\n", name, len(d.ops), d.sum)
+	for ops := d.ops; len(ops) > 0; {
+		n := min(64, len(ops))
+		b.WriteString(hex.EncodeToString(ops[:n]) + "\n")
+		ops = ops[n:]
+	}
+	return b.String()
+}
+
+func readReplayGolden(t *testing.T) map[string]replayDigest {
+	if *update {
+		return nil
+	}
+	raw, err := os.ReadFile(replayGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make(map[string]replayDigest)
+	var name string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "run" {
+			name = f[1]
+			runs[name] = replayDigest{sum: f[3]}
+			continue
+		}
+		b, err := hex.DecodeString(line)
+		if err != nil || name == "" {
+			t.Fatalf("%s: bad line %q", replayGolden, line)
+		}
+		d := runs[name]
+		d.ops = append(d.ops, b...)
+		runs[name] = d
+	}
+	return runs
 }
