@@ -84,12 +84,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// node is one backend task and its host-side NIC state.
+// node is one backend task and its host's NIC.
 type node struct {
-	info    config.BackendInfo
-	b       *backend.Backend
-	ponyNIC *pony.NIC
-	oneNIC  *onerma.NIC
+	info config.BackendInfo
+	b    *backend.Backend
+	nic  *nic.NIC
 }
 
 // Cell is a running CliqueMap cell.
@@ -110,7 +109,7 @@ type Cell struct {
 	mu          sync.Mutex
 	nodes       []*node // shards first, then spares
 	byAddr      map[string]*node
-	clientNICs  map[int]interface{} // host → *pony.NIC or *onerma.NIC
+	clientNICs  map[int]*nic.NIC // by host
 	nextClient  int
 	clientIDSeq uint64
 
@@ -143,7 +142,7 @@ func New(opt Options) (*Cell, error) {
 		HWHist:     &stats.Histogram{},
 		Tracer:     trace.NewTracer(),
 		byAddr:     make(map[string]*node),
-		clientNICs: make(map[int]interface{}),
+		clientNICs: make(map[int]*nic.NIC),
 	}
 	c.Net = rpc.NewNetwork(c.Fabric, rpc.CostModel{}, c.Acct)
 	c.Net.SetTracer(c.Tracer)
@@ -200,20 +199,22 @@ func (c *Cell) startNode(info config.BackendInfo, recovering bool) (*node, error
 	}
 	b.SetTracer(c.Tracer)
 	c.servePlanes(b.Server())
-	n := &node{info: info, b: b}
-	switch c.opt.Transport {
-	case TransportPony:
-		n.ponyNIC = pony.New(c.Fabric.Host(info.HostID), reg, c.opt.Pony, c.opt.PonyEng, c.Acct)
-		n.ponyNIC.SetMsgHandler(b.HandleMsg)
-		nic := n.ponyNIC
-		b.SetNICSatSource(func() backend.NICSaturation {
-			s := nic.Saturation()
-			return backend.NICSaturation{Engines: s.Engines, RhoMilli: s.RhoMilli, QueueNs: s.QueueNs, Ops: s.Ops}
-		})
-	case Transport1RMA:
-		n.oneNIC = onerma.New(c.Fabric.Host(info.HostID), reg, onerma.CostModel{}, c.Acct, nil)
-	}
+	n := &node{info: info, b: b, nic: c.newNIC(info.HostID, reg, nil)}
+	n.nic.SetMsgHandler(b.HandleMsg)
+	b.SetNICSatSource(func() backend.NICSaturation {
+		s := n.nic.Saturation()
+		return backend.NICSaturation{Engines: s.Engines, RhoMilli: s.RhoMilli, QueueNs: s.QueueNs, Ops: s.Ops}
+	})
 	return n, nil
+}
+
+// newNIC builds host's NIC on the cell's transport: the one place the
+// substrate is chosen. hist collects 1RMA hardware timestamps.
+func (c *Cell) newNIC(host int, reg *rmem.Registry, hist *stats.Histogram) *nic.NIC {
+	if c.opt.Transport == Transport1RMA {
+		return onerma.New(c.Fabric.Host(host), reg, onerma.CostModel{}, c.Acct, hist)
+	}
+	return pony.New(c.Fabric.Host(host), reg, c.opt.Pony, c.opt.PonyEng, c.Acct)
 }
 
 // Backend returns the task currently serving shard s.
@@ -248,15 +249,14 @@ func (c *Cell) Nodes() []*backend.Backend {
 	return out
 }
 
-// PonyEngines returns the engine count per backend node (Figure 15).
+// PonyEngines returns the engine count per backend node (Figure 15; 0 on
+// a hardware NIC).
 func (c *Cell) PonyEngines() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]int, 0, len(c.nodes))
 	for _, n := range c.nodes {
-		if n.ponyNIC != nil {
-			out = append(out, n.ponyNIC.Engines())
-		}
+		out = append(out, int(n.nic.Saturation().Engines))
 	}
 	return out
 }
@@ -283,20 +283,14 @@ func (c *Cell) clientHostID() int {
 }
 
 // clientNIC lazily builds the client-side NIC for a host.
-func (c *Cell) clientNIC(host int) interface{} {
+func (c *Cell) clientNIC(host int) *nic.NIC {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.clientNICs[host]; ok {
-		return n
+	n, ok := c.clientNICs[host]
+	if !ok {
+		n = c.newNIC(host, nil, c.HWHist)
+		c.clientNICs[host] = n
 	}
-	var n interface{}
-	switch c.opt.Transport {
-	case TransportPony:
-		n = pony.New(c.Fabric.Host(host), nil, c.opt.Pony, c.opt.PonyEng, c.Acct)
-	case Transport1RMA:
-		n = onerma.New(c.Fabric.Host(host), nil, onerma.CostModel{}, c.Acct, c.HWHist)
-	}
-	c.clientNICs[host] = n
 	return n
 }
 
@@ -330,28 +324,22 @@ func (c *Cell) newClient(copt client.Options, wanNs uint64) *client.Client {
 		copt.HostID = c.clientHostID()
 	}
 
+	local := c.clientNIC(copt.HostID)
 	dial := func(host int) nic.RMA {
-		local := c.clientNIC(copt.HostID)
 		target := c.servingNIC(host)
 		if target == nil {
 			return deadConn{}
 		}
-		switch c.opt.Transport {
-		case TransportPony:
-			return pony.Dial(c.Fabric, local.(*pony.NIC), target.ponyNIC)
-		default:
-			return onerma.Dial(c.Fabric, local.(*onerma.NIC), target.oneNIC)
-		}
+		return nic.Dial(c.Fabric, local, target.nic)
 	}
 	var msg client.MsgFunc
-	if c.opt.Transport == TransportPony {
+	if local.Messaging() {
 		msg = func(host int, at uint64, req []byte) ([]byte, fabric.OpTrace, error) {
-			local := c.clientNIC(copt.HostID).(*pony.NIC)
 			target := c.servingNIC(host)
-			if target == nil || target.ponyNIC == nil {
+			if target == nil {
 				return nil, fabric.OpTrace{}, nic.ErrUnreachable
 			}
-			return pony.Dial(c.Fabric, local, target.ponyNIC).Message(at, req)
+			return nic.Dial(c.Fabric, local, target.nic).Message(at, req)
 		}
 	}
 	if c.opt.Hash != nil && copt.Hash == nil {
@@ -506,12 +494,7 @@ func (c *Cell) SetEngineDelay(shard int, ns uint64) {
 	if n == nil {
 		return
 	}
-	if n.ponyNIC != nil {
-		n.ponyNIC.SetServiceDelay(ns)
-	}
-	if n.oneNIC != nil {
-		n.oneNIC.SetServiceDelay(ns)
-	}
+	n.nic.SetServiceDelay(ns)
 	n.b.SetServiceDelay(ns)
 }
 

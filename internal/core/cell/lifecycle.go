@@ -23,12 +23,7 @@ func (c *Cell) Crash(shard int) {
 		return
 	}
 	n.b.Server().Stop()
-	if n.ponyNIC != nil {
-		n.ponyNIC.SetDown(true)
-	}
-	if n.oneNIC != nil {
-		n.oneNIC.SetDown(true)
-	}
+	n.nic.SetDown(true)
 }
 
 // Restart brings shard s back as a fresh, empty task on its host (the

@@ -250,7 +250,7 @@ func TestManualClockReplays(t *testing.T) {
 				}
 			}
 			got := digestReplay(a)
-			out.WriteString(got.String(tc.name))
+			out.WriteString(got.render(tc.name))
 			if *update {
 				return
 			}
@@ -304,9 +304,9 @@ func digestReplay(ops []replayOp) replayDigest {
 	return d
 }
 
-// String renders d as a "run" line followed by its fingerprints, 64 ops
+// render writes d as a "run" line followed by its fingerprints, 64 ops
 // to a line.
-func (d replayDigest) String(name string) string {
+func (d replayDigest) render(name string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run %s %d %s\n", name, len(d.ops), d.sum)
 	for ops := d.ops; len(ops) > 0; {

@@ -92,8 +92,7 @@ func woke(tr fabric.OpTrace) bool {
 func TestCStatePenaltyAtIdle(t *testing.T) {
 	clk := &fabric.ManualClock{}
 	conn, w := newPairOn(clk, nil)
-	cm := DefaultCostModel()
-	gap := uint64(cm.CStateIdleGap)
+	const gap = cstateIdleGap
 
 	if _, first, _ := conn.Read(0, w.ID, 0, 64); !woke(first) {
 		t.Error("first op on a new NIC paid no wake")
@@ -111,7 +110,7 @@ func TestCStatePenaltyAtIdle(t *testing.T) {
 	if woke(warm) || !woke(cold) {
 		t.Errorf("wake after gap-1: %v, after gap: %v; want false, true", woke(warm), woke(cold))
 	}
-	if cold.Ns < warm.Ns+cm.CStateWakeNs/2 {
+	if cold.Ns < warm.Ns+cstateWakeNs/2 {
 		t.Errorf("idle op %dns vs warm %dns: C-state penalty missing", cold.Ns, warm.Ns)
 	}
 }

@@ -267,7 +267,7 @@ func TestEngineScaleOutUnderLoad(t *testing.T) {
 		{1_000_000, 200, 1}, // 1 000/s: below ScaleInAt
 	} {
 		run(step.gapNs, step.ops)
-		if got := server.Engines(); got != step.engines {
+		if got := int(server.Saturation().Engines); got != step.engines {
 			t.Errorf("%dns between reads: engines = %d, want %d (ρ %.3f)", step.gapNs, got, step.engines, float64(server.Saturation().RhoMilli)/1000)
 		}
 	}
