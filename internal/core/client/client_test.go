@@ -369,17 +369,20 @@ func TestScarPiggybacksData(t *testing.T) {
 	r := newRig(t)
 	cl := r.newClient(Options{Strategy: StrategySCAR})
 	ctx := context.Background()
-	cl.Set(ctx, []byte("k"), []byte("scar-value"))
+	value := bytes.Repeat([]byte("scar-value"), 50)
+	cl.Set(ctx, []byte("k"), value)
 	got, found, tr, err := cl.GetTraced(ctx, []byte("k"))
-	if err != nil || !found || string(got) != "scar-value" {
+	if err != nil || !found || !bytes.Equal(got, value) {
 		t.Fatalf("scar get: %q %v %v", got, found, err)
 	}
 	// SCAR under R=3.2 solicits three full copies: bytes moved must cover
-	// at least 3 buckets + 3 data entries (§6.3's incast trade).
-	bucketSize := uint64(layout.Geometry{Buckets: 32, Ways: 8}.BucketSize())
-	minBytes := 3 * bucketSize // lower bound: three full bucket responses
-	if tr.Bytes < minBytes {
-		t.Errorf("scar moved only %d bytes", tr.Bytes)
+	// at least 3 replies (a bucket header and the matched slot each) + 3
+	// data entries (§6.3's incast trade). The value is large enough that
+	// two legs, requests included, stay under the bound.
+	reply := layout.BucketHeaderSize + layout.IndexEntrySize
+	entry := layout.DataEntrySize(len("k"), len(value))
+	if minBytes := uint64(3 * (reply + entry)); tr.Bytes < minBytes {
+		t.Errorf("scar moved only %d bytes, want at least %d", tr.Bytes, minBytes)
 	}
 }
 

@@ -136,7 +136,7 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 		resp, tr, err := x.wait(&legs[i])
 		v.ns = tr.Ns
 		if how.oneSided() {
-			v.index(resp, legs[i].data, err, x.h, cfgID)
+			v.index(resp, legs[i].data, err, x.h, cfgID, legs[i].kind == legScar)
 		} else {
 			v.answer(resp, err)
 		}
@@ -164,18 +164,23 @@ func (v *indexView) answer(resp []byte, err error) {
 }
 
 // index fills v from a one-sided index leg: the bucket raw and a SCAR
-// leg's piggybacked DataEntry. cfgID is the config the client routed with;
-// an answer stamped differently means the fleet moved on (maintenance or
-// resize) and cannot be trusted.
-func (v *indexView) index(raw, data []byte, err error, h hashring.KeyHash, cfgID uint64) {
+// leg's piggybacked DataEntry. A SCAR answers with a one-slot bucket, the
+// header and the slot its NIC matched; a plain read with the whole bucket.
+// cfgID is the config the client routed with; an answer stamped differently
+// means the fleet moved on (maintenance or resize) and cannot be trusted.
+func (v *indexView) index(raw, data []byte, err error, h hashring.KeyHash, cfgID uint64, scar bool) {
 	if err != nil {
 		v.err = wrapTransportErr(v.rep.addr, err)
 		return
 	}
 	v.data = data
+	ways := v.rep.hello.Ways
+	if scar {
+		ways = 1
+	}
 	// The bucket is scanned where it lies in the leg's response buffer;
 	// only the matching slot is decoded.
-	b, err := layout.ViewBucket(raw, v.rep.hello.Ways)
+	b, err := layout.ViewBucket(raw, ways)
 	if err != nil {
 		v.err = err
 		return

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cliquemap/internal/checksum"
 	"cliquemap/internal/hashring"
@@ -267,6 +268,28 @@ func (r RawBucket) Find(h hashring.KeyHash) (IndexEntry, int, bool) {
 		}
 	}
 	return IndexEntry{}, -1, false
+}
+
+// AppendMatch appends bucket's one-slot form for h to dst — its header, then
+// the slot Find(h) picks, or a zeroed slot on a miss — and returns the
+// matched entry. It is what a SCAR reply carries (§6.3): everything a
+// client validates is the ConfigID, the flags and the matched slot, so
+// ViewBucket(reply, 1) answers ConfigID, Flags and Find(h) as the whole
+// bucket would for any h a key can hash to (never the zero hash). A bucket
+// too short for ways slots appends nothing, so a view of the reply fails
+// as a view of the bucket does.
+func AppendMatch(dst, bucket []byte, ways int, h hashring.KeyHash) ([]byte, IndexEntry, bool) {
+	raw, err := ViewBucket(bucket, ways)
+	if err != nil {
+		return dst, IndexEntry{}, false
+	}
+	dst = append(slices.Grow(dst, BucketHeaderSize+IndexEntrySize), raw[:BucketHeaderSize]...)
+	e, slot, ok := raw.Find(h)
+	if !ok {
+		return append(dst, make([]byte, IndexEntrySize)...), e, false
+	}
+	off := SlotOffset(slot)
+	return append(dst, raw[off:off+IndexEntrySize]...), e, true
 }
 
 // EncodeBucketHeader writes the header fields into dst.

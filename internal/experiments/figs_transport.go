@@ -14,8 +14,9 @@ import (
 
 // Fig12Incast regenerates Figure 12: SCAR versus 2×R when values are large
 // (64KB) relative to NIC speed, with and without competing load on the
-// client host. SCAR solicits three full copies of the datum (≈195KB/op),
-// 2×R one copy plus three 1KB buckets (≈67KB/op), so SCAR's single-RTT
+// client host. SCAR solicits three full copies of the datum, each behind
+// the one index entry its scan matched (≈195KB/op), 2×R one copy plus
+// three 1KB buckets (≈67KB/op), so SCAR's single-RTT
 // advantage inverts once the client downlink becomes the bottleneck.
 func Fig12Incast() Result {
 	const (
@@ -43,7 +44,7 @@ func Fig12Incast() Result {
 	res := Result{
 		Name:  "fig12",
 		Title: "SCAR vs 2xR median GET latency, 64KB values (us)",
-		Notes: "SCAR transfers ~195KB/op (3 values + 3 buckets) vs 2xR's ~67KB; deploy SCAR when values/batches are small relative to NIC speed (§7.2.2)",
+		Notes: "SCAR transfers ~195KB/op (3 values + 3 index entries) vs 2xR's ~67KB; deploy SCAR when values/batches are small relative to NIC speed (§7.2.2)",
 	}
 	for _, load := range []bool{false, true} {
 		label := "no-load"

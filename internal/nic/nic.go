@@ -28,10 +28,12 @@ var (
 	ErrUnreachable = errors.New("nic: target unreachable")
 )
 
-// ScarResult is the combined response of a Scan-and-Read (§6.3): the full
-// Bucket plus, when the scan matched, the DataEntry bytes it pointed at.
+// ScarResult is the combined response of a Scan-and-Read (§6.3): a
+// one-slot bucket — the scanned bucket's header and the IndexEntry that
+// matched (a zeroed slot on a miss), layout.ViewBucket(Bucket, 1) — plus,
+// when the scan matched, the DataEntry bytes the entry pointed at.
 type ScarResult struct {
-	Bucket []byte // raw bucket bytes
+	Bucket []byte // the bucket's header, then the matched slot
 	Data   []byte // raw DataEntry bytes; nil if the scan found no match
 	Found  bool
 }
@@ -44,10 +46,11 @@ type RMA interface {
 	// Read performs a one-sided read of length bytes at off in window win
 	// on the target, returning the bytes and the op's modelled latency.
 	Read(at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error)
-	// ScanAndRead executes the SCAR primitive: read the bucket at
-	// [bucketOff, bucketOff+bucketLen) in idxWin, scan it NIC-side for
-	// hash, follow the matching IndexEntry's pointer into the data region,
-	// and return bucket plus data in a single round trip.
+	// ScanAndRead executes the SCAR primitive: scan the bucket at
+	// [bucketOff, bucketOff+bucketLen) in idxWin NIC-side for hash, follow
+	// the matching IndexEntry's pointer into the data region, and return
+	// the bucket's header, the matched slot and the data in a single round
+	// trip.
 	ScanAndRead(at uint64, idxWin rmem.WindowID, bucketOff, bucketLen int, hash hashring.KeyHash, ways int) (ScarResult, fabric.OpTrace, error)
 	SupportsScar() bool // whether ScanAndRead is available
 }
@@ -293,7 +296,8 @@ func (c *Conn) AppendRead(dst []byte, spans []fabric.Span, at uint64, win rmem.W
 }
 
 // ScanAndRead executes SCAR (§6.3): one request, a server-NIC-side bucket
-// scan, and one response carrying bucket + matched DataEntry.
+// scan, and one response carrying the bucket's header, the matched
+// IndexEntry and the DataEntry it names.
 func (c *Conn) ScanAndRead(at uint64, idxWin rmem.WindowID, bucketOff, bucketLen int, hash hashring.KeyHash, ways int) (ScarResult, fabric.OpTrace, error) {
 	return c.AppendScanAndRead(nil, make([]fabric.Span, 0, 4), at, idxWin, bucketOff, bucketLen, hash, ways)
 }
@@ -309,29 +313,34 @@ func (c *Conn) AppendScanAndRead(dst []byte, spans []fabric.Span, at uint64, idx
 	if err != nil {
 		return res, l.tr, err
 	}
-	scan, n := uint64(ways)*perEntry, len(dst)
-	resp, err := c.to.reg.AppendRead(dst, idxWin, bucketOff, bucketLen)
-	if err != nil {
+	// The NIC scans the bucket where it lies, under the index region's
+	// lock, and answers with a one-slot bucket: the header, then the matched
+	// slot (a zeroed one on a miss), then the DataEntry its pointer names —
+	// one buffer, as on the wire. The bucket itself never enters dst. The
+	// entry's extent is checked before it sizes anything — the pointer came
+	// out of RMA-visible memory. A failed pointer chase (window revoked
+	// mid-op, a damaged pointer) returns the slot alone; the client
+	// validates and retries via RPC. Scan and entry are two separately
+	// locked reads, never one atomic snapshot.
+	scan, n, resp := uint64(ways)*perEntry, len(dst), dst
+	var e layout.IndexEntry
+	var hit bool
+	if err := c.to.reg.Peek(idxWin, bucketOff, bucketLen, func(bucket []byte) {
+		resp, e, hit = layout.AppendMatch(dst, bucket, ways, hash)
+	}); err != nil {
 		c.serve(&l, trace.SpanEngineService, 0, scan, 0)
 		err = c.finish(&l, 0, 0, 0, err)
 		return res, l.tr, err
 	}
-	// The response is one buffer, as on the wire: the bucket, then the
-	// DataEntry the scan pointed at. The entry's extent is checked before it
-	// sizes anything — the pointer came out of RMA-visible memory. A failed
-	// pointer chase (window revoked mid-op, a damaged pointer) returns just
-	// the bucket; the client validates and retries via RPC. Bucket and entry
-	// are two separately-locked reads, never one atomic snapshot.
-	if raw, verr := layout.ViewBucket(resp[n:], ways); verr == nil {
-		if e, _, ok := raw.Find(hash); ok && !e.Ptr.Nil() {
-			if withData, derr := c.to.reg.AppendRead(resp, e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size)); derr == nil {
-				resp = withData
-				res.Data = resp[n+bucketLen:]
-				res.Found = true
-			}
+	reply := len(resp) - n
+	if hit && !e.Ptr.Nil() {
+		if withData, derr := c.to.reg.AppendRead(resp, e.Ptr.Window, int(e.Ptr.Offset), int(e.Ptr.Size)); derr == nil {
+			resp = withData
+			res.Data = resp[n+reply:]
+			res.Found = true
 		}
 	}
-	res.Bucket = resp[n : n+bucketLen : n+bucketLen]
+	res.Bucket = resp[n : n+reply : n+reply]
 	sz := len(resp) - n
 	c.serve(&l, trace.SpanEngineService, uint32(sz), scan, len(res.Data))
 	if err := c.finish(&l, uint32(sz), sz, sz, nil); err != nil {

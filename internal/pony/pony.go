@@ -7,8 +7,9 @@
 // Two properties drive the paper's results and are reproduced:
 //
 //   - SCAR (Scan-and-Read, §6.3): a custom RMA-like op that scans a Bucket
-//     server-side inside the NIC and returns Bucket + DataEntry in one
-//     round trip, halving both RTTs and per-op fixed CPU relative to 2×R.
+//     server-side inside the NIC and returns, in one round trip, the
+//     bucket's header, the IndexEntry that matched and the DataEntry it
+//     names — halving both RTTs and per-op fixed CPU relative to 2×R.
 //
 //   - Engine scale-out: engines are single-threaded and either time-share
 //     a core or fan out to more cores as load rises. Scale-out reduces

@@ -69,6 +69,10 @@ func newRig(t *testing.T, key, value []byte) *testRig {
 	}
 }
 
+// scarReply is a SCAR reply's size before the DataEntry: the bucket's
+// header and the one slot the scan matched.
+const scarReply = layout.BucketHeaderSize + layout.IndexEntrySize
+
 func (r *testRig) bucketOff() int {
 	return r.geo.BucketOffset(int(r.hash.Lo % uint64(r.geo.Buckets)))
 }
@@ -119,11 +123,11 @@ func TestScarHit(t *testing.T) {
 	if string(e.Value) != "scar-value" {
 		t.Errorf("value = %q", e.Value)
 	}
-	if len(res.Bucket) != rig.geo.BucketSize() {
-		t.Errorf("bucket %d bytes", len(res.Bucket))
+	if len(res.Bucket) != scarReply {
+		t.Errorf("reply carries %d bytes before the entry, want the header and one slot (%d)", len(res.Bucket), scarReply)
 	}
-	if tr.Bytes < uint64(rig.geo.BucketSize()) {
-		t.Error("trace bytes must include bucket")
+	if tr.Bytes < uint64(scarReply+len(res.Data)) {
+		t.Error("trace bytes must include the reply")
 	}
 }
 
@@ -139,8 +143,8 @@ func TestScarMissReturnsBucketOnly(t *testing.T) {
 	if res.Found || res.Data != nil {
 		t.Error("miss returned data")
 	}
-	if res.Bucket == nil {
-		t.Error("miss must still return the bucket")
+	if len(res.Bucket) != scarReply {
+		t.Errorf("miss returned %d bytes, want the header and a zeroed slot (%d)", len(res.Bucket), scarReply)
 	}
 }
 
@@ -435,12 +439,14 @@ func TestMessageDownNIC(t *testing.T) {
 	}
 }
 
-// TestScarResponseIsOneBuffer: a SCAR response is one buffer — the bucket,
-// cap-limited, then the DataEntry — and only the bucket on a miss or a
-// failed pointer chase, in both forms; the append form's buffer is dst's
-// tail. The modelled side (latency, wire bytes, span codes/args/starts/
-// durations) is pinned to the values the two-copy implementation produced
-// for the same fixture, but for the peek failure's serving-engine span.
+// TestScarResponseIsOneBuffer: a SCAR response is one buffer — the
+// bucket's header and the matched slot, cap-limited, then the DataEntry —
+// and only the header and slot on a miss or a failed pointer chase, in
+// both forms; the append form's buffer is dst's tail. The modelled side
+// (latency, wire bytes, span codes/args/starts/durations) is pinned to the
+// values of the one-slot reply; the whole-bucket reply before it billed
+// 216 more bytes per answered leg (hit 5793 ns 458 B, miss 5780 ns 400 B)
+// and a serving engine and a receive that differ only in those bytes.
 func TestScarResponseIsOneBuffer(t *testing.T) {
 	absent := func(r *testRig) hashring.KeyHash {
 		h := hashring.DefaultHash([]byte("absent"))
@@ -470,13 +476,13 @@ func TestScarResponseIsOneBuffer(t *testing.T) {
 		bytes   uint64
 		spans   []fabric.Span
 	}{
-		{"hit", stored, nil, true, nil, 5793, 458,
-			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 362, Start: 2721, Dur: 514}, {Code: 11, Start: 5559, Dur: 234}}},
-		{"miss", absent, nil, false, nil, 5780, 400,
-			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 304, Start: 2721, Dur: 512}, {Code: 11, Start: 5548, Dur: 232}}},
+		{"hit", stored, nil, true, nil, 5749, 242,
+			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 146, Start: 2721, Dur: 514}, {Code: 11, Start: 5524, Dur: 225}}},
+		{"miss", absent, nil, false, nil, 5736, 184,
+			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 88, Start: 2721, Dur: 512}, {Code: 11, Start: 5513, Dur: 223}}},
 		{"failed pointer chase", stored,
-			func(r *testRig) { r.conn.Target().Registry().Revoke(r.dataWin.ID) }, false, nil, 5780, 400,
-			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 304, Start: 2721, Dur: 512}, {Code: 11, Start: 5548, Dur: 232}}},
+			func(r *testRig) { r.conn.Target().Registry().Revoke(r.dataWin.ID) }, false, nil, 5736, 184,
+			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Arg: 88, Start: 2721, Dur: 512}, {Code: 11, Start: 5513, Dur: 223}}},
 		{"revoked index window", stored,
 			func(r *testRig) { r.conn.Target().Registry().Revoke(r.idxWin.ID) }, false, rmem.ErrRevoked, 5509, 96,
 			[]fabric.Span{{Code: 9, Dur: 440}, {Code: 10, Start: 2721, Dur: 512}}},
@@ -501,8 +507,8 @@ func TestScarResponseIsOneBuffer(t *testing.T) {
 						}
 						return
 					}
-					if len(res.Bucket) != rig.geo.BucketSize() || cap(res.Bucket) != len(res.Bucket) {
-						t.Fatalf("bucket len=%d cap=%d, want both %d", len(res.Bucket), cap(res.Bucket), rig.geo.BucketSize())
+					if len(res.Bucket) != scarReply || cap(res.Bucket) != len(res.Bucket) {
+						t.Fatalf("reply len=%d cap=%d, want both %d", len(res.Bucket), cap(res.Bucket), scarReply)
 					}
 					if form.name == "AppendScanAndRead" && &res.Bucket[0] != &prefix[:len(prefix)+1][len(prefix)] {
 						t.Error("the response did not land in dst's tail")
@@ -512,7 +518,7 @@ func TestScarResponseIsOneBuffer(t *testing.T) {
 					}
 					if !tc.found {
 						if res.Data != nil {
-							t.Errorf("bucket-only response carries %d data bytes", len(res.Data))
+							t.Errorf("slot-only response carries %d data bytes", len(res.Data))
 						}
 						return
 					}
@@ -638,8 +644,9 @@ func sameOutcome(t *testing.T, want, got fabric.OpTrace, werr, gerr error) {
 
 // TestDamagedPointerIsBoundsError: an IndexEntry pointer is read out of
 // RMA-visible memory, so a flipped size bit or a stale offset reaches the
-// serving NIC as-is. It must cost ErrOutOfBounds (Read) or a bucket-only
-// response (SCAR) — never an allocation sized by the damage.
+// serving NIC as-is. It must cost ErrOutOfBounds (Read) or a response of
+// the header and the matched slot alone (SCAR) — never an allocation sized
+// by the damage.
 func TestDamagedPointerIsBoundsError(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -670,8 +677,8 @@ func TestDamagedPointerIsBoundsError(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ScanAndRead: %v", err)
 			}
-			if res.Found || res.Data != nil || len(res.Bucket) != rig.geo.BucketSize() {
-				t.Errorf("response = found %v, %d data bytes, %d bucket bytes; want the bucket alone", res.Found, len(res.Data), len(res.Bucket))
+			if res.Found || res.Data != nil || len(res.Bucket) != scarReply {
+				t.Errorf("response = found %v, %d data bytes, %d reply bytes; want the header and slot alone (%d)", res.Found, len(res.Data), len(res.Bucket), scarReply)
 			}
 		})
 	}

@@ -288,6 +288,25 @@ func (g *Registry) Lookup(id WindowID) (*Window, error) {
 	return w.(*Window), nil
 }
 
+// Peek runs fn on [off, off+length) of window id in place, holding the
+// span's locks for fn's whole run, so fn sees what one AppendRead of the
+// extent would copy. A NIC that scans a bucket server-side reads it this
+// way and copies out only what it answers with. fn must not keep the view.
+func (g *Registry) Peek(id WindowID, off, length int, fn func(view []byte)) error {
+	w, err := g.Lookup(id)
+	if err != nil {
+		return err
+	}
+	r := w.Region
+	if !r.InBounds(off, length) {
+		return ErrOutOfBounds
+	}
+	lo, hi := r.lockRange(off, length)
+	defer r.unlockRange(lo, hi)
+	fn(r.buf[off : off+length : off+length])
+	return nil
+}
+
 // AppendRead serves a one-sided read against window id into dst's tail: it
 // returns append(dst, bytes…), or dst unchanged on error. off and length
 // come from outside — the initiator's geometry, a pointer read out of

@@ -2,6 +2,7 @@ package rmem
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"runtime"
 	"sync"
@@ -78,6 +79,9 @@ func TestBoundsAreOverflowSafe(t *testing.T) {
 		}
 		if _, err := reg.AppendRead(nil, w.ID, tc.off, tc.n); err != ErrOutOfBounds {
 			t.Errorf("Registry.AppendRead(%d, %d): %v", tc.off, tc.n, err)
+		}
+		if err := reg.Peek(w.ID, tc.off, tc.n, func([]byte) { t.Errorf("Peek(%d, %d) ran fn", tc.off, tc.n) }); err != ErrOutOfBounds {
+			t.Errorf("Registry.Peek(%d, %d): %v", tc.off, tc.n, err)
 		}
 		if tc.n >= 0 && tc.n <= 64 { // the slice-taking entry points, with a length one can hold
 			buf := make([]byte, tc.n)
@@ -286,10 +290,17 @@ func TestRegistryLifecycle(t *testing.T) {
 	if string(got) != "window data" {
 		t.Errorf("read %q", got)
 	}
+	var peeked string
+	if err := g.Peek(w.ID, 7, 4, func(v []byte) { peeked = string(v) }); err != nil || peeked != "data" {
+		t.Errorf("peek %q, %v", peeked, err)
+	}
 
 	g.Revoke(w.ID)
 	if _, err := g.AppendRead(nil, w.ID, 0, 11); err == nil {
 		t.Error("read after revoke should fail")
+	}
+	if err := g.Peek(w.ID, 0, 11, func([]byte) { t.Error("peek after revoke ran fn") }); !errors.Is(err, ErrRevoked) {
+		t.Errorf("peek after revoke: %v", err)
 	}
 	if _, err := g.Lookup(w.ID); err == nil {
 		t.Error("lookup after revoke should fail")
