@@ -178,13 +178,12 @@ type ClientOptions struct {
 	// wait with no mutation headed its way.
 	TouchBatch int
 	// NearCacheEntries turns on hot-key adaptive serving (0 = off): a
-	// client-side near-cache of that many server-promoted keys, RPC
-	// steering for promoted keys with values past the Figure 20 crossover,
-	// and promoted keys' data reads spread across the quorum members.
+	// client-side near-cache of that many server-promoted keys.
 	// Near-serves are validated by a 1-RTT index-only quorum read, so they
-	// never return a value no quorum currently vouches for. RMA strategies
-	// (2xR, SCAR) only. Requires TouchBatch > 0: promotion decisions ride
-	// the acks to access records.
+	// never return a value no quorum currently vouches for. A promoted
+	// key's GET the near-cache cannot serve takes Strategy like any other.
+	// RMA strategies (2xR, SCAR) only. Requires TouchBatch > 0: promotion
+	// decisions ride the acks to access records.
 	NearCacheEntries int
 }
 
@@ -432,7 +431,6 @@ type ClientStats struct {
 	BudgetDenied       uint64
 	NearHits           uint64
 	NearStale          uint64
-	SteerRPC           uint64
 	GetP50, GetP99     time.Duration
 }
 
@@ -452,7 +450,6 @@ func (c *Client) Stats() ClientStats {
 		BudgetDenied: m.BudgetDenied.Value(),
 		NearHits:     m.NearHits.Value(),
 		NearStale:    m.NearStale.Value(),
-		SteerRPC:     m.SteerRPC.Value(),
 		GetP50:       time.Duration(m.GetLatency.Percentile(50)),
 		GetP99:       time.Duration(m.GetLatency.Percentile(99)),
 	}

@@ -3,8 +3,7 @@ package cliquemap
 // End-to-end tests for the hot-key adaptive serving loop: server-side
 // promotion (heat sketch → promoted set), piggybacked promotion learning
 // on Touch acks, and the one client switch (NearCacheEntries) that turns
-// on the near-cache with quorum revalidation, per-key transport steering
-// and data-read spreading.
+// on the near-cache with quorum revalidation.
 
 import (
 	"context"

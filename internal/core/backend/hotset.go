@@ -16,11 +16,9 @@ import (
 // clears a promotion bar are PROMOTED, and the set (with a monotonically
 // increasing epoch) rides the responses that have readers: the acks to
 // access records, of a Touch RPC or of a mutation leg that carried them
-// (clients near-cache, steer and spread promoted keys), and Stats scrapes
-// (cmstat's PROMOTED table). A promoted key is otherwise an ordinary key:
-// it converges through RepairShard like any other, and read spreading
-// needs no residency guarantee because the client only reads data from
-// quorum members holding the winning version.
+// (clients near-cache promoted keys), and Stats scrapes (cmstat's
+// PROMOTED table). A promoted key is otherwise an ordinary key: it
+// converges through RepairShard like any other.
 //
 // Hysteresis: a key promotes when its estimated count reaches the
 // promote bar (a traffic share floor with an absolute minimum) and stays

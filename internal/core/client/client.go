@@ -92,8 +92,6 @@ type Metrics struct {
 	BackoffNs              stats.Counter // virtual ns spent backing off
 	NearHits               stats.Counter // near-cache serves validated by an index quorum
 	NearStale              stats.Counter // near entries dropped: version moved under us
-	SteerRPC               stats.Counter // hot large-value GETs steered to RPC (Fig 20)
-	SpreadReads            stats.Counter // hot data reads rotated off the fastest replica
 	GetLatency, SetLatency stats.Histogram
 }
 
@@ -124,11 +122,10 @@ type Options struct {
 	// ID so distinct clients desynchronize by default.
 	Seed uint64
 	// NearCacheEntries is the one hot-key adaptive-serving switch (0 = off):
-	// it sizes the client-side near-cache for server-promoted keys and turns
-	// on their per-key steering to RPC past the Fig 20 size crossover and
-	// their data-read spreading across the quorum. Only the RMA lookup
-	// strategies (2xR, SCAR) use it: their index-only revalidation round is
-	// what makes a near-serve cheaper than the full path.
+	// it sizes the client-side near-cache for server-promoted keys. Only the
+	// RMA lookup strategies (2xR, SCAR) use it: their index-only
+	// revalidation round is what makes a near-serve cheaper than the full
+	// path.
 	NearCacheEntries int
 }
 
@@ -168,6 +165,7 @@ type Client struct {
 	msg   MsgFunc
 	now   NowFunc
 	acct  *stats.CPUAccount
+	fetch legKind // a GET attempt's fetch, by Strategy (the final fallback goes over RPC)
 
 	mu     sync.Mutex
 	cfg    config.CellConfig
@@ -221,6 +219,16 @@ func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock
 	}
 	c.rngState.Store(opt.Seed)
 	c.cfg = store.Get()
+	switch {
+	case opt.Strategy == StrategyRPC, opt.Strategy == StrategyMSG && msg == nil:
+		c.fetch = legRPC
+	case opt.Strategy == StrategyMSG:
+		c.fetch = legMsg
+	case opt.Strategy == StrategySCAR:
+		c.fetch = legScar
+	default:
+		c.fetch = legIndex
+	}
 	if opt.NearCacheEntries > 0 && (opt.Strategy == Strategy2xR || opt.Strategy == StrategySCAR) {
 		c.near = newNearCache(opt.NearCacheEntries)
 	}

@@ -31,25 +31,6 @@ type indexView struct {
 	late     bool // asked in an escalation round, after the first ended
 }
 
-// fetchFor picks this GET's fetch, named by its index legs' kind: the
-// configured strategy, unless per-key steering moves a promoted large value
-// onto RPC — past the Fig 20 crossover one RPC moves fewer bytes (and
-// fewer NIC ops) than the RMA index+data legs.
-func (c *Client) fetchFor(key []byte) legKind {
-	switch {
-	case c.opt.Strategy == StrategyRPC, c.opt.Strategy == StrategyMSG && c.msg == nil:
-		return legRPC
-	case c.opt.Strategy == StrategyMSG:
-		return legMsg
-	case c.steerToRPC(key):
-		c.M.SteerRPC.Inc()
-		return legRPC
-	case c.opt.Strategy == StrategySCAR:
-		return legScar
-	}
-	return legIndex
-}
-
 // fetchViews resolves the key's read cohort and fetches from it on x,
 // appending one view per consulted member to views (errors included, so
 // the vote can surface them). Its legs are pinned at pin, or now if pin is

@@ -115,7 +115,7 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 			sc.Attempt = uint32(attempt)
 		}
 		attemptStart := x.tr.Ns
-		val, ok, wver, aerr := c.attemptGet(&x, key, after(pin, x.tr.Ns), c.fetchFor(key))
+		val, ok, wver, aerr := c.attemptGet(&x, key, after(pin, x.tr.Ns), c.fetch)
 		if aerr == nil {
 			c.opt.Budget.Credit()
 			if ok {
@@ -169,11 +169,7 @@ func (c *Client) attemptGet(x *legExec, key []byte, pin uint64, how legKind) ([]
 	cfg := c.Config()
 	var viewArr [8]indexView
 	views := c.fetchViews(x, pin, cfg, key, how, viewArr[:0])
-	// Whether the key is promoted decides both the speculative read and the
-	// data read's spread, so it is read once: a mutation ack on another
-	// goroutine can change it mid-attempt.
-	promoted := c.near != nil && c.isPromoted(key)
-	sp := c.speculate(x, how, views, cfg.Mode.Quorum(), promoted)
+	sp := c.speculate(x, how, views, cfg.Mode.Quorum())
 
 	winner, err := quorum(&x.tr, views, cfg.Mode.Quorum())
 	if sp.view >= 0 {
@@ -202,7 +198,7 @@ func (c *Client) attemptGet(x *legExec, key []byte, pin uint64, how legKind) ([]
 		}
 		return nil, false, truetime.Version{}, nil
 	}
-	val, err := c.readData(x, key, how, views, winner, &sp, promoted)
+	val, err := c.readData(x, key, how, views, winner, &sp)
 	if err != nil {
 		return nil, false, truetime.Version{}, err
 	}
@@ -218,16 +214,16 @@ type specRead struct {
 
 // speculate starts, while the quorum forms, the data read of the fastest
 // first-round view if that replica is healthy and its entry takes a
-// dependent read. Need-1 modes (the first answer is the quorum) and
-// promoted keys (spread over the quorum) wait for the vote.
-func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int, promoted bool) (sp specRead) {
+// dependent read. Need-1 modes (the first answer is the quorum) wait for
+// the vote.
+func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int) (sp specRead) {
 	sp.view = -1 // the fastest first-round view; a late leg counts from its own pin
 	for i := range views {
 		if v := &views[i]; v.err == nil && !v.late && (sp.view < 0 || v.ns < views[sp.view].ns) {
 			sp.view = i
 		}
 	}
-	if sp.view >= 0 && need > 1 && !promoted {
+	if sp.view >= 0 && need > 1 {
 		if v := &views[sp.view]; v.present && (how == legIndex || how == legScar && !v.rep.conn.SupportsScar()) && !c.replicaDemoted(v.rep.addr) {
 			sp.leg = x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.origin+v.ns)
 			return sp
@@ -250,7 +246,7 @@ type cand struct {
 // retry. The checksum (§3) is the only corruption defense, so every
 // absorbed failure is counted. Each leg but a kept speculative read
 // starts where the op's trace ends.
-func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView, winner truetime.Version, sp *specRead, promoted bool) ([]byte, error) {
+func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView, winner truetime.Version, sp *specRead) ([]byte, error) {
 	// Candidates fastest first, with health-demoted members sorted last so
 	// a browned-out backend serves data only when no healthy member can.
 	var candArr [8]cand
@@ -283,28 +279,6 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 		}
 		return cmp.Compare(a.ns, b.ns)
 	})
-	// Hot-key spread (on with the near-cache): rotate the healthy prefix so
-	// a promoted key's data reads load-balance across the quorum instead of
-	// always landing on the fastest (soon to be hottest) replica. Every
-	// candidate holds the winning version, so no rotation can address a
-	// replica that lacks it. Demoted members keep their sorted-last
-	// position; failover order is unchanged.
-	if promoted && len(cands) > 1 {
-		healthy := 0
-		for healthy < len(cands) && !cands[healthy].demoted {
-			healthy++
-		}
-		if healthy > 1 {
-			if r := int(c.rand64() % uint64(healthy)); r > 0 {
-				var rot [8]cand
-				copy(rot[:healthy], cands[:healthy])
-				for i := 0; i < healthy; i++ {
-					cands[i] = rot[(i+r)%healthy]
-				}
-				c.M.SpreadReads.Inc()
-			}
-		}
-	}
 
 	var lastErr error = ErrInquorate
 	for ci, cd := range cands {

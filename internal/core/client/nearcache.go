@@ -2,7 +2,7 @@ package client
 
 // Hot-key adaptive serving — the client half of the loop the server's
 // promotion machinery (backend/hotset.go) drives. Its one switch,
-// Options.NearCacheEntries > 0, turns on all of
+// Options.NearCacheEntries > 0, turns on both of
 //
 //   - NEAR-CACHE: values of server-promoted (sketch-hot) keys are cached
 //     client-side with their quorum-winning VersionNumber. A near-serve is
@@ -15,15 +15,9 @@ package client
 //   - PROMOTION LEARNING: the promoted-key set piggybacks on responses
 //     the client already receives (access-record acks, §4.2);
 //     per-backend sets are epoch-gated and merged into one atomic snapshot.
-//   - STEERING: per-key transport choice. Promoted keys whose last
-//     observed value size clears the Fig 20 crossover are fetched over
-//     RPC (one round trip carrying the value beats index+data RMA reads
-//     at large sizes); everything else keeps the configured strategy.
-//   - SPREADING: promoted keys rotate the data-read candidate order
-//     across the healthy quorum members instead of always hammering the
-//     fastest replica, so a hot key's data reads load-balance R-ways. The
-//     candidates are only members holding the winning version, so no
-//     rotation reads a replica that lacks it.
+//
+// A promoted key's GET that the near-cache cannot serve takes the
+// configured strategy like any other.
 //
 // What the near-cache does NOT guarantee: a hit is as fresh as the
 // revalidation quorum — a mutation acked after the revalidation round
@@ -41,12 +35,6 @@ import (
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/truetime"
 )
-
-// hotRPCCrossoverBytes is the per-key steering threshold: Figure 20's
-// value-size sweep has RPC lookups matching the RMA paths' latency in
-// the tens-of-KB range while moving fewer NIC-engine bytes than a SCAR
-// data piggyback, so promoted keys at least this large steer to RPC.
-const hotRPCCrossoverBytes = 16 << 10
 
 // errNearInconclusive reports a revalidation round that cannot decide
 // (an overflowed bucket hides the key from index-only reads); the full
@@ -77,19 +65,10 @@ type nearCache struct {
 	seq   uint64
 	m     map[string]nearEntry
 	order []nearOrder
-
-	// sizes keeps last-observed value sizes for steering — advisory
-	// only, so entries survive drops and are evicted on their own FIFO.
-	sizes     map[string]int
-	sizeOrder []string
 }
 
 func newNearCache(capacity int) *nearCache {
-	return &nearCache{
-		cap:   capacity,
-		m:     make(map[string]nearEntry, capacity),
-		sizes: make(map[string]int),
-	}
+	return &nearCache{cap: capacity, m: make(map[string]nearEntry, capacity)}
 }
 
 func (n *nearCache) get(key []byte) (nearEntry, bool) {
@@ -103,17 +82,6 @@ func (n *nearCache) put(key, val []byte, ver truetime.Version) {
 	k := string(key)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.sizes[k] != len(val) {
-		if _, seen := n.sizes[k]; !seen {
-			n.sizeOrder = append(n.sizeOrder, k)
-			for len(n.sizeOrder) > 4*n.cap {
-				victim := n.sizeOrder[0]
-				n.sizeOrder = n.sizeOrder[1:]
-				delete(n.sizes, victim)
-			}
-		}
-		n.sizes[k] = len(val)
-	}
 	if e, ok := n.m[k]; ok {
 		e.val, e.ver = append([]byte(nil), val...), ver
 		n.m[k] = e
@@ -141,15 +109,6 @@ func (n *nearCache) drop(key []byte) {
 	n.mu.Lock()
 	delete(n.m, string(key))
 	n.mu.Unlock()
-}
-
-// sizeHint returns the last observed value size for key, if any — the
-// steering input. Survives entry drops (it is advisory, not state).
-func (n *nearCache) sizeHint(key []byte) (int, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sz, ok := n.sizes[string(key)]
-	return sz, ok
 }
 
 // ----------------------------------------------------- promotion state --
@@ -236,8 +195,7 @@ func (c *Client) mergePromo() {
 // ------------------------------------------------------- near-serving --
 
 // nearStore admits a quorum-validated GET result to the cache when its key
-// is promoted; only then does its value size feed the steering hint, so a
-// key's first read after promotion still uses the configured strategy.
+// is promoted.
 func (c *Client) nearStore(key, val []byte, ver truetime.Version) {
 	if c.near == nil || ver.Zero() || !c.isPromoted(key) {
 		return
@@ -273,16 +231,4 @@ func (c *Client) revalidateIndex(x *legExec, key []byte, pin uint64) (ver trueti
 		}
 	}
 	return truetime.Version{}, false, nil
-}
-
-// steerToRPC decides whether this GET should leave the configured
-// transport for RPC: promoted keys whose last observed value size clears
-// the Fig 20 crossover move more bytes over the RMA paths (bucket + data
-// or SCAR piggyback) than a single RPC round trip carrying the value.
-func (c *Client) steerToRPC(key []byte) bool {
-	if c.near == nil || !c.isPromoted(key) {
-		return false
-	}
-	sz, ok := c.near.sizeHint(key)
-	return ok && sz >= hotRPCCrossoverBytes
 }

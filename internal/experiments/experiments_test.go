@@ -393,11 +393,11 @@ func TestFigLoadWallShape(t *testing.T) {
 
 // TestFigHotKeyShape pins the hot-key figure's invariants: every row
 // reports zero lost acked writes, the near-cache and promotion machinery
-// engage on adaptive rows and never on fixed ones, steering fires only
-// past the crossover (the 24K pair), a fixed-SCAR row's p99.9 stays within
-// 2× its p99, and the adaptive rows' GETs move at most 0.8× the modelled
-// bytes of the fixed rows'. A failing row prints its weather: the fabric's
-// stall share and the runtime's GC-pause and scheduling p99s.
+// engage on adaptive rows and never on fixed ones, a fixed-SCAR row's
+// p99.9 stays within 2× its p99, an adaptive row's p99 stays within 3× its
+// size's fixed p99, and the adaptive rows' GETs move at most 0.8× the
+// modelled bytes of the fixed rows'. A failing row prints its weather:
+// the fabric's stall share and the runtime's GC-pause and scheduling p99s.
 func TestFigHotKeyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-figure run")
@@ -427,7 +427,7 @@ func TestFigHotKeyShape(t *testing.T) {
 			if col(row, "promoted") <= 0 {
 				t.Errorf("%s: no keys promoted", row.Label)
 			}
-		} else if col(row, "nearhit%") != 0 || col(row, "steered") != 0 {
+		} else if col(row, "nearhit%") != 0 {
 			t.Errorf("%s: fixed row used adaptive machinery: %+v", row.Label, row.Cols)
 		}
 	}
@@ -451,11 +451,23 @@ func TestFigHotKeyShape(t *testing.T) {
 			}
 		}
 	}
-	if v := col(r.Rows[1], "steered"); v != 0 {
-		t.Errorf("adaptive-4K steered %v reads below the crossover", v)
+	// A GET the near-cache does not serve takes the fixed row's SCAR path,
+	// and a near-serve costs one index round, so an adaptive row's p99
+	// stays near its fixed row's at every value size. Same wall-clock
+	// caveat, same one whole-figure retry.
+	near := func(fixed, adaptive Row) string {
+		if f, a := col(fixed, "p99"), col(adaptive, "p99"); a > 3*f {
+			return fmt.Sprintf("p99 %vus > 3x %s's p99 %vus %v", a, fixed.Label, f, adaptive.weather)
+		}
+		return ""
 	}
-	if v := col(r.Rows[3], "steered"); v <= 0 {
-		t.Error("adaptive-24K never steered past the crossover")
+	for i := 0; i < 4; i += 2 {
+		if first := near(r.Rows[i], r.Rows[i+1]); first != "" {
+			again := FigHotKey()
+			if retry := near(again.Rows[i], again.Rows[i+1]); retry != "" {
+				t.Errorf("%s: %s; retry: %s", r.Rows[i+1].Label, first, retry)
+			}
+		}
 	}
 	// The near-cache answers a hot GET with a bucket-sized revalidation
 	// instead of the value, so adaptive GETs move fewer modelled bytes.
