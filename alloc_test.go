@@ -160,13 +160,11 @@ func TestGetAllocBudget(t *testing.T) {
 //	SET, CAS, ERASE     each leg copies its backend's queued access
 //	carrying records    records (a GET hit's, whose value is its 1) into
 //	                    its request in the op's arena; the handler walks
-//	                    them in place and appends the promotion set to
-//	                    its ack; the client walks it in place          = 0
+//	                    them in place                                  = 0
 //	2×R hit, touching   the GET's own 1, plus its share of a flush:
 //	                    every TouchBatch-th hit copies each cohort
 //	                    member's queue into a leased op record's arena,
-//	                    where the handler appends its ack; the client
-//	                    walks the ack in place                         = 1
+//	                    where the handler appends its ack              = 1
 //	evicting SET        a new key into a full data region, each backend
 //	                    evicting one, under lru, arc, clock and slfu:
 //	                    the policies track hashes in an arena          = 0

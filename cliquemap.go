@@ -178,12 +178,11 @@ type ClientOptions struct {
 	// wait with no mutation headed its way.
 	TouchBatch int
 	// NearCacheEntries turns on hot-key adaptive serving (0 = off): a
-	// client-side near-cache of that many server-promoted keys.
-	// Near-serves are validated by a 1-RTT index-only quorum read, so they
-	// never return a value no quorum currently vouches for. A promoted
-	// key's GET the near-cache cannot serve takes Strategy like any other.
-	// RMA strategies (2xR, SCAR) only. Requires TouchBatch > 0: promotion
-	// decisions ride the acks to access records.
+	// client-side near-cache of that many entries, admitting only the keys
+	// hot in this client's own GETs. Near-serves are validated by a 1-RTT
+	// index-only quorum read, so they never return a value no quorum
+	// currently vouches for. A hot key's GET the near-cache cannot serve
+	// takes Strategy like any other. RMA strategies (2xR, SCAR) only.
 	NearCacheEntries int
 }
 

@@ -36,13 +36,9 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range []string{"3", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19", "20"} {
-			fmt.Printf("fig%s\n", id)
+		for _, names := range experiments.Names() {
+			fmt.Println(names)
 		}
-		fmt.Println("14warm")
-		fmt.Println("resize")
-		fmt.Println("tier")
-		fmt.Println("loadwall")
 		return
 	}
 	if *reps < 1 {

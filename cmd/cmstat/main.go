@@ -8,9 +8,7 @@
 // RESIZE section shows per-shard handoff progress. Cells that export
 // saturation telemetry get a SATURATION section: RPC worker occupancy,
 // admission ρ, stripe-lock contention, and NIC engine queueing — the
-// live view of the resources a load-wall run names as limiting. Shards
-// promoting hot keys (§hot-key adaptive serving) get a PROMOTED section:
-// the promotion-set epoch and current members per shard.
+// live view of the resources a load-wall run names as limiting.
 //
 // Flags:
 //
@@ -189,7 +187,6 @@ func printTables(w io.Writer, cur, prev *fleet.CellScrape, showTrace, showTier b
 	}
 	printTable(w, "RECOVERY", cur, prev)
 	printTable(w, "SATURATION", cur, prev)
-	printPromoted(w, cur)
 
 	if cur.TierOK && (showTier || len(cur.Tier.Cells) > 0) {
 		printTier(w, cur.Tier)
@@ -320,47 +317,6 @@ func cell(c *fleet.Column, cur, prev *proto.StatsResp, watch bool, at time.Time,
 		return fmtRate(d, elapsed)
 	}
 	return fmt.Sprint(d)
-}
-
-// printPromoted renders the hot-key promotion plane: one row per shard
-// holding promoted keys, with the promotion-set epoch (bumped on every
-// membership change — clients revalidate their piggybacked view against
-// it) and the keys themselves. Omitted when no shard promotes (the
-// workload has no stable head).
-func printPromoted(w io.Writer, cur *fleet.CellScrape) {
-	cfg := cur.Config
-	any := false
-	for _, addr := range cfg.ShardAddrs {
-		if st, ok := cur.Stats[addr]; ok && (st.HotEpoch != 0 || len(st.HotKeys) > 0) {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "\nPROMOTED\tADDR\tEPOCH\tKEYS\tSET")
-	for shard, addr := range cfg.ShardAddrs {
-		st, ok := cur.Stats[addr]
-		if !ok {
-			continue
-		}
-		names := make([]string, 0, len(st.HotKeys))
-		for i, k := range st.HotKeys {
-			if i == 4 {
-				names = append(names, fmt.Sprintf("+%d more", len(st.HotKeys)-i))
-				break
-			}
-			names = append(names, fmtKey(string(k)))
-		}
-		set := strings.Join(names, " ")
-		if set == "" {
-			set = "-"
-		}
-		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%s\n", shard, addr, st.HotEpoch, len(st.HotKeys), set)
-	}
-	tw.Flush()
 }
 
 // fmtQSec renders accumulated queue-nanoseconds over a wall interval as

@@ -86,7 +86,6 @@ func taskStats(shard int, scale uint64) proto.StatsResp {
 // section renders.
 func cellA() *fleet.CellScrape {
 	s0, s1, s2 := taskStats(0, 1), taskStats(1, 2), taskStats(2, 3)
-	s0.HotEpoch, s0.HotKeys = 5, [][]byte{[]byte("k1"), []byte("k2"), {0x00, 0x01}, []byte("k4"), []byte("k5"), []byte("k6")}
 	s1.Sealed, s1.Recovering = true, true
 	s2.HandoffSealed = true
 	hot := []proto.DebugHotKey{{Key: "k1", Count: 900, Err: 3}, {Key: "\x00probe/x", Count: 20}, {Key: "k2", Count: 11, Err: 1}}

@@ -1,9 +1,8 @@
 package cliquemap
 
-// End-to-end tests for the hot-key adaptive serving loop: server-side
-// promotion (heat sketch → promoted set), piggybacked promotion learning
-// on Touch acks, and the one client switch (NearCacheEntries) that turns
-// on the near-cache with quorum revalidation.
+// End-to-end tests for hot-key adaptive serving: the one client switch
+// (NearCacheEntries) turns on a near-cache that admits the keys hot in the
+// client's own GETs and serves them after quorum revalidation.
 
 import (
 	"context"
@@ -15,10 +14,9 @@ import (
 	"cliquemap/internal/history"
 )
 
-// hammerUntilPromoted drives GETs on key until the client has learned a
-// promotion (or the attempt budget runs out). Touch batches flush every
-// TouchBatch hits, the backend re-evaluates its promoted set as those
-// touches arrive, and the ack piggybacks the set back.
+// hammerUntilPromoted drives GETs on key until the client has promoted a
+// key (or the attempt budget runs out): the client re-evaluates its
+// promoted set from its own GET counts as they arrive.
 func hammerUntilPromoted(t *testing.T, cl *Client, key []byte, budget int) {
 	t.Helper()
 	ctx := context.Background()
@@ -33,30 +31,34 @@ func hammerUntilPromoted(t *testing.T, cl *Client, key []byte, budget int) {
 	t.Fatalf("key never promoted after %d gets", budget)
 }
 
-// TestHotKeyNearCacheEndToEnd: hammering one key promotes it on the
-// server, the promotion rides a Touch ack back, and subsequent GETs are
+// TestHotKeyNearCacheEndToEnd: hammering one key promotes it in the
+// client, with or without access-record reporting, and subsequent GETs are
 // served from the near-cache — validated by an index-only quorum round,
 // still returning the correct value.
 func TestHotKeyNearCacheEndToEnd(t *testing.T) {
-	c := newCell(t, Options{Shards: 3, Mode: R32})
-	cl := c.NewClient(ClientOptions{TouchBatch: 8, NearCacheEntries: 64})
-	ctx := context.Background()
-	key := []byte("hot-celebrity")
-	if err := cl.Set(ctx, key, []byte("payload-v1")); err != nil {
-		t.Fatal(err)
-	}
-	hammerUntilPromoted(t, cl, key, 2000)
+	for _, touchBatch := range []int{8, 0} {
+		t.Run(fmt.Sprintf("TouchBatch=%d", touchBatch), func(t *testing.T) {
+			c := newCell(t, Options{Shards: 3, Mode: R32})
+			cl := c.NewClient(ClientOptions{TouchBatch: touchBatch, NearCacheEntries: 64})
+			ctx := context.Background()
+			key := []byte("hot-celebrity")
+			if err := cl.Set(ctx, key, []byte("payload-v1")); err != nil {
+				t.Fatal(err)
+			}
+			hammerUntilPromoted(t, cl, key, 2000)
 
-	// The next GET fills the near-cache; the ones after serve from it.
-	for i := 0; i < 10; i++ {
-		v, ok, err := cl.Get(ctx, key)
-		if err != nil || !ok || string(v) != "payload-v1" {
-			t.Fatalf("post-promotion get: %q %v %v", v, ok, err)
-		}
-	}
-	st := cl.Stats()
-	if st.NearHits == 0 {
-		t.Fatalf("no near-cache hits after promotion: %+v", st)
+			// The next GET fills the near-cache; the ones after serve from it.
+			for i := 0; i < 10; i++ {
+				v, ok, err := cl.Get(ctx, key)
+				if err != nil || !ok || string(v) != "payload-v1" {
+					t.Fatalf("post-promotion get: %q %v %v", v, ok, err)
+				}
+			}
+			st := cl.Stats()
+			if st.NearHits == 0 {
+				t.Fatalf("no near-cache hits after promotion: %+v", st)
+			}
+		})
 	}
 }
 
@@ -108,8 +110,8 @@ func TestNearCacheStalenessProperty(t *testing.T) {
 }
 
 // TestHotChurnRace is the promote/demote churn hammer, meant for -race:
-// readers shift their heat between key groups (forcing promotion epochs
-// to turn over) while a writer mutates every key continuously. Every
+// readers shift their heat between key groups (turning their promoted sets
+// over) while a writer mutates every key continuously. Every
 // read, near-cache ones included, is held to the versioned register: a
 // read older than an acked write or an earlier read would mean the
 // near-cache served a value a quorum had already superseded.

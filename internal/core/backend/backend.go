@@ -45,7 +45,7 @@
 //	reshape.go   data-region growth, slab drains (relocation), index resize, compact-restart, clear, post-resize GC
 //	tombstone.go the tombstone cache and the Backend's only access to it
 //	handoff.go   seal, handoff journal, the one handoff source loop; persist.go the durable tee,
-//	             checkpoints and recovery; service.go the RPC surface and repair; hotset.go promotion
+//	             checkpoints and recovery; service.go the RPC surface and repair
 package backend
 
 import (
@@ -135,7 +135,7 @@ func (b *Backend) stripeSaturation() stripeSaturation {
 // key, and the federation tier's follower-cache namespace is excluded so
 // cached copies of remotely-owned keys don't re-count reads the owner
 // cell already measured (follower traffic would otherwise self-amplify
-// apparent heat and mis-drive the promotion loop).
+// apparent heat in the HOT KEY tables and the fleet's global ranking).
 func (b *Backend) noteHeat(key []byte, h hashring.KeyHash) {
 	if !layout.IsProbeKey(key) && !layout.IsTierKey(key) {
 		b.heat.Touch(key, h.Lo)
@@ -492,14 +492,6 @@ type Backend struct {
 	// nicSatSrc, when set, supplies the serving NIC's saturation snapshot
 	// for MethodStats (cold; read only by stats scrapes).
 	nicSatSrc atomic.Pointer[func() NICSaturation]
-
-	// Hot-key promotion state (hotset.go). Cold: evaluated on touch
-	// ingestion and stats scrapes, read via one atomic load everywhere
-	// else.
-	hotMu        sync.Mutex      // serializes evaluations and their epoch bumps
-	hotCand      []stats.HotCand // under hotMu: evalHot's selection scratch
-	hot          atomic.Pointer[hotSet]
-	hotEvalTotal atomic.Uint64 // sketch total at the last evaluation
 }
 
 // New builds and registers a backend task: its memory regions, RMA

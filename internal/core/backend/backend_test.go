@@ -198,8 +198,8 @@ func TestTombstoneSummaryCoarseButConsistent(t *testing.T) {
 
 // TestHeatExcludesReservedNamespaces: probe-canary and federation
 // follower-cache keys must never register in the heat sketch — synthetic
-// and echoed traffic masquerading as heat would mis-drive the hot-key
-// promotion loop.
+// and echoed traffic masquerading as heat would mis-rank the hot-key
+// tables.
 func TestHeatExcludesReservedNamespaces(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	user := []byte("user-key")

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/hashring"
+	"cliquemap/internal/stats"
 	"cliquemap/internal/truetime"
 )
 
@@ -210,4 +212,33 @@ func TestPolicyTracksOnlyResidentKeys(t *testing.T) {
 		t.Errorf("%d capacity + %d associativity evictions counted, %d entries left", capacity, assoc, left)
 	}
 	tracked("after capacity evictions")
+}
+
+// TestTouchHandlerKeepsNoRequestBytes: the decoded TouchReq aliases the
+// request, which is the handler's only until it returns — a client reuses
+// the buffer for its next batch. The heat sketch's keys must be its own
+// copy, and the handler acks with a plain Ack.
+func TestTouchHandlerKeepsNoRequestBytes(t *testing.T) {
+	r := newRig(t, Options{Shard: 0})
+	var batch [][]byte
+	for i := 0; i < 64; i++ {
+		batch = append(batch, []byte(fmt.Sprintf("hot-%d", i%2)))
+	}
+	for i := 0; i < 8; i++ {
+		req := proto.TouchReq{Keys: batch}.Marshal()
+		ack, _, err := r.net.Client(5, "test").Call(context.Background(), "b0", proto.MethodTouch, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ack, proto.Ack{}.Marshal()) {
+			t.Errorf("Touch acked %x, want a plain Ack", ack)
+		}
+		for j := range req {
+			req[j] = 'X'
+		}
+	}
+	hot := r.b.Heat().TopN(0)
+	if len(hot) != 2 || hot[0] != (stats.HotKey{Key: "hot-0", Count: 256}) || hot[1] != (stats.HotKey{Key: "hot-1", Count: 256}) {
+		t.Errorf("heat sketch tracks %+v, want hot-0 and hot-1 at 256 each: a view of a recycled request", hot)
+	}
 }

@@ -76,7 +76,7 @@ func (b *Backend) registerHandlers() {
 			if err != nil {
 				return nil, 0, err
 			}
-			hot, cost, err := b.carried(r.Touches)
+			cost, err := b.carried(r.Touches)
 			if err != nil {
 				return nil, cost, err
 			}
@@ -92,17 +92,16 @@ func (b *Backend) registerHandlers() {
 			if applied && r.Repair {
 				b.noteRecoverySettle()
 			}
-			return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID), Hot: hot}.AppendTo(sink.Reply()), cost, nil
+			return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), cost, nil
 		})
 		s.SetMethodCost(method, m.cost)
 	}
 
 	s.Handle(proto.MethodTouch, func(ctx context.Context, _ string, req []byte) ([]byte, error) {
-		ack, err := b.touch(req)
-		if err != nil {
+		if err := b.ingestTouches(req); err != nil {
 			return nil, err
 		}
-		return append(trace.SinkFrom(ctx).Reply(), ack...), nil
+		return append(trace.SinkFrom(ctx).Reply(), touchAck...), nil
 	})
 	s.SetMethodCost(proto.MethodTouch, touchHandlerCPU)
 
@@ -210,10 +209,6 @@ func (b *Backend) Stats() proto.StatsResp {
 		st.StripeMaxOps = max(st.StripeMaxOps, ops)
 	}
 	st.HeatTracked, st.HeatTotal = uint64(b.heat.Tracked()), b.heat.Total()
-	// Stats scrapes double as a promotion heartbeat for workloads
-	// that never send touch batches (MSG/RPC-only clients).
-	b.maybeEvalHot()
-	st.HotEpoch, st.HotKeys = b.HotSnapshot()
 
 	rec := b.RecoveryStatsSnapshot()
 	st.CkptEpoch, st.CkptUnixNano = rec.CkptEpoch, uint64(rec.CkptUnixNano)
@@ -318,27 +313,18 @@ func (b *Backend) serveGet(sink *trace.SpanSink, dst, req []byte) ([]byte, error
 	return proto.GetResp{Found: found, Value: de.Value, Version: de.Version}.AppendTo(dst), nil
 }
 
-// touch feeds access records (§4.2), an encoded TouchReq, to eviction and
-// the heat sketch, and returns the ack they earn: the promotion set, since
-// access records are exactly the traffic that makes keys hot. Old clients
-// read a TouchResp as the empty Ack they expect (additive tags).
-func (b *Backend) touch(records []byte) ([]byte, error) {
-	if err := b.ingestTouches(records); err != nil {
-		return nil, err
-	}
-	b.maybeEvalHot()
-	return b.hotAck(), nil
-}
+// touchAck is the encoded proto.Ack a Touch RPC earns, shared read-only.
+var touchAck = proto.Ack{}.Marshal()
 
-// carried takes the access records a mutation leg carried (nil: none)
-// through touch, whatever the mutation's verdict, and returns their ack
-// and their cost: what the Touch RPC they stand in for bills its handler.
-func (b *Backend) carried(records []byte) (ack []byte, cost uint64, err error) {
+// carried feeds the access records a mutation leg carried (nil: none) to
+// eviction and the heat sketch, whatever the mutation's verdict, and
+// returns their cost: what the Touch RPC they stand in for bills its
+// handler.
+func (b *Backend) carried(records []byte) (cost uint64, err error) {
 	if records == nil {
-		return nil, 0, nil
+		return 0, nil
 	}
-	ack, err = b.touch(records)
-	return ack, touchHandlerCPU, err
+	return touchHandlerCPU, b.ingestTouches(records)
 }
 
 // admitMutation is the admission check every client mutation passes before

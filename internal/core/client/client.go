@@ -122,10 +122,10 @@ type Options struct {
 	// ID so distinct clients desynchronize by default.
 	Seed uint64
 	// NearCacheEntries is the one hot-key adaptive-serving switch (0 = off):
-	// it sizes the client-side near-cache for server-promoted keys. Only the
-	// RMA lookup strategies (2xR, SCAR) use it: their index-only
-	// revalidation round is what makes a near-serve cheaper than the full
-	// path.
+	// it sizes the client-side near-cache for the keys hot in this client's
+	// own GETs. Only the RMA lookup strategies (2xR, SCAR) use it: their
+	// index-only revalidation round is what makes a near-serve cheaper than
+	// the full path.
 	NearCacheEntries int
 }
 
@@ -179,13 +179,7 @@ type Client struct {
 	rpcAt    atomic.Uint64 // the clock's now when this client's last RPC returned
 	ops      trace.Leases  // the spare op record every public op leases
 
-	// Hot-key adaptive serving state (nearcache.go). promo is the merged
-	// promoted-key set piggybacked on access-record acks, swapped whole;
-	// promoMu guards the per-backend sets behind it.
-	near    *nearCache
-	promo   atomic.Pointer[map[string]struct{}]
-	promoMu sync.Mutex
-	promoBy map[string]backendPromo // by backend addr
+	near *nearCache // hot-key adaptive serving (nearcache.go); nil = off
 
 	M Metrics
 }
@@ -204,18 +198,17 @@ const (
 func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock, dial DialFunc, msg MsgFunc, now NowFunc, acct *stats.CPUAccount) *Client {
 	opt = opt.withDefaults()
 	c := &Client{
-		opt:     opt,
-		store:   store,
-		rpcc:    rpcc,
-		gen:     truetime.NewGenerator(clock, opt.ID),
-		dial:    dial,
-		msg:     msg,
-		now:     now,
-		acct:    acct,
-		conns:   make(map[int]nic.RMA),
-		hellos:  make(map[string]proto.HelloResp),
-		touchQ:  make(map[string]*touchQueue),
-		promoBy: make(map[string]backendPromo),
+		opt:    opt,
+		store:  store,
+		rpcc:   rpcc,
+		gen:    truetime.NewGenerator(clock, opt.ID),
+		dial:   dial,
+		msg:    msg,
+		now:    now,
+		acct:   acct,
+		conns:  make(map[int]nic.RMA),
+		hellos: make(map[string]proto.HelloResp),
+		touchQ: make(map[string]*touchQueue),
 	}
 	c.rngState.Store(opt.Seed)
 	c.cfg = store.Get()

@@ -78,9 +78,12 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 		x.tr.Spans = make([]fabric.Span, 0, opSpans)
 	}
 	near, cached := nearEntry{}, false
-	if have.Zero() && c.near != nil {
-		if near, cached = c.near.get(key); cached {
-			have = near.ver
+	if c.near != nil {
+		c.near.hot.noteGet(key, x.h.Lo)
+		if have.Zero() {
+			if near, cached = c.near.get(key); cached {
+				have = near.ver
+			}
 		}
 	}
 	if !have.Zero() && (c.opt.Strategy == Strategy2xR || c.opt.Strategy == StrategySCAR) {

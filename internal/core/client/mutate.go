@@ -152,7 +152,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 //
 // Every kind sends req, one SetReq; method names the kind. Each leg
 // carries its backend's queued access records (§4.2) in place of a Touch
-// RPC, and its ack carries back the promotion set.
+// RPC.
 func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applied bool, err error) {
 	cfg := c.Config()
 	var legBuf [2 * config.MaxReplicas]mutLeg
@@ -210,9 +210,6 @@ func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applie
 			continue
 		}
 		c.noteReplicaSuccess(leg.addr)
-		if mr.Hot != nil {
-			c.ingestPromo(leg.addr, mr.Hot)
-		}
 		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == req.Version})
 		legNs = append(legNs, ltr.Ns)
 	}

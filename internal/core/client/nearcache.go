@@ -1,20 +1,18 @@
 package client
 
-// Hot-key adaptive serving — the client half of the loop the server's
-// promotion machinery (backend/hotset.go) drives. Its one switch,
-// Options.NearCacheEntries > 0, turns on both of
+// Hot-key adaptive serving. Its one switch, Options.NearCacheEntries > 0,
+// turns on both of
 //
-//   - NEAR-CACHE: values of server-promoted (sketch-hot) keys are cached
-//     client-side with their quorum-winning VersionNumber. A near-serve is
-//     never blind: it first runs one index-only revalidation round — a
-//     quorum of plain bucket reads, 1 RTT, no data leg even under SCAR —
-//     and serves the cached value only if a read quorum still votes
-//     exactly the cached version. An acked overwrite or erase therefore
-//     invalidates the entry within one revalidation RTT, because any
-//     read quorum intersects the mutation's ack quorum.
-//   - PROMOTION LEARNING: the promoted-key set piggybacks on responses
-//     the client already receives (access-record acks, §4.2);
-//     per-backend sets are epoch-gated and merged into one atomic snapshot.
+//   - NEAR-CACHE: values of promoted keys are cached client-side with
+//     their quorum-winning VersionNumber. A near-serve is never blind: it
+//     first runs one index-only revalidation round — a quorum of plain
+//     bucket reads, 1 RTT, no data leg even under SCAR — and serves the
+//     cached value only if a read quorum still votes exactly the cached
+//     version. An acked overwrite or erase therefore invalidates the
+//     entry within one revalidation RTT, because any read quorum
+//     intersects the mutation's ack quorum.
+//   - ADMISSION: the client promotes the keys hot in its own GETs
+//     (hotSet); no backend takes part.
 //
 // A promoted key's GET that the near-cache cannot serve takes the
 // configured strategy like any other.
@@ -30,9 +28,9 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 
-	"cliquemap/internal/core/config"
-	"cliquemap/internal/core/proto"
+	"cliquemap/internal/stats"
 	"cliquemap/internal/truetime"
 )
 
@@ -65,10 +63,11 @@ type nearCache struct {
 	seq   uint64
 	m     map[string]nearEntry
 	order []nearOrder
+	hot   hotSet
 }
 
 func newNearCache(capacity int) *nearCache {
-	return &nearCache{cap: capacity, m: make(map[string]nearEntry, capacity)}
+	return &nearCache{cap: capacity, m: make(map[string]nearEntry, capacity), hot: hotSet{heat: stats.NewTopK(0)}}
 }
 
 func (n *nearCache) get(key []byte) (nearEntry, bool) {
@@ -111,85 +110,100 @@ func (n *nearCache) drop(key []byte) {
 	n.mu.Unlock()
 }
 
-// ----------------------------------------------------- promotion state --
+// ----------------------------------------------------------- admission --
 
-// isPromoted reports whether key is in any backend's promoted set, as
-// last piggybacked to this client.
+// Admission: the near-cache takes only keys hot in this client's own GETs.
+// Every GET counts its key in a heavy-hitter sketch; the top keys whose
+// share of those GETs clears a promotion bar are PROMOTED, and a promoted
+// key stays until its share falls below the lower demotion bar, so keys
+// oscillating around the threshold do not churn the set. Any admission
+// policy is safe (every near-serve is revalidated by a quorum); this one
+// only decides what is worth the cache's room.
+const (
+	hotK            = 8  // promoted-set capacity
+	hotMinCount     = 8  // absolute floor: never promote on a tiny sample
+	hotPromoteMilli = 20 // promote at ≥ 2.0% of this client's GETs
+	hotDemoteMilli  = 10 // demote below 1.0% (hysteresis)
+	hotEvalEvery    = 32 // re-evaluate once per this many GETs
+)
+
+// hotSet is a near-cache client's promotion state.
+type hotSet struct {
+	heat *stats.TopK   // this client's GETs
+	gets atomic.Uint64 // GETs counted, paces evaluations
+	mu   sync.Mutex    // serializes evaluations
+	cand []stats.HotCand
+	keys atomic.Pointer[map[string]struct{}] // the promoted set, swapped whole
+}
+
+// noteGet counts one GET of key (h is its hash) and re-evaluates the
+// promoted set every hotEvalEvery GETs.
+func (p *hotSet) noteGet(key []byte, h uint64) {
+	p.heat.Touch(key, h)
+	if p.gets.Add(1)%hotEvalEvery == 0 {
+		p.eval()
+	}
+}
+
+// eval recomputes the promoted set from the sketch. An unchanged set — the
+// usual outcome — selects into the candidate scratch and builds nothing.
+func (p *hotSet) eval() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	total := p.heat.Total()
+	promoteBar := max(total*hotPromoteMilli/1000, hotMinCount)
+	demoteBar := max(total*hotDemoteMilli/1000, hotMinCount/2)
+	cur := p.set()
+	// Move the candidates that clear their bar to the front, hottest first,
+	// and see whether they are the set already published.
+	p.cand = p.heat.AppendTop(p.cand, 2*hotK)
+	cand, next, same := p.cand, 0, true
+	for i := 0; i < len(cand) && next < hotK; i++ {
+		_, promoted := cur[string(cand[i].Key)]
+		bar := promoteBar
+		if promoted {
+			bar = demoteBar
+		}
+		if cand[i].Count >= bar {
+			cand[next], cand[i] = cand[i], cand[next]
+			next++
+			same = same && promoted
+		}
+	}
+	if same && next == len(cur) {
+		return
+	}
+	keys := make(map[string]struct{}, next)
+	for _, hk := range cand[:next] {
+		keys[string(hk.Key)] = struct{}{}
+	}
+	p.keys.Store(&keys)
+}
+
+// set returns the promoted set, nil before the first promotion.
+func (p *hotSet) set() map[string]struct{} {
+	if k := p.keys.Load(); k != nil {
+		return *k
+	}
+	return nil
+}
+
+// isPromoted reports whether key is in the client's promoted set.
 func (c *Client) isPromoted(key []byte) bool {
-	p := c.promo.Load()
-	if p == nil {
+	if c.near == nil {
 		return false
 	}
-	_, ok := (*p)[string(key)]
+	_, ok := c.near.hot.set()[string(key)]
 	return ok
 }
 
-// PromotedKeys returns the client's current view of the merged promoted
-// set (tests, tooling).
+// PromotedKeys returns the size of the client's promoted set (tests,
+// tooling).
 func (c *Client) PromotedKeys() int {
-	p := c.promo.Load()
-	if p == nil {
+	if c.near == nil {
 		return 0
 	}
-	return len(*p)
-}
-
-// backendPromo is one backend's last piggybacked promotion set.
-type backendPromo struct {
-	epoch uint64
-	keys  map[string]struct{}
-}
-
-// ingestPromo folds one backend's piggybacked promotion set, the encoded
-// TouchResp ack (a Touch RPC's, or a mutation ack's Hot), into the merged
-// snapshot. Epoch-gated per backend: replayed or unchanged responses are
-// free, as is epoch 0 (nothing promoted yet) from a backend not heard from
-// before. The keys are copied from ack.
-func (c *Client) ingestPromo(addr string, ack []byte) {
-	epoch, err := proto.TouchRespEpoch(ack)
-	if err != nil {
-		return
-	}
-	c.promoMu.Lock()
-	defer c.promoMu.Unlock()
-	if c.promoBy[addr].epoch == epoch {
-		return
-	}
-	set := make(map[string]struct{})
-	if proto.RangeHotKeys(ack, func(k []byte) { set[string(k)] = struct{}{} }) != nil {
-		return
-	}
-	c.promoBy[addr] = backendPromo{epoch: epoch, keys: set}
-	c.mergePromo()
-}
-
-// forgetPromo drops the promotion sets of backends that serve no shard
-// under cfg — a departed backend's last set would otherwise stay merged
-// for good, since nothing it sends will ever replace it.
-func (c *Client) forgetPromo(cfg config.CellConfig) {
-	c.promoMu.Lock()
-	defer c.promoMu.Unlock()
-	n := len(c.promoBy)
-	for addr := range c.promoBy {
-		if !servesShard(cfg, addr) {
-			delete(c.promoBy, addr)
-		}
-	}
-	if len(c.promoBy) != n {
-		c.mergePromo()
-	}
-}
-
-// mergePromo publishes the union of the per-backend sets. Callers hold
-// promoMu.
-func (c *Client) mergePromo() {
-	merged := make(map[string]struct{})
-	for _, p := range c.promoBy {
-		for k := range p.keys {
-			merged[k] = struct{}{}
-		}
-	}
-	c.promo.Store(&merged)
+	return len(c.near.hot.set())
 }
 
 // ------------------------------------------------------- near-serving --

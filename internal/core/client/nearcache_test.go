@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"cliquemap/internal/core/proto"
@@ -38,21 +39,79 @@ func TestNearCacheOrderBounded(t *testing.T) {
 	}
 }
 
-// TestRefreshConfigForgetsDepartedPromotion: a backend that serves no shard
-// sends no more Touch acks, so nothing would ever replace its last promoted
-// set; a config refresh must drop it from the merged view.
+// promote makes key hot in cl's own GET counts, as hotEvalEvery GETs of it
+// would, and evaluates the promoted set.
+func promote(cl *Client, key []byte) {
+	for range hotEvalEvery {
+		cl.near.hot.noteGet(key, cl.opt.Hash(key).Lo)
+	}
+	cl.near.hot.eval()
+}
+
+// TestEvalHotUnchangedSetAllocatesNothing: re-evaluating the promoted set
+// over GET counts whose hot keys have not changed — what almost every
+// evaluation does — selects into the client's scratch, finds the published
+// set again, and builds nothing.
+func TestEvalHotUnchangedSetAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	cl := r.newClient(Options{Strategy: Strategy2xR, NearCacheEntries: 16})
+	h := &cl.near.hot
+	for i := 0; i < 512; i++ {
+		for _, k := range [][]byte{fmt.Appendf(nil, "hot-%d", i%4), fmt.Appendf(nil, "cold-%d", i)} {
+			h.noteGet(k, cl.opt.Hash(k).Lo)
+		}
+	}
+	if n := cl.PromotedKeys(); n != 4 {
+		t.Fatalf("promoted %d keys, want the four hot ones", n)
+	}
+	set := h.keys.Load()
+	if got := testing.AllocsPerRun(100, h.eval); got != 0 {
+		t.Errorf("%v allocations per evaluation of an unchanged set, want 0", got)
+	}
+	if h.keys.Load() != set {
+		t.Error("an unchanged set was published again")
+	}
+}
+
+// TestNearCacheAdmitsOwnHotKeys: a near-cache client promotes the keys hot
+// in its own GETs with no access-record reporting (TouchBatch 0), demotes
+// a key whose share falls below the demotion bar, and caps the set at
+// hotK.
+func TestNearCacheAdmitsOwnHotKeys(t *testing.T) {
+	r := newRig(t)
+	cl := r.newClient(Options{Strategy: Strategy2xR, NearCacheEntries: 16})
+	h := &cl.near.hot
+	get := func(k []byte) { h.noteGet(k, cl.opt.Hash(k).Lo) }
+	for i := 0; i < 640; i++ {
+		get(fmt.Appendf(nil, "hot-%d", i%10)) // ten keys at 5 % each
+		get(fmt.Appendf(nil, "cold-%d", i))
+	}
+	if n := cl.PromotedKeys(); n != hotK {
+		t.Fatalf("promoted %d keys, want the set's cap %d", n, hotK)
+	}
+	if cl.isPromoted([]byte("cold-1")) {
+		t.Error("a key read once was promoted")
+	}
+	for i := 0; i < 64_000; i++ { // every hot key's share falls to ~0.05 %
+		get(fmt.Appendf(nil, "cold-%d", i))
+	}
+	if n := cl.PromotedKeys(); n != 0 {
+		t.Errorf("%d keys still promoted after their share fell below the demotion bar", n)
+	}
+}
+
+// TestRefreshConfigForgetsDepartedPromotion: the promoted set is the
+// client's own, drawn from its GETs rather than from any backend, so a
+// config refresh that drops a departed backend leaves it as it was.
 func TestRefreshConfigForgetsDepartedPromotion(t *testing.T) {
 	r := newRig(t)
-	cl := r.newClient(Options{Strategy: Strategy2xR})
-	cl.ingestPromo("b0", proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{[]byte("stays")}}.Marshal())
-	cl.ingestPromo("spare-0", proto.TouchResp{HotEpoch: 3, HotKeys: [][]byte{[]byte("departed")}}.Marshal())
-	if n := cl.PromotedKeys(); n != 2 {
-		t.Fatalf("merged view holds %d keys, want 2", n)
-	}
+	cl := r.newClient(Options{Strategy: Strategy2xR, NearCacheEntries: 16})
+	promote(cl, []byte("stays"))
+	set := cl.near.hot.keys.Load()
 	cl.refreshConfig()
-	if !cl.isPromoted([]byte("stays")) || cl.isPromoted([]byte("departed")) {
-		t.Errorf("after refresh: stays=%v departed=%v, want true false",
-			cl.isPromoted([]byte("stays")), cl.isPromoted([]byte("departed")))
+	if !cl.isPromoted([]byte("stays")) || cl.PromotedKeys() != 1 || cl.near.hot.keys.Load() != set {
+		t.Errorf("after refresh: stays=%v, %d keys promoted, want the set as it was",
+			cl.isPromoted([]byte("stays")), cl.PromotedKeys())
 	}
 }
 
@@ -86,7 +145,7 @@ func TestNearCacheSpreadReadsOnlyWinners(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cl.ingestPromo("b0", proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{key}}.Marshal())
+			promote(cl, key)
 
 			reads := map[uint32]int{}
 			for i := 0; i < 200; i++ {

@@ -16,10 +16,9 @@ import (
 )
 
 // refreshConfig re-reads the HA store and drops cached handshakes, the
-// §6.1 recovery path for config-ID mismatches — and the touch queues and
-// promotion sets of backends that serve no shard in either epoch any more:
-// nothing would fill or replace them again, and FlushTouches would keep
-// reporting to a departed address.
+// §6.1 recovery path for config-ID mismatches — and the touch queues of
+// backends that serve no shard in either epoch any more: FlushTouches
+// would keep reporting to a departed address.
 func (c *Client) refreshConfig() {
 	c.mu.Lock()
 	c.cfg = c.store.Get()
@@ -31,7 +30,6 @@ func (c *Client) refreshConfig() {
 		}
 	}
 	c.mu.Unlock()
-	c.forgetPromo(cfg)
 }
 
 // servesShard reports whether addr serves a shard in either of cfg's epochs.

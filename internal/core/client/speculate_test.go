@@ -10,7 +10,6 @@ import (
 
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
-	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/nic"
 	"cliquemap/internal/pony"
@@ -318,7 +317,7 @@ func TestHedgeBillsBothLegs(t *testing.T) {
 	}
 }
 
-// TestPromotionDecidedOncePerAttempt: a mutation ack on another goroutine
+// TestPromotionDecidedOncePerAttempt: the client's GETs on another goroutine
 // can promote a key while its GET's speculative data read is out. A
 // promotion that lands mid-GET changes nothing about the attempt: the data
 // stage keeps the speculative read, every leg's bytes are billed, and the
@@ -327,7 +326,7 @@ func TestPromotionDecidedOncePerAttempt(t *testing.T) {
 	key, val := []byte("promoted-mid-get"), bytes.Repeat([]byte("p"), 1000)
 	_, cl, s, clk := newScriptedClient(t, config.R32, key, val, func(o *Options) { o.NearCacheEntries = 16 })
 	s.index = [3]uint64{0, 50_000, 90_000}
-	s.onData = func() { cl.ingestPromo("b0", proto.TouchResp{HotEpoch: 1, HotKeys: [][]byte{key}}.Marshal()) }
+	s.onData = func() { promote(cl, key) }
 	got, tr := s.get(t, clk, cl, key)
 	if !bytes.Equal(got, val) {
 		t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))

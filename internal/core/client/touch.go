@@ -93,10 +93,10 @@ func (c *Client) flushTouches(ctx context.Context, atLeast int) {
 	}
 }
 
-// sendTouches reports addr's queued access records as a Touch RPC and
-// folds the promotion set its ack carries into the client's hot-key view.
-// The request is copied into, and the ack appended to, a leased op
-// record's arena, lent through its context node, which arms no spans.
+// sendTouches reports addr's queued access records as a Touch RPC. The
+// request is copied into, and the ack appended to, a leased op record's
+// arena, lent through its context node, which arms no spans. A failed
+// report is dropped: records are hints.
 func (c *Client) sendTouches(ctx context.Context, addr string) {
 	op := c.ops.Take()
 	defer c.ops.Put(op)
@@ -110,7 +110,5 @@ func (c *Client) sendTouches(ctx context.Context, addr string) {
 	// buffer, which nothing reads.
 	x := legExec{c: c, ctx: &op.OpContext, op: op, tr: fabric.OpTrace{Spans: op.Spans[:0]}}
 	l := x.start(legTouch, member{rep: replica{addr: addr}, method: proto.MethodTouch, req: req}, 0)
-	if ack, _, err := x.wait(&l); err == nil {
-		c.ingestPromo(addr, ack)
-	}
+	x.wait(&l)
 }

@@ -172,31 +172,59 @@ func TestTouchesNeitherLostNorDoubled(t *testing.T) {
 	}
 }
 
-// TestMutationAckCarriesPromotion: a near-cache client that mixes GETs and
-// SETs learns a promoted key from the ack of a mutation leg that carried
-// its records, with no Touch RPC.
+// ackKeeper is a touchCounter that also keeps a copy of every SET ack.
+type ackKeeper struct {
+	touchCounter
+	mu   sync.Mutex
+	acks [][]byte
+}
+
+func (c *ackKeeper) Call(ctx context.Context, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	return c.AppendCall(ctx, nil, nil, addr, method, req)
+}
+
+func (c *ackKeeper) AppendCall(ctx context.Context, dst []byte, spans []fabric.Span, addr, method string, req []byte) ([]byte, fabric.OpTrace, error) {
+	resp, tr, err := c.touchCounter.AppendCall(ctx, dst, spans, addr, method, req)
+	if method == proto.MethodSet && err == nil {
+		c.mu.Lock()
+		c.acks = append(c.acks, bytes.Clone(resp[len(dst):]))
+		c.mu.Unlock()
+	}
+	return resp, tr, err
+}
+
+// TestMutationAckCarriesPromotion: a mutation leg that carries a near-cache
+// client's access records is acked with a plain MutateResp — nothing rides
+// back on it — and the records reach every backend with no Touch RPC.
 func TestMutationAckCarriesPromotion(t *testing.T) {
 	r := newRig(t)
-	writer := r.newClient(Options{Strategy: Strategy2xR})
 	hot := []byte("hot")
-	for i := 0; i < 300; i++ { // every backend's sketch sees the writes
-		if err := writer.Set(context.Background(), hot, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.newClient(Options{Strategy: Strategy2xR}).Set(context.Background(), hot, []byte("v")); err != nil {
+		t.Fatal(err)
 	}
-	cl, calls := r.newCountingClient(Options{Strategy: Strategy2xR, TouchBatch: 64, NearCacheEntries: 16})
-	if cl.isPromoted(hot) {
-		t.Fatal("promoted before any ack")
-	}
+	calls := &ackKeeper{touchCounter: touchCounter{Client: r.net.Client(clientHost, "test")}}
+	cl := r.newClientVia(Options{Strategy: Strategy2xR, TouchBatch: 64, NearCacheEntries: 16}, r.f.NowNs, calls)
 	hit(t, cl, hot)
+	before := r.backendTouches()
 	if err := cl.Set(context.Background(), []byte("other"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.isPromoted(hot) {
-		t.Error("the SET's acks did not carry the promoted key")
+	for i, n := range r.backendTouches() {
+		if n != before[i]+1 {
+			t.Errorf("backend %d ingested %d records from the SET's leg, want the hit's 1", i, n-before[i])
+		}
 	}
 	if n := calls.touches.Load(); n != 0 {
 		t.Errorf("%d Touch calls, want 0", n)
+	}
+	if len(calls.acks) != 3 {
+		t.Fatalf("%d SET acks, want one per replica", len(calls.acks))
+	}
+	for _, ack := range calls.acks {
+		mr, err := proto.UnmarshalMutateResp(ack)
+		if err != nil || !bytes.Equal(mr.Marshal(), ack) {
+			t.Errorf("ack %x (err %v) is not a plain MutateResp %x", ack, err, mr.Marshal())
+		}
 	}
 }
 

@@ -67,9 +67,9 @@ func IsProbeKey(key []byte) bool {
 // a non-owner cell stores remotely-fetched entries under this prefix in
 // its local cell. Like probe keys, the leading NUL keeps it disjoint from
 // user keys; unlike user keys, follower-cache traffic is an echo of reads
-// already counted at the owner cell, so the heat sketch and the hot-key
-// promotion loop exclude it via IsTierKey — otherwise every follower hit
-// would re-count as local heat and self-amplify into a phantom hot key.
+// already counted at the owner cell, so the heat sketch excludes it via
+// IsTierKey — otherwise every follower hit would re-count as local heat
+// and self-amplify into a phantom hot key.
 const TierKeyPrefix = "\x00tier/"
 
 // IsTierKey reports whether key lies in the follower-cache namespace.

@@ -36,7 +36,7 @@ func anyDecoder[T message](f func([]byte) (T, error)) func([]byte) (message, err
 
 // goldenFrames holds, for a populated and a zero value of each message,
 // the frame the hand-written Marshal of the commit before the struct-tag
-// codec produced for it (before the compiled plan, for the six datapath
+// codec produced for it (before the compiled plan, for the datapath
 // messages).
 var goldenFrames = []struct {
 	value  message
@@ -86,13 +86,11 @@ var goldenFrames = []struct {
 		StripeContended: 17, StripeWaitNs: 81234, StripeHeldNs: 400000, StripeHeldSampled: 12,
 		RPCWorkerLimit: 64, RPCWorkersBusy: 7, RPCQueuedSubmits: 3, RPCSubmitWaitNs: 55555,
 		RPCQueuedCalls: 120, RPCQueueNs: 9_000_000, RPCRhoMilli: 870,
-		NICEngines: 4, NICRhoMilli: 930, NICQueueNs: 1_234_567, NICOps: 88_000,
-		HotEpoch: 5, HotKeys: [][]byte{[]byte("hot"), {0x00, 0x01}}},
+		NICEngines: 4, NICRhoMilli: 930, NICQueueNs: 1_234_567, NICOps: 88_000},
 		anyDecoder(UnmarshalStatsResp),
 		"01040804100118e8072080804028f40330a846380c40014802500358046010688407709c4a784080019c4a8801019001" +
 			"06980103a0018080a8b1e39fe7cb17a8012cb0018020b801de07c0010ac801d407d00101d80111e001d2fa04e80180b5" +
-			"18f0010cf80140800207880203900283b203980278a002c0a8a504a802e606b00204b802a207c00287ad4bc802c0af05" +
-			"d00205da0203686f74da02020001"},
+			"18f0010cf80140800207880203900283b203980278a002c0a8a504a802e606b00204b802a207c00287ad4bc802c0af05"},
 	{DebugReq{MaxSlow: 16}, anyDecoder(UnmarshalDebugReq), "01040810"},
 	{DebugResp{
 		OpsTotal: 100, SlowTotal: 3, SlowThresholdNs: 2_000_000,
@@ -146,7 +144,7 @@ var goldenFrames = []struct {
 		"010408091080011a120a02757310e80718e80722026f6b30c8a9141a160a02657510fa0118e807220470616765280130" +
 			"98e3061a120a0461736961100018002204646561643000"},
 
-	// The six datapath messages, captured from the hand-written encoders
+	// The datapath messages, captured from the hand-written encoders
 	// the compiled plan replaced: populated, a CAS carrying access records
 	// (a partly zero Expected sends only its non-zero parts), and zero.
 	{SetReq{Key: []byte("key-1"), Value: []byte("value-1"), Version: v(1<<50, 7, 3), Repair: true, Pending: true, ConfigID: 9},
@@ -154,22 +152,18 @@ var goldenFrames = []struct {
 	{SetReq{Key: []byte{0x00, 0xff}, Value: []byte("nv"), Version: v(-8, 9, 10), ConfigID: 4,
 		Touches: TouchReq{Keys: [][]byte{[]byte("a"), []byte("bb")}}.Marshal(), Expected: v(1, 0, 2)},
 		anyDecoder(UnmarshalSetReq), "01040a0200ff12026e7618f8ffffffffffffffff012009280a3000380040044a0901040a01610a02626250016002"},
-	{MutateResp{Applied: true, Stored: v(5, 6, 7), Evictions: 3, Sealed: true,
-		Hot: TouchResp{HotEpoch: 4, HotKeys: [][]byte{[]byte("hot")}}.Marshal()},
-		anyDecoder(UnmarshalMutateResp), "01040801100518062007280330013a09010408041203686f74"},
+	{MutateResp{Applied: true, Stored: v(5, 6, 7), Evictions: 3, Sealed: true},
+		anyDecoder(UnmarshalMutateResp), "0104080110051806200728033001"},
 	{GetReq{Key: []byte("gk"), ConfigID: 1 << 40}, anyDecoder(UnmarshalGetReq), "01040a02676b10808080808020"},
 	{GetResp{Found: true, Value: []byte("val"), Version: v(3, 2, 1)}, anyDecoder(UnmarshalGetResp),
 		"01040801120376616c180320022801"},
 	{TouchReq{Keys: [][]byte{[]byte("a"), {0x00, 0x01}, []byte("ccc")}}, anyDecoder(UnmarshalTouchReq),
 		"01040a01610a0200010a03636363"},
-	{TouchResp{HotEpoch: 9, HotKeys: [][]byte{[]byte("h1"), []byte("h2")}}, anyDecoder(UnmarshalTouchResp),
-		"010408091202683112026832"},
 	{SetReq{}, anyDecoder(UnmarshalSetReq), "01040a001200180020002800300038004000"},
 	{MutateResp{}, anyDecoder(UnmarshalMutateResp), "0104080010001800200028003000"},
 	{GetReq{}, anyDecoder(UnmarshalGetReq), "01040a001000"},
 	{GetResp{}, anyDecoder(UnmarshalGetResp), "010408001200180020002800"},
 	{TouchReq{}, anyDecoder(UnmarshalTouchReq), "0104"},
-	{TouchResp{}, anyDecoder(UnmarshalTouchResp), "0104"},
 
 	// Frames captured at the commit before the telemetry records moved to
 	// their producers (DebugHist & co. became aliases of trace / stats
@@ -183,8 +177,8 @@ var goldenFrames = []struct {
 		anyDecoder(UnmarshalStatsResp),
 		"0104080110001880cc01208080801028f0a20430808080802038f0d6024000480050025800604068a8467098e6057800" +
 			"800100880100900100980100a00100a80100b00100b80100c00100c80100d00100d80100e00100e80100f00100f80140" +
-			"800200880200900200980200a00200a80200b00201b80200c00200c802808080808020d00200e00215e802ec0ef00299" +
-			"01f802808004"},
+			"800200880200900200980200a00200a80200b00201b80200c00200c802808080808020e00215e802ec0ef0029901f802" +
+			"808004"},
 	{DebugResp{
 		OpsTotal: 1 << 34, SlowTotal: 1,
 		Hists: []DebugHist{{Kind: "ERASE", Transport: "MSG", Count: 3, MeanNs: 11, P50Ns: 10, P90Ns: 12, P99Ns: 12, P999Ns: 12,
@@ -221,7 +215,7 @@ var goldenFrames = []struct {
 	{StatsResp{}, anyDecoder(UnmarshalStatsResp),
 		"0104080010001800200028003000380040004800500058006000680070007800800100880100900100980100a00100a8" +
 			"0100b00100b80100c00100c80100d00100d80100e00100e80100f00100f80100800200880200900200980200a00200a8" +
-			"0200b00200b80200c00200c80200d00200"},
+			"0200b00200b80200c00200c80200"},
 	{DebugReq{}, anyDecoder(UnmarshalDebugReq),
 		"01040800"},
 	{DebugResp{Hists: []DebugHist{{}}, CPU: []DebugCPU{{}}, SlowOps: []DebugOp{{}}, Hazards: []DebugHazard{{}},
@@ -234,14 +228,26 @@ var goldenFrames = []struct {
 		"0104080010001a0a0a001000180022003000"},
 }
 
-// retiredHealthTags is what the captured populated HealthResp frame carried
-// past tag 4 — tag 5 (HotEpoch 4) and tag 6 (HotKeys "hot-h"), a hot-key
-// piggyback nothing read; the golden frame above is the capture less them.
-const retiredHealthTags = "28043205686f742d68"
+// retiredTagBytes is what the captured populated HealthResp, MutateResp and
+// StatsResp frames carried in tags now retired: HealthResp's 5–6 (a
+// promotion epoch, 4, and a key, "hot-h"), MutateResp's 7 (an encoded
+// promotion set with epoch 4 and the key "hot") and StatsResp's 42–43
+// (epoch 5, keys "hot" and 0x0001) — hot-key promotion sets the backend no
+// longer keeps. The golden frames above are the captures less them (the
+// other StatsResp captures less the zero tag 42 they carried).
+var retiredTagBytes = map[reflect.Type]string{
+	reflect.TypeOf(HealthResp{}): "28043205686f742d68",
+	reflect.TypeOf(MutateResp{}): "3a09010408041203686f74",
+	reflect.TypeOf(StatsResp{}):  "d00205da0203686f74da02020001",
+}
 
 // retiredTags are tags a message once carried: senders built before their
 // removal may still send them, so no field may claim them again.
-var retiredTags = map[reflect.Type][]uint64{reflect.TypeOf(HealthResp{}): {5, 6}}
+var retiredTags = map[reflect.Type][]uint64{
+	reflect.TypeOf(HealthResp{}): {5, 6},
+	reflect.TypeOf(MutateResp{}): {7},
+	reflect.TypeOf(StatsResp{}):  {42, 43},
+}
 
 func TestGoldenFrames(t *testing.T) {
 	for _, c := range goldenFrames {
@@ -284,9 +290,8 @@ func TestDatapathDecodeAliasesFrame(t *testing.T) {
 			t.Errorf("%s: %q is not a view of its frame", name, field)
 		}
 	}
-	hot := TouchResp{HotEpoch: 4, HotKeys: [][]byte{[]byte("hot")}}.Marshal()
 	set := SetReq{Key: []byte("k"), Value: []byte("v"), Version: v(1, 2, 3), Touches: TouchReq{Keys: [][]byte{[]byte("a")}}.Marshal(), Expected: v(1, 1, 1)}.Marshal()
-	mut := MutateResp{Applied: true, Stored: v(1, 2, 3), Hot: hot}.Marshal()
+	mut := MutateResp{Applied: true, Stored: v(1, 2, 3)}.Marshal()
 	get := GetReq{Key: []byte("k"), ConfigID: 7}.Marshal()
 	resp := GetResp{Found: true, Value: []byte("value"), Version: v(1, 2, 3)}.Marshal()
 	touch := TouchReq{Keys: [][]byte{[]byte("a"), []byte("b")}}.Marshal()
@@ -296,7 +301,6 @@ func TestDatapathDecodeAliasesFrame(t *testing.T) {
 		gq  GetReq
 		gr  GetResp
 		tq  = TouchReq{Keys: make([][]byte, 0, 2)}
-		tr  = TouchResp{HotKeys: make([][]byte, 0, 1)}
 		err error
 	)
 	for name, decode := range map[string]func(){
@@ -305,7 +309,6 @@ func TestDatapathDecodeAliasesFrame(t *testing.T) {
 		"GetReq":     func() { gq, err = UnmarshalGetReq(get) },
 		"GetResp":    func() { gr, err = UnmarshalGetResp(resp) },
 		"TouchReq":   func() { err = wire.Decode(touch, &tq) },
-		"TouchResp":  func() { err = wire.Decode(hot, &tr) },
 	} {
 		if allocs := testing.AllocsPerRun(100, decode); allocs != 0 || err != nil {
 			t.Errorf("%s: decode allocates %.1f (err %v), want 0", name, allocs, err)
@@ -314,30 +317,30 @@ func TestDatapathDecodeAliasesFrame(t *testing.T) {
 	inFrame("SetReq.Key", set, sr.Key)
 	inFrame("SetReq.Value", set, sr.Value)
 	inFrame("SetReq.Touches", set, sr.Touches)
-	inFrame("MutateResp.Hot", mut, mr.Hot)
 	inFrame("GetReq.Key", get, gq.Key)
 	inFrame("GetResp.Value", resp, gr.Value)
 	inFrame("TouchReq.Keys[1]", touch, tq.Keys[1])
-	inFrame("TouchResp.HotKeys[0]", hot, tr.HotKeys[0])
-	if len(tq.Keys) != 2 || len(tr.HotKeys) != 1 || tr.HotEpoch != 4 || sr.Expected != v(1, 1, 1) || gq.ConfigID != 7 || !gr.Found {
-		t.Errorf("decoded %+v %+v %+v %+v", tq, tr, sr, gq)
+	if len(tq.Keys) != 2 || !mr.Applied || sr.Expected != v(1, 1, 1) || gq.ConfigID != 7 || !gr.Found {
+		t.Errorf("decoded %+v %+v %+v %+v", tq, mr, sr, gq)
 	}
 }
 
-// TestRetiredHealthTagsDecode: a HealthResp frame from a server that still
-// sends the retired tags 5–6 decodes to the same snapshot as one without.
+// TestRetiredHealthTagsDecode: a HealthResp, MutateResp or StatsResp frame
+// from a server that still sends the retired tags decodes to the same value
+// as one without.
 func TestRetiredHealthTagsDecode(t *testing.T) {
 	for _, c := range goldenFrames {
-		if _, ok := c.value.(HealthResp); !ok {
+		tags, ok := retiredTagBytes[reflect.TypeOf(c.value)]
+		if !ok {
 			continue
 		}
-		frame, err := hex.DecodeString(c.frame + retiredHealthTags)
+		frame, err := hex.DecodeString(c.frame + tags)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UnmarshalHealthResp(frame)
+		got, err := c.decode(frame)
 		if err != nil || !reflect.DeepEqual(got, c.value) {
-			t.Errorf("old frame decoded to %+v (err %v), want %+v", got, err, c.value)
+			t.Errorf("old %T frame decoded to %+v (err %v), want %+v", c.value, got, err, c.value)
 		}
 	}
 }
@@ -348,7 +351,7 @@ func TestRetiredHealthTagsDecode(t *testing.T) {
 // every older field intact: a cmstat
 // built before the tags reads a new backend's frame as it always did.
 func TestOldDecoderSkipsNewStatsTags(t *testing.T) {
-	cur := StatsResp{Shard: -1, Sealed: true, Gets: 9000, NICOps: 88_000, HotKeys: [][]byte{[]byte("hot")},
+	cur := StatsResp{Shard: -1, Sealed: true, Gets: 9000, NICOps: 88_000,
 		DataTailBytes: 64 << 10, Erases: 300, CasOps: 200, Overflows: 2, Touches: 640, CorruptPurged: 1}
 	typ := reflect.TypeOf(cur)
 	var older []reflect.StructField
@@ -357,7 +360,7 @@ func TestOldDecoderSkipsNewStatsTags(t *testing.T) {
 			older = append(older, typ.Field(i))
 		}
 	}
-	if len(older) != 47 {
+	if len(older) != 45 { // 47 tags, less the retired 42–43
 		t.Fatalf("schema through tag 47 has %d fields", len(older))
 	}
 	old := reflect.New(reflect.StructOf(older))
@@ -446,13 +449,12 @@ func differential[T message](rng *rand.Rand, unmarshal func([]byte) (T, error)) 
 
 func TestCodecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	// The six datapath messages.
+	// The five datapath messages.
 	t.Run("SetReq", differential(rng, UnmarshalSetReq))
 	t.Run("GetReq", differential(rng, UnmarshalGetReq))
 	t.Run("GetResp", differential(rng, UnmarshalGetResp))
 	t.Run("MutateResp", differential(rng, UnmarshalMutateResp))
 	t.Run("TouchReq", differential(rng, UnmarshalTouchReq))
-	t.Run("TouchResp", differential(rng, UnmarshalTouchResp))
 	// The fourteen off-datapath messages.
 	t.Run("HelloResp", differential(rng, UnmarshalHelloResp))
 	t.Run("ScanReq", differential(rng, UnmarshalScanReq))
@@ -538,7 +540,7 @@ func TestSchemaLint(t *testing.T) {
 	seen := make(map[reflect.Type]bool)
 	caps := make(map[string]int)
 	for _, m := range []any{
-		SetReq{}, GetReq{}, GetResp{}, MutateResp{}, TouchReq{}, TouchResp{},
+		SetReq{}, GetReq{}, GetResp{}, MutateResp{}, TouchReq{},
 		HelloResp{}, ScanReq{}, ScanResp{}, MigrateBatchReq{}, AssumeShardReq{},
 		SealReq{}, ConfigResp{}, StatsResp{}, DebugReq{}, DebugResp{}, HealthReq{}, HealthResp{},
 		TierReq{}, TierResp{},

@@ -431,14 +431,14 @@ func FuzzStatsResp(f *testing.F) {
 		RPCWorkerLimit: 64, RPCWorkersBusy: 7, RPCQueuedSubmits: 3, RPCSubmitWaitNs: 55555,
 		RPCQueuedCalls: 120, RPCQueueNs: 9_000_000, RPCRhoMilli: 870,
 		NICEngines: 4, NICRhoMilli: 930, NICQueueNs: 1_234_567, NICOps: 88_000,
-		HotEpoch: 5, HotKeys: [][]byte{[]byte("hot"), {0x00, 0x01}},
 		SlabDrains: 21, EntriesMoved: 1900, DataFragMilli: 153, DataTailBytes: 64 << 10,
 		Erases: 300, CasOps: 200, Overflows: 2, Touches: 640, CorruptPurged: 1,
 	}.Marshal())
-	// Hostile saturation tags: every new field maxed, plus the hot-key
-	// promotion tags (42/43) with a maxed epoch and a binary key, the op and
-	// fault counters (48–52) maxed, plus an unknown tag beyond the current
-	// ceiling (forward compatibility).
+	// Hostile saturation tags: every new field maxed, plus the retired
+	// hot-key promotion tags (42/43) an older server may still send, with
+	// a maxed epoch and a binary key, the op and fault counters (48–52)
+	// maxed, plus an unknown tag beyond the current ceiling (forward
+	// compatibility).
 	e := wire.NewEncoder()
 	for tag := uint64(27); tag <= 41; tag++ {
 		e.Uint(tag, ^uint64(0))
@@ -467,64 +467,40 @@ func FuzzStatsResp(f *testing.F) {
 	})
 }
 
-// TouchResp is decoded by every heat-reporting client off its Touch-flush
-// ack — the promotion-learning channel of hot-key adaptive serving. The
-// frame is additive over the old empty Ack, so the decoder must treat an
-// empty body as "no promotion set" (epoch 0), and hostile bodies — maxed
-// epochs, binary keys, truncated varints, unknown tags — must error or
-// degrade, never panic, never fabricate keys. Drift matters doubly here:
-// a fabricated key would be admitted to near-caches fleet-wide.
-func FuzzTouchResp(f *testing.F) {
-	f.Add(TouchResp{HotEpoch: 3, HotKeys: [][]byte{[]byte("hot-a"), {0x00, 0xff}}}.Marshal())
-	f.Add(TouchResp{}.Marshal()) // the pre-promotion bare Ack
+// TouchReq is decoded by every backend off a client's Touch RPC or a
+// mutation leg's SetReq.Touches: Backend.ingestTouches walks it in place
+// with RangeTouchKeys, which must never panic on a hostile frame and, on
+// any frame UnmarshalTouchReq accepts, must yield the same keys in order —
+// the two readings of one request may not disagree about which keys a
+// client reported.
+func FuzzTouchReq(f *testing.F) {
+	f.Add(TouchReq{Keys: [][]byte{[]byte("hot-a"), {0x00, 0xff}, []byte("ccc")}}.Marshal())
+	f.Add(TouchReq{}.Marshal())
 	e := wire.NewEncoder()
-	e.Uint(1, ^uint64(0))
-	e.Bytes(2, []byte("\xff\xfekey"))
+	e.Bytes(1, []byte("\xff\xfekey"))
+	e.Uint(1, ^uint64(0)) // a key tag carrying a varint
 	e.Uint(99, 7)
 	f.Add(e.Encoded())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte("\x010\x100")) // one empty hot key: []byte{} first, nil on re-decode
+	f.Add(TouchReq{Keys: [][]byte{{}}}.Marshal()) // one empty key
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := UnmarshalTouchResp(data)
+		var walked [][]byte
+		rerr := RangeTouchKeys(data, func(k []byte) { walked = append(walked, k) })
+		r, err := UnmarshalTouchReq(data)
 		if err != nil {
 			return
 		}
-		if len(r.HotKeys) > len(data) {
-			t.Fatalf("decoder fabricated %d hot keys from %d input bytes", len(r.HotKeys), len(data))
+		if rerr != nil {
+			t.Fatalf("UnmarshalTouchReq accepted %x, RangeTouchKeys failed: %v", data, rerr)
 		}
-		for _, k := range r.HotKeys {
-			if len(k) > len(data) {
-				t.Fatalf("decoder fabricated a %d-byte key from %d input bytes", len(k), len(data))
+		if len(walked) != len(r.Keys) {
+			t.Fatalf("RangeTouchKeys walked %d keys, UnmarshalTouchReq decoded %d", len(walked), len(r.Keys))
+		}
+		for i := range walked {
+			if !bytes.Equal(walked[i], r.Keys[i]) {
+				t.Fatalf("key %d: RangeTouchKeys %q, UnmarshalTouchReq %q", i, walked[i], r.Keys[i])
 			}
 		}
-		again, err := UnmarshalTouchResp(r.Marshal())
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		drift := r.HotEpoch != again.HotEpoch || len(r.HotKeys) != len(again.HotKeys)
-		for i := 0; !drift && i < len(r.HotKeys); i++ {
-			drift = !bytes.Equal(r.HotKeys[i], again.HotKeys[i])
-		}
-		if drift {
-			t.Fatalf("re-decode drift:\n first  %+v\n second %+v", r, again)
-		}
 	})
-}
-
-func TestTouchRespRoundTrip(t *testing.T) {
-	in := TouchResp{HotEpoch: 9, HotKeys: [][]byte{[]byte("a"), []byte("b")}}
-	out, err := UnmarshalTouchResp(in.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip:\n in  %+v\n out %+v", in, out)
-	}
-	// The pre-promotion bare Ack (a header-only frame) decodes as "no
-	// promotion set".
-	empty, err := UnmarshalTouchResp(TouchResp{}.Marshal())
-	if err != nil || empty.HotEpoch != 0 || len(empty.HotKeys) != 0 {
-		t.Errorf("empty ack decoded to %+v, %v", empty, err)
-	}
 }

@@ -130,8 +130,7 @@ type SetReq struct {
 	ConfigID uint64 `wire:"8"`
 	// Touches is the sender's queued access records for this backend, as
 	// the encoded TouchReq that would have reported them (§4.2): a
-	// mutation leg carries them instead of a Touch RPC, and its ack
-	// carries back the promotion set (MutateResp.Hot). nil = none. An old
+	// mutation leg carries them instead of a Touch RPC. nil = none. An old
 	// server skips the field; records are hints.
 	Touches []byte `wire:"9,omitzero"`
 	// Expected is a CAS's precondition; zero elsewhere, and then not sent.
@@ -149,19 +148,18 @@ func UnmarshalSetReq(b []byte) (r SetReq, err error) { err = wire.Decode(b, &r);
 // eviction-to-SET ratios). Sealed reports that the answering backend is
 // handoff-sealed: its mutation journal has already drained, so the ack
 // must not count toward the old epoch's quorum (the write survives only
-// through the backend's pending-epoch ownership). Hot answers a request
-// that carried access records: the backend's promotion set, as the encoded
-// TouchResp a Touch RPC would have returned.
+// through the backend's pending-epoch ownership). Tag 7 is retired (a
+// hot-key promotion set the backend no longer keeps) and is never reused:
+// older servers may still send it, and decoders skip it.
 type MutateResp struct {
 	Applied   bool             `wire:"1"`
 	Stored    truetime.Version `wire:"2,flat"`
 	Evictions int              `wire:"5"`
 	Sealed    bool             `wire:"6"`
-	Hot       []byte           `wire:"7,omitzero"`
 }
 
 // AppendTo appends the encoded response to b; Marshal is AppendTo(nil).
-// UnmarshalMutateResp decodes it; Hot aliases b.
+// UnmarshalMutateResp decodes it.
 func (r MutateResp) AppendTo(b []byte) []byte                { return wire.Append(b, &r) }
 func (r MutateResp) Marshal() []byte                         { return r.AppendTo(nil) }
 func UnmarshalMutateResp(b []byte) (r MutateResp, err error) { err = wire.Decode(b, &r); return }
@@ -379,11 +377,9 @@ type StatsResp struct {
 	NICRhoMilli       uint64 `wire:"39"`
 	NICQueueNs        uint64 `wire:"40"`
 	NICOps            uint64 `wire:"41"`
-	// Hot-key promotion set (the cmstat PROMOTED column): HotEpoch
-	// identifies the set (bumped on every membership change), HotKeys are
-	// the keys this backend currently advertises as promoted.
-	HotEpoch uint64   `wire:"42"`
-	HotKeys  [][]byte `wire:"43"`
+	// Tags 42–43 are retired (a hot-key promotion set the backend no
+	// longer keeps) and are never reused: older servers may still send
+	// them, and decoders skip them.
 	// Data-region health: evictions with SlabDrains (slabs repurposed,
 	// EntriesMoved relocated rather than evicted) mean calcified, without
 	// mean full. DataFragMilli (1 − requested/allocated, ×1000) and

@@ -56,7 +56,7 @@ func TestSetReqProperty(t *testing.T) {
 }
 
 func TestMutateRespRoundTrip(t *testing.T) {
-	in := MutateResp{Applied: true, Stored: v(1, 2, 3), Evictions: 4, Hot: TouchResp{HotEpoch: 5}.Marshal()}
+	in := MutateResp{Applied: true, Stored: v(1, 2, 3), Evictions: 4}
 	out, err := UnmarshalMutateResp(in.Marshal())
 	if err != nil {
 		t.Fatal(err)

@@ -124,6 +124,16 @@ func All() []func() Result {
 	return out
 }
 
+// Names returns, for every experiment in figure order, the names ByName
+// resolves it by, space-separated.
+func Names() []string {
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.names
+	}
+	return out
+}
+
 // ByName resolves an experiment by figure id ("3", "fig3", ...) or by
 // the name of a non-figure experiment ("resize").
 func ByName(name string) (func() Result, bool) {

@@ -37,8 +37,15 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("99"); ok {
 		t.Error("bogus figure resolved")
 	}
-	if len(All()) != 21 {
-		t.Errorf("All() = %d experiments", len(All()))
+	if len(All()) != 21 || len(Names()) != 21 {
+		t.Errorf("All() = %d experiments, Names() = %d", len(All()), len(Names()))
+	}
+	for _, names := range Names() { // what cmbench -list prints
+		for _, n := range strings.Fields(names) {
+			if _, ok := ByName(n); !ok {
+				t.Errorf("listed name %q does not resolve", n)
+			}
+		}
 	}
 }
 

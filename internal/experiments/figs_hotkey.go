@@ -2,9 +2,9 @@ package experiments
 
 // FigHotKey — hot-key adaptive serving under a skewed workload. A Zipf
 // s=1.2 GET storm (plus a writer churning the hottest keys) runs twice
-// against identical cells: once with fixed SCAR lookups, once with the
-// adaptive loop — server-side promotion piggybacked on Touch acks and a
-// client near-cache with index-only quorum revalidation; every GET the
+// against identical cells: once with fixed SCAR lookups, once with a
+// client near-cache that admits the keys hot in each client's own GETs
+// and serves them after index-only quorum revalidation; every GET the
 // near-cache does not serve stays on SCAR. The fixed client pays every
 // hot GET's full data bytes on the servers' NICs; the adaptive client
 // serves most hot GETs after a bucket-sized revalidation round, so its
@@ -120,11 +120,9 @@ func runHotkeyCase(hc hotkeyCase) Row {
 		gets += cl.M.Gets.Value()
 		nearHits += cl.M.NearHits.Value()
 	}
-	promoted := 0
-	for _, b := range c.Nodes() {
-		if _, hot := b.HotSnapshot(); len(hot) > promoted {
-			promoted = len(hot)
-		}
+	promoted := 0 // the largest client's promoted set
+	for _, cl := range clients {
+		promoted = max(promoted, cl.PromotedKeys())
 	}
 
 	// Safety: with the writer quiet, every key reads back once more, and
@@ -139,8 +137,8 @@ func runHotkeyCase(hc hotkeyCase) Row {
 	// interleaving decides which legs share a downlink instant, and
 	// near-hit counts (and so the bytes a GET moves) follow promotion
 	// timing. benchdiff reports their drift informationally.
-	// `promoted` and `lost` stay gated: the promoted-set size is
-	// deterministic and lost must be exactly zero.
+	// `promoted` and `lost` stay gated: the largest client's set fills to
+	// its cap of 8 on the Zipf head, and lost must be exactly zero.
 	cols := latCols(&run.Service, 50, 99, 99.9)
 	for i := range cols {
 		cols[i].Noisy = true

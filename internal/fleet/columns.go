@@ -60,8 +60,8 @@ const (
 // the exposition page are all derived from it, so adding a counter is one
 // StatsResp field, one line in Backend.Stats, and one row here. Every
 // numeric or bool StatsResp field is read by exactly one row (a test holds
-// that), and nothing else names one except the RESIZE and PROMOTED
-// sections, which are not per-task columns.
+// that), and nothing else names one except the RESIZE section, which is
+// not a per-task column.
 var Columns = []Column{
 	num("", "KEYS", "KEYS", Gauge, "cliquemap_task_resident_keys", func(s *sr) uint64 { return s.ResidentKeys }),
 	num("", "MEMORY", "MEMORY", Bytes, "cliquemap_task_memory_bytes", func(s *sr) uint64 { return s.MemoryBytes }),

@@ -29,7 +29,6 @@ func TestEveryStatsFieldHasOneColumn(t *testing.T) {
 	notAColumn := map[string]string{
 		"Shard":         "the tables number rows by the config's shard order, which is what routes",
 		"PendingShards": "a resize's target, shown once per pending shard by cmstat's RESIZE section",
-		"HotEpoch":      "the promoted set's epoch, shown with its keys by cmstat's PROMOTED section",
 	}
 	readTwice := map[string]string{
 		"Stripes": "STRIPES shows it and SKEW divides by it for the mean stripe",
@@ -55,7 +54,7 @@ func TestEveryStatsFieldHasOneColumn(t *testing.T) {
 		case reflect.Bool:
 			f.SetBool(true)
 		default:
-			continue // HotKeys: not a number
+			continue // not a number
 		}
 		var readers []string
 		for j := range Columns {
