@@ -10,7 +10,6 @@ import (
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/rpc"
-	"cliquemap/internal/truetime"
 )
 
 // TestGetAllocBudget holds the GET to the per-op allocation budget DESIGN.md
@@ -21,9 +20,8 @@ import (
 //	SCAR miss  nothing                                               = 0
 //	2×R hit    the caller's value                                    = 1
 //	RPC hit    the caller's value                                    = 1
-//	SCAR conditional GET confirming the version its caller holds:
-//	           no value; the trace it hands back (GetIfChanged is
-//	           traced) keeps its own span buffer, as GetTraced's does = 1
+//	SCAR near-cache hit  the clone of the cached value               = 1
+//	2×R near-cache hit   the clone of the cached value               = 1
 //
 // and the two-sided GET of an out-of-process caller — a tracer-less
 // StrategyRPC client on one loopback connection to the cell's gateway — to
@@ -85,25 +83,34 @@ func TestGetAllocBudget(t *testing.T) {
 		})
 	}
 
-	t.Run("SCAR conditional confirm", func(t *testing.T) {
-		cl := newCell(t, Options{}).NewClient(ClientOptions{Strategy: LookupSCAR}).Internal()
-		if err := cl.Set(ctx, key, make([]byte, 128)); err != nil {
-			t.Fatal(err)
-		}
-		_, have, _, _, err := cl.GetIfChanged(ctx, key, truetime.Version{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		get := func() {
-			if v, ver, found, _, err := cl.GetIfChanged(ctx, key, have); err != nil || !found || ver != have || v != nil {
-				t.Fatalf("conditional get: %d bytes at %v found=%v err=%v, want %v confirmed", len(v), ver, found, err, have)
+	// A near hit is one index-only revalidation round; what it returns is
+	// a clone of the cached value, so a later GET's refresh of the entry
+	// cannot change it under the caller.
+	for _, tc := range []struct {
+		name     string
+		strategy Strategy
+	}{{"SCAR near-cache hit", LookupSCAR}, {"2xR near-cache hit", Lookup2xR}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newCell(t, Options{}).NewClient(ClientOptions{Strategy: tc.strategy, NearCacheEntries: 8})
+			if err := cl.Set(ctx, key, make([]byte, 128)); err != nil {
+				t.Fatal(err)
 			}
-		}
-		warm(get)
-		if got := testing.AllocsPerRun(200, get); got > 1 {
-			t.Errorf("%v allocations per confirming GET, budget 1 (its kept span buffer)", got)
-		}
-	})
+			hammerUntilPromoted(t, cl, key, 2000)
+			get := func() {
+				if v, found, err := cl.Get(ctx, key); err != nil || !found || len(v) != 128 {
+					t.Fatalf("get: %d bytes found=%v err=%v", len(v), found, err)
+				}
+			}
+			warm(get)
+			hits := cl.Stats().NearHits
+			if got := testing.AllocsPerRun(200, get); got > 1 {
+				t.Errorf("%v allocations per near hit, budget 1", got)
+			}
+			if n := cl.Stats().NearHits - hits; n != 201 {
+				t.Errorf("%d near hits in 201 GETs: the budget is for the near hit", n)
+			}
+		})
+	}
 
 	t.Run("RPC hit over TCP", func(t *testing.T) {
 		cl := tcpClient(t, newCell(t, Options{}), 0)

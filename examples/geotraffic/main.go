@@ -7,8 +7,8 @@
 // The example compresses each day into a few hundred milliseconds and
 // walks the three production events the tier exists for:
 //
-//   - day 1: steady state — every region serves its diurnal curve, reads
-//     for remotely-owned segments ride the stale-bounded follower path;
+//   - day 1: steady state — every region serves its diurnal curve, and
+//     each read goes to the segment's owning cell, wherever that is;
 //   - day 2: the EU cell is resized 3→4 shards mid-day (riding the
 //     two-epoch resize protocol) and re-weighted to match, then a US
 //     brownout pages its health plane and the router demotes it with
@@ -87,14 +87,12 @@ func main() {
 	}
 
 	// One navigation-serving client per region, co-located with its
-	// cell: remotely-owned segments ride the follower path, bounded at
-	// 40ms staleness on a corpus refreshed far slower than that matters.
+	// cell: its tracer records the region's reads, and a read of a
+	// remotely-owned segment is forwarded to the owner.
 	readers := map[string]*cliquemap.TierClient{}
 	diurnals := map[string]workload.Diurnal{}
 	for i, r := range regions {
-		rd, err := tier.NewClient(cliquemap.TierClientOptions{
-			Local: r, FollowerReads: true, StaleBound: 40 * time.Millisecond,
-		})
+		rd, err := tier.NewClient(cliquemap.TierClientOptions{Local: r})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -260,8 +258,7 @@ func main() {
 	auditMove("asia kill", before, owners(), "asia", 1.0/3+0.05)
 
 	// Full refresh so every segment's last ack postdates the kill, then
-	// the audit: every acked write must read back exactly (through the
-	// updater — no follower cache in the loop).
+	// the audit: every acked write must read back exactly.
 	for i := 0; i < segments; i++ {
 		refresh(i, "final")
 	}
@@ -279,8 +276,7 @@ func main() {
 
 	st := readers["eu"].Stats()
 	fmt.Printf("\nzero acked writes lost across resize, demotion, and cell kill\n")
-	fmt.Printf("eu reader: %d ops, follower hits=%d revalidations=%d refreshes=%d misses=%d\n",
-		st.Ops, st.FollowerHits, st.FollowerRevalids, st.FollowerRefreshes, st.FollowerMisses)
+	fmt.Printf("eu reader: %d ops, reroutes=%d\n", st.Ops, st.Reroutes)
 	var ops, reroutes, failovers uint64
 	for _, r := range regions {
 		s := readers[r].Stats()

@@ -11,6 +11,7 @@ import (
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/drive"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/history"
 )
 
@@ -152,5 +153,45 @@ func TestHotChurnRace(t *testing.T) {
 			writer.SetVersioned(ctx, keys[i%nKeys], []byte(fmt.Sprintf("k%d.s%d", i%nKeys, i/nKeys)))
 		}
 	}, readers)
+	checkRegister(t, rec, 0)
+}
+
+// TestNearCacheHoldsPastLaggingPrimary: a near-cache entry is revalidated
+// by a read quorum, never by whichever replica answers first. The key's
+// primary refuses RPCs while a SET of v2 acks on the other two replicas,
+// so the primary's index still holds v1, the cached version; a
+// revalidation that trusted one answer could reconfirm v1 until a repair
+// sweep ran. The next GET must find the version moved and read v2.
+func TestNearCacheHoldsPastLaggingPrimary(t *testing.T) {
+	c := newCell(t, Options{Shards: 3, Mode: R32})
+	rec := &history.Recorder{}
+	pub := c.NewClient(ClientOptions{NearCacheEntries: 8})
+	reader := history.Client{C: pub.Internal(), R: rec, ID: 1}
+	writer := history.Client{C: c.NewClient(ClientOptions{}).Internal(), R: rec}
+	ctx := context.Background()
+	key := []byte("hot-lagging")
+	if _, err := writer.SetVersioned(ctx, key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	hammerUntilPromoted(t, pub, key, 2000)
+	if v, _, err := reader.Get(ctx, key); err != nil || string(v) != "v1" || pub.Stats().NearHits == 0 {
+		t.Fatalf("cached read: %q err=%v, %+v: want a near hit on v1", v, err, pub.Stats())
+	}
+
+	primary := int(hashring.DefaultHash(key).Hi % uint64(c.Internal().Shards()))
+	c.Internal().SetRPCFailRate(primary, 1, 1)
+	_, err := writer.SetVersioned(ctx, key, []byte("v2"))
+	c.Internal().SetRPCFailRate(primary, 0, 1)
+	if err != nil {
+		t.Fatalf("set v2 with the primary refusing RPCs: %v", err)
+	}
+
+	stale := pub.Stats().NearStale
+	if v, found, err := reader.Get(ctx, key); err != nil || !found || string(v) != "v2" {
+		t.Fatalf("read after the overwrite: %q found=%v err=%v, want v2", v, found, err)
+	}
+	if pub.Stats().NearStale == stale {
+		t.Error("the read after the overwrite counted no stale near entry")
+	}
 	checkRegister(t, rec, 0)
 }

@@ -132,12 +132,9 @@ func (b *Backend) stripeSaturation() stripeSaturation {
 // noteHeat feeds one key access into the heat sketch, reusing the hash
 // the hot path already computed. Probe-namespace canaries are excluded so
 // the health plane's own synthetic traffic can never masquerade as a hot
-// key, and the federation tier's follower-cache namespace is excluded so
-// cached copies of remotely-owned keys don't re-count reads the owner
-// cell already measured (follower traffic would otherwise self-amplify
-// apparent heat in the HOT KEY tables and the fleet's global ranking).
+// key.
 func (b *Backend) noteHeat(key []byte, h hashring.KeyHash) {
-	if !layout.IsProbeKey(key) && !layout.IsTierKey(key) {
+	if !layout.IsProbeKey(key) {
 		b.heat.Touch(key, h.Lo)
 	}
 }

@@ -196,19 +196,16 @@ func TestTombstoneSummaryCoarseButConsistent(t *testing.T) {
 	}
 }
 
-// TestHeatExcludesReservedNamespaces: probe-canary and federation
-// follower-cache keys must never register in the heat sketch — synthetic
-// and echoed traffic masquerading as heat would mis-rank the hot-key
-// tables.
+// TestHeatExcludesReservedNamespaces: probe-canary keys must never
+// register in the heat sketch — synthetic traffic masquerading as heat
+// would mis-rank the hot-key tables.
 func TestHeatExcludesReservedNamespaces(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	user := []byte("user-key")
 	probe := []byte(layout.ProbeKeyPrefix + "canary")
-	tier := []byte(layout.TierKeyPrefix + "remote-key")
 	for i := 0; i < 50; i++ {
 		r.b.get(nil, user)
 		r.b.get(nil, probe)
-		r.b.get(nil, tier)
 	}
 	if got := r.b.Heat().Total(); got != 50 {
 		t.Errorf("heat total = %d, want 50 (user accesses only)", got)

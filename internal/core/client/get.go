@@ -2,8 +2,7 @@ package client
 
 // GET: the retry loop around one fetch → vote → data attempt (the last
 // attempt, the final fallback, fetches over RPC), behind the index-only
-// round that revalidates a version the caller or the near-cache holds,
-// plus batching.
+// round that revalidates a version the near-cache holds, plus batching.
 
 import (
 	"cmp"
@@ -24,43 +23,27 @@ const opSpans = 16
 
 // Get looks up key, transparently retrying transient hazards.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	v, _, found, _, err := c.get(ctx, key, truetime.Version{}, 0, false)
+	v, _, found, _, err := c.get(ctx, key, 0, false)
 	return v, found, err
 }
 
 // GetTraced is Get plus the op's modelled latency trace.
 func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabric.OpTrace, error) {
-	v, _, found, tr, err := c.get(ctx, key, truetime.Version{}, 0, true)
+	v, _, found, tr, err := c.get(ctx, key, 0, true)
 	return v, found, tr, err
 }
 
-// GetIfChanged is a conditional GET for a caller that holds key's value at
-// version have (zero: nothing held): it returns the quorum-winning version
-// with the value, and the op's modelled latency trace. A read that
-// confirms have returns no value — the caller's copy stands. It is the
-// federation tier's follower-cache revalidation: the version lets a
-// non-owner cell revalidate a cached entry against the owner, and the
-// trace lets the tier edge fold the owner cell's legs into the federated
-// op's one trace.
-func (c *Client) GetIfChanged(ctx context.Context, key []byte, have truetime.Version) ([]byte, truetime.Version, bool, fabric.OpTrace, error) {
-	val, ver, found, tr, err := c.get(ctx, key, have, 0, true)
-	if found && ver == have {
-		val = nil
-	}
-	return val, ver, found, tr, err
-}
-
 // get runs one GET on a leased op record; only keep gives its trace spans
-// that outlive the op. have is the version the caller already holds (0 =
-// none; the near-cache fills it from its entry): on a one-sided strategy
-// one index-only round that confirms it, or agrees on a miss, serves the
-// GET, and any other round falls through to the attempt loop with its
-// legs already billed. pin is the virtual instant the op starts at (0 =
-// now): each round of legs is pinned to pin plus the op's elapsed modelled
-// time, so a batch's keys share one origin. A hit reports its access once
-// the record is back, so a flush the access fills can lease it; the flush
-// runs under the caller's ctx, as the op's node is back in the pool.
-func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin uint64, keep bool) (value []byte, ver truetime.Version, found bool, tr fabric.OpTrace, err error) {
+// that outlive the op. When the near-cache holds key at some version, on a
+// one-sided strategy one index-only round that confirms it, or agrees on
+// a miss, serves the GET, and any other round falls through to the
+// attempt loop with its legs already billed. pin is the virtual instant
+// the op starts at (0 = now): each round of legs is pinned to pin plus the
+// op's elapsed modelled time, so a batch's keys share one origin. A hit
+// reports its access once the record is back, so a flush the access fills
+// can lease it; the flush runs under the caller's ctx, as the op's node is
+// back in the pool.
+func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, ver truetime.Version, found bool, tr fabric.OpTrace, err error) {
 	op := c.ops.Take()
 	defer func(ctx context.Context) {
 		c.ops.Put(op)
@@ -80,19 +63,15 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 	near, cached := nearEntry{}, false
 	if c.near != nil {
 		c.near.hot.noteGet(key, x.h.Lo)
-		if have.Zero() {
-			if near, cached = c.near.get(key); cached {
-				have = near.ver
-			}
-		}
+		near, cached = c.near.get(key)
 	}
-	if !have.Zero() && (c.opt.Strategy == Strategy2xR || c.opt.Strategy == StrategySCAR) {
+	if cached && (c.opt.Strategy == Strategy2xR || c.opt.Strategy == StrategySCAR) {
 		ver, found, err = c.revalidateIndex(&x, key, pin)
-		if err == nil && (!found || ver == have) {
-			if cached && found {
+		if err == nil && (!found || ver == near.ver) {
+			if found {
 				c.M.NearHits.Inc()
 				value = slices.Clone(near.val)
-			} else if cached {
+			} else {
 				// An agreed miss: the key was erased (or the entry outlived
 				// the corpus). The cached value must never resurrect it.
 				c.near.drop(key)
@@ -100,7 +79,7 @@ func (c *Client) get(ctx context.Context, key []byte, have truetime.Version, pin
 			c.finishGet(sc, found, c.Transport(), 1, &x.tr)
 			return value, ver, found, x.tr, nil
 		}
-		if cached && err == nil { // the version moved: the loop refreshes the entry
+		if err == nil { // the version moved: the loop refreshes the entry
 			c.near.drop(key)
 			c.M.NearStale.Inc()
 		}
@@ -390,7 +369,7 @@ func (c *Client) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, 
 		if c.now != nil && (pin == 0 || pin < c.rpcAt.Load()) {
 			pin = c.now()
 		}
-		v, _, ok, ktr, kerr := c.get(ctx, k, truetime.Version{}, pin, true)
+		v, _, ok, ktr, kerr := c.get(ctx, k, pin, true)
 		values[i], found[i] = v, ok
 		if kerr != nil && err == nil {
 			err = kerr

@@ -63,20 +63,6 @@ func IsProbeKey(key []byte) bool {
 	return len(key) >= len(ProbeKeyPrefix) && string(key[:len(ProbeKeyPrefix)]) == ProbeKeyPrefix
 }
 
-// TierKeyPrefix reserves the federation tier's follower-cache namespace:
-// a non-owner cell stores remotely-fetched entries under this prefix in
-// its local cell. Like probe keys, the leading NUL keeps it disjoint from
-// user keys; unlike user keys, follower-cache traffic is an echo of reads
-// already counted at the owner cell, so the heat sketch excludes it via
-// IsTierKey — otherwise every follower hit would re-count as local heat
-// and self-amplify into a phantom hot key.
-const TierKeyPrefix = "\x00tier/"
-
-// IsTierKey reports whether key lies in the follower-cache namespace.
-func IsTierKey(key []byte) bool {
-	return len(key) >= len(TierKeyPrefix) && string(key[:len(TierKeyPrefix)]) == TierKeyPrefix
-}
-
 // Validation failure taxonomy. The client retries at a layer chosen by the
 // error (§3, §9): torn reads retry the RMA; config changes refresh config;
 // window errors fall back to RPC.

@@ -349,8 +349,8 @@ func FuzzDebugRespExtended(f *testing.F) {
 			Spans: []fabric.Span{
 				{Code: 18, Arg: 1, Start: 0, Dur: 0},       // ring-lookup
 				{Code: 17, Arg: 0, Start: 0, Dur: 0},       // tier-route
-				{Code: 1, Arg: 2, Start: 0, Dur: 5000},     // follower-cell index fetch
-				{Code: 21, Arg: 1, Start: 5000, Dur: 80e3}, // follower-revalidate
+				{Code: 1, Arg: 2, Start: 0, Dur: 5000},     // index fetch
+				{Code: 21, Arg: 1, Start: 5000, Dur: 80e3}, // retired code: an older peer's follower-revalidate
 				{Code: 6, Arg: 1600, Start: 40e3, Dur: 39e3},
 			},
 		}},

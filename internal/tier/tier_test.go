@@ -1,7 +1,6 @@
 package tier
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -86,6 +85,16 @@ func TestTierRoutesAndServes(t *testing.T) {
 		_, found, err := cl.cls[owner].Get(ctx, key)
 		if err != nil || !found {
 			t.Fatalf("key %d not on its owner %s: found=%v err=%v", i, owner, found, err)
+		}
+	}
+
+	// An erase through the tier reaches the owner: the next GET misses.
+	for i := 0; i < 50; i++ {
+		if err := cl.Erase(ctx, testKey(i)); err != nil {
+			t.Fatalf("erase %d: %v", i, err)
+		}
+		if _, found, err := cl.Get(ctx, testKey(i)); err != nil || found {
+			t.Fatalf("get %d after its erase: found=%v err=%v", i, found, err)
 		}
 	}
 }
@@ -272,141 +281,12 @@ func TestTierHealthDemoteHysteresis(t *testing.T) {
 	}
 }
 
-func TestTierFollowerReads(t *testing.T) {
-	tr := newTestTier(t, "us", "eu")
-	ctx := context.Background()
-
-	// Writer colocated with us; reader colocated with us too, follower
-	// reads on. Pick a key owned by eu so reads cross cells.
-	writer, err := tr.NewClient(ClientOptions{Local: "us"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fabric clock tracks wall time, so the bound must be wide
-	// enough that two adjacent reads land inside it even under -race
-	// scheduling noise, yet short enough to cross with one sleep.
-	const staleBound = 500 * time.Millisecond
-	reader, err := tr.NewClient(ClientOptions{
-		Local: "us", FollowerReads: true,
-		StaleBoundNs: uint64(staleBound),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var key []byte
-	for i := 0; ; i++ {
-		k := testKey(i)
-		if tr.Owner(k) == "eu" {
-			key = k
-			break
-		}
-	}
-
-	if err := writer.Set(ctx, key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-
-	// First read: follower miss → owner fetch → populate local cache.
-	val, found, err := reader.Get(ctx, key)
-	if err != nil || !found || !bytes.Equal(val, []byte("v1")) {
-		t.Fatalf("first read: %q %v %v", val, found, err)
-	}
-	if reader.Metrics().FollowerMisses.Load() != 1 {
-		t.Fatalf("expected one follower miss, got %d", reader.Metrics().FollowerMisses.Load())
-	}
-
-	// Second read inside the bound: served locally.
-	if _, _, err := reader.Get(ctx, key); err != nil {
-		t.Fatal(err)
-	}
-	if reader.Metrics().FollowerHits.Load() != 1 {
-		t.Fatalf("expected one follower hit, got %d", reader.Metrics().FollowerHits.Load())
-	}
-
-	// The owner moves the value forward; the follower copy is now stale.
-	if err := writer.Set(ctx, key, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Inside the stale bound the follower may legally serve v1 (that is
-	// the contract). Wait out the bound, then the read must revalidate
-	// and return v2.
-	time.Sleep(staleBound + 100*time.Millisecond)
-	val, found, err = reader.Get(ctx, key)
-	if err != nil || !found {
-		t.Fatalf("stale read: %v %v", found, err)
-	}
-	if !bytes.Equal(val, []byte("v2")) {
-		t.Fatalf("stale follower served %q after bound, want revalidated v2", val)
-	}
-	if reader.Metrics().FollowerRefreshes.Load() == 0 {
-		t.Error("no follower refresh recorded")
-	}
-
-	// Erase through the reader invalidates its local copy too.
-	if err := reader.Erase(ctx, key); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := reader.Get(ctx, key); found {
-		t.Error("erased key still found via follower path")
-	}
-}
-
-// TestFollowerReadHoldsBoundPastLaggingPrimary: a follower entry past its
-// staleness bound is revalidated by a read quorum of the owner cell, not
-// by whichever cohort member answers first. The owner's primary refuses
-// RPCs while a SET of v2 acks on the other two replicas, so its copy
-// still holds v1; a revalidation that trusted the first answer would
-// reconfirm v1 at every bound until a repair sweep ran.
-func TestFollowerReadHoldsBoundPastLaggingPrimary(t *testing.T) {
-	tr := newTestTier(t, "us", "eu")
-	ctx := context.Background()
-	const staleBound = 50 * time.Millisecond
-	writer, err := tr.NewClient(ClientOptions{Local: "eu"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reader, err := tr.NewClient(ClientOptions{Local: "us", FollowerReads: true, StaleBoundNs: uint64(staleBound)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(0)
-	for i := 1; tr.Owner(key) != "eu"; i++ {
-		key = testKey(i)
-	}
-	if err := writer.Set(ctx, key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if val, _, err := reader.Get(ctx, key); err != nil || string(val) != "v1" {
-		t.Fatalf("first read: %q %v", val, err)
-	}
-
-	owner := tr.Cell("eu")
-	primary := int(hashring.DefaultHash(key).Hi % uint64(owner.Shards()))
-	owner.SetRPCFailRate(primary, 1.0, 1)
-	err = writer.Set(ctx, key, []byte("v2"))
-	owner.SetRPCFailRate(primary, 0, 1)
-	if err != nil {
-		t.Fatalf("set v2 with the primary refusing RPCs: %v", err)
-	}
-
-	time.Sleep(staleBound + 20*time.Millisecond)
-	refreshes := reader.Metrics().FollowerRefreshes.Load()
-	val, found, err := reader.Get(ctx, key)
-	if err != nil || !found || string(val) != "v2" {
-		t.Fatalf("read past the bound: %q found=%v err=%v, want v2", val, found, err)
-	}
-	if reader.Metrics().FollowerRefreshes.Load() == refreshes {
-		t.Error("the read past the bound recorded no follower refresh")
-	}
-}
-
 // TestTierResizeKeepsCellAlive is the regression test for the federation
 // tier's deadliest false positive: an online resize bumps the cell's
-// config epoch, and if any tier-client path keeps using the stale
-// ConfigID (the follower revalidation RPC did), every op against that
-// cell fails and failThreshold consecutive failures mark a perfectly
-// healthy cell dead. Routine maintenance must never kill a cell.
+// config epoch, and if any tier-client path kept using the stale ConfigID,
+// every op against that cell would fail and failThreshold consecutive
+// failures would mark a perfectly healthy cell dead. Routine maintenance
+// must never kill a cell.
 func TestTierResizeKeepsCellAlive(t *testing.T) {
 	tr := newTestTier(t, "us", "eu", "asia")
 	ctx := context.Background()
@@ -414,10 +294,7 @@ func TestTierResizeKeepsCellAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader, err := tr.NewClient(ClientOptions{
-		Local: "us", FollowerReads: true,
-		StaleBoundNs: uint64(20 * time.Millisecond),
-	})
+	reader, err := tr.NewClient(ClientOptions{Local: "us"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,9 +311,6 @@ func TestTierResizeKeepsCellAlive(t *testing.T) {
 	if err := tr.Cell("eu").Resize(ctx, 4); err != nil {
 		t.Fatalf("resize: %v", err)
 	}
-	// Let every follower entry age past the bound so each read takes the
-	// revalidation path against the (new-epoch) owner.
-	time.Sleep(40 * time.Millisecond)
 
 	for i := 0; i < n; i++ {
 		if _, _, err := reader.Get(ctx, testKey(i)); err != nil {
@@ -550,7 +424,7 @@ func TestTierGetAllocatesOnlyItsLeg(t *testing.T) {
 	for n := range cl.cls { // SCAR legs: a tier client's per-cell clients are default ones
 		cl.cls[n] = tr.cells[n].NewClient(client.Options{Strategy: client.StrategySCAR})
 	}
-	cl.local = cl.cls[cl.opt.Local]
+	owner := cl.cls["us"]
 	ctx := context.Background()
 	key := testKey(0)
 	for i := 1; tr.Owner(key) != "us"; i++ {
@@ -560,7 +434,7 @@ func TestTierGetAllocatesOnlyItsLeg(t *testing.T) {
 		t.Fatal(err)
 	}
 	leg := func() {
-		if _, found, _, err := cl.local.GetTraced(ctx, key); err != nil || !found {
+		if _, found, _, err := owner.GetTraced(ctx, key); err != nil || !found {
 			t.Fatalf("cell get: found=%v err=%v", found, err)
 		}
 	}
@@ -572,12 +446,13 @@ func TestTierGetAllocatesOnlyItsLeg(t *testing.T) {
 	for i := 0; i < 600; i++ { // past the tracer reservoir's first fill
 		edge()
 	}
-	ops := cl.Tracer().Ops()
+	tracer := tr.cells["us"].Tracer // the local cell's: the tier op and its leg both record there
+	ops := tracer.Ops()
 	want := testing.AllocsPerRun(200, leg)
 	if got := testing.AllocsPerRun(200, edge); got != want {
 		t.Errorf("a tier GET allocates %v, its cell leg %v: the tier edge must add nothing", got, want)
 	}
-	if n := cl.Tracer().Ops() - ops; n != 2*201 {
+	if n := tracer.Ops() - ops; n != 2*201 {
 		t.Errorf("%d ops recorded, want one per GET: both GETs are traced", n)
 	}
 }

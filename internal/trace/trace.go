@@ -48,9 +48,11 @@ const (
 	SpanTierRoute     uint16 = 17 // tier: one routing decision; Arg = tier-level attempt #
 	SpanRingLookup    uint16 = 18 // tier: weighted-ring owner resolution; Arg = ring version (low 32 bits)
 	SpanTierForward   uint16 = 19 // tier: op forwarded to a remote owner cell; Arg = owner cell index
-	SpanFollowerHit   uint16 = 20 // tier: follower cache served inside the staleness bound; Arg = age µs
-	SpanFollowerReval uint16 = 21 // tier: stale follower entry revalidated by owner version; Arg = 0 confirmed, 1 refreshed, 2 erased
 	SpanRPCQueue      uint16 = 22 // rpc: modelled admission-queue wait at a loaded server; Arg = utilization ‰
+
+	// Codes 20 (follower-cache-hit) and 21 (follower-revalidate) are
+	// retired with the tier's follower cache. Spans cross the TCP wire, so
+	// they are never reused: an old peer's span renders as span-20/21.
 )
 
 // CodeName names a span code for display; unknown codes render
@@ -95,10 +97,6 @@ func CodeName(c uint16) string {
 		return "ring-lookup"
 	case SpanTierForward:
 		return "tier-forward"
-	case SpanFollowerHit:
-		return "follower-cache-hit"
-	case SpanFollowerReval:
-		return "follower-revalidate"
 	case SpanRPCQueue:
 		return "rpc-queue"
 	}

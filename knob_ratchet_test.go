@@ -16,7 +16,7 @@ import (
 // be asked to cover, and one that no figure, test, paper section or
 // deployment needs goes. Lower the number when the count shrinks; never
 // raise it.
-const maxKnobs = 118
+const maxKnobs = 113
 
 // TestKnobRatchet counts the exported fields of the structs named
 // *Options, *Config, *Params and *CostModel in the non-test Go outside

@@ -171,14 +171,13 @@ func TestSlowMutationAttributesQuorumWait(t *testing.T) {
 	}
 }
 
-// TestFollowerGetTraceSpansBothCells is the cross-cell observability
-// check: one follower GET through the federation tier must yield ONE
-// trace — recorded in the follower cell's tracer under a single op id —
-// whose span timeline covers the tier routing decision, the follower
-// cell's local lookup, and the owner cell's revalidation legs. The same
-// record must then be readable over the Debug RPC, exactly as
-// cmstat -trace reads it.
-func TestFollowerGetTraceSpansBothCells(t *testing.T) {
+// TestTierGetTraceSpansBothCells is the cross-cell observability check:
+// one tier GET of a key a remote cell owns must yield ONE trace, recorded
+// in the local cell's tracer under a single op id, whose span timeline
+// covers the tier routing decision and, inside a tier-forward bracket, the
+// owner cell's index lookup. The same record must then be readable over
+// the Debug RPC, exactly as cmstat -trace reads it.
+func TestTierGetTraceSpansBothCells(t *testing.T) {
 	small := Options{Shards: 2, Spares: 0, Mode: R32}
 	tr, err := NewTier(TierOptions{Cells: []TierCellOptions{
 		{Name: "us", Options: small},
@@ -189,22 +188,21 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	writer, err := tr.NewClient(TierClientOptions{Local: "us"})
+	// The writer records into eu's tracer, so us's records only the read.
+	writer, err := tr.NewClient(TierClientOptions{Local: "eu"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every op the follower cell records is slow, so its slow log keeps
-	// each tier GET for the checks below.
-	tr.Cell("us").Tracer().SetSlowThreshold(1)
-	const staleBound = 500 * time.Millisecond
-	reader, err := tr.NewClient(TierClientOptions{
-		Local: "us", FollowerReads: true, StaleBound: staleBound,
-	})
+	reader, err := tr.NewClient(TierClientOptions{Local: "us"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every op the local cell records is slow, so its slow log keeps the
+	// tier GET for the checks below.
+	local := tr.Cell("us").Tracer()
+	local.SetSlowThreshold(1)
 
-	// A key owned by eu, read from us: every read crosses cells.
+	// A key owned by eu, read from us: the read crosses cells.
 	var key []byte
 	for i := 0; ; i++ {
 		k := []byte(fmt.Sprintf("xcell-key-%05d", i))
@@ -216,26 +214,19 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 	if err := writer.Set(ctx, key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
+	ops := local.Ops()
+	if val, found, err := reader.Get(ctx, key); err != nil || !found || string(val) != "v1" {
+		t.Fatalf("tier read: %q %v %v", val, found, err)
+	}
+	if n := local.Ops() - ops; n != 1 {
+		t.Fatalf("the local cell recorded %d ops for one tier GET, want 1", n)
+	}
+	slow := local.Snapshot(0).Slow
+	if len(slow) != 1 || slow[0].Kind != trace.KindGet.String() {
+		t.Fatalf("local slow log %+v, want the one tier GET", slow)
+	}
+	rec := slow[0]
 
-	// Follower miss → owner fetch, then a fresh hit, then (after the
-	// bound, against a moved value) a revalidation that refreshes.
-	if _, found, err := reader.Get(ctx, key); err != nil || !found {
-		t.Fatalf("miss-path read: %v %v", found, err)
-	}
-	if _, found, err := reader.Get(ctx, key); err != nil || !found {
-		t.Fatalf("hit-path read: %v %v", found, err)
-	}
-	if err := writer.Set(ctx, key, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(staleBound + 100*time.Millisecond)
-	val, found, err := reader.Get(ctx, key)
-	if err != nil || !found || string(val) != "v2" {
-		t.Fatalf("revalidation read: %q %v %v", val, found, err)
-	}
-
-	// The tier edge records into the follower (us) cell's tracer, so the
-	// co-located cell's debug plane shows the federated op end to end.
 	hasSpan := func(spans []fabric.Span, code uint16) bool {
 		for _, sp := range spans {
 			if sp.Code == code {
@@ -244,63 +235,31 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 		}
 		return false
 	}
-	var missRec, hitRec, revalRec *trace.OpRecord
-	for _, r := range tr.Cell("us").Tracer().Snapshot(0).Slow {
-		r := r
-		if r.Kind != trace.KindGet.String() {
-			continue
+	// The owner cell's index lookup (SpanIndexFetch) lies inside the
+	// tier-forward bracket, in the same span list as the tier's own spans.
+	spansBothCells := func(spans []fabric.Span) bool {
+		if !hasSpan(spans, trace.SpanTierRoute) || !hasSpan(spans, trace.SpanRingLookup) {
+			return false
 		}
-		switch {
-		case hasSpan(r.Spans, trace.SpanFollowerReval) && revalRec == nil:
-			revalRec = &r
-		case hasSpan(r.Spans, trace.SpanFollowerHit) && hitRec == nil:
-			hitRec = &r
-		case hasSpan(r.Spans, trace.SpanTierForward) && missRec == nil:
-			missRec = &r
-		}
-	}
-	if missRec == nil || hitRec == nil || revalRec == nil {
-		t.Fatalf("missing tier GET records: miss=%v hit=%v reval=%v", missRec, hitRec, revalRec)
-	}
-	for name, r := range map[string]*trace.OpRecord{"miss": missRec, "hit": hitRec, "reval": revalRec} {
-		if !hasSpan(r.Spans, trace.SpanTierRoute) || !hasSpan(r.Spans, trace.SpanRingLookup) {
-			t.Errorf("%s record lacks tier routing spans: %+v", name, r.Spans)
-		}
-	}
-	// The miss and revalidation paths touch BOTH cells under one op id:
-	// the follower cell's index lookup (SpanIndexFetch) ends before the
-	// owner bracket (tier-forward or follower-revalidate) opens, and the
-	// owner cell's own index lookup lies inside that bracket, in the same
-	// span list.
-	bothCells := func(spans []fabric.Span) bool {
 		var br fabric.Span
 		for _, sp := range spans {
-			if sp.Code == trace.SpanTierForward || sp.Code == trace.SpanFollowerReval {
+			if sp.Code == trace.SpanTierForward {
 				br = sp
 			}
 		}
-		follower, owner := false, false
 		for _, sp := range spans {
-			if sp.Code != trace.SpanIndexFetch {
-				continue
+			if sp.Code == trace.SpanIndexFetch && sp.Start >= br.Start && sp.Start+sp.Dur <= br.Start+br.Dur {
+				return br.Dur > 0
 			}
-			follower = follower || sp.Start+sp.Dur <= br.Start
-			owner = owner || sp.Start >= br.Start && sp.Start+sp.Dur <= br.Start+br.Dur
 		}
-		return br.Dur > 0 && follower && owner
+		return false
 	}
-	for name, r := range map[string]*trace.OpRecord{"miss": missRec, "reval": revalRec} {
-		if !bothCells(r.Spans) {
-			t.Errorf("%s record lacks a cell's index lookup around its owner bracket: %+v", name, r.Spans)
-		}
-	}
-	// The fresh hit never left the follower cell.
-	if hasSpan(hitRec.Spans, trace.SpanTierForward) {
-		t.Errorf("follower hit shows a tier forward: %+v", hitRec.Spans)
+	if !spansBothCells(rec.Spans) {
+		t.Errorf("record lacks the routing spans or the owner's index lookup inside its tier-forward bracket: %+v", rec.Spans)
 	}
 
 	// Wire path: the same op id, with its cross-cell spans, is readable
-	// over MethodDebug from the follower cell — the cmstat -trace view.
+	// over MethodDebug from the local cell — the cmstat -trace view.
 	g, err := tr.Cell("us").Internal().ServeTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -319,21 +278,18 @@ func TestFollowerGetTraceSpansBothCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found = false
+	found := false
 	for _, op := range append(append([]proto.DebugOp{}, dbg.Exemplars...), dbg.SlowOps...) {
-		if op.ID != revalRec.ID {
+		if op.ID != rec.ID {
 			continue
 		}
 		found = true
-		if !hasSpan(op.Spans, trace.SpanFollowerReval) || !hasSpan(op.Spans, trace.SpanTierRoute) {
-			t.Errorf("wire copy of op %d lost tier spans: %+v", op.ID, op.Spans)
-		}
-		if !bothCells(op.Spans) {
+		if !spansBothCells(op.Spans) {
 			t.Errorf("wire copy of op %d lost a cell's spans: %+v", op.ID, op.Spans)
 		}
 	}
 	if !found {
-		t.Errorf("revalidation op %d not visible over Debug RPC", revalRec.ID)
+		t.Errorf("tier GET %d not visible over Debug RPC", rec.ID)
 	}
 }
 

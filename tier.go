@@ -8,7 +8,6 @@ package cliquemap
 
 import (
 	"context"
-	"time"
 
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/tier"
@@ -99,15 +98,9 @@ func (t *Tier) Internal() *tier.Tier { return t.t }
 // TierClientOptions configures a tier client.
 type TierClientOptions struct {
 	// Local names the cell this client is co-located with ("" takes the
-	// first cell). Follower reads cache remotely-owned keys there.
+	// first cell): its tracer records the client's tier ops, and a leg to
+	// any other cell shows as forwarded.
 	Local string
-	// FollowerReads serves GETs for remotely-owned keys from the local
-	// cell within StaleBound, revalidating older entries by version
-	// against the owner.
-	FollowerReads bool
-	// StaleBound is the follower-cache freshness bound on the local
-	// cell's virtual clock (0 means 50ms).
-	StaleBound time.Duration
 }
 
 // TierClient routes ops across the tier's cells.
@@ -119,18 +112,14 @@ type TierClient struct {
 // lookups) per member. An op that fails on its owner is re-routed at most
 // four times, one more than the failures that mark a cell dead.
 func (t *Tier) NewClient(opt TierClientOptions) (*TierClient, error) {
-	c, err := t.t.NewClient(tier.ClientOptions{
-		Local:         opt.Local,
-		FollowerReads: opt.FollowerReads,
-		StaleBoundNs:  uint64(opt.StaleBound.Nanoseconds()),
-	})
+	c, err := t.t.NewClient(tier.ClientOptions{Local: opt.Local})
 	if err != nil {
 		return nil, err
 	}
 	return &TierClient{c: c}, nil
 }
 
-// Get looks up key on its owning cell (or the local follower cache).
+// Get looks up key on its owning cell.
 func (c *TierClient) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
 	return c.c.Get(ctx, key)
 }
@@ -157,27 +146,15 @@ func (c *TierClient) Cas(ctx context.Context, key, value []byte, expected trueti
 
 // TierClientStats snapshots a tier client's routing counters.
 type TierClientStats struct {
-	Ops               uint64 // tier-level ops attempted
-	Reroutes          uint64 // retries after a failed cell op
-	DeadFailovers     uint64 // retries that followed a cell-death rebuild
-	FollowerHits      uint64 // GETs served fresh from the local follower cache
-	FollowerRevalids  uint64 // stale entries confirmed current by owner version
-	FollowerRefreshes uint64 // stale entries replaced by a newer owner value
-	FollowerMisses    uint64 // follower-cache misses fetched from the owner
+	Ops           uint64 // tier-level ops attempted
+	Reroutes      uint64 // retries after a failed cell op
+	DeadFailovers uint64 // retries that followed a cell-death rebuild
 }
 
 // Stats returns the client's routing counters.
 func (c *TierClient) Stats() TierClientStats {
 	m := c.c.Metrics()
-	return TierClientStats{
-		Ops:               m.Ops.Load(),
-		Reroutes:          m.Reroutes.Load(),
-		DeadFailovers:     m.DeadFailovers.Load(),
-		FollowerHits:      m.FollowerHits.Load(),
-		FollowerRevalids:  m.FollowerRevalids.Load(),
-		FollowerRefreshes: m.FollowerRefreshes.Load(),
-		FollowerMisses:    m.FollowerMisses.Load(),
-	}
+	return TierClientStats{Ops: m.Ops.Load(), Reroutes: m.Reroutes.Load(), DeadFailovers: m.DeadFailovers.Load()}
 }
 
 // Internal exposes the underlying tier client.
