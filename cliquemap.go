@@ -425,7 +425,6 @@ type ClientStats struct {
 	Sets               uint64
 	Retries            uint64
 	RPCFallbacks       uint64
-	Hedges, HedgeWins  uint64
 	Failovers          uint64
 	BudgetDenied       uint64
 	NearHits           uint64
@@ -443,8 +442,6 @@ func (c *Client) Stats() ClientStats {
 		Sets:         m.Sets.Value(),
 		Retries:      m.RetryCount(),
 		RPCFallbacks: m.RPCFallbacks.Value(),
-		Hedges:       m.Hedges.Value(),
-		HedgeWins:    m.HedgeWins.Value(),
 		Failovers:    m.Failovers.Value(),
 		BudgetDenied: m.BudgetDenied.Value(),
 		NearHits:     m.NearHits.Value(),

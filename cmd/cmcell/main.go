@@ -277,8 +277,8 @@ func main() {
 
 	cs := cl.Stats()
 	fmt.Printf("\n%d ops in %v (%.0f ops/s real)\n", *ops, wall.Round(time.Millisecond), float64(*ops)/wall.Seconds())
-	fmt.Printf("client: gets=%d hits=%d misses=%d sets=%d retries=%d rpc_fallbacks=%d hedges=%d failovers=%d budget_denied=%d\n",
-		cs.Gets, cs.Hits, cs.Misses, cs.Sets, cs.Retries, cs.RPCFallbacks, cs.Hedges, cs.Failovers, cs.BudgetDenied)
+	fmt.Printf("client: gets=%d hits=%d misses=%d sets=%d retries=%d rpc_fallbacks=%d failovers=%d budget_denied=%d\n",
+		cs.Gets, cs.Hits, cs.Misses, cs.Sets, cs.Retries, cs.RPCFallbacks, cs.Failovers, cs.BudgetDenied)
 	fmt.Printf("modelled GET latency: p50=%v p99=%v\n", cs.GetP50, cs.GetP99)
 	fmt.Printf("cell: %v\n", cell.Stats())
 	tr := cell.Tracer()

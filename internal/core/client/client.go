@@ -85,8 +85,6 @@ type Metrics struct {
 	QuorumRetries          stats.Counter // preferred backend outside quorum (§5.1)
 	Inquorate              stats.Counter
 	RPCFallbacks           stats.Counter // GETs served by an overflow re-read or the final attempt, over RPC
-	Hedges                 stats.Counter // backup data reads issued past the hedge delay
-	HedgeWins              stats.Counter // hedged reads that beat the primary
 	Failovers              stats.Counter // data reads absorbed by a backup quorum member
 	BudgetDenied           stats.Counter // retries refused by the retry budget
 	BackoffNs              stats.Counter // virtual ns spent backing off
@@ -175,7 +173,6 @@ type Client struct {
 
 	health   healthState   // per-replica demotion scores
 	rngState atomic.Uint64 // jitter/probe randomness (xorshift)
-	dataEWMA atomic.Uint64 // rolling data-read latency, drives hedging
 	rpcAt    atomic.Uint64 // the clock's now when this client's last RPC returned
 	ops      trace.Leases  // the spare op record every public op leases
 

@@ -554,8 +554,8 @@ func TestDamagedIndexPointerFailsOver(t *testing.T) {
 
 // slowOrDamagedConn is a replica whose data reads (any Read but a
 // bucket's) come back with a flipped bit, or every eighth of them
-// slowEvery8 more modelled time: the cases a failover and a hedge exist
-// for.
+// slowEvery8 more modelled time: a slow copy is still read, a damaged
+// one fails over.
 type slowOrDamagedConn struct {
 	*pony.Conn
 	bucketLen  int
@@ -577,14 +577,14 @@ func (s slowOrDamagedConn) AppendRead(dst []byte, spans []fabric.Span, at uint64
 	return b, tr, err
 }
 
-// TestArenaValuesOutliveHedgesAndFailovers: one replica's data legs are
-// now and then a millisecond slow and another's come back damaged, so 2×R GETs are served
-// by hedges and by failovers, each leg reading into the op's receive arena
-// after the legs before it. Every value returned must still read as it did
-// after later GETs have reused the arena. Run with `go test -race
-// -count=10 -run TestArenaValuesOutliveHedgesAndFailovers
+// TestArenaValuesOutliveFailovers: one replica's data legs are now and
+// then a millisecond slow and another's come back damaged, so 2×R GETs are
+// served by slow reads and by failovers, each leg reading into the op's
+// receive arena after the legs before it. Every value returned must still
+// read as it did after later GETs have reused the arena. Run with `go test
+// -race -count=10 -run TestArenaValuesOutliveFailovers
 // ./internal/core/client/`.
-func TestArenaValuesOutliveHedgesAndFailovers(t *testing.T) {
+func TestArenaValuesOutliveFailovers(t *testing.T) {
 	r := newRig(t)
 	local := pony.New(r.f.Host(clientHost), nil, pony.CostModel{}, pony.EngineConfig{}, r.acct)
 	bucketLen := layout.Geometry{Buckets: 32, Ways: 8}.BucketSize()
@@ -600,7 +600,7 @@ func TestArenaValuesOutliveHedgesAndFailovers(t *testing.T) {
 	const keys = 16
 	want := make([][]byte, keys)
 	for k := range want {
-		key := fmt.Sprintf("hedged-%02d", k)
+		key := fmt.Sprintf("slow-%02d", k)
 		want[k] = bytes.Repeat([]byte(key+"|"), (16<<(k%10))/len(key)+1)
 		if err := cl.Set(ctx, []byte(key), want[k]); err != nil {
 			t.Fatal(err)
@@ -613,7 +613,7 @@ func TestArenaValuesOutliveHedgesAndFailovers(t *testing.T) {
 	var kept []held
 	for round := 0; round < 20; round++ {
 		for k := range want {
-			v, found, err := cl.Get(ctx, []byte(fmt.Sprintf("hedged-%02d", k)))
+			v, found, err := cl.Get(ctx, []byte(fmt.Sprintf("slow-%02d", k)))
 			if err != nil || !found || !bytes.Equal(v, want[k]) {
 				t.Fatalf("round %d key %d: %d bytes found=%v err=%v", round, k, len(v), found, err)
 			}
@@ -625,7 +625,7 @@ func TestArenaValuesOutliveHedgesAndFailovers(t *testing.T) {
 			t.Fatalf("GET #%d's value changed under later GETs", i)
 		}
 	}
-	if cl.M.HedgeWins.Value() == 0 || cl.M.Failovers.Value() == 0 {
-		t.Errorf("hedge wins %d, failovers %d: both paths must have served", cl.M.HedgeWins.Value(), cl.M.Failovers.Value())
+	if cl.M.Failovers.Value() == 0 {
+		t.Error("no failover served: the damaged replica's copies were never read")
 	}
 }

@@ -23,13 +23,13 @@ const opSpans = 16
 
 // Get looks up key, transparently retrying transient hazards.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	v, _, found, _, err := c.get(ctx, key, 0, false)
+	v, found, _, err := c.get(ctx, key, 0, false)
 	return v, found, err
 }
 
 // GetTraced is Get plus the op's modelled latency trace.
 func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabric.OpTrace, error) {
-	v, _, found, tr, err := c.get(ctx, key, 0, true)
+	v, found, tr, err := c.get(ctx, key, 0, true)
 	return v, found, tr, err
 }
 
@@ -43,7 +43,7 @@ func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabri
 // reports its access once the record is back, so a flush the access fills
 // can lease it; the flush runs under the caller's ctx, as the op's node is
 // back in the pool.
-func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, ver truetime.Version, found bool, tr fabric.OpTrace, err error) {
+func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
 	op := c.ops.Take()
 	defer func(ctx context.Context) {
 		c.ops.Put(op)
@@ -66,6 +66,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 		near, cached = c.near.get(key)
 	}
 	if cached && (c.opt.Strategy == Strategy2xR || c.opt.Strategy == StrategySCAR) {
+		var ver truetime.Version
 		ver, found, err = c.revalidateIndex(&x, key, pin)
 		if err == nil && (!found || ver == near.ver) {
 			if found {
@@ -77,7 +78,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 				c.near.drop(key)
 			}
 			c.finishGet(sc, found, c.Transport(), 1, &x.tr)
-			return value, ver, found, x.tr, nil
+			return value, found, x.tr, nil
 		}
 		if err == nil { // the version moved: the loop refreshes the entry
 			c.near.drop(key)
@@ -86,11 +87,11 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 	}
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if ctx.Err() != nil {
-			return nil, truetime.Version{}, false, x.tr, ErrExhausted
+			return nil, false, x.tr, ErrExhausted
 		}
 		if attempt > 0 {
 			if err := c.beginRetry(&x.tr, attempt); err != nil {
-				return nil, truetime.Version{}, false, x.tr, err
+				return nil, false, x.tr, err
 			}
 		}
 		if sc != nil {
@@ -104,7 +105,7 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 				c.nearStore(key, val, wver)
 			}
 			c.finishGet(sc, ok, c.Transport(), uint32(attempt+1), &x.tr)
-			return val, wver, ok, x.tr, nil
+			return val, ok, x.tr, nil
 		}
 		if sc != nil {
 			x.tr.Annotate(trace.SpanRetry, uint32(attempt), attemptStart, x.tr.Ns-attemptStart)
@@ -115,16 +116,16 @@ func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (va
 	// RPC path for lookups (§3, Table 1). It votes like any two-sided
 	// fetch, and costs a retry token like any other attempt.
 	if err := c.takeRetryToken(); err != nil {
-		return nil, truetime.Version{}, false, x.tr, err
+		return nil, false, x.tr, err
 	}
-	if val, ok, wver, aerr := c.attemptGet(&x, key, after(pin, x.tr.Ns), legRPC); aerr == nil {
+	if val, ok, _, aerr := c.attemptGet(&x, key, after(pin, x.tr.Ns), legRPC); aerr == nil {
 		c.opt.Budget.Credit()
 		c.M.RPCFallbacks.Inc()
 		c.finishGet(sc, ok, trace.TransportRPC, uint32(c.opt.Retries+2), &x.tr)
-		return val, wver, ok, x.tr, nil
+		return val, ok, x.tr, nil
 	}
 	c.M.Inquorate.Inc()
-	return nil, truetime.Version{}, false, x.tr, fmt.Errorf("%w for key %q", ErrInquorate, key)
+	return nil, false, x.tr, fmt.Errorf("%w for key %q", ErrInquorate, key)
 }
 
 // finishGet is the one success epilogue of a GET, however it was served
@@ -281,26 +282,6 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 			if cd.view != sp.view {
 				l = x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.tr.Ns)
 			}
-			// A NIC leg's outcome is in once started, so the hedge is
-			// decided before wait places the primary. Hedge: the primary's
-			// read exceeded the rolling threshold, so (in wall-time terms) a
-			// backup read launched at +hedgeAfter may complete first; the op
-			// takes whichever finishes sooner, and the other is not waited for.
-			if l.err == nil {
-				c.observeDataNs(l.tr.Ns)
-			}
-			if hedgeAfter := c.hedgeAfterNs(); ci == 0 && !last && l.err == nil && hedgeAfter > 0 && l.tr.Ns > hedgeAfter {
-				c.M.Hedges.Inc()
-				b := &views[cands[1].view]
-				h := x.start(legHedge, member{rep: b.rep, ptr: b.entry.Ptr}, l.at+hedgeAfter)
-				if h.err == nil && hedgeAfter+h.tr.Ns < l.tr.Ns {
-					if hval, err := c.openEntry(b.rep.addr, h.resp, key, &winner); err == nil {
-						c.M.HedgeWins.Inc()
-						x.wait(&h)
-						return hval, nil
-					}
-				}
-			}
 			data, _, derr := x.wait(&l)
 			if derr != nil {
 				c.noteReplicaFailure(v.rep.addr)
@@ -369,7 +350,7 @@ func (c *Client) GetBatch(ctx context.Context, keys [][]byte) (values [][]byte, 
 		if c.now != nil && (pin == 0 || pin < c.rpcAt.Load()) {
 			pin = c.now()
 		}
-		v, _, ok, ktr, kerr := c.get(ctx, k, pin, true)
+		v, ok, ktr, kerr := c.get(ctx, k, pin, true)
 		values[i], found[i] = v, ok
 		if kerr != nil && err == nil {
 			err = kerr

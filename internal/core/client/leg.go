@@ -1,7 +1,7 @@
 package client
 
 // Leg executor: every leg a client op sends — an index or SCAR read, a
-// data read or its hedge, a lookup over RPC or MSG, a mutation leg, a
+// data read, a lookup over RPC or MSG, a mutation leg, a
 // Touch flush — is started and awaited by the op's legExec, which bills
 // it from legTable and places it on the op's timeline.
 
@@ -24,7 +24,6 @@ const (
 	legIndex  legKind = iota // one-sided bucket Read (2×R)
 	legScar                  // one-sided ScanAndRead; the DataEntry piggybacks
 	legData                  // dependent one-sided Read of a DataEntry
-	legHedge                 // a data Read's backup, launched past the hedge delay
 	legMsg                   // lookup over two-sided NIC messaging
 	legRPC                   // lookup over RPC
 	legMutate                // SET, CAS or ERASE to one replica
@@ -34,7 +33,7 @@ const (
 // oneSided reports whether the leg reads replica memory directly — and so
 // needs a handshake and a connection, returns raw bytes the client must
 // validate itself, and can see a bucket's overflow bit.
-func (k legKind) oneSided() bool { return k <= legHedge }
+func (k legKind) oneSided() bool { return k <= legData }
 
 // rpc reports whether the leg is an RPC.
 func (k legKind) rpc() bool { return k >= legRPC }
@@ -52,7 +51,6 @@ var legTable = [...]struct {
 	legIndex:  {cpu: cpu2xR / 2},
 	legScar:   {cpu: cpuSCAR},
 	legData:   {cpu: cpu2xR / 2, extends: true, note: trace.SpanDataRead},
-	legHedge:  {cpu: cpu2xR / 2, extends: true, note: trace.SpanHedge},
 	legMsg:    {cpu: cpuMSG, perFetch: true},
 	legRPC:    {cpu: cpuRPC, perFetch: true},
 	legMutate: {},
@@ -127,7 +125,7 @@ func (x *legExec) start(k legKind, m member, at uint64) (l leg) {
 		}
 		l.resp, l.tr, l.err = l.call.Wait(nil)
 		got = len(l.resp)
-	case k == legData || k == legHedge:
+	case k == legData:
 		l.resp, l.tr, l.err = nic.Appending(rep.conn).AppendRead(dst, spans, pin, m.ptr.Window, int(m.ptr.Offset), int(m.ptr.Size))
 		got = len(l.resp)
 	default:
@@ -152,10 +150,10 @@ func (x *legExec) start(k legKind, m member, at uint64) (l leg) {
 // wait returns l's outcome, awaiting it if it is in flight, and places it
 // on the op's timeline at its start: a dependent leg's end extends the op,
 // and an answered leg gets its kind's note. A leg the op does not use (a
-// speculative read the vote went against, a hedge race's loser) is not
-// awaited: its bytes are billed, its spans left off. An RPC leg lands at
-// the clock's now, not at a batch's pinned instant, so wait notes when it
-// returned (see fetchViews).
+// speculative read the vote went against) is not awaited: its bytes are
+// billed, its spans left off. An RPC leg lands at the clock's now, not at
+// a batch's pinned instant, so wait notes when it returned (see
+// fetchViews).
 func (x *legExec) wait(l *leg) ([]byte, fabric.OpTrace, error) {
 	if l.call.InFlight() {
 		l.resp, l.tr, l.err = l.call.Wait(x.op.Free())

@@ -123,8 +123,8 @@ func placedAt(tr fabric.OpTrace, leg legRecord, from int) (uint64, int, bool) {
 // its kind's client CPU (two-sided lookups once per fetch, mutation and
 // Touch legs none), its bytes once, its spans placed where
 // it started on the op's timeline (a fan-out's round origin, a dependent
-// leg's instant). Exact, on a manual clock. The hedge and the speculative
-// data leg are held by TestHedgeBillsBothLegs and TestSpeculativeDataRead.
+// leg's instant). Exact, on a manual clock. The speculative data leg is
+// held by TestSpeculativeDataRead and TestSlowDataReadBillsOneLeg.
 func TestLegKindsBill(t *testing.T) {
 	ctx := context.Background()
 	key, val := []byte("leg-kinds"), bytes.Repeat([]byte("k"), 700)

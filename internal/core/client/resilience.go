@@ -5,7 +5,7 @@
 // shared across the client's ops (so a brownout cannot amplify offered
 // load without bound), and steered by per-replica health scores that
 // demote browned-out backends from the preferred-read role until a probe
-// succeeds. Slow data reads are hedged to a backup quorum member.
+// succeeds.
 package client
 
 import (
@@ -297,19 +297,3 @@ func (c *Client) noteReplicaSuccess(addr string) {
 // replicaDemoted reports whether the health layer wants addr skipped for
 // preferred reads this time.
 func (c *Client) replicaDemoted(addr string) bool { return c.health.demoted(addr) }
-
-// observeDataNs feeds the rolling data-read latency estimate that sets
-// the hedging threshold. A racy EWMA is fine: it only tunes a heuristic.
-func (c *Client) observeDataNs(ns uint64) {
-	old := c.dataEWMA.Load()
-	if old == 0 {
-		c.dataEWMA.Store(ns)
-		return
-	}
-	c.dataEWMA.Store(old - old/8 + ns/8)
-}
-
-// hedgeAfterNs returns the virtual delay after which a data read should
-// be hedged to a backup replica (≈ rolling p99: 4× the EWMA), or 0 until
-// a data read has calibrated it.
-func (c *Client) hedgeAfterNs() uint64 { return 4 * c.dataEWMA.Load() }

@@ -99,8 +99,8 @@ func (s *script) split() (index, data []scriptedRead) {
 
 // newScriptedClient is a 2×R client of a mode's rig on a manual clock,
 // its connections run by the returned script, with key written and read
-// once (the handshakes cached, the hedge threshold calibrated). Each tweak
-// edits the client's options.
+// four times (the handshakes cached). Each tweak edits the client's
+// options.
 func newScriptedClient(t *testing.T, mode config.Mode, key, val []byte, tweaks ...func(*Options)) (*rig, *Client, *script, *fabric.ManualClock) {
 	t.Helper()
 	clk := &fabric.ManualClock{}
@@ -267,53 +267,33 @@ func TestSpeculativeDataRead(t *testing.T) {
 	}
 }
 
-// TestHedgeBillsBothLegs: a hedged data read moved two legs' bytes over
-// the fabric whichever of them serves — the hedge, the primary after a
-// slower hedge, or the primary after a hedge that failed validation — and
-// the hedge launches hedgeAfter past the primary's start, the first index
-// answer. The hedge bills client CPU like any data leg.
-func TestHedgeBillsBothLegs(t *testing.T) {
-	key, val := []byte("hedged"), bytes.Repeat([]byte("h"), 2000)
-	for _, tc := range []struct {
-		name     string
-		data     []uint64
-		flip     []bool
-		hedgeWin bool
-	}{
-		{"hedge-wins", []uint64{1_000_000, 0}, nil, true},
-		{"hedge-slower", []uint64{1_000_000, 2_000_000}, nil, false},
-		{"hedge-damaged", []uint64{1_000_000, 0}, []bool{false, true}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
-			s.data, s.flip = tc.data, tc.flip
-			wins, cpu := cl.M.HedgeWins.Value(), r.acct.TotalNanos("client")
-			got, tr := s.get(t, clk, cl, key)
-			if !bytes.Equal(got, val) {
-				t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
-			}
-			if won := cl.M.HedgeWins.Value() > wins; won != tc.hedgeWin {
-				t.Fatalf("hedge won=%v, want %v", won, tc.hedgeWin)
-			}
-			index, data := s.split()
-			if len(data) != 2 {
-				t.Fatalf("legs %+v, want the primary and the hedge", s.log)
-			}
-			first, _ := kth(index, 2)
-			if want := index[0].at + first + cl.hedgeAfterNs(); data[1].at != want {
-				t.Errorf("hedge pinned at %d, want the primary's start + hedgeAfter = %d", data[1].at, want)
-			}
-			var legBytes uint64
-			for _, l := range s.log {
-				legBytes += l.bytes
-			}
-			if tr.Bytes != legBytes {
-				t.Errorf("GET billed %dB, want every leg's %dB (primary %dB, hedge %dB)", tr.Bytes, legBytes, data[0].bytes, data[1].bytes)
-			}
-			if got := r.acct.TotalNanos("client") - cpu; got != 5*cpu2xR/2 {
-				t.Errorf("client CPU %dns, want the index legs, the primary and the hedge at %d each", got, cpu2xR/2)
-			}
-		})
+// TestSlowDataReadBillsOneLeg: a data read a millisecond slow is still
+// the one data read. The GET bills the three index legs and that leg —
+// their bytes and four legs' client CPU — and ends when the slow read does.
+// R=3.2's quorum, not a backup read, is the defence against a slow replica.
+func TestSlowDataReadBillsOneLeg(t *testing.T) {
+	const delay = 1_000_000
+	key, val := []byte("slow-data"), bytes.Repeat([]byte("s"), 2000)
+	r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
+	s.data = []uint64{delay}
+	cpu := r.acct.TotalNanos("client")
+	got, tr := s.get(t, clk, cl, key)
+	if !bytes.Equal(got, val) {
+		t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
+	}
+	index, data := s.split()
+	if len(index) != 3 || len(data) != 1 {
+		t.Fatalf("legs %+v, want three index legs and one data leg", s.log)
+	}
+	first, _ := kth(index, 2)
+	if d := data[0]; d.ns < delay || tr.Ns != first+d.ns {
+		t.Errorf("GET took %dns, want the first answer %d + the slow data read %d (≥ %d)", tr.Ns, first, d.ns, delay)
+	}
+	if want := index[0].bytes + index[1].bytes + index[2].bytes + data[0].bytes; tr.Bytes != want {
+		t.Errorf("GET billed %dB, want its four legs' %dB", tr.Bytes, want)
+	}
+	if got := r.acct.TotalNanos("client") - cpu; got != 4*cpu2xR/2 {
+		t.Errorf("client CPU %dns, want four legs at %d", got, cpu2xR/2)
 	}
 }
 

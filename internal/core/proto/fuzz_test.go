@@ -351,6 +351,7 @@ func FuzzDebugRespExtended(f *testing.F) {
 				{Code: 17, Arg: 0, Start: 0, Dur: 0},       // tier-route
 				{Code: 1, Arg: 2, Start: 0, Dur: 5000},     // index fetch
 				{Code: 21, Arg: 1, Start: 5000, Dur: 80e3}, // retired code: an older peer's follower-revalidate
+				{Code: 16, Arg: 2, Start: 85e3, Dur: 4e3},  // retired code: an older peer's hedge
 				{Code: 6, Arg: 1600, Start: 40e3, Dur: 39e3},
 			},
 		}},

@@ -44,15 +44,15 @@ const (
 	SpanHWService     uint16 = 13 // 1rma: hardware fabric + PCIe command time
 	SpanCStateWake    uint16 = 14 // 1rma: C-state wake penalty after idle
 	SpanBackoff       uint16 = 15 // client: capped exponential backoff before a retry; Arg = attempt #
-	SpanHedge         uint16 = 16 // client: hedged/failover data read on a backup replica; Arg = shard
 	SpanTierRoute     uint16 = 17 // tier: one routing decision; Arg = tier-level attempt #
 	SpanRingLookup    uint16 = 18 // tier: weighted-ring owner resolution; Arg = ring version (low 32 bits)
 	SpanTierForward   uint16 = 19 // tier: op forwarded to a remote owner cell; Arg = owner cell index
 	SpanRPCQueue      uint16 = 22 // rpc: modelled admission-queue wait at a loaded server; Arg = utilization ‰
 
-	// Codes 20 (follower-cache-hit) and 21 (follower-revalidate) are
-	// retired with the tier's follower cache. Spans cross the TCP wire, so
-	// they are never reused: an old peer's span renders as span-20/21.
+	// Code 16 (hedge) is retired with the client's hedged data read, and
+	// codes 20 (follower-cache-hit) and 21 (follower-revalidate) with the
+	// tier's follower cache. Spans cross the TCP wire, so they are never
+	// reused: an old peer's span renders as span-16/20/21.
 )
 
 // CodeName names a span code for display; unknown codes render
@@ -89,8 +89,6 @@ func CodeName(c uint16) string {
 		return "cstate-wake"
 	case SpanBackoff:
 		return "backoff"
-	case SpanHedge:
-		return "hedge"
 	case SpanTierRoute:
 		return "tier-route"
 	case SpanRingLookup:
@@ -236,7 +234,7 @@ type OpLease struct {
 	Spans [16]fabric.Span // a quiet 2×R GET, the longest client trace, is 15
 
 	// The receive arena, and span slots for eight legs: a near-cache
-	// round, a fan-out of three, a data leg and its hedge.
+	// round, a fan-out of three, a data leg and one failover.
 	Recv  []byte
 	slots [8 * legSpans]fabric.Span
 	used  int // slots handed out

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -45,6 +46,16 @@ func TestCodeNameCoversAllCodes(t *testing.T) {
 	}
 	if CodeName(999) != "span-999" {
 		t.Errorf("unknown code rendering = %q", CodeName(999))
+	}
+}
+
+// TestRetiredSpanCodesStayRetired: a retired code names nothing, so a
+// span from an older peer renders numerically and no new code reuses it.
+func TestRetiredSpanCodesStayRetired(t *testing.T) {
+	for _, c := range []uint16{16, 20, 21} {
+		if got, want := CodeName(c), fmt.Sprintf("span-%d", c); got != want {
+			t.Errorf("CodeName(%d) = %q, want %q", c, got, want)
+		}
 	}
 }
 

@@ -185,9 +185,9 @@ func opLeaseStress(t *testing.T, tracer *trace.Tracer, cl *client.Client) {
 // TestOpLeaseValuesOutliveArena: a GET's NIC and RPC legs read into its
 // client's leased receive arena, which the client's next op reuses, and a
 // value leaves the arena as a copy. Every value a client's GETs returned —
-// over SCAR and 2×R, served by the first replica, by a failover past a
-// damaged copy, or past a hedged leg; over StrategyRPC in process and across
-// the TCP gateway; by the RPC lookup of an overflowed bucket — must still
+// over SCAR and 2×R, served by the first replica or by a failover past a
+// damaged copy; over StrategyRPC in process and across the TCP gateway; by
+// the RPC lookup of an overflowed bucket — must still
 // read as it did after later GETs have reused the arena, whatever the
 // arena's regrowth mid-op did. Values are distinct per key and span 16 B to
 // 120 KiB. Past two crashed replicas every attempt, the final RPC one
@@ -236,7 +236,7 @@ func TestOpLeaseValuesOutliveArena(t *testing.T) {
 					key := fmt.Sprintf("arena-%d-%d", w, k)
 					size := 16 << (k % 9) // up to 4 KiB
 					if k == keysPer-1 {
-						size = 120 << 10 // slow to read: its data leg draws a hedge
+						size = 120 << 10 // outgrows the arena, which regrows mid-op
 					}
 					val := bytes.Repeat([]byte(key+"|"), size/len(key)+1)[:size]
 					if err := cl.Set(ctx, []byte(key), val); err != nil {
