@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"cliquemap/internal/core/client"
+	"cliquemap/internal/fabric"
 	"cliquemap/internal/rpc"
+	"cliquemap/internal/trace"
 )
 
 // TestGetAllocBudget holds the GET to the per-op allocation budget DESIGN.md
@@ -19,6 +21,7 @@ import (
 //	SCAR hit   the caller's value                                    = 1
 //	SCAR miss  nothing                                               = 0
 //	2×R hit    the caller's value                                    = 1
+//	warm 2×R hit (its data read started with the index reads)       = 1
 //	RPC hit    the caller's value                                    = 1
 //	SCAR near-cache hit  the clone of the cached value               = 1
 //	2×R near-cache hit   the clone of the cached value               = 1
@@ -56,11 +59,13 @@ func TestGetAllocBudget(t *testing.T) {
 		key       []byte
 		found     bool
 		budget    float64
+		warmRead  bool // the measured GETs read the data the client remembers (client/ptrs.go)
 	}{
-		{"SCAR hit", PonyExpress, LookupSCAR, key, true, 1},
-		{"SCAR miss", PonyExpress, LookupSCAR, absent, false, 0},
-		{"2xR hit over 1RMA", OneRMA, Lookup2xR, key, true, 1},
-		{"RPC hit", PonyExpress, LookupRPC, key, true, 1},
+		{"SCAR hit", PonyExpress, LookupSCAR, key, true, 1, false},
+		{"SCAR miss", PonyExpress, LookupSCAR, absent, false, 0, false},
+		{"2xR hit over 1RMA", OneRMA, Lookup2xR, key, true, 1, true},
+		{"warm 2xR hit", PonyExpress, Lookup2xR, key, true, 1, true},
+		{"RPC hit", PonyExpress, LookupRPC, key, true, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCell(t, Options{Transport: tc.transport})
@@ -79,6 +84,13 @@ func TestGetAllocBudget(t *testing.T) {
 			}
 			if n := cl.Stats().Retries; n != 0 {
 				t.Errorf("%d retries on a quiet cell: the budget is for the quiet path", n)
+			}
+			if tc.warmRead {
+				_, _, tr, err := cl.Internal().GetTraced(ctx, tc.key)
+				idx, data := spanCoded(tr.Spans, trace.SpanIndexFetch), spanCoded(tr.Spans, trace.SpanDataRead)
+				if err != nil || idx == nil || data == nil || data.Start != idx.Start {
+					t.Errorf("data read %+v, want it started with the index reads %+v (err %v)", data, idx, err)
+				}
 			}
 		})
 	}
@@ -477,6 +489,16 @@ func tcpClient(t *testing.T, c *Cell, touchBatch int) *client.Client {
 	t.Cleanup(func() { conn.Close() })
 	return client.New(client.Options{ID: 1<<20 + uint64(touchBatch), Strategy: client.StrategyRPC, TouchBatch: touchBatch},
 		cc.Store, conn, cc.Clock, nil, nil, nil, nil)
+}
+
+// spanCoded returns the first of spans with code, or nil.
+func spanCoded(spans []fabric.Span, code uint16) *fabric.Span {
+	for i := range spans {
+		if spans[i].Code == code {
+			return &spans[i]
+		}
+	}
+	return nil
 }
 
 func warm(op func()) {

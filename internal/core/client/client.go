@@ -90,6 +90,8 @@ type Metrics struct {
 	BackoffNs              stats.Counter // virtual ns spent backing off
 	NearHits               stats.Counter // near-cache serves validated by an index quorum
 	NearStale              stats.Counter // near entries dropped: version moved under us
+	WarmReads              stats.Counter // remembered data reads kept: started with the index reads (ptrs.go)
+	StalePointers          stats.Counter // remembered data reads wasted: the replica's entry moved
 	GetLatency, SetLatency stats.Histogram
 }
 
@@ -177,6 +179,7 @@ type Client struct {
 	ops      trace.Leases  // the spare op record every public op leases
 
 	near *nearCache // hot-key adaptive serving (nearcache.go); nil = off
+	ptrs *ptrTable  // remembered data pointers (ptrs.go); nil unless a one-sided R=3.2 client
 
 	M Metrics
 }
@@ -219,8 +222,12 @@ func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock
 	default:
 		c.fetch = legIndex
 	}
-	if opt.NearCacheEntries > 0 && (opt.Strategy == Strategy2xR || opt.Strategy == StrategySCAR) {
+	oneSided := opt.Strategy == Strategy2xR || opt.Strategy == StrategySCAR
+	if opt.NearCacheEntries > 0 && oneSided {
 		c.near = newNearCache(opt.NearCacheEntries)
+	}
+	if oneSided && c.cfg.Mode.Quorum() > 1 {
+		c.ptrs = new(ptrTable)
 	}
 	return c
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"cliquemap/internal/core/backend"
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
@@ -18,7 +19,9 @@ import (
 // same (value, found), and every GET's trace must have the same shape: an
 // index phase that costs the k-th fastest of the live legs, and a data read
 // only where the fetch did not already carry the value (2×R), after the
-// quorum or, on R=3.2, from the fastest index answer on (§5.1).
+// quorum or, on R=3.2, while it forms (§5.1): from the op's start when the
+// client remembers where it read the key's data and that pointer is still
+// current (ptrs.go), else from the fastest index answer on.
 // One-sided R=3.2 asks the whole cohort at once; every other fetch asks a
 // read quorum, and on a quiet cell never more. One row asks for SCAR from
 // a 1RMA cohort, whose NICs cannot scan: it must degrade to exactly 2×R —
@@ -33,22 +36,46 @@ import (
 // clear the client's promotion bar (2.0 % of its GETs, at least 8) between
 // its own mutations, which drop their key's entry: each near row records
 // about 50 near hits (300 ops recorded one).
+//
+// The R=3.2 cell replays the sequence in three more worlds that move a
+// remembered pointer under the client: a second client SETs and ERASEs
+// between its reads, the backends evict (their data regions hold about
+// half the corpus), or every 150 ops the config steps — the new ID a
+// resize step publishes, which both clients have picked up. The instant
+// of each data read is predicted from the client's own history: its last
+// GET of the key read data, and since then neither it nor the other
+// client mutated the key and the config did not step. An eviction can
+// also move a pointer, so in that world a predicted warm read may start
+// cold, but a predicted cold one never starts warm.
 func TestStrategiesAgree(t *testing.T) {
 	type result struct {
 		val   string
 		found bool
 	}
+	type world struct {
+		other bool // a second client SETs and ERASEs between the reads
+		evict bool // the data regions hold about half the corpus
+		step  bool // the config steps every 150 ops
+	}
 	type dialer func(testing.TB, *rig, Options) *Client
 	pony := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient(opt) }
 	oneRMA := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient1RMA(opt) }
 	overTCP := func(t testing.TB, r *rig, opt Options) *Client { return r.newClientTCP(t, opt) }
-	replay := func(t *testing.T, mode config.Mode, strat Strategy, newClient dialer, on1RMA, near bool) []result {
-		r := newRigMode(t, fabric.Params{}, mode)
+	replay := func(t *testing.T, w world, mode config.Mode, strat Strategy, newClient dialer, on1RMA, near bool) []result {
+		var tweaks []func(*backend.Options)
+		if w.evict {
+			tweaks = append(tweaks, func(o *backend.Options) { o.DataBytes, o.DataMaxBytes = 64<<10, 64<<10 })
+		}
+		r := newRigMode(t, fabric.Params{}, mode, tweaks...)
 		opt := Options{Strategy: strat}
 		if near {
 			opt.NearCacheEntries = 8
 		}
 		cl := newClient(t, r, opt)
+		var other *Client
+		if w.other {
+			other = r.newClient(Options{ID: 99})
+		}
 		ctx := context.Background()
 		rng := rand.New(rand.NewSource(14))
 		need := mode.Quorum()
@@ -56,19 +83,57 @@ func TestStrategiesAgree(t *testing.T) {
 		if mode == config.R32 && (strat == Strategy2xR || strat == StrategySCAR) {
 			legs = mode.Replicas()
 		}
+		value := func(tag string, op int) []byte {
+			v := []byte(fmt.Sprintf("%s%d", tag, op))
+			if w.evict {
+				v = append(v, make([]byte, 4000)...)
+			}
+			return v
+		}
+		// The client's remembered pointers as its history predicts them:
+		// the key each slot holds, and the keys another client moved.
+		remembers := need > 1 && (strat == Strategy2xR || on1RMA)
+		slotOf := func(key []byte) uint64 { return cl.opt.Hash(key).Lo % ptrSlots }
+		held, moved := map[uint64]string{}, map[string]bool{}
+		forget := func(key []byte) {
+			if held[slotOf(key)] == string(key) {
+				delete(held, slotOf(key))
+			}
+		}
 		var out []result
-		nearHits := 0
+		nearHits, warmReads, staleReads := 0, 0, 0
 		for op := 0; op < 900; op++ {
+			if w.step && op%150 == 149 {
+				next := r.store.Update(func(*config.CellConfig) {})
+				for _, b := range r.backends {
+					b.SetConfigID(next.ID)
+				}
+				cl.refreshConfig()
+				clear(held)
+			}
 			key := []byte(fmt.Sprintf("k%02d", rng.Intn(24)))
 			switch p := rng.Intn(10); {
 			case p < 3:
-				if err := cl.Set(ctx, key, []byte(fmt.Sprintf("v%d", op))); err != nil {
+				if err := cl.Set(ctx, key, value("v", op)); err != nil {
 					t.Fatalf("op %d set: %v", op, err)
 				}
+				forget(key)
 			case p < 4:
 				if err := cl.Erase(ctx, key); err != nil {
 					t.Fatalf("op %d erase: %v", op, err)
 				}
+				forget(key)
+			case other != nil && p < 5:
+				var err error
+				if rng.Intn(3) == 0 {
+					err = other.Erase(ctx, key)
+				} else {
+					err = other.Set(ctx, key, value("o", op))
+				}
+				if err != nil {
+					t.Fatalf("op %d: the other client's mutation: %v", op, err)
+				}
+				moved[string(key)] = true
 			default:
 				hits := cl.M.NearHits.Value()
 				val, found, tr, err := cl.GetTraced(ctx, key)
@@ -83,25 +148,54 @@ func TestStrategiesAgree(t *testing.T) {
 					nearHits++
 					continue
 				}
+				warm := remembers && held[slotOf(key)] == string(key) && !moved[string(key)]
+				if remembers && held[slotOf(key)] == string(key) && moved[string(key)] {
+					staleReads++
+				}
+				if forget(key); remembers && found {
+					held[slotOf(key)], moved[string(key)] = string(key), false
+				}
 
-				idx, ok := spanOf(tr, trace.SpanIndexFetch)
+				// The attempt's annotations, from its index phase on: a
+				// near-cache revalidation that fell through ran its own
+				// index phase before it.
+				attempt := tr
+				for i := range tr.Spans {
+					if tr.Spans[i].Code == trace.SpanIndexFetch {
+						attempt.Spans = tr.Spans[i:]
+					}
+				}
+				idx, ok := spanOf(attempt, trace.SpanIndexFetch)
 				if !ok || idx.Arg != uint32(legs) {
 					t.Fatalf("op %d: index-fetch span %+v, want %d live legs", op, idx, legs)
 				}
-				data, hasData := spanOf(tr, trace.SpanDataRead)
+				data, hasData := spanOf(attempt, trace.SpanDataRead)
 				if hasData != ((strat == Strategy2xR || on1RMA) && found) {
 					t.Fatalf("op %d: data-read span present=%v (found=%v)", op, hasData, found)
 				}
-				// An R=3.2 data read starts at the fastest index answer, and
-				// only the quorum wait that outlasts it is annotated; any
-				// other data read follows the quorum.
+				// An R=3.2 data read starts at the op's start (warm) or at
+				// the fastest index answer, and only the quorum wait that
+				// outlasts it is annotated; any other data read follows the
+				// quorum.
+				if hasData && data.Start == idx.Start {
+					if !warm {
+						t.Fatalf("op %d: data read %+v started with the index reads; the client holds no current pointer", op, data)
+					}
+					warmReads++
+				} else if warm && !w.evict && hasData {
+					t.Fatalf("op %d: data read %+v, want it started with the index reads at %dns", op, data, idx.Start)
+				}
 				spec := hasData && need > 1
-				dataStart, waitFrom := idx.Dur, idx.Dur
+				dataStart := idx.Start + idx.Dur
+				if spec && data.Start == idx.Start {
+					dataStart = idx.Start
+				}
+				waitFrom := idx.Start + idx.Dur
 				if spec {
-					waitFrom += data.Dur
+					waitFrom = max(waitFrom, dataStart+data.Dur)
 				}
 				end := waitFrom
-				if w, ok := spanOf(tr, trace.SpanQuorumWait); ok {
+				if w, ok := spanOf(attempt, trace.SpanQuorumWait); ok {
 					if w.Start != waitFrom || w.Arg != uint32(need) {
 						t.Fatalf("op %d: quorum-wait %+v does not start at %dns", op, w, waitFrom)
 					}
@@ -115,7 +209,7 @@ func TestStrategiesAgree(t *testing.T) {
 					t.Fatalf("op %d: data read %+v, want it started at %dns", op, data, dataStart)
 				}
 				if tr.Ns != end {
-					t.Fatalf("op %d: GET took %dns, want %dns (index phase %d, data %d)", op, tr.Ns, end, idx.Dur, data.Dur)
+					t.Fatalf("op %d: GET took %dns, want %dns (index phase %+v, data %d)", op, tr.Ns, end, idx, data.Dur)
 				}
 			}
 		}
@@ -125,16 +219,37 @@ func TestStrategiesAgree(t *testing.T) {
 		if near && nearHits == 0 {
 			t.Fatal("no GET was a near hit")
 		}
+		if remembers && !near && warmReads == 0 {
+			t.Fatal("no data read started with the index reads")
+		}
+		if w.other && remembers && !near && staleReads == 0 {
+			t.Fatal("the other client moved no pointer the client held")
+		}
+		if w.evict {
+			var evicted uint64
+			for _, b := range r.backends {
+				evicted += b.CountersSnapshot().CapacityEvictions
+			}
+			if evicted == 0 {
+				t.Fatal("the cell evicted nothing")
+			}
+		}
 		return out
 	}
 
-	// The R=3.2 rows keep the bare strategy names; the other cells prefix
-	// theirs with the mode.
+	// The quiet R=3.2 rows keep the bare strategy names; the other cells
+	// prefix theirs with the mode, or the world.
 	for _, cell := range []struct {
 		prefix string
 		mode   config.Mode
-	}{{"", config.R32}, {"R1/", config.R1}, {"R2Immutable/", config.R2Immutable}} {
-		want := replay(t, cell.mode, Strategy2xR, pony, false, false)
+		world  world
+	}{
+		{"", config.R32, world{}}, {"R1/", config.R1, world{}}, {"R2Immutable/", config.R2Immutable, world{}},
+		{"second-writer/", config.R32, world{other: true}},
+		{"evicting/", config.R32, world{evict: true}},
+		{"config-step/", config.R32, world{step: true}},
+	} {
+		want := replay(t, cell.world, cell.mode, Strategy2xR, pony, false, false)
 		for _, tc := range []struct {
 			name      string
 			strat     Strategy
@@ -150,7 +265,7 @@ func TestStrategiesAgree(t *testing.T) {
 			{"SCAR-on-1RMA-near", StrategySCAR, oneRMA, true, true},
 		} {
 			t.Run(cell.prefix+tc.name, func(t *testing.T) {
-				got := replay(t, cell.mode, tc.strat, tc.newClient, tc.on1RMA, tc.near)
+				got := replay(t, cell.world, cell.mode, tc.strat, tc.newClient, tc.on1RMA, tc.near)
 				if len(got) != len(want) {
 					t.Fatalf("%d GETs, want %d", len(got), len(want))
 				}

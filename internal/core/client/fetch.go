@@ -34,8 +34,10 @@ type indexView struct {
 // fetchViews resolves the key's read cohort and fetches from it on x,
 // appending one view per consulted member to views (errors included, so
 // the vote can surface them). Its legs are pinned at pin, or now if pin is
-// 0 or predates the client's last RPC.
-func (c *Client) fetchViews(x *legExec, pin uint64, cfg config.CellConfig, key []byte, how legKind, views []indexView) []indexView {
+// 0 or predates the client's last RPC. With sp set, a data read from the
+// member the client remembers serving the key (ptrs.go) starts with the
+// first round, and sp holds it.
+func (c *Client) fetchViews(x *legExec, pin uint64, cfg config.CellConfig, key []byte, how legKind, views []indexView, sp *specRead) []indexView {
 	rt := readRoute(cfg, x.h)
 	// A two-sided leg costs a backend's CPU, so a two-sided fetch asks a
 	// read quorum, rotated by the key's hash so each member serves its
@@ -79,7 +81,14 @@ func (c *Client) fetchViews(x *legExec, pin uint64, cfg config.CellConfig, key [
 	}
 	x.begin(pin)
 
+	rem, ptr := -1, layout.Pointer{}
+	if sp != nil {
+		rem, ptr = c.remembered(x, cfg.ID, how, views[:round])
+	}
 	roundNs := c.fetchRound(x, x.origin, cfg.ID, how, req, views[:round])
+	if rem >= 0 { // its answer queues behind the round's on the client's downlink
+		*sp = specRead{view: rem, ptr: ptr, leg: x.start(legData, member{rep: views[rem].rep, ptr: ptr}, x.origin)}
+	}
 	if round == len(views) {
 		return views
 	}
@@ -103,7 +112,7 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 	for i := range views {
 		if v := &views[i]; v.err == nil {
 			k := how
-			if k == legScar && !v.rep.conn.SupportsScar() {
+			if k == legScar && v.dependent(how) {
 				k = legIndex // 1RMA: a plain bucket Read, then a dependent data Read
 			}
 			legs[i] = x.start(k, member{rep: v.rep, method: proto.MethodGet, req: req}, at)
@@ -129,6 +138,12 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 		c.noteReplicaSuccess(v.rep.addr)
 	}
 	return roundNs
+}
+
+// dependent reports whether v's data takes a read of its own after an
+// index leg of kind how: a bucket Read, or a SCAR on a NIC that cannot scan.
+func (v *indexView) dependent(how legKind) bool {
+	return how == legIndex || how == legScar && !v.rep.conn.SupportsScar()
 }
 
 // answer fills v from a two-sided lookup. The server ran the lookup —

@@ -151,8 +151,9 @@ func (c *Client) finishGet(sc *trace.SpanContext, found bool, transport trace.Tr
 func (c *Client) attemptGet(x *legExec, key []byte, pin uint64, how legKind) ([]byte, bool, truetime.Version, error) {
 	cfg := c.Config()
 	var viewArr [8]indexView
-	views := c.fetchViews(x, pin, cfg, key, how, viewArr[:0])
-	sp := c.speculate(x, how, views, cfg.Mode.Quorum())
+	sp := specRead{view: -1}
+	views := c.fetchViews(x, pin, cfg, key, how, viewArr[:0], &sp)
+	c.speculate(x, how, views, cfg.Mode.Quorum(), &sp)
 
 	winner, err := quorum(&x.tr, views, cfg.Mode.Quorum())
 	if sp.view >= 0 {
@@ -181,46 +182,57 @@ func (c *Client) attemptGet(x *legExec, key []byte, pin uint64, how legKind) ([]
 		}
 		return nil, false, truetime.Version{}, nil
 	}
-	val, err := c.readData(x, key, how, views, winner, &sp)
+	val, err := c.readData(x, key, how, views, winner, &sp, cfg.ID)
 	if err != nil {
 		return nil, false, truetime.Version{}, err
 	}
 	return val, true, winner, nil
 }
 
-// specRead is §5.1's speculative data read of views[view] (-1: none),
-// starting at the end of that view's index leg.
+// specRead is §5.1's speculative data read of views[view] (-1: none):
+// a remembered read of ptr, started with the index reads (fetchViews), or
+// one starting at the end of that view's index leg (ptr is nil).
 type specRead struct {
 	view int
 	leg  leg
+	ptr  layout.Pointer
 }
 
-// speculate starts, while the quorum forms, the data read of the fastest
-// first-round view if that replica is healthy and its entry takes a
-// dependent read. Need-1 modes (the first answer is the quorum) wait for
-// the vote.
-func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int) (sp specRead) {
-	sp.view = -1 // the fastest first-round view; a late leg counts from its own pin
+// speculate settles sp, the data read that runs while the quorum forms. A
+// remembered read stays if its replica's entry still names its pointer;
+// otherwise the pointer is forgotten and the read wasted (billed, never
+// awaited). Failing that, the fastest first-round view's read starts if
+// that replica is healthy and its entry takes a dependent read. Need-1
+// modes (the first answer is the quorum) wait for the vote.
+func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int, sp *specRead) {
+	if sp.view >= 0 {
+		if v := &views[sp.view]; v.err == nil && v.present && v.entry.Ptr == sp.ptr {
+			c.M.WarmReads.Inc()
+			return
+		}
+		c.M.StalePointers.Inc()
+		c.ptrs.drop(x.h)
+	}
+	*sp = specRead{view: -1}
+	first := -1 // the fastest first-round view; a late leg counts from its own pin
 	for i := range views {
-		if v := &views[i]; v.err == nil && !v.late && (sp.view < 0 || v.ns < views[sp.view].ns) {
-			sp.view = i
+		if v := &views[i]; v.err == nil && !v.late && (first < 0 || v.ns < views[first].ns) {
+			first = i
 		}
 	}
-	if sp.view >= 0 && need > 1 {
-		if v := &views[sp.view]; v.present && (how == legIndex || how == legScar && !v.rep.conn.SupportsScar()) && !c.replicaDemoted(v.rep.addr) {
-			sp.leg = x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.origin+v.ns)
-			return sp
+	if first >= 0 && need > 1 {
+		if v := &views[first]; v.present && v.dependent(how) && !c.replicaDemoted(v.rep.addr) {
+			sp.view, sp.leg = first, x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.origin+v.ns)
 		}
 	}
-	return specRead{view: -1}
 }
 
 // cand is one data source: a quorum member holding the winning version,
 // named by its position in the views.
 type cand struct {
-	view    int
-	ns      uint64 // its index leg's latency
-	demoted bool
+	view int
+	ns   uint64 // its index leg's latency
+	rank int    // 0: the kept speculative read's, 1: healthy, 2: demoted
 }
 
 // readData is the data stage: take the winning version's value from a
@@ -228,10 +240,12 @@ type cand struct {
 // or unreachable copy costs one more dependent read instead of a whole-op
 // retry. The checksum (§3) is the only corruption defense, so every
 // absorbed failure is counted. Each leg but a kept speculative read
-// starts where the op's trace ends.
-func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView, winner truetime.Version, sp *specRead) ([]byte, error) {
-	// Candidates fastest first, with health-demoted members sorted last so
-	// a browned-out backend serves data only when no healthy member can.
+// starts where the op's trace ends. A data read that serves, and was not
+// the remembered one, is remembered under the config cfgID.
+func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView, winner truetime.Version, sp *specRead, cfgID uint64) ([]byte, error) {
+	// Candidates fastest first, behind the kept speculative read's and with
+	// health-demoted members sorted last so a browned-out backend serves
+	// data only when no healthy member can.
 	var candArr [8]cand
 	n := 0
 	for i := range views {
@@ -245,7 +259,14 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 				}
 				return v.data, nil
 			}
-			candArr[n] = cand{view: i, ns: v.ns, demoted: i != sp.view && c.replicaDemoted(v.rep.addr)}
+			rank := 1
+			switch {
+			case i == sp.view:
+				rank = 0
+			case c.replicaDemoted(v.rep.addr):
+				rank = 2
+			}
+			candArr[n] = cand{view: i, ns: v.ns, rank: rank}
 			n++
 		}
 	}
@@ -253,15 +274,7 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 		return nil, ErrInquorate
 	}
 	cands := candArr[:n]
-	slices.SortStableFunc(cands, func(a, b cand) int {
-		if a.demoted != b.demoted {
-			if b.demoted {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.ns, b.ns)
-	})
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.ns, b.ns)) })
 
 	var lastErr error = ErrInquorate
 	for ci, cd := range cands {
@@ -303,6 +316,9 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 			continue
 		}
 		c.noteReplicaSuccess(v.rep.addr)
+		if v.data == nil && (cd.view != sp.view || sp.ptr.Nil()) {
+			c.ptrs.put(x.h, cfgID, v.rep.shard, v.entry.Ptr)
+		}
 		return val, nil
 	}
 	return nil, lastErr

@@ -119,12 +119,17 @@ func placedAt(tr fabric.OpTrace, leg legRecord, from int) (uint64, int, bool) {
 	return 0, from, false
 }
 
+// unplaced is the origin of a wasted read: billed, never awaited, so its
+// spans are left off the op's timeline.
+const unplaced = math.MaxUint64
+
 // TestLegKindsBill: every leg a client op sends is billed from one table —
 // its kind's client CPU (two-sided lookups once per fetch, mutation and
 // Touch legs none), its bytes once, its spans placed where
 // it started on the op's timeline (a fan-out's round origin, a dependent
-// leg's instant). Exact, on a manual clock. The speculative data leg is
-// held by TestSpeculativeDataRead and TestSlowDataReadBillsOneLeg.
+// leg's instant, the op's start for a remembered data read), or, for a
+// wasted read, nowhere. Exact, on a manual clock. The speculative data leg
+// is held by TestSpeculativeDataRead and TestSlowDataReadBillsOneLeg.
 func TestLegKindsBill(t *testing.T) {
 	ctx := context.Background()
 	key, val := []byte("leg-kinds"), bytes.Repeat([]byte("k"), 700)
@@ -173,26 +178,45 @@ func TestLegKindsBill(t *testing.T) {
 		},
 		{
 			// Every NIC is down: two one-sided attempts fail, and the final
-			// attempt runs over RPC.
+			// attempt runs over RPC. The first attempt's remembered data read
+			// fails with its index legs and is wasted; the second holds no
+			// pointer.
 			name: "rpc/final-attempt", strat: Strategy2xR, mode: config.R32, opt: Options{Retries: 1},
 			setup: func(_ *testing.T, r *rig, _ *Client) {
 				for _, n := range r.nics {
 					n.SetDown(true)
 				}
 			},
-			op: tracedHit, cpu: 2*3*cpu2xR/2 + cpuRPC,
-			legs: []string{"read", "read", "read", "read", "read", "read", proto.MethodGet, proto.MethodGet},
+			op: tracedHit, cpu: 2*3*cpu2xR/2 + cpu2xR/2 + cpuRPC,
+			legs: []string{"read", "read", "read", "read", "read", "read", "read", proto.MethodGet, proto.MethodGet},
 			origins: func(l []legRecord, tr fabric.OpTrace) []uint64 {
 				b, _ := spanOf(tr, trace.SpanBackoff)
-				second, final := b.Start+b.Dur, tr.Ns-max(l[6].ns, l[7].ns)
-				return []uint64{0, 0, 0, second, second, second, final, final}
+				second, final := b.Start+b.Dur, tr.Ns-max(l[7].ns, l[8].ns)
+				return []uint64{0, 0, 0, unplaced, second, second, second, final, final}
 			},
 		},
 		{
 			// The third leg's bucket carries another config's stamp: the leg
 			// came back, failed validation, and is billed beside the quorum's.
+			// The client holds the key's pointer from its last GET, so the
+			// data read starts with the index reads.
 			name: "index/stale-stamp", strat: Strategy2xR, mode: config.R32,
 			setup: func(t *testing.T, r *rig, cl *Client) {
+				h := cl.opt.Hash(key)
+				restampBucket(t, r, cl, h, readRoute(cl.Config(), h).shards[2])
+			},
+			op: tracedHit, cpu: 4 * cpu2xR / 2,
+			legs:    []string{"read", "read", "read", "read"},
+			origins: func([]legRecord, fabric.OpTrace) []uint64 { return []uint64{0, 0, 0, 0} },
+		},
+		{
+			// The same after the client's own SET, which drops its pointer:
+			// the data read starts at the first answer.
+			name: "index/stale-stamp/cold", strat: Strategy2xR, mode: config.R32,
+			setup: func(t *testing.T, r *rig, cl *Client) {
+				if err := cl.Set(ctx, key, val); err != nil {
+					t.Fatal(err)
+				}
 				h := cl.opt.Hash(key)
 				restampBucket(t, r, cl, h, readRoute(cl.Config(), h).shards[2])
 			},
@@ -258,6 +282,9 @@ func TestLegKindsBill(t *testing.T) {
 			}
 			origins, next := tc.origins(legs, tr), 0
 			for i, l := range legs {
+				if origins[i] == unplaced {
+					continue // its bytes are billed above; its spans may match a placed leg's
+				}
 				var at uint64
 				var ok bool
 				switch at, next, ok = placedAt(tr, l, next); {

@@ -121,9 +121,11 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 		}
 		c.classifyAndRepair(err)
 	}
-	// Even a failed fan-out may have applied somewhere: the cached copy is
-	// unconditionally suspect after our own mutation.
+	// Even a failed fan-out may have applied somewhere: the cached copy and
+	// the remembered pointer are unconditionally suspect after our own
+	// mutation.
 	c.nearInvalidate(key)
+	c.ptrs.drop(x.h)
 	if kind != trace.KindCas {
 		c.M.SetLatency.Record(x.tr.Ns)
 	} else {

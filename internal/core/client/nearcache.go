@@ -232,7 +232,7 @@ func (c *Client) nearInvalidate(key []byte) {
 func (c *Client) revalidateIndex(x *legExec, key []byte, pin uint64) (ver truetime.Version, found bool, err error) {
 	cfg := c.Config()
 	var viewArr [8]indexView
-	views := c.fetchViews(x, pin, cfg, key, legIndex, viewArr[:0])
+	views := c.fetchViews(x, pin, cfg, key, legIndex, viewArr[:0], nil)
 	ver, err = quorum(&x.tr, views, cfg.Mode.Quorum())
 	if err != nil || !ver.Zero() {
 		return ver, err == nil, err

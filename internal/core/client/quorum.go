@@ -34,10 +34,11 @@ func settleFanout(tr *fabric.OpTrace, legNs []uint64, k int, phase uint16) {
 // outlasts busy, the end of a kept speculative read that overlapped it.
 func hideWait(tr *fabric.OpTrace, busy uint64) {
 	if n := len(tr.Spans) - 1; n >= 0 && tr.Spans[n].Code == trace.SpanQuorumWait {
-		if w := &tr.Spans[n]; busy < w.Start+w.Dur {
-			w.Start, w.Dur = busy, w.Start+w.Dur-busy
-		} else {
+		switch w := &tr.Spans[n]; {
+		case busy >= w.Start+w.Dur:
 			tr.Spans = tr.Spans[:n]
+		case busy > w.Start:
+			w.Start, w.Dur = busy, w.Start+w.Dur-busy
 		}
 	}
 }

@@ -133,16 +133,72 @@ func kth(index []scriptedRead, need int) (first, k uint64) {
 	return ns[0], ns[need-1]
 }
 
-// TestSpeculativeDataRead: an R=3.2 2×R GET issues its data read when the
-// first index answer arrives, from that replica's pointer (§5.1), and ends
-// when the later of the quorum and that read does. A first responder the
-// vote goes against costs a wasted read (its CPU and bytes) and the
-// dependent read runs from a quorum member after the quorum; a demoted
-// first responder is not read from; need-1 modes keep the dependent read
-// after their one index leg. Exact modelled ns on a manual clock.
+// TestSpeculativeDataRead: an R=3.2 2×R GET issues its data read while the
+// quorum forms (§5.1). Cold — the client holds no pointer for the key, as
+// after its own SET — the read starts when the first index answer arrives,
+// from that replica's pointer; warm — the client read the key's data
+// before — it starts at the op's start, with the index reads, from the
+// pointer it remembers (ptrs.go). Either way the GET ends when the later of
+// the quorum and that read does, and only the quorum wait that outlasts
+// the read is annotated. A remembered pointer whose replica still names it
+// but loses the vote costs one wasted read (its CPU and bytes) and the
+// dependent read runs from a quorum member after the quorum; one the
+// replica no longer names (another client overwrote the key) is wasted
+// and forgotten, and the first answer's read runs as if cold. A demoted
+// holder's pointer is not read, nor is a demoted first responder; need-1
+// modes keep the dependent read after their one index leg. Exact modelled
+// ns on a manual clock.
 func TestSpeculativeDataRead(t *testing.T) {
 	key, val := []byte("spec"), bytes.Repeat([]byte("v"), 1000)
 	clientCPU := func(r *rig) uint64 { return r.acct.TotalNanos("client") }
+	// cold drops the client's pointer for key, as any of its SETs does.
+	cold := func(t *testing.T, cl *Client) {
+		t.Helper()
+		if err := cl.Set(context.Background(), key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// specGet runs one GET whose one data read is host 0's, started with
+	// the index reads when warm and at the first answer when not, and
+	// checks its instant, the op's end and quorum wait, its bytes and CPU.
+	specGet := func(t *testing.T, r *rig, cl *Client, s *script, clk *fabric.ManualClock, warm bool) {
+		t.Helper()
+		cpu := clientCPU(r)
+		got, tr := s.get(t, clk, cl, key)
+		if !bytes.Equal(got, val) {
+			t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
+		}
+		index, data := s.split()
+		if len(index) != 3 || len(data) != 1 {
+			t.Fatalf("legs %+v, want three index legs and one data leg", s.log)
+		}
+		first, k := kth(index, 2)
+		start := first
+		if warm {
+			start = 0
+		}
+		if d := data[0]; d.host != 0 || d.at != index[0].at+start {
+			t.Fatalf("data leg %+v, want host 0's, pinned at %d (warm=%v)", d, index[0].at+start, warm)
+		}
+		busy := start + data[0].ns
+		if want := max(k, busy); tr.Ns != want {
+			t.Errorf("GET took %dns, want max(k-th leg %d, data read %d+%d)", tr.Ns, k, start, data[0].ns)
+		}
+		w, waited := spanOf(tr, trace.SpanQuorumWait)
+		from := max(first, busy)
+		if exposed := k > from; waited != exposed || exposed && (w.Start != from || w.Start+w.Dur != k) {
+			t.Errorf("quorum-wait %+v (present=%v), want only [%d, %d), the wait past the data read", w, waited, from, k)
+		}
+		if d, ok := spanOf(tr, trace.SpanDataRead); !ok || d.Start != start || d.Dur != data[0].ns {
+			t.Errorf("data-read span %+v, want [%d, +%d)", d, start, data[0].ns)
+		}
+		if want := index[0].bytes + index[1].bytes + index[2].bytes + data[0].bytes; tr.Bytes != want {
+			t.Errorf("GET billed %dB, want its four legs' %dB", tr.Bytes, want)
+		}
+		if got := clientCPU(r) - cpu; got != 4*cpu2xR/2 {
+			t.Errorf("client CPU %dns, want four legs at %d", got, cpu2xR/2)
+		}
+	}
 
 	t.Run("quiet", func(t *testing.T) {
 		for _, tc := range []struct {
@@ -151,54 +207,32 @@ func TestSpeculativeDataRead(t *testing.T) {
 		}{
 			{"data-ends-last", [3]uint64{0, 1000, 2000}},
 			{"quorum-ends-last", [3]uint64{0, 50_000, 90_000}},
+			{"warm-data-ends-first", [3]uint64{10_000, 20_000, 30_000}},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 				s.index = tc.index
-				cpu := clientCPU(r)
-				got, tr := s.get(t, clk, cl, key)
-				if !bytes.Equal(got, val) {
-					t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
-				}
-				index, data := s.split()
-				if len(index) != 3 || len(data) != 1 {
-					t.Fatalf("legs %+v, want three index legs and one data leg", s.log)
-				}
-				first, k := kth(index, 2)
-				at := index[0].at
-				if d := data[0]; d.host != 0 || d.at != at+first {
-					t.Fatalf("data leg %+v, want host 0's, pinned at the first answer %d", d, at+first)
-				}
-				if want := max(k, first+data[0].ns); tr.Ns != want {
-					t.Errorf("GET took %dns, want max(k-th leg %d, first leg %d + data %d)", tr.Ns, k, first, data[0].ns)
-				}
-				w, waited := spanOf(tr, trace.SpanQuorumWait)
-				if exposed := k > first+data[0].ns; waited != exposed || exposed && (w.Start != first+data[0].ns || w.Start+w.Dur != k) {
-					t.Errorf("quorum-wait %+v (present=%v), want only the wait past the data read", w, waited)
-				}
-				if d, ok := spanOf(tr, trace.SpanDataRead); !ok || d.Start != first || d.Dur != data[0].ns {
-					t.Errorf("data-read span %+v, want [%d, +%d)", d, first, data[0].ns)
-				}
-				if want := index[0].bytes + index[1].bytes + index[2].bytes + data[0].bytes; tr.Bytes != want {
-					t.Errorf("GET billed %dB, want its four legs' %dB", tr.Bytes, want)
-				}
-				if got := clientCPU(r) - cpu; got != 4*cpu2xR/2 {
-					t.Errorf("client CPU %dns, want four legs at %d", got, cpu2xR/2)
-				}
+				cold(t, cl)
+				specGet(t, r, cl, s, clk, false)
+				specGet(t, r, cl, s, clk, true)
 			})
 		}
 	})
 
 	t.Run("lost-vote", func(t *testing.T) {
 		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
-		newer := truetime.Version{Micros: math.MaxInt64 / 2, ClientID: 99, Seq: 1}
-		if ok, _, _ := r.backends[0].ApplySet(key, []byte("unacked"), newer); !ok {
-			t.Fatal("replica 0 refused the newer version")
-		}
 		s.index = [3]uint64{0, 2000, 3000}
+		cold(t, cl)
+		specGet(t, r, cl, s, clk, false) // remembers host 0's pointer
+		newer := truetime.Version{Micros: math.MaxInt64 / 2, ClientID: 99, Seq: 1}
+		for _, b := range r.backends[1:] {
+			if ok, _, _ := b.ApplySet(key, []byte("unacked"), newer); !ok {
+				t.Fatal("a replica refused the newer version")
+			}
+		}
 		cpu := clientCPU(r)
 		got, tr := s.get(t, clk, cl, key)
-		if !bytes.Equal(got, val) {
+		if string(got) != "unacked" {
 			t.Fatalf("got %q, want the quorum's value", got[:min(len(got), 16)])
 		}
 		index, data := s.split()
@@ -207,8 +241,8 @@ func TestSpeculativeDataRead(t *testing.T) {
 		}
 		first, k := kth(index, 2)
 		at := index[0].at
-		if data[0].host != 0 || data[0].at != at+first {
-			t.Errorf("speculative leg %+v, want host 0's at %d", data[0], at+first)
+		if data[0].host != 0 || data[0].at != at {
+			t.Errorf("remembered leg %+v, want host 0's at the op's start %d", data[0], at)
 		}
 		if data[1].host != 1 || data[1].at != at+k {
 			t.Errorf("dependent leg %+v, want host 1's after the quorum at %d", data[1], at+k)
@@ -231,9 +265,53 @@ func TestSpeculativeDataRead(t *testing.T) {
 		}
 	})
 
-	t.Run("demoted-first-responder", func(t *testing.T) {
-		_, cl, s, clk := newScriptedClient(t, config.R32, key, val)
+	t.Run("moved", func(t *testing.T) {
+		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
+		s.index = [3]uint64{2000, 0, 3000}
+		cold(t, cl)
+		s.get(t, clk, cl, key) // remembers host 1's pointer
+		if _, data := s.split(); len(data) != 1 || data[0].host != 1 {
+			t.Fatalf("legs %+v, want one data leg from host 1, the first responder", s.log)
+		}
+		if err := r.newClient(Options{ID: 99}).Set(context.Background(), key, val); err != nil {
+			t.Fatal(err)
+		}
 		s.index = [3]uint64{0, 2000, 3000}
+		cpu := clientCPU(r)
+		_, tr := s.get(t, clk, cl, key)
+		index, data := s.split()
+		if len(index) != 3 || len(data) != 2 {
+			t.Fatalf("legs %+v, want three index legs, the wasted read and the first answer's", s.log)
+		}
+		first, k := kth(index, 2)
+		at := index[0].at
+		if data[0].host != 1 || data[0].at != at {
+			t.Errorf("remembered leg %+v, want host 1's at the op's start %d", data[0], at)
+		}
+		if data[1].host != 0 || data[1].at != at+first {
+			t.Errorf("speculative leg %+v, want host 0's at the first answer %d", data[1], at+first)
+		}
+		if want := max(k, first+data[1].ns); tr.Ns != want {
+			t.Errorf("GET took %dns, want max(k-th leg %d, first leg %d + data %d)", tr.Ns, k, first, data[1].ns)
+		}
+		var legBytes uint64
+		for _, l := range s.log {
+			legBytes += l.bytes
+		}
+		if tr.Bytes != legBytes {
+			t.Errorf("GET billed %dB, want all five legs' %dB", tr.Bytes, legBytes)
+		}
+		if got := clientCPU(r) - cpu; got != 5*cpu2xR/2 {
+			t.Errorf("client CPU %dns, want five legs at %d", got, cpu2xR/2)
+		}
+		specGet(t, r, cl, s, clk, true) // host 0's pointer, learned
+	})
+
+	t.Run("demoted-first-responder", func(t *testing.T) { // and the holder
+		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
+		s.index = [3]uint64{0, 2000, 3000}
+		cold(t, cl)
+		specGet(t, r, cl, s, clk, false) // remembers host 0's pointer
 		for range 4 {
 			cl.noteReplicaFailure("b0")
 		}
@@ -268,32 +346,41 @@ func TestSpeculativeDataRead(t *testing.T) {
 }
 
 // TestSlowDataReadBillsOneLeg: a data read a millisecond slow is still
-// the one data read. The GET bills the three index legs and that leg —
-// their bytes and four legs' client CPU — and ends when the slow read does.
-// R=3.2's quorum, not a backup read, is the defence against a slow replica.
+// the one data read, cold (from the first answer) and warm (from the op's
+// start). The GET bills the three index legs and that leg — their bytes and
+// four legs' client CPU — and ends when the slow read does. R=3.2's
+// quorum, not a backup read, is the defence against a slow replica.
 func TestSlowDataReadBillsOneLeg(t *testing.T) {
 	const delay = 1_000_000
 	key, val := []byte("slow-data"), bytes.Repeat([]byte("s"), 2000)
 	r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 	s.data = []uint64{delay}
-	cpu := r.acct.TotalNanos("client")
-	got, tr := s.get(t, clk, cl, key)
-	if !bytes.Equal(got, val) {
-		t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
+	if err := cl.Set(context.Background(), key, val); err != nil {
+		t.Fatal(err)
 	}
-	index, data := s.split()
-	if len(index) != 3 || len(data) != 1 {
-		t.Fatalf("legs %+v, want three index legs and one data leg", s.log)
-	}
-	first, _ := kth(index, 2)
-	if d := data[0]; d.ns < delay || tr.Ns != first+d.ns {
-		t.Errorf("GET took %dns, want the first answer %d + the slow data read %d (≥ %d)", tr.Ns, first, d.ns, delay)
-	}
-	if want := index[0].bytes + index[1].bytes + index[2].bytes + data[0].bytes; tr.Bytes != want {
-		t.Errorf("GET billed %dB, want its four legs' %dB", tr.Bytes, want)
-	}
-	if got := r.acct.TotalNanos("client") - cpu; got != 4*cpu2xR/2 {
-		t.Errorf("client CPU %dns, want four legs at %d", got, cpu2xR/2)
+	for _, warm := range []bool{false, true} {
+		cpu := r.acct.TotalNanos("client")
+		got, tr := s.get(t, clk, cl, key)
+		if !bytes.Equal(got, val) {
+			t.Fatalf("got %d bytes, want the stored %d", len(got), len(val))
+		}
+		index, data := s.split()
+		if len(index) != 3 || len(data) != 1 {
+			t.Fatalf("legs %+v, want three index legs and one data leg", s.log)
+		}
+		start, _ := kth(index, 2)
+		if warm {
+			start = 0
+		}
+		if d := data[0]; d.ns < delay || d.at != index[0].at+start || tr.Ns != start+d.ns {
+			t.Errorf("warm=%v: GET took %dns, want the data read from %d + its %d (≥ %d)", warm, tr.Ns, start, d.ns, delay)
+		}
+		if want := index[0].bytes + index[1].bytes + index[2].bytes + data[0].bytes; tr.Bytes != want {
+			t.Errorf("warm=%v: GET billed %dB, want its four legs' %dB", warm, tr.Bytes, want)
+		}
+		if got := r.acct.TotalNanos("client") - cpu; got != 4*cpu2xR/2 {
+			t.Errorf("warm=%v: client CPU %dns, want four legs at %d", warm, got, cpu2xR/2)
+		}
 	}
 }
 

@@ -398,6 +398,18 @@ func TestFigLoadWallShape(t *testing.T) {
 	}
 }
 
+// TestWeatherNamesFloorLag: a load-wall row's weather prints its floor
+// step's worst generator lag beside the scheduling p99, so a floor step
+// paged by timetable sleeps that overshoot says so; other rows print none.
+func TestWeatherNamesFloorLag(t *testing.T) {
+	if got := (weather{schedP99: 0.0016, floorLagNs: 6_600_000}).String(); !strings.Contains(got, "sched latency p99 1600us, floor-step generator lag max 6600us]") {
+		t.Errorf("load-wall weather %q does not name the floor step's lag", got)
+	}
+	if got := (weather{}).String(); strings.Contains(got, "lag") {
+		t.Errorf("weather without a load wall %q names a lag", got)
+	}
+}
+
 // TestFigHotKeyShape pins the hot-key figure's invariants: every row
 // reports zero lost acked writes, the near-cache and promotion machinery
 // engage on adaptive rows and never on fixed ones, a fixed-SCAR row's

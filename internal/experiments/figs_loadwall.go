@@ -137,7 +137,8 @@ func loadwallProbe(c *cell.Cell, clients []*client.Client, stepDurNs uint64) loa
 }
 
 // runLoadwallCase builds the case's cell and searches for its knee, with
-// the weather of the search.
+// the weather of the search and its floor step's worst generator lag (the
+// first step and, when it failed, its confirmation).
 func runLoadwallCase(rc loadwallCase, prof loadwallProfile) (*loadwall.Report, weather) {
 	opt := cell.Options{
 		Shards: 3, Spares: 1, Mode: config.R32,
@@ -203,7 +204,13 @@ func runLoadwallCase(rc loadwallCase, prof loadwallProfile) (*loadwall.Report, w
 	}
 	w := watchWeather(c.Fabric)
 	rep := loadwall.FindKnee(c.Fabric.Params().Clock, cfg, op, loadwallProbe(c, clients, prof.stepDurNs))
-	return rep, w.done()
+	wx := w.done()
+	for _, st := range rep.Steps {
+		if st.OfferedQPS == rep.Steps[0].OfferedQPS {
+			wx.floorLagNs = max(wx.floorLagNs, st.MaxLagNs)
+		}
+	}
+	return rep, wx
 }
 
 // figLoadWallWith runs a set of cases under a profile; FigLoadWall is the

@@ -126,15 +126,22 @@ func latCols(h *stats.Histogram, ps ...float64) []Col {
 // summed over hosts) and the p99 of the Go runtime's GC pauses and
 // goroutine scheduling latencies over the same span. A shape test prints
 // it beside a failing row, so a tail that is the machine's and not the
-// model's says so.
+// model's says so. A load-wall row adds its floor step's worst generator
+// lag (loadwall.StepResult.MaxLagNs): a timetable sleep that overshoots
+// pages the floor step while the scheduling p99 stays low.
 type weather struct {
 	stallNs         uint64
 	gcP99, schedP99 float64 // seconds
+	floorLagNs      uint64  // a load-wall row's; 0 elsewhere
 }
 
 func (w weather) String() string {
-	return fmt.Sprintf("[stall share %.1fus, GC pause p99 %.0fus, sched latency p99 %.0fus]",
-		float64(w.stallNs)/1e3, w.gcP99*1e6, w.schedP99*1e6)
+	lag := ""
+	if w.floorLagNs > 0 {
+		lag = fmt.Sprintf(", floor-step generator lag max %.0fus", float64(w.floorLagNs)/1e3)
+	}
+	return fmt.Sprintf("[stall share %.1fus, GC pause p99 %.0fus, sched latency p99 %.0fus%s]",
+		float64(w.stallNs)/1e3, w.gcP99*1e6, w.schedP99*1e6, lag)
 }
 
 // weatherWatch is a weather reading in progress: the fabric's stall share
