@@ -203,8 +203,8 @@ func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash) (freed int) {
 // traffic arrives via the SET RPC handler. An entry that could not be
 // stored reads as not applied.
 func (b *Backend) ApplySet(key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
-	applied, stored, evictions, _ = b.set(nil, key, value, v, precond{})
-	return applied, stored, evictions
+	ack, _ := b.set(nil, key, value, v, precond{})
+	return ack.Applied, ack.Stored, ack.Evictions
 }
 
 // ApplyErase erases a key directly (model checking and tests); normal
@@ -217,15 +217,16 @@ func (b *Backend) ApplyErase(key []byte, v truetime.Version) (applied bool, stor
 // arrives via the CAS RPC handler. As for ApplySet, an entry that could not
 // be stored reads as not applied.
 func (b *Backend) ApplyCas(key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
-	applied, stored, _, _ = b.set(nil, key, value, v, precond{cas: true, expected: expected})
-	return applied, stored
+	ack, _ := b.set(nil, key, value, v, precond{cas: true, expected: expected})
+	return ack.Applied, ack.Stored
 }
 
 // set is the SET RPC's core (§3, §5.2) and, with pre.cas, the CAS RPC's:
 // a version-gated install with eviction under capacity and associativity
-// conflicts, counted as a SET or as a CAS, never both. err (wrapping
-// proto.ErrNotStored) reports an entry the data region could not take.
-func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Version, pre precond) (applied bool, stored truetime.Version, evictions int, err error) {
+// conflicts, counted as a SET or as a CAS, never both; it returns the ack.
+// err (wrapping proto.ErrNotStored) reports an entry the data region could
+// not take.
+func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Version, pre precond) (ack proto.MutateResp, err error) {
 	h := b.opt.Hash(key)
 	s := b.stripeOf(h)
 	ops, done := &s.ctr.sets, &s.ctr.setsApplied
@@ -234,10 +235,10 @@ func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Versio
 	}
 	ops.Add(1)
 	b.noteHeat(key, h)
-	if applied, stored, evictions, err = b.gatedWrite(sink, s, h, key, value, v, pre); applied {
+	if ack, err = b.gatedWrite(sink, s, h, key, value, v, pre); ack.Applied {
 		done.Add(1)
 	}
-	return applied, stored, evictions, err
+	return ack, err
 }
 
 // gatedWrite is the one write sequence: gate → unlock → allocate+write →
@@ -247,8 +248,9 @@ func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Versio
 // concurrent mutation moved the version bound past v or broke pre, the
 // prepared entry is discarded exactly as if the first gate had failed. An
 // entry the data region cannot take (past the largest slab class, or
-// nothing left to evict) fails with proto.ErrNotStored.
-func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, pre precond) (applied bool, stored truetime.Version, evictions int, err error) {
+// nothing left to evict) fails with proto.ErrNotStored. An applied write's
+// ack names the pointer its index entry published (zero in the side shard).
+func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash, key, value []byte, v truetime.Version, pre precond) (ack proto.MutateResp, err error) {
 	for {
 		lockStripe(s, sink)
 		idx := b.idx.Load()
@@ -256,13 +258,15 @@ func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash
 		dr := b.data.Load()
 		s.unlock()
 		if !ok {
-			return false, bound, evictions, nil
+			ack.Stored = bound
+			return ack, nil
 		}
 
 		ptr, ev, err := b.writeEntry(dr, key, value, v)
-		evictions += ev
+		ack.Evictions += ev
 		if err != nil {
-			return false, bound, evictions, fmt.Errorf("%w: %w", proto.ErrNotStored, err)
+			ack.Stored = bound
+			return ack, fmt.Errorf("%w: %w", proto.ErrNotStored, err)
 		}
 
 		lockStripe(s, sink)
@@ -277,28 +281,31 @@ func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash
 		bucket := idx.bucketOf(h)
 		raw := idx.bucket(bucket)
 		if bound, ok = b.versionGate(s, raw, key, h, v, pre); ok {
-			ok = b.place(s, idx, bucket, raw, layout.IndexEntry{Hash: h, Version: v, Ptr: ptr}, key, value)
+			ack.Ptr, ok = b.place(s, idx, bucket, raw, layout.IndexEntry{Hash: h, Version: v, Ptr: ptr}, key, value)
 		}
 		if !ok {
 			s.unlock()
 			dr.free(ptr)
-			return false, bound, evictions, nil
+			ack.Stored = bound
+			return ack, nil
 		}
 		s.policy.Add(h)
 		b.publish(h, proto.MigrateItem{Key: key, Value: value, Version: v})
 		s.unlock()
 		b.maybeResizeIndex()
 		b.maybeCheckpoint()
-		return true, v, evictions, nil
+		ack.Applied, ack.Stored = true, v
+		return ack, nil
 	}
 }
 
 // place puts a prepared entry where readers will find it: over the key's
 // current slot, else into an empty one, else — an associativity conflict —
 // into the RPC side shard (§4.2, freeing the prepared DataEntry) or over
-// the bucket's oldest-versioned entry. False means the bucket could not
-// take it. The bucket's stripe lock (s) is held.
-func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawBucket, e layout.IndexEntry, key, value []byte) bool {
+// the bucket's oldest-versioned entry. It returns the pointer the index
+// now names for the key, zero in the side shard; false means the bucket
+// could not take it. The bucket's stripe lock (s) is held.
+func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawBucket, e layout.IndexEntry, key, value []byte) (layout.Pointer, bool) {
 	_, slot, ok := raw.Find(e.Hash)
 	if !ok {
 		slot, ok = emptySlot(raw)
@@ -308,12 +315,12 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawB
 		s.side[e.Hash] = newSideEntry(key, value, e.Version)
 		b.stampBucket(idx, bucket, layout.OverflowFlag)
 		s.ctr.overflows.Add(1)
-		return true
+		return layout.Pointer{}, true
 	}
 	if !ok {
 		var victim layout.IndexEntry
 		if victim, slot, ok = victimSlot(raw); !ok {
-			return false
+			return layout.Pointer{}, false
 		}
 		// The victim shares this bucket, hence this stripe.
 		s.policy.Remove(victim.Hash)
@@ -322,7 +329,7 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawB
 	}
 	b.putSlot(idx, bucket, slot, e)
 	delete(s.side, e.Hash)
-	return true
+	return e.Ptr, true
 }
 
 // erase is the ERASE RPC's core (§5.2).

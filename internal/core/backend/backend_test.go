@@ -52,6 +52,68 @@ func (r *rig) v() truetime.Version {
 	return r.gen.Next()
 }
 
+// TestAckNamesPlacedPointer: the ack of an applied SET or CAS names the
+// pointer the key's index entry published (MutateResp.Ptr), a fresh one
+// for each write. Every other ack names none: a refused SET, a CAS that
+// did not swap, an ERASE, and a SET parked in the RPC side shard (§4.2).
+func TestAckNamesPlacedPointer(t *testing.T) {
+	r := newRig(t, Options{Shard: 0,
+		Geometry:         layout.Geometry{Buckets: 1, Ways: 2},
+		MaxLoadFactor:    10, // no resize: the third key overflows
+		OverflowFallback: true,
+	})
+	apply := func(method string, req proto.SetReq) proto.MutateResp {
+		t.Helper()
+		ack, err := mutations[method].apply(r.b, nil, req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, req.Key, err)
+		}
+		return ack
+	}
+	indexed := func(key []byte) layout.Pointer {
+		t.Helper()
+		h := r.b.opt.Hash(key)
+		idx := r.b.idx.Load()
+		e, _, ok := idx.bucket(idx.bucketOf(h)).Find(h)
+		if !ok {
+			t.Fatalf("%s is not indexed", key)
+		}
+		return e.Ptr
+	}
+	k := []byte("k")
+	first := apply(proto.MethodSet, proto.SetReq{Key: k, Value: []byte("v1"), Version: r.v()})
+	if !first.Applied || first.Ptr.Nil() || first.Ptr != indexed(k) {
+		t.Fatalf("SET ack %+v, want applied at the indexed pointer %+v", first, indexed(k))
+	}
+	old := first.Stored
+	second := apply(proto.MethodSet, proto.SetReq{Key: k, Value: []byte("value-2"), Version: r.v()})
+	if !second.Applied || second.Ptr != indexed(k) || second.Ptr == first.Ptr {
+		t.Fatalf("overwrite ack %+v, want applied at the new indexed pointer %+v (first %+v)", second, indexed(k), first.Ptr)
+	}
+	cas := apply(proto.MethodCas, proto.SetReq{Key: k, Value: []byte("v3"), Version: r.v(), Expected: second.Stored})
+	if !cas.Applied || cas.Ptr != indexed(k) {
+		t.Fatalf("CAS ack %+v, want swapped at the indexed pointer %+v", cas, indexed(k))
+	}
+	for name, ack := range map[string]proto.MutateResp{
+		"refused SET":   apply(proto.MethodSet, proto.SetReq{Key: k, Value: []byte("old"), Version: old}),
+		"unswapped CAS": apply(proto.MethodCas, proto.SetReq{Key: k, Value: []byte("v4"), Version: r.v(), Expected: old}),
+		"ERASE":         apply(proto.MethodErase, proto.SetReq{Key: k, Version: r.v()}),
+	} {
+		if ack.Applied == (name != "ERASE") || !ack.Ptr.Nil() {
+			t.Errorf("%s ack %+v, want no pointer", name, ack)
+		}
+	}
+	for i := range 3 { // two ways: the third key parks in the side shard
+		ack := apply(proto.MethodSet, proto.SetReq{Key: fmt.Appendf(nil, "fill-%d", i), Value: []byte("f"), Version: r.v()})
+		if side := i == 2; !ack.Applied || ack.Ptr.Nil() != side {
+			t.Errorf("fill-%d ack %+v, want applied with a pointer unless in the side shard (%v)", i, ack, side)
+		}
+	}
+	if r.b.CountersSnapshot().Overflows != 1 {
+		t.Errorf("%d overflows, want 1", r.b.CountersSnapshot().Overflows)
+	}
+}
+
 func TestSetGetRoundTrip(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	v := r.v()

@@ -28,19 +28,19 @@ const (
 // mutations is the handler table of the three client mutation methods,
 // keyed by method. Each decodes one SetReq, takes the access records it
 // carries, passes admission and acks the same way; a row names the cost its
-// handler bills and the core that applies it.
+// handler bills and the core that applies it, which fills the ack.
 var mutations = map[string]struct {
 	cost  uint64
-	apply func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (applied bool, stored truetime.Version, evictions int, err error)
+	apply func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error)
 }{
-	proto.MethodSet: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (bool, truetime.Version, int, error) {
+	proto.MethodSet: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error) {
 		return b.set(sink, r.Key, r.Value, r.Version, precond{})
 	}},
-	proto.MethodErase: {eraseHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (bool, truetime.Version, int, error) {
+	proto.MethodErase: {eraseHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error) {
 		applied, stored := b.erase(sink, r.Key, r.Version)
-		return applied, stored, 0, nil
+		return proto.MutateResp{Applied: applied, Stored: stored}, nil
 	}},
-	proto.MethodCas: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (bool, truetime.Version, int, error) {
+	proto.MethodCas: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error) {
 		return b.set(sink, r.Key, r.Value, r.Version, precond{cas: true, expected: r.Expected})
 	}},
 }
@@ -85,14 +85,15 @@ func (b *Backend) registerHandlers() {
 				return nil, cost, err
 			}
 			sink := trace.SinkFrom(ctx)
-			applied, stored, ev, err := m.apply(b, sink, r)
+			ack, err := m.apply(b, sink, r)
 			if err != nil {
 				return nil, cost, err
 			}
-			if applied && r.Repair {
+			if ack.Applied && r.Repair {
 				b.noteRecoverySettle()
 			}
-			return proto.MutateResp{Applied: applied, Stored: stored, Evictions: ev, Sealed: b.handoffStranded(entryID)}.AppendTo(sink.Reply()), cost, nil
+			ack.Sealed = b.handoffStranded(entryID)
+			return ack.AppendTo(sink.Reply()), cost, nil
 		})
 		s.SetMethodCost(method, m.cost)
 	}
@@ -419,7 +420,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 			switch {
 			case versions[i] == r.Version:
 			case v.local:
-				if applied, _, _, _ := mutations[method].apply(b, nil, r); applied {
+				if ack, _ := mutations[method].apply(b, nil, r); ack.Applied {
 					b.noteRecoverySettle()
 				}
 			default:

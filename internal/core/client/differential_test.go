@@ -37,14 +37,16 @@ import (
 // its own mutations, which drop their key's entry: each near row records
 // about 50 near hits (300 ops recorded one).
 //
-// The R=3.2 cell replays the sequence in three more worlds that move a
-// remembered pointer under the client: a second client SETs and ERASEs
+// A loader client writes every key first, so each key's first GET starts
+// cold. The R=3.2 cell replays the sequence in three more worlds that move
+// a remembered pointer under the client: a second client SETs and ERASEs
 // between its reads, the backends evict (their data regions hold about
 // half the corpus), or every 150 ops the config steps — the new ID a
 // resize step publishes, which both clients have picked up. The instant
 // of each data read is predicted from the client's own history: its last
-// GET of the key read data, and since then neither it nor the other
-// client mutated the key and the config did not step. An eviction can
+// GET of the key read data, or its last SET of the key was acked with the
+// value's pointer, and since then it did not erase the key, the other
+// client did not mutate it and the config did not step. An eviction can
 // also move a pointer, so in that world a predicted warm read may start
 // cold, but a predicted cold one never starts warm.
 func TestStrategiesAgree(t *testing.T) {
@@ -90,6 +92,12 @@ func TestStrategiesAgree(t *testing.T) {
 			}
 			return v
 		}
+		loader := r.newClient(Options{ID: 98})
+		for k := range 24 {
+			if err := loader.Set(ctx, []byte(fmt.Sprintf("k%02d", k)), value("p", k)); err != nil {
+				t.Fatalf("loading k%02d: %v", k, err)
+			}
+		}
 		// The client's remembered pointers as its history predicts them:
 		// the key each slot holds, and the keys another client moved.
 		remembers := need > 1 && (strat == Strategy2xR || on1RMA)
@@ -100,8 +108,13 @@ func TestStrategiesAgree(t *testing.T) {
 				delete(held, slotOf(key))
 			}
 		}
+		hold := func(key []byte) {
+			if remembers {
+				held[slotOf(key)], moved[string(key)] = string(key), false
+			}
+		}
 		var out []result
-		nearHits, warmReads, staleReads := 0, 0, 0
+		nearHits, warmReads, coldReads, staleReads := 0, 0, 0, 0
 		for op := 0; op < 900; op++ {
 			if w.step && op%150 == 149 {
 				next := r.store.Update(func(*config.CellConfig) {})
@@ -117,7 +130,7 @@ func TestStrategiesAgree(t *testing.T) {
 				if err := cl.Set(ctx, key, value("v", op)); err != nil {
 					t.Fatalf("op %d set: %v", op, err)
 				}
-				forget(key)
+				hold(key)
 			case p < 4:
 				if err := cl.Erase(ctx, key); err != nil {
 					t.Fatalf("op %d erase: %v", op, err)
@@ -152,8 +165,8 @@ func TestStrategiesAgree(t *testing.T) {
 				if remembers && held[slotOf(key)] == string(key) && moved[string(key)] {
 					staleReads++
 				}
-				if forget(key); remembers && found {
-					held[slotOf(key)], moved[string(key)] = string(key), false
+				if forget(key); found {
+					hold(key)
 				}
 
 				// The attempt's annotations, from its index phase on: a
@@ -184,6 +197,8 @@ func TestStrategiesAgree(t *testing.T) {
 					warmReads++
 				} else if warm && !w.evict && hasData {
 					t.Fatalf("op %d: data read %+v, want it started with the index reads at %dns", op, data, idx.Start)
+				} else if hasData {
+					coldReads++
 				}
 				spec := hasData && need > 1
 				dataStart := idx.Start + idx.Dur
@@ -219,8 +234,8 @@ func TestStrategiesAgree(t *testing.T) {
 		if near && nearHits == 0 {
 			t.Fatal("no GET was a near hit")
 		}
-		if remembers && !near && warmReads == 0 {
-			t.Fatal("no data read started with the index reads")
+		if remembers && !near && (warmReads == 0 || coldReads == 0) {
+			t.Fatalf("%d data reads started with the index reads and %d after them, want some of each", warmReads, coldReads)
 		}
 		if w.other && remembers && !near && staleReads == 0 {
 			t.Fatal("the other client moved no pointer the client held")
@@ -286,9 +301,12 @@ func TestStrategiesAgree(t *testing.T) {
 // offset, or to a modelled cost shows up here as a diff. The SCAR golden
 // was retaken when a SCAR reply shrank from the whole bucket to its header
 // and matched slot: each leg's response went 942 → 438 B and its receive
-// 258 → 237 ns (5609 ns, 3114 B before). The 2×R data
-// read starts at the fastest index answer (§5.1) and outlasts the quorum
-// wait, so that golden has no quorum-wait span.
+// 258 → 237 ns (5609 ns, 3114 B before). The 2×R key is written by
+// another client, so the data read starts at the fastest index answer
+// (§5.1) and outlasts the quorum wait: that golden has no quorum-wait span.
+// Written by the client itself, the first SET ack names where its replica
+// put the value, and the data read starts with the index reads (ptrs.go):
+// the same legs and bytes, 5 245 ns sooner.
 //
 // The fixture is the deterministic corner of the model: an effectively
 // infinite downlink (no serialization, so no wall-clock-dependent
@@ -300,10 +318,12 @@ func TestGetTraceParity(t *testing.T) {
 		spans     []fabric.Span
 	}
 	for _, tc := range []struct {
+		name  string
 		strat Strategy
+		other bool // another client writes the key
 		want  golden
 	}{
-		{Strategy2xR, golden{10849, 2382, []fabric.Span{
+		{"2xR", Strategy2xR, true, golden{10849, 2382, []fabric.Span{
 			{Code: 9, Arg: 0, Start: 0, Dur: 440},
 			{Code: 10, Arg: 592, Start: 2539, Dur: 464},
 			{Code: 11, Arg: 0, Start: 5245, Dur: 244},
@@ -319,7 +339,23 @@ func TestGetTraceParity(t *testing.T) {
 			{Code: 11, Arg: 0, Start: 10615, Dur: 234},
 			{Code: 3, Arg: 1, Start: 5382, Dur: 5467},
 		}}},
-		{StrategySCAR, golden{5588, 1602, []fabric.Span{
+		{"2xR/own-set", Strategy2xR, false, golden{5604, 2382, []fabric.Span{
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 592, Start: 2539, Dur: 464},
+			{Code: 11, Arg: 0, Start: 5245, Dur: 244},
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 592, Start: 2690, Dur: 464},
+			{Code: 11, Arg: 0, Start: 5217, Dur: 244},
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 592, Start: 2530, Dur: 464},
+			{Code: 11, Arg: 0, Start: 5138, Dur: 244},
+			{Code: 1, Arg: 3, Start: 0, Dur: 5382},
+			{Code: 9, Arg: 0, Start: 0, Dur: 440},
+			{Code: 10, Arg: 350, Start: 2664, Dur: 454},
+			{Code: 11, Arg: 0, Start: 5370, Dur: 234},
+			{Code: 3, Arg: 0, Start: 0, Dur: 5604},
+		}}},
+		{"SCAR", StrategySCAR, false, golden{5588, 1602, []fabric.Span{
 			{Code: 9, Arg: 0, Start: 0, Dur: 440},
 			{Code: 10, Arg: 438, Start: 2539, Dur: 598},
 			{Code: 11, Arg: 0, Start: 5379, Dur: 237},
@@ -333,12 +369,16 @@ func TestGetTraceParity(t *testing.T) {
 			{Code: 2, Arg: 2, Start: 5509, Dur: 79},
 		}}},
 	} {
-		t.Run(tc.strat.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			r := newRigOn(t, fabric.Params{HostGbps: 1e12})
 			cl := r.newClientAt(Options{Strategy: tc.strat, Seed: 7}, nil)
 			ctx := context.Background()
 			key := []byte("golden-key")
-			if err := cl.Set(ctx, key, make([]byte, 300)); err != nil {
+			writer := cl
+			if tc.other {
+				writer = r.newClientAt(Options{ID: 99, Seed: 7}, nil)
+			}
+			if err := writer.Set(ctx, key, make([]byte, 300)); err != nil {
 				t.Fatal(err)
 			}
 			val, found, tr, err := cl.GetTraced(ctx, key)
@@ -365,7 +405,10 @@ func TestGetTraceParity(t *testing.T) {
 // deterministic fixture (the CAS and the ERASE follow one SET of the key on
 // a fresh cell). The client is traced, or the RPC legs record no spans.
 // An ERASE travels as a SetReq, whose empty Value and false Repair add four
-// bytes to each leg's request; its byte goldens count them.
+// bytes to each leg's request; its byte goldens count them. A SET's or
+// applied CAS's ack names where its replica put the value
+// (MutateResp.Ptr, tags 8–10): 9 more bytes per leg's response, 1 839 →
+// 1 866 B for the SET and 1 572 → 1 599 B for the CAS, at the same ns.
 func TestMutationTraceParity(t *testing.T) {
 	type golden struct {
 		ns, bytes uint64
@@ -375,34 +418,34 @@ func TestMutationTraceParity(t *testing.T) {
 		kind trace.Kind
 		want golden
 	}{
-		{trace.KindSet, golden{77100, 1839, []fabric.Span{
+		{trace.KindSet, golden{77100, 1866, []fabric.Span{
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
 			{Code: 7, Arg: 464, Start: 32000, Dur: 2257},
 			{Code: 6, Arg: 2600, Start: 34257, Dur: 40600},
-			{Code: 7, Arg: 149, Start: 74857, Dur: 2257},
+			{Code: 7, Arg: 158, Start: 74857, Dur: 2257},
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
 			{Code: 7, Arg: 464, Start: 32000, Dur: 2257},
 			{Code: 6, Arg: 2600, Start: 34257, Dur: 40600},
-			{Code: 7, Arg: 149, Start: 74857, Dur: 2193},
+			{Code: 7, Arg: 158, Start: 74857, Dur: 2193},
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
 			{Code: 7, Arg: 464, Start: 32000, Dur: 2257},
 			{Code: 6, Arg: 2600, Start: 34257, Dur: 40600},
-			{Code: 7, Arg: 149, Start: 74857, Dur: 2243},
+			{Code: 7, Arg: 158, Start: 74857, Dur: 2243},
 			{Code: 2, Arg: 2, Start: 77050, Dur: 50},
 		}}},
-		{trace.KindCas, golden{76860, 1572, []fabric.Span{
+		{trace.KindCas, golden{76860, 1599, []fabric.Span{
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
 			{Code: 7, Arg: 375, Start: 32000, Dur: 2212},
 			{Code: 6, Arg: 2600, Start: 34212, Dur: 40600},
-			{Code: 7, Arg: 149, Start: 74812, Dur: 2048},
+			{Code: 7, Arg: 158, Start: 74812, Dur: 2048},
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
 			{Code: 7, Arg: 375, Start: 32000, Dur: 2099},
 			{Code: 6, Arg: 2600, Start: 34099, Dur: 40600},
-			{Code: 7, Arg: 149, Start: 74699, Dur: 2238},
+			{Code: 7, Arg: 158, Start: 74699, Dur: 2238},
 			{Code: 5, Arg: 0, Start: 0, Dur: 32000},
 			{Code: 7, Arg: 375, Start: 32000, Dur: 2080},
 			{Code: 6, Arg: 2600, Start: 34080, Dur: 40600},
-			{Code: 7, Arg: 149, Start: 74680, Dur: 2159},
+			{Code: 7, Arg: 158, Start: 74680, Dur: 2159},
 			{Code: 2, Arg: 2, Start: 76839, Dur: 21},
 		}}},
 		{trace.KindErase, golden{76060, 936, []fabric.Span{

@@ -210,13 +210,12 @@ func TestLegKindsBill(t *testing.T) {
 			origins: func([]legRecord, fabric.OpTrace) []uint64 { return []uint64{0, 0, 0, 0} },
 		},
 		{
-			// The same after the client's own SET, which drops its pointer:
-			// the data read starts at the first answer.
+			// The same after the client's own ERASE, which drops its
+			// pointer, and another client's SET: the data read starts at
+			// the first answer.
 			name: "index/stale-stamp/cold", strat: Strategy2xR, mode: config.R32,
 			setup: func(t *testing.T, r *rig, cl *Client) {
-				if err := cl.Set(ctx, key, val); err != nil {
-					t.Fatal(err)
-				}
+				coldKey(t, r, cl, key, val)
 				h := cl.opt.Hash(key)
 				restampBucket(t, r, cl, h, readRoute(cl.Config(), h).shards[2])
 			},
@@ -225,6 +224,21 @@ func TestLegKindsBill(t *testing.T) {
 			origins: func(l []legRecord, _ fabric.OpTrace) []uint64 {
 				return []uint64{0, 0, 0, min(l[0].ns, l[1].ns)}
 			},
+		},
+		{
+			// The same after the client's own SET, whose first ack names
+			// where its replica put the value: the data read starts with
+			// the index reads.
+			name: "index/stale-stamp/own-set", strat: Strategy2xR, mode: config.R32,
+			setup: func(t *testing.T, r *rig, cl *Client) {
+				h := cl.opt.Hash(key)
+				rt := readRoute(cl.Config(), h)
+				ownSet(t, r, cl, key, val, rt.shards[0])
+				restampBucket(t, r, cl, h, rt.shards[2])
+			},
+			op: tracedHit, cpu: 4 * cpu2xR / 2,
+			legs:    []string{"read", "read", "read", "read"},
+			origins: func([]legRecord, fabric.OpTrace) []uint64 { return []uint64{0, 0, 0, 0} },
 		},
 		{
 			name: "mutation", strat: Strategy2xR, mode: config.R32,

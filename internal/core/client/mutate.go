@@ -8,6 +8,7 @@ import (
 	"context"
 
 	"cliquemap/internal/core/config"
+	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/trace"
@@ -100,7 +101,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 		x.tr.Spans = make([]fabric.Span, 0, mutSpans)
 	}
 	err = ErrUnavailable
-	attempt, won := 0, false
+	attempt, won, at := 0, false, ackPtr{}
 	for ; attempt <= c.opt.Retries; attempt++ {
 		if ctx.Err() != nil {
 			err = ErrExhausted
@@ -111,7 +112,7 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 				break
 			}
 		}
-		won, err = c.mutateOnce(&x, method, proto.SetReq{Key: key, Value: value, Expected: expected, Version: v})
+		won, at, err = c.mutateOnce(&x, method, proto.SetReq{Key: key, Value: value, Expected: expected, Version: v})
 		if err == nil {
 			c.opt.Budget.Credit()
 			break
@@ -121,11 +122,16 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 		}
 		c.classifyAndRepair(err)
 	}
-	// Even a failed fan-out may have applied somewhere: the cached copy and
-	// the remembered pointer are unconditionally suspect after our own
-	// mutation.
+	// Even a failed fan-out may have applied somewhere: the cached copy is
+	// unconditionally suspect after our own mutation, and so is the
+	// remembered pointer unless a quorum applied the write (won, which only
+	// a successful attempt sets) and an ack named where it went.
 	c.nearInvalidate(key)
-	c.ptrs.drop(x.h)
+	if won && !at.ptr.Nil() {
+		c.ptrs.put(x.h, at.cfg, at.shard, at.ptr)
+	} else {
+		c.ptrs.drop(x.h)
+	}
 	if kind != trace.KindCas {
 		c.M.SetLatency.Record(x.tr.Ns)
 	} else {
@@ -154,8 +160,9 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 //
 // Every kind sends req, one SetReq; method names the kind. Each leg
 // carries its backend's queued access records (§4.2) in place of a Touch
-// RPC.
-func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applied bool, err error) {
+// RPC. Outside a resize, at is the fastest ack's MutateResp.Ptr that
+// names where its replica put the value (ptrs.go).
+func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applied bool, at ackPtr, err error) {
 	cfg := c.Config()
 	var legBuf [2 * config.MaxReplicas]mutLeg
 	legs := mutationLegs(cfg, x.h, legBuf[:0])
@@ -214,6 +221,9 @@ func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applie
 		c.noteReplicaSuccess(leg.addr)
 		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == req.Version})
 		legNs = append(legNs, ltr.Ns)
+		if cfg.Pending == nil && mr.Applied && !mr.Ptr.Nil() && (at.ptr.Nil() || ltr.Ns < at.ns) {
+			at = ackPtr{cfg: cfg.ID, shard: leg.shard, ptr: mr.Ptr, ns: ltr.Ns}
+		}
 	}
 	q := cfg.Mode.Quorum()
 	// The pending-epoch quorum only DECIDES the ack once reads route to
@@ -234,9 +244,18 @@ func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applie
 		if lastErr == nil {
 			lastErr = ErrUnavailable
 		}
-		return false, lastErr
+		return false, ackPtr{}, lastErr
 	}
 	// A mutation completes when the write quorum has acked.
 	settleFanout(&x.tr, legNs, q, 0)
-	return applied, nil
+	return applied, at, nil
+}
+
+// ackPtr is where an acking replica, the cohort's shard, put a mutation's
+// value under the config cfg, and its leg's latency.
+type ackPtr struct {
+	cfg   uint64
+	shard int
+	ptr   layout.Pointer
+	ns    uint64
 }

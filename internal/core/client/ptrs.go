@@ -1,14 +1,17 @@
 package client
 
-// Remembered data pointers: where this client last read each key's data.
-// An R=3.2 one-sided GET whose index legs carry no data (2×R, and SCAR on
-// a NIC that cannot scan) starts §5.1's speculative data read with the
-// index reads when the table names the key's pointer, instead of at the
-// first index answer: a warm hit pays one round trip, not two dependent
-// ones. The read is kept only when its replica's index entry still names
-// the pointer, and is validated like every data read — checksum, full key,
-// the quorum's version — so a stale slot costs one wasted leg and never
-// changes an answer.
+// Remembered data pointers: where this client last read or wrote each
+// key's data. An R=3.2 one-sided GET whose index legs carry no data (2×R,
+// and SCAR on a NIC that cannot scan) starts §5.1's speculative data read
+// with the index reads when the table names the key's pointer, instead of
+// at the first index answer: a warm hit pays one round trip, not two
+// dependent ones. A slot is learned by the data read that served, or by
+// the client's own SET or swapped CAS, whose fastest ack names where its
+// replica put the value (MutateResp.Ptr, outside a resize); any other own
+// mutation drops it. The read is kept only when its replica's index entry
+// still names the pointer, and is validated like every data read —
+// checksum, full key, the quorum's version — so a stale slot costs one
+// wasted leg and never changes an answer.
 
 import (
 	"sync/atomic"
@@ -18,8 +21,10 @@ import (
 	"cliquemap/internal/rmem"
 )
 
-// ptrSlots sizes the table. On mix_rw_1rma 4 096 slots start about a
-// third of the GETs warm; 1 024 start 30 % and 256 start 24 %.
+// ptrSlots sizes the table. On mix_rw_1rma, where half the ops are the
+// client's own mutations, 4 096 slots start 64 % of the GETs warm (80 % of
+// the hits); 1 024 start 54 % and 256 start 43 %. Learned from reads alone
+// they started 34 %, 30 % and 24 %.
 const ptrSlots = 4096
 
 // ptrTable is direct-mapped by the key hash's low bits. A slot is a hint:
@@ -87,7 +92,7 @@ func (t *ptrTable) drop(h hashring.KeyHash) {
 	}
 }
 
-// remembered names the view whose replica the table remembers serving
+// remembered names the view whose replica the table remembers holding
 // the key's data under the config cfgID, and the pointer, when a GET
 // fetching with how can start its data read there with the index reads:
 // the replica is resolved, not demoted, and its index leg carries no data.

@@ -97,9 +97,11 @@ func readRoute(cfg config.CellConfig, h hashring.KeyHash) (rt route) {
 }
 
 // mutLeg is one target of a mutation fan-out, tagged with the epoch(s)
-// it represents for quorum accounting.
+// it represents for quorum accounting and its cohort shard (the old
+// epoch's when it serves both).
 type mutLeg struct {
 	addr      string
+	shard     int
 	inOld     bool
 	inPending bool
 }
@@ -112,18 +114,19 @@ type mutLeg struct {
 func mutationLegs(cfg config.CellConfig, h hashring.KeyHash, legs []mutLeg) []mutLeg {
 	var cohort [config.MaxReplicas]int
 	for _, s := range cfg.AppendCohort(cohort[:0], int(h.Hi%uint64(cfg.Shards))) {
-		legs = addLeg(legs, cfg.AddrFor(s), false)
+		legs = addLeg(legs, cfg.AddrFor(s), s, false)
 	}
 	if cfg.Pending != nil { // mid-resize only: this one may allocate
 		for _, s := range cfg.PendingCohort(int(h.Hi % uint64(cfg.Pending.Shards))) {
-			legs = addLeg(legs, cfg.Pending.AddrFor(s), true)
+			legs = addLeg(legs, cfg.Pending.AddrFor(s), s, true)
 		}
 	}
 	return legs
 }
 
-// addLeg records that addr serves the key in the old or pending epoch.
-func addLeg(legs []mutLeg, addr string, pending bool) []mutLeg {
+// addLeg records that addr serves the key as shard in the old or pending
+// epoch.
+func addLeg(legs []mutLeg, addr string, shard int, pending bool) []mutLeg {
 	if addr == "" {
 		return legs
 	}
@@ -134,7 +137,7 @@ func addLeg(legs []mutLeg, addr string, pending bool) []mutLeg {
 			return legs
 		}
 	}
-	return append(legs, mutLeg{addr: addr, inOld: !pending, inPending: pending})
+	return append(legs, mutLeg{addr: addr, shard: shard, inOld: !pending, inPending: pending})
 }
 
 // resolveReplica produces a usable replica handle for the cohort member

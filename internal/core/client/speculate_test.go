@@ -133,12 +133,50 @@ func kth(index []scriptedRead, need int) (first, k uint64) {
 	return ns[0], ns[need-1]
 }
 
+// coldKey leaves cl holding no pointer for key, which it reads back: its own
+// ERASE drops the pointer, and another client's SET writes the key again.
+func coldKey(t *testing.T, r *rig, cl *Client, key, val []byte) {
+	t.Helper()
+	if err := cl.Erase(context.Background(), key); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.newClient(Options{ID: 99}).Set(context.Background(), key, val); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ownSet is cl's SET of key with replica fast acking first, so cl
+// remembers fast's pointer from the ack.
+func ownSet(t *testing.T, r *rig, cl *Client, key, val []byte, fast int) {
+	t.Helper()
+	if err := fastAck(r, fast, func() error { return cl.Set(context.Background(), key, val) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fastAck runs mutate while every backend but fast browns out, so fast's
+// ack is the fastest.
+func fastAck(r *rig, fast int, mutate func() error) error {
+	for i, b := range r.backends {
+		if i != fast {
+			b.SetServiceDelay(100_000)
+		}
+	}
+	defer func() {
+		for _, b := range r.backends {
+			b.SetServiceDelay(0)
+		}
+	}()
+	return mutate()
+}
+
 // TestSpeculativeDataRead: an R=3.2 2×R GET issues its data read while the
 // quorum forms (§5.1). Cold — the client holds no pointer for the key, as
-// after its own SET — the read starts when the first index answer arrives,
-// from that replica's pointer; warm — the client read the key's data
-// before — it starts at the op's start, with the index reads, from the
-// pointer it remembers (ptrs.go). Either way the GET ends when the later of
+// after its own ERASE and another client's SET — the read starts when the
+// first index answer arrives, from that replica's pointer; warm — the
+// client read the key's data before, or wrote it and an ack named where —
+// it starts at the op's start, with the index reads, from the pointer it
+// remembers (ptrs.go). Either way the GET ends when the later of
 // the quorum and that read does, and only the quorum wait that outlasts
 // the read is annotated. A remembered pointer whose replica still names it
 // but loses the vote costs one wasted read (its CPU and bytes) and the
@@ -151,13 +189,7 @@ func kth(index []scriptedRead, need int) (first, k uint64) {
 func TestSpeculativeDataRead(t *testing.T) {
 	key, val := []byte("spec"), bytes.Repeat([]byte("v"), 1000)
 	clientCPU := func(r *rig) uint64 { return r.acct.TotalNanos("client") }
-	// cold drops the client's pointer for key, as any of its SETs does.
-	cold := func(t *testing.T, cl *Client) {
-		t.Helper()
-		if err := cl.Set(context.Background(), key, val); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cold := func(t *testing.T, r *rig, cl *Client) { t.Helper(); coldKey(t, r, cl, key, val) }
 	// specGet runs one GET whose one data read is host 0's, started with
 	// the index reads when warm and at the first answer when not, and
 	// checks its instant, the op's end and quorum wait, its bytes and CPU.
@@ -212,8 +244,10 @@ func TestSpeculativeDataRead(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 				s.index = tc.index
-				cold(t, cl)
+				cold(t, r, cl)
 				specGet(t, r, cl, s, clk, false)
+				specGet(t, r, cl, s, clk, true)
+				ownSet(t, r, cl, key, val, 0) // host 0's pointer, from its ack
 				specGet(t, r, cl, s, clk, true)
 			})
 		}
@@ -222,7 +256,7 @@ func TestSpeculativeDataRead(t *testing.T) {
 	t.Run("lost-vote", func(t *testing.T) {
 		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 		s.index = [3]uint64{0, 2000, 3000}
-		cold(t, cl)
+		cold(t, r, cl)
 		specGet(t, r, cl, s, clk, false) // remembers host 0's pointer
 		newer := truetime.Version{Micros: math.MaxInt64 / 2, ClientID: 99, Seq: 1}
 		for _, b := range r.backends[1:] {
@@ -268,7 +302,7 @@ func TestSpeculativeDataRead(t *testing.T) {
 	t.Run("moved", func(t *testing.T) {
 		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 		s.index = [3]uint64{2000, 0, 3000}
-		cold(t, cl)
+		cold(t, r, cl)
 		s.get(t, clk, cl, key) // remembers host 1's pointer
 		if _, data := s.split(); len(data) != 1 || data[0].host != 1 {
 			t.Fatalf("legs %+v, want one data leg from host 1, the first responder", s.log)
@@ -310,7 +344,7 @@ func TestSpeculativeDataRead(t *testing.T) {
 	t.Run("demoted-first-responder", func(t *testing.T) { // and the holder
 		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 		s.index = [3]uint64{0, 2000, 3000}
-		cold(t, cl)
+		cold(t, r, cl)
 		specGet(t, r, cl, s, clk, false) // remembers host 0's pointer
 		for range 4 {
 			cl.noteReplicaFailure("b0")
@@ -347,18 +381,20 @@ func TestSpeculativeDataRead(t *testing.T) {
 
 // TestSlowDataReadBillsOneLeg: a data read a millisecond slow is still
 // the one data read, cold (from the first answer) and warm (from the op's
-// start). The GET bills the three index legs and that leg — their bytes and
-// four legs' client CPU — and ends when the slow read does. R=3.2's
-// quorum, not a backup read, is the defence against a slow replica.
+// start, after a read and after the client's own SET). The GET bills the
+// three index legs and that leg — their bytes and four legs' client CPU —
+// and ends when the slow read does. R=3.2's quorum, not a backup read, is
+// the defence against a slow replica.
 func TestSlowDataReadBillsOneLeg(t *testing.T) {
 	const delay = 1_000_000
 	key, val := []byte("slow-data"), bytes.Repeat([]byte("s"), 2000)
 	r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
 	s.data = []uint64{delay}
-	if err := cl.Set(context.Background(), key, val); err != nil {
-		t.Fatal(err)
-	}
-	for _, warm := range []bool{false, true} {
+	coldKey(t, r, cl, key, val)
+	for i, warm := range []bool{false, true, true} {
+		if i == 2 {
+			ownSet(t, r, cl, key, val, 0) // warm from the ack
+		}
 		cpu := r.acct.TotalNanos("client")
 		got, tr := s.get(t, clk, cl, key)
 		if !bytes.Equal(got, val) {

@@ -82,11 +82,13 @@ var (
 )
 
 // Pointer locates a DataEntry for RMA: a window id, offset, and size —
-// "(a memory region identifier, offset, size)" per §3.
+// "(a memory region identifier, offset, size)" per §3. The wire tags are
+// its field order where a proto message splices it in `flat`
+// (MutateResp's).
 type Pointer struct {
-	Window rmem.WindowID
-	Offset uint64
-	Size   uint64
+	Window rmem.WindowID `wire:"1"`
+	Offset uint64        `wire:"2"`
+	Size   uint64        `wire:"3"`
 }
 
 // Nil reports whether the pointer is null (empty index slot target).

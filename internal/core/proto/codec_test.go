@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"cliquemap/internal/core/layout"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/rmem"
 	"cliquemap/internal/stats"
@@ -164,6 +165,11 @@ var goldenFrames = []struct {
 	{GetReq{}, anyDecoder(UnmarshalGetReq), "01040a001000"},
 	{GetResp{}, anyDecoder(UnmarshalGetResp), "010408001200180020002800"},
 	{TouchReq{}, anyDecoder(UnmarshalTouchReq), "0104"},
+	// An applied SET's ack naming where its replica put the value: the
+	// pointer's window, offset and size at tags 8–10, after the fields
+	// above. Without them the frame is byte for byte the populated capture.
+	{MutateResp{Applied: true, Stored: v(5, 6, 7), Evictions: 3, Ptr: layout.Pointer{Window: 2, Offset: 4096, Size: 1108}},
+		anyDecoder(UnmarshalMutateResp), "0104080110051806200728033000400248802050d408"},
 
 	// Frames captured at the commit before the telemetry records moved to
 	// their producers (DebugHist & co. became aliases of trace / stats
@@ -291,7 +297,7 @@ func TestDatapathDecodeAliasesFrame(t *testing.T) {
 		}
 	}
 	set := SetReq{Key: []byte("k"), Value: []byte("v"), Version: v(1, 2, 3), Touches: TouchReq{Keys: [][]byte{[]byte("a")}}.Marshal(), Expected: v(1, 1, 1)}.Marshal()
-	mut := MutateResp{Applied: true, Stored: v(1, 2, 3)}.Marshal()
+	mut := MutateResp{Applied: true, Stored: v(1, 2, 3), Ptr: layout.Pointer{Window: 1, Offset: 1 << 20, Size: 300}}.Marshal()
 	get := GetReq{Key: []byte("k"), ConfigID: 7}.Marshal()
 	resp := GetResp{Found: true, Value: []byte("value"), Version: v(1, 2, 3)}.Marshal()
 	touch := TouchReq{Keys: [][]byte{[]byte("a"), []byte("b")}}.Marshal()
@@ -320,7 +326,7 @@ func TestDatapathDecodeAliasesFrame(t *testing.T) {
 	inFrame("GetReq.Key", get, gq.Key)
 	inFrame("GetResp.Value", resp, gr.Value)
 	inFrame("TouchReq.Keys[1]", touch, tq.Keys[1])
-	if len(tq.Keys) != 2 || !mr.Applied || sr.Expected != v(1, 1, 1) || gq.ConfigID != 7 || !gr.Found {
+	if len(tq.Keys) != 2 || !mr.Applied || mr.Ptr.Size != 300 || sr.Expected != v(1, 1, 1) || gq.ConfigID != 7 || !gr.Found {
 		t.Errorf("decoded %+v %+v %+v %+v", tq, mr, sr, gq)
 	}
 }

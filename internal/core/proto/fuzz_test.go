@@ -2,9 +2,11 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
+	"cliquemap/internal/core/layout"
 	"cliquemap/internal/fabric"
 	"cliquemap/internal/stats"
 	"cliquemap/internal/truetime"
@@ -188,6 +190,40 @@ func FuzzSetReq(f *testing.F) {
 		emptyToNil(reflect.ValueOf(&r).Elem())
 		emptyToNil(reflect.ValueOf(&again).Elem())
 		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("re-decode drift: first %+v second %+v", r, again)
+		}
+	})
+}
+
+// FuzzMutateResp: every mutation leg's ack is decoded by the client, off
+// the gateway socket for a remote caller. Whatever the bytes, the decoder
+// must not panic, and a decoded ack must re-encode to a frame that decodes
+// to the same fields. The seeds carry the pointer tags 8–10 (MutateResp.Ptr)
+// and the retired tag 7 an older server may still send.
+func FuzzMutateResp(f *testing.F) {
+	ptr := MutateResp{Applied: true, Stored: v(1<<50, 7, 3), Evictions: 2, Ptr: layout.Pointer{Window: 3, Offset: 1 << 33, Size: 4200}}
+	f.Add(ptr.Marshal())
+	f.Add(MutateResp{Stored: v(9, 1, 1), Sealed: true}.Marshal())
+	retired, _ := hex.DecodeString(retiredTagBytes[reflect.TypeOf(MutateResp{})])
+	f.Add(append(ptr.Marshal(), retired...))
+	// The pointer's size at the varint ceiling, its window after it.
+	e := wire.NewEncoder()
+	e.Uint(1, 1)
+	e.Uint(10, ^uint64(0))
+	e.Uint(8, 5)
+	f.Add(e.Encoded())
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := UnmarshalMutateResp(data)
+		if err != nil {
+			return
+		}
+		again, err := UnmarshalMutateResp(r.Marshal())
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if again != r {
 			t.Fatalf("re-decode drift: first %+v second %+v", r, again)
 		}
 	})

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cliquemap/internal/core/layout"
 	"cliquemap/internal/rmem"
 	"cliquemap/internal/truetime"
 	"cliquemap/internal/wire"
@@ -148,14 +149,20 @@ func UnmarshalSetReq(b []byte) (r SetReq, err error) { err = wire.Decode(b, &r);
 // eviction-to-SET ratios). Sealed reports that the answering backend is
 // handoff-sealed: its mutation journal has already drained, so the ack
 // must not count toward the old epoch's quorum (the write survives only
-// through the backend's pending-epoch ownership). Tag 7 is retired (a
-// hot-key promotion set the backend no longer keeps) and is never reused:
-// older servers may still send it, and decoders skip it.
+// through the backend's pending-epoch ownership). Ptr names where an
+// applied SET or CAS put the value in the replica's data region, so the
+// writer's next one-sided GET can start its data read there (the client's
+// ptrs.go); it is zero for an ERASE, a write not applied and one the
+// replica keeps in its RPC side shard (§4.2), and a zero pointer adds no
+// bytes. Tag 7 is retired (a hot-key promotion set the backend no longer
+// keeps) and is never reused: older servers may still send it, and
+// decoders skip it.
 type MutateResp struct {
 	Applied   bool             `wire:"1"`
 	Stored    truetime.Version `wire:"2,flat"`
 	Evictions int              `wire:"5"`
 	Sealed    bool             `wire:"6"`
+	Ptr       layout.Pointer   `wire:"8,flat,omitzero"`
 }
 
 // AppendTo appends the encoded response to b; Marshal is AppendTo(nil).

@@ -4,8 +4,9 @@ package cliquemap
 // data read with its index reads when it remembers where it read the
 // key's data before (internal/core/client/ptrs.go). This test moves those
 // pointers under the readers every way the cell can — other clients' SETs
-// and ERASEs, the readers' own SETs, evictions and slab drains in data
-// regions a fraction of the corpus, and a 3→4 resize step mid-run — and
+// and ERASEs, the readers' own SETs (whose acks name where each replica put
+// the value; the reader GETs the key next), evictions and slab drains in
+// data regions a fraction of the corpus, and a 3→4 resize step mid-run — and
 // checks every op against a versioned register with internal/history: a
 // pointer gone stale may cost a wasted read, never an answer. Each hot key
 // has one writer: an eviction forgets a key's version, so a second
@@ -66,23 +67,32 @@ func rememberedPointerStress(t *testing.T, transport Transport, strategies ...St
 	pick := func(rng *rand.Rand, o int) int { return o + writers*rng.Intn(ptrHotKeys/writers) }
 
 	// Readers, one per strategy: GETs skewed to a few keys, so most find
-	// their pointer remembered, and every 16th op a SET of one of their own.
+	// their pointer remembered, and every 16th op a SET of one of their own,
+	// whose key the next op GETs from the pointer the SET's ack named.
 	readers := make([]*client.Client, len(strategies))
-	var gets, hits atomic.Uint64
+	var gets, hits, ownWarm atomic.Uint64
 	readGroup := drive.Group{Workers: len(strategies), Worker: func(w int) drive.Op {
 		readers[w] = c.Internal().NewClient(client.Options{ID: uint64(1 + w), Strategy: strategies[w].internal()})
 		h := history.Client{C: readers[w], R: rec, ID: w}
 		rng := rand.New(rand.NewSource(int64(w + 1)))
+		own := -1 // the key this reader SET on its last op
 		return func(i int) (uint64, error) {
 			if i%16 == 15 {
-				k := pick(rng, ptrWriters+w)
-				h.SetVersioned(ctx, key(k), ptrValue(k, w, i))
+				own = pick(rng, ptrWriters+w)
+				h.SetVersioned(ctx, key(own), ptrValue(own, w, i))
 				return 0, nil
 			}
-			k := rng.Intn(ptrHotKeys) & rng.Intn(ptrHotKeys)
+			k, warm := rng.Intn(ptrHotKeys)&rng.Intn(ptrHotKeys), readers[w].M.WarmReads.Value()
+			if own >= 0 {
+				k = own
+			}
 			if _, found, err := h.Get(ctx, key(k)); err == nil && found {
 				hits.Add(1)
 			}
+			if own >= 0 && readers[w].M.WarmReads.Value() > warm {
+				ownWarm.Add(1)
+			}
+			own = -1
 			gets.Add(1)
 			return 0, nil
 		}
@@ -134,8 +144,9 @@ func rememberedPointerStress(t *testing.T, transport Transport, strategies ...St
 		stale += cl.M.StalePointers.Value()
 	}
 	evicted := c.Stats().Evictions
-	if warm == 0 || stale == 0 || evicted == 0 || hits.Load() == 0 {
-		t.Fatalf("warm reads %d, stale pointers %d, evictions %d, hits %d: the run moved no pointer under a reader", warm, stale, evicted, hits.Load())
+	if warm == 0 || stale == 0 || evicted == 0 || hits.Load() == 0 || ownWarm.Load() == 0 {
+		t.Fatalf("warm reads %d (%d after the reader's own SET), stale pointers %d, evictions %d, hits %d: the run moved no pointer under a reader",
+			warm, ownWarm.Load(), stale, evicted, hits.Load())
 	}
 	check := history.Client{C: c.Internal().NewClient(client.Options{ID: 99}), R: rec, ID: 99}
 	if err := check.ReadAll(ctx, c.RepairAll); err != nil {
