@@ -148,7 +148,7 @@ func TestOwnWriteWarmsRead(t *testing.T) {
 			if _, found, err := cl.Get(ctx, key); err != nil || !found {
 				t.Fatalf("get: found=%v err=%v", found, err)
 			}
-			if _, _, ok := cl.ptrs.get(h, cl.Config().ID); !ok {
+			if _, _, ok := cl.ptrs.Load().get(h, cl.Config().ID); !ok {
 				t.Fatal("the read left the client no pointer")
 			}
 			// The cohort's last member acks first.
@@ -170,7 +170,7 @@ func TestOwnWriteWarmsRead(t *testing.T) {
 				t.Fatalf("%d replicas put the SET in their side shard, want all %d", n, len(r.backends))
 			}
 
-			shard, _, ok := cl.ptrs.get(h, cl.Config().ID)
+			shard, _, ok := cl.ptrs.Load().get(h, cl.Config().ID)
 			if ok != tc.warm || ok && shard != fast {
 				t.Fatalf("after the mutation the client holds a pointer %v at shard %d, want %v at shard %d", ok, shard, tc.warm, fast)
 			}

@@ -99,8 +99,10 @@ func TestStrategiesAgree(t *testing.T) {
 			}
 		}
 		// The client's remembered pointers as its history predicts them:
-		// the key each slot holds, and the keys another client moved.
-		remembers := need > 1 && (strat == Strategy2xR || on1RMA)
+		// the key each slot holds, and the keys another client moved. A
+		// 2×R client holds its table from New, a SCAR one on 1RMA from its
+		// first GET.
+		remembers := need > 1 && strat == Strategy2xR
 		slotOf := func(key []byte) uint64 { return cl.opt.Hash(key).Lo % ptrSlots }
 		held, moved := map[uint64]string{}, map[string]bool{}
 		forget := func(key []byte) {
@@ -148,6 +150,7 @@ func TestStrategiesAgree(t *testing.T) {
 				}
 				moved[string(key)] = true
 			default:
+				remembers = remembers || need > 1 && on1RMA
 				hits := cl.M.NearHits.Value()
 				val, found, tr, err := cl.GetTraced(ctx, key)
 				if err != nil {

@@ -201,17 +201,21 @@ type specRead struct {
 // speculate settles sp, the data read that runs while the quorum forms. A
 // remembered read stays if its replica's entry still names its pointer;
 // otherwise the pointer is forgotten and the read wasted (billed, never
-// awaited). Failing that, the fastest first-round view's read starts if
-// that replica is healthy and its entry takes a dependent read. Need-1
-// modes (the first answer is the quorum) wait for the vote.
+// awaited), and counted stale only if that replica answered. Failing
+// that, the fastest first-round view's read starts if that replica is
+// healthy and its entry takes a dependent read. Need-1 modes (the first
+// answer is the quorum) wait for the vote.
 func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int, sp *specRead) {
 	if sp.view >= 0 {
-		if v := &views[sp.view]; v.err == nil && v.present && v.entry.Ptr == sp.ptr {
+		v := &views[sp.view]
+		if v.err == nil && v.present && v.entry.Ptr == sp.ptr {
 			c.M.WarmReads.Inc()
 			return
 		}
-		c.M.StalePointers.Inc()
-		c.ptrs.drop(x.h)
+		if v.err == nil { // the replica answered: its entry moved
+			c.M.StalePointers.Inc()
+		}
+		c.ptrs.Load().drop(x.h)
 	}
 	*sp = specRead{view: -1}
 	first := -1 // the fastest first-round view; a late leg counts from its own pin
@@ -317,7 +321,7 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 		}
 		c.noteReplicaSuccess(v.rep.addr)
 		if v.data == nil && (cd.view != sp.view || sp.ptr.Nil()) {
-			c.ptrs.put(x.h, cfgID, v.rep.shard, v.entry.Ptr)
+			c.ptrs.Load().put(x.h, cfgID, v.rep.shard, v.entry.Ptr)
 		}
 		return val, nil
 	}

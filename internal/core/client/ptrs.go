@@ -12,20 +12,32 @@ package client
 // still names the pointer, and is validated like every data read —
 // checksum, full key, the quorum's version — so a stale slot costs one
 // wasted leg and never changes an answer.
+//
+// Only a client whose GETs take a dependent read holds a table: a 2×R
+// client of an R=3.2 cell from New, a SCAR one from the first GET that
+// resolves a replica whose NIC cannot scan (1RMA). SCAR on Pony, MSG and
+// RPC fetches carry the data with the index answer and never read it.
 
 import (
 	"sync/atomic"
 
+	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/hashring"
+	"cliquemap/internal/nic"
 	"cliquemap/internal/rmem"
 )
 
-// ptrSlots sizes the table. On mix_rw_1rma, where half the ops are the
-// client's own mutations, 4 096 slots start 64 % of the GETs warm (80 % of
-// the hits); 1 024 start 54 % and 256 start 43 %. Learned from reads alone
-// they started 34 %, 30 % and 24 %.
-const ptrSlots = 4096
+// ptrSlots sizes the table to a client's hot set: 32 768 slots of 56 B
+// are 1.75 MiB. On mix_rw_1rma (Zipf 1.1 over 200 K keys, 40 % of the ops
+// the client's own SETs and 5 % its CASes, 80 % of the GETs hits) the
+// share of GETs that start warm is
+//
+//	slots   4 096   16 384  32 768  65 536  131 072
+//	warm    63.9 %  70.9 %  72.9 %  74.0 %  74.8 %
+//
+// Past 32 768 each doubling adds about a point.
+const ptrSlots = 32768
 
 // ptrTable is direct-mapped by the key hash's low bits. A slot is a hint:
 // a reader that finds it mid-write, or a writer that finds another writer
@@ -98,11 +110,20 @@ func (t *ptrTable) drop(h hashring.KeyHash) {
 // the replica is resolved, not demoted, and its index leg carries no data.
 // -1 when there is none.
 func (c *Client) remembered(x *legExec, cfgID uint64, how legKind, views []indexView) (int, layout.Pointer) {
-	shard, p, ok := c.ptrs.get(x.h, cfgID)
+	shard, p, ok := c.ptrs.Load().get(x.h, cfgID)
 	for i := range views {
 		if v := &views[i]; ok && v.err == nil && v.rep.shard == shard && v.dependent(how) && !c.replicaDemoted(v.rep.addr) {
 			return i, p
 		}
 	}
 	return -1, p
+}
+
+// holdPointers gives a SCAR client its table the first time it resolves
+// conn, a replica's connection, on a NIC that cannot scan, under cfg: its
+// GETs of an R=3.2 cell then take a dependent data read (indexView.dependent).
+func (c *Client) holdPointers(cfg config.CellConfig, how legKind, conn nic.RMA) {
+	if how == legScar && cfg.Mode.Quorum() > 1 && c.ptrs.Load() == nil && !conn.SupportsScar() {
+		c.ptrs.CompareAndSwap(nil, new(ptrTable))
+	}
 }

@@ -1,0 +1,140 @@
+package client
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"cliquemap/internal/core/backend"
+	"cliquemap/internal/core/config"
+	"cliquemap/internal/core/layout"
+	"cliquemap/internal/fabric"
+)
+
+// TestPointerTableHoldsWorkingSet: a 2×R client of an R=3.2 cell SETs
+// 8 192 distinct keys, each ack naming where its replica put the value,
+// then GETs them in reverse order. A slot holds the last key written or
+// cold-read through it, so a GET starts warm exactly when its key still
+// holds its slot; the count is predicted from the keys' slots. More than
+// half the keys start warm, which a table of 4 096 slots cannot do: each
+// slot starts at most one of them warm.
+func TestPointerTableHoldsWorkingSet(t *testing.T) {
+	const n = 8192
+	ctx := context.Background()
+	// Every backend holds every key in its index, well below its ways, with
+	// room for all the data: no SET overflows, evicts or moves a pointer.
+	r := newRigMode(t, fabric.Params{}, config.R32, func(o *backend.Options) {
+		o.Geometry = layout.Geometry{Buckets: 4096, Ways: 8}
+		o.DataBytes, o.DataMaxBytes, o.ReshapeEnabled = 8<<20, 8<<20, false
+	})
+	cl := r.newClient(Options{Strategy: Strategy2xR})
+	key := func(i int) []byte { return fmt.Appendf(nil, "ws-%05d", i) }
+	held := map[uint64]string{} // the key each slot holds
+	slotOf := func(k []byte) uint64 { return cl.opt.Hash(k).Lo % ptrSlots }
+	for i := range n {
+		k := key(i)
+		if err := cl.Set(ctx, k, k); err != nil {
+			t.Fatalf("set %s: %v", k, err)
+		}
+		held[slotOf(k)] = string(k)
+	}
+	want := 0
+	for i := n - 1; i >= 0; i-- {
+		k := key(i)
+		if held[slotOf(k)] == string(k) {
+			want++
+		}
+		held[slotOf(k)] = string(k)
+	}
+
+	warm, stale := cl.M.WarmReads.Value(), cl.M.StalePointers.Value()
+	for i := n - 1; i >= 0; i-- {
+		k := key(i)
+		if v, found, err := cl.Get(ctx, k); err != nil || !found || string(v) != string(k) {
+			t.Fatalf("get %s: %q found=%v err=%v", k, v, found, err)
+		}
+	}
+	for _, b := range r.backends {
+		if c := b.CountersSnapshot(); c.Overflows != 0 || c.CapacityEvictions != 0 {
+			t.Fatalf("a backend overflowed %d SETs and evicted %d entries, want none", c.Overflows, c.CapacityEvictions)
+		}
+	}
+	if got := cl.M.WarmReads.Value() - warm; got != uint64(want) {
+		t.Errorf("%d of %d GETs started warm, want the %d whose key held its slot", got, n, want)
+	}
+	if got := cl.M.StalePointers.Value() - stale; got != 0 {
+		t.Errorf("%d remembered pointers went stale, want none", got)
+	}
+	if 2*want <= n {
+		t.Errorf("%d slots start %d of %d GETs warm, want more than half", ptrSlots, want, n)
+	}
+}
+
+// TestPointerTableHolders: only a client whose GETs take a dependent data
+// read on an R=3.2 cell holds a table — a 2×R one from New, a SCAR one on
+// 1RMA from its first GETs, which resolve a replica that cannot scan; four
+// at once publish one table, which the next GET reads warm. SCAR on Pony,
+// MSG and RPC clients, and need-1 modes, hold none after SETs, CASes and
+// GETs.
+func TestPointerTableHolders(t *testing.T) {
+	ctx := context.Background()
+	key, val := []byte("holder"), []byte("value")
+	pony := func(r *rig, opt Options) *Client { return r.newClient(opt) }
+	oneRMA := func(r *rig, opt Options) *Client { return r.newClient1RMA(opt) }
+	for _, tc := range []struct {
+		name          string
+		mode          config.Mode
+		strat         Strategy
+		dial          func(*rig, Options) *Client
+		fromNew, kept bool // a table after New; after the GET
+	}{
+		{"2xR", config.R32, Strategy2xR, pony, true, true},
+		{"2xR-on-1RMA", config.R32, Strategy2xR, oneRMA, true, true},
+		{"SCAR-on-1RMA", config.R32, StrategySCAR, oneRMA, false, true},
+		{"SCAR", config.R32, StrategySCAR, pony, false, false},
+		{"MSG", config.R32, StrategyMSG, pony, false, false},
+		{"RPC", config.R32, StrategyRPC, pony, false, false},
+		{"R1/2xR", config.R1, Strategy2xR, pony, false, false},
+		{"R1/SCAR-on-1RMA", config.R1, StrategySCAR, oneRMA, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRigMode(t, fabric.Params{}, tc.mode)
+			cl := tc.dial(r, Options{Strategy: tc.strat})
+			if got := cl.ptrs.Load() != nil; got != tc.fromNew {
+				t.Fatalf("after New the client holds a table: %v, want %v", got, tc.fromNew)
+			}
+			ver, err := cl.SetVersioned(ctx, key, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Cas(ctx, key, val, ver); err != nil {
+				t.Fatal(err)
+			}
+			if got := cl.ptrs.Load() != nil; got != tc.fromNew {
+				t.Fatalf("after a SET and a CAS the client holds a table: %v, want %v", got, tc.fromNew)
+			}
+			var wg sync.WaitGroup
+			for range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, found, err := cl.Get(ctx, key); err != nil || !found {
+						t.Errorf("get: found=%v err=%v", found, err)
+					}
+				}()
+			}
+			wg.Wait()
+			if got := cl.ptrs.Load() != nil; got != tc.kept {
+				t.Fatalf("after GETs the client holds a table: %v, want %v", got, tc.kept)
+			}
+			warm := cl.M.WarmReads.Value()
+			if _, found, err := cl.Get(ctx, key); err != nil || !found {
+				t.Fatalf("get: found=%v err=%v", found, err)
+			}
+			if got := cl.M.WarmReads.Value() - warm; (got == 1) != tc.kept || got > 1 {
+				t.Errorf("the next GET kept %d remembered reads, want one only with a table", got)
+			}
+		})
+	}
+}

@@ -22,11 +22,12 @@ import (
 // index[host] to every bucket Read a host serves (and restamps host
 // stale's bucket with another config), hands data[i] (and flip[i]: one
 // bit of the entry turned) to the i-th data Read, runs onData during every
-// data Read, and logs every Read.
+// data Read, fails every Read of a host that is down, and logs every Read.
 type script struct {
 	bucketLen int
 	index     [3]uint64
 	stale     int
+	down      [3]bool
 	data      []uint64
 	flip      []bool
 	onData    func()
@@ -49,8 +50,12 @@ type scriptedConn struct {
 }
 
 func (c scriptedConn) AppendRead(dst []byte, spans []fabric.Span, at uint64, win rmem.WindowID, off, length int) ([]byte, fabric.OpTrace, error) {
-	b, tr, err := c.Conn.AppendRead(dst, spans, at, win, off, length)
 	index := length == c.s.bucketLen
+	if c.s.down[c.host] {
+		c.s.log = append(c.s.log, scriptedRead{host: c.host, at: at, index: index, err: nic.ErrUnreachable})
+		return dst, fabric.OpTrace{}, nic.ErrUnreachable
+	}
+	b, tr, err := c.Conn.AppendRead(dst, spans, at, win, off, length)
 	if err == nil && index {
 		tr.Ns += c.s.index[c.host]
 		if c.host == c.s.stale {
@@ -182,7 +187,8 @@ func fastAck(r *rig, fast int, mutate func() error) error {
 // but loses the vote costs one wasted read (its CPU and bytes) and the
 // dependent read runs from a quorum member after the quorum; one the
 // replica no longer names (another client overwrote the key) is wasted
-// and forgotten, and the first answer's read runs as if cold. A demoted
+// and forgotten, and the first answer's read runs as if cold; so is one
+// whose replica did not answer, which is not counted stale. A demoted
 // holder's pointer is not read, nor is a demoted first responder; need-1
 // modes keep the dependent read after their one index leg. Exact modelled
 // ns on a manual clock.
@@ -339,6 +345,34 @@ func TestSpeculativeDataRead(t *testing.T) {
 			t.Errorf("client CPU %dns, want five legs at %d", got, cpu2xR/2)
 		}
 		specGet(t, r, cl, s, clk, true) // host 0's pointer, learned
+	})
+
+	t.Run("unreachable-holder", func(t *testing.T) {
+		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
+		s.index = [3]uint64{0, 2000, 3000}
+		cold(t, r, cl)
+		specGet(t, r, cl, s, clk, false) // remembers host 0's pointer
+		s.down[0] = true
+		stale := cl.M.StalePointers.Value()
+		s.get(t, clk, cl, key)
+		index, data := s.split()
+		if len(index) != 3 || len(data) != 2 {
+			t.Fatalf("legs %+v, want three index legs, the wasted read and the first answer's", s.log)
+		}
+		at := index[0].at
+		if d := data[0]; d.host != 0 || d.at != at || d.err == nil {
+			t.Errorf("remembered leg %+v, want host 0's failed read at the op's start %d", d, at)
+		}
+		if d := data[1]; d.host != 1 || d.at != at+index[1].ns {
+			t.Errorf("speculative leg %+v, want host 1's at the first answer %d", d, at+index[1].ns)
+		}
+		if n := cl.M.StalePointers.Value() - stale; n != 0 {
+			t.Errorf("%d stale pointers counted, want none: host 0 never answered", n)
+		}
+		// The slot was dropped, and learned again from the read that served.
+		if shard, _, ok := cl.ptrs.Load().get(cl.opt.Hash(key), cl.Config().ID); !ok || shard != 1 {
+			t.Errorf("the client remembers shard %d's pointer (held=%v), want shard 1's", shard, ok)
+		}
 	})
 
 	t.Run("demoted-first-responder", func(t *testing.T) { // and the holder
