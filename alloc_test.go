@@ -185,7 +185,7 @@ func TestGetAllocBudget(t *testing.T) {
 //	                    member's queue into a leased op record's arena,
 //	                    where the handler appends its ack              = 1
 //	evicting SET        a new key into a full data region, each backend
-//	                    evicting one, under lru, arc, clock and slfu:
+//	                    evicting one, under lru and arc:
 //	                    the policies track hashes in an arena          = 0
 //
 // The SET, CAS and ERASE rows also run for an out-of-process caller
@@ -199,8 +199,7 @@ func TestGetAllocBudget(t *testing.T) {
 // ERASE 23 → 12 → 10 → 3 → 0, 12.6 allocations of touch feedback per hit
 // before it fell to ≤ 1, a touching hit at 9 + 1 before its legs read into
 // the op's arena and at 1 + 0.09 before the flush leased a record, and an
-// evicting SET at 12 (lru), 27 (arc), 15 (clock) and 6 (slfu) while
-// policies kept string keys.
+// evicting SET at 12 (lru) and 27 (arc) while policies kept string keys.
 func TestMutationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -389,7 +388,7 @@ func TestMutationAllocBudget(t *testing.T) {
 		t.Errorf("%d retries on a quiet cell: the budget is for the quiet path", n)
 	}
 
-	for _, pol := range []string{"lru", "arc", "clock", "slfu"} {
+	for _, pol := range []string{"lru", "arc"} {
 		t.Run("evicting SET "+pol, func(t *testing.T) {
 			c := newCell(t, Options{Transport: OneRMA, Eviction: pol, DataBytes: 1 << 20, DataMaxBytes: 1 << 20, DisableReshaping: true})
 			cl := c.NewClient(ClientOptions{Strategy: Lookup2xR})

@@ -119,8 +119,8 @@ type Options struct {
 	Mode Mode
 	// Transport selects the RMA substrate (default PonyExpress).
 	Transport Transport
-	// Eviction names the replacement policy: "lru" (default), "arc",
-	// "clock", or "slfu" (§4.2).
+	// Eviction names the replacement policy: "lru" (default) or "arc"
+	// (§4.2).
 	Eviction string
 	// Buckets and Ways shape each backend's index region (defaults 256
 	// buckets × 14 ways — 1KB buckets as in the paper).

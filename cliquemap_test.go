@@ -3,6 +3,7 @@ package cliquemap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"cliquemap/internal/core/client"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/eviction"
 )
 
 func newCell(t *testing.T, opt Options) *Cell {
@@ -171,8 +173,9 @@ func TestPublicModesAndTransports(t *testing.T) {
 
 // TestPublicEvictionPolicies: under each policy a cell whose data region
 // fills evicts, and every acked key reads back its own value or is absent.
+// Any other name fails at NewCell.
 func TestPublicEvictionPolicies(t *testing.T) {
-	for _, pol := range []string{"lru", "arc", "clock", "slfu"} {
+	for _, pol := range []string{"lru", "arc"} {
 		t.Run(pol, func(t *testing.T) {
 			c := newCell(t, Options{Eviction: pol, DataBytes: 1 << 20, DataMaxBytes: 1 << 20, DisableReshaping: true})
 			cl := c.NewClient(ClientOptions{TouchBatch: 8})
@@ -197,8 +200,12 @@ func TestPublicEvictionPolicies(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewCell(Options{Eviction: "bogus"}); err == nil {
-		t.Error("bogus eviction policy accepted")
+	for _, pol := range []string{"clock", "slfu", "bogus"} {
+		t.Run(pol, func(t *testing.T) {
+			if _, err := NewCell(Options{Eviction: pol}); !errors.Is(err, eviction.ErrUnknownPolicy) {
+				t.Errorf("NewCell with eviction %q: %v, want eviction.ErrUnknownPolicy", pol, err)
+			}
+		})
 	}
 }
 

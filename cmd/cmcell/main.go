@@ -61,7 +61,7 @@ func main() {
 	getFrac := flag.Float64("getfrac", 0.95, "GET fraction of the mix")
 	valSize := flag.Int("valsize", 1024, "value size in bytes")
 	zipf := flag.Float64("zipf", 1.1, "key popularity skew (<=1 for uniform)")
-	evict := flag.String("evict", "lru", "eviction policy: lru, arc, clock, slfu")
+	evict := flag.String("evict", "lru", "eviction policy: lru or arc")
 	maintain := flag.Bool("maintain", false, "inject a planned maintenance mid-run")
 	crash := flag.Bool("crash", false, "inject a crash + restart mid-run")
 	resizeTo := flag.Int("resize", 0, "resize the cell to this shard count at 1/4 of the run and back at 3/4 (0 disables; needs enough spares to grow)")

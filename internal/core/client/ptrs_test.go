@@ -10,6 +10,7 @@ import (
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/hashring"
 )
 
 // TestPointerTableHoldsWorkingSet: a 2×R client of an R=3.2 cell SETs
@@ -137,4 +138,55 @@ func TestPointerTableHolders(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkPointerTable prices the table's three operations over a full
+// table, with keys cycling over twice its slots so that the accesses
+// spread over all 1.75 MiB: a GET's lookup of a key whose slot holds it
+// (get-hit) or holds another key (get-miss), and a data read's or an ack's
+// put. A slot is 56 B, so six in eight straddle two cache lines.
+//
+//	go test -run '^$' -bench PointerTable ./internal/core/client/
+func BenchmarkPointerTable(b *testing.B) {
+	const cfgID = 1
+	keys := make([]hashring.KeyHash, 2*ptrSlots)
+	for i := range keys {
+		keys[i] = hashring.DefaultHash(fmt.Appendf(nil, "ptr-%06d", i))
+	}
+	full := func() *ptrTable {
+		t := new(ptrTable)
+		for i, h := range keys {
+			t.put(h, cfgID, i%3, layout.Pointer{Window: 1, Offset: uint64(i) << 6, Size: 64})
+		}
+		return t
+	}
+	t := full()
+	var hits, misses []hashring.KeyHash
+	for _, h := range keys {
+		if _, _, ok := t.get(h, cfgID); ok {
+			hits = append(hits, h)
+		} else {
+			misses = append(misses, h)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		keys []hashring.KeyHash
+		want bool
+	}{{"get-hit", hits, true}, {"get-miss", misses, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := t.get(bc.keys[i%len(bc.keys)], cfgID); ok != bc.want {
+					b.Fatalf("get found %v, want %v", ok, bc.want)
+				}
+			}
+		})
+	}
+	b.Run("put", func(b *testing.B) {
+		t := full()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.put(keys[i%len(keys)], cfgID, i%3, layout.Pointer{Window: 1, Offset: uint64(i) << 6, Size: 64})
+		}
+	})
 }

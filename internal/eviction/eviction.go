@@ -11,10 +11,11 @@
 // already gives a key (§3), and keeps them in one index-linked arena
 // (lists), so tracking a key makes no heap object of its own.
 //
-// Provided policies: LRU, ARC (Megiddo & Modha), CLOCK, and SampledLFU.
+// Provided policies: LRU (the default) and ARC (Megiddo & Modha).
 package eviction
 
 import (
+	"errors"
 	"fmt"
 
 	"cliquemap/internal/hashring"
@@ -49,19 +50,18 @@ func (p Named) AddBytes(key []byte) { p.Add(hashring.DefaultHash(key)) }
 // TouchBytes touches the key whose default hash is hashring.DefaultHash(key).
 func (p Named) TouchBytes(key []byte) { p.Touch(hashring.DefaultHash(key)) }
 
-// New constructs a policy by name: "lru", "arc", "clock", "slfu".
+// ErrUnknownPolicy is New's error for a name it does not know.
+var ErrUnknownPolicy = errors.New("eviction: unknown policy")
+
+// New constructs a policy by name: "lru" (also "") or "arc".
 func New(name string, capacityHint int) (Named, error) {
 	switch name {
 	case "lru", "":
 		return Named{NewLRU()}, nil
 	case "arc":
 		return Named{NewARC(capacityHint)}, nil
-	case "clock":
-		return Named{NewClock()}, nil
-	case "slfu":
-		return Named{NewSampledLFU()}, nil
 	default:
-		return Named{}, fmt.Errorf("eviction: unknown policy %q", name)
+		return Named{}, fmt.Errorf("%w %q", ErrUnknownPolicy, name)
 	}
 }
 
@@ -75,7 +75,6 @@ type node struct {
 	h          hashring.KeyHash
 	prev, next int32
 	list       uint8 // which of the policy's lists holds it (ARC)
-	ref        bool  // the reference bit (CLOCK)
 }
 
 // lists is the arena a policy's doubly linked lists share: every node lives
@@ -128,17 +127,6 @@ func (s *lists) pushFront(l *list, i int32) {
 		l.back = i
 	}
 	l.front = i
-	l.n++
-}
-
-func (s *lists) pushBack(l *list, i int32) {
-	s.nodes[i].prev, s.nodes[i].next = l.back, none
-	if l.back != none {
-		s.nodes[l.back].next = i
-	} else {
-		l.front = i
-	}
-	l.back = i
 	l.n++
 }
 
@@ -317,146 +305,4 @@ func (p *ARC) Victim() (hashring.KeyHash, bool) {
 		return p.s.nodes[r2.back].h, true
 	}
 	return hashring.KeyHash{}, false
-}
-
-// -------------------------------------------------------------- CLOCK --
-
-// Clock approximates LRU with a reference bit and a sweeping hand.
-type Clock struct {
-	s    lists
-	l    list  // ring order
-	hand int32 // none: the next sweep starts at the front
-}
-
-// NewClock returns an empty CLOCK policy.
-func NewClock() *Clock { return &Clock{s: newLists(), l: newList(), hand: none} }
-
-// Name implements Policy.
-func (p *Clock) Name() string { return "clock" }
-
-// Len implements Policy.
-func (p *Clock) Len() int { return p.l.n }
-
-// Add implements Policy.
-func (p *Clock) Add(h hashring.KeyHash) {
-	if i, ok := p.s.at[h]; ok {
-		p.s.nodes[i].ref = true
-		return
-	}
-	p.s.pushBack(&p.l, p.s.insert(h))
-}
-
-// Touch implements Policy.
-func (p *Clock) Touch(h hashring.KeyHash) {
-	if i, ok := p.s.at[h]; ok {
-		p.s.nodes[i].ref = true
-	}
-}
-
-// Remove implements Policy.
-func (p *Clock) Remove(h hashring.KeyHash) {
-	if i, ok := p.s.at[h]; ok {
-		if p.hand == i {
-			p.hand = p.s.nodes[i].next
-		}
-		p.s.unlink(&p.l, i)
-		p.s.release(i)
-	}
-}
-
-// Victim implements Policy: sweep, clearing reference bits, until an
-// unreferenced key is found.
-func (p *Clock) Victim() (hashring.KeyHash, bool) {
-	if p.l.n == 0 {
-		return hashring.KeyHash{}, false
-	}
-	for sweeps := 0; sweeps < 2*p.l.n+1; sweeps++ {
-		if p.hand == none {
-			p.hand = p.l.front
-		}
-		n := &p.s.nodes[p.hand]
-		if !n.ref {
-			return n.h, true
-		}
-		n.ref = false
-		p.hand = n.next
-	}
-	return p.s.nodes[p.l.front].h, true
-}
-
-// --------------------------------------------------------- SampledLFU --
-
-// SampledLFU keeps per-key access counts and nominates the
-// lowest-frequency key among a deterministic sample — the cheap LFU
-// approximation used by several production caches.
-type SampledLFU struct {
-	slots  []lfuSlot
-	pos    map[hashring.KeyHash]int32
-	cursor int
-	sample int
-}
-
-// lfuSlot is one tracked key and its access count.
-type lfuSlot struct {
-	h     hashring.KeyHash
-	count uint64
-}
-
-// NewSampledLFU returns an empty sampled-LFU policy.
-func NewSampledLFU() *SampledLFU {
-	return &SampledLFU{pos: make(map[hashring.KeyHash]int32), sample: 8}
-}
-
-// Name implements Policy.
-func (p *SampledLFU) Name() string { return "slfu" }
-
-// Len implements Policy.
-func (p *SampledLFU) Len() int { return len(p.slots) }
-
-// Add implements Policy.
-func (p *SampledLFU) Add(h hashring.KeyHash) {
-	if i, ok := p.pos[h]; ok {
-		p.slots[i].count++
-		return
-	}
-	p.pos[h] = int32(len(p.slots))
-	p.slots = append(p.slots, lfuSlot{h: h, count: 1})
-}
-
-// Touch implements Policy.
-func (p *SampledLFU) Touch(h hashring.KeyHash) {
-	if i, ok := p.pos[h]; ok {
-		p.slots[i].count++
-	}
-}
-
-// Remove implements Policy.
-func (p *SampledLFU) Remove(h hashring.KeyHash) {
-	i, ok := p.pos[h]
-	if !ok {
-		return
-	}
-	last := len(p.slots) - 1
-	p.slots[i] = p.slots[last]
-	p.pos[p.slots[i].h] = i
-	p.slots = p.slots[:last]
-	delete(p.pos, h)
-}
-
-// Victim implements Policy: scan a rotating sample window for the
-// lowest-count key.
-func (p *SampledLFU) Victim() (hashring.KeyHash, bool) {
-	n := len(p.slots)
-	if n == 0 {
-		return hashring.KeyHash{}, false
-	}
-	best := -1
-	for i := 0; i < p.sample && i < n; i++ {
-		j := (p.cursor + i) % n
-		if best < 0 || p.slots[j].count < p.slots[best].count {
-			best = j
-		}
-	}
-	p.cursor = (p.cursor + p.sample) % n
-	return p.slots[best].h, true
 }
