@@ -486,42 +486,55 @@ func BenchmarkTable1RPCBaseline(b *testing.B) {
 // ns/op is a SET under churn. After it, a seeded Zipf GET stream runs over
 // the same keys, a miss filling its key as a look-aside cache does, and
 // hit% is the share of the stream's second half that hit: what the policy
-// keeps of a skewed working set larger than the cache.
+// keeps of a skewed working set larger than the cache. A +scan row runs
+// the same stream with a one-pass sequential scan of cold keys
+// interleaved, one scan GET (a miss, then its fill) before each Zipf GET:
+// the case ARC's frequency list exists for. Its hit% counts the Zipf GETs
+// alone.
 func BenchmarkAblationEvictionPolicies(b *testing.B) {
 	const keys, gets = 5000, 20_000
 	for _, pol := range []string{"lru", "arc"} {
-		b.Run(pol, func(b *testing.B) {
-			c := benchCell(b, Options{
-				Eviction: pol, DataBytes: 2 << 20, DataMaxBytes: 2 << 20,
-			})
-			cl := c.NewClient(ClientOptions{TouchBatch: 32})
-			ctx := context.Background()
-			val := workload.ValueGen(1, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cl.Set(ctx, []byte(workload.Key(uint64(i%keys))), val); err != nil {
-					b.Fatal(err)
-				}
+		for _, scan := range []bool{false, true} {
+			name := pol
+			if scan {
+				name += "+scan"
 			}
-			b.StopTimer()
-			zipf, hits := workload.NewZipfKeys(keys, 1.05, 13), 0
-			for i := 0; i < gets; i++ {
-				key := []byte(workload.Key(zipf.Next()))
-				_, found, err := cl.Get(ctx, key)
-				if err != nil {
-					b.Fatal(err)
-				}
-				switch {
-				case !found:
-					if err := cl.Set(ctx, key, val); err != nil {
+			b.Run(name, func(b *testing.B) {
+				c := benchCell(b, Options{
+					Eviction: pol, DataBytes: 2 << 20, DataMaxBytes: 2 << 20,
+				})
+				cl := c.NewClient(ClientOptions{TouchBatch: 32})
+				ctx := context.Background()
+				val := workload.ValueGen(1, 4096)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := cl.Set(ctx, []byte(workload.Key(uint64(i%keys))), val); err != nil {
 						b.Fatal(err)
 					}
-				case i >= gets/2:
-					hits++
 				}
-			}
-			b.ReportMetric(100*float64(hits)/(gets/2), "hit%")
-		})
+				b.StopTimer()
+				get := func(key []byte) bool { // a miss fills the key
+					_, found, err := cl.Get(ctx, key)
+					if err == nil && !found {
+						err = cl.Set(ctx, key, val)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					return found
+				}
+				zipf, hits := workload.NewZipfKeys(keys, 1.05, 13), 0
+				for i := 0; i < gets; i++ {
+					if scan {
+						get([]byte(workload.Key(uint64(keys + i))))
+					}
+					if get([]byte(workload.Key(zipf.Next()))) && i >= gets/2 {
+						hits++
+					}
+				}
+				b.ReportMetric(100*float64(hits)/(gets/2), "hit%")
+			})
+		}
 	}
 }
 

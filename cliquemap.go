@@ -84,7 +84,8 @@ type Strategy int
 const (
 	// Lookup2xR uses two dependent RMA reads (any transport).
 	Lookup2xR Strategy = iota
-	// LookupSCAR uses single-round-trip scan-and-read (Pony Express).
+	// LookupSCAR uses single-round-trip scan-and-read (Pony Express). A
+	// OneRMA cell's NICs cannot scan: there NewClient builds a 2×R client.
 	LookupSCAR
 	// LookupMSG uses two-sided NIC messaging.
 	LookupMSG

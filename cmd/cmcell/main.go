@@ -54,7 +54,7 @@ func main() {
 	shards := flag.Int("shards", 3, "backend count")
 	spares := flag.Int("spares", 1, "warm spare count")
 	mode := flag.String("mode", "r32", "replication: r1, r2, r32")
-	strategy := flag.String("strategy", "scar", "lookup: 2xr, scar, msg, rpc")
+	strategy := flag.String("strategy", "scar", "lookup: 2xr, scar, msg, rpc (scar over 1rma runs 2xr)")
 	transport := flag.String("transport", "pony", "rma transport: pony, 1rma")
 	keys := flag.Int("keys", 1000, "corpus size")
 	ops := flag.Int("ops", 10000, "operations to run")

@@ -312,7 +312,8 @@ func (c *Cell) NewClient(copt client.Options) *client.Client {
 }
 
 // newClient builds a client whose RPC responses also travel wanNs of WAN
-// distance (0 for a local client).
+// distance (0 for a local client). A SCAR client of a 1RMA cell is built
+// as a 2×R one, as a MSG client of one is built to look up over RPC.
 func (c *Cell) newClient(copt client.Options, wanNs uint64) *client.Client {
 	c.mu.Lock()
 	c.clientIDSeq++
@@ -322,6 +323,9 @@ func (c *Cell) newClient(copt client.Options, wanNs uint64) *client.Client {
 	c.mu.Unlock()
 	if copt.HostID == 0 {
 		copt.HostID = c.clientHostID()
+	}
+	if copt.Strategy == client.StrategySCAR && c.opt.Transport == Transport1RMA {
+		copt.Strategy = client.Strategy2xR // 1RMA cannot scan (probeStrategies)
 	}
 
 	local := c.clientNIC(copt.HostID)

@@ -461,22 +461,35 @@ func TestAntagonistToggles(t *testing.T) {
 	}
 }
 
+// TestOneRMATransportEndToEnd: SCAR requested from a 1RMA cell, whose
+// NICs cannot scan, builds a 2×R client. It reports the 2×R transport,
+// every GET hit reads its data after the index, and it holds its pointer
+// table from New: each GET after the client's own SET of the key starts
+// its data read warm, the first one included.
 func TestOneRMATransportEndToEnd(t *testing.T) {
 	opt := small32()
 	opt.Transport = Transport1RMA
 	c := newTestCell(t, opt)
-	// SCAR requested but unsupported: the client must still work (2×R).
-	cl := c.NewClient(client.Options{Strategy: client.Strategy2xR})
+	cl := c.NewClient(client.Options{Strategy: client.StrategySCAR})
+	if got := cl.Transport(); got != trace.Transport2xR {
+		t.Fatalf("transport %v, want %v", got, trace.Transport2xR)
+	}
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("k%d", i))
 		if err := cl.Set(ctx, k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		got, found, err := cl.Get(ctx, k)
+		got, found, tr, err := cl.GetTraced(ctx, k)
 		if err != nil || !found || string(got) != "v" {
 			t.Fatalf("1rma get: %q %v %v", got, found, err)
 		}
+		if !slices.ContainsFunc(tr.Spans, func(s fabric.Span) bool { return s.Code == trace.SpanDataRead }) {
+			t.Fatalf("GET %d read no data after its index: %+v", i, tr.Spans)
+		}
+	}
+	if warm, n := cl.M.WarmReads.Value(), cl.M.RetryCount()+cl.M.RPCFallbacks.Value(); warm != 10 || n != 0 {
+		t.Errorf("%d of 10 GETs started warm, %d retries or fallbacks; want 10 and 0", warm, n)
 	}
 }
 

@@ -34,8 +34,8 @@ func (c setsRefused) Call(ctx context.Context, addr, method string, req []byte) 
 
 // TestOwnWriteWarmsRead: a SET, or a CAS that swapped, leaves the client
 // the pointer its fastest acking replica put the value at
-// (MutateResp.Ptr), so the next R=3.2 one-sided GET of the key — 2×R, or
-// SCAR from a 1RMA cohort, whose NICs cannot scan — keeps a data read
+// (MutateResp.Ptr), so the next R=3.2 2×R GET of the key — on Pony, or a
+// SCAR client's of a 1RMA cohort, built as 2×R — keeps a data read
 // started at the op's start, at that replica. Every other mutation leaves
 // the key cold, though the client held its pointer before: an ERASE, a
 // CAS that did not swap, a SET the replicas keep in their side shards
@@ -148,7 +148,7 @@ func TestOwnWriteWarmsRead(t *testing.T) {
 			if _, found, err := cl.Get(ctx, key); err != nil || !found {
 				t.Fatalf("get: found=%v err=%v", found, err)
 			}
-			if _, _, ok := cl.ptrs.Load().get(h, cl.Config().ID); !ok {
+			if _, _, ok := cl.ptrs.get(h, cl.Config().ID); !ok {
 				t.Fatal("the read left the client no pointer")
 			}
 			// The cohort's last member acks first.
@@ -170,7 +170,7 @@ func TestOwnWriteWarmsRead(t *testing.T) {
 				t.Fatalf("%d replicas put the SET in their side shard, want all %d", n, len(r.backends))
 			}
 
-			shard, _, ok := cl.ptrs.Load().get(h, cl.Config().ID)
+			shard, _, ok := cl.ptrs.get(h, cl.Config().ID)
 			if ok != tc.warm || ok && shard != fast {
 				t.Fatalf("after the mutation the client holds a pointer %v at shard %d, want %v at shard %d", ok, shard, tc.warm, fast)
 			}

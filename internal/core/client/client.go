@@ -178,8 +178,8 @@ type Client struct {
 	rpcAt    atomic.Uint64 // the clock's now when this client's last RPC returned
 	ops      trace.Leases  // the spare op record every public op leases
 
-	near *nearCache               // hot-key adaptive serving (nearcache.go); nil = off
-	ptrs atomic.Pointer[ptrTable] // remembered data pointers (ptrs.go); nil unless GETs take a dependent read
+	near *nearCache // hot-key adaptive serving (nearcache.go); nil = off
+	ptrs *ptrTable  // remembered data pointers (ptrs.go); nil unless GETs take a dependent read
 
 	M Metrics
 }
@@ -227,7 +227,7 @@ func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock
 		c.near = newNearCache(opt.NearCacheEntries)
 	}
 	if opt.Strategy == Strategy2xR && c.cfg.Mode.Quorum() > 1 {
-		c.ptrs.Store(new(ptrTable))
+		c.ptrs = new(ptrTable)
 	}
 	return c
 }

@@ -108,9 +108,13 @@ func (r *rig) newClientVia(opt Options, now NowFunc, rpcc rpc.Caller) *Client {
 
 // newClient1RMA builds a client reaching the rig's backends through
 // fixed-function 1RMA NICs over the same registered memory: plain Reads
-// only, no ScanAndRead, no NIC messaging.
+// only, no ScanAndRead, no NIC messaging. As a 1RMA cell does, it builds a
+// SCAR client as a 2×R one.
 func (r *rig) newClient1RMA(opt Options) *Client {
 	opt.HostID = clientHost
+	if opt.Strategy == StrategySCAR {
+		opt.Strategy = Strategy2xR
+	}
 	local := onerma.New(r.f.Host(clientHost), nil, onerma.CostModel{}, r.acct, nil)
 	dial := func(host int) nic.RMA {
 		return onerma.Dial(r.f, local, onerma.New(r.f.Host(host), r.regs[host], onerma.CostModel{}, r.acct, nil))

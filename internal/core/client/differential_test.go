@@ -24,18 +24,18 @@ import (
 // current (ptrs.go), else from the fastest index answer on.
 // One-sided R=3.2 asks the whole cohort at once; every other fetch asks a
 // read quorum, and on a quiet cell never more. One row asks for SCAR from
-// a 1RMA cohort, whose NICs cannot scan: it must degrade to exactly 2×R —
-// same results, the dependent data read, and no hit ever mistaken for a
-// torn scan and pushed down the retry ladder to the RPC fallback. The last
-// row is the out-of-process caller: RPC lookups and mutations framed over
-// one loopback connection to a gateway, where every value served is a view
-// of a response frame and every span crossed the wire. The near rows turn
-// the near-cache on (one-sided strategies only; it serves nothing else):
-// a near hit is an index-only revalidation round that moves no data, and
-// must return what the baseline read. The 900 ops are enough for keys to
-// clear the client's promotion bar (2.0 % of its GETs, at least 8) between
-// its own mutations, which drop their key's entry: each near row records
-// about 50 near hits (300 ops recorded one).
+// a 1RMA cohort, whose NICs cannot scan: it is built and predicted as 2×R
+// — same results, the dependent data read, the table from New, and no hit
+// ever mistaken for a torn scan and pushed down the retry ladder to the
+// RPC fallback. The last row is the out-of-process caller: RPC lookups and
+// mutations framed over one loopback connection to a gateway, where every
+// value served is a view of a response frame and every span crossed the
+// wire. The near rows turn the near-cache on (one-sided strategies only;
+// it serves nothing else): a near hit is an index-only revalidation round
+// that moves no data, and must return what the baseline read. The 900 ops
+// are enough for keys to clear the client's promotion bar (2.0 % of its
+// GETs, at least 8) between its own mutations, which drop their key's
+// entry: each near row records about 50 near hits (300 ops recorded one).
 //
 // A loader client writes every key first, so each key's first GET starts
 // cold. The R=3.2 cell replays the sequence in three more worlds that move
@@ -63,7 +63,7 @@ func TestStrategiesAgree(t *testing.T) {
 	pony := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient(opt) }
 	oneRMA := func(_ testing.TB, r *rig, opt Options) *Client { return r.newClient1RMA(opt) }
 	overTCP := func(t testing.TB, r *rig, opt Options) *Client { return r.newClientTCP(t, opt) }
-	replay := func(t *testing.T, w world, mode config.Mode, strat Strategy, newClient dialer, on1RMA, near bool) []result {
+	replay := func(t *testing.T, w world, mode config.Mode, strat Strategy, newClient dialer, near bool) []result {
 		var tweaks []func(*backend.Options)
 		if w.evict {
 			tweaks = append(tweaks, func(o *backend.Options) { o.DataBytes, o.DataMaxBytes = 64<<10, 64<<10 })
@@ -74,6 +74,7 @@ func TestStrategiesAgree(t *testing.T) {
 			opt.NearCacheEntries = 8
 		}
 		cl := newClient(t, r, opt)
+		strat = cl.opt.Strategy // the strategy the client was built with
 		var other *Client
 		if w.other {
 			other = r.newClient(Options{ID: 99})
@@ -100,8 +101,7 @@ func TestStrategiesAgree(t *testing.T) {
 		}
 		// The client's remembered pointers as its history predicts them:
 		// the key each slot holds, and the keys another client moved. A
-		// 2×R client holds its table from New, a SCAR one on 1RMA from its
-		// first GET.
+		// 2×R client holds its table from New.
 		remembers := need > 1 && strat == Strategy2xR
 		slotOf := func(key []byte) uint64 { return cl.opt.Hash(key).Lo % ptrSlots }
 		held, moved := map[uint64]string{}, map[string]bool{}
@@ -150,7 +150,6 @@ func TestStrategiesAgree(t *testing.T) {
 				}
 				moved[string(key)] = true
 			default:
-				remembers = remembers || need > 1 && on1RMA
 				hits := cl.M.NearHits.Value()
 				val, found, tr, err := cl.GetTraced(ctx, key)
 				if err != nil {
@@ -186,7 +185,7 @@ func TestStrategiesAgree(t *testing.T) {
 					t.Fatalf("op %d: index-fetch span %+v, want %d live legs", op, idx, legs)
 				}
 				data, hasData := spanOf(attempt, trace.SpanDataRead)
-				if hasData != ((strat == Strategy2xR || on1RMA) && found) {
+				if hasData != (strat == Strategy2xR && found) {
 					t.Fatalf("op %d: data-read span present=%v (found=%v)", op, hasData, found)
 				}
 				// An R=3.2 data read starts at the op's start (warm) or at
@@ -267,23 +266,22 @@ func TestStrategiesAgree(t *testing.T) {
 		{"evicting/", config.R32, world{evict: true}},
 		{"config-step/", config.R32, world{step: true}},
 	} {
-		want := replay(t, cell.world, cell.mode, Strategy2xR, pony, false, false)
+		want := replay(t, cell.world, cell.mode, Strategy2xR, pony, false)
 		for _, tc := range []struct {
 			name      string
 			strat     Strategy
 			newClient dialer
-			on1RMA    bool
 			near      bool
 		}{
-			{"SCAR", StrategySCAR, pony, false, false}, {"MSG", StrategyMSG, pony, false, false}, {"RPC", StrategyRPC, pony, false, false},
-			{"SCAR-on-1RMA", StrategySCAR, oneRMA, true, false},
-			{"RPC-over-TCP", StrategyRPC, overTCP, false, false},
-			{"2xR-near", Strategy2xR, pony, false, true},
-			{"SCAR-near", StrategySCAR, pony, false, true},
-			{"SCAR-on-1RMA-near", StrategySCAR, oneRMA, true, true},
+			{"SCAR", StrategySCAR, pony, false}, {"MSG", StrategyMSG, pony, false}, {"RPC", StrategyRPC, pony, false},
+			{"SCAR-on-1RMA", StrategySCAR, oneRMA, false},
+			{"RPC-over-TCP", StrategyRPC, overTCP, false},
+			{"2xR-near", Strategy2xR, pony, true},
+			{"SCAR-near", StrategySCAR, pony, true},
+			{"SCAR-on-1RMA-near", StrategySCAR, oneRMA, true},
 		} {
 			t.Run(cell.prefix+tc.name, func(t *testing.T) {
-				got := replay(t, cell.world, cell.mode, tc.strat, tc.newClient, tc.on1RMA, tc.near)
+				got := replay(t, cell.world, cell.mode, tc.strat, tc.newClient, tc.near)
 				if len(got) != len(want) {
 					t.Fatalf("%d GETs, want %d", len(got), len(want))
 				}

@@ -111,11 +111,7 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 	var legs [config.MaxReplicas]leg
 	for i := range views {
 		if v := &views[i]; v.err == nil {
-			k := how
-			if k == legScar && v.dependent(how) {
-				k = legIndex // 1RMA: a plain bucket Read, then a dependent data Read
-			}
-			legs[i] = x.start(k, member{rep: v.rep, method: proto.MethodGet, req: req}, at)
+			legs[i] = x.start(how, member{rep: v.rep, method: proto.MethodGet, req: req}, at)
 		}
 	}
 	for i := range views {
@@ -126,7 +122,7 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 		resp, tr, err := x.wait(&legs[i])
 		v.ns = tr.Ns
 		if how.oneSided() {
-			v.index(resp, legs[i].data, err, x.h, cfgID, legs[i].kind == legScar)
+			v.index(resp, legs[i].data, err, x.h, cfgID, how == legScar)
 		} else {
 			v.answer(resp, err)
 		}
@@ -138,12 +134,6 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 		c.noteReplicaSuccess(v.rep.addr)
 	}
 	return roundNs
-}
-
-// dependent reports whether v's data takes a read of its own after an
-// index leg of kind how: a bucket Read, or a SCAR on a NIC that cannot scan.
-func (v *indexView) dependent(how legKind) bool {
-	return how == legIndex || how == legScar && !v.rep.conn.SupportsScar()
 }
 
 // answer fills v from a two-sided lookup. The server ran the lookup —

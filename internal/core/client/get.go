@@ -44,16 +44,16 @@ func (c *Client) GetTraced(ctx context.Context, key []byte) ([]byte, bool, fabri
 // can lease it; the flush runs under the caller's ctx, as the op's node is
 // back in the pool.
 func (c *Client) get(ctx context.Context, key []byte, pin uint64, keep bool) (value []byte, found bool, tr fabric.OpTrace, err error) {
-	op := c.ops.Take()
+	op, h := c.ops.Take(), c.opt.Hash(key)
 	defer func(ctx context.Context) {
 		c.ops.Put(op)
 		if found {
-			c.noteTouch(ctx, key, pin != 0)
+			c.noteTouch(ctx, key, h, pin != 0)
 		}
 	}(ctx)
 	c.M.Gets.Inc()
 	sc, ctx := c.traceOp(ctx, op, trace.KindGet)
-	x := legExec{c: c, ctx: ctx, op: op, h: c.opt.Hash(key)} // the op's legs, and its trace x.tr
+	x := legExec{c: c, ctx: ctx, op: op, h: h} // the op's legs, and its trace x.tr
 	// The op's one span buffer, the record's unless the caller keeps the
 	// trace. Every stage below appends to it, and opSpans covers a full
 	// fan-out plus a data leg: an op that does not retry never grows it.
@@ -215,7 +215,7 @@ func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int,
 		if v.err == nil { // the replica answered: its entry moved
 			c.M.StalePointers.Inc()
 		}
-		c.ptrs.Load().drop(x.h)
+		c.ptrs.drop(x.h)
 	}
 	*sp = specRead{view: -1}
 	first := -1 // the fastest first-round view; a late leg counts from its own pin
@@ -225,7 +225,7 @@ func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int,
 		}
 	}
 	if first >= 0 && need > 1 {
-		if v := &views[first]; v.present && v.dependent(how) && !c.replicaDemoted(v.rep.addr) {
+		if v := &views[first]; v.present && how == legIndex && !c.replicaDemoted(v.rep.addr) {
 			sp.view, sp.leg = first, x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.origin+v.ns)
 		}
 	}
@@ -288,10 +288,8 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 		switch {
 		case v.data != nil:
 			raw = v.data
-		case how == legScar && v.rep.conn.SupportsScar():
-			// Scan missed on the wire (e.g. racing rewrite): retryable. A
-			// connection that cannot scan (1RMA) got a plain bucket Read in
-			// fetchRound and takes the dependent read below.
+		case how == legScar:
+			// Scan missed on the wire (e.g. racing rewrite): retryable.
 			lastErr = layout.ErrTornRead
 			continue
 		default:
@@ -321,7 +319,7 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 		}
 		c.noteReplicaSuccess(v.rep.addr)
 		if v.data == nil && (cd.view != sp.view || sp.ptr.Nil()) {
-			c.ptrs.Load().put(x.h, cfgID, v.rep.shard, v.entry.Ptr)
+			c.ptrs.put(x.h, cfgID, v.rep.shard, v.entry.Ptr)
 		}
 		return val, nil
 	}

@@ -128,9 +128,9 @@ func (c *Client) mutate(ctx context.Context, kind trace.Kind, key, value []byte,
 	// a successful attempt sets) and an ack named where it went.
 	c.nearInvalidate(key)
 	if won && !at.ptr.Nil() {
-		c.ptrs.Load().put(x.h, at.cfg, at.shard, at.ptr)
+		c.ptrs.put(x.h, at.cfg, at.shard, at.ptr)
 	} else {
-		c.ptrs.Load().drop(x.h)
+		c.ptrs.drop(x.h)
 	}
 	if kind != trace.KindCas {
 		c.M.SetLatency.Record(x.tr.Ns)

@@ -1,8 +1,7 @@
 package client
 
 // Remembered data pointers: where this client last read or wrote each
-// key's data. An R=3.2 one-sided GET whose index legs carry no data (2×R,
-// and SCAR on a NIC that cannot scan) starts §5.1's speculative data read
+// key's data. An R=3.2 2×R GET starts §5.1's speculative data read
 // with the index reads when the table names the key's pointer, instead of
 // at the first index answer: a warm hit pays one round trip, not two
 // dependent ones. A slot is learned by the data read that served, or by
@@ -14,17 +13,14 @@ package client
 // wasted leg and never changes an answer.
 //
 // Only a client whose GETs take a dependent read holds a table: a 2×R
-// client of an R=3.2 cell from New, a SCAR one from the first GET that
-// resolves a replica whose NIC cannot scan (1RMA). SCAR on Pony, MSG and
-// RPC fetches carry the data with the index answer and never read it.
+// client of an R=3.2 cell, from New. SCAR, MSG and RPC fetches carry the
+// data with the index answer and never read it.
 
 import (
 	"sync/atomic"
 
-	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/hashring"
-	"cliquemap/internal/nic"
 	"cliquemap/internal/rmem"
 )
 
@@ -110,20 +106,11 @@ func (t *ptrTable) drop(h hashring.KeyHash) {
 // the replica is resolved, not demoted, and its index leg carries no data.
 // -1 when there is none.
 func (c *Client) remembered(x *legExec, cfgID uint64, how legKind, views []indexView) (int, layout.Pointer) {
-	shard, p, ok := c.ptrs.Load().get(x.h, cfgID)
+	shard, p, ok := c.ptrs.get(x.h, cfgID)
 	for i := range views {
-		if v := &views[i]; ok && v.err == nil && v.rep.shard == shard && v.dependent(how) && !c.replicaDemoted(v.rep.addr) {
+		if v := &views[i]; ok && v.err == nil && v.rep.shard == shard && how == legIndex && !c.replicaDemoted(v.rep.addr) {
 			return i, p
 		}
 	}
 	return -1, p
-}
-
-// holdPointers gives a SCAR client its table the first time it resolves
-// conn, a replica's connection, on a NIC that cannot scan, under cfg: its
-// GETs of an R=3.2 cell then take a dependent data read (indexView.dependent).
-func (c *Client) holdPointers(cfg config.CellConfig, how legKind, conn nic.RMA) {
-	if how == legScar && cfg.Mode.Quorum() > 1 && c.ptrs.Load() == nil && !conn.SupportsScar() {
-		c.ptrs.CompareAndSwap(nil, new(ptrTable))
-	}
 }

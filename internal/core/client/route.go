@@ -164,7 +164,6 @@ func (c *Client) resolveReplica(ctx context.Context, cfg config.CellConfig, shar
 		c.conns[host] = conn
 		c.mu.Unlock()
 	}
-	c.holdPointers(cfg, how, conn)
 	if !haveHello {
 		// A handshake is control plane, no op's leg. It lands at the
 		// clock's now, as a leg's RPC does (see legExec.wait).

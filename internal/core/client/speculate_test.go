@@ -370,7 +370,7 @@ func TestSpeculativeDataRead(t *testing.T) {
 			t.Errorf("%d stale pointers counted, want none: host 0 never answered", n)
 		}
 		// The slot was dropped, and learned again from the read that served.
-		if shard, _, ok := cl.ptrs.Load().get(cl.opt.Hash(key), cl.Config().ID); !ok || shard != 1 {
+		if shard, _, ok := cl.ptrs.get(cl.opt.Hash(key), cl.Config().ID); !ok || shard != 1 {
 			t.Errorf("the client remembers shard %d's pointer (held=%v), want shard 1's", shard, ok)
 		}
 	})

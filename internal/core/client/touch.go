@@ -12,6 +12,7 @@ import (
 	"cliquemap/internal/core/config"
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/fabric"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/wire"
 )
@@ -41,17 +42,17 @@ func (c *Client) takeTouches(addr string, use func(records []byte)) {
 	}
 }
 
-// noteTouch queues an access record for the key's cohort and flushes the
-// queues it filled, under ctx, the GET's caller's — unless hold: a batch's
-// keys sit in its pinned window, so GetBatch flushes after them.
-func (c *Client) noteTouch(ctx context.Context, key []byte, hold bool) {
+// noteTouch queues an access record for the key, of hash h, for its cohort
+// and flushes the queues it filled, under ctx, the GET's caller's — unless
+// hold: a batch's keys sit in its pinned window, so GetBatch flushes after
+// them.
+func (c *Client) noteTouch(ctx context.Context, key []byte, h hashring.KeyHash, hold bool) {
 	if c.opt.TouchBatch <= 0 {
 		return
 	}
 	full := false
 	c.mu.Lock()
 	cfg := c.cfg
-	h := c.opt.Hash(key)
 	var cohort [config.MaxReplicas]int
 	for _, shard := range cfg.AppendCohort(cohort[:0], int(h.Hi%uint64(cfg.Shards))) {
 		addr := cfg.AddrFor(shard)

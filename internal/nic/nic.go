@@ -21,7 +21,7 @@ import (
 
 var (
 	// ErrNotSupported reports that the transport lacks the requested op
-	// (e.g. SCAR on 1RMA); callers fall back to 2×R.
+	// (e.g. SCAR on 1RMA, where a cell builds a SCAR client as 2×R).
 	ErrNotSupported = errors.New("nic: operation not supported by transport")
 	// ErrUnreachable reports that the target NIC is down (crashed backend
 	// host); clients retry on other replicas.
