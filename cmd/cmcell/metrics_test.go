@@ -32,8 +32,6 @@ func TestMetricsPage(t *testing.T) {
 	tr.Record(8, trace.KindSet, trace.TransportRPC, 1, fabric.OpTrace{Ns: 90_000})
 	tr.HazardInc("drop", 3)
 	tr.HazardInc("partition", 1)
-	tr.SetReplicaHealth("backend-0", 1000, false)
-	tr.SetReplicaHealth("backend-1", 125, true)
 	acct := cell.Internal().Acct
 	acct.Charge("client", 5000)
 	acct.Charge("client", 7000)

@@ -515,14 +515,6 @@ func printDebug(w io.Writer, cur, prev *fleet.CellScrape, showTrace bool, maxHot
 		}
 		tw.Flush()
 	}
-	if len(dbg.Health) > 0 {
-		tw := newTab(w)
-		fmt.Fprintln(tw, "\nREPLICA\tHEALTH\tDEMOTED")
-		for _, rh := range dbg.Health {
-			fmt.Fprintf(tw, "%s\t%.2f\t%v\n", rh.Addr, float64(rh.ScoreMilli)/1000, rh.Demoted)
-		}
-		tw.Flush()
-	}
 
 	// Key heat: the cell's heavy hitters, and the per-stripe load spread.
 	printHotKeys(w, "HOT KEY", cur.HotKeys, maxHot)

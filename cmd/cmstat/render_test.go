@@ -108,7 +108,6 @@ func cellA() *fleet.CellScrape {
 				Spans:  []fabric.Span{{Code: 1, Arg: 3, Start: 0, Dur: 4200}, {Code: 5, Start: 4200, Dur: 900}, {Code: 99, Start: 5100, Dur: 1}}}},
 			Exemplars:  []proto.DebugOp{{ID: 7, Kind: "CAS", Transport: "RPC", Attempts: 1, Ns: 50_000}},
 			Hazards:    []proto.DebugHazard{{Name: "drop", Count: 9}, {Name: "partition", Count: 1}},
-			Health:     []proto.DebugHealth{{Addr: "backend-0", ScoreMilli: 1000}, {Addr: "backend-1", ScoreMilli: 125, Demoted: true}},
 			HotKeys:    hot[:1],
 			StripeHeat: []uint64{5, 0, 17, 9},
 		},

@@ -263,7 +263,7 @@ func (b *Backend) Debug(maxSlow int) proto.DebugResp {
 		resp = proto.DebugResp{
 			OpsTotal: snap.Ops, SlowTotal: snap.SlowTotal, SlowThresholdNs: snap.SlowThresholdNs,
 			Hists: snap.Hists, SlowOps: snap.Slow, Exemplars: snap.Exemplars,
-			Hazards: snap.Hazards, Health: snap.Health,
+			Hazards: snap.Hazards,
 		}
 	}
 	if b.acct != nil {

@@ -311,9 +311,24 @@ func (c *Cell) NewClient(copt client.Options) *client.Client {
 	return c.newClient(copt, 0)
 }
 
+// strategy is the lookup strategy a client of this cell that asks for st
+// is built with: a 1RMA NIC neither scans nor messages, so SCAR is built
+// as 2×R and MSG as RPC.
+func (c *Cell) strategy(st client.Strategy) client.Strategy {
+	if c.opt.Transport == Transport1RMA {
+		switch st {
+		case client.StrategySCAR:
+			return client.Strategy2xR
+		case client.StrategyMSG:
+			return client.StrategyRPC
+		}
+	}
+	return st
+}
+
 // newClient builds a client whose RPC responses also travel wanNs of WAN
-// distance (0 for a local client). A SCAR client of a 1RMA cell is built
-// as a 2×R one, as a MSG client of one is built to look up over RPC.
+// distance (0 for a local client), with the strategy the cell's transport
+// serves.
 func (c *Cell) newClient(copt client.Options, wanNs uint64) *client.Client {
 	c.mu.Lock()
 	c.clientIDSeq++
@@ -324,9 +339,7 @@ func (c *Cell) newClient(copt client.Options, wanNs uint64) *client.Client {
 	if copt.HostID == 0 {
 		copt.HostID = c.clientHostID()
 	}
-	if copt.Strategy == client.StrategySCAR && c.opt.Transport == Transport1RMA {
-		copt.Strategy = client.Strategy2xR // 1RMA cannot scan (probeStrategies)
-	}
+	copt.Strategy = c.strategy(copt.Strategy)
 
 	local := c.clientNIC(copt.HostID)
 	dial := func(host int) nic.RMA {

@@ -493,6 +493,44 @@ func TestOneRMATransportEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOneRMAMessageClientIsRPC: a MSG client of a 1RMA cell, whose NICs
+// offer no messaging, is built as an RPC client (cell.strategy): it
+// reports the RPC transport, and the tracer files its GETs under it; so
+// is one built outside a cell without a message path (client.New). The
+// prober builds one canary per strategy the transport serves: "2xR" and
+// "RPC" on 1RMA, all four on Pony.
+func TestOneRMAMessageClientIsRPC(t *testing.T) {
+	opt := small32()
+	opt.Transport = Transport1RMA
+	c := newTestCell(t, opt)
+	cl := c.NewClient(client.Options{Strategy: client.StrategyMSG})
+	if got := cl.Transport(); got != trace.TransportRPC {
+		t.Fatalf("transport %v, want %v", got, trace.TransportRPC)
+	}
+	bare := client.New(client.Options{Strategy: client.StrategyMSG}, c.Store, c.Net.WANClient(1, "bare", 0), c.Clock, nil, nil, nil, nil)
+	if got := bare.Transport(); got != trace.TransportRPC {
+		t.Errorf("a client without a message path: transport %v, want %v", got, trace.TransportRPC)
+	}
+	ctx := context.Background()
+	if err := cl.Set(ctx, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, found, err := cl.Get(ctx, []byte("k")); err != nil || !found {
+		t.Fatalf("GET: found=%v err=%v", found, err)
+	}
+	for _, h := range c.Tracer.Snapshot(0).Hists {
+		if h.Kind == "GET" && h.Transport != "RPC" {
+			t.Errorf("a GET filed under %s, want RPC", h.Transport)
+		}
+	}
+	if got := c.Prober().Targets(); !slices.Equal(got, []string{"2xR", "RPC"}) {
+		t.Errorf("1RMA probe targets %v, want [2xR RPC]", got)
+	}
+	if got := newTestCell(t, small32()).Prober().Targets(); !slices.Equal(got, []string{"2xR", "SCAR", "MSG", "RPC"}) {
+		t.Errorf("Pony probe targets %v, want [2xR SCAR MSG RPC]", got)
+	}
+}
+
 // TestRetryRateUnderMixedLoad checks the §4 claim: self-validation
 // retries are rare under a normal mixed workload — well under 1% here
 // (the paper reports <0.01% at production scale).

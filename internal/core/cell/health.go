@@ -2,6 +2,7 @@ package cell
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"cliquemap/internal/core/client"
@@ -49,29 +50,22 @@ func (c *Cell) servePlanes(s *rpc.Server) {
 	})
 }
 
-// probeStrategies lists the lookup strategies the cell's transport can
-// serve — each becomes one probe target, so a regression confined to a
-// single protocol (say SCAR) still trips its own canary path.
-func (c *Cell) probeStrategies() []client.Strategy {
-	if c.opt.Transport == Transport1RMA {
-		// 1RMA has no SCAR or MSG support: 2×R and the RPC fallback.
-		return []client.Strategy{client.Strategy2xR, client.StrategyRPC}
-	}
-	return []client.Strategy{client.Strategy2xR, client.StrategySCAR, client.StrategyMSG, client.StrategyRPC}
-}
-
 // Prober returns the cell's E2E prober, lazily building one canary
-// client per transport strategy. The prober records each canary op's
-// availability and latency into the health plane; drive rounds from the
-// workload loop (or a test) so probe cadence rides virtual time.
+// client per lookup strategy the cell's transport serves ("2xR", "SCAR",
+// "MSG", "RPC" on Pony; "2xR", "RPC" on 1RMA), so a regression confined
+// to a single protocol (say SCAR) still trips its own canary path. The
+// prober records each canary op's availability and latency into the
+// health plane; drive rounds from the workload loop (or a test) so probe
+// cadence rides virtual time.
 func (c *Cell) Prober() *health.Prober {
 	plane := c.Health()
 	c.proberOnce.Do(func() {
 		var targets []health.Target
-		for _, st := range c.probeStrategies() {
-			name := st.String()
-			cl := c.NewClient(client.Options{Strategy: st})
-			targets = append(targets, health.Target{Name: name, Client: cl})
+		for _, st := range []client.Strategy{client.Strategy2xR, client.StrategySCAR, client.StrategyMSG, client.StrategyRPC} {
+			name := c.strategy(st).String()
+			if !slices.ContainsFunc(targets, func(t health.Target) bool { return t.Name == name }) {
+				targets = append(targets, health.Target{Name: name, Client: c.NewClient(client.Options{Strategy: st})})
+			}
 		}
 		c.mu.Lock()
 		c.prober = health.NewProber(plane, targets, nil)

@@ -173,7 +173,7 @@ type Client struct {
 	hellos map[string]proto.HelloResp // by backend addr
 	touchQ map[string]*touchQueue     // by backend addr
 
-	health   healthState   // per-replica demotion scores
+	health   healthState   // the replicas whose last leg failed (resilience.go)
 	rngState atomic.Uint64 // jitter/probe randomness (xorshift)
 	rpcAt    atomic.Uint64 // the clock's now when this client's last RPC returned
 	ops      trace.Leases  // the spare op record every public op leases
@@ -194,9 +194,13 @@ const (
 	cpuRPC  = 1200
 )
 
-// New builds a client. msg, now, and acct may be nil.
+// New builds a client. msg, now, and acct may be nil; a StrategyMSG client
+// without NIC messaging is a StrategyRPC one.
 func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock, dial DialFunc, msg MsgFunc, now NowFunc, acct *stats.CPUAccount) *Client {
 	opt = opt.withDefaults()
+	if opt.Strategy == StrategyMSG && msg == nil {
+		opt.Strategy = StrategyRPC
+	}
 	c := &Client{
 		opt:    opt,
 		store:  store,
@@ -212,12 +216,12 @@ func New(opt Options, store *config.Store, rpcc rpc.Caller, clock truetime.Clock
 	}
 	c.rngState.Store(opt.Seed)
 	c.cfg = store.Get()
-	switch {
-	case opt.Strategy == StrategyRPC, opt.Strategy == StrategyMSG && msg == nil:
+	switch opt.Strategy {
+	case StrategyRPC:
 		c.fetch = legRPC
-	case opt.Strategy == StrategyMSG:
+	case StrategyMSG:
 		c.fetch = legMsg
-	case opt.Strategy == StrategySCAR:
+	case StrategySCAR:
 		c.fetch = legScar
 	default:
 		c.fetch = legIndex

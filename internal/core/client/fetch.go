@@ -56,9 +56,10 @@ func (c *Client) fetchViews(x *legExec, pin uint64, cfg config.CellConfig, key [
 		rep, err := c.resolveReplica(x.ctx, cfg, rt.shards[i], rt.addrs[i], how)
 		views = append(views, indexView{rep: rep, err: err})
 	}
-	// Members the health layer has demoted, or that did not resolve, go last.
+	// In a partial round, members whose last leg failed (a crashed
+	// replica), or that did not resolve, go last.
 	for i, front := 0, 0; round < rt.n && i < rt.n; i++ {
-		if v := &views[i]; v.err == nil && !c.replicaDemoted(v.rep.addr) {
+		if v := &views[i]; v.err == nil && !c.health.demoted(v.rep.addr) {
 			views[front], views[i] = views[i], views[front]
 			front++
 		}
@@ -104,7 +105,7 @@ func (c *Client) fetchViews(x *legExec, pin uint64, cfg config.CellConfig, key [
 }
 
 // fetchRound asks every resolved member of views, its legs starting at at
-// on the op's timeline, notes each answer with the health layer, and
+// on the op's timeline, notes how each leg ended with the health layer, and
 // returns the slowest leg's ns. Every leg is started before the first is
 // awaited; the answers are read in views' order.
 func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byte, views []indexView) (roundNs uint64) {
@@ -127,11 +128,7 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 			v.answer(resp, err)
 		}
 		roundNs = max(roundNs, v.ns)
-		if v.err != nil {
-			c.noteReplicaFailure(v.rep.addr)
-			continue
-		}
-		c.noteReplicaSuccess(v.rep.addr)
+		c.health.note(v.rep.addr, v.err != nil)
 	}
 	return roundNs
 }

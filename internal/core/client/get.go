@@ -202,9 +202,9 @@ type specRead struct {
 // remembered read stays if its replica's entry still names its pointer;
 // otherwise the pointer is forgotten and the read wasted (billed, never
 // awaited), and counted stale only if that replica answered. Failing
-// that, the fastest first-round view's read starts if that replica is
-// healthy and its entry takes a dependent read. Need-1 modes (the first
-// answer is the quorum) wait for the vote.
+// that, the fastest first-round view's read starts if its entry takes a
+// dependent read. Need-1 modes (the first answer is the quorum) wait for
+// the vote.
 func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int, sp *specRead) {
 	if sp.view >= 0 {
 		v := &views[sp.view]
@@ -225,7 +225,7 @@ func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int,
 		}
 	}
 	if first >= 0 && need > 1 {
-		if v := &views[first]; v.present && how == legIndex && !c.replicaDemoted(v.rep.addr) {
+		if v := &views[first]; v.present && how == legIndex {
 			sp.view, sp.leg = first, x.start(legData, member{rep: v.rep, ptr: v.entry.Ptr}, x.origin+v.ns)
 		}
 	}
@@ -236,7 +236,7 @@ func (c *Client) speculate(x *legExec, how legKind, views []indexView, need int,
 type cand struct {
 	view int
 	ns   uint64 // its index leg's latency
-	rank int    // 0: the kept speculative read's, 1: healthy, 2: demoted
+	rank int    // 0: the kept speculative read's, 1: the rest
 }
 
 // readData is the data stage: take the winning version's value from a
@@ -247,9 +247,7 @@ type cand struct {
 // starts where the op's trace ends. A data read that serves, and was not
 // the remembered one, is remembered under the config cfgID.
 func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView, winner truetime.Version, sp *specRead, cfgID uint64) ([]byte, error) {
-	// Candidates fastest first, behind the kept speculative read's and with
-	// health-demoted members sorted last so a browned-out backend serves
-	// data only when no healthy member can.
+	// Candidates fastest first, behind the kept speculative read's.
 	var candArr [8]cand
 	n := 0
 	for i := range views {
@@ -264,11 +262,8 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 				return v.data, nil
 			}
 			rank := 1
-			switch {
-			case i == sp.view:
+			if i == sp.view {
 				rank = 0
-			case c.replicaDemoted(v.rep.addr):
-				rank = 2
 			}
 			candArr[n] = cand{view: i, ns: v.ns, rank: rank}
 			n++
@@ -299,7 +294,6 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 			}
 			data, _, derr := x.wait(&l)
 			if derr != nil {
-				c.noteReplicaFailure(v.rep.addr)
 				lastErr = wrapTransportErr(v.rep.addr, derr)
 				if !last {
 					c.M.Failovers.Inc()
@@ -308,7 +302,7 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 			}
 			raw = data
 		}
-		val, err := c.openEntry(v.rep.addr, raw, key, &winner)
+		val, err := openEntry(raw, key, &winner)
 		if err != nil {
 			lastErr = err
 			if !last {
@@ -317,7 +311,6 @@ func (c *Client) readData(x *legExec, key []byte, how legKind, views []indexView
 			}
 			continue
 		}
-		c.noteReplicaSuccess(v.rep.addr)
 		if v.data == nil && (cd.view != sp.view || sp.ptr.Nil()) {
 			c.ptrs.put(x.h, cfgID, v.rep.shard, v.entry.Ptr)
 		}
@@ -334,15 +327,13 @@ func after(at, ns uint64) uint64 {
 	return at + ns
 }
 
-// openEntry is the client-side validation of DataEntry bytes read from
-// addr (§3, §5.1): checksum, full-key match, the data must carry the
-// quorum's version, then decompress.
-func (c *Client) openEntry(addr string, raw, key []byte, winner *truetime.Version) ([]byte, error) {
+// openEntry is the client-side validation of DataEntry bytes (§3, §5.1):
+// checksum, full-key match, the data must carry the quorum's version, then
+// decompress.
+func openEntry(raw, key []byte, winner *truetime.Version) ([]byte, error) {
 	de, err := layout.DecodeDataEntry(raw)
 	if err != nil {
-		// ErrTornRead: checksum caught a race or a flipped bit.
-		c.noteReplicaFailure(addr)
-		return nil, err
+		return nil, err // ErrTornRead: checksum caught a race or a flipped bit
 	}
 	if err := de.ValidateAgainst(key, winner); err != nil {
 		return nil, err

@@ -207,9 +207,8 @@ func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applie
 	for i, leg := range legs {
 		resp, ltr, err := x.wait(&pend[i])
 		if err != nil {
-			if !proto.NotStored(err) { // a refused entry is no fault of the replica's
-				c.noteReplicaFailure(leg.addr)
-			}
+			// A refused entry is the replica's answer, not its failure.
+			c.health.note(leg.addr, !proto.NotStored(err))
 			lastErr = err
 			continue
 		}
@@ -218,7 +217,7 @@ func (c *Client) mutateOnce(x *legExec, method string, req proto.SetReq) (applie
 			lastErr = merr
 			continue
 		}
-		c.noteReplicaSuccess(leg.addr)
+		c.health.note(leg.addr, false)
 		acks = append(acks, mutAck{inOld: leg.inOld, inPending: leg.inPending, sealed: mr.Sealed, applied: mr.Applied || mr.Stored == req.Version})
 		legNs = append(legNs, ltr.Ns)
 		if cfg.Pending == nil && mr.Applied && !mr.Ptr.Nil() && (at.ptr.Nil() || ltr.Ns < at.ns) {

@@ -103,12 +103,12 @@ func (t *ptrTable) drop(h hashring.KeyHash) {
 // remembered names the view whose replica the table remembers holding
 // the key's data under the config cfgID, and the pointer, when a GET
 // fetching with how can start its data read there with the index reads:
-// the replica is resolved, not demoted, and its index leg carries no data.
+// the replica is resolved and its index leg carries no data.
 // -1 when there is none.
 func (c *Client) remembered(x *legExec, cfgID uint64, how legKind, views []indexView) (int, layout.Pointer) {
 	shard, p, ok := c.ptrs.get(x.h, cfgID)
 	for i := range views {
-		if v := &views[i]; ok && v.err == nil && v.rep.shard == shard && how == legIndex && !c.replicaDemoted(v.rep.addr) {
+		if v := &views[i]; ok && v.err == nil && v.rep.shard == shard && how == legIndex {
 			return i, p
 		}
 	}

@@ -3,9 +3,8 @@
 // paced by capped exponential backoff (billed as virtual time, so the
 // latency model sees the pause), bounded by a token-bucket retry budget
 // shared across the client's ops (so a brownout cannot amplify offered
-// load without bound), and steered by per-replica health scores that
-// demote browned-out backends from the preferred-read role until a probe
-// succeeds.
+// load without bound), and steered by the set of replicas whose last leg
+// failed, which a partial read round asks last (fetch.go).
 package client
 
 import (
@@ -153,108 +152,57 @@ func (b *RetryBudget) Credit() {
 	}
 }
 
-// Health-score constants. Scores live in milli-units 0..1000: failures
-// pull the score up toward 1000 by healthFailStep, successes decay it
-// multiplicatively. A replica at or above healthDemote is demoted from
-// the preferred-read role; while demoted, one in healthProbeEvery
-// selections is allowed through as a probe so recovery is observed.
-const (
-	healthFailStep   = 300
-	healthDecayNum   = 7 // success: score = score*7/10
-	healthDecayDen   = 10
-	healthDemote     = 500
-	healthRecover    = 250
-	healthProbeEvery = 16
-)
+// healthProbeEvery paces the probe of a down replica: one in this many
+// selections of it passes, so a recovered backend is seen again.
+const healthProbeEvery = 16
 
-// replicaHealth is one backend's client-observed failure EWMA.
-type replicaHealth struct {
-	scoreMilli int64
-	demoted    bool
-	probes     uint64
-}
-
-// healthState holds per-replica scores behind a single atomic gate: while
-// every replica is healthy (the steady state) the hot path pays one
-// atomic load and never touches the mutex.
+// healthState is the set of replicas whose last leg to this client failed,
+// each with its count of selections since. While the set is empty (the
+// steady state) the hot path pays one atomic load and never takes the
+// mutex.
 type healthState struct {
-	active atomic.Int32 // number of addrs with nonzero score
-	mu     sync.Mutex
-	m      map[string]*replicaHealth
+	n    atomic.Int32 // len(down)
+	mu   sync.Mutex
+	down map[string]uint64
 }
 
-func (h *healthState) get(addr string) *replicaHealth {
-	if h.m == nil {
-		h.m = make(map[string]*replicaHealth)
-	}
-	r := h.m[addr]
-	if r == nil {
-		r = &replicaHealth{}
-		h.m[addr] = r
-	}
-	return r
-}
-
-// noteFailure worsens addr's score, returning (score, demoted) so the
-// caller can export the gauge outside the lock.
-func (h *healthState) noteFailure(addr string) (int64, bool) {
-	h.mu.Lock()
-	r := h.get(addr)
-	if r.scoreMilli == 0 {
-		h.active.Add(1)
-	}
-	r.scoreMilli += healthFailStep
-	if r.scoreMilli > 1000 {
-		r.scoreMilli = 1000
-	}
-	if !r.demoted && r.scoreMilli >= healthDemote {
-		r.demoted = true
-	}
-	score, dem := r.scoreMilli, r.demoted
-	h.mu.Unlock()
-	return score, dem
-}
-
-// noteSuccess decays addr's score. Cheap no-op while everything is
-// healthy. Returns (score, demoted, changed).
-func (h *healthState) noteSuccess(addr string) (int64, bool, bool) {
-	if h.active.Load() == 0 {
-		return 0, false, false
+// note records how addr's last leg ended: a failed leg puts it in the
+// set, an answer takes it out.
+func (h *healthState) note(addr string, failed bool) {
+	if addr == "" || !failed && h.n.Load() == 0 {
+		return
 	}
 	h.mu.Lock()
-	r := h.m[addr]
-	if r == nil || r.scoreMilli == 0 {
-		h.mu.Unlock()
-		return 0, false, false
+	defer h.mu.Unlock()
+	if _, was := h.down[addr]; was == failed {
+		return
 	}
-	r.scoreMilli = r.scoreMilli * healthDecayNum / healthDecayDen
-	if r.scoreMilli < 10 {
-		r.scoreMilli = 0
-		h.active.Add(-1)
+	if failed {
+		if h.down == nil {
+			h.down = make(map[string]uint64)
+		}
+		h.down[addr] = 0
+	} else {
+		delete(h.down, addr)
 	}
-	if r.demoted && r.scoreMilli < healthRecover {
-		r.demoted = false
-	}
-	score, dem := r.scoreMilli, r.demoted
-	h.mu.Unlock()
-	return score, dem, true
+	h.n.Store(int32(len(h.down)))
 }
 
-// demoted reports whether addr should be passed over for preferred
-// reads. Every healthProbeEvery-th call on a demoted replica answers
-// false — a probe — so a recovered backend earns its score back.
+// demoted reports whether a partial round should ask addr last. Every
+// healthProbeEvery-th call on a down replica answers false — a probe.
 func (h *healthState) demoted(addr string) bool {
-	if h.active.Load() == 0 {
+	if h.n.Load() == 0 {
 		return false
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	r := h.m[addr]
-	if r == nil || !r.demoted {
+	probes, down := h.down[addr]
+	if !down {
 		return false
 	}
-	r.probes++
-	return r.probes%healthProbeEvery != 0
+	probes++
+	h.down[addr] = probes
+	return probes%healthProbeEvery != 0
 }
 
 // rand64 advances the client's xorshift state (same recurrence as the
@@ -271,29 +219,3 @@ func (c *Client) rand64() uint64 {
 		}
 	}
 }
-
-// noteReplicaFailure feeds the health score and exports the gauge.
-func (c *Client) noteReplicaFailure(addr string) {
-	if addr == "" {
-		return
-	}
-	score, dem := c.health.noteFailure(addr)
-	if c.opt.Tracer != nil {
-		c.opt.Tracer.SetReplicaHealth(addr, uint64(score), dem)
-	}
-}
-
-// noteReplicaSuccess decays the health score and exports the gauge.
-func (c *Client) noteReplicaSuccess(addr string) {
-	if addr == "" {
-		return
-	}
-	score, dem, changed := c.health.noteSuccess(addr)
-	if changed && c.opt.Tracer != nil {
-		c.opt.Tracer.SetReplicaHealth(addr, uint64(score), dem)
-	}
-}
-
-// replicaDemoted reports whether the health layer wants addr skipped for
-// preferred reads this time.
-func (c *Client) replicaDemoted(addr string) bool { return c.health.demoted(addr) }

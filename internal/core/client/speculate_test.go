@@ -188,10 +188,9 @@ func fastAck(r *rig, fast int, mutate func() error) error {
 // dependent read runs from a quorum member after the quorum; one the
 // replica no longer names (another client overwrote the key) is wasted
 // and forgotten, and the first answer's read runs as if cold; so is one
-// whose replica did not answer, which is not counted stale. A demoted
-// holder's pointer is not read, nor is a demoted first responder; need-1
-// modes keep the dependent read after their one index leg. Exact modelled
-// ns on a manual clock.
+// whose replica did not answer, which is not counted stale. Need-1 modes
+// keep the dependent read after their one index leg. Exact modelled ns on
+// a manual clock.
 func TestSpeculativeDataRead(t *testing.T) {
 	key, val := []byte("spec"), bytes.Repeat([]byte("v"), 1000)
 	clientCPU := func(r *rig) uint64 { return r.acct.TotalNanos("client") }
@@ -372,25 +371,6 @@ func TestSpeculativeDataRead(t *testing.T) {
 		// The slot was dropped, and learned again from the read that served.
 		if shard, _, ok := cl.ptrs.get(cl.opt.Hash(key), cl.Config().ID); !ok || shard != 1 {
 			t.Errorf("the client remembers shard %d's pointer (held=%v), want shard 1's", shard, ok)
-		}
-	})
-
-	t.Run("demoted-first-responder", func(t *testing.T) { // and the holder
-		r, cl, s, clk := newScriptedClient(t, config.R32, key, val)
-		s.index = [3]uint64{0, 2000, 3000}
-		cold(t, r, cl)
-		specGet(t, r, cl, s, clk, false) // remembers host 0's pointer
-		for range 4 {
-			cl.noteReplicaFailure("b0")
-		}
-		s.get(t, clk, cl, key)
-		index, data := s.split()
-		if len(data) != 1 {
-			t.Fatalf("legs %+v, want one data leg", s.log)
-		}
-		_, k := kth(index, 2)
-		if d := data[0]; d.host == 0 || d.at != index[0].at+k {
-			t.Errorf("data leg %+v, want a healthy member's after the quorum at %d", d, index[0].at+k)
 		}
 	})
 

@@ -109,7 +109,6 @@ var goldenFrames = []struct {
 		}},
 		Exemplars:  []DebugOp{{ID: 7, Kind: "CAS", Transport: "RPC", Attempts: 1, Ns: 50_000}},
 		Hazards:    []DebugHazard{{Name: "drop", Count: 9}},
-		Health:     []DebugHealth{{Addr: "backend-0", ScoreMilli: 1000}, {Addr: "backend-1", ScoreMilli: 120, Demoted: true}},
 		HotKeys:    []DebugHotKey{{Key: "k0", Count: 100, Err: 3}, {Key: "\x00probe/x", Count: 2}},
 		StripeHeat: []uint64{5, 0, 17, 9}},
 		anyDecoder(UnmarshalDebugResp),
@@ -117,8 +116,7 @@ var goldenFrames = []struct {
 			"5a0508c40110325a0508cd011028221c0a035345541203525043180a2090bf052800300038004000480050002a0f0a06" +
 			"636c69656e7410c096b10218643233082a12034745541a03327852200228c08db70130800838ffc39fd50c4209080110" +
 			"03180020e820420a0805100018e8202084073a16080712034341531a03525043200128d086033000380042080a046472" +
-			"6f7010094a0e0a096261636b656e642d3010e8074a0f0a096261636b656e642d311078180152080a026b301064180352" +
-			"0e0a080070726f62652f78100218005805580058115809"},
+			"6f70100952080a026b3010641803520e0a080070726f62652f78100218005805580058115809"},
 	{HealthReq{}, anyDecoder(UnmarshalHealthReq), "0104"},
 	{HealthResp{
 		GeneratedNs: 12345, Rounds: 7,
@@ -193,14 +191,13 @@ var goldenFrames = []struct {
 		Exemplars: []DebugOp{{ID: 1 << 40, Kind: "OTHER", Transport: "RPC", WallNs: 1_700_000_000_000_000_000,
 			Spans: []fabric.Span{{Code: 22, Arg: 870, Start: 1, Dur: 2}}}},
 		Hazards:    []DebugHazard{{Name: "nic-delay", Count: 1 << 20}},
-		Health:     []DebugHealth{{Addr: "spare-0", ScoreMilli: 1}},
 		HotKeys:    []DebugHotKey{{Key: "\xff\xfe", Count: 1, Err: 1}},
 		StripeHeat: []uint64{1 << 50}},
 		anyDecoder(UnmarshalDebugResp),
 		"01040880808080401001180022280a05455241534512034d53471803200b280a300c380c400c480d50235a04080a1001" +
 			"5a04080c10022a100a0a7270632d736572766572100118012a0d0a0768616e646c6572100018003a2e08808080808020" +
 			"12054f544845521a03525043200028003000388080d0e2c6bfce972f4209081610e60618012002420f0a096e69632d64" +
-			"656c6179108080404a0b0a0773706172652d30100152080a02fffe10011801588080808080808002"},
+			"656c61791080804052080a02fffe10011801588080808080808002"},
 
 	// The same messages with every field zero, one empty element per nested
 	// list: which zeros still travel and which (omitzero) do not.
@@ -225,26 +222,30 @@ var goldenFrames = []struct {
 	{DebugReq{}, anyDecoder(UnmarshalDebugReq),
 		"01040800"},
 	{DebugResp{Hists: []DebugHist{{}}, CPU: []DebugCPU{{}}, SlowOps: []DebugOp{{}}, Hazards: []DebugHazard{{}},
-		Health: []DebugHealth{{}}, HotKeys: []DebugHotKey{{}}}, anyDecoder(UnmarshalDebugResp),
+		HotKeys: []DebugHotKey{{}}}, anyDecoder(UnmarshalDebugResp),
 		"010408001000180022140a001200180020002800300038004000480050002a060a0010001800320e080012001a002000" +
-			"28003000380042040a0010004a040a00100052060a0010001800"},
+			"28003000380042040a00100052060a0010001800"},
 	{HealthResp{Classes: []HealthClass{{}}, Targets: []HealthTarget{{}}}, anyDecoder(UnmarshalHealthResp),
 		"0104080010001a1e0a001200180020002800300038004000480050005800600068007000780022060a0010001800"},
 	{TierResp{Cells: []TierCell{{}}}, anyDecoder(UnmarshalTierResp),
 		"0104080010001a0a0a001000180022003000"},
 }
 
-// retiredTagBytes is what the captured populated HealthResp, MutateResp and
-// StatsResp frames carried in tags now retired: HealthResp's 5–6 (a
-// promotion epoch, 4, and a key, "hot-h"), MutateResp's 7 (an encoded
-// promotion set with epoch 4 and the key "hot") and StatsResp's 42–43
-// (epoch 5, keys "hot" and 0x0001) — hot-key promotion sets the backend no
-// longer keeps. The golden frames above are the captures less them (the
-// other StatsResp captures less the zero tag 42 they carried).
+// retiredTagBytes is what the captured populated HealthResp, MutateResp,
+// StatsResp and DebugResp frames carried in tags now retired: HealthResp's
+// 5–6 (a promotion epoch, 4, and a key, "hot-h"), MutateResp's 7 (an
+// encoded promotion set with epoch 4 and the key "hot") and StatsResp's
+// 42–43 (epoch 5, keys "hot" and 0x0001) — hot-key promotion sets the
+// backend no longer keeps — and DebugResp's 9 (two client-observed replica
+// health gauges, backend-0 at 1000 and backend-1 at 120, demoted), which
+// no client keeps. The golden frames above are the captures less them (the
+// other StatsResp captures less the zero tag 42 they carried, the other
+// DebugResp captures less their tag 9).
 var retiredTagBytes = map[reflect.Type]string{
 	reflect.TypeOf(HealthResp{}): "28043205686f742d68",
 	reflect.TypeOf(MutateResp{}): "3a09010408041203686f74",
 	reflect.TypeOf(StatsResp{}):  "d00205da0203686f74da02020001",
+	reflect.TypeOf(DebugResp{}):  "4a0e0a096261636b656e642d3010e8074a0f0a096261636b656e642d3110781801",
 }
 
 // retiredTags are tags a message once carried: senders built before their
@@ -253,6 +254,7 @@ var retiredTags = map[reflect.Type][]uint64{
 	reflect.TypeOf(HealthResp{}): {5, 6},
 	reflect.TypeOf(MutateResp{}): {7},
 	reflect.TypeOf(StatsResp{}):  {42, 43},
+	reflect.TypeOf(DebugResp{}):  {9},
 }
 
 func TestGoldenFrames(t *testing.T) {
@@ -331,9 +333,9 @@ func TestDatapathDecodeAliasesFrame(t *testing.T) {
 	}
 }
 
-// TestRetiredHealthTagsDecode: a HealthResp, MutateResp or StatsResp frame
-// from a server that still sends the retired tags decodes to the same value
-// as one without.
+// TestRetiredHealthTagsDecode: a HealthResp, MutateResp, StatsResp or
+// DebugResp frame from a server that still sends the retired tags decodes
+// to the same value as one without.
 func TestRetiredHealthTagsDecode(t *testing.T) {
 	for _, c := range goldenFrames {
 		tags, ok := retiredTagBytes[reflect.TypeOf(c.value)]

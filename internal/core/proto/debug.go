@@ -28,12 +28,11 @@ func UnmarshalDebugReq(b []byte) (r DebugReq, err error) { err = wire.Decode(b, 
 // The snapshot's records are declared — wire tags included — where they
 // are produced; these names are the schema's view of them.
 type (
-	DebugHist   = trace.HistStat      // one kind/transport latency summary
-	DebugCPU    = stats.CPURow        // one component's CPU account
-	DebugOp     = trace.OpRecord      // one retained op trace
-	DebugHazard = trace.HazardCount   // one chaos hazard class's injection count
-	DebugHealth = trace.ReplicaHealth // one backend's client-observed health gauge
-	DebugHotKey = stats.HotKey        // one entry of the backend's space-saving top-k sketch
+	DebugHist   = trace.HistStat    // one kind/transport latency summary
+	DebugCPU    = stats.CPURow      // one component's CPU account
+	DebugOp     = trace.OpRecord    // one retained op trace
+	DebugHazard = trace.HazardCount // one chaos hazard class's injection count
+	DebugHotKey = stats.HotKey      // one entry of the backend's space-saving top-k sketch
 )
 
 // DebugResp is the tracer snapshot.
@@ -46,7 +45,7 @@ type DebugResp struct {
 	SlowOps         []DebugOp     `wire:"6"`
 	Exemplars       []DebugOp     `wire:"7"`
 	Hazards         []DebugHazard `wire:"8"`
-	Health          []DebugHealth `wire:"9"`
+	// Tag 9, a client-observed health gauge per replica, is retired.
 	// HotKeys is the backend's heavy-hitter sketch, hottest first;
 	// StripeHeat is the per-lock-stripe op count, in stripe order — the
 	// key-skew and stripe-imbalance telemetry of the health plane.

@@ -69,10 +69,10 @@ func b2i(b bool) int {
 }
 
 // WriteProm renders one cell's scrape: the op-tracing plane (op counts,
-// a latency summary per kind/transport, hazard injections, client-observed
-// replica health, CPU accounts), the health plane (SLO burn rates and
-// alert states, probe outcomes), and one family per exporting row of
-// Columns with a sample per task that answered Stats, in address order.
+// a latency summary per kind/transport, hazard injections, CPU accounts),
+// the health plane (SLO burn rates and alert states, probe outcomes), and
+// one family per exporting row of Columns with a sample per task that
+// answered Stats, in address order.
 func (cs *CellScrape) WriteProm(w io.Writer) {
 	p := promWriter{w}
 	if d := &cs.Debug; cs.DebugOK {
@@ -84,16 +84,6 @@ func (cs *CellScrape) WriteProm(w io.Writer) {
 			p.family("cliquemap_hazard_injections_total", "counter")
 			for _, h := range d.Hazards {
 				p.sample("cliquemap_hazard_injections_total", h.Count, "hazard", h.Name)
-			}
-		}
-		if len(d.Health) > 0 {
-			p.family("cliquemap_replica_health_score", "gauge")
-			for _, h := range d.Health {
-				p.sample("cliquemap_replica_health_score", milli(h.ScoreMilli), "replica", h.Addr)
-			}
-			p.family("cliquemap_replica_demoted", "gauge")
-			for _, h := range d.Health {
-				p.sample("cliquemap_replica_demoted", b2i(h.Demoted), "replica", h.Addr)
 			}
 		}
 		if len(d.CPU) > 0 {

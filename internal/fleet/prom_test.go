@@ -63,7 +63,6 @@ func promCell() *fakeCell {
 	dbg := c.debug["backend-0"]
 	dbg.CPU = []proto.DebugCPU{{Component: "client", TotalNs: 2000, Ops: 1}}
 	dbg.Hazards = []proto.DebugHazard{{Name: "nic\\delay", Count: 3}}
-	dbg.Health = []proto.DebugHealth{{Addr: "backend-0", ScoreMilli: 1000}, {Addr: "backend-1", ScoreMilli: 125, Demoted: true}}
 	c.debug["backend-0"] = dbg
 	c.health = &proto.HealthResp{Rounds: 7,
 		Classes: []proto.HealthClass{{Class: "GET", State: "warn", FastBurnMilli: 2500, Good: 9, Bad: 1}},
@@ -73,10 +72,10 @@ func promCell() *fakeCell {
 
 // TestWriteProm renders the three pages the one writer serves — a cell's
 // own (Cell.Scrape: spares included), a remote cell's (cmstat -prom) and
-// the merged fleet's — checks each strictly, and pins the two exposition
-// defects of the four writers it replaced: replica_demoted is a family of
-// its own rather than samples inside replica_health_score's, and a latency
-// summary's _sum is the exact SumNs, on the fleet page too.
+// the merged fleet's — checks each strictly, and pins an exposition defect
+// of the four writers it replaced: a latency summary's _sum is the exact
+// SumNs, on the fleet page too. The checker refuses the other, a family
+// whose samples interleave with another's.
 func TestWriteProm(t *testing.T) {
 	cell := promCell()
 	remote, err := ScrapeCell(context.Background(), Target{Name: "solo", Caller: cell}, 1, time.Unix(100, 0))
@@ -102,8 +101,6 @@ func TestWriteProm(t *testing.T) {
 	}
 	for page, wants := range map[string][]string{
 		"cell": {
-			"# TYPE cliquemap_replica_demoted gauge\ncliquemap_replica_demoted{replica=\"backend-0\"} 0\ncliquemap_replica_demoted{replica=\"backend-1\"} 1\n",
-			"cliquemap_replica_health_score{replica=\"backend-0\"} 1\ncliquemap_replica_health_score{replica=\"backend-1\"} 0.125\n",
 			`cliquemap_op_latency_ns_sum{kind="GET",transport="2xR"} 3000`,
 			`cliquemap_hazard_injections_total{hazard="nic\\delay"} 3`,
 			`cliquemap_slo_alert_state{class="GET"} 1`,

@@ -435,22 +435,11 @@ type Tracer struct {
 	exemplars [numKinds][]OpRecord
 	rng       uint64 // xorshift state for reservoir sampling
 
-	// Hazard counters and per-replica health gauges are written off the op
-	// hot path — hazards when the chaos plane injects (rare), health on
-	// demotion/recovery transitions (rarer) — so a plain mutex-guarded map
-	// is the right cost profile.
+	// Hazard counters are written off the op hot path, when the chaos
+	// plane injects (rare), so a plain mutex-guarded map is the right cost
+	// profile.
 	auxMu   sync.Mutex
 	hazards map[string]uint64
-	health  map[string]ReplicaHealth
-}
-
-// ReplicaHealth is one backend's client-observed health gauge: a failure
-// EWMA in milli-units (0..1000, integer on the wire) and whether the
-// client currently demotes it from preferred-replica selection.
-type ReplicaHealth struct {
-	Addr       string `wire:"1"`
-	ScoreMilli uint64 `wire:"2"`
-	Demoted    bool   `wire:"3,omitzero"`
 }
 
 // HazardCount is one chaos hazard class's cumulative injection count.
@@ -565,16 +554,6 @@ func (t *Tracer) HazardInc(name string, delta uint64) {
 	t.auxMu.Unlock()
 }
 
-// SetReplicaHealth publishes one backend's client-side health gauge.
-func (t *Tracer) SetReplicaHealth(addr string, scoreMilli uint64, demoted bool) {
-	t.auxMu.Lock()
-	if t.health == nil {
-		t.health = make(map[string]ReplicaHealth)
-	}
-	t.health[addr] = ReplicaHealth{Addr: addr, ScoreMilli: scoreMilli, Demoted: demoted}
-	t.auxMu.Unlock()
-}
-
 // HistStat is the one latency summary: a kind/transport histogram as a
 // tracer snapshots it, as it travels, and as a fleet merge re-derives it.
 // SumNs and Buckets (additive tags, absent from old senders) carry the raw
@@ -617,8 +596,7 @@ type Snapshot struct {
 	Hists           []HistStat // non-empty cells only
 	Slow            []OpRecord // newest first
 	Exemplars       []OpRecord
-	Hazards         []HazardCount   // sorted by name
-	Health          []ReplicaHealth // sorted by addr
+	Hazards         []HazardCount // sorted by name
 }
 
 // Snapshot captures current state. maxSlow bounds the slow-op log
@@ -659,11 +637,7 @@ func (t *Tracer) Snapshot(maxSlow int) Snapshot {
 	for name, n := range t.hazards {
 		s.Hazards = append(s.Hazards, HazardCount{Name: name, Count: n})
 	}
-	for _, h := range t.health {
-		s.Health = append(s.Health, h)
-	}
 	t.auxMu.Unlock()
 	sort.Slice(s.Hazards, func(i, j int) bool { return s.Hazards[i].Name < s.Hazards[j].Name })
-	sort.Slice(s.Health, func(i, j int) bool { return s.Health[i].Addr < s.Health[j].Addr })
 	return s
 }
