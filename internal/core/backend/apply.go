@@ -25,7 +25,7 @@ import (
 // Finding nothing, err says why an indexed entry could not be read.
 func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte, buf *[]byte) (de layout.DataEntry, found bool, err error) {
 	idx := b.idx.Load()
-	if e, _, ok := idx.bucket(idx.bucketOf(h)).Find(h); ok {
+	if e, _, ok := idx.find(idx.bucketOf(h), h); ok {
 		if de, err = b.readEntry(e, buf); err == nil && string(de.Key) == string(key) {
 			return de, true, nil
 		}
@@ -36,25 +36,23 @@ func (b *Backend) lookup(s *stripe, h hashring.KeyHash, key []byte, buf *[]byte)
 	return layout.DataEntry{}, false, err
 }
 
-// view is the read both two-sided lookups and get share: count it, note
-// the key's heat, and look the key up under its stripe lock into *buf.
-func (b *Backend) view(sink *trace.SpanSink, key []byte, buf *[]byte) (layout.DataEntry, bool, error) {
-	h := b.opt.Hash(key)
+// view is the read both two-sided lookups and get share: count it and
+// look the key, which hashes to h, up under its stripe lock into *buf.
+func (b *Backend) view(sink *trace.SpanSink, h hashring.KeyHash, key []byte, buf *[]byte) (layout.DataEntry, bool, error) {
 	s := b.stripeOf(h)
 	s.ctr.gets.Add(1)
-	b.noteHeat(key, h)
 	lockStripe(s, sink)
 	defer s.unlock()
 	return b.lookup(s, h, key, buf)
 }
 
 // get returns key's client-visible value as the caller's own copy: repair
-// reads, handoff, tests. The RPC/MSG lookup path encodes a view instead
-// (serveGet).
+// reads, handoff, tests. It is not an access, so the key's heat is left
+// alone. The RPC/MSG lookup path encodes a view instead (serveGet).
 func (b *Backend) get(sink *trace.SpanSink, key []byte) (value []byte, ver truetime.Version, found bool) {
 	bp := dataBufs.Get().(*[]byte)
 	defer dataBufs.Put(bp)
-	de, found, _ := b.view(sink, key, bp) // damaged reads as absent: repair rewrites it
+	de, found, _ := b.view(sink, b.opt.Hash(key), key, bp) // damaged reads as absent: repair rewrites it
 	if !found {
 		return nil, truetime.Version{}, false
 	}
@@ -72,11 +70,11 @@ type precond struct {
 // versionGate is the check every mutation passes under its stripe lock —
 // installs pass it twice, before preparing the entry and again under the
 // lock that publishes it. The key's bound is its stored version when it is
-// resident (in raw's bucket or the side shard), else its tombstone bound
-// (§5.2); pre must hold and v must exceed the bound. A failed precondition
-// is not a version reject.
-func (b *Backend) versionGate(s *stripe, raw layout.RawBucket, key []byte, h hashring.KeyHash, v truetime.Version, pre precond) (bound truetime.Version, ok bool) {
-	e, _, resident := raw.Find(h)
+// resident (in idx's bucket, at slot, or the side shard, slot -1), else its
+// tombstone bound (§5.2); pre must hold and v must exceed the bound. A
+// failed precondition is not a version reject.
+func (b *Backend) versionGate(s *stripe, idx *indexRegion, bucket int, key []byte, h hashring.KeyHash, v truetime.Version, pre precond) (bound truetime.Version, slot int, ok bool) {
+	e, slot, resident := idx.find(bucket, h)
 	if bound = e.Version; !resident {
 		var se sideEntry
 		if se, resident = s.side[h]; resident {
@@ -86,13 +84,13 @@ func (b *Backend) versionGate(s *stripe, raw layout.RawBucket, key []byte, h has
 		}
 	}
 	if pre.cas && bound != pre.expected {
-		return bound, false
+		return bound, slot, false
 	}
 	if !bound.Less(v) {
 		s.ctr.versionRejects.Add(1)
-		return bound, false
+		return bound, slot, false
 	}
-	return bound, true
+	return bound, slot, true
 }
 
 // dataBufs pools DataEntry-sized scratch: the mutation path encodes into
@@ -190,7 +188,7 @@ func (b *Backend) evictOne() (freed int, ok bool) {
 func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash) (freed int) {
 	idx := b.idx.Load()
 	bucket := idx.bucketOf(h)
-	if e, slot, ok := idx.bucket(bucket).Find(h); ok {
+	if e, slot, ok := idx.find(bucket, h); ok {
 		b.clearSlot(idx, bucket, slot, e)
 		freed = int(e.Ptr.Size)
 	}
@@ -201,40 +199,39 @@ func (b *Backend) removeLocked(s *stripe, h hashring.KeyHash) (freed int) {
 
 // ApplySet installs a KV pair directly (bulk loaders and tests); normal
 // traffic arrives via the SET RPC handler. An entry that could not be
-// stored reads as not applied.
+// stored reads as not applied. Like every direct apply, it is not an
+// access: the key's heat is left alone.
 func (b *Backend) ApplySet(key, value []byte, v truetime.Version) (applied bool, stored truetime.Version, evictions int) {
-	ack, _ := b.set(nil, key, value, v, precond{})
+	ack, _ := b.set(nil, b.opt.Hash(key), key, value, v, precond{})
 	return ack.Applied, ack.Stored, ack.Evictions
 }
 
 // ApplyErase erases a key directly (model checking and tests); normal
 // traffic arrives via the ERASE RPC handler.
 func (b *Backend) ApplyErase(key []byte, v truetime.Version) (applied bool, stored truetime.Version) {
-	return b.erase(nil, key, v)
+	return b.erase(nil, b.opt.Hash(key), key, v)
 }
 
 // ApplyCas compare-and-swaps directly (stress tests); normal traffic
 // arrives via the CAS RPC handler. As for ApplySet, an entry that could not
 // be stored reads as not applied.
 func (b *Backend) ApplyCas(key, value []byte, expected, v truetime.Version) (applied bool, stored truetime.Version) {
-	ack, _ := b.set(nil, key, value, v, precond{cas: true, expected: expected})
+	ack, _ := b.set(nil, b.opt.Hash(key), key, value, v, precond{cas: true, expected: expected})
 	return ack.Applied, ack.Stored
 }
 
 // set is the SET RPC's core (§3, §5.2) and, with pre.cas, the CAS RPC's:
-// a version-gated install with eviction under capacity and associativity
-// conflicts, counted as a SET or as a CAS, never both; it returns the ack.
-// err (wrapping proto.ErrNotStored) reports an entry the data region could
-// not take.
-func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Version, pre precond) (ack proto.MutateResp, err error) {
-	h := b.opt.Hash(key)
+// a version-gated install of key, which hashes to h, with eviction under
+// capacity and associativity conflicts, counted as a SET or as a CAS,
+// never both; it returns the ack. err (wrapping proto.ErrNotStored)
+// reports an entry the data region could not take.
+func (b *Backend) set(sink *trace.SpanSink, h hashring.KeyHash, key, value []byte, v truetime.Version, pre precond) (ack proto.MutateResp, err error) {
 	s := b.stripeOf(h)
 	ops, done := &s.ctr.sets, &s.ctr.setsApplied
 	if pre.cas {
 		ops, done = &s.ctr.casOps, &s.ctr.casApplied
 	}
 	ops.Add(1)
-	b.noteHeat(key, h)
 	if ack, err = b.gatedWrite(sink, s, h, key, value, v, pre); ack.Applied {
 		done.Add(1)
 	}
@@ -246,7 +243,8 @@ func (b *Backend) set(sink *trace.SpanSink, key, value []byte, v truetime.Versio
 // and performs the chunked body write, so it must not run under this key's
 // stripe lock. The second gate after relocking restores atomicity: if a
 // concurrent mutation moved the version bound past v or broke pre, the
-// prepared entry is discarded exactly as if the first gate had failed. An
+// prepared entry is discarded exactly as if the first gate had failed; the
+// slot it finds is the one the entry is placed over. An
 // entry the data region cannot take (past the largest slab class, or
 // nothing left to evict) fails with proto.ErrNotStored. An applied write's
 // ack names the pointer its index entry published (zero in the side shard).
@@ -254,7 +252,7 @@ func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash
 	for {
 		lockStripe(s, sink)
 		idx := b.idx.Load()
-		bound, ok := b.versionGate(s, idx.bucket(idx.bucketOf(h)), key, h, v, pre)
+		bound, _, ok := b.versionGate(s, idx, idx.bucketOf(h), key, h, v, pre)
 		dr := b.data.Load()
 		s.unlock()
 		if !ok {
@@ -279,9 +277,9 @@ func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash
 		}
 		idx = b.idx.Load() // may have resized while unlocked
 		bucket := idx.bucketOf(h)
-		raw := idx.bucket(bucket)
-		if bound, ok = b.versionGate(s, raw, key, h, v, pre); ok {
-			ack.Ptr, ok = b.place(s, idx, bucket, raw, layout.IndexEntry{Hash: h, Version: v, Ptr: ptr}, key, value)
+		var slot int
+		if bound, slot, ok = b.versionGate(s, idx, bucket, key, h, v, pre); ok {
+			ack.Ptr, ok = b.place(s, idx, bucket, slot, layout.IndexEntry{Hash: h, Version: v, Ptr: ptr}, key, value)
 		}
 		if !ok {
 			s.unlock()
@@ -290,7 +288,7 @@ func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash
 			return ack, nil
 		}
 		s.policy.Add(h)
-		b.publish(h, proto.MigrateItem{Key: key, Value: value, Version: v})
+		b.publish(h, key, value, v, false)
 		s.unlock()
 		b.maybeResizeIndex()
 		b.maybeCheckpoint()
@@ -300,15 +298,16 @@ func (b *Backend) gatedWrite(sink *trace.SpanSink, s *stripe, h hashring.KeyHash
 }
 
 // place puts a prepared entry where readers will find it: over the key's
-// current slot, else into an empty one, else — an associativity conflict —
-// into the RPC side shard (§4.2, freeing the prepared DataEntry) or over
-// the bucket's oldest-versioned entry. It returns the pointer the index
-// now names for the key, zero in the side shard; false means the bucket
-// could not take it. The bucket's stripe lock (s) is held.
-func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawBucket, e layout.IndexEntry, key, value []byte) (layout.Pointer, bool) {
-	_, slot, ok := raw.Find(e.Hash)
+// current slot (slot, -1 for none), else into an empty one, else — an
+// associativity conflict — into the RPC side shard (§4.2, freeing the
+// prepared DataEntry) or over the bucket's oldest-versioned entry. It
+// returns the pointer the index now names for the key, zero in the side
+// shard; false means the bucket could not take it. The bucket's stripe
+// lock (s) is held.
+func (b *Backend) place(s *stripe, idx *indexRegion, bucket, slot int, e layout.IndexEntry, key, value []byte) (layout.Pointer, bool) {
+	ok := slot >= 0
 	if !ok {
-		slot, ok = emptySlot(raw)
+		slot, ok = idx.emptySlot(bucket)
 	}
 	if !ok && b.opt.OverflowFallback {
 		b.data.Load().free(e.Ptr)
@@ -319,7 +318,7 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawB
 	}
 	if !ok {
 		var victim layout.IndexEntry
-		if victim, slot, ok = victimSlot(raw); !ok {
+		if victim, slot, ok = victimSlot(idx.bucket(bucket)); !ok {
 			return layout.Pointer{}, false
 		}
 		// The victim shares this bucket, hence this stripe.
@@ -332,21 +331,19 @@ func (b *Backend) place(s *stripe, idx *indexRegion, bucket int, raw layout.RawB
 	return e.Ptr, true
 }
 
-// erase is the ERASE RPC's core (§5.2).
-func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (applied bool, stored truetime.Version) {
-	h := b.opt.Hash(key)
+// erase is the ERASE RPC's core (§5.2) for key, which hashes to h.
+func (b *Backend) erase(sink *trace.SpanSink, h hashring.KeyHash, key []byte, v truetime.Version) (applied bool, stored truetime.Version) {
 	s := b.stripeOf(h)
 	s.ctr.erases.Add(1)
-	b.noteHeat(key, h)
 	lockStripe(s, sink)
 	idx := b.idx.Load()
-	if bound, ok := b.versionGate(s, idx.bucket(idx.bucketOf(h)), key, h, v, precond{}); !ok {
+	if bound, _, ok := b.versionGate(s, idx, idx.bucketOf(h), key, h, v, precond{}); !ok {
 		s.unlock()
 		return false, bound
 	}
 	b.removeLocked(s, h)
 	s.ctr.erasesApplied.Add(1)
-	b.publish(h, proto.MigrateItem{Key: key, Version: v, Tombstone: true})
+	b.publish(h, key, nil, v, true)
 	s.unlock()
 	b.maybeCheckpoint()
 	return true, v
@@ -358,23 +355,25 @@ func (b *Backend) erase(sink *trace.SpanSink, key []byte, v truetime.Version) (a
 // lock, after the index/side-shard change and before the lock is released
 // (hence before the ack). That lock orders its three notes against the
 // handoff seal barrier and the checkpoint rotation barrier, which both
-// take every stripe. it.Value is the client-visible (uncompressed) bytes.
-// The checkpoint trigger is not a note: it takes every stripe, so the
-// caller runs it after releasing this one (maybeCheckpoint).
-func (b *Backend) publish(h hashring.KeyHash, it proto.MigrateItem) {
-	b.tombPublish(it.Tombstone, h, it.Key, it.Version)
-	b.journalNote(it.Key)
-	b.persistNote(it)
+// take every stripe. value is the client-visible (uncompressed) bytes, nil
+// for an erase. The checkpoint trigger is not a note: it takes every
+// stripe, so the caller runs it after releasing this one (maybeCheckpoint).
+func (b *Backend) publish(h hashring.KeyHash, key, value []byte, v truetime.Version, erase bool) {
+	b.tombPublish(erase, h, key, v)
+	b.journalNote(key)
+	b.persistNote(key, value, v, erase)
 }
 
 // install applies one corpus item — a migration frame's, a recovered
 // checkpoint or journal record, a compact-restart survivor — as the write
 // or erase it records. The version gate makes every re-application
-// idempotent and order-tolerant.
+// idempotent and order-tolerant. Re-applying is not an access: the key's
+// heat is left alone.
 func (b *Backend) install(it proto.MigrateItem) {
+	h := b.opt.Hash(it.Key)
 	if it.Tombstone {
-		b.erase(nil, it.Key, it.Version)
+		b.erase(nil, h, it.Key, it.Version)
 	} else {
-		b.set(nil, it.Key, it.Value, it.Version, precond{})
+		b.set(nil, h, it.Key, it.Value, it.Version, precond{})
 	}
 }

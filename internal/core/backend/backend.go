@@ -40,7 +40,7 @@
 // # File map
 //
 //	backend.go   options, the Backend struct, New, stripe locks, accessors
-//	table.go     the index table (bucket view, put/clear slot, header stamp) and the corpus walker
+//	table.go     the index table (bucket view, slot tags, put/clear slot, header stamp) and the corpus walker
 //	apply.go     lookup, version gate, gated write (SET/CAS), erase, install, eviction, publish
 //	reshape.go   data-region growth, slab drains (relocation), index resize, compact-restart, clear, post-resize GC
 //	tombstone.go the tombstone cache and the Backend's only access to it
@@ -422,10 +422,12 @@ type Backend struct {
 	tracer atomic.Pointer[trace.Tracer]
 
 	// heat is the always-on key-heat sketch behind the health plane's
-	// hot-key telemetry. It sees every mutation and RPC/MSG lookup plus
-	// the client-reported access records (the keys of one-sided RMA GETs
-	// the backend never executes), so heavy hitters
-	// are visible on every transport.
+	// hot-key telemetry. It counts accesses: each client SET, CAS and
+	// ERASE the RPC handlers admit, each RPC/MSG lookup, and the
+	// client-reported access records (the keys of one-sided RMA GETs the
+	// backend never executes), so heavy hitters are visible on every
+	// transport. Direct applies, installs (migration, replay, restart)
+	// and repair or handoff reads move data, not heat.
 	heat *stats.TopK
 
 	stripes  []stripe

@@ -64,7 +64,7 @@ func TestAckNamesPlacedPointer(t *testing.T) {
 	})
 	apply := func(method string, req proto.SetReq) proto.MutateResp {
 		t.Helper()
-		ack, err := mutations[method].apply(r.b, nil, req)
+		ack, err := mutations[method].apply(r.b, nil, r.b.opt.Hash(req.Key), req)
 		if err != nil {
 			t.Fatalf("%s %s: %v", method, req.Key, err)
 		}
@@ -266,8 +266,8 @@ func TestHeatExcludesReservedNamespaces(t *testing.T) {
 	user := []byte("user-key")
 	probe := []byte(layout.ProbeKeyPrefix + "canary")
 	for i := 0; i < 50; i++ {
-		r.b.get(nil, user)
-		r.b.get(nil, probe)
+		r.b.HandleMsg(proto.GetReq{Key: user}.Marshal())
+		r.b.HandleMsg(proto.GetReq{Key: probe}.Marshal())
 	}
 	if got := r.b.Heat().Total(); got != 50 {
 		t.Errorf("heat total = %d, want 50 (user accesses only)", got)
@@ -296,9 +296,9 @@ func TestCas(t *testing.T) {
 	}
 }
 
-// TestCasCountsOnce: an applied CAS moves CasOps, CasApplied and the heat
-// total by one and nothing else — it is not also a SET — and a lost CAS
-// moves only CasOps and the heat: a failed expectation is no version reject.
+// TestCasCountsOnce: an applied CAS RPC moves CasOps, CasApplied and the
+// heat sketch by exactly one each, and nothing else (no phantom SET); a
+// refused one moves only CasOps and the heat sketch.
 func TestCasCountsOnce(t *testing.T) {
 	r := newRig(t, Options{Shard: 0})
 	v1 := r.v()
@@ -308,8 +308,13 @@ func TestCasCountsOnce(t *testing.T) {
 		applied  bool
 	}{{v1, true}, {v1, false}} {
 		before, heat := r.b.CountersSnapshot(), r.b.Heat().Total()
-		if applied, _ := r.b.ApplyCas([]byte("k"), []byte("b"), c.expected, r.v()); applied != c.applied {
-			t.Fatalf("CAS at %v: applied=%v, want %v", c.expected, applied, c.applied)
+		req := proto.SetReq{Key: []byte("k"), Value: []byte("b"), Version: r.v(), Expected: c.expected}
+		resp, _, err := r.net.Client(5, "test").Call(context.Background(), "b0", proto.MethodCas, req.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := proto.UnmarshalMutateResp(resp); err != nil || ack.Applied != c.applied {
+			t.Fatalf("CAS at %v: ack %+v (%v), want applied=%v", c.expected, ack, err, c.applied)
 		}
 		want := before
 		want.CasOps++
@@ -321,6 +326,47 @@ func TestCasCountsOnce(t *testing.T) {
 		}
 		if got := r.b.Heat().Total() - heat; got != 1 {
 			t.Errorf("CAS (applied=%v) heated its key %d times, want 1", c.applied, got)
+		}
+	}
+}
+
+// TestHeatScope: the heat sketch counts accesses — a client's SET, CAS,
+// ERASE and two-sided GET, once each — and nothing that only moves data:
+// a direct apply, an install (replay, compact-restart), a migration batch,
+// a repair or handoff read.
+func TestHeatScope(t *testing.T) {
+	r := newRig(t, Options{Shard: 0})
+	k := []byte("k")
+	call := func(method string, req []byte) {
+		t.Helper()
+		if _, _, err := r.net.Client(5, "test").Call(context.Background(), "b0", method, req); err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   func()
+		heat uint64
+	}{
+		{"ApplySet", func() { r.b.ApplySet(k, []byte("a"), r.v()) }, 0},
+		{"ApplyCas", func() { r.b.ApplyCas(k, []byte("b"), truetime.Version{}, r.v()) }, 0},
+		{"ApplyErase", func() { r.b.ApplyErase(k, r.v()) }, 0},
+		{"install", func() { r.b.install(proto.MigrateItem{Key: k, Value: []byte("c"), Version: r.v()}) }, 0},
+		{"install tombstone", func() { r.b.install(proto.MigrateItem{Key: k, Version: r.v(), Tombstone: true}) }, 0},
+		{"migration batch", func() {
+			items := []proto.MigrateItem{{Key: k, Value: []byte("d"), Version: r.v()}, {Key: []byte("k2"), Value: []byte("e"), Version: r.v()}}
+			call(proto.MethodMigrateBatch, proto.MigrateBatchReq{Items: items}.Marshal())
+		}, 0},
+		{"get", func() { r.b.get(nil, k) }, 0},
+		{"CompactRestart", func() { r.b.CompactRestart(0.5) }, 0},
+		{"SET RPC", func() { call(proto.MethodSet, proto.SetReq{Key: k, Value: []byte("f"), Version: r.v()}.Marshal()) }, 1},
+		{"ERASE RPC", func() { call(proto.MethodErase, proto.SetReq{Key: k, Version: r.v()}.Marshal()) }, 1},
+		{"GET RPC", func() { call(proto.MethodGet, proto.GetReq{Key: k}.Marshal()) }, 1},
+	} {
+		before := r.b.Heat().Total()
+		c.op()
+		if got := r.b.Heat().Total() - before; got != c.heat {
+			t.Errorf("%s heated %d times, want %d", c.name, got, c.heat)
 		}
 	}
 }

@@ -26,6 +26,7 @@ package backend
 import (
 	"cliquemap/internal/core/proto"
 	"cliquemap/internal/persist"
+	"cliquemap/internal/truetime"
 )
 
 // recoverStampBit is OR-ed into bucket-header config stamps while the
@@ -99,14 +100,15 @@ func (b *Backend) openPersist() error {
 	return nil
 }
 
-// persistNote tees one applied mutation into the journal. Its only caller
-// is publish, under the key's stripe lock (the mutation's publication
-// point), so the append is ordered before the ack and before any
-// checkpoint rotation barrier. it.Value must be the uncompressed bytes
-// (what a client would read back).
-func (b *Backend) persistNote(it proto.MigrateItem) {
+// persistNote tees one applied mutation into the journal, as the record
+// it makes only when a journal is attached. Its only caller is publish,
+// under the key's stripe lock (the mutation's publication point), so the
+// append is ordered before the ack and before any checkpoint rotation
+// barrier. value must be the uncompressed bytes (what a client would read
+// back).
+func (b *Backend) persistNote(key, value []byte, v truetime.Version, erase bool) {
 	if p := b.persist.Load(); p != nil {
-		_ = p.Append(it)
+		_ = p.Append(proto.MigrateItem{Key: key, Value: value, Version: v, Tombstone: erase})
 	}
 }
 

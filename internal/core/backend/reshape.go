@@ -160,7 +160,7 @@ func (b *Backend) relocate(dr *dataRegion, c slab.Ref, raw []byte) (evicted bool
 	}
 	idx := b.idx.Load()
 	bucket := idx.bucketOf(h)
-	e, slot, ok := idx.bucket(bucket).Find(h)
+	e, slot, ok := idx.find(bucket, h)
 	if !ok || int(e.Ptr.Offset) != c.Offset || e.Version != de.Version {
 		return false
 	}
@@ -227,7 +227,7 @@ func (b *Backend) maybeResizeIndex() {
 func (b *Backend) rehash(next *indexRegion, live []layout.IndexEntry) bool {
 	for _, e := range live {
 		bucket := next.bucketOf(e.Hash)
-		slot, ok := emptySlot(next.bucket(bucket))
+		slot, ok := next.emptySlot(bucket)
 		if !ok {
 			return false
 		}

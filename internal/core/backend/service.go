@@ -6,6 +6,7 @@ import (
 
 	"cliquemap/internal/core/layout"
 	"cliquemap/internal/core/proto"
+	"cliquemap/internal/hashring"
 	"cliquemap/internal/rpc"
 	"cliquemap/internal/trace"
 	"cliquemap/internal/truetime"
@@ -27,21 +28,22 @@ const (
 
 // mutations is the handler table of the three client mutation methods,
 // keyed by method. Each decodes one SetReq, takes the access records it
-// carries, passes admission and acks the same way; a row names the cost its
-// handler bills and the core that applies it, which fills the ack.
+// carries, passes admission, heats its key and acks the same way; a row
+// names the cost its handler bills and the core that applies it to the
+// key's hash h, which fills the ack.
 var mutations = map[string]struct {
 	cost  uint64
-	apply func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error)
+	apply func(b *Backend, sink *trace.SpanSink, h hashring.KeyHash, r proto.SetReq) (proto.MutateResp, error)
 }{
-	proto.MethodSet: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error) {
-		return b.set(sink, r.Key, r.Value, r.Version, precond{})
+	proto.MethodSet: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, h hashring.KeyHash, r proto.SetReq) (proto.MutateResp, error) {
+		return b.set(sink, h, r.Key, r.Value, r.Version, precond{})
 	}},
-	proto.MethodErase: {eraseHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error) {
-		applied, stored := b.erase(sink, r.Key, r.Version)
+	proto.MethodErase: {eraseHandlerCPU, func(b *Backend, sink *trace.SpanSink, h hashring.KeyHash, r proto.SetReq) (proto.MutateResp, error) {
+		applied, stored := b.erase(sink, h, r.Key, r.Version)
 		return proto.MutateResp{Applied: applied, Stored: stored}, nil
 	}},
-	proto.MethodCas: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, r proto.SetReq) (proto.MutateResp, error) {
-		return b.set(sink, r.Key, r.Value, r.Version, precond{cas: true, expected: r.Expected})
+	proto.MethodCas: {setHandlerCPU, func(b *Backend, sink *trace.SpanSink, h hashring.KeyHash, r proto.SetReq) (proto.MutateResp, error) {
+		return b.set(sink, h, r.Key, r.Value, r.Version, precond{cas: true, expected: r.Expected})
 	}},
 }
 
@@ -84,8 +86,10 @@ func (b *Backend) registerHandlers() {
 			if err != nil {
 				return nil, cost, err
 			}
+			h := b.opt.Hash(r.Key)
+			b.noteHeat(r.Key, h)
 			sink := trace.SinkFrom(ctx)
-			ack, err := m.apply(b, sink, r)
+			ack, err := m.apply(b, sink, h, r)
 			if err != nil {
 				return nil, cost, err
 			}
@@ -291,9 +295,11 @@ func (b *Backend) serveGet(sink *trace.SpanSink, dst, req []byte) ([]byte, error
 	// One copy, one allocation: the entry is read into pooled scratch,
 	// checksum-validated there, and its value encoded straight into the
 	// response.
+	h := b.opt.Hash(r.Key)
+	b.noteHeat(r.Key, h)
 	bp := dataBufs.Get().(*[]byte)
 	defer dataBufs.Put(bp)
-	de, found, err := b.view(sink, r.Key, bp)
+	de, found, err := b.view(sink, h, r.Key, bp)
 	if err != nil {
 		// A damaged entry abstains: a miss vote could join a false miss quorum.
 		return nil, err
@@ -420,7 +426,7 @@ func (b *Backend) RepairShard(ctx context.Context, s int) (repaired int, err err
 			switch {
 			case versions[i] == r.Version:
 			case v.local:
-				if ack, _ := mutations[method].apply(b, nil, r); ack.Applied {
+				if ack, _ := mutations[method].apply(b, nil, b.opt.Hash(r.Key), r); ack.Applied {
 					b.noteRecoverySettle()
 				}
 			default:

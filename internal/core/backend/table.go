@@ -22,13 +22,28 @@ type indexRegion struct {
 	win    *rmem.Window
 	epoch  uint64
 	used   atomic.Int64 // occupied IndexEntries
+
+	// tags holds one byte per slot, bucket-major, written with the slot
+	// under its stripe lock: 0 for an empty slot, else tagOf its hash. The
+	// backend's own lookups read a slot's hash only where the tag matches;
+	// clients and NICs scan the region itself. Heap metadata, not
+	// registered memory.
+	tags []uint8
 }
 
-// newIndex builds a zeroed index region with stamped bucket headers.
+// tagOf is the slot tag of a key hashing to h: never 0, the empty tag.
+func tagOf(h hashring.KeyHash) uint8 { return uint8(h.Hi>>56) | 1 }
+
+// newIndex builds an index region whose every bucket header carries the
+// current config stamp and no flags. The fresh region reads as zeros, so
+// the headers are written without reading it.
 func (b *Backend) newIndex(geo layout.Geometry, epoch uint64) *indexRegion {
-	idx := &indexRegion{geo: geo, region: rmem.NewRegion(geo.RegionBytes(), geo.RegionBytes()), epoch: epoch}
+	idx := &indexRegion{geo: geo, region: rmem.NewRegion(geo.RegionBytes(), geo.RegionBytes()), epoch: epoch,
+		tags: make([]uint8, geo.Buckets*geo.Ways)}
+	var hdr [layout.BucketHeaderSize]byte
+	layout.EncodeBucketHeader(hdr[:], b.stampID(), 0)
 	for i := 0; i < geo.Buckets; i++ {
-		b.stampBucket(idx, i, 0)
+		idx.region.Write(geo.BucketOffset(i), hdr[:])
 	}
 	idx.win = b.reg.Register(idx.region, epoch)
 	return idx
@@ -59,11 +74,32 @@ func (x *indexRegion) bucket(i int) layout.RawBucket {
 	return raw
 }
 
-// emptySlot returns r's first empty slot.
-func emptySlot(r layout.RawBucket) (int, bool) {
-	for i, n := 0, r.Ways(); i < n; i++ {
-		if r.Hash(i).Zero() {
-			return i, true
+// tagsOf returns bucket's slot tags.
+func (x *indexRegion) tagsOf(bucket int) []uint8 {
+	return x.tags[bucket*x.geo.Ways : (bucket+1)*x.geo.Ways]
+}
+
+// find returns the entry for h in bucket and the slot holding it, reading
+// the hash of only those slots whose tag matches h's. The bucket's stripe
+// lock is held.
+func (x *indexRegion) find(bucket int, h hashring.KeyHash) (layout.IndexEntry, int, bool) {
+	t := tagOf(h)
+	for slot, tag := range x.tagsOf(bucket) {
+		if tag != t {
+			continue
+		}
+		if raw := x.bucket(bucket); raw.Hash(slot) == h {
+			return raw.Entry(slot), slot, true
+		}
+	}
+	return layout.IndexEntry{}, -1, false
+}
+
+// emptySlot returns bucket's first empty slot.
+func (x *indexRegion) emptySlot(bucket int) (int, bool) {
+	for slot, tag := range x.tagsOf(bucket) {
+		if tag == 0 {
+			return slot, true
 		}
 	}
 	return -1, false
@@ -120,12 +156,14 @@ func (b *Backend) SetConfigID(id uint64) {
 func (b *Backend) putSlot(idx *indexRegion, bucket, slot int, e layout.IndexEntry) {
 	// Decode the occupant before the write: the view aliases the slot.
 	var old layout.IndexEntry
-	if raw := idx.bucket(bucket); !raw.Hash(slot).Zero() {
-		old = raw.Entry(slot)
+	tag := &idx.tagsOf(bucket)[slot]
+	if *tag != 0 {
+		old = idx.bucket(bucket).Entry(slot)
 	}
 	var buf [layout.IndexEntrySize]byte
 	layout.EncodeIndexEntry(buf[:], e)
 	idx.region.Write(idx.slotOff(bucket, slot), buf[:])
+	*tag = tagOf(e.Hash)
 	if old.Empty() {
 		idx.used.Add(1)
 	} else {
@@ -142,6 +180,7 @@ var zeroEntry = make([]byte, layout.IndexEntrySize)
 // held.
 func (b *Backend) clearSlot(idx *indexRegion, bucket, slot int, e layout.IndexEntry) {
 	idx.region.Write(idx.slotOff(bucket, slot), zeroEntry)
+	idx.tagsOf(bucket)[slot] = 0
 	idx.used.Add(-1)
 	b.data.Load().free(e.Ptr)
 }
@@ -211,8 +250,8 @@ func (b *Backend) walk(o walkOpts, fn func(r *resident) bool) {
 	}
 	for bucket := first; bucket < idx.geo.Buckets; bucket += step {
 		raw := idx.bucket(bucket)
-		for slot, n := 0, raw.Ways(); slot < n; slot++ {
-			if raw.Hash(slot).Zero() {
+		for slot, tag := range idx.tagsOf(bucket) {
+			if tag == 0 {
 				continue
 			}
 			r.IndexEntry, r.bucket, r.slot = raw.Entry(slot), bucket, slot

@@ -79,11 +79,13 @@ type node struct {
 
 // lists is the arena a policy's doubly linked lists share: every node lives
 // in one slice, linked by index, a released node waits on a free chain
-// (through next) for the next insert, and a key finds its node through one
-// map. A key is on at most one list.
+// (through next) for the next insert, and a key finds its node through at,
+// an open-addressed table of node indices (none marks an empty slot). A
+// key is on at most one list.
 type lists struct {
 	nodes []node
-	at    map[hashring.KeyHash]int32
+	at    []int32 // power-of-two length, at most half full
+	n     int     // keys in at
 	free  int32
 }
 
@@ -93,12 +95,58 @@ type list struct {
 	n           int
 }
 
-func newLists() lists { return lists{at: make(map[hashring.KeyHash]int32), free: none} }
+// minSlots is an empty arena's table length.
+const minSlots = 16
+
+func newLists() lists { return lists{at: emptySlots(minSlots), free: none} }
 
 func newList() list { return list{front: none, back: none} }
 
-// insert takes a node for h, linked into no list yet; its list field is 0
-// (ARC's t1).
+func emptySlots(n int) []int32 {
+	at := make([]int32, n)
+	for i := range at {
+		at[i] = none
+	}
+	return at
+}
+
+// home is h's first probe in a table of mask+1 slots. The backend's stripes
+// and buckets are chosen by h.Lo's low bits, so the probe mixes the whole
+// hash (Fibonacci hashing) rather than take low bits every key of a stripe
+// shares.
+func home(h hashring.KeyHash, mask int) int {
+	return int((h.Lo^h.Hi)*0x9e3779b97f4a7c15>>32) & mask
+}
+
+// find returns h's node, probing linearly from its home slot to the first
+// empty one.
+func (s *lists) find(h hashring.KeyHash) (int32, bool) {
+	mask := len(s.at) - 1
+	for j := home(h, mask); ; j = (j + 1) & mask {
+		i := s.at[j]
+		if i == none {
+			return none, false
+		}
+		if s.nodes[i].h == h {
+			return i, true
+		}
+	}
+}
+
+// place puts node i, whose key is absent, in the first empty slot of its
+// probe sequence.
+func (s *lists) place(i int32) {
+	mask := len(s.at) - 1
+	j := home(s.nodes[i].h, mask)
+	for s.at[j] != none {
+		j = (j + 1) & mask
+	}
+	s.at[j] = i
+}
+
+// insert takes a node for h, which must be absent, linked into no list
+// yet; its list field is 0 (ARC's t1). The table doubles when it would
+// pass half full.
 func (s *lists) insert(h hashring.KeyHash) int32 {
 	i := s.free
 	if i == none {
@@ -108,13 +156,38 @@ func (s *lists) insert(h hashring.KeyHash) int32 {
 		s.free = s.nodes[i].next
 	}
 	s.nodes[i] = node{h: h, prev: none, next: none}
-	s.at[h] = i
+	if s.n++; 2*s.n > len(s.at) {
+		old := s.at
+		s.at = emptySlots(2 * len(old))
+		for _, j := range old {
+			if j != none {
+				s.place(j)
+			}
+		}
+	}
+	s.place(i)
 	return i
 }
 
-// release forgets unlinked node i and chains it for reuse.
+// release forgets unlinked node i and chains it for reuse. Its table slot
+// is refilled by backward shift: each later node of the probe run that may
+// sit earlier moves into the hole, so every find still reaches its node
+// before an empty slot.
 func (s *lists) release(i int32) {
-	delete(s.at, s.nodes[i].h)
+	mask := len(s.at) - 1
+	hole := home(s.nodes[i].h, mask)
+	for s.at[hole] != i {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; s.at[j] != none; j = (j + 1) & mask {
+		// The node at j may move back to hole unless its home lies
+		// cyclically in (hole, j].
+		if k := home(s.nodes[s.at[j]].h, mask); (j-k)&mask >= (j-hole)&mask {
+			s.at[hole], hole = s.at[j], j
+		}
+	}
+	s.at[hole] = none
+	s.n--
 	s.nodes[i].next = s.free
 	s.free = i
 }
@@ -164,7 +237,7 @@ func (p *LRU) Len() int { return p.l.n }
 
 // Add implements Policy.
 func (p *LRU) Add(h hashring.KeyHash) {
-	i, ok := p.s.at[h]
+	i, ok := p.s.find(h)
 	if ok {
 		p.s.unlink(&p.l, i)
 	} else {
@@ -175,7 +248,7 @@ func (p *LRU) Add(h hashring.KeyHash) {
 
 // Touch implements Policy.
 func (p *LRU) Touch(h hashring.KeyHash) {
-	if i, ok := p.s.at[h]; ok {
+	if i, ok := p.s.find(h); ok {
 		p.s.unlink(&p.l, i)
 		p.s.pushFront(&p.l, i)
 	}
@@ -183,7 +256,7 @@ func (p *LRU) Touch(h hashring.KeyHash) {
 
 // Remove implements Policy.
 func (p *LRU) Remove(h hashring.KeyHash) {
-	if i, ok := p.s.at[h]; ok {
+	if i, ok := p.s.find(h); ok {
 		p.s.unlink(&p.l, i)
 		p.s.release(i)
 	}
@@ -253,7 +326,7 @@ func (p *ARC) trimGhost(g uint8) {
 
 // Add implements Policy.
 func (p *ARC) Add(h hashring.KeyHash) {
-	i, ok := p.s.at[h]
+	i, ok := p.s.find(h)
 	if !ok {
 		p.s.pushFront(&p.l[t1], p.s.insert(h))
 		return
@@ -271,14 +344,14 @@ func (p *ARC) Add(h hashring.KeyHash) {
 
 // Touch implements Policy.
 func (p *ARC) Touch(h hashring.KeyHash) {
-	if i, ok := p.s.at[h]; ok && p.s.nodes[i].list <= t2 {
+	if i, ok := p.s.find(h); ok && p.s.nodes[i].list <= t2 {
 		p.move(i, t2)
 	}
 }
 
 // Remove implements Policy.
 func (p *ARC) Remove(h hashring.KeyHash) {
-	i, ok := p.s.at[h]
+	i, ok := p.s.find(h)
 	if !ok {
 		return
 	}

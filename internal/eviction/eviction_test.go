@@ -95,9 +95,9 @@ func TestPolicyContract(t *testing.T) {
 	}
 }
 
-// TestPolicyTrackingAllocatesNothing: once a policy's arena and map have
-// grown to its population, inserting a key, touching it and evicting one
-// makes no heap object.
+// TestPolicyTrackingAllocatesNothing: once a policy's arena and key table
+// have grown to its population, inserting a key, touching it and evicting
+// one makes no heap object.
 func TestPolicyTrackingAllocatesNothing(t *testing.T) {
 	hashes := make([]hashring.KeyHash, 4096)
 	for i := range hashes {
@@ -307,6 +307,74 @@ func BenchmarkARCAdd(b *testing.B) {
 		if p.Len() > 10000 {
 			v, _ := p.Victim()
 			p.Remove(v)
+		}
+	}
+}
+
+// arenaHashes draws n distinct hashes whose first probe in a 64-slot table
+// is one of its last 8 slots or its first 4, so every table up to 64 slots
+// packs them into one run that wraps from the end to the start.
+func arenaHashes(rng *rand.Rand, n int) []hashring.KeyHash {
+	seen := make(map[hashring.KeyHash]bool, n)
+	out := make([]hashring.KeyHash, 0, n)
+	for len(out) < n {
+		h := hashring.KeyHash{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		if j := home(h, 63); (j >= 56 || j < 4) && !seen[h] {
+			seen[h] = true
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// TestArenaMatchesMap runs 1 M random inserts, lookups and removes against
+// the arena's key table and a reference map. Most ops run on 64 hashes
+// that collide and wrap the table, with up to 31 resident (a 64-slot
+// table), so a remove shifts a long run backward; the rest on 4 096
+// random hashes, which grow the table to 8 192 slots under churn.
+func TestArenaMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for _, phase := range []struct {
+		pool     []hashring.KeyHash
+		resident int
+		ops      int
+	}{
+		{arenaHashes(rng, 64), 31, 900_000},
+		{func() []hashring.KeyHash {
+			hs := make([]hashring.KeyHash, 4096)
+			for i := range hs {
+				hs[i] = hashring.KeyHash{Hi: rng.Uint64(), Lo: rng.Uint64()}
+			}
+			return hs
+		}(), 4096, 100_000},
+	} {
+		s, ref := newLists(), make(map[hashring.KeyHash]int32)
+		check := func(h hashring.KeyHash) {
+			i, ok := s.find(h)
+			want, wok := ref[h]
+			if ok != wok || (ok && i != want) {
+				t.Fatalf("find(%v) = (%d, %v), the map holds (%d, %v)", h, i, ok, want, wok)
+			}
+		}
+		for op := 0; op < phase.ops; op++ {
+			h := phase.pool[rng.Intn(len(phase.pool))]
+			_, in := ref[h]
+			switch r := rng.Intn(3); {
+			case r == 0 && !in && len(ref) < phase.resident:
+				ref[h] = s.insert(h)
+			case r == 1 && in:
+				s.release(ref[h])
+				delete(ref, h)
+			}
+			check(h)
+			if op%4096 == 0 {
+				for _, h := range phase.pool {
+					check(h)
+				}
+				if s.n != len(ref) || 2*s.n > len(s.at) {
+					t.Fatalf("table holds %d keys in %d slots, the map %d", s.n, len(s.at), len(ref))
+				}
+			}
 		}
 	}
 }
