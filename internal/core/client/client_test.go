@@ -40,6 +40,9 @@ type rig struct {
 
 const clientHost = 3
 
+// rigGeometry is every rig backend's index, unless a tweak sets another.
+var rigGeometry = layout.Geometry{Buckets: 32, Ways: 8}
+
 func newRig(t testing.TB) *rig { return newRigOn(t, fabric.Params{}) }
 
 func newRigOn(t testing.TB, p fabric.Params) *rig { return newRigMode(t, p, config.R32) }
@@ -63,7 +66,7 @@ func newRigMode(t testing.TB, p fabric.Params, mode config.Mode, tweaks ...func(
 		reg := rmem.NewRegistry()
 		opt := backend.Options{
 			Shard: i, HostID: i, Addr: fmt.Sprintf("b%d", i),
-			Geometry:       layout.Geometry{Buckets: 32, Ways: 8},
+			Geometry:       rigGeometry,
 			DataBytes:      1 << 20,
 			DataMaxBytes:   4 << 20,
 			SlabBytes:      64 << 10,

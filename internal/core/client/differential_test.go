@@ -44,9 +44,11 @@ import (
 // half the corpus), or every 150 ops the config steps — the new ID a
 // resize step publishes, which both clients have picked up. The instant
 // of each data read is predicted from the client's own history: its last
-// GET of the key read data, or its last SET of the key was acked with the
-// value's pointer, and since then it did not erase the key, the other
-// client did not mutate it and the config did not step. An eviction can
+// GET of the key read data, its last SET of the key was acked with the
+// value's pointer, or a GET of another key read the key's bucket while the
+// cell held the key (a bucket names every slot's pointer), and since
+// then it did not erase the key, the other client did not mutate it and
+// the config did not step. An eviction can
 // also move a pointer, so in that world a predicted warm read may start
 // cold, but a predicted cold one never starts warm.
 func TestStrategiesAgree(t *testing.T) {
@@ -101,10 +103,21 @@ func TestStrategiesAgree(t *testing.T) {
 		}
 		// The client's remembered pointers as its history predicts them:
 		// the key each slot holds, and the keys another client moved. A
-		// 2×R client holds its table from New.
+		// 2×R client holds its table from New. The 24 keys take 24 slots,
+		// so a pointer learned from a bucket never finds its slot taken.
 		remembers := need > 1 && strat == Strategy2xR
 		slotOf := func(key []byte) uint64 { return cl.opt.Hash(key).Lo % ptrSlots }
+		bucketOf := func(key string) uint64 { return cl.opt.Hash([]byte(key)).Lo % uint64(rigGeometry.Buckets) }
 		held, moved := map[uint64]string{}, map[string]bool{}
+		present := map[string]bool{} // the keys the cell holds, evictions aside
+		for k := range 24 {
+			key := fmt.Sprintf("k%02d", k)
+			if other, taken := held[slotOf([]byte(key))]; taken {
+				t.Fatalf("%s and %s share a pointer slot", key, other)
+			}
+			held[slotOf([]byte(key))], present[key] = key, true
+		}
+		clear(held)
 		forget := func(key []byte) {
 			if held[slotOf(key)] == string(key) {
 				delete(held, slotOf(key))
@@ -113,6 +126,14 @@ func TestStrategiesAgree(t *testing.T) {
 		hold := func(key []byte) {
 			if remembers {
 				held[slotOf(key)], moved[string(key)] = string(key), false
+			}
+		}
+		// A GET reads key's bucket, whose slots name every other key there.
+		learn := func(key []byte) {
+			for k, in := range present {
+				if in && k != string(key) && bucketOf(k) == bucketOf(string(key)) {
+					hold([]byte(k))
+				}
 			}
 		}
 		var out []result
@@ -133,17 +154,21 @@ func TestStrategiesAgree(t *testing.T) {
 					t.Fatalf("op %d set: %v", op, err)
 				}
 				hold(key)
+				present[string(key)] = true
 			case p < 4:
 				if err := cl.Erase(ctx, key); err != nil {
 					t.Fatalf("op %d erase: %v", op, err)
 				}
 				forget(key)
+				present[string(key)] = false
 			case other != nil && p < 5:
 				var err error
 				if rng.Intn(3) == 0 {
 					err = other.Erase(ctx, key)
+					present[string(key)] = false
 				} else {
 					err = other.Set(ctx, key, value("o", op))
+					present[string(key)] = true
 				}
 				if err != nil {
 					t.Fatalf("op %d: the other client's mutation: %v", op, err)
@@ -156,6 +181,7 @@ func TestStrategiesAgree(t *testing.T) {
 					t.Fatalf("op %d get: %v", op, err)
 				}
 				out = append(out, result{string(val), found})
+				learn(key)
 				if cl.M.NearHits.Value() != hits {
 					if data, hasData := spanOf(tr, trace.SpanDataRead); hasData {
 						t.Fatalf("op %d: a near hit billed a data read %+v", op, data)

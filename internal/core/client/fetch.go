@@ -123,7 +123,10 @@ func (c *Client) fetchRound(x *legExec, at, cfgID uint64, how legKind, req []byt
 		resp, tr, err := x.wait(&legs[i])
 		v.ns = tr.Ns
 		if how.oneSided() {
-			v.index(resp, legs[i].data, err, x.h, cfgID, how == legScar)
+			b := v.index(resp, legs[i].data, err, x.h, cfgID, how == legScar)
+			if how == legIndex && v.err == nil {
+				c.ptrs.learn(b, x.h, cfgID, v.rep.shard)
+			}
 		} else {
 			v.answer(resp, err)
 		}
@@ -151,10 +154,11 @@ func (v *indexView) answer(resp []byte, err error) {
 // header and the slot its NIC matched; a plain read with the whole bucket.
 // cfgID is the config the client routed with; an answer stamped differently
 // means the fleet moved on (maintenance or resize) and cannot be trusted.
-func (v *indexView) index(raw, data []byte, err error, h hashring.KeyHash, cfgID uint64, scar bool) {
+// It returns the bucket it validated, nil when v.err is set.
+func (v *indexView) index(raw, data []byte, err error, h hashring.KeyHash, cfgID uint64, scar bool) layout.RawBucket {
 	if err != nil {
 		v.err = wrapTransportErr(v.rep.addr, err)
-		return
+		return nil
 	}
 	v.data = data
 	ways := v.rep.hello.Ways
@@ -166,7 +170,7 @@ func (v *indexView) index(raw, data []byte, err error, h hashring.KeyHash, cfgID
 	b, err := layout.ViewBucket(raw, ways)
 	if err != nil {
 		v.err = err
-		return
+		return nil
 	}
 	// Self-validation: the bucket's ConfigID must match the config the
 	// client routed with (§6.1). Comparing against the routing config —
@@ -176,10 +180,11 @@ func (v *indexView) index(raw, data []byte, err error, h hashring.KeyHash, cfgID
 	// otherwise collect look exactly like a legitimate miss.
 	if b.ConfigID() != cfgID {
 		v.err = layout.ErrConfigChanged
-		return
+		return nil
 	}
 	v.overflow = b.Flags()&layout.OverflowFlag != 0
 	v.entry, _, v.present = b.Find(h)
+	return b
 }
 
 // errStale wraps a window error with the backend it came from.

@@ -1,13 +1,14 @@
 package client
 
-// Remembered data pointers: where this client last read or wrote each
-// key's data. An R=3.2 2×R GET starts §5.1's speculative data read
+// Remembered data pointers: where this client last read, wrote or saw
+// each key's data. An R=3.2 2×R GET starts §5.1's speculative data read
 // with the index reads when the table names the key's pointer, instead of
 // at the first index answer: a warm hit pays one round trip, not two
-// dependent ones. A slot is learned by the data read that served, or by
+// dependent ones. A slot is learned by the data read that served, by
 // the client's own SET or swapped CAS, whose fastest ack names where its
-// replica put the value (MutateResp.Ptr, outside a resize); any other own
-// mutation drops it. The read is kept only when its replica's index entry
+// replica put the value (MutateResp.Ptr, outside a resize), or by any
+// bucket read that names the key (learn); any other own mutation drops
+// it. The read is kept only when its replica's index entry
 // still names the pointer, and is validated like every data read —
 // checksum, full key, the quorum's version — so a stale slot costs one
 // wasted leg and never changes an answer.
@@ -24,16 +25,21 @@ import (
 	"cliquemap/internal/rmem"
 )
 
-// ptrSlots sizes the table to a client's hot set: 32 768 slots of 56 B
-// are 1.75 MiB. On mix_rw_1rma (Zipf 1.1 over 200 K keys, 40 % of the ops
-// the client's own SETs and 5 % its CASes, 80 % of the GETs hits) the
-// share of GETs that start warm is
+// ptrSlots sizes the table to a client's hot set: 131 072 slots of 56 B
+// are 7 MiB, about one per slot of mix_rw_1rma's 8 192 × 14 index. On
+// mix_rw_1rma (Zipf 1.1 over 200 K keys, 40 % of the ops the client's own
+// SETs and 5 % its CASes, 80 % of the GETs hits) the share of GETs that
+// start warm, with the pointers bucket reads teach and without, is
 //
-//	slots   4 096   16 384  32 768  65 536  131 072
-//	warm    63.9 %  70.9 %  72.9 %  74.0 %  74.8 %
+//	slots     4 096   16 384  32 768  65 536  131 072  262 144
+//	learning  63.9 %  71.7 %  74.5 %  76.4 %  77.5 %   78.0 %
+//	without                   73.7 %          75.8 %
 //
-// Past 32 768 each doubling adds about a point.
-const ptrSlots = 32768
+// A key's slot, like its bucket, is its hash's low bits, so the keys of
+// one bucket share ptrSlots/8 192 slots: at 4 096 two buckets share each
+// slot, which the client's own reads hold, and each doubling past 8 192
+// gives every bucket twice the room.
+const ptrSlots = 131072
 
 // ptrTable is direct-mapped by the key hash's low bits. A slot is a hint:
 // a reader that finds it mid-write, or a writer that finds another writer
@@ -91,6 +97,36 @@ func (t *ptrTable) put(h hashring.KeyHash, cfgID uint64, shard int, p layout.Poi
 	s.off.Store(p.Offset)
 	s.size.Store(p.Size)
 	s.seq.Store(seq + 2)
+}
+
+// learn remembers where each other key of a bucket that shard served
+// under the config cfgID keeps its data: a bucket read carries every
+// slot's pointer, so the first GET of a key whose bucket the client read
+// starts warm. self is the key the read was for; its slot is the data
+// read's to fill. A learned pointer goes only into an empty slot (or one
+// learned under another config, which get drops) or refreshes the same
+// key's pointer from the same replica: it never displaces another key's,
+// and of a round's three buckets the first to reach an empty slot keeps it.
+func (t *ptrTable) learn(b layout.RawBucket, self hashring.KeyHash, cfgID uint64, shard int) {
+	if t == nil {
+		return
+	}
+	for i, n := 0, b.Ways(); i < n; i++ {
+		h := b.Hash(i)
+		if h.Zero() || h == self {
+			continue
+		}
+		s := &t[h.Lo%ptrSlots]
+		live := s.size.Load() != 0 && s.cfg.Load() == cfgID
+		if live && (s.hash.Load() != h.Hi || s.shard.Load() != uint64(shard)) {
+			continue // another key's, or this key's from another replica
+		}
+		p := b.Entry(i).Ptr
+		if live && s.win.Load() == uint64(p.Window) && s.off.Load() == p.Offset && s.size.Load() == p.Size {
+			continue // unchanged: write nothing
+		}
+		t.put(h, cfgID, shard, p)
+	}
 }
 
 // drop forgets h's pointer, if its slot holds one.

@@ -11,7 +11,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -61,8 +60,17 @@ func (z *ZipfKeys) Next() uint64 { return z.z.Uint64() }
 // N implements KeyGen.
 func (z *ZipfKeys) N() uint64 { return z.n }
 
-// Key renders key index i as the canonical workload key string.
-func Key(i uint64) string { return fmt.Sprintf("key-%016x", i) }
+// Key renders key index i as the canonical workload key string: "key-"
+// and i in 16 zero-padded lowercase hex digits.
+func Key(i uint64) string {
+	const digits = "0123456789abcdef"
+	b := [20]byte{'k', 'e', 'y', '-'}
+	for j := len(b) - 1; j >= 4; j-- {
+		b[j] = digits[i&15]
+		i >>= 4
+	}
+	return string(b[:])
+}
 
 // SizeDist samples object sizes from a capped lognormal.
 type SizeDist struct {

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -61,6 +63,31 @@ func TestKeyFormatting(t *testing.T) {
 	}
 	if len(Key(42)) != len(Key(1<<40)) {
 		t.Error("keys not fixed width")
+	}
+}
+
+// TestKeyBytes pins Key to the bytes fmt.Sprintf("key-%016x", i) made
+// before Key formatted by hand: every preloaded corpus, golden and seeded
+// run names its keys this way.
+func TestKeyBytes(t *testing.T) {
+	for _, tc := range []struct {
+		i    uint64
+		want string
+	}{
+		{0, "key-0000000000000000"},
+		{0xdeadbeef, "key-00000000deadbeef"},
+		{math.MaxUint64, "key-ffffffffffffffff"},
+	} {
+		if got := Key(tc.i); got != tc.want {
+			t.Errorf("Key(%#x) = %q, want %q", tc.i, got, tc.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 1000 {
+		i := rng.Uint64() >> rng.Intn(64)
+		if got, want := Key(i), fmt.Sprintf("key-%016x", i); got != want {
+			t.Fatalf("Key(%#x) = %q, want %q", i, got, want)
+		}
 	}
 }
 
